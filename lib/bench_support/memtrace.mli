@@ -29,7 +29,9 @@ type lane = {
   allocated : float;  (** ledger: freshly allocated host bytes per message *)
   alloc_blocks : float;  (** ledger: fresh allocations per message *)
   minor_words : float;  (** GC minor-heap words per message *)
-  major_bytes : float;  (** GC allocated bytes (all heaps) per message *)
+  major_words : float;
+      (** words allocated directly in the major heap per message (GC major
+          words minus promoted words) *)
   pool_balanced : bool;
       (** acquired = released at lane exit (engine destroyed) *)
 }
@@ -48,7 +50,8 @@ type result = {
   points : point list;
   disabled_trace_minor_words : float;
       (** minor-heap words allocated per disabled-path instrumentation
-          call (span + instant + begin_packet + counter + histogram);
+          call (span + instant + begin_packet + counter-block bump +
+          histogram + flight-recorder note);
           gated near zero by {!check} *)
 }
 

@@ -269,15 +269,15 @@ let mem_indicators ~tol j =
   List.concat points @ disabled
 
 let stream_indicators ~tol j =
-  let gate =
-    match num_member "gate_ratio" j with
-    | Some v ->
-        [ { key = "stream.gate_ratio";
+  let ratio name =
+    match num_member name j with
+    | Some v when v > 0.0 ->
+        [ { key = "stream." ^ name;
             value = v;
             direction = Higher_better;
             tol;
             slack = 0.0 } ]
-    | None -> []
+    | _ -> []
   in
   let points =
     List.filter_map
@@ -289,10 +289,18 @@ let stream_indicators ~tol j =
             num_member "goodput_mbps" p )
         with
         | Some mode, Some rtt, Some loss, Some goodput ->
+            (* A [--sack] file adds a NewReno (SACK-off) sweep over the
+               same mode, RTT and loss cells; its points get their own
+               keys so they cannot overwrite the SACK cells. *)
+            let variant =
+              match member "sack" p with
+              | Some (Bool false) -> ",newreno"
+              | _ -> ""
+            in
             Some
               { key =
-                  Printf.sprintf "stream.goodput[%s,rtt=%.0f,loss=%.3f]" mode
-                    rtt loss;
+                  Printf.sprintf "stream.goodput[%s,rtt=%.0f,loss=%.3f%s]" mode
+                    rtt loss variant;
                 value = goodput;
                 direction = Higher_better;
                 tol;
@@ -300,7 +308,9 @@ let stream_indicators ~tol j =
         | _ -> None)
       (arr_member "points" j)
   in
-  gate @ points
+  (* [sack_ratio] is 0 in a file written without [--sack]: no A/B to
+     gate. *)
+  ratio "gate_ratio" @ ratio "sack_ratio" @ points
 
 (* ---- comparison ---- *)
 

@@ -8,12 +8,16 @@
 
 module M = Ilp_obs.Metrics
 
-(* Process-wide mirrors of the per-pool counters below; conservation over
-   all pools, diffed per run by consumers. *)
-let m_acquired = M.counter M.default "pool.acquired"
-let m_released = M.counter M.default "pool.released"
-let m_fresh = M.counter M.default "pool.fresh_allocs"
-let m_dropped = M.counter M.default "pool.dropped"
+(* Each pool's counters are one block of the registry's [pool.*]
+   family: the registry sums them over every pool. *)
+let family =
+  M.family M.default
+    [| "pool.acquired"; "pool.released"; "pool.fresh_allocs"; "pool.dropped" |]
+
+let c_acquired = 0
+let c_released = 1
+let c_fresh = 2
+let c_dropped = 3
 let m_acquire_bytes = M.histogram M.default "pool.acquire_bytes"
 
 let min_size = 64
@@ -33,10 +37,7 @@ type t = {
   free : Bytes.t list array;
   counts : int array;
   class_cap : int;
-  mutable acquired : int;
-  mutable released : int;
-  mutable fresh_allocs : int;
-  mutable dropped : int;
+  blk : int array;
 }
 
 let create ?(class_cap = 8) () =
@@ -44,10 +45,9 @@ let create ?(class_cap = 8) () =
   { free = Array.make n_classes [];
     counts = Array.make n_classes 0;
     class_cap;
-    acquired = 0;
-    released = 0;
-    fresh_allocs = 0;
-    dropped = 0 }
+    blk = M.block family }
+
+let bump t i = t.blk.(i) <- t.blk.(i) + 1
 
 let class_size i = min_size lsl i
 
@@ -57,15 +57,13 @@ let class_index len =
   go 0
 
 let fresh t len =
-  t.fresh_allocs <- t.fresh_allocs + 1;
-  M.inc m_fresh 1;
+  bump t c_fresh;
   Memtraffic.alloc Memtraffic.Pool len;
   Bytes.create len
 
 let acquire t len =
   if len < 0 then invalid_arg "Pool.acquire: negative length";
-  t.acquired <- t.acquired + 1;
-  M.inc m_acquired 1;
+  bump t c_acquired;
   M.observe m_acquire_bytes len;
   if len > max_size then fresh t len
   else
@@ -78,31 +76,24 @@ let acquire t len =
     | [] -> fresh t (class_size i)
 
 let release t b =
-  t.released <- t.released + 1;
-  M.inc m_released 1;
+  bump t c_released;
   let n = Bytes.length b in
-  if n < min_size || n > max_size then begin
-    t.dropped <- t.dropped + 1;
-    M.inc m_dropped 1
-  end
+  if n < min_size || n > max_size then bump t c_dropped
   else
     let i = class_index n in
     (* Only exact class-sized buffers rejoin a free list: an odd-sized
        stranger would silently shrink the class's capacity guarantee. *)
-    if n <> class_size i || t.counts.(i) >= t.class_cap then begin
-      t.dropped <- t.dropped + 1;
-      M.inc m_dropped 1
-    end
+    if n <> class_size i || t.counts.(i) >= t.class_cap then bump t c_dropped
     else begin
       t.free.(i) <- b :: t.free.(i);
       t.counts.(i) <- t.counts.(i) + 1
     end
 
-let stats t =
-  { acquired = t.acquired;
-    released = t.released;
-    outstanding = t.acquired - t.released;
-    fresh_allocs = t.fresh_allocs;
-    dropped = t.dropped }
+let outstanding t = t.blk.(c_acquired) - t.blk.(c_released)
 
-let outstanding t = t.acquired - t.released
+let stats t =
+  { acquired = t.blk.(c_acquired);
+    released = t.blk.(c_released);
+    outstanding = outstanding t;
+    fresh_allocs = t.blk.(c_fresh);
+    dropped = t.blk.(c_dropped) }

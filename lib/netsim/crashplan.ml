@@ -1,8 +1,13 @@
 module M = Ilp_obs.Metrics
 
-let m_crashes = M.counter M.default "netsim.crashes"
-let m_swallowed = M.counter M.default "netsim.crash_swallowed"
-let m_resets = M.counter M.default "netsim.crash_resets"
+(* Each plan's counters: one block of the registry's [netsim.*] family. *)
+let family =
+  M.family M.default
+    [| "netsim.crashes"; "netsim.crash_swallowed"; "netsim.crash_resets" |]
+
+let c_crashes = 0
+let c_swallowed = 1
+let c_resets = 2
 
 type schedule = At_times of float list | On_packet of int
 
@@ -23,10 +28,8 @@ type t = {
   revive : unit -> unit;
   packet_trigger : int;  (* 0 = timed schedule only *)
   mutable up : bool;
-  mutable crashes : int;
+  blk : int array;
   mutable packets_seen : int;  (* since the last restart *)
-  mutable swallowed : int;
-  mutable resets : int;
   mutable revive_timer : Simclock.timer option;
   mutable crash_timers : Simclock.timer list;
   mutable stopped : bool;
@@ -54,11 +57,12 @@ let seeded_times ~seed ~crashes ~horizon_us =
       horizon_us *. (0.1 +. (0.9 *. u)))
   |> List.sort compare
 
+let bump t i = t.blk.(i) <- t.blk.(i) + 1
+
 let crash t =
-  if t.up && (not t.stopped) && t.crashes < t.max_crashes then begin
+  if t.up && (not t.stopped) && t.blk.(c_crashes) < t.max_crashes then begin
     t.up <- false;
-    t.crashes <- t.crashes + 1;
-    M.inc m_crashes 1;
+    bump t c_crashes;
     t.packets_seen <- 0;
     t.kill ();
     let timer =
@@ -85,10 +89,8 @@ let create clock ?(max_crashes = max_int) ~schedule ~down_us
       revive;
       packet_trigger = (match schedule with On_packet n -> n | At_times _ -> 0);
       up = true;
-      crashes = 0;
+      blk = M.block family;
       packets_seen = 0;
-      swallowed = 0;
-      resets = 0;
       revive_timer = None;
       crash_timers = [];
       stopped = false }
@@ -107,9 +109,9 @@ let create clock ?(max_crashes = max_int) ~schedule ~down_us
   t
 
 let is_up t = t.up
-let crashes t = t.crashes
-let swallowed t = t.swallowed
-let resets t = t.resets
+let crashes t = t.blk.(c_crashes)
+let swallowed t = t.blk.(c_swallowed)
+let resets t = t.blk.(c_resets)
 let timer_owner t = t.owner
 
 (* Wrap a host's demux handler: while the host is up, packets flow (and
@@ -123,26 +125,19 @@ let guard t ~deliver dgram =
     end;
     (* The packet that triggers the crash is lost with the host (it was
        in the NIC ring of a machine that just died). *)
-    if t.up then deliver dgram
-    else begin
-      t.swallowed <- t.swallowed + 1;
-      M.inc m_swallowed 1
-    end
+    if t.up then deliver dgram else bump t c_swallowed
   end
-  else
+  else begin
+    bump t c_swallowed;
     match t.behaviour with
-    | Blackhole ->
-        t.swallowed <- t.swallowed + 1;
-        M.inc m_swallowed 1
+    | Blackhole -> ()
     | Respond { reply; send } -> (
-        t.swallowed <- t.swallowed + 1;
-        M.inc m_swallowed 1;
         match reply dgram with
         | None -> ()
         | Some r ->
-            t.resets <- t.resets + 1;
-            M.inc m_resets 1;
+            bump t c_resets;
             send r)
+  end
 
 let stop t =
   t.stopped <- true;

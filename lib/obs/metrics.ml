@@ -1,8 +1,14 @@
-type counter = { mutable c : int }
+(* Counters live in families: a module registers its counter names once
+   and every instance takes a zeroed block with one slot per name.  The
+   registry keeps every block it hands out, so a name's value is the sum
+   of its slot over all of them and stays monotonic for the process. *)
+type block = int array
+type family = { f_names : string array; mutable blocks : block list }
+type counter = block (* a one-name family's block *)
 type gauge = { mutable g : int }
 type histogram = { mutable count : int; mutable sum : int; buckets : int array }
 
-type entry = Ec of counter | Eg of gauge | Eh of histogram
+type entry = Ec of family * int | Eg of gauge | Eh of histogram
 
 type t = {
   tbl : (string, entry) Hashtbl.t;
@@ -36,26 +42,45 @@ let kind_name = function
   | Eg _ -> "gauge"
   | Eh _ -> "histogram"
 
+let already name e =
+  invalid_arg
+    (Printf.sprintf "Metrics: %S already registered as a %s" name (kind_name e))
+
 let register t name make wrap unwrap =
   match Hashtbl.find_opt t.tbl name with
-  | Some e -> (
-      match unwrap e with
-      | Some v -> v
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S already registered as a %s" name
-               (kind_name e)))
+  | Some e -> ( match unwrap e with Some v -> v | None -> already name e)
   | None ->
       let v = make () in
       Hashtbl.add t.tbl name (wrap v);
       t.names <- name :: t.names;
       v
 
+(* Find-or-create: the same names in the same order return the existing
+   family; any other clash with a registered name raises. *)
+let family t names =
+  if names = [||] then invalid_arg "Metrics.family: no names";
+  match Hashtbl.find_opt t.tbl names.(0) with
+  | Some (Ec (f, 0)) when f.f_names = names -> f
+  | _ ->
+      let f = { f_names = Array.copy names; blocks = [] } in
+      let check name = Option.iter (already name) (Hashtbl.find_opt t.tbl name) in
+      Array.iter check names;
+      Array.iteri
+        (fun i name ->
+          check name;
+          Hashtbl.add t.tbl name (Ec (f, i));
+          t.names <- name :: t.names)
+        names;
+      f
+
+let block f =
+  let b = Array.make (Array.length f.f_names) 0 in
+  f.blocks <- b :: f.blocks;
+  b
+
 let counter t name =
-  register t name
-    (fun () -> { c = 0 })
-    (fun c -> Ec c)
-    (function Ec c -> Some c | _ -> None)
+  let f = family t [| name |] in
+  match f.blocks with b :: _ -> b | [] -> block f
 
 let gauge t name =
   register t name
@@ -69,8 +94,8 @@ let histogram t name =
     (fun h -> Eh h)
     (function Eh h -> Some h | _ -> None)
 
-let inc c n = c.c <- c.c + n
-let counter_value c = c.c
+let inc c n = c.(0) <- c.(0) + n
+let counter_value c = c.(0)
 let set g v = g.g <- v
 let add_gauge g n = g.g <- g.g + n
 let gauge_value g = g.g
@@ -94,7 +119,8 @@ let snapshot t =
     (fun name ->
       let v =
         match Hashtbl.find t.tbl name with
-        | Ec c -> Counter c.c
+        | Ec (f, i) ->
+            Counter (List.fold_left (fun acc b -> acc + b.(i)) 0 f.blocks)
         | Eg g -> Gauge g.g
         | Eh h ->
             Histogram { count = h.count; sum = h.sum; buckets = Array.copy h.buckets }
@@ -232,15 +258,3 @@ let to_json snap =
     snap;
   Buffer.add_string b "}";
   Buffer.contents b
-
-let reset t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e with
-      | Ec c -> c.c <- 0
-      | Eg g -> g.g <- 0
-      | Eh h ->
-          h.count <- 0;
-          h.sum <- 0;
-          Array.fill h.buckets 0 n_buckets 0)
-    t.tbl

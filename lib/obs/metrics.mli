@@ -1,21 +1,29 @@
 (** Typed metrics registry: counters, gauges and log2-bucketed histograms.
 
-    One process-wide registry ([default]) unifies the bespoke ledgers kept
-    by [Link], [Tcp.Socket], [Rpc.Server], [Pool] and [Memtraffic].  Each
-    component registers its instruments once at module initialisation and
-    bumps them alongside its existing mutable record, so the historical
-    public stats accessors keep working while [snapshot]/[render] expose a
-    single unified surface.
+    One process-wide registry ([default]) is the single home of every
+    count the stack keeps.  Counters come in {e families}: a component
+    ([Link], [Tcp.Socket], [Rpc.Server], [Pool], [Memtraffic], ...)
+    registers its counter names once at module initialisation, and each
+    instance takes a zeroed {!block} — a plain [int array] with one slot
+    per name, in registration order — and bumps its slots directly.  The
+    component's public stats accessors read the same block, so the
+    registry and the component cannot disagree.  [snapshot] reports each
+    counter name as the sum of its slot over every block of its family.
 
-    Instruments are monotonic for the life of the process (counters and
-    histograms only ever grow; [reset] exists for tests).  Callers that
-    want per-run figures take a snapshot before and after and [diff]. *)
+    The registry keeps every block it hands out for its own lifetime, so
+    instruments are monotonic for the life of the process (counters and
+    histograms only ever grow).  Callers that want per-run figures take
+    a snapshot before and after and [diff]. *)
 
 type t
 (** A registry. *)
 
+type family
+(** An ordered set of counter names whose values live in blocks. *)
+
 type counter
-(** Monotonically increasing integer. [inc] never allocates. *)
+(** A single counter: the block of a one-name family.  [inc] never
+    allocates. *)
 
 type gauge
 (** Point-in-time integer level; [set]/[add] overwrite or adjust it. *)
@@ -28,11 +36,25 @@ val create : unit -> t
 val default : t
 (** The process-wide registry used by all stack components. *)
 
+val family : t -> string array -> family
+(** [family t names] registers [names], in order, as counters whose
+    values are summed over the family's blocks.  Registering the same
+    names in the same order again returns the existing family.  Raises
+    [Invalid_argument] if [names] is empty or any name is already
+    registered otherwise (as a gauge, a histogram, or in another
+    family). *)
+
+val block : family -> int array
+(** A fresh zeroed block: slot [i] counts the family's [i]th name.
+    Bump it in place ([b.(i) <- b.(i) + n]); the registry keeps it for
+    its own lifetime. *)
+
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
-(** Find-or-create by name.  Raises [Invalid_argument] if the name is
-    already registered as a different instrument kind. *)
+(** Find-or-create by name ([counter] registers a one-name family and
+    takes its block).  Raises [Invalid_argument] if the name is already
+    registered as a different instrument kind. *)
 
 val inc : counter -> int -> unit
 val counter_value : counter -> int
@@ -84,6 +106,3 @@ val render : snapshot -> string
 
 val to_json : snapshot -> string
 (** Hand-rolled JSON object keyed by instrument name. *)
-
-val reset : t -> unit
-(** Zero every instrument (registrations survive).  Test use only. *)

@@ -4,10 +4,17 @@ module Engine = Ilp_core.Engine
 module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
 
-let m_busy_replies = M.counter M.default "rpc.client.busy_replies"
-let m_retries = M.counter M.default "rpc.client.retries"
-let m_reconnects = M.counter M.default "rpc.client.reconnects"
-let m_resumes = M.counter M.default "rpc.client.resumes"
+(* Each client's counters: one block of the registry's [rpc.client.*]
+   family. *)
+let family =
+  M.family M.default
+    [| "rpc.client.busy_replies"; "rpc.client.retries";
+       "rpc.client.reconnects"; "rpc.client.resumes" |]
+
+let c_busy_replies = 0
+let c_retries = 1
+let c_reconnects = 2
+let c_resumes = 3
 
 (* End-to-end request latency: from [request_file] (or a re-issue after
    reconnect) to the moment every copy of the transfer is verified.
@@ -81,16 +88,15 @@ type t = {
   mutable errors : string list;
   mutable rejected : bool;
   mutable aborted : Socket.abort_reason option;
-  mutable reconnects : int;
-  mutable resumes : int;
-  mutable busy_replies : int;
-  mutable retries : int;
+  blk : int array;
   mutable attempts : int;  (* attempts since the last fresh request *)
   mutable first_attempt_at : float option;
   mutable busy_failed : bool;
   mutable retry_timer : Simclock.timer option;
   mutable request_started_at : float option;
 }
+
+let bump t i = t.blk.(i) <- t.blk.(i) + 1
 
 let error t fmt = Printf.ksprintf (fun s -> t.errors <- s :: t.errors) fmt
 
@@ -183,8 +189,7 @@ let rec schedule_retry t =
       then t.busy_failed <- true
       else begin
         t.attempts <- t.attempts + 1;
-        t.retries <- t.retries + 1;
-        M.inc m_retries 1;
+        bump t c_retries;
         Recorder.note Recorder.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
         let backoff =
           min t.retry.max_backoff_us
@@ -225,8 +230,7 @@ let rec start_resume t ~start_copy ~start_offset =
                 ~file_name:p.name ~copies:p.req_copies ~max_reply:p.max_reply ()))
       with
       | Ok () ->
-          t.resumes <- t.resumes + 1;
-          M.inc m_resumes 1;
+          bump t c_resumes;
           Recorder.note Recorder.Resume ~conn:(rec_conn t) ~arg:start_offset
             ~ts:(rec_ts t);
           Ok ()
@@ -270,8 +274,7 @@ let consume_reply t hdr ~data ~doff ~dlen =
       t.resume_target <- None;
       t.rejected <- true
   | Messages.Busy ->
-      t.busy_replies <- t.busy_replies + 1;
-      M.inc m_busy_replies 1;
+      bump t c_busy_replies;
       schedule_retry t
   | Messages.Ok when dlen = 0 ->
       (* A data-less Ok is pure control: the verdict of an outstanding
@@ -405,10 +408,7 @@ let create ?clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       errors = [];
       rejected = false;
       aborted = None;
-      reconnects = 0;
-      resumes = 0;
-      busy_replies = 0;
-      retries = 0;
+      blk = M.block family;
       attempts = 0;
       first_attempt_at = None;
       busy_failed = false;
@@ -446,14 +446,13 @@ let reconnect t ~ctrl ~data =
   t.attempts <- 0;
   t.first_attempt_at <- None;
   t.busy_failed <- false;
-  t.reconnects <- t.reconnects + 1;
-  M.inc m_reconnects 1;
-  Recorder.note Recorder.Reconnect ~conn:(rec_conn t) ~arg:t.reconnects
+  bump t c_reconnects;
+  Recorder.note Recorder.Reconnect ~conn:(rec_conn t) ~arg:t.blk.(c_reconnects)
     ~ts:(rec_ts t);
   let summary resumed_from =
     { resumed_from;
       bytes_verified = t.bytes_received;
-      retries_consumed = t.retries }
+      retries_consumed = t.blk.(c_retries) }
   in
   match t.last_request with
   | None -> Ok (summary None)
@@ -524,8 +523,8 @@ let bytes_received t = t.bytes_received
 let replies_received t = t.replies_received
 let errors t = List.rev t.errors
 let rejected t = t.rejected
-let reconnects t = t.reconnects
-let resumes t = t.resumes
-let busy_replies t = t.busy_replies
-let retries t = t.retries
+let reconnects t = t.blk.(c_reconnects)
+let resumes t = t.blk.(c_resumes)
+let busy_replies t = t.blk.(c_busy_replies)
+let retries t = t.blk.(c_retries)
 let timer_owner t = t.owner

@@ -60,24 +60,32 @@ type limits = {
   max_request_age_us : float;
 }
 
-(* Unified-registry mirrors of the bespoke server ledgers below; every
-   bump site updates both (the conservation test relies on it). *)
-let m_requests_received = M.counter M.default "rpc.requests_received"
-let m_bad_requests = M.counter M.default "rpc.bad_requests"
-let m_dedup_hits = M.counter M.default "rpc.server.dedup_hits"
-let m_executions = M.counter M.default "rpc.server.executions"
-let m_probes = M.counter M.default "rpc.server.probes"
-let m_replies_sent = M.counter M.default "rpc.replies_sent"
-let m_replies_abandoned = M.counter M.default "rpc.replies_abandoned"
-let m_statuses_abandoned = M.counter M.default "rpc.statuses_abandoned"
+(* Each server instance's counters, the shed ledger included, are one
+   block of the registry's [rpc.*] family; the crash-surviving store has
+   its own block for the dedup counters. *)
+let family =
+  M.family M.default
+    (Array.of_list
+       ([ "rpc.requests_received"; "rpc.bad_requests"; "rpc.server.probes";
+          "rpc.replies_sent"; "rpc.replies_abandoned"; "rpc.statuses_abandoned" ]
+       @ List.map (fun r -> "rpc.shed." ^ shed_reason_to_string r) shed_reasons))
+
+let c_requests_received = 0
+let c_bad_requests = 1
+let c_probes = 2
+let c_replies_sent = 3
+let c_replies_abandoned = 4
+let c_statuses_abandoned = 5
+let c_shed reason = 6 + shed_reason_index reason
+
+let store_family =
+  M.family M.default [| "rpc.server.dedup_hits"; "rpc.server.executions" |]
+
+let c_dedup_hits = 0
+let c_executions = 1
+let bump blk i = blk.(i) <- blk.(i) + 1
 let g_connections = M.gauge M.default "rpc.connections"
 let g_queued_bytes = M.gauge M.default "rpc.queued_bytes"
-
-let m_sheds =
-  Array.of_list
-    (List.map
-       (fun r -> M.counter M.default ("rpc.shed." ^ shed_reason_to_string r))
-       shed_reasons)
 
 let default_limits =
   { max_connections = 64;
@@ -112,8 +120,7 @@ type store = {
   dedup_cap : int;
   dedup : (int, Messages.status) Hashtbl.t;
   dedup_order : int Queue.t;
-  mutable dedup_hits : int;
-  mutable executions : int;
+  s_blk : int array;
   mutable id_requests_seen : int;  (* id-carrying requests decoded *)
   mutable dedup_sheds : int;  (* id-carrying requests shed, not cached *)
 }
@@ -124,8 +131,7 @@ let create_store ?(dedup_cap = 1024) () =
     dedup_cap;
     dedup = Hashtbl.create 64;
     dedup_order = Queue.create ();
-    dedup_hits = 0;
-    executions = 0;
+    s_blk = M.block store_family;
     id_requests_seen = 0;
     dedup_sheds = 0 }
 
@@ -155,13 +161,7 @@ type t = {
   mutable live_connections : int;
   mutable total_queued_bytes : int;
   mutable peak_queued_bytes : int;
-  shed_ledger : int array;
-  mutable replies_sent : int;
-  mutable replies_abandoned : int;
-  mutable statuses_abandoned : int;
-  mutable requests_received : int;
-  mutable bad_requests : int;
-  mutable probes_received : int;
+  blk : int array;
   mutable probe_before : unit -> unit;
   mutable probe_after : wire_len:int -> elapsed_us:float -> syscopy_us:float -> unit;
 }
@@ -169,9 +169,7 @@ type t = {
 let machine t = (Engine.sim t.engine).Ilp_memsim.Sim.machine
 
 let count_shed t reason =
-  t.shed_ledger.(shed_reason_index reason) <-
-    t.shed_ledger.(shed_reason_index reason) + 1;
-  M.inc m_sheds.(shed_reason_index reason) 1;
+  bump t.blk (c_shed reason);
   (* Sheds can precede admission, so there may be no connection yet;
      conn 0 stands for "the server itself". *)
   Recorder.note Recorder.Shed ~conn:0 ~arg:(shed_reason_index reason)
@@ -212,12 +210,8 @@ let mark_dead t conn =
       (fun item ->
         release_queue t conn (item_bytes item);
         match item with
-        | Data _ ->
-            t.replies_abandoned <- t.replies_abandoned + 1;
-            M.inc m_replies_abandoned 1
-        | Status _ ->
-            t.statuses_abandoned <- t.statuses_abandoned + 1;
-            M.inc m_statuses_abandoned 1)
+        | Data _ -> bump t.blk c_replies_abandoned
+        | Status _ -> bump t.blk c_statuses_abandoned)
       conn.queue;
     Queue.clear conn.queue;
     conn.draining <- false;
@@ -275,8 +269,7 @@ let send_reply t conn hdr ~payload_addr =
   | Ok () ->
       let elapsed_us = Machine.micros (machine t) -. before in
       let syscopy_us = Socket.take_syscopy_send_us conn.data in
-      t.replies_sent <- t.replies_sent + 1;
-      M.inc m_replies_sent 1;
+      bump t.blk c_replies_sent;
       t.probe_after ~wire_len:sent_len ~elapsed_us ~syscopy_us;
       `Sent
   | Error (Socket.Buffer_full | Socket.Window_full | Socket.Not_established) ->
@@ -371,8 +364,7 @@ let file_prefix_crc t file ~len =
        ~off:file.addr ~len)
 
 let handle_probe t conn p =
-  t.probes_received <- t.probes_received + 1;
-  M.inc m_probes 1;
+  bump t.blk c_probes;
   match Hashtbl.find_opt t.store.s_files p.Messages.p_file_name with
   | None -> enqueue_status t conn Messages.Not_found
   | Some file ->
@@ -380,8 +372,7 @@ let handle_probe t conn p =
         status_hdr ~file_offset:p.Messages.p_offset ~total_len:file.len st
       in
       if p.Messages.p_offset < 0 || p.Messages.p_offset > file.len then begin
-        t.bad_requests <- t.bad_requests + 1;
-        M.inc m_bad_requests 1;
+        bump t.blk c_bad_requests;
         enqueue_hdr t conn (hdr Messages.Refused)
       end
       else if file_prefix_crc t file ~len:p.Messages.p_offset = p.Messages.p_crc
@@ -402,8 +393,7 @@ let handle_req t conn req =
   | Some cached ->
       (* At-most-once replay: answer from the cache with a data-less
          status; the work is not re-executed. *)
-      t.store.dedup_hits <- t.store.dedup_hits + 1;
-      M.inc m_dedup_hits 1;
+      bump t.store.s_blk c_dedup_hits;
       enqueue_status t conn cached
   | None ->
       if not conn.admitted then begin
@@ -425,8 +415,7 @@ let handle_req t conn req =
             then begin
               (* A resume point outside the file is a malformed request,
                  not a load shed. *)
-              t.bad_requests <- t.bad_requests + 1;
-              M.inc m_bad_requests 1;
+              bump t.blk c_bad_requests;
               shed_idd ();
               enqueue_status t conn Messages.Refused
             end
@@ -457,8 +446,7 @@ let handle_req t conn req =
               end
               else begin
                 if idd then begin
-                  t.store.executions <- t.store.executions + 1;
-                  M.inc m_executions 1;
+                  bump t.store.s_blk c_executions;
                   store_cache_put t.store ~req_id:req.Messages.req_id Messages.Ok
                 end;
                 if request_bytes <= 0 then
@@ -493,8 +481,7 @@ let handle_req t conn req =
               end)
 
 let handle_request t conn ~len =
-  t.requests_received <- t.requests_received + 1;
-  M.inc m_requests_received 1;
+  bump t.blk c_requests_received;
   match
     let length_at_end = Engine.header_style t.engine = Engine.Trailer in
     let crc_trailer = Engine.crc32 t.engine in
@@ -516,8 +503,7 @@ let handle_request t conn ~len =
             r)
   with
   | Error _ ->
-      t.bad_requests <- t.bad_requests + 1;
-      M.inc m_bad_requests 1;
+      bump t.blk c_bad_requests;
       enqueue_status t conn Messages.Not_found
   | Ok (c, flags) ->
       (* A flagged control message negotiates capabilities for the whole
@@ -543,13 +529,7 @@ let create ~clock ~engine ?(retry_us = 150.0) ?(limits = default_limits)
     live_connections = 0;
     total_queued_bytes = 0;
     peak_queued_bytes = 0;
-    shed_ledger = Array.make (List.length shed_reasons) 0;
-    replies_sent = 0;
-    replies_abandoned = 0;
-    statuses_abandoned = 0;
-    requests_received = 0;
-    bad_requests = 0;
-    probes_received = 0;
+    blk = M.block family;
     probe_before = (fun () -> ());
     probe_after = (fun ~wire_len:_ ~elapsed_us:_ ~syscopy_us:_ -> ()) }
 
@@ -601,22 +581,22 @@ let pending_replies t =
 let connections t = t.live_connections
 let queued_bytes t = t.total_queued_bytes
 let peak_queued_bytes t = t.peak_queued_bytes
-let replies_sent t = t.replies_sent
-let replies_abandoned t = t.replies_abandoned
-let statuses_abandoned t = t.statuses_abandoned
-let requests_received t = t.requests_received
-let bad_requests t = t.bad_requests
-let probes_received t = t.probes_received
+let replies_sent t = t.blk.(c_replies_sent)
+let replies_abandoned t = t.blk.(c_replies_abandoned)
+let statuses_abandoned t = t.blk.(c_statuses_abandoned)
+let requests_received t = t.blk.(c_requests_received)
+let bad_requests t = t.blk.(c_bad_requests)
+let probes_received t = t.blk.(c_probes)
 let timer_owner t = t.owner
 let store t = t.store
-let dedup_hits st = st.dedup_hits
-let executions st = st.executions
+let dedup_hits st = st.s_blk.(c_dedup_hits)
+let executions st = st.s_blk.(c_executions)
 let id_requests_seen st = st.id_requests_seen
 let dedup_sheds st = st.dedup_sheds
 let dedup_cached st = Hashtbl.length st.dedup
-let shed_count t reason = t.shed_ledger.(shed_reason_index reason)
+let shed_count t reason = t.blk.(c_shed reason)
 let sheds t = List.map (fun r -> (r, shed_count t r)) shed_reasons
-let sheds_total t = Array.fold_left ( + ) 0 t.shed_ledger
+let sheds_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (sheds t)
 
 let set_reply_probe t ~before ~after =
   t.probe_before <- before;

@@ -155,9 +155,6 @@ let keepalive_verdict_to_string = function
   | Peer_reset -> "peer reset the connection"
   | Peer_silent -> "peer silent past the keepalive probe budget"
 
-(* Unified-registry mirrors of the per-socket counters: bumped at the
-   same sites as the mutable fields, so process totals equal the sum of
-   per-socket [stats]/[drops] (checked by the conservation test). *)
 module M = Ilp_obs.Metrics
 module Trace = Ilp_obs.Trace
 module Recorder = Ilp_obs.Recorder
@@ -174,37 +171,57 @@ let () =
         abort_reason_to_string all_abort_reasons.(i)
       else string_of_int i)
 
-let m_segments_sent = M.counter M.default "tcp.segments_sent"
-let m_segments_received = M.counter M.default "tcp.segments_received"
-let m_bytes_sent = M.counter M.default "tcp.bytes_sent"
-let m_bytes_delivered = M.counter M.default "tcp.bytes_delivered"
-let m_retransmissions = M.counter M.default "tcp.retransmissions"
-let m_checksum_failures = M.counter M.default "tcp.checksum_failures"
-let m_out_of_order = M.counter M.default "tcp.out_of_order"
-let m_duplicates = M.counter M.default "tcp.duplicates"
-let m_acks_sent = M.counter M.default "tcp.acks_sent"
-let m_ip_errors = M.counter M.default "tcp.ip_errors"
-let m_fast_retransmits = M.counter M.default "tcp.fast_retransmits"
-let m_persist_probes = M.counter M.default "tcp.persist_probes"
-let m_zero_window_stalls = M.counter M.default "tcp.zero_window_stalls"
+(* Every per-socket count lives in the socket's block of this registry
+   family: the [stats] fields in order (bar the [peak_in_flight]
+   high-water mark), then the drop ledger and the typed aborts.  The
+   registry reports each name summed over every socket. *)
+let family =
+  M.family M.default
+    (Array.of_list
+       ([ "tcp.segments_sent"; "tcp.segments_received"; "tcp.bytes_sent";
+          "tcp.bytes_delivered"; "tcp.retransmissions"; "tcp.checksum_failures";
+          "tcp.out_of_order"; "tcp.duplicates"; "tcp.acks_sent";
+          "tcp.ip_errors"; "tcp.fast_retransmits"; "tcp.persist_probes";
+          "tcp.zero_window_stalls"; "tcp.ooo_placed"; "tcp.rst_tx";
+          "tcp.rst_rx"; "tcp.keepalive_probes"; "tcp.rto_fallbacks";
+          "tcp.sack_blocks_rx"; "tcp.sack_blocks_tx"; "tcp.sack_invalid";
+          "tcp.sack_retransmits"; "tcp.spurious_retransmits" ]
+       @ List.map (fun r -> "tcp.drop." ^ drop_reason_to_string r) drop_reasons
+       @ List.map (fun r -> "tcp.abort." ^ r)
+           [ "retry_exhausted"; "handshake_failed"; "close_timeout";
+             "peer_stalled"; "misbehaving_peer"; "connection_reset" ]))
+
+let c_segments_sent = 0
+let c_segments_received = 1
+let c_bytes_sent = 2
+let c_bytes_delivered = 3
+let c_retransmissions = 4
+let c_checksum_failures = 5
+let c_out_of_order = 6
+let c_duplicates = 7
+let c_acks_sent = 8
+let c_ip_errors = 9
+let c_fast_retransmits = 10
+let c_persist_probes = 11
+let c_zero_window_stalls = 12
+let c_ooo_placed = 13
+let c_rst_tx = 14
+let c_rst_rx = 15
+let c_keepalive_probes = 16
+let c_rto_fallbacks = 17
+let c_sack_blocks_rx = 18
+let c_sack_blocks_tx = 19
+let c_sack_invalid = 20
+let c_sack_retransmits = 21
+let c_spurious_retransmits = 22
+let c_drop r = c_spurious_retransmits + 1 + drop_reason_index r
+let c_abort r = c_drop Out_of_window + 1 + abort_reason_index r
+
+(* [reset_for] answers for a crashed host that has no socket at all; its
+   resets are counted here. *)
+let orphan_blk = M.block family
+
 let m_seg_payload = M.histogram M.default "tcp.segment_payload_bytes"
-
-(* SACK loss recovery and misbehaving-peer hardening (PR 7). *)
-(* Node crash/restart fault model (PR 8). *)
-(* Receive-side contiguous zero-copy (PR 9): out-of-order segments of a
-   framed TSDU verified and decrypted at arrival into final placement. *)
-let m_ooo_placed = M.counter M.default "tcp.ooo_placed"
-
-let m_rst_tx = M.counter M.default "tcp.rst_tx"
-let m_rst_rx = M.counter M.default "tcp.rst_rx"
-let m_keepalive_probes = M.counter M.default "tcp.keepalive_probes"
-
-let m_rto_fallbacks = M.counter M.default "tcp.rto_fallbacks"
-let m_sack_blocks_rx = M.counter M.default "tcp.sack_blocks_rx"
-let m_sack_blocks_tx = M.counter M.default "tcp.sack_blocks_tx"
-let m_sack_invalid = M.counter M.default "tcp.sack_invalid"
-let m_sack_retransmits = M.counter M.default "tcp.sack_retransmits"
-let m_spurious_retransmits = M.counter M.default "tcp.spurious_retransmits"
 
 (* Congestion-control observability (last-writer-wins across sockets:
    meaningful for the usual one-bulk-sender worlds, and the conservation
@@ -222,27 +239,6 @@ let m_seg_rexmits = M.histogram M.default "tcp.segment_retransmits"
    are observed, same discipline as the RTO estimator).  The telemetry
    sampler derives p50/p90/p99 tracks and SLO verdicts from this. *)
 let m_ack_rtt = M.histogram M.default "tcp.ack_rtt_us"
-
-let m_drops =
-  Array.of_list
-    (List.map
-       (fun r -> M.counter M.default ("tcp.drop." ^ drop_reason_to_string r))
-       drop_reasons)
-
-let abort_counter =
-  let retry = M.counter M.default "tcp.abort.retry_exhausted" in
-  let handshake = M.counter M.default "tcp.abort.handshake_failed" in
-  let close = M.counter M.default "tcp.abort.close_timeout" in
-  let stalled = M.counter M.default "tcp.abort.peer_stalled" in
-  let misbehaving = M.counter M.default "tcp.abort.misbehaving_peer" in
-  let reset = M.counter M.default "tcp.abort.connection_reset" in
-  function
-  | Retry_exhausted -> retry
-  | Handshake_failed -> handshake
-  | Close_timeout -> close
-  | Peer_stalled -> stalled
-  | Misbehaving_peer -> misbehaving
-  | Connection_reset -> reset
 
 type tx_seg = {
   seq : int;
@@ -331,7 +327,6 @@ type t = {
   rto : Rto.t;
   mutable retries : int;
   mutable dupacks : int;
-  mutable fast_retransmits : int;
   mutable cwnd : int;
   mutable ssthresh : int;
   (* NewReno-style fast recovery: [in_recovery] from the third duplicate
@@ -348,13 +343,6 @@ type t = {
   mutable last_ooo_seq : int;  (* most recent out-of-order arrival *)
   mutable dsack_pending : (int * int) option;
       (* duplicate arrival to report as a D-SACK first block on the next ack *)
-  (* Sender-side SACK/hardening ledgers. *)
-  mutable rto_fallbacks_n : int;
-  mutable sack_blocks_rx_n : int;
-  mutable sack_blocks_tx_n : int;
-  mutable sack_invalid_n : int;
-  mutable sack_retransmits_n : int;
-  mutable spurious_retransmits_n : int;
   (* Receive-side TSDU reassembly: bytes of the current multi-segment
      TSDU already accepted in order.  The engine rx handlers place each
      segment's plaintext at this offset in their application area; the
@@ -376,7 +364,6 @@ type t = {
      offset, so the drain is pure bookkeeping; seq -> (payload_len,
      psh).  Disjoint from the [ooo] stash by construction. *)
   placed : (int, int * bool) Hashtbl.t;
-  mutable ooo_placed_n : int;
   rx_asm : int;  (* Rx_raw reassembly area *)
   rx_asm_len : int;
   mutable delayed_ack : Simclock.timer option;
@@ -387,26 +374,15 @@ type t = {
   mutable persist_shifts : int;
   mutable persist_want : int;  (* message length awaiting window space *)
   mutable stalled_since : float option;
-  mutable persist_probes_n : int;
   probe_buf : int;  (* one already-acknowledged garbage byte to probe with *)
   mutable pending_close : bool;
   mutable ctl_timer : Simclock.timer option;  (* SYN / FIN retransmission *)
   mutable ctl_retries : int;
   mutable rx_proc : rx_processing;
   mutable on_message : src:int -> len:int -> unit;
-  mutable segments_sent : int;
-  mutable segments_received : int;
-  mutable bytes_sent : int;
-  mutable bytes_delivered : int;
-  mutable retransmissions : int;
-  mutable checksum_failures : int;
-  mutable out_of_order_n : int;
-  mutable duplicates : int;
-  mutable acks_sent : int;
-  mutable ip_errors : int;
   mutable ip_ident : int;
   mutable syscopy_send_cycles_us : float;
-  drop_ledger : int array;  (* indexed by drop_reason_index *)
+  blk : int array;  (* this socket's block of [family] *)
   mutable failed : abort_reason option;
   mutable on_abort : abort_reason -> unit;
   (* Node crash/restart fault model (PR 8).  [owner] tags every timer
@@ -416,8 +392,6 @@ type t = {
   owner : int;
   mutable destroyed : bool;
   mutable tw_timer : Simclock.timer option;  (* TIME_WAIT expiry *)
-  mutable rst_tx_n : int;
-  mutable rst_rx_n : int;
   (* Keepalive probing for half-open connections (peer restarted while
      this endpoint was idle): probe with an already-acknowledged byte at a
      fixed interval; an answering ack proves the peer alive, an RST or
@@ -427,7 +401,6 @@ type t = {
   mutable ka_max_probes : int;
   mutable ka_unanswered : int;
   mutable ka_on_result : (keepalive_verdict -> unit) option;
-  mutable keepalive_probes_n : int;
 }
 
 let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
@@ -483,7 +456,6 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
             ~max_us:cfg.rto_max_us ();
     retries = 0;
     dupacks = 0;
-    fast_retransmits = 0;
     cwnd = 2 * cfg.mss;
     ssthresh = 64 * 1024;
     in_recovery = false;
@@ -492,19 +464,12 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     cc_acked = 0;
     last_ooo_seq = -1;
     dsack_pending = None;
-    rto_fallbacks_n = 0;
-    sack_blocks_rx_n = 0;
-    sack_blocks_tx_n = 0;
-    sack_invalid_n = 0;
-    sack_retransmits_n = 0;
-    spurious_retransmits_n = 0;
     rx_tsdu_off = 0;
     rx_framing = false;
     fr_base = 0;
     fr_plen = 0;
     fr_elen = -1;
     placed = Hashtbl.create 8;
-    ooo_placed_n = 0;
     rx_asm;
     rx_asm_len;
     delayed_ack = None;
@@ -512,39 +477,25 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     persist_shifts = 0;
     persist_want = 0;
     stalled_since = None;
-    persist_probes_n = 0;
     probe_buf;
     pending_close = false;
     ctl_timer = None;
     ctl_retries = 0;
     rx_proc = Rx_raw;
     on_message = (fun ~src:_ ~len:_ -> ());
-    segments_sent = 0;
-    segments_received = 0;
-    bytes_sent = 0;
-    bytes_delivered = 0;
-    retransmissions = 0;
-    checksum_failures = 0;
-    out_of_order_n = 0;
-    duplicates = 0;
-    acks_sent = 0;
-    ip_errors = 0;
     ip_ident = local_port * 1000;
     syscopy_send_cycles_us = 0.0;
-    drop_ledger = Array.make (List.length drop_reasons) 0;
+    blk = M.block family;
     failed = None;
     on_abort = (fun _ -> ());
     owner = Simclock.fresh_owner clock;
     destroyed = false;
     tw_timer = None;
-    rst_tx_n = 0;
-    rst_rx_n = 0;
     ka_timer = None;
     ka_interval_us = 0.0;
     ka_max_probes = 0;
     ka_unanswered = 0;
-    ka_on_result = None;
-    keepalive_probes_n = 0 }
+    ka_on_result = None }
 
 let state t = t.st
 let local_port t = t.local_port
@@ -556,13 +507,11 @@ let set_on_abort t f = t.on_abort <- f
 let failure t = t.failed
 let timer_owner t = t.owner
 let destroyed t = t.destroyed
-let count_drop t reason =
-  t.drop_ledger.(drop_reason_index reason) <-
-    t.drop_ledger.(drop_reason_index reason) + 1;
-  M.inc m_drops.(drop_reason_index reason) 1
-let drop_count t reason = t.drop_ledger.(drop_reason_index reason)
+let bump t i n = t.blk.(i) <- t.blk.(i) + n
+let count_drop t reason = bump t (c_drop reason) 1
+let drop_count t reason = t.blk.(c_drop reason)
 let drops t = List.map (fun r -> (r, drop_count t r)) drop_reasons
-let drops_total t = Array.fold_left ( + ) 0 t.drop_ledger
+let drops_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (drops t)
 let bytes_in_flight t = Queue.fold (fun acc seg -> acc + seg.len) 0 t.txq
 let send_space t = Ring.available t.ring
 let congestion_window t = t.cwnd
@@ -617,29 +566,30 @@ let on_congestion_ack t ~acked =
   end
 
 let stats t =
-  { segments_sent = t.segments_sent;
-    segments_received = t.segments_received;
-    bytes_sent = t.bytes_sent;
-    bytes_delivered = t.bytes_delivered;
-    retransmissions = t.retransmissions;
-    checksum_failures = t.checksum_failures;
-    out_of_order = t.out_of_order_n;
-    ooo_placed = t.ooo_placed_n;
-    duplicates = t.duplicates;
-    acks_sent = t.acks_sent;
-    ip_errors = t.ip_errors;
-    fast_retransmits = t.fast_retransmits;
-    persist_probes = t.persist_probes_n;
+  let b = t.blk in
+  { segments_sent = b.(c_segments_sent);
+    segments_received = b.(c_segments_received);
+    bytes_sent = b.(c_bytes_sent);
+    bytes_delivered = b.(c_bytes_delivered);
+    retransmissions = b.(c_retransmissions);
+    checksum_failures = b.(c_checksum_failures);
+    out_of_order = b.(c_out_of_order);
+    ooo_placed = b.(c_ooo_placed);
+    duplicates = b.(c_duplicates);
+    acks_sent = b.(c_acks_sent);
+    ip_errors = b.(c_ip_errors);
+    fast_retransmits = b.(c_fast_retransmits);
+    persist_probes = b.(c_persist_probes);
     peak_in_flight = t.peak_in_flight;
-    rto_fallbacks = t.rto_fallbacks_n;
-    sack_blocks_rx = t.sack_blocks_rx_n;
-    sack_blocks_tx = t.sack_blocks_tx_n;
-    sack_invalid = t.sack_invalid_n;
-    sack_retransmits = t.sack_retransmits_n;
-    spurious_retransmits = t.spurious_retransmits_n;
-    rst_tx = t.rst_tx_n;
-    rst_rx = t.rst_rx_n;
-    keepalive_probes = t.keepalive_probes_n }
+    rto_fallbacks = b.(c_rto_fallbacks);
+    sack_blocks_rx = b.(c_sack_blocks_rx);
+    sack_blocks_tx = b.(c_sack_blocks_tx);
+    sack_invalid = b.(c_sack_invalid);
+    sack_retransmits = b.(c_sack_retransmits);
+    spurious_retransmits = b.(c_spurious_retransmits);
+    rst_tx = b.(c_rst_tx);
+    rst_rx = b.(c_rst_rx);
+    keepalive_probes = b.(c_keepalive_probes) }
 
 let ooo_capacity t = t.ooo_slots
 
@@ -695,8 +645,7 @@ let transmit t header ~payload =
     Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
       ~payload_len:(String.length segment) ()
   in
-  t.segments_sent <- t.segments_sent + 1;
-  M.inc m_segments_sent 1;
+  bump t c_segments_sent 1;
   M.observe m_seg_payload payload_len;
   if Trace.enabled () && payload_len > 0 then
     Trace.instant ~arg:payload_len Trace.Send_link
@@ -774,8 +723,7 @@ let send_ack_control t =
         ~src_port:t.local_port ~dst_port:t.remote_port ()
     in
     let n = List.length h.Tcp_header.sack in
-    t.sack_blocks_tx_n <- t.sack_blocks_tx_n + n;
-    M.inc m_sack_blocks_tx n;
+    bump t c_sack_blocks_tx n;
     if Trace.enabled () then
       Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
         ~ts:(Machine.micros (machine t));
@@ -792,8 +740,7 @@ let send_ack_now t =
       Simclock.cancel timer;
       t.delayed_ack <- None
   | None -> ());
-  t.acks_sent <- t.acks_sent + 1;
-  M.inc m_acks_sent 1;
+  bump t c_acks_sent 1;
   send_ack_control t
 
 (* RFC 1122-style delayed acknowledgement: hold the ack briefly so it can
@@ -808,8 +755,7 @@ let send_ack t =
         let timer =
           Simclock.schedule t.clock ~owner:t.owner ~after:t.cfg.ack_delay_us (fun () ->
               t.delayed_ack <- None;
-              t.acks_sent <- t.acks_sent + 1;
-              M.inc m_acks_sent 1;
+              bump t c_acks_sent 1;
               send_ack_control t)
         in
         t.delayed_ack <- Some timer
@@ -847,7 +793,7 @@ let transition t st =
 let abort t reason =
   if t.failed = None then begin
     t.failed <- Some reason;
-    M.inc (abort_counter reason) 1;
+    bump t (c_abort reason) 1;
     Recorder.note Recorder.Abort ~conn:t.local_port
       ~arg:(abort_reason_index reason) ~ts:(Machine.micros (machine t));
     if Trace.enabled () then
@@ -930,8 +876,7 @@ let cancel_persist t =
    carries the peer's current window — so a reopened window is discovered
    even if the peer's window-update ack was lost. *)
 let send_probe t =
-  t.persist_probes_n <- t.persist_probes_n + 1;
-  M.inc m_persist_probes 1;
+  bump t c_persist_probes 1;
   Recorder.note Recorder.Persist_probe ~conn:t.local_port
     ~arg:t.persist_shifts ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -983,8 +928,7 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
   (* Never reset a reset: that way lies an RST storm. *)
   if not (Tcp_header.has h Tcp_header.rst) then begin
     let r = rst_reply_header h ~payload_len ~src_port:t.local_port in
-    t.rst_tx_n <- t.rst_tx_n + 1;
-    M.inc m_rst_tx 1;
+    bump t c_rst_tx 1;
     Recorder.note Recorder.Rst_tx ~conn:t.local_port ~arg:0
       ~ts:(Machine.micros (machine t));
     if Trace.enabled () then
@@ -1000,8 +944,7 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
       Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
         ~payload_len:(String.length wire) ()
     in
-    t.segments_sent <- t.segments_sent + 1;
-    M.inc m_segments_sent 1;
+    bump t c_segments_sent 1;
     t.wire_out
       (Datagram.create ~src_port:t.local_port ~dst_port:h.Tcp_header.src_port
          ~payload:(Ipv4.encapsulate ip wire))
@@ -1027,7 +970,7 @@ let reset_for (dgram : Datagram.t) =
             let r =
               rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
             in
-            M.inc m_rst_tx 1;
+            orphan_blk.(c_rst_tx) <- orphan_blk.(c_rst_tx) + 1;
             Recorder.note Recorder.Rst_tx ~conn:dgram.Datagram.dst_port
               ~arg:0 ~ts:(Trace.now ());
             if Trace.enabled () then
@@ -1059,8 +1002,7 @@ let reset_for (dgram : Datagram.t) =
 let probe_wire_states = [ Established; Close_wait; Fin_wait_1; Fin_wait_2 ]
 
 let send_keepalive_probe t =
-  t.keepalive_probes_n <- t.keepalive_probes_n + 1;
-  M.inc m_keepalive_probes 1;
+  bump t c_keepalive_probes 1;
   Recorder.note Recorder.Keepalive ~conn:t.local_port ~arg:t.ka_unanswered
     ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -1156,7 +1098,7 @@ let rec arm_persist t ~want =
     | None ->
         let now = Simclock.now t.clock in
         t.stalled_since <- Some now;
-        M.inc m_zero_window_stalls 1;
+        bump t c_zero_window_stalls 1;
         Recorder.note Recorder.Zero_window ~conn:t.local_port ~arg:want
           ~ts:(Machine.micros (machine t));
         if Trace.enabled () then
@@ -1192,8 +1134,7 @@ let rec arm_rto t =
   else t.rto_timer <- None
 
 and retransmit_seg t seg =
-  t.retransmissions <- t.retransmissions + 1;
-  M.inc m_retransmissions 1;
+  bump t c_retransmissions 1;
   Recorder.note Recorder.Retransmit ~conn:t.local_port ~arg:seg.seq
     ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
@@ -1224,8 +1165,7 @@ and on_rto t =
       if t.retries >= t.cfg.max_retries then abort t Retry_exhausted
       else begin
         t.retries <- t.retries + 1;
-        t.rto_fallbacks_n <- t.rto_fallbacks_n + 1;
-        M.inc m_rto_fallbacks 1;
+        bump t c_rto_fallbacks 1;
         (* Full reneging tolerance (RFC 2018 §8): on timeout every
            scoreboard hint is discarded and recovery restarts from the
            cumulative ack alone — a receiver that SACKed data and then
@@ -1305,8 +1245,7 @@ let sack_retransmit_holes t =
             then begin
               s.sack_rexmit <- true;
               s.sack_rexmit_at <- now;
-              t.sack_retransmits_n <- t.sack_retransmits_n + 1;
-              M.inc m_sack_retransmits 1;
+              bump t c_sack_retransmits 1;
               Recorder.note Recorder.Sack_retransmit ~conn:t.local_port
                 ~arg:s.seq ~ts:(Machine.micros (machine t));
               if Trace.enabled () then
@@ -1333,8 +1272,7 @@ let process_sack t (h : Tcp_header.t) =
   | [] -> ()
   | blocks ->
       let invalid () =
-        t.sack_invalid_n <- t.sack_invalid_n + 1;
-        M.inc m_sack_invalid 1
+        bump t c_sack_invalid 1
       in
       let accepted = ref [] in
       (* RFC 2883: a first block wholly contained in a later block of the
@@ -1349,8 +1287,7 @@ let process_sack t (h : Tcp_header.t) =
         | (l, r) :: rest
           when l < r && r <= t.snd_nxt
                && List.exists (fun (al, ar) -> al <= l && r <= ar) rest ->
-            t.spurious_retransmits_n <- t.spurious_retransmits_n + 1;
-            M.inc m_spurious_retransmits 1;
+            bump t c_spurious_retransmits 1;
             rest
         | _ -> blocks
       in
@@ -1358,16 +1295,14 @@ let process_sack t (h : Tcp_header.t) =
         (fun (l, r) ->
           if l >= r || r > t.snd_nxt then invalid ()
           else if r <= h.Tcp_header.ack then begin
-            t.spurious_retransmits_n <- t.spurious_retransmits_n + 1;
-            M.inc m_spurious_retransmits 1
+            bump t c_spurious_retransmits 1
           end
           else if List.exists (fun (al, ar) -> l < ar && al < r) !accepted
           then invalid ()
           else begin
             let l = max l h.Tcp_header.ack in
             accepted := (l, r) :: !accepted;
-            t.sack_blocks_rx_n <- t.sack_blocks_rx_n + 1;
-            M.inc m_sack_blocks_rx 1;
+            bump t c_sack_blocks_rx 1;
             Queue.iter
               (fun s ->
                 if (not s.sacked) && s.seq >= l && s.seq + s.len <= r then
@@ -1419,8 +1354,7 @@ let send_data_segment t ~addr ~len ~psh ~payload_acc =
       sack_rexmit_at = 0.0 }
     t.txq;
   t.snd_nxt <- t.snd_nxt + len;
-  t.bytes_sent <- t.bytes_sent + len;
-  M.inc m_bytes_sent len;
+  bump t c_bytes_sent len;
   let fl = bytes_in_flight t in
   if fl > t.peak_in_flight then t.peak_in_flight <- fl;
   M.set m_inflight (Queue.length t.txq);
@@ -1680,8 +1614,7 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
   match verdict with
   | Ok () ->
       t.rcv_nxt <- t.rcv_nxt + payload_len;
-      t.bytes_delivered <- t.bytes_delivered + payload_len;
-      M.inc m_bytes_delivered payload_len;
+      bump t c_bytes_delivered payload_len;
       (match fr with
       | Some (p, elen) ->
           t.fr_base <- h.seq;
@@ -1714,8 +1647,7 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
       true
   | Error reason ->
       if reason = Bad_checksum then begin
-        t.checksum_failures <- t.checksum_failures + 1;
-        M.inc m_checksum_failures 1
+        bump t c_checksum_failures 1
       end;
       count_drop t reason;
       false
@@ -1761,12 +1693,10 @@ let place_ooo t (h : Tcp_header.t) ~payload_len =
   | Ok () ->
       Hashtbl.add t.placed h.seq (payload_len, Tcp_header.has h Tcp_header.psh);
       t.last_ooo_seq <- h.seq;
-      t.ooo_placed_n <- t.ooo_placed_n + 1;
-      M.inc m_ooo_placed 1
+      bump t c_ooo_placed 1
   | Error reason ->
       if reason = Bad_checksum then begin
-        t.checksum_failures <- t.checksum_failures + 1;
-        M.inc m_checksum_failures 1
+        bump t c_checksum_failures 1
       end;
       count_drop t reason
 
@@ -1778,8 +1708,7 @@ let rec drain_ooo t =
          legacy stash drain performs has no counterpart here. *)
       Hashtbl.remove t.placed t.rcv_nxt;
       t.rcv_nxt <- t.rcv_nxt + len;
-      t.bytes_delivered <- t.bytes_delivered + len;
-      M.inc m_bytes_delivered len;
+      bump t c_bytes_delivered len;
       t.rx_tsdu_off <- t.rx_tsdu_off + len;
       if psh then begin
         let n = t.rx_tsdu_off in
@@ -1810,8 +1739,7 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
        back as a D-SACK first block (RFC 2883) so the sender can tell a
        spurious retransmission from a lost ack; the 1-byte persist probes
        deliberately resend an acknowledged byte and are not reported. *)
-    t.duplicates <- t.duplicates + 1;
-    M.inc m_duplicates 1;
+    bump t c_duplicates 1;
     if t.cfg.sack && payload_len > 1 then
       t.dsack_pending <- Some (h.seq, h.seq + payload_len);
     send_ack t
@@ -1820,8 +1748,7 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
     (* Out of order: place at the final TSDU offset when the framing
        makes that decidable, otherwise stash the staged segment for
        later processing. *)
-    t.out_of_order_n <- t.out_of_order_n + 1;
-    M.inc m_out_of_order 1;
+    bump t c_out_of_order 1;
     (if Hashtbl.mem t.ooo h.seq || Hashtbl.mem t.placed h.seq then begin
        (* Duplicate of an already-held segment: also a D-SACK case. *)
        if t.cfg.sack && payload_len > 1 then
@@ -1906,8 +1833,7 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
     if t.dupacks = dup_thresh && not t.in_recovery then begin
       match first_unsacked t with
       | Some seg ->
-          t.fast_retransmits <- t.fast_retransmits + 1;
-          M.inc m_fast_retransmits 1;
+          bump t c_fast_retransmits 1;
           Recorder.note Recorder.Fast_retransmit ~conn:t.local_port
             ~arg:seg.seq ~ts:(Machine.micros (machine t));
           t.in_recovery <- true;
@@ -2026,20 +1952,17 @@ let enter_time_wait t =
 let handle_datagram t (dgram : Datagram.t) =
   match Ipv4.decapsulate dgram.Datagram.payload with
   | Error _ ->
-      t.ip_errors <- t.ip_errors + 1;
-      M.inc m_ip_errors 1;
+      bump t c_ip_errors 1;
       count_drop t Bad_ip
   | Ok (ip, _) when ip.Ipv4.protocol <> Ipv4.protocol_tcp ->
-      t.ip_errors <- t.ip_errors + 1;
-      M.inc m_ip_errors 1;
+      bump t c_ip_errors 1;
       count_drop t Bad_ip
   | Ok (_, wire) ->
   let total = String.length wire in
   if total < Tcp_header.size then count_drop t Bad_header
   else if total > seg_max t then count_drop t Bad_length
   else begin
-    t.segments_received <- t.segments_received + 1;
-    M.inc m_segments_received 1;
+    bump t c_segments_received 1;
     Machine.exec (machine t) t.code_kernel;
     Machine.exec (machine t) t.code_ctrl;
     (* Kernel demultiplexing and tcp_input connection lookup. *)
@@ -2078,8 +2001,7 @@ let handle_datagram t (dgram : Datagram.t) =
          payload to protect), but the SACK machinery acts on option
          contents — verify before letting a corrupt block reach the
          scoreboard. *)
-      t.checksum_failures <- t.checksum_failures + 1;
-      M.inc m_checksum_failures 1;
+      bump t c_checksum_failures 1;
       count_drop t Bad_checksum
     end
     else begin
@@ -2091,8 +2013,7 @@ let handle_datagram t (dgram : Datagram.t) =
          generates always echo the victim's own ack, so an honest reset
          always matches, while a blind off-window forgery is dropped and
          counted). *)
-      t.rst_rx_n <- t.rst_rx_n + 1;
-      M.inc m_rst_rx 1;
+      bump t c_rst_rx 1;
       Recorder.note Recorder.Rst_rx ~conn:t.local_port ~arg:h.seq
         ~ts:(Machine.micros (machine t));
       if Trace.enabled () then

@@ -156,6 +156,30 @@ let test_regress_missing_current () =
       check "it is reported as missing" 1
         (List.length r.B.Regress.missing_current)
 
+(* A [--sack] file carries a NewReno sweep on the same mode/RTT/loss
+   cells as the SACK sweep; both must survive as separate indicators. *)
+let test_regress_sack_file_self_compare () =
+  let base = temp_dir "regress_base" and cur = temp_dir "regress_cur" in
+  let j =
+    {|{ "gate_ratio": 40.0, "sack_ratio": 2.775,
+  "points": [
+    { "mode": "pipelined", "sack": true, "rtt_us": 10000, "loss": 0.05, "goodput_mbps": 5.389 },
+    { "mode": "pipelined", "sack": false, "rtt_us": 10000, "loss": 0.05, "goodput_mbps": 1.942 }
+  ] }|}
+  in
+  write_file base "BENCH_stream.json" j;
+  write_file cur "BENCH_stream.json" j;
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+      checkb "a --sack file passes against itself" true (B.Regress.passed r);
+      Alcotest.(check (list string))
+        "gate, sack ratio and both sweeps keyed apart"
+        [ "stream.gate_ratio"; "stream.sack_ratio";
+          "stream.goodput[pipelined,rtt=10000,loss=0.050]";
+          "stream.goodput[pipelined,rtt=10000,loss=0.050,newreno]" ]
+        (List.map (fun v -> v.B.Regress.v_key) r.B.Regress.verdicts)
+
 let test_regress_json_parser () =
   (match B.Regress.parse_string {| { "a": [1, 2.5, true, null, "s
 "] } |} with
@@ -263,6 +287,8 @@ let () =
             test_regress_within_band_passes;
           Alcotest.test_case "missing current data" `Quick
             test_regress_missing_current;
+          Alcotest.test_case "sack file passes against itself" `Quick
+            test_regress_sack_file_self_compare;
           Alcotest.test_case "json parser" `Quick test_regress_json_parser ] );
       ( "microbench",
         [ Alcotest.test_case "simulated" `Quick test_microbench_simulated ] );

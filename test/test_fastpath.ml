@@ -445,6 +445,8 @@ let test_memtraffic_rx_split () =
   check "checksum rx fold is read-only" 48 r;
   check "checksum rx fold writes nothing" 0 w
 
+(* The ledger is the registry's [mem.*] family: each charge must land
+   in the slot the registry reports under the matching name. *)
 let test_memtraffic_rx_metrics_mirrored () =
   let before = M.snapshot M.default in
   Mt.copied_rx Mt.Tcp 56;
