@@ -71,12 +71,15 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
   in
   let payload = Workload.generate ~len:payload_len ~seed:7 in
   let payload_addr = Workload.install sim payload in
-  let prepared = Engine.prepare_send eng ~prefix:"" ~payload_addr ~payload_len in
-  let wire_len = prepared.Engine.len in
+  let ps =
+    Engine.prepare_stream_segments eng
+      [ Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+  in
+  let wire_len = ps.Engine.stream_len in
   let dst = Alloc.alloc sim.Sim.alloc ~align:64 wire_len in
   let mem = sim.Sim.mem in
   let one () =
-    ignore (prepared.Engine.fill mem ~dst);
+    ignore (ps.Engine.fill_range mem ~dst ~off:0 ~len:wire_len);
     (match mode with
     | Engine.Ilp -> (
         match Engine.rx_integrated eng mem ~src:dst ~dst_off:0 ~len:wire_len with

@@ -159,7 +159,7 @@ let transfer cfg =
   Socket.set_on_abort rx (fun r -> fail ("receiver: " ^ Socket.abort_reason_to_string r));
   let delivered = ref 0 and payload = ref 0 in
   let t_done = ref 0.0 in
-  Socket.set_on_message rx (fun ~src:_ ~len ->
+  Socket.set_on_message rx (fun ~len ->
       match Engine.read_plaintext rx_eng ~len with
       | Error e -> fail ("decode: " ^ e)
       | Ok s ->

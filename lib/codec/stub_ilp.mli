@@ -11,7 +11,7 @@
     into generated byte runs), while bulk fields reference application
     memory and are left in place for the ILP loop to read, encrypt and
     checksum on its single pass.  The result is a {!segment} list — the
-    exact input of [Ilp_core.Engine.prepare_send_segments] — so arbitrary
+    exact input of [Ilp_core.Engine.prepare_stream_segments] — so arbitrary
     message types get the integrated treatment without hand-writing their
     layout. *)
 

@@ -146,6 +146,12 @@ let wire_len t ~prefix_len ~payload_len =
   in
   p.Parts.total
 
+(* The inverse of [wire_len]: the plan adds the 4-byte length field and
+   pads to 8-byte blocks, so a body fits exactly when length field, body
+   and trailer fit the largest block multiple within [max_message]. *)
+let max_payload t ~prefix_len =
+  (t.max_message land lnot 7) - 4 - framing_extra t - prefix_len
+
 (* Offset and length of the CRC-covered region (the marshalled body)
    within the plaintext; the trailer word itself sits directly after it. *)
 let crc_region t ~enc_len =
@@ -252,11 +258,6 @@ let stream_read t st block ~boff ~pos ~n =
 (* ------------------------------------------------------------------ *)
 (* Send *)
 
-type prepared = {
-  len : int;
-  fill : Mem.t -> dst:int -> Internet.acc option;
-}
-
 type body_segment = Seg_gen of string | Seg_app of { addr : int; len : int }
 
 let internal_seg = function
@@ -310,7 +311,8 @@ let make_stream_of_segments t body =
   let plan = Parts.plan ~body_len:framed_len () in
   if plan.Parts.total > t.max_message then
     invalid_arg
-      (Printf.sprintf "Engine.prepare_send: message of %d bytes exceeds maximum %d"
+      (Printf.sprintf
+         "Engine.prepare_stream_segments: message of %d bytes exceeds maximum %d"
          plan.Parts.total t.max_message);
   let enc_len = Parts.length_field plan in
   let total = plan.Parts.total in
@@ -328,12 +330,6 @@ let make_stream_of_segments t body =
         Array.of_list (body_segs @ [ Gen (String.make pad '\000'); Gen (u32_be enc_len) ])
   in
   (plan, { segs; total })
-
-let make_stream t ~prefix ~payload_addr ~payload_len =
-  if String.length prefix mod 4 <> 0 then
-    invalid_arg "Engine.prepare_send: prefix must be a multiple of 4 bytes";
-  make_stream_of_segments t
-    [ Seg_gen prefix; Seg_app { addr = payload_addr; len = payload_len } ]
 
 (* Intersection of a part with the wire range [off, off+len): the piece of
    the part a range fill must produce.  Part boundaries and segment
@@ -439,8 +435,6 @@ let fill_ilp_range t plan st ~dst ~off ~len =
   end;
   Some acc
 
-let fill_ilp t plan st ~dst = fill_ilp_range t plan st ~dst ~off:0 ~len:st.total
-
 (* Separate send of wire bytes [off, off+len): marshal the range into the
    intermediate buffer (figure 3 step 1), encrypt in place (step 2), copy
    into the TCP ring (step 3, tcp_send); the checksum pass (step 4) is
@@ -503,9 +497,6 @@ let fill_separate_range t plan st ~dst ~off ~len =
   end;
   None
 
-let fill_separate t plan st ~dst =
-  fill_separate_range t plan st ~dst ~off:0 ~len:st.total
-
 (* ------------------------------------------------------------------ *)
 (* Native backend: the same wire format produced by the un-simulated
    Ilp_fastpath kernels (uncharged — native costs are wall-clock, not
@@ -540,8 +531,7 @@ let render_stream t st =
     st.segs;
   out
 
-(* Legacy range fill: [plain] is the whole rendered plaintext (rendered
-   once per message, shared by every range of it). *)
+(* Legacy range fill: [plain] is the whole rendered plaintext. *)
 let fill_native_legacy_range t fp plain ~dst ~off ~len =
   Mt.alloc Mt.Tcp len;
   let wire = Bytes.create len in
@@ -596,6 +586,9 @@ let fill_native_pooled_range t fp st ~dst ~off ~len =
       ignore (Wire.sendv_separate fp ~iov ~dst:raw ~dst_off:dst);
       None
 
+(* [plain] caches the legacy path's rendered plaintext: rendered afresh
+   on every send of the message (its fill at offset 0) and shared by the
+   rest of that send's ranges. *)
 let fill_native_range t fp st ~plain ~dst ~off ~len =
   (* Native stage spans are emitted by the Wire codec against the wall
      clock installed via [Trace.set_clock]; the packet id is allocated
@@ -603,34 +596,22 @@ let fill_native_range t fp st ~plain ~dst ~off ~len =
   if Trace.enabled () then ignore (Trace.begin_packet ());
   match t.data_path with
   | Pooled -> fill_native_pooled_range t fp st ~dst ~off ~len
-  | Legacy -> fill_native_legacy_range t fp (Lazy.force plain) ~dst ~off ~len
-
-let fill_native t fp st ~dst =
-  fill_native_range t fp st ~plain:(lazy (render_stream t st)) ~dst ~off:0
-    ~len:st.total
-
-let prepared_of_stream t (plan, st) =
-  let fill _mem ~dst =
-    M.inc m_sends 1;
-    match t.fastpath with
-    | Some fp -> fill_native t fp st ~dst
-    | None -> (
-        match t.mode with
-        | Ilp -> fill_ilp t plan st ~dst
-        | Separate -> fill_separate t plan st ~dst)
-  in
-  { len = st.total; fill }
-
-let prepare_send t ~prefix ~payload_addr ~payload_len =
-  prepared_of_stream t (make_stream t ~prefix ~payload_addr ~payload_len)
-
-let prepare_send_segments t body =
-  prepared_of_stream t (make_stream_of_segments t body)
+  | Legacy ->
+      let p =
+        match !plain with
+        | Some p when off > 0 -> p
+        | _ ->
+            let p = render_stream t st in
+            plain := Some p;
+            p
+      in
+      fill_native_legacy_range t fp p ~dst ~off ~len
 
 (* ------------------------------------------------------------------ *)
-(* Streaming send: the same wire message, producible in MSS-sized ranges
-   so [Ilp_tcp.Socket.send_stream] can keep a window of segments in
-   flight, each filled by one fused pass straight into the ring. *)
+(* The one send interface: a message producible in ranges, so a socket
+   can fill one segment at a time straight into the ring — the whole
+   message at once for a one-segment send, MSS-sized pieces for a
+   pipelined stream. *)
 
 type prepared_stream = {
   stream_len : int;
@@ -648,7 +629,7 @@ let prepare_stream_segments t body =
      message) and on the 8-byte units of the plan and the native codec. *)
   let bl = block_len t in
   let seg_unit = bl * 8 / gcd bl 8 in
-  let plain = lazy (render_stream t st) in
+  let plain = ref None in
   let fill_range mem_ ~dst ~off ~len =
     ignore mem_;
     if off < 0 || len <= 0 || off + len > st.total then

@@ -3,10 +3,11 @@
     styles.
 
     One [t] is a configured data-manipulation stack bound to a simulated
-    machine.  The send side produces a closure suitable for
-    [Ilp_tcp.Socket.send_message]'s [fill] argument; the receive side
-    provides the two manipulation callbacks matching
-    [Ilp_tcp.Socket.rx_processing].
+    machine.  The send side produces a range filler suitable for the
+    [fill] argument of [Ilp_tcp.Socket.send_message] (the whole message
+    in one segment) and [Ilp_tcp.Socket.send_stream] (MSS-sized
+    segments); the receive side provides the two manipulation callbacks
+    matching [Ilp_tcp.Socket.rx_processing].
 
     {2 Wire format (figure 2 of the paper)}
 
@@ -139,20 +140,13 @@ val sim : t -> Ilp_memsim.Sim.t
     length of such a message (8-byte aligned, length field included). *)
 val wire_len : t -> prefix_len:int -> payload_len:int -> int
 
-type prepared = {
-  len : int;  (** wire length, pass to [Socket.send_message] *)
-  fill :
-    Ilp_memsim.Mem.t -> dst:int -> Ilp_checksum.Internet.acc option;
-      (** writes the encrypted message at [dst]; returns the payload
-          checksum in ILP mode, [None] in separate mode *)
-}
-
-(** [prepare_send t ~prefix ~payload_addr ~payload_len] stages one
-    message.  [prefix] must be a multiple of 4 bytes (XDR words); the
-    payload is read from simulated memory.  Raises [Invalid_argument]
-    when the message exceeds [max_message]. *)
-val prepare_send :
-  t -> prefix:string -> payload_addr:int -> payload_len:int -> prepared
+(** [max_payload t ~prefix_len] is the largest [payload_len] for which
+    [wire_len t ~prefix_len ~payload_len] fits the engine's
+    [max_message]: what one message can carry behind a [prefix_len]-byte
+    prefix (negative when not even an empty payload fits).  It is a
+    multiple of 4 whenever [prefix_len] is, so an XDR opaque of up to
+    that many bytes fits together with its padding. *)
+val max_payload : t -> prefix_len:int -> int
 
 (** A piece of the marshalled message body: bytes generated in registers
     by the stub code, or a run of application memory the ILP loop reads in
@@ -160,23 +154,19 @@ val prepare_send :
     ([Ilp_codec.Stub_ilp]) produces. *)
 type body_segment = Seg_gen of string | Seg_app of { addr : int; len : int }
 
-(** [prepare_send_segments t body] stages a message with an arbitrary
-    interleaving of generated and memory-resident runs — the general form
-    of {!prepare_send} (which is the two-segment special case).  The
-    encryption length field and alignment are added per the engine's
-    header style. *)
-val prepare_send_segments : t -> body_segment list -> prepared
-
-(** A message preparable in ranges, for [Ilp_tcp.Socket.send_stream]:
-    [fill_range mem ~dst ~off ~len] writes wire bytes [off, off+len) of
-    the message at [dst] — one fused marshal+encrypt+checksum pass over
-    just that range in ILP mode (returning its positional checksum
-    accumulator), the separate passes over the range otherwise
-    (returning [None] so TCP checksums the ring itself).  [off] and
-    [len] must be multiples of [seg_unit] (ranges may not split a cipher
-    block); pass [seg_unit] to [send_stream] and the segmentation
-    satisfies this automatically.  Filling ranges in any order produces
-    exactly the bytes of the whole-message {!prepared} fill. *)
+(** A staged message, for [Ilp_tcp.Socket.send_message] and
+    [send_stream]: [fill_range mem ~dst ~off ~len] writes wire bytes
+    [off, off+len) of the message at [dst] — one fused
+    marshal+encrypt+checksum pass over just that range in ILP mode
+    (returning its positional checksum accumulator), the separate passes
+    over the range otherwise (returning [None] so TCP checksums the ring
+    itself).  The whole message is the range [off = 0, len =
+    stream_len].  [off] and [len] must be multiples of [seg_unit]
+    (ranges may not split a cipher block); pass [seg_unit] to
+    [send_stream] and the segmentation satisfies this automatically.
+    Filling ranges in any order produces exactly the bytes of the
+    whole-message fill.  Every fill counts in [engine.stream_fills]; a
+    fill at offset 0 also counts one [engine.sends]. *)
 type prepared_stream = {
   stream_len : int;  (** wire length of the whole message *)
   seg_unit : int;  (** alignment every range must respect *)
@@ -188,7 +178,11 @@ type prepared_stream = {
     Ilp_checksum.Internet.acc option;
 }
 
-(** Streaming counterpart of {!prepare_send_segments}. *)
+(** [prepare_stream_segments t body] stages a message with an arbitrary
+    interleaving of generated and memory-resident runs.  The encryption
+    length field, CRC32 trailer and alignment are added per the engine's
+    configuration.  Raises [Invalid_argument] when the message exceeds
+    [max_message] (see {!max_payload}). *)
 val prepare_stream_segments : t -> body_segment list -> prepared_stream
 
 (** Receive-side manipulation for [Rx_separate]: decrypt the staged

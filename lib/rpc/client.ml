@@ -141,8 +141,8 @@ let resume_point t =
       find 0
 
 let send_ctrl t body =
-  let prepared = Engine.prepare_send_segments t.engine body in
-  Socket.send_message t.ctrl ~len:prepared.Engine.len ~fill:prepared.Engine.fill
+  let ps = Engine.prepare_stream_segments t.engine body in
+  Socket.send_message t.ctrl ~len:ps.Engine.stream_len ~fill:ps.Engine.fill_range
 
 (* Every control message a framing-negotiated client sends carries the
    flag — the first one a (possibly restarted) server sees on a
@@ -369,7 +369,7 @@ let wire_sockets t =
   (* Covers reconnection too: a fresh data socket must parse preludes
      from its very first reply. *)
   Socket.set_rx_framing t.data t.framed;
-  Socket.set_on_message t.data (fun ~src:_ ~len -> handle_reply t ~len);
+  Socket.set_on_message t.data (fun ~len -> handle_reply t ~len);
   let record reason =
     if t.aborted = None then t.aborted <- Some reason;
     (* The transfer is over on this socket pair: a pending backoff retry

@@ -103,7 +103,7 @@ val reply_prefix : reply_header -> string
     The same message descriptions compiled by [Ilp_codec.Stub_ilp]: the
     control fields become generated byte runs and the reply's data field
     stays in application memory for the fused loop.  These feed
-    [Ilp_core.Engine.prepare_send_segments]. *)
+    [Ilp_core.Engine.prepare_stream_segments]. *)
 
 (** [flags] (default 0) selects the flagged control forms: a nonzero
     value is appended as a trailing capability word (see

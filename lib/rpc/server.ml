@@ -252,13 +252,12 @@ let send_reply t conn hdr ~payload_addr =
         ~fill
     end
     else
-      (* Replies that fit one segment take the legacy single-TPDU path
-         (byte- and charge-identical to a whole-message prepare); a reply
-         larger than the connection's MSS streams as a pipelined TSDU of
-         MSS-sized segments instead of being dropped. *)
+      (* A reply that fits one segment is the paper's single TPDU, sent
+         now or refused (the per-reply probe behind Table 1 times exactly
+         that send); a reply larger than the connection's MSS streams as
+         a pipelined TSDU of MSS-sized segments instead. *)
       match
-        Socket.send_message conn.data ~len:wire_len ~fill:(fun mem ~dst ->
-            ps.Engine.fill_range mem ~dst ~off:0 ~len:wire_len)
+        Socket.send_message conn.data ~len:wire_len ~fill:ps.Engine.fill_range
       with
       | Error Socket.Message_too_big ->
           Socket.send_stream conn.data ~seg_unit:ps.Engine.seg_unit
@@ -272,12 +271,7 @@ let send_reply t conn hdr ~payload_addr =
       bump t.blk c_replies_sent;
       t.probe_after ~wire_len:sent_len ~elapsed_us ~syscopy_us;
       `Sent
-  | Error (Socket.Buffer_full | Socket.Window_full | Socket.Not_established) ->
-      `Backpressure
-  | Error Socket.Message_too_big ->
-      (* Still too big for the stream path (exceeds the engine's
-         [max_message]): drop the reply rather than loop forever. *)
-      `Drop
+  | Error _ -> `Backpressure
 
 let send_segment t conn seg =
   send_reply t conn
@@ -292,6 +286,13 @@ let status_hdr ?(copy = 0) ?(file_offset = 0) ?(total_len = 0) status =
   { Messages.status; copy; file_offset; total_len; data_len = 0 }
 
 let send_status t conn hdr = send_reply t conn hdr ~payload_addr:0
+
+(* The most file bytes one reply message can carry (at least 1, so a
+   misconfigured engine fails loudly instead of looping). *)
+let reply_room t =
+  max 1
+    (Engine.max_payload t.engine
+       ~prefix_len:(String.length (Messages.reply_prefix (status_hdr Messages.Ok))))
 
 (* Drop every remaining data segment of [req_id] from the queue (it is
    being shed as a whole) and answer with one Busy instead. *)
@@ -316,7 +317,7 @@ let rec drain t conn =
     | None -> conn.draining <- false
     | Some (Status hdr) -> (
         match send_status t conn hdr with
-        | `Sent | `Drop ->
+        | `Sent ->
             ignore (Queue.pop conn.queue);
             drain t conn
         | `Backpressure -> reschedule t conn)
@@ -330,7 +331,7 @@ let rec drain t conn =
         end
         else (
           match send_segment t conn seg with
-          | `Sent | `Drop ->
+          | `Sent ->
               ignore (Queue.pop conn.queue);
               release_queue t conn seg.seg_len;
               drain t conn
@@ -459,7 +460,12 @@ let handle_req t conn req =
                   let req_id = t.next_req_id in
                   t.next_req_id <- t.next_req_id + 1;
                   let enqueued_at = Simclock.now t.clock in
-                  let max_reply = max 16 req.Messages.max_reply in
+                  (* [max_reply] arrives over the wire: cap each reply at
+                     what this server's engine can carry (the client
+                     accepts any contiguous split of the file). *)
+                  let max_reply =
+                    min (max 16 req.Messages.max_reply) (reply_room t)
+                  in
                   for copy = start_copy to req.Messages.copies - 1 do
                     let offset =
                       ref (if copy = start_copy then start_offset else 0)
@@ -551,7 +557,7 @@ let attach t ~ctrl ~data =
   (match Engine.rx_style t.engine with
   | Engine.Rx_integrated_style f -> Socket.set_rx_processing ctrl (Socket.Rx_integrated f)
   | Engine.Rx_deferred_style f -> Socket.set_rx_processing ctrl (Socket.Rx_separate f));
-  Socket.set_on_message ctrl (fun ~src:_ ~len -> handle_request t conn ~len);
+  Socket.set_on_message ctrl (fun ~len -> handle_request t conn ~len);
   (* Either socket dying ends the connection: abandon its queue and free
      the admission slot so a waiting client can be served. *)
   Socket.set_on_abort ctrl (fun _ -> mark_dead t conn);

@@ -21,23 +21,32 @@ let available t = t.size - t.used
 let wraps t = t.wraps
 let wasted_total t = t.wasted_total
 
-let reserve t len =
-  if len <= 0 || len > t.size then None
+(* The tail a [len]-byte reservation would skip before wrapping, or -1
+   when it does not fit (an int, not an option: [reserve] runs once per
+   transmitted segment and stays allocation-free). *)
+let waste_for t len =
+  if len <= 0 || len > t.size then -1
   else
     let to_end = t.size - t.head in
     let wasted = if len <= to_end then 0 else to_end in
-    if t.used + wasted + len > t.size then None
-    else begin
-      let off = if wasted > 0 then 0 else t.head in
-      if wasted > 0 then begin
-        t.wraps <- t.wraps + 1;
-        t.wasted_total <- t.wasted_total + wasted
-      end;
-      t.head <- (off + len) mod t.size;
-      t.used <- t.used + wasted + len;
-      Queue.add { addr = t.base + off; len; wasted } t.entries;
-      Some (t.base + off)
-    end
+    if t.used + wasted + len > t.size then -1 else wasted
+
+let fits t len = waste_for t len >= 0
+
+let reserve t len =
+  let wasted = waste_for t len in
+  if wasted < 0 then None
+  else begin
+    let off = if wasted > 0 then 0 else t.head in
+    if wasted > 0 then begin
+      t.wraps <- t.wraps + 1;
+      t.wasted_total <- t.wasted_total + wasted
+    end;
+    t.head <- (off + len) mod t.size;
+    t.used <- t.used + wasted + len;
+    Queue.add { addr = t.base + off; len; wasted } t.entries;
+    Some (t.base + off)
+  end
 
 let release t =
   match Queue.take_opt t.entries with

@@ -25,6 +25,9 @@ val available : t -> int
     released in reservation order. *)
 val reserve : t -> int -> int option
 
+(** [fits t len] is whether {!reserve}[ t len] would succeed now. *)
+val fits : t -> int -> bool
+
 (** [release t] frees the oldest reservation (plus any wrap padding that
     preceded it).  [Error `Empty] when there is nothing in flight — which,
     reached from TCP, means an acknowledgement arrived for data never

@@ -64,7 +64,6 @@ type config = {
   persist_max_us : float;
   stall_deadline_us : float;
   max_pending_streams : int;
-  max_tsdu : int;
 }
 
 let default_config =
@@ -86,11 +85,9 @@ let default_config =
     persist_initial_us = 5_000.0;
     persist_max_us = 320_000.0;
     stall_deadline_us = 3_000_000.0;
-    max_pending_streams = 8;
-    max_tsdu = 0 }
+    max_pending_streams = 8 }
 
 type rx_processing =
-  | Rx_raw
   | Rx_separate of
       (Mem.t -> src:int -> dst_off:int -> len:int -> (unit, string) result)
   | Rx_integrated of
@@ -343,11 +340,10 @@ type t = {
   mutable last_ooo_seq : int;  (* most recent out-of-order arrival *)
   mutable dsack_pending : (int * int) option;
       (* duplicate arrival to report as a D-SACK first block on the next ack *)
-  (* Receive-side TSDU reassembly: bytes of the current multi-segment
-     TSDU already accepted in order.  The engine rx handlers place each
-     segment's plaintext at this offset in their application area; the
-     raw path accumulates into [rx_asm].  Under v2 framing this counts
-     engine (post-prelude) bytes. *)
+  (* Receive-side TSDU reassembly: bytes of the current TSDU already
+     accepted in order.  The rx handler places each segment's plaintext
+     at this offset in its application area.  Under v2 framing this
+     counts engine (post-prelude) bytes. *)
   mutable rx_tsdu_off : int;
   (* v2 framed receive ({!Framing}): enabled per connection by the RPC
      layer's negotiation.  [fr_elen >= 0] while a framed TSDU is
@@ -364,8 +360,6 @@ type t = {
      offset, so the drain is pure bookkeeping; seq -> (payload_len,
      psh).  Disjoint from the [ooo] stash by construction. *)
   placed : (int, int * bool) Hashtbl.t;
-  rx_asm : int;  (* Rx_raw reassembly area *)
-  rx_asm_len : int;
   mutable delayed_ack : Simclock.timer option;
   (* Zero-window persistence: probe a peer that advertises no (or too
      little) space, with exponential backoff, until the window reopens or
@@ -378,8 +372,8 @@ type t = {
   mutable pending_close : bool;
   mutable ctl_timer : Simclock.timer option;  (* SYN / FIN retransmission *)
   mutable ctl_retries : int;
-  mutable rx_proc : rx_processing;
-  mutable on_message : src:int -> len:int -> unit;
+  mutable rx_proc : rx_processing option;  (* [None]: inbound data is dropped *)
+  mutable on_message : len:int -> unit;
   mutable ip_ident : int;
   mutable syscopy_send_cycles_us : float;
   blk : int array;  (* this socket's block of [family] *)
@@ -420,8 +414,11 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
   let kernel_rx = Alloc.alloc sim.alloc ~align:64 seg_max in
   let rx_staging = Alloc.alloc sim.alloc ~align:64 seg_max in
   let ooo_base = Alloc.alloc sim.alloc ~align:64 (ooo_slots * seg_max) in
-  let rx_asm_len = max cfg.mss cfg.max_tsdu in
-  let rx_asm = Alloc.alloc sim.alloc ~align:64 rx_asm_len in
+  (* Layout reserve: [mss] unused bytes, so that every later buffer
+     (this socket's and everything allocated after it) keeps the
+     simulated address the reproduced Table 1 digits depend on through
+     cache conflicts. *)
+  ignore (Alloc.alloc sim.alloc ~align:64 cfg.mss);
   let probe_buf = Alloc.alloc sim.alloc ~align:8 8 in
   let code_ctrl = Code.alloc sim.code ~len:2048 in
   let code_kernel = Code.alloc sim.code ~len:3072 in
@@ -470,8 +467,6 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     fr_plen = 0;
     fr_elen = -1;
     placed = Hashtbl.create 8;
-    rx_asm;
-    rx_asm_len;
     delayed_ack = None;
     persist_timer = None;
     persist_shifts = 0;
@@ -481,8 +476,8 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     pending_close = false;
     ctl_timer = None;
     ctl_retries = 0;
-    rx_proc = Rx_raw;
-    on_message = (fun ~src:_ ~len:_ -> ());
+    rx_proc = None;
+    on_message = (fun ~len:_ -> ());
     ip_ident = local_port * 1000;
     syscopy_send_cycles_us = 0.0;
     blk = M.block family;
@@ -499,7 +494,7 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
 
 let state t = t.st
 let local_port t = t.local_port
-let set_rx_processing t p = t.rx_proc <- p
+let set_rx_processing t p = t.rx_proc <- Some p
 let set_rx_framing t on = t.rx_framing <- on
 let rx_framing t = t.rx_framing
 let set_on_message t f = t.on_message <- f
@@ -654,8 +649,11 @@ let transmit t header ~payload =
     (Datagram.create ~src_port:t.local_port ~dst_port:t.remote_port
        ~payload:(Ipv4.encapsulate ip segment))
 
-let send_control t ~flags =
+(* A pure control segment.  [seq] (default [snd_nxt]) lets a SYN or FIN
+   be re-sent with the sequence number it first used. *)
+let send_control ?seq t ~flags =
   let h = base_header t ~flags in
+  let h = match seq with Some seq -> { h with seq } | None -> h in
   let ck =
     Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
   in
@@ -843,14 +841,7 @@ let rec arm_ctl_timer t ~flags =
         else begin
           t.ctl_retries <- t.ctl_retries + 1;
           Rto.backoff t.rto;
-          (* Re-send with the sequence number the control segment used. *)
-          let h = base_header t ~flags in
-          let h = { h with seq = t.snd_nxt - 1 } in
-          let ck =
-            Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty
-              ~payload_len:0
-          in
-          transmit t { h with checksum = ck } ~payload:None;
+          send_control t ~seq:(t.snd_nxt - 1) ~flags;
           arm_ctl_timer t ~flags
         end)
   in
@@ -871,17 +862,13 @@ let cancel_persist t =
   t.persist_want <- 0;
   t.stalled_since <- None
 
-(* A window probe: one already-acknowledged byte at [snd_nxt - 1].  The
-   receiver's duplicate path acknowledges it immediately, and that ack
-   carries the peer's current window — so a reopened window is discovered
-   even if the peer's window-update ack was lost. *)
+(* The probe the persist and keepalive timers share: one
+   already-acknowledged byte at [snd_nxt - 1].  The receiver's duplicate
+   path acknowledges it immediately, and that ack carries the peer's
+   current window — so a reopened window is discovered even if the
+   peer's window-update ack was lost, and any answer proves the peer
+   alive. *)
 let send_probe t =
-  bump t c_persist_probes 1;
-  Recorder.note Recorder.Persist_probe ~conn:t.local_port
-    ~arg:t.persist_shifts ~ts:(Machine.micros (machine t));
-  if Trace.enabled () then
-    Trace.instant Trace.Tcp_persist_probe ~packet:(Trace.current_packet ())
-      ~ts:(Machine.micros (machine t));
   let h = base_header t ~flags:Tcp_header.ack_flag in
   let h = { h with seq = t.snd_nxt - 1 } in
   let payload_acc =
@@ -1001,22 +988,6 @@ let reset_for (dgram : Datagram.t) =
 
 let probe_wire_states = [ Established; Close_wait; Fin_wait_1; Fin_wait_2 ]
 
-let send_keepalive_probe t =
-  bump t c_keepalive_probes 1;
-  Recorder.note Recorder.Keepalive ~conn:t.local_port ~arg:t.ka_unanswered
-    ~ts:(Machine.micros (machine t));
-  if Trace.enabled () then
-    Trace.instant ~arg:t.ka_unanswered Trace.Tcp_keepalive
-      ~packet:(Trace.current_packet ()) ~ts:(Machine.micros (machine t));
-  let h = base_header t ~flags:Tcp_header.ack_flag in
-  let h = { h with Tcp_header.seq = t.snd_nxt - 1 } in
-  let payload_acc =
-    Ilp_checksum.Internet.checksum_mem (mem t) ~pos:t.probe_buf ~len:1
-      ~acc:Ilp_checksum.Internet.empty
-  in
-  let ck = Tcp_header.checksum h ~payload_acc ~payload_len:1 in
-  transmit t { h with checksum = ck } ~payload:(Some (t.probe_buf, 1))
-
 let rec arm_keepalive t =
   Option.iter Simclock.cancel t.ka_timer;
   let timer =
@@ -1036,7 +1007,14 @@ let rec arm_keepalive t =
           end
           else begin
             t.ka_unanswered <- t.ka_unanswered + 1;
-            send_keepalive_probe t;
+            bump t c_keepalive_probes 1;
+            Recorder.note Recorder.Keepalive ~conn:t.local_port
+              ~arg:t.ka_unanswered ~ts:(Machine.micros (machine t));
+            if Trace.enabled () then
+              Trace.instant ~arg:t.ka_unanswered Trace.Tcp_keepalive
+                ~packet:(Trace.current_packet ())
+                ~ts:(Machine.micros (machine t));
+            send_probe t;
             arm_keepalive t
           end
         end)
@@ -1114,6 +1092,13 @@ let rec arm_persist t ~want =
           if Simclock.now t.clock -. stall_start >= t.cfg.stall_deadline_us then
             abort t Peer_stalled
           else begin
+            bump t c_persist_probes 1;
+            Recorder.note Recorder.Persist_probe ~conn:t.local_port
+              ~arg:t.persist_shifts ~ts:(Machine.micros (machine t));
+            if Trace.enabled () then
+              Trace.instant Trace.Tcp_persist_probe
+                ~packet:(Trace.current_packet ())
+                ~ts:(Machine.micros (machine t));
             send_probe t;
             t.persist_shifts <- t.persist_shifts + 1;
             arm_persist t ~want
@@ -1327,23 +1312,32 @@ let maybe_send_fin t =
     arm_ctl_timer t ~flags:(Tcp_header.fin lor Tcp_header.ack_flag)
   end
 
-(* tcp_output's own checksum pass over ring contents, for fills that did
-   not integrate it. *)
-let ring_checksum t ~addr ~len =
-  let tr = Trace.enabled () in
-  let t0 = if tr then Machine.micros (machine t) else 0.0 in
-  let acc =
-    Ilp_checksum.Internet.checksum_mem (mem t) ~pos:addr ~len
-      ~acc:Ilp_checksum.Internet.empty
+(* tcp_send + tcp_output for the next [len] bytes of the front TSDU [s],
+   whose ring space is reserved at [addr]: the caller's fill writes just
+   that byte range straight into the ring (a plain charged copy, or the
+   fused ILP loop, which also returns the payload checksum accumulator);
+   TCP runs its own checksum pass over the ring only for fills that did
+   not integrate it, then builds the header and transmits.  The TSDU's
+   final segment carries PSH. *)
+let send_segment t s ~addr ~len =
+  let off = s.ps_off in
+  s.ps_off <- off + len;
+  let payload_acc =
+    match s.ps_fill (mem t) ~dst:addr ~off ~len with
+    | Some acc -> acc
+    | None ->
+        let tr = Trace.enabled () in
+        let t0 = if tr then Machine.micros (machine t) else 0.0 in
+        let acc =
+          Ilp_checksum.Internet.checksum_mem (mem t) ~pos:addr ~len
+            ~acc:Ilp_checksum.Internet.empty
+        in
+        if tr then
+          Trace.span Trace.Send_checksum ~packet:(Trace.current_packet ())
+            ~ts:t0 ~dur:(Machine.micros (machine t) -. t0);
+        acc
   in
-  if tr then
-    Trace.span Trace.Send_checksum ~packet:(Trace.current_packet ()) ~ts:t0
-      ~dur:(Machine.micros (machine t) -. t0);
-  acc
-
-(* Header build, transmit and bookkeeping shared by the one-shot and
-   streaming senders.  The payload is already in the ring at [addr]. *)
-let send_data_segment t ~addr ~len ~psh ~payload_acc =
+  let psh = s.ps_off >= s.ps_len in
   let flags = Tcp_header.ack_flag lor (if psh then Tcp_header.psh else 0) in
   let h = base_header t ~flags in
   let ck = Tcp_header.checksum h ~payload_acc ~payload_len:len in
@@ -1360,10 +1354,11 @@ let send_data_segment t ~addr ~len ~psh ~payload_acc =
   M.set m_inflight (Queue.length t.txq);
   if t.rto_timer = None then arm_rto t
 
-(* The stream pump: push segments of the front TSDU while the usable
-   window, the congestion window and the ring all have room.  Re-run from
-   every ack (new data acked, a window update, or fast-recovery
-   inflation) — this is what keeps multiple segments in flight. *)
+(* The stream pump, the one place data segments are emitted: push
+   segments of the front TSDU while the usable window, the congestion
+   window and the ring all have room.  Re-run from every ack (new data
+   acked, a window update, or fast-recovery inflation) — this is what
+   keeps multiple segments in flight. *)
 let rec pump_streams t =
   if (t.st = Established || t.st = Close_wait) && t.failed = None then
     match Queue.peek_opt t.streams with
@@ -1392,21 +1387,12 @@ let rec pump_streams t =
             | None -> ()  (* ring full: acks release space and re-pump *)
             | Some addr ->
                 if t.persist_timer <> None then cancel_persist t;
-                let off = s.ps_off in
-                s.ps_off <- off + seg;
-                (* One fused (or separate) pass over just this segment's
-                   byte range, straight into the ring. *)
-                let acc_opt = s.ps_fill (mem t) ~dst:addr ~off ~len:seg in
-                let payload_acc =
-                  match acc_opt with
-                  | Some acc -> acc
-                  | None -> ring_checksum t ~addr ~len:seg
-                in
-                send_data_segment t ~addr ~len:seg ~psh:(s.ps_off >= s.ps_len)
-                  ~payload_acc;
+                send_segment t s ~addr ~len:seg;
                 pump_streams t
         end
 
+(* The paper's one-TSDU-one-TPDU send: a TSDU of at most one MSS that
+   goes out now, as the pump's single segment, or not at all. *)
 let send_message t ~len ~fill =
   if t.st <> Established then Error Not_established
   else if len > t.cfg.mss then Error Message_too_big
@@ -1421,22 +1407,12 @@ let send_message t ~len ~fill =
     if Queue.is_empty t.txq && t.persist_timer = None then arm_persist t ~want:len;
     Error Window_full
   end
-  else
-    match Ring.reserve t.ring len with
-    | None -> Error Buffer_full
-    | Some addr ->
-        cancel_persist t;
-        (* tcp_send: the caller's fill writes the payload into the ring
-           (either a plain copy or the fused ILP loop). *)
-        let acc_opt = fill (mem t) ~dst:addr in
-        (* tcp_output: checksum (unless already integrated), header. *)
-        let payload_acc =
-          match acc_opt with
-          | Some acc -> acc
-          | None -> ring_checksum t ~addr ~len
-        in
-        send_data_segment t ~addr ~len ~psh:true ~payload_acc;
-        Ok ()
+  else if not (Ring.fits t.ring len) then Error Buffer_full
+  else begin
+    Queue.add { ps_len = len; ps_unit = 1; ps_fill = fill; ps_off = 0 } t.streams;
+    pump_streams t;
+    Ok ()
+  end
 
 (* Warning 16: every following argument is labelled, so [?seg_unit] can
    never be erased by partial application — harmless here. *)
@@ -1494,24 +1470,103 @@ let alloc_ooo_slot t =
 
 let seg_max t = max Tcp_header.max_wire_size (Tcp_header.size + t.cfg.mss)
 
-(* Verify and deliver a data segment whose bytes start at [base] in user
-   memory (receive staging or an out-of-order slot).
-
-   TSDU reassembly: a segment without PSH is a piece of a larger TSDU —
-   its plaintext is accumulated at the current reassembly offset (the
-   engine handlers write [app_rx + dst_off]; the raw path copies into
-   [rx_asm]) and delivery to the application waits for the PSH-marked
-   final segment.  A PSH segment arriving with nothing accumulated is the
-   legacy whole-TSDU-per-segment case and is delivered straight from the
-   staging area, byte- and charge-identical to the pre-streaming stack. *)
-let process_data t (h : Tcp_header.t) ~base ~payload_len =
+(* The one receive verdict, shared by in-order segments, segments
+   drained from the stash and segments placed out of order.  The segment
+   (TCP header and payload) starts at [base] in user memory; its payload
+   is a [plen]-byte framing prelude (0 unless a framed TSDU starts here)
+   followed by engine bytes, which the rx handler lands at [dst_off] of
+   the TSDU being reassembled.  Separate processing checksums the segment
+   itself, then runs the handler's passes; integrated processing runs the
+   handler's fused loop, which returns the payload sum for TCP to verify
+   (the final stage of the paper's three-stage model).  A rejected
+   segment is counted and dropped, never delivered; a socket with no
+   handler drops all data as [Bad_length]. *)
+let verify t (h : Tcp_header.t) ~base ~payload_len ~plen ~dst_off =
   let open Ilp_checksum in
   let src = base + Tcp_header.size in
-  let psh = Tcp_header.has h Tcp_header.psh in
-  let framed =
-    t.rx_framing && (match t.rx_proc with Rx_raw -> false | _ -> true)
+  let eng_len = payload_len - plen in
+  (* Each verified data segment is one traced receive packet; the
+     engine's rx handlers pick the id up via [Trace.current_packet]. *)
+  if Trace.enabled () then ignore (Trace.begin_packet ());
+  let verdict =
+    if t.rx_framing && t.fr_elen >= 0 && dst_off + eng_len > t.fr_elen then
+      (* A framed continuation past the announced TSDU extent. *)
+      Error Bad_length
+    else
+      match t.rx_proc with
+      | None -> Error Bad_length
+      | Some (Rx_separate f) ->
+          (* Separate checksum pass over the staged segment (header bytes
+             included; the stored checksum field makes a valid segment fold
+             to 0xffff). *)
+          let tr = Trace.enabled () in
+          let t0 = if tr then Machine.micros (machine t) else 0.0 in
+          let acc = Tcp_header.pseudo_acc h ~payload_len in
+          let acc =
+            Internet.checksum_mem (mem t) ~pos:base ~len:(Tcp_header.size + payload_len)
+              ~acc
+          in
+          if tr then
+            Trace.span Trace.Recv_checksum ~packet:(Trace.current_packet ())
+              ~ts:t0 ~dur:(Machine.micros (machine t) -. t0);
+          if Internet.finish acc <> 0 then Error Bad_checksum
+          else if eng_len = 0 then Ok () (* prelude-only segment *)
+          else (
+            match f (mem t) ~src:(src + plen) ~dst_off ~len:eng_len with
+            | Ok () -> Ok ()
+            | Error _ -> Error Bad_length)
+      | Some (Rx_integrated f) -> (
+          (* A handler that cannot even start its loop (impossible payload
+             length) rejects before any checksum verdict.  A framed
+             prelude is checksummed by its own charged walk and folded in
+             positionally ahead of the engine's accumulator. *)
+          let eng_acc =
+            if eng_len = 0 then Ok Internet.empty
+            else f (mem t) ~src:(src + plen) ~dst_off ~len:eng_len
+          in
+          match eng_acc with
+          | Error _ -> Error Bad_length
+          | Ok acc ->
+              let payload_acc =
+                if plen = 0 then acc
+                else
+                  Internet.combine
+                    (Internet.checksum_mem (mem t) ~pos:src ~len:plen
+                       ~acc:Internet.empty)
+                    acc ~len_b:eng_len
+              in
+              if Tcp_header.checksum h ~payload_acc ~payload_len = h.checksum then
+                Ok ()
+              else Error Bad_checksum)
   in
-  let starting = framed && t.fr_elen < 0 in
+  Machine.compute (machine t) t.cfg.control_ops;
+  match verdict with
+  | Ok () -> true
+  | Error reason ->
+      if reason = Bad_checksum then bump t c_checksum_failures 1;
+      count_drop t reason;
+      false
+
+(* The one delivery step for a verified segment now in sequence:
+   advance [rcv_nxt] over its [len] bytes and add its [eng_len] engine
+   bytes to the TSDU being reassembled.  The PSH-marked final segment
+   hands the whole TSDU to [on_message]; the paper's one-TSDU-one-TPDU
+   message is the TSDU whose first segment carries PSH. *)
+let accept t ~len ~eng_len ~psh =
+  t.rcv_nxt <- t.rcv_nxt + len;
+  bump t c_bytes_delivered len;
+  t.rx_tsdu_off <- t.rx_tsdu_off + eng_len;
+  if psh then begin
+    let n = t.rx_tsdu_off in
+    t.rx_tsdu_off <- 0;
+    t.fr_elen <- -1;
+    t.on_message ~len:n
+  end
+
+(* An in-sequence data segment, from receive staging or the stash. *)
+let process_data t (h : Tcp_header.t) ~base ~payload_len =
+  let src = base + Tcp_header.size in
+  let starting = t.rx_framing && t.fr_elen < 0 && Option.is_some t.rx_proc in
   (* Framed geometry: the first segment of a framed TSDU carries the
      cleartext prelude ({!Framing}) announcing the TSDU's engine wire
      length; it is parsed (uncharged peeks — the charged pass over its
@@ -1534,123 +1589,19 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
       count_drop t reason;
       false
   | Ok fr ->
-  let plen = match fr with Some (p, _) -> p | None -> 0 in
-  let eng_src = src + plen in
-  let eng_len = payload_len - plen in
-  let dst_off = t.rx_tsdu_off in
-  let single = psh && dst_off = 0 in
-  (* Each delivered data segment is one traced receive packet; the
-     engine's rx handlers pick the id up via [Trace.current_packet]. *)
-  if Trace.enabled () then ignore (Trace.begin_packet ());
-  let verdict =
-    (* Reassembly bound for the raw path (the engine handlers bound
-       [dst_off + len] against their own application area): an
-       accumulation that would overflow [rx_asm] is rejected without
-       advancing [rcv_nxt] — the sender's retries end in a typed abort
-       rather than silent truncation. *)
-    if
-      (match t.rx_proc with Rx_raw -> true | _ -> false)
-      && (not single)
-      && dst_off + payload_len > t.rx_asm_len
-    then Error Bad_length
-    else if framed && (not starting) && dst_off + eng_len > t.fr_elen then
-      (* A framed continuation past the announced TSDU extent. *)
-      Error Bad_length
-    else
-      match t.rx_proc with
-      | Rx_raw | Rx_separate _ ->
-          (* Separate checksum pass over the staged segment (header bytes
-             included; the stored checksum field makes a valid segment fold
-             to 0xffff). *)
-          let tr = Trace.enabled () in
-          let t0 = if tr then Machine.micros (machine t) else 0.0 in
-          let acc = Tcp_header.pseudo_acc h ~payload_len in
-          let acc =
-            Internet.checksum_mem (mem t) ~pos:base ~len:(Tcp_header.size + payload_len)
-              ~acc
-          in
-          if tr then
-            Trace.span Trace.Recv_checksum ~packet:(Trace.current_packet ())
-              ~ts:t0 ~dur:(Machine.micros (machine t) -. t0);
-          if Internet.finish acc <> 0 then Error Bad_checksum
-          else begin
-            match t.rx_proc with
-            | Rx_separate f ->
-                if eng_len = 0 then Ok () (* prelude-only segment *)
-                else (
-                  match f (mem t) ~src:eng_src ~dst_off ~len:eng_len with
-                  | Ok () -> Ok ()
-                  | Error _ -> Error Bad_length)
-            | Rx_raw | Rx_integrated _ -> Ok ()
-          end
-      | Rx_integrated f -> (
-          (* The fused loop computes the payload sum while decrypting and
-             unmarshalling; TCP folds in pseudo-header and header and decides
-             acceptance afterwards (final stage of the three-stage model).
-             A handler that cannot even start its loop (impossible payload
-             length) rejects before any checksum verdict.  A framed
-             prelude is checksummed by its own charged walk and folded in
-             positionally ahead of the engine's accumulator. *)
-          let eng_acc =
-            if eng_len = 0 then Ok Internet.empty
-            else f (mem t) ~src:eng_src ~dst_off ~len:eng_len
-          in
-          match eng_acc with
-          | Error _ -> Error Bad_length
-          | Ok acc ->
-              let payload_acc =
-                if plen = 0 then acc
-                else
-                  Internet.combine
-                    (Internet.checksum_mem (mem t) ~pos:src ~len:plen
-                       ~acc:Internet.empty)
-                    acc ~len_b:eng_len
-              in
-              if Tcp_header.checksum h ~payload_acc ~payload_len = h.checksum then
-                Ok ()
-              else Error Bad_checksum)
-  in
-  Machine.compute (machine t) t.cfg.control_ops;
-  match verdict with
-  | Ok () ->
-      t.rcv_nxt <- t.rcv_nxt + payload_len;
-      bump t c_bytes_delivered payload_len;
-      (match fr with
-      | Some (p, elen) ->
-          t.fr_base <- h.seq;
-          t.fr_plen <- p;
-          t.fr_elen <- elen
-      | None -> ());
-      if single then begin
-        if framed then t.fr_elen <- -1;
-        t.on_message ~src:eng_src ~len:eng_len
-      end
-      else begin
-        (match t.rx_proc with
-        | Rx_raw ->
-            (* Accumulate the raw payload into the reassembly area (the
-               charged unmarshal-style copy the engine paths perform
-               inside their handlers). *)
-            Mem.blit (mem t) ~src ~dst:(t.rx_asm + dst_off) ~len:payload_len
-              ~unit_len:t.cfg.blit_unit
-        | Rx_separate _ | Rx_integrated _ -> ());
-        t.rx_tsdu_off <- dst_off + eng_len;
-        if psh then begin
-          let n = t.rx_tsdu_off in
-          t.rx_tsdu_off <- 0;
-          if framed then t.fr_elen <- -1;
-          (* [src] points at the raw path's reassembly area; engine-backed
-             consumers read the TSDU from their application area. *)
-          t.on_message ~src:t.rx_asm ~len:n
-        end
-      end;
-      true
-  | Error reason ->
-      if reason = Bad_checksum then begin
-        bump t c_checksum_failures 1
-      end;
-      count_drop t reason;
-      false
+      let plen = match fr with Some (p, _) -> p | None -> 0 in
+      verify t h ~base ~payload_len ~plen ~dst_off:t.rx_tsdu_off
+      && begin
+           (match fr with
+           | Some (p, elen) ->
+               t.fr_base <- h.seq;
+               t.fr_plen <- p;
+               t.fr_elen <- elen
+           | None -> ());
+           accept t ~len:payload_len ~eng_len:(payload_len - plen)
+             ~psh:(Tcp_header.has h Tcp_header.psh);
+           true
+         end
 
 (* Final placement of an out-of-order segment (the single-copy receive
    path): when the current framed TSDU's extent is known and the segment
@@ -1662,60 +1613,23 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
    dropped and never recorded; its retransmission overwrites whatever
    partial plaintext the failed pass left at [dst_off]. *)
 let place_ooo t (h : Tcp_header.t) ~payload_len =
-  let open Ilp_checksum in
-  let src = t.rx_staging + Tcp_header.size in
-  let dst_off = h.seq - t.fr_base - t.fr_plen in
-  if Trace.enabled () then ignore (Trace.begin_packet ());
-  let verdict =
-    match t.rx_proc with
-    | Rx_raw -> Error Bad_length (* placement requires an engine handler *)
-    | Rx_separate f ->
-        let acc = Tcp_header.pseudo_acc h ~payload_len in
-        let acc =
-          Internet.checksum_mem (mem t) ~pos:t.rx_staging
-            ~len:(Tcp_header.size + payload_len) ~acc
-        in
-        if Internet.finish acc <> 0 then Error Bad_checksum
-        else (
-          match f (mem t) ~src ~dst_off ~len:payload_len with
-          | Ok () -> Ok ()
-          | Error _ -> Error Bad_length)
-    | Rx_integrated f -> (
-        match f (mem t) ~src ~dst_off ~len:payload_len with
-        | Error _ -> Error Bad_length
-        | Ok payload_acc ->
-            if Tcp_header.checksum h ~payload_acc ~payload_len = h.checksum
-            then Ok ()
-            else Error Bad_checksum)
-  in
-  Machine.compute (machine t) t.cfg.control_ops;
-  match verdict with
-  | Ok () ->
-      Hashtbl.add t.placed h.seq (payload_len, Tcp_header.has h Tcp_header.psh);
-      t.last_ooo_seq <- h.seq;
-      bump t c_ooo_placed 1
-  | Error reason ->
-      if reason = Bad_checksum then begin
-        bump t c_checksum_failures 1
-      end;
-      count_drop t reason
+  if
+    verify t h ~base:t.rx_staging ~payload_len ~plen:0
+      ~dst_off:(h.seq - t.fr_base - t.fr_plen)
+  then begin
+    Hashtbl.add t.placed h.seq (payload_len, Tcp_header.has h Tcp_header.psh);
+    t.last_ooo_seq <- h.seq;
+    bump t c_ooo_placed 1
+  end
 
 let rec drain_ooo t =
   match Hashtbl.find_opt t.placed t.rcv_nxt with
   | Some (len, psh) ->
       (* Already verified and decrypted at its final offset when it
          arrived: advancing over it is pure bookkeeping — the re-copy the
-         legacy stash drain performs has no counterpart here. *)
+         stash drain performs has no counterpart here. *)
       Hashtbl.remove t.placed t.rcv_nxt;
-      t.rcv_nxt <- t.rcv_nxt + len;
-      bump t c_bytes_delivered len;
-      t.rx_tsdu_off <- t.rx_tsdu_off + len;
-      if psh then begin
-        let n = t.rx_tsdu_off in
-        t.rx_tsdu_off <- 0;
-        t.fr_elen <- -1;
-        t.on_message ~src:t.rx_asm ~len:n
-      end;
+      accept t ~len ~eng_len:len ~psh;
       drain_ooo t
   | None -> (
       match Hashtbl.find_opt t.ooo t.rcv_nxt with
@@ -1755,13 +1669,11 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
          t.dsack_pending <- Some (h.seq, h.seq + payload_len)
      end
      else if
-       (* Eligible for final placement: framing on, an engine handler
-          wired, the current TSDU's extent known from its prelude, and
-          the segment wholly inside that extent.  Anything else — a
-          TSDU-start arriving out of order, a segment of a future TSDU,
-          a raw-path socket — falls back to the legacy stash. *)
+       (* Eligible for final placement: framing on, the current TSDU's
+          extent known from its prelude, and the segment wholly inside
+          that extent.  Anything else — a TSDU-start arriving out of
+          order, a segment of a future TSDU — falls back to the stash. *)
        t.rx_framing && t.fr_elen >= 0 && payload_len > 0
-       && (match t.rx_proc with Rx_raw -> false | _ -> true)
        && h.seq + payload_len <= t.fr_base + t.fr_plen + t.fr_elen
      then place_ooo t h ~payload_len
      else
@@ -2069,13 +1981,8 @@ let handle_datagram t (dgram : Datagram.t) =
           (* Retransmitted SYN: our SYN-ACK was lost; resend it with the
              original initial sequence number (snd_nxt already counts the
              SYN). *)
-          let h = base_header t ~flags:(Tcp_header.syn lor Tcp_header.ack_flag) in
-          let h = { h with seq = t.snd_nxt - 1 } in
-          let ck =
-            Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty
-              ~payload_len:0
-          in
-          transmit t { h with checksum = ck } ~payload:None
+          send_control t ~seq:(t.snd_nxt - 1)
+            ~flags:(Tcp_header.syn lor Tcp_header.ack_flag)
         end
         else if Tcp_header.has h Tcp_header.ack_flag && h.ack = t.snd_nxt then begin
           t.snd_una <- h.ack;

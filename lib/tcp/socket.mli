@@ -2,28 +2,37 @@
 
     This reproduces the architecture of the paper's section 3.1: a TCP that
     runs in user space on top of a kernel datagram service, with fixed-size
-    headers, one application message per segment (ALF: one TSDU = one
-    TPDU), a ring retransmission buffer in simulated memory, cumulative
+    headers, a ring retransmission buffer in simulated memory, cumulative
     acknowledgements, Jacobson RTO with Karn's rule, and flow control from
-    the advertised window.
+    the advertised window.  A TSDU travels as one or more segments, the
+    last marked PSH; the paper's one application message per segment
+    (ALF: one TSDU = one TPDU) is the one-segment case of that single
+    path, not a separate one.
 
     {2 Where the ILP loop plugs in}
 
-    {b Send}: {!send_message} reserves contiguous ring space and calls the
-    caller's [fill] function with its address.  A non-ILP stack fills it
-    with a plain charged copy after marshalling and encrypting elsewhere; a
-    fused stack marshals, encrypts and checksums while writing.  If [fill]
-    returns the payload's checksum accumulator, [tcp_output] uses it;
-    otherwise it performs its own charged checksum pass over the ring —
-    exactly the difference between figure 3's two columns.
+    {b Send}: every data segment is emitted by one stream pump.  For each
+    segment it reserves contiguous ring space and calls the caller's
+    [fill mem ~dst ~off ~len] to write bytes [off, off+len) of the TSDU
+    there.  A non-ILP stack fills it with a plain charged copy after
+    marshalling and encrypting elsewhere; a fused stack marshals, encrypts
+    and checksums while writing.  If [fill] returns the payload's
+    checksum accumulator, [tcp_output] uses it; otherwise it performs its
+    own charged checksum pass over the ring — exactly the difference
+    between figure 3's two columns.  {!send_message} (one segment, now or
+    never) and {!send_stream} (queued, MSS-segmented, pipelined) differ
+    only in admission.
 
-    {b Receive}: after the charged system copy of an in-order segment into
-    the receive staging area, the configured {!rx_processing} runs: either
+    {b Receive}: after the charged system copy of a segment into the
+    receive staging area, the configured {!rx_processing} runs: either
     TCP checksums the segment itself and then hands the payload to a
     separate manipulation pass, or an integrated handler does everything in
     one loop and returns the payload sum for TCP to verify (the paper's
     three-stage processing: the segment is accepted or rejected in the
-    final stage). *)
+    final stage).  In-order segments, segments drained from the
+    out-of-order stash and segments placed out of order share that one
+    verdict, and the handler lands every accepted segment at its offset
+    in the TSDU. *)
 
 type state =
   | Closed
@@ -93,19 +102,18 @@ type config = {
   max_pending_streams : int;
       (** TSDUs {!send_stream} will queue before reporting
           [Buffer_full] — the sender-side backpressure bound *)
-  max_tsdu : int;
-      (** largest reassembled TSDU the raw receive path accepts (sizes
-          the [Rx_raw] reassembly area; clamped up to [mss]).  The
-          engine-backed paths bound reassembly by their own
-          [max_message] instead. *)
 }
 
 val default_config : config
 
+(** The receive handler: it places each segment's payload ([len] bytes
+    at [src] in the staging area) at offset [dst_off] of the TSDU being
+    reassembled, in an application area it owns (the engine's plaintext
+    area); [dst_off] is 0 for a TSDU's first segment.  [Error] (a length
+    or offset the handler cannot process) rejects the segment, which is
+    dropped as [Bad_length] and counted, never delivered.  Until a
+    handler is set, a socket drops all inbound data as [Bad_length]. *)
 type rx_processing =
-  | Rx_raw
-      (** checksum pass by TCP, payload delivered as-is (control path and
-          tests) *)
   | Rx_separate of
       (Ilp_memsim.Mem.t ->
       src:int ->
@@ -113,19 +121,15 @@ type rx_processing =
       len:int ->
       (unit, string) result)
       (** checksum pass by TCP, then the handler's own passes over the
-          staging area (non-ILP); [dst_off] is this segment's byte offset
-          within the TSDU being reassembled (0 for a single-segment
-          message); [Error] rejects the segment, which is dropped and
-          counted, never delivered *)
+          staging area (non-ILP) *)
   | Rx_integrated of
       (Ilp_memsim.Mem.t ->
       src:int ->
       dst_off:int ->
       len:int ->
       (Ilp_checksum.Internet.acc, string) result)
-      (** one fused pass returning the payload checksum (ILP); [dst_off]
-          as for [Rx_separate]; [Error] (a length the loop cannot
-          process) rejects the segment before any checksum verdict *)
+      (** one fused pass returning the payload checksum (ILP); its
+          [Error] rejects the segment before any checksum verdict *)
 
 type send_error = Not_established | Message_too_big | Buffer_full | Window_full
 
@@ -133,8 +137,9 @@ type send_error = Not_established | Message_too_big | Buffer_full | Window_full
     - [Bad_ip]: IP validation failed (bad version/IHL, header checksum,
       length mismatch from wire truncation or padding, wrong protocol);
     - [Bad_header]: too short to carry a 20-byte TCP header;
-    - [Bad_length]: segment longer than this connection's maximum, or a
-      payload length the configured receive processing rejected;
+    - [Bad_length]: segment longer than this connection's maximum, a
+      payload length or offset the receive handler rejected, or any data
+      at a socket with no receive handler;
     - [Bad_checksum]: the end-to-end TCP checksum verdict failed;
     - [Out_of_window]: an in-window out-of-order segment arrived with no
       stash slot free. *)
@@ -243,12 +248,22 @@ val reset_for : Ilp_netsim.Datagram.t -> Ilp_netsim.Datagram.t option
 val state : t -> state
 val local_port : t -> int
 
-(** See module preamble.  [fill mem ~dst] must write exactly [len] bytes at
-    [dst] and may return the payload checksum accumulator. *)
+(** [send_message t ~len ~fill] sends a [len]-byte TSDU as one PSH
+    segment, now or not at all — the paper's one-TSDU-one-TPDU send.  The
+    stream pump calls [fill mem ~dst ~off:0 ~len] once (see the module
+    preamble); [fill] must write exactly those bytes at [dst] and may
+    return the payload checksum accumulator.  Refused with
+    [Not_established] outside ESTABLISHED, [Message_too_big] above one
+    MSS, [Buffer_full] while a stream is pending or the ring cannot hold
+    the segment, and [Window_full] when the usable window is too small
+    (arming the persist timer if nothing is in flight).  Nothing is
+    queued on refusal, so the caller decides when to retry. *)
 val send_message :
   t ->
   len:int ->
-  fill:(Ilp_memsim.Mem.t -> dst:int -> Ilp_checksum.Internet.acc option) ->
+  fill:
+    (Ilp_memsim.Mem.t -> dst:int -> off:int -> len:int ->
+    Ilp_checksum.Internet.acc option) ->
   (unit, send_error) result
 
 (** [send_stream t ?seg_unit ~len ~fill] queues a [len]-byte TSDU for
@@ -257,10 +272,10 @@ val send_message :
     [fill mem ~dst ~off ~len] once per segment to produce bytes
     [off, off+len) of the TSDU directly in the retransmission ring (one
     fused ILP pass per segment when [fill] returns the payload checksum
-    accumulator).  Segment lengths are multiples of [seg_unit] (default
-    1; a cipher-block-aligned engine passes its block size), and [len]
-    must be a positive multiple of [seg_unit] no larger than what a
-    segment can describe.  The final segment carries PSH; the receiver
+    accumulator; the same [fill] as {!send_message}'s).  Segment lengths
+    are multiples of [seg_unit] (default 1; a cipher-block-aligned
+    engine passes its block size), and [len] must be a positive multiple
+    of [seg_unit] no larger than what a segment can describe.  The final segment carries PSH; the receiver
     reassembles in order and delivers the whole TSDU to [on_message].
     Up to [max_pending_streams] TSDUs queue behind one another
     ([Buffer_full] beyond that); [send_message] also reports
@@ -291,23 +306,23 @@ val set_rx_processing : t -> rx_processing -> unit
     placement offset before decryption.  With the extent known,
     out-of-order segments are verified on arrival and landed at their
     final [dst_off] through the engine handler — no stash blit, no drain
-    re-copy.  Requires an engine-backed {!rx_processing} ([Rx_raw]
-    sockets ignore the flag).  Both endpoints must agree: a framed
-    sender's bytes are not parseable by an unframed receiver and vice
-    versa — the RPC layer negotiates this per connection. *)
+    re-copy: such a segment gets the same verdict as an in-order one,
+    and draining it later is pure bookkeeping.  A socket with no
+    {!rx_processing} ignores the flag (it drops all data).  Both
+    endpoints must agree: a framed sender's bytes are not parseable by an
+    unframed receiver and vice versa — the RPC layer negotiates this per
+    connection. *)
 val set_rx_framing : t -> bool -> unit
 
 val rx_framing : t -> bool
 
-(** [set_on_message t f] — [f ~src ~len] fires once per TSDU.  For a
-    single-segment message (PSH with nothing reassembling), [src] is the
-    payload address in the receive staging area, exactly as before
-    streaming existed.  For a streamed TSDU it fires on the PSH segment
-    with the complete reassembled message: under [Rx_raw] [src] is the
-    socket's own reassembly buffer; under the engine-backed handlers the
-    handler has already placed each segment at its [dst_off] and [src]
-    is the reassembly base those offsets are relative to. *)
-val set_on_message : t -> (src:int -> len:int -> unit) -> unit
+(** [set_on_message t f] — [f ~len] fires once per TSDU, when its
+    PSH-marked final segment is accepted in sequence, whether the TSDU
+    had one segment or many.  By then the {!rx_processing} handler has
+    placed every segment at its [dst_off], so the TSDU's [len] bytes
+    (engine bytes: a framed TSDU's prelude is not counted) sit at the
+    base of the handler's application area. *)
+val set_on_message : t -> (len:int -> unit) -> unit
 
 (** [set_on_abort t f] — [f reason] fires once when retry exhaustion tears
     the connection down ({!failure} is set before the callback runs). *)

@@ -10,6 +10,14 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let check_s = Alcotest.(check string)
 
+(* [prefix ^ payload] as one message — the shape of a marshalled RPC —
+   and its whole-message fill: the one range [0, stream_len). *)
+let prepare_msg eng ~prefix ~payload_addr ~payload_len =
+  Engine.prepare_stream_segments eng
+    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+
+let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
+
 (* ------------------------------------------------------------------ *)
 (* Units *)
 
@@ -372,17 +380,17 @@ let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   let sim, eng = make_engine ~mode ~header_style () in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix ~payload_addr ~payload_len:(String.length payload)
+    prepare_msg eng ~prefix ~payload_addr ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  let acc_opt = prepared.Engine.fill sim.Sim.mem ~dst:wire in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  let acc_opt = fill_all sim.Sim.mem prepared ~dst:wire in
   (* Receive through the same engine (fresh buffers are enough: the
      engine's rx writes into its own area). *)
   (match mode with
   | Engine.Ilp ->
       let acc =
         ok_or_fail
-          (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len)
+          (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len)
       in
       (* The send-side accumulator and receive-side accumulator both cover
          the same ciphertext. *)
@@ -392,8 +400,8 @@ let engine_roundtrip ~mode ~header_style ~prefix ~payload =
       | None -> Alcotest.fail "ILP fill must return a checksum")
   | Engine.Separate ->
       checkb "separate fill returns no checksum" true (acc_opt = None);
-      ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   (* The plaintext must contain the prefix at position 4 (leading) or 0
      (trailer), followed by the payload. *)
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
@@ -421,11 +429,11 @@ let test_engine_modes_agree () =
     let sim, eng = make_engine ~mode () in
     let payload_addr = install sim payload in
     let prepared =
-      Engine.prepare_send eng ~prefix ~payload_addr ~payload_len:(String.length payload)
+      prepare_msg eng ~prefix ~payload_addr ~payload_len:(String.length payload)
     in
-    let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-    ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
-    read_back sim wire prepared.Engine.len
+    let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+    ignore (fill_all sim.Sim.mem prepared ~dst:wire);
+    read_back sim wire prepared.Engine.stream_len
   in
   check_s "identical wire bytes" (run Engine.Separate) (run Engine.Ilp)
 
@@ -436,15 +444,15 @@ let test_engine_ilp_checksum_matches_wire () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"ABCD" ~payload_addr
+    prepare_msg eng ~prefix:"ABCD" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  match prepared.Engine.fill sim.Sim.mem ~dst:wire with
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  match fill_all sim.Sim.mem prepared ~dst:wire with
   | None -> Alcotest.fail "expected a checksum"
   | Some acc ->
       check "tap checksum = wire checksum"
-        (Internet.checksum_string (read_back sim wire prepared.Engine.len))
+        (Internet.checksum_string (read_back sim wire prepared.Engine.stream_len))
         (Internet.finish acc)
 
 let prop_engine_roundtrip_sizes =
@@ -457,20 +465,20 @@ let prop_engine_roundtrip_sizes =
       let sim, eng = make_engine ~mode () in
       let payload_addr = if payload_len = 0 then 64 else install sim payload in
       let prepared =
-        Engine.prepare_send eng ~prefix ~payload_addr ~payload_len
+        prepare_msg eng ~prefix ~payload_addr ~payload_len
       in
-      let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-      let acc_opt = prepared.Engine.fill sim.Sim.mem ~dst:wire in
+      let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+      let acc_opt = fill_all sim.Sim.mem prepared ~dst:wire in
       (match mode with
       | Engine.Ilp ->
           ignore
             (ok_or_fail
-               (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
+               (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
       | Engine.Separate ->
           ok_or_fail
-            (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
+            (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
       ignore acc_opt;
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
       String.sub plaintext 4 (String.length prefix) = prefix
       && String.sub plaintext (4 + String.length prefix) payload_len = payload)
 
@@ -480,12 +488,12 @@ let test_engine_coalesce_same_bytes () =
     let sim, eng = make_engine ~mode:Engine.Ilp ~coalesce_writes:coalesce () in
     let payload_addr = install sim payload in
     let prepared =
-      Engine.prepare_send eng ~prefix:"PRFX" ~payload_addr
+      prepare_msg eng ~prefix:"PRFX" ~payload_addr
         ~payload_len:(String.length payload)
     in
-    let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-    ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
-    read_back sim wire prepared.Engine.len
+    let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+    ignore (fill_all sim.Sim.mem prepared ~dst:wire);
+    read_back sim wire prepared.Engine.stream_len
   in
   check_s "LCM stores produce the same ciphertext" (run false) (run true)
 
@@ -496,13 +504,13 @@ let test_engine_rx_late_roundtrip () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"LATE" ~payload_addr
+    prepare_msg eng ~prefix:"LATE" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
-  ok_or_fail (Engine.rx_late eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len);
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
+  ok_or_fail (Engine.rx_late eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len);
+  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   check_s "payload recovered via late placement" payload
     (String.sub plaintext 8 (String.length payload))
 
@@ -535,16 +543,16 @@ let test_engine_segments_multi_payload () =
       Engine.Seg_app { addr = b; len = 6 };
       Engine.Seg_gen "\000\000TL" ]
   in
-  let prepared = Engine.prepare_send_segments eng body in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  let acc = Option.get (prepared.Engine.fill sim.Sim.mem ~dst:wire) in
+  let prepared = Engine.prepare_stream_segments eng body in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  let acc = Option.get (fill_all sim.Sim.mem prepared ~dst:wire) in
   check "wire checksum matches the fused tap"
-    (Internet.checksum_string (read_back sim wire prepared.Engine.len))
+    (Internet.checksum_string (read_back sim wire prepared.Engine.stream_len))
     (Internet.finish acc);
   ignore
     (ok_or_fail
-       (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+       (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   let expected = "HDR1alpha-region-data\000\000\000MID0beta!!\000\000TL" in
   check_s "body reconstructed" expected
     (String.sub plaintext 4 (String.length expected))
@@ -571,13 +579,13 @@ let test_engine_stream_ranges_match_whole () =
   List.iter
     (fun (mode, header_style, crc32, name) ->
       let sim1, eng1, body1 = mk_world ~mode ~header_style ~crc32 in
-      let prepared = Engine.prepare_send_segments eng1 body1 in
-      let w1 = Alloc.alloc sim1.Sim.alloc ~align:8 prepared.Engine.len in
-      ignore (prepared.Engine.fill sim1.Sim.mem ~dst:w1);
-      let whole = read_back sim1 w1 prepared.Engine.len in
+      let prepared = Engine.prepare_stream_segments eng1 body1 in
+      let w1 = Alloc.alloc sim1.Sim.alloc ~align:8 prepared.Engine.stream_len in
+      ignore (fill_all sim1.Sim.mem prepared ~dst:w1);
+      let whole = read_back sim1 w1 prepared.Engine.stream_len in
       let sim2, eng2, body2 = mk_world ~mode ~header_style ~crc32 in
       let ps = Engine.prepare_stream_segments eng2 body2 in
-      check (name ^ ": wire length agrees") prepared.Engine.len
+      check (name ^ ": wire length agrees") prepared.Engine.stream_len
         ps.Engine.stream_len;
       let unit = ps.Engine.seg_unit in
       check (name ^ ": message cuttable into aligned ranges") 0
@@ -624,10 +632,7 @@ let test_engine_stream_range_validation () =
 
 let test_engine_validations () =
   let _, eng = make_engine () in
-  (match Engine.prepare_send eng ~prefix:"abc" ~payload_addr:0 ~payload_len:0 with
-  | _ -> Alcotest.fail "expected Invalid_argument (prefix alignment)"
-  | exception Invalid_argument _ -> ());
-  match Engine.prepare_send eng ~prefix:"" ~payload_addr:0 ~payload_len:100_000 with
+  match prepare_msg eng ~prefix:"" ~payload_addr:0 ~payload_len:100_000 with
   | _ -> Alcotest.fail "expected Invalid_argument (too big)"
   | exception Invalid_argument _ -> ()
 
@@ -654,23 +659,23 @@ let test_engine_rx_bad_length_field () =
   let sim, eng = make_engine ~mode:Engine.Separate () in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"" ~payload_addr
+    prepare_msg eng ~prefix:"" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   (* Scramble the first cipher block, where the length word lives. *)
   for i = 0 to 7 do
     let v = Mem.peek_u8 sim.Sim.mem (wire + i) in
     Mem.poke_u8 sim.Sim.mem (wire + i) ((v lxor 0xa5) land 0xff)
   done;
-  match Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len with
+  match Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len with
   | Error _ -> ()
   | Ok () ->
       (* The mangled length may still decode plausibly; then the final read
          must be the guard that fails or succeed with garbage of the right
          shape — but it must not raise. *)
-      (match Engine.read_plaintext eng ~len:prepared.Engine.len with
+      (match Engine.read_plaintext eng ~len:prepared.Engine.stream_len with
       | Ok _ | Error _ -> ())
 
 let prop_engine_all_flag_combinations =
@@ -692,24 +697,24 @@ let prop_engine_all_flag_combinations =
       in
       let payload = String.init payload_len (fun i -> Char.chr ((i * 41) land 0xff)) in
       let payload_addr = if payload_len = 0 then 64 else install sim payload in
-      let prepared = Engine.prepare_send eng ~prefix:"CMBO" ~payload_addr ~payload_len in
-      let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-      let acc_opt = prepared.Engine.fill sim.Sim.mem ~dst:wire in
+      let prepared = prepare_msg eng ~prefix:"CMBO" ~payload_addr ~payload_len in
+      let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+      let acc_opt = fill_all sim.Sim.mem prepared ~dst:wire in
       (* The checksum contract per mode. *)
       let checksum_ok =
         match (mode, acc_opt) with
         | Engine.Separate, None -> true
         | Engine.Ilp, Some acc ->
             Internet.finish acc
-            = Internet.checksum_string (read_back sim wire prepared.Engine.len)
+            = Internet.checksum_string (read_back sim wire prepared.Engine.stream_len)
         | _, _ -> false
       in
       (match Engine.rx_style eng with
       | Engine.Rx_integrated_style f ->
-          ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
+          ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
       | Engine.Rx_deferred_style f ->
-          ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+          ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
       let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
       checksum_ok
       && String.sub plaintext off 4 = "CMBO"
@@ -725,16 +730,16 @@ let crc_roundtrip ~mode ~header_style =
   checkb "crc enabled" true (Engine.crc32 eng);
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix ~payload_addr ~payload_len:(String.length payload)
+    prepare_msg eng ~prefix ~payload_addr ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   (match Engine.rx_style eng with
   | Engine.Rx_integrated_style f ->
-      ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
+      ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Engine.Rx_deferred_style f ->
-      ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
   check_s "prefix recovered" prefix (String.sub plaintext off (String.length prefix));
   check_s "payload recovered" payload
@@ -780,19 +785,19 @@ let crc_collision ~crc32 =
   let sim, eng = make_engine ~mode:Engine.Separate ~crc32 () in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix ~payload_addr ~payload_len:(String.length payload)
+    prepare_msg eng ~prefix ~payload_addr ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
-  let before = read_back sim wire prepared.Engine.len in
-  collide_wire sim wire prepared.Engine.len;
-  let after = read_back sim wire prepared.Engine.len in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
+  let before = read_back sim wire prepared.Engine.stream_len in
+  collide_wire sim wire prepared.Engine.stream_len;
+  let after = read_back sim wire prepared.Engine.stream_len in
   checkb "wire actually corrupted" false (before = after);
   check "Internet checksum collides"
     (Internet.checksum_string before)
     (Internet.checksum_string after);
-  ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len);
-  Engine.read_plaintext eng ~len:prepared.Engine.len
+  ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len);
+  Engine.read_plaintext eng ~len:prepared.Engine.stream_len
 
 let test_engine_crc_catches_collision () =
   (* Without the trailer the colliding corruption reaches the application
@@ -838,17 +843,17 @@ let transfer_with ~mode ~header_style ~crc32 ~data_path ?pool () =
   let payload = String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff)) in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"HDRWORDS" ~payload_addr
+    prepare_msg eng ~prefix:"HDRWORDS" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   (match Engine.rx_style eng with
   | Engine.Rx_integrated_style rx ->
-      ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
+      ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Engine.Rx_deferred_style rx ->
-      ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  (sim, eng, read_back sim wire prepared.Engine.len, prepared.Engine.len)
+      ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+  (sim, eng, read_back sim wire prepared.Engine.stream_len, prepared.Engine.stream_len)
 
 let all_engine_variants =
   List.concat_map

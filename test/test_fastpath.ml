@@ -173,6 +173,14 @@ module Mem = Ilp_memsim.Mem
 module Alloc = Ilp_memsim.Alloc
 module Config = Ilp_memsim.Config
 
+(* [prefix ^ payload] as one message — the shape of a marshalled RPC —
+   and its whole-message fill: the one range [0, stream_len). *)
+let prepare_msg eng ~prefix ~payload_addr ~payload_len =
+  Engine.prepare_stream_segments eng
+    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+
+let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
+
 type cipher_kind = K_simple | K_simplified | K_safer | K_des
 
 let charged_of_kind sim = function
@@ -200,19 +208,19 @@ let one_transfer ~mode ~backend_native kind =
   let payload_addr = Alloc.alloc sim.Sim.alloc ~align:8 (String.length payload) in
   Mem.poke_string sim.Sim.mem ~pos:payload_addr payload;
   let prepared =
-    Engine.prepare_send eng ~prefix:"HDRWORDSABCD" ~payload_addr
+    prepare_msg eng ~prefix:"HDRWORDSABCD" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  let acc_opt = prepared.Engine.fill sim.Sim.mem ~dst:wire in
-  let wire_bytes = Mem.peek_bytes sim.Sim.mem ~pos:wire ~len:prepared.Engine.len in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  let acc_opt = fill_all sim.Sim.mem prepared ~dst:wire in
+  let wire_bytes = Mem.peek_bytes sim.Sim.mem ~pos:wire ~len:prepared.Engine.stream_len in
   let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e in
   (match Engine.rx_style eng with
   | Engine.Rx_integrated_style rx ->
-      ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len))
+      ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Engine.Rx_deferred_style rx ->
-      ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.len) in
+      ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
+  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   (Bytes.to_string wire_bytes, acc_opt, plaintext)
 
 let test_backends_byte_identical () =
@@ -249,17 +257,17 @@ let test_native_rx_checksum_agrees () =
   let payload_addr = Alloc.alloc sim.Sim.alloc ~align:8 (String.length payload) in
   Mem.poke_string sim.Sim.mem ~pos:payload_addr payload;
   let prepared =
-    Engine.prepare_send eng ~prefix:"PRFX" ~payload_addr
+    prepare_msg eng ~prefix:"PRFX" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   let send_acc =
-    match prepared.Engine.fill sim.Sim.mem ~dst:wire with
+    match fill_all sim.Sim.mem prepared ~dst:wire with
     | Some acc -> acc
     | None -> Alcotest.fail "native ILP fill must return a checksum"
   in
   let rx_acc =
-    match Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len with
+    match Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len with
     | Ok acc -> acc
     | Error e -> Alcotest.fail e
   in

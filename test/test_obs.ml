@@ -17,6 +17,14 @@ let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let check_s = Alcotest.(check string)
 
+(* [prefix ^ payload] as one message — the shape of a marshalled RPC —
+   and its whole-message fill: the one range [0, stream_len). *)
+let prepare_msg eng ~prefix ~payload_addr ~payload_len =
+  Engine.prepare_stream_segments eng
+    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+
+let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
 
@@ -199,21 +207,21 @@ let send_recv ~mode ~header_style =
   let payload = String.init 333 (fun i -> Char.chr ((i * 11) land 0xff)) in
   let payload_addr = install sim payload in
   let prepared =
-    Engine.prepare_send eng ~prefix:"PFXWORDS" ~payload_addr
+    prepare_msg eng ~prefix:"PFXWORDS" ~payload_addr
       ~payload_len:(String.length payload)
   in
-  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.len in
-  ignore (prepared.Engine.fill sim.Sim.mem ~dst:wire);
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
+  ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   (match mode with
   | Engine.Ilp -> (
-      match Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len with
+      match Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len with
       | Ok _ -> ()
       | Error e -> Alcotest.fail e)
   | Engine.Separate -> (
-      match Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.len with
+      match Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len with
       | Ok () -> ()
       | Error e -> Alcotest.fail e));
-  (read_back sim wire prepared.Engine.len, Machine.cycles sim.Sim.machine)
+  (read_back sim wire prepared.Engine.stream_len, Machine.cycles sim.Sim.machine)
 
 let test_tracing_changes_nothing () =
   List.iter

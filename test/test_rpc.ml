@@ -489,6 +489,23 @@ let test_odd_sized_tail_segment () =
   checkb "complete" true (Client.transfer_complete w.client);
   check "segments" 4 (Client.replies_received w.client)
 
+let test_max_reply_capped_at_engine () =
+  (* [max_reply] is the client's word, read off the wire: past what the
+     server's engine can carry in one message (2048 bytes: a 4-byte
+     length field and a 20-byte reply header leave 2024 data bytes) it
+     must shrink to that capacity, not crash the server. *)
+  let w = make_world ~file_len:4096 () in
+  (match
+     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:4096
+       ~expected:w.file
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "request refused");
+  pump w;
+  Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
+  checkb "complete" true (Client.transfer_complete w.client);
+  check "replies of at most 2024 data bytes" 3 (Client.replies_received w.client)
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial wire: typed aborts, reconnection, mode equivalence *)
 
@@ -961,7 +978,9 @@ let () =
           Alcotest.test_case "transfer (separate)" `Quick test_transfer_separate;
           Alcotest.test_case "transfer under loss" `Quick test_transfer_under_loss;
           Alcotest.test_case "missing file" `Quick test_missing_file_rejected;
-          Alcotest.test_case "odd tail segment" `Quick test_odd_sized_tail_segment ] );
+          Alcotest.test_case "odd tail segment" `Quick test_odd_sized_tail_segment;
+          Alcotest.test_case "max_reply capped at engine capacity" `Quick
+            test_max_reply_capped_at_engine ] );
       ( "adversarial",
         [ Alcotest.test_case "abort surfaces to client" `Quick
             test_abort_surfaces_to_client;

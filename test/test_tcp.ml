@@ -197,15 +197,30 @@ type world = {
   a : Socket.t;
   b : Socket.t;
   link : Link.t;
+  app : int;  (* [b]'s receive area: delivered TSDUs start here *)
 }
+
+(* The receive handler every world's [b] starts with: a plain charged
+   copy of each accepted segment to its TSDU offset in a [len]-byte
+   application area; a segment that would overflow the area is rejected
+   (dropped as [Bad_length]), so a TSDU larger than the receiver can
+   hold ends in a typed abort, never silent truncation. *)
+let copy_handler ~area ~len:area_len =
+  Socket.Rx_separate
+    (fun m ~src ~dst_off ~len ->
+      if dst_off + len > area_len then Error "overflow"
+      else begin
+        Mem.blit m ~src ~dst:(area + dst_off) ~len ~unit_len:4;
+        Ok ()
+      end)
 
 let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 11)
     ?(mss = 1024) ?(ack_delay_us = 0.0) ?(congestion_control = true)
     ?(sack = Socket.default_config.Socket.sack)
     ?(send_buffer = Socket.default_config.Socket.send_buffer)
     ?(recv_window = Socket.default_config.Socket.recv_window)
-    ?(ooo_slots = Socket.default_config.Socket.ooo_slots) ?(max_tsdu = 0)
-    ?tamper ?(mangle = fun _ s -> s) () =
+    ?(ooo_slots = Socket.default_config.Socket.ooo_slots) ?rx_area
+    ?(rx_handler = true) ?tamper ?(mangle = fun _ s -> s) () =
   let sim = Sim.create (Config.custom ()) in
   let clock = Simclock.create () in
   let demux = Demux.create () in
@@ -226,19 +241,23 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
       sack;
       send_buffer;
       recv_window;
-      ooo_slots;
-      max_tsdu
+      ooo_slots
     }
   in
   let a = Socket.create sim clock cfg ~local_port:100 ~wire_out in
   let b = Socket.create sim clock cfg ~local_port:200 ~wire_out in
+  (* [rx_area] (default: one MSS) bounds the TSDUs [b] can reassemble. *)
+  let rx_area = Option.value rx_area ~default:mss in
+  let app = Alloc.alloc sim.Sim.alloc ~align:64 rx_area in
+  if rx_handler then
+    Socket.set_rx_processing b (copy_handler ~area:app ~len:rx_area);
   link_ref :=
     Some
       (Link.create clock ~delay_us:25.0 ~loss_rate ~jitter_us ~dup_rate ~seed
          ?tamper ~deliver:(Demux.deliver demux) ());
   Demux.bind demux ~port:100 (Socket.handle_datagram a);
   Demux.bind demux ~port:200 (Socket.handle_datagram b);
-  { sim; clock; a; b; link = Option.get !link_ref }
+  { sim; clock; a; b; link = Option.get !link_ref; app }
 
 let connect w =
   Socket.listen w.b;
@@ -246,8 +265,8 @@ let connect w =
   Simclock.run_until_idle w.clock
 
 let collect_into w buf =
-  Socket.set_on_message w.b (fun ~src ~len ->
-      Buffer.add_bytes buf (Mem.peek_bytes w.sim.Sim.mem ~pos:src ~len))
+  Socket.set_on_message w.b (fun ~len ->
+      Buffer.add_bytes buf (Mem.peek_bytes w.sim.Sim.mem ~pos:w.app ~len))
 
 (* Pump the world while pushing messages as buffer space allows.
    [burst_us] controls the pacing: large values ack each message before
@@ -260,7 +279,7 @@ let transfer ?(burst_us = 1_000.0) w messages =
     (match Queue.peek_opt pending with
     | None -> ()
     | Some payload -> (
-        let fill m ~dst =
+        let fill m ~dst ~off:_ ~len:_ =
           Mem.poke_string m ~pos:dst payload;
           None
         in
@@ -412,7 +431,7 @@ let test_abort_retry_exhausted () =
   connect w;
   checkb "established first" true (Socket.state w.a = Socket.Established);
   blackhole := true;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "doomed message";
     None
   in
@@ -429,7 +448,7 @@ let test_abort_retry_exhausted () =
 let test_send_errors () =
   let w = make_world ~mss:256 () in
   (* Not established yet. *)
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "x";
     None
   in
@@ -449,7 +468,7 @@ let test_backpressure () =
   let sent = ref 0 in
   let blocked = ref false in
   let payload = String.make 1000 'z' in
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst payload;
     None
   in
@@ -558,7 +577,7 @@ let test_window_never_exceeded () =
   collect_into w got;
   let violations = ref 0 in
   let payload = String.make 900 'w' in
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst payload;
     None
   in
@@ -589,7 +608,7 @@ let send_error_to_string = function
    carries the new window back. *)
 let close_peer_window w =
   Socket.set_advertised_window w.b 0;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "warmup!!";
     None
   in
@@ -607,7 +626,7 @@ let test_persist_probes_back_off () =
   let w = make_world () in
   connect w;
   close_peer_window w;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst (String.make 100 'p');
     None
   in
@@ -634,7 +653,7 @@ let test_persist_resumes_once_on_reopen () =
   close_peer_window w;
   Buffer.clear got;
   let payload = String.init 100 (fun i -> Char.chr (65 + (i mod 26))) in
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst payload;
     None
   in
@@ -665,7 +684,7 @@ let test_persist_stall_deadline_aborts () =
   close_peer_window w;
   let aborted = ref [] in
   Socket.set_on_abort w.a (fun r -> aborted := r :: !aborted);
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "stalled!";
     None
   in
@@ -696,7 +715,7 @@ let test_window_shrink_below_in_flight () =
   in
   List.iter
     (fun chunk ->
-      let fill m ~dst =
+      let fill m ~dst ~off:_ ~len:_ =
         Mem.poke_string m ~pos:dst chunk;
         None
       in
@@ -758,7 +777,7 @@ let stream_all ?(step = 50.0) ?(guard = 200_000) w tsdus =
   Simclock.run_until_idle w.clock
 
 let test_stream_pipelined_tsdu () =
-  let w = make_world ~max_tsdu:16_384 () in
+  let w = make_world ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create 16_384 in
   collect_into w got;
@@ -778,7 +797,7 @@ let test_stream_pipelined_tsdu () =
     (Socket.stats w.b).Socket.bytes_delivered
 
 let test_stream_backpressure_and_ordering () =
-  let w = make_world ~max_tsdu:8192 () in
+  let w = make_world ~rx_area:8192 () in
   connect w;
   let got = Buffer.create 65_536 in
   collect_into w got;
@@ -796,7 +815,7 @@ let test_stream_backpressure_and_ordering () =
         if Socket.pending_streams w.a > 0 then begin
           (* single-message sends are locked out while streams are
              pending, so the two framings can never interleave *)
-          let fill m ~dst =
+          let fill m ~dst ~off:_ ~len:_ =
             Mem.poke_string m ~pos:dst "XXXXXXXX";
             None
           in
@@ -824,7 +843,7 @@ let test_stream_ring_wrap () =
   (* A transfer much larger than the retransmission ring must cycle it,
      with segments straddling the wrap point ([mss] deliberately does not
      divide the ring size, so reservations skip a wasted tail). *)
-  let w = make_world ~mss:1000 ~send_buffer:8192 ~max_tsdu:4096 () in
+  let w = make_world ~mss:1000 ~send_buffer:8192 ~rx_area:4096 () in
   connect w;
   let got = Buffer.create 65_536 in
   collect_into w got;
@@ -842,7 +861,7 @@ let test_stream_impaired_delivery () =
   List.iter
     (fun (loss_rate, jitter_us, dup_rate, seed) ->
       let w =
-        make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~max_tsdu:8192
+        make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~rx_area:8192
           ~ooo_slots:16 ()
       in
       connect w;
@@ -866,7 +885,7 @@ let test_stream_impaired_delivery () =
 let test_stream_reorder_uses_stash () =
   (* Heavy jitter reorders segments; the out-of-order stash must absorb
      them and reassembly must still be exact. *)
-  let w = make_world ~jitter_us:2000.0 ~seed:77 ~max_tsdu:16_384 ~ooo_slots:16 () in
+  let w = make_world ~jitter_us:2000.0 ~seed:77 ~rx_area:16_384 ~ooo_slots:16 () in
   connect w;
   let got = Buffer.create 16_384 in
   collect_into w got;
@@ -894,7 +913,7 @@ let test_stream_fast_recovery () =
     end
     else s
   in
-  let w = make_world ~mangle ~max_tsdu:32_768 ~ooo_slots:16 () in
+  let w = make_world ~mangle ~rx_area:32_768 ~ooo_slots:16 () in
   connect w;
   let got = Buffer.create 32_768 in
   collect_into w got;
@@ -911,7 +930,7 @@ let test_stream_fast_recovery () =
 let test_stream_window_shrink_mid_flight () =
   (* Satellite regression: the peer shrinks its window below the bytes
      already in flight in the middle of a streamed transfer. *)
-  let w = make_world ~mss:512 ~max_tsdu:20_480 () in
+  let w = make_world ~mss:512 ~rx_area:20_480 () in
   connect w;
   let got = Buffer.create 20_480 in
   collect_into w got;
@@ -939,7 +958,7 @@ let test_stream_metrics_conservation () =
   (* The registry's TCP gauges and the segment-retransmit histogram must
      describe the streamed transfer. *)
   let before = M.snapshot M.default in
-  let w = make_world ~max_tsdu:16_384 () in
+  let w = make_world ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create 16_384 in
   collect_into w got;
@@ -982,7 +1001,7 @@ let test_stream_tracing_changes_nothing () =
       s
     in
     if traced then Trace.enable ~capacity:65_536 ();
-    let w = make_world ~seed:13 ~mangle ~max_tsdu:16_384 () in
+    let w = make_world ~seed:13 ~mangle ~rx_area:16_384 () in
     connect w;
     let got = Buffer.create 16_384 in
     collect_into w got;
@@ -1041,6 +1060,69 @@ let prop_lossy_stream_integrity =
         transfer w msgs;
         String.equal (String.concat "" msgs) (Buffer.contents got)
       end)
+
+(* One send path: [send_message] is the pump's one-segment case, so it
+   and a [send_stream] of the same TSDU must put identical datagrams on
+   the wire (both directions) and charge identical simulated cycles,
+   whether the fill integrates the checksum or leaves it to TCP. *)
+let prop_send_message_is_one_segment_stream =
+  QCheck.Test.make ~count:40
+    ~name:"send_message = one-segment send_stream (wire and cycles)"
+    QCheck.(pair (int_range 1 1024) bool)
+    (fun (len, integrated) ->
+      let payload = String.init len (fun i -> Char.chr ((i * 31 + len) land 0xff)) in
+      let fill m ~dst ~off ~len =
+        Mem.poke_string m ~pos:dst (String.sub payload off len);
+        if integrated then
+          Some
+            (Ilp_checksum.Internet.checksum_mem m ~pos:dst ~len
+               ~acc:Ilp_checksum.Internet.empty)
+        else None
+      in
+      let run send =
+        let wire = ref [] in
+        let w = make_world ~mangle:(fun _ d -> wire := d :: !wire; d) () in
+        connect w;
+        let got = Buffer.create len in
+        collect_into w got;
+        (match send w with
+        | Ok () -> ()
+        | Error e -> QCheck.Test.fail_reportf "refused: %s" (send_error_to_string e));
+        Simclock.run_until_idle w.clock;
+        (List.rev !wire, Machine.cycles w.sim.Sim.machine, Buffer.contents got)
+      in
+      let wire_m, cycles_m, got_m = run (fun w -> Socket.send_message w.a ~len ~fill) in
+      let wire_s, cycles_s, got_s =
+        run (fun w -> Socket.send_stream w.a ~seg_unit:1 ~len ~fill)
+      in
+      String.equal got_m payload && String.equal got_s payload
+      && List.equal String.equal wire_m wire_s
+      && Float.equal cycles_m cycles_s)
+
+let test_no_handler_drops_data () =
+  (* Until a receive handler is set there is nowhere to put a TSDU: a
+     data segment with a valid checksum is dropped as [Bad_length],
+     never delivered and never acknowledged. *)
+  let w = make_world ~rx_handler:false () in
+  connect w;
+  let delivered = ref 0 in
+  Socket.set_on_message w.b (fun ~len:_ -> incr delivered);
+  let fill m ~dst ~off:_ ~len:_ =
+    Mem.poke_string m ~pos:dst "hello";
+    None
+  in
+  (match Socket.send_message w.a ~len:5 ~fill with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "send refused: %s" (send_error_to_string e));
+  (* Less than the first RTO: exactly the original transmission arrives. *)
+  Simclock.advance w.clock 1_000.0;
+  let st = Socket.stats w.b in
+  check "dropped as Bad_length" 1 (Socket.drop_count w.b Socket.Bad_length);
+  check "checksum was valid" 0 st.Socket.checksum_failures;
+  check "on_message never called" 0 !delivered;
+  check "nothing delivered" 0 st.Socket.bytes_delivered;
+  (* No ack moved the sender: the receiver's rcv_nxt stayed put. *)
+  check "still unacknowledged" 5 (Socket.bytes_in_flight w.a)
 
 (* ------------------------------------------------------------------ *)
 (* SACK: option codec, scoreboard recovery, misbehaving peers *)
@@ -1141,7 +1223,7 @@ let test_sack_multi_hole_recovery () =
     end
     else s
   in
-  let w = make_world ~mangle ~max_tsdu:32_768 () in
+  let w = make_world ~mangle ~rx_area:32_768 () in
   connect w;
   let got = Buffer.create 32_768 in
   collect_into w got;
@@ -1166,7 +1248,7 @@ let test_sack_impaired_grid_agreement () =
      it), and delivery stays byte-exact. *)
   List.iter
     (fun (loss_rate, jitter_us, dup_rate, seed) ->
-      let w = make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~max_tsdu:8192 () in
+      let w = make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~rx_area:8192 () in
       connect w;
       if Socket.state w.a = Socket.Established then begin
         let got = Buffer.create 32_768 in
@@ -1209,7 +1291,7 @@ let test_sack_reneging_rto_recovery () =
     end
     else s
   in
-  let w = make_world ~mangle ~max_tsdu:16_384 () in
+  let w = make_world ~mangle ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create 16_384 in
   collect_into w got;
@@ -1283,7 +1365,7 @@ let tamper_pure_acks ~port rewrite d =
                     hs)
 
 let run_lied_to_transfer ~tamper ~bytes =
-  let w = make_world ~tamper ~max_tsdu:16_384 () in
+  let w = make_world ~tamper ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create bytes in
   collect_into w got;
@@ -1343,7 +1425,7 @@ let test_optimistic_ack_aborts () =
           Some [ { h with Tcp_header.ack = h.Tcp_header.ack + 100_000 } ]
         end)
   in
-  let w = make_world ~tamper ~max_tsdu:16_384 () in
+  let w = make_world ~tamper ~rx_area:16_384 () in
   connect w;
   let aborted = ref [] in
   Socket.set_on_abort w.a (fun r -> aborted := r :: !aborted);
@@ -1373,7 +1455,7 @@ let test_ack_division_no_cwnd_inflation () =
                 { h with Tcp_header.ack = a - 1 };
                 h ])
     in
-    let w = make_world ~tamper ~max_tsdu:16_384 () in
+    let w = make_world ~tamper ~rx_area:16_384 () in
     connect w;
     let got = Buffer.create 16_384 in
     collect_into w got;
@@ -1401,7 +1483,7 @@ let test_dupack_forgery_bounded () =
       tamper_pure_acks ~port:200 (fun h ->
           if forge then Some [ h; h; h; h; h; h; h; h ] else None)
     in
-    let w = make_world ~tamper ~max_tsdu:16_384 () in
+    let w = make_world ~tamper ~rx_area:16_384 () in
     connect w;
     let got = Buffer.create 16_384 in
     collect_into w got;
@@ -1425,7 +1507,7 @@ let test_sack_off_is_newreno () =
   (* With [sack = false] the receiver attaches no blocks and the sender
      keeps no scoreboard, but a lossy transfer still completes — the
      NewReno baseline the benchmark gates against. *)
-  let w = make_world ~sack:false ~loss_rate:0.1 ~seed:29 ~max_tsdu:8192 () in
+  let w = make_world ~sack:false ~loss_rate:0.1 ~seed:29 ~rx_area:8192 () in
   connect w;
   let got = Buffer.create 32_768 in
   collect_into w got;
@@ -1461,7 +1543,7 @@ let test_rst_on_destroyed_connection () =
      evidence the peer is up but forgot the connection. *)
   Socket.destroy w.b;
   checkb "destroyed" true (Socket.destroyed w.b);
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "into the void";
     None
   in
@@ -1481,7 +1563,7 @@ let test_destroy_cancels_every_timer () =
      machinery armed: destroy must leave zero owned timers behind. *)
   let w = make_world ~ack_delay_us:5_000.0 () in
   connect w;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst (String.make 600 'q');
     None
   in
@@ -1502,7 +1584,7 @@ let test_abort_cancels_every_timer () =
   let w = make_world ~mangle:(blackhole_mangle on) () in
   connect w;
   on := true;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "doomed";
     None
   in
@@ -1574,7 +1656,7 @@ let test_fin_with_queued_stream_tsdus () =
   (* Half-close while send_stream still holds queued TSDUs: the FIN must
      ride behind every queued byte, and the receiver reassembles all of
      them before seeing it. *)
-  let w = make_world ~max_tsdu:16_384 () in
+  let w = make_world ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create 8192 in
   collect_into w got;
@@ -1602,7 +1684,7 @@ let test_fin_rst_crossing () =
      reset, not a hang, and both sides leave a clean clock. *)
   let w = make_world () in
   connect w;
-  let fill m ~dst =
+  let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst "last words";
     None
   in
@@ -1783,7 +1865,7 @@ let framed_all ?(step = 50.0) ?(guard = 200_000) w tsdus =
 
 (* Collect each delivered TSDU's plaintext from the application area. *)
 let collect_app w app buf =
-  Socket.set_on_message w.b (fun ~src:_ ~len ->
+  Socket.set_on_message w.b (fun ~len ->
       Buffer.add_bytes buf (Mem.peek_bytes w.sim.Sim.mem ~pos:app ~len))
 
 let test_framed_stream_roundtrip () =
@@ -1889,19 +1971,6 @@ let test_framed_receiver_rejects_unframed_stream () =
   in
   checkb "v1 stream dropped as Bad_header" true (bad_header > 0)
 
-let test_framed_off_is_inert_under_raw () =
-  (* [set_rx_framing] without an engine-backed handler must change
-     nothing: Rx_raw reassembly stays byte-identical to the v1 path. *)
-  let w = make_world ~max_tsdu:8192 () in
-  Socket.set_rx_framing w.b true;
-  connect w;
-  let got = Buffer.create 8192 in
-  collect_into w got;
-  let payload = stream_payload 5000 6 in
-  stream_all w [ payload ];
-  check_s "raw path unchanged" payload (Buffer.contents got);
-  check "no placements" 0 (Socket.stats w.b).Socket.ooo_placed
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "tcp"
@@ -1946,6 +2015,8 @@ let () =
           Alcotest.test_case "window never exceeded" `Quick
             test_window_never_exceeded;
           Alcotest.test_case "close sequence" `Quick test_close_sequence;
+          Alcotest.test_case "no handler drops data" `Quick
+            test_no_handler_drops_data;
           qc prop_lossy_stream_integrity ] );
       ( "persist",
         [ Alcotest.test_case "probes back off" `Quick test_persist_probes_back_off;
@@ -1969,7 +2040,8 @@ let () =
           Alcotest.test_case "metrics conservation" `Quick
             test_stream_metrics_conservation;
           Alcotest.test_case "tracing changes nothing" `Quick
-            test_stream_tracing_changes_nothing ] );
+            test_stream_tracing_changes_nothing;
+          qc prop_send_message_is_one_segment_stream ] );
       ( "sack",
         [ qc prop_sack_header_roundtrip;
           Alcotest.test_case "malformed options rejected" `Quick
@@ -2007,9 +2079,7 @@ let () =
           Alcotest.test_case "corrupt prelude recovered" `Quick
             test_framed_corrupt_prelude_recovered;
           Alcotest.test_case "unframed stream rejected" `Quick
-            test_framed_receiver_rejects_unframed_stream;
-          Alcotest.test_case "framing inert under Rx_raw" `Quick
-            test_framed_off_is_inert_under_raw ] );
+            test_framed_receiver_rejects_unframed_stream ] );
       ( "crash faults",
         [ Alcotest.test_case "RST on destroyed connection" `Quick
             test_rst_on_destroyed_connection;
