@@ -50,20 +50,10 @@ type config = {
   recv_window : int;
   rto_initial_us : float;
   rto_min_us : float;
-  rto_max_us : float;
-  max_retries : int;
-  control_ops : int;
-  ack_ops : int;
-  blit_unit : int;
-  ack_delay_us : float;
-  dupack_threshold : int;
   congestion_control : bool;
   sack : bool;
   ooo_slots : int;
-  persist_initial_us : float;
-  persist_max_us : float;
   stall_deadline_us : float;
-  max_pending_streams : int;
 }
 
 let default_config =
@@ -72,20 +62,25 @@ let default_config =
     recv_window = 16 * 1024;
     rto_initial_us = 3_000.0;
     rto_min_us = 1_000.0;
-    rto_max_us = 4_000_000.0;
-    max_retries = 8;
-    control_ops = 1200;
-    ack_ops = 150;
-    blit_unit = 4;
-    ack_delay_us = 0.0;
-    dupack_threshold = 3;
     congestion_control = true;
     sack = true;
     ooo_slots = 0;
-    persist_initial_us = 5_000.0;
-    persist_max_us = 320_000.0;
-    stall_deadline_us = 3_000_000.0;
-    max_pending_streams = 8 }
+    stall_deadline_us = 3_000_000.0 }
+
+let rto_max_us = 4_000_000.0
+let max_retries = 8
+
+(* ALU ops charged per data segment for tcp_output/tcp_input state
+   processing, and for the short path (pure control segments and the
+   per-segment kernel demultiplex). *)
+let control_ops = 1200
+let ack_ops = 150
+
+(* Access width of the system-copy loops. *)
+let blit_unit = 4
+let persist_initial_us = 5_000.0
+let persist_max_us = 320_000.0
+let max_pending_streams = 8
 
 type rx_processing =
   | Rx_separate of
@@ -237,23 +232,13 @@ let m_seg_rexmits = M.histogram M.default "tcp.segment_retransmits"
    sampler derives p50/p90/p99 tracks and SLO verdicts from this. *)
 let m_ack_rtt = M.histogram M.default "tcp.ack_rtt_us"
 
+(* What the socket keeps per unacknowledged segment; its sequence range
+   and SACK hints live in the {!Scoreboard} entry that carries it. *)
 type tx_seg = {
-  seq : int;
-  len : int;
-  addr : int;
+  addr : int;  (* ring address of the payload *)
   psh : bool;  (* marks the final segment of a TSDU; preserved on retransmit *)
-  mutable rexmit : bool;
   mutable rexmits : int;
-  mutable sent_at : float;
-  (* SACK scoreboard bits.  Both are hints, never ground truth: the ring
-     releases only on cumulative ack, and an RTO clears them wholesale
-     (RFC 2018 reneging rule), so a lying or forgetful receiver can at
-     worst cost retransmissions, never data. *)
-  mutable sacked : bool;
-  mutable sack_rexmit : bool;  (* retransmitted by the scoreboard; eligible
-                                  again [1.5 x srtt] later if still unsacked
-                                  (the retransmission itself was lost) *)
-  mutable sack_rexmit_at : float;  (* when the scoreboard last sent it *)
+  sent_at : float;
 }
 
 (* One TSDU queued for segmented transmission: [ps_fill] renders wire
@@ -307,9 +292,6 @@ type t = {
   ooo_base : int;  (* out-of-order stash slots *)
   code_ctrl : Code.region;  (* TCP control processing (tcp_output/tcp_input) *)
   code_kernel : Code.region;  (* syscall + kernel datagram path *)
-  ooo_slots : int;  (* resolved stash capacity (auto-sized when cfg says 0) *)
-  ooo_free : bool array;
-  ooo : (int, int * int * int) Hashtbl.t;  (* seq -> slot, base addr, payload len *)
   mutable st : state;
   mutable remote_port : int;
   iss : int;
@@ -318,49 +300,19 @@ type t = {
   mutable rcv_nxt : int;
   mutable peer_window : int;
   mutable adv_window : int;  (* window this endpoint currently advertises *)
-  txq : tx_seg Queue.t;
+  sb : tx_seg Scoreboard.t;  (* the retransmission queue *)
+  cc : Cc.t;
+  reasm : Reasm.t;  (* segments held above [rcv_nxt] *)
   streams : pending_stream Queue.t;
   mutable rto_timer : Simclock.timer option;
   rto : Rto.t;
   mutable retries : int;
-  mutable dupacks : int;
-  mutable cwnd : int;
-  mutable ssthresh : int;
-  (* NewReno-style fast recovery: [in_recovery] from the third duplicate
-     ack until [recover] (snd_nxt at loss detection) is acknowledged. *)
-  mutable in_recovery : bool;
-  mutable recover : int;
   mutable peak_in_flight : int;
-  (* RFC 3465-style byte counting for congestion avoidance: cwnd grows
-     one MSS per cwnd bytes actually acknowledged, so a peer splitting
-     one segment's worth of ack into many tiny acks (ack division) gains
-     nothing. *)
-  mutable cc_acked : int;
-  (* Receive-side SACK generation state. *)
-  mutable last_ooo_seq : int;  (* most recent out-of-order arrival *)
-  mutable dsack_pending : (int * int) option;
-      (* duplicate arrival to report as a D-SACK first block on the next ack *)
   (* Receive-side TSDU reassembly: bytes of the current TSDU already
      accepted in order.  The rx handler places each segment's plaintext
      at this offset in its application area.  Under v2 framing this
      counts engine (post-prelude) bytes. *)
   mutable rx_tsdu_off : int;
-  (* v2 framed receive ({!Framing}): enabled per connection by the RPC
-     layer's negotiation.  [fr_elen >= 0] while a framed TSDU is
-     current: [fr_base] is the sequence number of its prelude byte 0,
-     [fr_plen] the prelude length, [fr_elen] its engine (post-prelude)
-     wire length — the extent that makes out-of-order final placement
-     decidable. *)
-  mutable rx_framing : bool;
-  mutable fr_base : int;
-  mutable fr_plen : int;
-  mutable fr_elen : int;
-  (* Out-of-order final placement: segments of the current framed TSDU
-     verified and decrypted at arrival directly at their final TSDU
-     offset, so the drain is pure bookkeeping; seq -> (payload_len,
-     psh).  Disjoint from the [ooo] stash by construction. *)
-  placed : (int, int * bool) Hashtbl.t;
-  mutable delayed_ack : Simclock.timer option;
   (* Zero-window persistence: probe a peer that advertises no (or too
      little) space, with exponential backoff, until the window reopens or
      the stall deadline aborts the connection. *)
@@ -435,9 +387,6 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     ooo_base;
     code_ctrl;
     code_kernel;
-    ooo_slots;
-    ooo_free = Array.make ooo_slots true;
-    ooo = Hashtbl.create 8;
     st = Closed;
     remote_port = -1;
     iss = 100_000 + (local_port * 131);
@@ -446,28 +395,16 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     rcv_nxt = 0;
     peer_window = 0;
     adv_window = cfg.recv_window;
-    txq = Queue.create ();
+    sb = Scoreboard.create ~sack:cfg.sack;
+    cc = Cc.create ~mss:cfg.mss ~enabled:cfg.congestion_control;
+    reasm = Reasm.create ~slots:ooo_slots ~sack:cfg.sack;
     streams = Queue.create ();
     rto_timer = None;
     rto = Rto.create ~initial_us:cfg.rto_initial_us ~min_us:cfg.rto_min_us
-            ~max_us:cfg.rto_max_us ();
+            ~max_us:rto_max_us ();
     retries = 0;
-    dupacks = 0;
-    cwnd = 2 * cfg.mss;
-    ssthresh = 64 * 1024;
-    in_recovery = false;
-    recover = 0;
     peak_in_flight = 0;
-    cc_acked = 0;
-    last_ooo_seq = -1;
-    dsack_pending = None;
     rx_tsdu_off = 0;
-    rx_framing = false;
-    fr_base = 0;
-    fr_plen = 0;
-    fr_elen = -1;
-    placed = Hashtbl.create 8;
-    delayed_ack = None;
     persist_timer = None;
     persist_shifts = 0;
     persist_want = 0;
@@ -495,8 +432,8 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
 let state t = t.st
 let local_port t = t.local_port
 let set_rx_processing t p = t.rx_proc <- Some p
-let set_rx_framing t on = t.rx_framing <- on
-let rx_framing t = t.rx_framing
+let set_rx_framing t on = Reasm.set_framing t.reasm on
+let rx_framing t = Reasm.framing t.reasm
 let set_on_message t f = t.on_message <- f
 let set_on_abort t f = t.on_abort <- f
 let failure t = t.failed
@@ -507,9 +444,9 @@ let count_drop t reason = bump t (c_drop reason) 1
 let drop_count t reason = t.blk.(c_drop reason)
 let drops t = List.map (fun r -> (r, drop_count t r)) drop_reasons
 let drops_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (drops t)
-let bytes_in_flight t = Queue.fold (fun acc seg -> acc + seg.len) 0 t.txq
+let bytes_in_flight t = Scoreboard.bytes t.sb
 let send_space t = Ring.available t.ring
-let congestion_window t = t.cwnd
+let congestion_window t = Cc.cwnd t.cc
 let peer_window t = t.peer_window
 let advertised_window t = t.adv_window
 
@@ -518,47 +455,17 @@ let advertised_window t = t.adv_window
    must never go negative (it would otherwise invite a negative-length
    segment or an exception downstream). *)
 let send_window_space t =
-  let cap =
-    min t.peer_window (if t.cfg.congestion_control then t.cwnd else max_int)
-  in
-  max 0 (cap - bytes_in_flight t)
+  max 0 (min t.peer_window (Cc.window t.cc) - bytes_in_flight t)
 
 let set_advertised_window t w =
   t.adv_window <- max 0 (min w t.cfg.recv_window)
 
-(* RFC 5681/6582-style reactions.  Every cwnd/ssthresh change mirrors
-   into the registry gauges so a live snapshot shows the sender's
-   congestion state. *)
+(* Mirror cwnd/ssthresh into the registry gauges wherever {!Cc}
+   recomputed them, so a live snapshot shows the sender's congestion
+   state. *)
 let set_cc_gauges t =
-  M.set m_cwnd t.cwnd;
-  M.set m_ssthresh t.ssthresh
-
-let on_congestion_loss t ~timeout =
-  if t.cfg.congestion_control then begin
-    t.ssthresh <- max (bytes_in_flight t / 2) (2 * t.cfg.mss);
-    t.cwnd <- (if timeout then t.cfg.mss else t.ssthresh);
-    set_cc_gauges t
-  end
-
-(* Byte-counted growth (RFC 3465): credit only the bytes this ack
-   actually retired.  Slow start grows by min(acked, MSS) per ack;
-   congestion avoidance accumulates acked bytes and grows one MSS per
-   cwnd-worth retired.  Either way, a misbehaving receiver splitting one
-   segment's acknowledgement into N tiny acks (ack division) earns
-   exactly the same growth as the honest single ack. *)
-let on_congestion_ack t ~acked =
-  if t.cfg.congestion_control then begin
-    if t.cwnd < t.ssthresh then
-      t.cwnd <- t.cwnd + min acked t.cfg.mss (* slow start *)
-    else begin
-      t.cc_acked <- t.cc_acked + acked;
-      if t.cc_acked >= t.cwnd then begin
-        t.cc_acked <- t.cc_acked - t.cwnd;
-        t.cwnd <- t.cwnd + t.cfg.mss (* congestion avoidance *)
-      end
-    end;
-    set_cc_gauges t
-  end
+  M.set m_cwnd (Cc.cwnd t.cc);
+  M.set m_ssthresh (Cc.ssthresh t.cc)
 
 let stats t =
   let b = t.blk in
@@ -586,7 +493,7 @@ let stats t =
     rst_rx = b.(c_rst_rx);
     keepalive_probes = b.(c_keepalive_probes) }
 
-let ooo_capacity t = t.ooo_slots
+let ooo_capacity t = Reasm.capacity t.reasm
 
 let pending_streams t = Queue.length t.streams
 let ring_wraps t = Ring.wraps t.ring
@@ -616,17 +523,17 @@ let transmit t header ~payload =
   (* Full tcp_output state processing for data segments; the short path
      for pure control segments. *)
   Machine.compute (machine t)
-    (match payload with Some _ -> t.cfg.control_ops | None -> t.cfg.ack_ops);
+    (match payload with Some _ -> control_ops | None -> ack_ops);
   let payload_len = match payload with None -> 0 | Some (_, len) -> len in
   let hlen = Tcp_header.wire_size header in
   let before = Machine.micros (machine t) in
   Mem.blit (mem t) ~src:t.hdr_area ~dst:t.tx_kernel ~len:hlen
-    ~unit_len:t.cfg.blit_unit;
+    ~unit_len:blit_unit;
   (match payload with
   | None -> ()
   | Some (addr, len) ->
       Mem.blit (mem t) ~src:addr ~dst:(t.tx_kernel + hlen) ~len
-        ~unit_len:t.cfg.blit_unit);
+        ~unit_len:blit_unit);
   t.syscopy_send_cycles_us <-
     t.syscopy_send_cycles_us +. (Machine.micros (machine t) -. before);
   let segment =
@@ -659,116 +566,39 @@ let send_control ?seq t ~flags =
   in
   transmit t { h with checksum = ck } ~payload:None
 
-(* The SACK blocks this receiver currently has to report: the
-   out-of-order stash merged into maximal contiguous ranges, ordered
-   with the range containing the most recent arrival first (RFC 2018's
-   "first block MUST specify the most recently received segment") and
-   the rest by descending sequence.  Empty whenever the stash is — on a
-   clean link the ack stream is wire-identical with SACK on or off. *)
-let sack_ranges t =
-  if
-    (not t.cfg.sack)
-    || (Hashtbl.length t.ooo = 0 && Hashtbl.length t.placed = 0)
-  then []
-  else begin
-    let spans =
-      Hashtbl.fold (fun seq (_, _, len) acc -> (seq, seq + len) :: acc) t.ooo []
-    in
-    (* Final-placement arrivals are held data exactly like the stash and
-       must be reported, or the sender would retransmit them. *)
-    let spans =
-      Hashtbl.fold (fun seq (len, _) acc -> (seq, seq + len) :: acc) t.placed
-        spans
-    in
-    let spans = List.sort (fun (a, _) (b, _) -> compare a b) spans in
-    let merged =
-      List.fold_left
-        (fun acc (l, r) ->
-          match acc with
-          | (pl, pr) :: rest when l <= pr -> (pl, max pr r) :: rest
-          | _ -> (l, r) :: acc)
-        [] spans
-    in
-    (* [merged] is already in descending left-edge order (most recently
-       sent data first); hoist the range holding the latest arrival. *)
-    match
-      List.partition
-        (fun (l, r) -> l <= t.last_ooo_seq && t.last_ooo_seq < r)
-        merged
-    with
-    | ([ recent ], rest) -> recent :: rest
-    | _ -> merged
-  end
-
-(* Every pure acknowledgement flows through here: with nothing to report
-   it is the legacy fixed-header ack, otherwise the canonical SACK option
-   is attached (a pending D-SACK duplicate report rides as the first
-   block, RFC 2883). *)
-let send_ack_control t =
-  let blocks =
-    if not t.cfg.sack then []
-    else
-      match t.dsack_pending with
-      | Some d -> d :: sack_ranges t
-      | None -> sack_ranges t
-  in
-  t.dsack_pending <- None;
-  if blocks = [] then send_control t ~flags:Tcp_header.ack_flag
-  else begin
-    let h =
-      Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt
-        ~flags:Tcp_header.ack_flag ~window:t.adv_window ~sack:blocks
-        ~src_port:t.local_port ~dst_port:t.remote_port ()
-    in
-    let n = List.length h.Tcp_header.sack in
-    bump t c_sack_blocks_tx n;
-    if Trace.enabled () then
-      Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
-        ~ts:(Machine.micros (machine t));
-    let ck =
-      Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty
-        ~payload_len:0
-    in
-    transmit t { h with checksum = ck } ~payload:None
-  end
-
-let send_ack_now t =
-  (match t.delayed_ack with
-  | Some timer ->
-      Simclock.cancel timer;
-      t.delayed_ack <- None
-  | None -> ());
-  bump t c_acks_sent 1;
-  send_ack_control t
-
-(* RFC 1122-style delayed acknowledgement: hold the ack briefly so it can
-   ride on (or be merged with) the next one; every second segment (a
-   pending delayed ack already armed) acknowledges immediately. *)
+(* Every pure acknowledgement flows through here: with no SACK block to
+   report it is the legacy fixed-header ack, otherwise the canonical
+   SACK option is attached ({!Reasm.take_blocks}). *)
 let send_ack t =
-  if t.cfg.ack_delay_us <= 0.0 then send_ack_now t
-  else
-    match t.delayed_ack with
-    | Some _ -> send_ack_now t
-    | None ->
-        let timer =
-          Simclock.schedule t.clock ~owner:t.owner ~after:t.cfg.ack_delay_us (fun () ->
-              t.delayed_ack <- None;
-              bump t c_acks_sent 1;
-              send_ack_control t)
-        in
-        t.delayed_ack <- Some timer
+  bump t c_acks_sent 1;
+  match Reasm.take_blocks t.reasm with
+  | [] -> send_control t ~flags:Tcp_header.ack_flag
+  | blocks ->
+      let h =
+        Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt
+          ~flags:Tcp_header.ack_flag ~window:t.adv_window ~sack:blocks
+          ~src_port:t.local_port ~dst_port:t.remote_port ()
+      in
+      let n = List.length h.Tcp_header.sack in
+      bump t c_sack_blocks_tx n;
+      if Trace.enabled () then
+        Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
+          ~ts:(Machine.micros (machine t));
+      let ck =
+        Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty
+          ~payload_len:0
+      in
+      transmit t { h with checksum = ck } ~payload:None
 
-(* Every timer this socket can own: RTO, control (SYN/FIN), delayed ack,
-   persist, TIME_WAIT expiry and keepalive.  Aborts and [destroy] must
-   cancel all six — crash injection surfaces any leak as a ghost firing,
+(* Every timer this socket can own: RTO, control (SYN/FIN), persist,
+   TIME_WAIT expiry and keepalive.  Aborts and [destroy] must cancel all
+   five — crash injection surfaces any leak as a ghost firing,
    and the soak asserts [Simclock.pending_count ~owner = 0] afterwards. *)
 let cancel_all_timers t =
   Option.iter Simclock.cancel t.rto_timer;
   t.rto_timer <- None;
   Option.iter Simclock.cancel t.ctl_timer;
   t.ctl_timer <- None;
-  Option.iter Simclock.cancel t.delayed_ack;
-  t.delayed_ack <- None;
   Option.iter Simclock.cancel t.persist_timer;
   t.persist_timer <- None;
   Option.iter Simclock.cancel t.tw_timer;
@@ -812,8 +642,8 @@ let destroy t =
   transition t Closed;
   t.pending_close <- false;
   Queue.clear t.streams;
-  Queue.clear t.txq;
-  (* The ring and txq reserve/queue in lockstep; with the queue gone,
+  Scoreboard.clear t.sb;
+  (* The ring and the retransmission queue reserve/queue in lockstep; with the queue gone,
      release every live reservation so ring accounting stays balanced. *)
   let rec release_all () =
     match Ring.release t.ring with
@@ -821,10 +651,7 @@ let destroy t =
     | Error `Empty -> ()
   in
   release_all ();
-  Hashtbl.reset t.ooo;
-  Array.fill t.ooo_free 0 (Array.length t.ooo_free) true;
-  Hashtbl.reset t.placed;
-  t.fr_elen <- -1;
+  Reasm.clear t.reasm;
   t.rx_tsdu_off <- 0;
   t.ka_on_result <- None;
   cancel_all_timers t
@@ -834,7 +661,7 @@ let rec arm_ctl_timer t ~flags =
   Option.iter Simclock.cancel t.ctl_timer;
   let timer =
     Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
-        if t.ctl_retries >= t.cfg.max_retries then
+        if t.ctl_retries >= max_retries then
           abort t
             (if flags land Tcp_header.syn <> 0 then Handshake_failed
              else Close_timeout)
@@ -924,7 +751,7 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
     (* Bypass [transmit]: the reset goes back to the segment's source
        port, not [t.remote_port] (stale or unset on a dead socket), and a
        dead socket charges only the short control path. *)
-    Machine.compute (machine t) t.cfg.ack_ops;
+    Machine.compute (machine t) ack_ops;
     t.ip_ident <- (t.ip_ident + 1) land 0xffff;
     let wire = Tcp_header.to_string r in
     let ip =
@@ -1065,8 +892,8 @@ let handle_reset t =
   abort t Connection_reset
 
 let persist_interval_us t =
-  min t.cfg.persist_max_us
-    (t.cfg.persist_initial_us *. (2.0 ** float_of_int t.persist_shifts))
+  min persist_max_us
+    (persist_initial_us *. (2.0 ** float_of_int t.persist_shifts))
 
 let rec arm_persist t ~want =
   t.persist_want <- want;
@@ -1112,195 +939,99 @@ let rec arm_persist t ~want =
 
 let rec arm_rto t =
   Option.iter Simclock.cancel t.rto_timer;
-  if not (Queue.is_empty t.txq) then begin
+  if not (Scoreboard.is_empty t.sb) then begin
     let timer = Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () -> on_rto t) in
     t.rto_timer <- Some timer
   end
   else t.rto_timer <- None
 
-and retransmit_seg t seg =
+and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   bump t c_retransmissions 1;
   Recorder.note Recorder.Retransmit ~conn:t.local_port ~arg:seg.seq
     ~ts:(Machine.micros (machine t));
   if Trace.enabled () then
     Trace.instant ~arg:seg.seq Trace.Tcp_retransmit
       ~packet:(Trace.current_packet ()) ~ts:(Machine.micros (machine t));
-  seg.rexmit <- true;
-  seg.rexmits <- seg.rexmits + 1;
+  let tx = seg.data in
+  tx.rexmits <- tx.rexmits + 1;
   (* tcp_output for the retransmission: fresh checksum pass over the ring
      contents, fresh header.  The PSH bit must match the original — a
      mid-TSDU segment replayed with PSH would terminate the receiver's
      reassembly early. *)
   let flags =
-    Tcp_header.ack_flag lor (if seg.psh then Tcp_header.psh else 0)
+    Tcp_header.ack_flag lor (if tx.psh then Tcp_header.psh else 0)
   in
   let h = base_header t ~flags in
   let h = { h with seq = seg.seq } in
   let payload_acc =
-    Ilp_checksum.Internet.checksum_mem (mem t) ~pos:seg.addr ~len:seg.len
+    Ilp_checksum.Internet.checksum_mem (mem t) ~pos:tx.addr ~len:seg.len
       ~acc:Ilp_checksum.Internet.empty
   in
   let ck = Tcp_header.checksum h ~payload_acc ~payload_len:seg.len in
-  transmit t { h with checksum = ck } ~payload:(Some (seg.addr, seg.len))
+  transmit t { h with checksum = ck } ~payload:(Some (tx.addr, seg.len))
 
 and on_rto t =
-  match Queue.peek_opt t.txq with
+  match Scoreboard.oldest t.sb with
   | None -> t.rto_timer <- None
   | Some seg ->
-      if t.retries >= t.cfg.max_retries then abort t Retry_exhausted
+      if t.retries >= max_retries then abort t Retry_exhausted
       else begin
         t.retries <- t.retries + 1;
         bump t c_rto_fallbacks 1;
-        (* Full reneging tolerance (RFC 2018 §8): on timeout every
-           scoreboard hint is discarded and recovery restarts from the
-           cumulative ack alone — a receiver that SACKed data and then
-           threw it away can cost retransmissions, never correctness. *)
-        Queue.iter
-          (fun s ->
-            s.sacked <- false;
-            s.sack_rexmit <- false)
-          t.txq;
-        (* A timeout abandons any fast recovery in progress and restarts
-           from slow start. *)
-        t.in_recovery <- false;
-        t.dupacks <- 0;
-        on_congestion_loss t ~timeout:true;
+        (* Full reneging tolerance (RFC 2018 §8): recovery restarts from
+           the cumulative ack alone, and any fast recovery in progress
+           is abandoned for slow start. *)
+        Scoreboard.renege t.sb;
+        if Cc.timeout t.cc ~in_flight:(bytes_in_flight t) then set_cc_gauges t;
         Rto.backoff t.rto;
         retransmit_seg t seg;
         arm_rto t
       end
 
-(* ------------------------------------------------------------------ *)
-(* SACK scoreboard (RFC 3517-style, segment granularity) *)
+(* The one "resend this hole" step of fast retransmit, the partial-ack
+   path and the scoreboard's hole sweep; each caller keeps its own
+   counter, recorder note and trace event. *)
+let resend_hole t seg =
+  Scoreboard.mark_resent seg ~now:(Simclock.now t.clock);
+  retransmit_seg t seg
 
-let first_unsacked t =
-  Queue.fold
-    (fun acc s ->
-      match acc with
-      | Some _ -> acc
-      | None -> if s.sacked then None else Some s)
-    None t.txq
-
-let sacked_segments t =
-  Queue.fold (fun n s -> if s.sacked then n + 1 else n) 0 t.txq
-
-(* Retransmit every inferred hole the window allows: a segment is lost
-   (RFC 3517 IsLost) when at least [dupack_threshold] SACKed segments
-   lie above it.  Pipe counting bounds how much the retransmission burst
-   can re-inflate the network; per RFC 3517 the pipe excludes both
-   SACKed segments and inferred-lost segments whose retransmission is
-   not believed in flight.  A hole goes out once per round trip: a
-   segment still unsacked [1.5 x srtt] after the scoreboard last sent it
-   had its retransmission lost too, and becomes eligible again — so a
-   lost retransmission is retried ack-clocked instead of waiting for the
-   RTO of last resort. *)
+(* Resend every hole the scoreboard selects during recovery.  A hole
+   goes out once per round trip: one still unsacked [1.5 x srtt] after
+   it was resent had its retransmission lost too, and is retried
+   ack-clocked instead of waiting for the RTO of last resort. *)
 let sack_retransmit_holes t =
-  if t.cfg.sack && t.in_recovery && not (Queue.is_empty t.txq) then begin
-    let total_sacked = sacked_segments t in
-    if total_sacked > 0 then begin
-      let now = Simclock.now t.clock in
-      let retry_after =
-        match Rto.srtt_us t.rto with
-        | Some s -> 1.5 *. s
-        | None -> Rto.timeout_us t.rto /. 2.0
-      in
-      let eligible s =
-        (not s.sack_rexmit) || now -. s.sack_rexmit_at >= retry_after
-      in
-      let cap = if t.cfg.congestion_control then t.cwnd else max_int in
-      let pipe = ref 0 in
-      let seen = ref 0 in
-      Queue.iter
-        (fun s ->
-          if s.sacked then incr seen
-          else begin
-            let lost = total_sacked - !seen >= t.cfg.dupack_threshold in
-            if (not lost) || not (eligible s) then pipe := !pipe + s.len
-          end)
-        t.txq;
-      let seen = ref 0 in
-      Queue.iter
-        (fun s ->
-          if s.sacked then incr seen
-          else begin
-            let sacked_above = total_sacked - !seen in
-            if
-              sacked_above >= t.cfg.dupack_threshold
-              && eligible s && !pipe < cap
-            then begin
-              s.sack_rexmit <- true;
-              s.sack_rexmit_at <- now;
-              bump t c_sack_retransmits 1;
-              Recorder.note Recorder.Sack_retransmit ~conn:t.local_port
-                ~arg:s.seq ~ts:(Machine.micros (machine t));
-              if Trace.enabled () then
-                Trace.instant ~arg:s.seq Trace.Tcp_sack_rexmit
-                  ~packet:(Trace.current_packet ())
-                  ~ts:(Machine.micros (machine t));
-              retransmit_seg t s;
-              pipe := !pipe + s.len
-            end
-          end)
-        t.txq
-    end
+  if Cc.in_recovery t.cc then begin
+    let retry_after =
+      match Rto.srtt_us t.rto with
+      | Some s -> 1.5 *. s
+      | None -> Rto.timeout_us t.rto /. 2.0
+    in
+    Scoreboard.iter_holes t.sb ~cap:(Cc.window t.cc)
+      ~now:(Simclock.now t.clock) ~retry_after (fun seg ->
+        bump t c_sack_retransmits 1;
+        Recorder.note Recorder.Sack_retransmit ~conn:t.local_port
+          ~arg:seg.seq ~ts:(Machine.micros (machine t));
+        if Trace.enabled () then
+          Trace.instant ~arg:seg.seq Trace.Tcp_sack_rexmit
+            ~packet:(Trace.current_packet ())
+            ~ts:(Machine.micros (machine t));
+        resend_hole t seg)
   end
 
-(* Validate one ack's SACK blocks against what was actually sent, apply
-   the survivors to the scoreboard.  Rejected shapes are counted, never
-   trusted: a block that is empty or inverted, reaches beyond [snd_nxt]
-   (acknowledging data never sent), or overlaps another block of the
-   same ack is hostile or corrupt by construction.  A block entirely at
-   or below the cumulative ack is a D-SACK duplicate report — evidence
-   one of our retransmissions was spurious. *)
+(* Rejected SACK shapes are counted, never trusted. *)
 let process_sack t (h : Tcp_header.t) =
-  match h.Tcp_header.sack with
-  | [] -> ()
-  | blocks ->
-      let invalid () =
-        bump t c_sack_invalid 1
-      in
-      let accepted = ref [] in
-      (* RFC 2883: a first block wholly contained in a later block of the
-         same ack reports a duplicate arrival above the cumulative ack (a
-         wire-duplicated or spuriously retransmitted out-of-order
-         segment), not new scoreboard information — strip it here so the
-         overlap rule below only condemns genuinely forged feedback.
-         (The duplicate-below-cumack D-SACK form is the [r <= ack] case
-         in the loop.) *)
-      let blocks =
-        match blocks with
-        | (l, r) :: rest
-          when l < r && r <= t.snd_nxt
-               && List.exists (fun (al, ar) -> al <= l && r <= ar) rest ->
-            bump t c_spurious_retransmits 1;
-            rest
-        | _ -> blocks
-      in
-      List.iter
-        (fun (l, r) ->
-          if l >= r || r > t.snd_nxt then invalid ()
-          else if r <= h.Tcp_header.ack then begin
-            bump t c_spurious_retransmits 1
-          end
-          else if List.exists (fun (al, ar) -> l < ar && al < r) !accepted
-          then invalid ()
-          else begin
-            let l = max l h.Tcp_header.ack in
-            accepted := (l, r) :: !accepted;
-            bump t c_sack_blocks_rx 1;
-            Queue.iter
-              (fun s ->
-                if (not s.sacked) && s.seq >= l && s.seq + s.len <= r then
-                  s.sacked <- true)
-              t.txq
-          end)
-        blocks
+  let c =
+    Scoreboard.process_sack t.sb ~ack:h.ack ~snd_nxt:t.snd_nxt h.sack
+  in
+  bump t c_sack_blocks_rx c.accepted;
+  bump t c_sack_invalid c.invalid;
+  bump t c_spurious_retransmits c.spurious
 
 (* ------------------------------------------------------------------ *)
 (* Public send path *)
 
 let maybe_send_fin t =
-  if t.pending_close && Queue.is_empty t.txq && Queue.is_empty t.streams
+  if t.pending_close && Scoreboard.is_empty t.sb && Queue.is_empty t.streams
   then begin
     t.pending_close <- false;
     (match t.st with
@@ -1342,16 +1073,13 @@ let send_segment t s ~addr ~len =
   let h = base_header t ~flags in
   let ck = Tcp_header.checksum h ~payload_acc ~payload_len:len in
   transmit t { h with checksum = ck } ~payload:(Some (addr, len));
-  Queue.add
-    { seq = t.snd_nxt; len; addr; psh; rexmit = false; rexmits = 0;
-      sent_at = Simclock.now t.clock; sacked = false; sack_rexmit = false;
-      sack_rexmit_at = 0.0 }
-    t.txq;
+  Scoreboard.add t.sb ~seq:t.snd_nxt ~len
+    { addr; psh; rexmits = 0; sent_at = Simclock.now t.clock };
   t.snd_nxt <- t.snd_nxt + len;
   bump t c_bytes_sent len;
   let fl = bytes_in_flight t in
   if fl > t.peak_in_flight then t.peak_in_flight <- fl;
-  M.set m_inflight (Queue.length t.txq);
+  M.set m_inflight (Scoreboard.length t.sb);
   if t.rto_timer = None then arm_rto t
 
 (* The stream pump, the one place data segments are emitted: push
@@ -1379,7 +1107,7 @@ let rec pump_streams t =
                flight, acks (or the RTO) reopen it; with nothing in
                flight there is no timer running, so this is a zero-window
                stall mid-stream — run the persist machinery. *)
-            if Queue.is_empty t.txq && t.persist_timer = None then
+            if Scoreboard.is_empty t.sb && t.persist_timer = None then
               arm_persist t ~want:seg
           end
           else
@@ -1404,7 +1132,7 @@ let send_message t ~len ~fill =
     (* No usable window.  If nothing is in flight there is no RTO to keep
        the connection moving, so start (or keep) the persist machinery;
        with data in flight, incoming acks or the RTO drive recovery. *)
-    if Queue.is_empty t.txq && t.persist_timer = None then arm_persist t ~want:len;
+    if Scoreboard.is_empty t.sb && t.persist_timer = None then arm_persist t ~want:len;
     Error Window_full
   end
   else if not (Ring.fits t.ring len) then Error Buffer_full
@@ -1422,7 +1150,7 @@ let[@warning "-16"] send_stream t ?(seg_unit = 1) ~len ~fill =
   if len <= 0 || len mod seg_unit <> 0 then
     invalid_arg "Socket.send_stream: len must be a positive multiple of seg_unit";
   if t.st <> Established then Error Not_established
-  else if Queue.length t.streams >= t.cfg.max_pending_streams then
+  else if Queue.length t.streams >= max_pending_streams then
     Error Buffer_full
   else begin
     Queue.add { ps_len = len; ps_unit = seg_unit; ps_fill = fill; ps_off = 0 }
@@ -1461,13 +1189,6 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
 
-let alloc_ooo_slot t =
-  let rec go i = if i = t.ooo_slots then None
-    else if t.ooo_free.(i) then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let seg_max t = max Tcp_header.max_wire_size (Tcp_header.size + t.cfg.mss)
 
 (* The one receive verdict, shared by in-order segments, segments
@@ -1489,7 +1210,7 @@ let verify t (h : Tcp_header.t) ~base ~payload_len ~plen ~dst_off =
      engine's rx handlers pick the id up via [Trace.current_packet]. *)
   if Trace.enabled () then ignore (Trace.begin_packet ());
   let verdict =
-    if t.rx_framing && t.fr_elen >= 0 && dst_off + eng_len > t.fr_elen then
+    if Reasm.beyond_frame t.reasm ~dst_off ~len:eng_len then
       (* A framed continuation past the announced TSDU extent. *)
       Error Bad_length
     else
@@ -1539,7 +1260,7 @@ let verify t (h : Tcp_header.t) ~base ~payload_len ~plen ~dst_off =
                 Ok ()
               else Error Bad_checksum)
   in
-  Machine.compute (machine t) t.cfg.control_ops;
+  Machine.compute (machine t) control_ops;
   match verdict with
   | Ok () -> true
   | Error reason ->
@@ -1559,14 +1280,14 @@ let accept t ~len ~eng_len ~psh =
   if psh then begin
     let n = t.rx_tsdu_off in
     t.rx_tsdu_off <- 0;
-    t.fr_elen <- -1;
+    Reasm.close_frame t.reasm;
     t.on_message ~len:n
   end
 
 (* An in-sequence data segment, from receive staging or the stash. *)
 let process_data t (h : Tcp_header.t) ~base ~payload_len =
   let src = base + Tcp_header.size in
-  let starting = t.rx_framing && t.fr_elen < 0 && Option.is_some t.rx_proc in
+  let starting = Reasm.awaiting_prelude t.reasm && Option.is_some t.rx_proc in
   (* Framed geometry: the first segment of a framed TSDU carries the
      cleartext prelude ({!Framing}) announcing the TSDU's engine wire
      length; it is parsed (uncharged peeks — the charged pass over its
@@ -1593,52 +1314,26 @@ let process_data t (h : Tcp_header.t) ~base ~payload_len =
       verify t h ~base ~payload_len ~plen ~dst_off:t.rx_tsdu_off
       && begin
            (match fr with
-           | Some (p, elen) ->
-               t.fr_base <- h.seq;
-               t.fr_plen <- p;
-               t.fr_elen <- elen
+           | Some (plen, elen) -> Reasm.open_frame t.reasm ~seq:h.seq ~plen ~elen
            | None -> ());
            accept t ~len:payload_len ~eng_len:(payload_len - plen)
              ~psh:(Tcp_header.has h Tcp_header.psh);
            true
          end
 
-(* Final placement of an out-of-order segment (the single-copy receive
-   path): when the current framed TSDU's extent is known and the segment
-   lies wholly inside it, verify and decrypt it at arrival directly at
-   its final TSDU offset — no stash copy, no reprocessing at drain time.
-   Sound because the engine's receive kernels are stateless per segment
-   (no cipher chaining across blocks' positions), exactly the property
-   the send side's range fills already rely on.  A corrupt segment is
-   dropped and never recorded; its retransmission overwrites whatever
-   partial plaintext the failed pass left at [dst_off]. *)
-let place_ooo t (h : Tcp_header.t) ~payload_len =
-  if
-    verify t h ~base:t.rx_staging ~payload_len ~plen:0
-      ~dst_off:(h.seq - t.fr_base - t.fr_plen)
-  then begin
-    Hashtbl.add t.placed h.seq (payload_len, Tcp_header.has h Tcp_header.psh);
-    t.last_ooo_seq <- h.seq;
-    bump t c_ooo_placed 1
-  end
-
 let rec drain_ooo t =
-  match Hashtbl.find_opt t.placed t.rcv_nxt with
-  | Some (len, psh) ->
+  match Reasm.pop t.reasm ~rcv_nxt:t.rcv_nxt with
+  | None -> ()
+  | Some (Reasm.Placed { len; psh }) ->
       (* Already verified and decrypted at its final offset when it
          arrived: advancing over it is pure bookkeeping — the re-copy the
          stash drain performs has no counterpart here. *)
-      Hashtbl.remove t.placed t.rcv_nxt;
       accept t ~len ~eng_len:len ~psh;
       drain_ooo t
-  | None -> (
-      match Hashtbl.find_opt t.ooo t.rcv_nxt with
-      | None -> ()
-      | Some (slot, base, payload_len) ->
-          Hashtbl.remove t.ooo t.rcv_nxt;
-          t.ooo_free.(slot) <- true;
-          let h = Tcp_header.read_mem (mem t) ~pos:base in
-          if process_data t h ~base ~payload_len then drain_ooo t)
+  | Some (Reasm.Stashed { slot; len }) ->
+      let base = t.ooo_base + (slot * seg_max t) in
+      let h = Tcp_header.read_mem (mem t) ~pos:base in
+      if process_data t h ~base ~payload_len:len then drain_ooo t
 
 let handle_data t (h : Tcp_header.t) ~payload_len =
   if h.seq = t.rcv_nxt then begin
@@ -1649,46 +1344,36 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
     (* Invalid checksum: silent drop; the sender's RTO recovers. *)
   end
   else if h.seq < t.rcv_nxt then begin
-    (* Duplicate (e.g. a retransmission that crossed our ack).  Report it
-       back as a D-SACK first block (RFC 2883) so the sender can tell a
-       spurious retransmission from a lost ack; the 1-byte persist probes
-       deliberately resend an acknowledged byte and are not reported. *)
+    (* Duplicate (e.g. a retransmission that crossed our ack): reported
+       back as a D-SACK block so the sender can tell a spurious
+       retransmission from a lost ack. *)
     bump t c_duplicates 1;
-    if t.cfg.sack && payload_len > 1 then
-      t.dsack_pending <- Some (h.seq, h.seq + payload_len);
+    Reasm.duplicate t.reasm ~seq:h.seq ~len:payload_len;
     send_ack t
   end
   else begin
-    (* Out of order: place at the final TSDU offset when the framing
-       makes that decidable, otherwise stash the staged segment for
-       later processing. *)
     bump t c_out_of_order 1;
-    (if Hashtbl.mem t.ooo h.seq || Hashtbl.mem t.placed h.seq then begin
-       (* Duplicate of an already-held segment: also a D-SACK case. *)
-       if t.cfg.sack && payload_len > 1 then
-         t.dsack_pending <- Some (h.seq, h.seq + payload_len)
-     end
-     else if
-       (* Eligible for final placement: framing on, the current TSDU's
-          extent known from its prelude, and the segment wholly inside
-          that extent.  Anything else — a TSDU-start arriving out of
-          order, a segment of a future TSDU — falls back to the stash. *)
-       t.rx_framing && t.fr_elen >= 0 && payload_len > 0
-       && h.seq + payload_len <= t.fr_base + t.fr_plen + t.fr_elen
-     then place_ooo t h ~payload_len
-     else
-       match alloc_ooo_slot t with
-       | None ->
-           (* No stash slot for this in-window segment: drop and count;
-              retransmission will recover. *)
-           count_drop t Out_of_window
-       | Some slot ->
-           let base = t.ooo_base + (slot * seg_max t) in
-           Mem.blit (mem t) ~src:t.rx_staging ~dst:base
-             ~len:(Tcp_header.size + payload_len) ~unit_len:t.cfg.blit_unit;
-           t.ooo_free.(slot) <- false;
-           Hashtbl.add t.ooo h.seq (slot, base, payload_len);
-           t.last_ooo_seq <- h.seq);
+    (match Reasm.arrive t.reasm ~seq:h.seq ~len:payload_len with
+    | Reasm.Held -> ()
+    | Reasm.Place dst_off ->
+        (* Final placement (the single-copy receive path): verify and
+           decrypt at arrival directly at the final TSDU offset.  Sound
+           because the engine's receive kernels are stateless per
+           segment, the property the send side's range fills rely on.  A
+           corrupt segment is dropped and never recorded; its
+           retransmission overwrites whatever partial plaintext the
+           failed pass left. *)
+        if verify t h ~base:t.rx_staging ~payload_len ~plen:0 ~dst_off then begin
+          Reasm.placed t.reasm ~seq:h.seq ~len:payload_len
+            ~psh:(Tcp_header.has h Tcp_header.psh);
+          bump t c_ooo_placed 1
+        end
+    | Reasm.Stash slot ->
+        Mem.blit (mem t) ~src:t.rx_staging ~dst:(t.ooo_base + (slot * seg_max t))
+          ~len:(Tcp_header.size + payload_len) ~unit_len:blit_unit
+    | Reasm.No_slot ->
+        (* Retransmission will recover. *)
+        count_drop t Out_of_window);
     send_ack t
   end
 
@@ -1713,130 +1398,83 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
      this ack's selective information already applied. *)
   process_sack t h;
   (* A pure duplicate acknowledgement signals a lost segment ahead of
-     still-arriving data: after [dupack_threshold] of them, retransmit the
-     first unSACKed segment without waiting for the RTO (fast
-     retransmit), then stay in fast recovery until the loss-time highwater
-     mark is acknowledged.  An ack whose window differs is a window
-     update, not evidence of loss, and does not count. *)
+     still-arriving data: at the threshold, retransmit the first
+     unSACKed segment without waiting for the RTO (fast retransmit),
+     then stay in fast recovery until the loss-time highwater mark is
+     acknowledged.  An ack whose window differs is a window update, not
+     evidence of loss, and does not count. *)
   if
     Tcp_header.has h Tcp_header.ack_flag
     && h.ack = t.snd_una && payload_len = 0
     && h.window = prev_window
     && (not (Tcp_header.has h Tcp_header.syn))
     && (not (Tcp_header.has h Tcp_header.fin))
-    && not (Queue.is_empty t.txq)
+    && not (Scoreboard.is_empty t.sb)
   then begin
-    t.dupacks <- t.dupacks + 1;
-    (* SACK-based early retransmit (RFC 5827 style): with fewer segments
-       outstanding than the duplicate-ack threshold could ever witness,
-       and the scoreboard showing everything but the hole delivered, the
-       full threshold is unreachable — lower it to what the flight can
-       produce so a tail loss is recovered by fast retransmit instead of
-       the RTO. *)
-    let dup_thresh =
-      let n = Queue.length t.txq in
-      if
-        t.cfg.sack && n > 0
-        && n < 1 + t.cfg.dupack_threshold
-        && sacked_segments t = n - 1
-      then max 1 (n - 1)
-      else t.cfg.dupack_threshold
-    in
-    if t.dupacks = dup_thresh && not t.in_recovery then begin
-      match first_unsacked t with
-      | Some seg ->
-          bump t c_fast_retransmits 1;
-          Recorder.note Recorder.Fast_retransmit ~conn:t.local_port
-            ~arg:seg.seq ~ts:(Machine.micros (machine t));
-          t.in_recovery <- true;
-          t.recover <- t.snd_nxt;
-          on_congestion_loss t ~timeout:false;
-          if t.cfg.congestion_control then begin
-            (* Window inflation: the threshold duplicate acks witness
-               segments that left the network (RFC 5681 step 3.2). *)
-            t.cwnd <- t.cwnd + (t.cfg.dupack_threshold * t.cfg.mss);
-            set_cc_gauges t
-          end;
-          seg.sack_rexmit <- true;
-          seg.sack_rexmit_at <- Simclock.now t.clock;
-          retransmit_seg t seg;
-          (* With SACK information, every hole the scoreboard can already
-             infer goes out in the same recovery round — this is the
-             several-holes-per-RTT win over NewReno. *)
-          sack_retransmit_holes t;
-          arm_rto t
-      | None -> ()
-    end
-    else if t.in_recovery && t.dupacks > dup_thresh then begin
-      (* Each further duplicate ack means another segment was delivered:
-         inflate and let the pump put new data in flight (RFC 5681 step
-         3.4 — this keeps the ack clock ticking during recovery).  The
-         inflation is bounded by the number of segments actually
-         outstanding: each can produce at most one duplicate ack, so
-         anything beyond that is forgery (or wire duplication) and earns
-         no window. *)
-      if t.cfg.congestion_control && t.dupacks <= Queue.length t.txq
-      then begin
-        t.cwnd <- t.cwnd + t.cfg.mss;
-        set_cc_gauges t
-      end;
-      sack_retransmit_holes t
-    end
+    match
+      Cc.dupack t.cc ~threshold:(Scoreboard.dupack_threshold t.sb)
+        ~outstanding:(Scoreboard.length t.sb)
+    with
+    | Cc.Counted -> ()
+    | Cc.Threshold -> (
+        match Scoreboard.first_unsacked t.sb with
+        | Some seg ->
+            bump t c_fast_retransmits 1;
+            Recorder.note Recorder.Fast_retransmit ~conn:t.local_port
+              ~arg:seg.seq ~ts:(Machine.micros (machine t));
+            if
+              Cc.fast_loss t.cc ~recover:t.snd_nxt
+                ~in_flight:(bytes_in_flight t)
+            then set_cc_gauges t;
+            resend_hole t seg;
+            (* With SACK information, every hole the scoreboard can already
+               infer goes out in the same recovery round — this is the
+               several-holes-per-RTT win over NewReno. *)
+            sack_retransmit_holes t;
+            arm_rto t
+        | None -> ())
+    | Cc.Recovering inflated ->
+        (* Each further duplicate ack means another segment was
+           delivered: the inflation lets the pump put new data in flight
+           (RFC 5681 step 3.4 — this keeps the ack clock ticking). *)
+        if inflated then set_cc_gauges t;
+        sack_retransmit_holes t
   end;
   if Tcp_header.has h Tcp_header.ack_flag && h.ack > t.snd_una then begin
     let newly_acked = h.ack - t.snd_una in
-    t.dupacks <- 0;
-    if not t.in_recovery then on_congestion_ack t ~acked:newly_acked;
+    if Cc.ack t.cc ~acked:newly_acked then set_cc_gauges t;
     let sampled = ref false in
     let now = Simclock.now t.clock in
-    let rec pop () =
-      match Queue.peek_opt t.txq with
-      | Some seg when seg.seq + seg.len <= h.ack ->
-          ignore (Queue.pop t.txq);
-          (* The ring and txq are reserved/queued in lockstep, so a
-             successful pop guarantees a live oldest reservation. *)
-          (match Ring.release t.ring with Ok () -> () | Error `Empty -> ());
-          M.observe m_seg_rexmits seg.rexmits;
-          if Trace.enabled () then
-            Trace.span ~arg:seg.len Trace.Tcp_segment
-              ~packet:(Trace.current_packet ()) ~ts:seg.sent_at
-              ~dur:(now -. seg.sent_at);
-          if (not seg.rexmit) && not !sampled then begin
-            Rto.sample t.rto (now -. seg.sent_at);
-            M.observe m_ack_rtt (int_of_float (now -. seg.sent_at));
-            sampled := true
-          end;
-          pop ()
-      | _ -> ()
-    in
-    pop ();
+    Scoreboard.pop_acked t.sb ~ack:h.ack (fun seg ->
+        (* The ring and the queue are reserved/queued in lockstep, so a
+           popped segment guarantees a live oldest reservation. *)
+        (match Ring.release t.ring with Ok () -> () | Error `Empty -> ());
+        let tx = seg.data in
+        M.observe m_seg_rexmits tx.rexmits;
+        if Trace.enabled () then
+          Trace.span ~arg:seg.len Trace.Tcp_segment
+            ~packet:(Trace.current_packet ()) ~ts:tx.sent_at
+            ~dur:(now -. tx.sent_at);
+        if tx.rexmits = 0 && not !sampled then begin
+          Rto.sample t.rto (now -. tx.sent_at);
+          M.observe m_ack_rtt (int_of_float (now -. tx.sent_at));
+          sampled := true
+        end);
     t.snd_una <- max t.snd_una h.ack;
-    if t.in_recovery then begin
-      if h.ack >= t.recover then begin
-        (* Full ack: recovery over, deflate to ssthresh (RFC 6582). *)
-        t.in_recovery <- false;
-        Queue.iter (fun s -> s.sack_rexmit <- false) t.txq;
-        if t.cfg.congestion_control then begin
-          t.cwnd <- t.ssthresh;
-          set_cc_gauges t
-        end
-      end
-      else begin
-        (* Partial ack: the next hole is known lost — retransmit it
-           immediately instead of waiting for three more duplicates,
-           then fill any further holes the scoreboard has inferred. *)
-        (match first_unsacked t with
-        | Some seg ->
-            if not seg.sack_rexmit then begin
-              seg.sack_rexmit <- true;
-              seg.sack_rexmit_at <- Simclock.now t.clock;
-              retransmit_seg t seg
-            end
-        | None -> t.in_recovery <- false);
-        sack_retransmit_holes t
-      end
-    end;
-    M.set m_inflight (Queue.length t.txq);
+    (match Cc.recovery_ack t.cc ~ack:h.ack with
+    | Cc.Not_recovering -> ()
+    | Cc.Full_ack deflated ->
+        Scoreboard.clear_resent t.sb;
+        if deflated then set_cc_gauges t
+    | Cc.Partial_ack ->
+        (* The next hole is known lost — retransmit it immediately
+           instead of waiting for more duplicates, then fill any further
+           holes the scoreboard has inferred. *)
+        (match Scoreboard.first_unsacked t.sb with
+        | Some seg -> if not seg.resent then resend_hole t seg
+        | None -> Cc.leave_recovery t.cc);
+        sack_retransmit_holes t);
+    M.set m_inflight (Scoreboard.length t.sb);
     if Trace.enabled () then
       Trace.instant ~arg:newly_acked Trace.Tcp_ack
         ~packet:(Trace.current_packet ()) ~ts:now;
@@ -1854,7 +1492,7 @@ let enter_time_wait t =
   transition t Time_wait;
   Option.iter Simclock.cancel t.tw_timer;
   let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. t.cfg.rto_max_us)
+    Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
       (fun () ->
         t.tw_timer <- None;
         if t.st = Time_wait then transition t Closed)
@@ -1878,14 +1516,14 @@ let handle_datagram t (dgram : Datagram.t) =
     Machine.exec (machine t) t.code_kernel;
     Machine.exec (machine t) t.code_ctrl;
     (* Kernel demultiplexing and tcp_input connection lookup. *)
-    Machine.compute (machine t) t.cfg.ack_ops;
+    Machine.compute (machine t) ack_ops;
     (* Network adapter DMA into the kernel buffer: not a CPU cost. *)
     Mem.poke_string (mem t) ~pos:t.kernel_rx wire;
     (* read(): system copy kernel -> user staging, then header parse
        (data offset included: an option area is walked and must be the
        one canonical SACK layout). *)
     Mem.blit (mem t) ~src:t.kernel_rx ~dst:t.rx_staging ~len:total
-      ~unit_len:t.cfg.blit_unit;
+      ~unit_len:blit_unit;
     let parsed = Tcp_header.read_mem_v (mem t) ~pos:t.rx_staging ~total in
     let h = parsed.Tcp_header.hdr in
     let hdr_len = parsed.Tcp_header.hdr_len in

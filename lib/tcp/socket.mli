@@ -32,7 +32,20 @@
     final stage).  In-order segments, segments drained from the
     out-of-order stash and segments placed out of order share that one
     verdict, and the handler lands every accepted segment at its offset
-    in the TSDU. *)
+    in the TSDU.
+
+    {2 What lives elsewhere}
+
+    This module is the wiring: handshake and RST, the RTO, control,
+    persist, TIME_WAIT and keepalive timers, the stream pump, the charged
+    receive verdict and delivery, transmission, counters, flight-recorder
+    notes and trace events.  The protocol state machines it drives are
+    pure modules that never touch the clock, simulated memory or
+    telemetry: {!Reasm} (segments held above [rcv_nxt], SACK and D-SACK
+    block generation, the framed placement test), {!Scoreboard} (the
+    retransmission queue with its SACK bits, block validation, RFC 3517
+    hole selection) and {!Cc} (RFC 5681 congestion control with RFC 3465
+    byte counting and RFC 6582 partial and full acks). *)
 
 type state =
   | Closed
@@ -48,42 +61,36 @@ type state =
 
 val state_to_string : state -> string
 
+(** The per-socket settings.  Everything else is a constant of this
+    module: RTO ceiling 4 s, 8 retries before an abort, 1200 / 150 ALU
+    ops for the data / short control path, 4-byte system-copy accesses,
+    a duplicate-ack threshold of {!Cc.dupthresh}, persist probes from
+    5 ms doubling to 320 ms, and 8 queued {!send_stream} TSDUs.  Every
+    data segment is acknowledged immediately, as in the paper's TCP. *)
 type config = {
   mss : int;  (** maximum payload bytes per segment *)
   send_buffer : int;  (** retransmission ring size in bytes *)
-  recv_window : int;  (** advertised window *)
-  rto_initial_us : float;
-  rto_min_us : float;
-  rto_max_us : float;
-  max_retries : int;
-  control_ops : int;
-      (** ALU ops charged per data segment for tcp_output/tcp_input state
-          processing *)
-  ack_ops : int;
-      (** ALU ops for the short path: pure control segments and the
-          per-segment kernel demultiplex/lookup *)
-  blit_unit : int;  (** access width of the copy loops, normally 4 *)
-  ack_delay_us : float;
-      (** 0 (the default, as in the paper's TCP) acknowledges every data
-          segment immediately; > 0 enables RFC 1122-style delayed acks
-          with this holding time *)
-  dupack_threshold : int;
-      (** duplicate acks that trigger a fast retransmit (3) *)
+  recv_window : int;
+      (** advertised window; an out-of-order segment must start inside
+          it to be held *)
+  rto_initial_us : float;  (** RTO before the first RTT sample *)
+  rto_min_us : float;  (** RTO floor *)
   congestion_control : bool;
       (** RFC 5681-style slow start / congestion avoidance / fast
-          recovery on the sender (on by default; the paper's loopback
-          experiments are never congestion-limited, but a production
-          stack needs it) *)
+          recovery on the sender ({!Cc}; on by default — the paper's
+          loopback experiments are never congestion-limited, but a
+          production stack needs it).  Off, only the peer's window
+          limits what is in flight *)
   sack : bool;
       (** selective acknowledgements (RFC 2018/3517), on by default: the
-          receiver reports its out-of-order stash as SACK blocks on pure
-          acks, and the sender keeps a per-segment scoreboard to
-          retransmit every inferred hole per RTT during recovery.  With
-          nothing out of order no options are emitted, so a clean-link
-          run is wire-identical with this on or off.  Data segments
-          never carry options (the paper's fixed-header ILP
-          precondition); a data segment arriving with options is dropped
-          as [Bad_header]. *)
+          receiver reports its held out-of-order segments as SACK blocks
+          on pure acks ({!Reasm}), and the sender keeps a per-segment
+          scoreboard to retransmit every inferred hole per RTT during
+          recovery ({!Scoreboard}).  With nothing out of order no
+          options are emitted, so a clean-link run is wire-identical
+          with this on or off.  Data segments never carry options (the
+          paper's fixed-header ILP precondition); a data segment
+          arriving with options is dropped as [Bad_header]. *)
   ooo_slots : int;
       (** out-of-order stash capacity in segments.  0 (the default)
           auto-sizes to cover a full receive window of MSS segments plus
@@ -93,15 +100,9 @@ type config = {
           retransmission), so an undersized stash degrades a multi-loss
           flight into serial per-RTT recovery — the failure mode the
           auto default exists to prevent *)
-  persist_initial_us : float;
-      (** first zero-window persist probe interval; doubles per probe *)
-  persist_max_us : float;  (** persist backoff ceiling *)
   stall_deadline_us : float;
       (** a peer window stalled (too small for the pending message) for
           this long aborts the connection with {!Peer_stalled} *)
-  max_pending_streams : int;
-      (** TSDUs {!send_stream} will queue before reporting
-          [Buffer_full] — the sender-side backpressure bound *)
 }
 
 val default_config : config
@@ -149,7 +150,7 @@ val drop_reasons : drop_reason list
 val drop_reason_to_string : drop_reason -> string
 
 (** Why the connection was torn down by the stack rather than by a clean
-    close: data, handshake or FIN retransmissions hit [max_retries], the
+    close: data, handshake or FIN retransmissions hit the retry limit (8), the
     peer's advertised window stayed too small for the pending message
     past [stall_deadline_us] ([Peer_stalled]), the peer acknowledged
     sequence space beyond anything this endpoint ever sent — an
@@ -277,7 +278,7 @@ val send_message :
     engine passes its block size), and [len] must be a positive multiple
     of [seg_unit] no larger than what a segment can describe.  The final segment carries PSH; the receiver
     reassembles in order and delivers the whole TSDU to [on_message].
-    Up to [max_pending_streams] TSDUs queue behind one another
+    Up to 8 TSDUs queue behind one another
     ([Buffer_full] beyond that); [send_message] also reports
     [Buffer_full] while a stream is pending, so single-message and
     streamed traffic never interleave within a connection. *)

@@ -215,7 +215,7 @@ let copy_handler ~area ~len:area_len =
       end)
 
 let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 11)
-    ?(mss = 1024) ?(ack_delay_us = 0.0) ?(congestion_control = true)
+    ?(mss = 1024) ?(congestion_control = true)
     ?(sack = Socket.default_config.Socket.sack)
     ?(send_buffer = Socket.default_config.Socket.send_buffer)
     ?(recv_window = Socket.default_config.Socket.recv_window)
@@ -236,7 +236,6 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
   let cfg =
     { Socket.default_config with
       mss;
-      ack_delay_us;
       congestion_control;
       sack;
       send_buffer;
@@ -527,22 +526,6 @@ let test_fast_retransmit () =
   Alcotest.(check string) "stream intact" (String.concat "" msgs) (Buffer.contents got);
   checkb "ip error counted" true ((Socket.stats w.b).Socket.ip_errors >= 1);
   checkb "fast retransmit fired" true ((Socket.stats w.a).Socket.fast_retransmits >= 1)
-
-let test_delayed_acks () =
-  let count_acks delay =
-    let w = make_world ~ack_delay_us:delay () in
-    connect w;
-    let got = Buffer.create 64 in
-    collect_into w got;
-    let msgs = List.init 16 (fun i -> Printf.sprintf "%02d%s" i (String.make 120 'd')) in
-    transfer ~burst_us:5.0 w msgs;
-    Alcotest.(check string) "stream intact" (String.concat "" msgs)
-      (Buffer.contents got);
-    (Socket.stats w.b).Socket.acks_sent
-  in
-  let immediate = count_acks 0.0 in
-  let delayed = count_acks 400.0 in
-  checkb "delayed acking sends fewer acks" true (delayed < immediate)
 
 let test_congestion_window_dynamics () =
   let w = make_world () in
@@ -1559,9 +1542,9 @@ let test_rst_on_destroyed_connection () =
   checkb "reset received" true ((Socket.stats w.a).Socket.rst_rx >= 1)
 
 let test_destroy_cancels_every_timer () =
-  (* Crash mid-flight with retransmission, delayed-ack and persist
-     machinery armed: destroy must leave zero owned timers behind. *)
-  let w = make_world ~ack_delay_us:5_000.0 () in
+  (* Crash mid-flight with the retransmission machinery armed: destroy
+     must leave zero owned timers behind. *)
+  let w = make_world () in
   connect w;
   let fill m ~dst ~off:_ ~len:_ =
     Mem.poke_string m ~pos:dst (String.make 600 'q');
@@ -1971,6 +1954,410 @@ let test_framed_receiver_rejects_unframed_stream () =
   in
   checkb "v1 stream dropped as Bad_header" true (bad_header > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Reference models for the pure state machines *)
+
+(* Scoreboard: random flights and acks whose blocks take every shape a
+   peer can send — valid, misaligned, inverted, beyond snd_nxt, repeated
+   (overlapping), D-SACK below the cumulative ack and D-SACK contained in
+   a later block.  The model keeps the SACKed sequence numbers as a set
+   and picks holes with RFC 3517's IsLost / pipe / NextSeg pseudo-code at
+   segment granularity: a segment is lost once DupThresh SACKed segments
+   lie above it, and a retransmission younger than [retry_after] is
+   still in the pipe. *)
+
+module Iset = Set.Make (Int)
+
+type sb_model = {
+  mutable flight : (int * int) list;  (* (seq, len), oldest first *)
+  mutable sacked : Iset.t;
+  mutable resent : (int * float) list;  (* seq -> when resent *)
+  mutable snd_nxt : int;
+  mutable now : float;
+}
+
+type sb_op =
+  | Sb_send of int list  (* segment lengths *)
+  | Sb_ack of int * bool * (int * int * int) list * bool
+      (* cumulative advance seed, mid-segment ack, block seeds, D-SACK
+         contained first block *)
+  | Sb_holes of int * int  (* cap in 100-byte units, clock step *)
+  | Sb_renege
+  | Sb_recovered
+
+let sb_retry_after = 10.0
+
+let gen_sb_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun l -> Sb_send l) (list_size (int_range 1 4) (int_range 1 120)));
+        ( 5,
+          map
+            (fun (((adv, mid), seeds), dsack) -> Sb_ack (adv, mid, seeds, dsack))
+            (pair
+               (pair
+                  (pair (int_range 0 3) (frequency [ (5, return false); (1, return true) ]))
+                  (list_size (int_range 0 4)
+                     (triple (int_range 0 9) (int_range 0 40) (int_range 0 40))))
+               (frequency [ (4, return false); (1, return true) ])) );
+        (3, map (fun (c, d) -> Sb_holes (c, d)) (pair (int_range 0 12) (int_range 0 8)));
+        (1, return Sb_renege);
+        (1, return Sb_recovered) ])
+
+let print_sb_op = function
+  | Sb_send l -> Printf.sprintf "send[%s]" (String.concat ";" (List.map string_of_int l))
+  | Sb_ack (a, m, seeds, d) ->
+      Printf.sprintf "ack(%d,%b,[%s],%b)" a m
+        (String.concat ";"
+           (List.map (fun (k, i, j) -> Printf.sprintf "%d/%d/%d" k i j) seeds))
+        d
+  | Sb_holes (c, d) -> Printf.sprintf "holes(%d,%d)" c d
+  | Sb_renege -> "renege"
+  | Sb_recovered -> "recovered"
+
+(* Turn a block seed into edges against the flight the ack will see. *)
+let sb_block m ~ack (kind, i, j) =
+  let segs = Array.of_list m.flight in
+  let n = Array.length segs in
+  let seg k = segs.(k mod n) in
+  if n = 0 then (ack + i, ack + i + j)
+  else
+    match kind with
+    | 0 | 1 | 2 | 3 ->
+        (* segment-aligned span *)
+        let a = i mod n and b = j mod n in
+        let a, b = (min a b, max a b) in
+        (fst segs.(a), fst segs.(b) + snd segs.(b))
+    | 4 ->
+        let s, _ = seg i in
+        (s + (j mod 7), s + (j mod 7) + 1 + (i * 3))
+    | 5 ->
+        let s, l = seg i in
+        (s + l, s + (j mod 2))
+    | 6 -> (m.snd_nxt - (i mod 50), m.snd_nxt + 1 + j)
+    | 7 -> (ack - 2 - i - j, ack - (j mod 2))
+    | _ ->
+        let s, l = seg i in
+        (s, s + l)
+
+let sb_model_sack m ~ack blocks =
+  let invalid = ref 0 and spurious = ref 0 and accepted = ref [] in
+  let blocks =
+    match blocks with
+    | (l, r) :: rest
+      when l < r && r <= m.snd_nxt
+           && List.exists (fun (l', r') -> l' <= l && r <= r') rest ->
+        incr spurious;
+        rest
+    | _ -> blocks
+  in
+  List.iter
+    (fun (l, r) ->
+      if l >= r || r > m.snd_nxt then incr invalid
+      else if r <= ack then incr spurious
+      else if List.exists (fun (l', r') -> l < r' && l' < r) !accepted then
+        incr invalid
+      else begin
+        accepted := (l, r) :: !accepted;
+        let l = max l ack in
+        List.iter
+          (fun (s, len) ->
+            if s >= l && s + len <= r then m.sacked <- Iset.add s m.sacked)
+          m.flight
+      end)
+    blocks;
+  (List.length !accepted, !invalid, !spurious)
+
+let sb_model_holes m ~cap =
+  let sacked_above s = Iset.cardinal (Iset.filter (fun x -> x > s) m.sacked) in
+  let is_lost s = sacked_above s >= Cc.dupthresh in
+  let rexmit_in_pipe s =
+    match List.assoc_opt s m.resent with
+    | Some at -> m.now -. at < sb_retry_after
+    | None -> false
+  in
+  let unsacked = List.filter (fun (s, _) -> not (Iset.mem s m.sacked)) m.flight in
+  let pipe =
+    List.fold_left
+      (fun p (s, len) -> if (not (is_lost s)) || rexmit_in_pipe s then p + len else p)
+      0 unsacked
+  in
+  let _, chosen =
+    List.fold_left
+      (fun (pipe, chosen) (s, len) ->
+        if is_lost s && (not (rexmit_in_pipe s)) && pipe < cap then
+          (pipe + len, s :: chosen)
+        else (pipe, chosen))
+      (pipe, []) unsacked
+  in
+  let chosen = List.rev chosen in
+  m.resent <-
+    List.map (fun s -> (s, m.now)) chosen
+    @ List.filter (fun (s, _) -> not (List.mem s chosen)) m.resent;
+  chosen
+
+let prop_scoreboard_model =
+  QCheck.Test.make ~count:300 ~name:"scoreboard model"
+    QCheck.(
+      pair bool
+        (make ~print:(fun l -> String.concat " " (List.map print_sb_op l))
+           Gen.(list_size (int_range 1 40) gen_sb_op)))
+    (fun (sack, ops) ->
+      let sb = Scoreboard.create ~sack in
+      let m =
+        { flight = []; sacked = Iset.empty; resent = []; snd_nxt = 5000; now = 0.0 }
+      in
+      let snd_una () = match m.flight with (s, _) :: _ -> s | [] -> m.snd_nxt in
+      let agrees () =
+        List.map
+          (fun (s : unit Scoreboard.seg) -> (s.seq, s.len, s.sacked))
+          (Scoreboard.segments sb)
+        = List.map (fun (s, l) -> (s, l, Iset.mem s m.sacked)) m.flight
+        && Option.map (fun (s : unit Scoreboard.seg) -> s.seq) (Scoreboard.first_unsacked sb)
+           = Option.map fst
+               (List.find_opt (fun (s, _) -> not (Iset.mem s m.sacked)) m.flight)
+        &&
+        let n = List.length m.flight and k = Iset.cardinal m.sacked in
+        Scoreboard.dupack_threshold sb
+        = (if sack && n > 0 && n < 1 + Cc.dupthresh && k = n - 1 then max 1 (n - 1)
+           else Cc.dupthresh)
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Sb_send lens ->
+                List.iter
+                  (fun len ->
+                    Scoreboard.add sb ~seq:m.snd_nxt ~len ();
+                    m.flight <- m.flight @ [ (m.snd_nxt, len) ];
+                    m.snd_nxt <- m.snd_nxt + len)
+                  lens;
+                true
+            | Sb_ack (adv, mid, seeds, dsack) ->
+                let segs = Array.of_list m.flight in
+                let k = min adv (Array.length segs) in
+                let ack =
+                  if k = Array.length segs then m.snd_nxt
+                  else fst segs.(k) + if mid then 1 else 0
+                in
+                let ack = max ack (snd_una ()) in
+                let blocks = List.map (sb_block m ~ack) seeds in
+                let blocks =
+                  match (dsack, List.rev blocks) with
+                  | true, (l, r) :: _ when r - l >= 2 -> (l + 1, r - 1) :: blocks
+                  | _ -> blocks
+                in
+                let c = Scoreboard.process_sack sb ~ack ~snd_nxt:m.snd_nxt blocks in
+                let expect = sb_model_sack m ~ack blocks in
+                Scoreboard.pop_acked sb ~ack ignore;
+                m.flight <- List.filter (fun (s, len) -> s + len > ack) m.flight;
+                m.sacked <- Iset.filter (fun s -> List.mem_assoc s m.flight) m.sacked;
+                m.resent <- List.filter (fun (s, _) -> List.mem_assoc s m.flight) m.resent;
+                (c.accepted, c.invalid, c.spurious) = expect
+            | Sb_holes (cap, dt) ->
+                m.now <- m.now +. float_of_int dt;
+                let got = ref [] in
+                Scoreboard.iter_holes sb ~cap:(cap * 100) ~now:m.now
+                  ~retry_after:sb_retry_after (fun s ->
+                    got := s.seq :: !got;
+                    Scoreboard.mark_resent s ~now:m.now);
+                let expect = if sack then sb_model_holes m ~cap:(cap * 100) else [] in
+                List.rev !got = expect
+            | Sb_renege ->
+                Scoreboard.renege sb;
+                m.sacked <- Iset.empty;
+                m.resent <- [];
+                true
+            | Sb_recovered ->
+                Scoreboard.clear_resent sb;
+                m.resent <- [];
+                true
+          in
+          step_ok && agrees ())
+        ops)
+
+(* Cc: random sends, new acks (possibly partial), duplicate acks and
+   timeouts, driven through [Cc] the way [Socket] drives it and through a
+   transcription of the RFCs.  This stack departs from them in two
+   documented ways, mirrored here: a partial ack does not deflate cwnd,
+   and recovery inflation stops once the duplicates outnumber the
+   segments outstanding. *)
+
+type cc_model = {
+  mutable m_cwnd : int;
+  mutable m_ssthresh : int;
+  mutable bytes_acked : int;  (* RFC 3465 *)
+  mutable dups : int;
+  mutable fast_recovery : bool;
+  mutable recover : int;  (* RFC 6582 *)
+}
+
+type cc_op =
+  | Cc_send of int  (* segments *)
+  | Cc_ack of int * bool  (* bytes, no unsacked segment left *)
+  | Cc_dup of bool * bool  (* early-retransmit threshold, a hole to resend *)
+  | Cc_timeout
+
+let cc_mss = 100
+
+let gen_cc_op =
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun k -> Cc_send k) (int_range 1 8));
+        ( 4,
+          map (fun (n, e) -> Cc_ack (n, e))
+            (pair (int_range 1 400) (frequency [ (6, return false); (1, return true) ])) );
+        ( 5,
+          map (fun (e, h) -> Cc_dup (e, h))
+            (pair (frequency [ (5, return false); (1, return true) ])
+               (frequency [ (8, return true); (1, return false) ])) );
+        (1, return Cc_timeout) ])
+
+let print_cc_op = function
+  | Cc_send k -> Printf.sprintf "send %d" k
+  | Cc_ack (n, e) -> Printf.sprintf "ack %d%s" n (if e then "!" else "")
+  | Cc_dup (e, h) -> Printf.sprintf "dup%s%s" (if e then "(early)" else "") (if h then "" else "(no hole)")
+  | Cc_timeout -> "timeout"
+
+(* One event applied to both; [true] when cwnd and ssthresh agree. *)
+let cc_run ~enabled ops =
+  let cc = Cc.create ~mss:cc_mss ~enabled in
+  let m =
+    { m_cwnd = 2 * cc_mss; m_ssthresh = 64 * 1024; bytes_acked = 0; dups = 0;
+      fast_recovery = false; recover = 0 }
+  in
+  let snd_una = ref 0 and snd_nxt = ref 0 in
+  let flight () = !snd_nxt - !snd_una in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Cc_send k -> snd_nxt := !snd_nxt + (k * cc_mss)
+      | Cc_ack (n, no_hole) when flight () > 0 ->
+          let n = min n (flight ()) in
+          ignore (Cc.ack cc ~acked:n);
+          snd_una := !snd_una + n;
+          (match Cc.recovery_ack cc ~ack:!snd_una with
+          | Cc.Partial_ack when no_hole -> Cc.leave_recovery cc
+          | _ -> ());
+          (* RFC 5681 §3.1 with RFC 3465 (L = 1 SMSS); no growth during
+             fast recovery *)
+          m.dups <- 0;
+          if enabled && not m.fast_recovery then begin
+            if m.m_cwnd < m.m_ssthresh then m.m_cwnd <- m.m_cwnd + min n cc_mss
+            else begin
+              m.bytes_acked <- m.bytes_acked + n;
+              if m.bytes_acked >= m.m_cwnd then begin
+                m.bytes_acked <- m.bytes_acked - m.m_cwnd;
+                m.m_cwnd <- m.m_cwnd + cc_mss
+              end
+            end
+          end;
+          (* RFC 6582: a full ack ends recovery with cwnd = ssthresh *)
+          if m.fast_recovery then
+            if !snd_una >= m.recover then begin
+              m.fast_recovery <- false;
+              if enabled then m.m_cwnd <- m.m_ssthresh
+            end
+            else if no_hole then m.fast_recovery <- false
+      | Cc_ack _ -> ()
+      | Cc_dup (early, hole) when flight () > 0 ->
+          let outstanding = (flight () + cc_mss - 1) / cc_mss in
+          let threshold = if early then max 1 (outstanding - 1) else Cc.dupthresh in
+          (match Cc.dupack cc ~threshold ~outstanding with
+          | Cc.Threshold when hole ->
+              ignore (Cc.fast_loss cc ~recover:!snd_nxt ~in_flight:(flight ()))
+          | _ -> ());
+          (* RFC 5681 §3.2 *)
+          m.dups <- m.dups + 1;
+          if m.dups = threshold && not m.fast_recovery then begin
+            if hole then begin
+              m.fast_recovery <- true;
+              m.recover <- !snd_nxt;
+              if enabled then begin
+                m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
+                m.m_cwnd <- m.m_ssthresh + (3 * cc_mss)
+              end
+            end
+          end
+          else if m.fast_recovery && m.dups > threshold && m.dups <= outstanding
+                  && enabled
+          then m.m_cwnd <- m.m_cwnd + cc_mss
+      | Cc_dup _ -> ()
+      | Cc_timeout ->
+          ignore (Cc.timeout cc ~in_flight:(flight ()));
+          (* RFC 5681 §3.1: ssthresh = max (FlightSize / 2, 2 SMSS),
+             cwnd = LW = 1 SMSS *)
+          m.fast_recovery <- false;
+          m.dups <- 0;
+          if enabled then begin
+            m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
+            m.m_cwnd <- cc_mss
+          end);
+      Cc.cwnd cc = m.m_cwnd
+      && Cc.ssthresh cc = m.m_ssthresh
+      && Cc.in_recovery cc = m.fast_recovery
+      && Cc.window cc = if enabled then m.m_cwnd else max_int)
+    ops
+
+let arb_cc_ops =
+  QCheck.make ~print:(fun l -> String.concat ", " (List.map print_cc_op l))
+    QCheck.Gen.(list_size (int_range 1 60) gen_cc_op)
+
+let prop_cc_model =
+  QCheck.Test.make ~count:500 ~name:"cc model"
+    QCheck.(pair bool arb_cc_ops)
+    (fun (enabled, ops) -> cc_run ~enabled ops)
+
+(* Ack division: one segment's worth of ack split into pieces earns no
+   more window than the same ack whole.  The histories start with a
+   timeout (so congestion avoidance is reached quickly) and then only
+   send, duplicate-ack and acknowledge at most one MSS at a time.  That
+   keeps the RFC 3465 byte counter below one window, which a second
+   window cut or a stretch ack does not: [Cc] keeps the counter across a
+   cut, and the left-over credit then grows cwnd one MSS per ack, divided
+   or not. *)
+let prop_cc_ack_division =
+  QCheck.Test.make ~count:300 ~name:"cc ack division earns nothing"
+    QCheck.(
+      pair (pair (int_range 0 4000) arb_cc_ops)
+        (pair (int_range 1 cc_mss) (int_range 2 10)))
+    (fun ((cut_flight, ops), (bytes, pieces)) ->
+      let replay () =
+        let cc = Cc.create ~mss:cc_mss ~enabled:true in
+        ignore (Cc.timeout cc ~in_flight:cut_flight);
+        let una = ref 0 and nxt = ref 0 in
+        List.iter
+          (function
+            | Cc_send k -> nxt := !nxt + (k * cc_mss)
+            | Cc_ack (n, _) ->
+                let n = min (min n cc_mss) (!nxt - !una) in
+                if n > 0 then begin
+                  ignore (Cc.ack cc ~acked:n);
+                  una := !una + n;
+                  ignore (Cc.recovery_ack cc ~ack:!una)
+                end
+            | Cc_dup _ ->
+                if !nxt > !una then
+                  ignore
+                    (Cc.dupack cc ~threshold:Cc.dupthresh
+                       ~outstanding:((!nxt - !una) / cc_mss))
+            | Cc_timeout -> ())
+          ops;
+        cc
+      in
+      let whole = replay () and divided = replay () in
+      ignore (Cc.ack whole ~acked:bytes);
+      let piece = max 1 (bytes / pieces) in
+      let rec split left =
+        if left > 0 then begin
+          ignore (Cc.ack divided ~acked:(min piece left));
+          split (left - piece)
+        end
+      in
+      split bytes;
+      Cc.cwnd divided <= Cc.cwnd whole && Cc.ssthresh divided = Cc.ssthresh whole)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "tcp"
@@ -2007,7 +2394,6 @@ let () =
           Alcotest.test_case "abort: retry exhausted" `Quick
             test_abort_retry_exhausted;
           Alcotest.test_case "fast retransmit" `Quick test_fast_retransmit;
-          Alcotest.test_case "delayed acks" `Quick test_delayed_acks;
           Alcotest.test_case "send errors" `Quick test_send_errors;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
           Alcotest.test_case "congestion window dynamics" `Quick
@@ -2097,4 +2483,6 @@ let () =
             test_fin_with_queued_stream_tsdus;
           Alcotest.test_case "FIN/RST crossing in flight" `Quick
             test_fin_rst_crossing;
-          Alcotest.test_case "reset_for shapes" `Quick test_reset_for_shapes ] ) ]
+          Alcotest.test_case "reset_for shapes" `Quick test_reset_for_shapes ] );
+      ( "models",
+        [ qc prop_scoreboard_model; qc prop_cc_model; qc prop_cc_ack_division ] ) ]
