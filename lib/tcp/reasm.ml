@@ -1,8 +1,9 @@
 type entry = Stashed of { slot : int; len : int } | Placed of { len : int; psh : bool }
 
-type arrival = Held | Place of int | Stash of int | No_slot
+type arrival = Beyond_window | Held | Place of int | Stash of int | No_slot
 
 type t = {
+  window : int;
   sack : bool;
   free : bool array;
   held : (int, entry) Hashtbl.t;
@@ -17,8 +18,8 @@ type t = {
   mutable fr_elen : int;
 }
 
-let create ~slots ~sack =
-  { sack; free = Array.make slots true; held = Hashtbl.create 8; last = -1;
+let create ~slots ~window ~sack =
+  { window; sack; free = Array.make slots true; held = Hashtbl.create 8; last = -1;
     dsack = None; framing = false; fr_base = 0; fr_plen = 0; fr_elen = -1 }
 
 let capacity r = Array.length r.free
@@ -51,8 +52,11 @@ let free_slot r =
   in
   go 0
 
-let arrive r ~seq ~len =
-  if Hashtbl.mem r.held seq then begin
+let arrive r ~rcv_nxt ~seq ~len =
+  (* A conforming sender never sends there: a segment that claims to
+     start beyond the window had its sequence number corrupted. *)
+  if seq >= rcv_nxt + r.window then Beyond_window
+  else if Hashtbl.mem r.held seq then begin
     duplicate r ~seq ~len;
     Held
   end
@@ -76,6 +80,21 @@ let placed r ~seq ~len ~psh =
 let release r = function Stashed { slot; _ } -> r.free.(slot) <- true | Placed _ -> ()
 
 let pop r ~rcv_nxt =
+  (* A segment held where no real segment starts (its sequence number
+     was corrupted in flight) is never drained: forget it once [rcv_nxt]
+     has passed it, or it would leak its slot and be reported forever. *)
+  if
+    Hashtbl.length r.held > 0
+    && Hashtbl.fold (fun seq _ stale -> stale || seq < rcv_nxt) r.held false
+  then
+    Hashtbl.filter_map_inplace
+      (fun seq e ->
+        if seq < rcv_nxt then begin
+          release r e;
+          None
+        end
+        else Some e)
+      r.held;
   match Hashtbl.find_opt r.held rcv_nxt with
   | None -> None
   | Some e as found ->

@@ -20,9 +20,10 @@ type entry =
   | Stashed of { slot : int; len : int }
   | Placed of { len : int; psh : bool }
 
-(** [create ~slots ~sack] — [slots] stash slots; with [sack] off no block
-    is ever reported. *)
-val create : slots:int -> sack:bool -> t
+(** [create ~slots ~window ~sack] — [slots] stash slots; only segments
+    starting less than [window] bytes past [rcv_nxt] are held; with
+    [sack] off no block is ever reported. *)
+val create : slots:int -> window:int -> sack:bool -> t
 
 (** Stash slots in total. *)
 val capacity : t -> int
@@ -50,6 +51,9 @@ val beyond_frame : t -> dst_off:int -> len:int -> bool
 (** {2 Arrivals} *)
 
 (** What to do with a segment that arrived above [rcv_nxt]:
+    - [Beyond_window]: it starts at or beyond [rcv_nxt + window], where a
+      conforming sender never sends (its sequence number was corrupted);
+      drop it;
     - [Held]: a segment already starts at that sequence number (a D-SACK
       report is now pending);
     - [Place dst_off]: it lies wholly inside the current framed TSDU —
@@ -57,9 +61,9 @@ val beyond_frame : t -> dst_off:int -> len:int -> bool
     - [Stash slot]: it is now held in [slot] (the lowest free one) —
       copy it there;
     - [No_slot]: every slot is taken; drop it. *)
-type arrival = Held | Place of int | Stash of int | No_slot
+type arrival = Beyond_window | Held | Place of int | Stash of int | No_slot
 
-val arrive : t -> seq:int -> len:int -> arrival
+val arrive : t -> rcv_nxt:int -> seq:int -> len:int -> arrival
 
 (** Record a verified [Place] arrival. *)
 val placed : t -> seq:int -> len:int -> psh:bool -> unit
@@ -69,8 +73,11 @@ val placed : t -> seq:int -> len:int -> psh:bool -> unit
     (persist and keepalive probes) are not reported. *)
 val duplicate : t -> seq:int -> len:int -> unit
 
-(** [pop t ~rcv_nxt] removes and returns the held segment starting at
-    [rcv_nxt], freeing its slot. *)
+(** [pop t ~rcv_nxt] — [rcv_nxt] has advanced: forget every held segment
+    that starts below it (a segment whose sequence number was corrupted
+    is held where no real one starts, and would otherwise never be
+    drained), then remove and return the one starting at [rcv_nxt].
+    Either way its slot is freed. *)
 val pop : t -> rcv_nxt:int -> entry option
 
 (** Forget every held segment and the current frame (host crash). *)

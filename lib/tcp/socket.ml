@@ -397,7 +397,7 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     adv_window = cfg.recv_window;
     sb = Scoreboard.create ~sack:cfg.sack;
     cc = Cc.create ~mss:cfg.mss ~enabled:cfg.congestion_control;
-    reasm = Reasm.create ~slots:ooo_slots ~sack:cfg.sack;
+    reasm = Reasm.create ~slots:ooo_slots ~window:cfg.recv_window ~sack:cfg.sack;
     streams = Queue.create ();
     rto_timer = None;
     rto = Rto.create ~initial_us:cfg.rto_initial_us ~min_us:cfg.rto_min_us
@@ -1353,7 +1353,8 @@ let handle_data t (h : Tcp_header.t) ~payload_len =
   end
   else begin
     bump t c_out_of_order 1;
-    (match Reasm.arrive t.reasm ~seq:h.seq ~len:payload_len with
+    (match Reasm.arrive t.reasm ~rcv_nxt:t.rcv_nxt ~seq:h.seq ~len:payload_len with
+    | Reasm.Beyond_window -> count_drop t Out_of_window
     | Reasm.Held -> ()
     | Reasm.Place dst_off ->
         (* Final placement (the single-copy receive path): verify and

@@ -142,8 +142,10 @@ type send_error = Not_established | Message_too_big | Buffer_full | Window_full
       payload length or offset the receive handler rejected, or any data
       at a socket with no receive handler;
     - [Bad_checksum]: the end-to-end TCP checksum verdict failed;
-    - [Out_of_window]: an in-window out-of-order segment arrived with no
-      stash slot free. *)
+    - [Out_of_window]: an out-of-order segment starts at or beyond
+      [rcv_nxt + recv_window] (it is still acknowledged), an in-window
+      one arrived with no stash slot free, or a reset's sequence number
+      is not exactly the one expected next. *)
 type drop_reason = Bad_ip | Bad_header | Bad_length | Bad_checksum | Out_of_window
 
 val drop_reasons : drop_reason list

@@ -527,6 +527,46 @@ let test_fast_retransmit () =
   checkb "ip error counted" true ((Socket.stats w.b).Socket.ip_errors >= 1);
   checkb "fast retransmit fired" true ((Socket.stats w.a).Socket.fast_retransmits >= 1)
 
+let test_corrupted_seq_not_held () =
+  (* The IP checksum does not cover the TCP sequence number, so a data
+     segment can reach the receiver claiming to start where no real
+     segment does: just past its true start (held until [rcv_nxt] passes
+     it) or far beyond the window (never drained).  Neither may outlive
+     the transfer: the next in-order message must carry no SACK block,
+     and the sender must see no (false) spurious retransmission or
+     invalid block. *)
+  List.iter
+    (fun delta ->
+      let mangle n s =
+        if n <> 6 then s
+        else begin
+          (* the TCP sequence number follows the 20-byte IPv4 header *)
+          let b = Bytes.of_string s in
+          Bytes.set_int32_be b 24
+            (Int32.add (Bytes.get_int32_be b 24) (Int32.of_int delta));
+          Bytes.to_string b
+        end
+      in
+      let w = make_world ~mangle () in
+      connect w;
+      let got = Buffer.create 64 in
+      collect_into w got;
+      let msgs =
+        List.init 12 (fun i -> Printf.sprintf "%03d%s" i (String.make 200 's'))
+      in
+      transfer ~burst_us:5.0 w msgs;
+      let blocks = (Socket.stats w.b).Socket.sack_blocks_tx in
+      transfer w [ "one more" ];
+      let name what = Printf.sprintf "seq + %d: %s" delta what in
+      Alcotest.(check string) (name "stream intact")
+        (String.concat "" msgs ^ "one more") (Buffer.contents got);
+      check (name "no SACK block on the next ack") blocks
+        (Socket.stats w.b).Socket.sack_blocks_tx;
+      check (name "no spurious retransmission") 0
+        (Socket.stats w.a).Socket.spurious_retransmits;
+      check (name "no invalid block") 0 (Socket.stats w.a).Socket.sack_invalid)
+    [ 4; 1 lsl 28 ]
+
 let test_congestion_window_dynamics () =
   let w = make_world () in
   connect w;
@@ -2358,6 +2398,174 @@ let prop_cc_ack_division =
       split bytes;
       Cc.cwnd divided <= Cc.cwnd whole && Cc.ssthresh divided = Cc.ssthresh whole)
 
+(* Reasm: random arrivals (in window, beyond it, repeated, overlapping
+   others off their boundaries, stashed and placed), duplicates below
+   [rcv_nxt], in-order advances with the drain, and framed TSDUs.  The
+   model holds the same segments in a list and derives the SACK blocks
+   from a byte bitmap of what is held: its maximal runs, the run holding
+   the most recent arrival first, a pending D-SACK block ahead of them. *)
+
+type ra_op =
+  | Ra_arrive of int * int * bool  (* offset past rcv_nxt, length, verdict *)
+  | Ra_again of int * int  (* re-arrival at the n-th held segment *)
+  | Ra_dup of int * int  (* offset below rcv_nxt, length *)
+  | Ra_advance of int  (* in-order bytes accepted *)
+  | Ra_frame of int * int  (* prelude length, engine extent *)
+
+let gen_ra_op =
+  QCheck.Gen.(
+    frequency
+      [ ( 8,
+          map
+            (fun ((o, l), ok) -> Ra_arrive (o, l, ok))
+            (pair
+               (pair (int_range 1 360) (int_range 1 60))
+               (frequency [ (6, return true); (1, return false) ])) );
+        (2, map (fun (i, l) -> Ra_again (i, l)) (pair nat (int_range 1 60)));
+        (2, map (fun (o, l) -> Ra_dup (o, l)) (pair (int_range 1 80) (int_range 1 60)));
+        (4, map (fun k -> Ra_advance k) (int_range 1 90));
+        (1, map (fun (p, e) -> Ra_frame (p, e)) (pair (int_range 4 16) (int_range 1 300))) ])
+
+let print_ra_op = function
+  | Ra_arrive (o, l, ok) -> Printf.sprintf "arrive(+%d,%d%s)" o l (if ok then "" else ",bad")
+  | Ra_again (i, l) -> Printf.sprintf "again(%d,%d)" i l
+  | Ra_dup (o, l) -> Printf.sprintf "dup(-%d,%d)" o l
+  | Ra_advance k -> Printf.sprintf "advance %d" k
+  | Ra_frame (p, e) -> Printf.sprintf "frame(%d,%d)" p e
+
+(* Maximal runs of held bytes, highest first. *)
+let bitmap_runs held =
+  match held with
+  | [] -> []
+  | _ ->
+      let lo = List.fold_left (fun a (s, _, _) -> min a s) max_int held in
+      let hi = List.fold_left (fun a (s, l, _) -> max a (s + l)) 0 held in
+      let bits = Array.make (hi - lo) false in
+      List.iter (fun (s, l, _) -> Array.fill bits (s - lo) l true) held;
+      let runs = ref [] and start = ref (-1) in
+      Array.iteri
+        (fun i b ->
+          if b && !start < 0 then start := i
+          else if (not b) && !start >= 0 then begin
+            runs := (lo + !start, lo + i) :: !runs;
+            start := -1
+          end)
+        bits;
+      if !start >= 0 then runs := (lo + !start, hi) :: !runs;
+      !runs
+
+let prop_reasm_model =
+  QCheck.Test.make ~count:400 ~name:"reasm model"
+    QCheck.(
+      triple (int_range 1 6) (pair (int_range 64 300) bool)
+        (make ~print:(fun l -> String.concat " " (List.map print_ra_op l))
+           Gen.(list_size (int_range 1 60) gen_ra_op)))
+    (fun (slots, (window, sack), ops) ->
+      let r = Reasm.create ~slots ~window ~sack in
+      Reasm.set_framing r true;
+      let rcv_nxt = ref 1000 in
+      (* (seq, len, entry) *)
+      let held = ref [] and last = ref (-1) and dsack = ref None in
+      let frame = ref None in
+      let expect what b = if not b then QCheck.Test.fail_reportf "%s differs" what in
+      let note_dup seq len = if sack && len > 1 then dsack := Some (seq, seq + len) in
+      let drain () =
+        let continue = ref true in
+        while !continue do
+          held := List.filter (fun (s, _, _) -> s >= !rcv_nxt) !held;
+          let here = List.find_opt (fun (s, _, _) -> s = !rcv_nxt) !held in
+          let got = Reasm.pop r ~rcv_nxt:!rcv_nxt in
+          expect "pop" (Option.map (fun (_, _, e) -> e) here = got);
+          match here with
+          | None -> continue := false
+          | Some (s, l, e) ->
+              held := List.filter (fun (s', _, _) -> s' <> s) !held;
+              rcv_nxt := !rcv_nxt + l;
+              (match e with
+              | Reasm.Placed { psh = true; _ } ->
+                  Reasm.close_frame r;
+                  frame := None
+              | _ -> ())
+        done
+      in
+      let arrive seq len verdict =
+        let expected =
+          if seq >= !rcv_nxt + window then Reasm.Beyond_window
+          else if List.exists (fun (s, _, _) -> s = seq) !held then Reasm.Held
+          else
+            match !frame with
+            | Some (base, plen, elen) when seq + len <= base + plen + elen ->
+                Reasm.Place (seq - base - plen)
+            | _ -> (
+                let used =
+                  List.filter_map
+                    (function _, _, Reasm.Stashed { slot; _ } -> Some slot | _ -> None)
+                    !held
+                in
+                match List.find_opt (fun i -> not (List.mem i used)) (List.init slots Fun.id) with
+                | Some i -> Reasm.Stash i
+                | None -> Reasm.No_slot)
+        in
+        let got = Reasm.arrive r ~rcv_nxt:!rcv_nxt ~seq ~len in
+        expect "arrive" (got = expected);
+        match got with
+        | Reasm.Held -> note_dup seq len
+        | Reasm.Stash slot ->
+            held := (seq, len, Reasm.Stashed { slot; len }) :: !held;
+            last := seq
+        | Reasm.Place _ when verdict ->
+            let psh = (seq + len) mod 7 = 0 in
+            Reasm.placed r ~seq ~len ~psh;
+            held := (seq, len, Reasm.Placed { len; psh }) :: !held;
+            last := seq
+        | _ -> ()
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Ra_arrive (off, len, verdict) -> arrive (!rcv_nxt + off) len verdict
+          | Ra_again (i, len) -> (
+              match !held with
+              | [] -> ()
+              | h -> let s, _, _ = List.nth h (i mod List.length h) in arrive s len true)
+          | Ra_dup (off, len) ->
+              Reasm.duplicate r ~seq:(!rcv_nxt - off) ~len;
+              note_dup (!rcv_nxt - off) len
+          | Ra_advance k ->
+              rcv_nxt := !rcv_nxt + k;
+              drain ()
+          | Ra_frame (plen, elen) ->
+              if !frame = None then begin
+                Reasm.open_frame r ~seq:!rcv_nxt ~plen ~elen;
+                frame := Some (!rcv_nxt, plen, elen);
+                rcv_nxt := !rcv_nxt + plen;
+                drain ()
+              end);
+          let runs = bitmap_runs !held in
+          let runs =
+            match List.partition (fun (l, h) -> l <= !last && !last < h) runs with
+            | [ recent ], rest -> recent :: rest
+            | _ -> runs
+          in
+          let blocks =
+            if not sack then []
+            else match !dsack with Some d -> d :: runs | None -> runs
+          in
+          dsack := None;
+          expect "blocks" (Reasm.take_blocks r = blocks);
+          expect "held"
+            (Reasm.held r
+            = List.sort compare (List.map (fun (s, _, e) -> (s, e)) !held));
+          let stashed =
+            List.length
+              (List.filter (function _, _, Reasm.Stashed _ -> true | _ -> false) !held)
+          in
+          expect "slots" (Reasm.slots_in_use r = stashed && stashed <= slots);
+          expect "nothing held below rcv_nxt"
+            (List.for_all (fun (s, _) -> s >= !rcv_nxt) (Reasm.held r)))
+        ops;
+      true)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "tcp"
@@ -2394,6 +2602,8 @@ let () =
           Alcotest.test_case "abort: retry exhausted" `Quick
             test_abort_retry_exhausted;
           Alcotest.test_case "fast retransmit" `Quick test_fast_retransmit;
+          Alcotest.test_case "corrupted sequence number not held" `Quick
+            test_corrupted_seq_not_held;
           Alcotest.test_case "send errors" `Quick test_send_errors;
           Alcotest.test_case "backpressure" `Quick test_backpressure;
           Alcotest.test_case "congestion window dynamics" `Quick
@@ -2485,4 +2695,5 @@ let () =
             test_fin_rst_crossing;
           Alcotest.test_case "reset_for shapes" `Quick test_reset_for_shapes ] );
       ( "models",
-        [ qc prop_scoreboard_model; qc prop_cc_model; qc prop_cc_ack_division ] ) ]
+        [ qc prop_reasm_model; qc prop_scoreboard_model; qc prop_cc_model;
+          qc prop_cc_ack_division ] ) ]
