@@ -26,7 +26,6 @@ let capacity r = Array.length r.free
 let entry_len = function Stashed { len; _ } | Placed { len; _ } -> len
 
 let set_framing r on = r.framing <- on
-let framing r = r.framing
 let awaiting_prelude r = r.framing && r.fr_elen < 0
 
 let open_frame r ~seq ~plen ~elen =

@@ -31,7 +31,6 @@ val capacity : t -> int
 (** {2 Framed extent (v2 framing)} *)
 
 val set_framing : t -> bool -> unit
-val framing : t -> bool
 
 (** Framing is on and no TSDU is current: the next in-order segment
     must begin with a prelude. *)

@@ -71,13 +71,7 @@ let process_sack t ~ack ~snd_nxt = function
       { accepted = List.length !accepted; invalid = !invalid;
         spurious = !spurious }
 
-let first_unsacked t =
-  Queue.fold
-    (fun acc s ->
-      match acc with
-      | Some _ -> acc
-      | None -> if s.sacked then None else Some s)
-    None t.q
+let first_unsacked t = Seq.find (fun s -> not s.sacked) (Queue.to_seq t.q)
 
 let sacked_segments t =
   Queue.fold (fun n s -> if s.sacked then n + 1 else n) 0 t.q
@@ -95,32 +89,30 @@ let mark_resent s ~now =
   s.resent_at <- now
 
 let iter_holes t ~cap ~now ~retry_after f =
-  if t.sack && not (Queue.is_empty t.q) then begin
-    let total_sacked = sacked_segments t in
-    if total_sacked > 0 then begin
-      let eligible s = (not s.resent) || now -. s.resent_at >= retry_after in
-      let pipe = ref 0 in
-      let seen = ref 0 in
-      Queue.iter
-        (fun s ->
-          if s.sacked then incr seen
-          else begin
-            let lost = total_sacked - !seen >= Cc.dupthresh in
-            if (not lost) || not (eligible s) then pipe := !pipe + s.len
-          end)
-        t.q;
-      let seen = ref 0 in
-      Queue.iter
-        (fun s ->
-          if s.sacked then incr seen
-          else if
-            total_sacked - !seen >= Cc.dupthresh && eligible s && !pipe < cap
-          then begin
-            f s;
-            pipe := !pipe + s.len
-          end)
-        t.q
-    end
+  let total_sacked = if t.sack then sacked_segments t else 0 in
+  if total_sacked > 0 then begin
+    let eligible s = (not s.resent) || now -. s.resent_at >= retry_after in
+    let pipe = ref 0 in
+    let seen = ref 0 in
+    Queue.iter
+      (fun s ->
+        if s.sacked then incr seen
+        else begin
+          let lost = total_sacked - !seen >= Cc.dupthresh in
+          if (not lost) || not (eligible s) then pipe := !pipe + s.len
+        end)
+      t.q;
+    let seen = ref 0 in
+    Queue.iter
+      (fun s ->
+        if s.sacked then incr seen
+        else if
+          total_sacked - !seen >= Cc.dupthresh && eligible s && !pipe < cap
+        then begin
+          f s;
+          pipe := !pipe + s.len
+        end)
+      t.q
   end
 
 let clear_resent t = Queue.iter (fun s -> s.resent <- false) t.q

@@ -433,7 +433,6 @@ let state t = t.st
 let local_port t = t.local_port
 let set_rx_processing t p = t.rx_proc <- Some p
 let set_rx_framing t on = Reasm.set_framing t.reasm on
-let rx_framing t = Reasm.framing t.reasm
 let set_on_message t f = t.on_message <- f
 let set_on_abort t f = t.on_abort <- f
 let failure t = t.failed
@@ -509,9 +508,9 @@ let take_syscopy_send_us t =
 let machine t = t.sim.Sim.machine
 let mem t = t.sim.Sim.mem
 
-let base_header t ~flags =
+let base_header ?sack t ~flags =
   Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt ~flags ~window:t.adv_window
-    ~src_port:t.local_port ~dst_port:t.remote_port ()
+    ?sack ~src_port:t.local_port ~dst_port:t.remote_port ()
 
 (* Write the finished header to the user header area, system-copy header
    (and payload, already in the ring at [payload]) into the kernel buffer,
@@ -557,10 +556,18 @@ let transmit t header ~payload =
        ~payload:(Ipv4.encapsulate ip segment))
 
 (* A pure control segment.  [seq] (default [snd_nxt]) lets a SYN or FIN
-   be re-sent with the sequence number it first used. *)
-let send_control ?seq t ~flags =
-  let h = base_header t ~flags in
+   be re-sent with the sequence number it first used; [sack] blocks, the
+   only options this stack sends, ride on pure acks. *)
+let send_control ?seq ?sack t ~flags =
+  let h = base_header ?sack t ~flags in
   let h = match seq with Some seq -> { h with seq } | None -> h in
+  let n = List.length h.Tcp_header.sack in
+  if n > 0 then begin
+    bump t c_sack_blocks_tx n;
+    if Trace.enabled () then
+      Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
+        ~ts:(Machine.micros (machine t))
+  end;
   let ck =
     Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
   in
@@ -571,24 +578,7 @@ let send_control ?seq t ~flags =
    SACK option is attached ({!Reasm.take_blocks}). *)
 let send_ack t =
   bump t c_acks_sent 1;
-  match Reasm.take_blocks t.reasm with
-  | [] -> send_control t ~flags:Tcp_header.ack_flag
-  | blocks ->
-      let h =
-        Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt
-          ~flags:Tcp_header.ack_flag ~window:t.adv_window ~sack:blocks
-          ~src_port:t.local_port ~dst_port:t.remote_port ()
-      in
-      let n = List.length h.Tcp_header.sack in
-      bump t c_sack_blocks_tx n;
-      if Trace.enabled () then
-        Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
-          ~ts:(Machine.micros (machine t));
-      let ck =
-        Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty
-          ~payload_len:0
-      in
-      transmit t { h with checksum = ck } ~payload:None
+  send_control t ~sack:(Reasm.take_blocks t.reasm) ~flags:Tcp_header.ack_flag
 
 (* Every timer this socket can own: RTO, control (SYN/FIN), persist,
    TIME_WAIT expiry and keepalive.  Aborts and [destroy] must cancel all
@@ -643,8 +633,9 @@ let destroy t =
   t.pending_close <- false;
   Queue.clear t.streams;
   Scoreboard.clear t.sb;
-  (* The ring and the retransmission queue reserve/queue in lockstep; with the queue gone,
-     release every live reservation so ring accounting stays balanced. *)
+  (* The ring and the retransmission queue reserve/queue in lockstep;
+     with the queue gone, release every live reservation so ring
+     accounting stays balanced. *)
   let rec release_all () =
     match Ring.release t.ring with
     | Ok () -> release_all ()

@@ -317,8 +317,6 @@ val set_rx_processing : t -> rx_processing -> unit
     connection. *)
 val set_rx_framing : t -> bool -> unit
 
-val rx_framing : t -> bool
-
 (** [set_on_message t f] — [f ~len] fires once per TSDU, when its
     PSH-marked final segment is accepted in sequence, whether the TSDU
     had one segment or many.  By then the {!rx_processing} handler has

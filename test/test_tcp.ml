@@ -1,6 +1,7 @@
-(* User-level TCP: header codec, ring buffer, RTO estimation, and
+(* User-level TCP: header codec, ring buffer, RTO estimation,
    end-to-end socket behaviour under loss, reordering, duplication and
-   corruption. *)
+   corruption, and the pure reassembly, scoreboard and congestion state
+   machines checked against reference models. *)
 
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
