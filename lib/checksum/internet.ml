@@ -92,24 +92,18 @@ let ops ~len = (len + 1) / 2 * 2
 
 let checksum_mem mem ~pos ~len ~acc =
   let machine = Ilp_memsim.Mem.machine mem in
-  let acc = ref acc in
-  let i = ref pos in
-  let stop = pos + len in
-  while stop - !i >= 2 do
-    let v = Ilp_memsim.Mem.get_u16 mem !i in
-    (* add + carry fold + loop bookkeeping *)
-    Ilp_memsim.Machine.compute machine 3;
-    acc :=
-      (if acc_odd !acc then
-         add_byte (add_byte !acc (v lsr 8)) (v land 0xff)
-       else pack (fold16 (acc_sum !acc + v)) false);
-    i := !i + 2
-  done;
-  if !i < stop then begin
-    let v = Ilp_memsim.Mem.get_u8 mem !i in
+  let even = len / 2 * 2 in
+  (* Per 16-bit word: add + carry fold + loop bookkeeping. *)
+  Ilp_memsim.Machine.read_run machine ~addr:pos ~len:even ~unit:2 ~ops:3;
+  let acc =
+    if even > 0 then add_bytes acc (Ilp_memsim.Mem.raw mem) ~off:pos ~len:even
+    else acc
+  in
+  if len > even then begin
+    let v = Ilp_memsim.Mem.get_u8 mem (pos + even) in
     Ilp_memsim.Machine.compute machine 2;
-    acc := add_byte !acc v
-  end;
-  !acc
+    add_byte acc v
+  end
+  else acc
 
 let verify_string s = fold16 (acc_sum (add_string empty s)) = 0xffff

@@ -231,15 +231,10 @@ let rec stream_read_walk t m segs block i seg_start pos boff n =
           Machine.compute m ((take + 3) / 4)
       | Payload p ->
           let addr = p.addr + off_in_seg in
-          let words = take / 4 in
-          for k = 0 to words - 1 do
-            Machine.read m ~addr:(addr + (k * 4)) ~size:4;
-            Machine.compute m 1
-          done;
-          for k = words * 4 to take - 1 do
-            Machine.read m ~addr:(addr + k) ~size:1;
-            Machine.compute m 1
-          done;
+          let whole = take / 4 * 4 in
+          Machine.read_run m ~addr ~len:whole ~unit:4 ~ops:1;
+          Machine.read_run m ~addr:(addr + whole) ~len:(take - whole) ~unit:1
+            ~ops:1;
           (match t.data_path with
           | Pooled -> Bytes.blit (Mem.raw (mem t)) addr block boff take
           | Legacy ->

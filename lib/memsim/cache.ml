@@ -127,7 +127,24 @@ let access t ~addr ~write =
     if wb then writeback_bit lor filled_bit else filled_bit
   end
 
-let present t ~addr = find_way t (locate_set t addr) (locate_tag t addr) >= 0
+let way t ~addr = find_way t (locate_set t addr) (locate_tag t addr)
+let present t ~addr = way t ~addr >= 0
+
+(* [n] rounds of (read hit on [read_way]; write hit on [write_way]) leave
+   only the last round's ages behind: the read line one tick behind the
+   write line, or both on the last tick when they are the same way. *)
+let repeat_hits t ~read_way ~write_way ~n =
+  if n > 0 then
+    if write_way < 0 then begin
+      t.tick <- t.tick + n;
+      t.age.(read_way) <- t.tick
+    end
+    else begin
+      t.tick <- t.tick + (2 * n);
+      t.age.(read_way) <- t.tick - 1;
+      t.age.(write_way) <- t.tick;
+      if t.cfg.write_policy = Write_back then t.dirty.(write_way) <- true
+    end
 
 let flush t =
   Array.fill t.valid 0 (Array.length t.valid) false;

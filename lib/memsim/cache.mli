@@ -51,6 +51,19 @@ val access : t -> addr:int -> write:bool -> outcome
     without updating LRU state. *)
 val present : t -> addr:int -> bool
 
+(** [way t ~addr] is the way holding the line of [addr], or [-1] when the
+    line is not resident; LRU state is not updated. *)
+val way : t -> addr:int -> int
+
+(** [repeat_hits t ~read_way ~write_way ~n] leaves the state that [n]
+    rounds of a read hit on the resident line in [read_way] followed by a
+    write hit on the resident line in [write_way] leave ([write_way < 0]:
+    reads only), as [n] (or [2n]) calls of {!access} would: the LRU clock
+    advances once per hit, the two lines become the most recently used
+    (the write line last), and a write-back cache marks the written line
+    dirty. *)
+val repeat_hits : t -> read_way:int -> write_way:int -> n:int -> unit
+
 (** Invalidate every line (loses dirtiness; used between experiments). *)
 val flush : t -> unit
 

@@ -99,6 +99,81 @@ let data_access t kind ~addr ~size =
 let read t ~addr ~size = data_access t Stats.Read ~addr ~size
 let write t ~addr ~size = data_access t Stats.Write ~addr ~size
 
+let compute t ops =
+  if ops > 0 then
+    t.counters.(0) <- t.counters.(0) +. (float_of_int ops *. t.compute_scale)
+
+(* A run of [n] iterations, iteration [i] being: read [unit] bytes at
+   [src + i*unit]; when [copy], write [unit] bytes at [dst + i*unit];
+   charge [ops] ALU ops.  An iteration that reaches a new line is
+   simulated in full.  The iterations after it that stay inside the lines
+   it touched last, [ls] and [ld], are charged in bulk, which is exact:
+
+   - Provided [ls] is still resident when the full iteration ends (a
+     write-allocating write may have evicted it), each later read of
+     [ls] is a hit.  Each later write of [ld] is a hit if [ld] is
+     resident, and otherwise a store-around miss into a no-write-allocate
+     L1 ([ld] was just written, so a write-allocating L1 holds it).
+     Neither kind of access changes which lines are resident, so the
+     next iteration meets the same state.
+   - Such hits and store-arounds never reach L2, so the bulk sets the
+     [Stats] counts, the LRU clock and ages and the dirty bit directly,
+     and adds to the float counters exactly the terms [data_access] and
+     [compute] would add, one by one and in the same order.  A term that
+     the per-access path skips is added as +0.0, which leaves the
+     counters bit-identical: they start at +0.0 and a sum is -0.0 only
+     when both operands are. *)
+let run t ~copy ~src ~dst ~n ~unit ~ops =
+  (match unit with
+  | 1 | 2 | 4 | 8 -> ()
+  | _ -> invalid_arg "Machine: run unit");
+  let line = Cache.line_size t.l1d in
+  let drain = t.store_buffer_cycles *. float_of_int unit /. 4.0 in
+  let op_cycles = if ops > 0 then float_of_int ops *. t.compute_scale else 0.0 in
+  let i = ref 0 in
+  while !i < n do
+    let s = src + (!i * unit) and d = dst + (!i * unit) in
+    data_access t Stats.Read ~addr:s ~size:unit;
+    if copy then data_access t Stats.Write ~addr:d ~size:unit;
+    compute t ops;
+    incr i;
+    let ls = (s + unit - 1) land lnot (line - 1) in
+    let ld = (d + unit - 1) land lnot (line - 1) in
+    let k = (ls + line - s - unit) / unit in
+    let k = if copy then min k ((ld + line - d - unit) / unit) else k in
+    let k = min k (n - !i) in
+    let rw = if k > 0 then Cache.way t.l1d ~addr:ls else -1 in
+    if rw >= 0 then begin
+      let ww = if copy then Cache.way t.l1d ~addr:ld else -1 in
+      Stats.record_accesses t.stats Stats.Read ~size:unit ~n:k;
+      if copy then begin
+        Stats.record_accesses t.stats Stats.Write ~size:unit ~n:k;
+        if ww < 0 then Stats.record_misses t.stats Stats.Write ~size:unit ~level:1 ~n:k
+      end;
+      Cache.repeat_hits t.l1d ~read_way:rw ~write_way:ww ~n:k;
+      let hit = t.l1_hit_cycles in
+      let wt_drain = if copy && t.l1d_write_through then drain else 0.0 in
+      let w =
+        if not copy then 0.0
+        else if ww >= 0 then hit
+        else if t.l1d_write_through then 0.0
+        else drain
+      in
+      let ctr = t.counters in
+      for _ = 1 to k do
+        ctr.(0) <- ctr.(0) +. hit +. wt_drain +. w +. op_cycles;
+        ctr.(1) <- ctr.(1) +. hit +. wt_drain +. w
+      done;
+      i := !i + k
+    end
+  done
+
+let read_run t ~addr ~len ~unit ~ops =
+  run t ~copy:false ~src:addr ~dst:addr ~n:(len / unit) ~unit ~ops
+
+let copy_run t ~src ~dst ~len ~unit =
+  run t ~copy:true ~src ~dst ~n:(len / unit) ~unit ~ops:1
+
 let exec t (region : Code.region) =
   if region.Code.len > 0 then begin
     let line = Cache.line_size t.l1i in
@@ -114,10 +189,6 @@ let exec t (region : Code.region) =
       end
     done
   end
-
-let compute t ops =
-  if ops > 0 then
-    t.counters.(0) <- t.counters.(0) +. (float_of_int ops *. t.compute_scale)
 
 let charge_cycles t c = t.counters.(0) <- t.counters.(0) +. c
 

@@ -25,6 +25,20 @@ val read : t -> addr:int -> size:int -> unit
 
 val write : t -> addr:int -> size:int -> unit
 
+(** [read_run t ~addr ~len ~unit ~ops] charges exactly what [len / unit]
+    iterations of [read ~addr:(addr + i*unit) ~size:unit; compute ops]
+    charge — cycles, ledger and cache state alike — at about one
+    simulated cache access per line instead of one per unit.  [unit] is
+    1, 2, 4 or 8; a trailing fragment shorter than [unit] is not
+    charged. *)
+val read_run : t -> addr:int -> len:int -> unit:int -> ops:int -> unit
+
+(** [copy_run t ~src ~dst ~len ~unit] charges exactly what [len / unit]
+    iterations of [read ~addr:(src + i*unit) ~size:unit;
+    write ~addr:(dst + i*unit) ~size:unit; compute 1] charge, in the
+    same way as {!read_run}.  The ranges may overlap. *)
+val copy_run : t -> src:int -> dst:int -> len:int -> unit:int -> unit
+
 (** [exec t region] fetches a code region through the instruction cache.
     Only misses cost cycles; the execution cost itself is charged by the
     caller via {!compute}. *)

@@ -30,7 +30,7 @@ val set_u64 : t -> int -> int64 -> unit
     loop working in [unit_len]-byte accesses (1, 2, 4 or 8): each unit is
     one charged read plus one charged write plus one ALU op.  A trailing
     fragment shorter than [unit_len] is copied byte-wise.  Overlapping
-    ranges copy correctly in the forward direction. *)
+    ranges copy as [Bytes.blit] does. *)
 val blit : t -> src:int -> dst:int -> len:int -> unit_len:int -> unit
 
 (** {1 Uncharged accessors (everyone else)} *)

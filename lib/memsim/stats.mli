@@ -24,6 +24,12 @@ val record_access : t -> kind -> size:int -> unit
     [size] bytes. *)
 val record_miss : t -> kind -> size:int -> level:int -> unit
 
+(** [record_accesses t kind ~size ~n] / [record_misses t kind ~size ~level
+    ~n] count [n] accesses or misses at once. *)
+val record_accesses : t -> kind -> size:int -> n:int -> unit
+
+val record_misses : t -> kind -> size:int -> level:int -> n:int -> unit
+
 (** [accesses t kind] is the total number of accesses of that kind;
     [accesses_of_size t kind ~size] restricts to one access size. *)
 val accesses : t -> kind -> int

@@ -291,6 +291,149 @@ let test_machine_l2_cheaper_than_memory () =
       < Machine.cycles without +. 0.001)
 
 (* ------------------------------------------------------------------ *)
+(* Run charging: [Machine.read_run]/[copy_run] against the per-access
+   loops they replace, which stay here as the reference. *)
+
+let reference_read_run m ~addr ~len ~unit ~ops =
+  for i = 0 to (len / unit) - 1 do
+    Machine.read m ~addr:(addr + (i * unit)) ~size:unit;
+    Machine.compute m ops
+  done
+
+let reference_copy_run m ~src ~dst ~len ~unit =
+  for i = 0 to (len / unit) - 1 do
+    Machine.read m ~addr:(src + (i * unit)) ~size:unit;
+    Machine.write m ~addr:(dst + (i * unit)) ~size:unit;
+    Machine.compute m 1
+  done
+
+(* The seven paper machines, the tiny write-back write-allocate custom
+   machine, its direct-mapped twin, and a write-back no-write-allocate
+   variant with a non-zero hit latency, a fractional compute scale and an
+   L2, so that every term of the per-access charge is exercised. *)
+let run_machines =
+  let tiny_dm = Cache.direct_mapped ~size:256 ~line:16 in
+  Config.all
+  @ [ Config.custom ();
+      Config.custom ~name:"custom-dm" ~l1d:tiny_dm ();
+      Config.custom ~name:"custom-wb-nwa"
+        ~l1d:
+          { (Cache.set_associative ~size:256 ~line:16 ~assoc:2) with
+            Cache.write_allocate = false }
+        ~l2:(Some (Cache.set_associative ~size:1024 ~line:32 ~assoc:2))
+        ~l1_hit_ns:10.0 ~compute_scale:1.3 () ]
+
+type run_case = {
+  copy : bool;
+  src : int;
+  rel : int; (* dst: 0 anywhere, 1 overlapping src, 2 in src's L1 set *)
+  dst_raw : int;
+  len : int;
+  unit : int;
+  ops : int;
+  warm : (bool * int * int) list; (* write?, address selector, size *)
+  follow : (bool * int * int) list;
+}
+
+let print_run_case c =
+  let trace l =
+    String.concat ";"
+      (List.map (fun (w, a, z) -> Printf.sprintf "%c%d/%d" (if w then 'w' else 'r') a z) l)
+  in
+  Printf.sprintf "copy=%b src=%d rel=%d dst_raw=%d len=%d unit=%d ops=%d warm=[%s] follow=[%s]"
+    c.copy c.src c.rel c.dst_raw c.len c.unit c.ops (trace c.warm) (trace c.follow)
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let access = triple bool (int_bound 1_000_000) (oneofl [ 1; 2; 4; 8 ]) in
+  map
+    (fun ((copy, src, rel, dst_raw), (len, unit, ops), (warm, follow)) ->
+      { copy; src; rel; dst_raw; len; unit; ops; warm; follow })
+    (triple
+       (quad bool (int_range 0 8191) (int_bound 2) (int_bound 1_000_000))
+       (triple (int_bound 700) (oneofl [ 1; 2; 4; 8 ]) (int_bound 4))
+       (pair (list_size (int_bound 120) access) (list_size (int_range 1 40) access)))
+
+(* Addresses are drawn relative to the machine's geometry: near the
+   source or destination, in the same L1 set as either (so runs meet
+   conflicts and the follow-up trace tells LRU orders apart), or
+   anywhere. *)
+let run_addr (cfg : Config.t) c ~dst sel =
+  let way_bytes = cfg.Config.l1d.Cache.size / cfg.Config.l1d.Cache.assoc in
+  let near base = base + (sel / 8 mod 1200) - 200 in
+  let conflict base = base + ((1 + (sel / 8 mod 6)) * way_bytes) in
+  match sel mod 8 with
+  | 0 | 1 -> near c.src
+  | 2 | 3 -> near dst
+  | 4 -> conflict c.src
+  | 5 -> conflict dst
+  | 6 -> conflict (c.src + c.len)
+  | _ -> 1 lsl 20 + (sel / 8)
+
+let run_dst (cfg : Config.t) c =
+  let way_bytes = cfg.Config.l1d.Cache.size / cfg.Config.l1d.Cache.assoc in
+  match c.rel with
+  | 0 -> c.dst_raw mod (1 lsl 20)
+  | 1 -> max 0 (c.src + (c.dst_raw mod 129) - 64)
+  | _ -> c.src + ((1 + (c.dst_raw mod 3)) * way_bytes) + (c.dst_raw / 3 mod 5)
+
+let counters_bits m =
+  List.map Int64.bits_of_float
+    [ Machine.cycles m; Machine.stall_cycles m; Machine.ifetch_stall_cycles m ]
+
+let stats_counts m =
+  let s = Machine.stats m in
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun size ->
+          Stats.accesses_of_size s k ~size
+          :: List.map (fun level -> Stats.misses_of_size s k ~size ~level) [ 1; 2 ])
+        [ 1; 2; 4; 8 ])
+    [ Stats.Read; Stats.Write; Stats.Ifetch ]
+
+let prop_run_matches_per_access =
+  QCheck.Test.make ~count:300
+    ~name:"read_run/copy_run charge exactly what the per-access loop charges"
+    (QCheck.make ~print:print_run_case gen_run_case)
+    (fun c ->
+      List.for_all
+        (fun (cfg : Config.t) ->
+          let dst = run_dst cfg c in
+          let replay m trace =
+            List.map
+              (fun (w, sel, size) ->
+                let addr = run_addr cfg c ~dst sel in
+                if w then Machine.write m ~addr ~size else Machine.read m ~addr ~size;
+                (counters_bits m, stats_counts m))
+              trace
+          in
+          let run_with f =
+            let m = Machine.create cfg in
+            ignore (replay m c.warm);
+            f m;
+            let after = (counters_bits m, stats_counts m) in
+            (after, replay m c.follow)
+          in
+          let expected =
+            run_with (fun m ->
+                if c.copy then reference_copy_run m ~src:c.src ~dst ~len:c.len ~unit:c.unit
+                else reference_read_run m ~addr:c.src ~len:c.len ~unit:c.unit ~ops:c.ops)
+          in
+          let actual =
+            run_with (fun m ->
+                if c.copy then Machine.copy_run m ~src:c.src ~dst ~len:c.len ~unit:c.unit
+                else Machine.read_run m ~addr:c.src ~len:c.len ~unit:c.unit ~ops:c.ops)
+          in
+          expected = actual
+          || QCheck.Test.fail_reportf "differs on %s (dst %d)" cfg.Config.name dst)
+        run_machines)
+
+let test_run_rejects_bad_unit () =
+  Alcotest.check_raises "unit 3" (Invalid_argument "Machine: run unit") (fun () ->
+      Machine.read_run (tiny ()) ~addr:0 ~len:12 ~unit:3 ~ops:1)
+
+(* ------------------------------------------------------------------ *)
 (* Mem *)
 
 let test_mem_roundtrips () =
@@ -423,7 +566,9 @@ let () =
           Alcotest.test_case "store-around miss count" `Quick
             test_machine_store_around_counts_miss;
           Alcotest.test_case "L2 cheaper than memory" `Quick
-            test_machine_l2_cheaper_than_memory ] );
+            test_machine_l2_cheaper_than_memory;
+          Alcotest.test_case "run rejects a bad unit" `Quick test_run_rejects_bad_unit;
+          qc prop_run_matches_per_access ] );
       ( "mem",
         [ Alcotest.test_case "round trips" `Quick test_mem_roundtrips;
           Alcotest.test_case "big endian" `Quick test_mem_big_endian;
