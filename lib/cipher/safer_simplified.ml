@@ -92,23 +92,53 @@ let check_batch name b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds")
 
-let batch name core b ~off ~count =
-  check_batch name b ~off ~count;
-  let s = Array.make 8 0 in
-  for i = 0 to count - 1 do
-    run_block core s b (off + (i * 8))
-  done
+(* The batch kernels are [encrypt_core]/[decrypt_core] written out with
+   the key bytes in locals and the table lookups inline: no partial
+   application, closure call or scratch block per call, so a call
+   allocates nothing.  [get]/[set] are top-level for the same reason (a
+   local helper capturing [b] is a closure allocation per call). *)
+let get b o = Char.code (Bytes.unsafe_get b o)
+let set b o v = Bytes.unsafe_set b o (Char.unsafe_chr (v land 0xff))
 
 let encrypt_blocks key b ~off ~count =
-  batch "Safer_simplified.encrypt_blocks"
-    (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops)
-    b ~off ~count
+  check_batch "Safer_simplified.encrypt_blocks" b ~off ~count;
+  let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
+  let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
+  let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
+  for i = 0 to count - 1 do
+    let o = off + (i * 8) in
+    let x0 = ex.(get b o lxor k0) and x1 = lg.((get b (o + 1) + k1) land 0xff) in
+    let x2 = lg.((get b (o + 2) + k2) land 0xff) and x3 = ex.(get b (o + 3) lxor k3) in
+    let x4 = ex.(get b (o + 4) lxor k4) and x5 = lg.((get b (o + 5) + k5) land 0xff) in
+    let x6 = lg.((get b (o + 6) + k6) land 0xff) and x7 = ex.(get b (o + 7) lxor k7) in
+    set b o ((2 * x0) + x1);
+    set b (o + 1) (x0 + x1);
+    set b (o + 2) ((2 * x2) + x3);
+    set b (o + 3) (x2 + x3);
+    set b (o + 4) ((2 * x4) + x5);
+    set b (o + 5) (x4 + x5);
+    set b (o + 6) ((2 * x6) + x7);
+    set b (o + 7) (x6 + x7)
+  done
 
 let decrypt_blocks key b ~off ~count =
-  batch "Safer_simplified.decrypt_blocks"
-    (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops
-       ~spill:no_spill)
-    b ~off ~count
+  check_batch "Safer_simplified.decrypt_blocks" b ~off ~count;
+  let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
+  let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
+  let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
+  for i = 0 to count - 1 do
+    let o = off + (i * 8) in
+    let y0 = get b o and y1 = get b (o + 1) and y2 = get b (o + 2) and y3 = get b (o + 3) in
+    let y4 = get b (o + 4) and y5 = get b (o + 5) and y6 = get b (o + 6) and y7 = get b (o + 7) in
+    set b o (lg.((y0 - y1) land 0xff) lxor k0);
+    set b (o + 1) (ex.(((2 * y1) - y0) land 0xff) - k1);
+    set b (o + 2) (ex.((y2 - y3) land 0xff) - k2);
+    set b (o + 3) (lg.(((2 * y3) - y2) land 0xff) lxor k3);
+    set b (o + 4) (lg.((y4 - y5) land 0xff) lxor k4);
+    set b (o + 5) (ex.(((2 * y5) - y4) land 0xff) - k5);
+    set b (o + 6) (ex.((y6 - y7) land 0xff) - k6);
+    set b (o + 7) (lg.(((2 * y7) - y6) land 0xff) lxor k7)
+  done
 
 let encrypt_block key b off =
   with_block (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops) b off

@@ -28,8 +28,8 @@ val encrypt_string : key -> string -> string
 val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
-    8-byte blocks in place, reusing one scratch block across the whole run
-    (no per-block closure dispatch or allocation). *)
+    8-byte blocks in place, byte-identical to {!encrypt_block} on each
+    block; a call allocates nothing. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit

@@ -169,6 +169,48 @@ let test_simplified_charged_traffic () =
   let reads = Stats.accesses_of_size (Machine.stats sim.Sim.machine) Stats.Read ~size:1 in
   check "16 one-byte reads per block (8 key + 8 table)" 16 reads
 
+(* The batch kernels are written out by hand; each must stay
+   byte-identical to the per-block core, at any offset and on any data. *)
+let prop_simplified_batch_matches_core =
+  QCheck.Test.make ~count:200 ~name:"simplified SAFER batch = per-block core"
+    QCheck.(triple key8 (int_bound 7) (string_of_size Gen.(int_range 0 160)))
+    (fun (k, off, s) ->
+      let key = Safer_simplified.expand_key k in
+      let off = min off (String.length s) in
+      let count = (String.length s - off) / 8 in
+      let per_block f =
+        let b = Bytes.of_string s in
+        for i = 0 to count - 1 do
+          f key b (off + (i * 8))
+        done;
+        Bytes.to_string b
+      in
+      let batched f =
+        let b = Bytes.of_string s in
+        f key b ~off ~count;
+        Bytes.to_string b
+      in
+      batched Safer_simplified.encrypt_blocks = per_block Safer_simplified.encrypt_block
+      && batched Safer_simplified.decrypt_blocks = per_block Safer_simplified.decrypt_block)
+
+let test_simplified_batch_allocates_nothing () =
+  let key = Safer_simplified.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
+  let b = Bytes.make 4096 'x' in
+  let n = 1000 in
+  let words f =
+    f key b ~off:0 ~count:512;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f key b ~off:0 ~count:512
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let enc = words Safer_simplified.encrypt_blocks in
+  let dec = words Safer_simplified.decrypt_blocks in
+  checkb (Printf.sprintf "0 minor words per call (encrypt %.3f, decrypt %.3f)" enc dec)
+    true
+    (enc < 0.01 && dec < 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Simple cipher *)
 
@@ -306,7 +348,10 @@ let () =
           Alcotest.test_case "actually encrypts" `Quick test_simplified_actually_encrypts;
           Alcotest.test_case "per-byte memory traffic" `Quick
             test_simplified_charged_traffic;
-          qc prop_simplified_roundtrip ] );
+          Alcotest.test_case "batch allocates nothing" `Quick
+            test_simplified_batch_allocates_nothing;
+          qc prop_simplified_roundtrip;
+          qc prop_simplified_batch_matches_core ] );
       ( "simple",
         [ Alcotest.test_case "no table traffic" `Quick test_simple_no_table_traffic;
           Alcotest.test_case "store units" `Quick test_store_units;
