@@ -1531,7 +1531,7 @@ let handle_datagram t (dgram : Datagram.t) =
          so anything else is a misbehaving peer's frame. *)
       count_drop t Bad_header
     else if
-      hdr_len > Tcp_header.size
+      total = hdr_len
       && (let open Ilp_checksum in
           let acc = Tcp_header.pseudo_acc h ~payload_len:0 in
           let acc =
@@ -1539,10 +1539,11 @@ let handle_datagram t (dgram : Datagram.t) =
           in
           Internet.finish acc <> 0)
     then begin
-      (* Pure acks normally skip checksum verification (they carry no
-         payload to protect), but the SACK machinery acts on option
-         contents — verify before letting a corrupt block reach the
-         scoreboard. *)
+      (* A segment without payload is acted on through its header alone
+         (ack number, window, flags, SACK blocks), so it is verified
+         before any of that is trusted: a corrupted ack number would
+         otherwise read as an optimistic ack.  Data segments are verified
+         by their receive path. *)
       bump t c_checksum_failures 1;
       count_drop t Bad_checksum
     end

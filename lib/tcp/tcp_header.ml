@@ -49,7 +49,7 @@ let make ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 0) ?(checksum = 0)
 (* Data offset in 32-bit words: 5 for the bare header, 6..11 with the
    canonical SACK option attached. *)
 let data_words t = (wire_size t) lsr 2
-let off_flags t = (data_words t lsl 12) lor (t.flags land 0x3f)
+let off_flags t = (data_words t lsl 12) lor (t.flags land 0xfff)
 
 (* The option bytes as 16-bit words, for checksumming and charged I/O:
    [0x0101; 0x05<<8 | len] then each block edge split high/low. *)
@@ -103,7 +103,7 @@ let read_mem_v mem ~pos ~total =
   let urgent = Mem.get_u16 mem (pos + 18) in
   Machine.compute (Mem.machine mem) 16;
   let base =
-    { src_port; dst_port; seq; ack; flags = off_flags land 0x3f; window;
+    { src_port; dst_port; seq; ack; flags = off_flags land 0xfff; window;
       checksum; urgent; sack = [] }
   in
   let words = (off_flags lsr 12) land 0xf in
@@ -162,7 +162,7 @@ let decode s ~pos =
     dst_port = u16 2;
     seq = u32 4;
     ack = u32 8;
-    flags = u16 12 land 0x3f;
+    flags = u16 12 land 0xfff;
     window = u16 14;
     checksum = u16 16;
     urgent = u16 18;

@@ -19,6 +19,9 @@ type t = {
   seq : int;  (** sequence number (kept < 2^32; this stack does not wrap) *)
   ack : int;
   flags : int;
+      (** the 12 bits below the data offset: the control bits and the
+          reserved bits, kept as received, so that {!checksum} of a
+          decoded header covers the header word that arrived *)
   window : int;
   checksum : int;
   urgent : int;

@@ -750,6 +750,28 @@ let test_resume_mid_copy_verifies_prefix () =
    separate (checksum pass then handler) and integrated (fused
    handler-with-checksum) receive paths must make the same accept/reject
    decision — same final outcome, byte count and typed failure. *)
+let rx_outcome ~mode ~salt ~positions =
+  let mangle n s =
+    if List.mem n positions && String.length s > 30 then begin
+      let b = Bytes.of_string s in
+      let i = 28 + (salt mod (String.length s - 28)) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + (salt land 0x7f))));
+      Bytes.to_string b
+    end
+    else s
+  in
+  let w = make_world ~mode ~file_len:1024 ~mangle () in
+  let req =
+    Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:400
+      ~expected:w.file
+  in
+  pump_settle w;
+  ( Result.is_ok req,
+    Client.transfer_complete w.client,
+    Client.rejected w.client,
+    Client.bytes_received w.client,
+    Option.map Client.failure_to_string (Client.failure w.client) )
+
 let prop_rx_modes_equivalent_under_corruption =
   QCheck.Test.make ~count:20
     ~name:"ILP and separate rx accept/reject corrupted segments identically"
@@ -757,30 +779,60 @@ let prop_rx_modes_equivalent_under_corruption =
       pair (int_range 0 1000)
         (list_of_size Gen.(int_range 0 6) (int_range 8 60)))
     (fun (salt, positions) ->
-      let outcome mode =
-        let mangle n s =
-          if List.mem n positions && String.length s > 30 then begin
-            let b = Bytes.of_string s in
-            let i = 28 + (salt mod (String.length s - 28)) in
-            Bytes.set b i
-              (Char.chr (Char.code (Bytes.get b i) lxor (1 + (salt land 0x7f))));
-            Bytes.to_string b
-          end
-          else s
-        in
-        let w = make_world ~mode ~file_len:1024 ~mangle () in
-        let req =
-          Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:400
-            ~expected:w.file
-        in
-        pump_settle w;
-        ( Result.is_ok req,
-          Client.transfer_complete w.client,
-          Client.rejected w.client,
-          Client.bytes_received w.client,
-          Option.map Client.failure_to_string (Client.failure w.client) )
-      in
-      outcome Engine.Separate = outcome Engine.Ilp)
+      rx_outcome ~mode:Engine.Separate ~salt ~positions
+      = rx_outcome ~mode:Engine.Ilp ~salt ~positions)
+
+(* Datagram 15 of this run is a pure ack whose ack number is corrupted in
+   flight.  Acted on unverified, it looked like an optimistic ack: the
+   server's data socket aborted as a misbehaving peer and the separate-mode
+   client waited forever at 800 of 1024 bytes. *)
+let test_corrupted_pure_ack_dropped () =
+  let ilp = rx_outcome ~mode:Engine.Ilp ~salt:264 ~positions:[ 15; 8; 10 ] in
+  let sep = rx_outcome ~mode:Engine.Separate ~salt:264 ~positions:[ 15; 8; 10 ] in
+  let _, complete, _, bytes, failure = sep in
+  checkb "separate completes" true complete;
+  check "every byte" 1024 bytes;
+  checkb "no failure" true (failure = None);
+  checkb "same outcome in both modes" true (ilp = sep)
+
+(* A data segment whose reserved header bits flipped in flight must be
+   dropped as Bad_checksum by both receive paths: the fused ILP path
+   checksums a decoded header, so the decode must keep the word as
+   received. *)
+let test_reserved_bits_rejected_in_both_modes () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun bit ->
+          let flipped = ref false in
+          let mangle _ s =
+            (* The first payload-carrying datagram for the client's data
+               socket (port 13); the TCP data-offset word sits at 20 + 12. *)
+            if (not !flipped) && String.length s > 40 && String.get_uint16_be s 22 = 13
+            then begin
+              flipped := true;
+              let b = Bytes.of_string s in
+              Bytes.set_uint16_be b 32 (Bytes.get_uint16_be b 32 lxor (1 lsl bit));
+              Bytes.to_string b
+            end
+            else s
+          in
+          let w = make_world ~mode ~file_len:1024 ~mangle () in
+          ignore
+            (Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:400
+               ~expected:w.file);
+          pump_settle w;
+          let label =
+            Printf.sprintf "%s, reserved bit %d"
+              (match mode with Engine.Ilp -> "ILP" | Engine.Separate -> "separate")
+              bit
+          in
+          checkb (label ^ ": flipped") true !flipped;
+          check (label ^ ": dropped Bad_checksum") 1
+            (Socket.drop_count w.cli_data Socket.Bad_checksum);
+          checkb (label ^ ": transfer completes") true (Client.transfer_complete w.client))
+        [ 6; 7; 8; 9; 10; 11 ])
+    [ Engine.Ilp; Engine.Separate ]
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and load shedding *)
@@ -989,6 +1041,10 @@ let () =
             test_dedup_replay_served_from_cache;
           Alcotest.test_case "mid-copy resume verifies prefix" `Quick
             test_resume_mid_copy_verifies_prefix;
+          Alcotest.test_case "corrupted pure ack dropped" `Quick
+            test_corrupted_pure_ack_dropped;
+          Alcotest.test_case "reserved header bits rejected in both modes" `Quick
+            test_reserved_bits_rejected_in_both_modes;
           qc prop_rx_modes_equivalent_under_corruption ] );
       ( "admission",
         [ Alcotest.test_case "oversized request refused" `Quick
