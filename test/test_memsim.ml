@@ -360,7 +360,7 @@ let gen_run_case =
    anywhere. *)
 let run_addr (cfg : Config.t) c ~dst sel =
   let way_bytes = cfg.Config.l1d.Cache.size / cfg.Config.l1d.Cache.assoc in
-  let near base = base + (sel / 8 mod 1200) - 200 in
+  let near base = max 0 (base + (sel / 8 mod 1200) - 200) in
   let conflict base = base + ((1 + (sel / 8 mod 6)) * way_bytes) in
   match sel mod 8 with
   | 0 | 1 -> near c.src
