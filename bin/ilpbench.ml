@@ -200,7 +200,7 @@ let wall_cmd =
   in
   let trials =
     Arg.(value & opt int 9
-         & info [ "trials" ] ~docv:"K" ~doc:"Trials per point (median taken).")
+         & info [ "trials" ] ~docv:"K" ~doc:"Paired separate/ILP trials per point (median taken).")
   in
   let sizes =
     Arg.(value & opt (list int) [ 1024; 8192; 65536; 524288 ]
@@ -280,13 +280,15 @@ let mem_cmd =
   let check =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Fail (exit 1) unless the single-copy gates hold: at the \
-                   largest size, bytes-copied ratio >= 2 on the native lanes \
-                   — overall and on the receive direction alone — and \
-                   minor-words ratio >= 2 on the simulated lanes, with \
-                   every pool balanced (an unreturned rx placement buffer \
-                   fails here) and disabled-path tracing allocation-free — \
-                   including across a crash-resumed transfer's aborts.")
+             ~doc:"Fail (exit 1) unless the single-copy gates hold at every \
+                   size: native lanes copy at most 2 (ILP) or 3 (separate) \
+                   host bytes per wire byte, at most 1 on the receive \
+                   direction; every lane allocates no ledger bytes and no \
+                   direct major-heap words, allocates no more minor words \
+                   per message than at the smallest size, and balances its \
+                   pool (an unreturned rx placement buffer fails here — \
+                   also across a crash-resumed transfer's aborts); and \
+                   disabled-path tracing is allocation-free.")
   in
   (* The abort-path pool gate: crash-resumed transfers tear sockets and
      server instances down mid-flight; every pooled buffer they held must
@@ -332,9 +334,10 @@ let mem_cmd =
           match gates with
           | Ok () ->
               print_endline
-                "mem gates held: pooled path moves <= half the bytes (on the \
-                 receive direction too) and allocates <= half the minor \
-                 words; pool balanced across crash-resumed aborts";
+                "mem gates held: native copies per wire byte <= 2 (ilp) / 3 \
+                 (separate), <= 1 on receive; no ledger or major-heap \
+                 allocation; minor words flat in size; pool balanced across \
+                 crash-resumed aborts";
               0
           | Error failures ->
               List.iter (fun f -> Printf.eprintf "ilpbench: mem gate: %s\n" f) failures;
@@ -351,8 +354,8 @@ let mem_cmd =
     (Cmd.info "mem"
        ~doc:
          "Memory-traffic benchmark: host bytes copied and GC allocation per \
-          message for the pooled (single-copy) versus legacy data paths, \
-          across modes, backends and sizes.")
+          message on the single-copy data path, across modes, backends and \
+          sizes.")
     Term.(const run $ out $ quick $ check)
 
 (* ------------------------------------------------------------------ *)

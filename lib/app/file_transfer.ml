@@ -24,7 +24,6 @@ type setup = {
   uniform_units : bool;
   native : bool;
   crc : bool;
-  data_path : Engine.data_path;
   pool : Ilp_fastpath.Pool.t option;
   framing : bool;
       (* negotiate the v2 ("Reverso") framed receive on the data
@@ -54,7 +53,6 @@ let default_setup ~machine ~mode =
     uniform_units = false;
     native = false;
     crc = false;
-    data_path = Engine.Pooled;
     pool = None;
     framing = false;
     file_len = Workload.paper_file_len;
@@ -150,16 +148,14 @@ let run setup =
       ~linkage:setup.linkage
       ~max_message ~coalesce_writes:setup.coalesce_writes
       ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc
-      ~data_path:setup.data_path ~pool ()
+      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
   in
   let cli_engine =
     Engine.create sim ~cipher:cli_cipher ~mode:setup.mode ~backend:(backend ())
       ~linkage:setup.linkage
       ~max_message ~coalesce_writes:setup.coalesce_writes
       ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc
-      ~data_path:setup.data_path ~pool ()
+      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
   in
   (* Teardown: return staging buffers, then audit pool balance.  With a
      caller-shared pool the count includes the caller's own outstanding

@@ -9,7 +9,9 @@
     engine per process — transfers [copies] copies of a [file_len]-byte
     file in [max_reply]-byte messages, verifies every payload byte, and
     returns per-packet processing times plus the memory-access ledgers
-    attributed to the send path, the receive path and everything else. *)
+    attributed to the send path, the receive path and everything else.
+    Both engines run the single-copy host data path over one shared
+    buffer pool, audited by [pool_leaks] after teardown. *)
 
 type cipher_choice =
   | Safer_simplified  (** the paper's main experiment *)
@@ -39,10 +41,6 @@ type setup = {
   crc : bool;
       (** enable the end-to-end CRC32 TSDU trailer on both engines
           (closes the 16-bit checksum collision hole) *)
-  data_path : Ilp_core.Engine.data_path;
-      (** host-side buffering discipline: [Pooled] (the default) is the
-          single-copy path, [Legacy] the pre-pool per-message allocation
-          baseline *)
   pool : Ilp_fastpath.Pool.t option;
       (** share a caller-owned buffer pool between both engines; [None]
           (the default) creates a fresh pool, making [pool_leaks] a

@@ -133,7 +133,8 @@ let run ?(log = fun _ -> ()) (cfg : config) =
     let cipher = ciphers.((i lsr 2) land 3) in
     let header_style = if (i lsr 4) land 1 = 0 then Engine.Leading else Engine.Trailer in
     let crc = (i lsr 5) land 1 = 1 in
-    let data_path = if (i lsr 6) land 1 = 1 then Engine.Legacy else Engine.Pooled in
+    (* Bit 6 is unused: moving framing down would reshuffle every seeded
+       summary. *)
     let framing = (i lsr 7) land 1 = 1 in
     let imp = draw_impairments st ~intensity:cfg.intensity in
     let setup =
@@ -142,7 +143,6 @@ let run ?(log = fun _ -> ()) (cfg : config) =
         native;
         header_style;
         crc;
-        data_path;
         framing;
         file_len = cfg.file_len;
         copies = cfg.copies;
@@ -152,12 +152,11 @@ let run ?(log = fun _ -> ()) (cfg : config) =
         deadline_us = cfg.deadline_us }
     in
     let tag verdict =
-      Printf.sprintf "iter %4d  %-8s %-7s %-16s %-6s %-6s %-6s %s" i
+      Printf.sprintf "iter %4d  %-8s %-7s %-16s %-6s %-6s %s" i
         (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "separate")
         (if native then "native" else "sim")
         (cipher_name cipher)
         (if crc then "crc32" else "-")
-        (match data_path with Engine.Pooled -> "pooled" | Engine.Legacy -> "legacy")
         (if framing then "framed" else "-")
         verdict
     in
@@ -790,9 +789,8 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
   and pool_leaks = ref 0 in
   for i = 0 to cfg.transfers - 1 do
     let mode = if i land 1 = 0 then Engine.Ilp else Engine.Separate in
-    let data_path =
-      if (i lsr 1) land 1 = 0 then Engine.Pooled else Engine.Legacy
-    in
+    (* Bit 1 is unused: shifting the bits above it down would reshuffle
+       every seeded summary. *)
     let crc = (i lsr 2) land 1 = 0 in
     let copies = if (i lsr 3) land 1 = 0 then 1 else 2 in
     let framing = (i lsr 4) land 1 = 1 in
@@ -810,11 +808,8 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
         ~crashes:max_crashes ~horizon_us:6_000.0
     in
     let tag verdict =
-      Printf.sprintf "xfer %3d  %-8s %-6s %-6s copies %d  %-9s %-9s  %s" i
+      Printf.sprintf "xfer %3d  %-8s %-6s copies %d  %-9s %-9s  %s" i
         (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "separate")
-        (match data_path with
-        | Engine.Pooled -> "pooled"
-        | Engine.Legacy -> "legacy")
         (if framing then "framed" else "-")
         copies
         (if on_packet then Printf.sprintf "pkt %d" trigger_n else "timed")
@@ -837,7 +832,7 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
         let e =
           Engine.create sim
             ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"soakCRSH" ())
-            ~mode ~crc32:crc ~data_path ~pool ()
+            ~mode ~crc32:crc ~pool ()
         in
         engines := e :: !engines;
         e

@@ -7,7 +7,12 @@ module Trace = Ilp_obs.Trace
 module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
 
-type lane = {
+type point = {
+  len : int;
+  wire_len : int;
+  mode : Engine.mode;
+  native : bool;
+  msgs : int;
   copied : float;
   copied_tx : float;
   copied_rx : float;
@@ -16,16 +21,6 @@ type lane = {
   minor_words : float;
   major_words : float;
   pool_balanced : bool;
-}
-
-type point = {
-  len : int;
-  wire_len : int;
-  mode : Engine.mode;
-  native : bool;
-  msgs : int;
-  legacy : lane;
-  pooled : lane;
 }
 
 type result = {
@@ -41,21 +36,15 @@ let quick_config = { sizes = [ 1024; 65536 ]; native_msgs = 16; sim_msgs = 2 }
 
 let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
 
-(* Ratio of the legacy quantity to the pooled one; a pooled lane that
-   allocates nothing at all reports a large finite factor rather than
-   infinity so the JSON stays well-formed. *)
-let ratio legacy pooled =
-  if pooled > 0.0 then legacy /. pooled else if legacy > 0.0 then 1.0e9 else 1.0
-
-(* One (payload size, mode, backend, data path) cell: a fresh world, one
-   engine, one staged message sent and received [msgs] times.  Returns the
+(* One (payload size, mode, backend) cell: a fresh world, one engine, one
+   staged message sent and received [msgs] times.  Returns the
    per-message averages of the Memtraffic ledger (host bytes the data path
    actually moved) and of the GC counters (allocation pressure).  Direct
    major-heap allocation is [Gc.counters]' major words minus promoted
    words; [Gc.allocated_bytes] cannot stand in for it, because on OCaml
    5.1 it counts minor allocation in words and major allocation in
    bytes. *)
-let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
+let measure_lane ~mode ~native ~payload_len ~msgs =
   let sim = Sim.create Config.ss10_30 in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key () in
   let backend =
@@ -66,8 +55,7 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
     else Engine.Simulated
   in
   let eng =
-    Engine.create sim ~cipher ~mode ~backend ~max_message:(payload_len + 256)
-      ~data_path ()
+    Engine.create sim ~cipher ~mode ~backend ~max_message:(payload_len + 256) ()
   in
   let payload = Workload.generate ~len:payload_len ~seed:7 in
   let payload_addr = Workload.install sim payload in
@@ -89,17 +77,11 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
         match Engine.rx_separate eng mem ~src:dst ~dst_off:0 ~len:wire_len with
         | Ok () -> ()
         | Error e -> failwith ("Memtrace: rx_separate: " ^ e)));
-    match data_path with
-    | Engine.Legacy -> (
-        match Engine.read_plaintext eng ~len:wire_len with
-        | Ok s -> ignore (Sys.opaque_identity (String.length s))
-        | Error e -> failwith ("Memtrace: read_plaintext: " ^ e))
-    | Engine.Pooled -> (
-        match Engine.read_plaintext_pooled eng ~len:wire_len with
-        | Ok (buf, _) ->
-            ignore (Sys.opaque_identity (Bytes.length buf));
-            Engine.release_plaintext eng buf
-        | Error e -> failwith ("Memtrace: read_plaintext_pooled: " ^ e))
+    match Engine.read_plaintext_pooled eng ~len:wire_len with
+    | Ok (buf, _) ->
+        ignore (Sys.opaque_identity (Bytes.length buf));
+        Engine.release_plaintext eng buf
+    | Error e -> failwith ("Memtrace: read_plaintext_pooled: " ^ e)
   in
   (* Warm-up message: draws the staging buffer, populates the pool's size
      classes and forces lazy tables, so the measured window sees the
@@ -120,15 +102,19 @@ let measure_lane ~mode ~native ~data_path ~payload_len ~msgs =
   Engine.destroy eng;
   let pool_balanced = Pool.outstanding (Engine.pool eng) = 0 in
   let per total = float_of_int total /. float_of_int msgs in
-  ( { copied = per (Mt.copied_total snap);
-      copied_tx = per (Mt.copied_tx_total snap);
-      copied_rx = per (Mt.copied_rx_total snap);
-      allocated = per (Mt.allocated_total snap);
-      alloc_blocks = per (Mt.alloc_blocks_total snap);
-      minor_words;
-      major_words;
-      pool_balanced },
-    wire_len )
+  { len = payload_len;
+    wire_len;
+    mode;
+    native;
+    msgs;
+    copied = per (Mt.copied_total snap);
+    copied_tx = per (Mt.copied_tx_total snap);
+    copied_rx = per (Mt.copied_rx_total snap);
+    allocated = per (Mt.allocated_total snap);
+    alloc_blocks = per (Mt.alloc_blocks_total snap);
+    minor_words;
+    major_words;
+    pool_balanced }
 
 (* The observability overhead probe: with tracing disabled, a burst of
    representative instrumentation calls (guarded clock read, span,
@@ -185,15 +171,7 @@ let run ?(config = default_config) () =
                 let msgs =
                   if native then config.native_msgs else config.sim_msgs
                 in
-                let legacy, wire_len =
-                  measure_lane ~mode ~native ~data_path:Engine.Legacy
-                    ~payload_len:len ~msgs
-                in
-                let pooled, _ =
-                  measure_lane ~mode ~native ~data_path:Engine.Pooled
-                    ~payload_len:len ~msgs
-                in
-                { len; wire_len; mode; native; msgs; legacy; pooled })
+                measure_lane ~mode ~native ~payload_len:len ~msgs)
               [ false; true ])
           [ Engine.Separate; Engine.Ilp ])
       (List.sort compare config.sizes)
@@ -203,20 +181,24 @@ let run ?(config = default_config) () =
 let mode_name = function Engine.Ilp -> "ilp" | Engine.Separate -> "separate"
 let backend_name native = if native then "native" else "sim"
 
-let copied_ratio p = ratio p.legacy.copied p.pooled.copied
-let tx_copied_ratio p = ratio p.legacy.copied_tx p.pooled.copied_tx
-let rx_copied_ratio p = ratio p.legacy.copied_rx p.pooled.copied_rx
-let minor_words_ratio p = ratio p.legacy.minor_words p.pooled.minor_words
+let copied_per_wire_byte p = p.copied /. float_of_int p.wire_len
+let rx_copied_per_wire_byte p = p.copied_rx /. float_of_int p.wire_len
 
-(* The acceptance gates: at the largest size, the pooled path moves at
-   most half the host bytes of the legacy path — overall AND on the
-   receive direction alone, where the contiguous zero-copy placement is
-   the whole point (native lanes, where the ledger covers the whole data
-   path) — and allocates at most half the minor-heap words (simulated
-   lanes, whose per-block staging allocations are minor-heap traffic);
-   and every lane's pool balances (an rx placement buffer that is
-   acquired but never released — e.g. leaked across an abort — shows up
-   here as an imbalance). *)
+(* Host copies per wire byte the native lanes may make: the ILP send
+   gathers straight into the ring (one copy) where the separate send
+   stages the plaintext first (two), and the receive decrypts into the
+   TSDU buffer the caller is handed (one).  Simulated lanes move bytes
+   through the charged simulator, so only their allocation is gated. *)
+let max_copied_per_wire_byte = function Engine.Ilp -> 2.0 | Engine.Separate -> 3.0
+let max_rx_copied_per_wire_byte = 1.0
+
+(* The acceptance gates, absolute bounds on every lane: native copies per
+   wire byte within the bounds above; no ledger allocation and no direct
+   major-heap allocation; minor words per message no higher than the same
+   mode and backend at the smallest size (allocation must not grow with
+   the message); every pool balanced (an rx placement buffer acquired but
+   never released — e.g. leaked across an abort — shows up here); and
+   disabled-path tracing allocation-free. *)
 let check r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -225,44 +207,41 @@ let check r =
       "disabled tracing allocates %.4f minor words per instrumentation call \
        (must be allocation-free)"
       r.disabled_trace_minor_words;
-  let largest = List.fold_left (fun a p -> max a p.len) 0 r.points in
+  let smallest = List.fold_left (fun a p -> min a p.len) max_int r.points in
   List.iter
     (fun p ->
-      if not (p.legacy.pool_balanced && p.pooled.pool_balanced) then
-        fail "%d/%s/%s: pool not balanced at exit" p.len (mode_name p.mode)
-          (backend_name p.native);
-      if p.len = largest then
-        if p.native then begin
-          if copied_ratio p < 2.0 then
-            fail "%d/%s/native: bytes-copied ratio %.2f < 2.0 (legacy %.0f, pooled %.0f)"
-              p.len (mode_name p.mode) (copied_ratio p) p.legacy.copied
-              p.pooled.copied;
-          if rx_copied_ratio p < 2.0 then
-            fail
-              "%d/%s/native: rx bytes-copied ratio %.2f < 2.0 (legacy %.0f, \
-               pooled %.0f)"
-              p.len (mode_name p.mode) (rx_copied_ratio p) p.legacy.copied_rx
-              p.pooled.copied_rx
-        end
-        else if minor_words_ratio p < 2.0 then
-          fail "%d/%s/sim: minor-words ratio %.2f < 2.0 (legacy %.0f, pooled %.0f)"
-            p.len (mode_name p.mode) (minor_words_ratio p) p.legacy.minor_words
-            p.pooled.minor_words)
+      let lane =
+        Printf.sprintf "%d/%s/%s" p.len (mode_name p.mode) (backend_name p.native)
+      in
+      if p.native then begin
+        let bound = max_copied_per_wire_byte p.mode in
+        if copied_per_wire_byte p > bound then
+          fail "%s: %.2f host copies per wire byte > %.0f" lane
+            (copied_per_wire_byte p) bound;
+        if rx_copied_per_wire_byte p > max_rx_copied_per_wire_byte then
+          fail "%s: %.2f receive copies per wire byte > %.0f" lane
+            (rx_copied_per_wire_byte p) max_rx_copied_per_wire_byte
+      end;
+      if p.allocated > 0.0 then
+        fail "%s: %.1f ledger bytes allocated per message (must be 0)" lane p.allocated;
+      if p.major_words > 0.0 then
+        fail "%s: %.1f direct major-heap words per message (must be 0)" lane
+          p.major_words;
+      (match
+         List.find_opt
+           (fun q -> q.len = smallest && q.mode = p.mode && q.native = p.native)
+           r.points
+       with
+      | Some q when p.minor_words > q.minor_words ->
+          fail "%s: %.1f minor words per message > %.1f at %d bytes" lane
+            p.minor_words q.minor_words smallest
+      | _ -> ());
+      if not p.pool_balanced then fail "%s: pool not balanced at exit" lane)
     r.points;
   match !failures with [] -> Ok () | fs -> Error (List.rev fs)
 
 (* ------------------------------------------------------------------ *)
 (* JSON trajectory (hand-rolled; the container has no JSON library).  *)
-
-let json_lane b name l =
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"%s\": {\"copied_bytes\": %.1f, \"copied_tx_bytes\": %.1f, \
-        \"copied_rx_bytes\": %.1f, \"allocated_bytes\": %.1f, \
-        \"alloc_blocks\": %.2f, \"minor_words\": %.1f, \"major_words\": %.1f, \
-        \"pool_balanced\": %b}"
-       name l.copied l.copied_tx l.copied_rx l.allocated l.alloc_blocks
-       l.minor_words l.major_words l.pool_balanced)
 
 let to_json r =
   let b = Buffer.create 2048 in
@@ -274,17 +253,16 @@ let to_json r =
       Buffer.add_string b
         (Printf.sprintf
            "    {\"len\": %d, \"wire_len\": %d, \"mode\": \"%s\", \
-            \"backend\": \"%s\", \"msgs\": %d, "
-           p.len p.wire_len (mode_name p.mode) (backend_name p.native) p.msgs);
-      json_lane b "legacy" p.legacy;
-      Buffer.add_string b ", ";
-      json_lane b "pooled" p.pooled;
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"copied_ratio\": %.2f, \"tx_copied_ratio\": %.2f, \
-            \"rx_copied_ratio\": %.2f, \"minor_words_ratio\": %.2f}"
-           (copied_ratio p) (tx_copied_ratio p) (rx_copied_ratio p)
-           (minor_words_ratio p)))
+            \"backend\": \"%s\", \"msgs\": %d, \"copied_bytes\": %.1f, \
+            \"copied_tx_bytes\": %.1f, \"copied_rx_bytes\": %.1f, \
+            \"allocated_bytes\": %.1f, \"alloc_blocks\": %.2f, \
+            \"minor_words\": %.1f, \"major_words\": %.1f, \
+            \"pool_balanced\": %b, \"copied_per_wire_byte\": %.2f, \
+            \"rx_copied_per_wire_byte\": %.2f}"
+           p.len p.wire_len (mode_name p.mode) (backend_name p.native) p.msgs
+           p.copied p.copied_tx p.copied_rx p.allocated p.alloc_blocks
+           p.minor_words p.major_words p.pool_balanced
+           (copied_per_wire_byte p) (rx_copied_per_wire_byte p)))
     r.points;
   Buffer.add_string b
     (Printf.sprintf "\n  ],\n  \"disabled_trace_minor_words_per_call\": %.4f,\n"
@@ -300,30 +278,25 @@ let write_json r ~path =
   close_out oc
 
 let print_table r =
-  let f1 = Printf.sprintf "%.0f" in
+  let f0 = Printf.sprintf "%.0f" and f2 = Printf.sprintf "%.2f" in
   Report.table
     ~header:
-      [ "bytes"; "mode"; "backend"; "copy B legacy"; "copy B pooled"; "ratio";
-        "rx B legacy"; "rx B pooled"; "rx ratio"; "mw legacy"; "mw pooled";
-        "ratio"; "major w legacy"; "major w pooled" ]
+      [ "bytes"; "mode"; "backend"; "copy B"; "copy/wire B"; "rx B";
+        "rx/wire B"; "alloc B"; "minor w"; "major w" ]
     (List.map
        (fun p ->
          [ string_of_int p.len;
            mode_name p.mode;
            backend_name p.native;
-           f1 p.legacy.copied;
-           f1 p.pooled.copied;
-           Printf.sprintf "%.1fx" (copied_ratio p);
-           f1 p.legacy.copied_rx;
-           f1 p.pooled.copied_rx;
-           Printf.sprintf "%.1fx" (rx_copied_ratio p);
-           f1 p.legacy.minor_words;
-           f1 p.pooled.minor_words;
-           Printf.sprintf "%.1fx" (minor_words_ratio p);
-           f1 p.legacy.major_words;
-           f1 p.pooled.major_words ])
+           f0 p.copied;
+           f2 (copied_per_wire_byte p);
+           f0 p.copied_rx;
+           f2 (rx_copied_per_wire_byte p);
+           f0 p.allocated;
+           f0 p.minor_words;
+           f0 p.major_words ])
        r.points);
   Report.note
     "host bytes copied per message (Memtraffic ledger; total and receive \
-     direction), GC minor words and direct major-heap words per message; \
-     legacy = pre-pool data path, pooled = single-copy\n"
+     direction, and per wire byte), ledger bytes allocated, GC minor words \
+     and direct major-heap words per message\n"

@@ -1,26 +1,30 @@
 (** Memory-traffic benchmark: the {!Ilp_fastpath.Memtraffic} ledger and
-    the GC counters, per message, for the pooled (single-copy) versus
-    legacy (per-message allocation) data paths.
+    the GC counters, per message, on the engine's single-copy host data
+    path.
 
     This is the paper's thesis applied to the host implementation itself:
     protocol cost is dominated by memory traffic, so the benchmark counts
-    bytes moved rather than (only) time.  Each point runs one engine in a
+    bytes moved rather than (only) time.  Each lane runs one engine in a
     fresh simulated world, sends and receives the same message [msgs]
     times, and averages:
 
-    - the ledger's host-bytes-copied / allocated per message — meaningful
+    - the ledger's host bytes copied / allocated per message — meaningful
       on the {e native} backend, where the ledger instruments the whole
       data path (wire kernels, ring staging, TSDU hand-off);
-    - GC minor words and allocated bytes per message — the headline for
-      the {e simulated} backend, whose legacy lane allocates a small
-      staging block per processed block (thousands of minor-heap
-      allocations per large message) while the pooled lane allocates
-      none.
+    - GC minor words and direct major-heap words per message — the
+      allocation pressure of either backend.
 
-    Results serialise to the BENCH_mem.json trajectory consumed by
-    EXPERIMENTS.md §MEM and checked by the CI perf-smoke job. *)
+    {!check} holds every lane to absolute bounds.  Results serialise to
+    the BENCH_mem.json trajectory consumed by EXPERIMENTS.md §MEM,
+    [ilpbench regress] and the CI perf-smoke job. *)
 
-type lane = {
+(** One (payload size, mode, backend) lane, averaged per message. *)
+type point = {
+  len : int;  (** payload bytes *)
+  wire_len : int;  (** encrypted on-the-wire bytes *)
+  mode : Ilp_core.Engine.mode;
+  native : bool;
+  msgs : int;  (** messages averaged over *)
   copied : float;  (** ledger: host bytes copied per message *)
   copied_tx : float;  (** the send-direction share of [copied] *)
   copied_rx : float;
@@ -34,16 +38,6 @@ type lane = {
           words minus promoted words) *)
   pool_balanced : bool;
       (** acquired = released at lane exit (engine destroyed) *)
-}
-
-type point = {
-  len : int;  (** payload bytes *)
-  wire_len : int;  (** encrypted on-the-wire bytes *)
-  mode : Ilp_core.Engine.mode;
-  native : bool;
-  msgs : int;  (** messages averaged over *)
-  legacy : lane;
-  pooled : lane;
 }
 
 type result = {
@@ -67,26 +61,26 @@ val default_config : config
 (** 1 KiB / 64 KiB with fewer messages — the CI smoke variant. *)
 val quick_config : config
 
-(** Run the matrix: sizes x (separate, ilp) x (sim, native), each with a
-    legacy and a pooled lane.  Raises [Invalid_argument] on a bad config,
-    [Failure] if any lane rejects its own message. *)
+(** Run the matrix: sizes x (separate, ilp) x (sim, native).  Raises
+    [Invalid_argument] on a bad config, [Failure] if any lane rejects its
+    own message. *)
 val run : ?config:config -> unit -> result
 
-val copied_ratio : point -> float
-(** Legacy over pooled bytes-copied (large finite value when the pooled
-    lane copies nothing). *)
+(** [copied / wire_len] and [copied_rx / wire_len]. *)
+val copied_per_wire_byte : point -> float
 
-(** Per-direction splits of {!copied_ratio}. *)
-val tx_copied_ratio : point -> float
+val rx_copied_per_wire_byte : point -> float
 
-val rx_copied_ratio : point -> float
-val minor_words_ratio : point -> float
+(** The acceptance gates, absolute at every size:
+    - native lanes: at most 2 host copies per wire byte in ILP mode and 3
+      in separate mode, and at most 1 on the receive direction;
+    - every lane: 0 ledger bytes allocated, 0 direct major-heap words,
+      minor words per message no higher than the same mode and backend
+      at the smallest size, and the pool balanced (a leaked rx placement
+      buffer fails here);
+    - disabled-path tracing allocation-free.
 
-(** The acceptance gates: at the largest size, bytes-copied ratio >= 2 on
-    the native lanes — overall and on the receive direction alone — and
-    minor-words ratio >= 2 on the simulated lanes; every lane's pool
-    balanced (a leaked rx placement buffer fails here); and disabled-path
-    tracing allocation-free.  [Error] lists each violated gate. *)
+    [Error] lists each violated gate, naming its lane. *)
 val check : result -> (unit, string list) Stdlib.result
 
 (** Serialise to the BENCH_mem.json schema (hand-rolled writer).
@@ -95,5 +89,5 @@ val to_json : result -> string
 
 val write_json : result -> path:string -> unit
 
-(** Aligned console table of the points (via {!Report}). *)
+(** Aligned console table of the lanes (via {!Report}). *)
 val print_table : result -> unit

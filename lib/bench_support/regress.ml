@@ -8,8 +8,9 @@
    (objects, arrays, strings with simple escapes, numbers, booleans,
    null).  Indicators are chosen for signal-to-noise: the wall
    benchmark's speedups are real wall-clock and get a wide band; the
-   mem ratios and stream goodputs are deterministic (simulated machine,
-   virtual time) and get a tight one. *)
+   mem copy and allocation figures and the stream goodputs are
+   deterministic (simulated machine, virtual time) and get a tight
+   one. *)
 
 type json =
   | Null
@@ -240,17 +241,19 @@ let mem_indicators ~tol j =
                         Printf.sprintf "mem.%s[len=%.0f,%s,%s]" name len mode
                           backend;
                       value = v;
-                      direction = Higher_better;
+                      direction = Lower_better;
                       tol;
                       slack = 0.0 } ]
               | None -> []
             in
-            (* Native lanes gate host-bytes ratios (the ledger covers the
-               whole data path there); simulated lanes gate the GC ratio. *)
+            (* Native lanes gate host copies per wire byte (the ledger
+               covers the whole data path there); every lane gates its
+               GC minor words. *)
             Some
-              (if backend = "native" then
-                 pick "copied_ratio" @ pick "rx_copied_ratio"
-               else pick "minor_words_ratio")
+              ((if backend = "native" then
+                  pick "copied_per_wire_byte" @ pick "rx_copied_per_wire_byte"
+                else [])
+              @ pick "minor_words")
         | _ -> None)
       (arr_member "points" j)
   in
@@ -414,7 +417,7 @@ let delta_pct v =
   else (v.v_current -. v.v_baseline) /. v.v_baseline *. 100.0
 
 let verdict_line v =
-  Printf.sprintf "%-50s %10.3f -> %10.3f  %+6.1f%% (band %.0f%%)  %s" v.v_key
+  Printf.sprintf "%-54s %10.3f -> %10.3f  %+6.1f%% (band %.0f%%)  %s" v.v_key
     v.v_baseline v.v_current (delta_pct v) (v.v_tol *. 100.0)
     (if v.v_ok then "ok" else "REGRESSION")
 
@@ -422,7 +425,7 @@ let report_lines r =
   let lines = List.map verdict_line r.verdicts in
   let missing =
     List.map
-      (fun k -> Printf.sprintf "%-50s missing from current run  REGRESSION" k)
+      (fun k -> Printf.sprintf "%-54s missing from current run  REGRESSION" k)
       r.missing_current
   in
   let skipped =

@@ -2,8 +2,10 @@
     trajectories against a committed baseline with tolerance bands.
 
     Indicators per family: wall-clock speedups per payload size (wide
-    band — real time is noisy), the deterministic mem copied/minor-words
-    ratios per point and the disabled-instrumentation allocation figure,
+    band — real time is noisy), the deterministic mem figures per lane
+    (host copies per wire byte, overall and receive, on native lanes;
+    minor words on every lane; all lower-is-better) and the
+    disabled-instrumentation allocation figure,
     and the deterministic stream gate ratio and per-point goodputs.  An
     indicator present in the baseline but absent from the current run is
     itself a regression (a silently dropped benchmark point); a family

@@ -44,23 +44,45 @@ let cipher_of_name = function
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-(* Median ns per message over [trials] samples, [warmup] discarded. *)
-let time_median ~trials ~warmup ~reps f =
-  let sample () =
-    let t0 = now_ns () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (now_ns () -. t0) /. float_of_int reps
-  in
-  for _ = 1 to warmup do
-    ignore (sample ())
+(* ns per message of [f], averaged over [reps] back-to-back calls. *)
+let sample ~reps f =
+  let t0 = now_ns () in
+  for _ = 1 to reps do
+    f ()
   done;
-  let samples = Array.init trials (fun _ -> sample ()) in
-  Array.sort compare samples;
-  Report.percentile_sorted samples 0.5
+  (now_ns () -. t0) /. float_of_int reps
 
-(* Repetitions so one trial runs for at least [budget_ns]: double a probe
+let median samples =
+  let a = Array.copy samples in
+  Array.sort compare a;
+  Report.percentile_sorted a 0.5
+
+(* Paired trials: each trial times both sides back to back (send, then
+   receive), alternating which side runs first, so a drift in host speed
+   lands on both sides of a trial alike.  Returns the per-trial
+   [(separate send, separate recv, ilp send, ilp recv)] samples, after
+   [warmup] discarded trials. *)
+let paired_trials ~trials ~warmup ~reps (send_sep, recv_sep) (send_ilp, recv_ilp) =
+  let trial i =
+    let side send recv =
+      let s = sample ~reps send in
+      (s, sample ~reps recv)
+    in
+    if i land 1 = 0 then
+      let ss, sr = side send_sep recv_sep in
+      let is, ir = side send_ilp recv_ilp in
+      (ss, sr, is, ir)
+    else
+      let is, ir = side send_ilp recv_ilp in
+      let ss, sr = side send_sep recv_sep in
+      (ss, sr, is, ir)
+  in
+  for i = 1 to warmup do
+    ignore (trial i)
+  done;
+  Array.init trials trial
+
+(* Repetitions so one timing runs for at least [budget_ns]: double a probe
    count until the probe takes >= 1/4 of the budget, then scale. *)
 let calibrate ~budget_ns f =
   let rec probe k =
@@ -119,7 +141,6 @@ let bench_point wire ~trials ~warmup ~src len =
   in
   let budget_ns = 2e6 in
   let reps = calibrate ~budget_ns send_sep in
-  let t f = time_median ~trials ~warmup ~reps f in
   (* Allocation rate: minor-heap words per message (send + recv), via
      [Gc.minor_words] deltas — the GC-pressure side of the single-copy
      story, alongside the latency medians. *)
@@ -132,20 +153,28 @@ let bench_point wire ~trials ~warmup ~src len =
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
+  let samples =
+    paired_trials ~trials ~warmup ~reps (send_sep, recv_sep) (send_ilp, recv_ilp)
+  in
+  let med f = median (Array.map f samples) in
+  let side send recv ~send_ns ~recv_ns =
+    let tx = mw send and rx = mw recv in
+    { send_ns; recv_ns; minor_words = tx +. rx; minor_words_rx = rx }
+  in
   let separate =
-    let tx = mw send_sep and rx = mw recv_sep in
-    { send_ns = t send_sep; recv_ns = t recv_sep;
-      minor_words = tx +. rx; minor_words_rx = rx }
+    side send_sep recv_sep
+      ~send_ns:(med (fun (ss, _, _, _) -> ss))
+      ~recv_ns:(med (fun (_, sr, _, _) -> sr))
   in
   let ilp =
-    let tx = mw send_ilp and rx = mw recv_ilp in
-    { send_ns = t send_ilp; recv_ns = t recv_ilp;
-      minor_words = tx +. rx; minor_words_rx = rx }
+    side send_ilp recv_ilp
+      ~send_ns:(med (fun (_, _, is, _) -> is))
+      ~recv_ns:(med (fun (_, _, _, ir) -> ir))
   in
   ignore (Sys.opaque_identity !sink);
-  let speedup =
-    (separate.send_ns +. separate.recv_ns) /. (ilp.send_ns +. ilp.recv_ns)
-  in
+  (* The median of the per-trial ratios, not a ratio of medians: each
+     ratio compares two timings taken moments apart. *)
+  let speedup = med (fun (ss, sr, is, ir) -> (ss +. sr) /. (is +. ir)) in
   { len; reps; separate; ilp; speedup }
 
 let default_sizes = [ 1024; 8192; 65536; 524288 ]
@@ -359,5 +388,6 @@ let print_table r =
            ns p.separate.minor_words_rx;
            ns p.ilp.minor_words_rx ])
        r.points);
-  Report.note "cipher %s, median of %d trials (%d warmup), host wall-clock\n"
+  Report.note
+    "cipher %s, median of %d paired trials (%d warmup), host wall-clock\n"
     r.cipher r.trials r.warmup

@@ -2,9 +2,12 @@
     the separate four-pass stack versus the fused ILP loop, timed for
     real on this host (no simulation) at several message sizes.
 
-    Each point is a median-of-[trials] measurement (after [warmup]
-    discarded trials) of ns per message, with the per-trial repetition
-    count auto-calibrated so one trial runs for at least ~2 ms.  Before
+    Each point runs [trials] paired trials (after [warmup] discarded
+    ones): a trial times the separate and the ILP kernels back to back,
+    alternating which side runs first, each sample averaging a
+    repetition count auto-calibrated to at least ~2 ms.  Times are the
+    medians over trials; the speedup is the median of the per-trial
+    ratios, so a drift in host speed between trials cancels.  Before
     any timing, both paths are cross-checked to produce byte-identical
     wire data and matching checksums — a benchmark of two kernels that
     disagree would be meaningless.
@@ -13,8 +16,8 @@
     trajectory file consumed by plotting scripts (see EXPERIMENTS.md). *)
 
 type side = {
-  send_ns : float;  (** median ns per message, send direction *)
-  recv_ns : float;  (** median ns per message, receive direction *)
+  send_ns : float;  (** median ns per message over trials, send direction *)
+  recv_ns : float;  (** median ns per message over trials, receive direction *)
   minor_words : float;
       (** minor-heap words allocated per message (send + recv), via
           [Gc.minor_words] deltas — the allocation-rate companion to the
@@ -30,8 +33,8 @@ type point = {
   separate : side;
   ilp : side;
   speedup : float;
-      (** separate total / ILP total (send + recv); > 1 means the fused
-          loop is faster *)
+      (** median over trials of separate total / ILP total (send + recv)
+          within the trial; > 1 means the fused loop is faster *)
 }
 
 type result = {

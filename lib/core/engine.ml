@@ -19,7 +19,7 @@ type rx_placement = Early | Late
 
 type backend = Simulated | Native of Ilp_fastpath.Cipher.t
 
-type data_path = Pooled | Legacy
+type data_path = Pooled
 
 type t = {
   sim : Sim.t;
@@ -32,7 +32,6 @@ type t = {
   linkage : Linkage.t;
   max_message : int;
   coalesce_writes : bool;
-  data_path : data_path;
   pool : Pool.t;
   marshal_dmf : Dmf.t;
   unmarshal_dmf : Dmf.t;
@@ -70,7 +69,7 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
     ?(linkage = Linkage.Macro)
     ?(max_message = 2048) ?(coalesce_writes = false) ?(header_style = Leading)
     ?(rx_placement = Early) ?(uniform_units = false) ?(crc32 = false)
-    ?(data_path = Pooled) ?pool () =
+    ?data_path:(_ : data_path option) ?pool () =
   (* Section 5: "uniform processing unit sizes for different data
      manipulation functions could be advantageous" — widen marshalling to
      the cipher's block so the fused loop runs one invocation per block. *)
@@ -106,7 +105,7 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
   in
   let crc = if crc32 then Some (Crc32.create sim.mem sim.alloc) else None in
   { sim; cipher; backend; fastpath; mode; header_style; rx_placement; linkage; max_message;
-    coalesce_writes; data_path; pool;
+    coalesce_writes; pool;
     marshal_dmf; unmarshal_dmf; encrypt_dmf; decrypt_dmf;
     send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = None;
     tr_acc = Array.make 2 0.0 }
@@ -116,7 +115,6 @@ let backend t = t.backend
 let crc32 t = t.crc <> None
 let header_style t = t.header_style
 let rx_placement t = t.rx_placement
-let data_path t = t.data_path
 let pool t = t.pool
 let sim t = t.sim
 let app_rx_base t = t.app_rx
@@ -209,19 +207,17 @@ let u32_be v =
 
 (* Copy [n] stream bytes starting at [pos] into [block+boff], charging
    payload bytes as application-memory reads (word-granular) and
-   generated bytes as ALU work.  The charges are identical on both data
-   paths; only the host-side copy differs — the pooled path reads the
-   backing store directly, the legacy path peeks an intermediate (the
-   pre-PR per-block allocation, kept measurable). *)
-(* Top-level recursion (not a nested [let rec], which would capture its
-   environment and allocate a closure per call): [stream_read] runs once
-   per word or cipher block of every simulated message. *)
-let rec stream_read_walk t m segs block i seg_start pos boff n =
+   generated bytes as ALU work; payload bytes are blitted straight from
+   the simulated memory's backing store [raw].  Top-level recursion (not
+   a nested [let rec], which would capture its environment and allocate
+   a closure per call): [stream_read] runs once per word or cipher block
+   of every simulated message. *)
+let rec stream_read_walk raw m segs block i seg_start pos boff n =
   if n > 0 then begin
     let seg = segs.(i) in
     let seg_len = match seg with Gen s -> String.length s | Payload p -> p.len in
     if pos >= seg_start + seg_len then
-      stream_read_walk t m segs block (i + 1) (seg_start + seg_len) pos boff n
+      stream_read_walk raw m segs block (i + 1) (seg_start + seg_len) pos boff n
     else begin
       let off_in_seg = pos - seg_start in
       let take = min n (seg_len - off_in_seg) in
@@ -235,20 +231,15 @@ let rec stream_read_walk t m segs block i seg_start pos boff n =
           Machine.read_run m ~addr ~len:whole ~unit:4 ~ops:1;
           Machine.read_run m ~addr:(addr + whole) ~len:(take - whole) ~unit:1
             ~ops:1;
-          (match t.data_path with
-          | Pooled -> Bytes.blit (Mem.raw (mem t)) addr block boff take
-          | Legacy ->
-              Mt.alloc Mt.Marshal take;
-              Bytes.blit (Mem.peek_bytes (mem t) ~pos:addr ~len:take) 0 block
-                boff take));
-      stream_read_walk t m segs block i seg_start (pos + take) (boff + take)
+          Bytes.blit raw addr block boff take);
+      stream_read_walk raw m segs block i seg_start (pos + take) (boff + take)
         (n - take)
     end
   end
 
 let stream_read t st block ~boff ~pos ~n =
   if pos + n > st.total then invalid_arg "Engine.stream_read: beyond message end";
-  stream_read_walk t (machine t) st.segs block 0 0 pos boff n
+  stream_read_walk (Mem.raw (mem t)) (machine t) st.segs block 0 0 pos boff n
 
 (* ------------------------------------------------------------------ *)
 (* Send *)
@@ -271,34 +262,19 @@ let make_stream_of_segments t body =
      its value is a stream-build-time computation over the logical body
      bytes (it cannot be folded in part order — the CRC is
      ordering-constrained), while its per-byte fold cost is charged by the
-     fill paths below.  The pooled path folds the segments in place; the
-     legacy path renders them through a Buffer first (the pre-PR copy). *)
+     fill paths below.  The segments are folded in place. *)
   let crc_segs =
     match t.crc with
     | None -> []
     | Some _ ->
+        let raw = Mem.raw (mem t) in
         let value =
-          match t.data_path with
-          | Pooled ->
-              let raw = Mem.raw (mem t) in
-              Crc32.finish
-                (List.fold_left
-                   (fun crc -> function
-                     | Seg_gen s ->
-                         Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
-                     | Seg_app { addr; len } ->
-                         Crc32.fold_bytes ~crc raw ~off:addr ~len)
-                   Crc32.init body)
-          | Legacy ->
-              let b = Buffer.create (body_len + 8) in
-              List.iter
-                (function
-                  | Seg_gen s -> Buffer.add_string b s
-                  | Seg_app { addr; len } ->
-                      Mt.alloc Mt.Checksum len;
-                      Buffer.add_bytes b (Mem.peek_bytes (mem t) ~pos:addr ~len))
-                body;
-              Crc32.string_crc (Buffer.contents b)
+          Crc32.finish
+            (List.fold_left
+               (fun crc -> function
+                 | Seg_gen s -> Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
+                 | Seg_app { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
+               Crc32.init body)
         in
         [ Gen (u32_be value) ]
   in
@@ -495,56 +471,11 @@ let fill_separate_range t plan st ~dst ~off ~len =
 (* ------------------------------------------------------------------ *)
 (* Native backend: the same wire format produced by the un-simulated
    Ilp_fastpath kernels (uncharged — native costs are wall-clock, not
-   simulated cycles; the Memtraffic ledger counts them instead).
-
-   Legacy path: the logical stream is rendered to a fresh buffer, run
-   through the wire codec into a second fresh buffer, and the ciphertext
-   poked into the ring — the pre-PR shape, kept as the measurable
-   baseline and for A/B equivalence tests.
-
-   Pooled path (single-copy): the stream is described as an iovec scatter
-   list over the backing store and assembled by the codec directly into
-   the ring at [dst]; in ILP mode the gather, encrypt and checksum happen
-   in one traversal.  No intermediate buffer exists. *)
-
-let render_stream t st =
-  Mt.alloc Mt.Marshal st.total;
-  let out = Bytes.create st.total in
-  let pos = ref 0 in
-  Array.iter
-    (fun seg ->
-      match seg with
-      | Gen s ->
-          Bytes.blit_string s 0 out !pos (String.length s);
-          Mt.copied Mt.Marshal (String.length s);
-          pos := !pos + String.length s
-      | Payload p ->
-          Mt.alloc Mt.Marshal p.len;
-          Mt.copied Mt.Marshal (2 * p.len);
-          Bytes.blit (Mem.peek_bytes (mem t) ~pos:p.addr ~len:p.len) 0 out !pos p.len;
-          pos := !pos + p.len)
-    st.segs;
-  out
-
-(* Legacy range fill: [plain] is the whole rendered plaintext. *)
-let fill_native_legacy_range t fp plain ~dst ~off ~len =
-  Mt.alloc Mt.Tcp len;
-  let wire = Bytes.create len in
-  match t.mode with
-  | Ilp ->
-      let acc =
-        Wire.send_ilp fp ~src:plain ~src_off:off ~len ~dst:wire ~dst_off:0
-      in
-      Mem.poke_bytes (mem t) ~pos:dst wire;
-      Mt.copied Mt.Tcp len;
-      Some acc
-  | Separate ->
-      (* TCP runs its own checksum pass over the ring, as in the simulated
-         separate path; the accumulator computed here is dropped. *)
-      ignore (Wire.send_separate fp ~src:plain ~src_off:off ~len ~dst:wire ~dst_off:0);
-      Mem.poke_bytes (mem t) ~pos:dst wire;
-      Mt.copied Mt.Tcp len;
-      None
+   simulated cycles; the Memtraffic ledger counts them instead).  The
+   stream is described as an iovec scatter list over the backing store
+   and assembled by the codec directly into the ring at [dst]; in ILP
+   mode the gather, encrypt and checksum happen in one traversal.  No
+   intermediate buffer exists. *)
 
 (* The iovec scatter list describing wire bytes [off, off+len): stream
    segments clipped to the range, payload runs pointing straight into the
@@ -572,7 +503,11 @@ let iovecs_of_range t st ~off ~len =
     st.segs;
   List.rev !iovs
 
-let fill_native_pooled_range t fp st ~dst ~off ~len =
+let fill_native_range t fp st ~dst ~off ~len =
+  (* Native stage spans are emitted by the Wire codec against the wall
+     clock installed via [Trace.set_clock]; the packet id is allocated
+     here so TCP's link/checksum events correlate. *)
+  if Trace.enabled () then ignore (Trace.begin_packet ());
   let raw = Mem.raw (mem t) in
   let iov = iovecs_of_range t st ~off ~len in
   match t.mode with
@@ -580,27 +515,6 @@ let fill_native_pooled_range t fp st ~dst ~off ~len =
   | Separate ->
       ignore (Wire.sendv_separate fp ~iov ~dst:raw ~dst_off:dst);
       None
-
-(* [plain] caches the legacy path's rendered plaintext: rendered afresh
-   on every send of the message (its fill at offset 0) and shared by the
-   rest of that send's ranges. *)
-let fill_native_range t fp st ~plain ~dst ~off ~len =
-  (* Native stage spans are emitted by the Wire codec against the wall
-     clock installed via [Trace.set_clock]; the packet id is allocated
-     here so TCP's link/checksum events correlate. *)
-  if Trace.enabled () then ignore (Trace.begin_packet ());
-  match t.data_path with
-  | Pooled -> fill_native_pooled_range t fp st ~dst ~off ~len
-  | Legacy ->
-      let p =
-        match !plain with
-        | Some p when off > 0 -> p
-        | _ ->
-            let p = render_stream t st in
-            plain := Some p;
-            p
-      in
-      fill_native_legacy_range t fp p ~dst ~off ~len
 
 (* ------------------------------------------------------------------ *)
 (* The one send interface: a message producible in ranges, so a socket
@@ -624,7 +538,6 @@ let prepare_stream_segments t body =
      message) and on the 8-byte units of the plan and the native codec. *)
   let bl = block_len t in
   let seg_unit = bl * 8 / gcd bl 8 in
-  let plain = ref None in
   let fill_range mem_ ~dst ~off ~len =
     ignore mem_;
     if off < 0 || len <= 0 || off + len > st.total then
@@ -634,7 +547,7 @@ let prepare_stream_segments t body =
     if off = 0 then M.inc m_sends 1;
     M.inc m_stream_fills 1;
     match t.fastpath with
-    | Some fp -> fill_native_range t fp st ~plain ~dst ~off ~len
+    | Some fp -> fill_native_range t fp st ~dst ~off ~len
     | None -> (
         match t.mode with
         | Ilp -> fill_ilp_range t plan st ~dst ~off ~len
@@ -674,16 +587,11 @@ let check_rx_len t ~dst_off ~len =
          dst_off len t.max_message)
   else Ok ()
 
-(* Native receive helpers.  Legacy: the staged ciphertext is peeked out of
-   simulated memory, run through the fast path into a fresh buffer, and
-   the plaintext poked into the application area — two intermediates per
-   message.  Pooled (the single-copy rx path): the fast path reads the
-   staged ciphertext from the backing store and lands the plaintext
+(* Native receive helpers (the single-copy rx path): the fast path reads
+   the staged ciphertext from the backing store and lands the plaintext
    directly in the engine-owned pool buffer at its final TSDU offset —
    the very buffer [read_plaintext_pooled] will hand to the in-place
-   decoders, so no delivery copy remains; the separate-path decrypt
-   consumes the staging bytes in place exactly as the simulated backend
-   does. *)
+   decoders, so no delivery copy remains. *)
 let rx_placement_buf t =
   match t.rx_dst with
   | Some b -> b
@@ -693,37 +601,12 @@ let rx_placement_buf t =
       b
 
 let rx_native_separate t fp ~src ~dst_off ~len =
-  match t.data_path with
-  | Pooled ->
-      let raw = Mem.raw (mem t) in
-      let dst = rx_placement_buf t in
-      ignore (Wire.recv_separate fp ~src:raw ~src_off:src ~len ~dst ~dst_off)
-  | Legacy ->
-      Mt.alloc_rx Mt.Tcp len;
-      Mt.copied_rx Mt.Tcp len;
-      let staged = Mem.peek_bytes (mem t) ~pos:src ~len in
-      Mt.alloc_rx Mt.Marshal len;
-      let plain = Bytes.create len in
-      ignore (Wire.recv_separate fp ~src:staged ~src_off:0 ~len ~dst:plain ~dst_off:0);
-      Mem.poke_bytes (mem t) ~pos:(t.app_rx + dst_off) plain;
-      Mt.copied_rx Mt.Rpc len
+  let dst = rx_placement_buf t in
+  ignore (Wire.recv_separate fp ~src:(Mem.raw (mem t)) ~src_off:src ~len ~dst ~dst_off)
 
 let rx_native_fused t fp ~src ~dst_off ~len =
-  match t.data_path with
-  | Pooled ->
-      let raw = Mem.raw (mem t) in
-      let dst = rx_placement_buf t in
-      Wire.recv_ilp fp ~src:raw ~src_off:src ~len ~dst ~dst_off
-  | Legacy ->
-      Mt.alloc_rx Mt.Tcp len;
-      Mt.copied_rx Mt.Tcp len;
-      let staged = Mem.peek_bytes (mem t) ~pos:src ~len in
-      Mt.alloc_rx Mt.Marshal len;
-      let plain = Bytes.create len in
-      let acc = Wire.recv_ilp fp ~src:staged ~src_off:0 ~len ~dst:plain ~dst_off:0 in
-      Mem.poke_bytes (mem t) ~pos:(t.app_rx + dst_off) plain;
-      Mt.copied_rx Mt.Rpc len;
-      acc
+  let dst = rx_placement_buf t in
+  Wire.recv_ilp fp ~src:(Mem.raw (mem t)) ~src_off:src ~len ~dst ~dst_off
 
 (* Separate receive (figure 5 left, after TCP's checksum pass): decrypt in
    place on the staging area, then unmarshal-and-copy to the application
@@ -838,13 +721,11 @@ let rx_style t =
 (* Shared validation of the plaintext at [app_rx]: the application reads
    the length field and the RPC header words (charged), rejects an
    implausible decrypted length, and verifies the CRC32 trailer when
-   enabled.  Charges are identical for both data paths — pooling changes
-   where the TSDU bytes land on the host, not what the simulated CPU
-   does.  With the native pooled path the plaintext lives in the engine's
+   enabled.  On the native backend the plaintext lives in the engine's
    host placement buffer rather than at [app_rx]; the reads then fetch
    their values from the buffer while charging the same simulated
-   accesses at the same [app_rx] addresses, preserving charge identity
-   with the legacy path. *)
+   accesses at the same [app_rx] addresses, so both backends charge the
+   same reads. *)
 let validate_plaintext t ~len =
   let m = machine t in
   let get32 addr =

@@ -36,7 +36,19 @@
     TCP ring; the message parts are processed in the B, C, A order of
     {!Parts} so the encrypted length field can be completed last.  On
     receive one loop checksums, decrypts and unmarshals while copying
-    from the staging area to application memory. *)
+    from the staging area to application memory.
+
+    {2 The host data path}
+
+    Whatever the style, the host side has one single-copy path.  On the
+    [Native] backend the send gathers the message as an iovec scatter
+    list straight into the TCP ring, and the receive decrypts each
+    arriving segment into an engine-owned pool buffer at its final TSDU
+    offset — the very buffer {!read_plaintext_pooled} then hands to the
+    caller (ownership transfer, no delivery copy).  The
+    {!Ilp_fastpath.Memtraffic} ledger counts its copies: at most 2 per
+    wire byte in ILP mode, 3 in separate mode, 1 on receive
+    ([ilpbench mem --check]). *)
 
 type mode = Ilp | Separate
 
@@ -65,18 +77,12 @@ type rx_placement = Early | Late
     for a native engine. *)
 type backend = Simulated | Native of Ilp_fastpath.Cipher.t
 
-(** Host-side data-path discipline (the single-copy work).  [Pooled] (the
-    default) stages native wire assembly as an iovec scatter list gathered
-    directly into the TCP ring, and on receive decrypts each arriving
-    segment straight into an engine-owned pool buffer at its final TSDU
-    offset — the very buffer {!read_plaintext_pooled} then hands to the
-    caller (ownership transfer, no delivery copy).  [Legacy] keeps the
-    pre-pool shape — fresh intermediate buffers on every message — as the
-    measurable baseline for the {!Ilp_fastpath.Memtraffic} ledger and for
-    A/B equivalence tests.  Both paths produce byte-identical wire output
-    and charge identical simulated cycles; only host-side copies and
-    allocations differ. *)
-type data_path = Pooled | Legacy
+(** The one host data path (see the preamble).  [Pooled] is this type's
+    only constructor, and [create]'s [?data_path] argument has no
+    effect.  Both remain only because the end-to-end benchmark's world
+    builder ([bench/e2e/world.ml]) still passes [~data_path:Pooled]; they
+    go once that caller drops it. *)
+type data_path = Pooled
 
 type t
 
@@ -117,9 +123,9 @@ val create :
     charged as one more fused stage in ILP mode and one more pass in
     separate mode.  Both endpoints must agree on this setting.
 
-    [data_path] (default [Pooled]) selects the host-side buffering
-    discipline; [pool] supplies a shared buffer pool (e.g. one pool for
-    both ends of a connection), otherwise the engine creates its own. *)
+    [data_path] is ignored (see {!data_path}).  [pool] supplies a shared
+    buffer pool (e.g. one pool for both ends of a connection), otherwise
+    the engine creates its own. *)
 
 val mode : t -> mode
 val backend : t -> backend
@@ -129,7 +135,6 @@ val crc32 : t -> bool
 
 val header_style : t -> header_style
 val rx_placement : t -> rx_placement
-val data_path : t -> data_path
 
 (** The engine's buffer pool (created or shared at {!create} time). *)
 val pool : t -> Ilp_fastpath.Pool.t

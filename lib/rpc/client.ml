@@ -253,9 +253,8 @@ let rec start_resume t ~start_copy ~start_offset =
           e)
 
 (* Allocation-free slice equality:
-   [expected.[off..off+len-1] = data.[doff..doff+len-1]] without the
-   [String.sub] the legacy compare paid per chunk.  Bounds are the
-   caller's responsibility. *)
+   [expected.[off..off+len-1] = data.[doff..doff+len-1]] without a
+   [String.sub] per chunk.  Bounds are the caller's responsibility. *)
 let slice_matches expected ~off data ~doff ~len =
   let rec go i =
     i = len
@@ -264,9 +263,8 @@ let slice_matches expected ~off data ~doff ~len =
   in
   go 0
 
-(* Status dispatch shared by both data paths; the payload is the span
-   [data.[doff..doff+dlen-1]] (a whole decoded string on the legacy path,
-   a window into the pooled TSDU buffer on the single-copy path). *)
+(* Status dispatch; the payload is the span [data.[doff..doff+dlen-1]], a
+   window into the pooled TSDU buffer. *)
 let consume_reply t hdr ~data ~doff ~dlen =
   match hdr.Messages.status with
   | Messages.Not_found | Messages.Refused ->
@@ -336,29 +334,19 @@ let consume_reply t hdr ~data ~doff ~dlen =
 let handle_reply t ~len =
   t.replies_received <- t.replies_received + 1;
   let length_at_end = Engine.header_style t.engine = Engine.Trailer in
-  match Engine.data_path t.engine with
-  | Engine.Legacy -> (
-      match Engine.read_plaintext t.engine ~len with
-      | Error e -> error t "unreadable reply: %s" e
-      | Ok plaintext -> (
-          match Messages.decode_reply ~length_at_end plaintext with
-          | Error e -> error t "undecodable reply: %s" e
-          | Ok (hdr, data) ->
-              consume_reply t hdr ~data ~doff:0 ~dlen:(String.length data)))
-  | Engine.Pooled -> (
-      (* Single-copy: the TSDU lands in a pooled buffer, the reply is
-         decoded in place, the payload compared in place, and the buffer
-         released on every path — including decode errors. *)
-      match Engine.read_plaintext_pooled t.engine ~len with
-      | Error e -> error t "unreadable reply: %s" e
-      | Ok (buf, plen) ->
-          (match Messages.decode_reply_view ~length_at_end buf ~len:plen with
-          | Error e -> error t "undecodable reply: %s" e
-          | Ok (hdr, data_off) ->
-              consume_reply t hdr
-                ~data:(Bytes.unsafe_to_string buf)
-                ~doff:data_off ~dlen:hdr.Messages.data_len);
-          Engine.release_plaintext t.engine buf)
+  (* Single-copy: the TSDU lands in a pooled buffer, the reply is decoded
+     in place, the payload compared in place, and the buffer released on
+     every path — including decode errors. *)
+  match Engine.read_plaintext_pooled t.engine ~len with
+  | Error e -> error t "unreadable reply: %s" e
+  | Ok (buf, plen) ->
+      (match Messages.decode_reply_view ~length_at_end buf ~len:plen with
+      | Error e -> error t "undecodable reply: %s" e
+      | Ok (hdr, data_off) ->
+          consume_reply t hdr
+            ~data:(Bytes.unsafe_to_string buf)
+            ~doff:data_off ~dlen:hdr.Messages.data_len);
+      Engine.release_plaintext t.engine buf
 
 (* Both connections feed the same failure slot: losing either one ends the
    transfer, and the first recorded reason is the one reported. *)

@@ -491,22 +491,15 @@ let handle_request t conn ~len =
   match
     let length_at_end = Engine.header_style t.engine = Engine.Trailer in
     let crc_trailer = Engine.crc32 t.engine in
-    match Engine.data_path t.engine with
-    | Engine.Legacy ->
-        Result.bind (Engine.read_plaintext t.engine ~len)
-          (Messages.decode_ctrl ~length_at_end ~crc_trailer)
-    | Engine.Pooled ->
-        (* Single-copy: decode the request in place from a pooled TSDU
-           buffer, released as soon as the decode finishes (the request's
-           fields are scalars plus the short file name). *)
-        Result.bind (Engine.read_plaintext_pooled t.engine ~len)
-          (fun (buf, plen) ->
-            let r =
-              Messages.decode_ctrl_bytes ~length_at_end ~crc_trailer buf
-                ~len:plen
-            in
-            Engine.release_plaintext t.engine buf;
-            r)
+    (* Single-copy: decode the request in place from a pooled TSDU buffer,
+       released as soon as the decode finishes (the request's fields are
+       scalars plus the short file name). *)
+    Result.bind (Engine.read_plaintext_pooled t.engine ~len) (fun (buf, plen) ->
+        let r =
+          Messages.decode_ctrl_bytes ~length_at_end ~crc_trailer buf ~len:plen
+        in
+        Engine.release_plaintext t.engine buf;
+        r)
   with
   | Error _ ->
       bump t.blk c_bad_requests;

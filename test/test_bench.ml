@@ -180,6 +180,133 @@ let test_regress_sack_file_self_compare () =
           "stream.goodput[pipelined,rtt=10000,loss=0.050,newreno]" ]
         (List.map (fun v -> v.B.Regress.v_key) r.B.Regress.verdicts)
 
+(* One real quick-config memory-traffic run, shared by the gate and
+   regress tests below (well under a second). *)
+let mem_run = lazy (B.Memtrace.run ~config:B.Memtrace.quick_config ())
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+(* [r] with the lane ([len], [mode], backend) replaced by [f] of it. *)
+let plant (r : B.Memtrace.result) ~len ~mode ~native f =
+  { r with
+    B.Memtrace.points =
+      List.map
+        (fun (p : B.Memtrace.point) ->
+          if p.len = len && p.mode = mode && p.native = native then f p else p)
+        r.B.Memtrace.points }
+
+let find_lane (r : B.Memtrace.result) ~len ~mode ~native =
+  List.find
+    (fun (p : B.Memtrace.point) ->
+      p.len = len && p.mode = mode && p.native = native)
+    r.B.Memtrace.points
+
+let test_memtrace_check_names_violations () =
+  let r = Lazy.force mem_run in
+  (match B.Memtrace.check r with
+  | Ok () -> ()
+  | Error fs -> Alcotest.failf "clean run fails: %s" (String.concat "; " fs));
+  let module E = Ilp_core.Engine in
+  let per_wire x (p : B.Memtrace.point) = x *. float_of_int p.wire_len in
+  let minor_1k = (find_lane r ~len:1024 ~mode:E.Ilp ~native:false).minor_words in
+  List.iter
+    (fun (what, planted, needles) ->
+      match B.Memtrace.check planted with
+      | Ok () -> Alcotest.failf "%s: not caught" what
+      | Error [ msg ] ->
+          List.iter
+            (fun needle ->
+              if not (contains msg needle) then
+                Alcotest.failf "%s: %S does not name %S" what msg needle)
+            needles
+      | Error fs ->
+          Alcotest.failf "%s: expected one failure, got %d: %s" what
+            (List.length fs) (String.concat "; " fs))
+    [ ( "ILP copies",
+        plant r ~len:65536 ~mode:E.Ilp ~native:true (fun p ->
+            { p with copied = per_wire 2.01 p }),
+        [ "65536/ilp/native"; "2.01 host copies per wire byte" ] );
+      ( "receive copies",
+        plant r ~len:1024 ~mode:E.Separate ~native:true (fun p ->
+            { p with copied_rx = per_wire 1.01 p }),
+        [ "1024/separate/native"; "1.01 receive copies per wire byte" ] );
+      ( "minor words grow with size",
+        plant r ~len:65536 ~mode:E.Ilp ~native:false (fun p ->
+            { p with minor_words = minor_1k +. 1.0 }),
+        [ "65536/ilp/sim"; "minor words" ] );
+      ( "ledger allocation",
+        plant r ~len:1024 ~mode:E.Separate ~native:false (fun p ->
+            { p with allocated = 1.0 }),
+        [ "1024/separate/sim"; "ledger bytes allocated" ] );
+      ( "major word",
+        plant r ~len:65536 ~mode:E.Separate ~native:true (fun p ->
+            { p with major_words = 1.0 }),
+        [ "65536/separate/native"; "major-heap words" ] );
+      ( "unbalanced pool",
+        plant r ~len:1024 ~mode:E.Ilp ~native:true (fun p ->
+            { p with pool_balanced = false }),
+        [ "1024/ilp/native"; "pool not balanced" ] ) ]
+
+let test_regress_mem_self_and_band () =
+  let module E = Ilp_core.Engine in
+  let r = Lazy.force mem_run in
+  let run_against cur =
+    let base = temp_dir "regress_base" and dir = temp_dir "regress_cur" in
+    write_file base "BENCH_mem.json" (B.Memtrace.to_json r);
+    write_file dir "BENCH_mem.json" (B.Memtrace.to_json cur);
+    match B.Regress.run ~baseline_dir:base ~current_dir:dir () with
+    | Error e -> Alcotest.fail e
+    | Ok rep -> rep
+  in
+  let self = run_against r in
+  checkb "a new-schema BENCH_mem.json passes against itself" true
+    (B.Regress.passed self);
+  let keys = List.map (fun v -> v.B.Regress.v_key) self.B.Regress.verdicts in
+  let expected =
+    List.concat_map
+      (fun (p : B.Memtrace.point) ->
+        let lane =
+          Printf.sprintf "[len=%d,%s,%s]" p.len
+            (match p.mode with E.Ilp -> "ilp" | E.Separate -> "separate")
+            (if p.native then "native" else "sim")
+        in
+        (if p.native then
+           [ "mem.copied_per_wire_byte" ^ lane;
+             "mem.rx_copied_per_wire_byte" ^ lane ]
+         else [])
+        @ [ "mem.minor_words" ^ lane ])
+      r.B.Memtrace.points
+    @ [ "mem.disabled_trace_minor_words_per_call" ]
+  in
+  Alcotest.(check (list string)) "one key per gated lane figure" expected keys;
+  List.iter
+    (fun v ->
+      checkb (v.B.Regress.v_key ^ " in the 10% band") true
+        (v.B.Regress.v_tol = 0.10))
+    self.B.Regress.verdicts;
+  let lane_key name = Printf.sprintf "mem.%s[len=65536,ilp,native]" name in
+  let bump f = plant r ~len:65536 ~mode:E.Ilp ~native:true f in
+  List.iter
+    (fun (name, f) ->
+      checkb (name ^ ": 11% less is not a regression (lower is better)") true
+        (B.Regress.passed (run_against (bump (f 0.89))));
+      Alcotest.(check (list string))
+        (name ^ ": +11% is a regression")
+        [ lane_key name ]
+        (List.map
+           (fun v -> v.B.Regress.v_key)
+           (B.Regress.regressions (run_against (bump (f 1.11))))))
+    [ ( "copied_per_wire_byte",
+        fun k (p : B.Memtrace.point) -> { p with copied = p.copied *. k } );
+      ( "rx_copied_per_wire_byte",
+        fun k (p : B.Memtrace.point) -> { p with copied_rx = p.copied_rx *. k } );
+      ( "minor_words",
+        fun k (p : B.Memtrace.point) ->
+          { p with minor_words = p.minor_words *. k } ) ]
+
 let test_regress_json_parser () =
   (match B.Regress.parse_string {| { "a": [1, 2.5, true, null, "s
 "] } |} with
@@ -237,13 +364,8 @@ let test_wallbench_points () =
         [ p1; p2 ]
   | _ -> Alcotest.fail "missing points");
   let json = B.Wallbench.to_json r in
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec at i = i + n <= m && (String.sub json i n = needle || at (i + 1)) in
-    at 0
-  in
   List.iter
-    (fun needle -> checkb ("json has " ^ needle) true (contains needle))
+    (fun needle -> checkb ("json has " ^ needle) true (contains json needle))
     [ "\"benchmark\": \"wall\""; "\"cipher\": \"simple\""; "\"points\"";
       "\"speedup\""; "\"send_ns\"" ]
 
@@ -289,7 +411,12 @@ let () =
             test_regress_missing_current;
           Alcotest.test_case "sack file passes against itself" `Quick
             test_regress_sack_file_self_compare;
-          Alcotest.test_case "json parser" `Quick test_regress_json_parser ] );
+          Alcotest.test_case "json parser" `Quick test_regress_json_parser;
+          Alcotest.test_case "mem file: self, keys and band" `Quick
+            test_regress_mem_self_and_band ] );
+      ( "memtrace",
+        [ Alcotest.test_case "check names each planted violation" `Quick
+            test_memtrace_check_names_violations ] );
       ( "microbench",
         [ Alcotest.test_case "simulated" `Quick test_microbench_simulated ] );
       ( "experiments",

@@ -828,18 +828,16 @@ let test_engine_crc_wire_len () =
     (Engine.wire_len with_crc ~prefix_len:8 ~payload_len:104)
 
 (* ------------------------------------------------------------------ *)
-(* Data path: the pooled single-copy path must be indistinguishable from
-   the legacy allocating path in everything but host-side allocation —
-   same wire bytes, same recovered plaintext, same decode errors. *)
+(* Data path: the single-copy read ([read_plaintext_pooled]) must be
+   indistinguishable from the copying [read_plaintext] — same recovered
+   plaintext, same decode errors — and leak-free. *)
 
-(* One full transfer; returns the engine (rx already run), the wire
-   bytes, and the wire length, leaving the plaintext readable. *)
-let transfer_with ~mode ~header_style ~crc32 ~data_path ?pool () =
+(* One full transfer; returns the engine (rx already run) and the wire
+   length, leaving the plaintext readable. *)
+let transfer_with ~mode ~header_style ~crc32 ?pool () =
   let sim = make_sim () in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:"engineKY" () in
-  let eng =
-    Engine.create sim ~cipher ~mode ~header_style ~crc32 ~data_path ?pool ()
-  in
+  let eng = Engine.create sim ~cipher ~mode ~header_style ~crc32 ?pool () in
   let payload = String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff)) in
   let payload_addr = install sim payload in
   let prepared =
@@ -853,7 +851,7 @@ let transfer_with ~mode ~header_style ~crc32 ~data_path ?pool () =
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Engine.Rx_deferred_style rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  (sim, eng, read_back sim wire prepared.Engine.stream_len, prepared.Engine.stream_len)
+  (eng, prepared.Engine.stream_len)
 
 let all_engine_variants =
   List.concat_map
@@ -864,38 +862,18 @@ let all_engine_variants =
         [ Engine.Leading; Engine.Trailer ])
     [ Engine.Ilp; Engine.Separate ]
 
-let test_data_path_wire_identical () =
-  List.iter
-    (fun (mode, header_style, crc32) ->
-      let _, ep, wire_p, len_p =
-        transfer_with ~mode ~header_style ~crc32 ~data_path:Engine.Pooled ()
-      in
-      let _, el, wire_l, len_l =
-        transfer_with ~mode ~header_style ~crc32 ~data_path:Engine.Legacy ()
-      in
-      check "wire length identical" len_p len_l;
-      check_s "wire bytes identical pooled vs legacy" wire_p wire_l;
-      Engine.destroy ep;
-      Engine.destroy el)
-    all_engine_variants
-
 let test_data_path_plaintext_identical () =
   List.iter
     (fun (mode, header_style, crc32) ->
       (* Same engine: both read paths must decode the same TSDU. *)
-      List.iter
-        (fun data_path ->
-          let _, eng, _, len =
-            transfer_with ~mode ~header_style ~crc32 ~data_path ()
-          in
-          let legacy = ok_or_fail (Engine.read_plaintext eng ~len) in
-          let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-          check_s "pooled read = legacy read" legacy (Bytes.sub_string buf 0 n);
-          Engine.release_plaintext eng buf;
-          Engine.destroy eng;
-          check "pool balanced after release + destroy" 0
-            (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
-        [ Engine.Pooled; Engine.Legacy ])
+      let eng, len = transfer_with ~mode ~header_style ~crc32 () in
+      let copied = ok_or_fail (Engine.read_plaintext eng ~len) in
+      let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
+      check_s "pooled read = copying read" copied (Bytes.sub_string buf 0 n);
+      Engine.release_plaintext eng buf;
+      Engine.destroy eng;
+      check "pool balanced after release + destroy" 0
+        (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
     all_engine_variants
 
 let test_data_path_errors_identical () =
@@ -903,24 +881,23 @@ let test_data_path_errors_identical () =
      same error through both read paths. *)
   List.iter
     (fun (poke_off, what) ->
-      let _, eng, _, len =
-        transfer_with ~mode:Engine.Ilp ~header_style:Engine.Leading ~crc32:true
-          ~data_path:Engine.Pooled ()
+      let eng, len =
+        transfer_with ~mode:Engine.Ilp ~header_style:Engine.Leading ~crc32:true ()
       in
       let sim_mem_addr = Engine.app_rx_base eng + poke_off in
       let sim = Engine.sim eng in
       Mem.poke_u8 sim.Sim.mem sim_mem_addr
         (Mem.peek_u8 sim.Sim.mem sim_mem_addr lxor 0xff);
-      let e_legacy =
+      let e_copied =
         match Engine.read_plaintext eng ~len with
-        | Ok _ -> Alcotest.fail (what ^ ": legacy read must reject")
+        | Ok _ -> Alcotest.fail (what ^ ": copying read must reject")
         | Error e -> e
       in
       (match Engine.read_plaintext_pooled eng ~len with
       | Ok (buf, _) ->
           Engine.release_plaintext eng buf;
           Alcotest.fail (what ^ ": pooled read must reject")
-      | Error e -> check_s (what ^ ": identical error text") e_legacy e);
+      | Error e -> check_s (what ^ ": identical error text") e_copied e);
       Engine.destroy eng;
       check "no pool leak on error path" 0
         (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
@@ -930,13 +907,13 @@ let test_data_path_shared_pool_exhaustion () =
   (* A cap-0 shared pool forces the exhaustion fallback on every acquire;
      transfers must still succeed and stay leak-free. *)
   let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
-  let _, eng, _, len =
+  let eng, len =
     transfer_with ~mode:Engine.Separate ~header_style:Engine.Trailer
-      ~crc32:false ~data_path:Engine.Pooled ~pool ()
+      ~crc32:false ~pool ()
   in
-  let legacy = ok_or_fail (Engine.read_plaintext eng ~len) in
+  let copied = ok_or_fail (Engine.read_plaintext eng ~len) in
   let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-  check_s "fallback decode identical" legacy (Bytes.sub_string buf 0 n);
+  check_s "fallback decode identical" copied (Bytes.sub_string buf 0 n);
   Engine.release_plaintext eng buf;
   Engine.destroy eng;
   let s = Ilp_fastpath.Pool.stats pool in
@@ -1012,9 +989,7 @@ let () =
           Alcotest.test_case "wire length adds one word" `Quick
             test_engine_crc_wire_len ] );
       ( "data path",
-        [ Alcotest.test_case "wire bytes identical pooled vs legacy" `Quick
-            test_data_path_wire_identical;
-          Alcotest.test_case "plaintext identical across read paths" `Quick
+        [ Alcotest.test_case "plaintext identical across read paths" `Quick
             test_data_path_plaintext_identical;
           Alcotest.test_case "identical errors on corruption" `Quick
             test_data_path_errors_identical;
