@@ -75,7 +75,6 @@ let copied l n = copy_charge ~rx:false l n
 let inplace l n = inplace_charge ~rx:false l n
 let alloc l n = alloc_charge ~rx:false l n
 let read_rx l n = charge ~rx:true k_read l n
-let write_rx l n = charge ~rx:true k_write l n
 let copied_rx l n = copy_charge ~rx:true l n
 let inplace_rx l n = inplace_charge ~rx:true l n
 let alloc_rx l n = alloc_charge ~rx:true l n
@@ -89,7 +88,6 @@ let total ?(base = 0) kind s =
   Array.fold_left ( + ) 0 (Array.sub s (base + (kind * n_layers)) n_layers)
 
 let reads_total s = total k_read s
-let writes_total s = total k_write s
 let copied_total s = total k_copy s
 let allocated_total s = total k_alloc s
 let alloc_blocks_total s = total k_blocks s

@@ -47,7 +47,6 @@ val alloc : layer -> int -> unit
     total minus rx. *)
 
 val read_rx : layer -> int -> unit
-val write_rx : layer -> int -> unit
 val copied_rx : layer -> int -> unit
 val inplace_rx : layer -> int -> unit
 val alloc_rx : layer -> int -> unit
@@ -60,7 +59,6 @@ val snapshot : unit -> snapshot
 val diff : snapshot -> snapshot -> snapshot
 
 val reads_total : snapshot -> int
-val writes_total : snapshot -> int
 val copied_total : snapshot -> int
 val allocated_total : snapshot -> int
 val alloc_blocks_total : snapshot -> int

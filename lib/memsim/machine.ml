@@ -190,8 +190,6 @@ let exec t (region : Code.region) =
     done
   end
 
-let charge_cycles t c = t.counters.(0) <- t.counters.(0) +. c
-
 let charge_micros t us =
   if us <> 0.0 then
     t.counters.(0) <- t.counters.(0) +. (us *. t.cfg.Config.clock_mhz)

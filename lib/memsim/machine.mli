@@ -48,9 +48,6 @@ val exec : t -> Code.region -> unit
     ([ops * compute_scale] cycles). *)
 val compute : t -> int -> unit
 
-(** [charge_cycles t c] charges raw cycles (fixed control costs). *)
-val charge_cycles : t -> float -> unit
-
 (** [charge_micros t us] charges a latency expressed in microseconds
     (per-packet operating-system costs). *)
 val charge_micros : t -> float -> unit

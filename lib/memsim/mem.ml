@@ -49,8 +49,6 @@ let blit t ~src ~dst ~len ~unit_len =
 
 let peek_u8 t addr = Char.code (Bytes.get t.data addr)
 let poke_u8 t addr v = Bytes.set t.data addr (Char.chr (v land 0xff))
-let peek_u16 t addr = Bytes.get_uint16_be t.data addr
-let poke_u16 t addr v = Bytes.set_uint16_be t.data addr (v land 0xffff)
 
 let peek_u32 t addr =
   Int32.to_int (Bytes.get_int32_be t.data addr) land 0xffffffff

@@ -37,8 +37,6 @@ val blit : t -> src:int -> dst:int -> len:int -> unit_len:int -> unit
 
 val peek_u8 : t -> int -> int
 val poke_u8 : t -> int -> int -> unit
-val peek_u16 : t -> int -> int
-val poke_u16 : t -> int -> int -> unit
 val peek_u32 : t -> int -> int
 val poke_u32 : t -> int -> int -> unit
 val peek_bytes : t -> pos:int -> len:int -> Bytes.t

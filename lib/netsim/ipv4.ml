@@ -26,11 +26,6 @@ let sum16 b ~len =
   done;
   !s
 
-let header_checksum s =
-  let b = Bytes.of_string s in
-  Bytes.set_uint16_be b 10 0;
-  lnot (sum16 b ~len:header_len) land 0xffff
-
 let encode t =
   let b = Bytes.create header_len in
   Bytes.set_uint8 b 0 0x45 (* version 4, IHL 5 *);

@@ -37,7 +37,3 @@ val encapsulate : t -> string -> string
 (** [decapsulate wire] validates version, header length, total length and
     header checksum, returning the header and the payload. *)
 val decapsulate : string -> (t * string, string) result
-
-(** [header_checksum bytes] computes the checksum of a 20-byte header
-    string with its checksum field zeroed (exposed for tests). *)
-val header_checksum : string -> int

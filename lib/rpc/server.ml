@@ -557,13 +557,6 @@ let attach t ~ctrl ~data =
   Socket.set_on_abort data (fun _ -> mark_dead t conn);
   id
 
-let detach t ~id =
-  match Hashtbl.find_opt t.conns id with
-  | None -> ()
-  | Some conn ->
-      mark_dead t conn;
-      Hashtbl.remove t.conns id
-
 let add_file t ~name ~addr ~len =
   Hashtbl.replace t.store.s_files name { addr; len }
 
@@ -592,7 +585,6 @@ let dedup_hits st = st.s_blk.(c_dedup_hits)
 let executions st = st.s_blk.(c_executions)
 let id_requests_seen st = st.id_requests_seen
 let dedup_sheds st = st.dedup_sheds
-let dedup_cached st = Hashtbl.length st.dedup
 let shed_count t reason = t.blk.(c_shed reason)
 let sheds t = List.map (fun r -> (r, shed_count t r)) shed_reasons
 let sheds_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (sheds t)

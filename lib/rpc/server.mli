@@ -81,9 +81,6 @@ val id_requests_seen : store -> int
     instant: [executions + dedup_hits + dedup_sheds = id_requests_seen]. *)
 val dedup_sheds : store -> int
 
-(** Ids currently cached (bounded by [dedup_cap]). *)
-val dedup_cached : store -> int
-
 (** [create ~clock ~engine ()] builds a server with no connections;
     [retry_us] (default 150) is the per-connection back-pressure retry
     interval.  [store] (fresh by default) carries the crash-surviving
@@ -117,13 +114,10 @@ val timer_owner : t -> int
     processing is configured from the engine's mode), [data] the outbound
     reply connection.  Beyond [max_connections] the pair is still wired
     but unadmitted: every request on it is shed with [Busy] until a slot
-    frees up (a live connection dies or is {!detach}ed).  Both sockets'
+    frees up (a live connection dies).  Both sockets'
     abort callbacks are claimed: either one dying abandons the
     connection's queue and frees its slot. *)
 val attach : t -> ctrl:Ilp_tcp.Socket.t -> data:Ilp_tcp.Socket.t -> int
-
-(** Remove a connection, abandoning anything still queued for it. *)
-val detach : t -> id:int -> unit
 
 (** [add_file t ~name ~addr ~len] registers a file whose contents live in
     simulated memory at [addr]. *)

@@ -142,11 +142,6 @@ let abort_reason_index = function
 
 type keepalive_verdict = Peer_alive | Peer_reset | Peer_silent
 
-let keepalive_verdict_to_string = function
-  | Peer_alive -> "peer alive"
-  | Peer_reset -> "peer reset the connection"
-  | Peer_silent -> "peer silent past the keepalive probe budget"
-
 module M = Ilp_obs.Metrics
 module Trace = Ilp_obs.Trace
 module Recorder = Ilp_obs.Recorder
@@ -444,10 +439,8 @@ let drop_count t reason = t.blk.(c_drop reason)
 let drops t = List.map (fun r -> (r, drop_count t r)) drop_reasons
 let drops_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (drops t)
 let bytes_in_flight t = Scoreboard.bytes t.sb
-let send_space t = Ring.available t.ring
 let congestion_window t = Cc.cwnd t.cc
 let peer_window t = t.peer_window
-let advertised_window t = t.adv_window
 
 (* Usable window space, clamped to >= 0: a peer may legally shrink its
    advertised window below the bytes already in flight, and the difference

@@ -181,8 +181,6 @@ val abort_reason_to_string : abort_reason -> string
     the connection aborts with {!Retry_exhausted}. *)
 type keepalive_verdict = Peer_alive | Peer_reset | Peer_silent
 
-val keepalive_verdict_to_string : keepalive_verdict -> string
-
 type t
 
 (** [create sim clock config ~local_port ~wire_out] builds an endpoint.
@@ -343,17 +341,11 @@ val drops_total : t -> int
 (** Bytes sent but not yet acknowledged. *)
 val bytes_in_flight : t -> int
 
-(** Free contiguous-capable space in the send ring. *)
-val send_space : t -> int
-
 (** Current congestion window in bytes. *)
 val congestion_window : t -> int
 
 (** The window most recently advertised by the peer. *)
 val peer_window : t -> int
-
-(** The window this endpoint currently advertises. *)
-val advertised_window : t -> int
 
 (** Usable send window right now: [min peer_window cwnd - bytes_in_flight],
     clamped to >= 0 (a peer may legally shrink its window below what is
