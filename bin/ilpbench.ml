@@ -473,6 +473,12 @@ let export_cmd =
 (* ------------------------------------------------------------------ *)
 (* soak *)
 
+(* A soak's log rule, shared by [soak] and [report]: ordinary typed
+   outcomes print only under --verbose, and a line that counts an
+   invariant violation always prints. *)
+let soak_log verbose ~violation line =
+  if verbose || violation then print_endline line
+
 let soak_cmd =
   let module Soak = Ilp_app.Soak in
   let seed =
@@ -530,22 +536,6 @@ let soak_cmd =
          & info [ "verbose"; "v" ] ~doc:"Log every failed iteration, not just \
                                          invariant violations.")
   in
-  let filtered_log verbose line =
-    (* Invariant violations always print; ordinary typed outcomes only
-       under --verbose. *)
-    if verbose then print_endline line
-    else
-      let violation sub =
-        let n = String.length sub in
-        let rec scan i =
-          i + n <= String.length line
-          && (String.sub line i n = sub || scan (i + 1))
-        in
-        scan 0
-      in
-      if violation "ESCAPED" || violation "SILENT" || violation "VIOLAT" then
-        print_endline line
-  in
   (* Soaks run with the span tracer on: a violated invariant dumps the
      metrics delta and the trace tail alongside the repro line, so the
      failing run explains itself. *)
@@ -569,110 +559,25 @@ let soak_cmd =
     close_out oc;
     prerr_endline "full flight-recorder dump written to FLIGHT.txt"
   in
-  let run_chaos seed iters size machine intensity verbose =
-    let cfg =
-      { Soak.default_config with
-        Soak.seed;
-        iterations = iters;
-        file_len = Option.value size ~default:Soak.default_config.Soak.file_len;
-        machine;
-        intensity }
-    in
+  (* One driver for the three soaks: run [soak] with the span tracer
+     on, print its summary, and on a failed [verdict] dump the
+     observability artefacts and the repro line. *)
+  let drive soak summary verdict repro =
     let before = Ilp_obs.Metrics.snapshot Ilp_obs.Metrics.default in
     Ilp_obs.Trace.enable ~capacity:32768 ();
-    match Soak.run ~log:(filtered_log verbose) cfg with
-    | o ->
+    match soak () with
+    | o -> (
         Ilp_obs.Trace.disable ();
-        List.iter print_endline (Soak.summary_lines o);
-        if Soak.invariants_hold o then begin
-          print_endline
-            "soak invariant held: byte-exact or typed failure, every time";
-          0
-        end
-        else begin
-          prerr_endline "soak invariant VIOLATED";
-          dump_observability before;
-          Printf.eprintf "reproduce: ilpbench soak --seed %d -n %d --size %d\n"
-            cfg.Soak.seed cfg.Soak.iterations cfg.Soak.file_len;
-          1
-        end
-    | exception Invalid_argument msg ->
-        Ilp_obs.Trace.disable ();
-        Printf.eprintf "ilpbench: %s\n" msg;
-        2
-  in
-  let run_overload seed clients size machine verbose =
-    let cfg =
-      { Soak.default_overload_config with
-        Soak.seed;
-        clients;
-        file_len =
-          Option.value size ~default:Soak.default_overload_config.Soak.file_len;
-        machine }
-    in
-    let before = Ilp_obs.Metrics.snapshot Ilp_obs.Metrics.default in
-    Ilp_obs.Trace.enable ~capacity:32768 ();
-    match Soak.run_overload ~log:(filtered_log verbose) cfg with
-    | o ->
-        Ilp_obs.Trace.disable ();
-        List.iter print_endline (Soak.overload_summary_lines o);
-        if Soak.overload_invariants_hold o then begin
-          print_endline
-            "overload invariant held: every request ended byte-exact or typed, \
-             budgets respected, honest clients served";
-          0
-        end
-        else begin
-          prerr_endline "overload invariant VIOLATED";
-          dump_observability before;
-          Printf.eprintf
-            "reproduce: ilpbench soak --overload --seed %d --clients %d --size %d\n"
-            cfg.Soak.seed cfg.Soak.clients cfg.Soak.file_len;
-          1
-        end
-    | exception Invalid_argument msg ->
-        Ilp_obs.Trace.disable ();
-        Printf.eprintf "ilpbench: %s\n" msg;
-        2
-  in
-  let run_crash seed size machine quick verbose =
-    let cfg =
-      { Soak.default_crash_config with
-        Soak.seed;
-        transfers = (if quick then 16 else Soak.default_crash_config.Soak.transfers);
-        file_len =
-          Option.value size
-            ~default:
-              (if quick then 1024 else Soak.default_crash_config.Soak.file_len);
-        machine }
-    in
-    let before = Ilp_obs.Metrics.snapshot Ilp_obs.Metrics.default in
-    Ilp_obs.Trace.enable ~capacity:32768 ();
-    match Soak.run_crash ~log:(filtered_log verbose) cfg with
-    | o ->
-        Ilp_obs.Trace.disable ();
-        List.iter print_endline (Soak.crash_summary_lines o);
-        (* A crash soak that never crashed or never resumed is vacuous:
-           fail it like a violated invariant so a regression in the fault
-           injection itself cannot slip through green. *)
-        let exercised = o.Soak.crashes > 0 && o.Soak.resumed_completed > 0 in
-        if Soak.crash_invariants_hold o && exercised then begin
-          print_endline
-            "crash invariant held: every transfer byte-exact or typed, \
-             resumes prefix-verified, dedup and timers conserved";
-          0
-        end
-        else begin
-          prerr_endline
-            (if exercised then "crash invariant VIOLATED"
-             else "crash soak VACUOUS: no crash/resume was exercised");
-          dump_observability before;
-          Printf.eprintf
-            "reproduce: ilpbench soak --crash --seed %d --size %d%s\n"
-            cfg.Soak.seed cfg.Soak.file_len
-            (if quick then " --quick" else "");
-          1
-        end
+        List.iter print_endline (summary o);
+        match verdict o with
+        | Ok held ->
+            print_endline held;
+            0
+        | Error violated ->
+            prerr_endline violated;
+            dump_observability before;
+            prerr_endline ("reproduce: ilpbench soak " ^ repro);
+            1)
     | exception Invalid_argument msg ->
         Ilp_obs.Trace.disable ();
         Printf.eprintf "ilpbench: %s\n" msg;
@@ -680,9 +585,77 @@ let soak_cmd =
   in
   let run seed iters size machine intensity overload crash quick clients verbose
       =
-    if crash then run_crash seed size machine quick verbose
-    else if overload then run_overload seed clients size machine verbose
-    else run_chaos seed iters size machine intensity verbose
+    let log = soak_log verbose in
+    if crash then begin
+      let cfg =
+        { Soak.default_crash_config with
+          Soak.seed;
+          transfers =
+            (if quick then 16 else Soak.default_crash_config.Soak.transfers);
+          file_len =
+            Option.value size
+              ~default:
+                (if quick then 1024 else Soak.default_crash_config.Soak.file_len);
+          machine }
+      in
+      drive
+        (fun () -> Soak.run_crash ~log cfg)
+        Soak.crash_summary_lines
+        (fun o ->
+          (* A crash soak that never crashed or never resumed is vacuous:
+             fail it like a violated invariant so a regression in the
+             fault injection itself cannot slip through green. *)
+          let exercised = o.Soak.crashes > 0 && o.Soak.resumed_completed > 0 in
+          if Soak.crash_invariants_hold o && exercised then
+            Ok
+              "crash invariant held: every transfer byte-exact or typed, \
+               resumes prefix-verified, dedup and timers conserved"
+          else if exercised then Error "crash invariant VIOLATED"
+          else Error "crash soak VACUOUS: no crash/resume was exercised")
+        (Printf.sprintf "--crash --seed %d --size %d%s" cfg.Soak.seed
+           cfg.Soak.file_len
+           (if quick then " --quick" else ""))
+    end
+    else if overload then begin
+      let cfg =
+        { Soak.default_overload_config with
+          Soak.seed;
+          clients;
+          file_len =
+            Option.value size ~default:Soak.default_overload_config.Soak.file_len;
+          machine }
+      in
+      drive
+        (fun () -> Soak.run_overload ~log cfg)
+        Soak.overload_summary_lines
+        (fun o ->
+          if Soak.overload_invariants_hold o then
+            Ok
+              "overload invariant held: every request ended byte-exact or \
+               typed, budgets respected, honest clients served"
+          else Error "overload invariant VIOLATED")
+        (Printf.sprintf "--overload --seed %d --clients %d --size %d"
+           cfg.Soak.seed cfg.Soak.clients cfg.Soak.file_len)
+    end
+    else begin
+      let cfg =
+        { Soak.default_config with
+          Soak.seed;
+          iterations = iters;
+          file_len = Option.value size ~default:Soak.default_config.Soak.file_len;
+          machine;
+          intensity }
+      in
+      drive
+        (fun () -> Soak.run ~log cfg)
+        Soak.summary_lines
+        (fun o ->
+          if Soak.invariants_hold o then
+            Ok "soak invariant held: byte-exact or typed failure, every time"
+          else Error "soak invariant VIOLATED")
+        (Printf.sprintf "--seed %d -n %d --size %d" cfg.Soak.seed
+           cfg.Soak.iterations cfg.Soak.file_len)
+    end
   in
   Cmd.v
     (Cmd.info "soak"
@@ -780,8 +753,7 @@ let report_cmd =
   in
   let run out flight_out quick verbose =
     let config = if quick then Telem.quick_config else Telem.default_config in
-    let log line = if verbose then print_endline line in
-    match Telem.run ~log ~config () with
+    match Telem.run ~log:(soak_log verbose) ~config () with
     | r ->
         Telem.write_json r ~path:out;
         Telem.write_flight ~path:flight_out;

@@ -1,7 +1,6 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module Rpc_server = Ilp_rpc.Server
@@ -111,75 +110,37 @@ let mean a =
   if Array.length a = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
 
-(* Ports of the four endpoints. *)
-let srv_ctrl_port = 5000
-let cli_ctrl_port = 5001
-let srv_data_port = 5002
-let cli_data_port = 5003
-
 let run setup =
-  let sim = Sim.create setup.machine in
+  let w =
+    World.create ?pool:setup.pool setup.machine ~link:(fun clock ~deliver ->
+        Link.create clock ~delay_us:50.0 ~loss_rate:setup.loss_rate
+          ~seed:setup.seed ?impairments:setup.impairments ~deliver ())
+  in
+  let sim = World.sim w and clock = World.clock w in
   let machine = sim.Sim.machine in
-  let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
-  let wire_out d = Link.send (Option.get !link) d in
-  link :=
-    Some
-      (Link.create clock ~delay_us:50.0 ~loss_rate:setup.loss_rate
-         ~seed:setup.seed ?impairments:setup.impairments
-         ~deliver:(Demux.deliver demux) ());
-  (* Shared machine, one engine (and one cipher instance) per process. *)
+  (* Shared machine, one engine (and one cipher instance) per process,
+     one buffer pool whose outstanding count audits the whole run. *)
   let srv_cipher = make_cipher sim setup.cipher in
   let cli_cipher = make_cipher sim setup.cipher in
   let max_message = 2048 in
-  let backend () =
-    if setup.native then Engine.Native (make_fastpath_cipher setup.cipher)
-    else Engine.Simulated
+  let engine cipher =
+    World.engine w (fun sim ~pool ->
+        let backend =
+          if setup.native then Engine.Native (make_fastpath_cipher setup.cipher)
+          else Engine.Simulated
+        in
+        Engine.create sim ~cipher ~mode:setup.mode ~backend ~linkage:setup.linkage
+          ~max_message ~coalesce_writes:setup.coalesce_writes
+          ~header_style:setup.header_style ~rx_placement:setup.rx_placement
+          ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ())
   in
-  (* One buffer pool shared by both endpoints of the run: staging buffers
-     and TSDU buffers recirculate instead of being allocated per message,
-     and a single outstanding-count audits the whole process. *)
-  let pool =
-    match setup.pool with Some p -> p | None -> Ilp_fastpath.Pool.create ()
-  in
-  let srv_engine =
-    Engine.create sim ~cipher:srv_cipher ~mode:setup.mode ~backend:(backend ())
-      ~linkage:setup.linkage
-      ~max_message ~coalesce_writes:setup.coalesce_writes
-      ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
-  in
-  let cli_engine =
-    Engine.create sim ~cipher:cli_cipher ~mode:setup.mode ~backend:(backend ())
-      ~linkage:setup.linkage
-      ~max_message ~coalesce_writes:setup.coalesce_writes
-      ~header_style:setup.header_style ~rx_placement:setup.rx_placement
-      ~uniform_units:setup.uniform_units ~crc32:setup.crc ~pool ()
-  in
-  (* Teardown: return staging buffers, then audit pool balance.  With a
-     caller-shared pool the count includes the caller's own outstanding
-     buffers, so pass [pool = None] (the default) for a self-contained
-     audit. *)
-  let pool_leaks () =
-    Engine.destroy srv_engine;
-    Engine.destroy cli_engine;
-    Ilp_fastpath.Pool.outstanding pool
-  in
+  let srv_engine = engine srv_cipher in
+  let cli_engine = engine cli_cipher in
   let mss =
     match setup.mss with None -> max_message | Some m -> min m max_message
   in
   let scfg = { Socket.default_config with mss } in
-  let srv_ctrl = Socket.create sim clock scfg ~local_port:srv_ctrl_port ~wire_out in
-  let cli_ctrl = Socket.create sim clock scfg ~local_port:cli_ctrl_port ~wire_out in
-  let srv_data = Socket.create sim clock scfg ~local_port:srv_data_port ~wire_out in
-  let cli_data = Socket.create sim clock scfg ~local_port:cli_data_port ~wire_out in
   let server = Rpc_server.create ~clock ~engine:srv_engine () in
-  ignore (Rpc_server.attach server ~ctrl:srv_ctrl ~data:srv_data);
-  let client =
-    Rpc_client.create ~clock ~engine:cli_engine ~framed:setup.framing
-      ~ctrl:cli_ctrl ~data:cli_data ()
-  in
   (* Measurement buckets. *)
   let send_us = ref [] and send_syscopy_us = ref [] and recv_us = ref [] in
   let send_stall = ref 0.0 and recv_stall = ref 0.0 in
@@ -206,39 +167,45 @@ let run setup =
       wire_bytes := !wire_bytes + wire_len;
       send_us := elapsed_us :: !send_us;
       send_syscopy_us := syscopy_us :: !send_syscopy_us);
-  (* Demux wiring; the client data port is wrapped to time the receive
-     path of each delivered reply, the server data port (acks) accounts to
-     the send side. *)
-  Demux.bind demux ~port:srv_ctrl_port (Socket.handle_datagram srv_ctrl);
-  Demux.bind demux ~port:cli_ctrl_port (Socket.handle_datagram cli_ctrl);
-  Demux.bind demux ~port:srv_data_port (fun d ->
-      mark ();
-      Socket.handle_datagram srv_data d;
-      settle send_stats;
-      settle_stall send_stall);
-  Demux.bind demux ~port:cli_data_port (fun d ->
-      let delivered = (Socket.stats cli_data).Socket.bytes_delivered in
-      let before = Machine.micros machine in
-      mark ();
-      Socket.handle_datagram cli_data d;
-      settle recv_stats;
-      settle_stall recv_stall;
-      if (Socket.stats cli_data).Socket.bytes_delivered > delivered then
-        recv_us := (Machine.micros machine -. before) :: !recv_us);
+  (* Port probes: the client data port is wrapped to time the receive
+     path of each delivered reply, the server data port (acks) accounts
+     to the send side. *)
+  let rx role s d =
+    match role with
+    | World.Srv_data ->
+        mark ();
+        Socket.handle_datagram s d;
+        settle send_stats;
+        settle_stall send_stall
+    | World.Cli_data ->
+        let delivered = (Socket.stats s).Socket.bytes_delivered in
+        let before = Machine.micros machine in
+        mark ();
+        Socket.handle_datagram s d;
+        settle recv_stats;
+        settle_stall recv_stall;
+        if (Socket.stats s).Socket.bytes_delivered > delivered then
+          recv_us := (Machine.micros machine -. before) :: !recv_us
+    | World.Srv_ctrl | World.Cli_ctrl -> Socket.handle_datagram s d
+  in
+  (* Connection setup (not measured), on ports 5000..5003. *)
+  let c = World.connect w server ~rx scfg ~base:5000 in
+  let client =
+    Rpc_client.create ~clock ~engine:cli_engine ~framed:setup.framing
+      ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ()
+  in
   let file_contents = Workload.generate ~len:setup.file_len ~seed:setup.seed in
   let file_addr = Workload.install sim file_contents in
   Rpc_server.add_file server ~name:"paper.dat" ~addr:file_addr ~len:setup.file_len;
-  (* Connection setup (not measured). *)
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:srv_ctrl_port;
-  Socket.connect srv_data ~remote_port:cli_data_port;
   Simclock.run_until_idle clock;
-  let all_sockets = [ srv_ctrl; cli_ctrl; srv_data; cli_data ] in
+  let named =
+    [ ("srv_ctrl", c.World.srv_ctrl); ("cli_ctrl", c.World.cli_ctrl);
+      ("srv_data", c.World.srv_data); ("cli_data", c.World.cli_data) ]
+  in
   let drops () =
     List.map
       (fun r ->
-        (r, List.fold_left (fun acc s -> acc + Socket.drop_count s r) 0 all_sockets))
+        (r, List.fold_left (fun acc (_, s) -> acc + Socket.drop_count s r) 0 named))
       Socket.drop_reasons
   in
   let client_failure () =
@@ -250,8 +217,7 @@ let run setup =
         Option.map
           (fun r -> name ^ " " ^ Socket.abort_reason_to_string r)
           (Socket.failure s))
-      [ ("srv_ctrl", srv_ctrl); ("cli_ctrl", cli_ctrl); ("srv_data", srv_data);
-        ("cli_data", cli_data) ]
+      named
   in
   let early_failure error =
     { ok = false;
@@ -274,14 +240,10 @@ let run setup =
       client_failure = client_failure ();
       drops = drops ();
       replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (Option.get !link);
-      pool_leaks = pool_leaks () }
+      link_stats = Link.stats (World.link w);
+      pool_leaks = World.pool_leaks w }
   in
-  let established s = Socket.state s = Socket.Established in
-  if
-    not
-      (established srv_ctrl && established cli_ctrl && established srv_data
-      && established cli_data)
+  if not (List.for_all (fun (_, s) -> Socket.state s = Socket.Established) named)
   then
     early_failure
       (match socket_failures () with
@@ -314,8 +276,8 @@ let run setup =
     pump 2_000_000;
     let total_machine_us = Machine.micros machine in
     let total_stats = Stats.copy (Machine.stats machine) in
-    let srv_stats = Socket.stats srv_data in
-    let cli_stats = Socket.stats cli_data in
+    let srv_stats = Socket.stats c.World.srv_data in
+    let cli_stats = Socket.stats c.World.cli_data in
     let ok = Rpc_client.transfer_complete client in
     let error =
       if ok then None
@@ -349,6 +311,6 @@ let run setup =
       client_failure = client_failure ();
       drops = drops ();
       replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (Option.get !link);
-      pool_leaks = pool_leaks () }
+      link_stats = Link.stats (World.link w);
+      pool_leaks = World.pool_leaks w }
   end

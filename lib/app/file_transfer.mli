@@ -2,16 +2,15 @@
     marshalling/encryption/user-level TCP on a simulated workstation,
     reproducing the experiment of the paper's section 4.
 
-    One {!run} builds a whole world — machine, memory, clock, loopback
-    link, kernel demultiplexer, four TCP endpoints (a control connection
-    client→server for requests and a data connection server→client for
-    replies, each uni-directional as in the paper), a data-manipulation
-    engine per process — transfers [copies] copies of a [file_len]-byte
-    file in [max_reply]-byte messages, verifies every payload byte, and
-    returns per-packet processing times plus the memory-access ledgers
+    One {!run} builds a {!World} — machine, clock, link, demultiplexer,
+    an engine per process and the paper's four endpoints
+    ({!World.connect}), with measurement probes on the two data ports —
+    transfers [copies] copies of a [file_len]-byte file in
+    [max_reply]-byte messages, verifies every payload byte, and returns
+    per-packet processing times plus the memory-access ledgers
     attributed to the send path, the receive path and everything else.
-    Both engines run the single-copy host data path over one shared
-    buffer pool, audited by [pool_leaks] after teardown. *)
+    Both engines run the single-copy host data path over the world's
+    one buffer pool, audited by {!World.pool_leaks} after teardown. *)
 
 type cipher_choice =
   | Safer_simplified  (** the paper's main experiment *)

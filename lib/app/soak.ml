@@ -1,6 +1,5 @@
 module Link = Ilp_netsim.Link
 module Simclock = Ilp_netsim.Simclock
-module Demux = Ilp_netsim.Demux
 module Crashplan = Ilp_netsim.Crashplan
 module Datagram = Ilp_netsim.Datagram
 module Ipv4 = Ilp_netsim.Ipv4
@@ -9,7 +8,6 @@ module Tcp_header = Ilp_tcp.Tcp_header
 module Engine = Ilp_core.Engine
 module Rpc_server = Ilp_rpc.Server
 module Rpc_client = Ilp_rpc.Client
-module Sim = Ilp_memsim.Sim
 module Ft = File_transfer
 
 (* A private xorshift64 so soak schedules are reproducible without
@@ -109,7 +107,7 @@ let draw_impairments st ~intensity =
 (* One transfer under one impairment draw.  The soak invariant: the file
    arrives byte-exact, or the run reports a typed error — never silent
    corruption, never an escaped exception. *)
-let run ?(log = fun _ -> ()) (cfg : config) =
+let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
   if cfg.iterations < 0 then invalid_arg "Soak.run: iterations must be >= 0";
   if cfg.intensity < 0.0 || cfg.intensity > 10.0 then
     invalid_arg "Soak.run: intensity must be in [0, 10]";
@@ -171,12 +169,14 @@ let run ?(log = fun _ -> ()) (cfg : config) =
         link_total := Link.add_stats !link_total r.Ft.link_stats;
         if r.Ft.pool_leaks <> 0 then begin
           pool_leaks := !pool_leaks + r.Ft.pool_leaks;
-          log (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" r.Ft.pool_leaks))
+          log ~violation:true
+            (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" r.Ft.pool_leaks))
         end;
         if r.Ft.ok then begin
           if r.Ft.payload_bytes <> cfg.file_len * cfg.copies then begin
             incr silent;
-            log (tag "SILENT CORRUPTION: success without byte-exact delivery")
+            log ~violation:true
+              (tag "SILENT CORRUPTION: success without byte-exact delivery")
           end
           else incr completed
         end
@@ -184,14 +184,14 @@ let run ?(log = fun _ -> ()) (cfg : config) =
           match r.Ft.error with
           | Some e ->
               incr failed;
-              log (tag ("failed (typed): " ^ e))
+              log ~violation:false (tag ("failed (typed): " ^ e))
           | None ->
               incr silent;
-              log (tag "SILENT FAILURE: no typed error reported")
+              log ~violation:true (tag "SILENT FAILURE: no typed error reported")
         end
     | exception e ->
         incr escaped;
-        log (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e)))
+        log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e)))
   done;
   { iterations = cfg.iterations;
     completed = !completed;
@@ -312,7 +312,7 @@ type overload_client = {
   mutable local_refused : bool;
 }
 
-let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
+let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_config) =
   if cfg.clients < 1 then invalid_arg "Soak.run_overload: clients must be >= 1";
   if cfg.file_len < 64 then invalid_arg "Soak.run_overload: file_len must be >= 64";
   if cfg.deadline_us <= 0.0 then
@@ -349,11 +349,6 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
       pool_leaks = 0 }
   in
   match
-    let sim = Sim.create cfg.machine in
-    let clock = Simclock.create () in
-    let demux = Demux.create () in
-    let link = ref None in
-    let wire_out d = Link.send (Option.get !link) d in
     (* The lying receivers' data ports (their acks travel cli_data ->
        srv_data); the port plan below assigns 4 consecutive ports per
        client starting at 1000, cli_data being the fourth. *)
@@ -410,23 +405,19 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
                   [ forged; forged ]
                 end)
     in
-    link :=
-      Some
-        (Link.create clock ~delay_us:30.0 ~seed:cfg.seed ~tamper:forge_ack
-           ~deliver:(Demux.deliver demux) ());
+    let w =
+      World.create cfg.machine ~link:(fun clock ~deliver ->
+          Link.create clock ~delay_us:30.0 ~seed:cfg.seed ~tamper:forge_ack
+            ~deliver ())
+    in
+    let sim = World.sim w and clock = World.clock w in
     let key = "soakOVRL" in
-    (* One pool shared by the server and every client engine, and a list
-       of all engines so teardown can audit pool balance for the run. *)
-    let pool = Ilp_fastpath.Pool.create () in
-    let engines = ref [] in
+    (* The server and every client engine share the world's pool. *)
     let engine () =
-      let e =
-        Engine.create sim
-          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-          ~mode:Engine.Ilp ~crc32:true ~pool ()
-      in
-      engines := e :: !engines;
-      e
+      World.engine w (fun sim ~pool ->
+          Engine.create sim
+            ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+            ~mode:Engine.Ilp ~crc32:true ~pool ())
     in
     (* Small buffers so the reply queue holds real bytes (the budgets
        bind); a stall deadline short enough to detect dead readers within
@@ -452,49 +443,38 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
         max_backoff_us = 30_000.0;
         deadline_us = 5_000_000.0 }
     in
-    let mk ?(sock = cfg_sock) port =
-      let s = Socket.create sim clock sock ~local_port:port ~wire_out in
-      Demux.bind demux ~port (Socket.handle_datagram s);
-      s
-    in
-    let world =
+    let clients =
       List.init cfg.clients (fun i ->
-          let base = 1000 + (4 * i) in
           let persona = persona_pattern.(i mod Array.length persona_pattern) in
           (* Streaming clients force segment streaming: the data MSS is
              well below one reply's wire length, so the server's replies
              go out through [Socket.send_stream] as pipelined TPDUs. *)
-          let data_sock =
+          let data =
             match persona with
-            | Streaming -> { cfg_sock with Socket.mss = 96 }
+            | Streaming -> Some { cfg_sock with Socket.mss = 96 }
             | Honest | Slow_reader | Dead_reader | Oversized
             | Shrinking_window | Lying_receiver ->
-                cfg_sock
+                None
           in
-          let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-          let srv_data = mk ~sock:data_sock (base + 2)
-          and cli_data = mk ~sock:data_sock (base + 3) in
-          ignore (Rpc_server.attach server ~ctrl:srv_ctrl ~data:srv_data);
+          let c = World.connect w server ?data cfg_sock ~base:(1000 + (4 * i)) in
           (* Slow and dead readers advertise a zero receive window from
              the start; slow ones reopen later, dead ones never do. *)
           (match persona with
-          | Slow_reader | Dead_reader -> Socket.set_advertised_window cli_data 0
+          | Slow_reader | Dead_reader ->
+              Socket.set_advertised_window c.World.cli_data 0
           | Honest | Oversized | Streaming | Shrinking_window
           | Lying_receiver ->
               ());
-          Socket.listen srv_ctrl;
-          Socket.listen cli_data;
-          Socket.connect cli_ctrl ~remote_port:base;
-          Socket.connect srv_data ~remote_port:(base + 3);
           (* Streaming personas also negotiate the v2 framed receive, so
              the overload soak drives final-placement reassembly through
              small-MSS pipelining, forged feedback and window games. *)
           let client =
             Rpc_client.create ~clock ~retry ~seed:(cfg.seed + i)
               ~framed:(persona = Streaming)
-              ~engine:(engine ()) ~ctrl:cli_ctrl ~data:cli_data ()
+              ~engine:(engine ()) ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ()
           in
-          { idx = i; persona; client; cli_data; srv_data; local_refused = false })
+          { idx = i; persona; client; cli_data = c.World.cli_data;
+            srv_data = c.World.srv_data; local_refused = false })
     in
     Simclock.run_until_idle clock;
     (* The telemetry hook attaches here — after handshakes have drained
@@ -539,18 +519,13 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
                    Socket.set_advertised_window c.cli_data
                      cfg_sock.Socket.recv_window))
         | Honest | Dead_reader | Oversized | Streaming | Lying_receiver -> ())
-      world;
-    let settled c =
-      c.local_refused
-      || Rpc_client.transfer_complete c.client
-      || Rpc_client.rejected c.client
-      || Rpc_client.failure c.client <> None
-      || Rpc_client.errors c.client <> []
-      || Socket.failure c.srv_data <> None
+      clients;
+    let verdict c =
+      World.verdict ~refused:c.local_refused ~server:c.srv_data c.client
     in
     let guard = ref 400_000 in
     while
-      (not (List.for_all settled world))
+      List.exists (fun c -> verdict c = World.Silent) clients
       && Simclock.now clock < cfg.deadline_us
       && !guard > 0
     do
@@ -564,73 +539,52 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
     and honest_incomplete = ref 0 in
     List.iter
       (fun c ->
-        let complete =
-          Rpc_client.transfer_complete c.client
-          && Rpc_client.errors c.client = []
+        let v = verdict c in
+        let line =
+          match v with
+          | World.Complete ->
+              incr completed;
+              "completed byte-exact"
+          | World.Typed t ->
+              incr typed;
+              t
+          | World.Silent ->
+              incr silent;
+              "SILENT: neither complete nor typed"
         in
-        let client_typed =
-          c.local_refused
-          || Rpc_client.rejected c.client
-          || Rpc_client.failure c.client <> None
-          || Rpc_client.errors c.client <> []
-        in
-        let server_typed = Socket.failure c.srv_data <> None in
-        let verdict =
-          if complete then begin
-            incr completed;
-            "completed byte-exact"
-          end
-          else if client_typed || server_typed then begin
-            incr typed;
-            if client_typed then
-              match Rpc_client.failure c.client with
-              | Some f -> "typed: " ^ Rpc_client.failure_to_string f
-              | None ->
-                  if Rpc_client.rejected c.client then "typed: rejected"
-                  else if c.local_refused then "typed: local refusal"
-                  else "typed: " ^ String.concat "; " (Rpc_client.errors c.client)
-            else
-              "typed (server side): "
-              ^ Socket.abort_reason_to_string
-                  (Option.get (Socket.failure c.srv_data))
-          end
-          else begin
-            incr silent;
-            "SILENT: neither complete nor typed"
-          end
-        in
-        if persona_must_complete c.persona && not complete then
-          incr honest_incomplete;
+        let incomplete = persona_must_complete c.persona && v <> World.Complete in
+        if incomplete then incr honest_incomplete;
         log
+          ~violation:(incomplete || v = World.Silent)
           (Printf.sprintf "client %2d  %-11s %s  (busy %d, retries %d)" c.idx
-             (persona_name c.persona) verdict
+             (persona_name c.persona) line
              (Rpc_client.busy_replies c.client)
              (Rpc_client.retries c.client)))
-      world;
+      clients;
     let busy =
-      List.fold_left (fun a c -> a + Rpc_client.busy_replies c.client) 0 world
+      List.fold_left (fun a c -> a + Rpc_client.busy_replies c.client) 0 clients
     in
     let refused =
       List.fold_left
         (fun a c -> a + if Rpc_client.rejected c.client then 1 else 0)
-        0 world
+        0 clients
     in
     let retries =
-      List.fold_left (fun a c -> a + Rpc_client.retries c.client) 0 world
+      List.fold_left (fun a c -> a + Rpc_client.retries c.client) 0 clients
     in
     let probes =
       List.fold_left
         (fun a c -> a + (Socket.stats c.srv_data).Socket.persist_probes)
-        0 world
+        0 clients
     in
     let stalled =
       List.fold_left
         (fun a c ->
           a
           + if Socket.failure c.srv_data = Some Socket.Peer_stalled then 1 else 0)
-        0 world
+        0 clients
     in
-    let forged_acks = (Link.stats (Option.get !link)).Link.tampered in
+    let forged_acks = (Link.stats (World.link w)).Link.tampered in
     (* Forged feedback must leave a trace: SACK blocks rejected by the
        server's validator, or (for optimistic-ack forgeries) a typed
        [Misbehaving_peer] abort.  Silent acceptance is the violation. *)
@@ -641,11 +595,10 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
           a + s.Socket.sack_invalid
           + if Socket.failure c.srv_data = Some Socket.Misbehaving_peer then 1
             else 0)
-        0 world
+        0 clients
     in
     let peak = Rpc_server.peak_queued_bytes server in
-    List.iter Engine.destroy !engines;
-    let pool_leaks = Ilp_fastpath.Pool.outstanding pool in
+    let pool_leaks = World.pool_leaks w in
     { clients = cfg.clients;
       completed = !completed;
       typed_failures = !typed;
@@ -676,7 +629,7 @@ let run_overload ?(log = fun _ -> ()) ?on_clock (cfg : overload_config) =
   | o -> o
   | exception (Invalid_argument _ as e) -> raise e
   | exception e ->
-      log ("ESCAPED EXCEPTION: " ^ Printexc.to_string e);
+      log ~violation:true ("ESCAPED EXCEPTION: " ^ Printexc.to_string e);
       empty_outcome
 
 let overload_summary_lines o =
@@ -760,7 +713,7 @@ let crash_invariants_hold o =
    restarts from byte zero when a verified prefix exists; the dedup
    ledger and the buffer pool balance; every crash teardown leaves zero
    owned timers on the clock. *)
-let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
+let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
   if cfg.transfers < 0 then
     invalid_arg "Soak.run_crash: transfers must be >= 0";
   if cfg.file_len < 64 then
@@ -816,26 +769,18 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
         (if rst_while_down then "rst" else "blackhole")
         verdict
     in
+    let zero_before = !restarts_zero in
     match
-      let sim = Sim.create cfg.machine in
-      let clock = Simclock.create () in
-      let demux = Demux.create () in
-      let link = ref None in
-      let wire_out d = Link.send (Option.get !link) d in
-      link :=
-        Some
-          (Link.create clock ~delay_us:40.0 ~seed:(cfg.seed + i)
-             ~deliver:(Demux.deliver demux) ());
-      let pool = Ilp_fastpath.Pool.create () in
-      let engines = ref [] in
+      let w =
+        World.create cfg.machine ~link:(fun clock ~deliver ->
+            Link.create clock ~delay_us:40.0 ~seed:(cfg.seed + i) ~deliver ())
+      in
+      let sim = World.sim w and clock = World.clock w in
       let engine () =
-        let e =
-          Engine.create sim
-            ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"soakCRSH" ())
-            ~mode ~crc32:crc ~pool ()
-        in
-        engines := e :: !engines;
-        e
+        World.engine w (fun sim ~pool ->
+            Engine.create sim
+              ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:"soakCRSH" ())
+              ~mode ~crc32:crc ~pool ())
       in
       let max_reply = 256 in
       let cfg_sock =
@@ -885,36 +830,33 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
           ~down_us
           ~behaviour:
             (if rst_while_down then
-               Crashplan.Respond { reply = Socket.reset_for; send = wire_out }
+               Crashplan.Respond
+                 { reply = Socket.reset_for; send = World.wire_out w }
              else Crashplan.Blackhole)
           ~kill ~revive ()
       in
       let all_socks = ref [] in
       let gen = ref 0 in
+      (* The server host's two ports die and come back with it. *)
+      let guard role s =
+        match role with
+        | World.Srv_ctrl | World.Srv_data ->
+            Crashplan.guard plan ~deliver:(Socket.handle_datagram s)
+        | World.Cli_ctrl | World.Cli_data -> Socket.handle_datagram s
+      in
       (* Stand up one connection generation: fresh ports both sides, the
-         server's two guarded by the crash plan, the pair attached to the
-         current server instance. *)
+         pair attached to the current server instance. *)
       let establish () =
         let base = 1000 + (4 * !gen) in
         incr gen;
-        let mk port = Socket.create sim clock cfg_sock ~local_port:port ~wire_out in
-        let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-        let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
-        Demux.bind demux ~port:base
-          (Crashplan.guard plan ~deliver:(Socket.handle_datagram srv_ctrl));
-        Demux.bind demux ~port:(base + 2)
-          (Crashplan.guard plan ~deliver:(Socket.handle_datagram srv_data));
-        Demux.bind demux ~port:(base + 1) (Socket.handle_datagram cli_ctrl);
-        Demux.bind demux ~port:(base + 3) (Socket.handle_datagram cli_data);
-        ignore
-          (Rpc_server.attach (Option.get !server) ~ctrl:srv_ctrl ~data:srv_data);
-        srv_socks := [ srv_ctrl; srv_data ];
-        all_socks := srv_ctrl :: cli_ctrl :: srv_data :: cli_data :: !all_socks;
-        Socket.listen srv_ctrl;
-        Socket.listen cli_data;
-        Socket.connect cli_ctrl ~remote_port:base;
-        Socket.connect srv_data ~remote_port:(base + 3);
-        (cli_ctrl, cli_data)
+        let c =
+          World.connect w (Option.get !server) ~rx:guard cfg_sock ~base
+        in
+        srv_socks := [ c.World.srv_ctrl; c.World.srv_data ];
+        all_socks :=
+          c.World.srv_ctrl :: c.World.cli_ctrl :: c.World.srv_data
+          :: c.World.cli_data :: !all_socks;
+        (c.World.cli_ctrl, c.World.cli_data)
       in
       let watch_data d =
         (* Half-open detection: a crashed-and-restarted (or still dead)
@@ -1032,43 +974,28 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
         (fun s -> if not (Socket.destroyed s) then Socket.destroy s)
         !all_socks;
       Simclock.run_until_idle clock;
-      let complete =
-        Rpc_client.transfer_complete client && Rpc_client.errors client = []
-      in
-      let client_typed =
-        !local_refused
-        || Rpc_client.rejected client
-        || Rpc_client.failure client <> None
-        || Rpc_client.errors client <> []
-      in
+      let silent_before = !silent in
       let verdict =
-        if complete then begin
-          if Rpc_client.bytes_received client <> copies * cfg.file_len then begin
-            incr silent;
-            "SILENT CORRUPTION: complete without byte-exact delivery"
-          end
-          else begin
-            incr completed;
-            if Rpc_client.reconnects client > 0 then begin
-              incr resumed_completed;
-              "completed byte-exact (resumed)"
+        match World.verdict ~refused:!local_refused client with
+        | World.Complete ->
+            if Rpc_client.bytes_received client <> copies * cfg.file_len then begin
+              incr silent;
+              "SILENT CORRUPTION: complete without byte-exact delivery"
             end
-            else "completed byte-exact"
-          end
-        end
-        else if client_typed then begin
-          incr typed;
-          match Rpc_client.failure client with
-          | Some f -> "typed: " ^ Rpc_client.failure_to_string f
-          | None ->
-              if Rpc_client.rejected client then "typed: rejected"
-              else if !local_refused then "typed: local refusal"
-              else "typed: " ^ String.concat "; " (Rpc_client.errors client)
-        end
-        else begin
-          incr silent;
-          "SILENT: neither complete nor typed past the deadline"
-        end
+            else begin
+              incr completed;
+              if Rpc_client.reconnects client > 0 then begin
+                incr resumed_completed;
+                "completed byte-exact (resumed)"
+              end
+              else "completed byte-exact"
+            end
+        | World.Typed t ->
+            incr typed;
+            t
+        | World.Silent ->
+            incr silent;
+            "SILENT: neither complete nor typed past the deadline"
       in
       if
         Rpc_server.executions store + Rpc_server.dedup_hits store
@@ -1076,11 +1003,12 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
         <> Rpc_server.id_requests_seen store
       then begin
         incr dedup_viol;
-        log (tag "DEDUP LEDGER MISMATCH")
+        log ~violation:true (tag "DEDUP LEDGER MISMATCH")
       end;
       if !stale_here > 0 then begin
         stale := !stale + !stale_here;
-        log (tag (Printf.sprintf "STALE TIMERS: %d owners" !stale_here))
+        log ~violation:true
+          (tag (Printf.sprintf "STALE TIMERS: %d owners" !stale_here))
       end;
       crashes := !crashes + Crashplan.crashes plan;
       resets := !resets + Crashplan.resets plan;
@@ -1096,19 +1024,23 @@ let run_crash ?(log = fun _ -> ()) (cfg : crash_config) =
           if Socket.failure s = Some Socket.Connection_reset then
             incr reset_aborts)
         !all_socks;
-      List.iter Engine.destroy !engines;
-      let leaked = Ilp_fastpath.Pool.outstanding pool in
+      let leaked = World.pool_leaks w in
       if leaked <> 0 then begin
         pool_leaks := !pool_leaks + leaked;
-        log (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" leaked))
+        log ~violation:true
+          (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" leaked))
       end;
-      log (tag verdict)
+      (* A resume from byte zero is counted by the supervisor above; this
+         transfer's verdict line is the one that names it. *)
+      log
+        ~violation:(!silent > silent_before || !restarts_zero > zero_before)
+        (tag verdict)
     with
     | () -> ()
     | exception (Invalid_argument _ as e) -> raise e
     | exception e ->
         incr escaped;
-        log (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e))
+        log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e))
   done;
   { transfers = cfg.transfers;
     completed = !completed;

@@ -10,7 +10,9 @@
     error — never silent corruption, never an escaped exception.}
 
     Everything is derived from [config.seed], so a failing iteration can
-    be replayed exactly. *)
+    be replayed exactly.  All three soaks wire their worlds with {!World}
+    and pass each [log] line [~violation:true] exactly when the line
+    counts an invariant violation. *)
 
 type config = {
   seed : int;
@@ -56,7 +58,7 @@ val invariants_hold : outcome -> bool
     Raises [Invalid_argument] on an out-of-range config (negative
     iterations, intensity outside [0, 10], non-positive sizes or
     deadline). *)
-val run : ?log:(string -> unit) -> config -> outcome
+val run : ?log:(violation:bool -> string -> unit) -> config -> outcome
 
 (** Human-readable ledger of the whole run. *)
 val summary_lines : outcome -> string list
@@ -166,7 +168,7 @@ val overload_invariants_hold : overload_outcome -> bool
     scheduled — the telemetry sampler attaches its periodic tick there.
     Raises [Invalid_argument] on an out-of-range config. *)
 val run_overload :
-  ?log:(string -> unit) ->
+  ?log:(violation:bool -> string -> unit) ->
   ?on_clock:(Ilp_netsim.Simclock.t -> unit) ->
   overload_config ->
   overload_outcome
@@ -239,6 +241,7 @@ val crash_invariants_hold : crash_outcome -> bool
 (** [run_crash ?log cfg] executes [cfg.transfers] independent seeded
     crash/restart transfers; [log] receives one verdict line per
     transfer.  Raises [Invalid_argument] on an out-of-range config. *)
-val run_crash : ?log:(string -> unit) -> crash_config -> crash_outcome
+val run_crash :
+  ?log:(violation:bool -> string -> unit) -> crash_config -> crash_outcome
 
 val crash_summary_lines : crash_outcome -> string list

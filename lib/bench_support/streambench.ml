@@ -1,10 +1,8 @@
 module Link = Ilp_netsim.Link
 module Simclock = Ilp_netsim.Simclock
-module Demux = Ilp_netsim.Demux
 module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
-module Sim = Ilp_memsim.Sim
 module M = Ilp_obs.Metrics
 
 type mode = Pipelined | Stop_and_wait
@@ -77,30 +75,26 @@ let validate cfg =
 
 let transfer cfg =
   validate cfg;
-  let sim =
-    Sim.create ~mem_size:(cfg.total_bytes + (4 * 1024 * 1024)) cfg.machine
-  in
-  let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
   (* Rolling FNV-1a-style digest over every datagram offered to the wire
      (ports and payload, both directions, send order).  Two transfers
      whose wires are byte-identical have equal digests — the SACK-off vs
      SACK-on clean-link gate. *)
   let digest = ref 0x1505 in
-  let wire_out d =
+  let tap d =
     let h = ref !digest in
     let mix b = h := (!h lxor b) * 0x01000193 land 0x3FFFFFFFFFFFFFF in
     mix d.Datagram.src_port;
     mix d.Datagram.dst_port;
     String.iter (fun c -> mix (Char.code c)) d.Datagram.payload;
-    digest := !h;
-    Link.send (Option.get !link) d
+    digest := !h
   in
-  link :=
-    Some
-      (Link.create clock ~delay_us:(cfg.rtt_us /. 2.0) ~loss_rate:cfg.loss_rate
-         ~seed:cfg.seed ~deliver:(Demux.deliver demux) ());
+  let w =
+    Ilp_app.World.create ~mem_size:(cfg.total_bytes + (4 * 1024 * 1024)) ~tap
+      cfg.machine ~link:(fun clock ~deliver ->
+        Link.create clock ~delay_us:(cfg.rtt_us /. 2.0) ~loss_rate:cfg.loss_rate
+          ~seed:cfg.seed ~deliver ())
+  in
+  let sim = Ilp_app.World.sim w and clock = Ilp_app.World.clock w in
   let backend () =
     if cfg.native then
       Engine.Native
@@ -112,9 +106,10 @@ let transfer cfg =
      the send staging and the receiver's reassembly area. *)
   let max_message = cfg.tsdu_payload + 64 in
   let mk_engine () =
-    Engine.create sim
-      ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-      ~mode:Engine.Ilp ~backend:(backend ()) ~max_message ()
+    Ilp_app.World.engine w (fun sim ~pool ->
+        Engine.create sim
+          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+          ~mode:Engine.Ilp ~backend:(backend ()) ~max_message ~pool ())
   in
   let tx_eng = mk_engine () and rx_eng = mk_engine () in
   let tx_cfg =
@@ -142,10 +137,8 @@ let transfer cfg =
         (match cfg.mode with Pipelined -> wide_window | Stop_and_wait -> cfg.mss)
     }
   in
-  let tx = Socket.create sim clock tx_cfg ~local_port:7001 ~wire_out in
-  let rx = Socket.create sim clock rx_cfg ~local_port:7002 ~wire_out in
-  Demux.bind demux ~port:7001 (Socket.handle_datagram tx);
-  Demux.bind demux ~port:7002 (Socket.handle_datagram rx);
+  let tx = Ilp_app.World.socket w tx_cfg ~port:7001 in
+  let rx = Ilp_app.World.socket w rx_cfg ~port:7002 in
   (match Engine.rx_style rx_eng with
   | Engine.Rx_integrated_style f -> Socket.set_rx_processing rx (Socket.Rx_integrated f)
   | Engine.Rx_deferred_style f -> Socket.set_rx_processing rx (Socket.Rx_separate f));
@@ -225,8 +218,8 @@ let transfer cfg =
   let elapsed = if !delivered = n then !t_done -. t0 else Simclock.now clock -. t0 in
   let final_cwnd = Socket.congestion_window tx in
   let ring_wraps = Socket.ring_wraps tx in
-  Engine.destroy tx_eng;
-  Engine.destroy rx_eng;
+  (* Teardown only: the stream bench reports no pool audit. *)
+  ignore (Ilp_app.World.pool_leaks w : int);
   { ok = !failed = None && !delivered = n;
     error = !failed;
     payload_bytes = !payload;

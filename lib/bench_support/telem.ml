@@ -54,7 +54,7 @@ type result = {
   final : M.snapshot;  (* registry state after the final sample *)
 }
 
-let run ?(log = fun _ -> ()) ?(config = default_config) () =
+let run ?(log = fun ~violation:_ _ -> ()) ?(config = default_config) () =
   let ts =
     Ts.create ~capacity:config.capacity ~slos:config.slos
       ~interval_us:config.interval_us M.default

@@ -20,7 +20,8 @@ type result = {
   final : Ilp_obs.Metrics.snapshot;
 }
 
-val run : ?log:(string -> unit) -> ?config:config -> unit -> result
+val run :
+  ?log:(violation:bool -> string -> unit) -> ?config:config -> unit -> result
 (** Run the overload soak with the sampler attached via [on_clock]; a
     final sample is taken after the soak settles, so the sampled deltas
     cover the whole run. *)

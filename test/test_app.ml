@@ -515,11 +515,181 @@ let test_overload_lying_receiver () =
     (o.Soak.forged_rejections > 0);
   checkb "no forgery went unpunished" false o.Soak.forgery_unpunished
 
+(* ------------------------------------------------------------------ *)
+(* World: the one wiring of the paper's connection plan *)
+
+module World = Ilp_app.World
+module Socket = Ilp_tcp.Socket
+module Rpc_server = Ilp_rpc.Server
+module Rpc_client = Ilp_rpc.Client
+module Simclock = Ilp_netsim.Simclock
+module Datagram = Ilp_netsim.Datagram
+
+let world_key = "worldTST"
+
+let plain_world ?pool () =
+  World.create ?pool Config.ss10_30 ~link:(fun clock ~deliver ->
+      Ilp_netsim.Link.create clock ~delay_us:50.0 ~deliver ())
+
+let world_engine ?(mode = Engine.Ilp) ?(native = false) w =
+  World.engine w (fun sim ~pool ->
+      let backend =
+        if native then
+          Engine.Native
+            (Ilp_fastpath.Cipher.Safer_simplified
+               (Ilp_cipher.Safer_simplified.expand_key world_key))
+        else Engine.Simulated
+      in
+      Engine.create sim
+        ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key:world_key ())
+        ~mode ~backend ~pool ())
+
+(* One server and one client on [base .. base + 3], a 2 KiB file
+   registered, handshakes not yet run. *)
+let served ?rx ?mode ?native w ~base =
+  let clock = World.clock w in
+  let server =
+    Rpc_server.create ~clock ~engine:(world_engine ?mode ?native w) ()
+  in
+  let c = World.connect w server ?rx { Socket.default_config with mss = 2048 } ~base in
+  let client =
+    Rpc_client.create ~clock ~engine:(world_engine ?mode ?native w)
+      ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ()
+  in
+  let file = Ilp_app.Workload.generate ~len:2048 ~seed:9 in
+  let addr = Ilp_app.Workload.install (World.sim w) file in
+  Rpc_server.add_file server ~name:"w.bin" ~addr ~len:2048;
+  (server, c, client, file)
+
+let fetch ?(name = "w.bin") w client file =
+  (match
+     Rpc_client.request_file client ~name ~copies:1 ~max_reply:512
+       ~expected:file
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "request refused locally");
+  Simclock.run_until_idle (World.clock w)
+
+let verdict_t =
+  Alcotest.testable
+    (fun ppf v ->
+      Format.pp_print_string ppf
+        (match v with
+        | World.Complete -> "Complete"
+        | World.Typed s -> "Typed " ^ s
+        | World.Silent -> "Silent"))
+    ( = )
+
+(* A segment that opens a connection: SYN without ACK. *)
+let is_bare_syn d =
+  match Ilp_netsim.Ipv4.decapsulate d.Datagram.payload with
+  | Error _ -> false
+  | Ok (_, seg) -> (
+      match Ilp_tcp.Tcp_header.of_string seg ~pos:0 with
+      | Error _ -> false
+      | Ok h ->
+          Ilp_tcp.Tcp_header.(has h syn && not (has h ack_flag)))
+
+let test_world_connection_plan () =
+  let w = plain_world () in
+  let seen = ref [] in
+  let rx role s d =
+    seen := (role, d) :: !seen;
+    Socket.handle_datagram s d
+  in
+  let server, c, client, file = served ~rx w ~base:40 in
+  Simclock.run_until_idle (World.clock w);
+  let roles =
+    [ (World.Srv_ctrl, c.World.srv_ctrl); (World.Cli_ctrl, c.World.cli_ctrl);
+      (World.Srv_data, c.World.srv_data); (World.Cli_data, c.World.cli_data) ]
+  in
+  List.iteri
+    (fun i (role, s) ->
+      let port = 40 + i in
+      let mine = List.filter (fun (r, _) -> r = role) !seen in
+      checkb "established" true (Socket.state s = Socket.Established);
+      check "sockets sit on base..base+3 in role order" port (Socket.local_port s);
+      checkb "rx saw the role" true (mine <> []);
+      checkb "rx saw the role only on its own port" true
+        (List.for_all (fun (_, d) -> d.Datagram.dst_port = port) mine))
+    roles;
+  let first role =
+    match List.rev (List.filter (fun (r, _) -> r = role) !seen) with
+    | (_, d) :: _ -> d
+    | [] -> Alcotest.fail "role never reached"
+  in
+  (* Each connection is opened by the side that sends on it: the client
+     opens the control connection, the server the data connection. *)
+  checkb "client opens ctrl: srv_ctrl first hears a SYN" true
+    (is_bare_syn (first World.Srv_ctrl));
+  checkb "server opens data: cli_data first hears a SYN" true
+    (is_bare_syn (first World.Cli_data));
+  checkb "cli_ctrl first hears a SYN-ACK" false (is_bare_syn (first World.Cli_ctrl));
+  checkb "srv_data first hears a SYN-ACK" false (is_bare_syn (first World.Srv_data));
+  check "one admitted connection" 1 (Rpc_server.connections server);
+  fetch w client file;
+  Alcotest.check verdict_t "one request ends Complete" World.Complete
+    (World.verdict client);
+  checkb "requests flow client -> server" true
+    ((Socket.stats c.World.cli_ctrl).Socket.bytes_sent > 0
+    && (Socket.stats c.World.srv_ctrl).Socket.bytes_sent = 0);
+  checkb "replies flow server -> client" true
+    ((Socket.stats c.World.srv_data).Socket.bytes_sent > 0
+    && (Socket.stats c.World.cli_data).Socket.bytes_sent = 0)
+
+let test_world_verdicts () =
+  let w = plain_world () in
+  let _, c, client, file = served w ~base:40 in
+  (* A dead reader: its window never opens, so the server's data socket
+     will abort while the client itself holds no failure. *)
+  Socket.set_advertised_window c.World.cli_data 0;
+  Simclock.run_until_idle (World.clock w);
+  Alcotest.check verdict_t "a fresh client is silent" World.Silent
+    (World.verdict client);
+  Alcotest.check verdict_t "a request that never left" (World.Typed "typed: local refusal")
+    (World.verdict ~refused:true client);
+  fetch w client file;
+  Alcotest.check verdict_t "the server's abort when the client holds nothing"
+    (World.Typed
+       ("typed (server side): "
+       ^ Socket.abort_reason_to_string Socket.Peer_stalled))
+    (World.verdict ~server:c.World.srv_data client);
+  Alcotest.check verdict_t "the client's own outcome outranks the server's"
+    (World.Typed "typed: local refusal")
+    (World.verdict ~refused:true ~server:c.World.srv_data client);
+  let _, c2, client2, file2 = served w ~base:44 in
+  Simclock.run_until_idle (World.clock w);
+  fetch w client2 file2;
+  Alcotest.check verdict_t "a finished transfer" World.Complete
+    (World.verdict ~server:c2.World.srv_data client2);
+  let _, _, client3, file3 = served w ~base:48 in
+  Simclock.run_until_idle (World.clock w);
+  fetch ~name:"missing.bin" w client3 file3;
+  Alcotest.check verdict_t "a request the server rejected"
+    (World.Typed "typed: rejected") (World.verdict client3)
+
+let test_world_pool_audit () =
+  (* Native separate-mode engines stage each send in a pool buffer that
+     only [Engine.destroy] returns. *)
+  let pool = Ilp_fastpath.Pool.create () in
+  let w = plain_world ~pool () in
+  let _, _, client, file = served ~mode:Engine.Separate ~native:true w ~base:40 in
+  Simclock.run_until_idle (World.clock w);
+  fetch w client file;
+  Alcotest.check verdict_t "transfer complete" World.Complete (World.verdict client);
+  checkb "a staging buffer is still out" true (Ilp_fastpath.Pool.outstanding pool > 0);
+  check "pool_leaks destroys every engine, then the pool balances" 0
+    (World.pool_leaks w)
+
 let () =
   Alcotest.run "app"
     [ ( "workload",
         [ Alcotest.test_case "deterministic" `Quick test_workload_deterministic;
           Alcotest.test_case "install" `Quick test_workload_install ] );
+      ( "world",
+        [ Alcotest.test_case "connection plan" `Quick test_world_connection_plan;
+          Alcotest.test_case "verdict table" `Quick test_world_verdicts;
+          Alcotest.test_case "pool audit" `Quick test_world_pool_audit ] );
       ( "end-to-end",
         [ Alcotest.test_case "cipher x mode matrix" `Slow test_matrix;
           Alcotest.test_case "native backend end-to-end" `Quick

@@ -3,7 +3,7 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
+module World = Ilp_app.World
 module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
@@ -343,10 +343,8 @@ let prop_reply_view_equals_copy =
 (* Client/server over the full stack *)
 
 type world = {
-  sim : Sim.t;
+  world : World.t;
   clock : Simclock.t;
-  demux : Demux.t;
-  wire_out : Datagram.t -> unit;
   srv_engine : Engine.t;
   server : Server.t;
   client : Client.t;
@@ -358,57 +356,53 @@ type world = {
   file_addr : int;
 }
 
-let make_world ?(mode = Engine.Ilp) ?(loss_rate = 0.0) ?(file_len = 4096)
-    ?(limits = Server.default_limits) ?(mangle = fun _ s -> s)
-    ?(idempotent = false) ?(drop = fun (_ : Datagram.t) -> false) () =
-  let sim = Sim.create Config.ss10_30 in
-  let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
+let key = "rpcTESTk"
+let sock_cfg = { Socket.default_config with mss = 2048 }
+
+let engine ?(mode = Engine.Ilp) world =
+  World.engine world (fun sim ~pool ->
+      Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+        ~mode ~pool ())
+
+(* [drop] swallows a datagram before it reaches the wire; [mangle n]
+   rewrites the payload of the nth datagram that does.  Both run as the
+   link's tamper hook, which passes an untouched datagram as itself. *)
+let lossy_world ?(loss_rate = 0.0) ?(mangle = fun _ s -> s)
+    ?(drop = fun (_ : Datagram.t) -> false) () =
   let count = ref 0 in
-  let wire_out d =
-    if not (drop d) then begin
+  let tamper d =
+    if drop d then []
+    else begin
       incr count;
       let payload = mangle !count d.Datagram.payload in
-      Link.send (Option.get !link)
-        (Datagram.create ~src_port:d.Datagram.src_port
-           ~dst_port:d.Datagram.dst_port ~payload)
+      if payload == d.Datagram.payload then [ d ]
+      else
+        [ Datagram.create ~src_port:d.Datagram.src_port
+            ~dst_port:d.Datagram.dst_port ~payload ]
     end
   in
-  link :=
-    Some (Link.create clock ~delay_us:50.0 ~loss_rate ~seed:7
-            ~deliver:(Demux.deliver demux) ());
-  let key = "rpcTESTk" in
-  let srv_engine =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ()) ~mode ()
-  in
-  let cli_engine =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ()) ~mode ()
-  in
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let srv_ctrl = Socket.create sim clock cfg ~local_port:10 ~wire_out in
-  let cli_ctrl = Socket.create sim clock cfg ~local_port:11 ~wire_out in
-  let srv_data = Socket.create sim clock cfg ~local_port:12 ~wire_out in
-  let cli_data = Socket.create sim clock cfg ~local_port:13 ~wire_out in
-  List.iter
-    (fun (port, s) -> Demux.bind demux ~port (Socket.handle_datagram s))
-    [ (10, srv_ctrl); (11, cli_ctrl); (12, srv_data); (13, cli_data) ];
+  World.create Config.ss10_30 ~link:(fun clock ~deliver ->
+      Link.create clock ~delay_us:50.0 ~loss_rate ~seed:7 ~tamper ~deliver ())
+
+let make_world ?mode ?loss_rate ?(file_len = 4096)
+    ?(limits = Server.default_limits) ?mangle ?(idempotent = false) ?drop () =
+  let world = lossy_world ?loss_rate ?mangle ?drop () in
+  let clock = World.clock world in
+  let srv_engine = engine ?mode world in
+  let cli_engine = engine ?mode world in
   let server = Server.create ~clock ~engine:srv_engine ~limits () in
-  ignore (Server.attach server ~ctrl:srv_ctrl ~data:srv_data);
+  let c = World.connect world server sock_cfg ~base:10 in
   let client =
-    Client.create ~clock ~engine:cli_engine ~idempotent ~ctrl:cli_ctrl
-      ~data:cli_data ()
+    Client.create ~clock ~engine:cli_engine ~idempotent ~ctrl:c.World.cli_ctrl
+      ~data:c.World.cli_data ()
   in
   let file = Ilp_app.Workload.generate ~len:file_len ~seed:3 in
-  let addr = Ilp_app.Workload.install sim file in
+  let addr = Ilp_app.Workload.install (World.sim world) file in
   Server.add_file server ~name:"test.bin" ~addr ~len:file_len;
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:10;
-  Socket.connect srv_data ~remote_port:13;
   Simclock.run_until_idle clock;
-  { sim; clock; demux; wire_out; srv_engine; server; client; srv_ctrl;
-    srv_data; cli_ctrl; cli_data; file; file_addr = addr }
+  { world; clock; srv_engine; server; client; srv_ctrl = c.World.srv_ctrl;
+    srv_data = c.World.srv_data; cli_ctrl = c.World.cli_ctrl;
+    cli_data = c.World.cli_data; file; file_addr = addr }
 
 let pump w =
   let guard = ref 50_000 in
@@ -564,22 +558,12 @@ let test_reconnect_resumes () =
   (* The wire heals; hand the client a freshly connected socket pair (and
      stand the server up again on new ports). *)
   on := false;
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port = Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out in
-  let srv_ctrl = mk 20 and cli_ctrl = mk 21 and srv_data = mk 22 and cli_data = mk 23 in
-  List.iter
-    (fun (port, s) -> Demux.bind w.demux ~port (Socket.handle_datagram s))
-    [ (20, srv_ctrl); (21, cli_ctrl); (22, srv_data); (23, cli_data) ];
   let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine () in
-  ignore (Server.attach server2 ~ctrl:srv_ctrl ~data:srv_data);
+  let c = World.connect w.world server2 sock_cfg ~base:20 in
   Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
     ~len:(String.length w.file);
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:20;
-  Socket.connect srv_data ~remote_port:23;
   Simclock.run_until_idle w.clock;
-  (match Client.reconnect w.client ~ctrl:cli_ctrl ~data:cli_data with
+  (match Client.reconnect w.client ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data with
   | Ok _summary -> ()
   | Error _ -> Alcotest.fail "reconnect refused");
   pump_settle w;
@@ -608,26 +592,12 @@ let crash_server w =
 (* Stand the server up again — a fresh instance over [store] — on four
    fresh ports; hand back the new instance and the client-side pair. *)
 let restart_generation w ~store ~base =
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port =
-    let s =
-      Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out
-    in
-    Demux.bind w.demux ~port (Socket.handle_datagram s);
-    s
-  in
-  let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-  let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
   let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine ~store () in
-  ignore (Server.attach server2 ~ctrl:srv_ctrl ~data:srv_data);
+  let c = World.connect w.world server2 sock_cfg ~base in
   Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
     ~len:(String.length w.file);
-  Socket.listen srv_ctrl;
-  Socket.listen cli_data;
-  Socket.connect cli_ctrl ~remote_port:base;
-  Socket.connect srv_data ~remote_port:(base + 3);
   Simclock.run_until_idle w.clock;
-  (server2, cli_ctrl, cli_data)
+  (server2, c.World.cli_ctrl, c.World.cli_data)
 
 let test_dedup_replay_served_from_cache () =
   (* The doomed instance executes a request whose replies never reach the
@@ -882,29 +852,12 @@ let test_unadmitted_connection_busy_until_exhausted () =
    completes once the first drains — transient overload degrades to
    delay, not failure. *)
 let test_busy_retry_recovers () =
-  let sim = Sim.create Config.ss10_30 in
-  let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link = ref None in
-  let wire_out d = Link.send (Option.get !link) d in
-  link :=
-    Some (Link.create clock ~delay_us:50.0 ~seed:7
-            ~deliver:(Demux.deliver demux) ());
-  let key = "rpcTESTk" in
-  let engine () =
-    Engine.create sim ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-      ~mode:Engine.Ilp ()
-  in
+  let world = lossy_world () in
+  let clock = World.clock world in
   (* Small socket buffers so the server's reply queue holds real bytes
      instead of draining synchronously into TCP. *)
   let cfg =
-    { Socket.default_config with mss = 2048; send_buffer = 4096;
-      recv_window = 4096 }
-  in
-  let mk port =
-    let s = Socket.create sim clock cfg ~local_port:port ~wire_out in
-    Demux.bind demux ~port (Socket.handle_datagram s);
-    s
+    { sock_cfg with send_buffer = 4096; recv_window = 4096 }
   in
   let file_len = 4096 in
   let copies = 2 in
@@ -913,23 +866,16 @@ let test_busy_retry_recovers () =
       max_conn_queue_bytes = copies * file_len;
       max_total_queue_bytes = (copies * file_len) + 2048 }
   in
-  let server = Server.create ~clock ~engine:(engine ()) ~limits () in
+  let server = Server.create ~clock ~engine:(engine world) ~limits () in
   let file = Ilp_app.Workload.generate ~len:file_len ~seed:3 in
-  let addr = Ilp_app.Workload.install sim file in
+  let addr = Ilp_app.Workload.install (World.sim world) file in
   Server.add_file server ~name:"test.bin" ~addr ~len:file_len;
   let clients =
     List.map
       (fun i ->
-        let base = 30 + (4 * i) in
-        let srv_ctrl = mk base and cli_ctrl = mk (base + 1) in
-        let srv_data = mk (base + 2) and cli_data = mk (base + 3) in
-        ignore (Server.attach server ~ctrl:srv_ctrl ~data:srv_data);
-        Socket.listen srv_ctrl;
-        Socket.listen cli_data;
-        Socket.connect cli_ctrl ~remote_port:base;
-        Socket.connect srv_data ~remote_port:(base + 3);
-        Client.create ~clock ~engine:(engine ()) ~seed:(i + 1) ~ctrl:cli_ctrl
-          ~data:cli_data ())
+        let c = World.connect world server cfg ~base:(30 + (4 * i)) in
+        Client.create ~clock ~engine:(engine world) ~seed:(i + 1)
+          ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ())
       [ 0; 1 ]
   in
   Simclock.run_until_idle clock;
@@ -973,12 +919,7 @@ let test_dead_connection_frees_admission_slot () =
   let w = make_world ~limits () in
   check "one admitted" 1 (Server.connections w.server);
   (* A second pair attaches over the budget: not admitted. *)
-  let cfg = { Socket.default_config with mss = 2048 } in
-  let mk port =
-    let s = Socket.create w.sim w.clock cfg ~local_port:port ~wire_out:w.wire_out in
-    Demux.bind w.demux ~port (Socket.handle_datagram s);
-    s
-  in
+  let mk port = World.socket w.world sock_cfg ~port in
   let srv_ctrl2 = mk 40 and srv_data2 = mk 42 in
   ignore (Server.attach w.server ~ctrl:srv_ctrl2 ~data:srv_data2);
   check "still one admitted" 1 (Server.connections w.server);

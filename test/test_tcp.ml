@@ -6,7 +6,6 @@
 open Ilp_memsim
 module Simclock = Ilp_netsim.Simclock
 module Link = Ilp_netsim.Link
-module Demux = Ilp_netsim.Demux
 module Datagram = Ilp_netsim.Datagram
 open Ilp_tcp
 
@@ -222,18 +221,28 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
     ?(recv_window = Socket.default_config.Socket.recv_window)
     ?(ooo_slots = Socket.default_config.Socket.ooo_slots) ?rx_area
     ?(rx_handler = true) ?tamper ?(mangle = fun _ s -> s) () =
-  let sim = Sim.create (Config.custom ()) in
-  let clock = Simclock.create () in
-  let demux = Demux.create () in
-  let link_ref = ref None in
+  (* [mangle n] rewrites the nth datagram's payload, then [tamper] (a
+     lying NIC) sees the result; both run as the link's tamper hook, and
+     an untouched datagram passes as itself so [Link.stats.tampered]
+     counts only real rewrites. *)
   let count = ref 0 in
-  let wire_out d =
+  let tamper d =
     incr count;
     let payload = mangle !count d.Datagram.payload in
-    Link.send (Option.get !link_ref)
-      (Datagram.create ~src_port:d.Datagram.src_port ~dst_port:d.Datagram.dst_port
-         ~payload)
+    let d =
+      if payload == d.Datagram.payload then d
+      else
+        Datagram.create ~src_port:d.Datagram.src_port ~dst_port:d.Datagram.dst_port
+          ~payload
+    in
+    match tamper with None -> [ d ] | Some f -> f d
   in
+  let w =
+    Ilp_app.World.create (Config.custom ()) ~link:(fun clock ~deliver ->
+        Link.create clock ~delay_us:25.0 ~loss_rate ~jitter_us ~dup_rate ~seed
+          ~tamper ~deliver ())
+  in
+  let sim = Ilp_app.World.sim w in
   let cfg =
     { Socket.default_config with
       mss;
@@ -244,20 +253,14 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
       ooo_slots
     }
   in
-  let a = Socket.create sim clock cfg ~local_port:100 ~wire_out in
-  let b = Socket.create sim clock cfg ~local_port:200 ~wire_out in
+  let a = Ilp_app.World.socket w cfg ~port:100 in
+  let b = Ilp_app.World.socket w cfg ~port:200 in
   (* [rx_area] (default: one MSS) bounds the TSDUs [b] can reassemble. *)
   let rx_area = Option.value rx_area ~default:mss in
   let app = Alloc.alloc sim.Sim.alloc ~align:64 rx_area in
   if rx_handler then
     Socket.set_rx_processing b (copy_handler ~area:app ~len:rx_area);
-  link_ref :=
-    Some
-      (Link.create clock ~delay_us:25.0 ~loss_rate ~jitter_us ~dup_rate ~seed
-         ?tamper ~deliver:(Demux.deliver demux) ());
-  Demux.bind demux ~port:100 (Socket.handle_datagram a);
-  Demux.bind demux ~port:200 (Socket.handle_datagram b);
-  { sim; clock; a; b; link = Option.get !link_ref; app }
+  { sim; clock = Ilp_app.World.clock w; a; b; link = Ilp_app.World.link w; app }
 
 let connect w =
   Socket.listen w.b;
