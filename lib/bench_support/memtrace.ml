@@ -131,9 +131,9 @@ let measure_disabled_tracing () =
     let t0 = if Trace.enabled () then Trace.now () else 0.0 in
     Trace.span Trace.Send_marshal ~packet:(Trace.current_packet ()) ~ts:t0
       ~dur:0.0;
-    Trace.instant Trace.Tcp_retransmit ~packet:0 ~ts:0.0;
+    Trace.instant Trace.Retransmit ~packet:0 ~ts:0.0 ~arg:0;
     ignore (Trace.begin_packet ());
-    Recorder.note Recorder.State ~conn:0 ~arg:0 ~ts:t0;
+    Recorder.note Trace.State ~conn:0 ~arg:0 ~ts:t0;
     blk.(0) <- blk.(0) + 1;
     M.observe h 42
   in

@@ -1,79 +1,21 @@
 (* Flight recorder: an always-on ring of the last N significant
    connection events (state transitions, retransmits, aborts, sheds,
-   resets).  Unlike [Trace] — which is an opt-in, high-volume span
-   tracer — the recorder is cheap enough to leave enabled everywhere:
-   noting an event is four array stores and two integer bumps, with no
-   allocation on either the enabled or disabled path.  When a soak
-   invariant fails or a connection aborts, [dump] turns the retained
-   tail into a self-contained post-mortem. *)
-
-type event =
-  | State
-  | Retransmit
-  | Fast_retransmit
-  | Sack_retransmit
-  | Persist_probe
-  | Zero_window
-  | Keepalive
-  | Rst_tx
-  | Rst_rx
-  | Abort
-  | Shed
-  | Abandon
-  | Retry
-  | Reconnect
-  | Resume
-
-let all_events =
-  [ State; Retransmit; Fast_retransmit; Sack_retransmit; Persist_probe;
-    Zero_window; Keepalive; Rst_tx; Rst_rx; Abort; Shed; Abandon; Retry;
-    Reconnect; Resume ]
-
-let event_index = function
-  | State -> 0
-  | Retransmit -> 1
-  | Fast_retransmit -> 2
-  | Sack_retransmit -> 3
-  | Persist_probe -> 4
-  | Zero_window -> 5
-  | Keepalive -> 6
-  | Rst_tx -> 7
-  | Rst_rx -> 8
-  | Abort -> 9
-  | Shed -> 10
-  | Abandon -> 11
-  | Retry -> 12
-  | Reconnect -> 13
-  | Resume -> 14
-
-let n_events = List.length all_events
-let event_of_index = Array.of_list all_events
-
-let event_name = function
-  | State -> "state"
-  | Retransmit -> "retransmit"
-  | Fast_retransmit -> "fast-rexmit"
-  | Sack_retransmit -> "sack-rexmit"
-  | Persist_probe -> "persist-probe"
-  | Zero_window -> "zero-window"
-  | Keepalive -> "keepalive"
-  | Rst_tx -> "rst-tx"
-  | Rst_rx -> "rst-rx"
-  | Abort -> "abort"
-  | Shed -> "shed"
-  | Abandon -> "abandon"
-  | Retry -> "retry"
-  | Reconnect -> "reconnect"
-  | Resume -> "resume"
+   resets).  [note] is the one call for such an event: it keeps the
+   event here and hands it to [Trace] as an instant, which records it
+   only while tracing is on.  The recorder is cheap enough to leave
+   enabled everywhere: noting an event is four array stores, two
+   integer bumps and the tracer's flag test, with no allocation on any
+   path.  When a soak invariant fails or a connection aborts, [dump]
+   turns the retained tail into a self-contained post-mortem. *)
 
 (* Components install decoders for their [arg] encodings at module
    initialisation (e.g. TCP state numbers, shed-reason indices), so the
-   recorder itself stays dependency-free. *)
-let arg_printers : (int -> string) option array = Array.make n_events None
-let set_arg_printer ev f = arg_printers.(event_index ev) <- Some f
+   recorder itself depends on no protocol module. *)
+let arg_printers : (Trace.stage * (int -> string)) list ref = ref []
+let set_arg_printer stage f = arg_printers := (stage, f) :: !arg_printers
 
-let arg_string ev arg =
-  match arg_printers.(event_index ev) with
+let arg_string stage arg =
+  match List.assoc_opt stage !arg_printers with
   | Some f -> f arg
   | None -> if arg = 0 then "" else string_of_int arg
 
@@ -87,7 +29,7 @@ let default_capacity = 4096
 
 let on = ref true
 let cap = ref default_capacity
-let r_event = ref (Array.make default_capacity 0)
+let r_stage = ref (Array.make default_capacity Trace.State)
 let r_conn = ref (Array.make default_capacity 0)
 let r_arg = ref (Array.make default_capacity 0)
 let r_ts = ref (Array.make default_capacity 0.0)
@@ -107,27 +49,28 @@ let resize capacity =
   if capacity < 1 then invalid_arg "Recorder.resize: capacity must be positive";
   if capacity <> !cap then begin
     cap := capacity;
-    r_event := Array.make capacity 0;
+    r_stage := Array.make capacity Trace.State;
     r_conn := Array.make capacity 0;
     r_arg := Array.make capacity 0;
     r_ts := Array.make capacity 0.0
   end;
   clear ()
 
-let note ev ~conn ~arg ~ts =
+let note stage ~conn ~arg ~ts =
   if !on then begin
     let i = !next in
-    !r_event.(i) <- event_index ev;
+    !r_stage.(i) <- stage;
     !r_conn.(i) <- conn;
     !r_arg.(i) <- arg;
     !r_ts.(i) <- ts;
     next := if i + 1 = !cap then 0 else i + 1;
     incr total
-  end
+  end;
+  Trace.instant stage ~packet:(Trace.current_packet ()) ~ts ~arg
 
 (* ---- reading ---- *)
 
-type entry = { event : event; conn : int; arg : int; ts : float }
+type entry = { stage : Trace.stage; conn : int; arg : int; ts : float }
 
 let noted () = !total
 let count () = min !total !cap
@@ -142,7 +85,7 @@ let entries ?conn () =
   let all =
     List.init n (fun i ->
         let j = nth_oldest i in
-        { event = event_of_index.(!r_event.(j));
+        { stage = !r_stage.(j);
           conn = !r_conn.(j);
           arg = !r_arg.(j);
           ts = !r_ts.(j) })
@@ -157,9 +100,9 @@ let last ~conn n =
   if len <= n then es else List.filteri (fun i _ -> i >= len - n) es
 
 let entry_line e =
-  let arg = arg_string e.event e.arg in
+  let arg = arg_string e.stage e.arg in
   Printf.sprintf "conn %-5d ts %12.1f  %-13s %s" e.conn e.ts
-    (event_name e.event) arg
+    (Trace.stage_name e.stage) arg
 
 let dump ?conn () =
   let es = entries ?conn () in

@@ -1,44 +1,31 @@
 (** Flight recorder: always-on ring of the last N significant
     per-connection events.
 
-    Complements {!Trace} (opt-in, high-volume span tracer) with a cheap
-    always-on event log aimed at post-mortems: when a soak invariant
-    fails or a connection aborts, the retained tail shows what the
-    connection did last — state transitions, retransmits, probes,
-    resets, sheds — without having had tracing enabled in advance.
+    {!note} is the one event path: each flight event (the stages from
+    {!Trace.State} on) is noted once and reaches two sinks, this
+    always-on ring and, while tracing is on, the {!Trace} span ring as
+    an instant.  The ring is aimed at post-mortems: when a soak
+    invariant fails or a connection aborts, the retained tail shows
+    what the connection did last — state transitions, retransmits,
+    probes, resets, sheds — without having had tracing enabled in
+    advance.
 
-    [note] is zero-allocation on both the enabled and the disabled
-    path: it is a handful of array stores (float stores into a float
-    array are unboxed), and the [arg] parameter is a required labelled
-    [int] precisely so no [Some] boxing sneaks in at call sites. *)
+    [note] is zero-allocation on every path: it is a handful of array
+    stores (float stores into a float array are unboxed), and [arg] is
+    a required labelled [int] here and in {!Trace.instant} precisely so
+    no [Some] boxing sneaks in at call sites. *)
 
-type event =
-  | State            (** TCP state transition; [arg] encodes the new state *)
-  | Retransmit       (** RTO retransmission *)
-  | Fast_retransmit  (** triple-duplicate-ACK retransmission *)
-  | Sack_retransmit  (** SACK-driven retransmission *)
-  | Persist_probe    (** zero-window persist probe sent *)
-  | Zero_window      (** send stalled on a zero receive window *)
-  | Keepalive        (** keepalive probe sent *)
-  | Rst_tx           (** RST sent *)
-  | Rst_rx           (** RST received *)
-  | Abort            (** connection aborted; [arg] encodes the reason *)
-  | Shed             (** server shed a request; [arg] encodes the reason *)
-  | Abandon          (** server abandoned queued replies for a dead conn *)
-  | Retry            (** client scheduled a retry; [arg] = attempt number *)
-  | Reconnect        (** client reconnected after a failure *)
-  | Resume           (** client resumed a transfer after reconnect *)
+val note : Trace.stage -> conn:int -> arg:int -> ts:float -> unit
+(** The one call for a flight event: record [stage] for connection
+    [conn] (by convention the local TCP port, or 0 when no connection
+    applies) at timestamp [ts] (microseconds of the component's clock),
+    and hand it to {!Trace.instant} with the same [arg] and [ts] and the
+    current packet id.  Each sink keeps its own switch: a disabled
+    recorder still forwards, and the tracer records only while enabled.
+    Never allocates; callers with no argument to convey pass [~arg:0]. *)
 
-val event_name : event -> string
-
-val note : event -> conn:int -> arg:int -> ts:float -> unit
-(** Record an event for connection [conn] (by convention the local TCP
-    port, or 0 when no connection applies) at timestamp [ts]
-    (microseconds of the component's clock).  Never allocates; callers
-    with no argument to convey pass [~arg:0]. *)
-
-val set_arg_printer : event -> (int -> string) -> unit
-(** Install a decoder for an event's [arg] encoding, used by [dump].
+val set_arg_printer : Trace.stage -> (int -> string) -> unit
+(** Install a decoder for a stage's [arg] encoding, used by [dump].
     Components register theirs at module initialisation. *)
 
 val enabled : unit -> bool
@@ -58,7 +45,7 @@ val count : unit -> int
 
 val dropped : unit -> int
 
-type entry = { event : event; conn : int; arg : int; ts : float }
+type entry = { stage : Trace.stage; conn : int; arg : int; ts : float }
 
 val entries : ?conn:int -> unit -> entry list
 (** Retained entries, oldest first, optionally filtered to one

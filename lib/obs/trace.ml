@@ -7,48 +7,24 @@ type stage =
   | Recv_checksum
   | Recv_decrypt
   | Recv_unmarshal
-  | Tcp_retransmit
-  | Tcp_persist_probe
-  | Tcp_zero_window
-  | Tcp_abort
   | Tcp_segment
   | Tcp_ack
   | Tcp_sack
-  | Tcp_sack_rexmit
-  | Rpc_shed
-  | Rpc_abandon
-  | Tcp_rst
-  | Tcp_keepalive
-
-let all_stages =
-  [ Send_marshal; Send_encrypt; Send_checksum; Send_ring_copy; Send_link;
-    Recv_checksum; Recv_decrypt; Recv_unmarshal; Tcp_retransmit;
-    Tcp_persist_probe; Tcp_zero_window; Tcp_abort; Tcp_segment; Tcp_ack;
-    Tcp_sack; Tcp_sack_rexmit; Rpc_shed; Rpc_abandon; Tcp_rst; Tcp_keepalive ]
-
-let stage_index = function
-  | Send_marshal -> 0
-  | Send_encrypt -> 1
-  | Send_checksum -> 2
-  | Send_ring_copy -> 3
-  | Send_link -> 4
-  | Recv_checksum -> 5
-  | Recv_decrypt -> 6
-  | Recv_unmarshal -> 7
-  | Tcp_retransmit -> 8
-  | Tcp_persist_probe -> 9
-  | Tcp_zero_window -> 10
-  | Tcp_abort -> 11
-  | Tcp_segment -> 12
-  | Tcp_ack -> 13
-  | Tcp_sack -> 14
-  | Tcp_sack_rexmit -> 15
-  | Rpc_shed -> 16
-  | Rpc_abandon -> 17
-  | Tcp_rst -> 18
-  | Tcp_keepalive -> 19
-
-let stage_of_index = Array.of_list all_stages
+  | State
+  | Retransmit
+  | Fast_retransmit
+  | Sack_retransmit
+  | Persist_probe
+  | Zero_window
+  | Keepalive
+  | Rst_tx
+  | Rst_rx
+  | Abort
+  | Shed
+  | Abandon
+  | Retry
+  | Reconnect
+  | Resume
 
 let stage_name = function
   | Send_marshal -> "marshal"
@@ -59,28 +35,34 @@ let stage_name = function
   | Recv_checksum -> "checksum"
   | Recv_decrypt -> "decrypt"
   | Recv_unmarshal -> "unmarshal"
-  | Tcp_retransmit -> "retransmit"
-  | Tcp_persist_probe -> "persist-probe"
-  | Tcp_zero_window -> "zero-window"
-  | Tcp_abort -> "abort"
   | Tcp_segment -> "segment"
   | Tcp_ack -> "ack"
   | Tcp_sack -> "sack"
-  | Tcp_sack_rexmit -> "sack-rexmit"
-  | Rpc_shed -> "shed"
-  | Rpc_abandon -> "abandon"
-  | Tcp_rst -> "rst"
-  | Tcp_keepalive -> "keepalive"
+  | State -> "state"
+  | Retransmit -> "retransmit"
+  | Fast_retransmit -> "fast-rexmit"
+  | Sack_retransmit -> "sack-rexmit"
+  | Persist_probe -> "persist-probe"
+  | Zero_window -> "zero-window"
+  | Keepalive -> "keepalive"
+  | Rst_tx -> "rst-tx"
+  | Rst_rx -> "rst-rx"
+  | Abort -> "abort"
+  | Shed -> "shed"
+  | Abandon -> "abandon"
+  | Retry -> "retry"
+  | Reconnect -> "reconnect"
+  | Resume -> "resume"
 
 let stage_cat = function
   | Send_marshal | Send_encrypt | Send_checksum | Send_ring_copy | Send_link ->
       "send"
   | Recv_checksum | Recv_decrypt | Recv_unmarshal -> "recv"
-  | Tcp_retransmit | Tcp_persist_probe | Tcp_zero_window | Tcp_abort
-  | Tcp_segment | Tcp_ack | Tcp_sack | Tcp_sack_rexmit | Tcp_rst
-  | Tcp_keepalive ->
+  | Tcp_segment | Tcp_ack | Tcp_sack | State | Retransmit | Fast_retransmit
+  | Sack_retransmit | Persist_probe | Zero_window | Keepalive | Rst_tx | Rst_rx
+  | Abort ->
       "tcp"
-  | Rpc_shed | Rpc_abandon -> "rpc"
+  | Shed | Abandon | Retry | Reconnect | Resume -> "rpc"
 
 (* Chrome thread lane per category so the four event families render as
    separate rows. *)
@@ -90,12 +72,12 @@ let cat_tid = function "send" -> 1 | "recv" -> 2 | "tcp" -> 3 | _ -> 4
 
    Parallel preallocated arrays; [next] is the next write slot, [total]
    the number of events ever recorded.  Recording is a few array stores
-   (float stores into a float array are unboxed), so the enabled path
-   does not allocate either. *)
+   (float stores into a float array are unboxed, and a [stage] is an
+   immediate), so the enabled path does not allocate either. *)
 
 let on = ref false
 let cap = ref 0
-let r_stage = ref [||]
+let r_stage = ref (Array.make 0 Send_marshal)
 let r_packet = ref [||]
 let r_arg = ref [||]
 let r_kind = ref [||] (* 0 = span, 1 = instant *)
@@ -119,7 +101,7 @@ let enable ?(capacity = 16384) () =
   if capacity < 1 then invalid_arg "Trace.enable: capacity must be positive";
   if capacity <> !cap then begin
     cap := capacity;
-    r_stage := Array.make capacity 0;
+    r_stage := Array.make capacity Send_marshal;
     r_packet := Array.make capacity 0;
     r_arg := Array.make capacity 0;
     r_kind := Array.make capacity 0;
@@ -143,7 +125,7 @@ let current_packet () = !cur_packet
 
 let record stage ~packet ~ts ~dur ~arg ~kind =
   let i = !next in
-  !r_stage.(i) <- stage_index stage;
+  !r_stage.(i) <- stage;
   !r_packet.(i) <- packet;
   !r_arg.(i) <- arg;
   !r_kind.(i) <- kind;
@@ -155,7 +137,7 @@ let record stage ~packet ~ts ~dur ~arg ~kind =
 let span ?(arg = 0) stage ~packet ~ts ~dur =
   if !on then record stage ~packet ~ts ~dur ~arg ~kind:0
 
-let instant ?(arg = 0) stage ~packet ~ts =
+let instant stage ~packet ~ts ~arg =
   if !on then record stage ~packet ~ts ~dur:0.0 ~arg ~kind:1
 
 let clock = ref (fun () -> 0.0)
@@ -186,7 +168,7 @@ let spans () =
   let n = count () in
   List.init n (fun i ->
       let j = nth_oldest i in
-      { stage = stage_of_index.(!r_stage.(j));
+      { stage = !r_stage.(j);
         packet = !r_packet.(j);
         ts = !r_ts.(j);
         dur = !r_dur.(j);
@@ -200,7 +182,7 @@ let to_chrome_json () =
   for i = 0 to n - 1 do
     let j = nth_oldest i in
     if i > 0 then Buffer.add_string b ",\n";
-    let stage = stage_of_index.(!r_stage.(j)) in
+    let stage = !r_stage.(j) in
     let cat = stage_cat stage in
     if !r_kind.(j) = 1 then
       Buffer.add_string b

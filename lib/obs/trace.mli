@@ -13,6 +13,12 @@
     [set_clock].  The tracer itself never charges the simulated machine,
     so enabling it cannot change simulated costs or wire bytes. *)
 
+(** Stages.  The send and receive stages and [Tcp_segment] are spans,
+    [Send_link], [Tcp_ack] and [Tcp_sack] per-packet instants; all are
+    recorded here directly.  The rest, from [State] on, are the flight
+    events: always noted through {!Recorder.note}, which keeps them in
+    the always-on flight recorder and forwards each here as an instant
+    while tracing is on. *)
 type stage =
   | Send_marshal
   | Send_encrypt
@@ -22,10 +28,6 @@ type stage =
   | Recv_checksum
   | Recv_decrypt
   | Recv_unmarshal
-  | Tcp_retransmit
-  | Tcp_persist_probe
-  | Tcp_zero_window
-  | Tcp_abort
   | Tcp_segment
       (** lifetime of one data segment: first transmission to cumulative
           acknowledgement (simulated-clock timestamps; [arg] = payload
@@ -37,19 +39,25 @@ type stage =
   | Tcp_sack
       (** a pure ack carrying SACK blocks left the receiver
           ([arg] = block count, D-SACK included) *)
-  | Tcp_sack_rexmit
-      (** the sender's scoreboard inferred a hole lost and retransmitted
-          it ([arg] = sequence number) *)
-  | Rpc_shed
-  | Rpc_abandon
-  | Tcp_rst
-      (** a reset segment crossed this endpoint ([arg] = 1 for an RST
-          sent, 0 for one received) *)
-  | Tcp_keepalive
-      (** a keepalive probe left, or its verdict landed
-          ([arg] = unanswered probe count) *)
+  | State  (** TCP state transition; [arg] encodes the new state *)
+  | Retransmit  (** data segment retransmitted ([arg] = sequence number) *)
+  | Fast_retransmit  (** triple-duplicate-ACK retransmission *)
+  | Sack_retransmit
+      (** the scoreboard inferred a hole lost ([arg] = sequence number) *)
+  | Persist_probe  (** zero-window probe sent ([arg] = backoff shift) *)
+  | Zero_window  (** send stalled on a zero window ([arg] = bytes wanted) *)
+  | Keepalive
+      (** keepalive probe sent ([arg] = unanswered probes), or the peer
+          answered one ([arg] = 0) *)
+  | Rst_tx  (** RST sent *)
+  | Rst_rx  (** RST received ([arg] = its sequence number) *)
+  | Abort  (** connection aborted; [arg] encodes the reason *)
+  | Shed  (** server shed a request; [arg] encodes the reason *)
+  | Abandon  (** server abandoned queued replies ([arg] = how many) *)
+  | Retry  (** client scheduled a retry ([arg] = attempt number) *)
+  | Reconnect  (** client reconnected ([arg] = reconnects so far) *)
+  | Resume  (** client resumed a transfer ([arg] = start offset) *)
 
-val all_stages : stage list
 val stage_name : stage -> string
 val stage_cat : stage -> string
 (** Category: ["send"], ["recv"], ["tcp"] or ["rpc"]. *)
@@ -78,8 +86,9 @@ val span : ?arg:int -> stage -> packet:int -> ts:float -> dur:float -> unit
     a stage that was fused into another loop (zero attributed duration
     because the work happened inside the fused pass). *)
 
-val instant : ?arg:int -> stage -> packet:int -> ts:float -> unit
-(** Record a point event (TCP/RPC control events). *)
+val instant : stage -> packet:int -> ts:float -> arg:int -> unit
+(** Record a point event.  [arg] is required so that a variable
+    argument is never boxed in an option on the traced path. *)
 
 val set_clock : (unit -> float) -> unit
 (** Install the microsecond clock used by native (uncharged) code paths

@@ -3,6 +3,7 @@ module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
+module Trace = Ilp_obs.Trace
 
 (* Each client's counters: one block of the registry's [rpc.client.*]
    family. *)
@@ -190,7 +191,7 @@ let rec schedule_retry t =
       else begin
         t.attempts <- t.attempts + 1;
         bump t c_retries;
-        Recorder.note Recorder.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
+        Recorder.note Trace.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
         let backoff =
           min t.retry.max_backoff_us
             (t.retry.base_backoff_us
@@ -231,7 +232,7 @@ let rec start_resume t ~start_copy ~start_offset =
       with
       | Ok () ->
           bump t c_resumes;
-          Recorder.note Recorder.Resume ~conn:(rec_conn t) ~arg:start_offset
+          Recorder.note Trace.Resume ~conn:(rec_conn t) ~arg:start_offset
             ~ts:(rec_ts t);
           Ok ()
       | Error
@@ -435,7 +436,7 @@ let reconnect t ~ctrl ~data =
   t.first_attempt_at <- None;
   t.busy_failed <- false;
   bump t c_reconnects;
-  Recorder.note Recorder.Reconnect ~conn:(rec_conn t) ~arg:t.blk.(c_reconnects)
+  Recorder.note Trace.Reconnect ~conn:(rec_conn t) ~arg:t.blk.(c_reconnects)
     ~ts:(rec_ts t);
   let summary resumed_from =
     { resumed_from;

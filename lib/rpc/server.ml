@@ -48,7 +48,7 @@ let shed_reason_to_string = function
 
 (* Decode shed-reason args in flight-recorder dumps. *)
 let () =
-  Recorder.set_arg_printer Recorder.Shed (fun i ->
+  Recorder.set_arg_printer Trace.Shed (fun i ->
       match List.nth_opt shed_reasons i with
       | Some r -> shed_reason_to_string r
       | None -> string_of_int i)
@@ -172,12 +172,8 @@ let count_shed t reason =
   bump t.blk (c_shed reason);
   (* Sheds can precede admission, so there may be no connection yet;
      conn 0 stands for "the server itself". *)
-  Recorder.note Recorder.Shed ~conn:0 ~arg:(shed_reason_index reason)
-    ~ts:(Machine.micros (machine t));
-  if Trace.enabled () then
-    Trace.instant ~arg:(shed_reason_index reason) Trace.Rpc_shed
-      ~packet:(Trace.current_packet ())
-      ~ts:(Machine.micros (machine t))
+  Recorder.note Trace.Shed ~conn:0 ~arg:(shed_reason_index reason)
+    ~ts:(Machine.micros (machine t))
 
 let charge_queue t conn bytes =
   conn.queued_bytes <- conn.queued_bytes + bytes;
@@ -216,12 +212,8 @@ let mark_dead t conn =
     Queue.clear conn.queue;
     conn.draining <- false;
     if abandoned > 0 then
-      Recorder.note Recorder.Abandon ~conn:(Socket.local_port conn.ctrl)
-        ~arg:abandoned ~ts:(Machine.micros (machine t));
-    if Trace.enabled () && abandoned > 0 then
-      Trace.instant ~arg:abandoned Trace.Rpc_abandon
-        ~packet:(Trace.current_packet ())
-        ~ts:(Machine.micros (machine t))
+      Recorder.note Trace.Abandon ~conn:(Socket.local_port conn.ctrl)
+        ~arg:abandoned ~ts:(Machine.micros (machine t))
   end
 
 let send_reply t conn hdr ~payload_addr =

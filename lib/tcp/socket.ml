@@ -149,11 +149,11 @@ module Recorder = Ilp_obs.Recorder
 (* The flight recorder stores bare ints; install the decoders for this
    module's encodings once so dumps print symbolic names. *)
 let () =
-  Recorder.set_arg_printer Recorder.State (fun i ->
+  Recorder.set_arg_printer Trace.State (fun i ->
       if i >= 0 && i < Array.length all_states then
         state_to_string all_states.(i)
       else string_of_int i);
-  Recorder.set_arg_printer Recorder.Abort (fun i ->
+  Recorder.set_arg_printer Trace.Abort (fun i ->
       if i >= 0 && i < Array.length all_abort_reasons then
         abort_reason_to_string all_abort_reasons.(i)
       else string_of_int i)
@@ -501,6 +501,11 @@ let take_syscopy_send_us t =
 let machine t = t.sim.Sim.machine
 let mem t = t.sim.Sim.mem
 
+(* A flight event of this connection, keyed by the local port and
+   stamped with the simulated CPU clock. *)
+let note t stage ~arg =
+  Recorder.note stage ~conn:t.local_port ~arg ~ts:(Machine.micros (machine t))
+
 let base_header ?sack t ~flags =
   Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt ~flags ~window:t.adv_window
     ?sack ~src_port:t.local_port ~dst_port:t.remote_port ()
@@ -595,8 +600,7 @@ let cancel_all_timers t =
 let transition t st =
   if t.st <> st then begin
     t.st <- st;
-    Recorder.note Recorder.State ~conn:t.local_port ~arg:(state_index st)
-      ~ts:(Machine.micros (machine t))
+    note t Trace.State ~arg:(state_index st)
   end
 
 (* Retry exhaustion: tear the connection down with a recorded reason so
@@ -605,11 +609,7 @@ let abort t reason =
   if t.failed = None then begin
     t.failed <- Some reason;
     bump t (c_abort reason) 1;
-    Recorder.note Recorder.Abort ~conn:t.local_port
-      ~arg:(abort_reason_index reason) ~ts:(Machine.micros (machine t));
-    if Trace.enabled () then
-      Trace.instant Trace.Tcp_abort ~packet:(Trace.current_packet ())
-        ~ts:(Machine.micros (machine t))
+    note t Trace.Abort ~arg:(abort_reason_index reason)
   end;
   transition t Closed;
   Queue.clear t.streams;
@@ -727,11 +727,7 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
   if not (Tcp_header.has h Tcp_header.rst) then begin
     let r = rst_reply_header h ~payload_len ~src_port:t.local_port in
     bump t c_rst_tx 1;
-    Recorder.note Recorder.Rst_tx ~conn:t.local_port ~arg:0
-      ~ts:(Machine.micros (machine t));
-    if Trace.enabled () then
-      Trace.instant ~arg:1 Trace.Tcp_rst ~packet:(Trace.current_packet ())
-        ~ts:(Machine.micros (machine t));
+    note t Trace.Rst_tx ~arg:0;
     (* Bypass [transmit]: the reset goes back to the segment's source
        port, not [t.remote_port] (stale or unset on a dead socket), and a
        dead socket charges only the short control path. *)
@@ -769,11 +765,8 @@ let reset_for (dgram : Datagram.t) =
               rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
             in
             orphan_blk.(c_rst_tx) <- orphan_blk.(c_rst_tx) + 1;
-            Recorder.note Recorder.Rst_tx ~conn:dgram.Datagram.dst_port
+            Recorder.note Trace.Rst_tx ~conn:dgram.Datagram.dst_port
               ~arg:0 ~ts:(Trace.now ());
-            if Trace.enabled () then
-              Trace.instant ~arg:1 Trace.Tcp_rst
-                ~packet:(Trace.current_packet ()) ~ts:(Trace.now ());
             let wire_out = Tcp_header.to_string r in
             let ip =
               Ipv4.make ~src:Ipv4.loopback ~dst:Ipv4.loopback
@@ -819,12 +812,7 @@ let rec arm_keepalive t =
           else begin
             t.ka_unanswered <- t.ka_unanswered + 1;
             bump t c_keepalive_probes 1;
-            Recorder.note Recorder.Keepalive ~conn:t.local_port
-              ~arg:t.ka_unanswered ~ts:(Machine.micros (machine t));
-            if Trace.enabled () then
-              Trace.instant ~arg:t.ka_unanswered Trace.Tcp_keepalive
-                ~packet:(Trace.current_packet ())
-                ~ts:(Machine.micros (machine t));
+            note t Trace.Keepalive ~arg:t.ka_unanswered;
             send_probe t;
             arm_keepalive t
           end
@@ -856,10 +844,7 @@ let ka_note_activity t =
     t.ka_unanswered <- 0;
     match t.ka_on_result with
     | Some f ->
-        if Trace.enabled () then
-          Trace.instant ~arg:0 Trace.Tcp_keepalive
-            ~packet:(Trace.current_packet ())
-            ~ts:(Machine.micros (machine t));
+        note t Trace.Keepalive ~arg:0;
         f Peer_alive
     | None -> ()
   end
@@ -888,11 +873,7 @@ let rec arm_persist t ~want =
         let now = Simclock.now t.clock in
         t.stalled_since <- Some now;
         bump t c_zero_window_stalls 1;
-        Recorder.note Recorder.Zero_window ~conn:t.local_port ~arg:want
-          ~ts:(Machine.micros (machine t));
-        if Trace.enabled () then
-          Trace.instant Trace.Tcp_zero_window ~packet:(Trace.current_packet ())
-            ~ts:(Machine.micros (machine t));
+        note t Trace.Zero_window ~arg:want;
         now
   in
   Option.iter Simclock.cancel t.persist_timer;
@@ -904,12 +885,7 @@ let rec arm_persist t ~want =
             abort t Peer_stalled
           else begin
             bump t c_persist_probes 1;
-            Recorder.note Recorder.Persist_probe ~conn:t.local_port
-              ~arg:t.persist_shifts ~ts:(Machine.micros (machine t));
-            if Trace.enabled () then
-              Trace.instant Trace.Tcp_persist_probe
-                ~packet:(Trace.current_packet ())
-                ~ts:(Machine.micros (machine t));
+            note t Trace.Persist_probe ~arg:t.persist_shifts;
             send_probe t;
             t.persist_shifts <- t.persist_shifts + 1;
             arm_persist t ~want
@@ -931,11 +907,7 @@ let rec arm_rto t =
 
 and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   bump t c_retransmissions 1;
-  Recorder.note Recorder.Retransmit ~conn:t.local_port ~arg:seg.seq
-    ~ts:(Machine.micros (machine t));
-  if Trace.enabled () then
-    Trace.instant ~arg:seg.seq Trace.Tcp_retransmit
-      ~packet:(Trace.current_packet ()) ~ts:(Machine.micros (machine t));
+  note t Trace.Retransmit ~arg:seg.seq;
   let tx = seg.data in
   tx.rexmits <- tx.rexmits + 1;
   (* tcp_output for the retransmission: fresh checksum pass over the ring
@@ -974,7 +946,7 @@ and on_rto t =
 
 (* The one "resend this hole" step of fast retransmit, the partial-ack
    path and the scoreboard's hole sweep; each caller keeps its own
-   counter, recorder note and trace event. *)
+   counter and note. *)
 let resend_hole t seg =
   Scoreboard.mark_resent seg ~now:(Simclock.now t.clock);
   retransmit_seg t seg
@@ -993,12 +965,7 @@ let sack_retransmit_holes t =
     Scoreboard.iter_holes t.sb ~cap:(Cc.window t.cc)
       ~now:(Simclock.now t.clock) ~retry_after (fun seg ->
         bump t c_sack_retransmits 1;
-        Recorder.note Recorder.Sack_retransmit ~conn:t.local_port
-          ~arg:seg.seq ~ts:(Machine.micros (machine t));
-        if Trace.enabled () then
-          Trace.instant ~arg:seg.seq Trace.Tcp_sack_rexmit
-            ~packet:(Trace.current_packet ())
-            ~ts:(Machine.micros (machine t));
+        note t Trace.Sack_retransmit ~arg:seg.seq;
         resend_hole t seg)
   end
 
@@ -1405,8 +1372,7 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
         match Scoreboard.first_unsacked t.sb with
         | Some seg ->
             bump t c_fast_retransmits 1;
-            Recorder.note Recorder.Fast_retransmit ~conn:t.local_port
-              ~arg:seg.seq ~ts:(Machine.micros (machine t));
+            note t Trace.Fast_retransmit ~arg:seg.seq;
             if
               Cc.fast_loss t.cc ~recover:t.snd_nxt
                 ~in_flight:(bytes_in_flight t)
@@ -1550,11 +1516,7 @@ let handle_datagram t (dgram : Datagram.t) =
          always matches, while a blind off-window forgery is dropped and
          counted). *)
       bump t c_rst_rx 1;
-      Recorder.note Recorder.Rst_rx ~conn:t.local_port ~arg:h.seq
-        ~ts:(Machine.micros (machine t));
-      if Trace.enabled () then
-        Trace.instant ~arg:0 Trace.Tcp_rst ~packet:(Trace.current_packet ())
-          ~ts:(Machine.micros (machine t));
+      note t Trace.Rst_rx ~arg:h.seq;
       match t.st with
       | Closed | Listen -> ()
       | Syn_sent ->

@@ -278,9 +278,9 @@ let test_disabled_path_allocation_free () =
     let t0 = if Trace.enabled () then Trace.now () else 0.0 in
     Trace.span Trace.Send_marshal ~packet:(Trace.current_packet ()) ~ts:t0
       ~dur:0.0;
-    Trace.instant Trace.Tcp_retransmit ~packet:0 ~ts:0.0;
+    Trace.instant Trace.Retransmit ~packet:0 ~ts:0.0 ~arg:0;
     ignore (Trace.begin_packet ());
-    Recorder.note Recorder.State ~conn:0 ~arg:0 ~ts:0.0;
+    Recorder.note Trace.State ~conn:0 ~arg:0 ~ts:0.0;
     blk.(0) <- blk.(0) + 1;
     M.observe h 42
   in
@@ -357,9 +357,9 @@ let test_recorder_ring () =
       check "resize sets capacity" 8 (Recorder.capacity ());
       check "resize clears" 0 (Recorder.count ());
       for i = 1 to 5 do
-        Recorder.note Recorder.Retransmit ~conn:1 ~arg:i ~ts:(float_of_int i)
+        Recorder.note Trace.Retransmit ~conn:1 ~arg:i ~ts:(float_of_int i)
       done;
-      Recorder.note Recorder.Abort ~conn:2 ~arg:0 ~ts:6.0;
+      Recorder.note Trace.Abort ~conn:2 ~arg:0 ~ts:6.0;
       check "all retained below capacity" 6 (Recorder.count ());
       check "noted counts everything" 6 (Recorder.noted ());
       check "nothing dropped yet" 0 (Recorder.dropped ());
@@ -371,7 +371,7 @@ let test_recorder_ring () =
       | l -> Alcotest.fail (Printf.sprintf "last returned %d" (List.length l)));
       (* Overflow the ring: oldest entries fall off, counters keep up. *)
       for i = 7 to 15 do
-        Recorder.note Recorder.Keepalive ~conn:3 ~arg:i ~ts:(float_of_int i)
+        Recorder.note Trace.Keepalive ~conn:3 ~arg:i ~ts:(float_of_int i)
       done;
       check "retained capped at capacity" 8 (Recorder.count ());
       check "noted keeps counting" 15 (Recorder.noted ());
@@ -388,7 +388,7 @@ let test_recorder_ring () =
             header;
           check "dump body lines" 8 (List.length lines)
       | [] -> Alcotest.fail "empty dump");
-      Recorder.note Recorder.State ~conn:9 ~arg:0 ~ts:1.0;
+      Recorder.note Trace.State ~conn:9 ~arg:0 ~ts:1.0;
       let line =
         match Recorder.last ~conn:9 1 with
         | [ e ] -> Recorder.entry_line e
@@ -406,7 +406,7 @@ let test_recorder_ring () =
       (* Disabled recorder notes nothing. *)
       Recorder.disable ();
       let before = Recorder.noted () in
-      Recorder.note Recorder.Rst_tx ~conn:1 ~arg:0 ~ts:0.0;
+      Recorder.note Trace.Rst_tx ~conn:1 ~arg:0 ~ts:0.0;
       Recorder.enable ();
       check "disabled note is dropped" before (Recorder.noted ()))
 
