@@ -410,6 +410,65 @@ let test_recorder_ring () =
       Recorder.enable ();
       check "disabled note is dropped" before (Recorder.noted ()))
 
+(* One event path: a single [Recorder.note] reaches both sinks, the
+   always-on ring and (while tracing) the span ring, each behind its own
+   switch. *)
+let test_note_two_sinks () =
+  Recorder.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Recorder.enable ();
+      Recorder.clear ())
+    (fun () ->
+      Trace.enable ~capacity:64 ();
+      let pkt = Trace.begin_packet () in
+      Recorder.note Trace.Zero_window ~conn:7 ~arg:1448 ~ts:12.5;
+      (match (Recorder.entries (), Trace.spans ()) with
+      | [ e ], [ s ] ->
+          checkb "recorder keeps the stage" true (e.Recorder.stage = Trace.Zero_window);
+          checkb "trace gets the same stage" true (s.Trace.stage = Trace.Zero_window);
+          check "recorder keeps the arg" 1448 e.Recorder.arg;
+          check "trace gets the same arg" 1448 s.Trace.arg;
+          checkb "both carry the note's ts" true (e.Recorder.ts = 12.5 && s.Trace.ts = 12.5);
+          checkb "trace records an instant" true s.Trace.is_instant;
+          check "instant carries the current packet id" pkt s.Trace.packet
+      | es, ss ->
+          Alcotest.failf "expected one entry and one instant, got %d and %d"
+            (List.length es) (List.length ss));
+      Trace.disable ();
+      Recorder.note Trace.Abort ~conn:7 ~arg:2 ~ts:13.0;
+      check "tracing off: the recorder still notes" 2 (Recorder.count ());
+      check "tracing off: the span ring is untouched" 1 (Trace.recorded ());
+      Trace.enable ~capacity:64 ();
+      Recorder.disable ();
+      Recorder.note Trace.Shed ~conn:0 ~arg:3 ~ts:14.0;
+      check "recorder off: nothing noted" 2 (Recorder.noted ());
+      match Trace.spans () with
+      | [ s ] ->
+          checkb "recorder off: the trace still gets the event" true
+            (s.Trace.stage = Trace.Shed && s.Trace.arg = 3 && s.Trace.ts = 14.0)
+      | ss -> Alcotest.failf "expected one instant, got %d" (List.length ss))
+
+(* With tracing on a note writes both rings; neither write may box. *)
+let test_traced_note_allocation_free () =
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Recorder.clear ())
+    (fun () ->
+      Trace.enable ~capacity:1024 ();
+      let ts = Trace.now () in
+      let one i = Recorder.note Trace.Retransmit ~conn:1 ~arg:i ~ts in
+      let n = 10_000 in
+      for i = 1 to 64 do one i done;
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do one i done;
+      let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+      checkb
+        (Printf.sprintf "a traced note allocates (%.4f words/call)" per_call)
+        true (per_call <= 0.01))
+
 (* ------------------------------------------------------------------ *)
 (* Time series *)
 
@@ -531,7 +590,10 @@ let () =
       ( "percentile",
         [ Alcotest.test_case "log2 percentile" `Quick test_percentile ] );
       ( "recorder",
-        [ Alcotest.test_case "ring, filters, dump" `Quick test_recorder_ring ] );
+        [ Alcotest.test_case "ring, filters, dump" `Quick test_recorder_ring;
+          Alcotest.test_case "one note, two sinks" `Quick test_note_two_sinks;
+          Alcotest.test_case "traced note allocation-free" `Quick
+            test_traced_note_allocation_free ] );
       ( "timeseries",
         [ Alcotest.test_case "ring wrap and delta conservation" `Quick
             test_timeseries_ring;

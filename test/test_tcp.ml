@@ -1068,6 +1068,59 @@ let test_stream_tracing_changes_nothing () =
   in
   checkb "segment lifetimes overlap (pipelined window)" true overlapping
 
+(* One event path through the stack: under loss, every flight event the
+   sockets note reaches the recorder and the tracer once each, in the
+   same order, and the sender's retransmit notes match its
+   retransmission count sequence number for sequence number. *)
+let test_flight_events_reach_both_sinks () =
+  let module Recorder = Ilp_obs.Recorder in
+  Recorder.clear ();
+  Trace.enable ~capacity:65_536 ();
+  let w = make_world ~loss_rate:0.2 ~seed:17 () in
+  connect w;
+  let got = Buffer.create 64 in
+  collect_into w got;
+  let msgs =
+    List.init 40 (fun i ->
+        String.make (50 + (i * 13 mod 500)) (Char.chr (65 + (i mod 26))))
+  in
+  transfer w msgs;
+  let spans = Trace.spans () in
+  let trace_dropped = Trace.dropped () in
+  Trace.disable ();
+  let entries = Recorder.entries () in
+  Recorder.clear ();
+  check_s "stream intact" (String.concat "" msgs) (Buffer.contents got);
+  check "no trace event evicted" 0 trace_dropped;
+  let per_packet = function
+    | Trace.Send_link | Trace.Tcp_ack | Trace.Tcp_sack -> true
+    | _ -> false
+  in
+  let flight =
+    List.filter (fun s -> s.Trace.is_instant && not (per_packet s.Trace.stage)) spans
+  in
+  checkb "each note reached the tracer once, in order" true
+    (List.map (fun e -> (e.Recorder.stage, e.Recorder.arg, e.Recorder.ts)) entries
+    = List.map (fun s -> (s.Trace.stage, s.Trace.arg, s.Trace.ts)) flight);
+  let noted =
+    List.filter_map
+      (fun e ->
+        if e.Recorder.stage = Trace.Retransmit && e.Recorder.conn = 100 then
+          Some e.Recorder.arg
+        else None)
+      entries
+  in
+  let traced =
+    List.filter_map
+      (fun s -> if s.Trace.stage = Trace.Retransmit then Some s.Trace.arg else None)
+      flight
+  in
+  let n = (Socket.stats w.a).Socket.retransmissions in
+  checkb "retransmissions happened" true (n > 0);
+  check "recorder retransmits = stats" n (List.length noted);
+  check "trace retransmits = stats" n (List.length traced);
+  Alcotest.(check (list int)) "same sequence numbers" noted traced
+
 let prop_lossy_stream_integrity =
   QCheck.Test.make ~count:25 ~name:"TCP delivers the exact stream under random loss"
     QCheck.(
@@ -2641,6 +2694,8 @@ let () =
             test_stream_metrics_conservation;
           Alcotest.test_case "tracing changes nothing" `Quick
             test_stream_tracing_changes_nothing;
+          Alcotest.test_case "flight events reach both sinks" `Quick
+            test_flight_events_reach_both_sinks;
           qc prop_send_message_is_one_segment_stream ] );
       ( "sack",
         [ qc prop_sack_header_roundtrip;
