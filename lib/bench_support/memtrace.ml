@@ -77,11 +77,11 @@ let measure_lane ~mode ~native ~payload_len ~msgs =
         match Engine.rx_separate eng mem ~src:dst ~dst_off:0 ~len:wire_len with
         | Ok () -> ()
         | Error e -> failwith ("Memtrace: rx_separate: " ^ e)));
-    match Engine.read_plaintext_pooled eng ~len:wire_len with
+    match Engine.read_plaintext eng ~len:wire_len with
     | Ok (buf, _) ->
         ignore (Sys.opaque_identity (Bytes.length buf));
         Engine.release_plaintext eng buf
-    | Error e -> failwith ("Memtrace: read_plaintext_pooled: " ^ e)
+    | Error e -> failwith ("Memtrace: read_plaintext: " ^ e)
   in
   (* Warm-up message: draws the staging buffer, populates the pool's size
      classes and forces lazy tables, so the measured window sees the

@@ -152,25 +152,32 @@ let transfer cfg =
   Socket.set_on_abort rx (fun r -> fail ("receiver: " ^ Socket.abort_reason_to_string r));
   let delivered = ref 0 and payload = ref 0 in
   let t_done = ref 0.0 in
+  (* Single-copy receive: the TSDU is compared in its pool buffer, which
+     goes back to the pool on every path. *)
   Socket.set_on_message rx (fun ~len ->
       match Engine.read_plaintext rx_eng ~len with
       | Error e -> fail ("decode: " ^ e)
-      | Ok s ->
+      | Ok (buf, plen) ->
           let i = !delivered in
-          if i >= n then fail "receiver: TSDU past the end of the transfer"
-          else begin
-            let cl = chunk_len i in
-            (* Leading header style: 4-byte length field, then the
-               marshalled body, then alignment padding. *)
-            if String.length s < 4 + cl
-               || String.sub s 4 cl <> String.sub contents (i * cfg.tsdu_payload) cl
-            then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
-            else begin
-              delivered := i + 1;
-              payload := !payload + cl;
-              if !delivered = n then t_done := Simclock.now clock
-            end
-          end);
+          (if i >= n then fail "receiver: TSDU past the end of the transfer"
+           else begin
+             let cl = chunk_len i in
+             (* Leading header style: 4-byte length field, then the
+                marshalled body, then alignment padding. *)
+             if
+               plen < 4 + cl
+               || not
+                    (Ilp_rpc.Client.slice_matches contents
+                       ~off:(i * cfg.tsdu_payload) (Bytes.unsafe_to_string buf)
+                       ~doff:4 ~len:cl)
+             then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
+             else begin
+               delivered := i + 1;
+               payload := !payload + cl;
+               if !delivered = n then t_done := Simclock.now clock
+             end
+           end);
+          Engine.release_plaintext rx_eng buf);
   let next = ref 0 in
   let send_next () =
     let i = !next in

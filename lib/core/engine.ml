@@ -53,7 +53,7 @@ type t = {
   crc : Crc32.t option;
   (* Receive-side placement buffer (native pooled path only): the fused rx
      pass decrypts each arriving segment directly into this pool buffer at
-     its final TSDU offset, and [read_plaintext_pooled] hands the buffer
+     its final TSDU offset, and [read_plaintext] hands the buffer
      itself to the caller (ownership transfer, no delivery copy).  [None]
      between TSDUs; drawn lazily from the pool on the first rx call. *)
   mutable rx_dst : Bytes.t option;
@@ -590,7 +590,7 @@ let check_rx_len t ~dst_off ~len =
 (* Native receive helpers (the single-copy rx path): the fast path reads
    the staged ciphertext from the backing store and lands the plaintext
    directly in the engine-owned pool buffer at its final TSDU offset —
-   the very buffer [read_plaintext_pooled] will hand to the in-place
+   the very buffer [read_plaintext] will hand to the in-place
    decoders, so no delivery copy remains. *)
 let rx_placement_buf t =
   match t.rx_dst with
@@ -782,20 +782,6 @@ let validate_plaintext t ~len =
         end
 
 let read_plaintext t ~len =
-  if len < 4 || len > t.max_message then
-    Error (Printf.sprintf "Engine.read_plaintext: implausible segment length %d" len)
-  else
-    match validate_plaintext t ~len with
-    | Error _ as e -> e
-    | Ok () -> (
-        Mt.alloc_rx Mt.Rpc len;
-        Mt.copied_rx Mt.Rpc len;
-        match t.rx_dst with
-        | Some b -> Ok (Bytes.sub_string b 0 len)
-        | None ->
-            Ok (Bytes.unsafe_to_string (Mem.peek_bytes (mem t) ~pos:t.app_rx ~len)))
-
-let read_plaintext_pooled t ~len =
   if len < 4 || len > t.max_message then
     Error (Printf.sprintf "Engine.read_plaintext: implausible segment length %d" len)
   else

@@ -40,12 +40,14 @@
 
     {2 The host data path}
 
-    Whatever the style, the host side has one single-copy path.  On the
-    [Native] backend the send gathers the message as an iovec scatter
-    list straight into the TCP ring, and the receive decrypts each
-    arriving segment into an engine-owned pool buffer at its final TSDU
-    offset — the very buffer {!read_plaintext_pooled} then hands to the
-    caller (ownership transfer, no delivery copy).  The
+    Whatever the style, the host side has one single-copy path and one
+    read call, {!read_plaintext}, which hands every TSDU to the caller in
+    a pool buffer to decode in place and release.  On the [Native]
+    backend the send gathers the message as an iovec scatter list
+    straight into the TCP ring, and the receive decrypts each arriving
+    segment into an engine-owned pool buffer at its final TSDU offset —
+    the very buffer {!read_plaintext} then hands over (ownership
+    transfer, no delivery copy).  The
     {!Ilp_fastpath.Memtraffic} ledger counts its copies: at most 2 per
     wire byte in ILP mode, 3 in separate mode, 1 on receive
     ([ilpbench mem --check]). *)
@@ -251,27 +253,23 @@ val rx_style : t -> rx_style
     message ^ alignment]). *)
 val app_rx_base : t -> int
 
-(** Decode the plaintext at {!app_rx_base}: charged read of the length
-    field and prefix words, then the marshalled bytes as a string
-    (peeked — the caller's stub does the pure decode).  [Error] when the
-    decrypted length field is implausible — the fingerprint of a
-    checksum-colliding corruption that survived TCP's verdict — or, with
-    [crc32] enabled, when the recomputed CRC32 trailer does not match. *)
-val read_plaintext : t -> len:int -> (string, string) result
-
-(** Single-copy variant of {!read_plaintext}: identical validation and
-    identical charges, but the plaintext lands in a buffer acquired from
+(** Decode the plaintext at {!app_rx_base}: a charged read of the length
+    field and prefix words, then the TSDU lands in a buffer acquired from
     the engine's pool — [Ok (buf, len)] where the TSDU occupies
     [buf.[0..len-1]] (the buffer's capacity is its size class, possibly
-    larger).  On the native pooled path the returned buffer {e is} the
-    engine's rx placement buffer — the fused receive decrypted every
-    segment directly into it at its final TSDU offset, so delivery is an
-    ownership transfer with no copy at all.  The caller must hand the
-    buffer back with {!release_plaintext} on every path, including after
-    decode errors. *)
-val read_plaintext_pooled : t -> len:int -> (Bytes.t * int, string) result
+    larger), for the caller's stub to decode in place.  On the native
+    pooled path the returned buffer {e is} the engine's rx placement
+    buffer — the fused receive decrypted every segment directly into it
+    at its final TSDU offset, so delivery is an ownership transfer with
+    no copy at all.  The caller must hand the buffer back with
+    {!release_plaintext} on every path, including after decode errors.
+    [Error] when the decrypted length field is implausible — the
+    fingerprint of a checksum-colliding corruption that survived TCP's
+    verdict — or, with [crc32] enabled, when the recomputed CRC32
+    trailer does not match. *)
+val read_plaintext : t -> len:int -> (Bytes.t * int, string) result
 
-(** Return a buffer obtained from {!read_plaintext_pooled} to the pool. *)
+(** Return a buffer obtained from {!read_plaintext} to the pool. *)
 val release_plaintext : t -> Bytes.t -> unit
 
 (** Tear down the engine's host-side resources: returns the native fast

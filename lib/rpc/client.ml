@@ -253,16 +253,20 @@ let rec start_resume t ~start_copy ~start_offset =
           error t "resume request does not fit one segment";
           e)
 
-(* Allocation-free slice equality:
-   [expected.[off..off+len-1] = data.[doff..doff+len-1]] without a
-   [String.sub] per chunk.  Bounds are the caller's responsibility. *)
+(* The loop is a top-level function, not a closure over its five
+   arguments, so a comparison allocates nothing. *)
+let rec spans_equal expected off data doff len =
+  len = 0
+  || String.unsafe_get expected off = String.unsafe_get data doff
+     && spans_equal expected (off + 1) data (doff + 1) (len - 1)
+
 let slice_matches expected ~off data ~doff ~len =
-  let rec go i =
-    i = len
-    || (String.unsafe_get expected (off + i) = String.unsafe_get data (doff + i)
-       && go (i + 1))
-  in
-  go 0
+  if
+    off < 0 || doff < 0 || len < 0
+    || off > String.length expected - len
+    || doff > String.length data - len
+  then invalid_arg "Client.slice_matches: span out of bounds";
+  spans_equal expected off data doff len
 
 (* Status dispatch; the payload is the span [data.[doff..doff+dlen-1]], a
    window into the pooled TSDU buffer. *)
@@ -338,7 +342,7 @@ let handle_reply t ~len =
   (* Single-copy: the TSDU lands in a pooled buffer, the reply is decoded
      in place, the payload compared in place, and the buffer released on
      every path — including decode errors. *)
-  match Engine.read_plaintext_pooled t.engine ~len with
+  match Engine.read_plaintext t.engine ~len with
   | Error e -> error t "unreadable reply: %s" e
   | Ok (buf, plen) ->
       (match Messages.decode_reply_view ~length_at_end buf ~len:plen with

@@ -152,3 +152,11 @@ val busy_replies : t -> int
 
 (** Backoff retries scheduled so far. *)
 val retries : t -> int
+
+(** [slice_matches expected ~off data ~doff ~len] is
+    [expected.[off..off+len-1] = data.[doff..doff+len-1]], compared in
+    place without allocating: the payload check a receiver runs on a
+    TSDU still in its pool buffer (pass the buffer through
+    [Bytes.unsafe_to_string]).  Raises [Invalid_argument] if either
+    span is out of bounds. *)
+val slice_matches : string -> off:int -> string -> doff:int -> len:int -> bool

@@ -486,7 +486,7 @@ let handle_request t conn ~len =
     (* Single-copy: decode the request in place from a pooled TSDU buffer,
        released as soon as the decode finishes (the request's fields are
        scalars plus the short file name). *)
-    Result.bind (Engine.read_plaintext_pooled t.engine ~len) (fun (buf, plen) ->
+    Result.bind (Engine.read_plaintext t.engine ~len) (fun (buf, plen) ->
         let r =
           Messages.decode_ctrl_bytes ~length_at_end ~crc_trailer buf ~len:plen
         in

@@ -376,6 +376,15 @@ let make_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
 
 let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
+(* Read the TSDU, copy it out and hand the pool buffer back. *)
+let read_copy eng ~len =
+  Result.map
+    (fun (buf, n) ->
+      let s = Bytes.sub_string buf 0 n in
+      Engine.release_plaintext eng buf;
+      s)
+    (Engine.read_plaintext eng ~len)
+
 let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   let sim, eng = make_engine ~mode ~header_style () in
   let payload_addr = install sim payload in
@@ -401,7 +410,7 @@ let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   | Engine.Separate ->
       checkb "separate fill returns no checksum" true (acc_opt = None);
       ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
   (* The plaintext must contain the prefix at position 4 (leading) or 0
      (trailer), followed by the payload. *)
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
@@ -478,7 +487,7 @@ let prop_engine_roundtrip_sizes =
           ok_or_fail
             (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
       ignore acc_opt;
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+      let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
       String.sub plaintext 4 (String.length prefix) = prefix
       && String.sub plaintext (4 + String.length prefix) payload_len = payload)
 
@@ -510,7 +519,7 @@ let test_engine_rx_late_roundtrip () =
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   ok_or_fail (Engine.rx_late eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len);
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
   check_s "payload recovered via late placement" payload
     (String.sub plaintext 8 (String.length payload))
 
@@ -552,7 +561,7 @@ let test_engine_segments_multi_payload () =
   ignore
     (ok_or_fail
        (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
   let expected = "HDR1alpha-region-data\000\000\000MID0beta!!\000\000TL" in
   check_s "body reconstructed" expected
     (String.sub plaintext 4 (String.length expected))
@@ -675,7 +684,7 @@ let test_engine_rx_bad_length_field () =
       (* The mangled length may still decode plausibly; then the final read
          must be the guard that fails or succeed with garbage of the right
          shape — but it must not raise. *)
-      (match Engine.read_plaintext eng ~len:prepared.Engine.stream_len with
+      (match read_copy eng ~len:prepared.Engine.stream_len with
       | Ok _ | Error _ -> ())
 
 let prop_engine_all_flag_combinations =
@@ -714,7 +723,7 @@ let prop_engine_all_flag_combinations =
           ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
       | Engine.Rx_deferred_style f ->
           ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-      let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+      let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
       let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
       checksum_ok
       && String.sub plaintext off 4 = "CMBO"
@@ -739,7 +748,7 @@ let crc_roundtrip ~mode ~header_style =
       ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Engine.Rx_deferred_style f ->
       ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
   check_s "prefix recovered" prefix (String.sub plaintext off (String.length prefix));
   check_s "payload recovered" payload
@@ -797,7 +806,7 @@ let crc_collision ~crc32 =
     (Internet.checksum_string before)
     (Internet.checksum_string after);
   ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len);
-  Engine.read_plaintext eng ~len:prepared.Engine.stream_len
+  read_copy eng ~len:prepared.Engine.stream_len
 
 let test_engine_crc_catches_collision () =
   (* Without the trailer the colliding corruption reaches the application
@@ -828,20 +837,21 @@ let test_engine_crc_wire_len () =
     (Engine.wire_len with_crc ~prefix_len:8 ~payload_len:104)
 
 (* ------------------------------------------------------------------ *)
-(* Data path: the single-copy read ([read_plaintext_pooled]) must be
-   indistinguishable from the copying [read_plaintext] — same recovered
-   plaintext, same decode errors — and leak-free. *)
+(* Data path: the one read call recovers the exact body in every engine
+   variant, reports the exact decode errors, and leaks no pool buffer. *)
 
-(* One full transfer; returns the engine (rx already run) and the wire
-   length, leaving the plaintext readable. *)
+let dp_body = "HDRWORDS" ^ String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff))
+
+(* One full transfer of [dp_body]; returns the engine (rx already run)
+   and the wire length, leaving the plaintext readable. *)
 let transfer_with ~mode ~header_style ~crc32 ?pool () =
   let sim = make_sim () in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:"engineKY" () in
   let eng = Engine.create sim ~cipher ~mode ~header_style ~crc32 ?pool () in
-  let payload = String.init 333 (fun i -> Char.chr ((i * 37 + 5) land 0xff)) in
+  let payload = String.sub dp_body 8 (String.length dp_body - 8) in
   let payload_addr = install sim payload in
   let prepared =
-    prepare_msg eng ~prefix:"HDRWORDS" ~payload_addr
+    prepare_msg eng ~prefix:(String.sub dp_body 0 8) ~payload_addr
       ~payload_len:(String.length payload)
   in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
@@ -852,6 +862,12 @@ let transfer_with ~mode ~header_style ~crc32 ?pool () =
   | Engine.Rx_deferred_style rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
   (eng, prepared.Engine.stream_len)
+
+(* The body follows the 4-byte length field, or leads with a trailer. *)
+let check_body ~header_style what buf n =
+  let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
+  checkb (what ^ ": body fits the TSDU") true (off + String.length dp_body <= n);
+  check_s what dp_body (Bytes.sub_string buf off (String.length dp_body))
 
 let all_engine_variants =
   List.concat_map
@@ -865,11 +881,10 @@ let all_engine_variants =
 let test_data_path_plaintext_identical () =
   List.iter
     (fun (mode, header_style, crc32) ->
-      (* Same engine: both read paths must decode the same TSDU. *)
       let eng, len = transfer_with ~mode ~header_style ~crc32 () in
-      let copied = ok_or_fail (Engine.read_plaintext eng ~len) in
-      let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-      check_s "pooled read = copying read" copied (Bytes.sub_string buf 0 n);
+      let buf, n = ok_or_fail (Engine.read_plaintext eng ~len) in
+      check "the whole TSDU is handed over" len n;
+      check_body ~header_style "prefix ^ payload recovered" buf n;
       Engine.release_plaintext eng buf;
       Engine.destroy eng;
       check "pool balanced after release + destroy" 0
@@ -878,9 +893,9 @@ let test_data_path_plaintext_identical () =
 
 let test_data_path_errors_identical () =
   (* A corruption planted in the decoded plaintext must surface as the
-     same error through both read paths. *)
+     read's typed error, with its exact text. *)
   List.iter
-    (fun (poke_off, what) ->
+    (fun (poke_off, what, expected) ->
       let eng, len =
         transfer_with ~mode:Engine.Ilp ~header_style:Engine.Leading ~crc32:true ()
       in
@@ -888,32 +903,31 @@ let test_data_path_errors_identical () =
       let sim = Engine.sim eng in
       Mem.poke_u8 sim.Sim.mem sim_mem_addr
         (Mem.peek_u8 sim.Sim.mem sim_mem_addr lxor 0xff);
-      let e_copied =
-        match Engine.read_plaintext eng ~len with
-        | Ok _ -> Alcotest.fail (what ^ ": copying read must reject")
-        | Error e -> e
-      in
-      (match Engine.read_plaintext_pooled eng ~len with
+      (match Engine.read_plaintext eng ~len with
       | Ok (buf, _) ->
           Engine.release_plaintext eng buf;
-          Alcotest.fail (what ^ ": pooled read must reject")
-      | Error e -> check_s (what ^ ": identical error text") e_copied e);
+          Alcotest.fail (what ^ ": the read must reject")
+      | Error e -> check_s (what ^ ": error text") (expected eng) e);
       Engine.destroy eng;
       check "no pool leak on error path" 0
         (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
-    [ (0, "length field corrupted"); (40, "payload corrupted under crc") ]
+    [ ( 0,
+        "length field corrupted",
+        fun eng ->
+          Printf.sprintf "Engine.read_plaintext: bad length field %d"
+            (Mem.peek_u32 (Engine.sim eng).Sim.mem (Engine.app_rx_base eng)) );
+      (40, "payload corrupted under crc", fun _ -> "Engine.read_plaintext: crc32 trailer mismatch") ]
 
 let test_data_path_shared_pool_exhaustion () =
   (* A cap-0 shared pool forces the exhaustion fallback on every acquire;
      transfers must still succeed and stay leak-free. *)
   let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
+  let header_style = Engine.Trailer in
   let eng, len =
-    transfer_with ~mode:Engine.Separate ~header_style:Engine.Trailer
-      ~crc32:false ~pool ()
+    transfer_with ~mode:Engine.Separate ~header_style ~crc32:false ~pool ()
   in
-  let copied = ok_or_fail (Engine.read_plaintext eng ~len) in
-  let buf, n = ok_or_fail (Engine.read_plaintext_pooled eng ~len) in
-  check_s "fallback decode identical" copied (Bytes.sub_string buf 0 n);
+  let buf, n = ok_or_fail (Engine.read_plaintext eng ~len) in
+  check_body ~header_style "fallback decode recovers prefix ^ payload" buf n;
   Engine.release_plaintext eng buf;
   Engine.destroy eng;
   let s = Ilp_fastpath.Pool.stats pool in

@@ -483,6 +483,29 @@ let test_odd_sized_tail_segment () =
   checkb "complete" true (Client.transfer_complete w.client);
   check "segments" 4 (Client.replies_received w.client)
 
+(* The in-place payload check runs once per reply: it must compare spans
+   at any offsets, reject a span out of bounds, and allocate nothing. *)
+let test_slice_matches () =
+  let expected = "0123456789abcdefghij" and data = "xx456789abYY" in
+  let matches ~off ~doff ~len = Client.slice_matches expected ~off data ~doff ~len in
+  checkb "equal spans at nonzero offsets" true (matches ~off:4 ~doff:2 ~len:8);
+  checkb "last byte differs" false (matches ~off:4 ~doff:2 ~len:9);
+  checkb "first byte differs" false (matches ~off:3 ~doff:2 ~len:8);
+  checkb "empty spans at the ends match" true (matches ~off:20 ~doff:12 ~len:0);
+  (match matches ~off:15 ~doff:0 ~len:6 with
+  | _ -> Alcotest.fail "a span past the end must be rejected"
+  | exception Invalid_argument _ -> ());
+  let n = 10_000 and hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Client.slice_matches expected ~off:4 data ~doff:2 ~len:8 then incr hits
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  check "every call matched" n !hits;
+  checkb
+    (Printf.sprintf "slice_matches allocates (%.4f words/call)" per_call)
+    true (per_call <= 0.01)
+
 let test_max_reply_capped_at_engine () =
   (* [max_reply] is the client's word, read off the wire: past what the
      server's engine can carry in one message (2048 bytes: a 4-byte
@@ -973,7 +996,8 @@ let () =
           Alcotest.test_case "missing file" `Quick test_missing_file_rejected;
           Alcotest.test_case "odd tail segment" `Quick test_odd_sized_tail_segment;
           Alcotest.test_case "max_reply capped at engine capacity" `Quick
-            test_max_reply_capped_at_engine ] );
+            test_max_reply_capped_at_engine;
+          Alcotest.test_case "slice_matches in place" `Quick test_slice_matches ] );
       ( "adversarial",
         [ Alcotest.test_case "abort surfaces to client" `Quick
             test_abort_surfaces_to_client;
