@@ -53,4 +53,3 @@ let map_blocks t f s =
   Bytes.unsafe_to_string b
 
 let encrypt_string t s = map_blocks t t.encrypt s
-let decrypt_string t s = map_blocks t t.decrypt s

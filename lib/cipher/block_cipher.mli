@@ -42,8 +42,6 @@ val decrypt_blocks : t -> Bytes.t -> off:int -> count:int -> unit
 (** [roundtrip_ok t] checks [decrypt (encrypt b) = b] on a sample block. *)
 val roundtrip_ok : t -> bool
 
-(** [encrypt_string t s] / [decrypt_string t s] apply the cipher in ECB
-    mode; [String.length s] must be a multiple of [block_len]. *)
+(** [encrypt_string t s] applies the cipher in ECB mode;
+    [String.length s] must be a multiple of [block_len]. *)
 val encrypt_string : t -> string -> string
-
-val decrypt_string : t -> string -> string

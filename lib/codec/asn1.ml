@@ -122,8 +122,3 @@ let rec pp_value ppf = function
   | VChoice (i, v) -> Format.fprintf ppf "choice %d: %a" i pp_value v
   | VNone -> Format.pp_print_string ppf "none"
   | VSome v -> Format.fprintf ppf "some %a" pp_value v
-
-let int_exn = function VInt n -> n | _ -> invalid_arg "Asn1.int_exn"
-let str_exn = function VStr s -> s | _ -> invalid_arg "Asn1.str_exn"
-let bytes_exn = function VBytes s -> s | _ -> invalid_arg "Asn1.bytes_exn"
-let seq_exn = function VSeq vs -> vs | _ -> invalid_arg "Asn1.seq_exn"

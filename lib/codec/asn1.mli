@@ -42,11 +42,3 @@ val equal : value -> value -> bool
 
 val pp_ty : Format.formatter -> ty -> unit
 val pp_value : Format.formatter -> value -> unit
-
-(** Accessors that raise [Invalid_argument] on the wrong constructor —
-    convenient when unpicking a just-unmarshalled value. *)
-val int_exn : value -> int
-
-val str_exn : value -> string
-val bytes_exn : value -> string
-val seq_exn : value -> value list

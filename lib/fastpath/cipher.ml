@@ -10,8 +10,6 @@ let name = function
   | Safer _ -> "SAFER-K64"
   | Des _ -> "DES"
 
-let block_len _ = 8
-
 (* The simple cipher vectorised in a 64-bit register: encrypt is
    [(b xor 0x55) + 0x3c mod 256] per byte.  The per-byte add uses the
    carry-isolation identity: with the addend's high bit clear, the low

@@ -15,9 +15,6 @@ type t =
 
 val name : t -> string
 
-val block_len : t -> int
-(** 8 for every cipher in the stack. *)
-
 (** [encrypt_blocks t b ~off ~count] transforms [count] consecutive 8-byte
     blocks of [b] in place.  Byte-compatible with the charged cipher of the
     same name: the wire output of the native path is identical to the

@@ -70,7 +70,6 @@ let alloc_charge ~rx l n =
   charge ~rx k_blocks l 1
 
 let read l n = charge ~rx:false k_read l n
-let write l n = charge ~rx:false k_write l n
 let copied l n = copy_charge ~rx:false l n
 let inplace l n = inplace_charge ~rx:false l n
 let alloc l n = alloc_charge ~rx:false l n

@@ -25,9 +25,6 @@ val layers : layer list
 (** [read l n] — the layer read [n] bytes (e.g. a checksum fold). *)
 val read : layer -> int -> unit
 
-(** [write l n] — the layer wrote [n] bytes it did not read. *)
-val write : layer -> int -> unit
-
 (** [copied l n] — the layer moved [n] bytes (read + write + copy). *)
 val copied : layer -> int -> unit
 

@@ -16,5 +16,4 @@ let alloc t ?(align = 8) n =
   t.next <- addr + n;
   addr
 
-let mark t = t.next
 let remaining t = t.limit - t.next

@@ -14,8 +14,5 @@ val create : base:int -> limit:int -> t
     exhausted. *)
 val alloc : t -> ?align:int -> int -> int
 
-(** Address of the next allocation (for introspection in tests). *)
-val mark : t -> int
-
 (** Bytes still available. *)
 val remaining : t -> int

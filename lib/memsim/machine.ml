@@ -31,8 +31,6 @@ let create cfg =
     store_buffer_cycles = float_of_int (Config.store_buffer_cycles cfg);
     compute_scale = cfg.Config.compute_scale }
 
-let config t = t.cfg
-
 (* Cost of reaching below the first-level cache: either an L2 access (with
    its own possible miss to memory) or memory directly.  [kind]/[size] are
    only used to attribute second-level misses in the ledger. *)

@@ -16,7 +16,6 @@
 type t
 
 val create : Config.t -> t
-val config : t -> Config.t
 
 (** [read t ~addr ~size] / [write t ~addr ~size] charge one data access of
     [size] bytes (1, 2, 4 or 8) at [addr], splitting across cache lines if

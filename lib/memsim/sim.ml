@@ -12,8 +12,6 @@ let create ?(mem_size = 4 * 1024 * 1024) config =
   let alloc = Alloc.create ~base:4096 ~limit:mem_size in
   { machine; mem; alloc; code = Code.allocator () }
 
-let reset_counters t = Machine.reset_counters t.machine
-
 let cold_start t =
   Machine.reset_counters t.machine;
   Machine.flush_caches t.machine

@@ -15,8 +15,5 @@ type t = {
     set). *)
 val create : ?mem_size:int -> Config.t -> t
 
-(** Zero cycles and counters, keeping memory contents and cache state. *)
-val reset_counters : t -> unit
-
 (** Zero counters {e and} invalidate caches (cold-start measurement). *)
 val cold_start : t -> unit

@@ -96,12 +96,3 @@ let scale t f =
   let round x = int_of_float (Float.round x) in
   { acc = Array.map (fun v -> round (float_of_int v *. f)) t.acc;
     mis = Array.map (fun v -> round (float_of_int v *. f)) t.mis }
-
-let pp ppf t =
-  let name = function Read -> "read" | Write -> "write" | Ifetch -> "ifetch" in
-  List.iter
-    (fun k ->
-      Format.fprintf ppf "%-6s accesses=%-10d bytes=%-10d L1-miss=%-8d L2-miss=%-8d@."
-        (name k) (accesses t k) (bytes t k)
-        (misses t k ~level:1) (misses t k ~level:2))
-    [ Read; Write; Ifetch ]

@@ -67,5 +67,3 @@ val diff : t -> t -> t
     and rounded; used to normalise a scaled-down run to the paper's
     10.7 Mbyte transfer volume. *)
 val scale : t -> float -> t
-
-val pp : Format.formatter -> t -> unit

@@ -6,6 +6,3 @@ let create ~src_port ~dst_port ~payload =
   { src_port; dst_port; payload }
 
 let length t = String.length t.payload
-
-let pp ppf t =
-  Format.fprintf ppf "%d -> %d (%d bytes)" t.src_port t.dst_port (length t)

@@ -12,5 +12,3 @@ val create : src_port:int -> dst_port:int -> payload:string -> t
 
 (** Payload length in bytes. *)
 val length : t -> int
-
-val pp : Format.formatter -> t -> unit

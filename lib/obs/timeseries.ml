@@ -119,15 +119,6 @@ let delta_sum t name =
   in
   go t.base 0 ss
 
-let counter_names t =
-  match samples t with
-  | [] -> []
-  | ss ->
-      let _, last = List.nth ss (List.length ss - 1) in
-      List.filter_map
-        (fun (name, v) -> match v with M.Counter _ -> Some name | _ -> None)
-        last
-
 let breaches t =
   List.map
     (fun s ->

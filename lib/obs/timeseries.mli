@@ -64,9 +64,6 @@ val delta_sum : t -> string -> int
     in [test_obs] is [base + delta_sum t name = final registry value]
     once a final sample has been taken. *)
 
-val counter_names : t -> string list
-(** Counter names present in the latest sample. *)
-
 val rates : t -> string -> float array
 (** Per-sample rate (events per second of sampled time) of a counter,
     derived from consecutive deltas. *)

@@ -569,7 +569,6 @@ let replies_sent t = t.blk.(c_replies_sent)
 let replies_abandoned t = t.blk.(c_replies_abandoned)
 let statuses_abandoned t = t.blk.(c_statuses_abandoned)
 let requests_received t = t.blk.(c_requests_received)
-let bad_requests t = t.blk.(c_bad_requests)
 let probes_received t = t.blk.(c_probes)
 let timer_owner t = t.owner
 let store t = t.store

@@ -150,11 +150,6 @@ val statuses_abandoned : t -> int
 
 val requests_received : t -> int
 
-(** Requests whose plaintext could not be read or decoded (answered with
-    an error reply, counted, never raised), plus decodable requests with
-    an out-of-range resume point or probe offset. *)
-val bad_requests : t -> int
-
 (** CRC resume probes received (answered with a data-less [Ok] when the
     stored file's prefix matches, [Refused] otherwise). *)
 val probes_received : t -> int

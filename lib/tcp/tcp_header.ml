@@ -235,19 +235,3 @@ let checksum t ~payload_acc ~payload_len =
   let acc = header_acc (pseudo_acc t ~payload_len) t in
   let acc = Internet.combine acc payload_acc ~len_b:payload_len in
   Internet.finish acc
-
-let pp ppf t =
-  Format.fprintf ppf "%d->%d seq=%d ack=%d flags=%s%s%s%s%s win=%d"
-    t.src_port t.dst_port t.seq t.ack
-    (if has t syn then "S" else "")
-    (if has t ack_flag then "A" else "")
-    (if has t fin then "F" else "")
-    (if has t rst then "R" else "")
-    (if has t psh then "P" else "")
-    t.window;
-  match t.sack with
-  | [] -> ()
-  | blocks ->
-      Format.fprintf ppf " sack=[%s]"
-        (String.concat ";"
-           (List.map (fun (l, r) -> Printf.sprintf "%d,%d" l r) blocks))

@@ -116,5 +116,3 @@ val header_acc : Ilp_checksum.Internet.acc -> t -> Ilp_checksum.Internet.acc
 (** [checksum t ~payload_acc ~payload_len] is the header checksum field
     value for a segment whose payload folds to [payload_acc]. *)
 val checksum : t -> payload_acc:Ilp_checksum.Internet.acc -> payload_len:int -> int
-
-val pp : Format.formatter -> t -> unit
