@@ -253,20 +253,13 @@ let rec start_resume t ~start_copy ~start_offset =
           error t "resume request does not fit one segment";
           e)
 
-(* The loop is a top-level function, not a closure over its five
+(* Top level and self-recursive, not a local closure over its five
    arguments, so a comparison allocates nothing. *)
-let rec spans_equal expected off data doff len =
-  len = 0
-  || String.unsafe_get expected off = String.unsafe_get data doff
-     && spans_equal expected (off + 1) data (doff + 1) (len - 1)
-
-let slice_matches expected ~off data ~doff ~len =
-  if
-    off < 0 || doff < 0 || len < 0
-    || off > String.length expected - len
-    || doff > String.length data - len
-  then invalid_arg "Client.slice_matches: span out of bounds";
-  spans_equal expected off data doff len
+let rec slice_matches expected ~off data ~doff ~len =
+  len <= 0
+  || (expected.[off] = data.[doff]
+     && slice_matches expected ~off:(off + 1) data ~doff:(doff + 1)
+          ~len:(len - 1))
 
 (* Status dispatch; the payload is the span [data.[doff..doff+dlen-1]], a
    window into the pooled TSDU buffer. *)

@@ -157,6 +157,7 @@ val retries : t -> int
     [expected.[off..off+len-1] = data.[doff..doff+len-1]], compared in
     place without allocating: the payload check a receiver runs on a
     TSDU still in its pool buffer (pass the buffer through
-    [Bytes.unsafe_to_string]).  Raises [Invalid_argument] if either
-    span is out of bounds. *)
+    [Bytes.unsafe_to_string]).  Every byte read is bounds-checked: a
+    comparison that reaches past the end of either string raises
+    [Invalid_argument]. *)
 val slice_matches : string -> off:int -> string -> doff:int -> len:int -> bool
