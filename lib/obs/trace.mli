@@ -2,10 +2,13 @@
 
     A single process-wide ring of preallocated parallel arrays records
     spans (a stage with a start timestamp and duration) and instants
-    (point events).  When tracing is disabled every recording entry point
-    is a single mutable-flag test and allocates nothing, so the data-path
-    hot loops can stay instrumented permanently.  When the ring is full
-    the oldest spans are evicted.
+    (point events).  Per-packet events are recorded here directly; the
+    flight events (retransmits, resets, aborts, sheds, ...) arrive only
+    through {!Recorder.note}, which feeds this ring and the always-on
+    flight recorder from one call.  When tracing is disabled every
+    recording entry point is a single mutable-flag test and allocates
+    nothing, so the data-path hot loops can stay instrumented
+    permanently.  When the ring is full the oldest spans are evicted.
 
     Timestamps are supplied by the caller in microseconds.  On the
     simulated machine the natural clock is [Machine.micros] (simulated
