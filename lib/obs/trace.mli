@@ -16,12 +16,9 @@
     [set_clock].  The tracer itself never charges the simulated machine,
     so enabling it cannot change simulated costs or wire bytes. *)
 
-(** Stages.  The send and receive stages and [Tcp_segment] are spans,
-    [Send_link], [Tcp_ack] and [Tcp_sack] per-packet instants; all are
-    recorded here directly.  The rest, from [State] on, are the flight
-    events: always noted through {!Recorder.note}, which keeps them in
-    the always-on flight recorder and forwards each here as an instant
-    while tracing is on. *)
+(** The send and receive stages and [Tcp_segment] are spans; [Send_link],
+    [Tcp_ack] and [Tcp_sack] are per-packet instants; the rest, from
+    [State] on, are the flight events (see the preamble). *)
 type stage =
   | Send_marshal
   | Send_encrypt
