@@ -24,6 +24,8 @@ type t = {
   dirty : bool array;
   age : int array; (* larger = more recently used *)
   mutable tick : int;
+  id : int;
+  mutable fills : int;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -31,6 +33,10 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 let log2 n =
   let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
+
+(* Creation is the only global state: a cache's [id] tells it apart from
+   every other cache of the process, whatever their configs. *)
+let next_id = Atomic.make 0
 
 let create cfg =
   if not (is_power_of_two cfg.line) then invalid_arg "Cache.create: line size";
@@ -46,23 +52,30 @@ let create cfg =
     valid = Array.make ways false;
     dirty = Array.make ways false;
     age = Array.make ways 0;
-    tick = 0 }
+    tick = 0;
+    id = Atomic.fetch_and_add next_id 1;
+    fills = 0 }
 
 let config t = t.cfg
+let id t = t.id
+let fills t = t.fills
 
 (* Outcomes are packed into an int so that [access] — the innermost loop
    of every simulated byte — allocates nothing.  A record here costs one
    minor-heap block per cache-line touch, which at ~19M words per 64 KiB
    message drowns the data-path allocation signal the memory-traffic
-   benchmark exists to measure. *)
+   benchmark exists to measure.  The low three bits are the flags; the
+   rest is the way the line was left in ([-1] for a store-around). *)
 type outcome = int
 
 let hit_bit = 1
 let writeback_bit = 2
 let filled_bit = 4
+let way_shift = 3
 let hit (o : outcome) = o land hit_bit <> 0
 let writeback (o : outcome) = o land writeback_bit <> 0
 let filled (o : outcome) = o land filled_bit <> 0
+let way_of (o : outcome) = o asr way_shift
 
 (* No tuples, options or refs below: [access] runs once per cache line of
    every simulated byte, so its helpers return plain ints ([find_way]
@@ -112,19 +125,20 @@ let access t ~addr ~write =
       | Write_back -> t.dirty.(i) <- true
       | Write_through -> ()
     end;
-    hit_bit
+    (i lsl way_shift) lor hit_bit
   end
   else if write && not t.cfg.write_allocate then
     (* Store-around: the write goes straight to the next level. *)
-    0
+    -1 lsl way_shift
   else begin
     let i = victim_way t set in
     let wb = t.valid.(i) && t.dirty.(i) in
     t.tags.(i) <- tag;
     t.valid.(i) <- true;
     t.dirty.(i) <- (write && t.cfg.write_policy = Write_back);
+    t.fills <- t.fills + 1;
     touch t i;
-    if wb then writeback_bit lor filled_bit else filled_bit
+    (i lsl way_shift) lor (if wb then writeback_bit lor filled_bit else filled_bit)
   end
 
 let way t ~addr = find_way t (locate_set t addr) (locate_tag t addr)
@@ -146,8 +160,26 @@ let repeat_hits t ~read_way ~write_way ~n =
       if t.cfg.write_policy = Write_back then t.dirty.(write_way) <- true
     end
 
+let touch_ways t ways =
+  for j = 0 to Array.length ways - 1 do
+    touch t ways.(j)
+  done
+
+(* [ways.(j)] is where a walk over consecutive lines left line [j].  A
+   line is evicted only by a later fill into its way, and only lines [j]
+   apart by a multiple of [sets] share a set (and so could share a way). *)
+let rec distinct_from ways sets j k =
+  k < 0 || (ways.(k) <> ways.(j) && distinct_from ways sets j (k - sets))
+
+let rec all_distinct ways sets j =
+  j >= Array.length ways
+  || (distinct_from ways sets j (j - sets) && all_distinct ways sets (j + 1))
+
+let holds_all t ways = all_distinct ways t.sets t.sets
+
 let flush t =
   Array.fill t.valid 0 (Array.length t.valid) false;
-  Array.fill t.dirty 0 (Array.length t.dirty) false
+  Array.fill t.dirty 0 (Array.length t.dirty) false;
+  t.fills <- t.fills + 1
 
 let line_size t = t.cfg.line

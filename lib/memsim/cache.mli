@@ -29,11 +29,21 @@ val create : config -> t
 
 val config : t -> config
 
+(** A number that tells this cache apart from every other cache created
+    in the process, whatever their configurations. *)
+val id : t -> int
+
+(** The number of lines {!access} has filled, plus one per {!flush}: a
+    line leaves the cache only through one of those, so while the count
+    stands still every resident line stays resident, in its way. *)
+val fills : t -> int
+
 (** Access outcome, packed into an immediate so the per-line hot path
-    allocates nothing.  Query it with {!hit}, {!writeback} and
-    {!filled}. *)
+    allocates nothing.  Query it with {!hit}, {!writeback}, {!filled}
+    and {!way_of}. *)
 type outcome = int
 
+(** The line was resident before the access. *)
 val hit : outcome -> bool
 
 (** A dirty line was evicted and must be written to the next level. *)
@@ -42,6 +52,10 @@ val writeback : outcome -> bool
 (** The access allocated a line (miss with allocate), so the next level
     must be read to fill it. *)
 val filled : outcome -> bool
+
+(** The way the access left the line in, as {!way} would report it right
+    after: the way it hit or filled, or [-1] for a store-around. *)
+val way_of : outcome -> int
 
 (** [access t ~addr ~write] touches the single line containing [addr].
     The caller is responsible for splitting accesses that straddle lines. *)
@@ -63,6 +77,17 @@ val way : t -> addr:int -> int
     (the write line last), and a write-back cache marks the written line
     dirty. *)
 val repeat_hits : t -> read_way:int -> write_way:int -> n:int -> unit
+
+(** [touch_ways t ways] leaves the state that a read hit on the line in
+    each of [ways], in array order, leaves: the LRU clock advances once
+    per way. *)
+val touch_ways : t -> int array -> unit
+
+(** [holds_all t ways] is, when [ways.(j)] is the way an in-order walk
+    over consecutive lines left line [j] in, whether every line is still
+    resident after the walk: no later line of the walk filled an earlier
+    one's way. *)
+val holds_all : t -> int array -> bool
 
 (** Invalidate every line (loses dirtiness; used between experiments). *)
 val flush : t -> unit

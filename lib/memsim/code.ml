@@ -1,4 +1,5 @@
-type region = { base : int; len : int }
+type memo = { mutable cache : int; mutable fills : int; mutable ways : int array }
+type region = { base : int; len : int; memo : memo }
 
 type allocator = { mutable next : int }
 
@@ -6,12 +7,16 @@ type allocator = { mutable next : int }
    keeps them visually distinct from data addresses in traces. *)
 let allocator () = { next = 0x4000_0000 }
 
+let region ~base ~len = { base; len; memo = { cache = -1; fills = 0; ways = [||] } }
+
 let alloc a ~len =
   if len < 0 then invalid_arg "Code.alloc: negative length";
   let base = a.next in
-  (* Align regions to 64 bytes so two regions never share a cache line on
-     any of the modelled machines. *)
+  (* Align regions to 64 bytes, the largest first-level line of the
+     modelled machines, so two regions never share an L1 line; they may
+     share a SPARC L2 line (128 bytes).  The layout decides Table 1's
+     digits through cache conflicts, so it stays as it is. *)
   a.next <- (base + len + 63) land lnot 63;
-  { base; len }
+  region ~base ~len
 
-let none = { base = 0; len = 0 }
+let none = region ~base:0 ~len:0

@@ -62,6 +62,8 @@ let below_l1 t kind ~size ~addr ~write =
         if (Cache.writeback o) then charge_stall t kind t.mem_cycles
       end
 
+(* Returns the way the access left its last line in ([-1] for a
+   store-around). *)
 let data_access t kind ~addr ~size =
   Stats.record_access t.stats kind ~size;
   let write = kind = Stats.Write in
@@ -76,8 +78,9 @@ let data_access t kind ~addr ~size =
   let line = Cache.line_size t.l1d in
   let first = addr land lnot (line - 1) in
   let last = (addr + size - 1) land lnot (line - 1) in
-  (* A [for] loop, not a [ref] cursor: this runs for every simulated
-     access and a ref cell is a minor-heap allocation per call. *)
+  (* [way] never escapes, so the compiler keeps it in a register: no
+     allocation on this path, which runs for every simulated access. *)
+  let way = ref (-1) in
   for j = 0 to (last - first) / line do
     let a = first + (j * line) in
     let o = Cache.access t.l1d ~addr:a ~write in
@@ -91,11 +94,13 @@ let data_access t kind ~addr ~size =
         below_l1 t kind ~size ~addr:a ~write:false;
         if Cache.writeback o then below_l1 t Stats.Write ~size ~addr:a ~write:true
       end
-    end
-  done
+    end;
+    way := Cache.way_of o
+  done;
+  !way
 
-let read t ~addr ~size = data_access t Stats.Read ~addr ~size
-let write t ~addr ~size = data_access t Stats.Write ~addr ~size
+let read t ~addr ~size = ignore (data_access t Stats.Read ~addr ~size)
+let write t ~addr ~size = ignore (data_access t Stats.Write ~addr ~size)
 
 let compute t ops =
   if ops > 0 then
@@ -108,10 +113,11 @@ let compute t ops =
    it touched last, [ls] and [ld], are charged in bulk, which is exact:
 
    - Provided [ls] is still resident when the full iteration ends (a
-     write-allocating write may have evicted it), each later read of
-     [ls] is a hit.  Each later write of [ld] is a hit if [ld] is
-     resident, and otherwise a store-around miss into a no-write-allocate
-     L1 ([ld] was just written, so a write-allocating L1 holds it).
+     write-allocating write may have evicted it; the outcomes of the
+     accesses tell), each later read of [ls] is a hit.  Each later
+     write of [ld] is a hit if [ld] is resident, and otherwise a
+     store-around miss into a no-write-allocate L1 ([ld] was just
+     written, so a write-allocating L1 holds it).
      Neither kind of access changes which lines are resident, so the
      next iteration meets the same state.
    - Such hits and store-arounds never reach L2, so the bulk sets the
@@ -131,8 +137,8 @@ let run t ~copy ~src ~dst ~n ~unit ~ops =
   let i = ref 0 in
   while !i < n do
     let s = src + (!i * unit) and d = dst + (!i * unit) in
-    data_access t Stats.Read ~addr:s ~size:unit;
-    if copy then data_access t Stats.Write ~addr:d ~size:unit;
+    let rw = data_access t Stats.Read ~addr:s ~size:unit in
+    let ww = if copy then data_access t Stats.Write ~addr:d ~size:unit else -1 in
     compute t ops;
     incr i;
     let ls = (s + unit - 1) land lnot (line - 1) in
@@ -140,9 +146,16 @@ let run t ~copy ~src ~dst ~n ~unit ~ops =
     let k = (ls + line - s - unit) / unit in
     let k = if copy then min k ((ld + line - d - unit) / unit) else k in
     let k = min k (n - !i) in
-    let rw = if k > 0 then Cache.way t.l1d ~addr:ls else -1 in
-    if rw >= 0 then begin
-      let ww = if copy then Cache.way t.l1d ~addr:ld else -1 in
+    (* The read left [ls] in way [rw].  A write confined to [ld] evicts
+       it only by filling into [rw]; a write that straddles two lines may
+       have filled [rw] from its first line, so look it up again. *)
+    let rw =
+      if (not copy) || k = 0 then rw
+      else if d land lnot (line - 1) <> ld then Cache.way t.l1d ~addr:ls
+      else if ww = rw && ld <> ls then -1
+      else rw
+    in
+    if k > 0 && rw >= 0 then begin
       Stats.record_accesses t.stats Stats.Read ~size:unit ~n:k;
       if copy then begin
         Stats.record_accesses t.stats Stats.Write ~size:unit ~n:k;
@@ -172,21 +185,43 @@ let read_run t ~addr ~len ~unit ~ops =
 let copy_run t ~src ~dst ~len ~unit =
   run t ~copy:true ~src ~dst ~n:(len / unit) ~unit ~ops:1
 
+(* Instruction fetch.  Only [exec] touches the L1i, and a line leaves it
+   only through a fill or a flush, each of which moves [Cache.fills].  So
+   while the count stands where it was when a walk over a region, on this
+   very L1i, left all the region's lines resident, they are still there
+   in the same ways: every line hits, and a hit here charges no cycles.
+   The walk then reduces to n Ifetch accesses and a hit on each
+   remembered way in line order.  Otherwise the lines are walked one by
+   one, and the region remembers where each was left. *)
 let exec t (region : Code.region) =
-  if region.Code.len > 0 then begin
-    let line = Cache.line_size t.l1i in
-    let first = region.Code.base land lnot (line - 1) in
-    let last = (region.Code.base + region.Code.len - 1) land lnot (line - 1) in
-    for j = 0 to (last - first) / line do
-      let a = first + (j * line) in
-      Stats.record_access t.stats Stats.Ifetch ~size:4;
-      let o = Cache.access t.l1i ~addr:a ~write:false in
-      if not (Cache.hit o) then begin
-        Stats.record_miss t.stats Stats.Ifetch ~size:4 ~level:1;
-        below_l1 t Stats.Ifetch ~size:4 ~addr:a ~write:false
+  let len = region.Code.len and memo = region.Code.memo and l1i = t.l1i in
+  if len > 0 then
+    if memo.Code.cache = Cache.id l1i && memo.Code.fills = Cache.fills l1i then begin
+      Stats.record_accesses t.stats Stats.Ifetch ~size:4 ~n:(Array.length memo.Code.ways);
+      Cache.touch_ways l1i memo.Code.ways
+    end
+    else begin
+      let line = Cache.line_size l1i in
+      let first = region.Code.base land lnot (line - 1) in
+      let n = ((((region.Code.base + len - 1) land lnot (line - 1)) - first) / line) + 1 in
+      memo.Code.cache <- -1;
+      if Array.length memo.Code.ways <> n then memo.Code.ways <- Array.make n 0;
+      let ways = memo.Code.ways in
+      for j = 0 to n - 1 do
+        let a = first + (j * line) in
+        Stats.record_access t.stats Stats.Ifetch ~size:4;
+        let o = Cache.access l1i ~addr:a ~write:false in
+        ways.(j) <- Cache.way_of o;
+        if not (Cache.hit o) then begin
+          Stats.record_miss t.stats Stats.Ifetch ~size:4 ~level:1;
+          below_l1 t Stats.Ifetch ~size:4 ~addr:a ~write:false
+        end
+      done;
+      if Cache.holds_all l1i ways then begin
+        memo.Code.cache <- Cache.id l1i;
+        memo.Code.fills <- Cache.fills l1i
       end
-    done
-  end
+    end
 
 let charge_micros t us =
   if us <> 0.0 then

@@ -38,9 +38,19 @@ val read_run : t -> addr:int -> len:int -> unit:int -> ops:int -> unit
     same way as {!read_run}.  The ranges may overlap. *)
 val copy_run : t -> src:int -> dst:int -> len:int -> unit:int -> unit
 
-(** [exec t region] fetches a code region through the instruction cache.
-    Only misses cost cycles; the execution cost itself is charged by the
-    caller via {!compute}. *)
+(** [exec t region] fetches a code region through the instruction cache,
+    one Ifetch access per line.  Only misses cost cycles; the execution
+    cost itself is charged by the caller via {!compute}.
+
+    It charges exactly what the per-line walk charges, at the cost of a
+    few calls when the region is resident: a walk that leaves all of the
+    region's lines resident memoises their ways in the region
+    ({!Code.memo}), and while the instruction cache has filled no line
+    and not been flushed since ({!Cache.fills}), the next [exec] of the
+    region on the same machine counts the accesses and replays the hits
+    on those ways in line order.  A region larger than the cache, or
+    whose lines evict each other, is walked every time.  Neither path
+    allocates after a region's first walk. *)
 val exec : t -> Code.region -> unit
 
 (** [compute t ops] charges [ops] abstract ALU operations

@@ -170,6 +170,41 @@ let prop_cache_present_after_read =
       ignore (Cache.access c ~addr ~write:false);
       Cache.present c ~addr)
 
+(* [Cache.access] reports the way it left the line in, on random traces
+   that keep meeting the same few sets: the tiny 2-way cache of
+   [Config.custom], a direct-mapped one, a larger 2-way one and the
+   SuperSPARC write-through, no-write-allocate data cache. *)
+let way_geometries =
+  [ (Config.custom ()).Config.l1d;
+    Cache.direct_mapped ~size:256 ~line:16;
+    Cache.set_associative ~size:1024 ~line:32 ~assoc:2;
+    Config.ss10_30.Config.l1d ]
+
+let prop_cache_access_reports_way =
+  QCheck.Test.make ~count:200 ~name:"access reports the way it left the line in"
+    QCheck.(
+      list_of_size Gen.(int_range 1 300)
+        (quad bool (int_bound 7) (int_bound 6) (int_bound 127)))
+    (fun trace ->
+      List.for_all
+        (fun (cfg : Cache.config) ->
+          let c = Cache.create cfg in
+          let way_bytes = cfg.Cache.size / cfg.Cache.assoc in
+          List.for_all
+            (fun (write, set, k, off) ->
+              let addr = (set * cfg.Cache.line) + (k * way_bytes) + (off mod cfg.Cache.line) in
+              let before = Cache.present c ~addr in
+              let o = Cache.access c ~addr ~write in
+              let store_around = write && (not cfg.Cache.write_allocate) && not before in
+              (Cache.way_of o = Cache.way c ~addr
+              && (Cache.way_of o = -1) = store_around
+              && Cache.hit o = before)
+              || QCheck.Test.fail_reportf "%s of %d on a %d-byte %d-way cache: way %d, hit %b"
+                   (if write then "write" else "read") addr cfg.Cache.size cfg.Cache.assoc
+                   (Cache.way_of o) (Cache.hit o))
+            trace)
+        way_geometries)
+
 (* ------------------------------------------------------------------ *)
 (* Config *)
 
@@ -393,7 +428,7 @@ let stats_counts m =
     [ Stats.Read; Stats.Write; Stats.Ifetch ]
 
 let prop_run_matches_per_access =
-  QCheck.Test.make ~count:300
+  QCheck.Test.make ~count:300 ~long_factor:10
     ~name:"read_run/copy_run charge exactly what the per-access loop charges"
     (QCheck.make ~print:print_run_case gen_run_case)
     (fun c ->
@@ -432,6 +467,157 @@ let prop_run_matches_per_access =
 let test_run_rejects_bad_unit () =
   Alcotest.check_raises "unit 3" (Invalid_argument "Machine: run unit") (fun () ->
       Machine.read_run (tiny ()) ~addr:0 ~len:12 ~unit:3 ~ops:1)
+
+(* ------------------------------------------------------------------ *)
+(* Instruction fetch: [Machine.exec]'s memo against the per-line walk.
+   The reference executes, each time, a twin of the region that has
+   never been fetched (same base and length, from a replayed
+   [Code.allocator], so no memo), which [exec] walks line by line. *)
+
+type fetch_op =
+  | Exec of bool * int (* on the second machine?, region index *)
+  | Access of bool * bool * int * int (* second?, write?, address, size *)
+  | Copy of bool * int * int * int * int (* second?, src, dst, len, unit *)
+  | Flush of bool
+  | Reset of bool
+  | Micros of bool * int
+
+type fetch_case = {
+  layout : (int * int) list; (* gap before the region, region length *)
+  ops : fetch_op list;
+  follow : fetch_op list;
+}
+
+let print_fetch_case c =
+  let m s = if s then 'B' else 'A' in
+  let op = function
+    | Exec (s, r) -> Printf.sprintf "%c:x%d" (m s) r
+    | Access (s, w, a, z) -> Printf.sprintf "%c:%c%d/%d" (m s) (if w then 'w' else 'r') a z
+    | Copy (s, src, dst, len, u) -> Printf.sprintf "%c:copy%d>%d/%d/%d" (m s) src dst len u
+    | Flush s -> Printf.sprintf "%c:flush" (m s)
+    | Reset s -> Printf.sprintf "%c:reset" (m s)
+    | Micros (s, us) -> Printf.sprintf "%c:us%d" (m s) us
+  in
+  let ops l = String.concat ";" (List.map op l) in
+  Printf.sprintf "layout=[%s] ops=[%s] follow=[%s]"
+    (String.concat ";" (List.map (fun (g, l) -> Printf.sprintf "%d+%d" g l) c.layout))
+    (ops c.ops) (ops c.follow)
+
+(* Regions from 0 bytes to more than the largest L1i (20 KB), with gaps;
+   data addresses below 32 KiB share second-level sets with the code
+   (instruction space starts at 0x4000_0000), so instruction misses and
+   data traffic meet in the L2 on the seven machines that have one. *)
+let gen_fetch_case =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (1, return 0); (6, int_bound 700); (3, int_range 700 5000);
+        (1, int_range 5000 24000) ]
+  in
+  let gap = frequency [ (3, return 0); (1, int_bound 300) ] in
+  let second = frequency [ (3, return false); (1, return true) ] in
+  let addr = int_bound 32767 in
+  let op =
+    frequency
+      [ (8, map2 (fun s r -> Exec (s, r)) second (int_bound 7));
+        ( 3,
+          map2
+            (fun (s, w) (a, z) -> Access (s, w, a, z))
+            (pair second bool)
+            (pair addr (oneofl [ 1; 2; 4; 8 ])) );
+        ( 1,
+          map2
+            (fun (s, src, dst) (len, u) -> Copy (s, src, dst, len, u))
+            (triple second addr addr)
+            (pair (int_bound 600) (oneofl [ 1; 2; 4; 8 ])) );
+        (1, map (fun s -> Flush s) second);
+        (1, map (fun s -> Reset s) second);
+        (1, map2 (fun s us -> Micros (s, us)) second (int_bound 100)) ]
+  in
+  map3
+    (fun layout ops follow -> { layout; ops; follow })
+    (list_size (int_range 1 6) (pair gap len))
+    (list_size (int_bound 60) op)
+    (list_size (int_range 1 20) op)
+
+let layout_regions layout =
+  let code = Code.allocator () in
+  Array.of_list
+    (List.map
+       (fun (gap, len) ->
+         if gap > 0 then ignore (Code.alloc code ~len:gap);
+         Code.alloc code ~len)
+       layout)
+
+let reference_exec layout m r =
+  let twins = layout_regions layout in
+  Machine.exec m twins.(r mod Array.length twins)
+
+(* Every op runs on one of two machines of the same config, which
+   execute the same region values; after each op both machines' three
+   counters (bit for bit) and ledgers are recorded.  The follow-up trace
+   fetches through twins in both worlds, so it reads the cache state the
+   trace left behind (LRU order included) and nothing else. *)
+let fetch_world cfg c ~exec =
+  let a = Machine.create cfg and b = Machine.create cfg in
+  let apply exec op =
+    let on s = if s then b else a in
+    match op with
+    | Exec (s, r) -> exec (on s) r
+    | Access (s, w, addr, size) ->
+        if w then Machine.write (on s) ~addr ~size else Machine.read (on s) ~addr ~size
+    | Copy (s, src, dst, len, unit) -> Machine.copy_run (on s) ~src ~dst ~len ~unit
+    | Flush s -> Machine.flush_caches (on s)
+    | Reset s -> Machine.reset_counters (on s)
+    | Micros (s, us) -> Machine.charge_micros (on s) (float_of_int us *. 0.37)
+  in
+  let observe exec op =
+    apply exec op;
+    (counters_bits a, stats_counts a, counters_bits b, stats_counts b)
+  in
+  let trace = List.map (observe exec) c.ops in
+  (trace, List.map (observe (reference_exec c.layout)) c.follow)
+
+let prop_exec_matches_per_line =
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"exec charges exactly what the per-line walk charges"
+    (QCheck.make ~print:print_fetch_case gen_fetch_case)
+    (fun c ->
+      List.for_all
+        (fun (cfg : Config.t) ->
+          let expected = fetch_world cfg c ~exec:(reference_exec c.layout) in
+          let actual =
+            let regions = layout_regions c.layout in
+            fetch_world cfg c ~exec:(fun m r ->
+                Machine.exec m regions.(r mod Array.length regions))
+          in
+          expected = actual || QCheck.Test.fail_reportf "differs on %s" cfg.Config.name)
+        run_machines)
+
+(* After a region's first walk, neither path of [exec] allocates, nor
+   does a run.  On the AXP's 8 KB direct-mapped L1i, [r1] and [r2] (8 KB
+   apart) evict each other, so alternating them walks every time. *)
+let test_exec_run_allocate_nothing () =
+  let m = Machine.create Config.axp3000_800 in
+  let code = Code.allocator () in
+  let r1 = Code.alloc code ~len:1024 in
+  ignore (Code.alloc code ~len:(8192 - 1024));
+  let r2 = Code.alloc code ~len:1024 in
+  let per_call n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let n = 1000 in
+  List.iter
+    (fun (what, f) ->
+      let words = per_call n f in
+      checkb (Printf.sprintf "%s allocates (%.4f words/call)" what words) true (words <= 0.01))
+    [ ("memoised exec", fun () -> Machine.exec m r1);
+      ("walking exec", fun () -> Machine.exec m r1; Machine.exec m r2);
+      ("copy_run", fun () -> Machine.copy_run m ~src:0 ~dst:5000 ~len:256 ~unit:4);
+      ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mem *)
@@ -549,7 +735,8 @@ let () =
           Alcotest.test_case "flush" `Quick test_cache_flush;
           Alcotest.test_case "bad geometry" `Quick test_cache_bad_geometry;
           qc prop_cache_capacity;
-          qc prop_cache_present_after_read ] );
+          qc prop_cache_present_after_read;
+          qc prop_cache_access_reports_way ] );
       ( "config",
         [ Alcotest.test_case "machines" `Quick test_config_machines;
           Alcotest.test_case "by_name" `Quick test_config_by_name;
@@ -568,7 +755,10 @@ let () =
           Alcotest.test_case "L2 cheaper than memory" `Quick
             test_machine_l2_cheaper_than_memory;
           Alcotest.test_case "run rejects a bad unit" `Quick test_run_rejects_bad_unit;
-          qc prop_run_matches_per_access ] );
+          qc prop_run_matches_per_access;
+          Alcotest.test_case "exec and runs allocate nothing" `Quick
+            test_exec_run_allocate_nothing;
+          qc prop_exec_matches_per_line ] );
       ( "mem",
         [ Alcotest.test_case "round trips" `Quick test_mem_roundtrips;
           Alcotest.test_case "big endian" `Quick test_mem_big_endian;
