@@ -321,30 +321,60 @@ let f14 () =
 
 let t1 () =
   Report.banner "Table 1 - full grid (paper -> ours)";
-  List.iter
-    (fun machine ->
-      Report.note "\n-- %s --\n" machine.Config.name;
-      let rows =
-        List.map
-          (fun size ->
-            let ilp, non = both ~machine ~size in
-            let p = paper_row machine size in
-            let t r = Platforms.throughput_mbps machine ~size ~proc_us:(proc_us r) in
-            [ string_of_int size;
-              Report.vs ~paper:p.Paper_data.tput_ilp ~ours:(t ilp);
-              Report.vs ~paper:p.Paper_data.tput_non ~ours:(t non);
-              Report.vs ~paper:(float_of_int p.Paper_data.send_ilp) ~ours:(send_us ilp);
-              Report.vs ~paper:(float_of_int p.Paper_data.recv_ilp) ~ours:(recv_us ilp);
-              Report.vs ~paper:(float_of_int p.Paper_data.send_non) ~ours:(send_us non);
-              Report.vs ~paper:(float_of_int p.Paper_data.recv_non) ~ours:(recv_us non) ])
-          sizes
-      in
-      Report.table
-        ~header:
-          [ "size"; "tput ILP"; "tput non"; "send ILP us"; "recv ILP us";
-            "send non us"; "recv non us" ]
-        rows)
-    Config.all
+  (* Per machine, the printed |deviation| of each throughput and each
+     processing cell, for the fit block after the grid. *)
+  let fit =
+    List.map
+      (fun machine ->
+        Report.note "\n-- %s --\n" machine.Config.name;
+        let cells =
+          List.map
+            (fun size ->
+              let ilp, non = both ~machine ~size in
+              let p = paper_row machine size in
+              let t r = Platforms.throughput_mbps machine ~size ~proc_us:(proc_us r) in
+              let us n = float_of_int n in
+              ( size,
+                [ (p.Paper_data.tput_ilp, t ilp); (p.Paper_data.tput_non, t non) ],
+                [ (us p.Paper_data.send_ilp, send_us ilp);
+                  (us p.Paper_data.recv_ilp, recv_us ilp);
+                  (us p.Paper_data.send_non, send_us non);
+                  (us p.Paper_data.recv_non, recv_us non) ] ))
+            sizes
+        in
+        let vs (paper, ours) = Report.vs ~paper ~ours in
+        Report.table
+          ~header:
+            [ "size"; "tput ILP"; "tput non"; "send ILP us"; "recv ILP us";
+              "send non us"; "recv non us" ]
+          (List.map
+             (fun (size, tput, proc) -> string_of_int size :: List.map vs (tput @ proc))
+             cells);
+        let pct cols =
+          List.map
+            (fun (paper, ours) -> Report.vs_abs_pct ~paper ~ours)
+            (List.concat_map cols cells)
+        in
+        ( machine.Config.name,
+          pct (fun (_, tput, _) -> tput),
+          pct (fun (_, _, proc) -> proc) ))
+      Config.all
+  in
+  let within cells = List.length (List.filter (fun d -> d <= 15) cells) in
+  let mean cells =
+    float_of_int (List.fold_left ( + ) 0 cells) /. float_of_int (List.length cells)
+  in
+  let tput = List.concat_map (fun (_, t, _) -> t) fit in
+  let proc = List.concat_map (fun (_, _, p) -> p) fit in
+  Report.note "\n-- fit to the paper, from the rounded percentages above --\n";
+  Report.note "processing cells within +-15%%: %d of %d\n" (within proc)
+    (List.length proc);
+  Report.note "throughput cells within +-15%%: %d of %d\n" (within tput)
+    (List.length tput);
+  Report.note "mean |deviation| of the processing cells: %.1f%%\n" (mean proc);
+  Report.table
+    ~header:[ "machine"; "mean |deviation|" ]
+    (List.map (fun (name, _, p) -> [ name; Printf.sprintf "%.1f%%" (mean p) ]) fit)
 
 let a1 () =
   Report.banner "Ablation A1 - macro inlining vs function calls (SS10-30, 1 kB)";

@@ -25,11 +25,16 @@ let table ~header rows =
   print_row rule;
   List.iter print_row rows
 
+let deviation ~paper ~ours =
+  if paper = 0.0 then 0.0 else (ours -. paper) /. paper *. 100.0
+
 let vs ~paper ~ours =
-  let delta =
-    if paper = 0.0 then 0.0 else (ours -. paper) /. paper *. 100.0
-  in
-  Printf.sprintf "%.1f -> %.1f (%+.0f%%)" paper ours delta
+  Printf.sprintf "%.1f -> %.1f (%+.0f%%)" paper ours (deviation ~paper ~ours)
+
+(* Parsed back from the printed digits, so it rounds exactly as [vs]
+   does ("%.0f" rounds a binary tie to even, [Float.round] away from 0). *)
+let vs_abs_pct ~paper ~ours =
+  abs (int_of_string (Printf.sprintf "%.0f" (deviation ~paper ~ours)))
 
 (* q-quantile of an already-sorted sample array by nearest rank: the
    q=0.5 case picks index n/2, exactly the upper-median convention the

@@ -10,8 +10,12 @@ val note : ('a, out_channel, unit) format -> 'a
 (** [table ~header rows] prints an aligned table. *)
 val table : header:string list -> string list list -> unit
 
-(** [vs ~paper ~ours] renders "369 -> 342.1 (-7.3%)". *)
+(** [vs ~paper ~ours] renders "369.0 -> 342.1 (-7%)". *)
 val vs : paper:float -> ours:float -> string
+
+(** [vs_abs_pct ~paper ~ours] is the absolute whole-percent deviation
+    that [vs] prints, e.g. 7 for "369.0 -> 342.1 (-7%)". *)
+val vs_abs_pct : paper:float -> ours:float -> int
 
 (** [percentile_sorted sorted q] is the nearest-rank [q]-quantile of an
     already-sorted array ([q = 0.5] picks index [n/2], the upper-median

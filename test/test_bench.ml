@@ -63,7 +63,18 @@ let test_kernel_profile_faster () =
 
 let test_report_helpers () =
   checkb "gain" true (B.Report.pct_gain ~base:100.0 ~better:80.0 = 20.0);
-  checkb "vs formats" true (String.length (B.Report.vs ~paper:10.0 ~ours:12.0) > 0)
+  checkb "vs formats" true (String.length (B.Report.vs ~paper:10.0 ~ours:12.0) > 0);
+  (* vs_abs_pct is the percentage vs prints, ties and -0 included. *)
+  List.iter
+    (fun (paper, ours, want) ->
+      let s = B.Report.vs ~paper ~ours in
+      let i = String.index s '(' in
+      let printed = String.sub s i (String.length s - i) in
+      check ("vs_abs_pct of " ^ s) want (B.Report.vs_abs_pct ~paper ~ours);
+      checkb ("printed " ^ s) true
+        (printed = Printf.sprintf "(+%d%%)" want || printed = Printf.sprintf "(-%d%%)" want))
+    [ (100.0, 102.5, 2); (100.0, 97.5, 2); (100.0, 99.6, 0); (369.0, 342.1, 7);
+      (10.0, 12.0, 20); (0.0, 5.0, 0) ]
 
 let test_percentile_sorted () =
   let sorted = [| 1.0; 2.0; 3.0; 4.0 |] in
