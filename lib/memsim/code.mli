@@ -33,6 +33,15 @@ val allocator : unit -> allocator
     regions with the same bases and lengths and no memo. *)
 val alloc : allocator -> len:int -> region
 
+(** [image a ~name ~len] is the one region called [name] in [a]'s
+    instruction space: code that every instance of a component runs,
+    the way one host runs one copy of its kernel however many sockets it
+    has.  The first request allocates it exactly as [alloc a ~len]
+    would; every later one returns that same region, memo included.
+    Raises [Invalid_argument] if [name] was first requested with another
+    [len]. *)
+val image : allocator -> name:string -> len:int -> region
+
 (** A zero-length region: executing it touches no instruction lines.
     Used for stages whose footprint is folded into another stage's. *)
 val none : region

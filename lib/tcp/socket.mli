@@ -185,7 +185,11 @@ type t
 
 (** [create sim clock config ~local_port ~wire_out] builds an endpoint.
     [wire_out] injects a datagram into the network (usually
-    [Link.send]). *)
+    [Link.send]).  Its buffers are its own; its code is not: every
+    socket on [sim] runs the one "tcp control" (2048 B) and "kernel
+    datagram" (3072 B) {!Ilp_memsim.Code.image}, placed by the first
+    socket, as one host runs one TCP and one kernel for all its
+    connections. *)
 val create :
   Ilp_memsim.Sim.t ->
   Ilp_netsim.Simclock.t ->

@@ -682,6 +682,39 @@ let prop_mem_u32_roundtrip =
       Mem.get_u32 sim.Sim.mem (addr * 4) = v)
 
 (* ------------------------------------------------------------------ *)
+(* Code *)
+
+let test_code_image () =
+  let disjoint (r : Code.region) (s : Code.region) =
+    r.base + r.len <= s.base || s.base + s.len <= r.base
+  in
+  let a = Code.allocator () in
+  let engine = Code.alloc a ~len:100 in
+  let ctrl = Code.image a ~name:"ctrl" ~len:2048 in
+  (* The first request places the image where [alloc] would have. *)
+  let replay = Code.allocator () in
+  ignore (Code.alloc replay ~len:100);
+  let twin = Code.alloc replay ~len:2048 in
+  check "first image at the replayed alloc's base" twin.base ctrl.base;
+  check "with its length" 2048 ctrl.len;
+  checkb "same name, physically the same region" true
+    (Code.image a ~name:"ctrl" ~len:2048 == ctrl);
+  let kernel = Code.image a ~name:"kernel" ~len:3072 in
+  checkb "another name, another region" true (kernel != ctrl);
+  check "64-byte aligned" 0 (kernel.base mod 64);
+  checkb "disjoint from the others" true (disjoint kernel ctrl && disjoint kernel engine);
+  ignore (Code.image a ~name:"kernel" ~len:3072);
+  check "a repeated request allocates nothing" (twin.base + 2048 + 3072)
+    (Code.alloc a ~len:64).base;
+  (match Code.image a ~name:"ctrl" ~len:1024 with
+  | _ -> Alcotest.fail "expected Invalid_argument for a second length"
+  | exception Invalid_argument _ -> ());
+  let b = Code.allocator () in
+  let ctrl_b = Code.image b ~name:"ctrl" ~len:2048 in
+  checkb "two allocators never share a region" true
+    (ctrl_b != ctrl && ctrl_b.memo != ctrl.memo)
+
+(* ------------------------------------------------------------------ *)
 (* Alloc *)
 
 let test_alloc_alignment () =
@@ -766,6 +799,7 @@ let () =
           Alcotest.test_case "blit" `Quick test_mem_blit;
           Alcotest.test_case "blit overlap" `Quick test_mem_blit_overlap_forward;
           qc prop_mem_u32_roundtrip ] );
+      ( "code", [ Alcotest.test_case "image" `Quick test_code_image ] );
       ( "alloc",
         [ Alcotest.test_case "alignment" `Quick test_alloc_alignment;
           Alcotest.test_case "exhaustion" `Quick test_alloc_exhaustion;

@@ -304,6 +304,31 @@ let test_handshake () =
     "b established" "ESTABLISHED"
     (Socket.state_to_string (Socket.state w.b))
 
+(* One host runs one TCP and one kernel text: a second socket on the
+   same Sim fetches the lines the first socket's SYN left in the L1i, so
+   its SYN receive and SYN-ACK send miss no instruction line (with a
+   5 KiB copy per socket they missed 80, one per line). *)
+let test_code_image_shared () =
+  let w =
+    Ilp_app.World.create Config.ss10_30 ~link:(fun clock ~deliver ->
+        Link.create clock ~delay_us:25.0 ~deliver ())
+  in
+  let stats = Machine.stats (Ilp_app.World.sim w).Sim.machine in
+  let ifetch_misses () = Stats.misses stats Stats.Ifetch ~level:1 in
+  let a = Ilp_app.World.socket w Socket.default_config ~port:100 in
+  let syn = ref None in
+  let rx s d =
+    let before = ifetch_misses () in
+    Socket.handle_datagram s d;
+    if !syn = None then syn := Some (ifetch_misses () - before)
+  in
+  let b = Ilp_app.World.socket w ~rx Socket.default_config ~port:200 in
+  Socket.listen b;
+  Socket.connect a ~remote_port:200;
+  Simclock.run_until_idle (Ilp_app.World.clock w);
+  checkb "b established" true (Socket.state b = Socket.Established);
+  check "SYN receive + SYN-ACK send: level-1 Ifetch misses" 0 (Option.get !syn)
+
 let test_handshake_under_loss () =
   (* Seed chosen so that packets (including handshake ones) do drop. *)
   let w = make_world ~loss_rate:0.4 ~seed:5 () in
@@ -2646,6 +2671,7 @@ let () =
       ( "socket",
         [ Alcotest.test_case "handshake" `Quick test_handshake;
           Alcotest.test_case "handshake under loss" `Quick test_handshake_under_loss;
+          Alcotest.test_case "one code image per host" `Quick test_code_image_shared;
           Alcotest.test_case "simple transfer" `Quick test_simple_transfer;
           Alcotest.test_case "transfer under loss" `Quick test_transfer_under_loss;
           Alcotest.test_case "reordering" `Quick test_transfer_with_reordering;
