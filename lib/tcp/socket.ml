@@ -363,9 +363,9 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
   let ooo_base = Alloc.alloc sim.alloc ~align:64 (ooo_slots * seg_max) in
   (* Layout reserve: [mss] unused bytes where the raw reassembly area
      was.  It places every later buffer (this socket's and all allocated
-     after it), and with them the Alpha L1d conflicts Table 1's fit
-     rests on: without it the mean |deviation| rises from 11.0% to 12.6%
-     (AXP3000/800 from 15.2% to 20.0%). *)
+     after it), and with them the Alpha data-cache conflicts Table 1's
+     fit rests on: without it the mean |deviation| rises from 11.0% to
+     12.6% (AXP3000/800 from 15.2% to 20.0%). *)
   ignore (Alloc.alloc sim.alloc ~align:64 cfg.mss);
   let probe_buf = Alloc.alloc sim.alloc ~align:8 8 in
   (* One TCP and one kernel text per host: the first socket on [sim]
