@@ -153,9 +153,9 @@ let transfer_cmd =
       (if native then ", native kernels" else "")
       (if crc then ", crc32 trailer" else "");
     Printf.printf "status       %s\n"
-      (match r.Ft.error with
-      | None -> "transfer complete, every byte verified"
-      | Some e -> "FAILED: " ^ e);
+      (match r.Ft.verdict with
+      | Ilp_app.World.Complete -> "transfer complete, every byte verified"
+      | v -> "FAILED: " ^ Ilp_app.World.verdict_to_string v);
     Printf.printf "messages     %d (%d payload bytes, %d wire bytes)\n" r.Ft.n_replies
       r.Ft.payload_bytes r.Ft.wire_bytes;
     Printf.printf "send         %.1f us/packet (%.1f us system copy)\n"
@@ -171,7 +171,7 @@ let transfer_cmd =
       (100.0 *. Stats.data_miss_ratio r.Ft.recv_stats);
     Printf.printf "tcp          %d retransmissions, %d checksum failures\n"
       r.Ft.retransmissions r.Ft.checksum_failures;
-    if r.Ft.ok then 0 else 1
+    if r.Ft.verdict = Ilp_app.World.Complete then 0 else 1
   in
   Cmd.v
     (Cmd.info "transfer" ~doc:"Run one measured file transfer.")
@@ -302,16 +302,17 @@ let mem_cmd =
     in
     match Soak.run_crash cfg with
     | o ->
-        if o.Soak.pool_leaks <> 0 then
+        let crashes = Soak.counter o.Soak.tally "netsim.crashes" in
+        if o.Soak.tally.Soak.pool_leaks <> 0 then
           Error
             [ Printf.sprintf
                 "crash-resume pool: %d buffers leaked across aborts"
-                o.Soak.pool_leaks ]
-        else if o.Soak.crashes = 0 || o.Soak.resumed_completed = 0 then
+                o.Soak.tally.Soak.pool_leaks ]
+        else if crashes = 0 || o.Soak.resumed_completed = 0 then
           Error
             [ Printf.sprintf
                 "crash-resume pool gate vacuous: %d crashes, %d resumed"
-                o.Soak.crashes o.Soak.resumed_completed ]
+                crashes o.Soak.resumed_completed ]
         else Ok ()
     | exception e ->
         Error [ "crash-resume pool: escaped exception " ^ Printexc.to_string e ]
@@ -588,8 +589,7 @@ let soak_cmd =
     let log = soak_log verbose in
     if crash then begin
       let cfg =
-        { Soak.default_crash_config with
-          Soak.seed;
+        { Soak.seed;
           transfers =
             (if quick then 16 else Soak.default_crash_config.Soak.transfers);
           file_len =
@@ -605,7 +605,10 @@ let soak_cmd =
           (* A crash soak that never crashed or never resumed is vacuous:
              fail it like a violated invariant so a regression in the
              fault injection itself cannot slip through green. *)
-          let exercised = o.Soak.crashes > 0 && o.Soak.resumed_completed > 0 in
+          let exercised =
+            Soak.counter o.Soak.tally "netsim.crashes" > 0
+            && o.Soak.resumed_completed > 0
+          in
           if Soak.crash_invariants_hold o && exercised then
             Ok
               "crash invariant held: every transfer byte-exact or typed, \
@@ -618,8 +621,7 @@ let soak_cmd =
     end
     else if overload then begin
       let cfg =
-        { Soak.default_overload_config with
-          Soak.seed;
+        { Soak.seed;
           clients;
           file_len =
             Option.value size ~default:Soak.default_overload_config.Soak.file_len;

@@ -35,7 +35,7 @@ let machine ~l1d_kb ~with_l2 =
 
 let run machine mode =
   let r = Ft.run { (Ft.default_setup ~machine ~mode) with Ft.copies = 4 } in
-  if not r.Ft.ok then failwith "transfer failed";
+  if r.Ft.verdict <> Ilp_app.World.Complete then failwith "transfer failed";
   r
 
 let () =

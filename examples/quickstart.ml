@@ -11,7 +11,9 @@ module Engine = Ilp_core.Engine
 
 let describe name (r : Ft.result) =
   Printf.printf "%-28s %s\n" (name ^ ":")
-    (if r.Ft.ok then "transfer complete, every byte verified" else "FAILED");
+    (match r.Ft.verdict with
+    | Ilp_app.World.Complete -> "transfer complete, every byte verified"
+    | v -> "FAILED: " ^ Ilp_app.World.verdict_to_string v);
   Printf.printf "  replies            %d messages, %d payload bytes\n" r.Ft.n_replies
     r.Ft.payload_bytes;
   Printf.printf "  send processing    %.1f us per 1 kB packet\n" (Ft.mean r.Ft.send_us);

@@ -12,7 +12,7 @@ module Engine = Ilp_core.Engine
 let run name setup =
   let r = Ft.run setup in
   Printf.printf "%-34s %s  send %.0f us  recv %.0f us  rexmit %d\n" name
-    (if r.Ft.ok then "ok " else "BAD")
+    (if r.Ft.verdict = Ilp_app.World.Complete then "ok " else "BAD")
     (Ft.mean r.Ft.send_us) (Ft.mean r.Ft.recv_us) r.Ft.retransmissions;
   r
 

@@ -64,8 +64,7 @@ let default_setup ~machine ~mode =
     deadline_us = 2_000_000_000.0 }
 
 type result = {
-  ok : bool;
-  error : string option;
+  verdict : World.verdict;
   n_replies : int;
   payload_bytes : int;
   wire_bytes : int;
@@ -81,10 +80,6 @@ type result = {
   total_stats : Stats.t;
   retransmissions : int;
   checksum_failures : int;
-  client_failure : string option;
-  drops : (Socket.drop_reason * int) list;
-  replies_abandoned : int;
-  link_stats : Link.stats;
   pool_leaks : int;
 }
 
@@ -198,119 +193,51 @@ let run setup =
   let file_addr = Workload.install sim file_contents in
   Rpc_server.add_file server ~name:"paper.dat" ~addr:file_addr ~len:setup.file_len;
   Simclock.run_until_idle clock;
-  let named =
-    [ ("srv_ctrl", c.World.srv_ctrl); ("cli_ctrl", c.World.cli_ctrl);
-      ("srv_data", c.World.srv_data); ("cli_data", c.World.cli_data) ]
-  in
-  let drops () =
-    List.map
-      (fun r ->
-        (r, List.fold_left (fun acc (_, s) -> acc + Socket.drop_count s r) 0 named))
-      Socket.drop_reasons
-  in
-  let client_failure () =
-    Option.map Rpc_client.failure_to_string (Rpc_client.failure client)
-  in
-  let socket_failures () =
-    List.filter_map
-      (fun (name, s) ->
-        Option.map
-          (fun r -> name ^ " " ^ Socket.abort_reason_to_string r)
-          (Socket.failure s))
-      named
-  in
-  let early_failure error =
-    { ok = false;
-      error = Some error;
-      n_replies = 0;
-      payload_bytes = 0;
-      wire_bytes = 0;
-      send_us = [||];
-      send_syscopy_us = [||];
-      recv_us = [||];
-      send_stall_us = 0.0;
-      recv_stall_us = 0.0;
-      ifetch_stall_us = 0.0;
-      total_machine_us = 0.0;
-      send_stats;
-      recv_stats;
-      total_stats = Stats.copy (Machine.stats machine);
-      retransmissions = 0;
-      checksum_failures = 0;
-      client_failure = client_failure ();
-      drops = drops ();
-      replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (World.link w);
-      pool_leaks = World.pool_leaks w }
-  in
-  if not (List.for_all (fun (_, s) -> Socket.state s = Socket.Established) named)
-  then
-    early_failure
-      (match socket_failures () with
-      | [] -> "connection setup failed"
-      | fs -> "connection setup failed: " ^ String.concat "; " fs)
-  else begin
-    (* Exclude setup from the measurement; keep the caches warm as in the
-       repeated transfers of the paper. *)
-    Machine.reset_counters machine;
-    mark ();
-    match
-      Rpc_client.request_file client ~name:"paper.dat" ~copies:setup.copies
-        ~max_reply:setup.max_reply ~expected:file_contents
-    with
-    | Error _ -> early_failure "request refused by TCP"
-    | Ok () ->
-    (* Drive the world until the transfer completes or stalls. *)
-    let deadline = setup.deadline_us in
-    let rec pump guard =
-      if guard = 0 then ()
-      else if Rpc_client.transfer_complete client then ()
-      else if Simclock.now clock > deadline then ()
-      else begin
-        Simclock.advance clock 5_000.0;
-        if Simclock.pending clock = 0 && not (Rpc_client.transfer_complete client)
-        then ()
-        else pump (guard - 1)
-      end
-    in
-    pump 2_000_000;
-    let total_machine_us = Machine.micros machine in
-    let total_stats = Stats.copy (Machine.stats machine) in
-    let srv_stats = Socket.stats c.World.srv_data in
-    let cli_stats = Socket.stats c.World.cli_data in
-    let ok = Rpc_client.transfer_complete client in
-    let error =
-      if ok then None
-      else
-        match client_failure () with
-        | Some f -> Some f
-        | None ->
-            Some
-              (Printf.sprintf "incomplete transfer: %d / %d bytes"
-                 (Rpc_client.bytes_received client)
-                 (setup.file_len * setup.copies))
-    in
-    { ok;
-      error;
-      n_replies = Rpc_client.replies_received client;
-      payload_bytes = Rpc_client.bytes_received client;
-      wire_bytes = !wire_bytes;
-      send_us = Array.of_list (List.rev !send_us);
-      send_syscopy_us = Array.of_list (List.rev !send_syscopy_us);
-      recv_us = Array.of_list (List.rev !recv_us);
-      send_stall_us = !send_stall;
-      recv_stall_us = !recv_stall;
-      ifetch_stall_us =
-        Machine.ifetch_stall_cycles machine /. setup.machine.Config.clock_mhz;
-      total_machine_us;
-      send_stats;
-      recv_stats;
-      total_stats;
-      retransmissions = srv_stats.Socket.retransmissions;
-      checksum_failures = cli_stats.Socket.checksum_failures;
-      client_failure = client_failure ();
-      drops = drops ();
-      replies_abandoned = Rpc_server.replies_abandoned server;
-      link_stats = Link.stats (World.link w);
-      pool_leaks = World.pool_leaks w }
-  end
+  let refused = ref false in
+  (if
+     List.for_all
+       (fun s -> Socket.state s = Socket.Established)
+       [ c.World.srv_ctrl; c.World.cli_ctrl; c.World.srv_data; c.World.cli_data ]
+   then begin
+     (* Exclude setup from the measurement; keep the caches warm as in the
+        repeated transfers of the paper. *)
+     Machine.reset_counters machine;
+     mark ();
+     match
+       Rpc_client.request_file client ~name:"paper.dat" ~copies:setup.copies
+         ~max_reply:setup.max_reply ~expected:file_contents
+     with
+     | Error _ -> refused := true
+     | Ok () ->
+         (* Drive the world until the transfer completes or stalls. *)
+         let rec pump guard =
+           if guard = 0 then ()
+           else if Rpc_client.transfer_complete client then ()
+           else if Simclock.now clock > setup.deadline_us then ()
+           else begin
+             Simclock.advance clock 5_000.0;
+             if Simclock.pending clock = 0 then () else pump (guard - 1)
+           end
+         in
+         pump 2_000_000
+   end);
+  (* A setup that failed skips the transfer; its verdict names the
+     endpoint that aborted. *)
+  { verdict = World.verdict ~refused:!refused ~conn:c client;
+    n_replies = Rpc_client.replies_received client;
+    payload_bytes = Rpc_client.bytes_received client;
+    wire_bytes = !wire_bytes;
+    send_us = Array.of_list (List.rev !send_us);
+    send_syscopy_us = Array.of_list (List.rev !send_syscopy_us);
+    recv_us = Array.of_list (List.rev !recv_us);
+    send_stall_us = !send_stall;
+    recv_stall_us = !recv_stall;
+    ifetch_stall_us =
+      Machine.ifetch_stall_cycles machine /. setup.machine.Config.clock_mhz;
+    total_machine_us = Machine.micros machine;
+    send_stats;
+    recv_stats;
+    total_stats = Stats.copy (Machine.stats machine);
+    retransmissions = (Socket.stats c.World.srv_data).Socket.retransmissions;
+    checksum_failures = (Socket.stats c.World.cli_data).Socket.checksum_failures;
+    pool_leaks = World.pool_leaks w }

@@ -66,9 +66,9 @@ type setup = {
       (** full adversarial wire model; [None] (the default) is the legacy
           50 us loopback with [loss_rate] applied *)
   deadline_us : float;
-      (** virtual-time budget for the transfer (default 2e9 us); an
-          impaired transfer that cannot finish by then reports a typed
-          error *)
+      (** virtual-time budget for the transfer (default 2e9 us); a
+          transfer still running then stops, and its [verdict] says
+          whether any endpoint reported a failure *)
 }
 
 (** The paper's configuration: simplified SAFER, 15 kB file, 1 kB
@@ -77,8 +77,12 @@ val default_setup :
   machine:Ilp_memsim.Config.t -> mode:Ilp_core.Engine.mode -> setup
 
 type result = {
-  ok : bool;  (** transfer completed with every byte verified *)
-  error : string option;
+  verdict : World.verdict;
+      (** {!World.verdict} of the client and the server's endpoints:
+          [Complete] when every byte was verified, [Typed] when a
+          client, server or setup failure was reported, [Silent] when
+          the transfer stalled (the clock went idle or [deadline_us]
+          passed) with nothing reported *)
   n_replies : int;
   payload_bytes : int;  (** application bytes transferred (all copies) *)
   wire_bytes : int;  (** encrypted message bytes carried by TCP *)
@@ -101,17 +105,8 @@ type result = {
   send_stats : Ilp_memsim.Stats.t;  (** ledger of the send path *)
   recv_stats : Ilp_memsim.Stats.t;  (** ledger of the receive path *)
   total_stats : Ilp_memsim.Stats.t;
-  retransmissions : int;
-  checksum_failures : int;
-  client_failure : string option;
-      (** the client's typed failure (transport abort or protocol error),
-          rendered; [None] on success *)
-  drops : (Ilp_tcp.Socket.drop_reason * int) list;
-      (** per-reason drop ledger summed over all four endpoints *)
-  replies_abandoned : int;
-      (** replies the server discarded because the data connection died *)
-  link_stats : Ilp_netsim.Link.stats;
-      (** every impairment the wire actually applied *)
+  retransmissions : int;  (** by the server's data socket *)
+  checksum_failures : int;  (** at the client's data socket *)
   pool_leaks : int;
       (** buffers still outstanding from the run's pool after both engines
           were destroyed — must be 0 (every acquired buffer released)

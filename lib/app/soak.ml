@@ -9,6 +9,7 @@ module Engine = Ilp_core.Engine
 module Rpc_server = Ilp_rpc.Server
 module Rpc_client = Ilp_rpc.Client
 module Ft = File_transfer
+module M = Ilp_obs.Metrics
 
 (* A private xorshift64 so soak schedules are reproducible without
    touching the link's own stream. *)
@@ -30,43 +31,59 @@ type config = {
   seed : int;
   iterations : int;
   file_len : int;
-  copies : int;
   max_reply : int;
   machine : Ilp_memsim.Config.t;
   intensity : float;
-  deadline_us : float;
 }
 
 let default_config =
   { seed = 1;
     iterations = 512;
     file_len = 512;
-    copies = 1;
     max_reply = 256;
     machine = Ilp_memsim.Config.ss10_30;
-    intensity = 1.0;
-    deadline_us = 120_000_000.0 }
+    intensity = 1.0 }
 
-type outcome = {
-  iterations : int;
-  completed : int;
-  failed : int;  (** transfers that ended with a typed error (expected under impairment) *)
-  escaped_exceptions : int;  (** invariant violation: an exception crossed the stack *)
-  silent_corruptions : int;
-      (** invariant violation: reported success without byte-exact delivery,
-          or failure with no typed error *)
-  retransmissions : int;
-  checksum_drops : int;
-  replies_abandoned : int;
-  drops : (Socket.drop_reason * int) list;
-  link : Link.stats;
+type tally = {
+  runs : int;
+  byte_exact : int;
+  typed : int;
+  silent : int;
+  escaped : int;
   pool_leaks : int;
-      (** invariant violation: buffers still outstanding from any
-          iteration's pool after engine teardown *)
+  delta : M.snapshot;
 }
 
-let invariants_hold o =
-  o.escaped_exceptions = 0 && o.silent_corruptions = 0 && o.pool_leaks = 0
+let counter t name =
+  match M.find t.delta name with Some (M.Counter n) -> n | _ -> 0
+
+let invariants_hold t = t.escaped = 0 && t.silent = 0 && t.pool_leaks = 0
+
+(* How one transfer or client ended. *)
+type ending = Exact | Typed | Silent | Escaped
+
+(* [runs] endings and the counters the registry gained since [before]. *)
+let tally ~runs ~before endings ~pool_leaks =
+  let n e = List.length (List.filter (( = ) e) endings) in
+  { runs;
+    byte_exact = n Exact;
+    typed = n Typed;
+    silent = n Silent;
+    escaped = n Escaped;
+    pool_leaks;
+    delta =
+      List.filter
+        (function _, M.Counter _ -> true | _ -> false)
+        (M.diff (M.snapshot M.default) before) }
+
+(* The ending a {!World.verdict} counts as, and the line that names it;
+   [exact] is the soak's own byte count of a [Complete]. *)
+let judge ~exact = function
+  | World.Complete when exact -> (Exact, "completed byte-exact")
+  | World.Complete ->
+      (Silent, "SILENT CORRUPTION: complete without byte-exact delivery")
+  | World.Typed t -> (Typed, t)
+  | World.Silent -> (Silent, "SILENT: neither complete nor typed")
 
 let ciphers = [| Ft.Safer_simplified; Ft.Simple_encryption; Ft.Safer_full 6; Ft.Des |]
 
@@ -104,27 +121,19 @@ let draw_impairments st ~intensity =
     delay_spike_us = 2_000.0;
     gilbert }
 
-(* One transfer under one impairment draw.  The soak invariant: the file
-   arrives byte-exact, or the run reports a typed error — never silent
-   corruption, never an escaped exception. *)
+(* One transfer under one impairment draw, judged by its
+   [World.verdict].  The soak invariant: the file arrives byte-exact, or
+   the run reports a typed error — never silent corruption, never an
+   escaped exception. *)
 let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
   if cfg.iterations < 0 then invalid_arg "Soak.run: iterations must be >= 0";
   if cfg.intensity < 0.0 || cfg.intensity > 10.0 then
     invalid_arg "Soak.run: intensity must be in [0, 10]";
-  if cfg.file_len <= 0 || cfg.copies <= 0 || cfg.max_reply <= 0 then
-    invalid_arg "Soak.run: file_len, copies and max_reply must be positive";
-  if cfg.deadline_us <= 0.0 then invalid_arg "Soak.run: deadline_us must be positive";
+  if cfg.file_len <= 0 || cfg.max_reply <= 0 then
+    invalid_arg "Soak.run: file_len and max_reply must be positive";
   let st = prng_create cfg.seed in
-  let completed = ref 0
-  and failed = ref 0
-  and escaped = ref 0
-  and silent = ref 0
-  and retransmissions = ref 0
-  and checksum_drops = ref 0
-  and abandoned = ref 0
-  and pool_leaks = ref 0 in
-  let drop_totals = Array.make (List.length Socket.drop_reasons) 0 in
-  let link_total = ref Link.zero_stats in
+  let before = M.snapshot M.default in
+  let endings = ref [] and pool_leaks = ref 0 in
   for i = 0 to cfg.iterations - 1 do
     let mode = if i land 1 = 0 then Engine.Separate else Engine.Ilp in
     let native = (i lsr 1) land 1 = 1 in
@@ -143,11 +152,11 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
         crc;
         framing;
         file_len = cfg.file_len;
-        copies = cfg.copies;
+        copies = 1;
         max_reply = cfg.max_reply;
         seed = (cfg.seed * 7919) + i;
         impairments = Some imp;
-        deadline_us = cfg.deadline_us }
+        deadline_us = 120_000_000.0 }
     in
     let tag verdict =
       Printf.sprintf "iter %4d  %-8s %-7s %-16s %-6s %-6s %s" i
@@ -158,53 +167,26 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
         (if framing then "framed" else "-")
         verdict
     in
-    (match Ft.run setup with
-    | r ->
-        retransmissions := !retransmissions + r.Ft.retransmissions;
-        checksum_drops := !checksum_drops + r.Ft.checksum_failures;
-        abandoned := !abandoned + r.Ft.replies_abandoned;
-        List.iteri
-          (fun j (_, n) -> drop_totals.(j) <- drop_totals.(j) + n)
-          r.Ft.drops;
-        link_total := Link.add_stats !link_total r.Ft.link_stats;
-        if r.Ft.pool_leaks <> 0 then begin
-          pool_leaks := !pool_leaks + r.Ft.pool_leaks;
-          log ~violation:true
-            (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" r.Ft.pool_leaks))
-        end;
-        if r.Ft.ok then begin
-          if r.Ft.payload_bytes <> cfg.file_len * cfg.copies then begin
-            incr silent;
+    let ending =
+      match Ft.run setup with
+      | r ->
+          if r.Ft.pool_leaks <> 0 then begin
+            pool_leaks := !pool_leaks + r.Ft.pool_leaks;
             log ~violation:true
-              (tag "SILENT CORRUPTION: success without byte-exact delivery")
-          end
-          else incr completed
-        end
-        else begin
-          match r.Ft.error with
-          | Some e ->
-              incr failed;
-              log ~violation:false (tag ("failed (typed): " ^ e))
-          | None ->
-              incr silent;
-              log ~violation:true (tag "SILENT FAILURE: no typed error reported")
-        end
-    | exception e ->
-        incr escaped;
-        log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e)))
+              (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" r.Ft.pool_leaks))
+          end;
+          let ending, line =
+            judge ~exact:(r.Ft.payload_bytes = cfg.file_len) r.Ft.verdict
+          in
+          if ending <> Exact then log ~violation:(ending = Silent) (tag line);
+          ending
+      | exception e ->
+          log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e));
+          Escaped
+    in
+    endings := ending :: !endings
   done;
-  { iterations = cfg.iterations;
-    completed = !completed;
-    failed = !failed;
-    escaped_exceptions = !escaped;
-    silent_corruptions = !silent;
-    retransmissions = !retransmissions;
-    checksum_drops = !checksum_drops;
-    replies_abandoned = !abandoned;
-    drops =
-      List.mapi (fun j r -> (r, drop_totals.(j))) Socket.drop_reasons;
-    link = !link_total;
-    pool_leaks = !pool_leaks }
+  tally ~runs:cfg.iterations ~before !endings ~pool_leaks:!pool_leaks
 
 (* ------------------------------------------------------------------ *)
 (* Overload soak: many concurrent clients against one shared server *)
@@ -252,71 +234,51 @@ type overload_config = {
   clients : int;
   file_len : int;
   machine : Ilp_memsim.Config.t;
-  deadline_us : float;
 }
 
 let default_overload_config =
-  { seed = 1;
-    clients = 8;
-    file_len = 2048;
-    machine = Ilp_memsim.Config.ss10_30;
-    deadline_us = 30_000_000.0 }
+  { seed = 1; clients = 8; file_len = 2048; machine = Ilp_memsim.Config.ss10_30 }
 
 type overload_outcome = {
-  clients : int;
-  completed : int;
-  typed_failures : int;
-  escaped_exceptions : int;
-  silent_outcomes : int;
-      (** invariant violation: a client ended neither complete nor with a
-          typed client- or server-side outcome *)
+  tally : tally;
   honest_incomplete : int;
-      (** invariant violation: an honest or slow-reader client did not
-          finish byte-exact *)
   budget_violations : int;
-      (** invariant violation: peak queued bytes exceeded the global cap *)
   ledger_mismatch : bool;
-      (** invariant violation: sheds in the server ledger do not equal the
-          typed shed outcomes the clients observed *)
   peak_queued_bytes : int;
   queue_cap : int;
-  busy_replies : int;
-  client_retries : int;
-  persist_probes : int;
-  peer_stalled_aborts : int;
-  replies_abandoned : int;
-  forged_acks : int;
-  forged_rejections : int;
   forgery_unpunished : bool;
-      (** invariant violation: a lying receiver's NIC forged feedback but
-          the server neither rejected a block nor aborted the peer *)
-  sheds : (Rpc_server.shed_reason * int) list;
-  pool_leaks : int;
-      (** invariant violation: buffers outstanding from the run's shared
-          pool after every engine was destroyed *)
 }
 
 let overload_invariants_hold o =
-  o.escaped_exceptions = 0 && o.silent_outcomes = 0 && o.honest_incomplete = 0
+  invariants_hold o.tally && o.honest_incomplete = 0
   && o.budget_violations = 0
   && (not o.ledger_mismatch)
-  && (not o.forgery_unpunished)
-  && o.pool_leaks = 0
+  && not o.forgery_unpunished
+
+(* Forged feedback must leave a trace: SACK blocks rejected by the
+   server's validator, or (for optimistic-ack forgeries) a typed
+   [Misbehaving_peer] abort.  Only the lying receivers' NICs tamper. *)
+let forged_acks t = counter t "link.tampered"
+
+let forged_rejections t =
+  counter t "tcp.sack_invalid" + counter t "tcp.abort.misbehaving_peer"
+
+let sheds t =
+  List.map
+    (fun r -> (r, counter t ("rpc.shed." ^ Rpc_server.shed_reason_to_string r)))
+    Rpc_server.shed_reasons
 
 type overload_client = {
   idx : int;
   persona : persona;
   client : Rpc_client.t;
-  cli_data : Socket.t;
-  srv_data : Socket.t;
+  conn : World.conn;
   mutable local_refused : bool;
 }
 
 let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_config) =
   if cfg.clients < 1 then invalid_arg "Soak.run_overload: clients must be >= 1";
   if cfg.file_len < 64 then invalid_arg "Soak.run_overload: file_len must be >= 64";
-  if cfg.deadline_us <= 0.0 then
-    invalid_arg "Soak.run_overload: deadline_us must be positive";
   let max_reply = max 64 (cfg.file_len / 8) in
   let limits =
     { Rpc_server.max_connections = cfg.clients + 2;
@@ -326,28 +288,8 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
       max_total_queue_bytes = cfg.file_len * ((cfg.clients / 4) + 1);
       max_request_age_us = 60_000_000.0 }
   in
-  let empty_outcome =
-    { clients = cfg.clients;
-      completed = 0;
-      typed_failures = 0;
-      escaped_exceptions = 1;
-      silent_outcomes = 0;
-      honest_incomplete = 0;
-      budget_violations = 0;
-      ledger_mismatch = false;
-      peak_queued_bytes = 0;
-      queue_cap = limits.Rpc_server.max_total_queue_bytes;
-      busy_replies = 0;
-      client_retries = 0;
-      persist_probes = 0;
-      peer_stalled_aborts = 0;
-      replies_abandoned = 0;
-      forged_acks = 0;
-      forged_rejections = 0;
-      forgery_unpunished = false;
-      sheds = [];
-      pool_leaks = 0 }
-  in
+  let queue_cap = limits.Rpc_server.max_total_queue_bytes in
+  let before = M.snapshot M.default in
   match
     (* The lying receivers' data ports (their acks travel cli_data ->
        srv_data); the port plan below assigns 4 consecutive ports per
@@ -473,8 +415,7 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
               ~framed:(persona = Streaming)
               ~engine:(engine ()) ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ()
           in
-          { idx = i; persona; client; cli_data = c.World.cli_data;
-            srv_data = c.World.srv_data; local_refused = false })
+          { idx = i; persona; client; conn = c; local_refused = false })
     in
     Simclock.run_until_idle clock;
     (* The telemetry hook attaches here — after handshakes have drained
@@ -501,7 +442,7 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
               (Simclock.schedule clock
                  ~after:(100_000.0 +. (37_000.0 *. float_of_int c.idx))
                  (fun () ->
-                   Socket.set_advertised_window c.cli_data
+                   Socket.set_advertised_window c.conn.World.cli_data
                      cfg_sock.Socket.recv_window))
         | Shrinking_window ->
             (* Shrink below the sender's likely bytes in flight while the
@@ -511,154 +452,103 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
             ignore
               (Simclock.schedule clock
                  ~after:(30_000.0 +. (11_000.0 *. float_of_int c.idx))
-                 (fun () -> Socket.set_advertised_window c.cli_data 64));
+                 (fun () -> Socket.set_advertised_window c.conn.World.cli_data 64));
             ignore
               (Simclock.schedule clock
                  ~after:(400_000.0 +. (29_000.0 *. float_of_int c.idx))
                  (fun () ->
-                   Socket.set_advertised_window c.cli_data
+                   Socket.set_advertised_window c.conn.World.cli_data
                      cfg_sock.Socket.recv_window))
         | Honest | Dead_reader | Oversized | Streaming | Lying_receiver -> ())
       clients;
-    let verdict c =
-      World.verdict ~refused:c.local_refused ~server:c.srv_data c.client
-    in
+    let verdict c = World.verdict ~refused:c.local_refused ~conn:c.conn c.client in
     let guard = ref 400_000 in
     while
       List.exists (fun c -> verdict c = World.Silent) clients
-      && Simclock.now clock < cfg.deadline_us
+      && Simclock.now clock < 30_000_000.0
       && !guard > 0
     do
       decr guard;
       Simclock.advance clock 1_000.0
     done;
     Simclock.run_until_idle clock;
-    let completed = ref 0
-    and typed = ref 0
-    and silent = ref 0
-    and honest_incomplete = ref 0 in
-    List.iter
-      (fun c ->
-        let v = verdict c in
-        let line =
-          match v with
-          | World.Complete ->
-              incr completed;
-              "completed byte-exact"
-          | World.Typed t ->
-              incr typed;
-              t
-          | World.Silent ->
-              incr silent;
-              "SILENT: neither complete nor typed"
-        in
-        let incomplete = persona_must_complete c.persona && v <> World.Complete in
-        if incomplete then incr honest_incomplete;
-        log
-          ~violation:(incomplete || v = World.Silent)
-          (Printf.sprintf "client %2d  %-11s %s  (busy %d, retries %d)" c.idx
-             (persona_name c.persona) line
-             (Rpc_client.busy_replies c.client)
-             (Rpc_client.retries c.client)))
-      clients;
-    let busy =
-      List.fold_left (fun a c -> a + Rpc_client.busy_replies c.client) 0 clients
+    let judged =
+      List.map
+        (fun c ->
+          let ending, line = judge ~exact:true (verdict c) in
+          let incomplete = persona_must_complete c.persona && ending <> Exact in
+          log
+            ~violation:(incomplete || ending = Silent)
+            (Printf.sprintf "client %2d  %-11s %s  (busy %d, retries %d)" c.idx
+               (persona_name c.persona) line
+               (Rpc_client.busy_replies c.client)
+               (Rpc_client.retries c.client));
+          (ending, incomplete))
+        clients
     in
-    let refused =
-      List.fold_left
-        (fun a c -> a + if Rpc_client.rejected c.client then 1 else 0)
-        0 clients
-    in
-    let retries =
-      List.fold_left (fun a c -> a + Rpc_client.retries c.client) 0 clients
-    in
-    let probes =
-      List.fold_left
-        (fun a c -> a + (Socket.stats c.srv_data).Socket.persist_probes)
-        0 clients
-    in
-    let stalled =
-      List.fold_left
-        (fun a c ->
-          a
-          + if Socket.failure c.srv_data = Some Socket.Peer_stalled then 1 else 0)
-        0 clients
-    in
-    let forged_acks = (Link.stats (World.link w)).Link.tampered in
-    (* Forged feedback must leave a trace: SACK blocks rejected by the
-       server's validator, or (for optimistic-ack forgeries) a typed
-       [Misbehaving_peer] abort.  Silent acceptance is the violation. *)
-    let forged_rejections =
-      List.fold_left
-        (fun a c ->
-          let s = Socket.stats c.srv_data in
-          a + s.Socket.sack_invalid
-          + if Socket.failure c.srv_data = Some Socket.Misbehaving_peer then 1
-            else 0)
-        0 clients
-    in
+    let refused = List.length (List.filter (fun c -> Rpc_client.rejected c.client) clients) in
     let peak = Rpc_server.peak_queued_bytes server in
-    let pool_leaks = World.pool_leaks w in
-    { clients = cfg.clients;
-      completed = !completed;
-      typed_failures = !typed;
-      escaped_exceptions = 0;
-      silent_outcomes = !silent;
-      honest_incomplete = !honest_incomplete;
-      budget_violations =
-        (if peak > limits.Rpc_server.max_total_queue_bytes then 1 else 0);
+    let t =
+      tally ~runs:cfg.clients ~before (List.map fst judged)
+        ~pool_leaks:(World.pool_leaks w)
+    in
+    { tally = t;
+      honest_incomplete = List.length (List.filter snd judged);
+      budget_violations = (if peak > queue_cap then 1 else 0);
       (* Every shed must be accounted for: seen by a client as Busy or a
          refusal, or attributably lost because the shed connection itself
          died before the status could be delivered. *)
       ledger_mismatch =
-        Rpc_server.sheds_total server
-        <> busy + refused + Rpc_server.statuses_abandoned server;
+        List.fold_left (fun a (_, n) -> a + n) 0 (sheds t)
+        <> counter t "rpc.client.busy_replies" + refused
+           + counter t "rpc.statuses_abandoned";
       peak_queued_bytes = peak;
-      queue_cap = limits.Rpc_server.max_total_queue_bytes;
-      busy_replies = busy;
-      client_retries = retries;
-      persist_probes = probes;
-      peer_stalled_aborts = stalled;
-      replies_abandoned = Rpc_server.replies_abandoned server;
-      forged_acks;
-      forged_rejections;
-      forgery_unpunished = forged_acks > 0 && forged_rejections = 0;
-      sheds = Rpc_server.sheds server;
-      pool_leaks }
+      queue_cap;
+      forgery_unpunished = forged_acks t > 0 && forged_rejections t = 0 }
   with
   | o -> o
   | exception (Invalid_argument _ as e) -> raise e
   | exception e ->
       log ~violation:true ("ESCAPED EXCEPTION: " ^ Printexc.to_string e);
-      empty_outcome
+      { tally = tally ~runs:cfg.clients ~before [ Escaped ] ~pool_leaks:0;
+        honest_incomplete = 0;
+        budget_violations = 0;
+        ledger_mismatch = false;
+        peak_queued_bytes = 0;
+        queue_cap;
+        forgery_unpunished = false }
 
 let overload_summary_lines o =
-  [ Printf.sprintf "clients               %d" o.clients;
-    Printf.sprintf "byte-exact transfers  %d" o.completed;
-    Printf.sprintf "typed outcomes        %d" o.typed_failures;
-    Printf.sprintf "escaped exceptions    %d" o.escaped_exceptions;
-    Printf.sprintf "silent outcomes       %d" o.silent_outcomes;
+  let t = o.tally in
+  [ Printf.sprintf "clients               %d" t.runs;
+    Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
+    Printf.sprintf "typed outcomes        %d" t.typed;
+    Printf.sprintf "escaped exceptions    %d" t.escaped;
+    Printf.sprintf "silent outcomes       %d" t.silent;
     Printf.sprintf "honest incomplete     %d" o.honest_incomplete;
     Printf.sprintf "queued bytes          peak %d of cap %d%s" o.peak_queued_bytes
       o.queue_cap
       (if o.budget_violations > 0 then "  VIOLATED" else "");
     Printf.sprintf "shedding              %d busy replies, %d client retries%s"
-      o.busy_replies o.client_retries
+      (counter t "rpc.client.busy_replies")
+      (counter t "rpc.client.retries")
       (if o.ledger_mismatch then "  LEDGER MISMATCH" else "");
     "shed ledger:          "
     ^ String.concat ", "
         (List.map
            (fun (r, n) ->
              Printf.sprintf "%s %d" (Rpc_server.shed_reason_to_string r) n)
-           o.sheds);
+           (sheds t));
     Printf.sprintf "zero-window           %d persist probes, %d peer-stalled aborts"
-      o.persist_probes o.peer_stalled_aborts;
+      (counter t "tcp.persist_probes")
+      (counter t "tcp.abort.peer_stalled");
     Printf.sprintf "lying receivers       %d forged acks, %d rejections%s"
-      o.forged_acks o.forged_rejections
+      (forged_acks t) (forged_rejections t)
       (if o.forgery_unpunished then "  UNPUNISHED" else "");
-    Printf.sprintf "server                %d replies abandoned" o.replies_abandoned;
-    Printf.sprintf "buffer pool           %d leaks%s" o.pool_leaks
-      (if o.pool_leaks > 0 then "  VIOLATED" else "") ]
+    Printf.sprintf "server                %d replies abandoned"
+      (counter t "rpc.replies_abandoned");
+    Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
+      (if t.pool_leaks > 0 then "  VIOLATED" else "") ]
 
 (* ------------------------------------------------------------------ *)
 (* Crash soak: seeded node crash/restart faults against one transfer *)
@@ -668,43 +558,22 @@ type crash_config = {
   transfers : int;
   file_len : int;
   machine : Ilp_memsim.Config.t;
-  deadline_us : float;
 }
 
 let default_crash_config =
-  { seed = 1;
-    transfers = 64;
-    file_len = 2048;
-    machine = Ilp_memsim.Config.ss10_30;
-    deadline_us = 30_000_000.0 }
+  { seed = 1; transfers = 64; file_len = 2048; machine = Ilp_memsim.Config.ss10_30 }
 
 type crash_outcome = {
-  transfers : int;
-  completed : int;
+  tally : tally;
   resumed_completed : int;
-  typed_failures : int;
-  escaped_exceptions : int;
-  silent_outcomes : int;
   restarts_from_zero : int;
   stale_timers : int;
   dedup_violations : int;
-  crashes : int;
-  resets_while_down : int;
-  swallowed : int;
-  keepalive_probes : int;
-  reset_aborts : int;
-  reconnects : int;
-  resumes : int;
-  dedup_hits : int;
-  executions : int;
-  crc_probes : int;
-  pool_leaks : int;
 }
 
 let crash_invariants_hold o =
-  o.escaped_exceptions = 0 && o.silent_outcomes = 0
-  && o.restarts_from_zero = 0 && o.stale_timers = 0
-  && o.dedup_violations = 0 && o.pool_leaks = 0
+  invariants_hold o.tally && o.restarts_from_zero = 0 && o.stale_timers = 0
+  && o.dedup_violations = 0
 
 (* One transfer against a server that dies and comes back on a seeded
    schedule.  The fault-model invariant, per seed: the file arrives
@@ -718,27 +587,13 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
     invalid_arg "Soak.run_crash: transfers must be >= 0";
   if cfg.file_len < 64 then
     invalid_arg "Soak.run_crash: file_len must be >= 64";
-  if cfg.deadline_us <= 0.0 then
-    invalid_arg "Soak.run_crash: deadline_us must be positive";
   let st = prng_create cfg.seed in
-  let completed = ref 0
+  let before = M.snapshot M.default in
+  let endings = ref []
   and resumed_completed = ref 0
-  and typed = ref 0
-  and escaped = ref 0
-  and silent = ref 0
   and restarts_zero = ref 0
   and stale = ref 0
   and dedup_viol = ref 0
-  and crashes = ref 0
-  and resets = ref 0
-  and swallowed = ref 0
-  and ka_probes = ref 0
-  and reset_aborts = ref 0
-  and reconnects = ref 0
-  and resumes = ref 0
-  and dedup_hits = ref 0
-  and executions = ref 0
-  and crc_probes = ref 0
   and pool_leaks = ref 0 in
   for i = 0 to cfg.transfers - 1 do
     let mode = if i land 1 = 0 then Engine.Ilp else Engine.Separate in
@@ -795,12 +650,10 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
       let store = Rpc_server.create_store () in
       let server = ref None in
       let srv_socks = ref [] in
-      let probes_total = ref 0 in
       let stale_here = ref 0 in
       let kill () =
         (match !server with
         | Some s ->
-            probes_total := !probes_total + Rpc_server.probes_received s;
             Rpc_server.shutdown s;
             if
               Simclock.pending_count clock ~owner:(Rpc_server.timer_owner s)
@@ -916,7 +769,7 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
       let guard_steps = ref 200_000 in
       while
         (not (terminal ()))
-        && Simclock.now clock < cfg.deadline_us
+        && Simclock.now clock < 30_000_000.0
         && !guard_steps > 0
       do
         decr guard_steps;
@@ -965,37 +818,22 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
       Crashplan.stop plan;
       if Simclock.pending_count clock ~owner:(Crashplan.timer_owner plan) <> 0
       then incr stale_here;
-      (match !server with
-      | Some s ->
-          probes_total := !probes_total + Rpc_server.probes_received s;
-          Rpc_server.shutdown s
-      | None -> ());
+      Option.iter Rpc_server.shutdown !server;
       List.iter
         (fun s -> if not (Socket.destroyed s) then Socket.destroy s)
         !all_socks;
       Simclock.run_until_idle clock;
-      let silent_before = !silent in
-      let verdict =
-        match World.verdict ~refused:!local_refused client with
-        | World.Complete ->
-            if Rpc_client.bytes_received client <> copies * cfg.file_len then begin
-              incr silent;
-              "SILENT CORRUPTION: complete without byte-exact delivery"
-            end
-            else begin
-              incr completed;
-              if Rpc_client.reconnects client > 0 then begin
-                incr resumed_completed;
-                "completed byte-exact (resumed)"
-              end
-              else "completed byte-exact"
-            end
-        | World.Typed t ->
-            incr typed;
-            t
-        | World.Silent ->
-            incr silent;
-            "SILENT: neither complete nor typed past the deadline"
+      let ending, line =
+        judge
+          ~exact:(Rpc_client.bytes_received client = copies * cfg.file_len)
+          (World.verdict ~refused:!local_refused client)
+      in
+      let line =
+        if ending = Exact && Rpc_client.reconnects client > 0 then begin
+          incr resumed_completed;
+          "completed byte-exact (resumed)"
+        end
+        else line
       in
       if
         Rpc_server.executions store + Rpc_server.dedup_hits store
@@ -1010,20 +848,6 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
         log ~violation:true
           (tag (Printf.sprintf "STALE TIMERS: %d owners" !stale_here))
       end;
-      crashes := !crashes + Crashplan.crashes plan;
-      resets := !resets + Crashplan.resets plan;
-      swallowed := !swallowed + Crashplan.swallowed plan;
-      reconnects := !reconnects + Rpc_client.reconnects client;
-      resumes := !resumes + Rpc_client.resumes client;
-      dedup_hits := !dedup_hits + Rpc_server.dedup_hits store;
-      executions := !executions + Rpc_server.executions store;
-      crc_probes := !crc_probes + !probes_total;
-      List.iter
-        (fun s ->
-          ka_probes := !ka_probes + (Socket.stats s).Socket.keepalive_probes;
-          if Socket.failure s = Some Socket.Connection_reset then
-            incr reset_aborts)
-        !all_socks;
       let leaked = World.pool_leaks w in
       if leaked <> 0 then begin
         pool_leaks := !pool_leaks + leaked;
@@ -1032,79 +856,74 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
       end;
       (* A resume from byte zero is counted by the supervisor above; this
          transfer's verdict line is the one that names it. *)
-      log
-        ~violation:(!silent > silent_before || !restarts_zero > zero_before)
-        (tag verdict)
+      log ~violation:(ending = Silent || !restarts_zero > zero_before) (tag line);
+      endings := ending :: !endings
     with
     | () -> ()
     | exception (Invalid_argument _ as e) -> raise e
     | exception e ->
-        incr escaped;
+        endings := Escaped :: !endings;
         log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e))
   done;
-  { transfers = cfg.transfers;
-    completed = !completed;
+  { tally = tally ~runs:cfg.transfers ~before !endings ~pool_leaks:!pool_leaks;
     resumed_completed = !resumed_completed;
-    typed_failures = !typed;
-    escaped_exceptions = !escaped;
-    silent_outcomes = !silent;
     restarts_from_zero = !restarts_zero;
     stale_timers = !stale;
-    dedup_violations = !dedup_viol;
-    crashes = !crashes;
-    resets_while_down = !resets;
-    swallowed = !swallowed;
-    keepalive_probes = !ka_probes;
-    reset_aborts = !reset_aborts;
-    reconnects = !reconnects;
-    resumes = !resumes;
-    dedup_hits = !dedup_hits;
-    executions = !executions;
-    crc_probes = !crc_probes;
-    pool_leaks = !pool_leaks }
+    dedup_violations = !dedup_viol }
 
 let crash_summary_lines o =
-  [ Printf.sprintf "transfers             %d" o.transfers;
+  let t = o.tally in
+  [ Printf.sprintf "transfers             %d" t.runs;
     Printf.sprintf "byte-exact transfers  %d (%d resumed across a restart)"
-      o.completed o.resumed_completed;
-    Printf.sprintf "typed outcomes        %d" o.typed_failures;
-    Printf.sprintf "escaped exceptions    %d" o.escaped_exceptions;
-    Printf.sprintf "silent outcomes       %d%s" o.silent_outcomes
-      (if o.silent_outcomes > 0 then "  VIOLATED" else "");
+      t.byte_exact o.resumed_completed;
+    Printf.sprintf "typed outcomes        %d" t.typed;
+    Printf.sprintf "escaped exceptions    %d" t.escaped;
+    Printf.sprintf "silent outcomes       %d%s" t.silent
+      (if t.silent > 0 then "  VIOLATED" else "");
     Printf.sprintf "restarts from zero    %d%s" o.restarts_from_zero
       (if o.restarts_from_zero > 0 then "  VIOLATED" else "");
     Printf.sprintf "stale timers          %d%s" o.stale_timers
       (if o.stale_timers > 0 then "  VIOLATED" else "");
     Printf.sprintf "dedup ledger          %d hits, %d executions, %d violations%s"
-      o.dedup_hits o.executions o.dedup_violations
+      (counter t "rpc.server.dedup_hits")
+      (counter t "rpc.server.executions")
+      o.dedup_violations
       (if o.dedup_violations > 0 then "  VIOLATED" else "");
     Printf.sprintf "crashes               %d (%d RSTs while down, %d swallowed)"
-      o.crashes o.resets_while_down o.swallowed;
+      (counter t "netsim.crashes")
+      (counter t "netsim.crash_resets")
+      (counter t "netsim.crash_swallowed");
     Printf.sprintf "recovery              %d reconnects, %d resumes, %d CRC probes"
-      o.reconnects o.resumes o.crc_probes;
+      (counter t "rpc.client.reconnects")
+      (counter t "rpc.client.resumes")
+      (counter t "rpc.server.probes");
     Printf.sprintf "half-open detection   %d keepalive probes, %d reset aborts"
-      o.keepalive_probes o.reset_aborts;
-    Printf.sprintf "buffer pool           %d leaks%s" o.pool_leaks
-      (if o.pool_leaks > 0 then "  VIOLATED" else "") ]
+      (counter t "tcp.keepalive_probes")
+      (counter t "tcp.abort.connection_reset");
+    Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
+      (if t.pool_leaks > 0 then "  VIOLATED" else "") ]
 
-let summary_lines o =
-  let l = o.link in
-  [ Printf.sprintf "iterations            %d" o.iterations;
-    Printf.sprintf "byte-exact transfers  %d" o.completed;
-    Printf.sprintf "typed failures        %d" o.failed;
-    Printf.sprintf "escaped exceptions    %d" o.escaped_exceptions;
-    Printf.sprintf "silent corruptions    %d" o.silent_corruptions;
+let summary_lines t =
+  let n = counter t in
+  [ Printf.sprintf "iterations            %d" t.runs;
+    Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
+    Printf.sprintf "typed failures        %d" t.typed;
+    Printf.sprintf "escaped exceptions    %d" t.escaped;
+    Printf.sprintf "silent corruptions    %d" t.silent;
     Printf.sprintf "wire: %d sent, %d delivered, %d lost (%d burst), %d duplicated"
-      l.Link.sent l.Link.delivered l.Link.dropped l.Link.burst_dropped
-      l.Link.duplicated;
+      (n "link.sent") (n "link.delivered") (n "link.dropped")
+      (n "link.burst_dropped") (n "link.duplicated");
     Printf.sprintf "wire: %d corrupted, %d truncated, %d padded, %d delay spikes"
-      l.Link.corrupted l.Link.truncated l.Link.padded l.Link.delay_spikes;
+      (n "link.corrupted") (n "link.truncated") (n "link.padded")
+      (n "link.delay_spikes");
     Printf.sprintf "tcp:  %d retransmissions, %d replies abandoned"
-      o.retransmissions o.replies_abandoned;
-    Printf.sprintf "pool: %d leaks%s" o.pool_leaks
-      (if o.pool_leaks > 0 then "  VIOLATED" else "");
+      (n "tcp.retransmissions") (n "rpc.replies_abandoned");
+    Printf.sprintf "pool: %d leaks%s" t.pool_leaks
+      (if t.pool_leaks > 0 then "  VIOLATED" else "");
     "tcp drops: "
     ^ String.concat ", "
         (List.map
-           (fun (r, n) -> Printf.sprintf "%s %d" (Socket.drop_reason_to_string r) n)
-           o.drops) ]
+           (fun r ->
+             let r = Socket.drop_reason_to_string r in
+             Printf.sprintf "%s %d" r (n ("tcp.drop." ^ r)))
+           Socket.drop_reasons) ]

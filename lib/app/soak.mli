@@ -1,67 +1,70 @@
-(** The chaos soak harness.
+(** The soak harnesses: many transfers or clients under one fault
+    family each, every one judged byte-exact-or-typed.
 
-    Drives many randomized file transfers — cycling through both ILP
-    modes, both backends, all four ciphers and both header styles — each
-    under a freshly drawn adversarial impairment configuration (loss,
-    bursts, corruption, truncation, padding, duplication, reordering,
-    delay spikes), and checks the robustness invariant on every one:
+    The chaos soak ({!run}) drives many randomized file transfers —
+    cycling through both ILP modes, both backends, all four ciphers and
+    both header styles — each under a freshly drawn adversarial
+    impairment configuration (loss, bursts, corruption, truncation,
+    padding, duplication, reordering, delay spikes), and checks the
+    robustness invariant on every one:
 
     {e the file arrives byte-exact, or the transfer fails with a typed
     error — never silent corruption, never an escaped exception.}
 
     Everything is derived from [config.seed], so a failing iteration can
-    be replayed exactly.  All three soaks wire their worlds with {!World}
-    and pass each [log] line [~violation:true] exactly when the line
-    counts an invariant violation. *)
+    be replayed exactly.  All three soaks wire their worlds with {!World},
+    judge every transfer or client by {!World.verdict}, and pass each
+    [log] line [~violation:true] exactly when the line counts an
+    invariant violation.  They keep one ledger: the counter delta of
+    {!Ilp_obs.Metrics.default} around the run, which every count a
+    summary prints reads. *)
 
 type config = {
   seed : int;
   iterations : int;
-  file_len : int;
-  copies : int;
+  file_len : int;  (** one copy per transfer *)
   max_reply : int;
   machine : Ilp_memsim.Config.t;
   intensity : float;  (** scales all impairment rates; 1.0 = full chaos *)
-  deadline_us : float;  (** virtual-time budget per transfer *)
 }
 
 (** 512 iterations of a 512-byte file in 256-byte messages on the SS10/30
-    model at full intensity. *)
+    model at full intensity.  Each transfer has 120 s of virtual time. *)
 val default_config : config
 
-type outcome = {
-  iterations : int;
-  completed : int;
-  failed : int;
-      (** transfers that ended with a typed error (expected under
-          impairment) *)
-  escaped_exceptions : int;
-      (** invariant violation: an exception crossed the stack *)
-  silent_corruptions : int;
-      (** invariant violation: reported success without byte-exact
-          delivery, or failure with no typed error *)
-  retransmissions : int;
-  checksum_drops : int;
-  replies_abandoned : int;
-  drops : (Ilp_tcp.Socket.drop_reason * int) list;
-  link : Ilp_netsim.Link.stats;
+(** The verdict tally every soak keeps. *)
+type tally = {
+  runs : int;  (** transfers or clients *)
+  byte_exact : int;
+  typed : int;
+      (** ended with a typed client, server or setup failure (expected
+          under faults) *)
+  silent : int;
+      (** invariant violation: complete without byte-exact delivery, or
+          neither complete nor typed *)
+  escaped : int;  (** invariant violation: an exception crossed the stack *)
   pool_leaks : int;
-      (** invariant violation: buffers still outstanding from any
-          iteration's pool after engine teardown *)
+      (** invariant violation: buffers still outstanding from a pool
+          after engine teardown *)
+  delta : Ilp_obs.Metrics.snapshot;
+      (** the counters {!Ilp_obs.Metrics.default} gained during the run *)
 }
 
-(** Zero escaped exceptions, zero silent corruptions, zero pool leaks. *)
-val invariants_hold : outcome -> bool
+(** [counter t name] is [name]'s delta over the run (0 if absent). *)
+val counter : tally -> string -> int
 
-(** [run ?log cfg] executes the soak; [log] receives one line per
+(** Zero escaped exceptions, zero silent outcomes, zero pool leaks: the
+    chaos soak's invariant, and part of the other two. *)
+val invariants_hold : tally -> bool
+
+(** [run ?log cfg] executes the chaos soak; [log] receives one line per
     noteworthy iteration (typed failures and any invariant violation).
     Raises [Invalid_argument] on an out-of-range config (negative
-    iterations, intensity outside [0, 10], non-positive sizes or
-    deadline). *)
-val run : ?log:(violation:bool -> string -> unit) -> config -> outcome
+    iterations, intensity outside [0, 10], non-positive sizes). *)
+val run : ?log:(violation:bool -> string -> unit) -> config -> tally
 
 (** Human-readable ledger of the whole run. *)
-val summary_lines : outcome -> string list
+val summary_lines : tally -> string list
 
 (** {2 Overload soak}
 
@@ -73,6 +76,9 @@ val summary_lines : outcome -> string list
     queue budgets are never exceeded, and every shed appears both in the
     server's ledger and as a typed client-visible reply. *)
 
+(** Clients are assigned personas by cycling an 8-entry pattern: 1
+    honest, 2 slow readers, 1 streaming, 1 shrinking-window, 1 dead
+    reader, 1 oversized, 1 lying receiver. *)
 type persona =
   | Honest  (** requests the file and reads replies promptly *)
   | Slow_reader
@@ -97,76 +103,51 @@ type persona =
       (** reads honestly, but its NIC forges the feedback channel: every
           pure ack gains a SACK block for data the server never sent and
           is duplicated (dupack forgery).  The server must reject every
-          forged block — counted in [Socket.stats.sack_invalid] — and
-          the transfer must still complete byte-exact *)
-
-val persona_name : persona -> string
-
-(** Clients are assigned personas by cycling this 8-entry pattern
-    (1 honest, 2 slow readers, 1 streaming, 1 shrinking-window, 1 dead
-    reader, 1 oversized, 1 lying receiver). *)
-val persona_pattern : persona array
+          forged block — counted in [tcp.sack_invalid] — and the
+          transfer must still complete byte-exact *)
 
 type overload_config = {
   seed : int;
   clients : int;
   file_len : int;
   machine : Ilp_memsim.Config.t;
-  deadline_us : float;  (** virtual-time budget for the whole soak *)
 }
 
-(** 8 clients around a 2 kB file on the SS10/30 model. *)
+(** 8 clients around a 2 kB file on the SS10/30 model.  The whole soak
+    has 30 s of virtual time. *)
 val default_overload_config : overload_config
 
 type overload_outcome = {
-  clients : int;
-  completed : int;
-  typed_failures : int;
-  escaped_exceptions : int;
-  silent_outcomes : int;
-      (** invariant violation: a client ended neither complete nor with a
-          typed client- or server-side outcome *)
+  tally : tally;  (** one run per client *)
   honest_incomplete : int;
-      (** invariant violation: an honest or slow-reader client did not
-          finish byte-exact *)
+      (** invariant violation: a client whose persona must complete did
+          not finish byte-exact *)
   budget_violations : int;
       (** invariant violation: peak queued bytes exceeded the global cap *)
   ledger_mismatch : bool;
-      (** invariant violation: the server's shed ledger does not equal the
-          typed shed outcomes the clients observed *)
+      (** invariant violation: the sheds ([rpc.shed.*]) do not equal the
+          busy replies, the refusals the clients saw and the statuses
+          abandoned with their connection *)
   peak_queued_bytes : int;
   queue_cap : int;
-  busy_replies : int;
-  client_retries : int;
-  persist_probes : int;
-  peer_stalled_aborts : int;
-  replies_abandoned : int;
-  forged_acks : int;
-      (** datagrams the lying receivers' NICs rewrote ([Link.stats.tampered]) *)
-  forged_rejections : int;
-      (** forged SACK blocks the server rejected plus typed
-          [Misbehaving_peer] aborts, summed over the lying receivers *)
   forgery_unpunished : bool;
-      (** invariant violation: feedback was forged but the server neither
-          rejected a block nor aborted the peer *)
-  sheds : (Ilp_rpc.Server.shed_reason * int) list;
-  pool_leaks : int;
-      (** invariant violation: buffers outstanding from the run's shared
-          pool after every engine was destroyed *)
+      (** invariant violation: feedback was forged ([link.tampered]) but
+          the server neither rejected a block ([tcp.sack_invalid]) nor
+          aborted the peer ([tcp.abort.misbehaving_peer]) *)
 }
 
-(** No escaped exceptions, no silent outcomes, no incomplete honest
-    client, budgets respected, ledger consistent, pool balanced. *)
+(** {!invariants_hold}, no incomplete honest client, budgets respected,
+    ledger consistent, no forgery unpunished. *)
 val overload_invariants_hold : overload_outcome -> bool
 
 (** [run_overload ?log ?on_clock cfg] builds one shared world — one
     server, [clients] concurrent connection pairs — staggers every
     client's request, drives the simulated clock until all clients
-    settle (or [deadline_us]), and classifies each.  [log] receives one
-    verdict line per client.  [on_clock] receives the world's shared
-    [Simclock] after setup has drained and before the requests are
-    scheduled — the telemetry sampler attaches its periodic tick there.
-    Raises [Invalid_argument] on an out-of-range config. *)
+    settle (or the virtual-time budget ends), and classifies each.
+    [log] receives one verdict line per client.  [on_clock] receives the
+    world's shared [Simclock] after setup has drained and before the
+    requests are scheduled — the telemetry sampler attaches its periodic
+    tick there.  Raises [Invalid_argument] on an out-of-range config. *)
 val run_overload :
   ?log:(violation:bool -> string -> unit) ->
   ?on_clock:(Ilp_netsim.Simclock.t -> unit) ->
@@ -194,23 +175,16 @@ type crash_config = {
   transfers : int;  (** independent seeded crash/restart transfers *)
   file_len : int;
   machine : Ilp_memsim.Config.t;
-  deadline_us : float;  (** virtual-time budget per transfer *)
 }
 
-(** 64 transfers of a 2 kB file on the SS10/30 model. *)
+(** 64 transfers of a 2 kB file on the SS10/30 model.  Each transfer has
+    30 s of virtual time. *)
 val default_crash_config : crash_config
 
 type crash_outcome = {
-  transfers : int;
-  completed : int;
+  tally : tally;  (** one run per transfer *)
   resumed_completed : int;
       (** completed byte-exact after at least one reconnect *)
-  typed_failures : int;
-  escaped_exceptions : int;
-      (** invariant violation: an exception crossed the stack *)
-  silent_outcomes : int;
-      (** invariant violation: a transfer ended neither complete nor
-          typed within the deadline — a crash that was never surfaced *)
   restarts_from_zero : int;
       (** invariant violation: a resume re-started from byte zero while
           a verified prefix existed *)
@@ -220,22 +194,10 @@ type crash_outcome = {
   dedup_violations : int;
       (** invariant violation: [executions + dedup_hits + dedup_sheds
           <> id_requests_seen] on some iteration's store *)
-  crashes : int;
-  resets_while_down : int;  (** RSTs the dead address answered with *)
-  swallowed : int;  (** datagrams that died with the host *)
-  keepalive_probes : int;
-  reset_aborts : int;  (** sockets aborted [Connection_reset] *)
-  reconnects : int;
-  resumes : int;  (** resume requests actually sent *)
-  dedup_hits : int;
-  executions : int;
-  crc_probes : int;  (** CRC prefix probes the servers answered *)
-  pool_leaks : int;
-      (** invariant violation: buffers outstanding after teardown *)
 }
 
-(** No escaped exceptions, no silent outcomes, no restart-from-zero, no
-    stale timers, dedup ledger conserved, pool balanced. *)
+(** {!invariants_hold}, no restart-from-zero, no stale timers, dedup
+    ledger conserved. *)
 val crash_invariants_hold : crash_outcome -> bool
 
 (** [run_crash ?log cfg] executes [cfg.transfers] independent seeded

@@ -69,7 +69,7 @@ let connect w server ?data ?(rx = fun _ -> Socket.handle_datagram) cfg ~base =
 
 type verdict = Complete | Typed of string | Silent
 
-let verdict ?(refused = false) ?server client =
+let verdict ?(refused = false) ?conn client =
   let errors = Rpc_client.errors client in
   if Rpc_client.transfer_complete client && errors = [] then Complete
   else
@@ -79,6 +79,12 @@ let verdict ?(refused = false) ?server client =
     | None when refused -> Typed "typed: local refusal"
     | None when errors <> [] -> Typed ("typed: " ^ String.concat "; " errors)
     | None -> (
-        match Option.bind server Socket.failure with
+        let server = match conn with Some c -> [ c.srv_data; c.srv_ctrl ] | None -> [] in
+        match List.find_map Socket.failure server with
         | Some r -> Typed ("typed (server side): " ^ Socket.abort_reason_to_string r)
         | None -> Silent)
+
+let verdict_to_string = function
+  | Complete -> "complete"
+  | Typed t -> t
+  | Silent -> "silent: neither complete nor typed"

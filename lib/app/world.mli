@@ -88,11 +88,16 @@ val connect :
 
 type verdict = Complete | Typed of string | Silent
 
-(** [verdict ?refused ?server client]: byte-exact, typed, or the silent
-    end every soak hunts.  The client's own outcome ranks first — its
-    failure (["typed: <failure>"]), a rejection (["typed: rejected"]),
-    [refused], a request that never left (["typed: local refusal"]), its
-    errors (["typed: <e1>; <e2>"]) — then the [server] data socket's
-    abort (["typed (server side): <reason>"]). *)
-val verdict :
-  ?refused:bool -> ?server:Ilp_tcp.Socket.t -> Ilp_rpc.Client.t -> verdict
+(** [verdict ?refused ?conn client]: byte-exact, typed, or the silent
+    end every soak hunts, and the one rule every transfer and soak client
+    is judged by.  The client's own outcome ranks first — its failure
+    (["typed: <failure>"]), a rejection (["typed: rejected"]), [refused],
+    a request that never left (["typed: local refusal"]), its errors
+    (["typed: <e1>; <e2>"]) — then an abort of [conn]'s server data
+    socket, then of its server control socket (["typed (server side):
+    <reason>"]).  Anything else that is not complete is [Silent]: a stall
+    no endpoint reported. *)
+val verdict : ?refused:bool -> ?conn:conn -> Ilp_rpc.Client.t -> verdict
+
+(** ["complete"], the typed line, or ["silent: ..."]. *)
+val verdict_to_string : verdict -> string

@@ -43,9 +43,10 @@ let measure ?(cipher = Ft.Safer_simplified) ?(copies = 8)
           uniform_units }
       in
       let r = Ft.run setup in
-      (if not r.Ft.ok then
-         let why = Option.value r.Ft.error ~default:"unknown" in
-         failwith (Printf.sprintf "experiment %s failed: %s" key why));
+      (if r.Ft.verdict <> Ilp_app.World.Complete then
+         failwith
+           (Printf.sprintf "experiment %s failed: %s" key
+              (Ilp_app.World.verdict_to_string r.Ft.verdict)));
       Hashtbl.replace cache key r;
       r
 

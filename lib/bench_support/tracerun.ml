@@ -88,11 +88,11 @@ let run ?(quick = false) () =
         mss }
     in
     let r = Ft.run setup in
-    if not r.Ft.ok then begin
+    if r.Ft.verdict <> Ilp_app.World.Complete then begin
       Trace.disable ();
       failwith
         ("Tracerun: transfer failed: "
-        ^ Option.value r.Ft.error ~default:"unknown")
+        ^ Ilp_app.World.verdict_to_string r.Ft.verdict)
     end
   in
   go Engine.Ilp;

@@ -4,8 +4,10 @@
 
 open Ilp_memsim
 module Ft = Ilp_app.File_transfer
+module World = Ilp_app.World
 module Engine = Ilp_core.Engine
 module Linkage = Ilp_core.Linkage
+module M = Ilp_obs.Metrics
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -29,10 +31,8 @@ let small_setup ?(machine = Config.ss10_30) ?(cipher = Ft.Safer_simplified)
 
 let run s =
   let r = Ft.run s in
-  (match r.Ft.error with
-  | Some e when not r.Ft.ok -> Alcotest.failf "transfer failed: %s" e
-  | _ -> ());
-  checkb "verified" true r.Ft.ok;
+  if r.Ft.verdict <> World.Complete then
+    Alcotest.failf "transfer failed: %s" (World.verdict_to_string r.Ft.verdict);
   r
 
 (* ------------------------------------------------------------------ *)
@@ -110,7 +110,6 @@ let test_streaming_replies () =
      transfer must still verify byte-exact.  The registry's
      engine.stream_fills counter witnesses that the per-segment fused
      range fills actually ran. *)
-  let module M = Ilp_obs.Metrics in
   let before = M.snapshot M.default in
   let r =
     run { (small_setup ~copies:1 ~max_reply:1024 ()) with Ft.mss = Some 256 }
@@ -192,12 +191,7 @@ let test_no_l2_machine_slower () =
   let base = Config.ss10_41 in
   let without = { base with Config.name = "SS10-41-noL2"; l2 = None } in
   let r_with = run (small_setup ~machine:base ()) in
-  let r_without =
-    let s = small_setup ~machine:without () in
-    let r = Ft.run s in
-    checkb "verified" true r.Ft.ok;
-    r
-  in
+  let r_without = run (small_setup ~machine:without ()) in
   let proc (r : Ft.result) = Ft.mean r.Ft.recv_us +. Ft.mean r.Ft.send_us in
   checkb "missing L2 costs time" true (proc r_without > proc r_with)
 
@@ -310,7 +304,6 @@ let test_framed_ooo_final_placement () =
   (* A jittery wire reorders pipelined segments; with framing on, the
      receiver must land them at their final TSDU offset (witnessed by
      the tcp.ooo_placed counter) and still verify byte-exact. *)
-  let module M = Ilp_obs.Metrics in
   let imp =
     { Ilp_netsim.Link.fault_free with
       Ilp_netsim.Link.jitter_us = 120.0;
@@ -377,7 +370,6 @@ let test_framed_crc_trailer_sack_interplay () =
   in
   let framed = run (with_framing base) in
   let plain = run base in
-  checkb "framed transfer completed" true framed.Ft.ok;
   check "same payload with trailer + framing" plain.Ft.payload_bytes
     framed.Ft.payload_bytes;
   checkb "loss actually bit (retransmissions)" true
@@ -397,18 +389,25 @@ let test_fault_free_impairments_unchanged () =
      settings must reproduce the legacy run exactly: same bytes, same
      timings, same counters. *)
   let legacy = run (small_setup ~copies:1 ()) in
+  let before = M.snapshot M.default in
   let via =
     run
       { (small_setup ~copies:1 ()) with
         Ft.impairments = Some Ilp_netsim.Link.fault_free }
   in
+  let after = M.snapshot M.default in
   check "same payload" legacy.Ft.payload_bytes via.Ft.payload_bytes;
   check "same wire bytes" legacy.Ft.wire_bytes via.Ft.wire_bytes;
   check "same retransmissions (none)" 0 via.Ft.retransmissions;
   checkb "same machine time" true
     (legacy.Ft.total_machine_us = via.Ft.total_machine_us);
   checkb "clean drop ledger" true
-    (List.for_all (fun (_, n) -> n = 0) via.Ft.drops)
+    (List.for_all
+       (fun r ->
+         M.counter_diff after before
+           ("tcp.drop." ^ Ilp_tcp.Socket.drop_reason_to_string r)
+         = 0)
+       Ilp_tcp.Socket.drop_reasons)
 
 let test_transfer_reports_typed_error_under_chaos () =
   (* A wire hostile enough to kill the transfer must yield a typed error,
@@ -423,56 +422,52 @@ let test_transfer_reports_typed_error_under_chaos () =
         Ft.impairments = Some imp;
         deadline_us = 10_000_000.0 }
   in
-  checkb "not ok" false r.Ft.ok;
-  checkb "typed error present" true (r.Ft.error <> None)
+  checkb "typed verdict" true
+    (match r.Ft.verdict with World.Typed _ -> true | _ -> false)
+
+module Soak = Ilp_app.Soak
 
 let soak_smoke cfg =
-  let o = Ilp_app.Soak.run cfg in
-  check "all iterations accounted" cfg.Ilp_app.Soak.iterations
-    (o.Ilp_app.Soak.completed + o.Ilp_app.Soak.failed
-    + o.Ilp_app.Soak.escaped_exceptions + o.Ilp_app.Soak.silent_corruptions);
-  checkb "invariants hold" true (Ilp_app.Soak.invariants_hold o);
+  let o = Soak.run cfg in
+  check "all iterations accounted" cfg.Soak.iterations
+    (o.Soak.byte_exact + o.Soak.typed + o.Soak.escaped + o.Soak.silent);
+  check "one run per iteration" cfg.Soak.iterations o.Soak.runs;
+  checkb "invariants hold" true (Soak.invariants_hold o);
   o
 
 let test_soak_smoke () =
   let cfg =
-    { Ilp_app.Soak.default_config with
-      Ilp_app.Soak.iterations = 48;
-      file_len = 256;
-      max_reply = 128 }
+    { Soak.default_config with Soak.iterations = 48; file_len = 256; max_reply = 128 }
   in
   let o = soak_smoke cfg in
   checkb "chaos actually bit" true
-    (o.Ilp_app.Soak.link.Ilp_netsim.Link.corrupted > 0
-    && o.Ilp_app.Soak.link.Ilp_netsim.Link.dropped > 0);
-  checkb "some transfers survived" true (o.Ilp_app.Soak.completed > 0)
+    (Soak.counter o "link.corrupted" > 0 && Soak.counter o "link.dropped" > 0);
+  checkb "some transfers survived" true (o.Soak.byte_exact > 0)
 
 let test_soak_deterministic () =
   let cfg =
-    { Ilp_app.Soak.default_config with
-      Ilp_app.Soak.iterations = 16;
-      file_len = 256;
-      max_reply = 128 }
+    { Soak.default_config with Soak.iterations = 16; file_len = 256; max_reply = 128 }
   in
   let o1 = soak_smoke cfg in
   let o2 = soak_smoke cfg in
   checkb "same seed, same outcome" true (o1 = o2);
-  let o3 = soak_smoke { cfg with Ilp_app.Soak.seed = 2 } in
-  checkb "different seed, different ledger" true
-    (o1.Ilp_app.Soak.link <> o3.Ilp_app.Soak.link)
+  let o3 = soak_smoke { cfg with Soak.seed = 2 } in
+  checkb "different seed, different ledger" true (o1.Soak.delta <> o3.Soak.delta)
 
 let test_overload_soak_smoke () =
-  let module Soak = Ilp_app.Soak in
   let cfg = { Soak.default_overload_config with Soak.file_len = 1024 } in
   let o = Soak.run_overload cfg in
+  let t = o.Soak.tally in
   checkb "graceful-degradation invariants hold" true
     (Soak.overload_invariants_hold o);
   check "every client classified" cfg.Soak.clients
-    (o.Soak.completed + o.Soak.typed_failures + o.Soak.silent_outcomes);
-  checkb "honest majority completed" true (o.Soak.completed >= 6);
-  checkb "misbehaving clients got typed outcomes" true (o.Soak.typed_failures >= 2);
-  checkb "zero-window machinery exercised" true (o.Soak.persist_probes > 0);
-  checkb "dead reader aborted Peer_stalled" true (o.Soak.peer_stalled_aborts >= 1);
+    (t.Soak.byte_exact + t.Soak.typed + t.Soak.silent);
+  checkb "honest majority completed" true (t.Soak.byte_exact >= 6);
+  checkb "misbehaving clients got typed outcomes" true (t.Soak.typed >= 2);
+  checkb "zero-window machinery exercised" true
+    (Soak.counter t "tcp.persist_probes" > 0);
+  checkb "dead reader aborted Peer_stalled" true
+    (Soak.counter t "tcp.abort.peer_stalled" >= 1);
   checkb "budget ceiling respected" true
     (o.Soak.peak_queued_bytes <= o.Soak.queue_cap);
   (* Deterministic under a fixed seed. *)
@@ -480,21 +475,21 @@ let test_overload_soak_smoke () =
   checkb "same seed, same outcome" true (o = o2)
 
 let test_crash_soak_smoke () =
-  let module Soak = Ilp_app.Soak in
   let cfg =
     { Soak.default_crash_config with Soak.transfers = 8; file_len = 1024 }
   in
   let o = Soak.run_crash cfg in
+  let t = o.Soak.tally in
   checkb "fault-model invariants hold" true (Soak.crash_invariants_hold o);
   check "every transfer classified" cfg.Soak.transfers
-    (o.Soak.completed + o.Soak.typed_failures + o.Soak.silent_outcomes);
-  checkb "crashes actually happened" true (o.Soak.crashes > 0);
+    (t.Soak.byte_exact + t.Soak.typed + t.Soak.silent);
+  checkb "crashes actually happened" true (Soak.counter t "netsim.crashes" > 0);
   checkb "some transfer resumed across a restart" true
     (o.Soak.resumed_completed > 0);
   check "never restarted from byte zero" 0 o.Soak.restarts_from_zero;
   check "no stale timers after any crash" 0 o.Soak.stale_timers;
   check "dedup ledger conserved" 0 o.Soak.dedup_violations;
-  check "pool balanced" 0 o.Soak.pool_leaks;
+  check "pool balanced" 0 t.Soak.pool_leaks;
   (* Deterministic under a fixed seed. *)
   let o2 = Soak.run_crash cfg in
   checkb "same seed, same outcome" true (o = o2)
@@ -505,20 +500,19 @@ let test_overload_lying_receiver () =
      the server's SACK validation or answered with a typed
      Misbehaving_peer abort — and its own transfer must still be
      byte-exact or typed, never silently wrong. *)
-  let module Soak = Ilp_app.Soak in
   let cfg = { Soak.default_overload_config with Soak.file_len = 2048 } in
   let o = Soak.run_overload cfg in
+  let n = Soak.counter o.Soak.tally in
   checkb "graceful-degradation invariants hold" true
     (Soak.overload_invariants_hold o);
-  checkb "the lying receiver actually forged acks" true (o.Soak.forged_acks > 0);
+  checkb "the lying receiver actually forged acks" true (n "link.tampered" > 0);
   checkb "forged feedback was rejected or typed-aborted" true
-    (o.Soak.forged_rejections > 0);
+    (n "tcp.sack_invalid" + n "tcp.abort.misbehaving_peer" > 0);
   checkb "no forgery went unpunished" false o.Soak.forgery_unpunished
 
 (* ------------------------------------------------------------------ *)
 (* World: the one wiring of the paper's connection plan *)
 
-module World = Ilp_app.World
 module Socket = Ilp_tcp.Socket
 module Rpc_server = Ilp_rpc.Server
 module Rpc_client = Ilp_rpc.Client
@@ -653,20 +647,75 @@ let test_world_verdicts () =
     (World.Typed
        ("typed (server side): "
        ^ Socket.abort_reason_to_string Socket.Peer_stalled))
-    (World.verdict ~server:c.World.srv_data client);
+    (World.verdict ~conn:c client);
   Alcotest.check verdict_t "the client's own outcome outranks the server's"
     (World.Typed "typed: local refusal")
-    (World.verdict ~refused:true ~server:c.World.srv_data client);
+    (World.verdict ~refused:true ~conn:c client);
   let _, c2, client2, file2 = served w ~base:44 in
   Simclock.run_until_idle (World.clock w);
   fetch w client2 file2;
   Alcotest.check verdict_t "a finished transfer" World.Complete
-    (World.verdict ~server:c2.World.srv_data client2);
+    (World.verdict ~conn:c2 client2);
   let _, _, client3, file3 = served w ~base:48 in
   Simclock.run_until_idle (World.clock w);
   fetch ~name:"missing.bin" w client3 file3;
   Alcotest.check verdict_t "a request the server rejected"
     (World.Typed "typed: rejected") (World.verdict client3)
+
+let is_rst d =
+  match Ilp_netsim.Ipv4.decapsulate d.Datagram.payload with
+  | Error _ -> false
+  | Ok (_, seg) -> (
+      match Ilp_tcp.Tcp_header.of_string seg ~pos:0 with
+      | Error _ -> false
+      | Ok h -> Ilp_tcp.Tcp_header.(has h rst))
+
+let test_world_verdict_ctrl_abort () =
+  (* The server's control socket hears the client's SYN and nothing
+     after it, so it gives up in its handshake; the client established
+     its side and never hears the reset.  The client holds nothing, the
+     server's data socket is fine: only the control socket's abort makes
+     the verdict typed. *)
+  let w = plain_world () in
+  let heard = ref 0 in
+  let rx role s d =
+    match role with
+    | World.Srv_ctrl ->
+        incr heard;
+        if !heard = 1 then Socket.handle_datagram s d
+    | World.Cli_ctrl -> if not (is_rst d) then Socket.handle_datagram s d
+    | World.Srv_data | World.Cli_data -> Socket.handle_datagram s d
+  in
+  let _, c, client, _ = served ~rx w ~base:40 in
+  Simclock.run_until_idle (World.clock w);
+  checkb "the client holds no failure" true (Rpc_client.failure client = None);
+  checkb "the server data socket is fine" true (Socket.failure c.World.srv_data = None);
+  checkb "the server control socket aborted in its handshake" true
+    (Socket.failure c.World.srv_ctrl = Some Socket.Handshake_failed);
+  Alcotest.check verdict_t "typed by the server's control socket"
+    (World.Typed
+       ("typed (server side): "
+       ^ Socket.abort_reason_to_string Socket.Handshake_failed))
+    (World.verdict ~conn:c client)
+
+let test_silent_stall () =
+  (* A stall nobody reports is silent, the end every soak hunts.  Here a
+     server hangs after its handshake: its control socket takes the
+     request and nothing answers it.  No endpoint aborts, the clock goes
+     idle. *)
+  let w = plain_world () in
+  let _, c, client, file = served w ~base:40 in
+  Simclock.run_until_idle (World.clock w);
+  Socket.set_on_message c.World.srv_ctrl (fun ~len:_ -> ());
+  fetch w client file;
+  Alcotest.check verdict_t "an unanswered request" World.Silent
+    (World.verdict ~conn:c client);
+  (* A measured transfer whose virtual-time budget ends before its first
+     reply stalls the same way, and reports it so: the chaos soak counts
+     this verdict as silent. *)
+  let r = Ft.run { (small_setup ~copies:1 ()) with Ft.deadline_us = 1.0 } in
+  Alcotest.check verdict_t "a transfer out of time" World.Silent r.Ft.verdict;
+  check "nothing delivered" 0 r.Ft.payload_bytes
 
 let test_world_pool_audit () =
   (* Native separate-mode engines stage each send in a pool buffer that
@@ -689,6 +738,9 @@ let () =
       ( "world",
         [ Alcotest.test_case "connection plan" `Quick test_world_connection_plan;
           Alcotest.test_case "verdict table" `Quick test_world_verdicts;
+          Alcotest.test_case "verdict sees the server control socket" `Quick
+            test_world_verdict_ctrl_abort;
+          Alcotest.test_case "silent stall" `Quick test_silent_stall;
           Alcotest.test_case "pool audit" `Quick test_world_pool_audit ] );
       ( "end-to-end",
         [ Alcotest.test_case "cipher x mode matrix" `Slow test_matrix;

@@ -263,7 +263,8 @@ let test_tracing_changes_nothing_framed () =
   let on = Ft.run setup in
   let n_spans = List.length (Trace.spans ()) in
   Trace.disable ();
-  checkb "both framed runs completed" true (off.Ft.ok && on.Ft.ok);
+  checkb "both framed runs completed" true
+    (off.Ft.verdict = Ilp_app.World.Complete && on.Ft.verdict = Ilp_app.World.Complete);
   check "identical payload bytes" off.Ft.payload_bytes on.Ft.payload_bytes;
   check "identical wire bytes" off.Ft.wire_bytes on.Ft.wire_bytes;
   check "identical replies" off.Ft.n_replies on.Ft.n_replies;
@@ -530,20 +531,27 @@ let test_sampler_conservation_soak () =
 (* ------------------------------------------------------------------ *)
 (* Conservation: the lying-receiver identity *)
 
-(* The lying receiver's forged acks are rejected by the server data
-   sockets (invalid SACK blocks plus typed Misbehaving_peer aborts), and
-   those are all the rejections the registry saw: no other socket of the
-   soak rejects anything. *)
+(* The soak's one ledger is the registry: the delta its outcome carries
+   is, counter for counter, what the registry gained around the call, and
+   it saw the lying receivers' forgeries rejected. *)
 let test_conservation_overload_soak () =
   let cfg = Soak.default_overload_config in
   let before = M.snapshot M.default in
   let o = Soak.run_overload cfg in
   let after = M.snapshot M.default in
-  let d name = M.counter_diff after before name in
+  let t = o.Soak.tally in
   checkb "overload invariants hold" true (Soak.overload_invariants_hold o);
-  check "forged rejections = sack_invalid + misbehaving aborts"
-    o.Soak.forged_rejections
-    (d "tcp.sack_invalid" + d "tcp.abort.misbehaving_peer")
+  List.iter
+    (fun (name, v) ->
+      match v with
+      | M.Counter _ -> check name (M.counter_diff after before name) (Soak.counter t name)
+      | M.Gauge _ | M.Histogram _ -> ())
+    after;
+  check "the delta holds counters only"
+    (List.length (List.filter (function _, M.Counter _ -> true | _ -> false) after))
+    (List.length t.Soak.delta);
+  checkb "forged feedback was rejected" true
+    (Soak.counter t "tcp.sack_invalid" + Soak.counter t "tcp.abort.misbehaving_peer" > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tracerun: the ilpbench trace driver *)
