@@ -19,8 +19,6 @@ type overhead = { base_us : float; per_byte_us : float }
 (** Raises [Not_found] for a machine absent from Table 1. *)
 val overhead : Ilp_memsim.Config.t -> overhead
 
-val overhead_us : Ilp_memsim.Config.t -> size:int -> float
-
 (** [throughput_mbps machine ~size ~proc_us] converts measured per-packet
     processing (send + receive, microseconds) into end-to-end Mbit/s
     under the platform's overhead model. *)
@@ -28,9 +26,7 @@ val throughput_mbps : Ilp_memsim.Config.t -> size:int -> proc_us:float -> float
 
 (** The kernel-TCP profile of figure 12: same data manipulations, but the
     protocol runs in the kernel, so acknowledgements never cross the
-    user/kernel boundary and per-packet overhead shrinks.  The factor is
+    user/kernel boundary and per-packet overhead shrinks by a factor
     fitted once against the figure's SS10-30 bars. *)
-val kernel_overhead_factor : float
-
 val kernel_throughput_mbps :
   Ilp_memsim.Config.t -> size:int -> proc_us:float -> float

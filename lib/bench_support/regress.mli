@@ -59,5 +59,4 @@ val passed : report -> bool
 (** No regressed indicator and no baseline indicator missing from the
     current run. *)
 
-val verdict_line : verdict -> string
 val report_lines : report -> string list

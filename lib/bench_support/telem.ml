@@ -135,9 +135,7 @@ let write_json r ~path =
   output_string oc (to_json r);
   close_out oc
 
-let flight_lines () = Recorder.dump ()
-
 let write_flight ~path =
   let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) (flight_lines ());
+  List.iter (fun l -> output_string oc (l ^ "\n")) (Recorder.dump ());
   close_out oc

@@ -9,7 +9,6 @@ type config = {
   slos : Ilp_obs.Timeseries.slo list;
 }
 
-val default_slos : Ilp_obs.Timeseries.slo list
 val default_config : config
 val quick_config : config
 
@@ -39,7 +38,6 @@ val summary_lines : result -> string list
 val to_json : result -> string
 val write_json : result -> path:string -> unit
 
-val flight_lines : unit -> string list
-(** Current flight-recorder dump (see {!Ilp_obs.Recorder.dump}). *)
-
+(** Write the current flight-recorder dump (see
+    {!Ilp_obs.Recorder.dump}), one event per line. *)
 val write_flight : path:string -> unit

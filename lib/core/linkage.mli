@@ -12,9 +12,8 @@ type t =
       (** indirect calls: the given number of ALU ops per stage invocation
           (register save/restore, argument marshalling, call/return) *)
 
-(** 15 ops — roughly a SPARC V8 call with window overflow amortised. *)
-val default_call_ops : int
-
+(** [Function_calls 15]: 15 ops is roughly a SPARC V8 call with window
+    overflow amortised. *)
 val function_calls : t
 
 (** Overhead ops charged per stage invocation. *)

@@ -19,7 +19,6 @@
 
 type layer = Marshal | Cipher | Checksum | Tcp | Rpc | Pool
 
-val layer_name : layer -> string
 val layers : layer list
 
 (** [read l n] — the layer read [n] bytes (e.g. a checksum fold). *)

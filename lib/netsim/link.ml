@@ -252,16 +252,3 @@ let stats t =
     truncated = b.(c_truncated); padded = b.(c_padded);
     burst_dropped = b.(c_burst_dropped); delay_spikes = b.(c_delay_spikes);
     tampered = b.(c_tampered) }
-
-let add_stats a b =
-  { sent = a.sent + b.sent; delivered = a.delivered + b.delivered;
-    dropped = a.dropped + b.dropped; duplicated = a.duplicated + b.duplicated;
-    corrupted = a.corrupted + b.corrupted; truncated = a.truncated + b.truncated;
-    padded = a.padded + b.padded; burst_dropped = a.burst_dropped + b.burst_dropped;
-    delay_spikes = a.delay_spikes + b.delay_spikes;
-    tampered = a.tampered + b.tampered }
-
-let zero_stats =
-  { sent = 0; delivered = 0; dropped = 0; duplicated = 0; corrupted = 0;
-    truncated = 0; padded = 0; burst_dropped = 0; delay_spikes = 0;
-    tampered = 0 }

@@ -112,5 +112,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val zero_stats : stats
-val add_stats : stats -> stats -> stats

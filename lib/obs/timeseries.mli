@@ -51,8 +51,6 @@ val samples : t -> (float * Metrics.snapshot) list
 val slo_gauge_name : slo -> string
 (** e.g. ["rpc.latency_us.p99"]. *)
 
-val slo_breach_name : slo -> string
-
 val breaches : t -> (slo * int) list
 (** Per-SLO breach counts as of the latest sample. *)
 

@@ -44,12 +44,10 @@ type retry_policy = {
   deadline_us : float;  (** total time budget across all retries *)
 }
 
-(** 8 attempts, 500 us doubling to a 50 ms ceiling, 5 s total. *)
-val default_retry : retry_policy
-
 (** [create ~engine ~ctrl ~data ()] — without [clock], a [Busy] reply is
     an immediate [Server_busy] failure (no timer to retry on); with it,
-    retries follow [retry].  [seed] (default 1) drives the jitter and the
+    retries follow [retry] (default: 8 attempts, 500 us doubling to a
+    50 ms ceiling, 5 s total).  [seed] (default 1) drives the jitter and the
     idempotency-id space (clients sharing a server need distinct seeds).
     [idempotent] (default false) stamps every request with a fresh
     idempotency id so a restarted server's dedup cache can answer

@@ -368,24 +368,6 @@ let decode_ctrl ?(length_at_end = false) ?(crc_trailer = false) plaintext =
     (Bytes.unsafe_of_string plaintext)
     ~len:(String.length plaintext)
 
-(* Exactly {!decode_request}'s leniency (no trailing-word dispatch), so
-   the view/copy equivalence property holds field for field — the server
-   parses through {!decode_ctrl_bytes} instead. *)
-let decode_request_bytes ?(length_at_end = false) buf ~len =
-  match view_decoder ~length_at_end buf ~len with
-  | Error e -> Error e
-  | Ok (v, _body_end) -> (
-      match
-        let off, n = View.opaque_span v in
-        let file_name = Bytes.sub_string v.View.buf off n in
-        let copies = View.int32 v in
-        let max_reply = View.int32 v in
-        { file_name; copies; max_reply; req_id = 0; start_copy = 0;
-          start_offset = 0 }
-      with
-      | r -> Ok r
-      | exception View.Error e -> Error e)
-
 let decode_reply_view ?(length_at_end = false) buf ~len =
   match view_decoder ~length_at_end buf ~len with
   | Error e -> Error e

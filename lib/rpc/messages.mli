@@ -74,11 +74,6 @@ type reply_header = {
   data_len : int;
 }
 
-val request_ty : Ilp_codec.Asn1.ty
-val request_ty_v2 : Ilp_codec.Asn1.ty
-val probe_ty : Ilp_codec.Asn1.ty
-val reply_ty : Ilp_codec.Asn1.ty
-
 (** Marshal a request (the whole message — requests carry no bulk data).
     Result is a multiple of 4 bytes.  Picks the v1 or v2 form by
     {!request_is_v1}. *)
@@ -130,12 +125,6 @@ val decode_reply :
     [String.sub]: bulk data is returned as an offset into the caller's
     buffer.  [len] is the plaintext length; the buffer's capacity may be
     larger (pool size classes). *)
-
-(** [decode_request_bytes buf ~len] — as {!decode_request}, reading
-    [buf.[0..len-1]] in place (the short [file_name] is still copied
-    out). *)
-val decode_request_bytes :
-  ?length_at_end:bool -> Bytes.t -> len:int -> (request, string) result
 
 (** [decode_ctrl_bytes buf ~len] — parse any inbound control message
     (either request form, or a CRC probe), dispatching on the trailing

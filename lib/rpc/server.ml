@@ -577,8 +577,6 @@ let executions st = st.s_blk.(c_executions)
 let id_requests_seen st = st.id_requests_seen
 let dedup_sheds st = st.dedup_sheds
 let shed_count t reason = t.blk.(c_shed reason)
-let sheds t = List.map (fun r -> (r, shed_count t r)) shed_reasons
-let sheds_total t = List.fold_left (fun acc (_, n) -> acc + n) 0 (sheds t)
 
 let set_reply_probe t ~before ~after =
   t.probe_before <- before;

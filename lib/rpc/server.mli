@@ -19,7 +19,7 @@
     connections, queued reply bytes per connection and across the server,
     and request age at drain time.  A request that would exceed a budget
     is {e shed}: answered with a small typed [Busy] reply (or [Refused]
-    when it could never fit), counted in a per-reason ledger ({!sheds}),
+    when it could never fit), counted in a per-reason ledger ({!shed_count}),
     and never queued — so queue growth is bounded by construction and the
     client learns to back off rather than time out. *)
 
@@ -154,11 +154,9 @@ val requests_received : t -> int
     stored file's prefix matches, [Refused] otherwise). *)
 val probes_received : t -> int
 
-(** The per-reason shed ledger (every reason, in {!shed_reasons} order). *)
-val sheds : t -> (shed_reason * int) list
-
+(** The shed ledger: this server's count for one reason (the registry's
+    [rpc.shed.<reason>]). *)
 val shed_count : t -> shed_reason -> int
-val sheds_total : t -> int
 
 (** [set_reply_probe t ~before ~after] instruments the send path:
     [before] fires just before each send attempt (snapshot point for

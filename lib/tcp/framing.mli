@@ -19,8 +19,6 @@ val word0 : prelude_len:int -> int
     word ([None] otherwise). *)
 val parse_word0 : int -> int option
 
-val min_prelude : int
-
 (** [framed_stream ~seg_unit ~stream_len ~checksummed ~fill_range] wraps
     an engine range filler (its TSDU [stream_len] bytes long, every range
     [seg_unit]-aligned) into the framed stream for

@@ -6,20 +6,17 @@ type t = {
   mutable head : int;  (* next write offset *)
   mutable used : int;  (* bytes consumed, including waste *)
   mutable wraps : int;  (* reservations that skipped a wasted tail *)
-  mutable wasted_total : int;  (* cumulative tail bytes skipped *)
   entries : entry Queue.t;
 }
 
 let create (sim : Ilp_memsim.Sim.t) ~size =
   if size <= 0 then invalid_arg "Ring.create: size";
   let base = Ilp_memsim.Alloc.alloc sim.alloc ~align:64 size in
-  { base; size; head = 0; used = 0; wraps = 0; wasted_total = 0;
-    entries = Queue.create () }
+  { base; size; head = 0; used = 0; wraps = 0; entries = Queue.create () }
 
 let size t = t.size
 let available t = t.size - t.used
 let wraps t = t.wraps
-let wasted_total t = t.wasted_total
 
 (* The tail a [len]-byte reservation would skip before wrapping, or -1
    when it does not fit (an int, not an option: [reserve] runs once per
@@ -38,10 +35,7 @@ let reserve t len =
   if wasted < 0 then None
   else begin
     let off = if wasted > 0 then 0 else t.head in
-    if wasted > 0 then begin
-      t.wraps <- t.wraps + 1;
-      t.wasted_total <- t.wasted_total + wasted
-    end;
+    if wasted > 0 then t.wraps <- t.wraps + 1;
     t.head <- (off + len) mod t.size;
     t.used <- t.used + wasted + len;
     Queue.add { addr = t.base + off; len; wasted } t.entries;

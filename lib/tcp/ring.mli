@@ -49,5 +49,3 @@ val in_flight : t -> int
     the direct witness that a transfer exercised the wrap path. *)
 val wraps : t -> int
 
-(** Cumulative wasted tail bytes across all wraps. *)
-val wasted_total : t -> int

@@ -109,10 +109,6 @@ val of_string_exn : string -> pos:int -> t
     the checksum over the pseudo header and the data". *)
 val pseudo_acc : t -> payload_len:int -> Ilp_checksum.Internet.acc
 
-(** [header_acc acc t] folds the header bytes (options included) with the
-    checksum field read as zero. *)
-val header_acc : Ilp_checksum.Internet.acc -> t -> Ilp_checksum.Internet.acc
-
 (** [checksum t ~payload_acc ~payload_len] is the header checksum field
     value for a segment whose payload folds to [payload_acc]. *)
 val checksum : t -> payload_acc:Ilp_checksum.Internet.acc -> payload_len:int -> int
