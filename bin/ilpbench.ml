@@ -51,22 +51,12 @@ let machine_conv =
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf m.Config.name)
 
 let cipher_conv =
-  let parse = function
-    | "safer-simplified" | "simplified" -> Ok Ft.Safer_simplified
-    | "simple" -> Ok Ft.Simple_encryption
-    | "safer" | "safer-k64" -> Ok (Ft.Safer_full 6)
-    | "des" -> Ok Ft.Des
-    | s -> Error (`Msg (Printf.sprintf "unknown cipher %S" s))
-  in
-  let print ppf c =
-    Format.pp_print_string ppf
-      (match c with
-      | Ft.Safer_simplified -> "safer-simplified"
-      | Ft.Simple_encryption -> "simple"
-      | Ft.Safer_full _ -> "safer-k64"
-      | Ft.Des -> "des")
-  in
-  Arg.conv (parse, print)
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Ft.cipher_of_name s)),
+      fun ppf c -> Format.pp_print_string ppf (Ft.cipher_name c) )
+
+let cipher_doc =
+  Printf.sprintf "One of: %s." (String.concat ", " (List.map Ft.cipher_name Ft.ciphers))
 
 let transfer_cmd =
   let machine =
@@ -78,8 +68,7 @@ let transfer_cmd =
   in
   let cipher =
     Arg.(value & opt cipher_conv Ft.Safer_simplified
-         & info [ "cipher"; "c" ] ~docv:"CIPHER"
-             ~doc:"safer-simplified, simple, safer-k64 or des.")
+         & info [ "cipher"; "c" ] ~docv:"CIPHER" ~doc:cipher_doc)
   in
   let size =
     Arg.(value & opt int 1024
@@ -184,15 +173,9 @@ let transfer_cmd =
 
 let wall_cmd =
   let module Wb = Ilp_bench.Wallbench in
-  let fp_cipher_conv =
-    let parse s = Result.map_error (fun m -> `Msg m) (Wb.cipher_of_name s) in
-    Arg.conv
-      (parse, fun ppf c -> Format.pp_print_string ppf (Ilp_fastpath.Cipher.name c))
-  in
   let cipher =
-    Arg.(value & opt fp_cipher_conv Ilp_fastpath.Cipher.Simple
-         & info [ "cipher"; "c" ] ~docv:"CIPHER"
-             ~doc:(Printf.sprintf "One of: %s." (String.concat ", " Wb.cipher_names)))
+    Arg.(value & opt cipher_conv Ft.Simple_encryption
+         & info [ "cipher"; "c" ] ~docv:"CIPHER" ~doc:cipher_doc)
   in
   let out =
     Arg.(value & opt string "BENCH_wall.json"
@@ -225,6 +208,7 @@ let wall_cmd =
                    per-stage time-share table (4 KiB and 64 KiB messages).")
   in
   let run cipher out trials sizes quick min_speedup trace =
+    let cipher = Ft.fastpath_cipher cipher in
     let sizes = if quick then [ 1024; 8192; 65536 ] else sizes in
     let trials = if quick then 5 else trials in
     match Wb.run ~cipher ~sizes ~trials () with

@@ -85,6 +85,25 @@ type result = {
 
 let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
 
+let cipher_name = function
+  | Safer_simplified -> "safer-simplified"
+  | Simple_encryption -> "simple"
+  | Safer_full _ -> "safer-k64"
+  | Des -> "des"
+
+let ciphers = [ Safer_simplified; Simple_encryption; Safer_full 6; Des ]
+
+let cipher_of_name = function
+  | "simplified" -> Ok Safer_simplified
+  | "safer" -> Ok (Safer_full 6)
+  | name -> (
+      match List.find_opt (fun c -> cipher_name c = name) ciphers with
+      | Some c -> Ok c
+      | None ->
+          Error
+            (Printf.sprintf "unknown cipher %S (try: %s)" name
+               (String.concat ", " (List.map cipher_name ciphers))))
+
 let make_cipher sim = function
   | Safer_simplified -> Ilp_cipher.Safer_simplified.charged sim ~key ()
   | Simple_encryption -> Ilp_cipher.Simple_cipher.charged sim
@@ -93,7 +112,7 @@ let make_cipher sim = function
 
 (* The native twin of [make_cipher]: same algorithm, same key, expanded
    into ordinary OCaml data for the un-simulated fast path. *)
-let make_fastpath_cipher = function
+let fastpath_cipher = function
   | Safer_simplified ->
       Ilp_fastpath.Cipher.Safer_simplified (Ilp_cipher.Safer_simplified.expand_key key)
   | Simple_encryption -> Ilp_fastpath.Cipher.Simple
@@ -121,7 +140,7 @@ let run setup =
   let engine cipher =
     World.engine w (fun sim ~pool ->
         let backend =
-          if setup.native then Engine.Native (make_fastpath_cipher setup.cipher)
+          if setup.native then Engine.Native (fastpath_cipher setup.cipher)
           else Engine.Simulated
         in
         Engine.create sim ~cipher ~mode:setup.mode ~backend ~linkage:setup.linkage

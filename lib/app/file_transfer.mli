@@ -18,6 +18,25 @@ type cipher_choice =
   | Safer_full of int  (** real SAFER K-64 with this many rounds *)
   | Des  (** the "too complex to benefit" baseline *)
 
+(** The key every cipher of this module and of the benchmarks is keyed
+    with. *)
+val key : string
+
+(** The command-line name: ["safer-simplified"], ["simple"],
+    ["safer-k64"] (any round count) or ["des"]. *)
+val cipher_name : cipher_choice -> string
+
+(** Every cipher, SAFER K-64 at 6 rounds, in the order the chaos soak
+    cycles through them. *)
+val ciphers : cipher_choice list
+
+(** A {!cipher_name} of {!ciphers}, or the alias ["simplified"] or
+    ["safer"]. *)
+val cipher_of_name : string -> (cipher_choice, string) Stdlib.result
+
+(** The same cipher and {!key} on the un-simulated fast path. *)
+val fastpath_cipher : cipher_choice -> Ilp_fastpath.Cipher.t
+
 type setup = {
   machine : Ilp_memsim.Config.t;
   cipher : cipher_choice;

@@ -85,13 +85,7 @@ let judge ~exact = function
   | World.Typed t -> (Typed, t)
   | World.Silent -> (Silent, "SILENT: neither complete nor typed")
 
-let ciphers = [| Ft.Safer_simplified; Ft.Simple_encryption; Ft.Safer_full 6; Ft.Des |]
-
-let cipher_name = function
-  | Ft.Safer_simplified -> "safer-simplified"
-  | Ft.Simple_encryption -> "simple"
-  | Ft.Safer_full _ -> "safer-k64"
-  | Ft.Des -> "des"
+let ciphers = Array.of_list Ft.ciphers
 
 (* Draw one randomized impairment configuration.  Rates are scaled by
    [intensity]; every draw comes from the soak's own seeded stream, so a
@@ -162,7 +156,7 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
       Printf.sprintf "iter %4d  %-8s %-7s %-16s %-6s %-6s %s" i
         (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "separate")
         (if native then "native" else "sim")
-        (cipher_name cipher)
+        (Ft.cipher_name cipher)
         (if crc then "crc32" else "-")
         (if framing then "framed" else "-")
         verdict

@@ -8,12 +8,6 @@ module Linkage = Ilp_core.Linkage
 
 let cache : (string, Ft.result) Hashtbl.t = Hashtbl.create 64
 
-let cipher_tag = function
-  | Ft.Safer_simplified -> "saferS"
-  | Ft.Simple_encryption -> "simple"
-  | Ft.Safer_full r -> Printf.sprintf "safer%d" r
-  | Ft.Des -> "des"
-
 let measure ?(cipher = Ft.Safer_simplified) ?(copies = 8)
     ?(linkage = Linkage.Macro) ?(coalesce = false)
     ?(header_style = Engine.Leading) ?(rx_placement = Engine.Early)
@@ -21,7 +15,7 @@ let measure ?(cipher = Ft.Safer_simplified) ?(copies = 8)
   let key =
     Printf.sprintf "%s/%s/%s/%d/%d/%b/%b/%s/%d/%d" machine.Config.name
       (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "sep")
-      (cipher_tag cipher) size copies coalesce uniform_units
+      (Ft.cipher_name cipher) size copies coalesce uniform_units
       (match linkage with
       | Linkage.Macro -> "macro"
       | Linkage.Function_calls n -> Printf.sprintf "call%d" n)

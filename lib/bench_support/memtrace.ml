@@ -34,8 +34,6 @@ type config = { sizes : int list; native_msgs : int; sim_msgs : int }
 let default_config = { sizes = [ 1024; 8192; 65536 ]; native_msgs = 64; sim_msgs = 4 }
 let quick_config = { sizes = [ 1024; 65536 ]; native_msgs = 16; sim_msgs = 2 }
 
-let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
-
 (* One (payload size, mode, backend) cell: a fresh world, one engine, one
    staged message sent and received [msgs] times.  Returns the
    per-message averages of the Memtraffic ledger (host bytes the data path
@@ -46,12 +44,13 @@ let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
    bytes. *)
 let measure_lane ~mode ~native ~payload_len ~msgs =
   let sim = Sim.create Config.ss10_30 in
-  let cipher = Ilp_cipher.Safer_simplified.charged sim ~key () in
+  let cipher =
+    Ilp_cipher.Safer_simplified.charged sim ~key:Ilp_app.File_transfer.key ()
+  in
   let backend =
     if native then
       Engine.Native
-        (Ilp_fastpath.Cipher.Safer_simplified
-           (Ilp_cipher.Safer_simplified.expand_key key))
+        (Ilp_app.File_transfer.fastpath_cipher Ilp_app.File_transfer.Safer_simplified)
     else Engine.Simulated
   in
   let eng =

@@ -26,22 +26,6 @@ type result = {
   points : point list;
 }
 
-let key = "\x3a\x91\x5c\x07\xee\x42\xb8\x1d"
-
-let cipher_names = [ "simple"; "safer-simplified"; "safer-k64"; "des" ]
-
-let cipher_of_name = function
-  | "simple" -> Ok Cipher.Simple
-  | "safer-simplified" | "simplified" ->
-      Ok (Cipher.Safer_simplified (Ilp_cipher.Safer_simplified.expand_key key))
-  | "safer" | "safer-k64" ->
-      Ok (Cipher.Safer (Ilp_cipher.Safer.expand_key ~rounds:6 key))
-  | "des" -> Ok (Cipher.Des (Ilp_cipher.Des.expand_key key))
-  | other ->
-      Error
-        (Printf.sprintf "unknown cipher %S (try: %s)" other
-           (String.concat ", " cipher_names))
-
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* ns per message of [f], averaged over [reps] back-to-back calls. *)

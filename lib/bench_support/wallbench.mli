@@ -44,11 +44,6 @@ type result = {
   points : point list;
 }
 
-(** The ciphers [run] accepts, instantiated with a fixed benchmark key. *)
-val cipher_names : string list
-
-val cipher_of_name : string -> (Ilp_fastpath.Cipher.t, string) Stdlib.result
-
 (** Run the benchmark.  [sizes] defaults to [1024; 8192; 65536; 524288]
     bytes; every size must be a positive multiple of 8.  [trials]
     defaults to 9 (median taken), [warmup] to 3.  Raises [Failure] if

@@ -384,15 +384,16 @@ let test_wallbench_validation () =
   Alcotest.check_raises "odd size rejected"
     (Invalid_argument "Wallbench.run: size 12 is not a positive multiple of 8")
     (fun () -> ignore (B.Wallbench.run ~sizes:[ 12 ] ()));
-  (match B.Wallbench.cipher_of_name "no-such-cipher" with
+  let module Ft = Ilp_app.File_transfer in
+  (match Ft.cipher_of_name "no-such-cipher" with
   | Ok _ -> Alcotest.fail "accepted bogus cipher"
   | Error _ -> ());
   List.iter
-    (fun name ->
-      match B.Wallbench.cipher_of_name name with
-      | Ok _ -> ()
+    (fun c ->
+      match Ft.cipher_of_name (Ft.cipher_name c) with
+      | Ok c' -> checkb "name round-trips" true (c = c')
       | Error e -> Alcotest.fail e)
-    B.Wallbench.cipher_names
+    Ft.ciphers
 
 let test_experiment_names () =
   checkb "has all" true (List.mem "all" B.Experiments.names);
