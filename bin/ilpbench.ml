@@ -56,7 +56,8 @@ let cipher_conv =
       fun ppf c -> Format.pp_print_string ppf (Ft.cipher_name c) )
 
 let cipher_doc =
-  Printf.sprintf "One of: %s." (String.concat ", " (List.map Ft.cipher_name Ft.ciphers))
+  Printf.sprintf "One of: %s."
+    (String.concat ", " (List.map Ft.cipher_name Ft.ciphers))
 
 let transfer_cmd =
   let machine =

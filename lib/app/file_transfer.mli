@@ -7,10 +7,16 @@
     ({!World.connect}), with measurement probes on the two data ports —
     transfers [copies] copies of a [file_len]-byte file in
     [max_reply]-byte messages, verifies every payload byte, and returns
-    per-packet processing times plus the memory-access ledgers
-    attributed to the send path, the receive path and everything else.
-    Both engines run the single-copy host data path over the world's
-    one buffer pool, audited by {!World.pool_leaks} after teardown. *)
+    its {!World.verdict}, per-packet processing times and the
+    memory-access ledgers attributed to the send path, the receive path
+    and everything else.  Both engines run the single-copy host data
+    path over the world's one buffer pool, audited by
+    {!World.pool_leaks} after teardown.  Counts beyond the two data
+    sockets' (drops per reason, wire impairments, abandoned replies)
+    are in the {!Ilp_obs.Metrics} registry.
+
+    The module also holds the one cipher table and benchmark key the
+    command line, the soaks and the benchmarks share. *)
 
 type cipher_choice =
   | Safer_simplified  (** the paper's main experiment *)

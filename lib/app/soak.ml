@@ -480,7 +480,9 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
           (ending, incomplete))
         clients
     in
-    let refused = List.length (List.filter (fun c -> Rpc_client.rejected c.client) clients) in
+    let refused =
+      List.length (List.filter (fun c -> Rpc_client.rejected c.client) clients)
+    in
     let peak = Rpc_server.peak_queued_bytes server in
     let t =
       tally ~runs:cfg.clients ~before (List.map fst judged)

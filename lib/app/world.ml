@@ -79,7 +79,9 @@ let verdict ?(refused = false) ?conn client =
     | None when refused -> Typed "typed: local refusal"
     | None when errors <> [] -> Typed ("typed: " ^ String.concat "; " errors)
     | None -> (
-        let server = match conn with Some c -> [ c.srv_data; c.srv_ctrl ] | None -> [] in
+        let server =
+          match conn with Some c -> [ c.srv_data; c.srv_ctrl ] | None -> []
+        in
         match List.find_map Socket.failure server with
         | Some r -> Typed ("typed (server side): " ^ Socket.abort_reason_to_string r)
         | None -> Silent)

@@ -5,7 +5,8 @@
     caller asks for.  Like a nesC configuration it holds no protocol
     logic; it only connects components, so every measured transfer, soak
     and test world shares one connection plan, one engine-pool audit and
-    one end-of-transfer verdict.
+    one end-of-transfer verdict ({!verdict}, which also judges every
+    soak client).
 
     Simulated buffers come from a bump allocator, and their layout
     decides the simulated digits: {!create} allocates [Sim], [Simclock],

@@ -689,7 +689,8 @@ let test_world_verdict_ctrl_abort () =
   let _, c, client, _ = served ~rx w ~base:40 in
   Simclock.run_until_idle (World.clock w);
   checkb "the client holds no failure" true (Rpc_client.failure client = None);
-  checkb "the server data socket is fine" true (Socket.failure c.World.srv_data = None);
+  checkb "the server data socket is fine" true
+    (Socket.failure c.World.srv_data = None);
   checkb "the server control socket aborted in its handshake" true
     (Socket.failure c.World.srv_ctrl = Some Socket.Handshake_failed);
   Alcotest.check verdict_t "typed by the server's control socket"

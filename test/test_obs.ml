@@ -264,7 +264,8 @@ let test_tracing_changes_nothing_framed () =
   let n_spans = List.length (Trace.spans ()) in
   Trace.disable ();
   checkb "both framed runs completed" true
-    (off.Ft.verdict = Ilp_app.World.Complete && on.Ft.verdict = Ilp_app.World.Complete);
+    (off.Ft.verdict = Ilp_app.World.Complete
+    && on.Ft.verdict = Ilp_app.World.Complete);
   check "identical payload bytes" off.Ft.payload_bytes on.Ft.payload_bytes;
   check "identical wire bytes" off.Ft.wire_bytes on.Ft.wire_bytes;
   check "identical replies" off.Ft.n_replies on.Ft.n_replies;
@@ -544,14 +545,17 @@ let test_conservation_overload_soak () =
   List.iter
     (fun (name, v) ->
       match v with
-      | M.Counter _ -> check name (M.counter_diff after before name) (Soak.counter t name)
+      | M.Counter _ ->
+          check name (M.counter_diff after before name) (Soak.counter t name)
       | M.Gauge _ | M.Histogram _ -> ())
     after;
   check "the delta holds counters only"
     (List.length (List.filter (function _, M.Counter _ -> true | _ -> false) after))
     (List.length t.Soak.delta);
   checkb "forged feedback was rejected" true
-    (Soak.counter t "tcp.sack_invalid" + Soak.counter t "tcp.abort.misbehaving_peer" > 0)
+    (Soak.counter t "tcp.sack_invalid"
+     + Soak.counter t "tcp.abort.misbehaving_peer"
+    > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tracerun: the ilpbench trace driver *)
