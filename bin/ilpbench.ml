@@ -489,27 +489,29 @@ let soak_cmd =
          & info [ "intensity" ] ~docv:"X"
              ~doc:"Impairment-rate scale; 0 disables all faults, 1 is full chaos.")
   in
-  let overload =
-    Arg.(value & flag
-         & info [ "overload" ]
-             ~doc:"Overload soak instead of chaos soak: many concurrent \
-                   mixed-persona clients (honest, slow-reader, dead-reader, \
-                   oversized) against one shared server, asserting graceful \
-                   degradation.")
+  (* The soak family: at most one of --overload and --crash. *)
+  let family =
+    Arg.(value
+         & vflag `Chaos
+             [ ( `Overload,
+                 info [ "overload" ]
+                   ~doc:"Overload soak instead of chaos soak: many concurrent \
+                         mixed-persona clients (honest, slow-reader, \
+                         dead-reader, oversized) against one shared server, \
+                         asserting graceful degradation." );
+               ( `Crash,
+                 info [ "crash" ]
+                   ~doc:"Crash soak instead of chaos soak: seeded node \
+                         crash/restart faults (RST or blackhole while down) \
+                         against single transfers, asserting \
+                         byte-exact-or-typed outcomes, prefix-verified \
+                         resumption, dedup conservation and timer/pool \
+                         hygiene." ) ])
   in
   let clients =
     Arg.(value & opt int Soak.default_overload_config.Soak.clients
          & info [ "clients" ] ~docv:"N"
              ~doc:"Concurrent clients for the overload soak.")
-  in
-  let crash =
-    Arg.(value & flag
-         & info [ "crash" ]
-             ~doc:"Crash soak instead of chaos soak: seeded node \
-                   crash/restart faults (RST or blackhole while down) \
-                   against single transfers, asserting byte-exact-or-typed \
-                   outcomes, prefix-verified resumption, dedup conservation \
-                   and timer/pool hygiene.")
   in
   let quick =
     Arg.(value & flag
@@ -569,80 +571,79 @@ let soak_cmd =
         Printf.eprintf "ilpbench: %s\n" msg;
         2
   in
-  let run seed iters size machine intensity overload crash quick clients verbose
-      =
+  let run seed iters size machine intensity family quick clients verbose =
     let log = soak_log verbose in
-    if crash then begin
-      let cfg =
-        { Soak.seed;
-          transfers =
-            (if quick then 16 else Soak.default_crash_config.Soak.transfers);
-          file_len =
-            Option.value size
-              ~default:
-                (if quick then 1024 else Soak.default_crash_config.Soak.file_len);
-          machine }
-      in
-      drive
-        (fun () -> Soak.run_crash ~log cfg)
-        Soak.crash_summary_lines
-        (fun o ->
-          (* A crash soak that never crashed or never resumed is vacuous:
-             fail it like a violated invariant so a regression in the
-             fault injection itself cannot slip through green. *)
-          let exercised =
-            Soak.counter o.Soak.tally "netsim.crashes" > 0
-            && o.Soak.resumed_completed > 0
-          in
-          if Soak.crash_invariants_hold o && exercised then
-            Ok
-              "crash invariant held: every transfer byte-exact or typed, \
-               resumes prefix-verified, dedup and timers conserved"
-          else if exercised then Error "crash invariant VIOLATED"
-          else Error "crash soak VACUOUS: no crash/resume was exercised")
-        (Printf.sprintf "--crash --seed %d --size %d%s" cfg.Soak.seed
-           cfg.Soak.file_len
-           (if quick then " --quick" else ""))
-    end
-    else if overload then begin
-      let cfg =
-        { Soak.seed;
-          clients;
-          file_len =
-            Option.value size ~default:Soak.default_overload_config.Soak.file_len;
-          machine }
-      in
-      drive
-        (fun () -> Soak.run_overload ~log cfg)
-        Soak.overload_summary_lines
-        (fun o ->
-          if Soak.overload_invariants_hold o then
-            Ok
-              "overload invariant held: every request ended byte-exact or \
-               typed, budgets respected, honest clients served"
-          else Error "overload invariant VIOLATED")
-        (Printf.sprintf "--overload --seed %d --clients %d --size %d"
-           cfg.Soak.seed cfg.Soak.clients cfg.Soak.file_len)
-    end
-    else begin
-      let cfg =
-        { Soak.default_config with
-          Soak.seed;
-          iterations = iters;
-          file_len = Option.value size ~default:Soak.default_config.Soak.file_len;
-          machine;
-          intensity }
-      in
-      drive
-        (fun () -> Soak.run ~log cfg)
-        Soak.summary_lines
-        (fun o ->
-          if Soak.invariants_hold o then
-            Ok "soak invariant held: byte-exact or typed failure, every time"
-          else Error "soak invariant VIOLATED")
-        (Printf.sprintf "--seed %d -n %d --size %d" cfg.Soak.seed
-           cfg.Soak.iterations cfg.Soak.file_len)
-    end
+    match family with
+    | `Crash ->
+        let cfg =
+          { Soak.seed;
+            transfers =
+              (if quick then 16 else Soak.default_crash_config.Soak.transfers);
+            file_len =
+              Option.value size
+                ~default:
+                  (if quick then 1024
+                   else Soak.default_crash_config.Soak.file_len);
+            machine }
+        in
+        drive
+          (fun () -> Soak.run_crash ~log cfg)
+          Soak.crash_summary_lines
+          (fun o ->
+            (* A crash soak that never crashed or never resumed is vacuous:
+               fail it like a violated invariant so a regression in the
+               fault injection itself cannot slip through green. *)
+            let exercised =
+              Soak.counter o.Soak.tally "netsim.crashes" > 0
+              && o.Soak.resumed_completed > 0
+            in
+            if Soak.crash_invariants_hold o && exercised then
+              Ok
+                "crash invariant held: every transfer byte-exact or typed, \
+                 resumes prefix-verified, dedup and timers conserved"
+            else if exercised then Error "crash invariant VIOLATED"
+            else Error "crash soak VACUOUS: no crash/resume was exercised")
+          (Printf.sprintf "--crash --seed %d --size %d%s" cfg.Soak.seed
+             cfg.Soak.file_len
+             (if quick then " --quick" else ""))
+    | `Overload ->
+        let cfg =
+          { Soak.seed;
+            clients;
+            file_len =
+              Option.value size
+                ~default:Soak.default_overload_config.Soak.file_len;
+            machine }
+        in
+        drive
+          (fun () -> Soak.run_overload ~log cfg)
+          Soak.overload_summary_lines
+          (fun o ->
+            if Soak.overload_invariants_hold o then
+              Ok
+                "overload invariant held: every request ended byte-exact or \
+                 typed, budgets respected, honest clients served"
+            else Error "overload invariant VIOLATED")
+          (Printf.sprintf "--overload --seed %d --clients %d --size %d"
+             cfg.Soak.seed cfg.Soak.clients cfg.Soak.file_len)
+    | `Chaos ->
+        let cfg =
+          { Soak.seed;
+            iterations = iters;
+            file_len =
+              Option.value size ~default:Soak.default_config.Soak.file_len;
+            machine;
+            intensity }
+        in
+        drive
+          (fun () -> Soak.run ~log cfg)
+          Soak.summary_lines
+          (fun o ->
+            if Soak.invariants_hold o then
+              Ok "soak invariant held: byte-exact or typed failure, every time"
+            else Error "soak invariant VIOLATED")
+          (Printf.sprintf "--seed %d -n %d --size %d" cfg.Soak.seed
+             cfg.Soak.iterations cfg.Soak.file_len)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -653,10 +654,10 @@ let soak_cmd =
           concurrent mixed-persona clients against one shared server, \
           asserting graceful degradation under load.  With $(b,--crash): \
           seeded node crash/restart faults with resumable exactly-once \
-          recovery.")
+          recovery.  The two are exclusive.")
     Term.(
-      const run $ seed $ iters $ size $ machine $ intensity $ overload $ crash
-      $ quick $ clients $ verbose)
+      const run $ seed $ iters $ size $ machine $ intensity $ family $ quick
+      $ clients $ verbose)
 
 (* ------------------------------------------------------------------ *)
 (* trace *)
@@ -785,22 +786,8 @@ let regress_cmd =
          & info [ "dir"; "d" ] ~docv:"DIR"
              ~doc:"Directory holding the current BENCH_*.json.")
   in
-  let tolerance =
-    Arg.(value & opt float 0.10
-         & info [ "tolerance" ] ~docv:"FRAC"
-             ~doc:"Fractional band for the deterministic mem/stream \
-                   indicators.")
-  in
-  let wall_tolerance =
-    Arg.(value & opt float 0.30
-         & info [ "wall-tolerance" ] ~docv:"FRAC"
-             ~doc:"Fractional band for the noisy wall-clock speedups.")
-  in
-  let run baseline dir tolerance wall_tolerance =
-    match
-      Regress.run ~tolerance ~wall_tolerance ~baseline_dir:baseline
-        ~current_dir:dir ()
-    with
+  let run baseline dir =
+    match Regress.run ~baseline_dir:baseline ~current_dir:dir with
     | Ok report ->
         List.iter print_endline (Regress.report_lines report);
         if Regress.passed report then 0 else 1
@@ -812,9 +799,10 @@ let regress_cmd =
     (Cmd.info "regress"
        ~doc:
          "Compare the current BENCH_wall/mem/stream.json against the \
-          committed baseline with tolerance bands; exits nonzero on any \
-          regressed indicator.")
-    Term.(const run $ baseline $ dir $ tolerance $ wall_tolerance)
+          committed baseline with tolerance bands (10% for the \
+          deterministic mem/stream indicators, 30% for the wall-clock \
+          speedups); exits nonzero on any regressed indicator.")
+    Term.(const run $ baseline $ dir)
 
 (* ------------------------------------------------------------------ *)
 (* machines *)

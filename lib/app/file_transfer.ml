@@ -23,7 +23,6 @@ type setup = {
   uniform_units : bool;
   native : bool;
   crc : bool;
-  pool : Ilp_fastpath.Pool.t option;
   framing : bool;
       (* negotiate the v2 ("Reverso") framed receive on the data
          connection; off (the default) keeps every wire byte identical
@@ -52,7 +51,6 @@ let default_setup ~machine ~mode =
     uniform_units = false;
     native = false;
     crc = false;
-    pool = None;
     framing = false;
     file_len = Workload.paper_file_len;
     copies = 8;
@@ -126,7 +124,7 @@ let mean a =
 
 let run setup =
   let w =
-    World.create ?pool:setup.pool setup.machine ~link:(fun clock ~deliver ->
+    World.create setup.machine ~link:(fun clock ~deliver ->
         Link.create clock ~delay_us:50.0 ~loss_rate:setup.loss_rate
           ~seed:setup.seed ?impairments:setup.impairments ~deliver ())
   in

@@ -65,10 +65,6 @@ type setup = {
   crc : bool;
       (** enable the end-to-end CRC32 TSDU trailer on both engines
           (closes the 16-bit checksum collision hole) *)
-  pool : Ilp_fastpath.Pool.t option;
-      (** share a caller-owned buffer pool between both engines; [None]
-          (the default) creates a fresh pool, making [pool_leaks] a
-          self-contained audit *)
   framing : bool;
       (** negotiate the v2 ("Reverso") framed receive: the client flags
           its control messages, the server prefixes each reply TSDU with
@@ -134,8 +130,7 @@ type result = {
   checksum_failures : int;  (** at the client's data socket *)
   pool_leaks : int;
       (** buffers still outstanding from the run's pool after both engines
-          were destroyed — must be 0 (every acquired buffer released)
-          unless the caller shared its own [pool] *)
+          were destroyed — must be 0 (every acquired buffer released) *)
 }
 
 val run : setup -> result

@@ -1,6 +1,7 @@
 module Link = Ilp_netsim.Link
 module Simclock = Ilp_netsim.Simclock
 module Crashplan = Ilp_netsim.Crashplan
+module Xorshift = Ilp_netsim.Xorshift
 module Datagram = Ilp_netsim.Datagram
 module Ipv4 = Ilp_netsim.Ipv4
 module Socket = Ilp_tcp.Socket
@@ -11,27 +12,13 @@ module Rpc_client = Ilp_rpc.Client
 module Ft = File_transfer
 module M = Ilp_obs.Metrics
 
-(* A private xorshift64 so soak schedules are reproducible without
-   touching the link's own stream. *)
-let prng_create seed = ref ((seed * 0x9e3779b1) lor 1)
-
-let prng_next st =
-  let x = !st in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  let x = x land max_int in
-  st := if x = 0 then 1 else x;
-  !st
-
-let prng_float st = float_of_int (prng_next st land 0xffffff) /. 16777216.0
-let prng_int st bound = prng_next st mod bound
+(* Soak schedules draw from their own seeded stream, never the link's. *)
+let prng_create seed = Xorshift.create (seed * 0x9e3779b1)
 
 type config = {
   seed : int;
   iterations : int;
   file_len : int;
-  max_reply : int;
   machine : Ilp_memsim.Config.t;
   intensity : float;
 }
@@ -40,7 +27,6 @@ let default_config =
   { seed = 1;
     iterations = 512;
     file_len = 512;
-    max_reply = 256;
     machine = Ilp_memsim.Config.ss10_30;
     intensity = 1.0 }
 
@@ -93,21 +79,22 @@ let ciphers = Array.of_list Ft.ciphers
 let draw_impairments st ~intensity =
   (* Clamped so any intensity in Soak.run's accepted range still yields a
      valid probability. *)
-  let r scale = min 1.0 (scale *. prng_float st *. intensity) in
+  let r scale = min 1.0 (scale *. Xorshift.float st *. intensity) in
   let gilbert =
-    if prng_float st < 0.35 then
+    if Xorshift.float st < 0.35 then
       Some
         { Link.p_enter_bad = min 1.0 (0.02 +. r 0.05);
           p_exit_bad = 0.25;
           loss_in_bad = min 1.0 (0.4 +. r 0.4) }
     else None
   in
-  { Link.delay_us = 20.0 +. (80.0 *. prng_float st);
-    jitter_us = (if prng_float st < 0.5 then 0.0 else 200.0 *. prng_float st);
+  { Link.delay_us = 20.0 +. (80.0 *. Xorshift.float st);
+    jitter_us =
+      (if Xorshift.float st < 0.5 then 0.0 else 200.0 *. Xorshift.float st);
     loss_rate = r 0.15;
     dup_rate = r 0.1;
     corrupt_rate = r 0.2;
-    corrupt_bits = 1 + prng_int st 4;
+    corrupt_bits = 1 + Xorshift.int st 4;
     truncate_rate = r 0.06;
     pad_rate = r 0.06;
     pad_max = 12;
@@ -123,8 +110,7 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
   if cfg.iterations < 0 then invalid_arg "Soak.run: iterations must be >= 0";
   if cfg.intensity < 0.0 || cfg.intensity > 10.0 then
     invalid_arg "Soak.run: intensity must be in [0, 10]";
-  if cfg.file_len <= 0 || cfg.max_reply <= 0 then
-    invalid_arg "Soak.run: file_len and max_reply must be positive";
+  if cfg.file_len <= 0 then invalid_arg "Soak.run: file_len must be positive";
   let st = prng_create cfg.seed in
   let before = M.snapshot M.default in
   let endings = ref [] and pool_leaks = ref 0 in
@@ -147,7 +133,7 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
         framing;
         file_len = cfg.file_len;
         copies = 1;
-        max_reply = cfg.max_reply;
+        max_reply = 256;
         seed = (cfg.seed * 7919) + i;
         impairments = Some imp;
         deadline_us = 120_000_000.0 }
@@ -286,13 +272,9 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
   let before = M.snapshot M.default in
   match
     (* The lying receivers' data ports (their acks travel cli_data ->
-       srv_data); the port plan below assigns 4 consecutive ports per
-       client starting at 1000, cli_data being the fourth. *)
+       srv_data), filled in as each client is connected: no cli_data
+       socket sends before the clock runs. *)
     let liar_ports = Hashtbl.create 4 in
-    for i = 0 to cfg.clients - 1 do
-      if persona_pattern.(i mod Array.length persona_pattern) = Lying_receiver
-      then Hashtbl.replace liar_ports (1000 + (4 * i) + 3) ()
-    done;
     (* A lying receiver's NIC: every pure ack it emits gains a SACK block
        claiming data the server never sent, and goes out twice (dupack
        forgery).  Runs before the wire, so the forged bytes carry a valid
@@ -393,6 +375,8 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
                 None
           in
           let c = World.connect w server ?data cfg_sock ~base:(1000 + (4 * i)) in
+          if persona = Lying_receiver then
+            Hashtbl.replace liar_ports (Socket.local_port c.World.cli_data) ();
           (* Slow and dead readers advertise a zero receive window from
              the start; slow ones reopen later, dead ones never do. *)
           (match persona with
@@ -601,11 +585,11 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
     (* The seeded fault draw: trigger (wall-clock offsets or the Nth
        packet the server receives), downtime, crash count, and whether
        the dead address answers RST or black-holes. *)
-    let on_packet = prng_float st < 0.7 in
-    let trigger_n = 5 + prng_int st 10 in
-    let down_us = 4_000.0 +. (26_000.0 *. prng_float st) in
-    let max_crashes = 1 + prng_int st 2 in
-    let rst_while_down = prng_float st < 0.5 in
+    let on_packet = Xorshift.float st < 0.7 in
+    let trigger_n = 5 + Xorshift.int st 10 in
+    let down_us = 4_000.0 +. (26_000.0 *. Xorshift.float st) in
+    let max_crashes = 1 + Xorshift.int st 2 in
+    let rst_while_down = Xorshift.float st < 0.5 in
     let crash_times =
       Crashplan.seeded_times
         ~seed:((cfg.seed * 8191) + i)

@@ -22,8 +22,7 @@
 type config = {
   seed : int;
   iterations : int;
-  file_len : int;  (** one copy per transfer *)
-  max_reply : int;
+  file_len : int;  (** one copy per transfer, in 256-byte replies *)
   machine : Ilp_memsim.Config.t;
   intensity : float;  (** scales all impairment rates; 1.0 = full chaos *)
 }
@@ -60,7 +59,7 @@ val invariants_hold : tally -> bool
 (** [run ?log cfg] executes the chaos soak; [log] receives one line per
     noteworthy iteration (typed failures and any invariant violation).
     Raises [Invalid_argument] on an out-of-range config (negative
-    iterations, intensity outside [0, 10], non-positive sizes). *)
+    iterations, intensity outside [0, 10], a non-positive file length). *)
 val run : ?log:(violation:bool -> string -> unit) -> config -> tally
 
 (** Human-readable ledger of the whole run. *)

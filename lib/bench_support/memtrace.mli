@@ -66,11 +66,6 @@ val quick_config : config
     own message. *)
 val run : ?config:config -> unit -> result
 
-(** [copied / wire_len] and [copied_rx / wire_len]. *)
-val copied_per_wire_byte : point -> float
-
-val rx_copied_per_wire_byte : point -> float
-
 (** The acceptance gates, absolute at every size:
     - native lanes: at most 2 host copies per wire byte in ILP mode and 3
       in separate mode, and at most 1 on the receive direction;

@@ -212,7 +212,12 @@ type indicator = {
   slack : float;  (* absolute slack added on top of the band *)
 }
 
-let wall_indicators ~wall_tol j =
+(* The bands: 10% for the deterministic mem and stream figures, 30% for
+   the noisy wall-clock speedups. *)
+let tol = 0.10
+let wall_tol = 0.30
+
+let wall_indicators j =
   List.filter_map
     (fun p ->
       match (num_member "len" p, num_member "speedup" p) with
@@ -226,7 +231,7 @@ let wall_indicators ~wall_tol j =
       | _ -> None)
     (arr_member "points" j)
 
-let mem_indicators ~tol j =
+let mem_indicators j =
   let points =
     List.filter_map
       (fun p ->
@@ -271,7 +276,7 @@ let mem_indicators ~tol j =
   in
   List.concat points @ disabled
 
-let stream_indicators ~tol j =
+let stream_indicators j =
   let ratio name =
     match num_member name j with
     | Some v when v > 0.0 ->
@@ -361,14 +366,12 @@ let compare_indicators ~baseline ~current =
   in
   (List.rev verdicts, List.rev missing)
 
-let benchmark_files ~tol ~wall_tol =
-  [ ("BENCH_wall.json", wall_indicators ~wall_tol);
-    ("BENCH_mem.json", mem_indicators ~tol);
-    ("BENCH_stream.json", stream_indicators ~tol) ]
+let benchmark_files =
+  [ ("BENCH_wall.json", wall_indicators);
+    ("BENCH_mem.json", mem_indicators);
+    ("BENCH_stream.json", stream_indicators) ]
 
-let run ?(tolerance = 0.10) ?(wall_tolerance = 0.30) ~baseline_dir
-    ~current_dir () =
-  let tol = tolerance and wall_tol = wall_tolerance in
+let run ~baseline_dir ~current_dir =
   let rec go files acc =
     match files with
     | [] ->
@@ -406,7 +409,7 @@ let run ?(tolerance = 0.10) ?(wall_tolerance = 0.30) ~baseline_dir
                     file :: compared,
                     skipped ))
   in
-  go (benchmark_files ~tol ~wall_tol) ([], [], [], [])
+  go benchmark_files ([], [], [], [])
 
 let regressions r = List.filter (fun v -> not v.v_ok) r.verdicts
 

@@ -40,19 +40,12 @@ type report = {
   files_skipped : string list;
 }
 
-val run :
-  ?tolerance:float ->
-  ?wall_tolerance:float ->
-  baseline_dir:string ->
-  current_dir:string ->
-  unit ->
-  (report, string) result
+val run : baseline_dir:string -> current_dir:string -> (report, string) result
 (** Compare each committed [BENCH_*.json] under [baseline_dir] against
-    its counterpart under [current_dir].  [tolerance] (default 0.10)
-    bands the deterministic mem/stream indicators, [wall_tolerance]
-    (default 0.30) the noisy wall-clock speedups.  [Error] means a
-    comparison could not even run (current file missing or unparsable —
-    treated as failure by the CLI). *)
+    its counterpart under [current_dir].  A band of 10% holds the
+    deterministic mem/stream indicators, one of 30% the noisy wall-clock
+    speedups.  [Error] means a comparison could not even run (current
+    file missing or unparsable — treated as failure by the CLI). *)
 
 val regressions : report -> verdict list
 val passed : report -> bool

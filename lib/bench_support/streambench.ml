@@ -13,30 +13,27 @@ let mode_name = function
 
 type config = {
   total_bytes : int;
-  tsdu_payload : int;
   mss : int;
   rtt_us : float;
   loss_rate : float;
   seed : int;
-  machine : Ilp_memsim.Config.t;
   mode : mode;
   sack : bool;
-  native : bool;
-  deadline_us : float;
 }
 
 let default_config =
   { total_bytes = 2 * 1024 * 1024;
-    tsdu_payload = 32 * 1024;
     mss = 1448;
     rtt_us = 10_000.0;
     loss_rate = 0.0;
     seed = 1;
-    machine = Ilp_memsim.Config.ss10_30;
     mode = Pipelined;
-    sack = true;
-    native = true;
-    deadline_us = 300_000_000.0 }
+    sack = true }
+
+(* Every transfer moves 32 KiB TSDUs on the SS10/30 model with the
+   native kernels, within 300 s of simulated time. *)
+let tsdu_payload = 32 * 1024
+let deadline_us = 300_000_000.0
 
 type outcome = {
   ok : bool;
@@ -63,15 +60,11 @@ let wide_window = 65528
 
 let validate cfg =
   if cfg.total_bytes <= 0 then invalid_arg "Streambench: total_bytes must be positive";
-  if cfg.tsdu_payload <= 0 then
-    invalid_arg "Streambench: tsdu_payload must be positive";
   if cfg.mss < 64 || cfg.mss mod 8 <> 0 then
     invalid_arg "Streambench: mss must be a multiple of 8, >= 64";
   if cfg.rtt_us <= 0.0 then invalid_arg "Streambench: rtt_us must be positive";
   if cfg.loss_rate < 0.0 || cfg.loss_rate >= 1.0 then
-    invalid_arg "Streambench: loss_rate must be in [0, 1)";
-  if cfg.deadline_us <= 0.0 then
-    invalid_arg "Streambench: deadline_us must be positive"
+    invalid_arg "Streambench: loss_rate must be in [0, 1)"
 
 let transfer cfg =
   validate cfg;
@@ -90,26 +83,24 @@ let transfer cfg =
   in
   let w =
     Ilp_app.World.create ~mem_size:(cfg.total_bytes + (4 * 1024 * 1024)) ~tap
-      cfg.machine ~link:(fun clock ~deliver ->
+      Ilp_memsim.Config.ss10_30 ~link:(fun clock ~deliver ->
         Link.create clock ~delay_us:(cfg.rtt_us /. 2.0) ~loss_rate:cfg.loss_rate
           ~seed:cfg.seed ~deliver ())
   in
   let sim = Ilp_app.World.sim w and clock = Ilp_app.World.clock w in
-  let backend () =
-    if cfg.native then
+  (* One TSDU per engine message; the engine's [max_message] bounds both
+     the send staging and the receiver's reassembly area. *)
+  let max_message = tsdu_payload + 64 in
+  let mk_engine () =
+    let backend =
       Engine.Native
         (Ilp_fastpath.Cipher.Safer_simplified
            (Ilp_cipher.Safer_simplified.expand_key key))
-    else Engine.Simulated
-  in
-  (* One TSDU per engine message; the engine's [max_message] bounds both
-     the send staging and the receiver's reassembly area. *)
-  let max_message = cfg.tsdu_payload + 64 in
-  let mk_engine () =
+    in
     Ilp_app.World.engine w (fun sim ~pool ->
         Engine.create sim
           ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
-          ~mode:Engine.Ilp ~backend:(backend ()) ~max_message ~pool ())
+          ~mode:Engine.Ilp ~backend ~max_message ~pool ())
   in
   let tx_eng = mk_engine () and rx_eng = mk_engine () in
   let tx_cfg =
@@ -125,8 +116,6 @@ let transfer cfg =
          second); scale ours with the configured RTT. *)
       rto_initial_us = Float.max Socket.default_config.Socket.rto_initial_us (3.0 *. cfg.rtt_us);
       rto_min_us = Float.max Socket.default_config.Socket.rto_min_us (1.5 *. cfg.rtt_us);
-      (* ooo_slots is left at 0: the socket auto-sizes the reassembly
-         stash to the whole pipelined flight (recv_window / mss + 4). *)
       sack = cfg.sack }
   in
   let rx_cfg =
@@ -144,8 +133,8 @@ let transfer cfg =
   | Engine.Rx_deferred_style f -> Socket.set_rx_processing rx (Socket.Rx_separate f));
   let contents = Ilp_app.Workload.generate ~len:cfg.total_bytes ~seed:cfg.seed in
   let addr = Ilp_app.Workload.install sim contents in
-  let n = (cfg.total_bytes + cfg.tsdu_payload - 1) / cfg.tsdu_payload in
-  let chunk_len i = min cfg.tsdu_payload (cfg.total_bytes - (i * cfg.tsdu_payload)) in
+  let n = (cfg.total_bytes + tsdu_payload - 1) / tsdu_payload in
+  let chunk_len i = min tsdu_payload (cfg.total_bytes - (i * tsdu_payload)) in
   let failed = ref None in
   let fail msg = if !failed = None then failed := Some msg in
   Socket.set_on_abort tx (fun r -> fail ("sender: " ^ Socket.abort_reason_to_string r));
@@ -168,7 +157,7 @@ let transfer cfg =
                plen < 4 + cl
                || not
                     (Ilp_rpc.Client.slice_matches contents
-                       ~off:(i * cfg.tsdu_payload) (Bytes.unsafe_to_string buf)
+                       ~off:(i * tsdu_payload) (Bytes.unsafe_to_string buf)
                        ~doff:4 ~len:cl)
              then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
              else begin
@@ -183,7 +172,8 @@ let transfer cfg =
     let i = !next in
     let ps =
       Engine.prepare_stream_segments tx_eng
-        [ Engine.Seg_app { addr = addr + (i * cfg.tsdu_payload); len = chunk_len i } ]
+        [ Engine.Seg_app
+            { addr = addr + (i * tsdu_payload); len = chunk_len i } ]
     in
     match
       Socket.send_stream tx ~seg_unit:ps.Engine.seg_unit ~len:ps.Engine.stream_len
@@ -211,10 +201,10 @@ let transfer cfg =
     fail "handshake did not complete";
   let t0 = Simclock.now clock in
   let step = 200.0 in
-  let guard = ref (int_of_float (cfg.deadline_us /. step) + 16) in
+  let guard = ref (int_of_float (deadline_us /. step) + 16) in
   while
     !failed = None && !delivered < n && !guard > 0
-    && Simclock.now clock -. t0 < cfg.deadline_us
+    && Simclock.now clock -. t0 < deadline_us
   do
     decr guard;
     while !next < n && send_next () do () done;
@@ -316,7 +306,10 @@ let run ?(quick = false) ?(sack_compare = false) ?config () =
   in
   { cfg; points; gate_ratio; sack_ratio }
 
-let check ?(min_ratio = 4.0) ?(min_sack_ratio = 2.0) r =
+let min_ratio = 4.0
+let min_sack_ratio = 2.0
+
+let check r =
   let failures = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
@@ -408,7 +401,7 @@ let to_json r =
        "{\n  \"benchmark\": \"stream\",\n  \"unit\": \"mbit_per_s\",\n\
        \  \"total_bytes\": %d,\n  \"tsdu_payload\": %d,\n  \"mss\": %d,\n\
        \  \"gate_ratio\": %.3f,\n  \"sack_ratio\": %.3f,\n  \"points\": [\n"
-       r.cfg.total_bytes r.cfg.tsdu_payload r.cfg.mss r.gate_ratio
+       r.cfg.total_bytes tsdu_payload r.cfg.mss r.gate_ratio
        r.sack_ratio);
   List.iteri
     (fun i p ->

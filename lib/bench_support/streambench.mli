@@ -2,15 +2,16 @@
     — MSS segmentation, pipelined sliding window and congestion control —
     across an impaired simulated link, versus a stop-and-wait baseline.
 
-    One {!transfer} moves [total_bytes] of incompressible payload as a
-    sequence of [tsdu_payload]-byte TSDUs through
-    [Ilp_tcp.Socket.send_stream]: the engine's
+    One transfer moves [total_bytes] of incompressible payload as a
+    sequence of 32 KiB TSDUs through [Ilp_tcp.Socket.send_stream] on the
+    SS10/30 model with the native fast-path kernels: the engine's
     {!Ilp_core.Engine.prepare_stream_segments} produces each MSS-sized
     segment with one fused marshal+encrypt+checksum pass straight into
     the retransmission ring, the link delays (and optionally drops)
     datagrams, and the receiver reassembles, decrypts and verifies every
     byte.  Elapsed time is {e simulated} time, so goodput depends on the
-    configured RTT and loss — not on this host.
+    configured RTT and loss — not on this host.  A transfer not done
+    within 300 s of simulated time fails.
 
     [Stop_and_wait] is the degenerate window: the receiver advertises
     exactly one MSS, so precisely one segment is ever in flight — the
@@ -21,34 +22,24 @@
     on the clean 10 ms-RTT cell, every cell byte-exact.  With
     [~sack_compare:true] the sweep adds a pipelined NewReno (SACK-off)
     baseline and {!check} additionally gates SACK loss recovery: at
-    least [min_sack_ratio] (default 2x) the NewReno goodput on the
-    10 ms / 5%-loss cell with strictly fewer RTO fallbacks, and a
+    least 2x the NewReno goodput on the 10 ms / 5%-loss cell with
+    strictly fewer RTO fallbacks, and a
     byte-identical wire on the clean cell (SACK must cost nothing when
     nothing is lost).  Results serialise to BENCH_stream.json. *)
 
 type mode = Pipelined | Stop_and_wait
 
-val mode_name : mode -> string
-
 type config = {
   total_bytes : int;  (** application payload to move *)
-  tsdu_payload : int;  (** payload bytes per TSDU (many MSS each) *)
   mss : int;  (** TCP maximum segment size (multiple of 8) *)
   rtt_us : float;  (** simulated round-trip time *)
   loss_rate : float;  (** independent datagram loss probability *)
   seed : int;
-  machine : Ilp_memsim.Config.t;
   mode : mode;
   sack : bool;  (** SACK loss recovery on the data connection *)
-  native : bool;
-      (** native fast-path kernels (the default for benchmarking; the
-          simulated backend charges every byte through the memory
-          simulator and is only practical for small tests) *)
-  deadline_us : float;  (** simulated-time budget for the transfer *)
 }
 
-(** 2 MiB in 32 KiB TSDUs, MSS 1448, clean 10 ms RTT, pipelined,
-    native, on the SS10/30 model. *)
+(** 2 MiB, MSS 1448, clean 10 ms RTT, pipelined, SACK on. *)
 val default_config : config
 
 type outcome = {
@@ -77,10 +68,6 @@ type outcome = {
           wires *)
 }
 
-(** Run one transfer.  Raises [Invalid_argument] on a malformed config
-    (non-positive sizes, MSS not a multiple of 8, ...). *)
-val transfer : config -> outcome
-
 type point = {
   p_mode : mode;
   p_sack : bool;
@@ -103,18 +90,17 @@ type result = {
 (** Sweep the grid: both modes x RTT {2, 10 ms} x loss {0, 1%, 5%, 10%}.
     [quick] shrinks the transfer and the grid for CI.  [sack_compare]
     adds a pipelined sweep with SACK inverted (a NewReno baseline under
-    the default config), enabling the SACK gates in {!check}. *)
+    the default config), enabling the SACK gates in {!check}.  Raises
+    [Invalid_argument] on a malformed config (non-positive size, MSS
+    not a multiple of 8, ...). *)
 val run : ?quick:bool -> ?sack_compare:bool -> ?config:config -> unit -> result
 
 (** The stream gates: every cell byte-exact, stop-and-wait strictly
     serial (peak_in_flight = 1), pipelined cells actually pipelined, and
-    [gate_ratio >= min_ratio] (default 4.0).  When the run carried both
-    SACK variants (see {!run}): [sack_ratio >= min_sack_ratio] (default
-    2.0), strictly fewer RTO fallbacks with SACK on the lossy gate cell,
-    and equal [wire_digest] on the clean cell. *)
-val check :
-  ?min_ratio:float -> ?min_sack_ratio:float -> result ->
-  (unit, string list) Stdlib.result
+    [gate_ratio >= 4.0].  When the run carried both SACK variants (see
+    {!run}): [sack_ratio >= 2.0], strictly fewer RTO fallbacks with SACK
+    on the lossy gate cell, and equal [wire_digest] on the clean cell. *)
+val check : result -> (unit, string list) Stdlib.result
 
 val to_json : result -> string
 val write_json : result -> path:string -> unit

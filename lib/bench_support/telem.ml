@@ -19,7 +19,6 @@ type config = {
   soak : Soak.overload_config;
   interval_us : float;
   capacity : int;
-  slos : Ts.slo list;
 }
 
 (* SLO thresholds for the overload soak's virtual time: the end-to-end
@@ -27,7 +26,7 @@ type config = {
    bound is the soak's own patience; the ack-RTT p99 is Karn-filtered
    clean samples and should stay well under a virtual second even under
    forged-ack chaos. *)
-let default_slos =
+let slos =
   [ { Ts.slo_hist = "rpc.latency_us";
       slo_percentile = 0.99;
       slo_limit = 30_000_000 };
@@ -38,14 +37,12 @@ let default_slos =
 let default_config =
   { soak = Soak.default_overload_config;
     interval_us = 10_000.0;
-    capacity = 512;
-    slos = default_slos }
+    capacity = 512 }
 
 let quick_config =
   { soak = { Soak.default_overload_config with clients = 4 };
     interval_us = 20_000.0;
-    capacity = 256;
-    slos = default_slos }
+    capacity = 256 }
 
 type result = {
   outcome : Soak.overload_outcome;
@@ -56,7 +53,7 @@ type result = {
 
 let run ?(log = fun ~violation:_ _ -> ()) ?(config = default_config) () =
   let ts =
-    Ts.create ~capacity:config.capacity ~slos:config.slos
+    Ts.create ~capacity:config.capacity ~slos
       ~interval_us:config.interval_us M.default
   in
   let base = Ts.base ts in

@@ -1,12 +1,13 @@
 (** Continuous-telemetry runner behind [ilpbench report]: the overload
     soak with a Simclock-driven periodic {!Ilp_obs.Timeseries} sampler
-    attached, plus the gates that make it CI-able. *)
+    attached, plus the gates that make it CI-able.  The sampler holds two
+    latency SLOs: p99 [rpc.latency_us] at most 30 s of virtual time (the
+    soak's own patience) and p99 [tcp.ack_rtt_us] at most 2 s. *)
 
 type config = {
   soak : Ilp_app.Soak.overload_config;
   interval_us : float;  (** virtual time between samples *)
   capacity : int;  (** sample-ring slots; also bounds the tick chain *)
-  slos : Ilp_obs.Timeseries.slo list;
 }
 
 val default_config : config

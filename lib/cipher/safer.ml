@@ -38,7 +38,6 @@ let expand_key ?(rounds = 6) user =
   done;
   { rounds; k }
 
-let rounds key = key.rounds
 
 (* The round core is shared between the pure and the charged
    implementations: [kread i] fetches round-key byte [i], [exp]/[log] are

@@ -24,8 +24,6 @@ type key
     not within \[1, 12\]. *)
 val expand_key : ?rounds:int -> string -> key
 
-val rounds : key -> int
-
 (** Pure in-place block transforms on 8 bytes at [off]. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 

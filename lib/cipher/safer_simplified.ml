@@ -163,13 +163,16 @@ let map_string f key s =
 let encrypt_string key s = map_string encrypt_block key s
 let decrypt_string key s = map_string decrypt_block key s
 
-let charged (sim : Ilp_memsim.Sim.t) ?(spill_bytes = 4) ~key () =
+(* Intermediate bytes the decryption kernel spills per block. *)
+let spill_bytes = 4
+
+let charged (sim : Ilp_memsim.Sim.t) ~key () =
   let open Ilp_memsim in
   let k = expand_key key in
   let exp_base = Alloc.alloc sim.alloc ~align:64 256 in
   let log_base = Alloc.alloc sim.alloc ~align:64 256 in
   let key_base = Alloc.alloc sim.alloc ~align:8 8 in
-  let scratch = Alloc.alloc sim.alloc ~align:8 (max 1 spill_bytes) in
+  let scratch = Alloc.alloc sim.alloc ~align:8 spill_bytes in
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (exp_base + i) v) Safer.exp_table;
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (log_base + i) v) Safer.log_table;
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (key_base + i) v) k.k;

@@ -36,7 +36,6 @@ val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 (** [charged sim ~key ()] allocates the key vector, the two tables and the
     decryption scratch area in simulated memory and returns the charged
-    cipher.  [spill_bytes] (default 4) is how many intermediate bytes the
-    decryption kernel spills per block. *)
-val charged :
-  Ilp_memsim.Sim.t -> ?spill_bytes:int -> key:string -> unit -> Block_cipher.t
+    cipher.  The decryption kernel spills 4 intermediate bytes per block
+    through that scratch area. *)
+val charged : Ilp_memsim.Sim.t -> key:string -> unit -> Block_cipher.t

@@ -21,8 +21,11 @@ let of_cipher_decrypt (c : Ilp_cipher.Block_cipher.t) =
     code = c.code_decrypt;
     transform = c.decrypt }
 
-let marshalling (sim : Ilp_memsim.Sim.t) ?(name = "xdr-marshal") ?(ops_per_word = 2)
-    ?(unit_len = 4) () =
+(* ALU ops per 4-byte word of XDR marshalling. *)
+let ops_per_word = 2
+
+let marshalling (sim : Ilp_memsim.Sim.t) ?(name = "xdr-marshal") ?(unit_len = 4)
+    () =
   if unit_len mod 4 <> 0 then invalid_arg "Dmf.marshalling: unit_len";
   let code = Ilp_memsim.Code.alloc sim.code ~len:896 in
   let machine = sim.Ilp_memsim.Sim.machine in

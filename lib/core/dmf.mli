@@ -30,13 +30,14 @@ val of_cipher_encrypt : Ilp_cipher.Block_cipher.t -> t
 
 val of_cipher_decrypt : Ilp_cipher.Block_cipher.t -> t
 
-(** [marshalling sim ~name ~ops_per_word ()] is the word manipulation of a
+(** [marshalling sim ~name ()] is the word manipulation of a
     stub-compiler-generated XDR routine: the data transform is the identity
     (XDR opaque bytes travel unchanged; the byte-order and framing work is
-    the per-word ALU charge), the unit is 4 bytes, and the code region
-    competes for the instruction cache like any other stage. *)
+    an ALU charge of 2 ops per word plus 1 per unit), the unit is 4 bytes,
+    and the code region competes for the instruction cache like any other
+    stage. *)
 val marshalling :
-  Ilp_memsim.Sim.t -> ?name:string -> ?ops_per_word:int -> ?unit_len:int -> unit -> t
+  Ilp_memsim.Sim.t -> ?name:string -> ?unit_len:int -> unit -> t
 (** [unit_len] (default 4, must be a multiple of 4) widens the
     marshalling unit — the paper's section 5 suggests uniform unit sizes
     across manipulation functions as an ILP-friendly protocol feature. *)

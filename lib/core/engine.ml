@@ -24,7 +24,6 @@ type data_path = Pooled
 type t = {
   sim : Sim.t;
   cipher : Ilp_cipher.Block_cipher.t;
-  backend : backend;
   fastpath : Wire.t option;
   mode : mode;
   header_style : header_style;
@@ -104,14 +103,13 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
     | Native fc -> Some (Wire.create ~cipher:fc ~pool ~max_len:max_message ())
   in
   let crc = if crc32 then Some (Crc32.create sim.mem sim.alloc) else None in
-  { sim; cipher; backend; fastpath; mode; header_style; rx_placement; linkage; max_message;
-    coalesce_writes; pool;
+  { sim; cipher; fastpath; mode; header_style; rx_placement; linkage;
+    max_message; coalesce_writes; pool;
     marshal_dmf; unmarshal_dmf; encrypt_dmf; decrypt_dmf;
     send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = None;
     tr_acc = Array.make 2 0.0 }
 
 let mode t = t.mode
-let backend t = t.backend
 let crc32 t = t.crc <> None
 let header_style t = t.header_style
 let rx_placement t = t.rx_placement
@@ -140,7 +138,8 @@ let framing_extra t = if t.crc = None then 0 else 4
 
 let wire_len t ~prefix_len ~payload_len =
   let p =
-    Parts.plan ~body_len:(prefix_len + payload_len + framing_extra t) ()
+    Parts.plan ~block_len:(block_len t)
+      ~body_len:(prefix_len + payload_len + framing_extra t)
   in
   p.Parts.total
 
@@ -279,7 +278,7 @@ let make_stream_of_segments t body =
         [ Gen (u32_be value) ]
   in
   let framed_len = body_len + framing_extra t in
-  let plan = Parts.plan ~body_len:framed_len () in
+  let plan = Parts.plan ~block_len:(block_len t) ~body_len:framed_len in
   if plan.Parts.total > t.max_message then
     invalid_arg
       (Printf.sprintf

@@ -130,7 +130,6 @@ val create :
     the engine creates its own. *)
 
 val mode : t -> mode
-val backend : t -> backend
 
 (** Whether the end-to-end CRC32 trailer is enabled. *)
 val crc32 : t -> bool

@@ -1,30 +1,31 @@
 type t = {
   total : int;
   body_len : int;
-  enc_header_len : int;
   alignment : int;
   alpha : int;
   beta : int;
   gamma : int;
 }
 
-let plan ?(enc_header_len = 4) ?(block_len = 8) ~body_len () =
+(* The encryption header: the 4-byte length field. *)
+let enc_header_len = 4
+
+let plan ~block_len ~body_len =
   if body_len < 0 then invalid_arg "Parts.plan: negative body length";
-  if block_len <= 0 || block_len mod 4 <> 0 then
-    invalid_arg "Parts.plan: block length must be a positive multiple of 4";
-  if enc_header_len <= 0 || enc_header_len >= block_len then
-    invalid_arg "Parts.plan: encryption header must be shorter than a block";
+  if block_len <= enc_header_len || block_len mod 4 <> 0 then
+    invalid_arg
+      "Parts.plan: block length must be a multiple of 4 longer than the \
+       encryption header";
   let marshalled = enc_header_len + body_len in
   let total = Units.aligned (max marshalled block_len) ~unit_len:block_len in
   { total;
     body_len;
-    enc_header_len;
     alignment = total - marshalled;
     alpha = enc_header_len;
     beta = block_len;
     gamma = max block_len (total - block_len) }
 
-let length_field t = t.enc_header_len + t.body_len
+let length_field t = enc_header_len + t.body_len
 let part_a t = (0, t.beta)
 let part_b t = (t.beta, max 0 (t.gamma - t.beta))
 let part_c t = (t.gamma, t.total - t.gamma)

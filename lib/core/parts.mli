@@ -12,21 +12,23 @@
 type t = {
   total : int;  (** encrypted message length (multiple of the block size) *)
   body_len : int;  (** marshalled bytes, encryption header excluded *)
-  enc_header_len : int;  (** the length field, 4 bytes in this stack *)
   alignment : int;  (** zero bytes appended to reach [total] *)
-  alpha : int;  (** where marshalling output starts *)
+  alpha : int;
+      (** where marshalling output starts: after the 4-byte length
+          field *)
   beta : int;  (** where part B starts *)
   gamma : int;  (** where part C starts *)
 }
 
-(** [plan ~body_len] computes the layout for a marshalled message of
-    [body_len] bytes behind a 4-byte encryption header, aligned to
-    [block_len] (default 8).  Raises [Invalid_argument] if [body_len < 0]
-    or [block_len] is not a positive multiple of 4. *)
-val plan : ?enc_header_len:int -> ?block_len:int -> body_len:int -> unit -> t
+(** [plan ~block_len ~body_len] computes the layout for a marshalled
+    message of [body_len] bytes behind the 4-byte encryption header,
+    aligned to the cipher's [block_len] (8 for every cipher here).
+    Raises [Invalid_argument] if [body_len < 0] or [block_len] is not a
+    multiple of 4 longer than the header. *)
+val plan : block_len:int -> body_len:int -> t
 
 (** The marshalled length stored in the length field:
-    [enc_header_len + body_len]. *)
+    [4 + body_len]. *)
 val length_field : t -> int
 
 (** Offset/length of each part.  Parts B and C may be empty (length 0) for

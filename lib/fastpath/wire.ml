@@ -16,7 +16,6 @@ let create ~cipher ?pool ~max_len () =
   { cipher; pool; staging = None; max_len }
 
 let cipher t = t.cipher
-let max_len t = t.max_len
 
 let staging t =
   match t.staging with

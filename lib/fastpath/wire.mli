@@ -31,7 +31,6 @@ type t
 val create : cipher:Cipher.t -> ?pool:Pool.t -> max_len:int -> unit -> t
 
 val cipher : t -> Cipher.t
-val max_len : t -> int
 
 (** Return the staging buffer (if ever drawn) to the pool.  Idempotent;
     a later separate-path send simply draws a fresh one. *)

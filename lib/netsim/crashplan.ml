@@ -35,8 +35,10 @@ type t = {
   mutable stopped : bool;
 }
 
-(* The same xorshift generator the soak harnesses use: fully determined
-   by the seed, so a crash schedule reproduces exactly per seed. *)
+(* A 30-bit xorshift (shifts 13/17/5) of its own, not the soaks' 64-bit
+   {!Xorshift}: the committed crash-soak baselines depend on its draws.
+   Fully determined by the seed, so a crash schedule reproduces exactly
+   per seed. *)
 let seeded_times ~seed ~crashes ~horizon_us =
   if crashes < 0 then invalid_arg "Crashplan.seeded_times: crashes < 0";
   if horizon_us <= 0.0 then

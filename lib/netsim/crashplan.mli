@@ -48,8 +48,9 @@ val create :
   t
 
 (** [seeded_times ~seed ~crashes ~horizon_us] draws [crashes] crash
-    offsets in [0.1, 1.0) of the horizon from the soak harnesses'
-    xorshift generator — the same seed always yields the same schedule. *)
+    offsets in [0.1, 1.0) of the horizon from a 30-bit xorshift (shifts
+    13/17/5) of its own — the same seed always yields the same
+    schedule. *)
 val seeded_times : seed:int -> crashes:int -> horizon_us:float -> float list
 
 (** [guard t ~deliver] wraps a demux handler for one of the host's

@@ -12,9 +12,9 @@ let header_len = 20
 let protocol_tcp = 6
 let loopback = 0x7f_00_00_01
 
-let make ?(tos = 0) ?(ident = 0) ?(ttl = 64) ?(protocol = protocol_tcp) ~src ~dst
-    ~payload_len () =
-  { tos; total_len = header_len + payload_len; ident; ttl; protocol; src; dst }
+let make ?(ident = 0) ?(protocol = protocol_tcp) ~src ~dst ~payload_len () =
+  { tos = 0; total_len = header_len + payload_len; ident; ttl = 64; protocol;
+    src; dst }
 
 (* One's-complement sum of 16-bit big-endian words (the header is always
    an even number of bytes). *)

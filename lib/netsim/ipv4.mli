@@ -26,9 +26,11 @@ val protocol_tcp : int
 (** The loopback addresses used by the simulated hosts. *)
 val loopback : int
 
+(** A header with TOS 0 and TTL 64; [ident] defaults to 0 and
+    [protocol] to {!protocol_tcp}. *)
 val make :
-  ?tos:int -> ?ident:int -> ?ttl:int -> ?protocol:int -> src:int -> dst:int ->
-  payload_len:int -> unit -> t
+  ?ident:int -> ?protocol:int -> src:int -> dst:int -> payload_len:int ->
+  unit -> t
 
 (** [encapsulate t payload] is the wire datagram payload: header (with a
     correct checksum) followed by [payload]. *)

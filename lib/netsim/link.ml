@@ -87,7 +87,6 @@ type t = {
   imp : impairments;
   prng : Prng.t;
   deliver : Datagram.t -> unit;
-  impair_only : Datagram.t -> bool;
   tamper : (Datagram.t -> Datagram.t list) option;
   mutable in_bad_state : bool;
   blk : int array;
@@ -114,16 +113,15 @@ let validate imp =
       check_rate "gilbert.p_exit_bad" g.p_exit_bad;
       check_rate "gilbert.loss_in_bad" g.loss_in_bad)
 
-let create clock ?(delay_us = 50.0) ?(jitter_us = 0.0) ?(loss_rate = 0.0)
-    ?(dup_rate = 0.0) ?(seed = 42) ?impairments
-    ?(impair_only = fun _ -> true) ?tamper ~deliver () =
+let create clock ?(delay_us = 50.0) ?(loss_rate = 0.0) ?(seed = 42)
+    ?impairments ?tamper ~deliver () =
   let imp =
     match impairments with
     | Some imp -> imp
-    | None -> { fault_free with delay_us; jitter_us; loss_rate; dup_rate }
+    | None -> { fault_free with delay_us; loss_rate }
   in
   validate imp;
-  { clock; imp; prng = Prng.create seed; deliver; impair_only; tamper;
+  { clock; imp; prng = Prng.create seed; deliver; tamper;
     in_bad_state = false; blk = M.block family }
 
 (* Flip [bits] randomly chosen bits of the payload.  A one-bit flip is
@@ -196,17 +194,9 @@ let enqueue t dgram =
          bump t c_delivered;
          t.deliver dgram))
 
-(* Run one datagram through the impairment pipeline.  Datagrams outside
-   [impair_only]'s scope skip every draw (so a direction filter leaves
-   the seeded random stream of the impaired direction untouched) and are
-   delivered after the base delay. *)
+(* Run one datagram through the impairment pipeline. *)
 let send_one t dgram =
-  if not (t.impair_only dgram) then
-    ignore
-      (Simclock.schedule t.clock ~after:t.imp.delay_us (fun () ->
-           bump t c_delivered;
-           t.deliver dgram))
-  else if t.imp.loss_rate > 0.0 && Prng.float t.prng < t.imp.loss_rate then
+  if t.imp.loss_rate > 0.0 && Prng.float t.prng < t.imp.loss_rate then
     bump t c_dropped
   else if gilbert_drops t then begin
     bump t c_dropped;
@@ -239,11 +229,6 @@ let send t dgram =
       | [ d ] when d == dgram -> ()
       | _ -> bump t c_tampered);
       List.iter (send_one t) out
-
-let sent t = t.blk.(c_sent)
-let delivered t = t.blk.(c_delivered)
-let dropped t = t.blk.(c_dropped)
-let duplicated t = t.blk.(c_duplicated)
 
 let stats t =
   let b = t.blk in

@@ -48,18 +48,11 @@ type impairments = {
 val fault_free : impairments
 
 (** [create clock ~deliver] builds a link whose packets are handed to
-    [deliver] after [delay_us] (default 50).  [loss_rate], [dup_rate]
-    (defaults 0) are probabilities per packet; [jitter_us] (default 0) adds
-    uniform random extra delay, which reorders packets when larger than the
-    inter-packet gap.  [seed] fixes the random stream.  [impairments], when
-    given, supersedes the individual rate arguments and enables the full
-    adversarial model.
-
-    [impair_only] (default: everything) scopes the impairment model to
-    matching datagrams — e.g. only the ack direction of a connection;
-    non-matching datagrams consume no random draws and are delivered
-    after the base delay, so the impaired direction's trace for a given
-    seed is independent of the other direction's traffic.
+    [deliver] after [delay_us] (default 50), each lost with probability
+    [loss_rate] (default 0).  [seed] fixes the random stream.
+    [impairments], when given, supersedes [delay_us] and [loss_rate] and
+    enables the full adversarial model (jitter, duplication, corruption,
+    ...): [~impairments:{ Link.fault_free with jitter_us = 500.0 }].
 
     [tamper] models a lying peer's NIC rather than the wire: it runs on
     every datagram before any impairment draw and returns the datagrams
@@ -72,12 +65,9 @@ val fault_free : impairments
 val create :
   Simclock.t ->
   ?delay_us:float ->
-  ?jitter_us:float ->
   ?loss_rate:float ->
-  ?dup_rate:float ->
   ?seed:int ->
   ?impairments:impairments ->
-  ?impair_only:(Datagram.t -> bool) ->
   ?tamper:(Datagram.t -> Datagram.t list) ->
   deliver:(Datagram.t -> unit) ->
   unit ->
@@ -86,13 +76,6 @@ val create :
 (** [send t dgram] queues a datagram for (possible, possibly mangled)
     delivery. *)
 val send : t -> Datagram.t -> unit
-
-(** Counters for assertions in tests. *)
-val sent : t -> int
-
-val delivered : t -> int
-val dropped : t -> int
-val duplicated : t -> int
 
 (** Every impairment the link has applied, by kind.  [dropped] counts all
     losses; [burst_dropped] is the subset due to the Gilbert–Elliott

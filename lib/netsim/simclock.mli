@@ -22,21 +22,17 @@ val now : t -> float
 
 type timer
 
-(** The owner tag carried by events scheduled without an explicit [?owner]
-    (its value is [0]).  Infrastructure events (link deliveries, test
-    driders) normally stay anonymous; stateful components that must prove
-    they cancelled everything on teardown tag their timers with a fresh
-    owner id. *)
-val anonymous : int
-
 (** Allocate a fresh, never-reused owner id (always positive) for tagging
     scheduled events.  Used by components (e.g. a TCP socket) so tests can
     assert [pending_count t ~owner = 0] after teardown. *)
 val fresh_owner : t -> int
 
 (** [schedule t ?owner ~after f] runs [f] once, [after] microseconds from
-    now (clamped to now for negative values).  [owner] (default
-    {!anonymous}) tags the event for {!pending_count} audits. *)
+    now (clamped to now for negative values).  [owner] tags the event for
+    {!pending_count} audits; without it the event carries owner [0], as
+    infrastructure events such as link deliveries do.  Stateful
+    components that must prove they cancelled everything on teardown
+    tag their timers with a {!fresh_owner} id. *)
 val schedule : t -> ?owner:int -> after:float -> (unit -> unit) -> timer
 
 val cancel : timer -> unit

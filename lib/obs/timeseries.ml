@@ -53,7 +53,6 @@ let capacity t = t.capacity
 let taken t = t.taken
 let count t = min t.taken t.capacity
 let base t = t.base
-let slos t = t.slos
 
 (* The standard dashboard percentiles; SLO-specific quantiles are added
    on top when an SLO names one outside this set. *)

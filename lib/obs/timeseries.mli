@@ -44,7 +44,6 @@ val count : t -> int
 (** Samples currently retained. *)
 
 val base : t -> Metrics.snapshot
-val slos : t -> slo list
 val samples : t -> (float * Metrics.snapshot) list
 (** Retained [(ts_us, snapshot)] pairs, oldest first. *)
 
@@ -66,11 +65,9 @@ val rates : t -> string -> float array
 (** Per-sample rate (events per second of sampled time) of a counter,
     derived from consecutive deltas. *)
 
-val sparkline : float array -> string
-(** Unicode sparkline of the values, scaled to their min..max range. *)
-
 val dashboard : ?width:int -> t -> string list
-(** Text dashboard: one sparkline per active instrument (counters as
+(** Text dashboard: one Unicode sparkline per active instrument, scaled
+    to its min..max range (counters as
     rates, gauges as levels, histograms as p50/p90/p99 series) plus one
     verdict line per SLO.  [width] caps the number of points shown
     (most recent kept; default 60). *)

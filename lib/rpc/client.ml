@@ -1,4 +1,5 @@
 module Simclock = Ilp_netsim.Simclock
+module Xorshift = Ilp_netsim.Xorshift
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module M = Ilp_obs.Metrics
@@ -17,10 +18,8 @@ let c_retries = 1
 let c_reconnects = 2
 let c_resumes = 3
 
-(* End-to-end request latency: from [request_file] (or a re-issue after
-   reconnect) to the moment every copy of the transfer is verified.
-   Only clocked clients observe it — without a Simclock there is no
-   meaningful end-to-end time. *)
+(* End-to-end request latency: from [request_file] to the moment every
+   copy of the transfer is verified. *)
 let m_latency = M.histogram M.default "rpc.latency_us"
 
 type transfer = {
@@ -68,9 +67,9 @@ type reconnect_summary = {
 
 type t = {
   engine : Engine.t;
-  clock : Simclock.t option;
+  clock : Simclock.t;
   retry : retry_policy;
-  prng : int ref;
+  prng : Xorshift.t;  (* retry jitter, seeded at creation *)
   owner : int;  (* Simclock owner tag on the backoff retry timer *)
   use_ids : bool;
   framed : bool;
@@ -101,25 +100,9 @@ let bump t i = t.blk.(i) <- t.blk.(i) + 1
 
 let error t fmt = Printf.ksprintf (fun s -> t.errors <- s :: t.errors) fmt
 
-(* A private xorshift for retry jitter, seeded at creation so runs are
-   reproducible. *)
-let prng_next st =
-  let x = !st in
-  let x = x lxor (x lsl 13) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor (x lsl 17) in
-  let x = x land max_int in
-  st := if x = 0 then 1 else x;
-  !st
-
-let prng_float st = float_of_int (prng_next st land 0xffffff) /. 16777216.0
-
-(* Flight-recorder identity and timestamps: client events are keyed by
-   the control socket's local port; unclocked clients stamp 0. *)
+(* Flight-recorder identity: client events are keyed by the control
+   socket's local port. *)
 let rec_conn t = Socket.local_port t.ctrl
-
-let rec_ts t =
-  match t.clock with Some c -> Simclock.now c | None -> 0.0
 
 let fresh_id t =
   let id = t.next_req_id in
@@ -173,10 +156,10 @@ let issue t p =
    total deadline.  Past either bound the failure becomes typed
    [Server_busy] — never an untyped stall. *)
 let rec schedule_retry t =
-  match (t.clock, t.last_request) with
-  | None, _ | _, None -> t.busy_failed <- true
-  | Some clock, Some p ->
-      let now = Simclock.now clock in
+  match t.last_request with
+  | None -> t.busy_failed <- true
+  | Some p ->
+      let now = Simclock.now t.clock in
       let started =
         match t.first_attempt_at with
         | Some s -> s
@@ -197,10 +180,10 @@ let rec schedule_retry t =
             (t.retry.base_backoff_us
             *. (2.0 ** float_of_int (t.attempts - 1)))
         in
-        let jitter = backoff *. 0.5 *. prng_float t.prng in
+        let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
         t.retry_timer <-
           Some
-            (Simclock.schedule clock ~owner:t.owner ~after:(backoff +. jitter)
+            (Simclock.schedule t.clock ~owner:t.owner ~after:(backoff +. jitter)
                (fun () ->
                  t.retry_timer <- None;
                  if (not t.busy_failed) && t.aborted = None then
@@ -233,22 +216,19 @@ let rec start_resume t ~start_copy ~start_offset =
       | Ok () ->
           bump t c_resumes;
           Recorder.note Trace.Resume ~conn:(rec_conn t) ~arg:start_offset
-            ~ts:(rec_ts t);
+            ~ts:(Simclock.now t.clock);
           Ok ()
       | Error
-          ( Socket.Window_full | Socket.Buffer_full | Socket.Not_established )
-        as e -> (
-          match t.clock with
-          | Some clock ->
-              t.retry_timer <-
-                Some
-                  (Simclock.schedule clock ~owner:t.owner
-                     ~after:t.retry.base_backoff_us (fun () ->
-                       t.retry_timer <- None;
-                       if t.aborted = None then
-                         ignore (start_resume t ~start_copy ~start_offset)));
-              Ok ()
-          | None -> e)
+          (Socket.Window_full | Socket.Buffer_full | Socket.Not_established)
+        ->
+          t.retry_timer <-
+            Some
+              (Simclock.schedule t.clock ~owner:t.owner
+                 ~after:t.retry.base_backoff_us (fun () ->
+                   t.retry_timer <- None;
+                   if t.aborted = None then
+                     ignore (start_resume t ~start_copy ~start_offset)));
+          Ok ()
       | Error Socket.Message_too_big as e ->
           error t "resume request does not fit one segment";
           e)
@@ -320,12 +300,12 @@ let consume_reply t hdr ~data ~doff ~dlen =
                once, against the clock the request was issued under. *)
             let len = String.length tr.expected in
             if tr.received.(copy) = len then
-              match (t.request_started_at, t.clock) with
-              | Some started, Some clock
-                when Array.for_all (fun n -> n = len) tr.received ->
+              match t.request_started_at with
+              | Some started when Array.for_all (fun n -> n = len) tr.received
+                ->
                   t.request_started_at <- None;
                   M.observe m_latency
-                    (int_of_float (Simclock.now clock -. started))
+                    (int_of_float (Simclock.now t.clock -. started))
               | _ -> ()
           end)
 
@@ -366,17 +346,14 @@ let wire_sockets t =
   Socket.set_on_abort t.ctrl record;
   Socket.set_on_abort t.data record
 
-let create ?clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
+let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
     ?(framed = false) ~engine ~ctrl ~data () =
   let t =
     { engine;
       clock;
       retry;
-      prng = ref (((seed * 0x9e3779b1) lxor 0x2545f491) lor 1);
-      owner =
-        (match clock with
-        | Some c -> Simclock.fresh_owner c
-        | None -> Simclock.anonymous);
+      prng = Xorshift.create ((seed * 0x9e3779b1) lxor 0x2545f491);
+      owner = Simclock.fresh_owner clock;
       use_ids = idempotent;
       framed;
       (* Nonzero, and disjoint between clients created with distinct
@@ -413,8 +390,7 @@ let request_file t ~name ~copies ~max_reply ~expected =
   t.awaiting_probe <- false;
   t.resume_target <- None;
   t.cur_req_id <- (if t.use_ids then fresh_id t else 0);
-  t.request_started_at <-
-    (match t.clock with Some c -> Some (Simclock.now c) | None -> None);
+  t.request_started_at <- Some (Simclock.now t.clock);
   issue t p
 
 let reconnect t ~ctrl ~data =
@@ -434,7 +410,7 @@ let reconnect t ~ctrl ~data =
   t.busy_failed <- false;
   bump t c_reconnects;
   Recorder.note Trace.Reconnect ~conn:(rec_conn t) ~arg:t.blk.(c_reconnects)
-    ~ts:(rec_ts t);
+    ~ts:(Simclock.now t.clock);
   let summary resumed_from =
     { resumed_from;
       bytes_verified = t.bytes_received;

@@ -13,9 +13,9 @@
     [Protocol] failure — the transfer never silently stalls as a bare
     [Closed] socket.
 
-    A [Busy] reply from the server is not a terminal failure: given a
-    clock, the client re-issues the request after a jittered exponential
-    backoff, up to [max_attempts] and a total [deadline_us]; past either
+    A [Busy] reply from the server is not a terminal failure: the client
+    re-issues the request after a jittered exponential backoff on its
+    clock, up to [max_attempts] and a total [deadline_us]; past either
     bound the failure becomes [Server_busy].  After an abort the
     application may hand the client a freshly connected socket pair with
     {!reconnect}, which re-issues the outstanding request and restarts the
@@ -44,10 +44,11 @@ type retry_policy = {
   deadline_us : float;  (** total time budget across all retries *)
 }
 
-(** [create ~engine ~ctrl ~data ()] — without [clock], a [Busy] reply is
-    an immediate [Server_busy] failure (no timer to retry on); with it,
-    retries follow [retry] (default: 8 attempts, 500 us doubling to a
-    50 ms ceiling, 5 s total).  [seed] (default 1) drives the jitter and the
+(** [create ~clock ~engine ~ctrl ~data ()] — [clock] runs the backoff
+    retry and resume timers and stamps the request latency and the
+    flight-recorder notes.  Retries follow [retry] (default: 8 attempts,
+    500 us doubling to a 50 ms ceiling, 5 s total).  [seed] (default 1)
+    drives the jitter and the
     idempotency-id space (clients sharing a server need distinct seeds).
     [idempotent] (default false) stamps every request with a fresh
     idempotency id so a restarted server's dedup cache can answer
@@ -62,7 +63,7 @@ type retry_policy = {
     out-of-order segments at their final TSDU offset.  Off, every wire
     byte is identical to the unframed protocol. *)
 val create :
-  ?clock:Ilp_netsim.Simclock.t ->
+  clock:Ilp_netsim.Simclock.t ->
   ?retry:retry_policy ->
   ?seed:int ->
   ?idempotent:bool ->
@@ -140,8 +141,7 @@ val reconnects : t -> int
 val resumes : t -> int
 
 (** The {!Ilp_netsim.Simclock} owner id tagging the client's backoff
-    retry timer ([Simclock.anonymous] when created without a clock) —
-    pending count must be 0 after an abort or reconnect. *)
+    retry timer — pending count must be 0 after an abort or reconnect. *)
 val timer_owner : t -> int
 
 (** [Busy] replies received (each either triggers a backoff retry or, past

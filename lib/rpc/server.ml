@@ -93,6 +93,10 @@ let default_limits =
     max_total_queue_bytes = 1024 * 1024;
     max_request_age_us = 60_000_000.0 }
 
+(* A connection whose reply TCP refused retries its drain this many
+   microseconds later. *)
+let retry_us = 150.0
+
 type conn = {
   id : int;
   ctrl : Socket.t;
@@ -117,7 +121,6 @@ type conn = {
    [dedup_cap] ids. *)
 type store = {
   s_files : (string, file) Hashtbl.t;
-  dedup_cap : int;
   dedup : (int, Messages.status) Hashtbl.t;
   dedup_order : int Queue.t;
   s_blk : int array;
@@ -125,10 +128,10 @@ type store = {
   mutable dedup_sheds : int;  (* id-carrying requests shed, not cached *)
 }
 
-let create_store ?(dedup_cap = 1024) () =
-  if dedup_cap < 1 then invalid_arg "Server.create_store: dedup_cap must be >= 1";
+let dedup_cap = 1024
+
+let create_store () =
   { s_files = Hashtbl.create 4;
-    dedup_cap;
     dedup = Hashtbl.create 64;
     dedup_order = Queue.create ();
     s_blk = M.block store_family;
@@ -140,7 +143,7 @@ let create_store ?(dedup_cap = 1024) () =
    the same id must be free to succeed. *)
 let store_cache_put st ~req_id status =
   if not (Hashtbl.mem st.dedup req_id) then begin
-    if Queue.length st.dedup_order >= st.dedup_cap then begin
+    if Queue.length st.dedup_order >= dedup_cap then begin
       let evicted = Queue.pop st.dedup_order in
       Hashtbl.remove st.dedup evicted
     end;
@@ -151,7 +154,6 @@ let store_cache_put st ~req_id status =
 type t = {
   clock : Simclock.t;
   engine : Engine.t;
-  retry_us : float;
   limits : limits;
   owner : int;  (* Simclock owner tag on every drain timer *)
   store : store;
@@ -333,7 +335,7 @@ and reschedule t conn =
   conn.draining <- true;
   conn.drain_timer <-
     Some
-      (Simclock.schedule t.clock ~owner:t.owner ~after:t.retry_us (fun () ->
+      (Simclock.schedule t.clock ~owner:t.owner ~after:retry_us (fun () ->
            drain t conn))
 
 let kick t conn = if not conn.draining then drain t conn
@@ -506,11 +508,10 @@ let handle_request t conn ~len =
       | Messages.Probe p -> handle_probe t conn p
       | Messages.Request req -> handle_req t conn req)
 
-let create ~clock ~engine ?(retry_us = 150.0) ?(limits = default_limits)
-    ?(store = create_store ()) () =
+let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
+    () =
   { clock;
     engine;
-    retry_us;
     limits;
     owner = Simclock.fresh_owner clock;
     store;
@@ -567,7 +568,6 @@ let queued_bytes t = t.total_queued_bytes
 let peak_queued_bytes t = t.peak_queued_bytes
 let replies_sent t = t.blk.(c_replies_sent)
 let replies_abandoned t = t.blk.(c_replies_abandoned)
-let statuses_abandoned t = t.blk.(c_statuses_abandoned)
 let requests_received t = t.blk.(c_requests_received)
 let probes_received t = t.blk.(c_probes)
 let timer_owner t = t.owner

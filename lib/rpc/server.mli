@@ -61,9 +61,9 @@ val default_limits : limits
 
 type store
 
-(** [create_store ()] — [dedup_cap] (default 1024, must be >= 1) bounds
-    the dedup cache; eviction is FIFO by insertion. *)
-val create_store : ?dedup_cap:int -> unit -> store
+(** [create_store ()] — the dedup cache holds the last 1024 ids;
+    eviction is FIFO by insertion. *)
+val create_store : unit -> store
 
 (** Replays answered from the dedup cache. *)
 val dedup_hits : store -> int
@@ -81,14 +81,13 @@ val id_requests_seen : store -> int
     instant: [executions + dedup_hits + dedup_sheds = id_requests_seen]. *)
 val dedup_sheds : store -> int
 
-(** [create ~clock ~engine ()] builds a server with no connections;
-    [retry_us] (default 150) is the per-connection back-pressure retry
-    interval.  [store] (fresh by default) carries the crash-surviving
+(** [create ~clock ~engine ()] builds a server with no connections.  A
+    connection whose reply TCP refuses (back-pressure) retries its drain
+    150 us later.  [store] (fresh by default) carries the crash-surviving
     state; pass a previous instance's store to model a restart. *)
 val create :
   clock:Ilp_netsim.Simclock.t ->
   engine:Ilp_core.Engine.t ->
-  ?retry_us:float ->
   ?limits:limits ->
   ?store:store ->
   unit ->
@@ -99,7 +98,8 @@ val create :
 val store : t -> store
 
 (** Node crash: every connection dies with the process — queues
-    abandoned (counted in {!replies_abandoned} / {!statuses_abandoned}),
+    abandoned (counted in {!replies_abandoned} and the registry's
+    [rpc.statuses_abandoned]),
     drain timers cancelled.  The sockets themselves belong to the
     harness, which destroys them separately. *)
 val shutdown : t -> unit
@@ -140,13 +140,9 @@ val replies_sent : t -> int
 
 (** Replies discarded because their connection died (aborted or closed)
     before they could be sent; the drain loop stops instead of retrying
-    forever. *)
+    forever.  Status-only replies (Busy, Refused, Not_found) discarded
+    the same way count in the registry's [rpc.statuses_abandoned]. *)
 val replies_abandoned : t -> int
-
-(** Status-only replies (Busy, Refused, Not_found) discarded the same
-    way — a shed whose typed answer never reached the client because the
-    connection itself died first. *)
-val statuses_abandoned : t -> int
 
 val requests_received : t -> int
 

@@ -2,7 +2,6 @@ let dupthresh = 3
 
 type t = {
   mss : int;
-  enabled : bool;
   mutable cwnd : int;
   mutable ssthresh : int;
   (* RFC 3465 byte counting: bytes acknowledged in congestion avoidance
@@ -15,24 +14,21 @@ type t = {
   mutable recover : int;
 }
 
-let create ~mss ~enabled =
-  { mss; enabled; cwnd = 2 * mss; ssthresh = 64 * 1024; acked = 0;
+let create ~mss =
+  { mss; cwnd = 2 * mss; ssthresh = 64 * 1024; acked = 0;
     dupacks = 0; in_recovery = false; recover = 0 }
 
 let cwnd t = t.cwnd
 let ssthresh t = t.ssthresh
-let window t = if t.enabled then t.cwnd else max_int
 let in_recovery t = t.in_recovery
 
 let loss t ~in_flight ~timeout =
-  if t.enabled then begin
-    t.ssthresh <- max (in_flight / 2) (2 * t.mss);
-    t.cwnd <- (if timeout then t.mss else t.ssthresh)
-  end
+  t.ssthresh <- max (in_flight / 2) (2 * t.mss);
+  t.cwnd <- (if timeout then t.mss else t.ssthresh)
 
 let ack t ~acked =
   t.dupacks <- 0;
-  if t.in_recovery || not t.enabled then false
+  if t.in_recovery then false
   else begin
     if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + min acked t.mss
     else begin
@@ -53,7 +49,7 @@ let dupack t ~threshold ~outstanding =
   else if t.in_recovery && t.dupacks > threshold then begin
     (* Each outstanding segment can produce at most one duplicate ack;
        any beyond that is forgery or wire duplication and earns nothing. *)
-    let inflate = t.enabled && t.dupacks <= outstanding in
+    let inflate = t.dupacks <= outstanding in
     if inflate then t.cwnd <- t.cwnd + t.mss;
     Recovering inflate
   end
@@ -65,23 +61,21 @@ let fast_loss t ~recover ~in_flight =
   loss t ~in_flight ~timeout:false;
   (* The threshold duplicate acks witness segments that left the network
      (RFC 5681 step 3.2). *)
-  if t.enabled then t.cwnd <- t.cwnd + (dupthresh * t.mss);
-  t.enabled
+  t.cwnd <- t.cwnd + (dupthresh * t.mss)
 
 let timeout t ~in_flight =
   t.in_recovery <- false;
   t.dupacks <- 0;
-  loss t ~in_flight ~timeout:true;
-  t.enabled
+  loss t ~in_flight ~timeout:true
 
-type recovery = Not_recovering | Partial_ack | Full_ack of bool
+type recovery = Not_recovering | Partial_ack | Full_ack
 
 let recovery_ack t ~ack =
   if not t.in_recovery then Not_recovering
   else if ack >= t.recover then begin
     t.in_recovery <- false;
-    if t.enabled then t.cwnd <- t.ssthresh;
-    Full_ack t.enabled
+    t.cwnd <- t.ssthresh;
+    Full_ack
   end
   else Partial_ack
 

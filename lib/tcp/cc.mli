@@ -4,11 +4,11 @@
 
     Pure state: no clock, memory or telemetry.  The caller passes in what
     it measured (bytes in flight, segments outstanding, the cumulative
-    ack) and acts on the verdicts.  Every transition that recomputes
-    cwnd or ssthresh returns [true] so the caller can republish them;
-    with congestion control off the window is never recomputed and
-    {!window} is unbounded, so this module is the only place that
-    setting is consulted.
+    ack) and acts on the verdicts.  A loss ({!fast_loss}, {!timeout})
+    and a full ack always recompute the window; {!ack} and {!dupack} say
+    whether they did, so the caller can republish cwnd and ssthresh.
+    Congestion control is always on: cwnd caps what is in flight beside
+    the peer's window.
 
     Where this stack departs from the RFCs: a partial ack does not
     deflate cwnd, and each duplicate ack in recovery inflates cwnd only
@@ -24,21 +24,20 @@ type t
 val dupthresh : int
 
 (** Initial cwnd 2 MSS, ssthresh 64 KiB, not in recovery. *)
-val create : mss:int -> enabled:bool -> t
+val create : mss:int -> t
 
+(** The congestion cap on bytes in flight. *)
 val cwnd : t -> int
-val ssthresh : t -> int
 
-(** The congestion cap on bytes in flight: cwnd, or [max_int] when
-    congestion control is off. *)
-val window : t -> int
+val ssthresh : t -> int
 
 val in_recovery : t -> bool
 
 (** [ack t ~acked] — a new cumulative ack retired [acked] bytes.  Clears
     the duplicate count; outside recovery grows cwnd by [min acked mss]
     in slow start, or one MSS per cwnd bytes retired in congestion
-    avoidance, so dividing an ack earns nothing extra. *)
+    avoidance, so dividing an ack earns nothing extra.  [false] in
+    recovery, where the window is left alone. *)
 val ack : t -> acked:int -> bool
 
 (** What a duplicate ack means: [Threshold] — the count just reached
@@ -55,17 +54,17 @@ val dupack : t -> threshold:int -> outstanding:int -> dupack
 (** [fast_loss t ~recover ~in_flight] enters fast recovery until
     [recover] is acknowledged: ssthresh = max (in_flight / 2) (2 MSS),
     cwnd = ssthresh + {!dupthresh} MSS. *)
-val fast_loss : t -> recover:int -> in_flight:int -> bool
+val fast_loss : t -> recover:int -> in_flight:int -> unit
 
 (** [timeout t ~in_flight] — the retransmission timer fired: leave
     recovery, clear the duplicate count, ssthresh = max (in_flight / 2)
     (2 MSS), cwnd = 1 MSS. *)
-val timeout : t -> in_flight:int -> bool
+val timeout : t -> in_flight:int -> unit
 
 (** Where a new cumulative ack leaves recovery: [Partial_ack] — still
-    below [recover], the next hole is lost too; [Full_ack deflated] —
-    recovery over, cwnd set to ssthresh ([deflated] when recomputed). *)
-type recovery = Not_recovering | Partial_ack | Full_ack of bool
+    below [recover], the next hole is lost too; [Full_ack] — recovery
+    over, cwnd set to ssthresh. *)
+type recovery = Not_recovering | Partial_ack | Full_ack
 
 val recovery_ack : t -> ack:int -> recovery
 

@@ -50,9 +50,7 @@ type config = {
   recv_window : int;
   rto_initial_us : float;
   rto_min_us : float;
-  congestion_control : bool;
   sack : bool;
-  ooo_slots : int;
   stall_deadline_us : float;
 }
 
@@ -62,9 +60,7 @@ let default_config =
     recv_window = 16 * 1024;
     rto_initial_us = 3_000.0;
     rto_min_us = 1_000.0;
-    congestion_control = true;
     sack = true;
-    ooo_slots = 0;
     stall_deadline_us = 3_000_000.0 }
 
 let rto_max_us = 4_000_000.0
@@ -346,15 +342,10 @@ type t = {
 
 let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
   let seg_max = max Tcp_header.max_wire_size (Tcp_header.size + cfg.mss) in
-  (* ooo_slots = 0 (the default) auto-sizes the stash to cover a full
-     receive window of MSS segments plus reordering slack: PR 6 found
-     that a fixed 8-slot stash under a 45-segment window serializes loss
-     recovery into one segment per RTT.  An explicit positive value is
-     honoured unchanged. *)
-  let ooo_slots =
-    if cfg.ooo_slots > 0 then cfg.ooo_slots
-    else max 8 (((cfg.recv_window + cfg.mss - 1) / cfg.mss) + 4)
-  in
+  (* The stash covers a full receive window of MSS segments plus
+     reordering slack: a fixed 8-slot stash under a 45-segment window
+     serializes loss recovery into one segment per RTT. *)
+  let ooo_slots = max 8 (((cfg.recv_window + cfg.mss - 1) / cfg.mss) + 4) in
   let ring = Ring.create sim ~size:cfg.send_buffer in
   let hdr_area = Alloc.alloc sim.alloc ~align:8 Tcp_header.max_wire_size in
   let tx_kernel = Alloc.alloc sim.alloc ~align:64 seg_max in
@@ -394,7 +385,7 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     peer_window = 0;
     adv_window = cfg.recv_window;
     sb = Scoreboard.create ~sack:cfg.sack;
-    cc = Cc.create ~mss:cfg.mss ~enabled:cfg.congestion_control;
+    cc = Cc.create ~mss:cfg.mss;
     reasm = Reasm.create ~slots:ooo_slots ~window:cfg.recv_window ~sack:cfg.sack;
     streams = Queue.create ();
     rto_timer = None;
@@ -450,7 +441,7 @@ let peer_window t = t.peer_window
    must never go negative (it would otherwise invite a negative-length
    segment or an exception downstream). *)
 let send_window_space t =
-  max 0 (min t.peer_window (Cc.window t.cc) - bytes_in_flight t)
+  max 0 (min t.peer_window (Cc.cwnd t.cc) - bytes_in_flight t)
 
 let set_advertised_window t w =
   t.adv_window <- max 0 (min w t.cfg.recv_window)
@@ -941,7 +932,8 @@ and on_rto t =
            the cumulative ack alone, and any fast recovery in progress
            is abandoned for slow start. *)
         Scoreboard.renege t.sb;
-        if Cc.timeout t.cc ~in_flight:(bytes_in_flight t) then set_cc_gauges t;
+        Cc.timeout t.cc ~in_flight:(bytes_in_flight t);
+        set_cc_gauges t;
         Rto.backoff t.rto;
         retransmit_seg t seg;
         arm_rto t
@@ -965,7 +957,7 @@ let sack_retransmit_holes t =
       | Some s -> 1.5 *. s
       | None -> Rto.timeout_us t.rto /. 2.0
     in
-    Scoreboard.iter_holes t.sb ~cap:(Cc.window t.cc)
+    Scoreboard.iter_holes t.sb ~cap:(Cc.cwnd t.cc)
       ~now:(Simclock.now t.clock) ~retry_after (fun seg ->
         bump t c_sack_retransmits 1;
         note t Trace.Sack_retransmit ~arg:seg.seq;
@@ -1376,10 +1368,9 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
         | Some seg ->
             bump t c_fast_retransmits 1;
             note t Trace.Fast_retransmit ~arg:seg.seq;
-            if
-              Cc.fast_loss t.cc ~recover:t.snd_nxt
-                ~in_flight:(bytes_in_flight t)
-            then set_cc_gauges t;
+            Cc.fast_loss t.cc ~recover:t.snd_nxt
+              ~in_flight:(bytes_in_flight t);
+            set_cc_gauges t;
             resend_hole t seg;
             (* With SACK information, every hole the scoreboard can already
                infer goes out in the same recovery round — this is the
@@ -1417,9 +1408,9 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
     t.snd_una <- max t.snd_una h.ack;
     (match Cc.recovery_ack t.cc ~ack:h.ack with
     | Cc.Not_recovering -> ()
-    | Cc.Full_ack deflated ->
+    | Cc.Full_ack ->
         Scoreboard.clear_resent t.sb;
-        if deflated then set_cc_gauges t
+        set_cc_gauges t
     | Cc.Partial_ack ->
         (* The next hole is known lost — retransmit it immediately
            instead of waiting for more duplicates, then fill any further

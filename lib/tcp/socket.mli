@@ -66,7 +66,15 @@ val state_to_string : state -> string
     ops for the data / short control path, 4-byte system-copy accesses,
     a duplicate-ack threshold of {!Cc.dupthresh}, persist probes from
     5 ms doubling to 320 ms, and 8 queued {!send_stream} TSDUs.  Every
-    data segment is acknowledged immediately, as in the paper's TCP. *)
+    data segment is acknowledged immediately, as in the paper's TCP.
+
+    Congestion control ({!Cc}) is always on: the paper's loopback
+    experiments are never congestion-limited, but a stack that streams
+    over lossy links needs it, so cwnd caps what is in flight beside the
+    peer's window.  The out-of-order stash holds
+    [max 8 (recv_window/mss + 4)] segments, a full receive window plus
+    reordering slack; an in-window segment beyond it is dropped and
+    recovered by retransmission ({!ooo_capacity}). *)
 type config = {
   mss : int;  (** maximum payload bytes per segment *)
   send_buffer : int;  (** retransmission ring size in bytes *)
@@ -75,12 +83,6 @@ type config = {
           it to be held *)
   rto_initial_us : float;  (** RTO before the first RTT sample *)
   rto_min_us : float;  (** RTO floor *)
-  congestion_control : bool;
-      (** RFC 5681-style slow start / congestion avoidance / fast
-          recovery on the sender ({!Cc}; on by default — the paper's
-          loopback experiments are never congestion-limited, but a
-          production stack needs it).  Off, only the peer's window
-          limits what is in flight *)
   sack : bool;
       (** selective acknowledgements (RFC 2018/3517), on by default: the
           receiver reports its held out-of-order segments as SACK blocks
@@ -91,15 +93,6 @@ type config = {
           with this on or off.  Data segments never carry options (the
           paper's fixed-header ILP precondition); a data segment
           arriving with options is dropped as [Bad_header]. *)
-  ooo_slots : int;
-      (** out-of-order stash capacity in segments.  0 (the default)
-          auto-sizes to cover a full receive window of MSS segments plus
-          reordering slack, [max 8 (recv_window/mss + 4)]; an explicit
-          positive value is honoured unchanged.  In-window segments
-          beyond the stash are dropped (and recovered by
-          retransmission), so an undersized stash degrades a multi-loss
-          flight into serial per-RTT recovery — the failure mode the
-          auto default exists to prevent *)
   stall_deadline_us : float;
       (** a peer window stalled (too small for the pending message) for
           this long aborts the connection with {!Peer_stalled} *)
@@ -407,8 +400,8 @@ type stats = {
 
 val stats : t -> stats
 
-(** Resolved out-of-order stash capacity in segments (after the
-    [ooo_slots = 0] auto-sizing rule). *)
+(** Out-of-order stash capacity in segments,
+    [max 8 (recv_window/mss + 4)]. *)
 val ooo_capacity : t -> int
 
 (** Cycles spent in the send-side system copy (user to kernel boundary)

@@ -232,7 +232,8 @@ let test_des_much_slower_than_simplified () =
 
 (* ------------------------------------------------------------------ *)
 (* Data path: at the application level the single-copy pooled path must
-   deliver every byte and leak nothing, also when the wire misbehaves. *)
+   deliver every byte and leak nothing, also when the wire misbehaves
+   (and, in "world", when the pool recycles nothing). *)
 
 let test_data_path_pooled_under_chaos () =
   let imp =
@@ -250,18 +251,6 @@ let test_data_path_pooled_under_chaos () =
   checkb "chaos actually bit (retransmissions)" true (r.Ft.retransmissions > 0);
   check "all payload delivered under chaos" (2 * 15 * 1024) r.Ft.payload_bytes;
   check "no leaks under chaos" 0 r.Ft.pool_leaks
-
-let test_data_path_pool_exhaustion_end_to_end () =
-  (* A cap-0 shared pool recycles nothing: every acquire falls back to a
-     fresh allocation, and the transfer must neither fail nor leak. *)
-  let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
-  let r = run { (small_setup ~copies:1 ()) with Ft.pool = Some pool } in
-  check "all payload delivered on fallback" (15 * 1024) r.Ft.payload_bytes;
-  let s = Ilp_fastpath.Pool.stats pool in
-  checkb "fallback allocated fresh" true (s.Ilp_fastpath.Pool.fresh_allocs > 0);
-  checkb "nothing recycled at cap 0" true
-    (s.Ilp_fastpath.Pool.fresh_allocs = s.Ilp_fastpath.Pool.acquired);
-  check "shared pool balanced" 0 (Ilp_fastpath.Pool.outstanding pool)
 
 (* ------------------------------------------------------------------ *)
 (* The v2 ("Reverso") framed receive: negotiated end-to-end, byte-exact,
@@ -437,7 +426,7 @@ let soak_smoke cfg =
 
 let test_soak_smoke () =
   let cfg =
-    { Soak.default_config with Soak.iterations = 48; file_len = 256; max_reply = 128 }
+    { Soak.default_config with Soak.iterations = 48; file_len = 512 }
   in
   let o = soak_smoke cfg in
   checkb "chaos actually bit" true
@@ -446,7 +435,7 @@ let test_soak_smoke () =
 
 let test_soak_deterministic () =
   let cfg =
-    { Soak.default_config with Soak.iterations = 16; file_len = 256; max_reply = 128 }
+    { Soak.default_config with Soak.iterations = 16; file_len = 512 }
   in
   let o1 = soak_smoke cfg in
   let o2 = soak_smoke cfg in
@@ -731,6 +720,24 @@ let test_world_pool_audit () =
   check "pool_leaks destroys every engine, then the pool balances" 0
     (World.pool_leaks w)
 
+let test_world_pool_exhaustion () =
+  (* A cap-0 shared pool recycles nothing: every acquire falls back to a
+     fresh allocation, and the transfer must neither fail nor leak. *)
+  let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
+  let w = plain_world ~pool () in
+  let _, _, client, file = served w ~base:40 in
+  Simclock.run_until_idle (World.clock w);
+  fetch w client file;
+  Alcotest.check verdict_t "transfer complete on fallback" World.Complete
+    (World.verdict client);
+  check "all payload delivered on fallback" (String.length file)
+    (Rpc_client.bytes_received client);
+  let s = Ilp_fastpath.Pool.stats pool in
+  checkb "fallback allocated fresh" true (s.Ilp_fastpath.Pool.fresh_allocs > 0);
+  checkb "nothing recycled at cap 0" true
+    (s.Ilp_fastpath.Pool.fresh_allocs = s.Ilp_fastpath.Pool.acquired);
+  check "shared pool balanced" 0 (World.pool_leaks w)
+
 let () =
   Alcotest.run "app"
     [ ( "workload",
@@ -742,7 +749,9 @@ let () =
           Alcotest.test_case "verdict sees the server control socket" `Quick
             test_world_verdict_ctrl_abort;
           Alcotest.test_case "silent stall" `Quick test_silent_stall;
-          Alcotest.test_case "pool audit" `Quick test_world_pool_audit ] );
+          Alcotest.test_case "pool audit" `Quick test_world_pool_audit;
+          Alcotest.test_case "pool exhaustion fallback" `Quick
+            test_world_pool_exhaustion ] );
       ( "end-to-end",
         [ Alcotest.test_case "cipher x mode matrix" `Slow test_matrix;
           Alcotest.test_case "native backend end-to-end" `Quick
@@ -773,9 +782,7 @@ let () =
           Alcotest.test_case "DES dominates" `Quick test_des_much_slower_than_simplified ] );
       ( "data path",
         [ Alcotest.test_case "pooled transfer under chaos" `Quick
-            test_data_path_pooled_under_chaos;
-          Alcotest.test_case "pool exhaustion fallback end to end" `Quick
-            test_data_path_pool_exhaustion_end_to_end ] );
+            test_data_path_pooled_under_chaos ] );
       ( "framed receive",
         [ Alcotest.test_case "framed transfer matrix" `Quick
             test_framed_transfer_matrix;

@@ -116,7 +116,7 @@ let test_regress_identical_passes () =
   let j = stream_json ~gate:40.0 ~goodput:100.0 in
   write_file base "BENCH_stream.json" j;
   write_file cur "BENCH_stream.json" j;
-  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error e -> Alcotest.fail e
   | Ok r ->
       checkb "identical dirs pass" true (B.Regress.passed r);
@@ -131,7 +131,7 @@ let test_regress_detects_regression () =
   write_file base "BENCH_stream.json" (stream_json ~gate:40.0 ~goodput:100.0);
   (* goodput down 50% blows the 10% band; gate_ratio UP is fine. *)
   write_file cur "BENCH_stream.json" (stream_json ~gate:44.0 ~goodput:50.0);
-  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error e -> Alcotest.fail e
   | Ok r ->
       checkb "regression fails the run" false (B.Regress.passed r);
@@ -147,20 +147,20 @@ let test_regress_within_band_passes () =
   let base = temp_dir "regress_base" and cur = temp_dir "regress_cur" in
   write_file base "BENCH_stream.json" (stream_json ~gate:40.0 ~goodput:100.0);
   write_file cur "BENCH_stream.json" (stream_json ~gate:38.0 ~goodput:95.0);
-  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error e -> Alcotest.fail e
   | Ok r -> checkb "5% dip within the 10% band" true (B.Regress.passed r)
 
 let test_regress_missing_current () =
   let base = temp_dir "regress_base" and cur = temp_dir "regress_cur" in
   write_file base "BENCH_stream.json" (stream_json ~gate:40.0 ~goodput:100.0);
-  (match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  (match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing current file must be a hard error");
   (* A baseline indicator silently dropped from the current run is a
      regression, not a pass. *)
   write_file cur "BENCH_stream.json" {|{ "gate_ratio": 40.0, "points": [] }|};
-  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error e -> Alcotest.fail e
   | Ok r ->
       checkb "dropped indicator fails the run" false (B.Regress.passed r);
@@ -180,7 +180,7 @@ let test_regress_sack_file_self_compare () =
   in
   write_file base "BENCH_stream.json" j;
   write_file cur "BENCH_stream.json" j;
-  match B.Regress.run ~baseline_dir:base ~current_dir:cur () with
+  match B.Regress.run ~baseline_dir:base ~current_dir:cur with
   | Error e -> Alcotest.fail e
   | Ok r ->
       checkb "a --sack file passes against itself" true (B.Regress.passed r);
@@ -268,7 +268,7 @@ let test_regress_mem_self_and_band () =
     let base = temp_dir "regress_base" and dir = temp_dir "regress_cur" in
     write_file base "BENCH_mem.json" (B.Memtrace.to_json r);
     write_file dir "BENCH_mem.json" (B.Memtrace.to_json cur);
-    match B.Regress.run ~baseline_dir:base ~current_dir:dir () with
+    match B.Regress.run ~baseline_dir:base ~current_dir:dir with
     | Error e -> Alcotest.fail e
     | Ok rep -> rep
   in

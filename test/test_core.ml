@@ -139,7 +139,7 @@ let prop_word_filter_preserves_stream =
 let test_parts_paper_layout () =
   (* A 20-byte marshalled body behind the 4-byte length field: 24 bytes
      total, no alignment needed. *)
-  let p = Parts.plan ~body_len:20 () in
+  let p = Parts.plan ~block_len:8 ~body_len:20 in
   check "total" 24 p.Parts.total;
   check "alignment" 0 p.Parts.alignment;
   check "alpha" 4 p.Parts.alpha;
@@ -151,14 +151,14 @@ let test_parts_paper_layout () =
   check "length field" 24 (Parts.length_field p)
 
 let test_parts_tiny_message () =
-  let p = Parts.plan ~body_len:2 () in
+  let p = Parts.plan ~block_len:8 ~body_len:2 in
   check "one block" 8 p.Parts.total;
   checkb "B empty" true (snd (Parts.part_b p) = 0);
   checkb "C empty" true (snd (Parts.part_c p) = 0);
   checkb "A covers all" true (Parts.part_a p = (0, 8))
 
 let test_parts_order () =
-  let p = Parts.plan ~body_len:100 () in
+  let p = Parts.plan ~block_len:8 ~body_len:100 in
   match Parts.in_processing_order p with
   | [ ("B", _); ("C", _); ("A", _) ] -> ()
   | _ -> Alcotest.fail "processing order must be B, C, A"
@@ -167,7 +167,7 @@ let prop_parts_partition =
   QCheck.Test.make ~count:300 ~name:"parts A, B, C tile the message exactly"
     QCheck.(int_range 0 4000)
     (fun body_len ->
-      let p = Parts.plan ~body_len () in
+      let p = Parts.plan ~block_len:8 ~body_len in
       let a_off, a_len = Parts.part_a p in
       let b_off, b_len = Parts.part_b p in
       let c_off, c_len = Parts.part_c p in

@@ -215,11 +215,10 @@ let copy_handler ~area ~len:area_len =
       end)
 
 let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 11)
-    ?(mss = 1024) ?(congestion_control = true)
+    ?(mss = 1024)
     ?(sack = Socket.default_config.Socket.sack)
     ?(send_buffer = Socket.default_config.Socket.send_buffer)
-    ?(recv_window = Socket.default_config.Socket.recv_window)
-    ?(ooo_slots = Socket.default_config.Socket.ooo_slots) ?rx_area
+    ?(recv_window = Socket.default_config.Socket.recv_window) ?rx_area
     ?(rx_handler = true) ?tamper ?(mangle = fun _ s -> s) () =
   (* [mangle n] rewrites the nth datagram's payload, then [tamper] (a
      lying NIC) sees the result; both run as the link's tamper hook, and
@@ -239,18 +238,19 @@ let make_world ?(loss_rate = 0.0) ?(jitter_us = 0.0) ?(dup_rate = 0.0) ?(seed = 
   in
   let w =
     Ilp_app.World.create (Config.custom ()) ~link:(fun clock ~deliver ->
-        Link.create clock ~delay_us:25.0 ~loss_rate ~jitter_us ~dup_rate ~seed
-          ~tamper ~deliver ())
+        Link.create clock ~seed ~tamper ~deliver
+          ~impairments:
+            { Link.fault_free with
+              Link.delay_us = 25.0; loss_rate; jitter_us; dup_rate }
+          ())
   in
   let sim = Ilp_app.World.sim w in
   let cfg =
     { Socket.default_config with
       mss;
-      congestion_control;
       sack;
       send_buffer;
-      recv_window;
-      ooo_slots
+      recv_window
     }
   in
   let a = Ilp_app.World.socket w cfg ~port:100 in
@@ -486,11 +486,28 @@ let test_send_errors () =
   checkb "too big" true
     (Socket.send_message w.a ~len:1000 ~fill = Error Socket.Message_too_big)
 
+(* Slow start: [len]-byte messages, each acknowledged before the next,
+   grow cwnd by up to one MSS each until it reaches [cwnd] — so a test
+   about the ring or the peer window has congestion control out of its
+   way. *)
+let open_cwnd w ~len ~cwnd =
+  let fill m ~dst ~off:_ ~len =
+    Mem.poke_string m ~pos:dst (String.make len 'o');
+    None
+  in
+  while Socket.congestion_window w.a < cwnd do
+    (match Socket.send_message w.a ~len ~fill with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "warmup send refused");
+    Simclock.run_until_idle w.clock
+  done
+
 let test_backpressure () =
-  (* Congestion control off: this test targets the ring and the peer
-     window. *)
-  let w = make_world ~congestion_control:false () in
+  (* This test targets the ring and the peer window: cwnd is opened past
+     both first. *)
+  let w = make_world () in
   connect w;
+  open_cwnd w ~len:1000 ~cwnd:(16 * 1024);
   (* Fill the window/ring without ever advancing the clock: acks cannot
      arrive, so sends must eventually refuse. *)
   let sent = ref 0 in
@@ -622,9 +639,11 @@ let test_congestion_window_dynamics () =
 
 let test_window_never_exceeded () =
   (* The sender must never have more unacknowledged payload in flight than
-     the peer's advertised window, sampled at every send attempt. *)
-  let w = make_world ~congestion_control:false () in
+     the peer's advertised window, sampled at every send attempt.  cwnd
+     is opened past that window first, so the window is what binds. *)
+  let w = make_world () in
   connect w;
+  open_cwnd w ~len:900 ~cwnd:(16 * 1024);
   let got = Buffer.create 64 in
   collect_into w got;
   let violations = ref 0 in
@@ -756,9 +775,11 @@ let test_persist_stall_deadline_aborts () =
 let test_window_shrink_below_in_flight () =
   (* Regression: a peer that shrinks its advertised window below what is
      already in flight must never drive the usable window negative (which
-     used to offer negative-length segments to the wire). *)
-  let w = make_world ~mss:512 ~congestion_control:false () in
+     used to offer negative-length segments to the wire).  cwnd is
+     opened first, so all eight segments go out at once. *)
+  let w = make_world ~mss:512 () in
   connect w;
+  open_cwnd w ~len:512 ~cwnd:(8 * 512);
   let got = Buffer.create 4096 in
   collect_into w got;
   let chunks =
@@ -913,8 +934,7 @@ let test_stream_impaired_delivery () =
   List.iter
     (fun (loss_rate, jitter_us, dup_rate, seed) ->
       let w =
-        make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~rx_area:8192
-          ~ooo_slots:16 ()
+        make_world ~loss_rate ~jitter_us ~dup_rate ~seed ~rx_area:8192 ()
       in
       connect w;
       if Socket.state w.a = Socket.Established then begin
@@ -937,7 +957,7 @@ let test_stream_impaired_delivery () =
 let test_stream_reorder_uses_stash () =
   (* Heavy jitter reorders segments; the out-of-order stash must absorb
      them and reassembly must still be exact. *)
-  let w = make_world ~jitter_us:2000.0 ~seed:77 ~rx_area:16_384 ~ooo_slots:16 () in
+  let w = make_world ~jitter_us:2000.0 ~seed:77 ~rx_area:16_384 () in
   connect w;
   let got = Buffer.create 16_384 in
   collect_into w got;
@@ -965,7 +985,7 @@ let test_stream_fast_recovery () =
     end
     else s
   in
-  let w = make_world ~mangle ~rx_area:32_768 ~ooo_slots:16 () in
+  let w = make_world ~mangle ~rx_area:32_768 () in
   connect w;
   let got = Buffer.create 32_768 in
   collect_into w got;
@@ -1300,13 +1320,10 @@ let test_sack_option_malformed_rejected () =
     (match Tcp_header.of_string s ~pos:0 with Ok h' -> h' = h | Error _ -> false)
 
 let test_ooo_autosize () =
-  (* ooo_slots = 0 (the default) sizes the stash to a full window of MSS
-     segments plus slack; an explicit value is honoured; tiny windows
-     keep the floor of 8. *)
+  (* The stash holds a full window of MSS segments plus slack; tiny
+     windows keep the floor of 8. *)
   let w = make_world () in
   check "auto: recv_window/mss + 4" ((16 * 1024 / 1024) + 4) (Socket.ooo_capacity w.a);
-  let w2 = make_world ~ooo_slots:16 () in
-  check "explicit value honoured" 16 (Socket.ooo_capacity w2.a);
   let w3 = make_world ~mss:8192 () in
   check "floor of 8 segments" 8 (Socket.ooo_capacity w3.a)
 
@@ -1923,11 +1940,7 @@ let xor_key = 0x5a
 
 let framed_world ?(jitter_us = 0.0) ?(seed = 11) ?(mss = 256)
     ?(send_buffer = Socket.default_config.Socket.send_buffer) ?mangle () =
-  let w =
-    match mangle with
-    | Some m -> make_world ~jitter_us ~seed ~mss ~send_buffer ~ooo_slots:16 ~mangle:m ()
-    | None -> make_world ~jitter_us ~seed ~mss ~send_buffer ~ooo_slots:16 ()
-  in
+  let w = make_world ~jitter_us ~seed ~mss ~send_buffer ?mangle () in
   let app = Alloc.alloc w.sim.Sim.alloc 65536 in
   let handler m ~src ~dst_off ~len =
     if dst_off + len > 65536 then Error "overflow"
@@ -2219,7 +2232,7 @@ let sb_model_holes m ~cap =
   chosen
 
 let prop_scoreboard_model =
-  QCheck.Test.make ~count:300 ~name:"scoreboard model"
+  QCheck.Test.make ~count:300 ~long_factor:10 ~name:"scoreboard model"
     QCheck.(
       pair bool
         (make ~print:(fun l -> String.concat " " (List.map print_sb_op l))
@@ -2343,8 +2356,8 @@ let print_cc_op = function
   | Cc_timeout -> "timeout"
 
 (* One event applied to both; [true] when cwnd and ssthresh agree. *)
-let cc_run ~enabled ops =
-  let cc = Cc.create ~mss:cc_mss ~enabled in
+let cc_run ops =
+  let cc = Cc.create ~mss:cc_mss in
   let m =
     { m_cwnd = 2 * cc_mss; m_ssthresh = 64 * 1024; bytes_acked = 0; dups = 0;
       fast_recovery = false; recover = 0 }
@@ -2365,7 +2378,7 @@ let cc_run ~enabled ops =
           (* RFC 5681 §3.1 with RFC 3465 (L = 1 SMSS); no growth during
              fast recovery *)
           m.dups <- 0;
-          if enabled && not m.fast_recovery then begin
+          if not m.fast_recovery then begin
             if m.m_cwnd < m.m_ssthresh then m.m_cwnd <- m.m_cwnd + min n cc_mss
             else begin
               m.bytes_acked <- m.bytes_acked + n;
@@ -2379,7 +2392,7 @@ let cc_run ~enabled ops =
           if m.fast_recovery then
             if !snd_una >= m.recover then begin
               m.fast_recovery <- false;
-              if enabled then m.m_cwnd <- m.m_ssthresh
+              m.m_cwnd <- m.m_ssthresh
             end
             else if no_hole then m.fast_recovery <- false
       | Cc_ack _ -> ()
@@ -2388,7 +2401,7 @@ let cc_run ~enabled ops =
           let threshold = if early then max 1 (outstanding - 1) else Cc.dupthresh in
           (match Cc.dupack cc ~threshold ~outstanding with
           | Cc.Threshold when hole ->
-              ignore (Cc.fast_loss cc ~recover:!snd_nxt ~in_flight:(flight ()))
+              Cc.fast_loss cc ~recover:!snd_nxt ~in_flight:(flight ())
           | _ -> ());
           (* RFC 5681 §3.2 *)
           m.dups <- m.dups + 1;
@@ -2396,30 +2409,24 @@ let cc_run ~enabled ops =
             if hole then begin
               m.fast_recovery <- true;
               m.recover <- !snd_nxt;
-              if enabled then begin
-                m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
-                m.m_cwnd <- m.m_ssthresh + (3 * cc_mss)
-              end
+              m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
+              m.m_cwnd <- m.m_ssthresh + (3 * cc_mss)
             end
           end
           else if m.fast_recovery && m.dups > threshold && m.dups <= outstanding
-                  && enabled
           then m.m_cwnd <- m.m_cwnd + cc_mss
       | Cc_dup _ -> ()
       | Cc_timeout ->
-          ignore (Cc.timeout cc ~in_flight:(flight ()));
+          Cc.timeout cc ~in_flight:(flight ());
           (* RFC 5681 §3.1: ssthresh = max (FlightSize / 2, 2 SMSS),
              cwnd = LW = 1 SMSS *)
           m.fast_recovery <- false;
           m.dups <- 0;
-          if enabled then begin
-            m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
-            m.m_cwnd <- cc_mss
-          end);
+          m.m_ssthresh <- max (flight () / 2) (2 * cc_mss);
+          m.m_cwnd <- cc_mss);
       Cc.cwnd cc = m.m_cwnd
       && Cc.ssthresh cc = m.m_ssthresh
-      && Cc.in_recovery cc = m.fast_recovery
-      && Cc.window cc = if enabled then m.m_cwnd else max_int)
+      && Cc.in_recovery cc = m.fast_recovery)
     ops
 
 let arb_cc_ops =
@@ -2427,9 +2434,8 @@ let arb_cc_ops =
     QCheck.Gen.(list_size (int_range 1 60) gen_cc_op)
 
 let prop_cc_model =
-  QCheck.Test.make ~count:500 ~name:"cc model"
-    QCheck.(pair bool arb_cc_ops)
-    (fun (enabled, ops) -> cc_run ~enabled ops)
+  QCheck.Test.make ~count:500 ~long_factor:10 ~name:"cc model" arb_cc_ops
+    cc_run
 
 (* Ack division: one segment's worth of ack split into pieces earns no
    more window than the same ack whole.  The histories start with a
@@ -2446,8 +2452,8 @@ let prop_cc_ack_division =
         (pair (int_range 1 cc_mss) (int_range 2 10)))
     (fun ((cut_flight, ops), (bytes, pieces)) ->
       let replay () =
-        let cc = Cc.create ~mss:cc_mss ~enabled:true in
-        ignore (Cc.timeout cc ~in_flight:cut_flight);
+        let cc = Cc.create ~mss:cc_mss in
+        Cc.timeout cc ~in_flight:cut_flight;
         let una = ref 0 and nxt = ref 0 in
         List.iter
           (function
@@ -2537,7 +2543,7 @@ let bitmap_runs held =
       !runs
 
 let prop_reasm_model =
-  QCheck.Test.make ~count:400 ~name:"reasm model"
+  QCheck.Test.make ~count:400 ~long_factor:10 ~name:"reasm model"
     QCheck.(
       triple (int_range 1 6) (pair (int_range 64 300) bool)
         (make ~print:(fun l -> String.concat " " (List.map print_ra_op l))
