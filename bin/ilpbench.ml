@@ -277,30 +277,18 @@ let mem_cmd =
   in
   (* The abort-path pool gate: crash-resumed transfers tear sockets and
      server instances down mid-flight; every pooled buffer they held must
-     come back.  Run a few seeded crash/restart transfers and demand a
-     balanced pool from a non-vacuous run (at least one crash and one
-     resumed completion). *)
+     come back.  Run a few seeded crash/restart transfers and demand the
+     crash soak's verdict, which also fails a vacuous run (no crash or
+     no resumed completion). *)
   let crash_pool_gate () =
     let module Soak = Ilp_app.Soak in
     let cfg =
-      { Soak.default_crash_config with Soak.transfers = 6; file_len = 1024 }
+      { (Soak.default_config Soak.Crash) with Soak.runs = 6; file_len = 1024 }
     in
-    match Soak.run_crash cfg with
-    | o ->
-        let crashes = Soak.counter o.Soak.tally "netsim.crashes" in
-        if o.Soak.tally.Soak.pool_leaks <> 0 then
-          Error
-            [ Printf.sprintf
-                "crash-resume pool: %d buffers leaked across aborts"
-                o.Soak.tally.Soak.pool_leaks ]
-        else if crashes = 0 || o.Soak.resumed_completed = 0 then
-          Error
-            [ Printf.sprintf
-                "crash-resume pool gate vacuous: %d crashes, %d resumed"
-                crashes o.Soak.resumed_completed ]
-        else Ok ()
-    | exception e ->
-        Error [ "crash-resume pool: escaped exception " ^ Printexc.to_string e ]
+    match Soak.verdict (Soak.run cfg) with
+    | Soak.Held _ -> Ok ()
+    | Soak.Violated line | Soak.Vacuous line ->
+        Error [ "crash-resume pool: " ^ line ]
   in
   let run out quick check_gates =
     let config = if quick then Mtr.quick_config else Mtr.default_config in
@@ -470,24 +458,27 @@ let soak_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Soak master seed.")
   in
-  let iters =
-    Arg.(value & opt int Soak.default_config.Soak.iterations
-         & info [ "iters"; "n" ] ~docv:"N" ~doc:"Randomized transfers to run.")
+  let runs =
+    Arg.(value & opt (some int) None
+         & info [ "iters"; "n"; "clients" ] ~docv:"N"
+             ~doc:"Transfers (chaos, crash) or concurrent clients (overload) \
+                   to run (default: 512, 64 and 8).")
   in
   let size =
     Arg.(value & opt (some int) None
          & info [ "size"; "s" ] ~docv:"BYTES"
              ~doc:"File length per transfer (default: 512 for the chaos soak, \
-                   2048 for the overload soak).")
+                   2048 for the overload and crash soaks).")
   in
   let machine =
     Arg.(value & opt machine_conv Config.ss10_30
          & info [ "machine"; "m" ] ~docv:"NAME" ~doc:"Simulated workstation.")
   in
   let intensity =
-    Arg.(value & opt float 1.0
+    Arg.(value & opt (some float) None
          & info [ "intensity" ] ~docv:"X"
-             ~doc:"Impairment-rate scale; 0 disables all faults, 1 is full chaos.")
+             ~doc:"Impairment-rate scale of the chaos soak; 0 disables all \
+                   faults, 1 (the default) is full chaos.")
   in
   (* The soak family: at most one of --overload and --crash. *)
   let family =
@@ -507,17 +498,6 @@ let soak_cmd =
                          byte-exact-or-typed outcomes, prefix-verified \
                          resumption, dedup conservation and timer/pool \
                          hygiene." ) ])
-  in
-  let clients =
-    Arg.(value & opt int Soak.default_overload_config.Soak.clients
-         & info [ "clients" ] ~docv:"N"
-             ~doc:"Concurrent clients for the overload soak.")
-  in
-  let quick =
-    Arg.(value & flag
-         & info [ "quick" ]
-             ~doc:"CI smoke variant of the crash soak: 16 transfers of a \
-                   1 kB file.")
   in
   let verbose =
     Arg.(value & flag
@@ -547,103 +527,51 @@ let soak_cmd =
     close_out oc;
     prerr_endline "full flight-recorder dump written to FLIGHT.txt"
   in
-  (* One driver for the three soaks: run [soak] with the span tracer
-     on, print its summary, and on a failed [verdict] dump the
-     observability artefacts and the repro line. *)
-  let drive soak summary verdict repro =
+  (* Run the soak with the span tracer on, print its summary and
+     verdict, and on a failed verdict dump the observability artefacts
+     and the repro line. *)
+  let drive cfg verbose =
     let before = Ilp_obs.Metrics.snapshot Ilp_obs.Metrics.default in
     Ilp_obs.Trace.enable ~capacity:32768 ();
-    match soak () with
+    match Soak.run ~log:(soak_log verbose) cfg with
     | o -> (
         Ilp_obs.Trace.disable ();
-        List.iter print_endline (summary o);
-        match verdict o with
-        | Ok held ->
-            print_endline held;
+        List.iter print_endline (Soak.summary_lines o);
+        match Soak.verdict o with
+        | Soak.Held line ->
+            print_endline line;
             0
-        | Error violated ->
-            prerr_endline violated;
+        | Soak.Violated line | Soak.Vacuous line ->
+            prerr_endline line;
             dump_observability before;
-            prerr_endline ("reproduce: ilpbench soak " ^ repro);
+            prerr_endline ("reproduce: ilpbench soak " ^ Soak.repro cfg);
             1)
     | exception Invalid_argument msg ->
         Ilp_obs.Trace.disable ();
         Printf.eprintf "ilpbench: %s\n" msg;
         2
   in
-  let run seed iters size machine intensity family quick clients verbose =
-    let log = soak_log verbose in
-    match family with
-    | `Crash ->
-        let cfg =
-          { Soak.seed;
-            transfers =
-              (if quick then 16 else Soak.default_crash_config.Soak.transfers);
-            file_len =
-              Option.value size
-                ~default:
-                  (if quick then 1024
-                   else Soak.default_crash_config.Soak.file_len);
-            machine }
+  let run seed runs size machine intensity family verbose =
+    match (family, intensity) with
+    | (`Overload | `Crash), Some _ ->
+        `Error (true, "--intensity scales the chaos soak's wire only")
+    | (`Chaos | `Overload | `Crash), _ ->
+        let d =
+          Soak.default_config
+            (match family with
+            | `Chaos ->
+                Soak.Chaos { intensity = Option.value intensity ~default:1.0 }
+            | `Overload -> Soak.Overload
+            | `Crash -> Soak.Crash)
         in
-        drive
-          (fun () -> Soak.run_crash ~log cfg)
-          Soak.crash_summary_lines
-          (fun o ->
-            (* A crash soak that never crashed or never resumed is vacuous:
-               fail it like a violated invariant so a regression in the
-               fault injection itself cannot slip through green. *)
-            let exercised =
-              Soak.counter o.Soak.tally "netsim.crashes" > 0
-              && o.Soak.resumed_completed > 0
-            in
-            if Soak.crash_invariants_hold o && exercised then
-              Ok
-                "crash invariant held: every transfer byte-exact or typed, \
-                 resumes prefix-verified, dedup and timers conserved"
-            else if exercised then Error "crash invariant VIOLATED"
-            else Error "crash soak VACUOUS: no crash/resume was exercised")
-          (Printf.sprintf "--crash --seed %d --size %d%s" cfg.Soak.seed
-             cfg.Soak.file_len
-             (if quick then " --quick" else ""))
-    | `Overload ->
-        let cfg =
-          { Soak.seed;
-            clients;
-            file_len =
-              Option.value size
-                ~default:Soak.default_overload_config.Soak.file_len;
-            machine }
-        in
-        drive
-          (fun () -> Soak.run_overload ~log cfg)
-          Soak.overload_summary_lines
-          (fun o ->
-            if Soak.overload_invariants_hold o then
-              Ok
-                "overload invariant held: every request ended byte-exact or \
-                 typed, budgets respected, honest clients served"
-            else Error "overload invariant VIOLATED")
-          (Printf.sprintf "--overload --seed %d --clients %d --size %d"
-             cfg.Soak.seed cfg.Soak.clients cfg.Soak.file_len)
-    | `Chaos ->
-        let cfg =
-          { Soak.seed;
-            iterations = iters;
-            file_len =
-              Option.value size ~default:Soak.default_config.Soak.file_len;
-            machine;
-            intensity }
-        in
-        drive
-          (fun () -> Soak.run ~log cfg)
-          Soak.summary_lines
-          (fun o ->
-            if Soak.invariants_hold o then
-              Ok "soak invariant held: byte-exact or typed failure, every time"
-            else Error "soak invariant VIOLATED")
-          (Printf.sprintf "--seed %d -n %d --size %d" cfg.Soak.seed
-             cfg.Soak.iterations cfg.Soak.file_len)
+        `Ok
+          (drive
+             { d with
+               Soak.seed;
+               runs = Option.value runs ~default:d.Soak.runs;
+               file_len = Option.value size ~default:d.Soak.file_len;
+               machine }
+             verbose)
   in
   Cmd.v
     (Cmd.info "soak"
@@ -656,8 +584,7 @@ let soak_cmd =
           seeded node crash/restart faults with resumable exactly-once \
           recovery.  The two are exclusive.")
     Term.(
-      const run $ seed $ iters $ size $ machine $ intensity $ family $ quick
-      $ clients $ verbose)
+      ret (const run $ seed $ runs $ size $ machine $ intensity $ family $ verbose))
 
 (* ------------------------------------------------------------------ *)
 (* trace *)

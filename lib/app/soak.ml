@@ -15,20 +15,24 @@ module M = Ilp_obs.Metrics
 (* Soak schedules draw from their own seeded stream, never the link's. *)
 let prng_create seed = Xorshift.create (seed * 0x9e3779b1)
 
+type family = Chaos of { intensity : float } | Overload | Crash
+
 type config = {
+  family : family;
   seed : int;
-  iterations : int;
+  runs : int;
   file_len : int;
   machine : Ilp_memsim.Config.t;
-  intensity : float;
 }
 
-let default_config =
-  { seed = 1;
-    iterations = 512;
-    file_len = 512;
-    machine = Ilp_memsim.Config.ss10_30;
-    intensity = 1.0 }
+let default_config family =
+  let runs, file_len =
+    match family with
+    | Chaos _ -> (512, 512)
+    | Overload -> (8, 2048)
+    | Crash -> (64, 2048)
+  in
+  { family; seed = 1; runs; file_len; machine = Ilp_memsim.Config.ss10_30 }
 
 type tally = {
   runs : int;
@@ -40,27 +44,29 @@ type tally = {
   delta : M.snapshot;
 }
 
+type figures =
+  | Chaos_figures
+  | Overload_figures of {
+      honest_incomplete : int;
+      peak_queued_bytes : int;
+      queue_cap : int;
+      ledger_mismatch : bool;
+      forgery_unpunished : bool;
+    }
+  | Crash_figures of {
+      resumed_completed : int;
+      restarts_from_zero : int;
+      stale_timers : int;
+      dedup_violations : int;
+    }
+
+type outcome = { tally : tally; figures : figures }
+
 let counter t name =
   match M.find t.delta name with Some (M.Counter n) -> n | _ -> 0
 
-let invariants_hold t = t.escaped = 0 && t.silent = 0 && t.pool_leaks = 0
-
 (* How one transfer or client ended. *)
 type ending = Exact | Typed | Silent | Escaped
-
-(* [runs] endings and the counters the registry gained since [before]. *)
-let tally ~runs ~before endings ~pool_leaks =
-  let n e = List.length (List.filter (( = ) e) endings) in
-  { runs;
-    byte_exact = n Exact;
-    typed = n Typed;
-    silent = n Silent;
-    escaped = n Escaped;
-    pool_leaks;
-    delta =
-      List.filter
-        (function _, M.Counter _ -> true | _ -> false)
-        (M.diff (M.snapshot M.default) before) }
 
 (* The ending a {!World.verdict} counts as, and the line that names it;
    [exact] is the soak's own byte count of a [Complete]. *)
@@ -70,6 +76,13 @@ let judge ~exact = function
       (Silent, "SILENT CORRUPTION: complete without byte-exact delivery")
   | World.Typed t -> (Typed, t)
   | World.Silent -> (Silent, "SILENT: neither complete nor typed")
+
+(* Each family below runs its units — transfers, or the overload
+   family's one shared world — through [settle tag body] (see {!run}),
+   and returns how to read its own figures off the run's tally. *)
+
+(* ------------------------------------------------------------------ *)
+(* Chaos soak: randomized impaired transfers *)
 
 let ciphers = Array.of_list Ft.ciphers
 
@@ -102,19 +115,13 @@ let draw_impairments st ~intensity =
     delay_spike_us = 2_000.0;
     gilbert }
 
-(* One transfer under one impairment draw, judged by its
+(* Each transfer runs under its own impairment draw and is judged by its
    [World.verdict].  The soak invariant: the file arrives byte-exact, or
    the run reports a typed error — never silent corruption, never an
    escaped exception. *)
-let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
-  if cfg.iterations < 0 then invalid_arg "Soak.run: iterations must be >= 0";
-  if cfg.intensity < 0.0 || cfg.intensity > 10.0 then
-    invalid_arg "Soak.run: intensity must be in [0, 10]";
-  if cfg.file_len <= 0 then invalid_arg "Soak.run: file_len must be positive";
+let chaos ~log ~settle (cfg : config) ~intensity =
   let st = prng_create cfg.seed in
-  let before = M.snapshot M.default in
-  let endings = ref [] and pool_leaks = ref 0 in
-  for i = 0 to cfg.iterations - 1 do
+  for i = 0 to cfg.runs - 1 do
     let mode = if i land 1 = 0 then Engine.Separate else Engine.Ilp in
     let native = (i lsr 1) land 1 = 1 in
     let cipher = ciphers.((i lsr 2) land 3) in
@@ -123,7 +130,7 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
     (* Bit 6 is unused: moving framing down would reshuffle every seeded
        summary. *)
     let framing = (i lsr 7) land 1 = 1 in
-    let imp = draw_impairments st ~intensity:cfg.intensity in
+    let imp = draw_impairments st ~intensity in
     let setup =
       { (Ft.default_setup ~machine:cfg.machine ~mode) with
         Ft.cipher;
@@ -147,26 +154,16 @@ let run ?(log = fun ~violation:_ _ -> ()) (cfg : config) =
         (if framing then "framed" else "-")
         verdict
     in
-    let ending =
-      match Ft.run setup with
-      | r ->
-          if r.Ft.pool_leaks <> 0 then begin
-            pool_leaks := !pool_leaks + r.Ft.pool_leaks;
-            log ~violation:true
-              (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" r.Ft.pool_leaks))
-          end;
-          let ending, line =
-            judge ~exact:(r.Ft.payload_bytes = cfg.file_len) r.Ft.verdict
-          in
-          if ending <> Exact then log ~violation:(ending = Silent) (tag line);
-          ending
-      | exception e ->
-          log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e));
-          Escaped
-    in
-    endings := ending :: !endings
+    settle tag (fun ~leak ->
+        let r = Ft.run setup in
+        leak r.Ft.pool_leaks;
+        let ending, line =
+          judge ~exact:(r.Ft.payload_bytes = cfg.file_len) r.Ft.verdict
+        in
+        if ending <> Exact then log ~violation:(ending = Silent) (tag line);
+        [ ending ])
   done;
-  tally ~runs:cfg.iterations ~before !endings ~pool_leaks:!pool_leaks
+  fun _ -> Chaos_figures
 
 (* ------------------------------------------------------------------ *)
 (* Overload soak: many concurrent clients against one shared server *)
@@ -209,32 +206,6 @@ let persona_pattern =
   [| Honest; Slow_reader; Streaming; Dead_reader; Lying_receiver; Oversized;
      Shrinking_window; Slow_reader |]
 
-type overload_config = {
-  seed : int;
-  clients : int;
-  file_len : int;
-  machine : Ilp_memsim.Config.t;
-}
-
-let default_overload_config =
-  { seed = 1; clients = 8; file_len = 2048; machine = Ilp_memsim.Config.ss10_30 }
-
-type overload_outcome = {
-  tally : tally;
-  honest_incomplete : int;
-  budget_violations : int;
-  ledger_mismatch : bool;
-  peak_queued_bytes : int;
-  queue_cap : int;
-  forgery_unpunished : bool;
-}
-
-let overload_invariants_hold o =
-  invariants_hold o.tally && o.honest_incomplete = 0
-  && o.budget_violations = 0
-  && (not o.ledger_mismatch)
-  && not o.forgery_unpunished
-
 (* Forged feedback must leave a trace: SACK blocks rejected by the
    server's validator, or (for optimistic-ack forgeries) a typed
    [Misbehaving_peer] abort.  Only the lying receivers' NICs tamper. *)
@@ -242,11 +213,6 @@ let forged_acks t = counter t "link.tampered"
 
 let forged_rejections t =
   counter t "tcp.sack_invalid" + counter t "tcp.abort.misbehaving_peer"
-
-let sheds t =
-  List.map
-    (fun r -> (r, counter t ("rpc.shed." ^ Rpc_server.shed_reason_to_string r)))
-    Rpc_server.shed_reasons
 
 type overload_client = {
   idx : int;
@@ -256,21 +222,19 @@ type overload_client = {
   mutable local_refused : bool;
 }
 
-let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_config) =
-  if cfg.clients < 1 then invalid_arg "Soak.run_overload: clients must be >= 1";
-  if cfg.file_len < 64 then invalid_arg "Soak.run_overload: file_len must be >= 64";
+let overload ~log ~settle ?on_clock (cfg : config) =
   let max_reply = max 64 (cfg.file_len / 8) in
   let limits =
-    { Rpc_server.max_connections = cfg.clients + 2;
+    { Rpc_server.max_connections = cfg.runs + 2;
       max_conn_queue_bytes = 2 * cfg.file_len;
       (* Tight enough that concurrent honest requests contend and the
          Busy/retry path actually runs. *)
-      max_total_queue_bytes = cfg.file_len * ((cfg.clients / 4) + 1);
+      max_total_queue_bytes = cfg.file_len * ((cfg.runs / 4) + 1);
       max_request_age_us = 60_000_000.0 }
   in
   let queue_cap = limits.Rpc_server.max_total_queue_bytes in
-  let before = M.snapshot M.default in
-  match
+  let honest_incomplete = ref 0 and refused = ref 0 and peak = ref 0 in
+  settle Fun.id (fun ~leak ->
     (* The lying receivers' data ports (their acks travel cli_data ->
        srv_data), filled in as each client is connected: no cli_data
        socket sends before the clock runs. *)
@@ -362,7 +326,7 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
         deadline_us = 5_000_000.0 }
     in
     let clients =
-      List.init cfg.clients (fun i ->
+      List.init cfg.runs (fun i ->
           let persona = persona_pattern.(i mod Array.length persona_pattern) in
           (* Streaming clients force segment streaming: the data MSS is
              well below one reply's wire length, so the server's replies
@@ -450,132 +414,60 @@ let run_overload ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : overload_con
       Simclock.advance clock 1_000.0
     done;
     Simclock.run_until_idle clock;
-    let judged =
+    let endings =
       List.map
         (fun c ->
           let ending, line = judge ~exact:true (verdict c) in
           let incomplete = persona_must_complete c.persona && ending <> Exact in
+          if incomplete then incr honest_incomplete;
           log
             ~violation:(incomplete || ending = Silent)
             (Printf.sprintf "client %2d  %-11s %s  (busy %d, retries %d)" c.idx
                (persona_name c.persona) line
                (Rpc_client.busy_replies c.client)
                (Rpc_client.retries c.client));
-          (ending, incomplete))
+          ending)
         clients
     in
-    let refused =
-      List.length (List.filter (fun c -> Rpc_client.rejected c.client) clients)
-    in
-    let peak = Rpc_server.peak_queued_bytes server in
-    let t =
-      tally ~runs:cfg.clients ~before (List.map fst judged)
-        ~pool_leaks:(World.pool_leaks w)
-    in
-    { tally = t;
-      honest_incomplete = List.length (List.filter snd judged);
-      budget_violations = (if peak > queue_cap then 1 else 0);
-      (* Every shed must be accounted for: seen by a client as Busy or a
-         refusal, or attributably lost because the shed connection itself
-         died before the status could be delivered. *)
-      ledger_mismatch =
-        List.fold_left (fun a (_, n) -> a + n) 0 (sheds t)
-        <> counter t "rpc.client.busy_replies" + refused
-           + counter t "rpc.statuses_abandoned";
-      peak_queued_bytes = peak;
-      queue_cap;
-      forgery_unpunished = forged_acks t > 0 && forged_rejections t = 0 }
-  with
-  | o -> o
-  | exception (Invalid_argument _ as e) -> raise e
-  | exception e ->
-      log ~violation:true ("ESCAPED EXCEPTION: " ^ Printexc.to_string e);
-      { tally = tally ~runs:cfg.clients ~before [ Escaped ] ~pool_leaks:0;
-        honest_incomplete = 0;
-        budget_violations = 0;
-        ledger_mismatch = false;
-        peak_queued_bytes = 0;
+    refused :=
+      List.length (List.filter (fun c -> Rpc_client.rejected c.client) clients);
+    peak := Rpc_server.peak_queued_bytes server;
+    leak (World.pool_leaks w);
+    endings);
+  fun t ->
+    Overload_figures
+      { honest_incomplete = !honest_incomplete;
+        peak_queued_bytes = !peak;
         queue_cap;
-        forgery_unpunished = false }
-
-let overload_summary_lines o =
-  let t = o.tally in
-  [ Printf.sprintf "clients               %d" t.runs;
-    Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
-    Printf.sprintf "typed outcomes        %d" t.typed;
-    Printf.sprintf "escaped exceptions    %d" t.escaped;
-    Printf.sprintf "silent outcomes       %d" t.silent;
-    Printf.sprintf "honest incomplete     %d" o.honest_incomplete;
-    Printf.sprintf "queued bytes          peak %d of cap %d%s" o.peak_queued_bytes
-      o.queue_cap
-      (if o.budget_violations > 0 then "  VIOLATED" else "");
-    Printf.sprintf "shedding              %d busy replies, %d client retries%s"
-      (counter t "rpc.client.busy_replies")
-      (counter t "rpc.client.retries")
-      (if o.ledger_mismatch then "  LEDGER MISMATCH" else "");
-    "shed ledger:          "
-    ^ String.concat ", "
-        (List.map
-           (fun (r, n) ->
-             Printf.sprintf "%s %d" (Rpc_server.shed_reason_to_string r) n)
-           (sheds t));
-    Printf.sprintf "zero-window           %d persist probes, %d peer-stalled aborts"
-      (counter t "tcp.persist_probes")
-      (counter t "tcp.abort.peer_stalled");
-    Printf.sprintf "lying receivers       %d forged acks, %d rejections%s"
-      (forged_acks t) (forged_rejections t)
-      (if o.forgery_unpunished then "  UNPUNISHED" else "");
-    Printf.sprintf "server                %d replies abandoned"
-      (counter t "rpc.replies_abandoned");
-    Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
-      (if t.pool_leaks > 0 then "  VIOLATED" else "") ]
+        (* Every shed must be accounted for: seen by a client as Busy or a
+           refusal, or attributably lost because the shed connection
+           itself died before the status could be delivered. *)
+        ledger_mismatch =
+          List.fold_left
+            (fun a r ->
+              a + counter t ("rpc.shed." ^ Rpc_server.shed_reason_to_string r))
+            0 Rpc_server.shed_reasons
+          <> counter t "rpc.client.busy_replies" + !refused
+             + counter t "rpc.statuses_abandoned";
+        forgery_unpunished = forged_acks t > 0 && forged_rejections t = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Crash soak: seeded node crash/restart faults against one transfer *)
 
-type crash_config = {
-  seed : int;
-  transfers : int;
-  file_len : int;
-  machine : Ilp_memsim.Config.t;
-}
-
-let default_crash_config =
-  { seed = 1; transfers = 64; file_len = 2048; machine = Ilp_memsim.Config.ss10_30 }
-
-type crash_outcome = {
-  tally : tally;
-  resumed_completed : int;
-  restarts_from_zero : int;
-  stale_timers : int;
-  dedup_violations : int;
-}
-
-let crash_invariants_hold o =
-  invariants_hold o.tally && o.restarts_from_zero = 0 && o.stale_timers = 0
-  && o.dedup_violations = 0
-
-(* One transfer against a server that dies and comes back on a seeded
-   schedule.  The fault-model invariant, per seed: the file arrives
+(* Each transfer runs against a server that dies and comes back on a
+   seeded schedule.  The fault-model invariant, per seed: the file arrives
    byte-exact (possibly resumed across restarts) or the client holds a
    typed failure — a crash never ends in a silent hang; a resume never
    restarts from byte zero when a verified prefix exists; the dedup
    ledger and the buffer pool balance; every crash teardown leaves zero
    owned timers on the clock. *)
-let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
-  if cfg.transfers < 0 then
-    invalid_arg "Soak.run_crash: transfers must be >= 0";
-  if cfg.file_len < 64 then
-    invalid_arg "Soak.run_crash: file_len must be >= 64";
+let crash ~log ~settle (cfg : config) =
   let st = prng_create cfg.seed in
-  let before = M.snapshot M.default in
-  let endings = ref []
-  and resumed_completed = ref 0
+  let resumed_completed = ref 0
   and restarts_zero = ref 0
   and stale = ref 0
-  and dedup_viol = ref 0
-  and pool_leaks = ref 0 in
-  for i = 0 to cfg.transfers - 1 do
+  and dedup_viol = ref 0 in
+  for i = 0 to cfg.runs - 1 do
     let mode = if i land 1 = 0 then Engine.Ilp else Engine.Separate in
     (* Bit 1 is unused: shifting the bits above it down would reshuffle
        every seeded summary. *)
@@ -605,7 +497,7 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
         verdict
     in
     let zero_before = !restarts_zero in
-    match
+    settle tag (fun ~leak ->
       let w =
         World.create cfg.machine ~link:(fun clock ~deliver ->
             Link.create clock ~delay_us:40.0 ~seed:(cfg.seed + i) ~deliver ())
@@ -828,82 +720,218 @@ let run_crash ?(log = fun ~violation:_ _ -> ()) (cfg : crash_config) =
         log ~violation:true
           (tag (Printf.sprintf "STALE TIMERS: %d owners" !stale_here))
       end;
-      let leaked = World.pool_leaks w in
-      if leaked <> 0 then begin
-        pool_leaks := !pool_leaks + leaked;
-        log ~violation:true
-          (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" leaked))
-      end;
+      leak (World.pool_leaks w);
       (* A resume from byte zero is counted by the supervisor above; this
          transfer's verdict line is the one that names it. *)
       log ~violation:(ending = Silent || !restarts_zero > zero_before) (tag line);
-      endings := ending :: !endings
-    with
-    | () -> ()
-    | exception (Invalid_argument _ as e) -> raise e
-    | exception e ->
-        endings := Escaped :: !endings;
-        log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e))
+      [ ending ])
   done;
-  { tally = tally ~runs:cfg.transfers ~before !endings ~pool_leaks:!pool_leaks;
-    resumed_completed = !resumed_completed;
-    restarts_from_zero = !restarts_zero;
-    stale_timers = !stale;
-    dedup_violations = !dedup_viol }
+  fun _ ->
+    Crash_figures
+      { resumed_completed = !resumed_completed;
+        restarts_from_zero = !restarts_zero;
+        stale_timers = !stale;
+        dedup_violations = !dedup_viol }
 
-let crash_summary_lines o =
+(* ------------------------------------------------------------------ *)
+(* The one driver and its one verdict *)
+
+let run ?(log = fun ~violation:_ _ -> ()) ?on_clock (cfg : config) =
+  let min_runs, min_len =
+    match cfg.family with
+    | Chaos _ -> (0, 1)
+    | Overload -> (1, 64)
+    | Crash -> (0, 64)
+  in
+  if cfg.runs < min_runs then
+    invalid_arg (Printf.sprintf "Soak.run: runs must be >= %d" min_runs);
+  if cfg.file_len < min_len then
+    invalid_arg (Printf.sprintf "Soak.run: file_len must be >= %d" min_len);
+  (match cfg.family with
+  | Chaos { intensity } when intensity < 0.0 || intensity > 10.0 ->
+      invalid_arg "Soak.run: intensity must be in [0, 10]"
+  | Chaos _ | Overload | Crash -> ());
+  let before = M.snapshot M.default in
+  let endings = ref [] and pool_leaks = ref 0 in
+  (* One unit of the soak: [body] reports its pool's outstanding buffers
+     through [leak] and returns its endings; an exception escaping it is
+     one Escaped ending. *)
+  let settle tag body =
+    let leak n =
+      if n <> 0 then begin
+        pool_leaks := !pool_leaks + n;
+        log ~violation:true
+          (tag (Printf.sprintf "POOL LEAK: %d buffers outstanding" n))
+      end
+    in
+    match body ~leak with
+    | es -> endings := es @ !endings
+    | exception e ->
+        log ~violation:true (tag ("ESCAPED EXCEPTION: " ^ Printexc.to_string e));
+        endings := Escaped :: !endings
+  in
+  let figures =
+    match cfg.family with
+    | Chaos { intensity } -> chaos ~log ~settle cfg ~intensity
+    | Overload -> overload ~log ~settle ?on_clock cfg
+    | Crash -> crash ~log ~settle cfg
+  in
+  let n e = List.length (List.filter (( = ) e) !endings) in
+  let tally =
+    { runs = cfg.runs;
+      byte_exact = n Exact;
+      typed = n Typed;
+      silent = n Silent;
+      escaped = n Escaped;
+      pool_leaks = !pool_leaks;
+      delta =
+        List.filter
+          (function _, M.Counter _ -> true | _ -> false)
+          (M.diff (M.snapshot M.default) before) }
+  in
+  { tally; figures = figures tally }
+
+let invariants_hold o =
   let t = o.tally in
-  [ Printf.sprintf "transfers             %d" t.runs;
-    Printf.sprintf "byte-exact transfers  %d (%d resumed across a restart)"
-      t.byte_exact o.resumed_completed;
-    Printf.sprintf "typed outcomes        %d" t.typed;
-    Printf.sprintf "escaped exceptions    %d" t.escaped;
-    Printf.sprintf "silent outcomes       %d%s" t.silent
-      (if t.silent > 0 then "  VIOLATED" else "");
-    Printf.sprintf "restarts from zero    %d%s" o.restarts_from_zero
-      (if o.restarts_from_zero > 0 then "  VIOLATED" else "");
-    Printf.sprintf "stale timers          %d%s" o.stale_timers
-      (if o.stale_timers > 0 then "  VIOLATED" else "");
-    Printf.sprintf "dedup ledger          %d hits, %d executions, %d violations%s"
-      (counter t "rpc.server.dedup_hits")
-      (counter t "rpc.server.executions")
-      o.dedup_violations
-      (if o.dedup_violations > 0 then "  VIOLATED" else "");
-    Printf.sprintf "crashes               %d (%d RSTs while down, %d swallowed)"
-      (counter t "netsim.crashes")
-      (counter t "netsim.crash_resets")
-      (counter t "netsim.crash_swallowed");
-    Printf.sprintf "recovery              %d reconnects, %d resumes, %d CRC probes"
-      (counter t "rpc.client.reconnects")
-      (counter t "rpc.client.resumes")
-      (counter t "rpc.server.probes");
-    Printf.sprintf "half-open detection   %d keepalive probes, %d reset aborts"
-      (counter t "tcp.keepalive_probes")
-      (counter t "tcp.abort.connection_reset");
-    Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
-      (if t.pool_leaks > 0 then "  VIOLATED" else "") ]
+  t.escaped = 0 && t.silent = 0 && t.pool_leaks = 0
+  &&
+  match o.figures with
+  | Chaos_figures -> true
+  | Overload_figures f ->
+      f.honest_incomplete = 0
+      && f.peak_queued_bytes <= f.queue_cap
+      && (not f.ledger_mismatch)
+      && not f.forgery_unpunished
+  | Crash_figures f ->
+      f.restarts_from_zero = 0 && f.stale_timers = 0 && f.dedup_violations = 0
 
-let summary_lines t =
+type verdict = Held of string | Violated of string | Vacuous of string
+
+let verdict o =
+  let name, held =
+    match o.figures with
+    | Chaos_figures -> ("soak", "byte-exact or typed failure, every time")
+    | Overload_figures _ ->
+        ( "overload",
+          "every request ended byte-exact or typed, budgets respected, \
+           honest clients served" )
+    | Crash_figures _ ->
+        ( "crash",
+          "every transfer byte-exact or typed, resumes prefix-verified, \
+           dedup and timers conserved" )
+  in
+  match o.figures with
+  | Crash_figures f
+    when counter o.tally "netsim.crashes" = 0 || f.resumed_completed = 0 ->
+      (* A crash soak that never crashed or never resumed fails like a
+         violated invariant, so a regression in the fault injection
+         itself cannot slip through green. *)
+      Vacuous "crash soak VACUOUS: no crash/resume was exercised"
+  | _ when invariants_hold o -> Held (name ^ " invariant held: " ^ held)
+  | _ -> Violated (name ^ " invariant VIOLATED")
+
+let violated b = if b then "  VIOLATED" else ""
+
+(* "name count" for every reason, read as counter [prefix ^ name]. *)
+let by_reason t prefix to_string reasons =
+  String.concat ", "
+    (List.map
+       (fun r ->
+         let r = to_string r in
+         Printf.sprintf "%s %d" r (counter t (prefix ^ r)))
+       reasons)
+
+let summary_lines o =
+  let t = o.tally in
   let n = counter t in
-  [ Printf.sprintf "iterations            %d" t.runs;
-    Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
-    Printf.sprintf "typed failures        %d" t.typed;
-    Printf.sprintf "escaped exceptions    %d" t.escaped;
-    Printf.sprintf "silent corruptions    %d" t.silent;
-    Printf.sprintf "wire: %d sent, %d delivered, %d lost (%d burst), %d duplicated"
-      (n "link.sent") (n "link.delivered") (n "link.dropped")
-      (n "link.burst_dropped") (n "link.duplicated");
-    Printf.sprintf "wire: %d corrupted, %d truncated, %d padded, %d delay spikes"
-      (n "link.corrupted") (n "link.truncated") (n "link.padded")
-      (n "link.delay_spikes");
-    Printf.sprintf "tcp:  %d retransmissions, %d replies abandoned"
-      (n "tcp.retransmissions") (n "rpc.replies_abandoned");
-    Printf.sprintf "pool: %d leaks%s" t.pool_leaks
-      (if t.pool_leaks > 0 then "  VIOLATED" else "");
-    "tcp drops: "
-    ^ String.concat ", "
-        (List.map
-           (fun r ->
-             let r = Socket.drop_reason_to_string r in
-             Printf.sprintf "%s %d" r (n ("tcp.drop." ^ r)))
-           Socket.drop_reasons) ]
+  match o.figures with
+  | Chaos_figures ->
+      [ Printf.sprintf "iterations            %d" t.runs;
+        Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
+        Printf.sprintf "typed failures        %d" t.typed;
+        Printf.sprintf "escaped exceptions    %d" t.escaped;
+        Printf.sprintf "silent corruptions    %d" t.silent;
+        Printf.sprintf
+          "wire: %d sent, %d delivered, %d lost (%d burst), %d duplicated"
+          (n "link.sent") (n "link.delivered") (n "link.dropped")
+          (n "link.burst_dropped") (n "link.duplicated");
+        Printf.sprintf "wire: %d corrupted, %d truncated, %d padded, %d delay spikes"
+          (n "link.corrupted") (n "link.truncated") (n "link.padded")
+          (n "link.delay_spikes");
+        Printf.sprintf "tcp:  %d retransmissions, %d replies abandoned"
+          (n "tcp.retransmissions") (n "rpc.replies_abandoned");
+        Printf.sprintf "pool: %d leaks%s" t.pool_leaks (violated (t.pool_leaks > 0));
+        "tcp drops: "
+        ^ by_reason t "tcp.drop." Socket.drop_reason_to_string
+            Socket.drop_reasons ]
+  | Overload_figures f ->
+      [ Printf.sprintf "clients               %d" t.runs;
+        Printf.sprintf "byte-exact transfers  %d" t.byte_exact;
+        Printf.sprintf "typed outcomes        %d" t.typed;
+        Printf.sprintf "escaped exceptions    %d" t.escaped;
+        Printf.sprintf "silent outcomes       %d" t.silent;
+        Printf.sprintf "honest incomplete     %d" f.honest_incomplete;
+        Printf.sprintf "queued bytes          peak %d of cap %d%s"
+          f.peak_queued_bytes f.queue_cap
+          (violated (f.peak_queued_bytes > f.queue_cap));
+        Printf.sprintf "shedding              %d busy replies, %d client retries%s"
+          (n "rpc.client.busy_replies") (n "rpc.client.retries")
+          (if f.ledger_mismatch then "  LEDGER MISMATCH" else "");
+        "shed ledger:          "
+        ^ by_reason t "rpc.shed." Rpc_server.shed_reason_to_string
+            Rpc_server.shed_reasons;
+        Printf.sprintf "zero-window           %d persist probes, %d peer-stalled aborts"
+          (n "tcp.persist_probes") (n "tcp.abort.peer_stalled");
+        Printf.sprintf "lying receivers       %d forged acks, %d rejections%s"
+          (forged_acks t) (forged_rejections t)
+          (if f.forgery_unpunished then "  UNPUNISHED" else "");
+        Printf.sprintf "server                %d replies abandoned"
+          (n "rpc.replies_abandoned");
+        Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
+          (violated (t.pool_leaks > 0)) ]
+  | Crash_figures f ->
+      [ Printf.sprintf "transfers             %d" t.runs;
+        Printf.sprintf "byte-exact transfers  %d (%d resumed across a restart)"
+          t.byte_exact f.resumed_completed;
+        Printf.sprintf "typed outcomes        %d" t.typed;
+        Printf.sprintf "escaped exceptions    %d" t.escaped;
+        Printf.sprintf "silent outcomes       %d%s" t.silent (violated (t.silent > 0));
+        Printf.sprintf "restarts from zero    %d%s" f.restarts_from_zero
+          (violated (f.restarts_from_zero > 0));
+        Printf.sprintf "stale timers          %d%s" f.stale_timers
+          (violated (f.stale_timers > 0));
+        Printf.sprintf "dedup ledger          %d hits, %d executions, %d violations%s"
+          (n "rpc.server.dedup_hits") (n "rpc.server.executions")
+          f.dedup_violations
+          (violated (f.dedup_violations > 0));
+        Printf.sprintf "crashes               %d (%d RSTs while down, %d swallowed)"
+          (n "netsim.crashes") (n "netsim.crash_resets")
+          (n "netsim.crash_swallowed");
+        Printf.sprintf "recovery              %d reconnects, %d resumes, %d CRC probes"
+          (n "rpc.client.reconnects") (n "rpc.client.resumes")
+          (n "rpc.server.probes");
+        Printf.sprintf "half-open detection   %d keepalive probes, %d reset aborts"
+          (n "tcp.keepalive_probes") (n "tcp.abort.connection_reset");
+        Printf.sprintf "buffer pool           %d leaks%s" t.pool_leaks
+          (violated (t.pool_leaks > 0)) ]
+
+let repro cfg =
+  (* [x] as text that reads back as [x]: "%g" when that is enough. *)
+  let num x =
+    let s = Printf.sprintf "%g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+  in
+  String.concat ""
+    [ (match cfg.family with
+      | Chaos _ -> ""
+      | Overload -> "--overload "
+      | Crash -> "--crash ");
+      Printf.sprintf "--seed %d -n %d --size %d" cfg.seed cfg.runs cfg.file_len;
+      (* 1, full chaos, is the CLI's default intensity. *)
+      (match cfg.family with
+      | Chaos { intensity } when intensity <> 1.0 ->
+          " --intensity " ^ num intensity
+      | Chaos _ | Overload | Crash -> "");
+      (let name = cfg.machine.Ilp_memsim.Config.name in
+       if name = Ilp_memsim.Config.ss10_30.Ilp_memsim.Config.name then ""
+       else " --machine " ^ name) ]

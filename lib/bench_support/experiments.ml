@@ -6,42 +6,35 @@ module Linkage = Ilp_core.Linkage
 (* ------------------------------------------------------------------ *)
 (* Cached measurement *)
 
-let cache : (string, Ft.result) Hashtbl.t = Hashtbl.create 64
+(* Keyed on the whole setup, so two runs share a result only when every
+   field agrees. *)
+let cache : (Ft.setup, Ft.result) Hashtbl.t = Hashtbl.create 64
 
 let measure ?(cipher = Ft.Safer_simplified) ?(copies = 8)
     ?(linkage = Linkage.Macro) ?(coalesce = false)
     ?(header_style = Engine.Leading) ?(rx_placement = Engine.Early)
     ?(uniform_units = false) ~machine ~mode ~size () =
-  let key =
-    Printf.sprintf "%s/%s/%s/%d/%d/%b/%b/%s/%d/%d" machine.Config.name
-      (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "sep")
-      (Ft.cipher_name cipher) size copies coalesce uniform_units
-      (match linkage with
-      | Linkage.Macro -> "macro"
-      | Linkage.Function_calls n -> Printf.sprintf "call%d" n)
-      (match header_style with Engine.Leading -> 0 | Engine.Trailer -> 1)
-      (match rx_placement with Engine.Early -> 0 | Engine.Late -> 1)
+  let setup =
+    { (Ft.default_setup ~machine ~mode) with
+      Ft.cipher;
+      copies;
+      max_reply = size;
+      linkage;
+      coalesce_writes = coalesce;
+      header_style;
+      rx_placement;
+      uniform_units }
   in
-  match Hashtbl.find_opt cache key with
+  match Hashtbl.find_opt cache setup with
   | Some r -> r
   | None ->
-      let setup =
-        { (Ft.default_setup ~machine ~mode) with
-          Ft.cipher;
-          copies;
-          max_reply = size;
-          linkage;
-          coalesce_writes = coalesce;
-          header_style;
-          rx_placement;
-          uniform_units }
-      in
       let r = Ft.run setup in
       (if r.Ft.verdict <> Ilp_app.World.Complete then
          failwith
-           (Printf.sprintf "experiment %s failed: %s" key
+           (Printf.sprintf "experiment on %s (%d-byte messages) failed: %s"
+              machine.Config.name size
               (Ilp_app.World.verdict_to_string r.Ft.verdict)));
-      Hashtbl.replace cache key r;
+      Hashtbl.replace cache setup r;
       r
 
 let send_us r = Ft.mean r.Ft.send_us
@@ -515,32 +508,17 @@ let t1_csv () =
     Config.all;
   Buffer.contents buf
 
-let all () =
-  e0 (); f6 (); f7 (); f8 (); f9 (); f10 (); f11 (); f12 (); f13 (); f14 ();
-  t1 (); a1 (); a2 (); a4 (); a5 (); a6 (); wall (); wallpath ()
+(* Every experiment by name, in the order [all] runs them. *)
+let table =
+  [ ("e0", e0); ("f6", f6); ("f7", f7); ("f8", f8); ("f9", f9); ("f10", f10);
+    ("f11", f11); ("f12", f12); ("f13", f13); ("f14", f14); ("t1", t1);
+    ("a1", a1); ("a2", a2); ("a4", a4); ("a5", a5); ("a6", a6);
+    ("wall", wall); ("wallpath", wallpath) ]
 
-let names =
-  [ "e0"; "f6"; "f7"; "f8"; "f9"; "f10"; "f11"; "f12"; "f13"; "f14"; "t1";
-    "a1"; "a2"; "a4"; "a5"; "a6"; "wall"; "wallpath"; "all" ]
+let all () = List.iter (fun (_, run) -> run ()) table
+let names = List.map fst table @ [ "all" ]
 
-let run_named = function
-  | "e0" -> Ok (e0 ())
-  | "f6" -> Ok (f6 ())
-  | "f7" -> Ok (f7 ())
-  | "f8" -> Ok (f8 ())
-  | "f9" -> Ok (f9 ())
-  | "f10" -> Ok (f10 ())
-  | "f11" -> Ok (f11 ())
-  | "f12" -> Ok (f12 ())
-  | "f13" -> Ok (f13 ())
-  | "f14" -> Ok (f14 ())
-  | "t1" -> Ok (t1 ())
-  | "a1" -> Ok (a1 ())
-  | "a2" -> Ok (a2 ())
-  | "a4" -> Ok (a4 ())
-  | "a5" -> Ok (a5 ())
-  | "a6" -> Ok (a6 ())
-  | "wall" -> Ok (wall ())
-  | "wallpath" -> Ok (wallpath ())
-  | "all" -> Ok (all ())
-  | other -> Error (Printf.sprintf "unknown experiment %S" other)
+let run_named name =
+  match List.assoc_opt name (table @ [ ("all", all) ]) with
+  | Some run -> Ok (run ())
+  | None -> Error (Printf.sprintf "unknown experiment %S" name)

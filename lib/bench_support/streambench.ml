@@ -128,9 +128,7 @@ let transfer cfg =
   in
   let tx = Ilp_app.World.socket w tx_cfg ~port:7001 in
   let rx = Ilp_app.World.socket w rx_cfg ~port:7002 in
-  (match Engine.rx_style rx_eng with
-  | Engine.Rx_integrated_style f -> Socket.set_rx_processing rx (Socket.Rx_integrated f)
-  | Engine.Rx_deferred_style f -> Socket.set_rx_processing rx (Socket.Rx_separate f));
+  Socket.set_rx_processing rx (Engine.rx_processing rx_eng);
   let contents = Ilp_app.Workload.generate ~len:cfg.total_bytes ~seed:cfg.seed in
   let addr = Ilp_app.Workload.install sim contents in
   let n = (cfg.total_bytes + tsdu_payload - 1) / tsdu_payload in

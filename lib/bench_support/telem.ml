@@ -16,7 +16,7 @@ module Soak = Ilp_app.Soak
 module Simclock = Ilp_netsim.Simclock
 
 type config = {
-  soak : Soak.overload_config;
+  soak : Soak.config;
   interval_us : float;
   capacity : int;
 }
@@ -35,17 +35,17 @@ let slos =
       slo_limit = 2_000_000 } ]
 
 let default_config =
-  { soak = Soak.default_overload_config;
+  { soak = Soak.default_config Soak.Overload;
     interval_us = 10_000.0;
     capacity = 512 }
 
 let quick_config =
-  { soak = { Soak.default_overload_config with clients = 4 };
+  { soak = { (Soak.default_config Soak.Overload) with runs = 4 };
     interval_us = 20_000.0;
     capacity = 256 }
 
 type result = {
-  outcome : Soak.overload_outcome;
+  outcome : Soak.outcome;
   ts : Ts.t;
   base : M.snapshot;
   final : M.snapshot;  (* registry state after the final sample *)
@@ -75,7 +75,7 @@ let run ?(log = fun ~violation:_ _ -> ()) ?(config = default_config) () =
       ignore (Simclock.schedule clock ~after:config.interval_us tick)
     end
   in
-  let outcome = Soak.run_overload ~log ~on_clock:attach config.soak in
+  let outcome = Soak.run ~log ~on_clock:attach config.soak in
   (* Final sample: the telescoped sample deltas must now account for
      every counter bump of the whole soak. *)
   (match !clock_ref with
@@ -101,8 +101,9 @@ let conservation_failures r =
 let check r =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not (Soak.overload_invariants_hold r.outcome) then
-    fail "overload soak invariants violated";
+  (match Soak.verdict r.outcome with
+  | Soak.Held _ -> ()
+  | Soak.Violated line | Soak.Vacuous line -> fail "%s" line);
   if Ts.taken r.ts < 2 then
     fail "sampler took %d samples (need at least 2)" (Ts.taken r.ts);
   (match conservation_failures r with
@@ -121,7 +122,7 @@ let check r =
 let dashboard_lines r = Ts.dashboard r.ts
 
 let summary_lines r =
-  Soak.overload_summary_lines r.outcome
+  Soak.summary_lines r.outcome
   @ [ Printf.sprintf "sampler: %d samples taken, %d retained, interval %.0f us"
         (Ts.taken r.ts) (Ts.count r.ts) (Ts.interval_us r.ts) ]
 

@@ -5,7 +5,7 @@
     soak's own patience) and p99 [tcp.ack_rtt_us] at most 2 s. *)
 
 type config = {
-  soak : Ilp_app.Soak.overload_config;
+  soak : Ilp_app.Soak.config;  (** an overload soak *)
   interval_us : float;  (** virtual time between samples *)
   capacity : int;  (** sample-ring slots; also bounds the tick chain *)
 }
@@ -14,7 +14,7 @@ val default_config : config
 val quick_config : config
 
 type result = {
-  outcome : Ilp_app.Soak.overload_outcome;
+  outcome : Ilp_app.Soak.outcome;
   ts : Ilp_obs.Timeseries.t;
   base : Ilp_obs.Metrics.snapshot;
   final : Ilp_obs.Metrics.snapshot;
@@ -31,8 +31,8 @@ val conservation_failures : result -> string list
     the final registry value (must be empty). *)
 
 val check : result -> (unit, string list) Stdlib.result
-(** Gates: soak invariants hold, at least two samples, counter
-    conservation, zero SLO breaches. *)
+(** Gates: the soak's {!Ilp_app.Soak.verdict} holds, at least two
+    samples, counter conservation, zero SLO breaches. *)
 
 val dashboard_lines : result -> string list
 val summary_lines : result -> string list

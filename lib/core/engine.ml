@@ -528,15 +528,13 @@ type prepared_stream = {
     Mem.t -> dst:int -> off:int -> len:int -> Internet.acc option;
 }
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
 let prepare_stream_segments t body =
   let plan, st = make_stream_of_segments t body in
   (* Segment boundaries must land on cipher blocks (so each segment
      encrypts and decrypts independently to the same bytes as the whole
      message) and on the 8-byte units of the plan and the native codec. *)
   let bl = block_len t in
-  let seg_unit = bl * 8 / gcd bl 8 in
+  let seg_unit = Units.lcm bl 8 in
   let fill_range mem_ ~dst ~off ~len =
     ignore mem_;
     if off < 0 || len <= 0 || off + len > st.total then
@@ -701,21 +699,11 @@ let rx_late t _mem ~src ~dst_off ~len =
           end);
       Ok ()
 
-type rx_style =
-  | Rx_integrated_style of
-      (Mem.t ->
-      src:int ->
-      dst_off:int ->
-      len:int ->
-      (Internet.acc, string) result)
-  | Rx_deferred_style of
-      (Mem.t -> src:int -> dst_off:int -> len:int -> (unit, string) result)
-
-let rx_style t =
+let rx_processing t =
   match (t.mode, t.rx_placement) with
-  | Ilp, Early -> Rx_integrated_style (rx_integrated t)
-  | Ilp, Late -> Rx_deferred_style (rx_late t)
-  | Separate, _ -> Rx_deferred_style (rx_separate t)
+  | Ilp, Early -> Ilp_tcp.Socket.Rx_integrated (rx_integrated t)
+  | Ilp, Late -> Ilp_tcp.Socket.Rx_separate (rx_late t)
+  | Separate, _ -> Ilp_tcp.Socket.Rx_separate (rx_separate t)
 
 (* Shared validation of the plaintext at [app_rx]: the application reads
    the length field and the RPC header words (charged), rejects an

@@ -6,8 +6,8 @@
     machine.  The send side produces a range filler suitable for the
     [fill] argument of [Ilp_tcp.Socket.send_message] (the whole message
     in one segment) and [Ilp_tcp.Socket.send_stream] (MSS-sized
-    segments); the receive side provides the two manipulation callbacks
-    matching [Ilp_tcp.Socket.rx_processing].
+    segments); the receive side provides the socket's
+    {!Ilp_tcp.Socket.rx_processing} handler ({!rx_processing}).
 
     {2 Wire format (figure 2 of the paper)}
 
@@ -229,24 +229,11 @@ val rx_late :
   len:int ->
   (unit, string) result
 
-(** How a TCP socket should be wired for this engine's mode and
-    placement: an integrated handler that returns the payload checksum,
-    or a deferred handler run after TCP's own checksum pass. *)
-type rx_style =
-  | Rx_integrated_style of
-      (Ilp_memsim.Mem.t ->
-      src:int ->
-      dst_off:int ->
-      len:int ->
-      (Ilp_checksum.Internet.acc, string) result)
-  | Rx_deferred_style of
-      (Ilp_memsim.Mem.t ->
-      src:int ->
-      dst_off:int ->
-      len:int ->
-      (unit, string) result)
-
-val rx_style : t -> rx_style
+(** The receive handler a TCP socket takes for this engine's mode and
+    placement: {!rx_integrated} (ILP, early placement), which returns the
+    payload checksum, or {!rx_late} (ILP, late) or {!rx_separate}
+    (non-ILP), run after TCP's own checksum pass. *)
+val rx_processing : t -> Ilp_tcp.Socket.rx_processing
 
 (** Where receive-side plaintext is placed ([length field ^ marshalled
     message ^ alignment]). *)

@@ -69,53 +69,6 @@ let trace_send_fused ~pkt ~t0 ~t1 =
   Trace.span ~arg:1 Trace.Send_checksum ~packet:pkt ~ts:t1 ~dur:0.0;
   Trace.span ~arg:1 Trace.Send_ring_copy ~packet:pkt ~ts:t1 ~dur:0.0
 
-let send_separate t ~src ~src_off ~len ~dst ~dst_off =
-  check "Wire.send_separate" ~src ~src_off ~len ~dst ~dst_off;
-  if len > t.max_len then invalid_arg "Wire.send_separate: longer than max_len";
-  let tr = Trace.enabled () in
-  let buf = staging t in
-  let t0 = if tr then Trace.now () else 0.0 in
-  (* Pass 1: marshal — move the message into the protocol buffer. *)
-  Words.blit ~src ~src_off ~dst:buf ~dst_off:0 ~len;
-  Mt.copied Mt.Marshal len;
-  let t1 = if tr then Trace.now () else 0.0 in
-  (* Pass 2: encrypt the protocol buffer in place. *)
-  Cipher.encrypt_blocks t.cipher buf ~off:0 ~count:(len / 8);
-  Mt.inplace Mt.Cipher len;
-  let t2 = if tr then Trace.now () else 0.0 in
-  (* Pass 3: the TCP send copy into the ring. *)
-  Words.blit ~src:buf ~src_off:0 ~dst ~dst_off ~len;
-  Mt.copied Mt.Tcp len;
-  let t3 = if tr then Trace.now () else 0.0 in
-  (* Pass 4: the tcp_output checksum walk. *)
-  Mt.read Mt.Checksum len;
-  let acc = Internet.add_bytes_unsafe Internet.empty dst ~off:dst_off ~len in
-  if tr then
-    trace_send_passes ~pkt:(Trace.current_packet ()) ~t0 ~t1 ~t2 ~t3
-      ~t4:(Trace.now ());
-  acc
-
-let send_ilp t ~src ~src_off ~len ~dst ~dst_off =
-  check "Wire.send_ilp" ~src ~src_off ~len ~dst ~dst_off;
-  let tr = Trace.enabled () in
-  let t0 = if tr then Trace.now () else 0.0 in
-  let acc = ref Internet.empty in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = min chunk (len - !pos) in
-    let d = dst_off + !pos in
-    Words.blit ~src ~src_off:(src_off + !pos) ~dst ~dst_off:d ~len:n;
-    Cipher.encrypt_blocks t.cipher dst ~off:d ~count:(n / 8);
-    acc := Internet.add_bytes_unsafe !acc dst ~off:d ~len:n;
-    pos := !pos + n
-  done;
-  Mt.copied Mt.Marshal len;
-  Mt.inplace Mt.Cipher len;
-  Mt.read Mt.Checksum len;
-  if tr then
-    trace_send_fused ~pkt:(Trace.current_packet ()) ~t0 ~t1:(Trace.now ());
-  !acc
-
 let recv_separate t ~src ~src_off ~len ~dst ~dst_off =
   check "Wire.recv_separate" ~src ~src_off ~len ~dst ~dst_off;
   let tr = Trace.enabled () in

@@ -9,9 +9,9 @@
     wire data and the same Internet checksum; only the wall-clock cost
     differs, which is what [ilpbench wall] measures.
 
-    The [sendv_*] variants take the marshal output as an iovec-style
-    scatter list and assemble it directly at the destination — the
-    single-copy path: no intermediate rendering of the plaintext.
+    The sends take the marshal output as an iovec-style scatter list and
+    assemble it directly at the destination — the single-copy path: no
+    intermediate rendering of the plaintext.
 
     Every function feeds the {!Memtraffic} ledger (bytes copied, bytes
     transformed in place, bytes checksummed), so [ilpbench mem] can count
@@ -35,22 +35,6 @@ val cipher : t -> Cipher.t
 (** Return the staging buffer (if ever drawn) to the pool.  Idempotent;
     a later separate-path send simply draws a fresh one. *)
 val release : t -> unit
-
-(** [send_separate t ~src ~src_off ~len ~dst ~dst_off] runs the four-pass
-    send: word-copy [src] into the staging buffer (marshal), encrypt the
-    staging buffer in place, word-copy it into [dst] (the ring), then
-    checksum [dst].  Returns the payload checksum accumulator. *)
-val send_separate :
-  t -> src:Bytes.t -> src_off:int -> len:int -> dst:Bytes.t -> dst_off:int ->
-  Ilp_checksum.Internet.acc
-
-(** [send_ilp t ~src ~src_off ~len ~dst ~dst_off] runs the fused send: one
-    pass over the message in cache-sized chunks, each chunk copied into
-    [dst], encrypted there and folded into the checksum while still
-    resident.  Same wire bytes and checksum as [send_separate]. *)
-val send_ilp :
-  t -> src:Bytes.t -> src_off:int -> len:int -> dst:Bytes.t -> dst_off:int ->
-  Ilp_checksum.Internet.acc
 
 (** [recv_separate t ~src ~src_off ~len ~dst ~dst_off] runs the separate
     receive: checksum [src], decrypt [src] in place, word-copy the
@@ -82,8 +66,8 @@ val iovec_len : iovec list -> int
     gathers the iovec list directly at [dst] in cache-sized chunks, each
     chunk encrypted and checksummed while resident.  The message's only
     copy is the gather itself.  The total length must be a multiple of 8.
-    Byte- and checksum-identical to rendering [iov] contiguously and
-    calling {!send_ilp}. *)
+    The wire bytes are the cipher's ECB encryption of the concatenated
+    iovec, and the result is their checksum. *)
 val sendv_ilp :
   t -> iov:iovec list -> dst:Bytes.t -> dst_off:int ->
   Ilp_checksum.Internet.acc

@@ -329,9 +329,7 @@ let handle_reply t ~len =
 (* Both connections feed the same failure slot: losing either one ends the
    transfer, and the first recorded reason is the one reported. *)
 let wire_sockets t =
-  (match Engine.rx_style t.engine with
-  | Engine.Rx_integrated_style f -> Socket.set_rx_processing t.data (Socket.Rx_integrated f)
-  | Engine.Rx_deferred_style f -> Socket.set_rx_processing t.data (Socket.Rx_separate f));
+  Socket.set_rx_processing t.data (Engine.rx_processing t.engine);
   (* Covers reconnection too: a fresh data socket must parse preludes
      from its very first reply. *)
   Socket.set_rx_framing t.data t.framed;

@@ -363,11 +363,6 @@ let decode_ctrl_bytes ?(length_at_end = false) ?(crc_trailer = false) buf ~len =
       | c -> Ok c
       | exception View.Error e -> Error e)
 
-let decode_ctrl ?(length_at_end = false) ?(crc_trailer = false) plaintext =
-  decode_ctrl_bytes ~length_at_end ~crc_trailer
-    (Bytes.unsafe_of_string plaintext)
-    ~len:(String.length plaintext)
-
 let decode_reply_view ?(length_at_end = false) buf ~len =
   match view_decoder ~length_at_end buf ~len with
   | Error e -> Error e

@@ -140,13 +140,6 @@ val decode_ctrl_bytes :
   len:int ->
   (ctrl * int, string) result
 
-(** String-input counterpart of {!decode_ctrl_bytes}. *)
-val decode_ctrl :
-  ?length_at_end:bool ->
-  ?crc_trailer:bool ->
-  string ->
-  (ctrl * int, string) result
-
 (** [decode_reply_view buf ~len] — as {!decode_reply}, but the payload
     stays in [buf]: returns the header and the payload's byte offset
     ([hdr.data_len] bytes starting there).  The caller must consume the

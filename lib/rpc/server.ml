@@ -540,9 +540,7 @@ let attach t ~ctrl ~data =
   end;
   Hashtbl.replace t.conns id conn;
   (* Requests arrive through the same manipulation stack as any message. *)
-  (match Engine.rx_style t.engine with
-  | Engine.Rx_integrated_style f -> Socket.set_rx_processing ctrl (Socket.Rx_integrated f)
-  | Engine.Rx_deferred_style f -> Socket.set_rx_processing ctrl (Socket.Rx_separate f));
+  Socket.set_rx_processing ctrl (Engine.rx_processing t.engine);
   Socket.set_on_message ctrl (fun ~len -> handle_request t conn ~len);
   (* Either socket dying ends the connection: abandon its queue and free
      the admission slot so a waiting client can be served. *)

@@ -418,38 +418,36 @@ module Soak = Ilp_app.Soak
 
 let soak_smoke cfg =
   let o = Soak.run cfg in
-  check "all iterations accounted" cfg.Soak.iterations
-    (o.Soak.byte_exact + o.Soak.typed + o.Soak.escaped + o.Soak.silent);
-  check "one run per iteration" cfg.Soak.iterations o.Soak.runs;
+  let t = o.Soak.tally in
+  check "all iterations accounted" cfg.Soak.runs
+    (t.Soak.byte_exact + t.Soak.typed + t.Soak.escaped + t.Soak.silent);
+  check "one run per iteration" cfg.Soak.runs t.Soak.runs;
   checkb "invariants hold" true (Soak.invariants_hold o);
   o
 
+let chaos = Soak.default_config (Soak.Chaos { intensity = 1.0 })
+
 let test_soak_smoke () =
-  let cfg =
-    { Soak.default_config with Soak.iterations = 48; file_len = 512 }
-  in
-  let o = soak_smoke cfg in
+  let t = (soak_smoke { chaos with Soak.runs = 48; file_len = 512 }).Soak.tally in
   checkb "chaos actually bit" true
-    (Soak.counter o "link.corrupted" > 0 && Soak.counter o "link.dropped" > 0);
-  checkb "some transfers survived" true (o.Soak.byte_exact > 0)
+    (Soak.counter t "link.corrupted" > 0 && Soak.counter t "link.dropped" > 0);
+  checkb "some transfers survived" true (t.Soak.byte_exact > 0)
 
 let test_soak_deterministic () =
-  let cfg =
-    { Soak.default_config with Soak.iterations = 16; file_len = 512 }
-  in
+  let cfg = { chaos with Soak.runs = 16; file_len = 512 } in
   let o1 = soak_smoke cfg in
   let o2 = soak_smoke cfg in
   checkb "same seed, same outcome" true (o1 = o2);
   let o3 = soak_smoke { cfg with Soak.seed = 2 } in
-  checkb "different seed, different ledger" true (o1.Soak.delta <> o3.Soak.delta)
+  checkb "different seed, different ledger" true
+    (o1.Soak.tally.Soak.delta <> o3.Soak.tally.Soak.delta)
 
 let test_overload_soak_smoke () =
-  let cfg = { Soak.default_overload_config with Soak.file_len = 1024 } in
-  let o = Soak.run_overload cfg in
+  let cfg = { (Soak.default_config Soak.Overload) with Soak.file_len = 1024 } in
+  let o = Soak.run cfg in
   let t = o.Soak.tally in
-  checkb "graceful-degradation invariants hold" true
-    (Soak.overload_invariants_hold o);
-  check "every client classified" cfg.Soak.clients
+  checkb "graceful-degradation invariants hold" true (Soak.invariants_hold o);
+  check "every client classified" cfg.Soak.runs
     (t.Soak.byte_exact + t.Soak.typed + t.Soak.silent);
   checkb "honest majority completed" true (t.Soak.byte_exact >= 6);
   checkb "misbehaving clients got typed outcomes" true (t.Soak.typed >= 2);
@@ -457,31 +455,61 @@ let test_overload_soak_smoke () =
     (Soak.counter t "tcp.persist_probes" > 0);
   checkb "dead reader aborted Peer_stalled" true
     (Soak.counter t "tcp.abort.peer_stalled" >= 1);
-  checkb "budget ceiling respected" true
-    (o.Soak.peak_queued_bytes <= o.Soak.queue_cap);
+  (match o.Soak.figures with
+  | Soak.Overload_figures f ->
+      checkb "budget ceiling respected" true (f.peak_queued_bytes <= f.queue_cap)
+  | Soak.Chaos_figures | Soak.Crash_figures _ -> Alcotest.fail "overload figures");
   (* Deterministic under a fixed seed. *)
-  let o2 = Soak.run_overload cfg in
+  let o2 = Soak.run cfg in
   checkb "same seed, same outcome" true (o = o2)
 
 let test_crash_soak_smoke () =
   let cfg =
-    { Soak.default_crash_config with Soak.transfers = 8; file_len = 1024 }
+    { (Soak.default_config Soak.Crash) with Soak.runs = 8; file_len = 1024 }
   in
-  let o = Soak.run_crash cfg in
+  let o = Soak.run cfg in
   let t = o.Soak.tally in
-  checkb "fault-model invariants hold" true (Soak.crash_invariants_hold o);
-  check "every transfer classified" cfg.Soak.transfers
+  checkb "fault-model invariants hold" true (Soak.invariants_hold o);
+  check "every transfer classified" cfg.Soak.runs
     (t.Soak.byte_exact + t.Soak.typed + t.Soak.silent);
   checkb "crashes actually happened" true (Soak.counter t "netsim.crashes" > 0);
-  checkb "some transfer resumed across a restart" true
-    (o.Soak.resumed_completed > 0);
-  check "never restarted from byte zero" 0 o.Soak.restarts_from_zero;
-  check "no stale timers after any crash" 0 o.Soak.stale_timers;
-  check "dedup ledger conserved" 0 o.Soak.dedup_violations;
+  (match o.Soak.figures with
+  | Soak.Crash_figures f ->
+      checkb "some transfer resumed across a restart" true
+        (f.resumed_completed > 0);
+      check "never restarted from byte zero" 0 f.restarts_from_zero;
+      check "no stale timers after any crash" 0 f.stale_timers;
+      check "dedup ledger conserved" 0 f.dedup_violations
+  | Soak.Chaos_figures | Soak.Overload_figures _ -> Alcotest.fail "crash figures");
   check "pool balanced" 0 t.Soak.pool_leaks;
+  checkb "the verdict holds" true
+    (match Soak.verdict o with Soak.Held _ -> true | _ -> false);
   (* Deterministic under a fixed seed. *)
-  let o2 = Soak.run_crash cfg in
+  let o2 = Soak.run cfg in
   checkb "same seed, same outcome" true (o = o2)
+
+let test_crash_soak_vacuous () =
+  (* A crash soak that ran nothing holds every invariant, yet exercised
+     no crash: its verdict must still fail it. *)
+  let o = Soak.run { (Soak.default_config Soak.Crash) with Soak.runs = 0 } in
+  checkb "invariants hold on nothing" true (Soak.invariants_hold o);
+  checkb "the verdict is vacuous" true
+    (match Soak.verdict o with Soak.Vacuous _ -> true | _ -> false)
+
+let test_soak_repro () =
+  let s = Soak.repro in
+  Alcotest.(check string) "chaos defaults" "--seed 1 -n 512 --size 512" (s chaos);
+  Alcotest.(check string) "crash"
+    "--crash --seed 7 -n 16 --size 1024"
+    (s { (Soak.default_config Soak.Crash) with seed = 7; runs = 16; file_len = 1024 });
+  Alcotest.(check string) "intensity and machine"
+    "--seed 7 -n 256 --size 256 --intensity 1.5 --machine SS20-60"
+    (s
+       { (Soak.default_config (Soak.Chaos { intensity = 1.5 })) with
+         seed = 7;
+         runs = 256;
+         file_len = 256;
+         machine = Ilp_memsim.Config.ss20_60 })
 
 let test_overload_lying_receiver () =
   (* The lying-receiver persona forges SACK feedback through the link's
@@ -489,15 +517,17 @@ let test_overload_lying_receiver () =
      the server's SACK validation or answered with a typed
      Misbehaving_peer abort — and its own transfer must still be
      byte-exact or typed, never silently wrong. *)
-  let cfg = { Soak.default_overload_config with Soak.file_len = 2048 } in
-  let o = Soak.run_overload cfg in
+  let cfg = { (Soak.default_config Soak.Overload) with Soak.file_len = 2048 } in
+  let o = Soak.run cfg in
   let n = Soak.counter o.Soak.tally in
-  checkb "graceful-degradation invariants hold" true
-    (Soak.overload_invariants_hold o);
+  checkb "graceful-degradation invariants hold" true (Soak.invariants_hold o);
   checkb "the lying receiver actually forged acks" true (n "link.tampered" > 0);
   checkb "forged feedback was rejected or typed-aborted" true
     (n "tcp.sack_invalid" + n "tcp.abort.misbehaving_peer" > 0);
-  checkb "no forgery went unpunished" false o.Soak.forgery_unpunished
+  match o.Soak.figures with
+  | Soak.Overload_figures f ->
+      checkb "no forgery went unpunished" false f.forgery_unpunished
+  | Soak.Chaos_figures | Soak.Crash_figures _ -> Alcotest.fail "overload figures"
 
 (* ------------------------------------------------------------------ *)
 (* World: the one wiring of the paper's connection plan *)
@@ -804,4 +834,7 @@ let () =
           Alcotest.test_case "overload soak smoke" `Slow test_overload_soak_smoke;
           Alcotest.test_case "lying receiver punished" `Slow
             test_overload_lying_receiver;
-          Alcotest.test_case "crash soak smoke" `Slow test_crash_soak_smoke ] ) ]
+          Alcotest.test_case "crash soak smoke" `Slow test_crash_soak_smoke;
+          Alcotest.test_case "crash soak vacuous verdict" `Quick
+            test_crash_soak_vacuous;
+          Alcotest.test_case "soak repro line" `Quick test_soak_repro ] ) ]

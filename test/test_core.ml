@@ -527,17 +527,17 @@ let test_engine_rx_style () =
   let style_of ~mode ~rx_placement =
     let sim = make_sim () in
     let cipher = Ilp_cipher.Simple_cipher.charged sim in
-    Engine.rx_style (Engine.create sim ~cipher ~mode ~rx_placement ())
+    Engine.rx_processing (Engine.create sim ~cipher ~mode ~rx_placement ())
   in
   (match style_of ~mode:Engine.Ilp ~rx_placement:Engine.Early with
-  | Engine.Rx_integrated_style _ -> ()
-  | Engine.Rx_deferred_style _ -> Alcotest.fail "ILP/Early must integrate");
+  | Ilp_tcp.Socket.Rx_integrated _ -> ()
+  | Ilp_tcp.Socket.Rx_separate _ -> Alcotest.fail "ILP/Early must integrate");
   (match style_of ~mode:Engine.Ilp ~rx_placement:Engine.Late with
-  | Engine.Rx_deferred_style _ -> ()
-  | Engine.Rx_integrated_style _ -> Alcotest.fail "ILP/Late must defer");
+  | Ilp_tcp.Socket.Rx_separate _ -> ()
+  | Ilp_tcp.Socket.Rx_integrated _ -> Alcotest.fail "ILP/Late must defer");
   match style_of ~mode:Engine.Separate ~rx_placement:Engine.Early with
-  | Engine.Rx_deferred_style _ -> ()
-  | Engine.Rx_integrated_style _ -> Alcotest.fail "Separate never integrates"
+  | Ilp_tcp.Socket.Rx_separate _ -> ()
+  | Ilp_tcp.Socket.Rx_integrated _ -> Alcotest.fail "Separate never integrates"
 
 let test_engine_segments_multi_payload () =
   (* The generalized send path: a message whose body interleaves two
@@ -718,10 +718,10 @@ let prop_engine_all_flag_combinations =
             = Internet.checksum_string (read_back sim wire prepared.Engine.stream_len)
         | _, _ -> false
       in
-      (match Engine.rx_style eng with
-      | Engine.Rx_integrated_style f ->
+      (match Engine.rx_processing eng with
+      | Ilp_tcp.Socket.Rx_integrated f ->
           ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
-      | Engine.Rx_deferred_style f ->
+      | Ilp_tcp.Socket.Rx_separate f ->
           ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
       let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
       let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
@@ -743,10 +743,10 @@ let crc_roundtrip ~mode ~header_style =
   in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   ignore (fill_all sim.Sim.mem prepared ~dst:wire);
-  (match Engine.rx_style eng with
-  | Engine.Rx_integrated_style f ->
+  (match Engine.rx_processing eng with
+  | Ilp_tcp.Socket.Rx_integrated f ->
       ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
-  | Engine.Rx_deferred_style f ->
+  | Ilp_tcp.Socket.Rx_separate f ->
       ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
   let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
   let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
@@ -856,10 +856,10 @@ let transfer_with ~mode ~header_style ~crc32 ?pool () =
   in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   ignore (fill_all sim.Sim.mem prepared ~dst:wire);
-  (match Engine.rx_style eng with
-  | Engine.Rx_integrated_style rx ->
+  (match Engine.rx_processing eng with
+  | Ilp_tcp.Socket.Rx_integrated rx ->
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
-  | Engine.Rx_deferred_style rx ->
+  | Ilp_tcp.Socket.Rx_separate rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
   (eng, prepared.Engine.stream_len)
 

@@ -88,12 +88,14 @@ let test_swar_known_bytes () =
 (* ------------------------------------------------------------------ *)
 (* Wire codec *)
 
+(* One message through both sends, as a one-run iovec. *)
 let wire_pair cipher len =
   let fp = FP.Wire.create ~cipher ~max_len:len () in
   let msg = Bytes.of_string (random_msg len) in
+  let iov = [ FP.Wire.Io_bytes { buf = msg; off = 0; len } ] in
   let sep = Bytes.create len and ilp = Bytes.create len in
-  let acc_sep = FP.Wire.send_separate fp ~src:msg ~src_off:0 ~len ~dst:sep ~dst_off:0 in
-  let acc_ilp = FP.Wire.send_ilp fp ~src:msg ~src_off:0 ~len ~dst:ilp ~dst_off:0 in
+  let acc_sep = FP.Wire.sendv_separate fp ~iov ~dst:sep ~dst_off:0 in
+  let acc_ilp = FP.Wire.sendv_ilp fp ~iov ~dst:ilp ~dst_off:0 in
   (fp, msg, sep, ilp, acc_sep, acc_ilp)
 
 let test_send_paths_agree () =
@@ -103,11 +105,13 @@ let test_send_paths_agree () =
       List.iter
         (fun len ->
           let _, msg, sep, ilp, acc_sep, acc_ilp = wire_pair cipher len in
+          let reference = reference_encrypt cipher (Bytes.to_string msg) in
           checkb "wire bytes identical" true (Bytes.equal sep ilp);
           check "checksums agree" (Internet.finish acc_sep) (Internet.finish acc_ilp);
-          check_s "wire is the reference ECB"
-            (reference_encrypt cipher (Bytes.to_string msg))
-            (Bytes.to_string sep))
+          check_s "wire is the reference ECB" reference (Bytes.to_string sep);
+          check "checksum is the reference's"
+            (Internet.checksum_string reference)
+            (Internet.finish acc_sep))
         [ 0; 8; 4096; 4104; 10000 ])
     (ciphers ())
 
@@ -146,19 +150,34 @@ let prop_wire_roundtrip_at_offsets =
       let src = Bytes.make (src_off + len) '\000' in
       Bytes.blit_string msg 0 src src_off len;
       let wire = Bytes.make (dst_off + len) '\000' in
-      let acc = FP.Wire.send_ilp fp ~src ~src_off ~len ~dst:wire ~dst_off in
+      let acc =
+        FP.Wire.sendv_ilp fp
+          ~iov:[ FP.Wire.Io_bytes { buf = src; off = src_off; len } ]
+          ~dst:wire ~dst_off
+      in
+      let reference = reference_encrypt cipher msg in
       let out = Bytes.create len in
       let acc' = FP.Wire.recv_ilp fp ~src:wire ~src_off:dst_off ~len ~dst:out ~dst_off:0 in
-      Bytes.to_string out = msg && Internet.finish acc = Internet.finish acc')
+      Bytes.to_string out = msg
+      && Internet.finish acc = Internet.finish acc'
+      && Internet.finish acc = Internet.checksum_string reference)
 
 let test_wire_validation () =
   let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~max_len:64 () in
   let b = Bytes.create 64 in
-  (match FP.Wire.send_ilp fp ~src:b ~src_off:0 ~len:12 ~dst:b ~dst_off:0 with
+  (match
+     FP.Wire.sendv_ilp fp
+       ~iov:[ FP.Wire.Io_bytes { buf = b; off = 0; len = 12 } ]
+       ~dst:b ~dst_off:0
+   with
   | _ -> Alcotest.fail "expected Invalid_argument (unaligned)"
   | exception Invalid_argument _ -> ());
   let big = Bytes.create 128 in
-  match FP.Wire.send_separate fp ~src:big ~src_off:0 ~len:128 ~dst:big ~dst_off:0 with
+  match
+    FP.Wire.sendv_separate fp
+      ~iov:[ FP.Wire.Io_bytes { buf = big; off = 0; len = 128 } ]
+      ~dst:big ~dst_off:0
+  with
   | _ -> Alcotest.fail "expected Invalid_argument (max_len)"
   | exception Invalid_argument _ -> ()
 
@@ -215,10 +234,10 @@ let one_transfer ~mode ~backend_native kind =
   let acc_opt = fill_all sim.Sim.mem prepared ~dst:wire in
   let wire_bytes = Mem.peek_bytes sim.Sim.mem ~pos:wire ~len:prepared.Engine.stream_len in
   let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e in
-  (match Engine.rx_style eng with
-  | Engine.Rx_integrated_style rx ->
+  (match Engine.rx_processing eng with
+  | Ilp_tcp.Socket.Rx_integrated rx ->
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
-  | Engine.Rx_deferred_style rx ->
+  | Ilp_tcp.Socket.Rx_separate rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
   let buf, n = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
   let plaintext = Bytes.sub_string buf 0 n in
@@ -328,8 +347,9 @@ let test_pool_odd_size_dropped () =
   FP.Pool.release p b
 
 (* ------------------------------------------------------------------ *)
-(* Scatter-gather sends: sendv must be byte- and checksum-identical to
-   rendering the iovec contiguously and running the contiguous send. *)
+(* Scatter-gather sends: however the message is cut into an iovec, both
+   sends put the pure ECB reference of the contiguous message on the wire
+   and return its checksum. *)
 
 (* Cut [msg] into iovec segments at pseudo-random boundaries derived from
    [seed], alternating bytes-with-offset and string segments. *)
@@ -355,7 +375,7 @@ let iovec_of_string msg seed =
 
 let prop_sendv_equals_contiguous =
   QCheck.Test.make ~count:80
-    ~name:"sendv_{ilp,separate} = contiguous send_ilp on random splits"
+    ~name:"sendv_{ilp,separate} = contiguous reference ECB on random splits"
     QCheck.(pair (map (fun n -> n * 8) (int_range 0 80)) small_nat)
     (fun (len, seed) ->
       let cipher = FP.Cipher.Safer_simplified (Safer_simplified.expand_key key) in
@@ -364,17 +384,14 @@ let prop_sendv_equals_contiguous =
       let iov = iovec_of_string msg seed in
       FP.Wire.iovec_len iov = len
       &&
-      let flat = Bytes.of_string msg in
-      let ref_wire = Bytes.create len in
-      let ref_acc =
-        FP.Wire.send_ilp fp ~src:flat ~src_off:0 ~len ~dst:ref_wire ~dst_off:0
-      in
+      let reference = reference_encrypt cipher msg in
       let wi = Bytes.create len and ws = Bytes.create len in
       let ai = FP.Wire.sendv_ilp fp ~iov ~dst:wi ~dst_off:0 in
       let as_ = FP.Wire.sendv_separate fp ~iov ~dst:ws ~dst_off:0 in
-      Bytes.equal wi ref_wire && Bytes.equal ws ref_wire
-      && Internet.finish ai = Internet.finish ref_acc
-      && Internet.finish as_ = Internet.finish ref_acc)
+      Bytes.to_string wi = reference
+      && Bytes.to_string ws = reference
+      && Internet.finish ai = Internet.checksum_string reference
+      && Internet.finish as_ = Internet.checksum_string reference)
 
 (* ------------------------------------------------------------------ *)
 (* Staging buffer: drawn lazily from the pool, returned on release. *)
@@ -385,18 +402,15 @@ let test_staging_from_pool () =
   let fp = FP.Wire.create ~cipher ~pool ~max_len:256 () in
   check "nothing drawn at create" 0 (FP.Pool.outstanding pool);
   let msg = Bytes.of_string (random_msg 64) in
+  let iov = [ FP.Wire.Io_bytes { buf = msg; off = 0; len = 64 } ] in
   let dst = Bytes.create 64 in
-  (* The ILP paths never stage. *)
-  ignore (FP.Wire.send_ilp fp ~src:msg ~src_off:0 ~len:64 ~dst ~dst_off:0);
-  ignore
-    (FP.Wire.sendv_ilp fp
-       ~iov:[ FP.Wire.Io_bytes { buf = msg; off = 0; len = 64 } ]
-       ~dst ~dst_off:0);
+  (* The ILP path never stages. *)
+  ignore (FP.Wire.sendv_ilp fp ~iov ~dst ~dst_off:0);
   check "ILP sends draw nothing" 0 (FP.Pool.outstanding pool);
-  ignore (FP.Wire.send_separate fp ~src:msg ~src_off:0 ~len:64 ~dst ~dst_off:0);
+  ignore (FP.Wire.sendv_separate fp ~iov ~dst ~dst_off:0);
   check "first separate send draws the staging buffer" 1
     (FP.Pool.outstanding pool);
-  ignore (FP.Wire.send_separate fp ~src:msg ~src_off:0 ~len:64 ~dst ~dst_off:0);
+  ignore (FP.Wire.sendv_separate fp ~iov ~dst ~dst_off:0);
   check "staging buffer is drawn once" 1 (FP.Pool.outstanding pool);
   FP.Wire.release fp;
   check "release returns it" 0 (FP.Pool.outstanding pool);
@@ -404,10 +418,10 @@ let test_staging_from_pool () =
   check "release is idempotent" 0 (FP.Pool.outstanding pool);
   (* A later separate send simply redraws. *)
   let out = Bytes.create 64 in
-  let acc = FP.Wire.send_separate fp ~src:msg ~src_off:0 ~len:64 ~dst:out ~dst_off:0 in
+  let acc = FP.Wire.sendv_separate fp ~iov ~dst:out ~dst_off:0 in
   check "redraw works" 1 (FP.Pool.outstanding pool);
   checkb "redrawn staging produces correct wire bytes" true (Bytes.equal out dst);
-  let acc' = FP.Wire.send_ilp fp ~src:msg ~src_off:0 ~len:64 ~dst ~dst_off:0 in
+  let acc' = FP.Wire.sendv_ilp fp ~iov ~dst ~dst_off:0 in
   check "checksums still agree after redraw" (Internet.finish acc')
     (Internet.finish acc);
   FP.Wire.release fp;

@@ -536,12 +536,12 @@ let test_sampler_conservation_soak () =
    is, counter for counter, what the registry gained around the call, and
    it saw the lying receivers' forgeries rejected. *)
 let test_conservation_overload_soak () =
-  let cfg = Soak.default_overload_config in
+  let cfg = Soak.default_config Soak.Overload in
   let before = M.snapshot M.default in
-  let o = Soak.run_overload cfg in
+  let o = Soak.run cfg in
   let after = M.snapshot M.default in
   let t = o.Soak.tally in
-  checkb "overload invariants hold" true (Soak.overload_invariants_hold o);
+  checkb "overload invariants hold" true (Soak.invariants_hold o);
   List.iter
     (fun (name, v) ->
       match v with

@@ -30,6 +30,11 @@ let plaintext_of ?(length_at_end = false) body =
     body ^ pad ^ len_word
   else len_word ^ body ^ String.make (total - enc_len) '\000'
 
+(* The server's control decoder over a whole plaintext string. *)
+let decode_ctrl ?crc_trailer plaintext =
+  Messages.decode_ctrl_bytes ?crc_trailer (Bytes.of_string plaintext)
+    ~len:(String.length plaintext)
+
 let test_request_roundtrip () =
   let req =
     Messages.request ~file_name:"paper.dat" ~copies:3 ~max_reply:1024 ()
@@ -91,7 +96,7 @@ let test_probe_roundtrip () =
       p_req_id = 77 }
   in
   let plaintext = plaintext_of (Messages.encode_probe probe) in
-  match Messages.decode_ctrl plaintext with
+  match decode_ctrl plaintext with
   | Ok (Messages.Probe got, _) -> checkb "probe fields survive" true (got = probe)
   | Ok (Messages.Request _, _) -> Alcotest.fail "probe dispatched as request"
   | Error e -> Alcotest.fail e
@@ -103,7 +108,7 @@ let test_request_v2_roundtrip () =
   in
   checkb "fault-model fields force the v2 form" false (Messages.request_is_v1 req);
   let plaintext = plaintext_of (Messages.encode_request req) in
-  match Messages.decode_ctrl plaintext with
+  match decode_ctrl plaintext with
   | Ok (Messages.Request got, _) ->
       checkb "resume fields survive" true (got = req)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "request dispatched as probe"
@@ -125,7 +130,7 @@ let test_request_v1_wire_unchanged () =
          ~max_reply:512 ())
   in
   check "v2 carries three more words" (24 + 12) (String.length v2);
-  match Messages.decode_ctrl (plaintext_of enc) with
+  match decode_ctrl (plaintext_of enc) with
   | Ok (Messages.Request got, _) ->
       checkb "ctrl dispatch recovers the v1 request" true (got = req)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "v1 request dispatched as probe"
@@ -147,13 +152,13 @@ let test_ctrl_dispatch_with_crc_trailer () =
      request (2 words) mis-dispatches as a probe (3 words). *)
   let req = Messages.request ~file_name:"paper.dat" ~copies:2 ~max_reply:512 () in
   let plaintext = plaintext_with_crc_trailer (Messages.encode_request req) in
-  (match Messages.decode_ctrl ~crc_trailer:true plaintext with
+  (match decode_ctrl ~crc_trailer:true plaintext with
   | Ok (Messages.Request got, _) ->
       checkb "request recovered under the trailer" true (got = req)
   | Ok (Messages.Probe _, _) ->
       Alcotest.fail "crc_trailer:true still dispatched as probe"
   | Error e -> Alcotest.fail e);
-  (match Messages.decode_ctrl plaintext with
+  (match decode_ctrl plaintext with
   | Ok (Messages.Request got, _) when got = req ->
       Alcotest.fail "phantom trailer word went unnoticed"
   | _ -> ());
@@ -162,7 +167,7 @@ let test_ctrl_dispatch_with_crc_trailer () =
     { Messages.p_file_name = "paper.dat"; p_offset = 64; p_crc = 7; p_req_id = 9 }
   in
   match
-    Messages.decode_ctrl ~crc_trailer:true
+    decode_ctrl ~crc_trailer:true
       (plaintext_with_crc_trailer (Messages.encode_probe probe))
   with
   | Ok (Messages.Probe got, _) -> checkb "probe recovered" true (got = probe)
@@ -179,14 +184,14 @@ let test_flagged_ctrl_dispatch () =
     Messages.request ~req_id:7 ~file_name:"paper.dat" ~copies:2 ~max_reply:512 ()
   in
   let flagged = Messages.encode_request req ^ u32be Messages.flag_rx_framing in
-  (match Messages.decode_ctrl (plaintext_of flagged) with
+  (match decode_ctrl (plaintext_of flagged) with
   | Ok (Messages.Request got, flags) ->
       checkb "request fields survive the flag word" true (got = req);
       checkb "rx-framing flag surfaced" true
         (flags land Messages.flag_rx_framing <> 0)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "flagged request dispatched as probe"
   | Error e -> Alcotest.fail e);
-  (match Messages.decode_ctrl (plaintext_of (Messages.encode_request req)) with
+  (match decode_ctrl (plaintext_of (Messages.encode_request req)) with
   | Ok (Messages.Request _, flags) -> check "unflagged request: flags 0" 0 flags
   | Ok (Messages.Probe _, _) -> Alcotest.fail "v2 request dispatched as probe"
   | Error e -> Alcotest.fail e);
@@ -194,14 +199,14 @@ let test_flagged_ctrl_dispatch () =
     { Messages.p_file_name = "paper.dat"; p_offset = 128; p_crc = 0xBEEF; p_req_id = 3 }
   in
   let flagged_p = Messages.encode_probe probe ^ u32be Messages.flag_rx_framing in
-  (match Messages.decode_ctrl (plaintext_of flagged_p) with
+  (match decode_ctrl (plaintext_of flagged_p) with
   | Ok (Messages.Probe got, flags) ->
       checkb "probe fields survive the flag word" true (got = probe);
       checkb "probe carries the flag too" true
         (flags land Messages.flag_rx_framing <> 0)
   | Ok (Messages.Request _, _) -> Alcotest.fail "flagged probe dispatched as request"
   | Error e -> Alcotest.fail e);
-  match Messages.decode_ctrl (plaintext_of (Messages.encode_probe probe)) with
+  match decode_ctrl (plaintext_of (Messages.encode_probe probe)) with
   | Ok (Messages.Probe _, flags) -> check "unflagged probe: flags 0" 0 flags
   | Ok (Messages.Request _, _) -> Alcotest.fail "probe dispatched as request"
   | Error e -> Alcotest.fail e
@@ -214,7 +219,7 @@ let test_flagged_ctrl_with_crc_trailer () =
       ~file_name:"paper.dat" ~copies:4 ~max_reply:256 ()
   in
   let flagged = Messages.encode_request req ^ u32be Messages.flag_rx_framing in
-  (match Messages.decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged) with
+  (match decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged) with
   | Ok (Messages.Request got, flags) ->
       checkb "flagged request recovered under the trailer" true (got = req);
       checkb "flags recovered under the trailer" true
@@ -226,7 +231,7 @@ let test_flagged_ctrl_with_crc_trailer () =
   in
   let flagged_p = Messages.encode_probe probe ^ u32be Messages.flag_rx_framing in
   match
-    Messages.decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged_p)
+    decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged_p)
   with
   | Ok (Messages.Probe got, flags) ->
       checkb "flagged probe recovered under the trailer" true (got = probe);
