@@ -114,17 +114,16 @@ let touch t i =
   t.tick <- t.tick + 1;
   t.age.(i) <- t.tick
 
+let hit_way t ~way ~write =
+  touch t way;
+  if write && t.cfg.write_policy = Write_back then t.dirty.(way) <- true
+
 let access t ~addr ~write =
   let set = locate_set t addr in
   let tag = locate_tag t addr in
   let i = find_way t set tag in
   if i >= 0 then begin
-    touch t i;
-    if write then begin
-      match t.cfg.write_policy with
-      | Write_back -> t.dirty.(i) <- true
-      | Write_through -> ()
-    end;
+    hit_way t ~way:i ~write;
     (i lsl way_shift) lor hit_bit
   end
   else if write && not t.cfg.write_allocate then

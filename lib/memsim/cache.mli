@@ -69,6 +69,12 @@ val present : t -> addr:int -> bool
     line is not resident; LRU state is not updated. *)
 val way : t -> addr:int -> int
 
+(** [hit_way t ~way ~write] leaves the state that a hit ({!access}) on
+    the resident line in [way] leaves: the LRU clock advances to it, and
+    a write into a write-back cache marks it dirty.  The caller knows the
+    line is there; no tag is searched. *)
+val hit_way : t -> way:int -> write:bool -> unit
+
 (** [repeat_hits t ~read_way ~write_way ~n] leaves the state that [n]
     rounds of a read hit on the resident line in [read_way] followed by a
     write hit on the resident line in [write_way] leave ([write_way < 0]:

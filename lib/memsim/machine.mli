@@ -26,8 +26,8 @@ val write : t -> addr:int -> size:int -> unit
 
 (** [read_run t ~addr ~len ~unit ~ops] charges exactly what [len / unit]
     iterations of [read ~addr:(addr + i*unit) ~size:unit; compute ops]
-    charge — cycles, ledger and cache state alike — at about one
-    simulated cache access per line instead of one per unit.  [unit] is
+    charge — cycles, ledger and cache state alike — searching tags only
+    where the read or the write crosses into a new line.  [unit] is
     1, 2, 4 or 8; a trailing fragment shorter than [unit] is not
     charged. *)
 val read_run : t -> addr:int -> len:int -> unit:int -> ops:int -> unit
@@ -57,11 +57,14 @@ val exec : t -> Code.region -> unit
     ([ops * compute_scale] cycles). *)
 val compute : t -> int -> unit
 
-(** [charge_micros t us] charges a latency expressed in microseconds
-    (per-packet operating-system costs). *)
-val charge_micros : t -> float -> unit
-
+(** [cycles t] is the stall plus [ops * compute_scale], formed when
+    read: the machine counts stalls in quarter cycles and ALU work in
+    ops, both as ints, so every batching of them is exact.  On a compute
+    scale of 1.0 (the SPARCs) it is the float that adding the terms one
+    by one gives. *)
 val cycles : t -> float
+
+(** [micros t] is [cycles t / clock_mhz]. *)
 val micros : t -> float
 
 (** Cycles spent stalled on the memory system (cache fills, write-buffer

@@ -43,8 +43,9 @@ let blit t ~src ~dst ~len ~unit_len =
   | _ -> invalid_arg "Mem.blit: unit_len");
   let whole = len / unit_len * unit_len in
   Machine.copy_run t.machine ~src ~dst ~len:whole ~unit:unit_len;
-  Machine.copy_run t.machine ~src:(src + whole) ~dst:(dst + whole)
-    ~len:(len - whole) ~unit:1;
+  if whole < len then
+    Machine.copy_run t.machine ~src:(src + whole) ~dst:(dst + whole)
+      ~len:(len - whole) ~unit:1;
   Bytes.blit t.data src t.data dst len
 
 let peek_u8 t addr = Char.code (Bytes.get t.data addr)

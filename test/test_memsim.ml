@@ -268,11 +268,6 @@ let test_machine_compute_scale () =
   Machine.compute m 10;
   checkf "scaled ops" 20.0 (Machine.cycles m)
 
-let test_machine_charge_micros () =
-  let m = Machine.create (Config.custom ~clock_mhz:50.0 ()) in
-  Machine.charge_micros m 3.0;
-  checkf "micros round trip" 3.0 (Machine.micros m)
-
 let test_machine_reset () =
   let m = tiny () in
   Machine.read m ~addr:0 ~size:4;
@@ -480,7 +475,7 @@ type fetch_op =
   | Copy of bool * int * int * int * int (* second?, src, dst, len, unit *)
   | Flush of bool
   | Reset of bool
-  | Micros of bool * int
+  | Compute of bool * int
 
 type fetch_case = {
   layout : (int * int) list; (* gap before the region, region length *)
@@ -496,7 +491,7 @@ let print_fetch_case c =
     | Copy (s, src, dst, len, u) -> Printf.sprintf "%c:copy%d>%d/%d/%d" (m s) src dst len u
     | Flush s -> Printf.sprintf "%c:flush" (m s)
     | Reset s -> Printf.sprintf "%c:reset" (m s)
-    | Micros (s, us) -> Printf.sprintf "%c:us%d" (m s) us
+    | Compute (s, ops) -> Printf.sprintf "%c:ops%d" (m s) ops
   in
   let ops l = String.concat ";" (List.map op l) in
   Printf.sprintf "layout=[%s] ops=[%s] follow=[%s]"
@@ -532,7 +527,7 @@ let gen_fetch_case =
             (pair (int_bound 600) (oneofl [ 1; 2; 4; 8 ])) );
         (1, map (fun s -> Flush s) second);
         (1, map (fun s -> Reset s) second);
-        (1, map2 (fun s us -> Micros (s, us)) second (int_bound 100)) ]
+        (1, map2 (fun s ops -> Compute (s, ops)) second (int_bound 100)) ]
   in
   map3
     (fun layout ops follow -> { layout; ops; follow })
@@ -569,7 +564,7 @@ let fetch_world cfg c ~exec =
     | Copy (s, src, dst, len, unit) -> Machine.copy_run (on s) ~src ~dst ~len ~unit
     | Flush s -> Machine.flush_caches (on s)
     | Reset s -> Machine.reset_counters (on s)
-    | Micros (s, us) -> Machine.charge_micros (on s) (float_of_int us *. 0.37)
+    | Compute (s, ops) -> Machine.compute (on s) ops
   in
   let observe exec op =
     apply exec op;
@@ -596,7 +591,9 @@ let prop_exec_matches_per_line =
 
 (* After a region's first walk, neither path of [exec] allocates, nor
    does a run.  On the AXP's 8 KB direct-mapped L1i, [r1] and [r2] (8 KB
-   apart) evict each other, so alternating them walks every time. *)
+   apart) evict each other, so alternating them walks every time.  A
+   counter reader returns one boxed float, no more: a reader that went
+   through another one would box twice. *)
 let test_exec_run_allocate_nothing () =
   let m = Machine.create Config.axp3000_800 in
   let code = Code.allocator () in
@@ -610,14 +607,23 @@ let test_exec_run_allocate_nothing () =
     (Gc.minor_words () -. w0) /. float_of_int n
   in
   let n = 1000 in
-  List.iter
-    (fun (what, f) ->
-      let words = per_call n f in
-      checkb (Printf.sprintf "%s allocates (%.4f words/call)" what words) true (words <= 0.01))
+  let at_most limit (what, f) =
+    let words = per_call n f in
+    checkb (Printf.sprintf "%s allocates (%.4f words/call)" what words) true
+      (words <= limit +. 0.01)
+  in
+  List.iter (at_most 0.0)
     [ ("memoised exec", fun () -> Machine.exec m r1);
       ("walking exec", fun () -> Machine.exec m r1; Machine.exec m r2);
-      ("copy_run", fun () -> Machine.copy_run m ~src:0 ~dst:5000 ~len:256 ~unit:4);
-      ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3) ]
+      ( "copy_run, src and dst at one line offset",
+        fun () -> Machine.copy_run m ~src:0 ~dst:5120 ~len:256 ~unit:4 );
+      ( "copy_run, src and dst at different line offsets",
+        fun () -> Machine.copy_run m ~src:8 ~dst:6020 ~len:256 ~unit:4 );
+      ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3) ];
+  (* A boxed float: a header and the 8-byte payload. *)
+  List.iter (at_most 2.0)
+    [ ("micros", fun () -> ignore (Sys.opaque_identity (Machine.micros m)));
+      ("cycles", fun () -> ignore (Sys.opaque_identity (Machine.cycles m))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mem *)
@@ -779,7 +785,6 @@ let () =
           Alcotest.test_case "straddling access" `Quick test_machine_straddling_access;
           Alcotest.test_case "warm ifetch" `Quick test_machine_exec_warm;
           Alcotest.test_case "compute scale" `Quick test_machine_compute_scale;
-          Alcotest.test_case "charge micros" `Quick test_machine_charge_micros;
           Alcotest.test_case "reset keeps caches" `Quick test_machine_reset;
           Alcotest.test_case "write-through drain" `Quick
             test_machine_write_through_drain;
