@@ -99,7 +99,7 @@ let recv_ilp t ~src ~src_off ~len ~dst ~dst_off =
   let acc = ref Internet.empty in
   let pos = ref 0 in
   while !pos < len do
-    let n = min chunk (len - !pos) in
+    let n = Int.min chunk (len - !pos) in
     let s = src_off + !pos and d = dst_off + !pos in
     acc := Internet.add_bytes_unsafe !acc src ~off:s ~len:n;
     Words.blit ~src ~src_off:s ~dst ~dst_off:d ~len:n;
@@ -160,7 +160,7 @@ let gather iov ~dst ~dst_off ~flushed ~flush =
     let off = ref 0 in
     while !off < len do
       let room = chunk - (!pos - !flushed) in
-      let n = min (len - !off) room in
+      let n = Int.min (len - !off) room in
       blit !off (dst_off + !pos) n;
       pos := !pos + n;
       off := !off + n;

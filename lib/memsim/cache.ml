@@ -86,9 +86,11 @@ let locate_tag t addr = (addr lsr t.line_shift) / t.sets
 
 (* The lookup loops recurse through top-level functions: a [let rec]
    nested inside a function captures its environment and allocates a
-   closure on every call. *)
+   closure on every call.  Their tag and way arrays are typed [int]: left
+   to inference they are ['a array], and [=] on an ['a] is a C call into
+   the generic comparison for every way searched. *)
 
-let rec find_from valid tags base tag assoc w =
+let rec find_from (valid : bool array) (tags : int array) base (tag : int) assoc w =
   if w = assoc then -1
   else if valid.(base + w) && tags.(base + w) = tag then base + w
   else find_from valid tags base tag assoc (w + 1)
@@ -167,7 +169,7 @@ let touch_ways t ways =
 (* [ways.(j)] is where a walk over consecutive lines left line [j].  A
    line is evicted only by a later fill into its way, and only lines [j]
    apart by a multiple of [sets] share a set (and so could share a way). *)
-let rec distinct_from ways sets j k =
+let rec distinct_from (ways : int array) sets j k =
   k < 0 || (ways.(k) <> ways.(j) && distinct_from ways sets j (k - sets))
 
 let rec all_distinct ways sets j =

@@ -107,7 +107,8 @@ let custom ?(name = "custom") ?(clock_mhz = 100.0) ?(l1d = tiny_l1d)
     compute_scale }
 
 let ns_to_cycles t ns =
-  if ns <= 0.0 then 0 else max 1 (int_of_float (Float.round (ns *. t.clock_mhz /. 1000.0)))
+  if ns <= 0.0 then 0
+  else Int.max 1 (int_of_float (Float.round (ns *. t.clock_mhz /. 1000.0)))
 
 let l1_hit_cycles t = ns_to_cycles t t.l1_hit_ns
 let store_buffer_cycles t = ns_to_cycles t t.store_buffer_ns

@@ -2,6 +2,9 @@ type t = {
   cfg : Config.t;
   l1d_write_through : bool;
   l1d : Cache.t;
+  (* Read on every data access: a field load, where [Cache.line_size]
+     would be a call ([-opaque] builds inline nothing across modules). *)
+  l1d_line : int;
   l1i : Cache.t;
   l2 : Cache.t option;
   stats : Stats.t;
@@ -29,6 +32,7 @@ let create cfg =
     l1d_write_through =
       cfg.Config.l1d.Cache.write_policy = Cache.Write_through;
     l1d = Cache.create cfg.Config.l1d;
+    l1d_line = cfg.Config.l1d.Cache.line;
     l1i = Cache.create cfg.Config.l1i;
     l2 = Option.map Cache.create cfg.Config.l2;
     stats = Stats.create ();
@@ -77,7 +81,7 @@ let[@inline] charge_l1 t ~size ~n way =
    outcome of the last line. *)
 let lines t kind ~addr ~size =
   let write = kind = Stats.Write in
-  let line = Cache.line_size t.l1d in
+  let line = t.l1d_line in
   let first = addr land lnot (line - 1) in
   let last = (addr + size - 1) land lnot (line - 1) in
   (* [next] and [last_o] never escape, so the compiler keeps them in
@@ -157,7 +161,7 @@ let run t ~copy ~src ~dst ~len ~unit ~ops =
       Stats.record_accesses t.stats Stats.Write ~size:unit ~n;
       if t.l1d_write_through then t.stall <- t.stall + (n * t.drain * unit)
     end;
-    let line = Cache.line_size t.l1d in
+    let line = t.l1d_line in
     let mask = lnot (line - 1) in
     let rl = ref (-1) and rw = ref (-1) and wl = ref (-1) and ww = ref (-1) in
     let i = ref 0 in
@@ -193,8 +197,8 @@ let run t ~copy ~src ~dst ~len ~unit ~ops =
       incr i;
       (* The iterations after this one that stay inside [rl] (and [wl]). *)
       let k = (!rl + line - s - unit) lsr shift in
-      let k = if copy then min k ((!wl + line - d - unit) lsr shift) else k in
-      let k = min k (n - !i) in
+      let k = if copy then Int.min k ((!wl + line - d - unit) lsr shift) else k in
+      let k = Int.min k (n - !i) in
       if k > 0 && !rw >= 0 then begin
         Cache.repeat_hits t.l1d ~read_way:!rw ~write_way:(if copy then !ww else -1) ~n:k;
         charge_l1 t ~size:unit ~n:k !rw;

@@ -1,20 +1,24 @@
+(* Keyed by [int], not by the polymorphic [Hashtbl]: every datagram looks
+   its port up, and the generic table compares keys through a C call. *)
+module Ports = Hashtbl.Make (Int)
+
 type t = {
-  handlers : (int, Datagram.t -> unit) Hashtbl.t;
+  handlers : (Datagram.t -> unit) Ports.t;
   mutable next_ephemeral : int;
   mutable unroutable : int;
 }
 
-let create () = { handlers = Hashtbl.create 16; next_ephemeral = 32768; unroutable = 0 }
+let create () = { handlers = Ports.create 16; next_ephemeral = 32768; unroutable = 0 }
 
 let bind t ~port handler =
-  if Hashtbl.mem t.handlers port then
+  if Ports.mem t.handlers port then
     invalid_arg (Printf.sprintf "Demux.bind: port %d already bound" port);
-  Hashtbl.replace t.handlers port handler
+  Ports.replace t.handlers port handler
 
-let unbind t ~port = Hashtbl.remove t.handlers port
+let unbind t ~port = Ports.remove t.handlers port
 
 let deliver t (dgram : Datagram.t) =
-  match Hashtbl.find_opt t.handlers dgram.Datagram.dst_port with
+  match Ports.find_opt t.handlers dgram.Datagram.dst_port with
   | Some handler -> handler dgram
   | None -> t.unroutable <- t.unroutable + 1
 
@@ -22,7 +26,7 @@ let alloc_port t =
   let rec go () =
     let p = t.next_ephemeral in
     t.next_ephemeral <- (if p >= 65535 then 32768 else p + 1);
-    if Hashtbl.mem t.handlers p then go () else p
+    if Ports.mem t.handlers p then go () else p
   in
   go ()
 

@@ -152,10 +152,11 @@ val busy_replies : t -> int
 val retries : t -> int
 
 (** [slice_matches expected ~off data ~doff ~len] is
-    [expected.[off..off+len-1] = data.[doff..doff+len-1]], compared in
-    place without allocating: the payload check a receiver runs on a
-    TSDU still in its pool buffer (pass the buffer through
-    [Bytes.unsafe_to_string]).  Every byte read is bounds-checked: a
-    comparison that reaches past the end of either string raises
-    [Invalid_argument]. *)
+    [String.sub expected off len = String.sub data doff len], compared in
+    place, eight bytes at a time, without allocating: the payload check a
+    receiver runs on a TSDU still in its pool buffer (pass the buffer
+    through [Bytes.unsafe_to_string]).  Both spans are bounds-checked
+    before any byte is compared: a negative [len] or offset, or a span
+    that reaches past the end of either string, raises
+    [Invalid_argument] even when an earlier byte differs. *)
 val slice_matches : string -> off:int -> string -> doff:int -> len:int -> bool

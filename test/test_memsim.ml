@@ -600,6 +600,7 @@ let test_exec_run_allocate_nothing () =
   let r1 = Code.alloc code ~len:1024 in
   ignore (Code.alloc code ~len:(8192 - 1024));
   let r2 = Code.alloc code ~len:1024 in
+  let mem = Mem.create m ~size:8192 in
   let per_call n f =
     f ();
     let w0 = Gc.minor_words () in
@@ -619,7 +620,12 @@ let test_exec_run_allocate_nothing () =
         fun () -> Machine.copy_run m ~src:0 ~dst:5120 ~len:256 ~unit:4 );
       ( "copy_run, src and dst at different line offsets",
         fun () -> Machine.copy_run m ~src:8 ~dst:6020 ~len:256 ~unit:4 );
-      ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3) ];
+      ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3);
+      (* The TCP header path: one charged access per field. *)
+      ( "single read and write (Mem.get_u32, Mem.set_u16)",
+        fun () ->
+          ignore (Sys.opaque_identity (Mem.get_u32 mem 4100));
+          Mem.set_u16 mem 6022 0xbeef ) ];
   (* A boxed float: a header and the 8-byte payload. *)
   List.iter (at_most 2.0)
     [ ("micros", fun () -> ignore (Sys.opaque_identity (Machine.micros m)));

@@ -503,9 +503,17 @@ let test_slice_matches () =
   checkb "last byte differs" false (matches ~off:4 ~doff:2 ~len:9);
   checkb "first byte differs" false (matches ~off:3 ~doff:2 ~len:8);
   checkb "empty spans at the ends match" true (matches ~off:20 ~doff:12 ~len:0);
-  (match Client.slice_matches data ~off:0 data ~doff:0 ~len:13 with
-  | _ -> Alcotest.fail "a comparison past the end must raise"
-  | exception Invalid_argument _ -> ());
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "a comparison past the end" (fun () ->
+      Client.slice_matches data ~off:0 data ~doff:0 ~len:13);
+  (* Bounds come first: the first bytes differ, and it still raises. *)
+  raises "a mismatch inside a span past the end" (fun () ->
+      matches ~off:3 ~doff:2 ~len:11);
+  raises "a negative length" (fun () -> matches ~off:0 ~doff:0 ~len:(-1));
   let n = 10_000 and hits = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to n do
@@ -516,6 +524,60 @@ let test_slice_matches () =
   checkb
     (Printf.sprintf "slice_matches allocates (%.4f words/call)" per_call)
     true (per_call <= 0.01)
+
+(* [data] holds [expected]'s span [off, off + len) at [doff], between
+   random bytes; a planted byte of it differs. *)
+type slice_case = { expected : string; data : string; off : int; doff : int; len : int }
+
+let print_slice_case c =
+  Printf.sprintf "expected=%S data=%S off=%d doff=%d len=%d" c.expected c.data c.off
+    c.doff c.len
+
+let gen_slice_case =
+  QCheck.Gen.(
+    let* expected = string_size (int_bound 64) in
+    let* off = int_bound (String.length expected) in
+    let* len = int_bound (String.length expected - off) in
+    let* pre = string_size (int_bound 9) in
+    let* post = string_size (int_bound 9) in
+    (* Plant a differing byte nowhere, in the 8-byte words or in the
+       tail (where the span has one). *)
+    let words = len land lnot 7 in
+    let* plant =
+      oneof
+        [ return (-1);
+          (if words > 0 then int_bound (words - 1) else return (-1));
+          (if len > words then int_range words (len - 1) else return (-1)) ]
+    in
+    (* One case in three moves the spans, often past an end. *)
+    let* skew = oneof [ return 0; return 0; int_range 1 3 ] in
+    let* d = int_range (-2) 2 in
+    let span =
+      String.mapi
+        (fun i ch -> if i = plant then Char.chr (Char.code ch lxor 0x5a) else ch)
+        (String.sub expected off len)
+    in
+    let off, doff, len =
+      match skew with
+      | 1 -> (off + d, String.length pre, len)
+      | 2 -> (off, String.length pre + d, len)
+      | 3 -> (off, String.length pre, len + d)
+      | _ -> (off, String.length pre, len)
+    in
+    return { expected; data = pre ^ span ^ post; off; doff; len })
+
+(* The word-wise check against [String.sub]: the same answer on every
+   pair of spans, and [Invalid_argument] exactly where [String.sub]
+   raises. *)
+let prop_slice_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"slice_matches = String.sub reference"
+    (QCheck.make ~print:print_slice_case gen_slice_case)
+    (fun c ->
+      let answer f = match f () with b -> Some b | exception Invalid_argument _ -> None in
+      answer (fun () ->
+          Client.slice_matches c.expected ~off:c.off c.data ~doff:c.doff ~len:c.len)
+      = answer (fun () ->
+            String.equal (String.sub c.expected c.off c.len) (String.sub c.data c.doff c.len)))
 
 let test_max_reply_capped_at_engine () =
   (* [max_reply] is the client's word, read off the wire: past what the
@@ -1008,7 +1070,8 @@ let () =
           Alcotest.test_case "odd tail segment" `Quick test_odd_sized_tail_segment;
           Alcotest.test_case "max_reply capped at engine capacity" `Quick
             test_max_reply_capped_at_engine;
-          Alcotest.test_case "slice_matches in place" `Quick test_slice_matches ] );
+          Alcotest.test_case "slice_matches in place" `Quick test_slice_matches;
+          qc prop_slice_matches_reference ] );
       ( "adversarial",
         [ Alcotest.test_case "abort surfaces to client" `Quick
             test_abort_surfaces_to_client;
