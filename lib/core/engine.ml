@@ -219,7 +219,7 @@ let rec stream_read_walk raw m segs block i seg_start pos boff n =
       stream_read_walk raw m segs block (i + 1) (seg_start + seg_len) pos boff n
     else begin
       let off_in_seg = pos - seg_start in
-      let take = min n (seg_len - off_in_seg) in
+      let take = Int.min n (seg_len - off_in_seg) in
       (match seg with
       | Gen src ->
           Bytes.blit_string src off_in_seg block boff take;
@@ -306,8 +306,8 @@ let make_stream_of_segments t body =
    boundaries are both multiples of the 8-byte plan block, so the
    intersection never splits a cipher block. *)
 let inter ~off ~len (p_off, p_len) =
-  let s = max p_off off and e = min (p_off + p_len) (off + len) in
-  (s, max 0 (e - s))
+  let s = Int.max p_off off and e = Int.min (p_off + p_len) (off + len) in
+  (s, Int.max 0 (e - s))
 
 (* ILP send of wire bytes [off, off+len) at [dst]: parts B, C, A (each
    clipped to the range), each through marshal+encrypt with the checksum
@@ -488,7 +488,7 @@ let iovecs_of_range t st ~off ~len =
       let seg_len =
         match seg with Gen s -> String.length s | Payload p -> p.len
       in
-      let s = max !seg_start off and e = min (!seg_start + seg_len) (off + len) in
+      let s = Int.max !seg_start off and e = Int.min (!seg_start + seg_len) (off + len) in
       if e > s then begin
         let o = s - !seg_start and l = e - s in
         let iov =
@@ -728,7 +728,7 @@ let validate_plaintext t ~len =
     | Trailer -> get32 (t.app_rx + len - 4)
   in
   Machine.compute m 2;
-  let hdr_words = min 6 ((len - 4) / 4) in
+  let hdr_words = Int.min 6 ((len - 4) / 4) in
   for i = 0 to hdr_words - 1 do
     ignore (get32 (t.app_rx + 4 + (i * 4)));
     Machine.compute m 1

@@ -17,17 +17,17 @@ let plan ~block_len ~body_len =
       "Parts.plan: block length must be a multiple of 4 longer than the \
        encryption header";
   let marshalled = enc_header_len + body_len in
-  let total = Units.aligned (max marshalled block_len) ~unit_len:block_len in
+  let total = Units.aligned (Int.max marshalled block_len) ~unit_len:block_len in
   { total;
     body_len;
     alignment = total - marshalled;
     alpha = enc_header_len;
     beta = block_len;
-    gamma = max block_len (total - block_len) }
+    gamma = Int.max block_len (total - block_len) }
 
 let length_field t = enc_header_len + t.body_len
 let part_a t = (0, t.beta)
-let part_b t = (t.beta, max 0 (t.gamma - t.beta))
+let part_b t = (t.beta, Int.max 0 (t.gamma - t.beta))
 let part_c t = (t.gamma, t.total - t.gamma)
 
 let in_processing_order t =

@@ -19,7 +19,7 @@ let spec ?read_unit ?write_unit ?write_pattern ?(linkage = Linkage.Macro)
     ?(loop_code = Code.none) ?tap ?(tap_position = Tap_output) stages =
   if stages = [] then invalid_arg "Pipeline.spec: no stages";
   let le = stage_lcm stages in
-  let read_unit = Option.value read_unit ~default:(min 4 le) in
+  let read_unit = Option.value read_unit ~default:(Int.min 4 le) in
   let write_unit = Option.value write_unit ~default:le in
   if read_unit <= 0 || write_unit <= 0 then invalid_arg "Pipeline.spec: unit sizes";
   (match write_pattern with
@@ -92,7 +92,7 @@ let rec pattern_writes machine pattern pat dst pos len =
     match pat with
     | [] -> pattern_writes machine pattern pattern dst pos len
     | u :: rest ->
-        let u = min u (len - pos) in
+        let u = Int.min u (len - pos) in
         Machine.write machine ~addr:(dst + pos) ~size:u;
         Machine.compute machine 1;
         pattern_writes machine pattern rest dst (pos + u) len
@@ -138,8 +138,8 @@ let run_fused sim t ~src ~dst ~len =
   done
 
 let run_pass sim (dmf : Dmf.t) ?read_unit ?write_unit ~src ~dst ~len () =
-  let read_unit = Option.value read_unit ~default:(min dmf.Dmf.unit_len 8) in
-  let write_unit = Option.value write_unit ~default:(min dmf.Dmf.unit_len 8) in
+  let read_unit = Option.value read_unit ~default:(Int.min dmf.Dmf.unit_len 8) in
+  let write_unit = Option.value write_unit ~default:(Int.min dmf.Dmf.unit_len 8) in
   if len mod dmf.Dmf.unit_len <> 0 then
     invalid_arg
       (Printf.sprintf "Pipeline.run_pass: length %d not a multiple of %d" len

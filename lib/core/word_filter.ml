@@ -16,7 +16,7 @@ let push t b ~off ~len =
   let pos = ref off in
   let stop = off + len in
   while !pos < stop do
-    let take = min (t.out_len - t.fill) (stop - !pos) in
+    let take = Int.min (t.out_len - t.fill) (stop - !pos) in
     Bytes.blit b !pos t.buf t.fill take;
     t.fill <- t.fill + take;
     pos := !pos + take;

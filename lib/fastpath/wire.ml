@@ -132,16 +132,18 @@ let iovec_len iov =
       acc + match io with Io_bytes b -> b.len | Io_string s -> s.len)
     0 iov
 
-let check_iovec name iov =
-  List.iter
-    (fun io ->
+(* Recursion, not [List.iter]: a closure over [name] would allocate on
+   every send. *)
+let rec check_iovec name = function
+  | [] -> ()
+  | io :: rest ->
       let ok =
         match io with
         | Io_bytes b -> b.off >= 0 && b.len >= 0 && b.off + b.len <= Bytes.length b.buf
         | Io_string s -> s.off >= 0 && s.len >= 0 && s.off + s.len <= String.length s.s
       in
-      if not ok then invalid_arg (name ^ ": iovec out of bounds"))
-    iov
+      if not ok then invalid_arg (name ^ ": iovec out of bounds");
+      check_iovec name rest
 
 let checkv name iov ~dst ~dst_off =
   check_iovec name iov;
@@ -151,30 +153,42 @@ let checkv name iov ~dst ~dst_off =
   if total mod 8 <> 0 then invalid_arg (name ^ ": length not a multiple of 8");
   total
 
-(* Gather [iov] at [dst+dst_off], invoking [flush pos] whenever a full
-   chunk has been gathered since the last flush (and [pos] is therefore
-   chunk-aligned relative to the flush cursor). *)
-let gather iov ~dst ~dst_off ~flushed ~flush =
-  let pos = ref 0 in
-  let copy_slices blit len =
+(* Encrypt [len] gathered bytes at [dst+off] in place and fold them into
+   [acc]. *)
+let seal t dst ~off ~len acc =
+  Cipher.encrypt_blocks t.cipher dst ~off ~count:(len / 8);
+  Internet.add_bytes_unsafe acc dst ~off ~len
+
+(* Gather [iov] at [dst+dst_off] in chunks of [chunk] bytes.  When
+   [fused], each full chunk, and then the tail, is sealed at [dst] while
+   still cache-resident, and the result is the checksum of the sealed
+   bytes; otherwise it is [Internet.empty].  One loop over the iovec with
+   the cursors in locals and no closure, so a send allocates nothing. *)
+let gather t iov ~dst ~dst_off ~fused =
+  let acc = ref Internet.empty and pos = ref 0 and flushed = ref 0 in
+  let rest = ref iov in
+  while not (List.is_empty !rest) do
+    let io = List.hd !rest in
+    rest := List.tl !rest;
+    let len = match io with Io_bytes b -> b.len | Io_string s -> s.len in
     let off = ref 0 in
     while !off < len do
-      let room = chunk - (!pos - !flushed) in
-      let n = Int.min (len - !off) room in
-      blit !off (dst_off + !pos) n;
+      let n = Int.min (len - !off) (chunk - (!pos - !flushed)) in
+      let d = dst_off + !pos in
+      (match io with
+      | Io_bytes b -> Bytes.blit b.buf (b.off + !off) dst d n
+      | Io_string s -> Bytes.blit_string s.s (s.off + !off) dst d n);
       pos := !pos + n;
       off := !off + n;
-      if !pos - !flushed = chunk then flush !pos
+      if !pos - !flushed = chunk then begin
+        if fused then acc := seal t dst ~off:(dst_off + !flushed) ~len:chunk !acc;
+        flushed := !pos
+      end
     done
-  in
-  List.iter
-    (fun io ->
-      match io with
-      | Io_bytes b -> copy_slices (fun o d n -> Bytes.blit b.buf (b.off + o) dst d n) b.len
-      | Io_string s ->
-          copy_slices (fun o d n -> Bytes.blit_string s.s (s.off + o) dst d n) s.len)
-    iov;
-  !pos
+  done;
+  if fused && !pos > !flushed then
+    seal t dst ~off:(dst_off + !flushed) ~len:(!pos - !flushed) !acc
+  else !acc
 
 let sendv_ilp t ~iov ~dst ~dst_off =
   let total = checkv "Wire.sendv_ilp" iov ~dst ~dst_off in
@@ -182,25 +196,13 @@ let sendv_ilp t ~iov ~dst ~dst_off =
   let t0 = if tr then Trace.now () else 0.0 in
   (* One traversal: each gathered chunk is encrypted and checksummed at
      [dst] while still cache-resident. *)
-  let acc = ref Internet.empty in
-  let flushed = ref 0 in
-  let flush upto =
-    if upto > !flushed then begin
-      let n = upto - !flushed in
-      let d = dst_off + !flushed in
-      Cipher.encrypt_blocks t.cipher dst ~off:d ~count:(n / 8);
-      acc := Internet.add_bytes_unsafe !acc dst ~off:d ~len:n;
-      flushed := upto
-    end
-  in
-  let gathered = gather iov ~dst ~dst_off ~flushed ~flush in
-  flush gathered;
+  let acc = gather t iov ~dst ~dst_off ~fused:true in
   Mt.copied Mt.Marshal total;
   Mt.inplace Mt.Cipher total;
   Mt.read Mt.Checksum total;
   if tr then
     trace_send_fused ~pkt:(Trace.current_packet ()) ~t0 ~t1:(Trace.now ());
-  !acc
+  acc
 
 let sendv_separate t ~iov ~dst ~dst_off =
   let total = checkv "Wire.sendv_separate" iov ~dst ~dst_off in
@@ -209,8 +211,7 @@ let sendv_separate t ~iov ~dst ~dst_off =
   let buf = staging t in
   let t0 = if tr then Trace.now () else 0.0 in
   (* Pass 1: marshal — gather the message into the protocol buffer. *)
-  let flushed = ref 0 in
-  ignore (gather iov ~dst:buf ~dst_off:0 ~flushed ~flush:(fun p -> flushed := p));
+  ignore (gather t iov ~dst:buf ~dst_off:0 ~fused:false);
   Mt.copied Mt.Marshal total;
   let t1 = if tr then Trace.now () else 0.0 in
   (* Pass 2: encrypt the protocol buffer in place. *)

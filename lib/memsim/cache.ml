@@ -17,10 +17,19 @@ let set_associative ~size ~line ~assoc =
 type t = {
   cfg : config;
   sets : int;
+  assoc : int;
   line_shift : int;
-  (* Way state, indexed [set * assoc + way]. *)
+  (* The set of [addr] is [(addr lsr line_shift) land set_mask], its tag
+     [addr lsr tag_shift]: the set count is a power of two, so neither
+     takes a division. *)
+  set_mask : int;
+  tag_shift : int;
+  write_back : bool;
+  write_allocate : bool;
+  (* Way state, indexed [set * assoc + way].  An invalid way holds the
+     tag [-1]; an address's tag never is (addresses are non-negative),
+     so a tag match alone finds a resident line. *)
   tags : int array;
-  valid : bool array;
   dirty : bool array;
   age : int array; (* larger = more recently used *)
   mutable tick : int;
@@ -44,12 +53,17 @@ let create cfg =
   if cfg.size mod (cfg.line * cfg.assoc) <> 0 then
     invalid_arg "Cache.create: size not divisible by line*assoc";
   let sets = cfg.size / (cfg.line * cfg.assoc) in
+  if not (is_power_of_two sets) then invalid_arg "Cache.create: set count";
   let ways = sets * cfg.assoc in
   { cfg;
     sets;
+    assoc = cfg.assoc;
     line_shift = log2 cfg.line;
-    tags = Array.make ways 0;
-    valid = Array.make ways false;
+    set_mask = sets - 1;
+    tag_shift = log2 cfg.line + log2 sets;
+    write_back = cfg.write_policy = Write_back;
+    write_allocate = cfg.write_allocate;
+    tags = Array.make ways (-1);
     dirty = Array.make ways false;
     age = Array.make ways 0;
     tick = 0;
@@ -60,89 +74,80 @@ let config t = t.cfg
 let id t = t.id
 let fills t = t.fills
 
-(* Outcomes are packed into an int so that [access] — the innermost loop
-   of every simulated byte — allocates nothing.  A record here costs one
+(* Outcomes are plain ints so that [access] — the innermost loop of every
+   simulated byte — allocates nothing.  A record here costs one
    minor-heap block per cache-line touch, which at ~19M words per 64 KiB
    message drowns the data-path allocation signal the memory-traffic
-   benchmark exists to measure.  The low three bits are the flags; the
-   rest is the way the line was left in ([-1] for a store-around). *)
+   benchmark exists to measure.  An access that filled nothing is its
+   own way: [o >= 0] a hit on way [o], [-1] a store-around, so a caller
+   tells those apart with one comparison.  A fill is [-2 - (way * 2 +
+   writeback)]. *)
 type outcome = int
 
-let hit_bit = 1
-let writeback_bit = 2
-let filled_bit = 4
-let way_shift = 3
-let hit (o : outcome) = o land hit_bit <> 0
-let writeback (o : outcome) = o land writeback_bit <> 0
-let filled (o : outcome) = o land filled_bit <> 0
-let way_of (o : outcome) = o asr way_shift
+let hit (o : outcome) = o >= 0
+let filled (o : outcome) = o < -1
+let writeback (o : outcome) = o < -1 && (-2 - o) land 1 = 1
+let way_of (o : outcome) = if o >= -1 then o else (-2 - o) asr 1
 
-(* No tuples, options or refs below: [access] runs once per cache line of
-   every simulated byte, so its helpers return plain ints ([find_way]
-   yields -1 for "not resident"). *)
+(* No tuples, options or refs escape below: [access] runs once per cache
+   line of every simulated byte.  The tag search, [touch] and [hit_way]
+   are inlined into their callers, a loop over ints with no call; the
+   tag array is typed [int] (left to inference it is ['a array], and [=]
+   on an ['a] is a C call into the generic comparison per way). *)
 
-let locate_set t addr = (addr lsr t.line_shift) mod t.sets
-let locate_tag t addr = (addr lsr t.line_shift) / t.sets
-
-(* The lookup loops recurse through top-level functions: a [let rec]
-   nested inside a function captures its environment and allocates a
-   closure on every call.  Their tag and way arrays are typed [int]: left
-   to inference they are ['a array], and [=] on an ['a] is a C call into
-   the generic comparison for every way searched. *)
-
-let rec find_from (valid : bool array) (tags : int array) base (tag : int) assoc w =
-  if w = assoc then -1
-  else if valid.(base + w) && tags.(base + w) = tag then base + w
-  else find_from valid tags base tag assoc (w + 1)
-
-let find_way t set tag =
-  find_from t.valid t.tags (set * t.cfg.assoc) tag t.cfg.assoc 0
+(* The index of the way holding [tag] among the [assoc] ways from
+   [base] (one set's), or -1. *)
+let[@inline] find t base (tag : int) =
+  let stop = base + t.assoc in
+  let i = ref base in
+  while !i < stop && t.tags.(!i) <> tag do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* Victim selection: an invalid way if any, otherwise the least recently
-   used one. *)
-let rec victim_from valid age base assoc w best best_key =
+   used one.  It runs only on a fill. *)
+let rec victim_from (tags : int array) age base assoc w best best_key =
   if w = assoc then best
   else
     let i = base + w in
-    let key = if valid.(i) then age.(i) else min_int + w in
-    if key < best_key then victim_from valid age base assoc (w + 1) i key
-    else victim_from valid age base assoc (w + 1) best best_key
+    let key = if tags.(i) >= 0 then age.(i) else min_int + w in
+    if key < best_key then victim_from tags age base assoc (w + 1) i key
+    else victim_from tags age base assoc (w + 1) best best_key
 
-let victim_way t set =
-  let base = set * t.cfg.assoc in
-  victim_from t.valid t.age base t.cfg.assoc 0 base max_int
-
-let touch t i =
+let[@inline] touch t i =
   t.tick <- t.tick + 1;
   t.age.(i) <- t.tick
 
-let hit_way t ~way ~write =
+let[@inline] hit_way t ~way ~write =
   touch t way;
-  if write && t.cfg.write_policy = Write_back then t.dirty.(way) <- true
+  if write && t.write_back then t.dirty.(way) <- true
 
 let access t ~addr ~write =
-  let set = locate_set t addr in
-  let tag = locate_tag t addr in
-  let i = find_way t set tag in
+  let base = ((addr lsr t.line_shift) land t.set_mask) * t.assoc in
+  let tag = addr lsr t.tag_shift in
+  let i = find t base tag in
   if i >= 0 then begin
     hit_way t ~way:i ~write;
-    (i lsl way_shift) lor hit_bit
+    i
   end
-  else if write && not t.cfg.write_allocate then
+  else if write && not t.write_allocate then
     (* Store-around: the write goes straight to the next level. *)
-    -1 lsl way_shift
+    -1
   else begin
-    let i = victim_way t set in
-    let wb = t.valid.(i) && t.dirty.(i) in
+    let i = victim_from t.tags t.age base t.assoc 0 base max_int in
+    (* Only a valid line is ever dirty: a flush clears both. *)
+    let wb = t.dirty.(i) in
     t.tags.(i) <- tag;
-    t.valid.(i) <- true;
-    t.dirty.(i) <- (write && t.cfg.write_policy = Write_back);
+    t.dirty.(i) <- write && t.write_back;
     t.fills <- t.fills + 1;
     touch t i;
-    (i lsl way_shift) lor (if wb then writeback_bit lor filled_bit else filled_bit)
+    -2 - ((i lsl 1) lor if wb then 1 else 0)
   end
 
-let way t ~addr = find_way t (locate_set t addr) (locate_tag t addr)
+let way t ~addr =
+  find t (((addr lsr t.line_shift) land t.set_mask) * t.assoc) (addr lsr t.tag_shift)
+
 let present t ~addr = way t ~addr >= 0
 
 (* [n] rounds of (read hit on [read_way]; write hit on [write_way]) leave
@@ -158,7 +163,7 @@ let repeat_hits t ~read_way ~write_way ~n =
       t.tick <- t.tick + (2 * n);
       t.age.(read_way) <- t.tick - 1;
       t.age.(write_way) <- t.tick;
-      if t.cfg.write_policy = Write_back then t.dirty.(write_way) <- true
+      if t.write_back then t.dirty.(write_way) <- true
     end
 
 let touch_ways t ways =
@@ -179,7 +184,7 @@ let rec all_distinct ways sets j =
 let holds_all t ways = all_distinct ways t.sets t.sets
 
 let flush t =
-  Array.fill t.valid 0 (Array.length t.valid) false;
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
   t.fills <- t.fills + 1
 

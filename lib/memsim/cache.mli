@@ -10,7 +10,8 @@ type write_policy = Write_back | Write_through
 type config = {
   size : int;            (** total capacity in bytes *)
   line : int;            (** line size in bytes, a power of two *)
-  assoc : int;           (** ways per set; [size / (line * assoc)] sets *)
+  assoc : int;           (** ways per set; [size / (line * assoc)] sets,
+                             a power of two *)
   write_policy : write_policy;
   write_allocate : bool; (** allocate a line on a write miss *)
 }
@@ -23,8 +24,12 @@ val set_associative : size:int -> line:int -> assoc:int -> config
 
 type t
 
-(** Raises [Invalid_argument] if the geometry is inconsistent (sizes not
-    powers of two, or [size] not divisible by [line * assoc]). *)
+(** Raises [Invalid_argument] if the geometry is inconsistent: a line
+    size that is not a power of two, [assoc < 1], a [size] not divisible
+    by [line * assoc], or a set count [size / (line * assoc)] that is not
+    a power of two (the set is found by mask, not division).  Neither
+    [size] nor [assoc] need be one: the SuperSPARC's 20 KB 5-way
+    instruction cache has 64 sets. *)
 val create : config -> t
 
 val config : t -> config
@@ -38,9 +43,12 @@ val id : t -> int
     stands still every resident line stays resident, in its way. *)
 val fills : t -> int
 
-(** Access outcome, packed into an immediate so the per-line hot path
-    allocates nothing.  Query it with {!hit}, {!writeback}, {!filled}
-    and {!way_of}. *)
+(** Access outcome, an immediate so the per-line hot path allocates
+    nothing.  An access that filled no line is its own way: a hit or a
+    store-around is exactly an outcome [o >= -1], and [o] is then
+    {!way_of} [o] ([-1] for the store-around), so a caller needs no call
+    to tell it from a fill.  Query a fill with {!writeback} and
+    {!way_of}. *)
 type outcome = int
 
 (** The line was resident before the access. *)

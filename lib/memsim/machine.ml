@@ -6,6 +6,8 @@ type t = {
      would be a call ([-opaque] builds inline nothing across modules). *)
   l1d_line : int;
   l1i : Cache.t;
+  (* Read on every [exec], for the same reason. *)
+  l1i_id : int;
   l2 : Cache.t option;
   stats : Stats.t;
   (* The counters are ints: stalls in quarter cycles, ALU work in ops.
@@ -25,15 +27,23 @@ type t = {
   mem : int;
   drain : int;
   compute_scale : float;
+  (* The L1d line the last single access ended in, the way it left that
+     line in ([-1]: a store-around, the line not resident) and the L1d's
+     [Cache.fills] right after it ([data_access]). *)
+  mutable known_line : int;
+  mutable known_way : int;
+  mutable known_fills : int;
 }
 
 let create cfg =
+  let l1i = Cache.create cfg.Config.l1i in
   { cfg;
     l1d_write_through =
       cfg.Config.l1d.Cache.write_policy = Cache.Write_through;
     l1d = Cache.create cfg.Config.l1d;
     l1d_line = cfg.Config.l1d.Cache.line;
-    l1i = Cache.create cfg.Config.l1i;
+    l1i;
+    l1i_id = Cache.id l1i;
     l2 = Option.map Cache.create cfg.Config.l2;
     stats = Stats.create ();
     stall = 0;
@@ -43,11 +53,18 @@ let create cfg =
     l2_hit = 4 * Config.l2_hit_cycles cfg;
     mem = 4 * Config.mem_cycles cfg;
     drain = Config.store_buffer_cycles cfg;
-    compute_scale = cfg.Config.compute_scale }
+    compute_scale = cfg.Config.compute_scale;
+    known_line = -1;
+    known_way = -1;
+    known_fills = 0 }
 
 let charge_stall t kind q =
   t.stall <- t.stall + q;
   if kind = Stats.Ifetch then t.ifetch_stall <- t.ifetch_stall + q
+
+(* An outcome that filled nothing is its own way ([Cache.outcome]): only
+   a fill, the miss path, asks [Cache] to decode it. *)
+let[@inline] way_of (o : Cache.outcome) = if o >= -1 then o else Cache.way_of o
 
 (* Cost of reaching below the first-level cache: either an L2 access (with
    its own possible miss to memory) or memory directly.  [kind]/[size] are
@@ -57,11 +74,11 @@ let below_l1 t kind ~size ~addr ~write =
   | None -> charge_stall t kind t.mem
   | Some l2 ->
       let o = Cache.access l2 ~addr ~write in
-      if (Cache.hit o) then charge_stall t kind t.l2_hit
+      if o >= 0 then charge_stall t kind t.l2_hit
       else begin
         Stats.record_miss t.stats kind ~size ~level:2;
         charge_stall t kind t.mem;
-        if (Cache.writeback o) then charge_stall t kind t.mem
+        if Cache.writeback o then charge_stall t kind t.mem
       end
 
 (* Charges [n] accesses that end at the L1: hits on the resident line
@@ -91,7 +108,7 @@ let lines t kind ~addr ~size =
   while !next <= last do
     let a = !next in
     let o = Cache.access t.l1d ~addr:a ~write in
-    if Cache.hit o || not (Cache.filled o) then charge_l1 t ~size ~n:1 (Cache.way_of o)
+    if o >= -1 then charge_l1 t ~size ~n:1 o
     else begin
       Stats.record_miss t.stats kind ~size ~level:1;
       below_l1 t kind ~size ~addr:a ~write:false;
@@ -102,8 +119,16 @@ let lines t kind ~addr ~size =
   done;
   !last_o
 
+(* A single access confined to the line the last one ended in, while
+   the L1d has filled nothing and not been flushed since, needs no tag
+   search: a line leaves the cache only through a fill or a flush, and
+   both move [Cache.fills], so the line is still in the way the last
+   access left it in (or still not resident, after a store-around).  It
+   is a hit on that way, or, for a write, a store-around again.  A read
+   of a store-around line fills it and takes the full path. *)
 let data_access t kind ~addr ~size =
   Stats.record_access t.stats kind ~size;
+  let write = kind = Stats.Write in
   (* In a write-through cache every store drains through the write buffer
      whether it hits or misses; the buffer merges consecutive stores to a
      line, so the amortised cost scales with the bytes written
@@ -111,9 +136,25 @@ let data_access t kind ~addr ~size =
      is additionally counted in the ledger — that is the quantity the
      paper's cachesim reports — but a byte-wise store stream is only
      marginally slower than a word-wise one, not 4x. *)
-  if kind = Stats.Write && t.l1d_write_through then
-    t.stall <- t.stall + (t.drain * size);
-  ignore (lines t kind ~addr ~size)
+  if write && t.l1d_write_through then t.stall <- t.stall + (t.drain * size);
+  let mask = lnot (t.l1d_line - 1) in
+  let line = (addr + size - 1) land mask in
+  let way = t.known_way in
+  if
+    line = t.known_line
+    && addr land mask = line
+    && (way >= 0 || write)
+    && Cache.fills t.l1d = t.known_fills
+  then begin
+    if way >= 0 then Cache.hit_way t.l1d ~way ~write;
+    charge_l1 t ~size ~n:1 way
+  end
+  else begin
+    let o = lines t kind ~addr ~size in
+    t.known_line <- line;
+    t.known_way <- way_of o;
+    t.known_fills <- Cache.fills t.l1d
+  end
 
 let read t ~addr ~size = data_access t Stats.Read ~addr ~size
 let write t ~addr ~size = data_access t Stats.Write ~addr ~size
@@ -174,11 +215,11 @@ let run t ~copy ~src ~dst ~len ~unit ~ops =
       end
       else begin
         let o = lines t Stats.Read ~addr:s ~size:unit in
-        if s land mask <> sl
-           || (if !ww >= 0 then Cache.filled o && Cache.way_of o = !ww else sl = !wl)
-        then wl := -1;
+        let w = way_of o in
+        if s land mask <> sl || (if !ww >= 0 then o < -1 && w = !ww else sl = !wl) then
+          wl := -1;
         rl := sl;
-        rw := Cache.way_of o
+        rw := w
       end;
       if copy then begin
         let dl = (d + unit - 1) land mask in
@@ -188,10 +229,11 @@ let run t ~copy ~src ~dst ~len ~unit ~ops =
         end
         else begin
           let o = lines t Stats.Write ~addr:d ~size:unit in
+          let w = way_of o in
           if d land mask <> dl then rw := Cache.way t.l1d ~addr:!rl
-          else if Cache.filled o && Cache.way_of o = !rw then rw := -1;
+          else if o < -1 && w = !rw then rw := -1;
           wl := dl;
-          ww := Cache.way_of o
+          ww := w
         end
       end;
       incr i;
@@ -222,7 +264,7 @@ let copy_run t ~src ~dst ~len ~unit = run t ~copy:true ~src ~dst ~len ~unit ~ops
 let exec t (region : Code.region) =
   let len = region.Code.len and memo = region.Code.memo and l1i = t.l1i in
   if len > 0 then
-    if memo.Code.cache = Cache.id l1i && memo.Code.fills = Cache.fills l1i then begin
+    if memo.Code.cache = t.l1i_id && memo.Code.fills = Cache.fills l1i then begin
       Stats.record_accesses t.stats Stats.Ifetch ~size:4 ~n:(Array.length memo.Code.ways);
       Cache.touch_ways l1i memo.Code.ways
     end
@@ -233,18 +275,19 @@ let exec t (region : Code.region) =
       memo.Code.cache <- -1;
       if Array.length memo.Code.ways <> n then memo.Code.ways <- Array.make n 0;
       let ways = memo.Code.ways in
+      Stats.record_accesses t.stats Stats.Ifetch ~size:4 ~n;
       for j = 0 to n - 1 do
         let a = first + (j * line) in
-        Stats.record_access t.stats Stats.Ifetch ~size:4;
         let o = Cache.access l1i ~addr:a ~write:false in
-        ways.(j) <- Cache.way_of o;
-        if not (Cache.hit o) then begin
+        if o >= 0 then ways.(j) <- o
+        else begin
+          ways.(j) <- Cache.way_of o;
           Stats.record_miss t.stats Stats.Ifetch ~size:4 ~level:1;
           below_l1 t Stats.Ifetch ~size:4 ~addr:a ~write:false
         end
       done;
       if Cache.holds_all l1i ways then begin
-        memo.Code.cache <- Cache.id l1i;
+        memo.Code.cache <- t.l1i_id;
         memo.Code.fills <- Cache.fills l1i
       end
     end

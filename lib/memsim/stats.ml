@@ -1,15 +1,14 @@
 type kind = Read | Write | Ifetch
 
-let kind_index = function Read -> 0 | Write -> 1 | Ifetch -> 2
+(* The recorders below run once per simulated access; the index helpers
+   are inlined into them, so a record is one call from [Machine]. *)
+let[@inline] kind_index = function Read -> 0 | Write -> 1 | Ifetch -> 2
+
+let bad_size size = invalid_arg (Printf.sprintf "Stats: unsupported access size %d" size)
 
 (* Size classes 1, 2, 4, 8 bytes map to indices 0..3. *)
-let size_class size =
-  match size with
-  | 1 -> 0
-  | 2 -> 1
-  | 4 -> 2
-  | 8 -> 3
-  | _ -> invalid_arg (Printf.sprintf "Stats: unsupported access size %d" size)
+let[@inline] size_class size =
+  match size with 1 -> 0 | 2 -> 1 | 4 -> 2 | 8 -> 3 | _ -> bad_size size
 
 let class_size = [| 1; 2; 4; 8 |]
 
@@ -26,13 +25,13 @@ let create () =
   { acc = Array.make (n_kinds * n_sizes) 0;
     mis = Array.make (n_kinds * n_sizes * n_levels) 0 }
 
-let record_accesses t k ~size ~n =
+let[@inline] record_accesses t k ~size ~n =
   let i = (kind_index k * n_sizes) + size_class size in
   t.acc.(i) <- t.acc.(i) + n
 
 let record_access t k ~size = record_accesses t k ~size ~n:1
 
-let record_misses t k ~size ~level ~n =
+let[@inline] record_misses t k ~size ~level ~n =
   if level < 1 || level > n_levels then invalid_arg "Stats.record_miss: level";
   let i = (((kind_index k * n_sizes) + size_class size) * n_levels) + (level - 1) in
   t.mis.(i) <- t.mis.(i) + n

@@ -23,14 +23,14 @@ let ssthresh t = t.ssthresh
 let in_recovery t = t.in_recovery
 
 let loss t ~in_flight ~timeout =
-  t.ssthresh <- max (in_flight / 2) (2 * t.mss);
+  t.ssthresh <- Int.max (in_flight / 2) (2 * t.mss);
   t.cwnd <- (if timeout then t.mss else t.ssthresh)
 
 let ack t ~acked =
   t.dupacks <- 0;
   if t.in_recovery then false
   else begin
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + min acked t.mss
+    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd + Int.min acked t.mss
     else begin
       t.acked <- t.acked + acked;
       if t.acked >= t.cwnd then begin

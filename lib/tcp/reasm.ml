@@ -1,3 +1,6 @@
+(* Keyed by sequence number, hashed and compared as ints. *)
+module Seq_table = Hashtbl.Make (Int)
+
 type entry = Stashed of { slot : int; len : int } | Placed of { len : int; psh : bool }
 
 type arrival = Beyond_window | Held | Place of int | Stash of int | No_slot
@@ -6,7 +9,7 @@ type t = {
   window : int;
   sack : bool;
   free : bool array;
-  held : (int, entry) Hashtbl.t;
+  held : entry Seq_table.t;
   mutable last : int;
   mutable dsack : (int * int) option;
   mutable framing : bool;
@@ -19,7 +22,7 @@ type t = {
 }
 
 let create ~slots ~window ~sack =
-  { window; sack; free = Array.make slots true; held = Hashtbl.create 8; last = -1;
+  { window; sack; free = Array.make slots true; held = Seq_table.create 8; last = -1;
     dsack = None; framing = false; fr_base = 0; fr_plen = 0; fr_elen = -1 }
 
 let capacity r = Array.length r.free
@@ -55,7 +58,7 @@ let arrive r ~rcv_nxt ~seq ~len =
   (* A conforming sender never sends there: a segment that claims to
      start beyond the window had its sequence number corrupted. *)
   if seq >= rcv_nxt + r.window then Beyond_window
-  else if Hashtbl.mem r.held seq then begin
+  else if Seq_table.mem r.held seq then begin
     duplicate r ~seq ~len;
     Held
   end
@@ -68,12 +71,12 @@ let arrive r ~rcv_nxt ~seq ~len =
     | None -> No_slot
     | Some slot ->
         r.free.(slot) <- false;
-        Hashtbl.replace r.held seq (Stashed { slot; len });
+        Seq_table.replace r.held seq (Stashed { slot; len });
         r.last <- seq;
         Stash slot
 
 let placed r ~seq ~len ~psh =
-  Hashtbl.replace r.held seq (Placed { len; psh });
+  Seq_table.replace r.held seq (Placed { len; psh });
   r.last <- seq
 
 let release r = function Stashed { slot; _ } -> r.free.(slot) <- true | Placed _ -> ()
@@ -83,10 +86,10 @@ let pop r ~rcv_nxt =
      was corrupted in flight) is never drained: forget it once [rcv_nxt]
      has passed it, or it would leak its slot and be reported forever. *)
   if
-    Hashtbl.length r.held > 0
-    && Hashtbl.fold (fun seq _ stale -> stale || seq < rcv_nxt) r.held false
+    Seq_table.length r.held > 0
+    && Seq_table.fold (fun seq _ stale -> stale || seq < rcv_nxt) r.held false
   then
-    Hashtbl.filter_map_inplace
+    Seq_table.filter_map_inplace
       (fun seq e ->
         if seq < rcv_nxt then begin
           release r e;
@@ -94,15 +97,15 @@ let pop r ~rcv_nxt =
         end
         else Some e)
       r.held;
-  match Hashtbl.find_opt r.held rcv_nxt with
+  match Seq_table.find_opt r.held rcv_nxt with
   | None -> None
   | Some e as found ->
-      Hashtbl.remove r.held rcv_nxt;
+      Seq_table.remove r.held rcv_nxt;
       release r e;
       found
 
 let clear r =
-  Hashtbl.reset r.held;
+  Seq_table.reset r.held;
   Array.fill r.free 0 (Array.length r.free) true;
   r.fr_elen <- -1
 
@@ -111,17 +114,17 @@ let clear r =
    specify the ... most recently received segment"), the rest by
    descending sequence. *)
 let ranges r =
-  if Hashtbl.length r.held = 0 then []
+  if Seq_table.length r.held = 0 then []
   else begin
     let spans =
-      Hashtbl.fold (fun seq e acc -> (seq, seq + entry_len e) :: acc) r.held []
+      Seq_table.fold (fun seq e acc -> (seq, seq + entry_len e) :: acc) r.held []
     in
-    let spans = List.sort (fun (a, _) (b, _) -> compare a b) spans in
+    let spans = List.sort (fun (a, _) (b, _) -> Int.compare a b) spans in
     let merged =
       List.fold_left
         (fun acc (l, hi) ->
           match acc with
-          | (pl, ph) :: rest when l <= ph -> (pl, max ph hi) :: rest
+          | (pl, ph) :: rest when l <= ph -> (pl, Int.max ph hi) :: rest
           | _ -> (l, hi) :: acc)
         [] spans
     in
@@ -140,4 +143,6 @@ let slots_in_use r =
   Array.fold_left (fun n free -> if free then n else n + 1) 0 r.free
 
 let held r =
-  List.sort compare (Hashtbl.fold (fun seq e acc -> (seq, e) :: acc) r.held [])
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Seq_table.fold (fun seq e acc -> (seq, e) :: acc) r.held [])

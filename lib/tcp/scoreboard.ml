@@ -59,7 +59,7 @@ let process_sack t ~ack ~snd_nxt = function
           else if List.exists (fun (al, ar) -> l < ar && al < r) !accepted then
             incr invalid
           else begin
-            let l = max l ack in
+            let l = Int.max l ack in
             accepted := (l, r) :: !accepted;
             Queue.iter
               (fun s ->
@@ -81,7 +81,7 @@ let segments t = List.of_seq (Queue.to_seq t.q)
 let dupack_threshold t =
   let n = Queue.length t.q in
   if t.sack && n > 0 && n < 1 + Cc.dupthresh && sacked_segments t = n - 1
-  then max 1 (n - 1)
+  then Int.max 1 (n - 1)
   else Cc.dupthresh
 
 let mark_resent s ~now =

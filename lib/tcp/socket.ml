@@ -341,11 +341,11 @@ type t = {
 }
 
 let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
-  let seg_max = max Tcp_header.max_wire_size (Tcp_header.size + cfg.mss) in
+  let seg_max = Int.max Tcp_header.max_wire_size (Tcp_header.size + cfg.mss) in
   (* The stash covers a full receive window of MSS segments plus
      reordering slack: a fixed 8-slot stash under a 45-segment window
      serializes loss recovery into one segment per RTT. *)
-  let ooo_slots = max 8 (((cfg.recv_window + cfg.mss - 1) / cfg.mss) + 4) in
+  let ooo_slots = Int.max 8 (((cfg.recv_window + cfg.mss - 1) / cfg.mss) + 4) in
   let ring = Ring.create sim ~size:cfg.send_buffer in
   let hdr_area = Alloc.alloc sim.alloc ~align:8 Tcp_header.max_wire_size in
   let tx_kernel = Alloc.alloc sim.alloc ~align:64 seg_max in
@@ -441,10 +441,10 @@ let peer_window t = t.peer_window
    must never go negative (it would otherwise invite a negative-length
    segment or an exception downstream). *)
 let send_window_space t =
-  max 0 (min t.peer_window (Cc.cwnd t.cc) - bytes_in_flight t)
+  Int.max 0 (Int.min t.peer_window (Cc.cwnd t.cc) - bytes_in_flight t)
 
 let set_advertised_window t w =
-  t.adv_window <- max 0 (min w t.cfg.recv_window)
+  t.adv_window <- Int.max 0 (Int.min w t.cfg.recv_window)
 
 (* Mirror cwnd/ssthresh into the registry gauges wherever {!Cc}
    recomputed them, so a live snapshot shows the sender's congestion
@@ -753,7 +753,7 @@ let reset_for (dgram : Datagram.t) =
           if Tcp_header.has h Tcp_header.rst then None
           else begin
             let payload_len =
-              max 0 (String.length wire - Tcp_header.wire_size h)
+              Int.max 0 (String.length wire - Tcp_header.wire_size h)
             in
             let r =
               rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
@@ -854,9 +854,11 @@ let handle_reset t =
   | _ -> ());
   abort t Connection_reset
 
+(* Stdlib's [min] on floats, typed: [Float.min] differs on nan and
+   signed zeros. *)
 let persist_interval_us t =
-  min persist_max_us
-    (persist_initial_us *. (2.0 ** float_of_int t.persist_shifts))
+  let backoff = persist_initial_us *. (2.0 ** float_of_int t.persist_shifts) in
+  if persist_max_us <= backoff then persist_max_us else backoff
 
 let rec arm_persist t ~want =
   t.persist_want <- want;
@@ -1045,7 +1047,7 @@ let rec pump_streams t =
         end
         else begin
           let max_seg = t.cfg.mss - (t.cfg.mss mod s.ps_unit) in
-          let seg = min max_seg (s.ps_len - s.ps_off) in
+          let seg = Int.min max_seg (s.ps_len - s.ps_off) in
           if seg > Ring.size t.ring then
             invalid_arg "Socket.send_stream: mss exceeds the send buffer";
           if seg > send_window_space t then begin
@@ -1135,7 +1137,7 @@ let close t =
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
 
-let seg_max t = max Tcp_header.max_wire_size (Tcp_header.size + t.cfg.mss)
+let seg_max t = Int.max Tcp_header.max_wire_size (Tcp_header.size + t.cfg.mss)
 
 (* The one receive verdict, shared by in-order segments, segments
    drained from the stash and segments placed out of order.  The segment
@@ -1405,7 +1407,7 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
           M.observe m_ack_rtt (int_of_float (now -. tx.sent_at));
           sampled := true
         end);
-    t.snd_una <- max t.snd_una h.ack;
+    t.snd_una <- Int.max t.snd_una h.ack;
     (match Cc.recovery_ack t.cc ~ack:h.ack with
     | Cc.Not_recovering -> ()
     | Cc.Full_ack ->

@@ -39,7 +39,7 @@ let make ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 0) ?(checksum = 0)
      configuration advertising more must saturate here: the raw set_u16
      would otherwise truncate modulo 2^16 — 65536 becomes 0 and the
      sender reads a closed window instead of a huge one. *)
-  let window = max 0 (min window 0xffff) in
+  let window = Int.max 0 (Int.min window 0xffff) in
   (* At most 3 blocks fit the option budget this stack grants itself
      (RFC 2018 allows 4 without timestamps; 3 keeps headroom and matches
      the common case). *)
@@ -116,7 +116,7 @@ let read_mem_v mem ~pos ~total =
       words < 5 || hdr_len > total
       || opt_len < 12 || opt_len > 4 + (8 * max_sack_blocks)
       || (opt_len - 4) mod 8 <> 0
-    then { hdr = base; hdr_len = min hdr_len total; options_ok = false }
+    then { hdr = base; hdr_len = Int.min hdr_len total; options_ok = false }
     else begin
       let kind_word = Mem.get_u16 mem (pos + size) in
       let len_word = Mem.get_u16 mem (pos + size + 2) in

@@ -427,6 +427,33 @@ let test_staging_from_pool () =
   FP.Wire.release fp;
   check "no leaks at teardown" 0 (FP.Pool.outstanding pool)
 
+(* Once the staging buffer is drawn, neither scatter-gather send
+   allocates: the gather is one loop over the iovec, its cursors in
+   locals.  The message spans a chunk boundary inside an iovec entry, so
+   the fused send seals a full chunk mid-entry and then the tail. *)
+let test_sendv_allocates_nothing () =
+  let len = 5000 in
+  let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~pool:(FP.Pool.create ()) ~max_len:len () in
+  let msg = Bytes.of_string (random_msg len) in
+  let iov =
+    [ FP.Wire.Io_string { s = "stubhead"; off = 0; len = 8 };
+      FP.Wire.Io_bytes { buf = msg; off = 8; len = 4000 };
+      FP.Wire.Io_bytes { buf = msg; off = 4008; len = 992 } ]
+  in
+  let dst = Bytes.create len in
+  let per_call f =
+    f ();
+    let n = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  List.iter
+    (fun (what, send) ->
+      let words = per_call (fun () -> ignore (Sys.opaque_identity (send fp ~iov ~dst ~dst_off:0))) in
+      checkb (Printf.sprintf "%s allocates (%.2f words/call)" what words) true (words <= 0.01))
+    [ ("sendv_ilp", FP.Wire.sendv_ilp); ("sendv_separate", FP.Wire.sendv_separate) ]
+
 (* ------------------------------------------------------------------ *)
 (* Memtraffic: the per-direction ledger split *)
 
@@ -499,6 +526,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_wire_validation;
           qc prop_wire_roundtrip_at_offsets;
           qc prop_sendv_equals_contiguous;
+          Alcotest.test_case "sends allocate nothing" `Quick test_sendv_allocates_nothing;
           Alcotest.test_case "staging drawn from pool" `Quick
             test_staging_from_pool ] );
       ( "pool",

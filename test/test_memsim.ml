@@ -148,7 +148,15 @@ let test_cache_bad_geometry () =
       ignore (Cache.create (Cache.direct_mapped ~size:256 ~line:12)));
   Alcotest.check_raises "indivisible size"
     (Invalid_argument "Cache.create: size not divisible by line*assoc") (fun () ->
-      ignore (Cache.create (Cache.set_associative ~size:250 ~line:16 ~assoc:2)))
+      ignore (Cache.create (Cache.set_associative ~size:250 ~line:16 ~assoc:2)));
+  (* Sets are found by mask: 96 bytes of 2-way 16-byte lines are 3 sets. *)
+  Alcotest.check_raises "set count not a power of two"
+    (Invalid_argument "Cache.create: set count") (fun () ->
+      ignore (Cache.create (Cache.set_associative ~size:96 ~line:16 ~assoc:2)));
+  (* Neither the size nor the associativity need be one: the SuperSPARC's
+     20 KB 5-way instruction cache has 64 sets. *)
+  let l1i = Cache.create Config.ss10_30.Config.l1i in
+  checkb "20 KB 5-way accepted" false (Cache.present l1i ~addr:0)
 
 let prop_cache_capacity =
   QCheck.Test.make ~count:100 ~name:"resident lines never exceed capacity"
@@ -589,6 +597,265 @@ let prop_exec_matches_per_line =
           expected = actual || QCheck.Test.fail_reportf "differs on %s" cfg.Config.name)
         run_machines)
 
+(* ------------------------------------------------------------------ *)
+(* A reference model of the whole machine, sharing no code with [Cache]'s
+   lookup or [Machine]'s charging.  Each cache is an array of per-set
+   lists of (line number, dirty), most recently used first: true LRU by
+   construction, sets found by division.  Every access is walked line by
+   line with the charge DESIGN §5.1 states: an L1 hit costs the hit
+   latency; a store-around counts an L1 write miss and, unless the L1 is
+   write-through (its stores drain anyway), drains through the write
+   buffer; a fill counts an L1 miss and reads the line from the L2 (hit
+   latency, or a counted L2 miss and DRAM, plus DRAM again for a dirty
+   L2 victim) or from DRAM, and a dirty L1 victim is written back the
+   same way.  Instruction fetches hit for free.  Counters are ints in
+   quarter cycles and ops, read as [Machine]'s readers state. *)
+
+module Model = struct
+  type cache = { cfg : Cache.config; sets : (int * bool) list array }
+
+  type outcome = Hit | Around | Fill of bool (* the victim was dirty *)
+
+  let cache (cfg : Cache.config) =
+    { cfg; sets = Array.make (cfg.Cache.size / (cfg.Cache.line * cfg.Cache.assoc)) [] }
+
+  let access c ~addr ~write =
+    let ln = addr / c.cfg.Cache.line in
+    let s = ln mod Array.length c.sets in
+    let lines = c.sets.(s) in
+    let dirtied d = d || (write && c.cfg.Cache.write_policy = Cache.Write_back) in
+    match List.assoc_opt ln lines with
+    | Some d ->
+        c.sets.(s) <- (ln, dirtied d) :: List.remove_assoc ln lines;
+        Hit
+    | None when write && not c.cfg.Cache.write_allocate -> Around
+    | None ->
+        let kept, victim_dirty =
+          if List.length lines < c.cfg.Cache.assoc then (lines, false)
+          else
+            match List.rev lines with
+            | (_, d) :: older -> (List.rev older, d)
+            | [] -> assert false
+        in
+        c.sets.(s) <- (ln, dirtied false) :: kept;
+        Fill victim_dirty
+
+  let flush c = Array.fill c.sets 0 (Array.length c.sets) []
+
+  type t = {
+    cfg : Config.t;
+    l1d : cache;
+    l1i : cache;
+    l2 : cache option;
+    mutable stall : int;
+    mutable ifetch : int;
+    mutable ops : int;
+    (* [((kind * 4 + size class) * 3) + j]: accesses, L1 misses, L2 misses *)
+    ledger : int array;
+  }
+
+  let create (cfg : Config.t) =
+    { cfg; l1d = cache cfg.Config.l1d; l1i = cache cfg.Config.l1i;
+      l2 = Option.map cache cfg.Config.l2; stall = 0; ifetch = 0; ops = 0;
+      ledger = Array.make (3 * 4 * 3) 0 }
+
+  let count m kind size j =
+    let k = match kind with Stats.Read -> 0 | Stats.Write -> 1 | Stats.Ifetch -> 2 in
+    let z = match size with 1 -> 0 | 2 -> 1 | 4 -> 2 | _ -> 3 in
+    let i = (((k * 4) + z) * 3) + j in
+    m.ledger.(i) <- m.ledger.(i) + 1
+
+  let charge m kind quarters =
+    m.stall <- m.stall + quarters;
+    if kind = Stats.Ifetch then m.ifetch <- m.ifetch + quarters
+
+  let dram m = 4 * Config.mem_cycles m.cfg
+  let drain m size = Config.store_buffer_cycles m.cfg * size
+  let write_through m = m.cfg.Config.l1d.Cache.write_policy = Cache.Write_through
+
+  (* One line fetched, or written back, below the L1. *)
+  let below m kind size ~addr ~write =
+    match m.l2 with
+    | None -> charge m kind (dram m)
+    | Some l2 -> (
+        match access l2 ~addr ~write with
+        | Hit -> charge m kind (4 * Config.l2_hit_cycles m.cfg)
+        | Around | Fill false ->
+            count m kind size 2;
+            charge m kind (dram m)
+        | Fill true ->
+            count m kind size 2;
+            charge m kind (2 * dram m))
+
+  let data m kind ~addr ~size =
+    let write = kind = Stats.Write and line = m.cfg.Config.l1d.Cache.line in
+    count m kind size 0;
+    if write && write_through m then charge m kind (drain m size);
+    for ln = addr / line to (addr + size - 1) / line do
+      let a = ln * line in
+      match access m.l1d ~addr:a ~write with
+      | Hit -> charge m kind (4 * Config.l1_hit_cycles m.cfg)
+      | Around ->
+          count m kind size 1;
+          if not (write_through m) then charge m kind (drain m size)
+      | Fill dirty ->
+          count m kind size 1;
+          below m kind size ~addr:a ~write:false;
+          (* [Machine] writes the victim back at the filled line's
+             address. *)
+          if dirty then below m Stats.Write size ~addr:a ~write:true
+    done
+
+  let read_run m ~addr ~len ~unit ~ops =
+    for i = 0 to (len / unit) - 1 do
+      data m Stats.Read ~addr:(addr + (i * unit)) ~size:unit;
+      m.ops <- m.ops + ops
+    done
+
+  let copy_run m ~src ~dst ~len ~unit =
+    for i = 0 to (len / unit) - 1 do
+      data m Stats.Read ~addr:(src + (i * unit)) ~size:unit;
+      data m Stats.Write ~addr:(dst + (i * unit)) ~size:unit;
+      m.ops <- m.ops + 1
+    done
+
+  let exec m ~base ~len =
+    let line = m.cfg.Config.l1i.Cache.line in
+    if len > 0 then
+      for ln = base / line to (base + len - 1) / line do
+        count m Stats.Ifetch 4 0;
+        match access m.l1i ~addr:(ln * line) ~write:false with
+        | Hit -> ()
+        | Around | Fill _ ->
+            count m Stats.Ifetch 4 1;
+            below m Stats.Ifetch 4 ~addr:(ln * line) ~write:false
+      done
+
+  let reset m =
+    m.stall <- 0;
+    m.ifetch <- 0;
+    m.ops <- 0;
+    Array.fill m.ledger 0 (Array.length m.ledger) 0
+
+  let flush_all m =
+    flush m.l1d;
+    flush m.l1i;
+    Option.iter flush m.l2
+
+  let observe m =
+    ( List.map Int64.bits_of_float
+        [ (float_of_int m.stall *. 0.25) +. (float_of_int m.ops *. m.cfg.Config.compute_scale);
+          float_of_int m.stall *. 0.25;
+          float_of_int m.ifetch *. 0.25 ],
+      Array.to_list m.ledger )
+end
+
+type model_op =
+  | M_read of int * int (* address selector, size *)
+  | M_write of int * int
+  | M_read_run of int * int * int * int (* address selector, len, unit, ops *)
+  | M_copy_run of int * int * int * int (* source, destination selectors, len, unit *)
+  | M_exec of int (* region index *)
+  | M_flush
+  | M_reset
+
+let print_model_op = function
+  | M_read (a, z) -> Printf.sprintf "r%d/%d" a z
+  | M_write (a, z) -> Printf.sprintf "w%d/%d" a z
+  | M_read_run (a, len, u, ops) -> Printf.sprintf "rrun%d/%d/%d/%d" a len u ops
+  | M_copy_run (s, d, len, u) -> Printf.sprintf "copy%d>%d/%d/%d" s d len u
+  | M_exec r -> Printf.sprintf "x%d" r
+  | M_flush -> "flush"
+  | M_reset -> "reset"
+
+let print_model_case (layout, ops) =
+  Printf.sprintf "layout=[%s] ops=[%s]"
+    (String.concat ";" (List.map string_of_int layout))
+    (String.concat ";" (List.map print_model_op ops))
+
+(* An address selector picks one of four clusters of lines, a conflict
+   multiple (same L1 set, another tag; with the top bits, same L2 set
+   too) and an offset that may reach into the next line, so single
+   accesses keep revisiting, straddling and evicting a few lines. *)
+let gen_model_case =
+  let open QCheck.Gen in
+  let sel = int_bound 0xffff in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let op =
+    frequency
+      [ (6, map2 (fun a z -> M_read (a, z)) sel size);
+        (6, map2 (fun a z -> M_write (a, z)) sel size);
+        ( 1,
+          map2 (fun (a, len) (u, ops) -> M_read_run (a, len, u, ops))
+            (pair sel (int_bound 300)) (pair size (int_bound 4)) );
+        ( 1,
+          map2 (fun (s, d) (len, u) -> M_copy_run (s, d, len, u))
+            (pair sel sel) (pair (int_bound 300) size) );
+        (2, map (fun r -> M_exec r) (int_bound 3));
+        (1, return M_flush);
+        (1, return M_reset) ]
+  in
+  pair
+    (list_size (int_range 1 4)
+       (frequency [ (6, int_bound 3000); (1, int_range 8000 24000) ]))
+    (list_size (int_range 1 80) op)
+
+let model_addr (cfg : Config.t) sel =
+  let l1 = cfg.Config.l1d in
+  let l1_way = l1.Cache.size / l1.Cache.assoc in
+  let far =
+    match cfg.Config.l2 with
+    | Some l2 -> l2.Cache.size / l2.Cache.assoc
+    | None -> 7 * l1_way
+  in
+  let cluster = sel land 3 and k = (sel lsr 2) land 7 and top = (sel lsr 5) land 3 in
+  let off = (sel lsr 7) mod (l1.Cache.line + 8) in
+  4096 + (cluster * 3 * l1.Cache.line) + (k mod (l1.Cache.assoc + 2) * l1_way)
+  + (top mod 3 * far) + off
+
+let prop_machine_matches_model =
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"Machine charges what the reference model charges"
+    (QCheck.make ~print:print_model_case gen_model_case)
+    (fun (layout, ops) ->
+      List.for_all
+        (fun (cfg : Config.t) ->
+          let m = Machine.create cfg and r = Model.create cfg in
+          let code = Code.allocator () in
+          let regions = Array.of_list (List.map (fun len -> Code.alloc code ~len) layout) in
+          let region i = regions.(i mod Array.length regions) in
+          let addr = model_addr cfg in
+          let step i op =
+            (match op with
+            | M_read (a, size) ->
+                Machine.read m ~addr:(addr a) ~size;
+                Model.data r Stats.Read ~addr:(addr a) ~size
+            | M_write (a, size) ->
+                Machine.write m ~addr:(addr a) ~size;
+                Model.data r Stats.Write ~addr:(addr a) ~size
+            | M_read_run (a, len, unit, ops) ->
+                Machine.read_run m ~addr:(addr a) ~len ~unit ~ops;
+                Model.read_run r ~addr:(addr a) ~len ~unit ~ops
+            | M_copy_run (s, d, len, unit) ->
+                Machine.copy_run m ~src:(addr s) ~dst:(addr d) ~len ~unit;
+                Model.copy_run r ~src:(addr s) ~dst:(addr d) ~len ~unit
+            | M_exec x ->
+                let reg = region x in
+                Machine.exec m reg;
+                Model.exec r ~base:reg.Code.base ~len:reg.Code.len
+            | M_flush ->
+                Machine.flush_caches m;
+                Model.flush_all r
+            | M_reset ->
+                Machine.reset_counters m;
+                Model.reset r);
+            (counters_bits m, stats_counts m) = Model.observe r
+            || QCheck.Test.fail_reportf "%s: op %d (%s) differs from the model"
+                 cfg.Config.name i (print_model_op op)
+          in
+          List.for_all Fun.id (List.mapi step ops))
+        run_machines)
+
 (* After a region's first walk, neither path of [exec] allocates, nor
    does a run.  On the AXP's 8 KB direct-mapped L1i, [r1] and [r2] (8 KB
    apart) evict each other, so alternating them walks every time.  A
@@ -802,7 +1069,8 @@ let () =
           qc prop_run_matches_per_access;
           Alcotest.test_case "exec and runs allocate nothing" `Quick
             test_exec_run_allocate_nothing;
-          qc prop_exec_matches_per_line ] );
+          qc prop_exec_matches_per_line;
+          qc prop_machine_matches_model ] );
       ( "mem",
         [ Alcotest.test_case "round trips" `Quick test_mem_roundtrips;
           Alcotest.test_case "big endian" `Quick test_mem_big_endian;
