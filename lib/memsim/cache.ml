@@ -84,8 +84,6 @@ let fills t = t.fills
    writeback)]. *)
 type outcome = int
 
-let hit (o : outcome) = o >= 0
-let filled (o : outcome) = o < -1
 let writeback (o : outcome) = o < -1 && (-2 - o) land 1 = 1
 let way_of (o : outcome) = if o >= -1 then o else (-2 - o) asr 1
 

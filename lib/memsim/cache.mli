@@ -44,22 +44,18 @@ val id : t -> int
 val fills : t -> int
 
 (** Access outcome, an immediate so the per-line hot path allocates
-    nothing.  An access that filled no line is its own way: a hit or a
-    store-around is exactly an outcome [o >= -1], and [o] is then
-    {!way_of} [o] ([-1] for the store-around), so a caller needs no call
-    to tell it from a fill.  Query a fill with {!writeback} and
-    {!way_of}. *)
+    nothing.  It is read by comparison: [o >= 0] is a hit (the line was
+    resident before the access) on way [o]; [o = -1] a store-around (a
+    write miss without allocate, the line not resident); [o < -1] a fill
+    (a miss that allocated a line, so the next level must be read to
+    fill it).  An access that filled no line is thus its own way, and a
+    caller needs no call to tell it from a fill.  Query a fill with
+    {!writeback} and {!way_of}. *)
 type outcome = int
 
-(** The line was resident before the access. *)
-val hit : outcome -> bool
-
-(** A dirty line was evicted and must be written to the next level. *)
+(** The access was a fill that evicted a dirty line, which must be
+    written to the next level. *)
 val writeback : outcome -> bool
-
-(** The access allocated a line (miss with allocate), so the next level
-    must be read to fill it. *)
-val filled : outcome -> bool
 
 (** The way the access left the line in, as {!way} would report it right
     after: the way it hit or filled, or [-1] for a store-around. *)

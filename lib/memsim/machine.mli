@@ -19,10 +19,7 @@ val create : Config.t -> t
 
 (** [read t ~addr ~size] / [write t ~addr ~size] charge one data access of
     [size] bytes (1, 2, 4 or 8) at [addr], splitting across cache lines if
-    the access straddles one.  An access confined to the line the previous
-    one ended in, while the data cache has filled no line and not been
-    flushed since, is charged as the hit (or store-around) it is without
-    a tag search. *)
+    the access straddles one. *)
 val read : t -> addr:int -> size:int -> unit
 
 val write : t -> addr:int -> size:int -> unit
