@@ -35,6 +35,8 @@ type t = {
   mutable tick : int;
   id : int;
   mutable fills : int;
+  (* The line a fill last evicted dirty: see [access]. *)
+  mutable victim : int;
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -68,7 +70,8 @@ let create cfg =
     age = Array.make ways 0;
     tick = 0;
     id = Atomic.fetch_and_add next_id 1;
-    fills = 0 }
+    fills = 0;
+    victim = -1 }
 
 let config t = t.cfg
 let id t = t.id
@@ -84,14 +87,15 @@ let fills t = t.fills
    writeback)]. *)
 type outcome = int
 
-let writeback (o : outcome) = o < -1 && (-2 - o) land 1 = 1
-let way_of (o : outcome) = if o >= -1 then o else (-2 - o) asr 1
+let[@inline] writeback (o : outcome) = o < -1 && (-2 - o) land 1 = 1
+let[@inline] way_of (o : outcome) = if o >= -1 then o else (-2 - o) asr 1
 
-(* No tuples, options or refs escape below: [access] runs once per cache
-   line of every simulated byte.  The tag search, [touch] and [hit_way]
-   are inlined into their callers, a loop over ints with no call; the
-   tag array is typed [int] (left to inference it is ['a array], and [=]
-   on an ['a] is a C call into the generic comparison per way). *)
+(* No tuples, options or refs escape below: [access] and [walk] run
+   once per cache line of every simulated byte.  The tag search, the LRU
+   touch and the hit are inlined into their callers, a loop over ints
+   with no call; the tag array is typed [int] (left to inference it is
+   ['a array], and [=] on an ['a] is a C call into the generic
+   comparison per way). *)
 
 (* The index of the way holding [tag] among the [assoc] ways from
    [base] (one set's), or -1. *)
@@ -121,7 +125,10 @@ let[@inline] hit_way t ~way ~write =
   touch t way;
   if write && t.write_back then t.dirty.(way) <- true
 
-let access t ~addr ~write =
+(* The one tag search and fill: the L1i and the L2 call it, and [walk]
+   inlines it.  A fill that evicts a dirty line leaves the victim's own
+   line address (its old tag in this set) in [t.victim]. *)
+let[@inline] access t ~addr ~write =
   let base = ((addr lsr t.line_shift) land t.set_mask) * t.assoc in
   let tag = addr lsr t.tag_shift in
   let i = find t base tag in
@@ -136,6 +143,8 @@ let access t ~addr ~write =
     let i = victim_from t.tags t.age base t.assoc 0 base max_int in
     (* Only a valid line is ever dirty: a flush clears both. *)
     let wb = t.dirty.(i) in
+    if wb then
+      t.victim <- (t.tags.(i) lsl t.tag_shift) lor (addr land (t.set_mask lsl t.line_shift));
     t.tags.(i) <- tag;
     t.dirty.(i) <- write && t.write_back;
     t.fills <- t.fills + 1;
@@ -143,26 +152,145 @@ let access t ~addr ~write =
     -2 - ((i lsl 1) lor if wb then 1 else 0)
   end
 
-let way t ~addr =
-  find t (((addr lsr t.line_shift) land t.set_mask) * t.assoc) (addr lsr t.tag_shift)
+let present t ~addr =
+  find t (((addr lsr t.line_shift) land t.set_mask) * t.assoc) (addr lsr t.tag_shift) >= 0
 
-let present t ~addr = way t ~addr >= 0
+type tally = {
+  mutable hits : int;
+  mutable arounds : int;
+  mutable fills : int;
+  mutable log : int array;
+}
 
-(* [n] rounds of (read hit on [read_way]; write hit on [write_way]) leave
-   only the last round's ages behind: the read line one tick behind the
-   write line, or both on the last tick when they are the same way. *)
-let repeat_hits t ~read_way ~write_way ~n =
-  if n > 0 then
-    if write_way < 0 then begin
-      t.tick <- t.tick + n;
-      t.age.(read_way) <- t.tick
-    end
-    else begin
-      t.tick <- t.tick + (2 * n);
-      t.age.(read_way) <- t.tick - 1;
-      t.age.(write_way) <- t.tick;
-      if t.write_back then t.dirty.(write_way) <- true
-    end
+(* Room for 64 fills: a 2 KiB pass over 32-byte lines.  A longer walk
+   doubles it as often as it needs, and the tally keeps the larger log. *)
+let tally () = { hits = 0; arounds = 0; fills = 0; log = Array.make 128 0 }
+
+let log_fill r ~addr ~write victim =
+  let j = 2 * r.fills in
+  if j = Array.length r.log then begin
+    let log = Array.make (2 * j) 0 in
+    Array.blit r.log 0 log 0 j;
+    r.log <- log
+  end;
+  r.log.(j) <- (addr lsl 1) lor if write then 1 else 0;
+  r.log.(j + 1) <- victim;
+  r.fills <- r.fills + 1
+
+(* Counts [x], the outcome of an access to the line of [addr], in [r]. *)
+let[@inline] count t r ~addr ~write x =
+  if x >= 0 then r.hits <- r.hits + 1
+  else if x = -1 then r.arounds <- r.arounds + 1
+  else
+    log_fill r ~addr:(addr land lnot (t.cfg.line - 1)) ~write
+      (if writeback x then t.victim else -1)
+
+(* One side's access in full: every line from [addr]'s to [last], in
+   order, counted in [r].  Returns the way the last line is left in, or
+   -1 for a store-around. *)
+let[@inline] lines t r ~addr ~last ~write =
+  let line = t.cfg.line in
+  let a = ref (addr land lnot (line - 1)) and o = ref 0 in
+  while !a <= last do
+    let x = access t ~addr:!a ~write in
+    count t r ~addr:!a ~write x;
+    o := x;
+    a := !a + line
+  done;
+  way_of !o
+
+(* [n] iterations of a read and/or a write.  Each side remembers the
+   line its last access ended in ([rl], [wl]; -1: none yet) and the way
+   that line was left in ([rw], [ww]; for the write side -1 is a
+   store-around: the line is not resident in a no-write-allocate cache).
+
+   - An access confined to its side's remembered line is a known hit on
+     that way, if the way still holds the line's tag (the other side's
+     full access may have filled into it since), or a known store-around
+     again, if no read since has covered the line (a read allocates).
+     No tag search.
+   - Any other access goes through [lines], in full.
+   - The iterations after one that stay inside both remembered lines are
+     a stretch of known hits and store-arounds, which fill nothing: it
+     is applied at once, the counts by k, the LRU clock by k or 2k, the
+     lines' final ages (the write line last) and the dirty bit. *)
+let stride t r ~read ~write ~n ~unit =
+  let shift =
+    match unit with
+    | 1 -> 0
+    | 2 -> 1
+    | 4 -> 2
+    | 8 -> 3
+    | _ -> invalid_arg "Cache.walk: unit"
+  in
+  let line = t.cfg.line in
+  let mask = lnot (line - 1) in
+  let rl = ref (-1) and rw = ref (-1) and wl = ref (-1) and ww = ref (-1) in
+  let s = ref read and d = ref write and i = ref 0 in
+  while !i < n do
+    if read >= 0 then begin
+      let sl = (!s + unit - 1) land mask in
+      if sl = !rl && t.tags.(!rw) = sl lsr t.tag_shift then begin
+        touch t !rw;
+        r.hits <- r.hits + 1
+      end
+      else begin
+        rw := lines t r ~addr:!s ~last:sl ~write:false;
+        rl := sl;
+        if !ww < 0 && !wl >= !s land mask && !wl <= sl then wl := -1
+      end
+    end;
+    if write >= 0 then begin
+      let dl = (!d + unit - 1) land mask in
+      if dl = !wl && (!ww < 0 || t.tags.(!ww) = dl lsr t.tag_shift) then
+        if !ww >= 0 then begin
+          hit_way t ~way:!ww ~write:true;
+          r.hits <- r.hits + 1
+        end
+        else r.arounds <- r.arounds + 1
+      else begin
+        ww := lines t r ~addr:!d ~last:dl ~write:true;
+        wl := dl
+      end
+    end;
+    incr i;
+    if !i < n then begin
+      let k = if read >= 0 then (!rl + line - !s - unit) asr shift else n in
+      let k = if write >= 0 then Int.min k ((!wl + line - !d - unit) asr shift) else k in
+      let k = Int.min k (n - !i) in
+      if k > 0 && (read < 0 || t.tags.(!rw) = !rl lsr t.tag_shift) then begin
+        let reads = if read >= 0 then 1 else 0 in
+        let writes = if write >= 0 && !ww >= 0 then 1 else 0 in
+        t.tick <- t.tick + (k * (reads + writes));
+        r.hits <- r.hits + (k * (reads + writes));
+        if reads > 0 then t.age.(!rw) <- t.tick - writes;
+        if writes > 0 then begin
+          t.age.(!ww) <- t.tick;
+          if t.write_back then t.dirty.(!ww) <- true
+        end
+        else if write >= 0 then r.arounds <- r.arounds + k;
+        s := !s + (k lsl shift);
+        d := !d + (k lsl shift);
+        i := !i + k
+      end
+    end;
+    s := !s + unit;
+    d := !d + unit
+  done
+
+let walk t r ~read ~write ~n ~unit =
+  r.hits <- 0;
+  r.arounds <- 0;
+  r.fills <- 0;
+  if n = 1 && (read < 0 || write < 0) then begin
+    (* One access (a [Machine.read] or [write]): nothing to remember,
+       and mostly one line. *)
+    let a = if read >= 0 then read else write and w = read < 0 in
+    if (a lxor (a + unit - 1)) lsr t.line_shift = 0 then
+      count t r ~addr:a ~write:w (access t ~addr:a ~write:w)
+    else ignore (lines t r ~addr:a ~last:(a + unit - 1) ~write:w)
+  end
+  else stride t r ~read ~write ~n ~unit
 
 let touch_ways t ways =
   for j = 0 to Array.length ways - 1 do

@@ -38,9 +38,10 @@ val config : t -> config
     in the process, whatever their configurations. *)
 val id : t -> int
 
-(** The number of lines {!access} has filled, plus one per {!flush}: a
-    line leaves the cache only through one of those, so while the count
-    stands still every resident line stays resident, in its way. *)
+(** The number of lines {!access} and {!walk} have filled, plus one per
+    {!flush}: a line leaves the cache only through one of those, so while
+    the count stands still every resident line stays resident, in its
+    way. *)
 val fills : t -> int
 
 (** Access outcome, an immediate so the per-line hot path allocates
@@ -57,8 +58,8 @@ type outcome = int
     written to the next level. *)
 val writeback : outcome -> bool
 
-(** The way the access left the line in, as {!way} would report it right
-    after: the way it hit or filled, or [-1] for a store-around. *)
+(** The way the access left the line in: the way it hit or filled, or
+    [-1] for a store-around. *)
 val way_of : outcome -> int
 
 (** [access t ~addr ~write] touches the single line containing [addr].
@@ -69,24 +70,32 @@ val access : t -> addr:int -> write:bool -> outcome
     without updating LRU state. *)
 val present : t -> addr:int -> bool
 
-(** [way t ~addr] is the way holding the line of [addr], or [-1] when the
-    line is not resident; LRU state is not updated. *)
-val way : t -> addr:int -> int
+(** What a {!walk} leaves for its caller to charge.  Its fields are read
+    directly, so a caller charges a walk with no further call. *)
+type tally = {
+  mutable hits : int;     (** line accesses that hit *)
+  mutable arounds : int;  (** store-arounds *)
+  mutable fills : int;    (** fills, in [log] *)
+  mutable log : int array;
+  (** Fill [j], in walk order, is [log.(2j)], the filled line's address
+      times 2, plus 1 if a write filled it, and [log.(2j+1)], the address
+      of the dirty line it evicted (its old tag in the same set), or
+      [-1].  The array grows when a walk needs more room and is kept. *)
+}
 
-(** [hit_way t ~way ~write] leaves the state that a hit ({!access}) on
-    the resident line in [way] leaves: the LRU clock advances to it, and
-    a write into a write-back cache marks it dirty.  The caller knows the
-    line is there; no tag is searched. *)
-val hit_way : t -> way:int -> write:bool -> unit
+(** A tally with room for 64 fills. *)
+val tally : unit -> tally
 
-(** [repeat_hits t ~read_way ~write_way ~n] leaves the state that [n]
-    rounds of a read hit on the resident line in [read_way] followed by a
-    write hit on the resident line in [write_way] leave ([write_way < 0]:
-    reads only), as [n] (or [2n]) calls of {!access} would: the LRU clock
-    advances once per hit, the two lines become the most recently used
-    (the write line last), and a write-back cache marks the written line
-    dirty. *)
-val repeat_hits : t -> read_way:int -> write_way:int -> n:int -> unit
+(** [walk t r ~read ~write ~n ~unit] leaves [t] as [n] iterations of a
+    [unit]-byte read at [read + i*unit] (none if [read < 0]) followed by
+    a [unit]-byte write at [write + i*unit] (none if [write < 0]) leave
+    it, when each access is split into the lines it covers and each line
+    is one {!access}; and it leaves in [r] how many of those line
+    accesses hit, how many were store-arounds, and every fill, in walk
+    order.  It searches tags only where a side reaches a new line, and
+    applies the iterations that stay inside both sides' lines at once.
+    [unit] is 1, 2, 4 or 8. *)
+val walk : t -> tally -> read:int -> write:int -> n:int -> unit:int -> unit
 
 (** [touch_ways t ways] leaves the state that a read hit on the line in
     each of [ways], in array order, leaves: the LRU clock advances once

@@ -58,9 +58,12 @@ let register t name make wrap unwrap =
 (* Find-or-create: the same names in the same order return the existing
    family; any other clash with a registered name raises. *)
 let family t names =
-  if names = [||] then invalid_arg "Metrics.family: no names";
+  if Array.length names = 0 then invalid_arg "Metrics.family: no names";
   match Hashtbl.find_opt t.tbl names.(0) with
-  | Some (Ec (f, 0)) when f.f_names = names -> f
+  | Some (Ec (f, 0))
+    when Array.length f.f_names = Array.length names
+         && Array.for_all2 String.equal f.f_names names ->
+      f
   | _ ->
       let f = { f_names = Array.copy names; blocks = [] } in
       let check name = Option.iter (already name) (Hashtbl.find_opt t.tbl name) in

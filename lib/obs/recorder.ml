@@ -73,7 +73,7 @@ let note stage ~conn ~arg ~ts =
 type entry = { stage : Trace.stage; conn : int; arg : int; ts : float }
 
 let noted () = !total
-let count () = min !total !cap
+let count () = Int.min !total !cap
 let dropped () = !total - count ()
 
 let nth_oldest i =

@@ -51,7 +51,7 @@ let create ?(capacity = 512) ?(slos = []) ?(interval_us = 50_000.0) registry =
 let interval_us t = t.interval_us
 let capacity t = t.capacity
 let taken t = t.taken
-let count t = min t.taken t.capacity
+let count t = Int.min t.taken t.capacity
 let base t = t.base
 
 (* The standard dashboard percentiles; SLO-specific quantiles are added
@@ -175,12 +175,17 @@ let spark_levels = [| "\xe2\x96\x81"; "\xe2\x96\x82"; "\xe2\x96\x83";
                      "\xe2\x96\x84"; "\xe2\x96\x85"; "\xe2\x96\x86";
                      "\xe2\x96\x87"; "\xe2\x96\x88" |]
 
+(* Stdlib's [min]/[max] bodies on floats: [Float.min]/[max] differ on
+   nan and signed zeros. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
 let sparkline values =
   let n = Array.length values in
   if n = 0 then ""
   else begin
-    let lo = Array.fold_left min values.(0) values in
-    let hi = Array.fold_left max values.(0) values in
+    let lo = Array.fold_left fmin values.(0) values in
+    let hi = Array.fold_left fmax values.(0) values in
     let b = Buffer.create (n * 3) in
     Array.iter
       (fun v ->
@@ -205,7 +210,7 @@ let dashboard ?(width = 60) t =
       let n = Array.length ss_arr in
       let _, last = ss_arr.(n - 1) in
       let first_ts = fst ss_arr.(0) and last_ts = fst ss_arr.(n - 1) in
-      let condense values =
+      let condense (values : float array) =
         (* Squeeze the whole run into [width] columns, keeping the max
            of each bucket so short bursts survive the downsampling. *)
         let len = Array.length values in
@@ -243,7 +248,7 @@ let dashboard ?(width = 60) t =
           match v with
           | M.Counter total when total - counter_at t.base name > 0 ->
               let r = rates t name in
-              let peak = Array.fold_left max 0.0 r in
+              let peak = Array.fold_left fmax 0.0 r in
               add
                 (Printf.sprintf "%-38s %s  peak %.0f/s, total %d" name
                    (sparkline (condense r)) peak total)

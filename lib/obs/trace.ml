@@ -156,7 +156,7 @@ type span_rec = {
 }
 
 let recorded () = !total
-let count () = min !total !cap
+let count () = Int.min !total !cap
 let dropped () = !total - count ()
 
 let nth_oldest i =

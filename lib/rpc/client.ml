@@ -176,9 +176,11 @@ let rec schedule_retry t =
         bump t c_retries;
         Recorder.note Trace.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
         let backoff =
-          min t.retry.max_backoff_us
-            (t.retry.base_backoff_us
-            *. (2.0 ** float_of_int (t.attempts - 1)))
+          let b =
+            t.retry.base_backoff_us *. (2.0 ** float_of_int (t.attempts - 1))
+          in
+          (* Stdlib's [min] body on floats: [Float.min] differs on nan. *)
+          if t.retry.max_backoff_us <= b then t.retry.max_backoff_us else b
         in
         let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
         t.retry_timer <-

@@ -284,7 +284,7 @@ let send_status t conn hdr = send_reply t conn hdr ~payload_addr:0
 (* The most file bytes one reply message can carry (at least 1, so a
    misconfigured engine fails loudly instead of looping). *)
 let reply_room t =
-  max 1
+  Int.max 1
     (Engine.max_payload t.engine
        ~prefix_len:(String.length (Messages.reply_prefix (status_hdr Messages.Ok))))
 
@@ -458,14 +458,14 @@ let handle_req t conn req =
                      what this server's engine can carry (the client
                      accepts any contiguous split of the file). *)
                   let max_reply =
-                    min (max 16 req.Messages.max_reply) (reply_room t)
+                    Int.min (Int.max 16 req.Messages.max_reply) (reply_room t)
                   in
                   for copy = start_copy to req.Messages.copies - 1 do
                     let offset =
                       ref (if copy = start_copy then start_offset else 0)
                     in
                     while !offset < file.len do
-                      let seg_len = min max_reply (file.len - !offset) in
+                      let seg_len = Int.min max_reply (file.len - !offset) in
                       Queue.add
                         (Data
                            { seg = { copy; offset = !offset; seg_len; file };

@@ -204,7 +204,10 @@ let prop_cache_access_reports_way =
               let before = Cache.present c ~addr in
               let o = Cache.access c ~addr ~write in
               let store_around = write && (not cfg.Cache.write_allocate) && not before in
-              (Cache.way_of o = Cache.way c ~addr
+              (* A read of the line just accessed, the most recently
+                 used, moves no line: it hits on the line's way. *)
+              let again = if Cache.present c ~addr then Cache.access c ~addr ~write:false else -1 in
+              (Cache.way_of o = again
               && (Cache.way_of o = -1) = store_around
               && (o >= 0) = before
               && (o < -1) = not (before || store_around))
@@ -346,21 +349,60 @@ let reference_copy_run m ~src ~dst ~len ~unit =
     Machine.compute m 1
   done
 
-(* The seven paper machines, the tiny write-back write-allocate custom
-   machine, its direct-mapped twin, and a write-back no-write-allocate
-   variant with a non-zero hit latency, a fractional compute scale and an
-   L2, so that every term of the per-access charge is exercised. *)
+(* A write-back, no-write-allocate L1d with a hit latency, a fractional
+   compute scale and an L2.  Lines 512 bytes apart share an L1 set and
+   an L2 set. *)
+let wb_nwa =
+  Config.custom ~name:"custom-wb-nwa"
+    ~l1d:
+      { (Cache.set_associative ~size:256 ~line:16 ~assoc:2) with
+        Cache.write_allocate = false }
+    ~l2:(Some (Cache.set_associative ~size:1024 ~line:32 ~assoc:2))
+    ~l1_hit_ns:10.0 ~compute_scale:1.3 ()
+
+(* The seven paper machines (their L1ds are write-through), the tiny
+   write-back write-allocate custom machine, its direct-mapped twin, the
+   same L1d with an L2 (so a write fills, and a dirty victim is written
+   back into the L2), and [wb_nwa], so that every term of the
+   per-access charge is exercised. *)
 let run_machines =
   let tiny_dm = Cache.direct_mapped ~size:256 ~line:16 in
   Config.all
   @ [ Config.custom ();
       Config.custom ~name:"custom-dm" ~l1d:tiny_dm ();
-      Config.custom ~name:"custom-wb-nwa"
-        ~l1d:
-          { (Cache.set_associative ~size:256 ~line:16 ~assoc:2) with
-            Cache.write_allocate = false }
+      Config.custom ~name:"custom-wb-l2"
         ~l2:(Some (Cache.set_associative ~size:1024 ~line:32 ~assoc:2))
-        ~l1_hit_ns:10.0 ~compute_scale:1.3 () ]
+        ();
+      wb_nwa ]
+
+(* A dirty L1d victim is written back at its own line.  On [wb_nwa],
+   lines 0, 512, 1024, 1536 and 2048 share L1 set 0 (two ways) and L2
+   set 0 (two ways).  Line 0 is made dirty in the L1 and evicted from the
+   L2 while the L1 keeps it; then the L1 evicts it for line 1536. *)
+let test_machine_writeback_to_victim () =
+  let m = Machine.create wb_nwa in
+  let dram = float_of_int (Config.mem_cycles wb_nwa) in
+  let l2_write_misses () = Stats.misses (Machine.stats m) Stats.Write ~level:2 in
+  let stall_of addr =
+    let before = Machine.stall_cycles m in
+    Machine.read m ~addr ~size:4;
+    Machine.stall_cycles m -. before
+  in
+  Machine.read m ~addr:0 ~size:4;
+  Machine.write m ~addr:0 ~size:4;
+  Machine.read m ~addr:512 ~size:4;
+  (* Line 0 most recent in the L1, least recent in the L2. *)
+  Machine.read m ~addr:0 ~size:4;
+  (* The L1 evicts 512; the L2 evicts its clean copy of line 0. *)
+  Machine.read m ~addr:1024 ~size:4;
+  check "no L2 write miss yet" 0 (l2_write_misses ());
+  (* 1536 misses the L2 (evicting 512), and line 0's writeback misses it
+     too (evicting 1024): DRAM twice, both clean victims. *)
+  checkf "the fill and the victim's writeback each charge DRAM" (2.0 *. dram) (stall_of 1536);
+  check "the writeback is an L2 write miss" 1 (l2_write_misses ());
+  (* 2048 evicts 1536 from the L2: had the writeback gone to 1536's L2
+     line, it would be dirty and charge DRAM again. *)
+  checkf "the filled line's L2 copy stayed clean" dram (stall_of 2048)
 
 type run_case = {
   copy : bool;
@@ -609,14 +651,14 @@ let prop_exec_matches_per_line =
    buffer; a fill counts an L1 miss and reads the line from the L2 (hit
    latency, or a counted L2 miss and DRAM, plus DRAM again for a dirty
    L2 victim) or from DRAM, and a dirty L1 victim is written back the
-   same way, at the filled line's address (a known defect, below).
-   Instruction fetches hit for free.  Counters are ints in quarter
-   cycles and ops, read as [Machine]'s readers state. *)
+   same way, at its own line.  Instruction fetches hit for free.
+   Counters are ints in quarter cycles and ops, read as [Machine]'s
+   readers state. *)
 
 module Model = struct
   type cache = { cfg : Cache.config; sets : (int * bool) list array }
 
-  type outcome = Hit | Around | Fill of bool (* the victim was dirty *)
+  type outcome = Hit | Around | Fill of int (* the dirty victim's line number, or -1 *)
 
   let cache (cfg : Cache.config) =
     { cfg; sets = Array.make (cfg.Cache.size / (cfg.Cache.line * cfg.Cache.assoc)) [] }
@@ -632,15 +674,15 @@ module Model = struct
         Hit
     | None when write && not c.cfg.Cache.write_allocate -> Around
     | None ->
-        let kept, victim_dirty =
-          if List.length lines < c.cfg.Cache.assoc then (lines, false)
+        let kept, victim =
+          if List.length lines < c.cfg.Cache.assoc then (lines, -1)
           else
             match List.rev lines with
-            | (_, d) :: older -> (List.rev older, d)
+            | (v, d) :: older -> (List.rev older, if d then v else -1)
             | [] -> assert false
         in
         c.sets.(s) <- (ln, dirtied false) :: kept;
-        Fill victim_dirty
+        Fill victim
 
   let flush c = Array.fill c.sets 0 (Array.length c.sets) []
 
@@ -682,10 +724,10 @@ module Model = struct
     | Some l2 -> (
         match access l2 ~addr ~write with
         | Hit -> charge m kind (4 * Config.l2_hit_cycles m.cfg)
-        | Around | Fill false ->
+        | Around | Fill -1 ->
             count m kind size 2;
             charge m kind (dram m)
-        | Fill true ->
+        | Fill _ ->
             count m kind size 2;
             charge m kind (2 * dram m))
 
@@ -700,14 +742,10 @@ module Model = struct
       | Around ->
           count m kind size 1;
           if not (write_through m) then charge m kind (drain m size)
-      | Fill dirty ->
+      | Fill victim ->
           count m kind size 1;
           below m kind size ~addr:a ~write:false;
-          (* A known defect, copied so that the model matches:
-             [Machine] writes the victim back at the filled line's
-             address, not the victim's (DESIGN §5.1).  The fix changes
-             this rule and [Machine] together. *)
-          if dirty then below m Stats.Write size ~addr:a ~write:true
+          if victim >= 0 then below m Stats.Write size ~addr:(victim * line) ~write:true
     done
 
   let read_run m ~addr ~len ~unit ~ops =
@@ -780,21 +818,25 @@ let print_model_case (layout, ops) =
 (* An address selector picks one of four clusters of lines, a conflict
    multiple (same L1 set, another tag; with the top bits, same L2 set
    too) and an offset that may reach into the next line, so single
-   accesses keep revisiting, straddling and evicting a few lines. *)
+   accesses keep revisiting, straddling and evicting a few lines.  One
+   run in eight is 1.5 to 3 KiB long: more lines than the 256-byte L1ds
+   hold, so it fills more than a walk's fill log holds at first (64
+   fills). *)
 let gen_model_case =
   let open QCheck.Gen in
   let sel = int_bound 0xffff in
   let size = oneofl [ 1; 2; 4; 8 ] in
+  let len = frequency [ (7, int_bound 300); (1, int_range 1536 3072) ] in
   let op =
     frequency
       [ (6, map2 (fun a z -> M_read (a, z)) sel size);
         (6, map2 (fun a z -> M_write (a, z)) sel size);
         ( 1,
           map2 (fun (a, len) (u, ops) -> M_read_run (a, len, u, ops))
-            (pair sel (int_bound 300)) (pair size (int_bound 4)) );
+            (pair sel len) (pair size (int_bound 4)) );
         ( 1,
           map2 (fun (s, d) (len, u) -> M_copy_run (s, d, len, u))
-            (pair sel sel) (pair (int_bound 300) size) );
+            (pair sel sel) (pair len size) );
         (2, map (fun r -> M_exec r) (int_bound 3));
         (1, return M_flush);
         (1, return M_reset) ]
@@ -861,10 +903,13 @@ let prop_machine_matches_model =
         run_machines)
 
 (* After a region's first walk, neither path of [exec] allocates, nor
-   does a run.  On the AXP's 8 KB direct-mapped L1i, [r1] and [r2] (8 KB
-   apart) evict each other, so alternating them walks every time.  A
-   counter reader returns one boxed float, no more: a reader that went
-   through another one would box twice. *)
+   does a run once the L1d's fill log has grown to the longest run's
+   fills.  On the AXP's 8 KB direct-mapped L1i, [r1] and [r2] (8 KB
+   apart) evict each other, so alternating them walks every time; a
+   16 KiB pass misses on every line of its 8 KB direct-mapped L1d, 512
+   fills, where the log holds 64 at first.  A counter reader returns one
+   boxed float, no more: a reader that went through another one would
+   box twice. *)
 let test_exec_run_allocate_nothing () =
   let m = Machine.create Config.axp3000_800 in
   let code = Code.allocator () in
@@ -892,6 +937,8 @@ let test_exec_run_allocate_nothing () =
       ( "copy_run, src and dst at different line offsets",
         fun () -> Machine.copy_run m ~src:8 ~dst:6020 ~len:256 ~unit:4 );
       ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3);
+      ( "copy_run of 512 fills, after the first call",
+        fun () -> Machine.copy_run m ~src:65536 ~dst:4096 ~len:16384 ~unit:8 );
       (* The TCP header path: one charged access per field. *)
       ( "single read and write (Mem.get_u32, Mem.set_u16)",
         fun () ->
@@ -1069,6 +1116,8 @@ let () =
             test_machine_store_around_counts_miss;
           Alcotest.test_case "L2 cheaper than memory" `Quick
             test_machine_l2_cheaper_than_memory;
+          Alcotest.test_case "dirty victim written back at its own line" `Quick
+            test_machine_writeback_to_victim;
           Alcotest.test_case "run rejects a bad unit" `Quick test_run_rejects_bad_unit;
           qc prop_run_matches_per_access;
           Alcotest.test_case "exec and runs allocate nothing" `Quick
