@@ -125,9 +125,10 @@ let[@inline] hit_way t ~way ~write =
   touch t way;
   if write && t.write_back then t.dirty.(way) <- true
 
-(* The one tag search and fill: the L1i and the L2 call it, and [walk]
-   inlines it.  A fill that evicts a dirty line leaves the victim's own
-   line address (its old tag in this set) in [t.victim]. *)
+(* The one tag search and fill: the L1i and the L2 call it, and [lines]
+   (so [span] and [walk]) inlines it.  A fill that evicts a dirty line
+   leaves the victim's own line address (its old tag in this set) in
+   [t.victim]. *)
 let[@inline] access t ~addr ~write =
   let base = ((addr lsr t.line_shift) land t.set_mask) * t.assoc in
   let tag = addr lsr t.tag_shift in
@@ -159,31 +160,41 @@ type tally = {
   mutable hits : int;
   mutable arounds : int;
   mutable fills : int;
-  mutable log : int array;
+  mutable fill_line : int array;
+  mutable fill_write : bool array;
+  mutable fill_victim : int array;
 }
 
 (* Room for 64 fills: a 2 KiB pass over 32-byte lines.  A longer walk
    doubles it as often as it needs, and the tally keeps the larger log. *)
-let tally () = { hits = 0; arounds = 0; fills = 0; log = Array.make 128 0 }
+let tally () =
+  { hits = 0;
+    arounds = 0;
+    fills = 0;
+    fill_line = Array.make 64 0;
+    fill_write = Array.make 64 false;
+    fill_victim = Array.make 64 0 }
 
-let log_fill r ~addr ~write victim =
-  let j = 2 * r.fills in
-  if j = Array.length r.log then begin
-    let log = Array.make (2 * j) 0 in
-    Array.blit r.log 0 log 0 j;
-    r.log <- log
+(* Twice as long; the copied second half is overwritten before it is
+   read. *)
+let grow a = Array.append a a
+
+let log_fill r ~line ~write victim =
+  let j = r.fills in
+  if j = Array.length r.fill_line then begin
+    r.fill_line <- grow r.fill_line;
+    r.fill_write <- grow r.fill_write;
+    r.fill_victim <- grow r.fill_victim
   end;
-  r.log.(j) <- (addr lsl 1) lor if write then 1 else 0;
-  r.log.(j + 1) <- victim;
-  r.fills <- r.fills + 1
+  r.fill_line.(j) <- line;
+  r.fill_write.(j) <- write;
+  r.fill_victim.(j) <- victim;
+  r.fills <- j + 1
 
-(* Counts [x], the outcome of an access to the line of [addr], in [r]. *)
-let[@inline] count t r ~addr ~write x =
-  if x >= 0 then r.hits <- r.hits + 1
-  else if x = -1 then r.arounds <- r.arounds + 1
-  else
-    log_fill r ~addr:(addr land lnot (t.cfg.line - 1)) ~write
-      (if writeback x then t.victim else -1)
+let[@inline] clear r =
+  r.hits <- 0;
+  r.arounds <- 0;
+  r.fills <- 0
 
 (* One side's access in full: every line from [addr]'s to [last], in
    order, counted in [r].  Returns the way the last line is left in, or
@@ -193,16 +204,23 @@ let[@inline] lines t r ~addr ~last ~write =
   let a = ref (addr land lnot (line - 1)) and o = ref 0 in
   while !a <= last do
     let x = access t ~addr:!a ~write in
-    count t r ~addr:!a ~write x;
+    if x >= 0 then r.hits <- r.hits + 1
+    else if x = -1 then r.arounds <- r.arounds + 1
+    else log_fill r ~line:!a ~write (if writeback x then t.victim else -1);
     o := x;
     a := !a + line
   done;
   way_of !o
 
-(* [n] iterations of a read and/or a write.  Each side remembers the
-   line its last access ended in ([rl], [wl]; -1: none yet) and the way
-   that line was left in ([rw], [ww]; for the write side -1 is a
-   store-around: the line is not resident in a no-write-allocate cache).
+let span t r ~addr ~size ~write =
+  clear r;
+  ignore (lines t r ~addr ~last:(addr + size - 1) ~write)
+
+(* [n] iterations of a read and/or a write of [1 lsl shift] bytes.  Each
+   side remembers the line its last access ended in ([rl], [wl]; -1:
+   none yet) and the way that line was left in ([rw], [ww]; for the
+   write side -1 is a store-around: the line is not resident in a
+   no-write-allocate cache).
 
    - An access confined to its side's remembered line is a known hit on
      that way, if the way still holds the line's tag (the other side's
@@ -214,15 +232,9 @@ let[@inline] lines t r ~addr ~last ~write =
      a stretch of known hits and store-arounds, which fill nothing: it
      is applied at once, the counts by k, the LRU clock by k or 2k, the
      lines' final ages (the write line last) and the dirty bit. *)
-let stride t r ~read ~write ~n ~unit =
-  let shift =
-    match unit with
-    | 1 -> 0
-    | 2 -> 1
-    | 4 -> 2
-    | 8 -> 3
-    | _ -> invalid_arg "Cache.walk: unit"
-  in
+let walk t r ~read ~write ~n ~shift =
+  clear r;
+  let unit = 1 lsl shift in
   let line = t.cfg.line in
   let mask = lnot (line - 1) in
   let rl = ref (-1) and rw = ref (-1) and wl = ref (-1) and ww = ref (-1) in
@@ -277,20 +289,6 @@ let stride t r ~read ~write ~n ~unit =
     s := !s + unit;
     d := !d + unit
   done
-
-let walk t r ~read ~write ~n ~unit =
-  r.hits <- 0;
-  r.arounds <- 0;
-  r.fills <- 0;
-  if n = 1 && (read < 0 || write < 0) then begin
-    (* One access (a [Machine.read] or [write]): nothing to remember,
-       and mostly one line. *)
-    let a = if read >= 0 then read else write and w = read < 0 in
-    if (a lxor (a + unit - 1)) lsr t.line_shift = 0 then
-      count t r ~addr:a ~write:w (access t ~addr:a ~write:w)
-    else ignore (lines t r ~addr:a ~last:(a + unit - 1) ~write:w)
-  end
-  else stride t r ~read ~write ~n ~unit
 
 let touch_ways t ways =
   for j = 0 to Array.length ways - 1 do

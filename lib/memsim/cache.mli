@@ -38,10 +38,10 @@ val config : t -> config
     in the process, whatever their configurations. *)
 val id : t -> int
 
-(** The number of lines {!access} and {!walk} have filled, plus one per
-    {!flush}: a line leaves the cache only through one of those, so while
-    the count stands still every resident line stays resident, in its
-    way. *)
+(** The number of lines {!access}, {!span} and {!walk} have filled, plus
+    one per {!flush}: a line leaves the cache only through one of those,
+    so while the count stands still every resident line stays resident,
+    in its way. *)
 val fills : t -> int
 
 (** Access outcome, an immediate so the per-line hot path allocates
@@ -70,32 +70,39 @@ val access : t -> addr:int -> write:bool -> outcome
     without updating LRU state. *)
 val present : t -> addr:int -> bool
 
-(** What a {!walk} leaves for its caller to charge.  Its fields are read
-    directly, so a caller charges a walk with no further call. *)
+(** What a {!span} or {!walk} leaves for its caller to charge.  Its
+    fields are read directly, so a caller charges it with no further
+    call. *)
 type tally = {
   mutable hits : int;     (** line accesses that hit *)
   mutable arounds : int;  (** store-arounds *)
-  mutable fills : int;    (** fills, in [log] *)
-  mutable log : int array;
-  (** Fill [j], in walk order, is [log.(2j)], the filled line's address
-      times 2, plus 1 if a write filled it, and [log.(2j+1)], the address
-      of the dirty line it evicted (its old tag in the same set), or
-      [-1].  The array grows when a walk needs more room and is kept. *)
+  mutable fills : int;    (** fills, in order, logged below *)
+  mutable fill_line : int array;    (** fill [j]'s line address *)
+  mutable fill_write : bool array;  (** whether a write made fill [j] *)
+  mutable fill_victim : int array;
+  (** the dirty line fill [j] evicted (its old tag in the same set), or
+      [-1].  The three arrays grow when a walk needs more room and are
+      kept. *)
 }
 
 (** A tally with room for 64 fills. *)
 val tally : unit -> tally
 
-(** [walk t r ~read ~write ~n ~unit] leaves [t] as [n] iterations of a
-    [unit]-byte read at [read + i*unit] (none if [read < 0]) followed by
-    a [unit]-byte write at [write + i*unit] (none if [write < 0]) leave
-    it, when each access is split into the lines it covers and each line
-    is one {!access}; and it leaves in [r] how many of those line
-    accesses hit, how many were store-arounds, and every fill, in walk
-    order.  It searches tags only where a side reaches a new line, and
-    applies the iterations that stay inside both sides' lines at once.
-    [unit] is 1, 2, 4 or 8. *)
-val walk : t -> tally -> read:int -> write:int -> n:int -> unit:int -> unit
+(** [span t r ~addr ~size ~write] leaves [t] as one [size]-byte access at
+    [addr] leaves it, each line it covers being one {!access}, and it
+    leaves in [r] how many of those line accesses hit, how many were
+    store-arounds, and every fill, in line order. *)
+val span : t -> tally -> addr:int -> size:int -> write:bool -> unit
+
+(** [walk t r ~read ~write ~n ~shift] is [n] iterations of a
+    [1 lsl shift]-byte read at [read + i * (1 lsl shift)] (none if
+    [read < 0]) followed by a write of as many bytes at
+    [write + i * (1 lsl shift)] (none if [write < 0]).  It leaves [t] as
+    those accesses, each one {!span}, leave it, and [r] counting and
+    logging all of them, in order.  It searches tags only where a side
+    reaches a new line, and applies the iterations that stay inside both
+    sides' lines at once. *)
+val walk : t -> tally -> read:int -> write:int -> n:int -> shift:int -> unit
 
 (** [touch_ways t ways] leaves the state that a read hit on the line in
     each of [ways], in array order, leaves: the LRU clock advances once

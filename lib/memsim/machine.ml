@@ -2,7 +2,8 @@ type t = {
   cfg : Config.t;
   l1d_write_through : bool;
   l1d : Cache.t;
-  (* What the last walk of the L1d left to charge, read by field. *)
+  (* What the last span or walk of the L1d left to charge, read by
+     field. *)
   tally : Cache.tally;
   l1i : Cache.t;
   (* Read on every [exec]: a field load, where [Cache.id] would be a
@@ -68,25 +69,25 @@ let below_l1 t kind ~size ~addr ~write =
         if Cache.writeback o then charge_stall t kind t.mem
       end
 
-(* The fills a walk of the L1d logged, in order: each is an L1 miss of
-   its side's kind and reads its line from below, and a dirty victim is
-   written back there at its own line. *)
+(* The fills a span or walk of the L1d logged, in order: each is an L1
+   miss of its side's kind and reads its line from below, and a dirty
+   victim is written back there at its own line. *)
 let replay t (r : Cache.tally) ~unit =
-  let log = r.Cache.log and writes = ref 0 in
+  let writes = ref 0 in
   for j = 0 to r.Cache.fills - 1 do
-    let e = log.(2 * j) and victim = log.((2 * j) + 1) in
-    let kind = if e land 1 = 1 then Stats.Write else Stats.Read in
-    if e land 1 = 1 then incr writes;
-    below_l1 t kind ~size:unit ~addr:(e lsr 1) ~write:false;
+    let write = r.Cache.fill_write.(j) and victim = r.Cache.fill_victim.(j) in
+    if write then incr writes;
+    let kind = if write then Stats.Write else Stats.Read in
+    below_l1 t kind ~size:unit ~addr:r.Cache.fill_line.(j) ~write:false;
     if victim >= 0 then below_l1 t Stats.Write ~size:unit ~addr:victim ~write:true
   done;
   let reads = r.Cache.fills - !writes in
   if reads > 0 then Stats.record_misses t.stats Stats.Read ~size:unit ~level:1 ~n:reads;
   if !writes > 0 then Stats.record_misses t.stats Stats.Write ~size:unit ~level:1 ~n:!writes
 
-(* Charges what the last walk of the L1d left in [t.tally]: a line that
-   hit costs the L1 latency; a store-around is an L1 write miss and,
-   unless the L1 is write-through (its stores drain anyway), a
+(* Charges what the last span or walk of the L1d left in [t.tally]: a
+   line that hit costs the L1 latency; a store-around is an L1 write miss
+   and, unless the L1 is write-through (its stores drain anyway), a
    write-buffer drain; the fills are replayed below the L1.  Charging
    the counts once and the fills after the walk is exact: no L1d outcome
    depends on the L2, the stalls and the ledger are integer sums, and
@@ -102,7 +103,7 @@ let[@inline] charge t ~unit =
 
 let read t ~addr ~size =
   Stats.record_access t.stats Stats.Read ~size;
-  Cache.walk t.l1d t.tally ~read:addr ~write:(-1) ~n:1 ~unit:size;
+  Cache.span t.l1d t.tally ~addr ~size ~write:false;
   charge t ~unit:size
 
 (* In a write-through cache every store drains through the write buffer
@@ -115,7 +116,7 @@ let read t ~addr ~size =
 let write t ~addr ~size =
   Stats.record_access t.stats Stats.Write ~size;
   if t.l1d_write_through then t.stall <- t.stall + (t.drain * size);
-  Cache.walk t.l1d t.tally ~read:(-1) ~write:addr ~n:1 ~unit:size;
+  Cache.span t.l1d t.tally ~addr ~size ~write:true;
   charge t ~unit:size
 
 let compute t ops = if ops > 0 then t.ops <- t.ops + ops
@@ -143,7 +144,7 @@ let run t ~src ~dst ~len ~unit ~ops =
       Stats.record_accesses t.stats Stats.Write ~size:unit ~n;
       if t.l1d_write_through then t.stall <- t.stall + (n * t.drain * unit)
     end;
-    Cache.walk t.l1d t.tally ~read:src ~write:dst ~n ~unit;
+    Cache.walk t.l1d t.tally ~read:src ~write:dst ~n ~shift;
     charge t ~unit
   end
 
