@@ -1,9 +1,15 @@
 (** Virtual time and timers for the simulated network.
 
     Time is measured in microseconds as a float.  Events fire in timestamp
-    order (FIFO among equal timestamps).  The clock only moves when
-    {!advance} or {!run_until_idle} is called, so protocol tests are fully
-    deterministic. *)
+    order (FIFO among equal timestamps; a nan timestamp sorts first).  The
+    clock only moves when {!advance} or {!run_until_idle} is called, so
+    protocol tests are fully deterministic.
+
+    Costs, with [n] events pending: {!schedule}, {!cancel} and each firing
+    take O(log n); {!is_pending}, {!pending} and {!now} O(1);
+    {!pending_count} O(n).  {!schedule} allocates its timer record (and
+    the queue's arrays when they grow to a new peak), each firing and each
+    {!advance} the boxed new time, and {!cancel} nothing. *)
 
 type t
 
@@ -35,7 +41,12 @@ val fresh_owner : t -> int
     tag their timers with a {!fresh_owner} id. *)
 val schedule : t -> ?owner:int -> after:float -> (unit -> unit) -> timer
 
+(** [cancel timer] drops a pending event; on a fired or cancelled one it
+    does nothing. *)
 val cancel : timer -> unit
+
+(** [is_pending timer]: scheduled, and neither fired (a callback sees its
+    own timer as not pending) nor cancelled. *)
 val is_pending : timer -> bool
 
 (** [advance t dt] moves time forward by [dt] microseconds, firing every

@@ -7,6 +7,12 @@ module M = Ilp_obs.Metrics
 module Trace = Ilp_obs.Trace
 module Recorder = Ilp_obs.Recorder
 
+(* Request ids and connection ids key their tables as ints, as [Demux]'s
+   ports do: no generic compare per lookup.  [Int.hash] is
+   [Hashtbl.hash], so the buckets and the iteration order are the
+   polymorphic table's. *)
+module Ids = Hashtbl.Make (Int)
+
 type file = { addr : int; len : int }
 
 type segment = { copy : int; offset : int; seg_len : int; file : file }
@@ -121,7 +127,7 @@ type conn = {
    [dedup_cap] ids. *)
 type store = {
   s_files : (string, file) Hashtbl.t;
-  dedup : (int, Messages.status) Hashtbl.t;
+  dedup : Messages.status Ids.t;
   dedup_order : int Queue.t;
   s_blk : int array;
   mutable id_requests_seen : int;  (* id-carrying requests decoded *)
@@ -132,7 +138,7 @@ let dedup_cap = 1024
 
 let create_store () =
   { s_files = Hashtbl.create 4;
-    dedup = Hashtbl.create 64;
+    dedup = Ids.create 64;
     dedup_order = Queue.create ();
     s_blk = M.block store_family;
     id_requests_seen = 0;
@@ -142,12 +148,12 @@ let create_store () =
    rejections are never cached: they are re-derivable and a retry with
    the same id must be free to succeed. *)
 let store_cache_put st ~req_id status =
-  if not (Hashtbl.mem st.dedup req_id) then begin
+  if not (Ids.mem st.dedup req_id) then begin
     if Queue.length st.dedup_order >= dedup_cap then begin
       let evicted = Queue.pop st.dedup_order in
-      Hashtbl.remove st.dedup evicted
+      Ids.remove st.dedup evicted
     end;
-    Hashtbl.replace st.dedup req_id status;
+    Ids.replace st.dedup req_id status;
     Queue.add req_id st.dedup_order
   end
 
@@ -157,7 +163,7 @@ type t = {
   limits : limits;
   owner : int;  (* Simclock owner tag on every drain timer *)
   store : store;
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Ids.t;
   mutable next_conn_id : int;
   mutable next_req_id : int;
   mutable live_connections : int;
@@ -383,7 +389,7 @@ let handle_req t conn req =
      id_requests_seen] holds at every instant. *)
   let shed_idd () = if idd then t.store.dedup_sheds <- t.store.dedup_sheds + 1 in
   match
-    if idd then Hashtbl.find_opt t.store.dedup req.Messages.req_id else None
+    if idd then Ids.find_opt t.store.dedup req.Messages.req_id else None
   with
   | Some cached ->
       (* At-most-once replay: answer from the cache with a data-less
@@ -515,7 +521,7 @@ let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
     limits;
     owner = Simclock.fresh_owner clock;
     store;
-    conns = Hashtbl.create 8;
+    conns = Ids.create 8;
     next_conn_id = 0;
     next_req_id = 0;
     live_connections = 0;
@@ -538,7 +544,7 @@ let attach t ~ctrl ~data =
     t.live_connections <- t.live_connections + 1;
     M.set g_connections t.live_connections
   end;
-  Hashtbl.replace t.conns id conn;
+  Ids.replace t.conns id conn;
   (* Requests arrive through the same manipulation stack as any message. *)
   Socket.set_rx_processing ctrl (Engine.rx_processing t.engine);
   Socket.set_on_message ctrl (fun ~len -> handle_request t conn ~len);
@@ -555,11 +561,11 @@ let add_file t ~name ~addr ~len =
    drain timers cancelled.  The [store] survives; a new instance built
    over it (Rpc_server.create ~store) is the restarted server. *)
 let shutdown t =
-  Hashtbl.iter (fun _ conn -> mark_dead t conn) t.conns;
-  Hashtbl.reset t.conns
+  Ids.iter (fun _ conn -> mark_dead t conn) t.conns;
+  Ids.reset t.conns
 
 let pending_replies t =
-  Hashtbl.fold (fun _ conn acc -> acc + Queue.length conn.queue) t.conns 0
+  Ids.fold (fun _ conn acc -> acc + Queue.length conn.queue) t.conns 0
 
 let connections t = t.live_connections
 let queued_bytes t = t.total_queued_bytes

@@ -96,6 +96,272 @@ let test_clock_negative_delay_clamped () =
   checkb "fires immediately" true !fired;
   checkf "time does not go backwards" 100.0 (Simclock.now clock)
 
+(* The clock as it was before the heap: a persistent map keyed by due
+   time and sequence number.  [prop_clock_model] holds [Simclock] to it. *)
+module Map_clock = struct
+  module Key = struct
+    type t = { at : float; seq : int }
+
+    let compare a b =
+      match Float.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
+  end
+
+  module Events = Map.Make (Key)
+
+  type event = { owner : int; fn : unit -> unit }
+  type t = { mutable now : float; mutable events : event Events.t; mutable next_seq : int }
+  type timer = { clock : t; key : Key.t; mutable live : bool }
+
+  let create ?event_budget:_ () = { now = 0.0; events = Events.empty; next_seq = 0 }
+  let now t = t.now
+
+  let schedule t ?(owner = 0) ~after f =
+    let at = t.now +. Float.max 0.0 after in
+    let key = { Key.at; seq = t.next_seq } in
+    t.next_seq <- t.next_seq + 1;
+    t.events <- Events.add key { owner; fn = f } t.events;
+    { clock = t; key; live = true }
+
+  let cancel timer =
+    if timer.live then begin
+      timer.live <- false;
+      timer.clock.events <- Events.remove timer.key timer.clock.events
+    end
+
+  let is_pending timer = timer.live && Events.mem timer.key timer.clock.events
+
+  let fire_next t =
+    match Events.min_binding_opt t.events with
+    | None -> false
+    | Some (key, ev) ->
+        t.events <- Events.remove key t.events;
+        t.now <- Float.max t.now key.Key.at;
+        ev.fn ();
+        true
+
+  let advance t dt =
+    if dt < 0.0 then invalid_arg "advance";
+    let horizon = t.now +. dt in
+    let rec loop () =
+      match Events.min_binding_opt t.events with
+      | Some (key, ev) when key.Key.at <= horizon ->
+          t.events <- Events.remove key t.events;
+          t.now <- Float.max t.now key.Key.at;
+          ev.fn ();
+          loop ()
+      | Some _ | None -> t.now <- horizon
+    in
+    loop ()
+
+  let run_until_idle ?(max_events = 1_000_000) t =
+    let fired = ref 0 in
+    while fire_next t do
+      incr fired;
+      if !fired > max_events then raise (Simclock.Livelock max_events)
+    done
+
+  let pending t = Events.cardinal t.events
+
+  let pending_count t ~owner =
+    Events.fold (fun _ ev n -> if ev.owner = owner then n + 1 else n) t.events 0
+end
+
+module type CLOCK = sig
+  type t
+  type timer
+
+  val create : ?event_budget:int -> unit -> t
+  val now : t -> float
+  val schedule : t -> ?owner:int -> after:float -> (unit -> unit) -> timer
+  val cancel : timer -> unit
+  val is_pending : timer -> bool
+  val advance : t -> float -> unit
+  val run_until_idle : ?max_events:int -> t -> unit
+  val pending : t -> int
+  val pending_count : t -> owner:int -> int
+end
+
+(* What a fired callback does after logging its id: nothing, schedule a
+   plain event, or cancel the [k]-th timer made so far. *)
+type clock_act = Log | Spawn of float | Kill of int
+
+type clock_op =
+  | Sched of int * float * clock_act  (* owner (0: none given), delay *)
+  | Cancel of int  (* the k-th timer made so far: pending, fired or cancelled *)
+  | Advance of float
+  | Run of int  (* run_until_idle with this max_events *)
+
+type clock_view = {
+  fired : int list;  (* ids fired during the operation, in order *)
+  livelock : int option;
+  now_bits : int64;  (* bit for bit: nan and signed zeros included *)
+  pending : int;
+  per_owner : int list;  (* pending_count of owners 0..3 *)
+  live : bool list;  (* is_pending of every timer made so far *)
+}
+
+let clock_owners = [ 0; 1; 2; 3 ]
+
+module Drive (C : CLOCK) = struct
+  (* The view after each operation of [ops]. *)
+  let run ops =
+    let clock = C.create () in
+    let timers = Array.make ((2 * List.length ops) + 1) None and made = ref 0 in
+    let fired = ref [] in
+    let cancel_nth k =
+      if !made > 0 then Option.iter C.cancel timers.(k mod !made)
+    in
+    let rec sched owner after act =
+      let id = !made in
+      incr made;
+      let fn () =
+        fired := id :: !fired;
+        match act with
+        | Log -> ()
+        | Spawn d -> sched owner d Log
+        | Kill k -> cancel_nth k
+      in
+      timers.(id) <-
+        Some
+          (if owner = 0 then C.schedule clock ~after fn
+           else C.schedule clock ~owner ~after fn)
+    in
+    List.map
+      (fun op ->
+        let livelock =
+          match op with
+          | Sched (owner, d, act) -> sched owner d act; None
+          | Cancel k -> cancel_nth k; None
+          | Advance dt -> C.advance clock dt; None
+          | Run m -> (
+              match C.run_until_idle ~max_events:m clock with
+              | () -> None
+              | exception Simclock.Livelock n -> Some n)
+        in
+        let view =
+          { fired = List.rev !fired;
+            livelock;
+            now_bits = Int64.bits_of_float (C.now clock);
+            pending = C.pending clock;
+            per_owner = List.map (fun owner -> C.pending_count clock ~owner) clock_owners;
+            live =
+              List.init !made (fun i ->
+                  match timers.(i) with Some tm -> C.is_pending tm | None -> false) }
+        in
+        fired := [];
+        view)
+      ops
+end
+
+module Drive_heap = Drive (Simclock)
+module Drive_map = Drive (Map_clock)
+
+(* Delays from a small set, so due times tie often; zero, negative and
+   (rarely) nan and infinite ones too.  A nan due time sorts first and
+   stops [advance] until [run_until_idle] fires it. *)
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [ (40, oneofl [ -3.0; -0.0; 0.0; 0.0; 1.0; 1.0; 2.0; 2.5; 4.0; 10.0 ]);
+        (1, return Float.nan);
+        (1, return Float.infinity) ])
+
+let gen_clock_op =
+  QCheck.Gen.(
+    frequency
+      [ ( 10,
+          map3
+            (fun owner d act -> Sched (owner, d, act))
+            (int_range 0 3) gen_delay
+            (frequency
+               [ (4, return Log);
+                 (2, map (fun d -> Spawn d) gen_delay);
+                 (2, map (fun k -> Kill k) nat) ]) );
+        (4, map (fun k -> Cancel k) nat);
+        (4, map (fun dt -> Advance dt) (oneofl [ 0.0; 0.5; 1.0; 1.0; 2.0; 3.0; 7.0 ]));
+        (2, map (fun m -> Run m) (int_range 0 6)) ])
+
+let print_act = function
+  | Log -> ""
+  | Spawn d -> Printf.sprintf ",spawn %g" d
+  | Kill k -> Printf.sprintf ",kill %d" k
+
+let print_clock_op = function
+  | Sched (o, d, act) -> Printf.sprintf "sched(o%d,%g%s)" o d (print_act act)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Advance dt -> Printf.sprintf "advance %g" dt
+  | Run m -> Printf.sprintf "run %d" m
+
+(* Random interleavings of schedule (callbacks that schedule and cancel
+   too), cancel of pending, fired and cancelled timers, advance, and
+   run_until_idle with budgets small enough to raise Livelock: after
+   every operation the heap clock and the map clock have fired the same
+   ids in the same order and agree on now (bit for bit), pending, each
+   owner's pending_count and every timer's is_pending. *)
+let prop_clock_model =
+  QCheck.Test.make ~count:500 ~long_factor:10 ~name:"heap clock = map model"
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map print_clock_op l))
+       QCheck.Gen.(list_size (int_range 1 80) gen_clock_op))
+    (fun ops ->
+      let heap = Drive_heap.run ops and map = Drive_map.run ops in
+      List.for_all2
+        (fun (i, op) (h, m) ->
+          h = m
+          || QCheck.Test.fail_reportf "op %d (%s) differs from the model" i
+               (print_clock_op op))
+        (List.mapi (fun i op -> (i, op)) ops)
+        (List.combine heap map))
+
+(* A fired closure built once, so the loops below allocate only what the
+   clock does. *)
+let tick () = ()
+
+(* Minor words per operation with [depth] events pending far ahead: flat
+   in the queue's length, and [cancel] allocates nothing.  [schedule]
+   allocates its timer record and nothing else. *)
+let clock_words ~depth =
+  let clock = Simclock.create () in
+  for _ = 1 to depth do
+    ignore (Simclock.schedule clock ~after:1e9 tick)
+  done;
+  let per_op n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let n = 1000 in
+  let sched_cancel =
+    per_op n (fun () -> Simclock.cancel (Simclock.schedule clock ~after:5.0 tick))
+  in
+  let sched_fire =
+    per_op n (fun () ->
+        ignore (Simclock.schedule clock ~after:1.0 tick);
+        Simclock.advance clock 1.0)
+  in
+  let timers = Array.init n (fun _ -> Simclock.schedule clock ~after:5.0 tick) in
+  let next = ref 0 in
+  let cancel =
+    per_op (n - 1) (fun () ->
+        Simclock.cancel timers.(!next);
+        incr next)
+  in
+  check "every far event still pending" depth (Simclock.pending clock);
+  (sched_cancel, sched_fire, cancel)
+
+let test_clock_allocation_flat () =
+  let check_words = Alcotest.(check (float 0.001)) in
+  let c16, f16, k16 = clock_words ~depth:16 in
+  let c4k, f4k, k4k = clock_words ~depth:4096 in
+  let timer = Simclock.schedule (Simclock.create ()) ~after:0.0 tick in
+  let timer_words = float_of_int (Obj.size (Obj.repr timer) + 1) in
+  check_words "schedule+cancel: the timer record only" timer_words c16;
+  check_words "schedule+cancel flat in queue length" c16 c4k;
+  check_words "schedule+fire flat in queue length" f16 f4k;
+  check_words "cancel allocates nothing at 16" 0.0 k16;
+  check_words "cancel allocates nothing at 4096" 0.0 k4k
+
 (* ------------------------------------------------------------------ *)
 (* Link *)
 
@@ -565,6 +831,7 @@ let test_crashplan_seeded_times () =
   | exception Invalid_argument _ -> ()
 
 let () =
+  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "netsim"
     [ ( "simclock",
         [ Alcotest.test_case "ordering" `Quick test_clock_ordering;
@@ -574,7 +841,10 @@ let () =
           Alcotest.test_case "event chain" `Quick test_clock_event_chain_within_window;
           Alcotest.test_case "livelock guard" `Quick test_clock_livelock_guard;
           Alcotest.test_case "event budget" `Quick test_clock_event_budget;
-          Alcotest.test_case "negative delay" `Quick test_clock_negative_delay_clamped ] );
+          Alcotest.test_case "negative delay" `Quick test_clock_negative_delay_clamped;
+          Alcotest.test_case "allocation flat in queue length" `Quick
+            test_clock_allocation_flat;
+          qc prop_clock_model ] );
       ( "link",
         [ Alcotest.test_case "delivery order" `Quick test_link_delivery_order;
           Alcotest.test_case "deterministic loss" `Quick test_link_loss_deterministic;
