@@ -77,7 +77,7 @@ let measure_lane ~mode ~native ~payload_len ~msgs =
         | Ok () -> ()
         | Error e -> failwith ("Memtrace: rx_separate: " ^ e)));
     match Engine.read_plaintext eng ~len:wire_len with
-    | Ok (buf, _) ->
+    | Ok (buf, _, _) ->
         ignore (Sys.opaque_identity (Bytes.length buf));
         Engine.release_plaintext eng buf
     | Error e -> failwith ("Memtrace: read_plaintext: " ^ e)

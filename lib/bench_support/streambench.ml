@@ -144,19 +144,18 @@ let transfer cfg =
   Socket.set_on_message rx (fun ~len ->
       match Engine.read_plaintext rx_eng ~len with
       | Error e -> fail ("decode: " ^ e)
-      | Ok (buf, plen) ->
+      | Ok (buf, off, blen) ->
           let i = !delivered in
           (if i >= n then fail "receiver: TSDU past the end of the transfer"
            else begin
              let cl = chunk_len i in
-             (* Leading header style: 4-byte length field, then the
-                marshalled body, then alignment padding. *)
+             (* The body is the chunk itself. *)
              if
-               plen < 4 + cl
+               blen <> cl
                || not
                     (Ilp_rpc.Client.slice_matches contents
                        ~off:(i * tsdu_payload) (Bytes.unsafe_to_string buf)
-                       ~doff:4 ~len:cl)
+                       ~doff:off ~len:cl)
              then fail (Printf.sprintf "receiver: TSDU %d not byte-exact" i)
              else begin
                delivered := i + 1;

@@ -8,20 +8,12 @@
     when and in what unit sizes the block crosses memory, which is the
     whole point of the paper. *)
 
-type blocks_fn = Bytes.t -> int -> int -> unit
-(** [f buf off count] transforms [count] consecutive blocks in place
-    starting at [off].  Batch kernels amortise per-call setup (scratch
-    reuse, key-schedule reads kept in registers) across the run. *)
-
 type t = {
   name : string;
   block_len : int;  (** processing-unit size in bytes; 8 for all paper ciphers *)
   encrypt : Bytes.t -> int -> unit;
       (** [encrypt block off] transforms [block_len] bytes in place *)
   decrypt : Bytes.t -> int -> unit;
-  encrypt_blocks : blocks_fn option;
-      (** optional batch kernel; [None] falls back to a per-block loop *)
-  decrypt_blocks : blocks_fn option;
   code_encrypt : Ilp_memsim.Code.region;
       (** instruction footprint of the encryption kernel *)
   code_decrypt : Ilp_memsim.Code.region;
@@ -31,13 +23,6 @@ type t = {
           family (the paper: "they write single bytes into the memory"),
           4 for word-oriented manipulations like the simple cipher *)
 }
-
-(** [encrypt_blocks t buf ~off ~count] transforms [count] consecutive
-    blocks of [buf] in place, via the cipher's batch kernel when it has
-    one and a per-block dispatch loop otherwise.  Bounds-checked. *)
-val encrypt_blocks : t -> Bytes.t -> off:int -> count:int -> unit
-
-val decrypt_blocks : t -> Bytes.t -> off:int -> count:int -> unit
 
 (** [roundtrip_ok t] checks [decrypt (encrypt b) = b] on a sample block. *)
 val roundtrip_ok : t -> bool

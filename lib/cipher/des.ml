@@ -217,18 +217,6 @@ let charged (sim : Ilp_memsim.Sim.t) ~key () =
     block_len = 8;
     encrypt = with_block enc_core;
     decrypt = with_block dec_core;
-    encrypt_blocks =
-      Some
-        (fun b off count ->
-          for i = 0 to count - 1 do
-            with_block enc_core b (off + (i * 8))
-          done);
-    decrypt_blocks =
-      Some
-        (fun b off count ->
-          for i = 0 to count - 1 do
-            with_block dec_core b (off + (i * 8))
-          done);
     code_encrypt;
     code_decrypt;
     store_unit = 4 }

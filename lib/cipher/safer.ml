@@ -228,18 +228,6 @@ let charged (sim : Ilp_memsim.Sim.t) ?(rounds = 6) ~key () =
     block_len = 8;
     encrypt = (fun b off -> run_block enc_core s_enc b off);
     decrypt = (fun b off -> run_block dec_core s_dec b off);
-    encrypt_blocks =
-      Some
-        (fun b off count ->
-          for i = 0 to count - 1 do
-            run_block enc_core s_enc b (off + (i * 8))
-          done);
-    decrypt_blocks =
-      Some
-        (fun b off count ->
-          for i = 0 to count - 1 do
-            run_block dec_core s_dec b (off + (i * 8))
-          done);
     code_encrypt;
     code_decrypt;
     store_unit = 1 }

@@ -50,16 +50,6 @@ let charged (sim : Ilp_memsim.Sim.t) =
     block_len = 8;
     encrypt = charged_block encrypt_byte;
     decrypt = charged_block decrypt_byte;
-    encrypt_blocks =
-      Some
-        (fun b off count ->
-          batch "simple.encrypt_blocks" encrypt_byte b ~off ~count;
-          ops (20 * count));
-    decrypt_blocks =
-      Some
-        (fun b off count ->
-          batch "simple.decrypt_blocks" decrypt_byte b ~off ~count;
-          ops (20 * count));
     code_encrypt;
     code_decrypt;
     store_unit = 4 }

@@ -110,9 +110,6 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
     tr_acc = Array.make 2 0.0 }
 
 let mode t = t.mode
-let crc32 t = t.crc <> None
-let header_style t = t.header_style
-let rx_placement t = t.rx_placement
 let pool t = t.pool
 let sim t = t.sim
 let app_rx_base t = t.app_rx
@@ -149,11 +146,13 @@ let wire_len t ~prefix_len ~payload_len =
 let max_payload t ~prefix_len =
   (t.max_message land lnot 7) - 4 - framing_extra t - prefix_len
 
-(* Offset and length of the CRC-covered region (the marshalled body)
-   within the plaintext; the trailer word itself sits directly after it. *)
-let crc_region t ~enc_len =
-  let body_off = match t.header_style with Leading -> 4 | Trailer -> 0 in
-  (body_off, enc_len - 8)
+(* The marshalled body's place in a plaintext whose length field reads
+   [enc_len]: after the leading length field (first under the trailer
+   style), up to the CRC32 trailer word when enabled.  The one body-span
+   rule: the CRC covers this span on send and on receive, and
+   [read_plaintext] hands it over. *)
+let body_off t = match t.header_style with Leading -> 4 | Trailer -> 0
+let body_len t ~enc_len = enc_len - 4 - framing_extra t
 
 (* The store schedule of the fused loop's final stage.  A byte-oriented
    cipher ends the send chain with its 2-PHT pair outputs partially
@@ -435,8 +434,8 @@ let fill_separate_range t plan st ~dst ~off ~len =
   (match t.crc with
   | None -> ()
   | Some c ->
-      let region = crc_region t ~enc_len:(Parts.length_field plan) in
-      let s, l = inter ~off ~len region in
+      let enc_len = Parts.length_field plan in
+      let s, l = inter ~off ~len (body_off t, body_len t ~enc_len) in
       if l > 0 then
         ignore
           (Crc32.update_mem c ~crc:Crc32.init (mem t) ~pos:(buf + s - off)
@@ -705,32 +704,28 @@ let rx_processing t =
   | Ilp, Late -> Ilp_tcp.Socket.Rx_separate (rx_late t)
   | Separate, _ -> Ilp_tcp.Socket.Rx_separate (rx_separate t)
 
-(* Shared validation of the plaintext at [app_rx]: the application reads
-   the length field and the RPC header words (charged), rejects an
-   implausible decrypted length, and verifies the CRC32 trailer when
-   enabled.  On the native backend the plaintext lives in the engine's
-   host placement buffer rather than at [app_rx]; the reads then fetch
-   their values from the buffer while charging the same simulated
-   accesses at the same [app_rx] addresses, so both backends charge the
-   same reads. *)
-let validate_plaintext t ~len =
+(* One charged read of the plaintext word at [addr], an [app_rx]
+   address.  On the native backend the plaintext lives in the engine's
+   placement buffer rather than at [app_rx]: the value comes from the
+   buffer while the same simulated access is charged, so both backends
+   charge the same reads. *)
+let rx_get32 t addr =
+  match t.rx_dst with
+  | None -> Mem.get_u32 (mem t) addr
+  | Some b ->
+      Machine.read (machine t) ~addr ~size:4;
+      Int32.to_int (Bytes.get_int32_be b (addr - t.app_rx)) land 0xffff_ffff
+
+(* Validation of the plaintext at [app_rx] whose length field read
+   [enc_len]: the application reads the RPC header words (charged),
+   rejects an implausible decrypted length, and verifies the CRC32
+   trailer when enabled. *)
+let check_plaintext t ~len ~enc_len =
   let m = machine t in
-  let get32 addr =
-    match t.rx_dst with
-    | None -> Mem.get_u32 (mem t) addr
-    | Some b ->
-        Machine.read m ~addr ~size:4;
-        Int32.to_int (Bytes.get_int32_be b (addr - t.app_rx)) land 0xffff_ffff
-  in
-  let enc_len =
-    match t.header_style with
-    | Leading -> get32 t.app_rx
-    | Trailer -> get32 (t.app_rx + len - 4)
-  in
   Machine.compute m 2;
   let hdr_words = Int.min 6 ((len - 4) / 4) in
   for i = 0 to hdr_words - 1 do
-    ignore (get32 (t.app_rx + 4 + (i * 4)));
+    ignore (rx_get32 t (t.app_rx + 4 + (i * 4)));
     Machine.compute m 1
   done;
   if enc_len < 4 || enc_len > len then
@@ -751,16 +746,16 @@ let validate_plaintext t ~len =
                "Engine.read_plaintext: length field %d too short for crc32 trailer"
                enc_len)
         else begin
-          let body_off, crc_len = crc_region t ~enc_len in
-          let stored = get32 (t.app_rx + body_off + crc_len) in
+          let off = body_off t and n = body_len t ~enc_len in
+          let stored = rx_get32 t (t.app_rx + off + n) in
           let crc =
             match t.rx_dst with
             | None ->
-                Crc32.update_mem c ~crc:Crc32.init (mem t)
-                  ~pos:(t.app_rx + body_off) ~len:crc_len
+                Crc32.update_mem c ~crc:Crc32.init (mem t) ~pos:(t.app_rx + off)
+                  ~len:n
             | Some b ->
                 Crc32.update_host c ~crc:Crc32.init (mem t)
-                  ~pos:(t.app_rx + body_off) b ~off:body_off ~len:crc_len
+                  ~pos:(t.app_rx + off) b ~off ~len:n
           in
           Machine.compute m 2;
           if Crc32.finish crc land 0xffff_ffff <> stored then
@@ -772,21 +767,30 @@ let read_plaintext t ~len =
   if len < 4 || len > t.max_message then
     Error (Printf.sprintf "Engine.read_plaintext: implausible segment length %d" len)
   else
-    match validate_plaintext t ~len with
+    let enc_len =
+      rx_get32 t
+        (match t.header_style with
+        | Leading -> t.app_rx
+        | Trailer -> t.app_rx + len - 4)
+    in
+    match check_plaintext t ~len ~enc_len with
     | Error _ as e -> e
-    | Ok () -> (
-        match t.rx_dst with
-        | Some buf ->
-            (* Single-copy delivery: hand the placement buffer itself to
-               the caller.  Ownership transfers — the engine draws a fresh
-               buffer from the pool for the next TSDU, and the caller
-               returns this one via [release_plaintext]. *)
-            t.rx_dst <- None;
-            Ok (buf, len)
-        | None ->
-            let buf = Pool.acquire t.pool len in
-            Bytes.blit (Mem.raw (mem t)) t.app_rx buf 0 len;
-            Mt.copied_rx Mt.Rpc len;
-            Ok (buf, len))
+    | Ok () ->
+        let buf =
+          match t.rx_dst with
+          | Some buf ->
+              (* Single-copy delivery: hand the placement buffer itself to
+                 the caller.  Ownership transfers — the engine draws a
+                 fresh buffer from the pool for the next TSDU, and the
+                 caller returns this one via [release_plaintext]. *)
+              t.rx_dst <- None;
+              buf
+          | None ->
+              let buf = Pool.acquire t.pool len in
+              Bytes.blit (Mem.raw (mem t)) t.app_rx buf 0 len;
+              Mt.copied_rx Mt.Rpc len;
+              buf
+        in
+        Ok (buf, body_off t, body_len t ~enc_len)
 
 let release_plaintext t buf = Pool.release t.pool buf

@@ -41,9 +41,10 @@
     {2 The host data path}
 
     Whatever the style, the host side has one single-copy path and one
-    read call, {!read_plaintext}, which hands every TSDU to the caller in
-    a pool buffer to decode in place and release.  On the [Native]
-    backend the send gathers the message as an iovec scatter list
+    read call, {!read_plaintext}, which hands every TSDU's marshalled
+    body to the caller as a span of a pool buffer to decode in place and
+    release; the layout around the body stays the engine's.  On the
+    [Native] backend the send gathers the message as an iovec scatter list
     straight into the TCP ring, and the receive decrypts each arriving
     segment into an engine-owned pool buffer at its final TSDU offset —
     the very buffer {!read_plaintext} then hands over (ownership
@@ -130,12 +131,6 @@ val create :
     the engine creates its own. *)
 
 val mode : t -> mode
-
-(** Whether the end-to-end CRC32 trailer is enabled. *)
-val crc32 : t -> bool
-
-val header_style : t -> header_style
-val rx_placement : t -> rx_placement
 
 (** The engine's buffer pool (created or shared at {!create} time). *)
 val pool : t -> Ilp_fastpath.Pool.t
@@ -239,21 +234,27 @@ val rx_processing : t -> Ilp_tcp.Socket.rx_processing
     message ^ alignment]). *)
 val app_rx_base : t -> int
 
-(** Decode the plaintext at {!app_rx_base}: a charged read of the length
-    field and prefix words, then the TSDU lands in a buffer acquired from
-    the engine's pool — [Ok (buf, len)] where the TSDU occupies
-    [buf.[0..len-1]] (the buffer's capacity is its size class, possibly
-    larger), for the caller's stub to decode in place.  On the native
-    pooled path the returned buffer {e is} the engine's rx placement
-    buffer — the fused receive decrypted every segment directly into it
-    at its final TSDU offset, so delivery is an ownership transfer with
-    no copy at all.  The caller must hand the buffer back with
-    {!release_plaintext} on every path, including after decode errors.
-    [Error] when the decrypted length field is implausible — the
-    fingerprint of a checksum-colliding corruption that survived TCP's
-    verdict — or, with [crc32] enabled, when the recomputed CRC32
-    trailer does not match. *)
-val read_plaintext : t -> len:int -> (Bytes.t * int, string) result
+(** Hand over the TSDU at {!app_rx_base}: [Ok (buf, off, len)], where
+    [buf.[off..off+len-1]] is exactly the marshalled body the sender
+    passed to {!prepare_stream_segments} ([prefix ^ payload]).  The
+    engine owns the rest of the plaintext layout and has already checked
+    and stripped it: the length field (leading or trailing), the CRC32
+    trailer when enabled, and the alignment.  The caller's stub decodes
+    the span in place and reads nothing outside it.
+
+    The engine first makes a charged read of the length field and of the
+    first RPC header words, then lands the TSDU in a buffer acquired from
+    its pool (the buffer's capacity is its size class, possibly larger
+    than the plaintext).  On the native pooled path the buffer {e is} the
+    engine's rx placement buffer: the fused receive decrypted every
+    segment directly into it at its final TSDU offset, so delivery is an
+    ownership transfer with no copy at all.  The caller must hand the
+    buffer back with {!release_plaintext} on every path, including after
+    decode errors.  [Error] when the decrypted length field is
+    implausible (the fingerprint of a checksum-colliding corruption that
+    survived TCP's verdict) or, with [crc32] enabled, when the recomputed
+    CRC32 trailer does not match. *)
+val read_plaintext : t -> len:int -> (Bytes.t * int * int, string) result
 
 (** Return a buffer obtained from {!read_plaintext} to the pool. *)
 val release_plaintext : t -> Bytes.t -> unit

@@ -5,9 +5,14 @@
     buffering the remainder in registers.  The paper's refinement
     (section 2.2) is to size the exchanged unit as the LCM of the adjacent
     functions' units rather than a fixed word, to avoid extra write
-    operations; {!Pipeline} uses filters implicitly when its stages have
-    different unit lengths, and this standalone module backs the word-filter
-    tests and the unit-sizing ablation. *)
+    operations.
+
+    Nothing on the measured path uses this module: {!Pipeline} hands
+    blocks between its stages in the exchange unit
+    ({!Units.exchange_unit}) without a filter, and the A2 ablation
+    measures the engine's [coalesce_writes] store schedule.  It is the
+    standalone filter of [examples/custom_pipeline.ml] and of its own
+    tests. *)
 
 type t
 

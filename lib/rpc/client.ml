@@ -325,14 +325,13 @@ let consume_reply t hdr ~data ~doff ~dlen =
 
 let handle_reply t ~len =
   t.replies_received <- t.replies_received + 1;
-  let length_at_end = Engine.header_style t.engine = Engine.Trailer in
-  (* Single-copy: the TSDU lands in a pooled buffer, the reply is decoded
-     in place, the payload compared in place, and the buffer released on
-     every path — including decode errors. *)
+  (* Single-copy: the TSDU lands in a pooled buffer, the reply body is
+     decoded in place, the payload compared in place, and the buffer
+     released on every path — including decode errors. *)
   match Engine.read_plaintext t.engine ~len with
   | Error e -> error t "unreadable reply: %s" e
-  | Ok (buf, plen) ->
-      (match Messages.decode_reply_view ~length_at_end buf ~len:plen with
+  | Ok (buf, off, blen) ->
+      (match Messages.decode_reply_view buf ~off ~len:blen with
       | Error e -> error t "undecodable reply: %s" e
       | Ok (hdr, data_off) ->
           consume_reply t hdr

@@ -32,29 +32,27 @@ type reply_header = {
   data_len : int;
 }
 
-let request_ty : Asn1.ty =
-  Seq [ ("fileName", Str); ("copies", Int); ("maxReply", Int) ]
+let request_v1_fields : (string * Asn1.ty) list =
+  [ ("fileName", Str); ("copies", Int); ("maxReply", Int) ]
 
 (* The resumable form: idempotency id plus resume point.  The three
    control-message forms are distinguished on the wire by the number of
    integer words after the file name — 2 (v1 request), 3 (CRC probe),
    5 (v2 request) — so no tag word is needed and the v1 encoding stays
    untouched. *)
-let request_ty_v2 : Asn1.ty =
-  Seq
-    [ ("fileName", Str);
-      ("copies", Int);
-      ("maxReply", Int);
-      ("reqId", Uint);
-      ("startCopy", Uint);
-      ("startOffset", Uint) ]
+let request_v2_fields : (string * Asn1.ty) list =
+  request_v1_fields @ [ ("reqId", Uint); ("startCopy", Uint); ("startOffset", Uint) ]
 
 (* "Does file [fileName]'s prefix [0, offset) fold to CRC32 [crc]?" —
    the client's resume handshake.  The reply is a data-less standard
    reply header: [Ok] verifies the prefix, [Refused] rejects it (the
    restarted server's file differs), [Not_found] as usual. *)
-let probe_ty : Asn1.ty =
-  Seq [ ("fileName", Str); ("offset", Uint); ("crc", Uint); ("reqId", Uint) ]
+let probe_fields : (string * Asn1.ty) list =
+  [ ("fileName", Str); ("offset", Uint); ("crc", Uint); ("reqId", Uint) ]
+
+let request_ty : Asn1.ty = Seq request_v1_fields
+let request_ty_v2 : Asn1.ty = Seq request_v2_fields
+let probe_ty : Asn1.ty = Seq probe_fields
 
 (* Capability flags, negotiated per connection on the first control
    message.  Bit 0: the client receives v2 ("Reverso") framed streams —
@@ -62,27 +60,18 @@ let probe_ty : Asn1.ty =
    {!Ilp_tcp.Framing} prelude. *)
 let flag_rx_framing = 0x1
 
-(* The flagged forms append one flag word, extending the tag-free
-   word-count dispatch: 2 (v1 request), 3 (probe), 4 (flagged probe),
-   5 (v2 request), 6 (flagged request).  There is no flagged v1 request —
-   a flag word after the v1 fields would collide with the probe's three
-   words — so a flagged request always marshals the full v2 field set
-   (its resume fields may simply be zero).  A client negotiating framing
-   has already left v1 byte-identity behind, so nothing is lost. *)
-let request_ty_flagged : Asn1.ty =
-  Seq
-    [ ("fileName", Str);
-      ("copies", Int);
-      ("maxReply", Int);
-      ("reqId", Uint);
-      ("startCopy", Uint);
-      ("startOffset", Uint);
-      ("flags", Uint) ]
+(* The flagged forms append one flag word to an unflagged form, extending
+   the tag-free word-count dispatch: 2 (v1 request), 3 (probe),
+   4 (flagged probe), 5 (v2 request), 6 (flagged request).  There is no
+   flagged v1 request — a flag word after the v1 fields would collide
+   with the probe's three words — so a flagged request always marshals
+   the full v2 field set (its resume fields may simply be zero).  A
+   client negotiating framing has already left v1 byte-identity behind,
+   so nothing is lost. *)
+let flagged fields : Asn1.ty = Seq (fields @ [ ("flags", Asn1.Uint) ])
 
-let probe_ty_flagged : Asn1.ty =
-  Seq
-    [ ("fileName", Str); ("offset", Uint); ("crc", Uint); ("reqId", Uint);
-      ("flags", Uint) ]
+let request_ty_flagged = flagged request_v2_fields
+let probe_ty_flagged = flagged probe_fields
 
 let status_names = [| "ok"; "notFound"; "refused"; "busy" |]
 
@@ -196,32 +185,35 @@ let reply_segments h ~payload_addr =
   | Ok segs -> to_engine_segments segs
   | Error e -> invalid_arg ("Messages.reply_segments: " ^ e)
 
-(* Plaintexts are [length field (4B) ^ marshalled message ^ padding]; the
-   length field covers itself plus the marshalled bytes (the XDR padding
-   of a trailing opaque overlaps the 8-byte alignment area, so decoding
-   starts at offset 4 of the padded plaintext and simply does not consume
-   the tail). *)
-let decoder_of_plaintext ~length_at_end plaintext =
-  if String.length plaintext < 8 then Error "plaintext too short"
-  else
-    let b = Bytes.unsafe_of_string plaintext in
-    let pos = if length_at_end then String.length plaintext - 4 else 0 in
-    let enc_len = Int32.to_int (Bytes.get_int32_be b pos) land 0xffff_ffff in
-    if enc_len < 4 || enc_len > String.length plaintext then
-      Error (Printf.sprintf "bad length field %d" enc_len)
-    else Ok (Xdr.Dec.sub plaintext ~pos:(if length_at_end then 0 else 4))
+(* ------------------------------------------------------------------ *)
+(* Decoders.  Each reads the marshalled body and nothing else: the engine
+   that added the length field, the CRC32 trailer and the alignment has
+   checked and stripped them ([Engine.read_plaintext]).  The string
+   decoders are the reference; the views below decode the same body in
+   place. *)
 
-let decode_request ?(length_at_end = false) plaintext =
-  match decoder_of_plaintext ~length_at_end plaintext with
-  | Error _ as e -> e
-  | Ok dec -> (
-      match Stub.unmarshal_from request_stub dec with
-      | VSeq [ VStr file_name; VInt copies; VInt max_reply ] ->
+let decode_request body : (request, string) result =
+  match Stub.unmarshal_from request_stub (Xdr.Dec.of_string body) with
+  | VSeq [ VStr file_name; VInt copies; VInt max_reply ] ->
+      Ok
+        { file_name; copies; max_reply; req_id = 0; start_copy = 0;
+          start_offset = 0 }
+  | _ -> Error "request: unexpected shape"
+  | exception Xdr.Dec.Error e -> Error e
+
+let decode_reply body : (reply_header * string, string) result =
+  match Stub.unmarshal_from reply_stub (Xdr.Dec.of_string body) with
+  | VSeq [ VEnum st; VInt copy; VInt file_offset; VInt total_len; VBytes data ]
+    -> (
+      match status_of_enum st with
+      | Some status ->
           Ok
-            { file_name; copies; max_reply; req_id = 0; start_copy = 0;
-              start_offset = 0 }
-      | _ -> Error "request: unexpected shape"
-      | exception Xdr.Dec.Error e -> Error e)
+            ( { status; copy; file_offset; total_len;
+                data_len = String.length data },
+              data )
+      | None -> Error "reply: bad status")
+  | _ -> Error "reply: unexpected shape"
+  | exception Xdr.Dec.Error e -> Error e
 
 let reply_prefix h =
   let enc = Xdr.Enc.create () in
@@ -235,23 +227,29 @@ let reply_prefix h =
 
 (* ------------------------------------------------------------------ *)
 (* In-place decoders over pooled TSDU buffers (the single-copy receive
-   path).  A [View] is a cursor over [buf.[0..limit-1]] with exactly
-   {!Xdr.Dec}'s semantics — same bounds discipline, same error strings —
-   but no [String.sub] per field: opaque fields come back as spans into
-   the buffer.  Equivalence with the string decoders is property-tested
-   (test_rpc). *)
+   path).  A [View] is a cursor over the body [buf.[base..limit-1]] with
+   exactly {!Xdr.Dec}'s semantics — same bounds discipline, same error
+   strings, positions counted from the body's start — but no
+   [String.sub] per field: an opaque field stays in the buffer.
+   Equivalence with the string decoders is property-tested (test_rpc). *)
 
 module View = struct
-  type t = { buf : Bytes.t; limit : int; mutable pos : int }
+  type t = { buf : Bytes.t; base : int; limit : int; mutable pos : int }
 
   exception Error of string
 
   let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-  let make buf ~pos ~limit = { buf; limit; pos }
+
+  (* The body [buf.[off..off+len-1]]; a span outside the buffer is an
+     error, not an out-of-bounds read. *)
+  let make buf ~off ~len =
+    if off < 0 || len < 0 || off > Bytes.length buf - len then
+      fail "body span %d+%d outside a %d-byte buffer" off len (Bytes.length buf);
+    { buf; base = off; limit = off + len; pos = off }
 
   let need t n =
     if t.pos + n > t.limit then
-      fail "truncated XDR input: need %d bytes at %d, have %d" n t.pos
+      fail "truncated XDR input: need %d bytes at %d, have %d" n (t.pos - t.base)
         (t.limit - t.pos)
 
   let uint32 t =
@@ -264,17 +262,17 @@ module View = struct
     let v = uint32 t in
     if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
 
-  (* Length word, padding check, cursor advance — but the payload stays
-     put: the result is its (offset, length) span in the buffer. *)
-  let opaque_span t =
+  (* Length word, padding check, cursor advance — but the bytes stay put:
+     the result is the opaque's length, and its first byte is
+     [Xdr.padded n] behind the cursor. *)
+  let opaque t =
     let n = uint32 t in
     need t (Xdr.padded n);
     for i = n to Xdr.padded n - 1 do
       if Bytes.get t.buf (t.pos + i) <> '\000' then fail "nonzero XDR padding"
     done;
-    let off = t.pos in
     t.pos <- t.pos + Xdr.padded n;
-    (off, n)
+    n
 
   let enum t names =
     let i = uint32 t in
@@ -282,119 +280,61 @@ module View = struct
     i
 end
 
-(* Mirror of {!decoder_of_plaintext} over a buffer span.  Also reports
-   where the marshalled body ends, so the control-message dispatch can
-   count the integer words that follow the file name. *)
-let view_decoder ~length_at_end buf ~len =
-  if len < 8 || len > Bytes.length buf then Error "plaintext too short"
-  else
-    let pos = if length_at_end then len - 4 else 0 in
-    let enc_len = Int32.to_int (Bytes.get_int32_be buf pos) land 0xffff_ffff in
-    if enc_len < 4 || enc_len > len then
-      Error (Printf.sprintf "bad length field %d" enc_len)
-    else
-      (* [enc_len] covers the 4-byte length field plus the marshalled
-         bytes, so the body spans [4, enc_len) with the length in front
-         and [0, enc_len - 4) with it at the end. *)
-      let body_end = if length_at_end then enc_len - 4 else enc_len in
-      Ok (View.make buf ~pos:(if length_at_end then 0 else 4) ~limit:len, body_end)
-
 (* The control forms share a leading file name and differ only in how
    many integer words follow it: 2 (v1 request), 3 (CRC probe),
    4 (flagged probe), 5 (v2 request), 6 (flagged request) — the flagged
    forms end in a capability flag word, returned alongside the message
-   (0 for the unflagged forms).  [crc_trailer] marks that the engine's
-   end-to-end CRC32 trailer word sits inside the length-field-covered
-   region (it was already verified upstream) so it is not counted as
-   body. *)
-let decode_ctrl_bytes ?(length_at_end = false) ?(crc_trailer = false) buf ~len =
-  match view_decoder ~length_at_end buf ~len with
-  | Error e -> Error e
-  | Ok (v, raw_body_end) -> (
-      let body_end = raw_body_end - (if crc_trailer then 4 else 0) in
-      match
-        let off, n = View.opaque_span v in
-        let file_name = Bytes.sub_string v.View.buf off n in
-        if v.View.pos > body_end || (body_end - v.View.pos) mod 4 <> 0 then
-          View.fail "ctrl: malformed body";
-        match (body_end - v.View.pos) / 4 with
-        | 2 ->
-            let copies = View.int32 v in
-            let max_reply = View.int32 v in
-            ( Request
-                { file_name; copies; max_reply; req_id = 0; start_copy = 0;
-                  start_offset = 0 },
-              0 )
-        | 3 ->
-            let p_offset = View.uint32 v in
-            let p_crc = View.uint32 v in
-            let p_req_id = View.uint32 v in
-            (Probe { p_file_name = file_name; p_offset; p_crc; p_req_id }, 0)
-        | 4 ->
-            let p_offset = View.uint32 v in
-            let p_crc = View.uint32 v in
-            let p_req_id = View.uint32 v in
-            let flags = View.uint32 v in
-            ( Probe { p_file_name = file_name; p_offset; p_crc; p_req_id },
-              flags )
-        | 5 ->
-            let copies = View.int32 v in
-            let max_reply = View.int32 v in
-            let req_id = View.uint32 v in
-            let start_copy = View.uint32 v in
-            let start_offset = View.uint32 v in
-            ( Request
-                { file_name; copies; max_reply; req_id; start_copy;
-                  start_offset },
-              0 )
-        | 6 ->
-            let copies = View.int32 v in
-            let max_reply = View.int32 v in
-            let req_id = View.uint32 v in
-            let start_copy = View.uint32 v in
-            let start_offset = View.uint32 v in
-            let flags = View.uint32 v in
-            ( Request
-                { file_name; copies; max_reply; req_id; start_copy;
-                  start_offset },
-              flags )
-        | k -> View.fail "ctrl: unexpected shape (%d trailing words)" k
-      with
-      | c -> Ok c
-      | exception View.Error e -> Error e)
+   (0 for the unflagged forms). *)
+let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
+  match
+    let v = View.make buf ~off ~len in
+    let n = View.opaque v in
+    let file_name = Bytes.sub_string buf (v.View.pos - Xdr.padded n) n in
+    let rest = v.View.limit - v.View.pos in
+    if rest mod 4 <> 0 then View.fail "ctrl: malformed body";
+    match rest / 4 with
+    | 2 ->
+        let copies = View.int32 v in
+        let max_reply = View.int32 v in
+        ( Request
+            { file_name; copies; max_reply; req_id = 0; start_copy = 0;
+              start_offset = 0 },
+          0 )
+    | (3 | 4) as words ->
+        let p_offset = View.uint32 v in
+        let p_crc = View.uint32 v in
+        let p_req_id = View.uint32 v in
+        let flags = if words = 4 then View.uint32 v else 0 in
+        (Probe { p_file_name = file_name; p_offset; p_crc; p_req_id }, flags)
+    | (5 | 6) as words ->
+        let copies = View.int32 v in
+        let max_reply = View.int32 v in
+        let req_id = View.uint32 v in
+        let start_copy = View.uint32 v in
+        let start_offset = View.uint32 v in
+        let flags = if words = 6 then View.uint32 v else 0 in
+        ( Request
+            { file_name; copies; max_reply; req_id; start_copy; start_offset },
+          flags )
+    | k -> View.fail "ctrl: unexpected shape (%d trailing words)" k
+  with
+  | c -> Ok c
+  | exception View.Error e -> Error e
 
-let decode_reply_view ?(length_at_end = false) buf ~len =
-  match view_decoder ~length_at_end buf ~len with
-  | Error e -> Error e
-  | Ok (v, _body_end) -> (
-      match
-        let st = View.enum v status_names in
-        let copy = View.int32 v in
-        let file_offset = View.int32 v in
-        let total_len = View.int32 v in
-        let data_off, data_len = View.opaque_span v in
-        (st, copy, file_offset, total_len, data_off, data_len)
-      with
-      | st, copy, file_offset, total_len, data_off, data_len -> (
-          match status_of_enum st with
-          | Some status ->
-              Ok ({ status; copy; file_offset; total_len; data_len }, data_off)
-          | None -> Error "reply: bad status")
-      | exception View.Error e -> Error e)
-
-let decode_reply ?(length_at_end = false) plaintext =
-  match decoder_of_plaintext ~length_at_end plaintext with
-  | Error _ as e -> e
-  | Ok dec -> (
-      match Stub.unmarshal_from reply_stub dec with
-      | VSeq [ VEnum st; VInt copy; VInt file_offset; VInt total_len; VBytes data ]
-        -> (
-          match status_of_enum st with
-          | Some status ->
-              Ok
-                ( { status; copy; file_offset; total_len;
-                    data_len = String.length data },
-                  data )
-          | None -> Error "reply: bad status")
-      | _ -> Error "reply: unexpected shape"
-      | exception Xdr.Dec.Error e -> Error e)
+let decode_reply_view buf ~off ~len : (reply_header * int, string) result =
+  match
+    let v = View.make buf ~off ~len in
+    let st = View.enum v status_names in
+    let copy = View.int32 v in
+    let file_offset = View.int32 v in
+    let total_len = View.int32 v in
+    let data_len = View.opaque v in
+    match status_of_enum st with
+    | Some status ->
+        Result.Ok
+          ( { status; copy; file_offset; total_len; data_len },
+            v.View.pos - Xdr.padded data_len )
+    | None -> Error "reply: bad status"
+  with
+  | r -> r
+  | exception View.Error e -> Error e

@@ -82,12 +82,6 @@ val encode_request : request -> string
 (** Marshal a CRC probe.  Result is a multiple of 4 bytes. *)
 val encode_probe : probe -> string
 
-(** [decode_request plaintext] parses a received plaintext
-    ([length field ^ marshalled request ^ padding]); with
-    [length_at_end] the length field sits in the final word (the trailer
-    layout of the paper's section 5). *)
-val decode_request : ?length_at_end:bool -> string -> (request, string) result
-
 (** [reply_prefix hdr] is the marshalled reply up to but excluding the
     payload bytes: the header fields plus the XDR opaque length word.  The
     payload (and its XDR padding) follows directly. *)
@@ -113,36 +107,41 @@ val probe_segments : ?flags:int -> probe -> Ilp_core.Engine.body_segment list
 val reply_segments :
   reply_header -> payload_addr:int -> Ilp_core.Engine.body_segment list
 
-(** [decode_reply plaintext] parses a received reply plaintext and returns
-    the header and the payload bytes. *)
-val decode_reply :
-  ?length_at_end:bool -> string -> (reply_header * string, string) result
+(** {2 Decoders}
+
+    Every decoder reads a marshalled body and no byte outside it: the
+    span {!Ilp_core.Engine.read_plaintext} hands over, with the length
+    field, the CRC32 trailer and the alignment already checked and
+    stripped by the engine.  No decoder reads a length field or knows the
+    header style or the CRC setting.  Each is total: malformed input is
+    an [Error] carrying {!Ilp_codec.Xdr.Dec}'s message, with positions
+    counted from the body's start. *)
+
+(** [decode_request body] parses a v1 request body. *)
+val decode_request : string -> (request, string) result
+
+(** [decode_reply body] parses a reply body and returns the header and
+    the payload bytes.  A payload whose length, with its XDR padding,
+    runs past the body is an [Error]. *)
+val decode_reply : string -> (reply_header * string, string) result
 
 (** {2 In-place decoders (single-copy receive path)}
 
-    The same parses over a pooled TSDU buffer, with {!Ilp_codec.Xdr.Dec}'s
-    exact bounds discipline and error strings but no per-field
-    [String.sub]: bulk data is returned as an offset into the caller's
-    buffer.  [len] is the plaintext length; the buffer's capacity may be
-    larger (pool size classes). *)
+    The same parses over the body [buf.[off..off+len-1]] of a pooled TSDU
+    buffer, with the string decoders' exact bounds discipline and error
+    strings but no per-field [String.sub].  A span outside [buf] is an
+    [Error]. *)
 
-(** [decode_ctrl_bytes buf ~len] — parse any inbound control message
-    (either request form, or a CRC probe), dispatching on the trailing
-    integer-word count.  The second component is the capability flag
-    word (0 for the unflagged forms).  Set [crc_trailer] when the
-    engine's end-to-end CRC32 trailer is enabled: the trailer word sits
-    inside the length-covered region (already verified upstream) and
-    must not be counted as body. *)
-val decode_ctrl_bytes :
-  ?length_at_end:bool ->
-  ?crc_trailer:bool ->
-  Bytes.t ->
-  len:int ->
-  (ctrl * int, string) result
+(** [decode_ctrl_bytes buf ~off ~len] parses any inbound control message
+    (either request form, or a CRC probe), dispatching on the count of
+    integer words after the file name.  The second component is the
+    capability flag word (0 for the unflagged forms). *)
+val decode_ctrl_bytes : Bytes.t -> off:int -> len:int -> (ctrl * int, string) result
 
-(** [decode_reply_view buf ~len] — as {!decode_reply}, but the payload
-    stays in [buf]: returns the header and the payload's byte offset
-    ([hdr.data_len] bytes starting there).  The caller must consume the
-    span before releasing the buffer to the pool. *)
+(** [decode_reply_view buf ~off ~len] is {!decode_reply} with the payload
+    left in [buf]: it returns the header and the payload's byte offset in
+    [buf] ([hdr.data_len] bytes starting there, inside the body).  The
+    caller must consume the payload before releasing the buffer to the
+    pool. *)
 val decode_reply_view :
-  ?length_at_end:bool -> Bytes.t -> len:int -> (reply_header * int, string) result
+  Bytes.t -> off:int -> len:int -> (reply_header * int, string) result

@@ -160,6 +160,9 @@ let store_cache_put st ~req_id status =
 type t = {
   clock : Simclock.t;
   engine : Engine.t;
+  reply_room : int;
+      (* the most file bytes one reply message can carry: the engine's
+         room behind the reply header, which the reply description fixes *)
   limits : limits;
   owner : int;  (* Simclock owner tag on every drain timer *)
   store : store;
@@ -286,13 +289,6 @@ let status_hdr ?(copy = 0) ?(file_offset = 0) ?(total_len = 0) status =
   { Messages.status; copy; file_offset; total_len; data_len = 0 }
 
 let send_status t conn hdr = send_reply t conn hdr ~payload_addr:0
-
-(* The most file bytes one reply message can carry (at least 1, so a
-   misconfigured engine fails loudly instead of looping). *)
-let reply_room t =
-  Int.max 1
-    (Engine.max_payload t.engine
-       ~prefix_len:(String.length (Messages.reply_prefix (status_hdr Messages.Ok))))
 
 (* Drop every remaining data segment of [req_id] from the queue (it is
    being shed as a whole) and answer with one Busy instead. *)
@@ -464,7 +460,7 @@ let handle_req t conn req =
                      what this server's engine can carry (the client
                      accepts any contiguous split of the file). *)
                   let max_reply =
-                    Int.min (Int.max 16 req.Messages.max_reply) (reply_room t)
+                    Int.min (Int.max 16 req.Messages.max_reply) t.reply_room
                   in
                   for copy = start_copy to req.Messages.copies - 1 do
                     let offset =
@@ -489,17 +485,15 @@ let handle_req t conn req =
 let handle_request t conn ~len =
   bump t.blk c_requests_received;
   match
-    let length_at_end = Engine.header_style t.engine = Engine.Trailer in
-    let crc_trailer = Engine.crc32 t.engine in
-    (* Single-copy: decode the request in place from a pooled TSDU buffer,
-       released as soon as the decode finishes (the request's fields are
-       scalars plus the short file name). *)
-    Result.bind (Engine.read_plaintext t.engine ~len) (fun (buf, plen) ->
-        let r =
-          Messages.decode_ctrl_bytes ~length_at_end ~crc_trailer buf ~len:plen
-        in
+    (* Single-copy: decode the request body in place from a pooled TSDU
+       buffer, released as soon as the decode finishes (the request's
+       fields are scalars plus the short file name). *)
+    match Engine.read_plaintext t.engine ~len with
+    | Error _ as e -> e
+    | Ok (buf, off, blen) ->
+        let r = Messages.decode_ctrl_bytes buf ~off ~len:blen in
         Engine.release_plaintext t.engine buf;
-        r)
+        r
   with
   | Error _ ->
       bump t.blk c_bad_requests;
@@ -516,8 +510,16 @@ let handle_request t conn ~len =
 
 let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
     () =
+  (* At least 1, so a misconfigured engine fails loudly instead of
+     looping. *)
+  let reply_room =
+    Int.max 1
+      (Engine.max_payload engine
+         ~prefix_len:(String.length (Messages.reply_prefix (status_hdr Messages.Ok))))
+  in
   { clock;
     engine;
+    reply_room;
     limits;
     owner = Simclock.fresh_owner clock;
     store;

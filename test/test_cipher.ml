@@ -241,35 +241,6 @@ let test_store_units () =
 
 let multi8 = QCheck.(string_of_size Gen.(map (fun n -> n * 8) (int_range 0 16)))
 
-(* Every charged cipher's batch kernel must agree with looping its own
-   per-block function; the Block_cipher dispatch must also agree when the
-   batch fields are stripped (fallback path). *)
-let prop_batch_matches_per_block =
-  QCheck.Test.make ~count:80 ~name:"batch kernels = per-block loop (all ciphers)"
-    QCheck.(pair key8 multi8)
-    (fun (k, s) ->
-      let sim = Sim.create (Config.custom ()) in
-      let ciphers =
-        [ Des.charged sim ~key:k ();
-          Safer.charged sim ~key:k ();
-          Safer_simplified.charged sim ~key:k ();
-          Simple_cipher.charged sim ]
-      in
-      List.for_all
-        (fun c ->
-          let count = String.length s / 8 in
-          let batch = Bytes.of_string s in
-          Block_cipher.encrypt_blocks c batch ~off:0 ~count;
-          let expected = Block_cipher.encrypt_string c s in
-          let ok_enc = Bytes.to_string batch = expected in
-          Block_cipher.decrypt_blocks c batch ~off:0 ~count;
-          let ok_dec = Bytes.to_string batch = s in
-          let fallback = { c with Block_cipher.encrypt_blocks = None; decrypt_blocks = None } in
-          let fb = Bytes.of_string s in
-          Block_cipher.encrypt_blocks fallback fb ~off:0 ~count;
-          ok_enc && ok_dec && Bytes.to_string fb = expected)
-        ciphers)
-
 let prop_pure_batch_matches_string =
   QCheck.Test.make ~count:80 ~name:"pure batch kernels = ECB over string"
     QCheck.(pair key8 multi8)
@@ -305,12 +276,7 @@ let prop_pure_batch_matches_string =
 let test_batch_out_of_bounds () =
   let key = Safer_simplified.expand_key "12345678" in
   let b = Bytes.create 16 in
-  (match Safer_simplified.encrypt_blocks key b ~off:0 ~count:3 with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  let sim = Sim.create (Config.custom ()) in
-  let c = Simple_cipher.charged sim in
-  match Block_cipher.encrypt_blocks c b ~off:9 ~count:1 with
+  match Safer_simplified.encrypt_blocks key b ~off:0 ~count:3 with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
@@ -359,5 +325,4 @@ let () =
           qc prop_simple_roundtrip ] );
       ( "batch",
         [ Alcotest.test_case "out of bounds" `Quick test_batch_out_of_bounds;
-          qc prop_batch_matches_per_block;
           qc prop_pure_batch_matches_string ] ) ]

@@ -376,11 +376,11 @@ let make_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
 
 let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 
-(* Read the TSDU, copy it out and hand the pool buffer back. *)
+(* Read the TSDU, copy its body out and hand the pool buffer back. *)
 let read_copy eng ~len =
   Result.map
-    (fun (buf, n) ->
-      let s = Bytes.sub_string buf 0 n in
+    (fun (buf, off, n) ->
+      let s = Bytes.sub_string buf off n in
       Engine.release_plaintext eng buf;
       s)
     (Engine.read_plaintext eng ~len)
@@ -410,13 +410,8 @@ let engine_roundtrip ~mode ~header_style ~prefix ~payload =
   | Engine.Separate ->
       checkb "separate fill returns no checksum" true (acc_opt = None);
       ok_or_fail (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-  (* The plaintext must contain the prefix at position 4 (leading) or 0
-     (trailer), followed by the payload. *)
-  let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
-  check_s "prefix recovered" prefix (String.sub plaintext off (String.length prefix));
-  check_s "payload recovered" payload
-    (String.sub plaintext (off + String.length prefix) (String.length payload))
+  let body = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
+  check_s "prefix ^ payload recovered" (prefix ^ payload) body
 
 let test_engine_roundtrip_ilp () =
   engine_roundtrip ~mode:Engine.Ilp ~header_style:Engine.Leading
@@ -487,9 +482,7 @@ let prop_engine_roundtrip_sizes =
           ok_or_fail
             (Engine.rx_separate eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
       ignore acc_opt;
-      let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-      String.sub plaintext 4 (String.length prefix) = prefix
-      && String.sub plaintext (4 + String.length prefix) payload_len = payload)
+      ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) = prefix ^ payload)
 
 let test_engine_coalesce_same_bytes () =
   let payload = String.init 120 (fun i -> Char.chr (i * 2 land 0xff)) in
@@ -519,9 +512,8 @@ let test_engine_rx_late_roundtrip () =
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   ignore (fill_all sim.Sim.mem prepared ~dst:wire);
   ok_or_fail (Engine.rx_late eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len);
-  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-  check_s "payload recovered via late placement" payload
-    (String.sub plaintext 8 (String.length payload))
+  let body = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
+  check_s "body recovered via late placement" ("LATE" ^ payload) body
 
 let test_engine_rx_style () =
   let style_of ~mode ~rx_placement =
@@ -561,10 +553,9 @@ let test_engine_segments_multi_payload () =
   ignore
     (ok_or_fail
        (Engine.rx_integrated eng sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-  let expected = "HDR1alpha-region-data\000\000\000MID0beta!!\000\000TL" in
-  check_s "body reconstructed" expected
-    (String.sub plaintext 4 (String.length expected))
+  let body = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
+  check_s "body reconstructed" "HDR1alpha-region-data\000\000\000MID0beta!!\000\000TL"
+    body
 
 let test_engine_stream_ranges_match_whole () =
   (* prepare_stream_segments: filling aligned ranges — here deliberately
@@ -723,11 +714,8 @@ let prop_engine_all_flag_combinations =
           ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
       | Ilp_tcp.Socket.Rx_separate f ->
           ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-      let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-      let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
       checksum_ok
-      && String.sub plaintext off 4 = "CMBO"
-      && String.sub plaintext (off + 4) payload_len = payload)
+      && ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) = "CMBO" ^ payload)
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 end-to-end trailer *)
@@ -736,7 +724,6 @@ let crc_roundtrip ~mode ~header_style =
   let prefix = "HDRWORDS" in
   let payload = String.init 96 (fun i -> Char.chr ((i * 13) land 0xff)) in
   let sim, eng = make_engine ~mode ~header_style ~crc32:true () in
-  checkb "crc enabled" true (Engine.crc32 eng);
   let payload_addr = install sim payload in
   let prepared =
     prepare_msg eng ~prefix ~payload_addr ~payload_len:(String.length payload)
@@ -748,11 +735,8 @@ let crc_roundtrip ~mode ~header_style =
       ignore (ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Ilp_tcp.Socket.Rx_separate f ->
       ok_or_fail (f sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let plaintext = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
-  let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
-  check_s "prefix recovered" prefix (String.sub plaintext off (String.length prefix));
-  check_s "payload recovered" payload
-    (String.sub plaintext (off + String.length prefix) (String.length payload))
+  let body = ok_or_fail (read_copy eng ~len:prepared.Engine.stream_len) in
+  check_s "prefix ^ payload recovered, trailer stripped" (prefix ^ payload) body
 
 let test_engine_crc_roundtrips () =
   List.iter
@@ -863,11 +847,11 @@ let transfer_with ~mode ~header_style ~crc32 ?pool () =
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
   (eng, prepared.Engine.stream_len)
 
-(* The body follows the 4-byte length field, or leads with a trailer. *)
-let check_body ~header_style what buf n =
-  let off = match header_style with Engine.Leading -> 4 | Engine.Trailer -> 0 in
-  checkb (what ^ ": body fits the TSDU") true (off + String.length dp_body <= n);
-  check_s what dp_body (Bytes.sub_string buf off (String.length dp_body))
+(* The span handed over is exactly the marshalled body, whatever the
+   layout around it. *)
+let check_span what (buf, off, n) =
+  check (what ^ ": span length") (String.length dp_body) n;
+  check_s what dp_body (Bytes.sub_string buf off n)
 
 let all_engine_variants =
   List.concat_map
@@ -882,9 +866,8 @@ let test_data_path_plaintext_identical () =
   List.iter
     (fun (mode, header_style, crc32) ->
       let eng, len = transfer_with ~mode ~header_style ~crc32 () in
-      let buf, n = ok_or_fail (Engine.read_plaintext eng ~len) in
-      check "the whole TSDU is handed over" len n;
-      check_body ~header_style "prefix ^ payload recovered" buf n;
+      let ((buf, _, _) as span) = ok_or_fail (Engine.read_plaintext eng ~len) in
+      check_span "span = prefix ^ payload" span;
       Engine.release_plaintext eng buf;
       Engine.destroy eng;
       check "pool balanced after release + destroy" 0
@@ -904,7 +887,7 @@ let test_data_path_errors_identical () =
       Mem.poke_u8 sim.Sim.mem sim_mem_addr
         (Mem.peek_u8 sim.Sim.mem sim_mem_addr lxor 0xff);
       (match Engine.read_plaintext eng ~len with
-      | Ok (buf, _) ->
+      | Ok (buf, _, _) ->
           Engine.release_plaintext eng buf;
           Alcotest.fail (what ^ ": the read must reject")
       | Error e -> check_s (what ^ ": error text") (expected eng) e);
@@ -922,12 +905,12 @@ let test_data_path_shared_pool_exhaustion () =
   (* A cap-0 shared pool forces the exhaustion fallback on every acquire;
      transfers must still succeed and stay leak-free. *)
   let pool = Ilp_fastpath.Pool.create ~class_cap:0 () in
-  let header_style = Engine.Trailer in
   let eng, len =
-    transfer_with ~mode:Engine.Separate ~header_style ~crc32:false ~pool ()
+    transfer_with ~mode:Engine.Separate ~header_style:Engine.Trailer ~crc32:false
+      ~pool ()
   in
-  let buf, n = ok_or_fail (Engine.read_plaintext eng ~len) in
-  check_body ~header_style "fallback decode recovers prefix ^ payload" buf n;
+  let ((buf, _, _) as span) = ok_or_fail (Engine.read_plaintext eng ~len) in
+  check_span "fallback decode recovers prefix ^ payload" span;
   Engine.release_plaintext eng buf;
   Engine.destroy eng;
   let s = Ilp_fastpath.Pool.stats pool in

@@ -239,8 +239,8 @@ let one_transfer ~mode ~backend_native kind =
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Ilp_tcp.Socket.Rx_separate rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let buf, n = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
-  let plaintext = Bytes.sub_string buf 0 n in
+  let buf, off, n = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let plaintext = Bytes.sub_string buf off n in
   Engine.release_plaintext eng buf;
   (Bytes.to_string wire_bytes, acc_opt, plaintext)
 

@@ -16,52 +16,79 @@ let check_s = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 (* Message formats *)
 
-(* Build a plaintext the way the engine does: length field + message +
-   zero alignment to 8 bytes. *)
-let plaintext_of ?(length_at_end = false) body =
-  let enc_len = 4 + String.length body in
-  let total = (enc_len + 7) / 8 * 8 in
-  let total = max total 8 in
-  let len_word =
-    String.init 4 (fun i -> Char.chr ((enc_len lsr ((3 - i) * 8)) land 0xff))
-  in
-  if length_at_end then
-    let pad = String.make (total - String.length body - 4) '\000' in
-    body ^ pad ^ len_word
-  else len_word ^ body ^ String.make (total - enc_len) '\000'
+(* A body with its XDR padding, as the stubs marshal a trailing opaque. *)
+let xdr_padded body =
+  body ^ String.make (Ilp_codec.Xdr.padding (String.length body)) '\000'
 
-(* The server's control decoder over a whole plaintext string. *)
-let decode_ctrl ?crc_trailer plaintext =
-  Messages.decode_ctrl_bytes ?crc_trailer (Bytes.of_string plaintext)
-    ~len:(String.length plaintext)
+(* The server's control decoder over a whole body string. *)
+let decode_ctrl body =
+  Messages.decode_ctrl_bytes (Bytes.of_string body) ~off:0 ~len:(String.length body)
+
+(* One body through an engine: staged, filled onto a wire area, received
+   through the engine's own rx handler and handed over by
+   [read_plaintext]; [f] sees the span before the buffer goes back to the
+   pool. *)
+let engine_key = "codecKY!"
+
+let through_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
+    ?(crc32 = false) ?(native = false) body f =
+  let sim = Sim.create (Config.custom ()) in
+  let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:engine_key () in
+  let backend =
+    if native then
+      Engine.Native
+        (Ilp_fastpath.Cipher.Safer_simplified
+           (Ilp_cipher.Safer_simplified.expand_key engine_key))
+    else Engine.Simulated
+  in
+  let eng = Engine.create sim ~cipher ~mode ~header_style ~crc32 ~backend () in
+  let ps = Engine.prepare_stream_segments eng body in
+  let len = ps.Engine.stream_len in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 len in
+  ignore (ps.Engine.fill_range sim.Sim.mem ~dst:wire ~off:0 ~len);
+  let rx_ok = function Ok _ -> () | Error e -> Alcotest.fail e in
+  (match Engine.rx_processing eng with
+  | Socket.Rx_integrated rx -> rx_ok (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len)
+  | Socket.Rx_separate rx -> rx_ok (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len));
+  match Engine.read_plaintext eng ~len with
+  | Error e -> Alcotest.fail e
+  | Ok (buf, off, blen) ->
+      let r = f buf ~off ~len:blen in
+      Engine.release_plaintext eng buf;
+      Engine.destroy eng;
+      r
 
 let test_request_roundtrip () =
   let req =
     Messages.request ~file_name:"paper.dat" ~copies:3 ~max_reply:1024 ()
   in
-  let plaintext = plaintext_of (Messages.encode_request req) in
-  match Messages.decode_request plaintext with
+  match Messages.decode_request (Messages.encode_request req) with
   | Ok got ->
       check_s "name" req.Messages.file_name got.Messages.file_name;
       check "copies" 3 got.Messages.copies;
       check "max reply" 1024 got.Messages.max_reply
   | Error e -> Alcotest.fail e
 
+(* The trailer layout is the engine's alone: a request sent through a
+   trailer-style engine reads back from the span it hands over. *)
 let test_request_roundtrip_trailer () =
   let req = Messages.request ~file_name:"f" ~copies:1 ~max_reply:64 () in
-  let plaintext = plaintext_of ~length_at_end:true (Messages.encode_request req) in
-  match Messages.decode_request ~length_at_end:true plaintext with
-  | Ok got -> check_s "name" "f" got.Messages.file_name
-  | Error e -> Alcotest.fail e
+  through_engine ~header_style:Engine.Trailer (Messages.request_segments req)
+    (fun buf ~off ~len ->
+      (match Messages.decode_request (Bytes.sub_string buf off len) with
+      | Ok got -> checkb "string decoder" true (got = req)
+      | Error e -> Alcotest.fail e);
+      match Messages.decode_ctrl_bytes buf ~off ~len with
+      | Ok (Messages.Request got, 0) -> checkb "in-place decoder" true (got = req)
+      | Ok _ -> Alcotest.fail "request dispatched as another form"
+      | Error e -> Alcotest.fail e)
 
 let test_reply_roundtrip () =
   let hdr =
     { Messages.status = Messages.Ok; copy = 2; file_offset = 4096; total_len = 15360;
       data_len = 7 }
   in
-  let body = Messages.reply_prefix hdr ^ "payload" in
-  let plaintext = plaintext_of body in
-  match Messages.decode_reply plaintext with
+  match Messages.decode_reply (xdr_padded (Messages.reply_prefix hdr ^ "payload")) with
   | Ok (got, data) ->
       checkb "header" true (got = hdr);
       check_s "data" "payload" data
@@ -72,8 +99,7 @@ let test_reply_error_status () =
     { Messages.status = Messages.Not_found; copy = 0; file_offset = 0; total_len = 0;
       data_len = 0 }
   in
-  let plaintext = plaintext_of (Messages.reply_prefix hdr) in
-  match Messages.decode_reply plaintext with
+  match Messages.decode_reply (Messages.reply_prefix hdr) with
   | Ok (got, data) ->
       checkb "status" true (got.Messages.status = Messages.Not_found);
       check_s "no data" "" data
@@ -86,17 +112,57 @@ let test_decode_garbage () =
   (match Messages.decode_request (String.make 16 '\xff') with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted");
-  match Messages.decode_reply (plaintext_of "\x00\x00\x00\x09garbage.") with
+  (match Messages.decode_reply "\x00\x00\x00\x09garbage." with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad reply accepted"
+  | Ok _ -> Alcotest.fail "bad reply accepted");
+  (* A span outside the buffer is an error, not an out-of-bounds read. *)
+  let buf = Bytes.make 16 '\000' in
+  List.iter
+    (fun (off, len) ->
+      checkb
+        (Printf.sprintf "span %d+%d rejected" off len)
+        true
+        (Result.is_error (Messages.decode_ctrl_bytes buf ~off ~len)
+        && Result.is_error (Messages.decode_reply_view buf ~off ~len)))
+    [ (-4, 8); (12, 8); (0, 17); (4, -1) ]
+
+(* A reply whose opaque length runs past the body must be rejected even
+   where the bytes behind the body would satisfy it: the engine's CRC32
+   trailer word, or the alignment zeros standing in for missing XDR
+   padding. *)
+let test_reply_opaque_bounded_by_body () =
+  let hdr data_len =
+    { Messages.status = Messages.Ok; copy = 0; file_offset = 0; total_len = 64;
+      data_len }
+  in
+  let reject what ~crc32 body ~expected =
+    through_engine ~crc32 [ Engine.Seg_gen body ] (fun buf ~off ~len ->
+        check (what ^ ": the span is the body") (String.length body) len;
+        (match Messages.decode_reply_view buf ~off ~len with
+        | Ok (h, _) ->
+            Alcotest.failf "%s: decoded with data_len %d" what h.Messages.data_len
+        | Error e -> check_s (what ^ ": view error") expected e);
+        match Messages.decode_reply body with
+        | Ok _ -> Alcotest.failf "%s: the string decoder accepts it" what
+        | Error e -> check_s (what ^ ": string decoder error") expected e)
+  in
+  (* 12 data bytes claimed over an 8-byte payload: the last 4 would be
+     the CRC32 trailer. *)
+  reject "into the CRC32 trailer" ~crc32:true
+    (Messages.reply_prefix (hdr 12) ^ "8 bytes!")
+    ~expected:"truncated XDR input: need 12 bytes at 20, have 8";
+  (* 7 data bytes without their padding byte: the alignment zero would
+     stand in for it. *)
+  reject "into the alignment" ~crc32:false
+    (Messages.reply_prefix (hdr 7) ^ "7 bytes")
+    ~expected:"truncated XDR input: need 8 bytes at 20, have 7"
 
 let test_probe_roundtrip () =
   let probe =
     { Messages.p_file_name = "paper.dat"; p_offset = 1536; p_crc = 0xCAFE42;
       p_req_id = 77 }
   in
-  let plaintext = plaintext_of (Messages.encode_probe probe) in
-  match decode_ctrl plaintext with
+  match decode_ctrl (Messages.encode_probe probe) with
   | Ok (Messages.Probe got, _) -> checkb "probe fields survive" true (got = probe)
   | Ok (Messages.Request _, _) -> Alcotest.fail "probe dispatched as request"
   | Error e -> Alcotest.fail e
@@ -107,8 +173,7 @@ let test_request_v2_roundtrip () =
       ~file_name:"paper.dat" ~copies:3 ~max_reply:512 ()
   in
   checkb "fault-model fields force the v2 form" false (Messages.request_is_v1 req);
-  let plaintext = plaintext_of (Messages.encode_request req) in
-  match decode_ctrl plaintext with
+  match decode_ctrl (Messages.encode_request req) with
   | Ok (Messages.Request got, _) ->
       checkb "resume fields survive" true (got = req)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "request dispatched as probe"
@@ -130,48 +195,10 @@ let test_request_v1_wire_unchanged () =
          ~max_reply:512 ())
   in
   check "v2 carries three more words" (24 + 12) (String.length v2);
-  match decode_ctrl (plaintext_of enc) with
+  match decode_ctrl enc with
   | Ok (Messages.Request got, _) ->
       checkb "ctrl dispatch recovers the v1 request" true (got = req)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "v1 request dispatched as probe"
-  | Error e -> Alcotest.fail e
-
-(* Build a plaintext the way the engine does when the end-to-end CRC32
-   trailer is on: the length word covers body + a 4-byte trailer. *)
-let plaintext_with_crc_trailer body =
-  let enc_len = 4 + String.length body + 4 in
-  let total = max ((enc_len + 7) / 8 * 8) 8 in
-  let len_word =
-    String.init 4 (fun i -> Char.chr ((enc_len lsr ((3 - i) * 8)) land 0xff))
-  in
-  len_word ^ body ^ "\xde\xad\xbe\xef" ^ String.make (total - enc_len) '\000'
-
-let test_ctrl_dispatch_with_crc_trailer () =
-  (* Regression: the ctrl dispatcher counts trailing integer words after
-     the file name; an uncounted CRC trailer adds a phantom word and a v1
-     request (2 words) mis-dispatches as a probe (3 words). *)
-  let req = Messages.request ~file_name:"paper.dat" ~copies:2 ~max_reply:512 () in
-  let plaintext = plaintext_with_crc_trailer (Messages.encode_request req) in
-  (match decode_ctrl ~crc_trailer:true plaintext with
-  | Ok (Messages.Request got, _) ->
-      checkb "request recovered under the trailer" true (got = req)
-  | Ok (Messages.Probe _, _) ->
-      Alcotest.fail "crc_trailer:true still dispatched as probe"
-  | Error e -> Alcotest.fail e);
-  (match decode_ctrl plaintext with
-  | Ok (Messages.Request got, _) when got = req ->
-      Alcotest.fail "phantom trailer word went unnoticed"
-  | _ -> ());
-  (* Probes gain the same immunity. *)
-  let probe =
-    { Messages.p_file_name = "paper.dat"; p_offset = 64; p_crc = 7; p_req_id = 9 }
-  in
-  match
-    decode_ctrl ~crc_trailer:true
-      (plaintext_with_crc_trailer (Messages.encode_probe probe))
-  with
-  | Ok (Messages.Probe got, _) -> checkb "probe recovered" true (got = probe)
-  | Ok (Messages.Request _, _) -> Alcotest.fail "probe dispatched as request"
   | Error e -> Alcotest.fail e
 
 let u32be n = String.init 4 (fun i -> Char.chr ((n lsr ((3 - i) * 8)) land 0xff))
@@ -184,14 +211,14 @@ let test_flagged_ctrl_dispatch () =
     Messages.request ~req_id:7 ~file_name:"paper.dat" ~copies:2 ~max_reply:512 ()
   in
   let flagged = Messages.encode_request req ^ u32be Messages.flag_rx_framing in
-  (match decode_ctrl (plaintext_of flagged) with
+  (match decode_ctrl flagged with
   | Ok (Messages.Request got, flags) ->
       checkb "request fields survive the flag word" true (got = req);
       checkb "rx-framing flag surfaced" true
         (flags land Messages.flag_rx_framing <> 0)
   | Ok (Messages.Probe _, _) -> Alcotest.fail "flagged request dispatched as probe"
   | Error e -> Alcotest.fail e);
-  (match decode_ctrl (plaintext_of (Messages.encode_request req)) with
+  (match decode_ctrl (Messages.encode_request req) with
   | Ok (Messages.Request _, flags) -> check "unflagged request: flags 0" 0 flags
   | Ok (Messages.Probe _, _) -> Alcotest.fail "v2 request dispatched as probe"
   | Error e -> Alcotest.fail e);
@@ -199,46 +226,71 @@ let test_flagged_ctrl_dispatch () =
     { Messages.p_file_name = "paper.dat"; p_offset = 128; p_crc = 0xBEEF; p_req_id = 3 }
   in
   let flagged_p = Messages.encode_probe probe ^ u32be Messages.flag_rx_framing in
-  (match decode_ctrl (plaintext_of flagged_p) with
+  (match decode_ctrl flagged_p with
   | Ok (Messages.Probe got, flags) ->
       checkb "probe fields survive the flag word" true (got = probe);
       checkb "probe carries the flag too" true
         (flags land Messages.flag_rx_framing <> 0)
-  | Ok (Messages.Request _, _) -> Alcotest.fail "flagged probe dispatched as request"
+  | Ok (Messages.Request _, _) -> Alcotest.fail "flagged request dispatched as request"
   | Error e -> Alcotest.fail e);
-  match decode_ctrl (plaintext_of (Messages.encode_probe probe)) with
+  match decode_ctrl (Messages.encode_probe probe) with
   | Ok (Messages.Probe _, flags) -> check "unflagged probe: flags 0" 0 flags
   | Ok (Messages.Request _, _) -> Alcotest.fail "probe dispatched as request"
   | Error e -> Alcotest.fail e
 
-let test_flagged_ctrl_with_crc_trailer () =
-  (* Flag word and CRC trailer stack: the dispatcher must discount the
-     trailer word before counting, in both flagged forms. *)
-  let req =
+(* Every control form, marshalled by the ILP stubs and sent through a
+   CRC32 engine in both header styles, both modes and both backends,
+   comes back field for field, flags included: the engine strips the
+   trailer word, so the word-count dispatch never sees it. *)
+let test_ctrl_forms_through_crc_engine () =
+  let v1 = Messages.request ~file_name:"paper.dat" ~copies:2 ~max_reply:512 () in
+  let v2 =
     Messages.request ~req_id:9 ~start_copy:1 ~start_offset:1024
       ~file_name:"paper.dat" ~copies:4 ~max_reply:256 ()
   in
-  let flagged = Messages.encode_request req ^ u32be Messages.flag_rx_framing in
-  (match decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged) with
-  | Ok (Messages.Request got, flags) ->
-      checkb "flagged request recovered under the trailer" true (got = req);
-      checkb "flags recovered under the trailer" true
-        (flags land Messages.flag_rx_framing <> 0)
-  | Ok (Messages.Probe _, _) -> Alcotest.fail "dispatched as probe under trailer"
-  | Error e -> Alcotest.fail e);
   let probe =
-    { Messages.p_file_name = "f.dat"; p_offset = 64; p_crc = 5; p_req_id = 2 }
+    { Messages.p_file_name = "f.dat"; p_offset = 64; p_crc = 0xCAFE; p_req_id = 2 }
   in
-  let flagged_p = Messages.encode_probe probe ^ u32be Messages.flag_rx_framing in
-  match
-    decode_ctrl ~crc_trailer:true (plaintext_with_crc_trailer flagged_p)
-  with
-  | Ok (Messages.Probe got, flags) ->
-      checkb "flagged probe recovered under the trailer" true (got = probe);
-      checkb "probe flags recovered" true
-        (flags land Messages.flag_rx_framing <> 0)
-  | Ok (Messages.Request _, _) -> Alcotest.fail "dispatched as request under trailer"
-  | Error e -> Alcotest.fail e
+  let framing = Messages.flag_rx_framing in
+  let forms =
+    [ ("v1 request", Messages.request_segments v1, Messages.Request v1, 0);
+      ("v2 request", Messages.request_segments v2, Messages.Request v2, 0);
+      ( "flagged request",
+        Messages.request_segments ~flags:framing v2,
+        Messages.Request v2,
+        framing );
+      ("probe", Messages.probe_segments probe, Messages.Probe probe, 0);
+      ( "flagged probe",
+        Messages.probe_segments ~flags:framing probe,
+        Messages.Probe probe,
+        framing ) ]
+  in
+  List.iter
+    (fun (mode, header_style, native) ->
+      List.iter
+        (fun (what, segs, expected, expected_flags) ->
+          let name =
+            Printf.sprintf "%s (%s, %s, %s)" what
+              (match mode with Engine.Ilp -> "ilp" | Engine.Separate -> "separate")
+              (match header_style with
+              | Engine.Leading -> "leading"
+              | Engine.Trailer -> "trailer")
+              (if native then "native" else "simulated")
+          in
+          through_engine ~mode ~header_style ~crc32:true ~native segs
+            (fun buf ~off ~len ->
+              match Messages.decode_ctrl_bytes buf ~off ~len with
+              | Ok (got, flags) ->
+                  checkb (name ^ ": fields") true (got = expected);
+                  check (name ^ ": flags") expected_flags flags
+              | Error e -> Alcotest.failf "%s: %s" name e))
+        forms)
+    (List.concat_map
+       (fun mode ->
+         List.concat_map
+           (fun style -> [ (mode, style, false); (mode, style, true) ])
+           [ Engine.Leading; Engine.Trailer ])
+       [ Engine.Ilp; Engine.Separate ])
 
 let test_flagged_v1_promotes_to_v2 () =
   (* There is no flagged v1 form — it would collide with the 3-word probe
@@ -271,30 +323,31 @@ let prop_request_roundtrip =
         (int_range 0 100) (int_range 0 100_000))
     (fun (file_name, copies, max_reply) ->
       let req = Messages.request ~file_name ~copies ~max_reply () in
-      let plaintext = plaintext_of (Messages.encode_request req) in
-      match Messages.decode_request plaintext with
+      match Messages.decode_request (Messages.encode_request req) with
       | Ok got -> got = req
       | Error _ -> false)
 
 (* The in-place (view) decoders must agree with the copying decoders on
-   every input — valid, corrupted, and oversized-buffer (the pooled TSDU
-   buffer's capacity is its size class, so [len] does the limiting). *)
+   every input — valid and corrupted — wherever the body sits in a pooled
+   buffer: at an offset behind other bytes, with junk capacity after it
+   (the buffer's capacity is its size class, so [len] does the
+   limiting). *)
 
-(* Wrap a plaintext the way the pooled receive hands it over: in a
-   buffer with trailing junk capacity beyond [len]. *)
-let pooled_view_of plaintext junk =
-  let len = String.length plaintext in
-  let buf = Bytes.make (len + junk) '\xe7' in
-  Bytes.blit_string plaintext 0 buf 0 len;
-  (buf, len)
+(* Place [body] at [off] in a buffer of [off + len + junk] bytes filled
+   with junk elsewhere. *)
+let pooled_view_of body ~off ~junk =
+  let len = String.length body in
+  let buf = Bytes.make (off + len + junk) '\xe7' in
+  Bytes.blit_string body 0 buf off len;
+  (buf, off, len)
 
-let flip plaintext pos =
-  if String.length plaintext = 0 then plaintext
+let flip body pos =
+  if String.length body = 0 then body
   else
-    let pos = pos mod String.length plaintext in
+    let pos = pos mod String.length body in
     String.mapi
       (fun i c -> if i = pos then Char.chr (Char.code c lxor 0x5b) else c)
-      plaintext
+      body
 
 (* The server's in-place control decoder against the string decoder on
    encoded v1 requests: a clean one reads back field for field, and a
@@ -303,49 +356,48 @@ let flip plaintext pos =
    trailing word count), so a corrupted encoding may fail or take
    another shape there alone. *)
 let prop_ctrl_decoder_reads_v1_requests =
-  QCheck.Test.make ~count:200
+  QCheck.Test.make ~count:200 ~long_factor:10
     ~name:"decode_ctrl_bytes = decode_request on v1 requests"
     QCheck.(
       quad
         (string_of_size Gen.(int_bound 30))
-        (int_range 0 100) small_nat (pair bool bool))
-    (fun (file_name, copies, corrupt_at, (trailer, corrupt)) ->
+        (int_range 0 100) small_nat (pair bool (int_bound 40)))
+    (fun (file_name, copies, corrupt_at, (corrupt, at)) ->
       let req = Messages.request ~file_name ~copies ~max_reply:4096 () in
-      let plaintext =
-        plaintext_of ~length_at_end:trailer (Messages.encode_request req)
-      in
-      let plaintext = if corrupt then flip plaintext corrupt_at else plaintext in
-      let buf, len = pooled_view_of plaintext (corrupt_at land 31) in
+      let body = Messages.encode_request req in
+      let body = if corrupt then flip body corrupt_at else body in
+      let buf, off, len = pooled_view_of body ~off:at ~junk:(corrupt_at land 31) in
       match
-        ( Messages.decode_ctrl_bytes ~length_at_end:trailer buf ~len,
-          Messages.decode_request ~length_at_end:trailer plaintext )
+        (Messages.decode_ctrl_bytes buf ~off ~len, Messages.decode_request body)
       with
       | Ok (Messages.Request r, 0), Ok r' -> r = r' && (corrupt || r = req)
       | Ok (Messages.Request _, 0), Error _ -> false
       | (Ok _ | Error _), _ -> corrupt)
 
 let prop_reply_view_equals_copy =
-  QCheck.Test.make ~count:200 ~name:"decode_reply_view = decode_reply"
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"decode_reply_view = decode_reply"
     QCheck.(
       quad
         (string_of_size Gen.(int_bound 60))
-        small_nat small_nat (pair bool bool))
-    (fun (payload, off, corrupt_at, (trailer, corrupt)) ->
+        small_nat small_nat (pair bool (int_bound 40)))
+    (fun (payload, file_off, corrupt_at, (corrupt, at)) ->
       let hdr =
-        { Messages.status = Messages.Ok; copy = 1; file_offset = off * 8;
-          total_len = String.length payload + (off * 8);
+        { Messages.status = Messages.Ok; copy = 1; file_offset = file_off * 8;
+          total_len = String.length payload + (file_off * 8);
           data_len = String.length payload }
       in
-      let plaintext =
-        plaintext_of ~length_at_end:trailer (Messages.reply_prefix hdr ^ payload)
-      in
-      let plaintext = if corrupt then flip plaintext corrupt_at else plaintext in
-      let buf, len = pooled_view_of plaintext (corrupt_at land 31) in
-      let copy = Messages.decode_reply ~length_at_end:trailer plaintext in
-      let view = Messages.decode_reply_view ~length_at_end:trailer buf ~len in
+      let body = xdr_padded (Messages.reply_prefix hdr ^ payload) in
+      let body = if corrupt then flip body corrupt_at else body in
+      let buf, off, len = pooled_view_of body ~off:at ~junk:(corrupt_at land 31) in
+      let copy = Messages.decode_reply body in
+      let view = Messages.decode_reply_view buf ~off ~len in
       match (copy, view) with
       | Ok (ha, data), Ok (hb, data_off) ->
           ha = hb
+          && (corrupt || ha = hdr)
+          && data_off >= off
+          && data_off + ha.Messages.data_len <= off + len
           && data = Bytes.sub_string buf data_off ha.Messages.data_len
       | Error a, Error b -> a = b
       | _ -> false)
@@ -1053,12 +1105,12 @@ let () =
             test_request_v1_wire_unchanged;
           Alcotest.test_case "flagged ctrl dispatch" `Quick
             test_flagged_ctrl_dispatch;
-          Alcotest.test_case "flagged ctrl under CRC trailer" `Quick
-            test_flagged_ctrl_with_crc_trailer;
           Alcotest.test_case "flagged v1 promotes to v2" `Quick
             test_flagged_v1_promotes_to_v2;
-          Alcotest.test_case "ctrl dispatch under CRC trailer" `Quick
-            test_ctrl_dispatch_with_crc_trailer;
+          Alcotest.test_case "ctrl forms through a CRC32 engine" `Quick
+            test_ctrl_forms_through_crc_engine;
+          Alcotest.test_case "reply opaque bounded by the body" `Quick
+            test_reply_opaque_bounded_by_body;
           qc prop_request_roundtrip;
           qc prop_ctrl_decoder_reads_v1_requests;
           qc prop_reply_view_equals_copy ] );
