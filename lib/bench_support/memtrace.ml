@@ -60,7 +60,7 @@ let measure_lane ~mode ~native ~payload_len ~msgs =
   let payload_addr = Workload.install sim payload in
   let ps =
     Engine.prepare_stream_segments eng
-      [ Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+      [ Ilp_codec.Stub_ilp.App { addr = payload_addr; len = payload_len } ]
   in
   let wire_len = ps.Engine.stream_len in
   let dst = Alloc.alloc sim.Sim.alloc ~align:64 wire_len in

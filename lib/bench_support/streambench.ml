@@ -169,7 +169,7 @@ let transfer cfg =
     let i = !next in
     let ps =
       Engine.prepare_stream_segments tx_eng
-        [ Engine.Seg_app
+        [ Ilp_codec.Stub_ilp.App
             { addr = addr + (i * tsdu_payload); len = chunk_len i } ]
     in
     match

@@ -82,16 +82,16 @@ let calibrate ~budget_ns f =
   probe 1
 
 (* The message the stack's sends take: the first [len] bytes of [src] as
-   a one-run iovec. *)
-let iovec ~src ~len = [ Wire.Io_bytes { buf = src; off = 0; len } ]
+   one application-memory run. *)
+let message ~len = [| Ilp_codec.Stub_ilp.App { addr = 0; len } |]
 
 (* The two paths must agree before we time them; a benchmark of kernels
    producing different bytes would compare nothing. *)
 let cross_check wire ~src ~len =
-  let iov = iovec ~src ~len in
+  let segs = message ~len in
   let d1 = Bytes.create len and d2 = Bytes.create len in
-  let a1 = Wire.sendv_separate wire ~iov ~dst:d1 ~dst_off:0 in
-  let a2 = Wire.sendv_ilp wire ~iov ~dst:d2 ~dst_off:0 in
+  let a1 = Wire.sendv_separate wire ~segs ~src ~off:0 ~len ~dst:d1 ~dst_off:0 in
+  let a2 = Wire.sendv_ilp wire ~segs ~src ~off:0 ~len ~dst:d2 ~dst_off:0 in
   if not (Bytes.equal d1 d2) then
     failwith "Wallbench: separate and ILP send disagree on wire bytes";
   if Internet.finish a1 <> Internet.finish a2 then
@@ -108,12 +108,14 @@ let cross_check wire ~src ~len =
 
 let bench_point wire ~trials ~warmup ~src len =
   let ciphertext = cross_check wire ~src ~len in
-  let iov = iovec ~src ~len in
+  let segs = message ~len in
   let dst = Bytes.create len in
   let staged = Bytes.create len in
   let sink = ref Internet.empty in
-  let send_sep () = sink := Wire.sendv_separate wire ~iov ~dst ~dst_off:0 in
-  let send_ilp () = sink := Wire.sendv_ilp wire ~iov ~dst ~dst_off:0 in
+  let send_sep () =
+    sink := Wire.sendv_separate wire ~segs ~src ~off:0 ~len ~dst ~dst_off:0
+  in
+  let send_ilp () = sink := Wire.sendv_ilp wire ~segs ~src ~off:0 ~len ~dst ~dst_off:0 in
   (* [recv_separate] decrypts its source in place, so each repetition
      restores the pristine ciphertext first; the ILP side pays the same
      blit to keep the comparison about the traversal structure. *)
@@ -249,13 +251,13 @@ let stages ?(cipher = Cipher.Simple) ?(sizes = [ 4096; 65536 ]) ?(reps = 256) ()
     List.map
       (fun len ->
         let ciphertext = cross_check wire ~src ~len in
-        let iov = iovec ~src ~len in
+        let segs = message ~len in
         let dst = Bytes.create len in
         let staged = Bytes.create len in
         let sink = ref Internet.empty in
         let one ~ilp () =
-          if ilp then sink := Wire.sendv_ilp wire ~iov ~dst ~dst_off:0
-          else sink := Wire.sendv_separate wire ~iov ~dst ~dst_off:0;
+          if ilp then sink := Wire.sendv_ilp wire ~segs ~src ~off:0 ~len ~dst ~dst_off:0
+          else sink := Wire.sendv_separate wire ~segs ~src ~off:0 ~len ~dst ~dst_off:0;
           Bytes.blit ciphertext 0 staged 0 len;
           if ilp then
             sink := Wire.recv_ilp wire ~src:staged ~src_off:0 ~len ~dst ~dst_off:0

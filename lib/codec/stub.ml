@@ -57,13 +57,10 @@ let check_exn ty v =
   | Ok () -> ()
   | Error e -> invalid_arg ("Stub.marshal: " ^ e)
 
-let marshal_into t v enc =
-  check_exn t.ty v;
-  encode enc t.ty v
-
 let marshal t v =
+  check_exn t.ty v;
   let enc = Xdr.Enc.create () in
-  marshal_into t v enc;
+  encode enc t.ty v;
   Xdr.Enc.contents enc
 
 let unmarshal_from t dec = decode dec t.ty

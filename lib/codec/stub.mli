@@ -16,9 +16,11 @@ val ty : t -> Asn1.ty
     inhabit the type. *)
 val marshal : t -> Asn1.value -> string
 
-(** [marshal_into t v enc] appends the encoding to an existing encoder
-    (used to place a message after an RPC header). *)
-val marshal_into : t -> Asn1.value -> Xdr.Enc.t -> unit
+(** [encode enc ty v] appends the encoding of [v] to [enc] without
+    checking it: for a caller that has already run {!Asn1.check} on [v]
+    (the ILP stub layout checks each immediate field once, then encodes
+    it into its generated run). *)
+val encode : Xdr.Enc.t -> Asn1.ty -> Asn1.value -> unit
 
 (** [unmarshal t s] decodes a complete message; raises {!Xdr.Dec.Error} on
     malformed input (including trailing bytes). *)

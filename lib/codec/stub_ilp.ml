@@ -16,7 +16,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Layout_error s)) fmt
 type state = {
   mutable segments : segment list;  (* reversed *)
   mutable gen : Xdr.Enc.t;
-  sources : source Queue.t;
 }
 
 let flush st =
@@ -25,17 +24,10 @@ let flush st =
     st.gen <- Xdr.Enc.create ()
   end
 
-let next_source st =
-  match Queue.take_opt st.sources with
-  | Some s -> s
-  | None -> fail "not enough sources for the message type"
-
 let encode_immediate st fty v =
-  (match Asn1.check fty v with
-  | Ok () -> ()
-  | Error e -> fail "immediate value does not inhabit its field: %s" e);
-  let stub = Stub.compile fty in
-  Stub.marshal_into stub v st.gen
+  match Asn1.check fty v with
+  | Ok () -> Stub.encode st.gen fty v
+  | Error e -> fail "immediate value does not inhabit its field: %s" e
 
 (* A memory-resident variable-length field: generated length word, the
    in-place bytes, generated XDR padding. *)
@@ -46,43 +38,37 @@ let memory_field st ~with_length ~addr ~len =
   st.segments <- App { addr; len } :: st.segments;
   Xdr.Enc.raw st.gen (String.make (Xdr.padding len) '\000')
 
-let rec walk st (fty : Asn1.ty) =
-  match fty with
-  | Asn1.Seq fields -> List.iter (fun (_, f) -> walk st f) fields
-  | Asn1.Int | Asn1.Uint | Asn1.Hyper | Asn1.Bool | Asn1.Enum _ | Asn1.Seq_of _
-  | Asn1.Choice _ | Asn1.Option _ -> (
-      match next_source st with
-      | Immediate v -> encode_immediate st fty v
-      | From_memory _ ->
-          fail "From_memory is only valid for opaque and string fields")
-  | Asn1.Opaque | Asn1.Str -> (
-      match next_source st with
-      | Immediate v -> encode_immediate st fty v
-      | From_memory { addr; len } -> memory_field st ~with_length:true ~addr ~len)
-  | Asn1.Fixed_opaque n -> (
-      match next_source st with
-      | Immediate v -> encode_immediate st fty v
-      | From_memory { addr; len } ->
-          if len <> n then fail "fixed opaque of %d bytes given %d" n len;
-          memory_field st ~with_length:false ~addr ~len)
+(* Lay out [fty] from the head of [sources]; the sources it did not take
+   are returned. *)
+let rec walk st (fty : Asn1.ty) sources =
+  match (fty, sources) with
+  | Asn1.Seq fields, _ ->
+      List.fold_left (fun rest (_, f) -> walk st f rest) sources fields
+  | _, [] -> fail "not enough sources for the message type"
+  | _, Immediate v :: rest ->
+      encode_immediate st fty v;
+      rest
+  | (Asn1.Opaque | Asn1.Str), From_memory { addr; len } :: rest ->
+      memory_field st ~with_length:true ~addr ~len;
+      rest
+  | Asn1.Fixed_opaque n, From_memory { addr; len } :: rest ->
+      if len <> n then fail "fixed opaque of %d bytes given %d" n len;
+      memory_field st ~with_length:false ~addr ~len;
+      rest
+  | _, From_memory _ :: _ ->
+      fail "From_memory is only valid for opaque and string fields"
 
 let layout t sources =
-  let st =
-    { segments = []; gen = Xdr.Enc.create (); sources = Queue.of_seq (List.to_seq sources) }
-  in
-  match
-    walk st t.ty;
-    if not (Queue.is_empty st.sources) then fail "too many sources for the message type";
-    flush st;
-    List.rev st.segments
-  with
-  | segs -> Ok segs
+  let st = { segments = []; gen = Xdr.Enc.create () } in
+  match walk st t.ty sources with
+  | [] ->
+      flush st;
+      Ok (List.rev st.segments)
+  | _ :: _ -> Error "too many sources for the message type"
   | exception Layout_error e -> Error e
 
-let total_len segs =
-  List.fold_left
-    (fun acc -> function Gen s -> acc + String.length s | App a -> acc + a.len)
-    0 segs
+let segment_len = function Gen s -> String.length s | App a -> a.len
+let total_len segs = List.fold_left (fun acc seg -> acc + segment_len seg) 0 segs
 
 let flatten mem segs =
   String.concat ""

@@ -13,7 +13,13 @@
     checksum on its single pass.  The result is a {!segment} list — the
     exact input of [Ilp_core.Engine.prepare_stream_segments] — so arbitrary
     message types get the integrated treatment without hand-writing their
-    layout. *)
+    layout.
+
+    {!segment} is the one description of an outgoing message: the engine
+    frames the list into a segment array (length field, body, CRC32
+    trailer, alignment) that its simulated loop reads and that
+    [Ilp_fastpath.Wire]'s native sends gather, with no conversion in
+    between. *)
 
 type source =
   | Immediate of Asn1.value
@@ -25,7 +31,8 @@ type source =
 
 type segment =
   | Gen of string  (** generated bytes (produced in registers) *)
-  | App of { addr : int; len : int }  (** read from application memory *)
+  | App of { addr : int; len : int }
+      (** [len] bytes of application memory at [addr], read in place *)
 
 type t
 
@@ -36,12 +43,16 @@ val compile : Asn1.ty -> t
 val ty : t -> Asn1.ty
 
 (** [layout t sources] walks the type with one {!source} per leaf field
-    (in declaration order, sequences-of taking one source per element
-    plus none for the count) and produces the wire segments.
+    (in declaration order; a sequence-of, choice or option field is a
+    leaf taking one [Immediate]) and produces the wire segments.  Each
+    immediate value is checked once, against its field's type.
 
     Errors: wrong number of sources, a [From_memory] on a non-opaque
     field, an [Immediate] that does not inhabit its field type. *)
 val layout : t -> source list -> (segment list, string) result
+
+(** Byte length of one segment. *)
+val segment_len : segment -> int
 
 (** Total byte length of a segment list. *)
 val total_len : segment list -> int

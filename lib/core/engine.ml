@@ -6,6 +6,7 @@ module Pool = Ilp_fastpath.Pool
 module Mt = Ilp_fastpath.Memtraffic
 module Trace = Ilp_obs.Trace
 module M = Ilp_obs.Metrics
+module Stub_ilp = Ilp_codec.Stub_ilp
 
 let m_sends = M.counter M.default "engine.sends"
 let m_stream_fills = M.counter M.default "engine.stream_fills"
@@ -187,16 +188,16 @@ let checksum_tap t cell =
     end
 
 (* ------------------------------------------------------------------ *)
-(* The logical plaintext stream of an outgoing message: a sequence of
-   generated segments (length field, stub-produced prefix, padding) and
-   payload segments read from application memory.  With the default
-   leading header the length field comes first; with the trailer style of
-   the paper's section 5 it comes last, which lets the ILP loop run
-   strictly sequentially. *)
+(* The logical plaintext stream of an outgoing message: the stub
+   compiler's segments framed by the engine — generated runs (length
+   field, stub-produced words, CRC32 trailer, padding) and runs read from
+   application memory.  With the default leading header the length field
+   comes first; with the trailer style of the paper's section 5 it comes
+   last, which lets the ILP loop run strictly sequentially.  Both
+   backends read this one array: the simulated loop below and the native
+   gather in [Wire]. *)
 
-type seg = Gen of string | Payload of { addr : int; len : int }
-
-type stream = { segs : seg array; total : int }
+type stream = { segs : Stub_ilp.segment array; total : int }
 
 let u32_be v =
   let b = Bytes.create 4 in
@@ -213,18 +214,23 @@ let u32_be v =
 let rec stream_read_walk raw m segs block i seg_start pos boff n =
   if n > 0 then begin
     let seg = segs.(i) in
-    let seg_len = match seg with Gen s -> String.length s | Payload p -> p.len in
+    (* Matched here rather than through [Stub_ilp.segment_len]: modules
+       are compiled opaque, and a call per block read is host time on
+       every simulated message. *)
+    let seg_len =
+      match seg with Stub_ilp.Gen s -> String.length s | Stub_ilp.App a -> a.len
+    in
     if pos >= seg_start + seg_len then
       stream_read_walk raw m segs block (i + 1) (seg_start + seg_len) pos boff n
     else begin
       let off_in_seg = pos - seg_start in
       let take = Int.min n (seg_len - off_in_seg) in
       (match seg with
-      | Gen src ->
+      | Stub_ilp.Gen src ->
           Bytes.blit_string src off_in_seg block boff take;
           Machine.compute m ((take + 3) / 4)
-      | Payload p ->
-          let addr = p.addr + off_in_seg in
+      | Stub_ilp.App a ->
+          let addr = a.addr + off_in_seg in
           let whole = take / 4 * 4 in
           Machine.read_run m ~addr ~len:whole ~unit:4 ~ops:1;
           Machine.read_run m ~addr:(addr + whole) ~len:(take - whole) ~unit:1
@@ -242,20 +248,8 @@ let stream_read t st block ~boff ~pos ~n =
 (* ------------------------------------------------------------------ *)
 (* Send *)
 
-type body_segment = Seg_gen of string | Seg_app of { addr : int; len : int }
-
-let internal_seg = function
-  | Seg_gen s -> Gen s
-  | Seg_app { addr; len } -> Payload { addr; len }
-
 let make_stream_of_segments t body =
-  let body_len =
-    List.fold_left
-      (fun acc -> function
-        | Seg_gen s -> acc + String.length s
-        | Seg_app { len; _ } -> acc + len)
-      0 body
-  in
+  let body_len = Stub_ilp.total_len body in
   (* The CRC32 trailer, when enabled, rides inside the encrypted length:
      its value is a stream-build-time computation over the logical body
      bytes (it cannot be folded in part order — the CRC is
@@ -270,11 +264,12 @@ let make_stream_of_segments t body =
           Crc32.finish
             (List.fold_left
                (fun crc -> function
-                 | Seg_gen s -> Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
-                 | Seg_app { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
+                 | Stub_ilp.Gen s ->
+                     Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
+                 | Stub_ilp.App { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
                Crc32.init body)
         in
-        [ Gen (u32_be value) ]
+        [ Stub_ilp.Gen (u32_be value) ]
   in
   let framed_len = body_len + framing_extra t in
   let plan = Parts.plan ~block_len:(block_len t) ~body_len:framed_len in
@@ -285,18 +280,20 @@ let make_stream_of_segments t body =
          plan.Parts.total t.max_message);
   let enc_len = Parts.length_field plan in
   let total = plan.Parts.total in
-  let body_segs = List.map internal_seg body @ crc_segs in
   let segs =
     match t.header_style with
     | Leading ->
         Array.of_list
-          ((Gen (u32_be enc_len) :: body_segs)
-          @ [ Gen (String.make plan.Parts.alignment '\000') ])
+          ((Stub_ilp.Gen (u32_be enc_len) :: body)
+          @ crc_segs
+          @ [ Stub_ilp.Gen (String.make plan.Parts.alignment '\000') ])
     | Trailer ->
         (* Length field at the end: padding precedes it so the field sits
            in the last word of the final block. *)
         let pad = total - 4 - framed_len in
-        Array.of_list (body_segs @ [ Gen (String.make pad '\000'); Gen (u32_be enc_len) ])
+        Array.of_list
+          (body @ crc_segs
+          @ [ Stub_ilp.Gen (String.make pad '\000'); Stub_ilp.Gen (u32_be enc_len) ])
   in
   (plan, { segs; total })
 
@@ -469,37 +466,11 @@ let fill_separate_range t plan st ~dst ~off ~len =
 (* ------------------------------------------------------------------ *)
 (* Native backend: the same wire format produced by the un-simulated
    Ilp_fastpath kernels (uncharged — native costs are wall-clock, not
-   simulated cycles; the Memtraffic ledger counts them instead).  The
-   stream is described as an iovec scatter list over the backing store
-   and assembled by the codec directly into the ring at [dst]; in ILP
-   mode the gather, encrypt and checksum happen in one traversal.  No
-   intermediate buffer exists. *)
-
-(* The iovec scatter list describing wire bytes [off, off+len): stream
-   segments clipped to the range, payload runs pointing straight into the
-   backing store. *)
-let iovecs_of_range t st ~off ~len =
-  let raw = Mem.raw (mem t) in
-  let iovs = ref [] in
-  let seg_start = ref 0 in
-  Array.iter
-    (fun seg ->
-      let seg_len =
-        match seg with Gen s -> String.length s | Payload p -> p.len
-      in
-      let s = Int.max !seg_start off and e = Int.min (!seg_start + seg_len) (off + len) in
-      if e > s then begin
-        let o = s - !seg_start and l = e - s in
-        let iov =
-          match seg with
-          | Gen str -> Wire.Io_string { s = str; off = o; len = l }
-          | Payload p -> Wire.Io_bytes { buf = raw; off = p.addr + o; len = l }
-        in
-        iovs := iov :: !iovs
-      end;
-      seg_start := !seg_start + seg_len)
-    st.segs;
-  List.rev !iovs
+   simulated cycles; the Memtraffic ledger counts them instead).  [Wire]
+   gathers the range straight from the stream's segment array, [App]
+   runs read from the simulated memory's backing store, into the ring
+   at [dst]; in ILP mode the gather, encrypt and checksum happen in one
+   traversal.  No intermediate buffer or list is built. *)
 
 let fill_native_range t fp st ~dst ~off ~len =
   (* Native stage spans are emitted by the Wire codec against the wall
@@ -507,11 +478,13 @@ let fill_native_range t fp st ~dst ~off ~len =
      here so TCP's link/checksum events correlate. *)
   if Trace.enabled () then ignore (Trace.begin_packet ());
   let raw = Mem.raw (mem t) in
-  let iov = iovecs_of_range t st ~off ~len in
   match t.mode with
-  | Ilp -> Some (Wire.sendv_ilp fp ~iov ~dst:raw ~dst_off:dst)
+  | Ilp ->
+      Some (Wire.sendv_ilp fp ~segs:st.segs ~src:raw ~off ~len ~dst:raw ~dst_off:dst)
   | Separate ->
-      ignore (Wire.sendv_separate fp ~iov ~dst:raw ~dst_off:dst);
+      ignore
+        (Wire.sendv_separate fp ~segs:st.segs ~src:raw ~off ~len ~dst:raw
+           ~dst_off:dst);
       None
 
 (* ------------------------------------------------------------------ *)

@@ -18,9 +18,12 @@
     <------------------ encrypted, 8-byte aligned ---------------->
     v}
 
-    The marshalled message is [prefix ^ payload]: the prefix holds the
-    RPC header and XDR framing words (built by the stub compiler), the
-    payload bytes come straight from application memory.
+    The marshalled message is the stub compiler's
+    {!Ilp_codec.Stub_ilp.segment} list: [Gen] runs hold the RPC header
+    and XDR framing words, [App] runs are payload bytes read straight from
+    application memory.  The engine frames it into one segment array —
+    length field, body, CRC32 trailer when enabled, alignment — and both
+    backends walk that array.
 
     {2 The two styles}
 
@@ -44,8 +47,8 @@
     read call, {!read_plaintext}, which hands every TSDU's marshalled
     body to the caller as a span of a pool buffer to decode in place and
     release; the layout around the body stays the engine's.  On the
-    [Native] backend the send gathers the message as an iovec scatter list
-    straight into the TCP ring, and the receive decrypts each arriving
+    [Native] backend the send gathers each range straight from the
+    segment array into the TCP ring, and the receive decrypts each arriving
     segment into an engine-owned pool buffer at its final TSDU offset —
     the very buffer {!read_plaintext} then hands over (ownership
     transfer, no delivery copy).  The
@@ -149,12 +152,6 @@ val wire_len : t -> prefix_len:int -> payload_len:int -> int
     that many bytes fits together with its padding. *)
 val max_payload : t -> prefix_len:int -> int
 
-(** A piece of the marshalled message body: bytes generated in registers
-    by the stub code, or a run of application memory the ILP loop reads in
-    place.  This is the interface the ILP-extended stub compiler
-    ([Ilp_codec.Stub_ilp]) produces. *)
-type body_segment = Seg_gen of string | Seg_app of { addr : int; len : int }
-
 (** A staged message, for [Ilp_tcp.Socket.send_message] and
     [send_stream]: [fill_range mem ~dst ~off ~len] writes wire bytes
     [off, off+len) of the message at [dst] — one fused
@@ -179,12 +176,18 @@ type prepared_stream = {
     Ilp_checksum.Internet.acc option;
 }
 
-(** [prepare_stream_segments t body] stages a message with an arbitrary
-    interleaving of generated and memory-resident runs.  The encryption
-    length field, CRC32 trailer and alignment are added per the engine's
-    configuration.  Raises [Invalid_argument] when the message exceeds
+(** [prepare_stream_segments t body] stages the message body [body], as
+    the ILP-extended stub compiler ({!Ilp_codec.Stub_ilp.layout}) lays it
+    out: an arbitrary interleaving of generated runs and runs of
+    application memory the loop reads in place.  The engine frames it into
+    one {!Ilp_codec.Stub_ilp.segment} array — the encryption length field,
+    the body, the CRC32 trailer and the alignment, per its configuration —
+    which every range fill walks: the simulated loop reads it, and a
+    [Native] fill hands it to {!Ilp_fastpath.Wire} to gather the range,
+    building nothing.  Raises [Invalid_argument] when the message exceeds
     [max_message] (see {!max_payload}). *)
-val prepare_stream_segments : t -> body_segment list -> prepared_stream
+val prepare_stream_segments :
+  t -> Ilp_codec.Stub_ilp.segment list -> prepared_stream
 
 (** Receive-side manipulation for [Rx_separate]: decrypt the staged
     segment in place and unmarshal-copy the plaintext to the application
@@ -236,7 +239,7 @@ val app_rx_base : t -> int
 
 (** Hand over the TSDU at {!app_rx_base}: [Ok (buf, off, len)], where
     [buf.[off..off+len-1]] is exactly the marshalled body the sender
-    passed to {!prepare_stream_segments} ([prefix ^ payload]).  The
+    passed to {!prepare_stream_segments}, concatenated.  The
     engine owns the rest of the plaintext layout and has already checked
     and stripped it: the length field (leading or trailing), the CRC32
     trailer when enabled, and the alignment.  The caller's stub decodes

@@ -118,40 +118,34 @@ let recv_ilp t ~src ~src_off ~len ~dst ~dst_off =
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Scatter-gather sends: the marshal output described as an iovec list
-   and assembled directly at [dst] — the single-copy path.  Segment
-   boundaries are arbitrary; only the total must be a block multiple. *)
+(* Scatter-gather sends: the stub compiler's segment array, gathered
+   window by window directly at [dst] — the single-copy path.  Segment
+   boundaries are arbitrary; only the window must be block-aligned. *)
 
-type iovec =
-  | Io_bytes of { buf : Bytes.t; off : int; len : int }
-  | Io_string of { s : string; off : int; len : int }
+module Stub_ilp = Ilp_codec.Stub_ilp
 
-let iovec_len iov =
-  List.fold_left
-    (fun acc io ->
-      acc + match io with Io_bytes b -> b.len | Io_string s -> s.len)
-    0 iov
-
-(* Recursion, not [List.iter]: a closure over [name] would allocate on
+(* The message length, checking every [App] run against [src] on the
+   way.  A loop, not a fold: a closure over [name] would allocate on
    every send. *)
-let rec check_iovec name = function
-  | [] -> ()
-  | io :: rest ->
-      let ok =
-        match io with
-        | Io_bytes b -> b.off >= 0 && b.len >= 0 && b.off + b.len <= Bytes.length b.buf
-        | Io_string s -> s.off >= 0 && s.len >= 0 && s.off + s.len <= String.length s.s
-      in
-      if not ok then invalid_arg (name ^ ": iovec out of bounds");
-      check_iovec name rest
+let message_len name segs ~src =
+  let total = ref 0 in
+  for i = 0 to Array.length segs - 1 do
+    match segs.(i) with
+    | Stub_ilp.Gen s -> total := !total + String.length s
+    | Stub_ilp.App a ->
+        if a.addr < 0 || a.len < 0 || a.addr > Bytes.length src - a.len then
+          invalid_arg (name ^ ": App run outside src");
+        total := !total + a.len
+  done;
+  !total
 
-let checkv name iov ~dst ~dst_off =
-  check_iovec name iov;
-  let total = iovec_len iov in
-  if dst_off < 0 || dst_off + total > Bytes.length dst then
+let checkv name segs ~src ~off ~len ~dst ~dst_off =
+  if off < 0 || len < 0 || off + len > message_len name segs ~src then
+    invalid_arg (name ^ ": window outside the message");
+  if dst_off < 0 || dst_off + len > Bytes.length dst then
     invalid_arg (name ^ ": out of bounds");
-  if total mod 8 <> 0 then invalid_arg (name ^ ": length not a multiple of 8");
-  total
+  if off mod 8 <> 0 || len mod 8 <> 0 then
+    invalid_arg (name ^ ": window not aligned to 8 bytes")
 
 (* Encrypt [len] gathered bytes at [dst+off] in place and fold them into
    [acc]. *)
@@ -159,72 +153,75 @@ let seal t dst ~off ~len acc =
   Cipher.encrypt_blocks t.cipher dst ~off ~count:(len / 8);
   Internet.add_bytes_unsafe acc dst ~off ~len
 
-(* Gather [iov] at [dst+dst_off] in chunks of [chunk] bytes.  When
-   [fused], each full chunk, and then the tail, is sealed at [dst] while
-   still cache-resident, and the result is the checksum of the sealed
-   bytes; otherwise it is [Internet.empty].  One loop over the iovec with
-   the cursors in locals and no closure, so a send allocates nothing. *)
-let gather t iov ~dst ~dst_off ~fused =
+(* Gather message bytes [off, off+len) at [dst+dst_off] in chunks of
+   [chunk] bytes.  When [fused], each full chunk, and then the tail, is
+   sealed at [dst] while still cache-resident, and the result is the
+   checksum of the sealed bytes; otherwise it is [Internet.empty].  One
+   loop over the segments with the cursors in locals and no closure, so
+   a send allocates nothing. *)
+let gather t segs ~src ~off ~len ~dst ~dst_off ~fused =
   let acc = ref Internet.empty and pos = ref 0 and flushed = ref 0 in
-  let rest = ref iov in
-  while not (List.is_empty !rest) do
-    let io = List.hd !rest in
-    rest := List.tl !rest;
-    let len = match io with Io_bytes b -> b.len | Io_string s -> s.len in
-    let off = ref 0 in
-    while !off < len do
-      let n = Int.min (len - !off) (chunk - (!pos - !flushed)) in
-      let d = dst_off + !pos in
-      (match io with
-      | Io_bytes b -> Bytes.blit b.buf (b.off + !off) dst d n
-      | Io_string s -> Bytes.blit_string s.s (s.off + !off) dst d n);
+  (* Segment [i] starts at message offset [seg_start]. *)
+  let i = ref 0 and seg_start = ref 0 in
+  while !pos < len do
+    let seg = segs.(!i) in
+    let seg_end = !seg_start + Stub_ilp.segment_len seg and cur = off + !pos in
+    if cur >= seg_end then begin
+      seg_start := seg_end;
+      incr i
+    end
+    else begin
+      let n = Int.min (seg_end - cur) (Int.min (len - !pos) (chunk - (!pos - !flushed))) in
+      let d = dst_off + !pos and o = cur - !seg_start in
+      (match seg with
+      | Stub_ilp.Gen s -> Bytes.blit_string s o dst d n
+      | Stub_ilp.App a -> Bytes.blit src (a.addr + o) dst d n);
       pos := !pos + n;
-      off := !off + n;
       if !pos - !flushed = chunk then begin
         if fused then acc := seal t dst ~off:(dst_off + !flushed) ~len:chunk !acc;
         flushed := !pos
       end
-    done
+    end
   done;
   if fused && !pos > !flushed then
     seal t dst ~off:(dst_off + !flushed) ~len:(!pos - !flushed) !acc
   else !acc
 
-let sendv_ilp t ~iov ~dst ~dst_off =
-  let total = checkv "Wire.sendv_ilp" iov ~dst ~dst_off in
+let sendv_ilp t ~segs ~src ~off ~len ~dst ~dst_off =
+  checkv "Wire.sendv_ilp" segs ~src ~off ~len ~dst ~dst_off;
   let tr = Trace.enabled () in
   let t0 = if tr then Trace.now () else 0.0 in
   (* One traversal: each gathered chunk is encrypted and checksummed at
      [dst] while still cache-resident. *)
-  let acc = gather t iov ~dst ~dst_off ~fused:true in
-  Mt.copied Mt.Marshal total;
-  Mt.inplace Mt.Cipher total;
-  Mt.read Mt.Checksum total;
+  let acc = gather t segs ~src ~off ~len ~dst ~dst_off ~fused:true in
+  Mt.copied Mt.Marshal len;
+  Mt.inplace Mt.Cipher len;
+  Mt.read Mt.Checksum len;
   if tr then
     trace_send_fused ~pkt:(Trace.current_packet ()) ~t0 ~t1:(Trace.now ());
   acc
 
-let sendv_separate t ~iov ~dst ~dst_off =
-  let total = checkv "Wire.sendv_separate" iov ~dst ~dst_off in
-  if total > t.max_len then invalid_arg "Wire.sendv_separate: longer than max_len";
+let sendv_separate t ~segs ~src ~off ~len ~dst ~dst_off =
+  checkv "Wire.sendv_separate" segs ~src ~off ~len ~dst ~dst_off;
+  if len > t.max_len then invalid_arg "Wire.sendv_separate: longer than max_len";
   let tr = Trace.enabled () in
   let buf = staging t in
   let t0 = if tr then Trace.now () else 0.0 in
-  (* Pass 1: marshal — gather the message into the protocol buffer. *)
-  ignore (gather t iov ~dst:buf ~dst_off:0 ~fused:false);
-  Mt.copied Mt.Marshal total;
+  (* Pass 1: marshal — gather the window into the protocol buffer. *)
+  ignore (gather t segs ~src ~off ~len ~dst:buf ~dst_off:0 ~fused:false);
+  Mt.copied Mt.Marshal len;
   let t1 = if tr then Trace.now () else 0.0 in
   (* Pass 2: encrypt the protocol buffer in place. *)
-  Cipher.encrypt_blocks t.cipher buf ~off:0 ~count:(total / 8);
-  Mt.inplace Mt.Cipher total;
+  Cipher.encrypt_blocks t.cipher buf ~off:0 ~count:(len / 8);
+  Mt.inplace Mt.Cipher len;
   let t2 = if tr then Trace.now () else 0.0 in
   (* Pass 3: the TCP send copy into the ring. *)
-  Words.blit ~src:buf ~src_off:0 ~dst ~dst_off ~len:total;
-  Mt.copied Mt.Tcp total;
+  Words.blit ~src:buf ~src_off:0 ~dst ~dst_off ~len;
+  Mt.copied Mt.Tcp len;
   let t3 = if tr then Trace.now () else 0.0 in
   (* Pass 4: the tcp_output checksum walk. *)
-  Mt.read Mt.Checksum total;
-  let acc = Internet.add_bytes_unsafe Internet.empty dst ~off:dst_off ~len:total in
+  Mt.read Mt.Checksum len;
+  let acc = Internet.add_bytes_unsafe Internet.empty dst ~off:dst_off ~len in
   if tr then
     trace_send_passes ~pkt:(Trace.current_packet ()) ~t0 ~t1 ~t2 ~t3
       ~t4:(Trace.now ());

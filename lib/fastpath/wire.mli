@@ -9,16 +9,18 @@
     wire data and the same Internet checksum; only the wall-clock cost
     differs, which is what [ilpbench wall] measures.
 
-    The sends take the marshal output as an iovec-style scatter list and
-    assemble it directly at the destination — the single-copy path: no
-    intermediate rendering of the plaintext.
+    The sends take the stub compiler's description of the message, an
+    {!Ilp_codec.Stub_ilp.segment} array, and assemble a window of it
+    directly at the destination — the single-copy path: no intermediate
+    rendering of the plaintext.
 
     Every function feeds the {!Memtraffic} ledger (bytes copied, bytes
     transformed in place, bytes checksummed), so [ilpbench mem] can count
     the traversal structure it claims.
 
-    [len] must be a multiple of the cipher block (8 bytes); offsets and
-    lengths are bounds-checked on entry. *)
+    [len] must be a multiple of the cipher block (8 bytes), and so must a
+    send's window offset; offsets and lengths are bounds-checked on
+    entry. *)
 
 type t
 
@@ -53,28 +55,27 @@ val recv_ilp :
 
 (** {2 Scatter-gather (single-copy) sends} *)
 
-(** One run of an outgoing message: bytes in a buffer (e.g. application
-    memory read in place) or an immediate string (stub-generated header
-    runs).  Segment boundaries are arbitrary. *)
-type iovec =
-  | Io_bytes of { buf : Bytes.t; off : int; len : int }
-  | Io_string of { s : string; off : int; len : int }
+(** [sendv_ilp t ~segs ~src ~off ~len ~dst ~dst_off] — the fused
+    scatter-gather send of bytes [off, off+len) of the message [segs]
+    describes: the concatenation of its runs, a [Gen s] run being [s]
+    and an [App { addr; len }] run [src.[addr..addr+len-1]] (application
+    memory read in place).  Segment boundaries are arbitrary.  The window
+    is gathered directly at [dst+dst_off] in cache-sized chunks, each
+    chunk encrypted and checksummed while resident: the message's only
+    copy is the gather itself.  The wire bytes are the cipher's ECB
+    encryption of the window, and the result is their checksum.
 
-val iovec_len : iovec list -> int
-
-(** [sendv_ilp t ~iov ~dst ~dst_off] — the fused scatter-gather send:
-    gathers the iovec list directly at [dst] in cache-sized chunks, each
-    chunk encrypted and checksummed while resident.  The message's only
-    copy is the gather itself.  The total length must be a multiple of 8.
-    The wire bytes are the cipher's ECB encryption of the concatenated
-    iovec, and the result is their checksum. *)
+    Raises [Invalid_argument] when the window is not inside the message,
+    [off] or [len] is not a multiple of 8, an [App] run (in the window or
+    not) is not inside [src], or the destination is not inside [dst]. *)
 val sendv_ilp :
-  t -> iov:iovec list -> dst:Bytes.t -> dst_off:int ->
-  Ilp_checksum.Internet.acc
+  t -> segs:Ilp_codec.Stub_ilp.segment array -> src:Bytes.t -> off:int ->
+  len:int -> dst:Bytes.t -> dst_off:int -> Ilp_checksum.Internet.acc
 
-(** [sendv_separate t ~iov ~dst ~dst_off] — the four-pass equivalent:
-    gather into the staging buffer, encrypt in place, copy to [dst],
-    checksum [dst].  Wire-identical to {!sendv_ilp}. *)
+(** [sendv_separate] — the four-pass equivalent of {!sendv_ilp}: gather
+    the window into the staging buffer, encrypt in place, copy to [dst],
+    checksum [dst].  Wire-identical to {!sendv_ilp}; [len] must also be
+    at most [max_len]. *)
 val sendv_separate :
-  t -> iov:iovec list -> dst:Bytes.t -> dst_off:int ->
-  Ilp_checksum.Internet.acc
+  t -> segs:Ilp_codec.Stub_ilp.segment array -> src:Bytes.t -> off:int ->
+  len:int -> dst:Bytes.t -> dst_off:int -> Ilp_checksum.Internet.acc

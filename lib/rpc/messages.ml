@@ -121,41 +121,31 @@ let probe_ilp = Stub_ilp.compile probe_ty
 let probe_ilp_flagged = Stub_ilp.compile probe_ty_flagged
 let reply_ilp = Stub_ilp.compile reply_ty
 
-let to_engine_segments segs =
-  List.map
-    (function
-      | Stub_ilp.Gen s -> Ilp_core.Engine.Seg_gen s
-      | Stub_ilp.App { addr; len } -> Ilp_core.Engine.Seg_app { addr; len })
-    segs
+let layout what stub sources =
+  match Stub_ilp.layout stub sources with
+  | Ok segs -> segs
+  | Error e -> invalid_arg ("Messages." ^ what ^ ": " ^ e)
 
+(* The v1 fields, extended by the v2 fields and then by the flag word:
+   a flagged request is always the full v2 form. *)
 let request_segments ?(flags = 0) r =
-  let layout =
-    if flags <> 0 then
-      Stub_ilp.layout request_ilp_flagged
-        [ Stub_ilp.Immediate (VStr r.file_name);
-          Stub_ilp.Immediate (VInt r.copies);
-          Stub_ilp.Immediate (VInt r.max_reply);
-          Stub_ilp.Immediate (VInt r.req_id);
-          Stub_ilp.Immediate (VInt r.start_copy);
-          Stub_ilp.Immediate (VInt r.start_offset);
-          Stub_ilp.Immediate (VInt flags) ]
-    else if request_is_v1 r then
-      Stub_ilp.layout request_ilp
-        [ Stub_ilp.Immediate (VStr r.file_name);
-          Stub_ilp.Immediate (VInt r.copies);
-          Stub_ilp.Immediate (VInt r.max_reply) ]
-    else
-      Stub_ilp.layout request_ilp_v2
-        [ Stub_ilp.Immediate (VStr r.file_name);
-          Stub_ilp.Immediate (VInt r.copies);
-          Stub_ilp.Immediate (VInt r.max_reply);
-          Stub_ilp.Immediate (VInt r.req_id);
+  let v1 =
+    [ Stub_ilp.Immediate (VStr r.file_name);
+      Stub_ilp.Immediate (VInt r.copies);
+      Stub_ilp.Immediate (VInt r.max_reply) ]
+  in
+  if flags = 0 && request_is_v1 r then layout "request_segments" request_ilp v1
+  else
+    let v2 =
+      v1
+      @ [ Stub_ilp.Immediate (VInt r.req_id);
           Stub_ilp.Immediate (VInt r.start_copy);
           Stub_ilp.Immediate (VInt r.start_offset) ]
-  in
-  match layout with
-  | Ok segs -> to_engine_segments segs
-  | Error e -> invalid_arg ("Messages.request_segments: " ^ e)
+    in
+    if flags = 0 then layout "request_segments" request_ilp_v2 v2
+    else
+      layout "request_segments" request_ilp_flagged
+        (v2 @ [ Stub_ilp.Immediate (VInt flags) ])
 
 let probe_segments ?(flags = 0) p =
   let fields =
@@ -164,26 +154,18 @@ let probe_segments ?(flags = 0) p =
       Stub_ilp.Immediate (VInt p.p_crc);
       Stub_ilp.Immediate (VInt p.p_req_id) ]
   in
-  match
-    if flags <> 0 then
-      Stub_ilp.layout probe_ilp_flagged
-        (fields @ [ Stub_ilp.Immediate (VInt flags) ])
-    else Stub_ilp.layout probe_ilp fields
-  with
-  | Ok segs -> to_engine_segments segs
-  | Error e -> invalid_arg ("Messages.probe_segments: " ^ e)
+  if flags = 0 then layout "probe_segments" probe_ilp fields
+  else
+    layout "probe_segments" probe_ilp_flagged
+      (fields @ [ Stub_ilp.Immediate (VInt flags) ])
 
 let reply_segments h ~payload_addr =
-  match
-    Stub_ilp.layout reply_ilp
-      [ Stub_ilp.Immediate (VEnum (status_to_enum h.status));
-        Stub_ilp.Immediate (VInt h.copy);
-        Stub_ilp.Immediate (VInt h.file_offset);
-        Stub_ilp.Immediate (VInt h.total_len);
-        Stub_ilp.From_memory { addr = payload_addr; len = h.data_len } ]
-  with
-  | Ok segs -> to_engine_segments segs
-  | Error e -> invalid_arg ("Messages.reply_segments: " ^ e)
+  layout "reply_segments" reply_ilp
+    [ Stub_ilp.Immediate (VEnum (status_to_enum h.status));
+      Stub_ilp.Immediate (VInt h.copy);
+      Stub_ilp.Immediate (VInt h.file_offset);
+      Stub_ilp.Immediate (VInt h.total_len);
+      Stub_ilp.From_memory { addr = payload_addr; len = h.data_len } ]
 
 (* ------------------------------------------------------------------ *)
 (* Decoders.  Each reads the marshalled body and nothing else: the engine

@@ -91,21 +91,21 @@ val reply_prefix : reply_header -> string
 
     The same message descriptions compiled by [Ilp_codec.Stub_ilp]: the
     control fields become generated byte runs and the reply's data field
-    stays in application memory for the fused loop.  These feed
-    [Ilp_core.Engine.prepare_stream_segments]. *)
+    stays in application memory for the fused loop.  The segments feed
+    [Ilp_core.Engine.prepare_stream_segments] as they are. *)
 
 (** [flags] (default 0) selects the flagged control forms: a nonzero
     value is appended as a trailing capability word (see
     {!flag_rx_framing}).  A flagged request always marshals the full v2
     field set — word-count dispatch leaves no flagged v1 form. *)
-val request_segments : ?flags:int -> request -> Ilp_core.Engine.body_segment list
+val request_segments : ?flags:int -> request -> Ilp_codec.Stub_ilp.segment list
 
-val probe_segments : ?flags:int -> probe -> Ilp_core.Engine.body_segment list
+val probe_segments : ?flags:int -> probe -> Ilp_codec.Stub_ilp.segment list
 
 (** [reply_segments hdr ~payload_addr] — [hdr.data_len] bytes are taken
     from [payload_addr]. *)
 val reply_segments :
-  reply_header -> payload_addr:int -> Ilp_core.Engine.body_segment list
+  reply_header -> payload_addr:int -> Ilp_codec.Stub_ilp.segment list
 
 (** {2 Decoders}
 

@@ -1090,9 +1090,7 @@ let send_message t ~len ~fill =
     Ok ()
   end
 
-(* Warning 16: every following argument is labelled, so [?seg_unit] can
-   never be erased by partial application — harmless here. *)
-let[@warning "-16"] send_stream t ?(seg_unit = 1) ~len ~fill =
+let send_stream t ~seg_unit ~len ~fill =
   if seg_unit <= 0 || seg_unit > t.cfg.mss then
     invalid_arg "Socket.send_stream: seg_unit must be in [1, mss]";
   if len <= 0 || len mod seg_unit <> 0 then

@@ -264,15 +264,16 @@ val send_message :
     Ilp_checksum.Internet.acc option) ->
   (unit, send_error) result
 
-(** [send_stream t ?seg_unit ~len ~fill] queues a [len]-byte TSDU for
+(** [send_stream t ~seg_unit ~len ~fill] queues a [len]-byte TSDU for
     pipelined streaming: the socket cuts it into MSS-sized segments,
     keeps as many in flight as the sliding window allows, and calls
     [fill mem ~dst ~off ~len] once per segment to produce bytes
     [off, off+len) of the TSDU directly in the retransmission ring (one
     fused ILP pass per segment when [fill] returns the payload checksum
     accumulator; the same [fill] as {!send_message}'s).  Segment lengths
-    are multiples of [seg_unit] (default 1; a cipher-block-aligned
-    engine passes its block size), and [len] must be a positive multiple
+    are multiples of [seg_unit] (an engine passes its
+    [Ilp_core.Engine.prepared_stream]'s [seg_unit], so no segment splits a
+    cipher block), and [len] must be a positive multiple
     of [seg_unit] no larger than what a segment can describe.  The final segment carries PSH; the receiver
     reassembles in order and delivers the whole TSDU to [on_message].
     Up to 8 TSDUs queue behind one another
@@ -281,7 +282,7 @@ val send_message :
     streamed traffic never interleave within a connection. *)
 val send_stream :
   t ->
-  ?seg_unit:int ->
+  seg_unit:int ->
   len:int ->
   fill:
     (Ilp_memsim.Mem.t -> dst:int -> off:int -> len:int ->

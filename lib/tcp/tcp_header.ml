@@ -51,15 +51,36 @@ let make ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 0) ?(checksum = 0)
 let data_words t = (wire_size t) lsr 2
 let off_flags t = (data_words t lsl 12) lor (t.flags land 0xfff)
 
+(* The canonical option's two leading 16-bit words for [n] blocks:
+   NOP NOP, then SACK kind 5 with its length. *)
+let nop_nop = 0x0101
+let sack_kind_len n = (0x05 lsl 8) lor (2 + (8 * n))
+
+(* The canonical option shape, for both parses: the SACK block count a
+   data offset of [words] (more than 5) frames, or -1 when the header
+   runs past the [avail] bytes available or the option area is not
+   4 + 8n bytes for n in 1..max_sack_blocks. *)
+let sack_blocks ~words ~avail =
+  let hdr_len = words * 4 in
+  let opt_len = hdr_len - size in
+  if
+    words < 5 || hdr_len > avail || opt_len < 12
+    || opt_len > 4 + (8 * max_sack_blocks)
+    || (opt_len - 4) mod 8 <> 0
+  then -1
+  else (opt_len - 4) / 8
+
+let sack_lead_ok ~n kind_word len_word =
+  kind_word = nop_nop && len_word = sack_kind_len n
+
 (* The option bytes as 16-bit words, for checksumming and charged I/O:
    [0x0101; 0x05<<8 | len] then each block edge split high/low. *)
 let fold_option_u16 t ~init ~f =
   match t.sack with
   | [] -> init
   | blocks ->
-      let len = 2 + (8 * List.length blocks) in
-      let acc = f init 0x0101 in
-      let acc = f acc ((0x05 lsl 8) lor len) in
+      let acc = f init nop_nop in
+      let acc = f acc (sack_kind_len (List.length blocks)) in
       List.fold_left
         (fun acc (l, r) ->
           let acc = f acc ((l lsr 16) land 0xffff) in
@@ -110,19 +131,14 @@ let read_mem_v mem ~pos ~total =
   if words = 5 then { hdr = base; hdr_len = size; options_ok = true }
   else
     let hdr_len = words * 4 in
-    let opt_len = hdr_len - size in
-    let n = (opt_len - 4) / 8 in
-    if
-      words < 5 || hdr_len > total
-      || opt_len < 12 || opt_len > 4 + (8 * max_sack_blocks)
-      || (opt_len - 4) mod 8 <> 0
-    then { hdr = base; hdr_len = Int.min hdr_len total; options_ok = false }
+    let n = sack_blocks ~words ~avail:total in
+    if n < 0 then { hdr = base; hdr_len = Int.min hdr_len total; options_ok = false }
     else begin
       let kind_word = Mem.get_u16 mem (pos + size) in
       let len_word = Mem.get_u16 mem (pos + size + 2) in
-      Machine.compute (Mem.machine mem) opt_len;
-      if kind_word <> 0x0101 || len_word <> (0x05 lsl 8) lor (2 + (8 * n))
-      then { hdr = base; hdr_len; options_ok = false }
+      Machine.compute (Mem.machine mem) (hdr_len - size);
+      if not (sack_lead_ok ~n kind_word len_word) then
+        { hdr = base; hdr_len; options_ok = false }
       else begin
         let blocks = ref [] in
         for i = n - 1 downto 0 do
@@ -179,19 +195,13 @@ let of_string s ~pos =
     let words = (Bytes.get_uint16_be b (pos + 12)) lsr 12 land 0xf in
     if words = 5 then Ok base
     else
-      let hdr_len = words * 4 in
-      let opt_len = hdr_len - size in
-      let n = (opt_len - 4) / 8 in
-      if
-        words < 5
-        || pos + hdr_len > String.length s
-        || opt_len < 12
-        || opt_len > 4 + (8 * max_sack_blocks)
-        || (opt_len - 4) mod 8 <> 0
-      then Error "Tcp_header.of_string: malformed options"
+      let n = sack_blocks ~words ~avail:(String.length s - pos) in
+      if n < 0 then Error "Tcp_header.of_string: malformed options"
       else if
-        Bytes.get_uint16_be b (pos + size) <> 0x0101
-        || Bytes.get_uint16_be b (pos + size + 2) <> (0x05 lsl 8) lor (2 + (8 * n))
+        not
+          (sack_lead_ok ~n
+             (Bytes.get_uint16_be b (pos + size))
+             (Bytes.get_uint16_be b (pos + size + 2)))
       then Error "Tcp_header.of_string: non-canonical options"
       else begin
         let u32 off =

@@ -5,6 +5,7 @@
 open Ilp_memsim
 module Internet = Ilp_checksum.Internet
 open Ilp_core
+module Stub_ilp = Ilp_codec.Stub_ilp
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -14,7 +15,7 @@ let check_s = Alcotest.(check string)
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 
@@ -538,11 +539,11 @@ let test_engine_segments_multi_payload () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let a = install sim "alpha-region-data" and b = install sim "beta!!" in
   let body =
-    [ Engine.Seg_gen "HDR1";
-      Engine.Seg_app { addr = a; len = 17 };
-      Engine.Seg_gen "\000\000\000MID0";
-      Engine.Seg_app { addr = b; len = 6 };
-      Engine.Seg_gen "\000\000TL" ]
+    [ Stub_ilp.Gen "HDR1";
+      Stub_ilp.App { addr = a; len = 17 };
+      Stub_ilp.Gen "\000\000\000MID0";
+      Stub_ilp.App { addr = b; len = 6 };
+      Stub_ilp.Gen "\000\000TL" ]
   in
   let prepared = Engine.prepare_stream_segments eng body in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
@@ -569,10 +570,10 @@ let test_engine_stream_ranges_match_whole () =
     let sim, eng = make_engine ~mode ~header_style ~crc32 () in
     let a = install sim payload and b = install sim tail in
     let body =
-      [ Engine.Seg_gen "STRMHDR0";
-        Engine.Seg_app { addr = a; len = String.length payload };
-        Engine.Seg_gen "MID4";
-        Engine.Seg_app { addr = b; len = String.length tail } ]
+      [ Stub_ilp.Gen "STRMHDR0";
+        Stub_ilp.App { addr = a; len = String.length payload };
+        Stub_ilp.Gen "MID4";
+        Stub_ilp.App { addr = b; len = String.length tail } ]
     in
     (sim, eng, body)
   in
@@ -616,7 +617,7 @@ let test_engine_stream_range_validation () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let a = install sim "0123456789abcdef" in
   let ps =
-    Engine.prepare_stream_segments eng [ Engine.Seg_app { addr = a; len = 16 } ]
+    Engine.prepare_stream_segments eng [ Stub_ilp.App { addr = a; len = 16 } ]
   in
   let u = ps.Engine.seg_unit in
   let bad ~off ~len =
@@ -629,6 +630,59 @@ let test_engine_stream_range_validation () =
   checkb "range past the end rejected" true
     (bad ~off:0 ~len:(ps.Engine.stream_len + u));
   checkb "empty range rejected" true (bad ~off:0 ~len:0)
+
+(* A native fill builds nothing: [Wire] gathers each range straight from
+   the engine's segment array, so a fill allocates at most the [Some] it
+   returns (2 words under ILP, none under separate), for the whole
+   message and for each 1448-byte range alike. *)
+let test_engine_native_fill_allocates_nothing () =
+  let key = "engineKY" in
+  List.iter
+    (fun (mode, name, words_allowed) ->
+      let sim = make_sim () in
+      let eng =
+        Engine.create sim ~mode ~max_message:8192
+          ~cipher:(Ilp_cipher.Safer_simplified.charged sim ~key ())
+          ~backend:
+            (Engine.Native
+               (Ilp_fastpath.Cipher.Safer_simplified
+                  (Ilp_cipher.Safer_simplified.expand_key key)))
+          ()
+      in
+      let payload = String.init 4000 (fun i -> Char.chr ((i * 31) land 0xff)) in
+      let a = install sim payload in
+      let ps =
+        Engine.prepare_stream_segments eng
+          [ Stub_ilp.Gen "HDRWORDS";
+            Stub_ilp.App { addr = a; len = String.length payload };
+            Stub_ilp.Gen "TAIL" ]
+      in
+      let total = ps.Engine.stream_len in
+      let wire = Alloc.alloc sim.Sim.alloc ~align:8 total in
+      let rec mss_ranges off =
+        if off >= total then []
+        else (off, Int.min 1448 (total - off)) :: mss_ranges (off + 1448)
+      in
+      List.iter
+        (fun (off, len) ->
+          let fill () =
+            ignore
+              (Sys.opaque_identity
+                 (ps.Engine.fill_range sim.Sim.mem ~dst:(wire + off) ~off ~len))
+          in
+          fill ();
+          let n = 200 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to n do fill () done;
+          let words = (Gc.minor_words () -. w0) /. float_of_int n in
+          checkb
+            (Printf.sprintf "%s fill [%d, %d): %.2f words/call" name off (off + len)
+               words)
+            true
+            (words <= words_allowed +. 0.01))
+        ((0, total) :: mss_ranges 0);
+      Engine.destroy eng)
+    [ (Engine.Ilp, "ilp", 2.0); (Engine.Separate, "separate", 0.0) ]
 
 let test_engine_validations () =
   let _, eng = make_engine () in
@@ -972,6 +1026,8 @@ let () =
             test_engine_stream_ranges_match_whole;
           Alcotest.test_case "stream range validation" `Quick
             test_engine_stream_range_validation;
+          Alcotest.test_case "native fill allocates only its result" `Quick
+            test_engine_native_fill_allocates_nothing;
           Alcotest.test_case "validations" `Quick test_engine_validations;
           Alcotest.test_case "rx totality" `Quick test_engine_rx_totality;
           Alcotest.test_case "rx bad length field" `Quick

@@ -5,6 +5,7 @@
 
 module FP = Ilp_fastpath
 module Internet = Ilp_checksum.Internet
+module Stub_ilp = Ilp_codec.Stub_ilp
 open Ilp_cipher
 
 let check = Alcotest.(check int)
@@ -88,14 +89,19 @@ let test_swar_known_bytes () =
 (* ------------------------------------------------------------------ *)
 (* Wire codec *)
 
-(* One message through both sends, as a one-run iovec. *)
+(* A message that is one application-memory run: [src.[addr..addr+len-1]]. *)
+let one_run ?(addr = 0) len = [| Stub_ilp.App { addr; len } |]
+
+(* One message through both sends, whole. *)
 let wire_pair cipher len =
   let fp = FP.Wire.create ~cipher ~max_len:len () in
   let msg = Bytes.of_string (random_msg len) in
-  let iov = [ FP.Wire.Io_bytes { buf = msg; off = 0; len } ] in
+  let segs = one_run len in
   let sep = Bytes.create len and ilp = Bytes.create len in
-  let acc_sep = FP.Wire.sendv_separate fp ~iov ~dst:sep ~dst_off:0 in
-  let acc_ilp = FP.Wire.sendv_ilp fp ~iov ~dst:ilp ~dst_off:0 in
+  let acc_sep =
+    FP.Wire.sendv_separate fp ~segs ~src:msg ~off:0 ~len ~dst:sep ~dst_off:0
+  in
+  let acc_ilp = FP.Wire.sendv_ilp fp ~segs ~src:msg ~off:0 ~len ~dst:ilp ~dst_off:0 in
   (fp, msg, sep, ilp, acc_sep, acc_ilp)
 
 let test_send_paths_agree () =
@@ -151,8 +157,7 @@ let prop_wire_roundtrip_at_offsets =
       Bytes.blit_string msg 0 src src_off len;
       let wire = Bytes.make (dst_off + len) '\000' in
       let acc =
-        FP.Wire.sendv_ilp fp
-          ~iov:[ FP.Wire.Io_bytes { buf = src; off = src_off; len } ]
+        FP.Wire.sendv_ilp fp ~segs:(one_run ~addr:src_off len) ~src ~off:0 ~len
           ~dst:wire ~dst_off
       in
       let reference = reference_encrypt cipher msg in
@@ -166,20 +171,39 @@ let test_wire_validation () =
   let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~max_len:64 () in
   let b = Bytes.create 64 in
   (match
-     FP.Wire.sendv_ilp fp
-       ~iov:[ FP.Wire.Io_bytes { buf = b; off = 0; len = 12 } ]
-       ~dst:b ~dst_off:0
+     FP.Wire.sendv_ilp fp ~segs:(one_run 12) ~src:b ~off:0 ~len:12 ~dst:b
+       ~dst_off:0
    with
   | _ -> Alcotest.fail "expected Invalid_argument (unaligned)"
   | exception Invalid_argument _ -> ());
   let big = Bytes.create 128 in
   match
-    FP.Wire.sendv_separate fp
-      ~iov:[ FP.Wire.Io_bytes { buf = big; off = 0; len = 128 } ]
+    FP.Wire.sendv_separate fp ~segs:(one_run 128) ~src:big ~off:0 ~len:128
       ~dst:big ~dst_off:0
   with
   | _ -> Alcotest.fail "expected Invalid_argument (max_len)"
   | exception Invalid_argument _ -> ()
+
+(* The window must lie inside the message, and every [App] run inside
+   [src]: either fault raises before a byte is gathered, in both
+   styles. *)
+let test_window_bounds () =
+  let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~max_len:256 () in
+  let src = Bytes.make 64 'p' and dst = Bytes.create 256 in
+  let segs = [| Stub_ilp.Gen "stubhead"; Stub_ilp.App { addr = 8; len = 56 } |] in
+  let rejects what send ~segs ~off ~len =
+    match send fp ~segs ~src ~off ~len ~dst ~dst_off:0 with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (style, send) ->
+      rejects (style ^ ": window past the end") send ~segs ~off:8 ~len:64;
+      rejects (style ^ ": window before the start") send ~segs ~off:(-8) ~len:16;
+      rejects (style ^ ": App run outside src") send
+        ~segs:[| Stub_ilp.Gen "stubhead"; Stub_ilp.App { addr = 16; len = 56 } |]
+        ~off:0 ~len:8)
+    [ ("ilp", FP.Wire.sendv_ilp); ("separate", FP.Wire.sendv_separate) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine backends: for the same message, a [Native] engine must put
@@ -196,7 +220,7 @@ module Config = Ilp_memsim.Config
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 
@@ -347,47 +371,52 @@ let test_pool_odd_size_dropped () =
   FP.Pool.release p b
 
 (* ------------------------------------------------------------------ *)
-(* Scatter-gather sends: however the message is cut into an iovec, both
-   sends put the pure ECB reference of the contiguous message on the wire
-   and return its checksum. *)
+(* Scatter-gather sends: however the message is cut into segments, both
+   sends put the matching window of the pure ECB reference of the
+   contiguous message on the wire and return its checksum. *)
 
-(* Cut [msg] into iovec segments at pseudo-random boundaries derived from
-   [seed], alternating bytes-with-offset and string segments. *)
-let iovec_of_string msg seed =
+(* Cut [msg] into segments at pseudo-random boundaries derived from
+   [seed], alternating generated runs and application-memory runs; the
+   latter sit in the returned [src] behind pseudo-random gaps. *)
+let segments_of_string msg seed =
   let n = String.length msg in
-  let rec cut pos k acc =
-    if pos >= n then List.rev acc
+  (* Each run is at least a byte, and its gap at most 7. *)
+  let src = Bytes.make ((8 * n) + 8) '\xaa' in
+  let rec cut pos addr k acc =
+    if pos >= n then (Array.of_list (List.rev acc), src)
     else
-      let len = 1 + ((seed * 7 + (k * 13)) mod 97) in
-      let len = min len (n - pos) in
-      let seg =
-        if (k + seed) land 1 = 0 then
-          FP.Wire.Io_string { s = msg; off = pos; len }
-        else
-          let pad = (seed + k) land 7 in
-          let buf = Bytes.make (pad + len + 3) '\xaa' in
-          Bytes.blit_string msg pos buf pad len;
-          FP.Wire.Io_bytes { buf; off = pad; len }
-      in
-      cut (pos + len) (k + 1) (seg :: acc)
+      let len = Int.min (1 + ((seed * 7 + (k * 13)) mod 97)) (n - pos) in
+      if (k + seed) land 1 = 0 then
+        cut (pos + len) addr (k + 1) (Stub_ilp.Gen (String.sub msg pos len) :: acc)
+      else begin
+        let addr = addr + ((seed + k) land 7) in
+        Bytes.blit_string msg pos src addr len;
+        cut (pos + len) (addr + len) (k + 1) (Stub_ilp.App { addr; len } :: acc)
+      end
   in
-  cut 0 0 []
+  cut 0 0 0 []
 
 let prop_sendv_equals_contiguous =
   QCheck.Test.make ~count:80
     ~name:"sendv_{ilp,separate} = contiguous reference ECB on random splits"
-    QCheck.(pair (map (fun n -> n * 8) (int_range 0 80)) small_nat)
-    (fun (len, seed) ->
+    QCheck.(
+      quad (map (fun n -> n * 8) (int_range 0 80)) small_nat small_nat small_nat)
+    (fun (len, seed, a, b) ->
       let cipher = FP.Cipher.Safer_simplified (Safer_simplified.expand_key key) in
       let fp = FP.Wire.create ~cipher ~max_len:(max 8 len) () in
       let msg = random_msg len in
-      let iov = iovec_of_string msg seed in
-      FP.Wire.iovec_len iov = len
+      let segs, src = segments_of_string msg seed in
+      Array.fold_left (fun n seg -> n + Stub_ilp.segment_len seg) 0 segs = len
       &&
-      let reference = reference_encrypt cipher msg in
-      let wi = Bytes.create len and ws = Bytes.create len in
-      let ai = FP.Wire.sendv_ilp fp ~iov ~dst:wi ~dst_off:0 in
-      let as_ = FP.Wire.sendv_separate fp ~iov ~dst:ws ~dst_off:0 in
+      (* A random 8-aligned window [off, off+wlen) of the message. *)
+      let off = 8 * (a mod ((len / 8) + 1)) in
+      let wlen = 8 * (b mod (((len - off) / 8) + 1)) in
+      let reference = String.sub (reference_encrypt cipher msg) off wlen in
+      let wi = Bytes.create wlen and ws = Bytes.create wlen in
+      let ai = FP.Wire.sendv_ilp fp ~segs ~src ~off ~len:wlen ~dst:wi ~dst_off:0 in
+      let as_ =
+        FP.Wire.sendv_separate fp ~segs ~src ~off ~len:wlen ~dst:ws ~dst_off:0
+      in
       Bytes.to_string wi = reference
       && Bytes.to_string ws = reference
       && Internet.finish ai = Internet.checksum_string reference
@@ -402,15 +431,15 @@ let test_staging_from_pool () =
   let fp = FP.Wire.create ~cipher ~pool ~max_len:256 () in
   check "nothing drawn at create" 0 (FP.Pool.outstanding pool);
   let msg = Bytes.of_string (random_msg 64) in
-  let iov = [ FP.Wire.Io_bytes { buf = msg; off = 0; len = 64 } ] in
+  let send f ~dst = f fp ~segs:(one_run 64) ~src:msg ~off:0 ~len:64 ~dst ~dst_off:0 in
   let dst = Bytes.create 64 in
   (* The ILP path never stages. *)
-  ignore (FP.Wire.sendv_ilp fp ~iov ~dst ~dst_off:0);
+  ignore (send FP.Wire.sendv_ilp ~dst);
   check "ILP sends draw nothing" 0 (FP.Pool.outstanding pool);
-  ignore (FP.Wire.sendv_separate fp ~iov ~dst ~dst_off:0);
+  ignore (send FP.Wire.sendv_separate ~dst);
   check "first separate send draws the staging buffer" 1
     (FP.Pool.outstanding pool);
-  ignore (FP.Wire.sendv_separate fp ~iov ~dst ~dst_off:0);
+  ignore (send FP.Wire.sendv_separate ~dst);
   check "staging buffer is drawn once" 1 (FP.Pool.outstanding pool);
   FP.Wire.release fp;
   check "release returns it" 0 (FP.Pool.outstanding pool);
@@ -418,27 +447,28 @@ let test_staging_from_pool () =
   check "release is idempotent" 0 (FP.Pool.outstanding pool);
   (* A later separate send simply redraws. *)
   let out = Bytes.create 64 in
-  let acc = FP.Wire.sendv_separate fp ~iov ~dst:out ~dst_off:0 in
+  let acc = send FP.Wire.sendv_separate ~dst:out in
   check "redraw works" 1 (FP.Pool.outstanding pool);
   checkb "redrawn staging produces correct wire bytes" true (Bytes.equal out dst);
-  let acc' = FP.Wire.sendv_ilp fp ~iov ~dst ~dst_off:0 in
+  let acc' = send FP.Wire.sendv_ilp ~dst in
   check "checksums still agree after redraw" (Internet.finish acc')
     (Internet.finish acc);
   FP.Wire.release fp;
   check "no leaks at teardown" 0 (FP.Pool.outstanding pool)
 
 (* Once the staging buffer is drawn, neither scatter-gather send
-   allocates: the gather is one loop over the iovec, its cursors in
-   locals.  The message spans a chunk boundary inside an iovec entry, so
-   the fused send seals a full chunk mid-entry and then the tail. *)
+   allocates: the gather is one loop over the segments, its cursors in
+   locals.  The message spans a chunk boundary inside a segment, so the
+   fused send seals a full chunk mid-segment and then the tail; the
+   window [16, 4992) also starts inside a segment and skips the first. *)
 let test_sendv_allocates_nothing () =
   let len = 5000 in
   let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~pool:(FP.Pool.create ()) ~max_len:len () in
-  let msg = Bytes.of_string (random_msg len) in
-  let iov =
-    [ FP.Wire.Io_string { s = "stubhead"; off = 0; len = 8 };
-      FP.Wire.Io_bytes { buf = msg; off = 8; len = 4000 };
-      FP.Wire.Io_bytes { buf = msg; off = 4008; len = 992 } ]
+  let src = Bytes.of_string (random_msg len) in
+  let segs =
+    [| Stub_ilp.Gen "stubhead";
+       Stub_ilp.App { addr = 8; len = 4000 };
+       Stub_ilp.App { addr = 4008; len = 992 } |]
   in
   let dst = Bytes.create len in
   let per_call f =
@@ -450,8 +480,17 @@ let test_sendv_allocates_nothing () =
   in
   List.iter
     (fun (what, send) ->
-      let words = per_call (fun () -> ignore (Sys.opaque_identity (send fp ~iov ~dst ~dst_off:0))) in
-      checkb (Printf.sprintf "%s allocates (%.2f words/call)" what words) true (words <= 0.01))
+      List.iter
+        (fun (off, len) ->
+          let words =
+            per_call (fun () ->
+                ignore (Sys.opaque_identity (send fp ~segs ~src ~off ~len ~dst ~dst_off:0)))
+          in
+          checkb
+            (Printf.sprintf "%s [%d, %d) allocates (%.2f words/call)" what off
+               (off + len) words)
+            true (words <= 0.01))
+        [ (0, len); (16, 4976) ])
     [ ("sendv_ilp", FP.Wire.sendv_ilp); ("sendv_separate", FP.Wire.sendv_separate) ]
 
 (* ------------------------------------------------------------------ *)
@@ -524,6 +563,7 @@ let () =
         [ Alcotest.test_case "send paths agree" `Quick test_send_paths_agree;
           Alcotest.test_case "recv paths agree" `Quick test_recv_paths_agree;
           Alcotest.test_case "validation" `Quick test_wire_validation;
+          Alcotest.test_case "window and src bounds" `Quick test_window_bounds;
           qc prop_wire_roundtrip_at_offsets;
           qc prop_sendv_equals_contiguous;
           Alcotest.test_case "sends allocate nothing" `Quick test_sendv_allocates_nothing;

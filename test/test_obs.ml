@@ -9,6 +9,7 @@ open Ilp_memsim
 module M = Ilp_obs.Metrics
 module Trace = Ilp_obs.Trace
 module Engine = Ilp_core.Engine
+module Stub_ilp = Ilp_codec.Stub_ilp
 module Soak = Ilp_app.Soak
 module Recorder = Ilp_obs.Recorder
 module Ts = Ilp_obs.Timeseries
@@ -21,7 +22,7 @@ let check_s = Alcotest.(check string)
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Engine.Seg_gen prefix; Engine.Seg_app { addr = payload_addr; len = payload_len } ]
+    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 

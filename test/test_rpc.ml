@@ -7,6 +7,7 @@ module World = Ilp_app.World
 module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
+module Stub_ilp = Ilp_codec.Stub_ilp
 open Ilp_rpc
 
 let check = Alcotest.(check int)
@@ -136,7 +137,7 @@ let test_reply_opaque_bounded_by_body () =
       data_len }
   in
   let reject what ~crc32 body ~expected =
-    through_engine ~crc32 [ Engine.Seg_gen body ] (fun buf ~off ~len ->
+    through_engine ~crc32 [ Stub_ilp.Gen body ] (fun buf ~off ~len ->
         check (what ^ ": the span is the body") (String.length body) len;
         (match Messages.decode_reply_view buf ~off ~len with
         | Ok (h, _) ->
@@ -301,13 +302,7 @@ let test_flagged_v1_promotes_to_v2 () =
     Messages.request ~req_id:1 ~file_name:"paper.dat" ~copies:2 ~max_reply:512 ()
   in
   checkb "id-less request is v1" true (Messages.request_is_v1 v1);
-  let seg_bytes segs =
-    List.fold_left
-      (fun a -> function
-        | Engine.Seg_gen s -> a + String.length s
-        | Engine.Seg_app { len; _ } -> a + len)
-      0 segs
-  in
+  let seg_bytes = Stub_ilp.total_len in
   check "flagged v1 marshals as many bytes as flagged v2"
     (seg_bytes (Messages.request_segments ~flags:Messages.flag_rx_framing v2))
     (seg_bytes (Messages.request_segments ~flags:Messages.flag_rx_framing v1));

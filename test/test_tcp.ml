@@ -825,7 +825,7 @@ let stream_tsdu w payload =
     Mem.poke_string m ~pos:dst (String.sub payload off len);
     None
   in
-  Socket.send_stream w.a ?seg_unit:None ~len:(String.length payload) ~fill
+  Socket.send_stream w.a ~seg_unit:1 ~len:(String.length payload) ~fill
 
 let pump_until ?(step = 100.0) ?(guard = 100_000) w pred =
   let g = ref guard in
