@@ -247,10 +247,11 @@ let overload ~log ~settle ?on_clock (cfg : config) =
     let forge_ack dgram =
       if not (Hashtbl.mem liar_ports dgram.Datagram.src_port) then [ dgram ]
       else
-        match Ipv4.decapsulate dgram.Datagram.payload with
+        let wire = dgram.Datagram.payload in
+        match Ipv4.decapsulate wire with
         | Error _ -> [ dgram ]
-        | Ok (ip, seg) -> (
-            match Tcp_header.of_string seg ~pos:0 with
+        | Ok ip -> (
+            match Tcp_header.of_string wire ~pos:Ipv4.header_len with
             | Error _ -> [ dgram ]
             | Ok h ->
                 let pure_ack =
@@ -258,7 +259,8 @@ let overload ~log ~settle ?on_clock (cfg : config) =
                   && (not (Tcp_header.has h Tcp_header.syn))
                   && (not (Tcp_header.has h Tcp_header.fin))
                   && (not (Tcp_header.has h Tcp_header.rst))
-                  && String.length seg = Tcp_header.wire_size h
+                  && String.length wire
+                     = Ipv4.header_len + Tcp_header.wire_size h
                 in
                 if not pure_ack then [ dgram ]
                 else begin

@@ -15,13 +15,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Layout_error s)) fmt
 
 type state = {
   mutable segments : segment list;  (* reversed *)
-  mutable gen : Xdr.Enc.t;
+  gen : Xdr.Enc.t;  (* the bytes generated since the last flush *)
 }
 
 let flush st =
   if Xdr.Enc.length st.gen > 0 then begin
     st.segments <- Gen (Xdr.Enc.contents st.gen) :: st.segments;
-    st.gen <- Xdr.Enc.create ()
+    Xdr.Enc.clear st.gen
   end
 
 let encode_immediate st fty v =

@@ -34,6 +34,7 @@ module Enc = struct
 
   let length = Buffer.length
   let contents = Buffer.contents
+  let clear = Buffer.clear
 end
 
 module Dec = struct

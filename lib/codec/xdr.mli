@@ -38,6 +38,10 @@ module Enc : sig
 
   val length : t -> int
   val contents : t -> string
+
+  (** [clear e] empties [e] for reuse; strings already taken with
+      {!contents} are unaffected. *)
+  val clear : t -> unit
 end
 
 module Dec : sig

@@ -32,10 +32,27 @@ val make :
   ?ident:int -> ?protocol:int -> src:int -> dst:int -> payload_len:int ->
   unit -> t
 
-(** [encapsulate t payload] is the wire datagram payload: header (with a
-    correct checksum) followed by [payload]. *)
+(** [write_header b ~ident ~src ~dst ~payload_len] writes the 20 header
+    bytes of [make ~ident ~src ~dst ~payload_len ()], checksum included,
+    into bytes 0-19 of [b], without building that record: a sender
+    allocates the whole datagram once and puts the segment after the
+    header itself. *)
+val write_header : Bytes.t -> ident:int -> src:int -> dst:int -> payload_len:int -> unit
+
+(** [encapsulate t payload] is the wire datagram: header (with a correct
+    checksum) followed by [payload], built in one allocation.
+    [Invalid_argument] unless [t.total_len] is [header_len] plus the
+    payload's length. *)
 val encapsulate : t -> string -> string
 
 (** [decapsulate wire] validates version, header length, total length and
-    header checksum, returning the header and the payload. *)
-val decapsulate : string -> (t * string, string) result
+    header checksum in place and returns the header alone: the payload is
+    [wire]'s bytes from {!header_len} on, which a receiver reads where
+    they are (one that needs a string of its own takes a [String.sub]).
+    Total: any string gives [Ok] or [Error], never an exception. *)
+val decapsulate : string -> (t, string) result
+
+(** [protocol wire] is the protocol number of the header {!decapsulate}
+    would return, or -1 where it would return [Error]; it makes the same
+    checks and allocates nothing. *)
+val protocol : string -> int

@@ -1,24 +1,29 @@
 (* A small deterministic splitmix64-style generator so that impairment
    patterns are reproducible across runs and platforms. *)
 module Prng = struct
-  type t = { mutable state : int64 }
+  (* The 64-bit state lives in 8 bytes and the draws are inlined, so a
+     draw boxes no [int64] and no [float]. *)
+  type t = Bytes.t
 
-  let create seed = { state = Int64.of_int (seed lxor 0x9e3779b9) }
+  let create seed =
+    let t = Bytes.create 8 in
+    Bytes.set_int64_ne t 0 (Int64.of_int (seed lxor 0x9e3779b9));
+    t
 
-  let next t =
-    t.state <- Int64.add t.state 0x9e3779b97f4a7c15L;
-    let z = t.state in
+  let[@inline] next t =
+    let z = Int64.add (Bytes.get_int64_ne t 0) 0x9e3779b97f4a7c15L in
+    Bytes.set_int64_ne t 0 z;
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
     Int64.logxor z (Int64.shift_right_logical z 31)
 
   (* Uniform float in [0, 1). *)
-  let float t =
+  let[@inline] float t =
     let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
     float_of_int bits /. 9007199254740992.0
 
   (* Uniform int in [0, bound). *)
-  let int t bound = int_of_float (float t *. float_of_int bound)
+  let[@inline] int t bound = int_of_float (float t *. float_of_int bound)
 end
 
 module M = Ilp_obs.Metrics

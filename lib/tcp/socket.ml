@@ -500,59 +500,61 @@ let mem t = t.sim.Sim.mem
 let note t stage ~arg =
   Recorder.note stage ~conn:t.local_port ~arg ~ts:(Machine.micros (machine t))
 
-let base_header ?sack t ~flags =
-  Tcp_header.make ~seq:t.snd_nxt ~ack:t.rcv_nxt ~flags ~window:t.adv_window
-    ?sack ~src_port:t.local_port ~dst_port:t.remote_port ()
+(* This endpoint's header for a segment from [seq] whose [payload_len]
+   payload bytes fold to [payload_acc], checksum included. *)
+let header t ~seq ~flags ~sack ~payload_acc ~payload_len =
+  Tcp_header.sealed ~seq ~ack:t.rcv_nxt ~flags ~window:t.adv_window ~sack
+    ~src_port:t.local_port ~dst_port:t.remote_port ~payload_acc ~payload_len
+
+(* The kernel part passes a segment to IP (loopback, never fragmented):
+   one wire string, the IP header written in place and the [len] segment
+   bytes at [src.[off]] copied after it. *)
+let ip_datagram ~ident ~src_port ~dst_port src ~off ~len =
+  let b = Bytes.create (Ipv4.header_len + len) in
+  Ipv4.write_header b ~ident ~src:Ipv4.loopback ~dst:Ipv4.loopback ~payload_len:len;
+  Bytes.blit src off b Ipv4.header_len len;
+  Datagram.create ~src_port ~dst_port ~payload:(Bytes.unsafe_to_string b)
+
+let next_ident t =
+  t.ip_ident <- (t.ip_ident + 1) land 0xffff;
+  t.ip_ident
 
 (* Write the finished header to the user header area, system-copy header
-   (and payload, already in the ring at [payload]) into the kernel buffer,
-   and put the resulting datagram on the wire. *)
-let transmit t header ~payload =
+   (and the [payload_len] payload bytes already in the ring at [addr], if
+   any) into the kernel buffer, and put the resulting datagram on the
+   wire. *)
+let transmit t header ~addr ~payload_len =
   Machine.exec (machine t) t.code_ctrl;
   Machine.exec (machine t) t.code_kernel;
   Tcp_header.write_mem (mem t) ~pos:t.hdr_area header;
   (* Full tcp_output state processing for data segments; the short path
      for pure control segments. *)
-  Machine.compute (machine t)
-    (match payload with Some _ -> control_ops | None -> ack_ops);
-  let payload_len = match payload with None -> 0 | Some (_, len) -> len in
+  Machine.compute (machine t) (if payload_len > 0 then control_ops else ack_ops);
   let hlen = Tcp_header.wire_size header in
   let before = Machine.micros (machine t) in
   Mem.blit (mem t) ~src:t.hdr_area ~dst:t.tx_kernel ~len:hlen
     ~unit_len:blit_unit;
-  (match payload with
-  | None -> ()
-  | Some (addr, len) ->
-      Mem.blit (mem t) ~src:addr ~dst:(t.tx_kernel + hlen) ~len
-        ~unit_len:blit_unit);
+  if payload_len > 0 then
+    Mem.blit (mem t) ~src:addr ~dst:(t.tx_kernel + hlen) ~len:payload_len
+      ~unit_len:blit_unit;
   t.syscopy_send_cycles_us <-
     t.syscopy_send_cycles_us +. (Machine.micros (machine t) -. before);
-  let segment =
-    Bytes.unsafe_to_string
-      (Mem.peek_bytes (mem t) ~pos:t.tx_kernel ~len:(hlen + payload_len))
-  in
-  (* The kernel part passes the segment to IP (loopback, never
-     fragmented). *)
-  t.ip_ident <- (t.ip_ident + 1) land 0xffff;
-  let ip =
-    Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
-      ~payload_len:(String.length segment) ()
-  in
   bump t c_segments_sent 1;
   M.observe m_seg_payload payload_len;
   if Trace.enabled () && payload_len > 0 then
     Trace.instant ~arg:payload_len Trace.Send_link
       ~packet:(Trace.current_packet ()) ~ts:(Machine.micros (machine t));
   t.wire_out
-    (Datagram.create ~src_port:t.local_port ~dst_port:t.remote_port
-       ~payload:(Ipv4.encapsulate ip segment))
+    (ip_datagram ~ident:(next_ident t) ~src_port:t.local_port
+       ~dst_port:t.remote_port (Mem.raw (mem t)) ~off:t.tx_kernel
+       ~len:(hlen + payload_len))
 
-(* A pure control segment.  [seq] (default [snd_nxt]) lets a SYN or FIN
-   be re-sent with the sequence number it first used; [sack] blocks, the
-   only options this stack sends, ride on pure acks. *)
-let send_control ?seq ?sack t ~flags =
-  let h = base_header ?sack t ~flags in
-  let h = match seq with Some seq -> { h with seq } | None -> h in
+(* A pure control segment from [seq]; [sack] blocks, the only options
+   this stack sends, ride on pure acks. *)
+let control_segment t ~seq ~sack ~flags =
+  let h =
+    header t ~seq ~flags ~sack ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
+  in
   let n = List.length h.Tcp_header.sack in
   if n > 0 then begin
     bump t c_sack_blocks_tx n;
@@ -560,17 +562,21 @@ let send_control ?seq ?sack t ~flags =
       Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
         ~ts:(Machine.micros (machine t))
   end;
-  let ck =
-    Tcp_header.checksum h ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
-  in
-  transmit t { h with checksum = ck } ~payload:None
+  transmit t h ~addr:0 ~payload_len:0
+
+(* [seq] (default [snd_nxt]) lets a SYN or FIN be re-sent with the
+   sequence number it first used. *)
+let send_control ?seq t ~flags =
+  let seq = match seq with Some seq -> seq | None -> t.snd_nxt in
+  control_segment t ~seq ~sack:[] ~flags
 
 (* Every pure acknowledgement flows through here: with no SACK block to
    report it is the legacy fixed-header ack, otherwise the canonical
    SACK option is attached ({!Reasm.take_blocks}). *)
 let send_ack t =
   bump t c_acks_sent 1;
-  send_control t ~sack:(Reasm.take_blocks t.reasm) ~flags:Tcp_header.ack_flag
+  control_segment t ~seq:t.snd_nxt ~sack:(Reasm.take_blocks t.reasm)
+    ~flags:Tcp_header.ack_flag
 
 (* Every timer this socket can own: RTO, control (SYN/FIN), persist,
    TIME_WAIT expiry and keepalive.  Aborts and [destroy] must cancel all
@@ -674,14 +680,15 @@ let cancel_persist t =
    peer's window-update ack was lost, and any answer proves the peer
    alive. *)
 let send_probe t =
-  let h = base_header t ~flags:Tcp_header.ack_flag in
-  let h = { h with seq = t.snd_nxt - 1 } in
   let payload_acc =
     Ilp_checksum.Internet.checksum_mem (mem t) ~pos:t.probe_buf ~len:1
       ~acc:Ilp_checksum.Internet.empty
   in
-  let ck = Tcp_header.checksum h ~payload_acc ~payload_len:1 in
-  transmit t { h with checksum = ck } ~payload:(Some (t.probe_buf, 1))
+  let h =
+    header t ~seq:(t.snd_nxt - 1) ~flags:Tcp_header.ack_flag ~sack:[] ~payload_acc
+      ~payload_len:1
+  in
+  transmit t h ~addr:t.probe_buf ~payload_len:1
 
 (* ------------------------------------------------------------------ *)
 (* RST generation (RFC 793 reset rules)
@@ -701,20 +708,12 @@ let rst_reply_header (h : Tcp_header.t) ~payload_len ~src_port =
     + (if Tcp_header.has h Tcp_header.syn then 1 else 0)
     + (if Tcp_header.has h Tcp_header.fin then 1 else 0)
   in
-  let r =
-    if Tcp_header.has h Tcp_header.ack_flag then
-      Tcp_header.make ~seq:h.ack ~flags:Tcp_header.rst ~src_port
-        ~dst_port:h.src_port ()
-    else
-      Tcp_header.make ~seq:0 ~ack:(h.seq + seg_len)
-        ~flags:(Tcp_header.rst lor Tcp_header.ack_flag) ~src_port
-        ~dst_port:h.src_port ()
+  let seq, ack, flags =
+    if Tcp_header.has h Tcp_header.ack_flag then (h.ack, 0, Tcp_header.rst)
+    else (0, h.seq + seg_len, Tcp_header.rst lor Tcp_header.ack_flag)
   in
-  let ck =
-    Tcp_header.checksum r ~payload_acc:Ilp_checksum.Internet.empty
-      ~payload_len:0
-  in
-  { r with checksum = ck }
+  Tcp_header.sealed ~seq ~ack ~flags ~window:0 ~sack:[] ~src_port ~dst_port:h.src_port
+    ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
 
 let send_rst t (h : Tcp_header.t) ~payload_len =
   (* Never reset a reset: that way lies an RST storm. *)
@@ -726,16 +725,12 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
        port, not [t.remote_port] (stale or unset on a dead socket), and a
        dead socket charges only the short control path. *)
     Machine.compute (machine t) ack_ops;
-    t.ip_ident <- (t.ip_ident + 1) land 0xffff;
     let wire = Tcp_header.to_string r in
-    let ip =
-      Ipv4.make ~ident:t.ip_ident ~src:Ipv4.loopback ~dst:Ipv4.loopback
-        ~payload_len:(String.length wire) ()
-    in
     bump t c_segments_sent 1;
     t.wire_out
-      (Datagram.create ~src_port:t.local_port ~dst_port:h.Tcp_header.src_port
-         ~payload:(Ipv4.encapsulate ip wire))
+      (ip_datagram ~ident:(next_ident t) ~src_port:t.local_port
+         ~dst_port:h.Tcp_header.src_port (Bytes.unsafe_of_string wire) ~off:0
+         ~len:(String.length wire))
   end
 
 (* The reset a crashed host's address answers with while the host is
@@ -743,34 +738,31 @@ let send_rst t (h : Tcp_header.t) ~payload_len =
    arriving datagram to the reset datagram (None for malformed input and
    for resets, which are never themselves reset). *)
 let reset_for (dgram : Datagram.t) =
-  match Ipv4.decapsulate dgram.Datagram.payload with
-  | Error _ -> None
-  | Ok (ip, _) when ip.Ipv4.protocol <> Ipv4.protocol_tcp -> None
-  | Ok (_, wire) -> (
-      match Tcp_header.of_string wire ~pos:0 with
-      | Error _ -> None
-      | Ok h ->
-          if Tcp_header.has h Tcp_header.rst then None
-          else begin
-            let payload_len =
-              Int.max 0 (String.length wire - Tcp_header.wire_size h)
-            in
-            let r =
-              rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
-            in
-            orphan_blk.(c_rst_tx) <- orphan_blk.(c_rst_tx) + 1;
-            Recorder.note Trace.Rst_tx ~conn:dgram.Datagram.dst_port
-              ~arg:0 ~ts:(Trace.now ());
-            let wire_out = Tcp_header.to_string r in
-            let ip =
-              Ipv4.make ~src:Ipv4.loopback ~dst:Ipv4.loopback
-                ~payload_len:(String.length wire_out) ()
-            in
-            Some
-              (Datagram.create ~src_port:dgram.Datagram.dst_port
-                 ~dst_port:h.Tcp_header.src_port
-                 ~payload:(Ipv4.encapsulate ip wire_out))
-          end)
+  let wire = dgram.Datagram.payload in
+  if Ipv4.protocol wire <> Ipv4.protocol_tcp then None
+  else
+    match Tcp_header.of_string wire ~pos:Ipv4.header_len with
+    | Error _ -> None
+    | Ok h ->
+        if Tcp_header.has h Tcp_header.rst then None
+        else begin
+          let payload_len =
+            Int.max 0
+              (String.length wire - Ipv4.header_len - Tcp_header.wire_size h)
+          in
+          let r =
+            rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
+          in
+          orphan_blk.(c_rst_tx) <- orphan_blk.(c_rst_tx) + 1;
+          Recorder.note Trace.Rst_tx ~conn:dgram.Datagram.dst_port
+            ~arg:0 ~ts:(Trace.now ());
+          let wire_out = Tcp_header.to_string r in
+          Some
+            (ip_datagram ~ident:0 ~src_port:dgram.Datagram.dst_port
+               ~dst_port:h.Tcp_header.src_port
+               (Bytes.unsafe_of_string wire_out) ~off:0
+               ~len:(String.length wire_out))
+        end
 
 (* ------------------------------------------------------------------ *)
 (* Keepalive probing (half-open connection detection)
@@ -913,14 +905,12 @@ and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   let flags =
     Tcp_header.ack_flag lor (if tx.psh then Tcp_header.psh else 0)
   in
-  let h = base_header t ~flags in
-  let h = { h with seq = seg.seq } in
   let payload_acc =
     Ilp_checksum.Internet.checksum_mem (mem t) ~pos:tx.addr ~len:seg.len
       ~acc:Ilp_checksum.Internet.empty
   in
-  let ck = Tcp_header.checksum h ~payload_acc ~payload_len:seg.len in
-  transmit t { h with checksum = ck } ~payload:(Some (tx.addr, seg.len))
+  let h = header t ~seq:seg.seq ~flags ~sack:[] ~payload_acc ~payload_len:seg.len in
+  transmit t h ~addr:tx.addr ~payload_len:seg.len
 
 and on_rto t =
   match Scoreboard.oldest t.sb with
@@ -1018,9 +1008,8 @@ let send_segment t s ~addr ~len =
   in
   let psh = s.ps_off >= s.ps_len in
   let flags = Tcp_header.ack_flag lor (if psh then Tcp_header.psh else 0) in
-  let h = base_header t ~flags in
-  let ck = Tcp_header.checksum h ~payload_acc ~payload_len:len in
-  transmit t { h with checksum = ck } ~payload:(Some (addr, len));
+  let h = header t ~seq:t.snd_nxt ~flags ~sack:[] ~payload_acc ~payload_len:len in
+  transmit t h ~addr ~payload_len:len;
   Scoreboard.add t.sb ~seq:t.snd_nxt ~len
     { addr; psh; rexmits = 0; sent_at = Simclock.now t.clock };
   t.snd_nxt <- t.snd_nxt + len;
@@ -1445,15 +1434,13 @@ let enter_time_wait t =
   t.tw_timer <- Some timer
 
 let handle_datagram t (dgram : Datagram.t) =
-  match Ipv4.decapsulate dgram.Datagram.payload with
-  | Error _ ->
-      bump t c_ip_errors 1;
-      count_drop t Bad_ip
-  | Ok (ip, _) when ip.Ipv4.protocol <> Ipv4.protocol_tcp ->
-      bump t c_ip_errors 1;
-      count_drop t Bad_ip
-  | Ok (_, wire) ->
-  let total = String.length wire in
+  let wire = dgram.Datagram.payload in
+  if Ipv4.protocol wire <> Ipv4.protocol_tcp then begin
+    bump t c_ip_errors 1;
+    count_drop t Bad_ip
+  end
+  else
+  let total = String.length wire - Ipv4.header_len in
   if total < Tcp_header.size then count_drop t Bad_header
   else if total > seg_max t then count_drop t Bad_length
   else begin
@@ -1462,8 +1449,9 @@ let handle_datagram t (dgram : Datagram.t) =
     Machine.exec (machine t) t.code_ctrl;
     (* Kernel demultiplexing and tcp_input connection lookup. *)
     Machine.compute (machine t) ack_ops;
-    (* Network adapter DMA into the kernel buffer: not a CPU cost. *)
-    Mem.poke_string (mem t) ~pos:t.kernel_rx wire;
+    (* Network adapter DMA of the segment into the kernel buffer: not a
+       CPU cost. *)
+    Bytes.blit_string wire Ipv4.header_len (Mem.raw (mem t)) t.kernel_rx total;
     (* read(): system copy kernel -> user staging, then header parse
        (data offset included: an option area is walked and must be the
        one canonical SACK layout). *)

@@ -16,8 +16,8 @@ let max_sack_blocks = 3
 (* NOP NOP SACK(kind=5, len=2+8n) — the canonical padded layout, so the
    option area is always a whole number of 32-bit words and the data
    offset describes it exactly. *)
-let options_len t =
-  match t.sack with [] -> 0 | blocks -> 4 + (8 * List.length blocks)
+let sack_len = function [] -> 0 | blocks -> 4 + (8 * List.length blocks)
+let options_len t = sack_len t.sack
 
 let wire_size t = size + options_len t
 let max_wire_size = size + 4 + (8 * max_sack_blocks)
@@ -33,23 +33,28 @@ let rec take n = function
   | _ when n = 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
+(* The window field is 16 bits on the wire (no scaling option).  A
+   configuration advertising more must saturate here: the raw set_u16
+   would otherwise truncate modulo 2^16 — 65536 becomes 0 and the sender
+   reads a closed window instead of a huge one. *)
+let clamp_window window = Int.max 0 (Int.min window 0xffff)
+
+(* At most 3 blocks fit the option budget this stack grants itself (RFC
+   2018 allows 4 without timestamps; 3 keeps headroom and matches the
+   common case).  A list that fits is kept as it is. *)
+let clip_sack sack =
+  if List.compare_length_with sack max_sack_blocks <= 0 then sack
+  else take max_sack_blocks sack
+
 let make ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 0) ?(checksum = 0)
     ?(urgent = 0) ?(sack = []) ~src_port ~dst_port () =
-  (* The window field is 16 bits on the wire (no scaling option).  A
-     configuration advertising more must saturate here: the raw set_u16
-     would otherwise truncate modulo 2^16 — 65536 becomes 0 and the
-     sender reads a closed window instead of a huge one. *)
-  let window = Int.max 0 (Int.min window 0xffff) in
-  (* At most 3 blocks fit the option budget this stack grants itself
-     (RFC 2018 allows 4 without timestamps; 3 keeps headroom and matches
-     the common case). *)
-  let sack = take max_sack_blocks sack in
-  { src_port; dst_port; seq; ack; flags; window; checksum; urgent; sack }
+  { src_port; dst_port; seq; ack; flags; window = clamp_window window; checksum;
+    urgent; sack = clip_sack sack }
 
 (* Data offset in 32-bit words: 5 for the bare header, 6..11 with the
    canonical SACK option attached. *)
-let data_words t = (wire_size t) lsr 2
-let off_flags t = (data_words t lsl 12) lor (t.flags land 0xfff)
+let off_flags_of ~flags ~sack = (((size + sack_len sack) lsr 2) lsl 12) lor (flags land 0xfff)
+let off_flags t = off_flags_of ~flags:t.flags ~sack:t.sack
 
 (* The canonical option's two leading 16-bit words for [n] blocks:
    NOP NOP, then SACK kind 5 with its length. *)
@@ -75,8 +80,8 @@ let sack_lead_ok ~n kind_word len_word =
 
 (* The option bytes as 16-bit words, for checksumming and charged I/O:
    [0x0101; 0x05<<8 | len] then each block edge split high/low. *)
-let fold_option_u16 t ~init ~f =
-  match t.sack with
+let fold_option_u16 sack ~init ~f =
+  match sack with
   | [] -> init
   | blocks ->
       let acc = f init nop_nop in
@@ -99,11 +104,14 @@ let write_mem mem ~pos t =
   Mem.set_u16 mem (pos + 14) t.window;
   Mem.set_u16 mem (pos + 16) t.checksum;
   Mem.set_u16 mem (pos + 18) t.urgent;
-  let off = ref (pos + size) in
-  ignore
-    (fold_option_u16 t ~init:() ~f:(fun () w ->
-         Mem.set_u16 mem !off w;
-         off := !off + 2));
+  (match t.sack with
+  | [] -> ()
+  | sack ->
+      let off = ref (pos + size) in
+      ignore
+        (fold_option_u16 sack ~init:() ~f:(fun () w ->
+             Mem.set_u16 mem !off w;
+             off := !off + 2)));
   Machine.compute (Mem.machine mem) (16 + (options_len t))
 
 (* Charged parse of the option area at [pos + 20].  Anything but the one
@@ -165,7 +173,7 @@ let to_string t =
   Bytes.set_uint16_be b 18 t.urgent;
   let off = ref size in
   ignore
-    (fold_option_u16 t ~init:() ~f:(fun () w ->
+    (fold_option_u16 t.sack ~init:() ~f:(fun () w ->
          Bytes.set_uint16_be b !off w;
          off := !off + 2));
   Bytes.unsafe_to_string b
@@ -219,29 +227,46 @@ let of_string s ~pos =
 let of_string_exn s ~pos =
   match of_string s ~pos with Ok t -> t | Error msg -> invalid_arg msg
 
-let pseudo_acc t ~payload_len =
+(* The pseudo header over a segment of [len] bytes (header with its
+   options, plus payload). *)
+let pseudo_sum ~src_port ~dst_port ~len =
   let open Ilp_checksum in
-  let acc = Internet.add_u16 Internet.empty t.src_port in
-  let acc = Internet.add_u16 acc t.dst_port in
+  let acc = Internet.add_u16 Internet.empty src_port in
+  let acc = Internet.add_u16 acc dst_port in
   let acc = Internet.add_u16 acc 6 (* protocol *) in
-  Internet.add_u16 acc (wire_size t + payload_len)
+  Internet.add_u16 acc len
 
-let header_acc acc t =
+let pseudo_acc t ~payload_len =
+  pseudo_sum ~src_port:t.src_port ~dst_port:t.dst_port ~len:(wire_size t + payload_len)
+
+(* The checksum field of a header given field by field, so that
+   [sealed] builds its record once, checksum included. *)
+let checksum_of ~src_port ~dst_port ~seq ~ack ~flags ~window ~urgent ~sack ~payload_acc
+    ~payload_len =
   let open Ilp_checksum in
-  let acc = Internet.add_u16 acc t.src_port in
-  let acc = Internet.add_u16 acc t.dst_port in
-  let acc = Internet.add_u16 acc (t.seq lsr 16) in
-  let acc = Internet.add_u16 acc (t.seq land 0xffff) in
-  let acc = Internet.add_u16 acc (t.ack lsr 16) in
-  let acc = Internet.add_u16 acc (t.ack land 0xffff) in
-  let acc = Internet.add_u16 acc (off_flags t) in
-  let acc = Internet.add_u16 acc t.window in
+  let acc = pseudo_sum ~src_port ~dst_port ~len:(size + sack_len sack + payload_len) in
+  let acc = Internet.add_u16 acc src_port in
+  let acc = Internet.add_u16 acc dst_port in
+  let acc = Internet.add_u16 acc (seq lsr 16) in
+  let acc = Internet.add_u16 acc (seq land 0xffff) in
+  let acc = Internet.add_u16 acc (ack lsr 16) in
+  let acc = Internet.add_u16 acc (ack land 0xffff) in
+  let acc = Internet.add_u16 acc (off_flags_of ~flags ~sack) in
+  let acc = Internet.add_u16 acc window in
   (* Checksum field counts as zero while checksumming. *)
-  let acc = Internet.add_u16 acc t.urgent in
-  fold_option_u16 t ~init:acc ~f:Internet.add_u16
+  let acc = Internet.add_u16 acc urgent in
+  let acc = fold_option_u16 sack ~init:acc ~f:Internet.add_u16 in
+  Internet.finish (Internet.combine acc payload_acc ~len_b:payload_len)
 
 let checksum t ~payload_acc ~payload_len =
-  let open Ilp_checksum in
-  let acc = header_acc (pseudo_acc t ~payload_len) t in
-  let acc = Internet.combine acc payload_acc ~len_b:payload_len in
-  Internet.finish acc
+  checksum_of ~src_port:t.src_port ~dst_port:t.dst_port ~seq:t.seq ~ack:t.ack
+    ~flags:t.flags ~window:t.window ~urgent:t.urgent ~sack:t.sack ~payload_acc
+    ~payload_len
+
+let sealed ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port ~payload_acc ~payload_len =
+  let window = clamp_window window and sack = clip_sack sack in
+  let checksum =
+    checksum_of ~src_port ~dst_port ~seq ~ack ~flags ~window ~urgent:0 ~sack ~payload_acc
+      ~payload_len
+  in
+  { src_port; dst_port; seq; ack; flags; window; checksum; urgent = 0; sack }

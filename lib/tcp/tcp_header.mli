@@ -68,6 +68,22 @@ val make :
   unit ->
   t
 
+(** [sealed ... ~payload_acc ~payload_len] is [make] of the same fields
+    with the urgent pointer 0 and the checksum field set for a payload of
+    [payload_len] bytes that folds to [payload_acc]: the header a sender
+    transmits, built as one record. *)
+val sealed :
+  seq:int ->
+  ack:int ->
+  flags:int ->
+  window:int ->
+  sack:(int * int) list ->
+  src_port:int ->
+  dst_port:int ->
+  payload_acc:Ilp_checksum.Internet.acc ->
+  payload_len:int ->
+  t
+
 (** Charged header I/O on simulated memory. *)
 val write_mem : Ilp_memsim.Mem.t -> pos:int -> t -> unit
 

@@ -597,8 +597,11 @@ let verdict_t =
 let is_bare_syn d =
   match Ilp_netsim.Ipv4.decapsulate d.Datagram.payload with
   | Error _ -> false
-  | Ok (_, seg) -> (
-      match Ilp_tcp.Tcp_header.of_string seg ~pos:0 with
+  | Ok _ -> (
+      match
+        Ilp_tcp.Tcp_header.of_string d.Datagram.payload
+          ~pos:Ilp_netsim.Ipv4.header_len
+      with
       | Error _ -> false
       | Ok h ->
           Ilp_tcp.Tcp_header.(has h syn && not (has h ack_flag)))
@@ -684,8 +687,11 @@ let test_world_verdicts () =
 let is_rst d =
   match Ilp_netsim.Ipv4.decapsulate d.Datagram.payload with
   | Error _ -> false
-  | Ok (_, seg) -> (
-      match Ilp_tcp.Tcp_header.of_string seg ~pos:0 with
+  | Ok _ -> (
+      match
+        Ilp_tcp.Tcp_header.of_string d.Datagram.payload
+          ~pos:Ilp_netsim.Ipv4.header_len
+      with
       | Error _ -> false
       | Ok h -> Ilp_tcp.Tcp_header.(has h rst))
 

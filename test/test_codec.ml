@@ -320,6 +320,36 @@ let test_stub_ilp_fixed_opaque_from_memory () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong fixed length accepted"
 
+(* One encoder per layout: a flush hands over the bytes generated so far
+   and clears the encoder, so a memory field costs the segments it adds
+   (its length word, the run, its padding) and never a fresh encoder. *)
+let test_stub_ilp_one_encoder () =
+  let sim = Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ()) in
+  let addr = install sim "seventeen bytes!!" in
+  let words_per_call f =
+    ignore (Sys.opaque_identity (f ()));
+    let n = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let layout k =
+    let ty : Asn1.ty =
+      Seq (List.init k (fun i -> (Printf.sprintf "f%d" i, Asn1.Opaque)))
+    in
+    let ilp = Stub_ilp.compile ty in
+    let sources = List.init k (fun _ -> Stub_ilp.From_memory { addr; len = 17 }) in
+    fun () -> Stub_ilp.layout ilp sources
+  in
+  let encoder = words_per_call Xdr.Enc.create in
+  let per_field = (words_per_call (layout 5) -. words_per_call (layout 1)) /. 4.0 in
+  checkb
+    (Printf.sprintf "a memory field costs %.1f words, an encoder %.1f" per_field
+       encoder)
+    true (per_field < encoder)
+
 let test_stub_ilp_errors () =
   let ilp = Stub_ilp.compile message_ty in
   (match Stub_ilp.layout ilp [ Stub_ilp.Immediate (Asn1.VEnum 0) ] with
@@ -400,4 +430,5 @@ let () =
           Alcotest.test_case "fixed opaque from memory" `Quick
             test_stub_ilp_fixed_opaque_from_memory;
           Alcotest.test_case "errors" `Quick test_stub_ilp_errors;
+          Alcotest.test_case "one encoder per layout" `Quick test_stub_ilp_one_encoder;
           qc prop_stub_ilp_equals_plain ] ) ]

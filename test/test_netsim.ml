@@ -457,6 +457,24 @@ let test_link_tamper_hook () =
   check "only rewrites counted" 6 (Link.stats link).Link.tampered;
   check "sends unchanged" 9 (Link.stats link).Link.sent
 
+(* A datagram the link drops costs no host words: the loss draw updates
+   the generator's state in place and boxes neither an [int64] nor a
+   [float]. *)
+let test_link_drop_allocates_nothing () =
+  let clock = Simclock.create () in
+  let link = Link.create clock ~loss_rate:1.0 ~deliver:ignore () in
+  let d = dgram 7 in
+  Link.send link d;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    Link.send link d
+  done;
+  Alcotest.(check (float 0.001))
+    "words per dropped datagram" 0.0
+    ((Gc.minor_words () -. w0) /. float_of_int n);
+  check "every datagram dropped" (n + 1) (Link.stats link).Link.dropped
+
 let test_link_validation () =
   let clock = Simclock.create () in
   (match Link.create clock ~loss_rate:1.5 ~deliver:ignore () with
@@ -612,8 +630,9 @@ let test_ipv4_roundtrip () =
   let wire = Ipv4.encapsulate ip payload in
   check "wire length" (Ipv4.header_len + String.length payload) (String.length wire);
   match Ipv4.decapsulate wire with
-  | Ok (got, data) ->
-      Alcotest.(check string) "payload" payload data;
+  | Ok got ->
+      Alcotest.(check string) "payload" payload
+        (String.sub wire Ipv4.header_len (String.length payload));
       check "ident" 77 got.Ipv4.ident;
       check "protocol" Ipv4.protocol_tcp got.Ipv4.protocol;
       check "total length" (String.length wire) got.Ipv4.total_len
@@ -641,6 +660,111 @@ let test_ipv4_length_validation () =
   match Ipv4.decapsulate (wire ^ "x") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
+
+(* The per-datagram IP work allocates nothing: [write_header] fills the
+   buffer the sender allocated, and [protocol] checks a datagram where it
+   lies. *)
+let test_ipv4_allocates_nothing () =
+  let b = Bytes.make (Ipv4.header_len + 8) 'p' in
+  let wire = Bytes.unsafe_to_string b in
+  let per_op f =
+    f ();
+    let n = 1000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let check_words = Alcotest.(check (float 0.001)) in
+  check_words "write_header" 0.0
+    (per_op (fun () -> Ipv4.write_header b ~ident:7 ~src:1 ~dst:2 ~payload_len:8));
+  check "a TCP datagram" Ipv4.protocol_tcp (Ipv4.protocol wire);
+  check_words "protocol" 0.0
+    (per_op (fun () -> ignore (Sys.opaque_identity (Ipv4.protocol wire))))
+
+(* The decoder is total and exact.  Arbitrary strings of 0-64 bytes
+   (half of them led by 0x45, the one version/IHL byte it accepts, so
+   they reach the length and checksum checks) never raise; an
+   encapsulated datagram decodes to every header field it was built
+   with, its payload at [header_len]; every single-bit flip in the header
+   is an [Error] (the one's-complement sum catches any one-bit change of
+   a 16-bit word, and the version and length bytes are checked besides);
+   so is every truncation and a datagram one byte too long.  [protocol]
+   agrees with the decoder on every one of these strings, and
+   [write_header] writes the header [encapsulate] does for TCP. *)
+let prop_ipv4_decoder =
+  let gen =
+    QCheck.Gen.(
+      let* junk =
+        oneof
+          [ string_size (int_bound 64);
+            map (fun s -> "\x45" ^ s) (string_size (int_bound 63)) ]
+      in
+      let* ident = int_bound 0xffff in
+      let* protocol = int_bound 0xff in
+      let* src = int_bound 0xffff_ffff in
+      let* dst = int_bound 0xffff_ffff in
+      let* payload = string_size (int_bound 64) in
+      return (junk, (ident, protocol, src, dst), payload))
+  in
+  let print (junk, (ident, protocol, src, dst), payload) =
+    Printf.sprintf "junk=%S ident=%d protocol=%d src=%d dst=%d payload=%S" junk
+      ident protocol src dst payload
+  in
+  QCheck.Test.make ~count:300 ~long_factor:10 ~name:"ipv4 decoder total and exact"
+    (QCheck.make ~print gen)
+    (fun (junk, (ident, protocol, src, dst), payload) ->
+      let rejects what w =
+        match Ipv4.decapsulate w with
+        | Error _ ->
+            Ipv4.protocol w = -1
+            || QCheck.Test.fail_reportf "%s accepted by protocol" what
+        | Ok _ -> QCheck.Test.fail_reportf "%s accepted" what
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      (match Ipv4.decapsulate junk with
+      | Ok h ->
+          if Ipv4.protocol junk <> h.Ipv4.protocol then
+            QCheck.Test.fail_report "junk: protocol disagrees"
+      | Error _ ->
+          if Ipv4.protocol junk <> -1 then QCheck.Test.fail_report "junk accepted by protocol"
+      | exception e ->
+          QCheck.Test.fail_reportf "junk raised %s" (Printexc.to_string e));
+      let n = String.length payload in
+      let wire =
+        Ipv4.encapsulate
+          (Ipv4.make ~ident ~protocol ~src ~dst ~payload_len:n ())
+          payload
+      in
+      (match Ipv4.decapsulate wire with
+      | Error e -> QCheck.Test.fail_reportf "round trip: %s" e
+      | Ok h ->
+          h.Ipv4.tos = 0
+          && h.Ipv4.total_len = Ipv4.header_len + n
+          && h.Ipv4.ident = ident && h.Ipv4.ttl = 64
+          && h.Ipv4.protocol = protocol && h.Ipv4.src = src && h.Ipv4.dst = dst
+          && String.sub wire Ipv4.header_len n = payload
+          && Ipv4.protocol wire = protocol
+          || QCheck.Test.fail_report "round trip: a field differs")
+      && (let b = Bytes.create (Ipv4.header_len + n) in
+          Ipv4.write_header b ~ident ~src ~dst ~payload_len:n;
+          Bytes.blit_string payload 0 b Ipv4.header_len n;
+          Bytes.to_string b
+          = Ipv4.encapsulate (Ipv4.make ~ident ~src ~dst ~payload_len:n ()) payload
+          || QCheck.Test.fail_report "write_header differs from encapsulate")
+      && List.for_all
+           (fun bit ->
+             let b = Bytes.of_string wire in
+             Bytes.set_uint8 b (bit / 8)
+               (Bytes.get_uint8 b (bit / 8) lxor (1 lsl (bit mod 8)));
+             rejects (Printf.sprintf "bit %d flipped" bit) (Bytes.to_string b))
+           (List.init (8 * Ipv4.header_len) Fun.id)
+      && List.for_all
+           (fun len ->
+             rejects (Printf.sprintf "a %d-byte truncation" len)
+               (String.sub wire 0 len))
+           (List.init (String.length wire) Fun.id)
+      && rejects "one byte too long" (wire ^ "x"))
 
 (* ------------------------------------------------------------------ *)
 (* Datagram and Demux *)
@@ -851,7 +975,9 @@ let () =
           Alcotest.test_case "duplication" `Quick test_link_duplication;
           Alcotest.test_case "jitter reorders" `Quick test_link_jitter_reorders;
           Alcotest.test_case "tamper hook" `Quick test_link_tamper_hook;
-          Alcotest.test_case "validation" `Quick test_link_validation ] );
+          Alcotest.test_case "validation" `Quick test_link_validation;
+          Alcotest.test_case "a drop allocates nothing" `Quick
+            test_link_drop_allocates_nothing ] );
       ( "impairments",
         [ Alcotest.test_case "seed determinism" `Quick
             test_impairments_seed_deterministic;
@@ -867,7 +993,9 @@ let () =
         [ Alcotest.test_case "round trip" `Quick test_ipv4_roundtrip;
           Alcotest.test_case "checksum detects damage" `Quick
             test_ipv4_header_checksum_detects_damage;
-          Alcotest.test_case "length validation" `Quick test_ipv4_length_validation ] );
+          Alcotest.test_case "length validation" `Quick test_ipv4_length_validation;
+          Alcotest.test_case "allocates nothing" `Quick test_ipv4_allocates_nothing;
+          qc prop_ipv4_decoder ] );
       ( "demux",
         [ Alcotest.test_case "datagram validation" `Quick test_datagram_validation;
           Alcotest.test_case "routing" `Quick test_demux_routing;

@@ -88,6 +88,50 @@ let test_header_checksum_consistency () =
        ~payload_len:(String.length payload)
     <> ck)
 
+(* A sender builds each header once: [sealed] is [make] of the same
+   fields with the checksum field filled in (the window saturated at 16
+   bits, at most three SACK blocks kept), one record and nothing else;
+   and writing a header without options to simulated memory allocates
+   nothing. *)
+let test_header_sealed () =
+  let payload = "a sealed segment" in
+  let payload_acc =
+    Ilp_checksum.Internet.add_string Ilp_checksum.Internet.empty payload
+  in
+  let payload_len = String.length payload in
+  let sealed ~window ~sack =
+    Tcp_header.sealed ~seq:4242 ~ack:77 ~flags:Tcp_header.ack_flag ~window ~sack
+      ~src_port:1234 ~dst_port:80 ~payload_acc ~payload_len
+  in
+  List.iter
+    (fun (window, sack) ->
+      let m =
+        Tcp_header.make ~seq:4242 ~ack:77 ~flags:Tcp_header.ack_flag ~window ~sack
+          ~src_port:1234 ~dst_port:80 ()
+      in
+      let want = { m with checksum = Tcp_header.checksum m ~payload_acc ~payload_len } in
+      checkb
+        (Printf.sprintf "window %d, %d blocks" window (List.length sack))
+        true
+        (sealed ~window ~sack = want))
+    [ (8192, []); (70_000, []); (-1, [ (10, 20) ]);
+      (4096, [ (10, 20); (30, 40); (50, 60); (70, 80) ]) ];
+  let per_op f =
+    f ();
+    let n = 100 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let h = sealed ~window:8192 ~sack:[] in
+  Alcotest.(check (float 0.001))
+    "sealed: one record" (float_of_int (Obj.size (Obj.repr h) + 1))
+    (per_op (fun () -> ignore (Sys.opaque_identity (sealed ~window:8192 ~sack:[]))));
+  let sim = Sim.create (Config.custom ()) in
+  Alcotest.(check (float 0.001))
+    "write_mem without options" 0.0
+    (per_op (fun () -> Tcp_header.write_mem sim.Sim.mem ~pos:256 h))
+
 (* ------------------------------------------------------------------ *)
 (* Ring buffer *)
 
@@ -376,6 +420,49 @@ let test_transfer_with_duplication () =
   transfer w msgs;
   Alcotest.(check string) "duplicates filtered" (String.concat "" msgs) (Buffer.contents got);
   checkb "duplicates seen" true ((Socket.stats w.b).Socket.duplicates > 0)
+
+(* One host copy per datagram: the kernel part builds the IP datagram
+   once, straight from the kernel buffer, and the receiver checks it and
+   DMAs the segment from where it lies.  So from the send to the end of
+   the peer's receive (its ack included), a 1448-byte segment costs more
+   host words than a 64-byte one only by its wire string's own words. *)
+let test_datagram_one_host_copy () =
+  let w = make_world ~mss:1448 () in
+  connect w;
+  let delivered = ref 0 in
+  Socket.set_on_message w.b (fun ~len -> delivered := !delivered + len);
+  let trip len =
+    let payload = String.make len 'd' in
+    let fill m ~dst ~off:_ ~len:_ =
+      Mem.poke_string m ~pos:dst payload;
+      None
+    in
+    fun () ->
+      (match Socket.send_message w.a ~len ~fill with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "send refused");
+      Simclock.run_until_idle w.clock
+  in
+  let words_per_trip f =
+    f ();
+    f ();
+    let n = 50 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let small = words_per_trip (trip 64) and big = words_per_trip (trip 1448) in
+  (* A string of [n] bytes is a header word plus [n / 8 + 1] words. *)
+  let wire_words len =
+    float_of_int (((Ilp_netsim.Ipv4.header_len + Tcp_header.size + len) / 8) + 2)
+  in
+  let allowed = wire_words 1448 -. wire_words 64 in
+  checkb
+    (Printf.sprintf "1448-byte segment costs %.1f words more than 64 (wire string: %.0f)"
+       (big -. small) allowed)
+    true
+    (big -. small <= allowed +. 0.5);
+  check "every segment delivered" (52 * (64 + 1448)) !delivered
 
 let test_corruption_detected_and_recovered () =
   (* Flip a payload byte of the 8th wire datagram once; TCP must drop it on
@@ -1446,12 +1533,13 @@ let test_sack_reneging_rto_recovery () =
    recomputed, so the forgeries survive the server's validation up to
    the SACK/ack checks under test). *)
 let tamper_pure_acks ~port rewrite d =
-  match Ilp_netsim.Ipv4.decapsulate d.Datagram.payload with
+  let wire = d.Datagram.payload in
+  match Ilp_netsim.Ipv4.decapsulate wire with
   | Error _ -> [ d ]
-  | Ok (ip, seg) ->
+  | Ok ip ->
       if d.Datagram.src_port <> port then [ d ]
       else (
-        match Tcp_header.of_string seg ~pos:0 with
+        match Tcp_header.of_string wire ~pos:Ilp_netsim.Ipv4.header_len with
         | Error _ -> [ d ]
         | Ok h ->
             let pure =
@@ -1459,7 +1547,8 @@ let tamper_pure_acks ~port rewrite d =
               && (not (Tcp_header.has h Tcp_header.syn))
               && (not (Tcp_header.has h Tcp_header.fin))
               && (not (Tcp_header.has h Tcp_header.rst))
-              && String.length seg = Tcp_header.wire_size h
+              && String.length wire
+                 = Ilp_netsim.Ipv4.header_len + Tcp_header.wire_size h
             in
             if not pure then [ d ]
             else
@@ -1848,10 +1937,10 @@ let test_reset_for_shapes () =
   | Some r ->
       check "ports swapped (src)" 88 r.Datagram.src_port;
       check "ports swapped (dst)" 77 r.Datagram.dst_port;
-      (match Ilp_netsim.Ipv4.decapsulate r.Datagram.payload with
+      (match Ipv4.decapsulate r.Datagram.payload with
       | Error e -> Alcotest.fail ("reset not valid IP: " ^ e)
-      | Ok (_, seg) -> (
-          match Tcp_header.of_string seg ~pos:0 with
+      | Ok _ -> (
+          match Tcp_header.of_string r.Datagram.payload ~pos:Ipv4.header_len with
           | Error e -> Alcotest.fail ("reset not valid TCP: " ^ e)
           | Ok h ->
               checkb "RST flag set" true (Tcp_header.has h Tcp_header.rst);
@@ -2663,7 +2752,8 @@ let () =
           Alcotest.test_case "memory round trip" `Quick test_header_mem_roundtrip;
           Alcotest.test_case "flags" `Quick test_header_flags;
           Alcotest.test_case "checksum consistency" `Quick
-            test_header_checksum_consistency ] );
+            test_header_checksum_consistency;
+          Alcotest.test_case "sealed once" `Quick test_header_sealed ] );
       ( "ring",
         [ Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wrap waste" `Quick test_ring_wrap_waste;
@@ -2679,6 +2769,8 @@ let () =
           Alcotest.test_case "handshake under loss" `Quick test_handshake_under_loss;
           Alcotest.test_case "one code image per host" `Quick test_code_image_shared;
           Alcotest.test_case "simple transfer" `Quick test_simple_transfer;
+          Alcotest.test_case "one host copy per datagram" `Quick
+            test_datagram_one_host_copy;
           Alcotest.test_case "transfer under loss" `Quick test_transfer_under_loss;
           Alcotest.test_case "reordering" `Quick test_transfer_with_reordering;
           Alcotest.test_case "duplication" `Quick test_transfer_with_duplication;
