@@ -10,6 +10,8 @@ module Ft = Ilp_app.File_transfer
 module Engine = Ilp_core.Engine
 module Linkage = Ilp_core.Linkage
 
+let write_file path s = Out_channel.with_open_text path (fun oc -> output_string oc s)
+
 (* ------------------------------------------------------------------ *)
 (* experiments *)
 
@@ -219,7 +221,7 @@ let wall_cmd =
           Wb.print_stage_tables
             (Wb.stages ~cipher ~sizes:[ 4096; 65536 ]
                ~reps:(if quick then 64 else 256) ());
-        Wb.write_json r ~path:out;
+        write_file out (Wb.to_json r);
         Printf.printf "wrote %s\n" out;
         (match min_speedup with
         | None -> 0
@@ -295,7 +297,7 @@ let mem_cmd =
     match Mtr.run ~config () with
     | r ->
         Mtr.print_table r;
-        Mtr.write_json r ~path:out;
+        write_file out (Mtr.to_json r);
         Printf.printf "wrote %s\n" out;
         if not check_gates then 0
         else begin
@@ -390,7 +392,7 @@ let stream_cmd =
     match Sb.run ~quick ~sack_compare ~config:base () with
     | r ->
         Sb.print_table r;
-        Sb.write_json r ~path:out;
+        write_file out (Sb.to_json r);
         Printf.printf "wrote %s\n" out;
         if not check_gates then 0
         else begin
@@ -433,9 +435,7 @@ let export_cmd =
   in
   let run out =
     let csv = Ilp_bench.Experiments.t1_csv () in
-    let oc = open_out out in
-    output_string oc csv;
-    close_out oc;
+    write_file out csv;
     Printf.printf "wrote %s (%d bytes, paper and measured for 35 grid cells)\n" out
       (String.length csv);
     0
@@ -522,9 +522,7 @@ let soak_cmd =
     prerr_endline "--- flight recorder (last 60 events) ---";
     let n = List.length flight in
     List.iteri (fun i l -> if i = 0 || i > n - 61 then prerr_endline l) flight;
-    let oc = open_out "FLIGHT.txt" in
-    List.iter (fun l -> output_string oc (l ^ "\n")) flight;
-    close_out oc;
+    Ilp_bench.Telem.write_flight ~path:"FLIGHT.txt";
     prerr_endline "full flight-recorder dump written to FLIGHT.txt"
   in
   (* Run the soak with the span tracer on, print its summary and
@@ -611,7 +609,7 @@ let trace_cmd =
   let run out quick timeline metrics =
     match Tr.run ~quick () with
     | r ->
-        Tr.write_json r ~path:out;
+        write_file out r.Tr.json;
         List.iter print_endline (Tr.summary_lines r);
         if timeline then begin
           print_endline "--- timeline tail ---";
@@ -670,7 +668,7 @@ let report_cmd =
     let config = if quick then Telem.quick_config else Telem.default_config in
     match Telem.run ~log:(soak_log verbose) ~config () with
     | r ->
-        Telem.write_json r ~path:out;
+        write_file out (Telem.to_json r);
         Telem.write_flight ~path:flight_out;
         List.iter print_endline (Telem.summary_lines r);
         print_endline "--- dashboard ---";

@@ -2,9 +2,9 @@
 
    This example steps outside the paper's fixed stack: it integrates DES
    encryption with a CRC-32 tap over raw buffers, chooses the exchange
-   unit with Units.exchange_unit, re-chunks a byte stream with a word
-   filter, and compares the fused loop against sequential passes — the
-   same comparison the paper makes, on a stack the paper never built.
+   unit with Units.exchange_unit, and compares the fused loop against
+   sequential passes — the same comparison the paper makes, on a stack
+   the paper never built.
 
    Run with: dune exec examples/custom_pipeline.exe *)
 
@@ -12,7 +12,6 @@ open Ilp_memsim
 module P = Ilp_core.Pipeline
 module Dmf = Ilp_core.Dmf
 module Units = Ilp_core.Units
-module Wf = Ilp_core.Word_filter
 
 let () =
   print_endline "custom pipeline: DES + CRC-32 tap on a simulated AXP 3000/800\n";
@@ -76,14 +75,4 @@ let () =
   print_endline
     "\nNote how modest the gain is: DES is so ALU-heavy that eliminating\n\
      memory passes barely moves the needle — exactly why the paper had to\n\
-     simplify its cipher (section 3.1, citing Gunningberg et al.).";
-
-  (* Word filters: adapt an odd-sized record stream to the 8-byte units
-     the cipher wants. *)
-  print_endline "\nword filter: 5-byte records -> 8-byte cipher blocks";
-  let emitted = Buffer.create 64 in
-  let wf = Wf.create ~out_len:8 ~emit:(fun b off -> Buffer.add_subbytes emitted b off 8) in
-  List.iter (fun r -> Wf.push_string wf r) [ "AAAAA"; "BBBBB"; "CCCCC" ];
-  let pad = Wf.flush wf ~pad:'\000' in
-  Printf.printf "pushed 3 x 5 bytes, emitted %d blocks, %d pad bytes\n"
-    (Buffer.length emitted / 8) pad
+     simplify its cipher (section 3.1, citing Gunningberg et al.)."

@@ -483,7 +483,8 @@ let wallpath () =
   Report.banner "Wall-clock fast path (native send/receive kernels, this host)";
   let r = Wallbench.run () in
   Wallbench.print_table r;
-  Wallbench.write_json r ~path:"BENCH_wall.json";
+  Out_channel.with_open_text "BENCH_wall.json" (fun oc ->
+      output_string oc (Wallbench.to_json r));
   Report.note "wrote BENCH_wall.json\n"
 
 (* Machine-readable export of the full grid, for plotting. *)

@@ -271,11 +271,6 @@ let to_json r =
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
-let write_json r ~path =
-  let oc = open_out path in
-  output_string oc (to_json r);
-  close_out oc
-
 let print_table r =
   let f0 = Printf.sprintf "%.0f" and f2 = Printf.sprintf "%.2f" in
   Report.table

@@ -15,8 +15,9 @@
       allocation pressure of either backend.
 
     {!check} holds every lane to absolute bounds.  Results serialise to
-    the BENCH_mem.json trajectory consumed by EXPERIMENTS.md §MEM,
-    [ilpbench regress] and the CI perf-smoke job. *)
+    the BENCH_mem.json trajectory consumed by EXPERIMENTS.md §MEM and
+    [ilpbench regress]; [dune build @oracles] holds the committed file
+    to a rerun of [mem --quick --check] byte for byte. *)
 
 (** One (payload size, mode, backend) lane, averaged per message. *)
 type point = {
@@ -81,8 +82,6 @@ val check : result -> (unit, string list) Stdlib.result
 (** Serialise to the BENCH_mem.json schema (hand-rolled writer).
     Includes an ["obs"] key carrying an {!Ilp_obs.Metrics} snapshot. *)
 val to_json : result -> string
-
-val write_json : result -> path:string -> unit
 
 (** Aligned console table of the lanes (via {!Report}). *)
 val print_table : result -> unit

@@ -423,8 +423,3 @@ let to_json r =
   Buffer.add_string b (M.to_json (M.snapshot M.default));
   Buffer.add_string b "\n}\n";
   Buffer.contents b
-
-let write_json r ~path =
-  let oc = open_out path in
-  output_string oc (to_json r);
-  close_out oc

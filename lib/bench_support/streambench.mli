@@ -18,14 +18,15 @@
     latency-bound baseline a pipelined window must beat.
 
     {!run} sweeps a mode x RTT x loss grid and {!check} gates the result
-    (the CI stream-smoke job): pipelined goodput at least 4x stop-and-wait
-    on the clean 10 ms-RTT cell, every cell byte-exact.  With
-    [~sack_compare:true] the sweep adds a pipelined NewReno (SACK-off)
-    baseline and {!check} additionally gates SACK loss recovery: at
-    least 2x the NewReno goodput on the 10 ms / 5%-loss cell with
-    strictly fewer RTO fallbacks, and a
-    byte-identical wire on the clean cell (SACK must cost nothing when
-    nothing is lost).  Results serialise to BENCH_stream.json. *)
+    (under [dune build @oracles], which runs [stream --sack --check]):
+    pipelined goodput at least 4x stop-and-wait on the clean 10 ms-RTT
+    cell, every cell byte-exact.  With [~sack_compare:true] the sweep
+    adds a pipelined NewReno (SACK-off) baseline and {!check}
+    additionally gates SACK loss recovery: at least 2x the NewReno
+    goodput on the 10 ms / 5%-loss cell with strictly fewer RTO
+    fallbacks, and a byte-identical wire on the clean cell (SACK must
+    cost nothing when nothing is lost).  Results serialise to
+    BENCH_stream.json. *)
 
 type mode = Pipelined | Stop_and_wait
 
@@ -103,5 +104,4 @@ val run : ?quick:bool -> ?sack_compare:bool -> ?config:config -> unit -> result
 val check : result -> (unit, string list) Stdlib.result
 
 val to_json : result -> string
-val write_json : result -> path:string -> unit
 val print_table : result -> unit

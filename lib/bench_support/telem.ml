@@ -128,11 +128,6 @@ let summary_lines r =
 
 let to_json r = Ts.to_json r.ts
 
-let write_json r ~path =
-  let oc = open_out path in
-  output_string oc (to_json r);
-  close_out oc
-
 let write_flight ~path =
   let oc = open_out path in
   List.iter (fun l -> output_string oc (l ^ "\n")) (Recorder.dump ());

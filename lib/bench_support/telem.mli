@@ -37,7 +37,6 @@ val check : result -> (unit, string list) Stdlib.result
 val dashboard_lines : result -> string list
 val summary_lines : result -> string list
 val to_json : result -> string
-val write_json : result -> path:string -> unit
 
 (** Write the current flight-recorder dump (see
     {!Ilp_obs.Recorder.dump}), one event per line. *)

@@ -119,11 +119,6 @@ let complete r =
   r.send_chains > 0 && r.recv_chains > 0 && r.segment_spans > 0
   && r.pipelined_overlaps > 0
 
-let write_json r ~path =
-  let oc = open_out path in
-  output_string oc r.json;
-  close_out oc
-
 let summary_lines r =
   [ Printf.sprintf "spans recorded   %d (%d evicted by ring wrap)" r.recorded
       r.dropped;

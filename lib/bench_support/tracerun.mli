@@ -9,7 +9,8 @@
     spans (checksum, decrypt, unmarshal).  [complete] requires at least
     one of each, plus at least one pair of overlapping [tcp.segment]
     spans from the streamed leg (the visual signature of the pipelined
-    window) — the CI trace-smoke gate. *)
+    window) — the gate [ilpbench trace] exits on, which
+    [dune build @oracles] runs. *)
 
 type result = {
   recorded : int;  (** spans recorded, including evicted *)
@@ -31,8 +32,5 @@ type result = {
 val run : ?quick:bool -> unit -> result
 
 val complete : result -> bool
-
-(** Write [r.json] to [path] (conventionally TRACE.json). *)
-val write_json : result -> path:string -> unit
 
 val summary_lines : result -> string list

@@ -87,8 +87,5 @@ val print_stage_tables : stage_point list -> unit
     {!Ilp_obs.Metrics} snapshot of the process-wide registry. *)
 val to_json : result -> string
 
-(** [write_json r ~path] writes {!to_json} output to [path]. *)
-val write_json : result -> path:string -> unit
-
 (** Aligned console table of the points (via {!Report}). *)
 val print_table : result -> unit

@@ -401,6 +401,40 @@ let test_experiment_names () =
   | Ok () -> Alcotest.fail "accepted bogus name"
   | Error _ -> ()
 
+(* The committed TRACE.json, which [dune build @oracles] holds equal to a
+   fresh [trace --quick] export, is trace_event JSON with at least one
+   complete send chain (marshal, encrypt, checksum and ring-copy spans on
+   one packet id), counted here apart from the exporter's own check. *)
+let test_trace_send_chains () =
+  let module R = B.Regress in
+  let events =
+    match Result.map (R.member "traceEvents") (R.parse_file "../TRACE.json") with
+    | Ok (Some (R.Arr es)) -> es
+    | Ok _ -> Alcotest.fail "TRACE.json: no traceEvents array"
+    | Error e -> Alcotest.fail ("TRACE.json: " ^ e)
+  in
+  let sends =
+    List.filter_map
+      (fun e ->
+        match (R.member "ph" e, R.member "cat" e, R.member "name" e) with
+        | Some (R.Str "X"), Some (R.Str "send"), Some (R.Str name) -> (
+            match Option.bind (R.member "args" e) (R.member "packet") with
+            | Some (R.Num id) -> Some (id, name)
+            | _ -> Alcotest.failf "send span %s without a packet id" name)
+        | _ -> None)
+      events
+  in
+  let complete id =
+    List.for_all
+      (fun stage -> List.mem (id, stage) sends)
+      [ "marshal"; "encrypt"; "checksum"; "ring-copy" ]
+  in
+  let ids = List.sort_uniq Float.compare (List.map fst sends) in
+  let chains = List.length (List.filter complete ids) in
+  checkb
+    (Printf.sprintf "%d events, %d complete send chains" (List.length events) chains)
+    true (chains >= 1)
+
 let () =
   Alcotest.run "bench"
     [ ( "paper data",
@@ -436,6 +470,9 @@ let () =
             test_cipher_wall_clock_ordering;
           Alcotest.test_case "t1 csv shape" `Slow test_t1_csv_shape;
           Alcotest.test_case "names" `Quick test_experiment_names ] );
+      ( "trace",
+        [ Alcotest.test_case "committed export has a send chain" `Quick
+            test_trace_send_chains ] );
       ( "wallbench",
         [ Alcotest.test_case "points and json" `Quick test_wallbench_points;
           Alcotest.test_case "validation" `Quick test_wallbench_validation ] ) ]

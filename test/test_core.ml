@@ -1,6 +1,6 @@
-(* The ILP engine: unit arithmetic, word filters, message parts, the two
-   pipeline drivers (whose outputs must be byte-identical), and the
-   integrated engine round trip. *)
+(* The ILP engine: unit arithmetic, message parts, the two pipeline
+   drivers (whose outputs must be byte-identical), and the integrated
+   engine round trip. *)
 
 open Ilp_memsim
 module Internet = Ilp_checksum.Internet
@@ -33,6 +33,15 @@ let test_exchange_unit () =
      units, marshalling in 4-byte units -> Le = 8. *)
   check "paper stack" 8 (Units.exchange_unit [ 4; 8; 2 ]);
   check "with bus width" 16 (Units.exchange_unit ~bus_width:16 [ 4; 8; 2 ]);
+  (* A pipeline's exchange unit is the same LCM over its stages' units. *)
+  let sim = Sim.create (Config.custom ()) in
+  let spec =
+    Pipeline.spec
+      [ Dmf.marshalling sim ();
+        Dmf.of_cipher_encrypt
+          (Ilp_cipher.Safer_simplified.charged sim ~key:"abcdefgh" ()) ]
+  in
+  check "pipeline stages" (Units.exchange_unit [ 4; 8 ]) (Pipeline.exchange_len spec);
   (match Units.exchange_unit [] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
@@ -51,88 +60,6 @@ let prop_lcm_divisibility =
     (fun lens ->
       let le = Units.exchange_unit lens in
       List.for_all (fun l -> le mod l = 0) lens)
-
-(* ------------------------------------------------------------------ *)
-(* Word filter *)
-
-let test_word_filter_basic () =
-  let out = Buffer.create 32 in
-  let wf =
-    Word_filter.create ~out_len:8 ~emit:(fun b off ->
-        Buffer.add_subbytes out b off 8)
-  in
-  Word_filter.push_string wf "0123";
-  check "nothing yet" 0 (Buffer.length out);
-  check "pending" 4 (Word_filter.pending wf);
-  Word_filter.push_string wf "45678";
-  check_s "one unit out" "01234567" (Buffer.contents out);
-  check "one byte pending" 1 (Word_filter.pending wf);
-  let padded = Word_filter.flush wf ~pad:'.' in
-  check "pad added" 7 padded;
-  check_s "flushed" "012345678......." (Buffer.contents out);
-  check "emitted" 16 (Word_filter.emitted wf)
-
-let test_word_filter_empty_flush () =
-  let wf = Word_filter.create ~out_len:4 ~emit:(fun _ _ -> Alcotest.fail "no emit") in
-  check "no pad for empty" 0 (Word_filter.flush wf ~pad:'x')
-
-let test_word_filter_straddling_pushes () =
-  let out = Buffer.create 64 in
-  let wf =
-    Word_filter.create ~out_len:8 ~emit:(fun b off ->
-        Buffer.add_subbytes out b off 8)
-  in
-  let big = Bytes.init 40 (fun i -> Char.chr (0x30 + i)) in
-  (* One push spanning two whole units, from a nonzero offset. *)
-  Word_filter.push wf big ~off:5 ~len:19;
-  check "two units out" 16 (Buffer.length out);
-  check "three pending" 3 (Word_filter.pending wf);
-  (* The next push straddles the unit boundary twice more. *)
-  Word_filter.push wf big ~off:24 ~len:13;
-  check "four units out" 32 (Buffer.length out);
-  check "lands on a boundary" 0 (Word_filter.pending wf);
-  check_s "stream preserved across straddles"
-    (Bytes.sub_string big 5 19 ^ Bytes.sub_string big 24 13)
-    (Buffer.contents out);
-  check "flush on a boundary adds nothing" 0 (Word_filter.flush wf ~pad:'!')
-
-let test_word_filter_partial_flush () =
-  let out = Buffer.create 16 in
-  let wf =
-    Word_filter.create ~out_len:6 ~emit:(fun b off ->
-        Buffer.add_subbytes out b off 6)
-  in
-  Word_filter.push_string wf "ab";
-  check "pad completes the unit" 4 (Word_filter.flush wf ~pad:'-');
-  check_s "padded unit emitted" "ab----" (Buffer.contents out);
-  check "second flush is empty" 0 (Word_filter.flush wf ~pad:'-');
-  check "emitted counts the pad" 6 (Word_filter.emitted wf)
-
-let test_word_filter_validation () =
-  (match Word_filter.create ~out_len:0 ~emit:(fun _ _ -> ()) with
-  | _ -> Alcotest.fail "expected Invalid_argument (out_len)"
-  | exception Invalid_argument _ -> ());
-  let wf = Word_filter.create ~out_len:4 ~emit:(fun _ _ -> ()) in
-  match Word_filter.push wf (Bytes.create 4) ~off:2 ~len:4 with
-  | _ -> Alcotest.fail "expected Invalid_argument (bounds)"
-  | exception Invalid_argument _ -> ()
-
-let prop_word_filter_preserves_stream =
-  QCheck.Test.make ~count:200 ~name:"re-chunking preserves the byte stream"
-    QCheck.(
-      triple (int_range 1 16)
-        (list_of_size Gen.(int_range 0 10) (string_of_size Gen.(int_range 0 9)))
-        char)
-    (fun (out_len, chunks, pad) ->
-      let out = Buffer.create 64 in
-      let wf =
-        Word_filter.create ~out_len ~emit:(fun b off ->
-            Buffer.add_subbytes out b off out_len)
-      in
-      List.iter (Word_filter.push_string wf) chunks;
-      let added = Word_filter.flush wf ~pad in
-      let whole = String.concat "" chunks in
-      Buffer.contents out = whole ^ String.make added pad)
 
 (* ------------------------------------------------------------------ *)
 (* Parts *)
@@ -204,28 +131,6 @@ let stack_of_cipher sim which =
   | _ ->
       [ Dmf.marshalling sim ();
         Dmf.of_cipher_encrypt (Ilp_cipher.Safer.charged sim ~key:"abcdefgh" ()) ]
-
-let test_word_filter_lcm_exchange_unit () =
-  (* Sizing a filter by the pipeline's exchange unit (section 2.2): every
-     emit is one whole Le block, so a downstream stage never sees a
-     partial unit regardless of how the input arrives. *)
-  let sim = make_sim () in
-  let stages =
-    [ Dmf.marshalling sim ();
-      Dmf.of_cipher_encrypt
-        (Ilp_cipher.Safer_simplified.charged sim ~key:"abcdefgh" ()) ]
-  in
-  let spec = Pipeline.spec stages in
-  let le = Pipeline.exchange_len spec in
-  check "Le = LCM of the stage units" (Units.exchange_unit [ 4; 8 ]) le;
-  let emits = ref 0 in
-  let wf = Word_filter.create ~out_len:le ~emit:(fun _ _ -> incr emits) in
-  let chunks = [ "123"; String.make 13 'x'; ""; String.make 17 'y' ] in
-  List.iter (Word_filter.push_string wf) chunks;
-  ignore (Word_filter.flush wf ~pad:'\000');
-  let total = List.fold_left (fun n s -> n + String.length s) 0 chunks in
-  check "stream re-chunked into Le units" ((total + le - 1) / le) !emits;
-  check "emitted is a multiple of Le" 0 (Word_filter.emitted wf mod le)
 
 let prop_fused_equals_separate =
   QCheck.Test.make ~count:100
@@ -979,16 +884,6 @@ let () =
           Alcotest.test_case "exchange unit" `Quick test_exchange_unit;
           Alcotest.test_case "aligned" `Quick test_aligned;
           qc prop_lcm_divisibility ] );
-      ( "word_filter",
-        [ Alcotest.test_case "basic" `Quick test_word_filter_basic;
-          Alcotest.test_case "empty flush" `Quick test_word_filter_empty_flush;
-          Alcotest.test_case "straddling pushes" `Quick
-            test_word_filter_straddling_pushes;
-          Alcotest.test_case "partial flush" `Quick test_word_filter_partial_flush;
-          Alcotest.test_case "validation" `Quick test_word_filter_validation;
-          Alcotest.test_case "LCM exchange-unit sizing" `Quick
-            test_word_filter_lcm_exchange_unit;
-          qc prop_word_filter_preserves_stream ] );
       ( "parts",
         [ Alcotest.test_case "paper layout" `Quick test_parts_paper_layout;
           Alcotest.test_case "tiny message" `Quick test_parts_tiny_message;
