@@ -1,6 +1,6 @@
-(* The ILP engine: unit arithmetic, message parts, the two pipeline
-   drivers (whose outputs must be byte-identical), and the integrated
-   engine round trip. *)
+(* The ILP engine: unit arithmetic, word-filter sizing, message parts,
+   the two pipeline drivers (whose outputs must be byte-identical), and
+   the integrated engine round trip. *)
 
 open Ilp_memsim
 module Internet = Ilp_checksum.Internet
@@ -33,15 +33,6 @@ let test_exchange_unit () =
      units, marshalling in 4-byte units -> Le = 8. *)
   check "paper stack" 8 (Units.exchange_unit [ 4; 8; 2 ]);
   check "with bus width" 16 (Units.exchange_unit ~bus_width:16 [ 4; 8; 2 ]);
-  (* A pipeline's exchange unit is the same LCM over its stages' units. *)
-  let sim = Sim.create (Config.custom ()) in
-  let spec =
-    Pipeline.spec
-      [ Dmf.marshalling sim ();
-        Dmf.of_cipher_encrypt
-          (Ilp_cipher.Safer_simplified.charged sim ~key:"abcdefgh" ()) ]
-  in
-  check "pipeline stages" (Units.exchange_unit [ 4; 8 ]) (Pipeline.exchange_len spec);
   (match Units.exchange_unit [] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ());
@@ -131,6 +122,22 @@ let stack_of_cipher sim which =
   | _ ->
       [ Dmf.marshalling sim ();
         Dmf.of_cipher_encrypt (Ilp_cipher.Safer.charged sim ~key:"abcdefgh" ()) ]
+
+let test_word_filter_lcm_exchange_unit () =
+  (* Sizing a word filter by the pipeline's exchange unit (section 2.2):
+     Le is the LCM of the stage units, so one Le block holds whole units
+     of every stage and a downstream stage never sees a partial unit. *)
+  let sim = make_sim () in
+  let stages =
+    [ Dmf.marshalling sim ();
+      Dmf.of_cipher_encrypt
+        (Ilp_cipher.Safer_simplified.charged sim ~key:"abcdefgh" ()) ]
+  in
+  let le = Pipeline.exchange_len (Pipeline.spec stages) in
+  check "Le = LCM of the stage units" (Units.exchange_unit [ 4; 8 ]) le;
+  List.iter
+    (fun (d : Dmf.t) -> check ("whole " ^ d.name ^ " units") 0 (le mod d.unit_len))
+    stages
 
 let prop_fused_equals_separate =
   QCheck.Test.make ~count:100
@@ -884,6 +891,9 @@ let () =
           Alcotest.test_case "exchange unit" `Quick test_exchange_unit;
           Alcotest.test_case "aligned" `Quick test_aligned;
           qc prop_lcm_divisibility ] );
+      ( "word_filter",
+        [ Alcotest.test_case "LCM exchange-unit sizing" `Quick
+            test_word_filter_lcm_exchange_unit ] );
       ( "parts",
         [ Alcotest.test_case "paper layout" `Quick test_parts_paper_layout;
           Alcotest.test_case "tiny message" `Quick test_parts_tiny_message;
