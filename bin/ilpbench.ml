@@ -256,7 +256,7 @@ let wall_cmd =
 let mem_cmd =
   let module Mtr = Ilp_bench.Memtrace in
   let out =
-    Arg.(value & opt string "BENCH_mem.json"
+    Arg.(required & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"JSON trajectory output path.")
   in
   let quick =
@@ -340,7 +340,7 @@ let mem_cmd =
 let stream_cmd =
   let module Sb = Ilp_bench.Streambench in
   let out =
-    Arg.(value & opt string "BENCH_stream.json"
+    Arg.(required & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE" ~doc:"JSON trajectory output path.")
   in
   let quick =
@@ -590,7 +590,7 @@ let soak_cmd =
 let trace_cmd =
   let module Tr = Ilp_bench.Tracerun in
   let out =
-    Arg.(value & opt string "TRACE.json"
+    Arg.(required & opt (some string) None
          & info [ "out"; "o" ] ~docv:"FILE"
              ~doc:"Chrome trace_event JSON output path.")
   in

@@ -14,6 +14,7 @@ type state =
   | Close_wait
   | Last_ack
   | Time_wait
+  | Closing
 
 let state_to_string = function
   | Closed -> "CLOSED"
@@ -26,23 +27,17 @@ let state_to_string = function
   | Close_wait -> "CLOSE_WAIT"
   | Last_ack -> "LAST_ACK"
   | Time_wait -> "TIME_WAIT"
+  | Closing -> "CLOSING"
 
-(* Integer encoding of states for the flight recorder's [arg] slot. *)
+(* A state's flight-recorder [arg] is its position here (new ones append). *)
 let all_states =
   [| Closed; Listen; Syn_sent; Syn_rcvd; Established; Fin_wait_1; Fin_wait_2;
-     Close_wait; Last_ack; Time_wait |]
+     Close_wait; Last_ack; Time_wait; Closing |]
 
-let state_index = function
-  | Closed -> 0
-  | Listen -> 1
-  | Syn_sent -> 2
-  | Syn_rcvd -> 3
-  | Established -> 4
-  | Fin_wait_1 -> 5
-  | Fin_wait_2 -> 6
-  | Close_wait -> 7
-  | Last_ack -> 8
-  | Time_wait -> 9
+let state_index st =
+  let i = ref 0 in
+  while all_states.(!i) <> st do incr i done;
+  !i
 
 type config = {
   mss : int;
@@ -579,9 +574,9 @@ let send_ack t =
     ~flags:Tcp_header.ack_flag
 
 (* Every timer this socket can own: RTO, control (SYN/FIN), persist,
-   TIME_WAIT expiry and keepalive.  Aborts and [destroy] must cancel all
-   five — crash injection surfaces any leak as a ghost firing,
-   and the soak asserts [Simclock.pending_count ~owner = 0] afterwards. *)
+   TIME_WAIT expiry and keepalive.  Entering CLOSED cancels all five —
+   crash injection surfaces any leak as a ghost firing, and the soak
+   asserts [Simclock.pending_count ~owner = 0] afterwards. *)
 let cancel_all_timers t =
   Option.iter Simclock.cancel t.rto_timer;
   t.rto_timer <- None;
@@ -594,54 +589,85 @@ let cancel_all_timers t =
   Option.iter Simclock.cancel t.ka_timer;
   t.ka_timer <- None
 
-(* Single funnel for TCP state changes: the flight recorder sees every
+(* ------------------------------------------------------------------ *)
+(* Connection lifecycle: [step] holds the edges of RFC 9293 Figure 5
+   that this stack uses, plus abort and [destroy] reaching CLOSED from
+   any state; an event with no edge leaves the state unchanged.
+   [Syn_acked] acknowledges our SYN or SYN-ACK, [Fin_acked] our FIN. *)
+type event =
+  | Open_active | Open_passive | Close | Syn_in | Syn_acked | Fin_in | Fin_acked
+  | Tw_expiry | Abort
+
+let step st ev =
+  match (st, ev) with
+  | _, Abort -> Closed
+  | Closed, Open_active -> Syn_sent
+  | Closed, Open_passive -> Listen
+  | Listen, Syn_in -> Syn_rcvd
+  | (Syn_sent | Syn_rcvd), Syn_acked -> Established
+  | Established, Close -> Fin_wait_1
+  | Established, Fin_in -> Close_wait
+  | Close_wait, Close -> Last_ack
+  | Fin_wait_1, Fin_acked -> Fin_wait_2
+  | Fin_wait_1, Fin_in -> Closing
+  | (Fin_wait_2, Fin_in | Closing, Fin_acked) -> Time_wait
+  | ((Listen | Syn_sent), Close | Last_ack, Fin_acked | Time_wait, Tw_expiry) ->
+      Closed
+  | st, _ -> st
+
+let syn_ack = Tcp_header.syn lor Tcp_header.ack_flag
+
+(* The one funnel for state changes: the flight recorder sees every
    transition with the new state encoded in [arg], keyed by the local
-   port, so an abort dump replays the connection's whole life. *)
-let transition t st =
-  if t.st <> st then begin
+   port, so an abort dump replays the connection's whole life.  Each
+   entry action depends on the state entered alone; work that reads the
+   arriving segment stays with its handler. *)
+let rec transition t ev =
+  let st = step t.st ev in
+  if st <> t.st then begin
     t.st <- st;
-    note t Trace.State ~arg:(state_index st)
+    note t Trace.State ~arg:(state_index st);
+    match st with
+    | Syn_sent | Syn_rcvd ->
+        t.snd_una <- t.iss;
+        t.snd_nxt <- t.iss;
+        send_first t ~flags:(if st = Syn_sent then Tcp_header.syn else syn_ack)
+    | Fin_wait_1 | Last_ack ->
+        send_first t ~flags:(Tcp_header.fin lor Tcp_header.ack_flag)
+    | Established | Fin_wait_2 | Time_wait ->
+        Option.iter Simclock.cancel t.ctl_timer;
+        t.ctl_timer <- None;
+        t.ctl_retries <- 0;
+        if st = Time_wait then
+          t.tw_timer <-
+            Some
+              (Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
+                 (fun () ->
+                   t.tw_timer <- None;
+                   transition t Tw_expiry))
+    | Closed ->
+        (* Release everything the connection holds.  The ring and the
+           retransmission queue reserve and queue in lockstep, so with
+           the queue gone every live reservation goes too. *)
+        t.pending_close <- false;
+        Queue.clear t.streams;
+        Scoreboard.clear t.sb;
+        while Result.is_ok (Ring.release t.ring) do () done;
+        Reasm.clear t.reasm;
+        t.rx_tsdu_off <- 0;
+        t.ka_on_result <- None;
+        cancel_all_timers t
+    | Listen | Close_wait | Closing -> ()
   end
 
-(* Retry exhaustion: tear the connection down with a recorded reason so
-   the application sees a typed failure, never a silent [Closed]. *)
-let abort t reason =
-  if t.failed = None then begin
-    t.failed <- Some reason;
-    bump t (c_abort reason) 1;
-    note t Trace.Abort ~arg:(abort_reason_index reason)
-  end;
-  transition t Closed;
-  Queue.clear t.streams;
-  t.ka_on_result <- None;
-  cancel_all_timers t;
-  t.on_abort reason
+(* Our first SYN, SYN-ACK or FIN: it takes the next sequence number, and
+   the control timer resends it until it is acknowledged. *)
+and send_first t ~flags =
+  send_control t ~flags;
+  t.snd_nxt <- t.snd_nxt + 1;
+  arm_ctl_timer t ~flags
 
-(* Tear a socket down as a crashing host does: no FIN, no callback, just
-   drop every queue, reservation and timer.  The socket answers later
-   segments with RST (it is a dead connection, not a closed one). *)
-let destroy t =
-  t.destroyed <- true;
-  transition t Closed;
-  t.pending_close <- false;
-  Queue.clear t.streams;
-  Scoreboard.clear t.sb;
-  (* The ring and the retransmission queue reserve/queue in lockstep;
-     with the queue gone, release every live reservation so ring
-     accounting stays balanced. *)
-  let rec release_all () =
-    match Ring.release t.ring with
-    | Ok () -> release_all ()
-    | Error `Empty -> ()
-  in
-  release_all ();
-  Reasm.clear t.reasm;
-  t.rx_tsdu_off <- 0;
-  t.ka_on_result <- None;
-  cancel_all_timers t
-
-(* Control-segment (SYN / SYN-ACK / FIN) retransmission. *)
-let rec arm_ctl_timer t ~flags =
+and arm_ctl_timer t ~flags =
   Option.iter Simclock.cancel t.ctl_timer;
   let timer =
     Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
@@ -658,10 +684,24 @@ let rec arm_ctl_timer t ~flags =
   in
   t.ctl_timer <- Some timer
 
-let cancel_ctl_timer t =
-  Option.iter Simclock.cancel t.ctl_timer;
-  t.ctl_timer <- None;
-  t.ctl_retries <- 0
+(* Retry exhaustion: tear the connection down with a recorded reason so
+   the application sees a typed failure, never a silent [Closed]. *)
+and abort t reason =
+  if t.failed = None then begin
+    t.failed <- Some reason;
+    bump t (c_abort reason) 1;
+    note t Trace.Abort ~arg:(abort_reason_index reason)
+  end;
+  transition t Abort;
+  t.on_abort reason
+
+(* Tear a socket down as a crashing host does: no FIN, no callback.  The
+   socket answers later segments with RST (it is a dead connection, not
+   a closed one); one already CLOSED has its timers swept all the same. *)
+let destroy t =
+  t.destroyed <- true;
+  transition t Abort;
+  cancel_all_timers t
 
 (* ------------------------------------------------------------------ *)
 (* Zero-window persistence *)
@@ -968,17 +1008,12 @@ let process_sack t (h : Tcp_header.t) =
 (* ------------------------------------------------------------------ *)
 (* Public send path *)
 
-let maybe_send_fin t =
+(* A [close] takes effect once every queued byte is acknowledged. *)
+let maybe_close t =
   if t.pending_close && Scoreboard.is_empty t.sb && Queue.is_empty t.streams
   then begin
     t.pending_close <- false;
-    (match t.st with
-    | Established -> transition t Fin_wait_1
-    | Close_wait -> transition t Last_ack
-    | _ -> ());
-    send_control t ~flags:(Tcp_header.fin lor Tcp_header.ack_flag);
-    t.snd_nxt <- t.snd_nxt + 1;
-    arm_ctl_timer t ~flags:(Tcp_header.fin lor Tcp_header.ack_flag)
+    transition t Close
   end
 
 (* tcp_send + tcp_output for the next [len] bytes of the front TSDU [s],
@@ -1031,7 +1066,7 @@ let rec pump_streams t =
     | Some s ->
         if s.ps_off >= s.ps_len then begin
           ignore (Queue.pop t.streams);
-          maybe_send_fin t;
+          maybe_close t;
           pump_streams t
         end
         else begin
@@ -1100,26 +1135,15 @@ let send_stream t ~seg_unit ~len ~fill =
 let connect t ~remote_port =
   if t.st <> Closed then invalid_arg "Socket.connect: not closed";
   t.remote_port <- remote_port;
-  t.snd_una <- t.iss;
-  t.snd_nxt <- t.iss;
-  transition t Syn_sent;
-  send_control t ~flags:Tcp_header.syn;
-  t.snd_nxt <- t.snd_nxt + 1;
-  arm_ctl_timer t ~flags:Tcp_header.syn
+  transition t Open_active
 
 let listen t =
   if t.st <> Closed then invalid_arg "Socket.listen: not closed";
-  transition t Listen
+  transition t Open_passive
 
 let close t =
-  match t.st with
-  | Established | Close_wait ->
-      t.pending_close <- true;
-      maybe_send_fin t
-  | Listen | Syn_sent ->
-      transition t Closed;
-      cancel_ctl_timer t
-  | _ -> ()
+  t.pending_close <- true;
+  maybe_close t
 
 (* ------------------------------------------------------------------ *)
 (* Receive path *)
@@ -1415,23 +1439,12 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
     t.retries <- 0;
     Rto.reset_backoff t.rto;
     arm_rto t;
-    maybe_send_fin t
+    maybe_close t
   end;
   (* Whatever just changed — new data acked, a window update, recovery
      inflation — may have opened room for more stream segments. *)
   pump_streams t
   end
-
-let enter_time_wait t =
-  transition t Time_wait;
-  Option.iter Simclock.cancel t.tw_timer;
-  let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
-      (fun () ->
-        t.tw_timer <- None;
-        if t.st = Time_wait then transition t Closed)
-  in
-  t.tw_timer <- Some timer
 
 let handle_datagram t (dgram : Datagram.t) =
   let wire = dgram.Datagram.payload in
@@ -1507,7 +1520,7 @@ let handle_datagram t (dgram : Datagram.t) =
             handle_reset t
           else count_drop t Out_of_window
       | Syn_rcvd | Established | Fin_wait_1 | Fin_wait_2 | Close_wait
-      | Last_ack | Time_wait ->
+      | Closing | Last_ack | Time_wait ->
           if h.seq = t.rcv_nxt then handle_reset t
           else count_drop t Out_of_window
     end
@@ -1524,12 +1537,7 @@ let handle_datagram t (dgram : Datagram.t) =
           t.remote_port <- h.src_port;
           t.rcv_nxt <- h.seq + 1;
           t.peer_window <- h.window;
-          t.snd_una <- t.iss;
-          t.snd_nxt <- t.iss;
-          transition t Syn_rcvd;
-          send_control t ~flags:(Tcp_header.syn lor Tcp_header.ack_flag);
-          t.snd_nxt <- t.snd_nxt + 1;
-          arm_ctl_timer t ~flags:(Tcp_header.syn lor Tcp_header.ack_flag)
+          transition t Syn_in
         end
     | Syn_sent ->
         if
@@ -1540,8 +1548,7 @@ let handle_datagram t (dgram : Datagram.t) =
           t.rcv_nxt <- h.seq + 1;
           t.peer_window <- h.window;
           t.snd_una <- h.ack;
-          transition t Established;
-          cancel_ctl_timer t;
+          transition t Syn_acked;
           send_ack t
         end
     | Syn_rcvd ->
@@ -1549,47 +1556,38 @@ let handle_datagram t (dgram : Datagram.t) =
           (* Retransmitted SYN: our SYN-ACK was lost; resend it with the
              original initial sequence number (snd_nxt already counts the
              SYN). *)
-          send_control t ~seq:(t.snd_nxt - 1)
-            ~flags:(Tcp_header.syn lor Tcp_header.ack_flag)
+          send_control t ~seq:(t.snd_nxt - 1) ~flags:syn_ack
         end
         else if Tcp_header.has h Tcp_header.ack_flag && h.ack = t.snd_nxt then begin
           t.snd_una <- h.ack;
           t.peer_window <- h.window;
-          transition t Established;
-          cancel_ctl_timer t;
+          transition t Syn_acked;
           if payload_len > 0 then handle_data t h ~payload_len
         end
-    | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Last_ack | Time_wait ->
+    | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack
+    | Time_wait ->
         ka_note_activity t;
         handle_ack t h ~payload_len;
         (* [handle_ack] may have aborted the connection (optimistic-ack
            forgery): nothing further in this datagram is trusted. *)
         if t.failed = None then begin
+          (* The ACK before the FIN (RFC 9293 §3.10.7.4, the fifth step,
+             then the eighth): once a FIN is sent, everything sent being
+             acknowledged means the FIN is. *)
+          if t.snd_una = t.snd_nxt then transition t Fin_acked;
           (* A retransmitted SYN-ACK means our final handshake ACK was lost:
              acknowledge again so the peer can leave SYN_RCVD. *)
           if Tcp_header.has h Tcp_header.syn then send_ack t;
           if payload_len > 0 then handle_data t h ~payload_len;
-          if Tcp_header.has h Tcp_header.fin && h.seq = t.rcv_nxt then begin
-            t.rcv_nxt <- t.rcv_nxt + 1;
-            send_ack t;
-            match t.st with
-            | Established -> transition t Close_wait
-            | Fin_wait_1 ->
-                (* Simultaneous close or FIN+ACK combined. *)
-                if t.snd_una = t.snd_nxt then enter_time_wait t
-                else transition t Close_wait
-            | Fin_wait_2 -> enter_time_wait t
-            | _ -> ()
-          end;
-          (* FIN acknowledged? *)
-          (match t.st with
-          | Fin_wait_1 when t.snd_una = t.snd_nxt ->
-              cancel_ctl_timer t;
-              transition t Fin_wait_2
-          | Last_ack when t.snd_una = t.snd_nxt ->
-              cancel_ctl_timer t;
-              transition t Closed
-          | _ -> ())
+          if Tcp_header.has h Tcp_header.fin then
+            if h.seq = t.rcv_nxt then begin
+              t.rcv_nxt <- t.rcv_nxt + 1;
+              send_ack t;
+              transition t Fin_in
+            end
+            else if h.seq < t.rcv_nxt && payload_len = 0 then
+              (* A retransmitted FIN: our ACK of it was lost. *)
+              send_ack t
         end
     end
   end

@@ -34,6 +34,20 @@
     verdict, and the handler lands every accepted segment at its offset
     in the TSDU.
 
+    {2 The connection lifecycle}
+
+    One table holds the edges of RFC 9293 Figure 5 that this stack uses,
+    plus abort and {!destroy} reaching CLOSED from any state (no
+    simultaneous open; {!close} in SYN_RCVD is ignored).  Each state
+    change goes through it, is noted as a [State] flight event ([arg]: the
+    state's position in {!state}) and runs the entered state's one entry
+    action: SYN_SENT, SYN_RCVD, FIN_WAIT_1 and LAST_ACK send our SYN,
+    SYN-ACK or FIN and arm the control timer that resends it; ESTABLISHED
+    and FIN_WAIT_2 stop it; TIME_WAIT stops it and arms its 8 s expiry
+    (twice the RTO ceiling); CLOSED releases everything the connection
+    holds: queued TSDUs, the retransmission queue and its ring
+    reservations, held segments, keepalive and every timer.
+
     {2 What lives elsewhere}
 
     This module is the wiring: handshake and RST, the RTO, control,
@@ -58,6 +72,7 @@ type state =
   | Close_wait
   | Last_ack
   | Time_wait
+  | Closing
 
 val state_to_string : state -> string
 
@@ -197,14 +212,18 @@ val handle_datagram : t -> Ilp_netsim.Datagram.t -> unit
 val connect : t -> remote_port:int -> unit
 val listen : t -> unit
 
-(** Half-close after all queued data is acknowledged. *)
+(** Half-close once every queued byte is acknowledged: ESTABLISHED walks
+    FIN_WAIT_1, then FIN_WAIT_2 (our FIN acked; a segment's ACK is taken
+    before its FIN) or CLOSING (the FINs crossed), then TIME_WAIT;
+    CLOSE_WAIT walks LAST_ACK to CLOSED.  A retransmitted FIN is acked
+    again.  LISTEN and SYN_SENT close at once; other states ignore it. *)
 val close : t -> unit
 
 (** Tear the socket down as a crashing host does: no FIN, no abort
-    callback — every queue, ring reservation and timer is dropped
-    immediately ([Simclock.pending_count ~owner:(timer_owner t)] is 0
-    afterwards).  The socket answers later segments with RST (it is a
-    dead connection, not a cleanly closed one) and cannot be reused. *)
+    callback.  Like an abort it enters CLOSED, dropping every queue, ring
+    reservation and timer; [Simclock.pending_count ~owner:(timer_owner t)]
+    is 0 afterwards, even for a socket already CLOSED.  It answers later
+    segments with RST (dead, not cleanly closed) and cannot be reused. *)
 val destroy : t -> unit
 
 (** True after {!destroy}. *)

@@ -1912,6 +1912,214 @@ let test_fin_rst_crossing () =
   check "b timers clean" 0
     (Simclock.pending_count w.clock ~owner:(Socket.timer_owner w.b))
 
+(* ------------------------------------------------------------------ *)
+(* Connection teardown, read from each port's [State] flight notes *)
+
+module Recorder = Ilp_obs.Recorder
+
+(* The flight recorder's state encoding: [Trace.State]'s [arg]. *)
+let state_names =
+  [| "CLOSED"; "LISTEN"; "SYN_SENT"; "SYN_RCVD"; "ESTABLISHED"; "FIN_WAIT_1";
+     "FIN_WAIT_2"; "CLOSE_WAIT"; "LAST_ACK"; "TIME_WAIT"; "CLOSING" |]
+
+(* The states [port] entered, oldest first. *)
+let noted_states port =
+  List.filter_map
+    (fun e ->
+      if e.Recorder.stage = Trace.State then Some state_names.(e.Recorder.arg)
+      else None)
+    (Recorder.entries ~conn:port ())
+
+let has_flag flag (d : Datagram.t) =
+  match Tcp_header.of_string d.Datagram.payload ~pos:Ilp_netsim.Ipv4.header_len with
+  | Ok h -> Tcp_header.has h flag
+  | Error _ -> false
+
+(* A link hook that loses the next datagram [port] sends once [armed]
+   is set. *)
+let lose_next_from port armed d =
+  if !armed && d.Datagram.src_port = port then begin
+    armed := false;
+    []
+  end
+  else [ d ]
+
+let check_states = Alcotest.(check (list string))
+
+let check_no_failure w =
+  checkb "a: no failure" true (Socket.failure w.a = None);
+  checkb "b: no failure" true (Socket.failure w.b = None)
+
+let check_no_timers w =
+  check "a: no timer left" 0
+    (Simclock.pending_count w.clock ~owner:(Socket.timer_owner w.a));
+  check "b: no timer left" 0
+    (Simclock.pending_count w.clock ~owner:(Socket.timer_owner w.b))
+
+(* Both ends close at the same instant: each FIN crosses the other, so
+   each end goes FIN_WAIT_1 -> CLOSING -> TIME_WAIT (RFC 9293 §3.6). *)
+let test_simultaneous_close () =
+  Recorder.clear ();
+  let w = make_world () in
+  connect w;
+  Socket.close w.a;
+  Socket.close w.b;
+  Simclock.run_until_idle w.clock;
+  let closing = [ "FIN_WAIT_1"; "CLOSING"; "TIME_WAIT"; "CLOSED" ] in
+  check_states "a" ([ "SYN_SENT"; "ESTABLISHED" ] @ closing) (noted_states 100);
+  check_states "b" ([ "LISTEN"; "SYN_RCVD"; "ESTABLISHED" ] @ closing)
+    (noted_states 200);
+  check_no_failure w;
+  check_no_timers w
+
+(* b's pure ACK of a's FIN is lost and b closes at once, so a, in
+   FIN_WAIT_1, gets its FIN acknowledged by b's FIN: the ACK is taken
+   first (FIN_WAIT_2), then the FIN (TIME_WAIT), and a's FIN timer stops
+   with it. *)
+let test_fin_ack_in_fin_wait_1 () =
+  Recorder.clear ();
+  let armed = ref false and a_fins = ref 0 in
+  let tamper d =
+    if d.Datagram.src_port = 100 && has_flag Tcp_header.fin d then incr a_fins;
+    lose_next_from 200 armed d
+  in
+  let w = make_world ~tamper () in
+  connect w;
+  armed := true;
+  Socket.close w.a;
+  pump_until ~step:5.0 w (fun () -> Socket.state w.b = Socket.Close_wait);
+  Socket.close w.b;
+  Simclock.run_until_idle w.clock;
+  check_states "a"
+    [ "SYN_SENT"; "ESTABLISHED"; "FIN_WAIT_1"; "FIN_WAIT_2"; "TIME_WAIT"; "CLOSED" ]
+    (noted_states 100);
+  check "a sent its FIN once" 1 !a_fins;
+  check_no_failure w;
+  check_no_timers w
+
+(* A FIN below [rcv_nxt] is a retransmission whose ACK was lost, and is
+   acknowledged again: from CLOSE_WAIT when b's ACK of a's FIN is lost,
+   and from TIME_WAIT when a's final ACK is. *)
+let test_retransmitted_fin_acked () =
+  let armed = ref false in
+  let w = make_world ~tamper:(lose_next_from 200 armed) () in
+  connect w;
+  armed := true;
+  Socket.close w.a;
+  Simclock.run_until_idle w.clock;
+  check_s "a half closed" "FIN_WAIT_2" (Socket.state_to_string (Socket.state w.a));
+  check_s "b saw the FIN" "CLOSE_WAIT" (Socket.state_to_string (Socket.state w.b));
+  check_no_failure w;
+  let armed = ref false in
+  let w = make_world ~tamper:(lose_next_from 100 armed) () in
+  connect w;
+  Socket.close w.a;
+  Simclock.run_until_idle w.clock;
+  armed := true;
+  Socket.close w.b;
+  Simclock.run_until_idle w.clock;
+  check_s "a closed" "CLOSED" (Socket.state_to_string (Socket.state w.a));
+  check_s "b closed" "CLOSED" (Socket.state_to_string (Socket.state w.b));
+  check_no_failure w;
+  check_no_timers w
+
+(* RFC 9293 Figure 5 by state name, with this stack's departures: abort
+   and [destroy] reach CLOSED from any state, there is no simultaneous
+   open (SYN_SENT -> SYN_RCVD), and [close] in SYN_RCVD is ignored
+   (SYN_RCVD -> FIN_WAIT_1).  Written out here, not taken from the
+   socket. *)
+let rfc9293_edges =
+  [ ("CLOSED", "LISTEN"); ("CLOSED", "SYN_SENT"); ("LISTEN", "SYN_RCVD");
+    ("LISTEN", "SYN_SENT"); ("LISTEN", "CLOSED"); ("SYN_SENT", "ESTABLISHED");
+    ("SYN_SENT", "CLOSED"); ("SYN_RCVD", "ESTABLISHED");
+    ("ESTABLISHED", "FIN_WAIT_1"); ("ESTABLISHED", "CLOSE_WAIT");
+    ("FIN_WAIT_1", "FIN_WAIT_2"); ("FIN_WAIT_1", "CLOSING");
+    ("FIN_WAIT_2", "TIME_WAIT"); ("CLOSING", "TIME_WAIT");
+    ("CLOSE_WAIT", "LAST_ACK"); ("LAST_ACK", "CLOSED"); ("TIME_WAIT", "CLOSED") ]
+  @ List.filter_map
+      (fun s -> if s = "CLOSED" then None else Some (s, "CLOSED"))
+      (Array.to_list state_names)
+
+(* The edges [port]'s notes walk, from CLOSED, that the list lacks. *)
+let illegal_edges port =
+  let rec walk prev = function
+    | [] -> []
+    | s :: rest ->
+        (if List.mem (prev, s) rfc9293_edges then [] else [ prev ^ " -> " ^ s ])
+        @ walk s rest
+  in
+  walk "CLOSED" (noted_states port)
+
+(* Up to three messages in flight, then a close by a, by b, by both at
+   once, or by both a gap apart (a first or b first), with at most one
+   datagram lost among those sent after the first close.  Every state
+   change is an edge of the list above; no end records a failure; both
+   closers end CLOSED with no timer left, a lone closer in FIN_WAIT_2
+   and its peer in CLOSE_WAIT; and every message arrives. *)
+let prop_close_ends_clean =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"close: RFC 9293 edges, clean end"
+    QCheck.(
+      quad (int_range 0 3) (int_range 0 4) (option (int_range 0 9))
+        (int_range 1 200))
+    (fun (n_msgs, who, lose, gap_us) ->
+      Recorder.clear ();
+      let armed = ref false and sent = ref 0 in
+      let tamper d =
+        if not !armed then [ d ]
+        else begin
+          let k = !sent in
+          incr sent;
+          if lose = Some k then [] else [ d ]
+        end
+      in
+      let w = make_world ~tamper () in
+      connect w;
+      let got = Buffer.create 512 in
+      collect_into w got;
+      let msgs = List.init n_msgs (fun i -> String.make (64 + (i * 37)) (Char.chr (97 + i))) in
+      List.iter
+        (fun m ->
+          let fill mem ~dst ~off:_ ~len:_ =
+            Mem.poke_string mem ~pos:dst m;
+            None
+          in
+          match Socket.send_message w.a ~len:(String.length m) ~fill with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "refused: %s" (send_error_to_string e))
+        msgs;
+      armed := true;
+      let gap () = Simclock.advance w.clock (float_of_int gap_us) in
+      (match who with
+      | 0 -> Socket.close w.a
+      | 1 -> Socket.close w.b
+      | 2 -> Socket.close w.a; Socket.close w.b
+      | 3 -> Socket.close w.a; gap (); Socket.close w.b
+      | _ -> Socket.close w.b; gap (); Socket.close w.a);
+      Simclock.run_until_idle w.clock;
+      let name s = Socket.state_to_string (Socket.state s) in
+      let ends =
+        match who with
+        | 0 -> ("FIN_WAIT_2", "CLOSE_WAIT")
+        | 1 -> ("CLOSE_WAIT", "FIN_WAIT_2")
+        | _ -> ("CLOSED", "CLOSED")
+      in
+      let timers s = Simclock.pending_count w.clock ~owner:(Socket.timer_owner s) in
+      let bad = illegal_edges 100 @ illegal_edges 200 in
+      if Recorder.dropped () <> 0 then QCheck.Test.fail_report "flight notes dropped"
+      else if bad <> [] then
+        QCheck.Test.fail_reportf "illegal edges: %s" (String.concat ", " bad)
+      else if Socket.failure w.a <> None || Socket.failure w.b <> None then
+        QCheck.Test.fail_reportf "failure: a %s, b %s (a %s, b %s)"
+          (Option.fold ~none:"none" ~some:Socket.abort_reason_to_string (Socket.failure w.a))
+          (Option.fold ~none:"none" ~some:Socket.abort_reason_to_string (Socket.failure w.b))
+          (String.concat " " (noted_states 100)) (String.concat " " (noted_states 200))
+      else if (name w.a, name w.b) <> ends then
+        QCheck.Test.fail_reportf "ends a %s, b %s" (name w.a) (name w.b)
+      else if List.exists (fun s -> Socket.state s = Socket.Closed && timers s > 0) [ w.a; w.b ]
+      then QCheck.Test.fail_report "a CLOSED socket left a timer"
+      else String.equal (String.concat "" msgs) (Buffer.contents got))
+
 let test_reset_for_shapes () =
   let module Ipv4 = Ilp_netsim.Ipv4 in
   let mk_dgram h =
@@ -2792,6 +3000,12 @@ let () =
           Alcotest.test_case "window never exceeded" `Quick
             test_window_never_exceeded;
           Alcotest.test_case "close sequence" `Quick test_close_sequence;
+          Alcotest.test_case "simultaneous close" `Quick test_simultaneous_close;
+          Alcotest.test_case "FIN+ACK in FIN_WAIT_1" `Quick
+            test_fin_ack_in_fin_wait_1;
+          Alcotest.test_case "retransmitted FIN acknowledged" `Quick
+            test_retransmitted_fin_acked;
+          qc prop_close_ends_clean;
           Alcotest.test_case "no handler drops data" `Quick
             test_no_handler_drops_data;
           qc prop_lossy_stream_integrity ] );
