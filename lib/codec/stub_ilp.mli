@@ -37,7 +37,11 @@ type segment =
 type t
 
 (** [compile ty] prepares the layout engine for [ty].  Like
-    {!Stub.compile}, this is the "stub compiler" step. *)
+    {!Stub.compile}, this is the "stub compiler" step.  The compiled
+    stub owns the scratch every {!layout} of [ty] works in (one XDR
+    encoder and one segment array, emptied by each call), so a layout
+    allocates only what it returns; two layouts of one stub must not
+    run at the same time (one domain). *)
 val compile : Asn1.ty -> t
 
 val ty : t -> Asn1.ty
@@ -46,6 +50,9 @@ val ty : t -> Asn1.ty
     (in declaration order; a sequence-of, choice or option field is a
     leaf taking one [Immediate]) and produces the wire segments.  Each
     immediate value is checked once, against its field's type.
+
+    The result holds one [Gen] string per run of generated bytes and
+    one [App] per memory field.
 
     Errors: wrong number of sources, a [From_memory] on a non-opaque
     field, an [Immediate] that does not inhabit its field type. *)

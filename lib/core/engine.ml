@@ -197,7 +197,7 @@ let checksum_tap t cell =
    backends read this one array: the simulated loop below and the native
    gather in [Wire]. *)
 
-type stream = { segs : Stub_ilp.segment array; total : int }
+type stream = { segs : Stub_ilp.segment array; total : int; plan : Parts.t }
 
 let u32_be v =
   let b = Bytes.create 4 in
@@ -248,6 +248,21 @@ let stream_read t st block ~boff ~pos ~n =
 (* ------------------------------------------------------------------ *)
 (* Send *)
 
+(* Alignment and trailer padding runs, shared: framing a message adds no
+   string for its zero bytes. *)
+let zero_runs = Array.init 8 (fun k -> Stub_ilp.Gen (String.make k '\000'))
+
+let zero_run k =
+  if k < Array.length zero_runs then zero_runs.(k)
+  else Stub_ilp.Gen (String.make k '\000')
+
+(* [segs.(i ..)] <- the segments of [body], in order. *)
+let rec fill_segs segs i = function
+  | [] -> ()
+  | seg :: rest ->
+      segs.(i) <- seg;
+      fill_segs segs (i + 1) rest
+
 let make_stream_of_segments t body =
   let body_len = Stub_ilp.total_len body in
   (* The CRC32 trailer, when enabled, rides inside the encrypted length:
@@ -255,9 +270,9 @@ let make_stream_of_segments t body =
      bytes (it cannot be folded in part order — the CRC is
      ordering-constrained), while its per-byte fold cost is charged by the
      fill paths below.  The segments are folded in place. *)
-  let crc_segs =
+  let crc_seg =
     match t.crc with
-    | None -> []
+    | None -> None
     | Some _ ->
         let raw = Mem.raw (mem t) in
         let value =
@@ -269,7 +284,7 @@ let make_stream_of_segments t body =
                  | Stub_ilp.App { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
                Crc32.init body)
         in
-        [ Stub_ilp.Gen (u32_be value) ]
+        Some (Stub_ilp.Gen (u32_be value))
   in
   let framed_len = body_len + framing_extra t in
   let plan = Parts.plan ~block_len:(block_len t) ~body_len:framed_len in
@@ -278,24 +293,26 @@ let make_stream_of_segments t body =
       (Printf.sprintf
          "Engine.prepare_stream_segments: message of %d bytes exceeds maximum %d"
          plan.Parts.total t.max_message);
-  let enc_len = Parts.length_field plan in
   let total = plan.Parts.total in
-  let segs =
-    match t.header_style with
-    | Leading ->
-        Array.of_list
-          ((Stub_ilp.Gen (u32_be enc_len) :: body)
-          @ crc_segs
-          @ [ Stub_ilp.Gen (String.make plan.Parts.alignment '\000') ])
-    | Trailer ->
-        (* Length field at the end: padding precedes it so the field sits
-           in the last word of the final block. *)
-        let pad = total - 4 - framed_len in
-        Array.of_list
-          (body @ crc_segs
-          @ [ Stub_ilp.Gen (String.make pad '\000'); Stub_ilp.Gen (u32_be enc_len) ])
-  in
-  (plan, { segs; total })
+  let len_field = Stub_ilp.Gen (u32_be (Parts.length_field plan)) in
+  (* One array, filled in place: the length field, the body, the CRC32
+     trailer when enabled and the zero run, in the header style's
+     order. *)
+  let n = List.length body in
+  let n_crc = match crc_seg with None -> 0 | Some _ -> 1 in
+  let segs = Array.make (n + n_crc + 2) len_field in
+  (match t.header_style with
+  | Leading ->
+      fill_segs segs 1 body;
+      (match crc_seg with Some c -> segs.(n + 1) <- c | None -> ());
+      segs.(n + n_crc + 1) <- zero_run plan.Parts.alignment
+  | Trailer ->
+      (* Length field at the end: padding precedes it so the field sits
+         in the last word of the final block. *)
+      fill_segs segs 0 body;
+      (match crc_seg with Some c -> segs.(n) <- c | None -> ());
+      segs.(n + n_crc) <- zero_run (total - 4 - framed_len));
+  { segs; total; plan }
 
 (* Intersection of a part with the wire range [off, off+len): the piece of
    the part a range fill must produce.  Part boundaries and segment
@@ -313,7 +330,8 @@ let inter ~off ~len (p_off, p_len) =
    len = total] case; a streaming socket calls this once per MSS-sized
    segment, so every segment gets its own fused pass straight into the
    ring. *)
-let fill_ilp_range t plan st ~dst ~off ~len =
+let fill_ilp_range t st ~dst ~off ~len =
+  let plan = st.plan in
   let tr = Trace.enabled () in
   let pkt = if tr then Trace.begin_packet () else 0 in
   let t_start = if tr then Machine.micros (machine t) else 0.0 in
@@ -405,7 +423,8 @@ let fill_ilp_range t plan st ~dst ~off ~len =
    intermediate buffer (figure 3 step 1), encrypt in place (step 2), copy
    into the TCP ring (step 3, tcp_send); the checksum pass (step 4) is
    TCP's, signalled by returning [None]. *)
-let fill_separate_range t plan st ~dst ~off ~len =
+let fill_separate_range t st ~dst ~off ~len =
+  let plan = st.plan in
   let m = machine t in
   let tr = Trace.enabled () in
   let pkt = if tr then Trace.begin_packet () else 0 in
@@ -501,7 +520,7 @@ type prepared_stream = {
 }
 
 let prepare_stream_segments t body =
-  let plan, st = make_stream_of_segments t body in
+  let st = make_stream_of_segments t body in
   (* Segment boundaries must land on cipher blocks (so each segment
      encrypts and decrypts independently to the same bytes as the whole
      message) and on the 8-byte units of the plan and the native codec. *)
@@ -519,8 +538,8 @@ let prepare_stream_segments t body =
     | Some fp -> fill_native_range t fp st ~dst ~off ~len
     | None -> (
         match t.mode with
-        | Ilp -> fill_ilp_range t plan st ~dst ~off ~len
-        | Separate -> fill_separate_range t plan st ~dst ~off ~len)
+        | Ilp -> fill_ilp_range t st ~dst ~off ~len
+        | Separate -> fill_separate_range t st ~dst ~off ~len)
   in
   { stream_len = st.total; seg_unit; fill_range }
 

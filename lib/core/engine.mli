@@ -181,7 +181,8 @@ type prepared_stream = {
     out: an arbitrary interleaving of generated runs and runs of
     application memory the loop reads in place.  The engine frames it into
     one {!Ilp_codec.Stub_ilp.segment} array — the encryption length field,
-    the body, the CRC32 trailer and the alignment, per its configuration —
+    the body, the CRC32 trailer and the alignment, per its configuration,
+    filled in place, its zero runs shared constants —
     which every range fill walks: the simulated loop reads it, and a
     [Native] fill hands it to {!Ilp_fastpath.Wire} to gather the range,
     building nothing.  Raises [Invalid_argument] when the message exceeds

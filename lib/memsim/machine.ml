@@ -198,6 +198,13 @@ let micros t =
   ((float_of_int t.stall *. 0.25) +. (float_of_int t.ops *. t.compute_scale))
   /. t.cfg.Config.clock_mhz
 
+(* [micros]'s expression, stored into a float array, which holds its
+   floats flat: no box on the way. *)
+let store_micros t (a : float array) i =
+  a.(i) <-
+    ((float_of_int t.stall *. 0.25) +. (float_of_int t.ops *. t.compute_scale))
+    /. t.cfg.Config.clock_mhz
+
 let stall_cycles t = float_of_int t.stall *. 0.25
 let stall_micros t = float_of_int t.stall *. 0.25 /. t.cfg.Config.clock_mhz
 let ifetch_stall_cycles t = float_of_int t.ifetch_stall *. 0.25

@@ -67,6 +67,12 @@ val cycles : t -> float
 (** [micros t] is [cycles t / clock_mhz]. *)
 val micros : t -> float
 
+(** [store_micros t a i] sets [a.(i)] to [micros t], bit for bit,
+    allocating nothing: a caller that times an interval on every
+    datagram keeps its readings in a float array instead of boxing each
+    one. *)
+val store_micros : t -> float array -> int -> unit
+
 (** Cycles spent stalled on the memory system (cache fills, write-buffer
     drains) — the quantity the paper's [atom] simulations call "memory
     system time". *)

@@ -68,7 +68,7 @@ let crash t =
     t.packets_seen <- 0;
     t.kill ();
     let timer =
-      Simclock.schedule t.clock ~owner:t.owner ~after:t.down_us (fun () ->
+      Simclock.schedule_owned t.clock ~owner:t.owner ~after:t.down_us (fun () ->
           t.revive_timer <- None;
           if not t.stopped then begin
             t.up <- true;
@@ -104,7 +104,7 @@ let create clock ?(max_crashes = max_int) ~schedule ~down_us
           (fun after ->
             if after < 0.0 then
               invalid_arg "Crashplan.create: negative crash time";
-            Simclock.schedule clock ~owner:t.owner ~after (fun () -> crash t))
+            Simclock.schedule_owned clock ~owner:t.owner ~after (fun () -> crash t))
           times
   | On_packet n ->
       if n < 1 then invalid_arg "Crashplan.create: On_packet needs n >= 1");

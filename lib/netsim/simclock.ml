@@ -159,7 +159,9 @@ let remove t i =
     else sift_down t i
   end
 
-let schedule t ?(owner = anonymous) ~after fn =
+(* An owner-tagged timer passes its owner as a plain int, and [schedule]
+   passes [anonymous]: no [Some] for an optional argument. *)
+let[@inline] schedule_owned t ~owner ~after fn =
   (* [Float.max 0.0 after] (a nan stays a nan), without boxing a float. *)
   let delay = if after > 0.0 || Float.is_nan after then after else 0.0 in
   if t.nfree = 0 then grow t;
@@ -175,6 +177,8 @@ let schedule t ?(owner = anonymous) ~after fn =
   t.slot.(i) <- sl;
   sift_up t i;
   timer
+
+let schedule t ~after fn = schedule_owned t ~owner:anonymous ~after fn
 
 let cancel timer = if timer.pos >= 0 then remove timer.clock timer.pos
 

@@ -7,9 +7,10 @@
 
     Costs, with [n] events pending: {!schedule}, {!cancel} and each firing
     take O(log n); {!is_pending}, {!pending} and {!now} O(1);
-    {!pending_count} O(n).  {!schedule} allocates its timer record (and
-    the queue's arrays when they grow to a new peak), each firing and each
-    {!advance} the boxed new time, and {!cancel} nothing. *)
+    {!pending_count} O(n).  {!schedule} and {!schedule_owned} allocate
+    their timer record (and the queue's arrays when they grow to a new
+    peak), each firing and each {!advance} the boxed new time, and
+    {!cancel} nothing. *)
 
 type t
 
@@ -33,13 +34,16 @@ type timer
     assert [pending_count t ~owner = 0] after teardown. *)
 val fresh_owner : t -> int
 
-(** [schedule t ?owner ~after f] runs [f] once, [after] microseconds from
-    now (clamped to now for negative values).  [owner] tags the event for
-    {!pending_count} audits; without it the event carries owner [0], as
-    infrastructure events such as link deliveries do.  Stateful
-    components that must prove they cancelled everything on teardown
-    tag their timers with a {!fresh_owner} id. *)
-val schedule : t -> ?owner:int -> after:float -> (unit -> unit) -> timer
+(** [schedule t ~after f] runs [f] once, [after] microseconds from now
+    (clamped to now for negative values).  The event carries owner [0],
+    as infrastructure events such as link deliveries do. *)
+val schedule : t -> after:float -> (unit -> unit) -> timer
+
+(** [schedule_owned t ~owner ~after f] is {!schedule} with the event
+    tagged [owner] for {!pending_count} audits.  Stateful components
+    that must prove they cancelled everything on teardown tag their
+    timers with a {!fresh_owner} id. *)
+val schedule_owned : t -> owner:int -> after:float -> (unit -> unit) -> timer
 
 (** [cancel timer] drops a pending event; on a fired or cancelled one it
     does nothing. *)

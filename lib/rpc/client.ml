@@ -185,7 +185,7 @@ let rec schedule_retry t =
         let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
         t.retry_timer <-
           Some
-            (Simclock.schedule t.clock ~owner:t.owner ~after:(backoff +. jitter)
+            (Simclock.schedule_owned t.clock ~owner:t.owner ~after:(backoff +. jitter)
                (fun () ->
                  t.retry_timer <- None;
                  if (not t.busy_failed) && t.aborted = None then
@@ -225,7 +225,7 @@ let rec start_resume t ~start_copy ~start_offset =
         ->
           t.retry_timer <-
             Some
-              (Simclock.schedule t.clock ~owner:t.owner
+              (Simclock.schedule_owned t.clock ~owner:t.owner
                  ~after:t.retry.base_backoff_us (fun () ->
                    t.retry_timer <- None;
                    if t.aborted = None then
@@ -254,6 +254,13 @@ let slice_matches expected ~off data ~doff ~len =
      || doff > String.length data - len
   then invalid_arg "Client.slice_matches";
   spans_match expected off data doff len
+
+(* Every copy holds [len] bytes, from copy [i] on.  Top level over a
+   typed [int array], not [Array.for_all] with a closure: the bench asks
+   after every delivered data segment. *)
+let rec all_received (received : int array) len i =
+  i >= Array.length received
+  || (received.(i) = len && all_received received len (i + 1))
 
 (* Status dispatch; the payload is the span [data.[doff..doff+dlen-1]], a
    window into the pooled TSDU buffer. *)
@@ -315,8 +322,7 @@ let consume_reply t hdr ~data ~doff ~dlen =
             let len = String.length tr.expected in
             if tr.received.(copy) = len then
               match t.request_started_at with
-              | Some started when Array.for_all (fun n -> n = len) tr.received
-                ->
+              | Some started when all_received tr.received len 0 ->
                   t.request_started_at <- None;
                   M.observe m_latency
                     (int_of_float (Simclock.now t.clock -. started))
@@ -482,7 +488,7 @@ let transfer_complete t =
       && (not t.busy_failed)
       && t.errors = []
       && t.aborted = None
-      && Array.for_all (fun n -> n = String.length tr.expected) tr.received
+      && all_received tr.received (String.length tr.expected) 0
 
 let failure t =
   match t.aborted with

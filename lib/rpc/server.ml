@@ -15,16 +15,26 @@ module Ids = Hashtbl.Make (Int)
 
 type file = { addr : int; len : int }
 
-type segment = { copy : int; offset : int; seg_len : int; file : file }
-
-(* A queued reply item: either a data segment of an admitted request
-   (tagged with its request id and admission time, so stale requests can
-   be shed at drain time), or a small data-less reply carrying just a
-   header (status sheds, probe verdicts, dedup replays).  Header items
-   bypass the byte budgets — they are the shedding mechanism itself and
-   must always be deliverable. *)
+(* A queued item: either an admitted request, one cursor over the data
+   replies it has still to send (tagged with its admission time, so a
+   stale request can be shed at drain time), or a small data-less reply
+   carrying just a header (status sheds, probe verdicts, dedup
+   replays).  The cursor's next reply carries
+   [min max_reply (file.len - offset)] bytes of copy [copy] from
+   [offset]; [replies] and [bytes] count what is left, so the queue
+   holds one entry per request however many replies it makes.  Header
+   items bypass the byte budgets — they are the shedding mechanism
+   itself and must always be deliverable. *)
 type item =
-  | Data of { seg : segment; req_id : int; enqueued_at : float }
+  | Data of {
+      file : file;
+      enqueued_at : float;
+      max_reply : int;
+      mutable copy : int;
+      mutable offset : int;
+      mutable replies : int;
+      mutable bytes : int;
+    }
   | Status of Messages.reply_header
 
 type shed_reason =
@@ -168,11 +178,13 @@ type t = {
   store : store;
   conns : conn Ids.t;
   mutable next_conn_id : int;
-  mutable next_req_id : int;
   mutable live_connections : int;
   mutable total_queued_bytes : int;
   mutable peak_queued_bytes : int;
   blk : int array;
+  send_marks : float array;
+      (* the simulated clock before and after a reply's send, stored
+         flat so timing a reply boxes only what the probe receives *)
   mutable probe_before : unit -> unit;
   mutable probe_after : wire_len:int -> elapsed_us:float -> syscopy_us:float -> unit;
 }
@@ -198,7 +210,8 @@ let release_queue t conn bytes =
   t.total_queued_bytes <- t.total_queued_bytes - bytes;
   M.set g_queued_bytes t.total_queued_bytes
 
-let item_bytes = function Data { seg; _ } -> seg.seg_len | Status _ -> 0
+let item_bytes = function Data d -> d.bytes | Status _ -> 0
+let item_replies = function Data d -> d.replies | Status _ -> 1
 
 (* A connection whose sockets died (abort or close) will never accept its
    queued replies: abandon them, free the admission slot, and stop the
@@ -212,12 +225,13 @@ let mark_dead t conn =
       t.live_connections <- t.live_connections - 1;
       M.set g_connections t.live_connections
     end;
-    let abandoned = Queue.length conn.queue in
+    let abandoned = Queue.fold (fun n item -> n + item_replies item) 0 conn.queue in
     Queue.iter
       (fun item ->
         release_queue t conn (item_bytes item);
         match item with
-        | Data _ -> bump t.blk c_replies_abandoned
+        | Data d ->
+            t.blk.(c_replies_abandoned) <- t.blk.(c_replies_abandoned) + d.replies
         | Status _ -> bump t.blk c_statuses_abandoned)
       conn.queue;
     Queue.clear conn.queue;
@@ -237,8 +251,8 @@ let send_reply t conn hdr ~payload_addr =
     if conn.framed then ps.Engine.seg_unit + wire_len else wire_len
   in
   t.probe_before ();
-  let before = Machine.micros (machine t) in
-  ignore (Socket.take_syscopy_send_us conn.data);
+  Machine.store_micros (machine t) t.send_marks 0;
+  Socket.reset_syscopy_send conn.data;
   let sent =
     if conn.framed then begin
       (* A framing-negotiated connection: every reply TSDU — even one
@@ -269,75 +283,77 @@ let send_reply t conn hdr ~payload_addr =
   in
   match sent with
   | Ok () ->
-      let elapsed_us = Machine.micros (machine t) -. before in
-      let syscopy_us = Socket.take_syscopy_send_us conn.data in
+      Machine.store_micros (machine t) t.send_marks 1;
       bump t.blk c_replies_sent;
-      t.probe_after ~wire_len:sent_len ~elapsed_us ~syscopy_us;
+      t.probe_after ~wire_len:sent_len
+        ~elapsed_us:(t.send_marks.(1) -. t.send_marks.(0))
+        ~syscopy_us:(Socket.syscopy_send_us conn.data);
       `Sent
   | Error _ -> `Backpressure
-
-let send_segment t conn seg =
-  send_reply t conn
-    { Messages.status = Messages.Ok;
-      copy = seg.copy;
-      file_offset = seg.offset;
-      total_len = seg.file.len;
-      data_len = seg.seg_len }
-    ~payload_addr:(seg.file.addr + seg.offset)
 
 let status_hdr ?(copy = 0) ?(file_offset = 0) ?(total_len = 0) status =
   { Messages.status; copy; file_offset; total_len; data_len = 0 }
 
 let send_status t conn hdr = send_reply t conn hdr ~payload_addr:0
 
-(* Drop every remaining data segment of [req_id] from the queue (it is
-   being shed as a whole) and answer with one Busy instead. *)
-let shed_request t conn ~req_id =
-  let keep = Queue.create () in
-  Queue.iter
-    (fun item ->
-      match item with
-      | Data d when d.req_id = req_id -> release_queue t conn d.seg.seg_len
-      | _ -> Queue.add item keep)
-    conn.queue;
-  Queue.clear conn.queue;
-  Queue.transfer keep conn.queue;
+(* The request at the head of the queue is shed as a whole: drop what
+   it has left to send and answer with one Busy, queued last. *)
+let shed_front_request t conn ~bytes =
+  ignore (Queue.pop conn.queue);
+  release_queue t conn bytes;
   Queue.add (Status (status_hdr Messages.Busy)) conn.queue
 
 let rec drain t conn =
   conn.drain_timer <- None;
   if Socket.failure conn.data <> None || Socket.state conn.data = Socket.Closed
   then mark_dead t conn
+  else if Queue.is_empty conn.queue then conn.draining <- false
   else
-    match Queue.peek_opt conn.queue with
-    | None -> conn.draining <- false
-    | Some (Status hdr) -> (
+    match Queue.peek conn.queue with
+    | Status hdr -> (
         match send_status t conn hdr with
         | `Sent ->
             ignore (Queue.pop conn.queue);
             drain t conn
         | `Backpressure -> reschedule t conn)
-    | Some (Data { seg; req_id; enqueued_at }) ->
+    | Data d ->
         if
-          Simclock.now t.clock -. enqueued_at > t.limits.max_request_age_us
+          Simclock.now t.clock -. d.enqueued_at > t.limits.max_request_age_us
         then begin
           count_shed t Request_too_old;
-          shed_request t conn ~req_id;
+          shed_front_request t conn ~bytes:d.bytes;
           drain t conn
         end
-        else (
-          match send_segment t conn seg with
+        else
+          let seg_len = Int.min d.max_reply (d.file.len - d.offset) in
+          match
+            send_reply t conn
+              { Messages.status = Messages.Ok;
+                copy = d.copy;
+                file_offset = d.offset;
+                total_len = d.file.len;
+                data_len = seg_len }
+              ~payload_addr:(d.file.addr + d.offset)
+          with
           | `Sent ->
-              ignore (Queue.pop conn.queue);
-              release_queue t conn seg.seg_len;
+              (* Every copy after the first starts at byte 0. *)
+              if d.offset + seg_len < d.file.len then d.offset <- d.offset + seg_len
+              else begin
+                d.copy <- d.copy + 1;
+                d.offset <- 0
+              end;
+              d.replies <- d.replies - 1;
+              d.bytes <- d.bytes - seg_len;
+              if d.replies = 0 then ignore (Queue.pop conn.queue);
+              release_queue t conn seg_len;
               drain t conn
-          | `Backpressure -> reschedule t conn)
+          | `Backpressure -> reschedule t conn
 
 and reschedule t conn =
   conn.draining <- true;
   conn.drain_timer <-
     Some
-      (Simclock.schedule t.clock ~owner:t.owner ~after:retry_us (fun () ->
+      (Simclock.schedule_owned t.clock ~owner:t.owner ~after:retry_us (fun () ->
            drain t conn))
 
 let kick t conn = if not conn.draining then drain t conn
@@ -453,31 +469,32 @@ let handle_req t conn req =
                     (status_hdr ~copy:start_copy ~file_offset:start_offset
                        ~total_len:file.len Messages.Ok)
                 else begin
-                  let req_id = t.next_req_id in
-                  t.next_req_id <- t.next_req_id + 1;
-                  let enqueued_at = Simclock.now t.clock in
                   (* [max_reply] arrives over the wire: cap each reply at
                      what this server's engine can carry (the client
                      accepts any contiguous split of the file). *)
                   let max_reply =
                     Int.min (Int.max 16 req.Messages.max_reply) t.reply_room
                   in
-                  for copy = start_copy to req.Messages.copies - 1 do
-                    let offset =
-                      ref (if copy = start_copy then start_offset else 0)
-                    in
-                    while !offset < file.len do
-                      let seg_len = Int.min max_reply (file.len - !offset) in
-                      Queue.add
-                        (Data
-                           { seg = { copy; offset = !offset; seg_len; file };
-                             req_id;
-                             enqueued_at })
-                        conn.queue;
-                      charge_queue t conn seg_len;
-                      offset := !offset + seg_len
-                    done
-                  done;
+                  (* Each copy is cut into [max_reply]-byte replies from
+                     its first byte to be sent: [start_offset] in the
+                     first, 0 in the rest.  A resume point at the end of
+                     a copy starts at the next one. *)
+                  let replies_of n = (n + max_reply - 1) / max_reply in
+                  let later_copies = req.Messages.copies - 1 - start_copy in
+                  let at_end = start_offset >= file.len in
+                  Queue.add
+                    (Data
+                       { file;
+                         enqueued_at = Simclock.now t.clock;
+                         max_reply;
+                         copy = (if at_end then start_copy + 1 else start_copy);
+                         offset = (if at_end then 0 else start_offset);
+                         replies =
+                           replies_of (file.len - start_offset)
+                           + (later_copies * replies_of file.len);
+                         bytes = request_bytes })
+                    conn.queue;
+                  charge_queue t conn request_bytes;
                   kick t conn
                 end
               end)
@@ -525,11 +542,11 @@ let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
     store;
     conns = Ids.create 8;
     next_conn_id = 0;
-    next_req_id = 0;
     live_connections = 0;
     total_queued_bytes = 0;
     peak_queued_bytes = 0;
     blk = M.block family;
+    send_marks = Array.make 2 0.0;
     probe_before = (fun () -> ());
     probe_after = (fun ~wire_len:_ ~elapsed_us:_ ~syscopy_us:_ -> ()) }
 
@@ -567,7 +584,9 @@ let shutdown t =
   Ids.reset t.conns
 
 let pending_replies t =
-  Ids.fold (fun _ conn acc -> acc + Queue.length conn.queue) t.conns 0
+  Ids.fold
+    (fun _ conn acc -> Queue.fold (fun n item -> n + item_replies item) acc conn.queue)
+    t.conns 0
 
 let connections t = t.live_connections
 let queued_bytes t = t.total_queued_bytes

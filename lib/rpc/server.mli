@@ -123,7 +123,9 @@ val attach : t -> ctrl:Ilp_tcp.Socket.t -> data:Ilp_tcp.Socket.t -> int
     simulated memory at [addr]. *)
 val add_file : t -> name:string -> addr:int -> len:int -> unit
 
-(** Replies queued but not yet accepted by TCP, across all connections. *)
+(** Replies queued but not yet accepted by TCP, across all connections.
+    An admitted request is one queue entry, a cursor over its data
+    replies, and counts here for every reply it has left. *)
 val pending_replies : t -> int
 
 (** Live admitted connections. *)

@@ -2,8 +2,9 @@
     the SACK blocks that report them (RFC 2018, with RFC 2883 D-SACK),
     and the framed TSDU extent that decides out-of-order final placement.
 
-    One table, keyed by sequence number, holds every segment received
-    ahead of [rcv_nxt].  A held segment is either {e stashed} — copied
+    One table, in sequence order, holds every segment received ahead of
+    [rcv_nxt], so an ack merges them in one pass and builds only the
+    blocks it carries.  A held segment is either {e stashed} — copied
     whole into a stash slot, to be verified when the in-order drain
     reaches it — or {e placed} — already verified and landed at its final
     TSDU offset, so the drain is pure bookkeeping.
@@ -83,14 +84,19 @@ val pop : t -> rcv_nxt:int -> entry option
 val clear : t -> unit
 
 (** [take_blocks t] — the SACK blocks for the next ack, clearing the
-    pending D-SACK: the pending D-SACK block first, then the held
-    segments merged into maximal ranges, the range holding the most
-    recent arrival ahead of the rest (which descend by sequence).
-    Empty with nothing held and nothing duplicated, so a clean-link ack
-    stream is the same with SACK on or off. *)
+    pending D-SACK: the pending D-SACK block first, then the held ranges
+    in {!ranges}' order, at most {!Tcp_header.max_sack_blocks} blocks in
+    all — the ones the ack carries, and the only ones built.  Empty with
+    nothing held and nothing duplicated, so a clean-link ack stream is
+    the same with SACK on or off. *)
 val take_blocks : t -> (int * int) list
 
 (** {2 Inspection} *)
+
+(** Every held range: the held segments merged into maximal ranges, the
+    range holding the most recent arrival ahead of the rest (which
+    descend by sequence). *)
+val ranges : t -> (int * int) list
 
 val slots_in_use : t -> int
 

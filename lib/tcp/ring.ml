@@ -42,12 +42,16 @@ let reserve t len =
     Some (t.base + off)
   end
 
+(* [Queue.take] behind an emptiness test, not [Queue.take_opt]: an ack
+   releases a reservation per segment it frees, and an option would be a
+   box each. *)
 let release t =
-  match Queue.take_opt t.entries with
-  | None -> Error `Empty
-  | Some e ->
-      t.used <- t.used - e.len - e.wasted;
-      Ok ()
+  if Queue.is_empty t.entries then Error `Empty
+  else begin
+    let e = Queue.take t.entries in
+    t.used <- t.used - e.len - e.wasted;
+    Ok ()
+  end
 
 let release_exn t =
   match release t with

@@ -6,8 +6,11 @@ type t
 
 val create : ?initial_us:float -> ?min_us:float -> ?max_us:float -> unit -> t
 
-(** [sample t rtt_us] folds one round-trip measurement. *)
-val sample : t -> float -> unit
+(** [sample t ~sent_at ~now] folds one round-trip measurement, the
+    microseconds from [sent_at] to [now].  It allocates nothing: the
+    caller passes the two times it holds, not a difference it would have
+    to box. *)
+val sample : t -> sent_at:float -> now:float -> unit
 
 (** Current timeout in microseconds (backoff applied). *)
 val timeout_us : t -> float

@@ -22,13 +22,13 @@ let bytes t = Queue.fold (fun acc s -> acc + s.len) 0 t.q
 let oldest t = Queue.peek_opt t.q
 let clear t = Queue.clear t.q
 
-let rec pop_acked t ~ack f =
-  match Queue.peek_opt t.q with
-  | Some s when s.seq + s.len <= ack ->
-      ignore (Queue.pop t.q);
-      f s;
-      pop_acked t ~ack f
-  | _ -> ()
+let front_acked t ~ack =
+  (not (Queue.is_empty t.q))
+  &&
+  let s = Queue.peek t.q in
+  s.seq + s.len <= ack
+
+let pop t = Queue.pop t.q
 
 type sack_counts = { accepted : int; invalid : int; spurious : int }
 

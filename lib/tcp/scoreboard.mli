@@ -45,9 +45,15 @@ val oldest : 'a t -> 'a seg option
 (** Drop every segment (host crash). *)
 val clear : 'a t -> unit
 
-(** [pop_acked t ~ack f] removes, oldest first, every segment wholly
-    below the cumulative [ack] and passes each to [f]. *)
-val pop_acked : 'a t -> ack:int -> ('a seg -> unit) -> unit
+(** [front_acked t ~ack]: a segment is queued and the oldest lies
+    wholly below the cumulative [ack].  An ack drains the queue with
+    [while front_acked t ~ack do ... pop t ... done], which allocates
+    nothing per segment. *)
+val front_acked : 'a t -> ack:int -> bool
+
+(** Remove and return the oldest segment.  Raises [Queue.Empty] on an
+    empty queue. *)
+val pop : 'a t -> 'a seg
 
 (** What one ack's blocks amounted to: [accepted] blocks were applied;
     [invalid] ones were empty, inverted, reached beyond [snd_nxt], or

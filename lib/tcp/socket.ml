@@ -313,7 +313,11 @@ type t = {
   mutable rx_proc : rx_processing option;  (* [None]: inbound data is dropped *)
   mutable on_message : len:int -> unit;
   mutable ip_ident : int;
-  mutable syscopy_send_cycles_us : float;
+  (* The send-side system copy's simulated time: slot 0 sums it since
+     the last [reset_syscopy_send], slots 1 and 2 take the clock around
+     one copy.  A float array stores its floats flat, so timing every
+     datagram boxes nothing. *)
+  syscopy : float array;
   blk : int array;  (* this socket's block of [family] *)
   mutable failed : abort_reason option;
   mutable on_abort : abort_reason -> unit;
@@ -400,7 +404,7 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     rx_proc = None;
     on_message = (fun ~len:_ -> ());
     ip_ident = local_port * 1000;
-    syscopy_send_cycles_us = 0.0;
+    syscopy = Array.make 3 0.0;
     blk = M.block family;
     failed = None;
     on_abort = (fun _ -> ());
@@ -479,10 +483,8 @@ let ooo_capacity t = Reasm.capacity t.reasm
 let pending_streams t = Queue.length t.streams
 let ring_wraps t = Ring.wraps t.ring
 
-let take_syscopy_send_us t =
-  let v = t.syscopy_send_cycles_us in
-  t.syscopy_send_cycles_us <- 0.0;
-  v
+let reset_syscopy_send t = t.syscopy.(0) <- 0.0
+let syscopy_send_us t = t.syscopy.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Transmission plumbing *)
@@ -526,14 +528,15 @@ let transmit t header ~addr ~payload_len =
      for pure control segments. *)
   Machine.compute (machine t) (if payload_len > 0 then control_ops else ack_ops);
   let hlen = Tcp_header.wire_size header in
-  let before = Machine.micros (machine t) in
+  let sc = t.syscopy in
+  Machine.store_micros (machine t) sc 1;
   Mem.blit (mem t) ~src:t.hdr_area ~dst:t.tx_kernel ~len:hlen
     ~unit_len:blit_unit;
   if payload_len > 0 then
     Mem.blit (mem t) ~src:addr ~dst:(t.tx_kernel + hlen) ~len:payload_len
       ~unit_len:blit_unit;
-  t.syscopy_send_cycles_us <-
-    t.syscopy_send_cycles_us +. (Machine.micros (machine t) -. before);
+  Machine.store_micros (machine t) sc 2;
+  sc.(0) <- sc.(0) +. (sc.(2) -. sc.(1));
   bump t c_segments_sent 1;
   M.observe m_seg_payload payload_len;
   if Trace.enabled () && payload_len > 0 then
@@ -641,7 +644,7 @@ let rec transition t ev =
         if st = Time_wait then
           t.tw_timer <-
             Some
-              (Simclock.schedule t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
+              (Simclock.schedule_owned t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
                  (fun () ->
                    t.tw_timer <- None;
                    transition t Tw_expiry))
@@ -670,7 +673,7 @@ and send_first t ~flags =
 and arm_ctl_timer t ~flags =
   Option.iter Simclock.cancel t.ctl_timer;
   let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
+    Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
         if t.ctl_retries >= max_retries then
           abort t
             (if flags land Tcp_header.syn <> 0 then Handshake_failed
@@ -821,7 +824,7 @@ let probe_wire_states = [ Established; Close_wait; Fin_wait_1; Fin_wait_2 ]
 let rec arm_keepalive t =
   Option.iter Simclock.cancel t.ka_timer;
   let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:t.ka_interval_us (fun () ->
+    Simclock.schedule_owned t.clock ~owner:t.owner ~after:t.ka_interval_us (fun () ->
         t.ka_timer <- None;
         if
           t.failed = None && t.ka_on_result <> None
@@ -906,7 +909,7 @@ let rec arm_persist t ~want =
   in
   Option.iter Simclock.cancel t.persist_timer;
   let timer =
-    Simclock.schedule t.clock ~owner:t.owner ~after:(persist_interval_us t) (fun () ->
+    Simclock.schedule_owned t.clock ~owner:t.owner ~after:(persist_interval_us t) (fun () ->
         t.persist_timer <- None;
         if t.st = Established || t.st = Close_wait then begin
           if Simclock.now t.clock -. stall_start >= t.cfg.stall_deadline_us then
@@ -928,7 +931,7 @@ let rec arm_persist t ~want =
 let rec arm_rto t =
   Option.iter Simclock.cancel t.rto_timer;
   if not (Scoreboard.is_empty t.sb) then begin
-    let timer = Simclock.schedule t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () -> on_rto t) in
+    let timer = Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () -> on_rto t) in
     t.rto_timer <- Some timer
   end
   else t.rto_timer <- None
@@ -1060,36 +1063,38 @@ let send_segment t s ~addr ~len =
    acked, a window update, or fast-recovery inflation) — this is what
    keeps multiple segments in flight. *)
 let rec pump_streams t =
-  if (t.st = Established || t.st = Close_wait) && t.failed = None then
-    match Queue.peek_opt t.streams with
-    | None -> ()
-    | Some s ->
-        if s.ps_off >= s.ps_len then begin
-          ignore (Queue.pop t.streams);
-          maybe_close t;
-          pump_streams t
-        end
-        else begin
-          let max_seg = t.cfg.mss - (t.cfg.mss mod s.ps_unit) in
-          let seg = Int.min max_seg (s.ps_len - s.ps_off) in
-          if seg > Ring.size t.ring then
-            invalid_arg "Socket.send_stream: mss exceeds the send buffer";
-          if seg > send_window_space t then begin
-            (* Window too small for the next segment.  With data still in
-               flight, acks (or the RTO) reopen it; with nothing in
-               flight there is no timer running, so this is a zero-window
-               stall mid-stream — run the persist machinery. *)
-            if Scoreboard.is_empty t.sb && t.persist_timer = None then
-              arm_persist t ~want:seg
-          end
-          else
-            match Ring.reserve t.ring seg with
-            | None -> ()  (* ring full: acks release space and re-pump *)
-            | Some addr ->
-                if t.persist_timer <> None then cancel_persist t;
-                send_segment t s ~addr ~len:seg;
-                pump_streams t
-        end
+  if
+    (t.st = Established || t.st = Close_wait)
+    && t.failed = None
+    && not (Queue.is_empty t.streams)
+  then
+    let s = Queue.peek t.streams in
+    if s.ps_off >= s.ps_len then begin
+      ignore (Queue.pop t.streams);
+      maybe_close t;
+      pump_streams t
+    end
+    else begin
+      let max_seg = t.cfg.mss - (t.cfg.mss mod s.ps_unit) in
+      let seg = Int.min max_seg (s.ps_len - s.ps_off) in
+      if seg > Ring.size t.ring then
+        invalid_arg "Socket.send_stream: mss exceeds the send buffer";
+      if seg > send_window_space t then begin
+        (* Window too small for the next segment.  With data still in
+           flight, acks (or the RTO) reopen it; with nothing in
+           flight there is no timer running, so this is a zero-window
+           stall mid-stream — run the persist machinery. *)
+        if Scoreboard.is_empty t.sb && t.persist_timer = None then
+          arm_persist t ~want:seg
+      end
+      else
+        match Ring.reserve t.ring seg with
+        | None -> ()  (* ring full: acks release space and re-pump *)
+        | Some addr ->
+            if t.persist_timer <> None then cancel_persist t;
+            send_segment t s ~addr ~len:seg;
+            pump_streams t
+    end
 
 (* The paper's one-TSDU-one-TPDU send: a TSDU of at most one MSS that
    goes out now, as the pump's single segment, or not at all. *)
@@ -1403,21 +1408,23 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
     if Cc.ack t.cc ~acked:newly_acked then set_cc_gauges t;
     let sampled = ref false in
     let now = Simclock.now t.clock in
-    Scoreboard.pop_acked t.sb ~ack:h.ack (fun seg ->
-        (* The ring and the queue are reserved/queued in lockstep, so a
-           popped segment guarantees a live oldest reservation. *)
-        (match Ring.release t.ring with Ok () -> () | Error `Empty -> ());
-        let tx = seg.data in
-        M.observe m_seg_rexmits tx.rexmits;
-        if Trace.enabled () then
-          Trace.span ~arg:seg.len Trace.Tcp_segment
-            ~packet:(Trace.current_packet ()) ~ts:tx.sent_at
-            ~dur:(now -. tx.sent_at);
-        if tx.rexmits = 0 && not !sampled then begin
-          Rto.sample t.rto (now -. tx.sent_at);
-          M.observe m_ack_rtt (int_of_float (now -. tx.sent_at));
-          sampled := true
-        end);
+    while Scoreboard.front_acked t.sb ~ack:h.ack do
+      let seg = Scoreboard.pop t.sb in
+      (* The ring and the queue are reserved/queued in lockstep, so a
+         popped segment guarantees a live oldest reservation. *)
+      (match Ring.release t.ring with Ok () -> () | Error `Empty -> ());
+      let tx = seg.data in
+      M.observe m_seg_rexmits tx.rexmits;
+      if Trace.enabled () then
+        Trace.span ~arg:seg.len Trace.Tcp_segment
+          ~packet:(Trace.current_packet ()) ~ts:tx.sent_at
+          ~dur:(now -. tx.sent_at);
+      if tx.rexmits = 0 && not !sampled then begin
+        Rto.sample t.rto ~sent_at:tx.sent_at ~now;
+        M.observe m_ack_rtt (int_of_float (now -. tx.sent_at));
+        sampled := true
+      end
+    done;
     t.snd_una <- Int.max t.snd_una h.ack;
     (match Cc.recovery_ack t.cc ~ack:h.ack with
     | Cc.Not_recovering -> ()

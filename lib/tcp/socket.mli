@@ -424,7 +424,11 @@ val stats : t -> stats
     [max 8 (recv_window/mss + 4)]. *)
 val ooo_capacity : t -> int
 
-(** Cycles spent in the send-side system copy (user to kernel boundary)
-    since the last call, in microseconds — lets the harness separate
-    "packet processing" from "system copy" as the paper's figure 3 does. *)
-val take_syscopy_send_us : t -> float
+(** Simulated microseconds spent in the send-side system copy (user to
+    kernel boundary) since the last {!reset_syscopy_send} — lets the
+    harness separate "packet processing" from "system copy" as the
+    paper's figure 3 does.  Each datagram adds its copy's time without
+    allocating. *)
+val syscopy_send_us : t -> float
+
+val reset_syscopy_send : t -> unit

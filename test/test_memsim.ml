@@ -947,7 +947,13 @@ let test_exec_run_allocate_nothing () =
   (* A boxed float: a header and the 8-byte payload. *)
   List.iter (at_most 2.0)
     [ ("micros", fun () -> ignore (Sys.opaque_identity (Machine.micros m)));
-      ("cycles", fun () -> ignore (Sys.opaque_identity (Machine.cycles m))) ]
+      ("cycles", fun () -> ignore (Sys.opaque_identity (Machine.cycles m))) ];
+  (* [store_micros] writes the same float into a float array, unboxed. *)
+  let marks = Array.make 1 0.0 in
+  at_most 0.0 ("store_micros", fun () -> Machine.store_micros m marks 0);
+  checkb "store_micros stores micros bit for bit" true
+    (Int64.equal (Int64.bits_of_float marks.(0))
+       (Int64.bits_of_float (Machine.micros m)))
 
 (* ------------------------------------------------------------------ *)
 (* Mem *)

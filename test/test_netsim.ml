@@ -115,12 +115,14 @@ module Map_clock = struct
   let create ?event_budget:_ () = { now = 0.0; events = Events.empty; next_seq = 0 }
   let now t = t.now
 
-  let schedule t ?(owner = 0) ~after f =
+  let schedule_owned t ~owner ~after f =
     let at = t.now +. Float.max 0.0 after in
     let key = { Key.at; seq = t.next_seq } in
     t.next_seq <- t.next_seq + 1;
     t.events <- Events.add key { owner; fn = f } t.events;
     { clock = t; key; live = true }
+
+  let schedule t ~after f = schedule_owned t ~owner:0 ~after f
 
   let cancel timer =
     if timer.live then begin
@@ -172,7 +174,8 @@ module type CLOCK = sig
 
   val create : ?event_budget:int -> unit -> t
   val now : t -> float
-  val schedule : t -> ?owner:int -> after:float -> (unit -> unit) -> timer
+  val schedule : t -> after:float -> (unit -> unit) -> timer
+  val schedule_owned : t -> owner:int -> after:float -> (unit -> unit) -> timer
   val cancel : timer -> unit
   val is_pending : timer -> bool
   val advance : t -> float -> unit
@@ -186,7 +189,7 @@ end
 type clock_act = Log | Spawn of float | Kill of int
 
 type clock_op =
-  | Sched of int * float * clock_act  (* owner (0: none given), delay *)
+  | Sched of int * float * clock_act  (* owner (0: [schedule], else [schedule_owned]), delay *)
   | Cancel of int  (* the k-th timer made so far: pending, fired or cancelled *)
   | Advance of float
   | Run of int  (* run_until_idle with this max_events *)
@@ -224,7 +227,7 @@ module Drive (C : CLOCK) = struct
       timers.(id) <-
         Some
           (if owner = 0 then C.schedule clock ~after fn
-           else C.schedule clock ~owner ~after fn)
+           else C.schedule_owned clock ~owner ~after fn)
     in
     List.map
       (fun op ->
@@ -292,8 +295,8 @@ let print_clock_op = function
   | Advance dt -> Printf.sprintf "advance %g" dt
   | Run m -> Printf.sprintf "run %d" m
 
-(* Random interleavings of schedule (callbacks that schedule and cancel
-   too), cancel of pending, fired and cancelled timers, advance, and
+(* Random interleavings of schedule and schedule_owned (callbacks that
+   schedule and cancel too), cancel of pending, fired and cancelled timers, advance, and
    run_until_idle with budgets small enough to raise Livelock: after
    every operation the heap clock and the map clock have fired the same
    ids in the same order and agree on now (bit for bit), pending, each
@@ -361,6 +364,28 @@ let test_clock_allocation_flat () =
   check_words "schedule+fire flat in queue length" f16 f4k;
   check_words "cancel allocates nothing at 16" 0.0 k16;
   check_words "cancel allocates nothing at 4096" 0.0 k4k
+
+(* An owner-tagged timer (a socket's RTO, a server drain, a client
+   retry) passes its owner as a plain int: schedule+cancel costs the
+   timer record alone, as an anonymous one does, with no [Some owner]
+   for an optional argument. *)
+let test_clock_owned_allocation () =
+  let clock = Simclock.create () in
+  let owner = Simclock.fresh_owner clock in
+  let once () =
+    Simclock.cancel (Simclock.schedule_owned clock ~owner ~after:5.0 tick)
+  in
+  once ();
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do once () done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let timer = Simclock.schedule_owned clock ~owner ~after:0.0 tick in
+  Alcotest.(check (float 0.001))
+    "owner-tagged schedule+cancel: the timer record only"
+    (float_of_int (Obj.size (Obj.repr timer) + 1))
+    words;
+  check "tagged with its owner" 1 (Simclock.pending_count clock ~owner)
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -968,7 +993,9 @@ let () =
           Alcotest.test_case "negative delay" `Quick test_clock_negative_delay_clamped;
           Alcotest.test_case "allocation flat in queue length" `Quick
             test_clock_allocation_flat;
-          qc prop_clock_model ] );
+          qc prop_clock_model;
+          Alcotest.test_case "owner-tagged schedule allocates the timer alone"
+            `Quick test_clock_owned_allocation ] );
       ( "link",
         [ Alcotest.test_case "delivery order" `Quick test_link_delivery_order;
           Alcotest.test_case "deterministic loss" `Quick test_link_loss_deterministic;

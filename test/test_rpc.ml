@@ -1084,6 +1084,88 @@ let test_dead_connection_frees_admission_slot () =
   ignore (Server.attach w.server ~ctrl:srv_ctrl3 ~data:srv_data3);
   check "new connection admitted" 1 (Server.connections w.server)
 
+(* Laying out and framing a 256-byte reply, the per-reply work of a
+   fan-in server: the stub compiler's layout with its encoder held in
+   the compiled stub, then the engine's framing straight into one
+   segment array with shared zero runs (167 words before either). *)
+let test_reply_build_budget () =
+  let sim = Sim.create (Config.custom ()) in
+  let cipher = Ilp_cipher.Safer_simplified.charged sim ~key () in
+  let eng = Engine.create sim ~cipher ~mode:Engine.Ilp () in
+  let hdr =
+    { Messages.status = Messages.Ok; copy = 1; file_offset = 512;
+      total_len = 2048; data_len = 256 }
+  in
+  let build () =
+    Engine.prepare_stream_segments eng (Messages.reply_segments hdr ~payload_addr:4096)
+  in
+  let ps = build () in
+  check "a 256-byte reply's wire length" 280 ps.Engine.stream_len;
+  let n = 200 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (build ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  checkb
+    (Printf.sprintf "a 256-byte reply is laid out and framed in %.1f words (budget 82)"
+       words)
+    true (words <= 82.5)
+
+(* A request for [k] replies queues one entry, a cursor, whatever [k]:
+   admitting it allocates the same for 4 replies as for 16, while
+   [pending_replies] reads [k] and, when the connection dies, the
+   abandon counts [k] ([replies_abandoned] and the [Abandon] flight
+   note).  The server's data socket never connects (its SYN is
+   swallowed), so every reply waits in the queue. *)
+let test_one_queue_entry_per_request () =
+  let admit ~max_reply =
+    let world = lossy_world () in
+    let clock = World.clock world in
+    let srv_engine = engine world in
+    let cli_engine = engine world in
+    let server = Server.create ~clock ~engine:srv_engine () in
+    let rx role s d =
+      match role with World.Cli_data -> () | _ -> Socket.handle_datagram s d
+    in
+    let c = World.connect world server ~rx sock_cfg ~base:10 in
+    let client =
+      Client.create ~clock ~engine:cli_engine ~ctrl:c.World.cli_ctrl
+        ~data:c.World.cli_data ()
+    in
+    let file = Ilp_app.Workload.generate ~len:4096 ~seed:3 in
+    let addr = Ilp_app.Workload.install (World.sim world) file in
+    Server.add_file server ~name:"test.bin" ~addr ~len:4096;
+    Simclock.advance clock 1_000.0;
+    let w0 = Gc.minor_words () in
+    (match
+       Client.request_file client ~name:"test.bin" ~copies:1 ~max_reply
+         ~expected:file
+     with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "request refused locally");
+    Simclock.advance clock 1_000.0;
+    let words = Gc.minor_words () -. w0 in
+    (server, c, words)
+  in
+  let s4, _, words4 = admit ~max_reply:1024 in
+  let s16, c16, words16 = admit ~max_reply:256 in
+  check "pending_replies counts 4 replies" 4 (Server.pending_replies s4);
+  check "pending_replies counts 16 replies" 16 (Server.pending_replies s16);
+  Alcotest.(check (float 0.5))
+    "admission allocates the same for 16 replies as for 4" words4 words16;
+  Ilp_obs.Recorder.clear ();
+  Server.shutdown s16;
+  check "the abandon counts every reply" 16 (Server.replies_abandoned s16);
+  check "nothing left pending" 0 (Server.pending_replies s16);
+  let port = Socket.local_port c16.World.srv_ctrl in
+  checkb "the Abandon note carries 16" true
+    (List.exists
+       (fun (e : Ilp_obs.Recorder.entry) ->
+         e.Ilp_obs.Recorder.stage = Ilp_obs.Trace.Abandon
+         && e.Ilp_obs.Recorder.arg = 16)
+       (Ilp_obs.Recorder.entries ~conn:port ()))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "rpc"
@@ -1108,7 +1190,9 @@ let () =
             test_reply_opaque_bounded_by_body;
           qc prop_request_roundtrip;
           qc prop_ctrl_decoder_reads_v1_requests;
-          qc prop_reply_view_equals_copy ] );
+          qc prop_reply_view_equals_copy;
+          Alcotest.test_case "a reply is laid out and framed within budget" `Quick
+            test_reply_build_budget ] );
       ( "client-server",
         [ Alcotest.test_case "transfer (ILP)" `Quick test_transfer_ilp;
           Alcotest.test_case "transfer (separate)" `Quick test_transfer_separate;
@@ -1140,4 +1224,6 @@ let () =
           Alcotest.test_case "Busy retry recovers after transient overload"
             `Quick test_busy_retry_recovers;
           Alcotest.test_case "dead connection frees admission slot" `Quick
-            test_dead_connection_frees_admission_slot ] ) ]
+            test_dead_connection_frees_admission_slot;
+          Alcotest.test_case "one queue entry per request" `Quick
+            test_one_queue_entry_per_request ] ) ]

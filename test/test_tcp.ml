@@ -206,7 +206,7 @@ let prop_ring_fifo =
 let test_rto_defaults_and_sampling () =
   let r = Rto.create ~initial_us:1000.0 ~min_us:100.0 ~max_us:10_000.0 () in
   checkb "initial" true (Rto.timeout_us r = 1000.0);
-  Rto.sample r 400.0;
+  Rto.sample r ~sent_at:100.0 ~now:500.0;
   checkb "after sample, srtt known" true (Rto.srtt_us r = Some 400.0);
   let t = Rto.timeout_us r in
   checkb "timeout within clamps" true (t >= 100.0 && t <= 10_000.0)
@@ -227,10 +227,73 @@ let test_rto_backoff () =
 
 let test_rto_smoothing () =
   let r = Rto.create ~min_us:50.0 () in
-  List.iter (fun v -> Rto.sample r v) [ 100.0; 100.0; 100.0; 100.0 ];
+  List.iter (fun v -> Rto.sample r ~sent_at:0.0 ~now:v) [ 100.0; 100.0; 100.0; 100.0 ];
   let t = Rto.timeout_us r in
   (* srtt = 100, rttvar decays: timeout approaches min-bounded srtt. *)
   checkb "converges near srtt" true (t < 500.0 *. 2.0)
+
+(* The estimator as it was with a [float option] srtt, the arithmetic
+   written the same way: the flat estimator must agree bit for bit. *)
+module Rto_ref = struct
+  type t = { mutable srtt : float option; mutable rttvar : float; mutable shift : int }
+
+  let create () = { srtt = None; rttvar = 0.0; shift = 0 }
+
+  let sample t rtt =
+    (match t.srtt with
+    | None ->
+        t.srtt <- Some rtt;
+        t.rttvar <- rtt /. 2.0
+    | Some srtt ->
+        let err = rtt -. srtt in
+        t.rttvar <- t.rttvar +. ((Float.abs err -. t.rttvar) /. 4.0);
+        t.srtt <- Some (srtt +. (err /. 8.0)));
+    t.shift <- 0
+
+  let timeout_us t ~initial_us ~min_us ~max_us =
+    let base = match t.srtt with None -> initial_us | Some s -> s +. (4.0 *. t.rttvar) in
+    Float.min max_us (Float.max min_us (base *. float_of_int (1 lsl t.shift)))
+end
+
+(* Samples fold with no allocation (the estimate's floats are stored
+   flat), and the timeouts match the option-based estimator bit for bit
+   through samples, backoffs and resets. *)
+let test_rto_flat () =
+  let r = Rto.create ~initial_us:3000.0 ~min_us:200.0 ~max_us:400_000.0 () in
+  let m = Rto_ref.create () in
+  let bits f = Int64.bits_of_float f in
+  let same what =
+    Alcotest.(check int64) what
+      (bits (Rto_ref.timeout_us m ~initial_us:3000.0 ~min_us:200.0 ~max_us:400_000.0))
+      (bits (Rto.timeout_us r))
+  in
+  same "before any sample";
+  let prng = Ilp_netsim.Xorshift.create 7 in
+  for i = 1 to 400 do
+    let sent_at = float_of_int i *. 1000.0 +. Ilp_netsim.Xorshift.float prng in
+    let now = sent_at +. 10.0 +. (5000.0 *. Ilp_netsim.Xorshift.float prng) in
+    (match i mod 7 with
+    | 3 ->
+        Rto.backoff r;
+        m.Rto_ref.shift <- Int.min 12 (m.Rto_ref.shift + 1)
+    | 5 ->
+        Rto.reset_backoff r;
+        m.Rto_ref.shift <- 0
+    | _ ->
+        Rto.sample r ~sent_at ~now;
+        Rto_ref.sample m (now -. sent_at));
+    same (Printf.sprintf "after step %d" i)
+  done;
+  checkb "srtt as the reference" true (Rto.srtt_us r = m.Rto_ref.srtt);
+  let words =
+    let sent_at = Sys.opaque_identity 1000.0 and now = Sys.opaque_identity 1750.5 in
+    Rto.sample r ~sent_at ~now;
+    let n = 100 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do Rto.sample r ~sent_at ~now done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  Alcotest.(check (float 0.001)) "Rto.sample allocates nothing" 0.0 words
 
 (* ------------------------------------------------------------------ *)
 (* Socket integration *)
@@ -425,7 +488,8 @@ let test_transfer_with_duplication () =
    once, straight from the kernel buffer, and the receiver checks it and
    DMAs the segment from where it lies.  So from the send to the end of
    the peer's receive (its ack included), a 1448-byte segment costs more
-   host words than a 64-byte one only by its wire string's own words. *)
+   host words than a 64-byte one only by its wire string's own words,
+   and the 64-byte trip stays within a fixed budget. *)
 let test_datagram_one_host_copy () =
   let w = make_world ~mss:1448 () in
   connect w;
@@ -452,6 +516,13 @@ let test_datagram_one_host_copy () =
     (Gc.minor_words () -. w0) /. float_of_int n
   in
   let small = words_per_trip (trip 64) and big = words_per_trip (trip 1448) in
+  (* Around the wire strings the trip's bookkeeping is pinned too: the
+     send-side copy is timed without a box (6 words a datagram before)
+     and the ack frees its segment without a closure or an option (210
+     words for this trip before, 172 now). *)
+  checkb
+    (Printf.sprintf "a 64-byte segment's trip costs %.1f words (budget 172)" small)
+    true (small <= 172.5);
   (* A string of [n] bytes is a header word plus [n / 8 + 1] words. *)
   let wire_words len =
     float_of_int (((Ilp_netsim.Ipv4.header_len + Tcp_header.size + len) / 8) + 2)
@@ -463,6 +534,52 @@ let test_datagram_one_host_copy () =
     true
     (big -. small <= allowed +. 0.5);
   check "every segment delivered" (52 * (64 + 1448)) !delivered
+
+(* A pure ACK that frees the one segment in flight allocates only its
+   parsed header ([Tcp_header.read_mem_v]'s record and the header
+   record): the acked segment leaves the scoreboard without a closure or
+   an option, and the RTT sample folds into the estimator unboxed. *)
+let test_pure_ack_allocates_header_only () =
+  let held = ref None and hold = ref false in
+  let tamper d =
+    if !hold && d.Datagram.src_port = 200 then begin
+      held := Some d;
+      []
+    end
+    else [ d ]
+  in
+  let w = make_world ~tamper () in
+  connect w;
+  let fill m ~dst ~off:_ ~len =
+    Mem.poke_string m ~pos:dst (String.make len 'a');
+    None
+  in
+  let send () =
+    match Socket.send_message w.a ~len:200 ~fill with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "send refused"
+  in
+  send ();
+  Simclock.run_until_idle w.clock;
+  hold := true;
+  send ();
+  (* Long enough for the segment to arrive and its ack to leave, well
+     inside the retransmission timeout. *)
+  Simclock.advance w.clock 500.0;
+  let ack = match !held with Some d -> d | None -> Alcotest.fail "no ack held" in
+  checkb "a segment awaits the ack" true (Socket.bytes_in_flight w.a = 200);
+  let w0 = Gc.minor_words () in
+  Socket.handle_datagram w.a ack;
+  let words = Gc.minor_words () -. w0 in
+  check "the ack freed it" 0 (Socket.bytes_in_flight w.a);
+  let parsed =
+    Tcp_header.read_mem_v w.sim.Sim.mem ~pos:0 ~total:Tcp_header.size
+  in
+  let header_words =
+    Obj.size (Obj.repr parsed) + 1 + Obj.size (Obj.repr parsed.Tcp_header.hdr) + 1
+  in
+  Alcotest.(check (float 0.001))
+    "pure ack: the parsed header only" (float_of_int header_words) words
 
 let test_corruption_detected_and_recovered () =
   (* Flip a payload byte of the 8th wire datagram once; TCP must drop it on
@@ -2582,7 +2699,9 @@ let prop_scoreboard_model =
                 in
                 let c = Scoreboard.process_sack sb ~ack ~snd_nxt:m.snd_nxt blocks in
                 let expect = sb_model_sack m ~ack blocks in
-                Scoreboard.pop_acked sb ~ack ignore;
+                while Scoreboard.front_acked sb ~ack do
+                  ignore (Scoreboard.pop sb)
+                done;
                 m.flight <- List.filter (fun (s, len) -> s + len > ack) m.flight;
                 m.sacked <- Iset.filter (fun s -> List.mem_assoc s m.flight) m.sacked;
                 m.resent <- List.filter (fun (s, _) -> List.mem_assoc s m.flight) m.resent;
@@ -2788,7 +2907,8 @@ let prop_cc_ack_division =
    [rcv_nxt], in-order advances with the drain, and framed TSDUs.  The
    model holds the same segments in a list and derives the SACK blocks
    from a byte bitmap of what is held: its maximal runs, the run holding
-   the most recent arrival first, a pending D-SACK block ahead of them. *)
+   the most recent arrival first ([Reasm.ranges]), a pending D-SACK
+   block ahead of them, as many as an ack carries ([Reasm.take_blocks]). *)
 
 type ra_op =
   | Ra_arrive of int * int * bool  (* offset past rcv_nxt, length, verdict *)
@@ -2937,7 +3057,10 @@ let prop_reasm_model =
             else match !dsack with Some d -> d :: runs | None -> runs
           in
           dsack := None;
-          expect "blocks" (Reasm.take_blocks r = blocks);
+          expect "ranges" (Reasm.ranges r = runs);
+          expect "blocks"
+            (Reasm.take_blocks r
+            = List.filteri (fun i _ -> i < Tcp_header.max_sack_blocks) blocks);
           expect "held"
             (Reasm.held r
             = List.sort compare (List.map (fun (s, _, e) -> (s, e)) !held));
@@ -2971,7 +3094,9 @@ let () =
       ( "rto",
         [ Alcotest.test_case "defaults and sampling" `Quick test_rto_defaults_and_sampling;
           Alcotest.test_case "backoff" `Quick test_rto_backoff;
-          Alcotest.test_case "smoothing" `Quick test_rto_smoothing ] );
+          Alcotest.test_case "smoothing" `Quick test_rto_smoothing;
+          Alcotest.test_case "flat estimate, bit for bit, no allocation" `Quick
+            test_rto_flat ] );
       ( "socket",
         [ Alcotest.test_case "handshake" `Quick test_handshake;
           Alcotest.test_case "handshake under loss" `Quick test_handshake_under_loss;
@@ -3008,7 +3133,9 @@ let () =
           qc prop_close_ends_clean;
           Alcotest.test_case "no handler drops data" `Quick
             test_no_handler_drops_data;
-          qc prop_lossy_stream_integrity ] );
+          qc prop_lossy_stream_integrity;
+          Alcotest.test_case "a pure ack allocates its parsed header only" `Quick
+            test_pure_ack_allocates_header_only ] );
       ( "persist",
         [ Alcotest.test_case "probes back off" `Quick test_persist_probes_back_off;
           Alcotest.test_case "resumes exactly once on reopen" `Quick
