@@ -193,17 +193,15 @@ let exec t (region : Code.region) =
 let cycles t = (float_of_int t.stall *. 0.25) +. (float_of_int t.ops *. t.compute_scale)
 
 (* Not [cycles t /. clock]: each reader returns a boxed float, and a
-   reader calling another allocates twice. *)
-let micros t =
+   reader calling another allocates twice.  Inlined, [micros_of] boxes
+   nothing: [micros] boxes its result once, and [store_micros] stores
+   it into a float array, which holds its floats flat. *)
+let[@inline] micros_of t =
   ((float_of_int t.stall *. 0.25) +. (float_of_int t.ops *. t.compute_scale))
   /. t.cfg.Config.clock_mhz
 
-(* [micros]'s expression, stored into a float array, which holds its
-   floats flat: no box on the way. *)
-let store_micros t (a : float array) i =
-  a.(i) <-
-    ((float_of_int t.stall *. 0.25) +. (float_of_int t.ops *. t.compute_scale))
-    /. t.cfg.Config.clock_mhz
+let micros t = micros_of t
+let store_micros t (a : float array) i = a.(i) <- micros_of t
 
 let stall_cycles t = float_of_int t.stall *. 0.25
 let stall_micros t = float_of_int t.stall *. 0.25 /. t.cfg.Config.clock_mhz
