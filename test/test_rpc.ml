@@ -1166,6 +1166,44 @@ let test_one_queue_entry_per_request () =
          && e.Ilp_obs.Recorder.arg = 16)
        (Ilp_obs.Recorder.entries ~conn:port ()))
 
+(* A request whose replies wait past [max_request_age_us] is shed as a
+   whole at drain time: its queued bytes go, it counts one
+   [Request_too_old] shed, and one Busy takes its place in the queue.
+   The server's data socket never connects, so nothing is sent. *)
+let test_stale_request_shed_whole () =
+  let world = lossy_world () in
+  let clock = World.clock world in
+  let srv_engine = engine world in
+  let cli_engine = engine world in
+  let limits = { Server.default_limits with max_request_age_us = 2_000.0 } in
+  let server = Server.create ~clock ~engine:srv_engine ~limits () in
+  let rx role s d =
+    match role with World.Cli_data -> () | _ -> Socket.handle_datagram s d
+  in
+  let c = World.connect world server ~rx sock_cfg ~base:10 in
+  let client =
+    Client.create ~clock ~engine:cli_engine ~ctrl:c.World.cli_ctrl
+      ~data:c.World.cli_data ()
+  in
+  let file = Ilp_app.Workload.generate ~len:4096 ~seed:3 in
+  let addr = Ilp_app.Workload.install (World.sim world) file in
+  Server.add_file server ~name:"test.bin" ~addr ~len:4096;
+  Simclock.advance clock 1_000.0;
+  (match
+     Client.request_file client ~name:"test.bin" ~copies:2 ~max_reply:512
+       ~expected:file
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "request refused locally");
+  Simclock.advance clock 1_000.0;
+  check "admitted: 16 replies wait" 16 (Server.pending_replies server);
+  check "and their bytes" 8192 (Server.queued_bytes server);
+  Simclock.advance clock 3_000.0;
+  check "shed once, as too old" 1 (Server.shed_count server Server.Request_too_old);
+  check "its bytes released" 0 (Server.queued_bytes server);
+  check "one Busy in its place" 1 (Server.pending_replies server);
+  check "no reply went out" 0 (Server.replies_sent server)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "rpc"
@@ -1226,4 +1264,6 @@ let () =
           Alcotest.test_case "dead connection frees admission slot" `Quick
             test_dead_connection_frees_admission_slot;
           Alcotest.test_case "one queue entry per request" `Quick
-            test_one_queue_entry_per_request ] ) ]
+            test_one_queue_entry_per_request;
+          Alcotest.test_case "a stale request is shed whole" `Quick
+            test_stale_request_shed_whole ] ) ]
