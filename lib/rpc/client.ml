@@ -22,12 +22,6 @@ let c_resumes = 3
    copy of the transfer is verified. *)
 let m_latency = M.histogram M.default "rpc.latency_us"
 
-type transfer = {
-  expected : string;
-  copies : int;
-  mutable received : int array;  (* bytes received per copy *)
-}
-
 type failure =
   | Aborted of Socket.abort_reason
   | Server_busy
@@ -51,12 +45,28 @@ let default_retry =
     max_backoff_us = 50_000.0;
     deadline_us = 5_000_000.0 }
 
-type request_params = {
+type ask = Fresh | Resume
+
+type state =
+  | Idle
+  | Sent of ask
+  | Backing_off of ask * Simclock.timer
+  | Probing of int * int
+  | Rejected
+  | Failed of failure
+
+(* What [request_file] asked for, and how much of each copy is verified:
+   [received.(c)] is a contiguous prefix (enforced in [consume_reply]),
+   so it doubles as the copy's resume offset. *)
+type job = {
   name : string;
-  req_copies : int;
+  copies : int;
   max_reply : int;
-  req_expected : string;
+  expected : string;
+  received : int array;
 }
+
+let no_job = { name = ""; copies = 0; max_reply = 0; expected = ""; received = [||] }
 
 type reconnect_summary = {
   resumed_from : (int * int) option;
@@ -79,20 +89,16 @@ type t = {
   mutable cur_req_id : int;  (* id of the in-flight request; 0 = v1 *)
   mutable ctrl : Socket.t;
   mutable data : Socket.t;
-  mutable transfer : transfer option;
-  mutable last_request : request_params option;
-  mutable awaiting_probe : bool;  (* a CRC resume probe is outstanding *)
-  mutable resume_target : (int * int) option;  (* (copy, offset) it guards *)
+  mutable state : state;  (* written by [set] alone *)
+  mutable job : job;
   mutable bytes_received : int;
   mutable replies_received : int;
   mutable errors : string list;
-  mutable rejected : bool;
-  mutable aborted : Socket.abort_reason option;
   blk : int array;
-  mutable attempts : int;  (* attempts since the last fresh request *)
+  (* The retry budget, across every send and backoff since the last
+     [request_file] or [reconnect]. *)
+  mutable attempts : int;
   mutable first_attempt_at : float option;
-  mutable busy_failed : bool;
-  mutable retry_timer : Simclock.timer option;
   mutable request_started_at : float option;
 }
 
@@ -109,20 +115,20 @@ let fresh_id t =
   t.next_req_id <- id + 1;
   id
 
-(* First incomplete (copy, received-bytes) pair — the resume point; [None]
-   when every copy is fully received.  [received.(c)] is a verified
-   contiguous prefix (enforced below), so it doubles as the offset. *)
-let resume_point t =
-  match t.transfer with
-  | None -> None
-  | Some tr ->
-      let len = String.length tr.expected in
-      let rec find c =
-        if c >= tr.copies then None
-        else if tr.received.(c) < len then Some (c, tr.received.(c))
-        else find (c + 1)
-      in
-      find 0
+(* The one writer of the session state.  Leaving [Backing_off] cancels
+   its timer, so a retry never fires into a state that did not schedule
+   it. *)
+let set t st =
+  (match t.state with Backing_off (_, timer) -> Simclock.cancel timer | _ -> ());
+  t.state <- st
+
+(* The first copy not yet wholly verified; [job.copies] once every copy
+   is.  Top level over the typed job, not a closure: the bench asks after
+   every delivered data segment. *)
+let rec first_incomplete job c =
+  if c < job.copies && job.received.(c) = String.length job.expected then
+    first_incomplete job (c + 1)
+  else c
 
 let send_ctrl t body =
   let ps = Engine.prepare_stream_segments t.engine body in
@@ -134,106 +140,92 @@ let send_ctrl t body =
    before building its first reply. *)
 let ctrl_flags t = if t.framed then Messages.flag_rx_framing else 0
 
-(* A from-scratch issue: resets the transfer state (the server will
-   execute from byte zero).  Keeps [cur_req_id]: a retry of the same
-   logical request carries the same idempotency id. *)
-let issue t p =
-  t.transfer <-
-    Some
-      { expected = p.req_expected;
-        copies = p.req_copies;
-        received = Array.make p.req_copies 0 };
-  t.bytes_received <- 0;
-  t.replies_received <- 0;
-  t.rejected <- false;
-  send_ctrl t
-    (Messages.request_segments ~flags:(ctrl_flags t)
-       (Messages.request ~req_id:t.cur_req_id ~file_name:p.name
-          ~copies:p.req_copies ~max_reply:p.max_reply ()))
+(* The one request path.  [Fresh] asks for the whole transfer from byte
+   zero under the current id, so a retry of one logical request carries
+   one idempotency id.  [Resume] asks for everything past the verified
+   prefix, read now, under a fresh id: the previous one may be cached on
+   the server, and a cached answer is a data-less status, not the
+   missing bytes.  The caller asks [Resume] only while a copy is
+   incomplete. *)
+let send t a =
+  let job = t.job in
+  let start_copy, start_offset =
+    match a with
+    | Fresh ->
+        Array.fill job.received 0 job.copies 0;
+        t.bytes_received <- 0;
+        t.replies_received <- 0;
+        (0, 0)
+    | Resume ->
+        t.cur_req_id <- (if t.use_ids then fresh_id t else 0);
+        let c = first_incomplete job 0 in
+        (c, job.received.(c))
+  in
+  let r =
+    (* The record itself, not [Messages.request]: each optional argument
+       would box its value on every request. *)
+    send_ctrl t
+      (Messages.request_segments ~flags:(ctrl_flags t)
+         { Messages.file_name = job.name;
+           copies = job.copies;
+           max_reply = job.max_reply;
+           req_id = t.cur_req_id;
+           start_copy;
+           start_offset })
+  in
+  (match (r, a) with
+  | Ok (), Fresh -> set t (Sent Fresh)
+  | Ok (), Resume ->
+      bump t c_resumes;
+      Recorder.note Trace.Resume ~conn:(rec_conn t) ~arg:start_offset
+        ~ts:(Simclock.now t.clock);
+      set t (Sent Resume)
+  | Error _, _ -> ());
+  r
 
-(* A Busy reply (or a full send window on a retry) backs off and re-issues
-   the request: exponential backoff with jitter, bounded by attempts and a
-   total deadline.  Past either bound the failure becomes typed
-   [Server_busy] — never an untyped stall. *)
-let rec schedule_retry t =
-  match t.last_request with
-  | None -> t.busy_failed <- true
-  | Some p ->
-      let now = Simclock.now t.clock in
-      let started =
-        match t.first_attempt_at with
-        | Some s -> s
-        | None ->
-            t.first_attempt_at <- Some now;
-            now
-      in
-      if
-        t.attempts >= t.retry.max_attempts
-        || now -. started >= t.retry.deadline_us
-      then t.busy_failed <- true
-      else begin
-        t.attempts <- t.attempts + 1;
-        bump t c_retries;
-        Recorder.note Trace.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
-        let backoff =
-          let b =
-            t.retry.base_backoff_us *. (2.0 ** float_of_int (t.attempts - 1))
-          in
-          (* Stdlib's [min] body on floats: [Float.min] differs on nan. *)
-          if t.retry.max_backoff_us <= b then t.retry.max_backoff_us else b
-        in
-        let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
-        t.retry_timer <-
-          Some
-            (Simclock.schedule_owned t.clock ~owner:t.owner ~after:(backoff +. jitter)
-               (fun () ->
-                 t.retry_timer <- None;
-                 if (not t.busy_failed) && t.aborted = None then
-                   match issue t p with
-                   | Ok () -> ()
-                   | Error
-                       ( Socket.Window_full | Socket.Buffer_full
-                       | Socket.Not_established ) ->
-                       schedule_retry t
-                   | Error Socket.Message_too_big ->
-                       error t "request does not fit one segment"))
-      end
+(* The client's own asks (a retry, or a resume after a probe, a replayed
+   id or a reconnect): a send TCP refuses backs off like a [Busy]. *)
+let rec ask t a =
+  match send t a with
+  | Ok () -> Ok ()
+  | Error (Socket.Window_full | Socket.Buffer_full | Socket.Not_established) ->
+      back_off t a;
+      Ok ()
+  | Error Socket.Message_too_big as e ->
+      error t "request does not fit one segment";
+      set t Idle;
+      e
 
-(* Resume the transfer at [(start_copy, start_offset)] under a fresh
-   idempotency id — fresh because a resume is a new logical request: the
-   previous id may be cached on the server, and a cached answer would be
-   a data-less status, not the missing bytes. *)
-let rec start_resume t ~start_copy ~start_offset =
-  match t.last_request with
-  | None -> Ok ()
-  | Some p -> (
-      t.cur_req_id <- (if t.use_ids then fresh_id t else 0);
-      t.rejected <- false;
-      match
-        send_ctrl t
-          (Messages.request_segments ~flags:(ctrl_flags t)
-             (Messages.request ~req_id:t.cur_req_id ~start_copy ~start_offset
-                ~file_name:p.name ~copies:p.req_copies ~max_reply:p.max_reply ()))
-      with
-      | Ok () ->
-          bump t c_resumes;
-          Recorder.note Trace.Resume ~conn:(rec_conn t) ~arg:start_offset
-            ~ts:(Simclock.now t.clock);
-          Ok ()
-      | Error
-          (Socket.Window_full | Socket.Buffer_full | Socket.Not_established)
-        ->
-          t.retry_timer <-
-            Some
-              (Simclock.schedule_owned t.clock ~owner:t.owner
-                 ~after:t.retry.base_backoff_us (fun () ->
-                   t.retry_timer <- None;
-                   if t.aborted = None then
-                     ignore (start_resume t ~start_copy ~start_offset)));
-          Ok ()
-      | Error Socket.Message_too_big as e ->
-          error t "resume request does not fit one segment";
-          e)
+(* The one backoff path: exponential backoff with jitter, then [ask]
+   again, bounded by attempts and a total deadline.  Past either bound
+   the failure becomes typed [Server_busy] — never an untyped stall. *)
+and back_off t a =
+  let now = Simclock.now t.clock in
+  let started =
+    match t.first_attempt_at with
+    | Some s -> s
+    | None ->
+        t.first_attempt_at <- Some now;
+        now
+  in
+  if t.attempts >= t.retry.max_attempts || now -. started >= t.retry.deadline_us
+  then set t (Failed Server_busy)
+  else begin
+    t.attempts <- t.attempts + 1;
+    bump t c_retries;
+    Recorder.note Trace.Retry ~conn:(rec_conn t) ~arg:t.attempts ~ts:now;
+    let backoff =
+      let b = t.retry.base_backoff_us *. (2.0 ** float_of_int (t.attempts - 1)) in
+      (* Stdlib's [min] body on floats: [Float.min] differs on nan. *)
+      if t.retry.max_backoff_us <= b then t.retry.max_backoff_us else b
+    in
+    let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
+    set t
+      (Backing_off
+         ( a,
+           Simclock.schedule_owned t.clock ~owner:t.owner ~after:(backoff +. jitter)
+             (fun () -> ignore (ask t a)) ))
+  end
 
 (* Top level and self-recursive, not a local closure over its five
    arguments, so a comparison allocates nothing.  Eight bytes per step
@@ -255,79 +247,61 @@ let slice_matches expected ~off data ~doff ~len =
   then invalid_arg "Client.slice_matches";
   spans_match expected off data doff len
 
-(* Every copy holds [len] bytes, from copy [i] on.  Top level over a
-   typed [int array], not [Array.for_all] with a closure: the bench asks
-   after every delivered data segment. *)
-let rec all_received (received : int array) len i =
-  i >= Array.length received
-  || (received.(i) = len && all_received received len (i + 1))
-
 (* Status dispatch; the payload is the span [data.[doff..doff+dlen-1]], a
-   window into the pooled TSDU buffer. *)
+   window into the pooled TSDU buffer.  Only a session still asking
+   reacts to a status: a failed one stays failed until [reconnect]. *)
 let consume_reply t hdr ~data ~doff ~dlen =
   match hdr.Messages.status with
-  | Messages.Not_found | Messages.Refused ->
-      t.awaiting_probe <- false;
-      t.resume_target <- None;
-      t.rejected <- true
-  | Messages.Busy ->
+  | Messages.Not_found | Messages.Refused -> (
+      match t.state with Failed _ -> () | _ -> set t Rejected)
+  | Messages.Busy -> (
       bump t c_busy_replies;
-      schedule_retry t
-  | Messages.Ok when dlen = 0 ->
+      (* Ask again for what was shed: a shed [Resume] keeps the verified
+         prefix. *)
+      match t.state with Sent a -> back_off t a | _ -> ())
+  | Messages.Ok when dlen = 0 -> (
       (* A data-less Ok is pure control: the verdict of an outstanding
-         CRC resume probe, or a status-only answer (the server's dedup
-         cache replaying an executed id, or a resume-at-EOF ack). *)
-      if t.awaiting_probe then begin
-        t.awaiting_probe <- false;
-        match t.resume_target with
-        | Some (c, off) ->
-            (* Prefix verified against the restarted server's file:
-               resume exactly there, never from byte zero. *)
-            t.resume_target <- None;
-            ignore (start_resume t ~start_copy:c ~start_offset:off)
-        | None -> ()
+         CRC resume probe (the prefix is verified against the restarted
+         server's file, so resume exactly there, never from byte zero),
+         or a status-only answer (the server's dedup cache replaying an
+         executed id, or a resume-at-EOF ack).  A replayed id's cached
+         status carries no data: whatever bytes that execution sent are
+         gone, so resume from the verified prefix under a fresh id,
+         which cannot be cached and so executes. *)
+      match t.state with
+      | Probing _ -> ignore (ask t Resume)
+      | Sent _ when first_incomplete t.job 0 < t.job.copies -> ignore (ask t Resume)
+      | _ -> ())
+  | Messages.Ok ->
+      let job = t.job in
+      let off = hdr.Messages.file_offset in
+      let copy = hdr.Messages.copy in
+      if job == no_job then error t "unsolicited reply"
+      else if copy < 0 || copy >= job.copies then error t "bad copy index %d" copy
+      else if off < 0 || off + dlen > String.length job.expected then
+        error t "reply out of bounds: offset %d len %d" off dlen
+      else if off <> job.received.(copy) then
+        (* Strict contiguity: TCP delivers in order and the server
+           sends each copy sequentially from the requested resume
+           point, so any gap or overlap (e.g. a restarted server
+           wrongly re-sending from byte zero) is a protocol error,
+           not something to paper over. *)
+        error t "non-contiguous reply: offset %d, expected %d (copy %d)" off
+          job.received.(copy) copy
+      else if not (slice_matches job.expected ~off data ~doff ~len:dlen) then
+        error t "payload mismatch at offset %d (copy %d)" off copy
+      else begin
+        job.received.(copy) <- job.received.(copy) + dlen;
+        t.bytes_received <- t.bytes_received + dlen;
+        (* Transfer just completed: observe the end-to-end latency
+           once, against the clock the request was issued under. *)
+        if job.received.(copy) = String.length job.expected then
+          match t.request_started_at with
+          | Some started when first_incomplete job 0 = job.copies ->
+              t.request_started_at <- None;
+              M.observe m_latency (int_of_float (Simclock.now t.clock -. started))
+          | _ -> ()
       end
-      else (
-        (* A replayed id's cached status carries no data: whatever bytes
-           that execution sent are gone.  Re-issue from the verified
-           prefix under a fresh id (which cannot be cached, so it will
-           execute). *)
-        match resume_point t with
-        | None -> ()  (* transfer already complete — nothing to redo *)
-        | Some (c, off) -> ignore (start_resume t ~start_copy:c ~start_offset:off))
-  | Messages.Ok -> (
-      match t.transfer with
-      | None -> error t "unsolicited reply"
-      | Some tr ->
-          let off = hdr.Messages.file_offset in
-          let copy = hdr.Messages.copy in
-          if copy < 0 || copy >= tr.copies then error t "bad copy index %d" copy
-          else if off < 0 || off + dlen > String.length tr.expected then
-            error t "reply out of bounds: offset %d len %d" off dlen
-          else if off <> tr.received.(copy) then
-            (* Strict contiguity: TCP delivers in order and the server
-               sends each copy sequentially from the requested resume
-               point, so any gap or overlap (e.g. a restarted server
-               wrongly re-sending from byte zero) is a protocol error,
-               not something to paper over. *)
-            error t "non-contiguous reply: offset %d, expected %d (copy %d)"
-              off tr.received.(copy) copy
-          else if not (slice_matches tr.expected ~off data ~doff ~len:dlen) then
-            error t "payload mismatch at offset %d (copy %d)" off copy
-          else begin
-            tr.received.(copy) <- tr.received.(copy) + dlen;
-            t.bytes_received <- t.bytes_received + dlen;
-            (* Transfer just completed: observe the end-to-end latency
-               once, against the clock the request was issued under. *)
-            let len = String.length tr.expected in
-            if tr.received.(copy) = len then
-              match t.request_started_at with
-              | Some started when all_received tr.received len 0 ->
-                  t.request_started_at <- None;
-                  M.observe m_latency
-                    (int_of_float (Simclock.now t.clock -. started))
-              | _ -> ()
-          end)
 
 let handle_reply t ~len =
   t.replies_received <- t.replies_received + 1;
@@ -345,7 +319,7 @@ let handle_reply t ~len =
             ~doff:data_off ~dlen:hdr.Messages.data_len);
       Engine.release_plaintext t.engine buf
 
-(* Both connections feed the same failure slot: losing either one ends the
+(* Both connections feed the same failure: losing either one ends the
    transfer, and the first recorded reason is the one reported. *)
 let wire_sockets t =
   Socket.set_rx_processing t.data (Engine.rx_processing t.engine);
@@ -354,11 +328,9 @@ let wire_sockets t =
   Socket.set_rx_framing t.data t.framed;
   Socket.set_on_message t.data (fun ~len -> handle_reply t ~len);
   let record reason =
-    if t.aborted = None then t.aborted <- Some reason;
-    (* The transfer is over on this socket pair: a pending backoff retry
-       would only re-issue into a dead connection. *)
-    Option.iter Simclock.cancel t.retry_timer;
-    t.retry_timer <- None
+    match t.state with
+    | Failed (Aborted _) -> ()
+    | _ -> set t (Failed (Aborted reason))
   in
   Socket.set_on_abort t.ctrl record;
   Socket.set_on_abort t.data record
@@ -379,52 +351,37 @@ let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       cur_req_id = 0;
       ctrl;
       data;
-      transfer = None;
-      last_request = None;
-      awaiting_probe = false;
-      resume_target = None;
+      state = Idle;
+      job = no_job;
       bytes_received = 0;
       replies_received = 0;
       errors = [];
-      rejected = false;
-      aborted = None;
       blk = M.block family;
       attempts = 0;
       first_attempt_at = None;
-      busy_failed = false;
-      retry_timer = None;
       request_started_at = None }
   in
   wire_sockets t;
   t
 
 let request_file t ~name ~copies ~max_reply ~expected =
-  let p = { name; req_copies = copies; max_reply; req_expected = expected } in
-  t.last_request <- Some p;
+  t.job <- { name; copies; max_reply; expected; received = Array.make copies 0 };
   t.attempts <- 0;
   t.first_attempt_at <- None;
-  t.busy_failed <- false;
-  t.awaiting_probe <- false;
-  t.resume_target <- None;
   t.cur_req_id <- (if t.use_ids then fresh_id t else 0);
   t.request_started_at <- Some (Simclock.now t.clock);
-  issue t p
+  send t Fresh
 
 let reconnect t ~ctrl ~data =
   t.ctrl <- ctrl;
   t.data <- data;
   wire_sockets t;
-  Option.iter Simclock.cancel t.retry_timer;
-  t.retry_timer <- None;
-  t.aborted <- None;
+  set t Idle;
   t.errors <- [];
-  t.awaiting_probe <- false;
-  t.resume_target <- None;
   (* A new connection epoch gets a fresh retry budget; [retries] keeps
      the cumulative count for the summary. *)
   t.attempts <- 0;
   t.first_attempt_at <- None;
-  t.busy_failed <- false;
   bump t c_reconnects;
   Recorder.note Trace.Reconnect ~conn:(rec_conn t) ~arg:t.blk.(c_reconnects)
     ~ts:(Simclock.now t.clock);
@@ -433,75 +390,61 @@ let reconnect t ~ctrl ~data =
       bytes_verified = t.bytes_received;
       retries_consumed = t.blk.(c_retries) }
   in
-  match t.last_request with
-  | None -> Ok (summary None)
-  | Some p -> (
-      match resume_point t with
-      | None ->
-          (* Every copy already verified: nothing to re-issue. *)
-          Ok (summary None)
-      | Some (0, 0) -> (
-          (* Nothing received yet.  Re-issue under the SAME id: if the
-             lost server had already executed it, the restarted one
-             answers from the dedup cache (a data-less Ok) and the
-             client then resumes under a fresh id; if not, it simply
-             executes. *)
-          match issue t p with
-          | Ok () -> Ok (summary None)
-          | Error _ as e -> e)
-      | Some (c, 0) -> (
-          (* Crash landed exactly on a copy boundary: no partial prefix
-             to verify, resume directly. *)
-          match start_resume t ~start_copy:c ~start_offset:0 with
-          | Ok () -> Ok (summary (Some (c, 0)))
-          | Error _ as e -> e)
-      | Some (c, off) -> (
-          (* Verify the received prefix against the (possibly restarted)
-             server's file before resuming mid-copy: probe with the
-             prefix CRC; the verdict arrives as a data-less reply and
-             triggers the resume request. *)
-          t.awaiting_probe <- true;
-          t.resume_target <- Some (c, off);
-          let crc =
-            Ilp_checksum.Crc32.finish
-              (Ilp_checksum.Crc32.fold_string ~crc:Ilp_checksum.Crc32.init
-                 p.req_expected ~off:0 ~len:off)
-          in
-          let probe =
-            { Messages.p_file_name = p.name;
-              p_offset = off;
-              p_crc = crc;
-              p_req_id = (if t.use_ids then fresh_id t else 0) }
-          in
-          match send_ctrl t (Messages.probe_segments ~flags:(ctrl_flags t) probe) with
-          | Ok () -> Ok (summary (Some (c, off)))
-          | Error _ as e ->
-              t.awaiting_probe <- false;
-              t.resume_target <- None;
-              e))
+  let job = t.job in
+  let c = first_incomplete job 0 in
+  if c >= job.copies then
+    (* No request, or every copy already verified: nothing to ask. *)
+    Ok (summary None)
+  else
+    let off = job.received.(c) in
+    if off = 0 then
+      (* Nothing received yet: re-issue under the SAME id ([Fresh]), so
+         that a lost server that had already executed it is answered from
+         the dedup cache (a data-less Ok, and the client then resumes
+         under a fresh id).  A crash exactly on a copy boundary leaves no
+         partial prefix to verify: resume directly. *)
+      match ask t (if c = 0 then Fresh else Resume) with
+      | Ok () -> Ok (summary (if c = 0 then None else Some (c, 0)))
+      | Error _ as e -> e
+    else
+      (* Verify the received prefix against the (possibly restarted)
+         server's file before resuming mid-copy: probe with the prefix
+         CRC; the verdict arrives as a data-less reply and asks for the
+         resume. *)
+      let crc =
+        Ilp_checksum.Crc32.finish
+          (Ilp_checksum.Crc32.fold_string ~crc:Ilp_checksum.Crc32.init
+             job.expected ~off:0 ~len:off)
+      in
+      let probe =
+        { Messages.p_file_name = job.name;
+          p_offset = off;
+          p_crc = crc;
+          p_req_id = (if t.use_ids then fresh_id t else 0) }
+      in
+      match send_ctrl t (Messages.probe_segments ~flags:(ctrl_flags t) probe) with
+      | Ok () ->
+          set t (Probing (c, off));
+          Ok (summary (Some (c, off)))
+      | Error _ as e -> e
 
 let transfer_complete t =
-  match t.transfer with
-  | None -> false
-  | Some tr ->
-      (not t.rejected)
-      && (not t.busy_failed)
-      && t.errors = []
-      && t.aborted = None
-      && all_received tr.received (String.length tr.expected) 0
+  match (t.state, t.errors) with
+  | (Idle | Sent _ | Backing_off _ | Probing _), [] ->
+      t.job != no_job && first_incomplete t.job 0 = t.job.copies
+  | (Rejected | Failed _), _ | _, _ :: _ -> false
 
 let failure t =
-  match t.aborted with
-  | Some r -> Some (Aborted r)
-  | None ->
-      if t.busy_failed then Some Server_busy
-      else
-        match List.rev t.errors with [] -> None | e :: _ -> Some (Protocol e)
+  match t.state with
+  | Failed f -> Some f
+  | Idle | Sent _ | Backing_off _ | Probing _ | Rejected -> (
+      match List.rev t.errors with [] -> None | e :: _ -> Some (Protocol e))
 
+let state t = t.state
 let bytes_received t = t.bytes_received
 let replies_received t = t.replies_received
 let errors t = List.rev t.errors
-let rejected t = t.rejected
+let rejected t = match t.state with Rejected -> true | _ -> false
 let reconnects t = t.blk.(c_reconnects)
 let resumes t = t.blk.(c_resumes)
 let busy_replies t = t.blk.(c_busy_replies)

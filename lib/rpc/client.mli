@@ -13,13 +13,16 @@
     [Protocol] failure — the transfer never silently stalls as a bare
     [Closed] socket.
 
-    A [Busy] reply from the server is not a terminal failure: the client
-    re-issues the request after a jittered exponential backoff on its
-    clock, up to [max_attempts] and a total [deadline_us]; past either
-    bound the failure becomes [Server_busy].  After an abort the
-    application may hand the client a freshly connected socket pair with
-    {!reconnect}, which re-issues the outstanding request and restarts the
-    transfer. *)
+    A [Busy] reply from the server is not a terminal failure: after a
+    jittered exponential backoff on its clock the client asks again for
+    what was shed, up to [max_attempts] and a total [deadline_us]; past
+    either bound the failure becomes [Server_busy].  A shed request from
+    byte zero is asked again from byte zero; a shed resume is asked
+    again from the verified prefix, which it keeps.  A request the client
+    sends on its own (a retry or a resume) that TCP refuses backs off the
+    same way.  After an abort the application may hand the client a
+    freshly connected socket pair with {!reconnect}, which picks the
+    transfer up where it left off. *)
 
 type t
 
@@ -32,6 +35,25 @@ type failure =
   | Protocol of string
 
 val failure_to_string : failure -> string
+
+(** What a request asks the server for: [Fresh], the whole transfer from
+    byte zero under the current idempotency id; or [Resume], everything
+    past the verified prefix under a fresh id. *)
+type ask = Fresh | Resume
+
+(** The session, one value (DESIGN §10, §15): nothing outstanding ([Idle]),
+    a request sent, a shed or refused one waiting out its backoff timer,
+    a CRC probe guarding the prefix [(copy, offset)] outstanding, the
+    server's permanent refusal, or a typed failure ([Aborted] or
+    [Server_busy]; a protocol error is recorded beside the state, in
+    {!errors}). *)
+type state =
+  | Idle
+  | Sent of ask
+  | Backing_off of ask * Ilp_netsim.Simclock.timer
+  | Probing of int * int
+  | Rejected
+  | Failed of failure
 
 (** Backoff policy for retrying a [Busy]-shed request: attempt [n]
     (1-based) waits [min max_backoff_us (base_backoff_us * 2^(n-1))] plus
@@ -76,7 +98,8 @@ val create :
 
 (** [request_file t ~name ~copies ~max_reply ~expected] sends the request;
     [expected] is the file's true contents, used to verify the replies.
-    Resets the retry budget. *)
+    Resets the retry budget.  A send TCP refuses is returned, and nothing
+    is scheduled: the caller decides when to ask again. *)
 val request_file :
   t ->
   name:string ->
@@ -105,8 +128,10 @@ type reconnect_summary = {
     request then continues at the verified offset under a fresh
     idempotency id.  With nothing received, the request is re-issued
     under the {e same} id, so a server that already executed it answers
-    from its dedup cache.  Counted once per call in
-    [rpc.client.reconnects]. *)
+    from its dedup cache.  A request TCP refuses backs off as after a
+    [Busy], for every resume point; [Error] is a request too big for one
+    segment, or a refused probe (the client is then [Idle]).  Counted
+    once per call in [rpc.client.reconnects]. *)
 val reconnect :
   t ->
   ctrl:Ilp_tcp.Socket.t ->
@@ -121,6 +146,10 @@ val transfer_complete : t -> bool
     [Server_busy], which wins over protocol errors; [None] while the
     transfer is clean (including while a backoff retry is pending). *)
 val failure : t -> failure option
+
+(** The session's state, read only: for checks such as [test_rpc]'s
+    session property. *)
+val state : t -> state
 
 (** Payload bytes received and verified so far. *)
 val bytes_received : t -> int
@@ -144,8 +173,9 @@ val resumes : t -> int
     retry timer — pending count must be 0 after an abort or reconnect. *)
 val timer_owner : t -> int
 
-(** [Busy] replies received (each either triggers a backoff retry or, past
-    the budget, the [Server_busy] failure). *)
+(** [Busy] replies received (each one that sheds the outstanding request
+    either triggers a backoff retry or, past the budget, the
+    [Server_busy] failure). *)
 val busy_replies : t -> int
 
 (** Backoff retries scheduled so far. *)

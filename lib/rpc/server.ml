@@ -120,8 +120,7 @@ type conn = {
   queue : item Queue.t;
   admitted : bool;
   mutable queued_bytes : int;
-  mutable draining : bool;
-  mutable drain_timer : Simclock.timer option;
+  mutable drain_timer : Simclock.timer option;  (* a backpressured drain's retry *)
   mutable dead : bool;
   mutable framed : bool;
       (* the client negotiated v2 framed streams (a flagged control
@@ -235,7 +234,6 @@ let mark_dead t conn =
         | Status _ -> bump t.blk c_statuses_abandoned)
       conn.queue;
     Queue.clear conn.queue;
-    conn.draining <- false;
     if abandoned > 0 then
       Recorder.note Trace.Abandon ~conn:(Socket.local_port conn.ctrl)
         ~arg:abandoned ~ts:(Machine.micros (machine t))
@@ -307,8 +305,7 @@ let rec drain t conn =
   conn.drain_timer <- None;
   if Socket.failure conn.data <> None || Socket.state conn.data = Socket.Closed
   then mark_dead t conn
-  else if Queue.is_empty conn.queue then conn.draining <- false
-  else
+  else if not (Queue.is_empty conn.queue) then
     match Queue.peek conn.queue with
     | Status hdr -> (
         match send_status t conn hdr with
@@ -350,13 +347,12 @@ let rec drain t conn =
           | `Backpressure -> reschedule t conn
 
 and reschedule t conn =
-  conn.draining <- true;
   conn.drain_timer <-
     Some
       (Simclock.schedule_owned t.clock ~owner:t.owner ~after:retry_us (fun () ->
            drain t conn))
 
-let kick t conn = if not conn.draining then drain t conn
+let kick t conn = match conn.drain_timer with None -> drain t conn | Some _ -> ()
 
 let enqueue_hdr t conn hdr =
   if not conn.dead then begin
@@ -515,6 +511,7 @@ let handle_request t conn ~len =
   | Error _ ->
       bump t.blk c_bad_requests;
       enqueue_status t conn Messages.Not_found
+  | Ok _ when conn.dead -> ()  (* or shut down, sockets live: queue nothing *)
   | Ok (c, flags) ->
       (* A flagged control message negotiates capabilities for the whole
          connection — before any reply is built, so even this message's
@@ -556,7 +553,7 @@ let attach t ~ctrl ~data =
   let admitted = t.live_connections < t.limits.max_connections in
   let conn =
     { id; ctrl; data; queue = Queue.create (); admitted;
-      queued_bytes = 0; draining = false; drain_timer = None; dead = false;
+      queued_bytes = 0; drain_timer = None; dead = false;
       framed = false }
   in
   if admitted then begin

@@ -734,8 +734,8 @@ let crash_server w =
 
 (* Stand the server up again — a fresh instance over [store] — on four
    fresh ports; hand back the new instance and the client-side pair. *)
-let restart_generation w ~store ~base =
-  let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine ~store () in
+let restart_generation ?limits w ~store ~base =
+  let server2 = Server.create ~clock:w.clock ~engine:w.srv_engine ?limits ~store () in
   let c = World.connect w.world server2 sock_cfg ~base in
   Server.add_file server2 ~name:"test.bin" ~addr:w.file_addr
     ~len:(String.length w.file);
@@ -794,13 +794,12 @@ let test_dedup_replay_served_from_cache () =
   check "client retry timer owner clean" 0
     (Simclock.pending_count w.clock ~owner:(Client.timer_owner w.client))
 
-let test_resume_mid_copy_verifies_prefix () =
-  (* A crash mid-copy: the client keeps its verified prefix, CRC-probes
-     the restarted server, and resumes at the verified offset — never
-     from byte zero. *)
-  let dead = ref false in
-  let drop _ = !dead in
-  let w = make_world ~idempotent:true ~file_len:8192 ~drop () in
+(* Request the file (one copy, 512-byte replies), let at least [keep]
+   bytes arrive, then kill the server host: the client, a pure receiver,
+   notices only through its keepalive, and every socket of the
+   generation is destroyed.  Returns the verified prefix the client
+   kept. *)
+let crash_mid_copy w ~dead ~keep =
   (match
      Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
        ~expected:w.file
@@ -808,15 +807,13 @@ let test_resume_mid_copy_verifies_prefix () =
   | Ok () -> ()
   | Error _ -> Alcotest.fail "request refused");
   let guard = ref 10_000 in
-  while Client.bytes_received w.client < 2048 && !guard > 0 do
+  while Client.bytes_received w.client < keep && !guard > 0 do
     decr guard;
     Simclock.advance w.clock 100.0
   done;
   let kept = Client.bytes_received w.client in
   checkb "a partial mid-copy prefix exists" true
-    (kept >= 2048 && kept < String.length w.file);
-  (* The host dies.  The client is pure receiver here, so only its
-     half-open detector can notice: keepalive probes into the void. *)
+    (kept >= keep && kept < String.length w.file);
   dead := true;
   Socket.start_keepalive w.cli_data ~interval_us:10_000.0 ~probes:2
     ~on_result:(fun _ -> ()) ();
@@ -838,6 +835,16 @@ let test_resume_mid_copy_verifies_prefix () =
         (Simclock.pending_count w.clock ~owner:(Socket.timer_owner s)))
     [ w.cli_ctrl; w.cli_data ];
   dead := false;
+  kept
+
+let test_resume_mid_copy_verifies_prefix () =
+  (* A crash mid-copy: the client keeps its verified prefix, CRC-probes
+     the restarted server, and resumes at the verified offset — never
+     from byte zero. *)
+  let dead = ref false in
+  let drop _ = !dead in
+  let w = make_world ~idempotent:true ~file_len:8192 ~drop () in
+  let kept = crash_mid_copy w ~dead ~keep:2048 in
   let store = Server.store w.server in
   let server2, cli_ctrl, cli_data = restart_generation w ~store ~base:20 in
   (match Client.reconnect w.client ~ctrl:cli_ctrl ~data:cli_data with
@@ -856,6 +863,71 @@ let test_resume_mid_copy_verifies_prefix () =
   check "one resume request sent" 1 (Client.resumes w.client);
   check "one reconnect" 1 (Client.reconnects w.client);
   Simclock.run_until_idle w.clock;
+  check "client retry timer owner clean" 0
+    (Simclock.pending_count w.clock ~owner:(Client.timer_owner w.client))
+
+(* Overload during a resume: the restarted server's queue budget is
+   full of another client's request when the resume arrives, so the
+   resume is shed Busy.  Each retry asks for the resume again, from the
+   verified prefix: the prefix never shrinks, and the server sends the
+   rest of the file once, not the whole of it. *)
+let test_busy_on_resume_keeps_prefix () =
+  let dead = ref false in
+  let drop _ = !dead in
+  let w = make_world ~idempotent:true ~file_len:8192 ~drop () in
+  let len = String.length w.file in
+  let kept = crash_mid_copy w ~dead ~keep:3584 in
+  let budget = 2 * len in
+  let limits =
+    { Server.default_limits with
+      max_conn_queue_bytes = budget;
+      max_total_queue_bytes = budget }
+  in
+  let server2, cli_ctrl, cli_data =
+    restart_generation ~limits w ~store:(Server.store w.server) ~base:20
+  in
+  (* The hog: two copies take the whole budget, and drain slowly through
+     1024-byte socket buffers. *)
+  let small = { sock_cfg with send_buffer = 1024; recv_window = 1024 } in
+  let c = World.connect w.world server2 small ~base:30 in
+  let hog =
+    Client.create ~clock:w.clock ~engine:(engine w.world) ~seed:2
+      ~ctrl:c.World.cli_ctrl ~data:c.World.cli_data ()
+  in
+  Simclock.run_until_idle w.clock;
+  (match
+     Client.request_file hog ~name:"test.bin" ~copies:2 ~max_reply:512
+       ~expected:w.file
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "hog request refused");
+  (match Client.reconnect w.client ~ctrl:cli_ctrl ~data:cli_data with
+  | Ok s ->
+      checkb "probes at the verified prefix" true
+        (s.Client.resumed_from = Some (0, kept))
+  | Error _ -> Alcotest.fail "reconnect refused");
+  let settled c =
+    Client.transfer_complete c || Client.rejected c || Client.failure c <> None
+  in
+  let low = ref kept and guard = ref 50_000 in
+  while (not (settled w.client && settled hog)) && !guard > 0 do
+    decr guard;
+    Simclock.advance w.clock 100.0;
+    low := Int.min !low (Client.bytes_received w.client)
+  done;
+  Simclock.run_until_idle w.clock;
+  let busy = Client.busy_replies w.client in
+  checkb "the resume was shed Busy" true (busy > 0);
+  check "the verified prefix never shrank" kept !low;
+  Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
+  checkb "complete after the shed resume" true (Client.transfer_complete w.client);
+  check "byte-exact overall" len (Client.bytes_received w.client);
+  checkb "the hog completes too" true (Client.transfer_complete hog);
+  check "one resume per shed, plus the one served" (busy + 1) (Client.resumes w.client);
+  (* The hog's 32 replies, the probe's verdict, one Busy per shed and
+     the replies from the prefix on: a resume's count, not a refetch's. *)
+  check "replies of a resume" (32 + 1 + busy + ((len - kept + 511) / 512))
+    (Server.replies_sent server2);
   check "client retry timer owner clean" 0
     (Simclock.pending_count w.clock ~owner:(Client.timer_owner w.client))
 
@@ -1204,6 +1276,382 @@ let test_stale_request_shed_whole () =
   check "one Busy in its place" 1 (Server.pending_replies server);
   check "no reply went out" 0 (Server.replies_sent server)
 
+(* A request on a connection already dead is not queued.  The first
+   request's drain finds the data socket destroyed and marks the
+   connection dead.  Were the second queued and charged, its drain would
+   find the connection dead again, and [mark_dead] acts once: the charge
+   (4096 bytes, 8 replies) would stay for good, global budget lost to
+   every other client. *)
+let test_dead_connection_charges_nothing () =
+  let w = make_world () in
+  Socket.destroy w.srv_data;
+  for _ = 1 to 2 do
+    match
+      Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
+        ~expected:w.file
+    with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "request refused locally"
+  done;
+  Simclock.run_until_idle w.clock;
+  check "the connection died" 0 (Server.connections w.server);
+  check "nothing charged" 0 (Server.queued_bytes w.server);
+  check "nothing pending" 0 (Server.pending_replies w.server)
+
+(* An instance shut down with its sockets still live (nobody destroyed
+   them) sends no file data: every connection died with it. *)
+let test_shutdown_instance_sends_nothing () =
+  let w = make_world () in
+  Server.shutdown w.server;
+  (match
+     Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:512
+       ~expected:w.file
+   with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "request refused locally");
+  Simclock.run_until_idle w.clock;
+  check "the server received the request" 1 (Server.requests_received w.server);
+  check "no reply sent" 0 (Server.replies_sent w.server);
+  check "no byte reached the client" 0 (Client.bytes_received w.client);
+  check "nothing charged" 0 (Server.queued_bytes w.server)
+
+(* ------------------------------------------------------------------ *)
+(* The client's session against a reference model *)
+
+let session_name = function
+  | Client.Idle -> "idle"
+  | Client.Sent Client.Fresh -> "sent fresh"
+  | Client.Sent Client.Resume -> "sent resume"
+  | Client.Backing_off (Client.Fresh, _) -> "backing-off fresh"
+  | Client.Backing_off (Client.Resume, _) -> "backing-off resume"
+  | Client.Probing _ -> "probing"
+  | Client.Rejected -> "rejected"
+  | Client.Failed (Client.Aborted _) -> "failed aborted"
+  | Client.Failed Client.Server_busy -> "failed busy"
+  | Client.Failed (Client.Protocol _) -> "failed protocol"
+
+(* The session's edges by state name, written from DESIGN §10 (a Busy
+   waits out a backoff and asks again for what was shed; past the
+   budget, [Server_busy]) and §15 (a replayed id resumes under a fresh
+   id; a reconnect splits on the verified prefix; the probe's verdict
+   resumes or refuses), not taken from the client.  A send TCP refuses
+   backs off, so each edge into a sent state has a twin into the backing
+   off state; an abort ends every session but an aborted one, which only
+   a reconnect leaves.  A protocol error is no state: it stays beside
+   the session, in [errors]. *)
+let session_edges =
+  [ ("idle", "sent fresh");
+    ("sent fresh", "backing-off fresh"); ("backing-off fresh", "sent fresh");
+    ("sent resume", "backing-off resume"); ("backing-off resume", "sent resume");
+    ("sent fresh", "failed busy"); ("backing-off fresh", "failed busy");
+    ("sent resume", "failed busy"); ("backing-off resume", "failed busy");
+    ("sent fresh", "rejected"); ("sent resume", "rejected");
+    ("sent fresh", "sent resume"); ("sent fresh", "backing-off resume");
+    ("probing", "sent resume"); ("probing", "backing-off resume");
+    ("probing", "rejected");
+    ("failed aborted", "idle"); ("failed aborted", "sent fresh");
+    ("failed aborted", "backing-off fresh"); ("failed aborted", "sent resume");
+    ("failed aborted", "backing-off resume"); ("failed aborted", "probing") ]
+  @ List.map
+      (fun s -> (s, "failed aborted"))
+      [ "idle"; "sent fresh"; "sent resume"; "backing-off fresh";
+        "backing-off resume"; "probing"; "rejected"; "failed busy" ]
+
+(* One fault per server generation, struck as a datagram reaches the
+   client once it holds [after_bytes] more bytes than when the
+   generation took its request: the link goes dark for [outage_us] (0:
+   not at all), that datagram and every one in flight included, and
+   with [crash] the server host dies there (instance shut down, sockets
+   destroyed, so a later segment is answered with RST).  The client, a
+   pure receiver, notices through its keepalive. *)
+type session_fault = { after_bytes : int; outage_us : int; crash : bool }
+
+type session_case = {
+  file_len : int;
+  copies : int;
+  max_reply : int;
+  hog : bool;  (* tight queue budgets, and a hog client on each generation *)
+  attempts : int;  (* the client's retry budget *)
+  faults : session_fault list;
+  corrupt : int option;  (* restarted generations serve this byte flipped *)
+}
+
+let print_session_case c =
+  Printf.sprintf
+    "file_len %d, copies %d, max_reply %d, hog %b, attempts %d, corrupt %s, faults [%s]"
+    c.file_len c.copies c.max_reply c.hog c.attempts
+    (match c.corrupt with Some p -> string_of_int p | None -> "none")
+    (String.concat "; "
+       (List.map
+          (fun f ->
+            Printf.sprintf "+%dB dark %dus%s" f.after_bytes f.outage_us
+              (if f.crash then " crash" else ""))
+          c.faults))
+
+let gen_session_case =
+  QCheck.Gen.(
+    let* file_len = oneofl [ 1024; 2048; 4096 ] in
+    let* copies = int_range 1 3 in
+    let* max_reply = int_range 256 1024 in
+    let* hog = bool in
+    let* attempts = int_range 1 6 in
+    let* faults =
+      list_size (int_range 0 3)
+        (let* after_bytes =
+           oneof [ return 0; return file_len; int_range 0 (copies * file_len / 2) ]
+         in
+         let* outage_us = oneof [ return 0; int_range 1_000 40_000 ] in
+         let* crash = bool in
+         return { after_bytes; outage_us; crash })
+    in
+    let* corrupt = opt ~ratio:0.3 (int_range 0 (file_len - 1)) in
+    return { file_len; copies; max_reply; hog; attempts; faults; corrupt })
+
+type session_end = {
+  walk : string list;  (* the client's distinct states, in order *)
+  violation : string option;  (* the first broken timer or prefix law *)
+  verdict : World.verdict;
+  exact : bool;  (* every copy's bytes *)
+  timers_left : int;
+}
+
+(* Run one case: the client requests the file from generation 0; on a
+   typed abort, while faults remain, the failed generation is torn down
+   and a new server instance over the same store takes the client's
+   reconnect.  The state is read before and after each delivery to a
+   client socket and after each 100 us clock step. *)
+let session_run c =
+  let dark = ref false in
+  let world =
+    World.create Config.ss10_30 ~link:(fun clock ~deliver ->
+        Link.create clock ~delay_us:50.0 ~seed:7
+          ~deliver:(fun d -> if not !dark then deliver d)
+          ())
+  in
+  let clock = World.clock world in
+  let srv_engine = engine world in
+  let len = c.file_len in
+  let file = Ilp_app.Workload.generate ~len ~seed:3 in
+  let addr = Ilp_app.Workload.install (World.sim world) file in
+  let restarted_addr =
+    match c.corrupt with
+    | None -> addr
+    | Some p ->
+        let b = Bytes.of_string file in
+        Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor 0x5a));
+        Ilp_app.Workload.install (World.sim world) (Bytes.to_string b)
+  in
+  let store = Server.create_store () in
+  (* The hog's two copies take what the client's request leaves of the
+     global budget but one file, so the client is shed until the hog has
+     drained a file; every request fits its connection's budget. *)
+  let limits =
+    if c.hog then
+      { Server.default_limits with
+        max_conn_queue_bytes = 3 * len;
+        max_total_queue_bytes = (c.copies + 1) * len }
+    else Server.default_limits
+  in
+  let hog_cfg = { sock_cfg with send_buffer = 1024; recv_window = 1024 } in
+  let retry =
+    { Client.max_attempts = c.attempts;
+      base_backoff_us = 500.0;
+      max_backoff_us = 20_000.0;
+      deadline_us = 1_000_000.0 }
+  in
+  let walk = ref [] and violation = ref None and client = ref None in
+  let armed = ref None (* (bytes, strike) *) in
+  let violate v = if !violation = None then violation := Some v in
+  let observe () =
+    Option.iter
+      (fun cl ->
+        let st = Client.state cl in
+        let name = session_name st and bytes = Client.bytes_received cl in
+        let timers = Simclock.pending_count clock ~owner:(Client.timer_owner cl) in
+        let held = match st with Client.Backing_off _ -> 1 | _ -> 0 in
+        if timers <> held then
+          violate (Printf.sprintf "%s with %d timers for the client" name timers);
+        match !walk with
+        | (last, last_bytes) :: earlier ->
+            (match st with
+            | Client.Sent Client.Fresh | Client.Backing_off (Client.Fresh, _) -> ()
+            | _ ->
+                if bytes < last_bytes then
+                  violate
+                    (Printf.sprintf "prefix shrank %d -> %d entering %s" last_bytes
+                       bytes name));
+            walk :=
+              (name, bytes) :: (if String.equal last name then earlier else !walk)
+        | [] -> walk := [ (name, bytes) ])
+      !client
+  in
+  let rx role s d =
+    match role with
+    | World.Cli_ctrl | World.Cli_data ->
+        observe ();
+        (match (!armed, !client) with
+        | Some (bytes, strike), Some cl when Client.bytes_received cl >= bytes ->
+            armed := None;
+            strike ()
+        | _ -> ());
+        if not !dark then Socket.handle_datagram s d;
+        observe ()
+    | World.Srv_ctrl | World.Srv_data -> Socket.handle_datagram s d
+  in
+  let step () =
+    Simclock.advance clock 100.0;
+    observe ()
+  in
+  (* A generation: a server instance over the store, the client's pair
+     and (with [hog]) a hog pair that has sent its request, once every
+     socket is established.  Returns the instance, the client's pair,
+     the server's sockets (what a crash destroys) and every socket. *)
+  let generation g =
+    let server = Server.create ~clock ~engine:srv_engine ~limits ~store () in
+    Server.add_file server ~name:"s.bin"
+      ~addr:(if g = 0 then addr else restarted_addr)
+      ~len;
+    let k = World.connect world server ~rx sock_cfg ~base:(100 + (10 * g)) in
+    let hog =
+      if c.hog then Some (World.connect world server hog_cfg ~base:(104 + (10 * g)))
+      else None
+    in
+    let conns = k :: Option.to_list hog in
+    let srv = List.concat_map (fun k -> [ k.World.srv_ctrl; k.World.srv_data ]) conns in
+    let all =
+      srv @ List.concat_map (fun k -> [ k.World.cli_ctrl; k.World.cli_data ]) conns
+    in
+    let guard = ref 1_000 in
+    while
+      (not (List.for_all (fun s -> Socket.state s = Socket.Established) all))
+      && !guard > 0
+    do
+      decr guard;
+      step ()
+    done;
+    Option.iter
+      (fun h ->
+        let hog =
+          Client.create ~clock ~engine:(engine world) ~seed:(1000 + g)
+            ~ctrl:h.World.cli_ctrl ~data:h.World.cli_data ()
+        in
+        ignore
+          (Client.request_file hog ~name:"s.bin" ~copies:2 ~max_reply:512
+             ~expected:file))
+      hog;
+    Socket.start_keepalive k.World.cli_data ~interval_us:5_000.0 ~probes:2
+      ~on_result:(fun _ -> ()) ();
+    (server, k, srv, all)
+  in
+  let server, k, srv, all = generation 0 in
+  let cl =
+    Client.create ~clock ~retry ~idempotent:true ~engine:(engine world)
+      ~ctrl:k.World.cli_ctrl ~data:k.World.cli_data ()
+  in
+  client := Some cl;
+  observe ();
+  let refused =
+    Result.is_error
+      (Client.request_file cl ~name:"s.bin" ~copies:c.copies ~max_reply:c.max_reply
+         ~expected:file)
+  in
+  observe ();
+  let aborted () =
+    match Client.failure cl with Some (Client.Aborted _) -> true | _ -> false
+  in
+  let settled () =
+    refused || Client.transfer_complete cl || Client.rejected cl
+    || (Client.failure cl <> None && not (aborted ()))
+  in
+  (* Up to 5 s of virtual time per generation. *)
+  let rec run g (server, srv, all) faults =
+    let fault, rest = match faults with f :: r -> (Some f, r) | [] -> (None, []) in
+    let light_at = ref neg_infinity and guard = ref 50_000 in
+    armed :=
+      Option.map
+        (fun f ->
+          ( Client.bytes_received cl + f.after_bytes,
+            fun () ->
+              if f.outage_us > 0 then begin
+                dark := true;
+                light_at := Simclock.now clock +. float_of_int f.outage_us
+              end;
+              if f.crash then begin
+                Server.shutdown server;
+                List.iter Socket.destroy srv
+              end ))
+        fault;
+    while (not (settled () || aborted ())) && !guard > 0 do
+      decr guard;
+      step ();
+      if Simclock.now clock >= !light_at then dark := false
+    done;
+    armed := None;
+    let retire () =
+      Server.shutdown server;
+      List.iter (fun s -> if not (Socket.destroyed s) then Socket.destroy s) all
+    in
+    if aborted () && fault <> None then begin
+      (* Tear the failed generation down, wait out the outage, and hand
+         the client a pair on a fresh instance over the same store. *)
+      retire ();
+      while Simclock.now clock < !light_at do
+        step ()
+      done;
+      dark := false;
+      let server, k, srv, all = generation (g + 1) in
+      observe ();
+      ignore (Client.reconnect cl ~ctrl:k.World.cli_ctrl ~data:k.World.cli_data);
+      observe ();
+      run (g + 1) (server, srv, all) rest
+    end
+    else retire ()
+  in
+  run 0 (server, srv, all) c.faults;
+  { walk = List.rev_map fst !walk;
+    violation = !violation;
+    verdict = World.verdict ~refused cl;
+    exact = Client.bytes_received cl = c.copies * len;
+    timers_left = Simclock.pending_count clock ~owner:(Client.timer_owner cl) }
+
+(* The walk's changes are edges of the list; no state but backing off
+   holds a timer for the client's owner, and that state holds exactly
+   one; the verified prefix shrinks only into a fresh ask; and the run
+   ends complete with exact bytes or typed, with no timer left. *)
+let prop_session_model =
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"session: DESIGN edges, exact or typed end"
+    (QCheck.make ~print:print_session_case gen_session_case)
+    (fun c ->
+      let e = session_run c in
+      let walk = String.concat " / " e.walk in
+      let rec illegal = function
+        | a :: (b :: _ as rest) ->
+            (if List.mem (a, b) session_edges then [] else [ a ^ " -> " ^ b ])
+            @ illegal rest
+        | _ -> []
+      in
+      match (illegal e.walk, e.violation) with
+      | (_ :: _ as bad), _ ->
+          QCheck.Test.fail_reportf "illegal edges: %s (walk %s)"
+            (String.concat ", " bad) walk
+      | [], Some v -> QCheck.Test.fail_reportf "%s (walk %s)" v walk
+      | [], None ->
+          let ended =
+            match e.verdict with
+            | World.Complete -> e.exact
+            | World.Typed _ -> true
+            | World.Silent -> false
+          in
+          if not ended then
+            QCheck.Test.fail_reportf "%s, %s bytes (walk %s)"
+              (World.verdict_to_string e.verdict)
+              (if e.exact then "exact" else "short")
+              walk
+          else if e.timers_left <> 0 then
+            QCheck.Test.fail_reportf "%d client timers left (walk %s)" e.timers_left walk
+          else true)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "rpc"
@@ -1249,6 +1697,8 @@ let () =
             test_dedup_replay_served_from_cache;
           Alcotest.test_case "mid-copy resume verifies prefix" `Quick
             test_resume_mid_copy_verifies_prefix;
+          Alcotest.test_case "a Busy on a resume keeps the verified prefix" `Quick
+            test_busy_on_resume_keeps_prefix;
           Alcotest.test_case "corrupted pure ack dropped" `Quick
             test_corrupted_pure_ack_dropped;
           Alcotest.test_case "reserved header bits rejected in both modes" `Quick
@@ -1266,4 +1716,9 @@ let () =
           Alcotest.test_case "one queue entry per request" `Quick
             test_one_queue_entry_per_request;
           Alcotest.test_case "a stale request is shed whole" `Quick
-            test_stale_request_shed_whole ] ) ]
+            test_stale_request_shed_whole;
+          Alcotest.test_case "a dead connection charges nothing" `Quick
+            test_dead_connection_charges_nothing;
+          Alcotest.test_case "a shut-down instance sends nothing" `Quick
+            test_shutdown_instance_sends_nothing ] );
+      ("session", [ qc prop_session_model ]) ]
