@@ -60,7 +60,7 @@ let measure_lane ~mode ~native ~payload_len ~msgs =
   let payload_addr = Workload.install sim payload in
   let ps =
     Engine.prepare_stream_segments eng
-      [ Ilp_codec.Stub_ilp.App { addr = payload_addr; len = payload_len } ]
+      [| Ilp_codec.Stub_ilp.App { addr = payload_addr; len = payload_len } |] ~n:1
   in
   let wire_len = ps.Engine.stream_len in
   let dst = Alloc.alloc sim.Sim.alloc ~align:64 wire_len in
@@ -77,7 +77,7 @@ let measure_lane ~mode ~native ~payload_len ~msgs =
         | Ok () -> ()
         | Error e -> failwith ("Memtrace: rx_separate: " ^ e)));
     match Engine.read_plaintext eng ~len:wire_len with
-    | Ok (buf, _, _) ->
+    | Ok { Engine.buf; _ } ->
         ignore (Sys.opaque_identity (Bytes.length buf));
         Engine.release_plaintext eng buf
     | Error e -> failwith ("Memtrace: read_plaintext: " ^ e)

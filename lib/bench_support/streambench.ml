@@ -144,7 +144,7 @@ let transfer cfg =
   Socket.set_on_message rx (fun ~len ->
       match Engine.read_plaintext rx_eng ~len with
       | Error e -> fail ("decode: " ^ e)
-      | Ok (buf, off, blen) ->
+      | Ok { Engine.buf; off; len = blen } ->
           let i = !delivered in
           (if i >= n then fail "receiver: TSDU past the end of the transfer"
            else begin
@@ -169,8 +169,9 @@ let transfer cfg =
     let i = !next in
     let ps =
       Engine.prepare_stream_segments tx_eng
-        [ Ilp_codec.Stub_ilp.App
-            { addr = addr + (i * tsdu_payload); len = chunk_len i } ]
+        [| Ilp_codec.Stub_ilp.App
+             { addr = addr + (i * tsdu_payload); len = chunk_len i } |]
+        ~n:1
     in
     match
       Socket.send_stream tx ~seg_unit:ps.Engine.seg_unit ~len:ps.Engine.stream_len

@@ -6,28 +6,21 @@
     generated marshalling code can feed an integrated loop directly.
 
     This module is that extension.  A message is described once
-    ({!Asn1.ty}); at send time each field is given a {!source}: small
-    control fields are immediate values (marshalled now, in registers,
-    into generated byte runs), while bulk fields reference application
-    memory and are left in place for the ILP loop to read, encrypt and
-    checksum on its single pass.  The result is a {!segment} list — the
-    exact input of [Ilp_core.Engine.prepare_stream_segments] — so arbitrary
-    message types get the integrated treatment without hand-writing their
-    layout.
+    ({!Asn1.ty}); at send time a cursor walks the type's leaves in
+    declaration order and each is pushed a value: small control fields
+    are immediate values (marshalled now, in registers, into generated
+    byte runs), while bulk fields reference application memory and are
+    left in place for the ILP loop to read, encrypt and checksum on its
+    single pass.  The result is the stub's laid-out {!segment}s — the
+    exact input of [Ilp_core.Engine.prepare_stream_segments] — so
+    arbitrary message types get the integrated treatment without
+    hand-writing their layout.
 
     {!segment} is the one description of an outgoing message: the engine
-    frames the list into a segment array (length field, body, CRC32
-    trailer, alignment) that its simulated loop reads and that
-    [Ilp_fastpath.Wire]'s native sends gather, with no conversion in
-    between. *)
-
-type source =
-  | Immediate of Asn1.value
-      (** marshal this value now (header fields, lengths, enums…) *)
-  | From_memory of { addr : int; len : int }
-      (** the field's bytes live in application memory; only valid for
-          [Opaque], [Str] and [Fixed_opaque] fields (the length word and
-          padding are still generated) *)
+    frames the laid-out segments into a segment array (length field,
+    body, CRC32 trailer, alignment) that its simulated loop reads and
+    that [Ilp_fastpath.Wire]'s native sends gather, with no conversion
+    in between. *)
 
 type segment =
   | Gen of string  (** generated bytes (produced in registers) *)
@@ -38,33 +31,67 @@ type t
 
 (** [compile ty] prepares the layout engine for [ty].  Like
     {!Stub.compile}, this is the "stub compiler" step.  The compiled
-    stub owns the scratch every {!layout} of [ty] works in (one XDR
-    encoder and one segment array, emptied by each call), so a layout
-    allocates only what it returns; two layouts of one stub must not
-    run at the same time (one domain). *)
+    stub owns the scratch every message of [ty] is laid out in (one XDR
+    encoder and one segment array, emptied by {!start}), so a layout
+    allocates only the segments it lays out; two layouts of one stub
+    must not run at the same time (one domain). *)
 val compile : Asn1.ty -> t
 
 val ty : t -> Asn1.ty
 
-(** [layout t sources] walks the type with one {!source} per leaf field
-    (in declaration order; a sequence-of, choice or option field is a
-    leaf taking one [Immediate]) and produces the wire segments.  Each
-    immediate value is checked once, against its field's type.
+(** {2 The cursor}
 
-    The result holds one [Gen] string per run of generated bytes and
-    one [App] per memory field.
+    [start t], then one push per leaf of the type in declaration order
+    (a sequence is walked into its fields; every other type, a
+    sequence-of, a choice and an option included, is one leaf), then
+    {!finish}.  Each push is checked against its leaf's type, as
+    {!Asn1.check} checks a value; the typed pushes allocate nothing. *)
 
-    Errors: wrong number of sources, a [From_memory] on a non-opaque
-    field, an [Immediate] that does not inhabit its field type. *)
-val layout : t -> source list -> (segment list, string) result
+(** Begin a message: empty the scratch, first leaf next. *)
+val start : t -> unit
+
+(** An [Int] or [Uint] leaf. *)
+val push_int : t -> int -> unit
+
+(** An [Enum] leaf, by index. *)
+val push_enum : t -> int -> unit
+
+(** A [Str] leaf. *)
+val push_str : t -> string -> unit
+
+(** An [Opaque], [Str] or [Fixed_opaque] leaf whose bytes live in
+    application memory: [len] bytes at [addr], left in place (the length
+    word and the padding are still generated). *)
+val push_memory : t -> addr:int -> len:int -> unit
+
+(** Any leaf, given as a value ([Hyper], [Bool], [Seq_of], [Choice],
+    [Option], or bytes for an opaque field). *)
+val push_value : t -> Asn1.value -> unit
+
+(** [finish t] ends the message.  [Ok ()]: the laid-out segments are
+    [(segments t).(0 .. count t - 1)] — one [Gen] string per run of
+    generated bytes and one [App] per memory field — until the next
+    {!start}.  The first failure is the [Error]: a push past the type's
+    last leaf, a leaf left without a push, a memory push to a field that
+    is not opaque or a string (or of the wrong length for a fixed
+    opaque, or negative), or a value that does not inhabit its leaf. *)
+val finish : t -> (unit, string) result
+
+(** Segments laid out by the last {!finish}. *)
+val count : t -> int
+
+(** The stub's segment array; its first {!count} entries are the laid-out
+    message.  The array is the stub's scratch: read it before the next
+    {!start}. *)
+val segments : t -> segment array
 
 (** Byte length of one segment. *)
 val segment_len : segment -> int
 
-(** Total byte length of a segment list. *)
-val total_len : segment list -> int
+(** Total byte length of the laid-out segments. *)
+val total_len : t -> int
 
-(** [flatten mem segs] materialises the segments (payload bytes peeked
-    from simulated memory, uncharged) — for tests: the result must equal
-    {!Stub.marshal} of the corresponding complete value. *)
-val flatten : Ilp_memsim.Mem.t -> segment list -> string
+(** [flatten mem t] materialises the laid-out segments (payload bytes
+    peeked from simulated memory, uncharged) — for tests: the result
+    must equal {!Stub.marshal} of the corresponding complete value. *)
+val flatten : Ilp_memsim.Mem.t -> t -> string

@@ -22,6 +22,8 @@ type backend = Simulated | Native of Ilp_fastpath.Cipher.t
 
 type data_path = Pooled
 
+type plaintext = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
 type t = {
   sim : Sim.t;
   cipher : Ilp_cipher.Block_cipher.t;
@@ -57,6 +59,10 @@ type t = {
      itself to the caller (ownership transfer, no delivery copy).  [None]
      between TSDUs; drawn lazily from the pool on the first rx call. *)
   mutable rx_dst : Bytes.t option;
+  (* What [read_plaintext] hands over, and the [Ok] it answers with:
+     one record per engine, refilled by every read. *)
+  rx_span : plaintext;
+  rx_ok : (plaintext, string) result;
   (* Per-stage simulated-microsecond accumulators for the fused loops
      (slot 0 marshal, slot 1 checksum).  Preallocated so tracing adds no
      per-message allocation; float-array stores are unboxed. *)
@@ -104,11 +110,12 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
     | Native fc -> Some (Wire.create ~cipher:fc ~pool ~max_len:max_message ())
   in
   let crc = if crc32 then Some (Crc32.create sim.mem sim.alloc) else None in
+  let rx_span = { buf = Bytes.empty; off = 0; len = 0 } in
   { sim; cipher; fastpath; mode; header_style; rx_placement; linkage;
     max_message; coalesce_writes; pool;
     marshal_dmf; unmarshal_dmf; encrypt_dmf; decrypt_dmf;
     send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = None;
-    tr_acc = Array.make 2 0.0 }
+    rx_span; rx_ok = Ok rx_span; tr_acc = Array.make 2 0.0 }
 
 let mode t = t.mode
 let pool t = t.pool
@@ -256,15 +263,25 @@ let zero_run k =
   if k < Array.length zero_runs then zero_runs.(k)
   else Stub_ilp.Gen (String.make k '\000')
 
-(* [segs.(i ..)] <- the segments of [body], in order. *)
-let rec fill_segs segs i = function
-  | [] -> ()
-  | seg :: rest ->
-      segs.(i) <- seg;
-      fill_segs segs (i + 1) rest
+(* The CRC32 of [body.(i .. n-1)], folded into [crc]. *)
+let rec crc_of_segments raw body i n crc =
+  if i = n then crc
+  else
+    let crc =
+      match body.(i) with
+      | Stub_ilp.Gen s -> Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
+      | Stub_ilp.App { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len
+    in
+    crc_of_segments raw body (i + 1) n crc
 
-let make_stream_of_segments t body =
-  let body_len = Stub_ilp.total_len body in
+let make_stream_of_segments t body ~n =
+  if n < 0 || n > Array.length body then
+    invalid_arg "Engine.prepare_stream_segments: segment count outside the array";
+  let body_len = ref 0 in
+  for i = 0 to n - 1 do
+    body_len := !body_len + Stub_ilp.segment_len body.(i)
+  done;
+  let body_len = !body_len in
   (* The CRC32 trailer, when enabled, rides inside the encrypted length:
      its value is a stream-build-time computation over the logical body
      bytes (it cannot be folded in part order — the CRC is
@@ -274,16 +291,7 @@ let make_stream_of_segments t body =
     match t.crc with
     | None -> None
     | Some _ ->
-        let raw = Mem.raw (mem t) in
-        let value =
-          Crc32.finish
-            (List.fold_left
-               (fun crc -> function
-                 | Stub_ilp.Gen s ->
-                     Crc32.fold_string ~crc s ~off:0 ~len:(String.length s)
-                 | Stub_ilp.App { addr; len } -> Crc32.fold_bytes ~crc raw ~off:addr ~len)
-               Crc32.init body)
-        in
+        let value = Crc32.finish (crc_of_segments (Mem.raw (mem t)) body 0 n Crc32.init) in
         Some (Stub_ilp.Gen (u32_be value))
   in
   let framed_len = body_len + framing_extra t in
@@ -298,18 +306,17 @@ let make_stream_of_segments t body =
   (* One array, filled in place: the length field, the body, the CRC32
      trailer when enabled and the zero run, in the header style's
      order. *)
-  let n = List.length body in
   let n_crc = match crc_seg with None -> 0 | Some _ -> 1 in
   let segs = Array.make (n + n_crc + 2) len_field in
   (match t.header_style with
   | Leading ->
-      fill_segs segs 1 body;
+      Array.blit body 0 segs 1 n;
       (match crc_seg with Some c -> segs.(n + 1) <- c | None -> ());
       segs.(n + n_crc + 1) <- zero_run plan.Parts.alignment
   | Trailer ->
       (* Length field at the end: padding precedes it so the field sits
          in the last word of the final block. *)
-      fill_segs segs 0 body;
+      Array.blit body 0 segs 0 n;
       (match crc_seg with Some c -> segs.(n) <- c | None -> ());
       segs.(n + n_crc) <- zero_run (total - 4 - framed_len));
   { segs; total; plan }
@@ -519,8 +526,8 @@ type prepared_stream = {
     Mem.t -> dst:int -> off:int -> len:int -> Internet.acc option;
 }
 
-let prepare_stream_segments t body =
-  let st = make_stream_of_segments t body in
+let prepare_stream_segments t body ~n =
+  let st = make_stream_of_segments t body ~n in
   (* Segment boundaries must land on cipher blocks (so each segment
      encrypts and decrypts independently to the same bytes as the whole
      message) and on the 8-byte units of the plan and the native codec. *)
@@ -766,7 +773,7 @@ let read_plaintext t ~len =
         | Trailer -> t.app_rx + len - 4)
     in
     match check_plaintext t ~len ~enc_len with
-    | Error _ as e -> e
+    | Error e -> Error e
     | Ok () ->
         let buf =
           match t.rx_dst with
@@ -783,6 +790,10 @@ let read_plaintext t ~len =
               Mt.copied_rx Mt.Rpc len;
               buf
         in
-        Ok (buf, body_off t, body_len t ~enc_len)
+        let sp = t.rx_span in
+        sp.buf <- buf;
+        sp.off <- body_off t;
+        sp.len <- body_len t ~enc_len;
+        t.rx_ok
 
 let release_plaintext t buf = Pool.release t.pool buf

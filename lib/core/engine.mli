@@ -18,8 +18,8 @@
     <------------------ encrypted, 8-byte aligned ---------------->
     v}
 
-    The marshalled message is the stub compiler's
-    {!Ilp_codec.Stub_ilp.segment} list: [Gen] runs hold the RPC header
+    The marshalled message is the stub compiler's laid-out
+    {!Ilp_codec.Stub_ilp.segment}s: [Gen] runs hold the RPC header
     and XDR framing words, [App] runs are payload bytes read straight from
     application memory.  The engine frames it into one segment array —
     length field, body, CRC32 trailer when enabled, alignment — and both
@@ -176,19 +176,21 @@ type prepared_stream = {
     Ilp_checksum.Internet.acc option;
 }
 
-(** [prepare_stream_segments t body] stages the message body [body], as
-    the ILP-extended stub compiler ({!Ilp_codec.Stub_ilp.layout}) lays it
-    out: an arbitrary interleaving of generated runs and runs of
-    application memory the loop reads in place.  The engine frames it into
-    one {!Ilp_codec.Stub_ilp.segment} array — the encryption length field,
-    the body, the CRC32 trailer and the alignment, per its configuration,
-    filled in place, its zero runs shared constants —
+(** [prepare_stream_segments t body ~n] stages the message body
+    [body.(0 .. n-1)], as the ILP-extended stub compiler lays it out
+    ({!Ilp_codec.Stub_ilp.segments} and {!Ilp_codec.Stub_ilp.count} of a
+    finished stub): an arbitrary interleaving of generated runs and runs
+    of application memory the loop reads in place.  The engine frames it
+    into one {!Ilp_codec.Stub_ilp.segment} array — the encryption length
+    field, the body, the CRC32 trailer and the alignment, per its
+    configuration, copied straight from [body], its zero runs shared
+    constants —
     which every range fill walks: the simulated loop reads it, and a
     [Native] fill hands it to {!Ilp_fastpath.Wire} to gather the range,
     building nothing.  Raises [Invalid_argument] when the message exceeds
-    [max_message] (see {!max_payload}). *)
+    [max_message] (see {!max_payload}) or [n] is outside [body]. *)
 val prepare_stream_segments :
-  t -> Ilp_codec.Stub_ilp.segment list -> prepared_stream
+  t -> Ilp_codec.Stub_ilp.segment array -> n:int -> prepared_stream
 
 (** Receive-side manipulation for [Rx_separate]: decrypt the staged
     segment in place and unmarshal-copy the plaintext to the application
@@ -238,9 +240,16 @@ val rx_processing : t -> Ilp_tcp.Socket.rx_processing
     message ^ alignment]). *)
 val app_rx_base : t -> int
 
-(** Hand over the TSDU at {!app_rx_base}: [Ok (buf, off, len)], where
-    [buf.[off..off+len-1]] is exactly the marshalled body the sender
-    passed to {!prepare_stream_segments}, concatenated.  The
+(** A TSDU handed over by {!read_plaintext}: [buf.[off..off+len-1]] is
+    its marshalled body. *)
+type plaintext = private { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+(** Hand over the TSDU at {!app_rx_base}: [Ok p], where
+    [p.buf.[p.off..p.off+p.len-1]] is exactly the marshalled body the
+    sender passed to {!prepare_stream_segments}, concatenated.  [p] is
+    the engine's own record, refilled by every read, and the [Ok] is
+    built once, so a read allocates nothing; take the fields before the
+    next read.  The
     engine owns the rest of the plaintext layout and has already checked
     and stripped it: the length field (leading or trailing), the CRC32
     trailer when enabled, and the alignment.  The caller's stub decodes
@@ -258,7 +267,7 @@ val app_rx_base : t -> int
     implausible (the fingerprint of a checksum-colliding corruption that
     survived TCP's verdict) or, with [crc32] enabled, when the recomputed
     CRC32 trailer does not match. *)
-val read_plaintext : t -> len:int -> (Bytes.t * int * int, string) result
+val read_plaintext : t -> len:int -> (plaintext, string) result
 
 (** Return a buffer obtained from {!read_plaintext} to the pool. *)
 val release_plaintext : t -> Bytes.t -> unit

@@ -44,6 +44,7 @@ and nowhere =
   { now = 0.0; due = [||]; seq = [||]; slot = [||]; size = 0; timers = [||];
     free = [||]; nfree = 0; next_seq = 0; next_owner = 1; event_budget = 1 }
 
+let stopped = vacant
 let initial_capacity = 16
 
 let create ?(event_budget = 1_000_000) () =

@@ -29,6 +29,11 @@ val now : t -> float
 
 type timer
 
+(** A timer that was never scheduled: never pending, and {!cancel} on
+    it does nothing.  The initial value of a slot that holds at most one
+    timer at a time, so the slot needs no option. *)
+val stopped : timer
+
 (** Allocate a fresh, never-reused owner id (always positive) for tagging
     scheduled events.  Used by components (e.g. a TCP socket) so tests can
     assert [pending_count t ~owner = 0] after teardown. *)

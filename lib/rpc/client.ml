@@ -2,6 +2,7 @@ module Simclock = Ilp_netsim.Simclock
 module Xorshift = Ilp_netsim.Xorshift
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
+module Stub_ilp = Ilp_codec.Stub_ilp
 module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
 module Trace = Ilp_obs.Trace
@@ -95,6 +96,9 @@ type t = {
   mutable replies_received : int;
   mutable errors : string list;
   blk : int array;
+  (* Every reply is decoded in place through [view] into [reply]. *)
+  view : Messages.View.t;
+  reply : Messages.reply_header;
   (* The retry budget, across every send and backoff since the last
      [request_file] or [reconnect]. *)
   mutable attempts : int;
@@ -130,8 +134,11 @@ let rec first_incomplete job c =
     first_incomplete job (c + 1)
   else c
 
-let send_ctrl t body =
-  let ps = Engine.prepare_stream_segments t.engine body in
+let send_ctrl t stub =
+  let ps =
+    Engine.prepare_stream_segments t.engine (Stub_ilp.segments stub)
+      ~n:(Stub_ilp.count stub)
+  in
   Socket.send_message t.ctrl ~len:ps.Engine.stream_len ~fill:ps.Engine.fill_range
 
 (* Every control message a framing-negotiated client sends carries the
@@ -310,13 +317,13 @@ let handle_reply t ~len =
      released on every path — including decode errors. *)
   match Engine.read_plaintext t.engine ~len with
   | Error e -> error t "unreadable reply: %s" e
-  | Ok (buf, off, blen) ->
-      (match Messages.decode_reply_view buf ~off ~len:blen with
+  | Ok { Engine.buf; off; len = blen } ->
+      (match Messages.decode_reply_view t.view t.reply buf ~off ~len:blen with
       | Error e -> error t "undecodable reply: %s" e
-      | Ok (hdr, data_off) ->
-          consume_reply t hdr
+      | Ok () ->
+          consume_reply t t.reply
             ~data:(Bytes.unsafe_to_string buf)
-            ~doff:data_off ~dlen:hdr.Messages.data_len);
+            ~doff:(Messages.View.opaque_off t.view) ~dlen:t.reply.Messages.data_len);
       Engine.release_plaintext t.engine buf
 
 (* Both connections feed the same failure: losing either one ends the
@@ -357,6 +364,10 @@ let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       replies_received = 0;
       errors = [];
       blk = M.block family;
+      view = Messages.View.create ();
+      reply =
+        { Messages.status = Messages.Ok; copy = 0; file_offset = 0; total_len = 0;
+          data_len = 0 };
       attempts = 0;
       first_attempt_at = None;
       request_started_at = None }

@@ -25,11 +25,11 @@ type ctrl = Request of request | Probe of probe
 type status = Ok | Not_found | Refused | Busy
 
 type reply_header = {
-  status : status;
-  copy : int;
-  file_offset : int;
-  total_len : int;
-  data_len : int;
+  mutable status : status;
+  mutable copy : int;
+  mutable file_offset : int;
+  mutable total_len : int;
+  mutable data_len : int;
 }
 
 let request_v1_fields : (string * Asn1.ty) list =
@@ -121,51 +121,49 @@ let probe_ilp = Stub_ilp.compile probe_ty
 let probe_ilp_flagged = Stub_ilp.compile probe_ty_flagged
 let reply_ilp = Stub_ilp.compile reply_ty
 
-let layout what stub sources =
-  match Stub_ilp.layout stub sources with
-  | Ok segs -> segs
+let finish what stub =
+  match Stub_ilp.finish stub with
+  | Ok () -> stub
   | Error e -> invalid_arg ("Messages." ^ what ^ ": " ^ e)
 
 (* The v1 fields, extended by the v2 fields and then by the flag word:
    a flagged request is always the full v2 form. *)
 let request_segments ?(flags = 0) r =
-  let v1 =
-    [ Stub_ilp.Immediate (VStr r.file_name);
-      Stub_ilp.Immediate (VInt r.copies);
-      Stub_ilp.Immediate (VInt r.max_reply) ]
+  let v1 = flags = 0 && request_is_v1 r in
+  let stub =
+    if v1 then request_ilp else if flags = 0 then request_ilp_v2 else request_ilp_flagged
   in
-  if flags = 0 && request_is_v1 r then layout "request_segments" request_ilp v1
-  else
-    let v2 =
-      v1
-      @ [ Stub_ilp.Immediate (VInt r.req_id);
-          Stub_ilp.Immediate (VInt r.start_copy);
-          Stub_ilp.Immediate (VInt r.start_offset) ]
-    in
-    if flags = 0 then layout "request_segments" request_ilp_v2 v2
-    else
-      layout "request_segments" request_ilp_flagged
-        (v2 @ [ Stub_ilp.Immediate (VInt flags) ])
+  Stub_ilp.start stub;
+  Stub_ilp.push_str stub r.file_name;
+  Stub_ilp.push_int stub r.copies;
+  Stub_ilp.push_int stub r.max_reply;
+  if not v1 then begin
+    Stub_ilp.push_int stub r.req_id;
+    Stub_ilp.push_int stub r.start_copy;
+    Stub_ilp.push_int stub r.start_offset;
+    if flags <> 0 then Stub_ilp.push_int stub flags
+  end;
+  finish "request_segments" stub
 
 let probe_segments ?(flags = 0) p =
-  let fields =
-    [ Stub_ilp.Immediate (VStr p.p_file_name);
-      Stub_ilp.Immediate (VInt p.p_offset);
-      Stub_ilp.Immediate (VInt p.p_crc);
-      Stub_ilp.Immediate (VInt p.p_req_id) ]
-  in
-  if flags = 0 then layout "probe_segments" probe_ilp fields
-  else
-    layout "probe_segments" probe_ilp_flagged
-      (fields @ [ Stub_ilp.Immediate (VInt flags) ])
+  let stub = if flags = 0 then probe_ilp else probe_ilp_flagged in
+  Stub_ilp.start stub;
+  Stub_ilp.push_str stub p.p_file_name;
+  Stub_ilp.push_int stub p.p_offset;
+  Stub_ilp.push_int stub p.p_crc;
+  Stub_ilp.push_int stub p.p_req_id;
+  if flags <> 0 then Stub_ilp.push_int stub flags;
+  finish "probe_segments" stub
 
 let reply_segments h ~payload_addr =
-  layout "reply_segments" reply_ilp
-    [ Stub_ilp.Immediate (VEnum (status_to_enum h.status));
-      Stub_ilp.Immediate (VInt h.copy);
-      Stub_ilp.Immediate (VInt h.file_offset);
-      Stub_ilp.Immediate (VInt h.total_len);
-      Stub_ilp.From_memory { addr = payload_addr; len = h.data_len } ]
+  let stub = reply_ilp in
+  Stub_ilp.start stub;
+  Stub_ilp.push_enum stub (status_to_enum h.status);
+  Stub_ilp.push_int stub h.copy;
+  Stub_ilp.push_int stub h.file_offset;
+  Stub_ilp.push_int stub h.total_len;
+  Stub_ilp.push_memory stub ~addr:payload_addr ~len:h.data_len;
+  finish "reply_segments" stub
 
 (* ------------------------------------------------------------------ *)
 (* Decoders.  Each reads the marshalled body and nothing else: the engine
@@ -216,18 +214,36 @@ let reply_prefix h =
    Equivalence with the string decoders is property-tested (test_rpc). *)
 
 module View = struct
-  type t = { buf : Bytes.t; base : int; limit : int; mutable pos : int }
+  type t = {
+    mutable buf : Bytes.t;
+    mutable base : int;
+    mutable limit : int;
+    mutable pos : int;
+    mutable opaque_off : int;  (* first byte of the last opaque decoded *)
+  }
 
   exception Error of string
 
   let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
-  (* The body [buf.[off..off+len-1]]; a span outside the buffer is an
-     error, not an out-of-bounds read. *)
-  let make buf ~off ~len =
+  let create () = { buf = Bytes.empty; base = 0; limit = 0; pos = 0; opaque_off = 0 }
+
+  (* Point [t] at the body [buf.[off..off+len-1]]; a span outside the
+     buffer is an error, not an out-of-bounds read. *)
+  let reset t buf ~off ~len =
     if off < 0 || len < 0 || off > Bytes.length buf - len then
       fail "body span %d+%d outside a %d-byte buffer" off len (Bytes.length buf);
-    { buf; base = off; limit = off + len; pos = off }
+    t.buf <- buf;
+    t.base <- off;
+    t.limit <- off + len;
+    t.pos <- off
+
+  let make buf ~off ~len =
+    let t = create () in
+    reset t buf ~off ~len;
+    t
+
+  let opaque_off t = t.opaque_off
 
   let need t n =
     if t.pos + n > t.limit then
@@ -253,6 +269,7 @@ module View = struct
     for i = n to Xdr.padded n - 1 do
       if Bytes.get t.buf (t.pos + i) <> '\000' then fail "nonzero XDR padding"
     done;
+    t.opaque_off <- t.pos;
     t.pos <- t.pos + Xdr.padded n;
     n
 
@@ -271,7 +288,7 @@ let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
   match
     let v = View.make buf ~off ~len in
     let n = View.opaque v in
-    let file_name = Bytes.sub_string buf (v.View.pos - Xdr.padded n) n in
+    let file_name = Bytes.sub_string buf (View.opaque_off v) n in
     let rest = v.View.limit - v.View.pos in
     if rest mod 4 <> 0 then View.fail "ctrl: malformed body";
     match rest / 4 with
@@ -303,9 +320,11 @@ let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
   | c -> Ok c
   | exception View.Error e -> Error e
 
-let decode_reply_view buf ~off ~len : (reply_header * int, string) result =
+(* Into the caller's header, through the caller's view: nothing is
+   allocated unless the body is malformed. *)
+let decode_reply_view v h buf ~off ~len : (unit, string) result =
   match
-    let v = View.make buf ~off ~len in
+    View.reset v buf ~off ~len;
     let st = View.enum v status_names in
     let copy = View.int32 v in
     let file_offset = View.int32 v in
@@ -313,10 +332,14 @@ let decode_reply_view buf ~off ~len : (reply_header * int, string) result =
     let data_len = View.opaque v in
     match status_of_enum st with
     | Some status ->
-        Result.Ok
-          ( { status; copy; file_offset; total_len; data_len },
-            v.View.pos - Xdr.padded data_len )
-    | None -> Error "reply: bad status"
+        h.status <- status;
+        h.copy <- copy;
+        h.file_offset <- file_offset;
+        h.total_len <- total_len;
+        h.data_len <- data_len;
+        true
+    | None -> false
   with
-  | r -> r
+  | true -> Result.Ok ()
+  | false -> Error "reply: bad status"
   | exception View.Error e -> Error e

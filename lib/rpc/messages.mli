@@ -66,12 +66,14 @@ val flag_rx_framing : int
     reply could never fit the server's per-connection budget). *)
 type status = Ok | Not_found | Refused | Busy
 
+(** Mutable so that a client decodes every reply into one header it owns
+    ({!decode_reply_view}). *)
 type reply_header = {
-  status : status;
-  copy : int;  (** which copy of the file this segment belongs to *)
-  file_offset : int;
-  total_len : int;  (** full file length *)
-  data_len : int;
+  mutable status : status;
+  mutable copy : int;  (** which copy of the file this segment belongs to *)
+  mutable file_offset : int;
+  mutable total_len : int;  (** full file length *)
+  mutable data_len : int;
 }
 
 (** Marshal a request (the whole message — requests carry no bulk data).
@@ -91,21 +93,25 @@ val reply_prefix : reply_header -> string
 
     The same message descriptions compiled by [Ilp_codec.Stub_ilp]: the
     control fields become generated byte runs and the reply's data field
-    stays in application memory for the fused loop.  The segments feed
-    [Ilp_core.Engine.prepare_stream_segments] as they are. *)
+    stays in application memory for the fused loop.  Each builder pushes
+    the message's fields through its compiled stub's cursor and returns
+    the stub, laid out: its {!Ilp_codec.Stub_ilp.segments} feed
+    [Ilp_core.Engine.prepare_stream_segments] as they are, until the next
+    message of the same form is built. *)
 
 (** [flags] (default 0) selects the flagged control forms: a nonzero
     value is appended as a trailing capability word (see
     {!flag_rx_framing}).  A flagged request always marshals the full v2
     field set — word-count dispatch leaves no flagged v1 form. *)
-val request_segments : ?flags:int -> request -> Ilp_codec.Stub_ilp.segment list
+val request_segments : ?flags:int -> request -> Ilp_codec.Stub_ilp.t
 
-val probe_segments : ?flags:int -> probe -> Ilp_codec.Stub_ilp.segment list
+val probe_segments : ?flags:int -> probe -> Ilp_codec.Stub_ilp.t
 
 (** [reply_segments hdr ~payload_addr] — [hdr.data_len] bytes are taken
-    from [payload_addr]. *)
-val reply_segments :
-  reply_header -> payload_addr:int -> Ilp_codec.Stub_ilp.segment list
+    from [payload_addr].  Lays out a reply without allocating anything
+    but its segments (the [Gen] run of its header words and the [App]
+    of its data). *)
+val reply_segments : reply_header -> payload_addr:int -> Ilp_codec.Stub_ilp.t
 
 (** {2 Decoders}
 
@@ -138,10 +144,23 @@ val decode_reply : string -> (reply_header * string, string) result
     capability flag word (0 for the unflagged forms). *)
 val decode_ctrl_bytes : Bytes.t -> off:int -> len:int -> (ctrl * int, string) result
 
-(** [decode_reply_view buf ~off ~len] is {!decode_reply} with the payload
-    left in [buf]: it returns the header and the payload's byte offset in
-    [buf] ([hdr.data_len] bytes starting there, inside the body).  The
-    caller must consume the payload before releasing the buffer to the
-    pool. *)
+(** A cursor over a body in a buffer, re-pointed by each decode. *)
+module View : sig
+  type t
+
+  val create : unit -> t
+
+  (** The first byte, in the decoded buffer, of the last opaque field
+      the view decoded. *)
+  val opaque_off : t -> int
+end
+
+(** [decode_reply_view v hdr buf ~off ~len] is {!decode_reply} with the
+    payload left in [buf], decoded through the caller's view [v] into the
+    caller's header [hdr]: on [Ok ()] [hdr] holds the header and the
+    payload is [hdr.data_len] bytes at [View.opaque_off v], inside the
+    body.  It allocates nothing on success; on [Error] [hdr] is
+    unspecified.  The caller must consume the payload before releasing
+    the buffer to the pool. *)
 val decode_reply_view :
-  Bytes.t -> off:int -> len:int -> (reply_header * int, string) result
+  View.t -> reply_header -> Bytes.t -> off:int -> len:int -> (unit, string) result

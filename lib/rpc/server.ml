@@ -240,8 +240,11 @@ let mark_dead t conn =
   end
 
 let send_reply t conn hdr ~payload_addr =
-  let body = Messages.reply_segments hdr ~payload_addr in
-  let ps = Engine.prepare_stream_segments t.engine body in
+  let stub = Messages.reply_segments hdr ~payload_addr in
+  let ps =
+    Engine.prepare_stream_segments t.engine (Ilp_codec.Stub_ilp.segments stub)
+      ~n:(Ilp_codec.Stub_ilp.count stub)
+  in
   let wire_len = ps.Engine.stream_len in
   (* Framed connections put [seg_unit] prelude bytes on the wire ahead
      of the TSDU; the throughput probe sees what actually went out. *)
@@ -502,8 +505,8 @@ let handle_request t conn ~len =
        buffer, released as soon as the decode finishes (the request's
        fields are scalars plus the short file name). *)
     match Engine.read_plaintext t.engine ~len with
-    | Error _ as e -> e
-    | Ok (buf, off, blen) ->
+    | Error e -> Error e
+    | Ok { Engine.buf; off; len = blen } ->
         let r = Messages.decode_ctrl_bytes buf ~off ~len:blen in
         Engine.release_plaintext t.engine buf;
         r

@@ -26,10 +26,12 @@ type 'a seg = private {
 
 type 'a t
 
-(** [create ~sack] — with [sack] off no hole is ever selected and the
-    duplicate-ack threshold is always {!Cc.dupthresh}; blocks from the
-    peer are still validated and applied. *)
-val create : sack:bool -> 'a t
+(** [create ~sack ~vacant] — with [sack] off no hole is ever selected
+    and the duplicate-ack threshold is always {!Cc.dupthresh}; blocks
+    from the peer are still validated and applied.  [vacant] is the
+    payload of the placeholder a free slot of the queue holds (never
+    returned), so a segment that left the queue is not kept reachable. *)
+val create : sack:bool -> vacant:'a -> 'a t
 
 (** Append a freshly sent segment (the queue is in sequence order). *)
 val add : 'a t -> seq:int -> len:int -> 'a -> unit
@@ -60,11 +62,16 @@ val pop : 'a t -> 'a seg
     overlapped an accepted block of the same ack; [spurious] ones were
     D-SACK duplicate reports — a block at or below the cumulative ack,
     or a first block contained in a later one (RFC 2883). *)
-type sack_counts = { accepted : int; invalid : int; spurious : int }
+type sack_counts = private {
+  mutable accepted : int;
+  mutable invalid : int;
+  mutable spurious : int;
+}
 
 (** [process_sack t ~ack ~snd_nxt blocks] validates one ack's blocks in
     order and marks every segment wholly inside an accepted block
-    (clipped to [ack]) as sacked. *)
+    (clipped to [ack]) as sacked.  The counts are the scoreboard's own
+    record, overwritten by the next call; an ack allocates nothing. *)
 val process_sack :
   'a t -> ack:int -> snd_nxt:int -> (int * int) list -> sack_counts
 
@@ -92,7 +99,8 @@ val mark_resent : 'a seg -> now:float -> unit
     still unsacked after that had its retransmission lost too).  Pipe
     counts the unsacked segments not both lost and eligible; each chosen
     hole adds its length, and holes are chosen while pipe < [cap].
-    Nothing is chosen with SACK off or nothing sacked. *)
+    Nothing is chosen with SACK off or nothing sacked.  The sweep
+    allocates nothing itself. *)
 val iter_holes :
   'a t -> cap:int -> now:float -> retry_after:float -> ('a seg -> unit) -> unit
 

@@ -272,6 +272,8 @@ type t = {
   wire_out : Datagram.t -> unit;
   ring : Ring.t;
   hdr_area : int;  (* user-space header build area *)
+  rx_hdr : Tcp_header.t;  (* every arriving header is parsed into this *)
+  ooo_hdr : Tcp_header.t;  (* a stashed segment's header, re-read on drain *)
   tx_kernel : int;  (* kernel-side outgoing segment buffer *)
   kernel_rx : int;  (* kernel-side incoming segment buffer *)
   rx_staging : int;  (* user-space receive buffer *)
@@ -290,7 +292,8 @@ type t = {
   cc : Cc.t;
   reasm : Reasm.t;  (* segments held above [rcv_nxt] *)
   streams : pending_stream Queue.t;
-  mutable rto_timer : Simclock.timer option;
+  mutable rto_timer : Simclock.timer;  (* [Simclock.stopped] until armed *)
+  mutable rto_fire : unit -> unit;  (* [on_rto] of this socket, built once *)
   rto : Rto.t;
   mutable retries : int;
   mutable peak_in_flight : int;
@@ -339,7 +342,9 @@ type t = {
   mutable ka_on_result : (keepalive_verdict -> unit) option;
 }
 
-let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
+(* The socket record; [create], below the retransmission timer, gives
+   it its timer callback. *)
+let make (sim : Sim.t) clock cfg ~local_port ~wire_out =
   let seg_max = Int.max Tcp_header.max_wire_size (Tcp_header.size + cfg.mss) in
   (* The stash covers a full receive window of MSS segments plus
      reordering slack: a fixed 8-slot stash under a 45-segment window
@@ -369,6 +374,8 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     wire_out;
     ring;
     hdr_area;
+    rx_hdr = Tcp_header.make ~src_port:0 ~dst_port:0 ();
+    ooo_hdr = Tcp_header.make ~src_port:0 ~dst_port:0 ();
     tx_kernel;
     kernel_rx;
     rx_staging;
@@ -383,11 +390,14 @@ let create (sim : Sim.t) clock cfg ~local_port ~wire_out =
     rcv_nxt = 0;
     peer_window = 0;
     adv_window = cfg.recv_window;
-    sb = Scoreboard.create ~sack:cfg.sack;
+    sb =
+      Scoreboard.create ~sack:cfg.sack
+        ~vacant:{ addr = 0; psh = false; rexmits = 0; sent_at = 0.0 };
     cc = Cc.create ~mss:cfg.mss;
     reasm = Reasm.create ~slots:ooo_slots ~window:cfg.recv_window ~sack:cfg.sack;
     streams = Queue.create ();
-    rto_timer = None;
+    rto_timer = Simclock.stopped;
+    rto_fire = ignore;
     rto = Rto.create ~initial_us:cfg.rto_initial_us ~min_us:cfg.rto_min_us
             ~max_us:rto_max_us ();
     retries = 0;
@@ -497,12 +507,6 @@ let mem t = t.sim.Sim.mem
 let note t stage ~arg =
   Recorder.note stage ~conn:t.local_port ~arg ~ts:(Machine.micros (machine t))
 
-(* This endpoint's header for a segment from [seq] whose [payload_len]
-   payload bytes fold to [payload_acc], checksum included. *)
-let header t ~seq ~flags ~sack ~payload_acc ~payload_len =
-  Tcp_header.sealed ~seq ~ack:t.rcv_nxt ~flags ~window:t.adv_window ~sack
-    ~src_port:t.local_port ~dst_port:t.remote_port ~payload_acc ~payload_len
-
 (* The kernel part passes a segment to IP (loopback, never fragmented):
    one wire string, the IP header written in place and the [len] segment
    bytes at [src.[off]] copied after it. *)
@@ -516,18 +520,22 @@ let next_ident t =
   t.ip_ident <- (t.ip_ident + 1) land 0xffff;
   t.ip_ident
 
-(* Write the finished header to the user header area, system-copy header
-   (and the [payload_len] payload bytes already in the ring at [addr], if
-   any) into the kernel buffer, and put the resulting datagram on the
-   wire. *)
-let transmit t header ~addr ~payload_len =
+(* Write this endpoint's header for a segment from [seq] — its
+   [payload_len] payload bytes, already in the ring at [addr] if any,
+   fold to [payload_acc] — straight into the user header area, checksum
+   included; system-copy header and payload into the kernel buffer, and
+   put the resulting datagram on the wire. *)
+let transmit t ~seq ~flags ~sack ~payload_acc ~addr ~payload_len =
   Machine.exec (machine t) t.code_ctrl;
   Machine.exec (machine t) t.code_kernel;
-  Tcp_header.write_mem (mem t) ~pos:t.hdr_area header;
+  let hlen =
+    Tcp_header.seal_mem (mem t) ~pos:t.hdr_area ~seq ~ack:t.rcv_nxt ~flags
+      ~window:t.adv_window ~sack ~src_port:t.local_port ~dst_port:t.remote_port
+      ~payload_acc ~payload_len
+  in
   (* Full tcp_output state processing for data segments; the short path
      for pure control segments. *)
   Machine.compute (machine t) (if payload_len > 0 then control_ops else ack_ops);
-  let hlen = Tcp_header.wire_size header in
   let sc = t.syscopy in
   Machine.store_micros (machine t) sc 1;
   Mem.blit (mem t) ~src:t.hdr_area ~dst:t.tx_kernel ~len:hlen
@@ -550,17 +558,15 @@ let transmit t header ~addr ~payload_len =
 (* A pure control segment from [seq]; [sack] blocks, the only options
    this stack sends, ride on pure acks. *)
 let control_segment t ~seq ~sack ~flags =
-  let h =
-    header t ~seq ~flags ~sack ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
-  in
-  let n = List.length h.Tcp_header.sack in
+  let n = Int.min Tcp_header.max_sack_blocks (List.length sack) in
   if n > 0 then begin
     bump t c_sack_blocks_tx n;
     if Trace.enabled () then
       Trace.instant ~arg:n Trace.Tcp_sack ~packet:(Trace.current_packet ())
         ~ts:(Machine.micros (machine t))
   end;
-  transmit t h ~addr:0 ~payload_len:0
+  transmit t ~seq ~flags ~sack ~payload_acc:Ilp_checksum.Internet.empty ~addr:0
+    ~payload_len:0
 
 (* [seq] (default [snd_nxt]) lets a SYN or FIN be re-sent with the
    sequence number it first used. *)
@@ -581,8 +587,7 @@ let send_ack t =
    crash injection surfaces any leak as a ghost firing, and the soak
    asserts [Simclock.pending_count ~owner = 0] afterwards. *)
 let cancel_all_timers t =
-  Option.iter Simclock.cancel t.rto_timer;
-  t.rto_timer <- None;
+  Simclock.cancel t.rto_timer;
   Option.iter Simclock.cancel t.ctl_timer;
   t.ctl_timer <- None;
   Option.iter Simclock.cancel t.persist_timer;
@@ -727,11 +732,8 @@ let send_probe t =
     Ilp_checksum.Internet.checksum_mem (mem t) ~pos:t.probe_buf ~len:1
       ~acc:Ilp_checksum.Internet.empty
   in
-  let h =
-    header t ~seq:(t.snd_nxt - 1) ~flags:Tcp_header.ack_flag ~sack:[] ~payload_acc
-      ~payload_len:1
-  in
-  transmit t h ~addr:t.probe_buf ~payload_len:1
+  transmit t ~seq:(t.snd_nxt - 1) ~flags:Tcp_header.ack_flag ~sack:[] ~payload_acc
+    ~addr:t.probe_buf ~payload_len:1
 
 (* ------------------------------------------------------------------ *)
 (* RST generation (RFC 793 reset rules)
@@ -745,35 +747,38 @@ let send_probe t =
    byte-identical to the pre-fault-model stack.  Resets are pure 20-byte
    control segments and never enter the fused ILP data path. *)
 
-let rst_reply_header (h : Tcp_header.t) ~payload_len ~src_port =
+(* The reset answering [h] (its payload [payload_len] bytes), written
+   uncharged at [b.[off]]; returns its length. *)
+let write_rst b ~off (h : Tcp_header.t) ~payload_len ~src_port =
   let seg_len =
     payload_len
     + (if Tcp_header.has h Tcp_header.syn then 1 else 0)
     + (if Tcp_header.has h Tcp_header.fin then 1 else 0)
   in
-  let seq, ack, flags =
-    if Tcp_header.has h Tcp_header.ack_flag then (h.ack, 0, Tcp_header.rst)
-    else (0, h.seq + seg_len, Tcp_header.rst lor Tcp_header.ack_flag)
-  in
-  Tcp_header.sealed ~seq ~ack ~flags ~window:0 ~sack:[] ~src_port ~dst_port:h.src_port
+  let acked = Tcp_header.has h Tcp_header.ack_flag in
+  Tcp_header.seal_bytes b ~off
+    ~seq:(if acked then h.ack else 0)
+    ~ack:(if acked then 0 else h.seq + seg_len)
+    ~flags:(if acked then Tcp_header.rst else Tcp_header.rst lor Tcp_header.ack_flag)
+    ~window:0 ~sack:[] ~src_port ~dst_port:h.src_port
     ~payload_acc:Ilp_checksum.Internet.empty ~payload_len:0
 
 let send_rst t (h : Tcp_header.t) ~payload_len =
   (* Never reset a reset: that way lies an RST storm. *)
   if not (Tcp_header.has h Tcp_header.rst) then begin
-    let r = rst_reply_header h ~payload_len ~src_port:t.local_port in
     bump t c_rst_tx 1;
     note t Trace.Rst_tx ~arg:0;
     (* Bypass [transmit]: the reset goes back to the segment's source
        port, not [t.remote_port] (stale or unset on a dead socket), and a
-       dead socket charges only the short control path. *)
+       dead socket charges only the short control path (its header is
+       written into the header area uncharged). *)
     Machine.compute (machine t) ack_ops;
-    let wire = Tcp_header.to_string r in
+    let raw = Mem.raw (mem t) in
+    let len = write_rst raw ~off:t.hdr_area h ~payload_len ~src_port:t.local_port in
     bump t c_segments_sent 1;
     t.wire_out
       (ip_datagram ~ident:(next_ident t) ~src_port:t.local_port
-         ~dst_port:h.Tcp_header.src_port (Bytes.unsafe_of_string wire) ~off:0
-         ~len:(String.length wire))
+         ~dst_port:h.Tcp_header.src_port raw ~off:t.hdr_area ~len)
   end
 
 (* The reset a crashed host's address answers with while the host is
@@ -793,18 +798,16 @@ let reset_for (dgram : Datagram.t) =
             Int.max 0
               (String.length wire - Ipv4.header_len - Tcp_header.wire_size h)
           in
-          let r =
-            rst_reply_header h ~payload_len ~src_port:dgram.Datagram.dst_port
-          in
           orphan_blk.(c_rst_tx) <- orphan_blk.(c_rst_tx) + 1;
           Recorder.note Trace.Rst_tx ~conn:dgram.Datagram.dst_port
             ~arg:0 ~ts:(Trace.now ());
-          let wire_out = Tcp_header.to_string r in
+          let b = Bytes.create Tcp_header.size in
+          let len =
+            write_rst b ~off:0 h ~payload_len ~src_port:dgram.Datagram.dst_port
+          in
           Some
             (ip_datagram ~ident:0 ~src_port:dgram.Datagram.dst_port
-               ~dst_port:h.Tcp_header.src_port
-               (Bytes.unsafe_of_string wire_out) ~off:0
-               ~len:(String.length wire_out))
+               ~dst_port:h.Tcp_header.src_port b ~off:0 ~len)
         end
 
 (* ------------------------------------------------------------------ *)
@@ -928,13 +931,15 @@ let rec arm_persist t ~want =
 (* ------------------------------------------------------------------ *)
 (* Retransmission of data segments *)
 
+(* An arm allocates its timer record and the boxed timeout alone: the
+   callback is the socket's own, and the slot holds a stopped timer
+   rather than an option. *)
 let rec arm_rto t =
-  Option.iter Simclock.cancel t.rto_timer;
-  if not (Scoreboard.is_empty t.sb) then begin
-    let timer = Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () -> on_rto t) in
-    t.rto_timer <- Some timer
-  end
-  else t.rto_timer <- None
+  Simclock.cancel t.rto_timer;
+  if not (Scoreboard.is_empty t.sb) then
+    t.rto_timer <-
+      Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto)
+        t.rto_fire
 
 and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   bump t c_retransmissions 1;
@@ -952,12 +957,12 @@ and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
     Ilp_checksum.Internet.checksum_mem (mem t) ~pos:tx.addr ~len:seg.len
       ~acc:Ilp_checksum.Internet.empty
   in
-  let h = header t ~seq:seg.seq ~flags ~sack:[] ~payload_acc ~payload_len:seg.len in
-  transmit t h ~addr:tx.addr ~payload_len:seg.len
+  transmit t ~seq:seg.seq ~flags ~sack:[] ~payload_acc ~addr:tx.addr
+    ~payload_len:seg.len
 
 and on_rto t =
   match Scoreboard.oldest t.sb with
-  | None -> t.rto_timer <- None
+  | None -> ()
   | Some seg ->
       if t.retries >= max_retries then abort t Retry_exhausted
       else begin
@@ -973,6 +978,11 @@ and on_rto t =
         retransmit_seg t seg;
         arm_rto t
       end
+
+let create sim clock cfg ~local_port ~wire_out =
+  let t = make sim clock cfg ~local_port ~wire_out in
+  t.rto_fire <- (fun () -> on_rto t);
+  t
 
 (* The one "resend this hole" step of fast retransmit, the partial-ack
    path and the scoreboard's hole sweep; each caller keeps its own
@@ -1046,8 +1056,7 @@ let send_segment t s ~addr ~len =
   in
   let psh = s.ps_off >= s.ps_len in
   let flags = Tcp_header.ack_flag lor (if psh then Tcp_header.psh else 0) in
-  let h = header t ~seq:t.snd_nxt ~flags ~sack:[] ~payload_acc ~payload_len:len in
-  transmit t h ~addr ~payload_len:len;
+  transmit t ~seq:t.snd_nxt ~flags ~sack:[] ~payload_acc ~addr ~payload_len:len;
   Scoreboard.add t.sb ~seq:t.snd_nxt ~len
     { addr; psh; rexmits = 0; sent_at = Simclock.now t.clock };
   t.snd_nxt <- t.snd_nxt + len;
@@ -1055,7 +1064,7 @@ let send_segment t s ~addr ~len =
   let fl = bytes_in_flight t in
   if fl > t.peak_in_flight then t.peak_in_flight <- fl;
   M.set m_inflight (Scoreboard.length t.sb);
-  if t.rto_timer = None then arm_rto t
+  if not (Simclock.is_pending t.rto_timer) then arm_rto t
 
 (* The stream pump, the one place data segments are emitted: push
    segments of the front TSDU while the usable window, the congestion
@@ -1295,9 +1304,11 @@ let rec drain_ooo t =
       accept t ~len ~eng_len:len ~psh;
       drain_ooo t
   | Some (Reasm.Stashed { slot; len }) ->
+      (* The stash's own record: the arrival that drains it reads its
+         own header's fields afterwards. *)
       let base = t.ooo_base + (slot * seg_max t) in
-      let h = Tcp_header.read_mem (mem t) ~pos:base in
-      if process_data t h ~base ~payload_len:len then drain_ooo t
+      ignore (Tcp_header.read_mem (mem t) ~pos:base ~total:Tcp_header.size t.ooo_hdr);
+      if process_data t t.ooo_hdr ~base ~payload_len:len then drain_ooo t
 
 let handle_data t (h : Tcp_header.t) ~payload_len =
   if h.seq = t.rcv_nxt then begin
@@ -1477,10 +1488,9 @@ let handle_datagram t (dgram : Datagram.t) =
        one canonical SACK layout). *)
     Mem.blit (mem t) ~src:t.kernel_rx ~dst:t.rx_staging ~len:total
       ~unit_len:blit_unit;
-    let parsed = Tcp_header.read_mem_v (mem t) ~pos:t.rx_staging ~total in
-    let h = parsed.Tcp_header.hdr in
-    let hdr_len = parsed.Tcp_header.hdr_len in
-    if not parsed.Tcp_header.options_ok then
+    let h = t.rx_hdr in
+    let hdr_len = Tcp_header.read_mem (mem t) ~pos:t.rx_staging ~total h in
+    if hdr_len = Tcp_header.bad_options then
       (* Structurally hostile options (impossible data offset, truncated
          or non-canonical option bytes): drop before trusting any field
          that depends on knowing where the header ends. *)

@@ -1,13 +1,13 @@
 type t = {
-  src_port : int;
-  dst_port : int;
-  seq : int;
-  ack : int;
-  flags : int;
-  window : int;
-  checksum : int;
-  urgent : int;
-  sack : (int * int) list;
+  mutable src_port : int;
+  mutable dst_port : int;
+  mutable seq : int;
+  mutable ack : int;
+  mutable flags : int;
+  mutable window : int;
+  mutable checksum : int;
+  mutable urgent : int;
+  mutable sack : (int * int) list;
 }
 
 let size = 20
@@ -54,7 +54,6 @@ let make ?(seq = 0) ?(ack = 0) ?(flags = 0) ?(window = 0) ?(checksum = 0)
 (* Data offset in 32-bit words: 5 for the bare header, 6..11 with the
    canonical SACK option attached. *)
 let off_flags_of ~flags ~sack = (((size + sack_len sack) lsr 2) lsl 12) lor (flags land 0xfff)
-let off_flags t = off_flags_of ~flags:t.flags ~sack:t.sack
 
 (* The canonical option's two leading 16-bit words for [n] blocks:
    NOP NOP, then SACK kind 5 with its length. *)
@@ -78,104 +77,92 @@ let sack_blocks ~words ~avail =
 let sack_lead_ok ~n kind_word len_word =
   kind_word = nop_nop && len_word = sack_kind_len n
 
-(* The option bytes as 16-bit words, for checksumming and charged I/O:
-   [0x0101; 0x05<<8 | len] then each block edge split high/low. *)
-let fold_option_u16 sack ~init ~f =
-  match sack with
-  | [] -> init
-  | blocks ->
-      let acc = f init nop_nop in
-      let acc = f acc (sack_kind_len (List.length blocks)) in
-      List.fold_left
-        (fun acc (l, r) ->
-          let acc = f acc ((l lsr 16) land 0xffff) in
-          let acc = f acc (l land 0xffff) in
-          let acc = f acc ((r lsr 16) land 0xffff) in
-          f acc (r land 0xffff))
-        acc blocks
-
-let write_mem mem ~pos t =
-  let open Ilp_memsim in
-  Mem.set_u16 mem pos t.src_port;
-  Mem.set_u16 mem (pos + 2) t.dst_port;
-  Mem.set_u32 mem (pos + 4) t.seq;
-  Mem.set_u32 mem (pos + 8) t.ack;
-  Mem.set_u16 mem (pos + 12) (off_flags t);
-  Mem.set_u16 mem (pos + 14) t.window;
-  Mem.set_u16 mem (pos + 16) t.checksum;
-  Mem.set_u16 mem (pos + 18) t.urgent;
-  (match t.sack with
+(* The one layout of a header's bytes, written through [set16]/[set32]
+   at [pos] of [dst] ([Mem]'s charged setters, or a byte buffer's own):
+   the fixed 20 bytes, then the option area as 16-bit words —
+   [0x0101; 0x05<<8 | len] and each block edge split high/low.  Returns
+   the header's length. *)
+let rec put_blocks set16 dst pos = function
   | [] -> ()
-  | sack ->
-      let off = ref (pos + size) in
-      ignore
-        (fold_option_u16 sack ~init:() ~f:(fun () w ->
-             Mem.set_u16 mem !off w;
-             off := !off + 2)));
-  Machine.compute (Mem.machine mem) (16 + (options_len t))
+  | (l, r) :: rest ->
+      set16 dst pos ((l lsr 16) land 0xffff);
+      set16 dst (pos + 2) (l land 0xffff);
+      set16 dst (pos + 4) ((r lsr 16) land 0xffff);
+      set16 dst (pos + 6) (r land 0xffff);
+      put_blocks set16 dst (pos + 8) rest
 
-(* Charged parse of the option area at [pos + 20].  Anything but the one
-   canonical SACK layout is a structural error — the caller drops the
-   segment (the paper's fixed-header precondition means this stack never
-   has to walk an arbitrary option list). *)
-type parsed = { hdr : t; hdr_len : int; options_ok : bool }
+let put set16 set32 dst pos ~src_port ~dst_port ~seq ~ack ~flags ~window ~checksum
+    ~urgent ~sack =
+  set16 dst pos src_port;
+  set16 dst (pos + 2) dst_port;
+  set32 dst (pos + 4) seq;
+  set32 dst (pos + 8) ack;
+  set16 dst (pos + 12) (off_flags_of ~flags ~sack);
+  set16 dst (pos + 14) window;
+  set16 dst (pos + 16) checksum;
+  set16 dst (pos + 18) urgent;
+  (match sack with
+  | [] -> ()
+  | blocks ->
+      set16 dst (pos + size) nop_nop;
+      set16 dst (pos + size + 2) (sack_kind_len (List.length blocks));
+      put_blocks set16 dst (pos + size + 4) blocks);
+  size + sack_len sack
 
-let read_mem_v mem ~pos ~total =
-  let open Ilp_memsim in
-  let src_port = Mem.get_u16 mem pos in
-  let dst_port = Mem.get_u16 mem (pos + 2) in
-  let seq = Mem.get_u32 mem (pos + 4) in
-  let ack = Mem.get_u32 mem (pos + 8) in
-  let off_flags = Mem.get_u16 mem (pos + 12) in
-  let window = Mem.get_u16 mem (pos + 14) in
-  let checksum = Mem.get_u16 mem (pos + 16) in
-  let urgent = Mem.get_u16 mem (pos + 18) in
-  Machine.compute (Mem.machine mem) 16;
-  let base =
-    { src_port; dst_port; seq; ack; flags = off_flags land 0xfff; window;
-      checksum; urgent; sack = [] }
-  in
-  let words = (off_flags lsr 12) land 0xf in
-  if words = 5 then { hdr = base; hdr_len = size; options_ok = true }
+let bytes_set16 b pos v = Bytes.set_uint16_be b pos (v land 0xffff)
+let bytes_set32 b pos v = Bytes.set_int32_be b pos (Int32.of_int (v land 0xffff_ffff))
+
+let bad_options = -1
+
+(* Blocks [i], [i - 1] .. [0] of the option area at [base], last block
+   read first. *)
+let rec read_blocks mem base i acc =
+  if i < 0 then acc
   else
-    let hdr_len = words * 4 in
+    let l = Ilp_memsim.Mem.get_u32 mem (base + (i * 8)) in
+    let r = Ilp_memsim.Mem.get_u32 mem (base + (i * 8) + 4) in
+    read_blocks mem base (i - 1) ((l, r) :: acc)
+
+(* Charged parse of a header at [pos] into [h]: the base header, then
+   the option area when the data offset claims one that [total] covers.
+   Anything but the one canonical SACK layout is a structural error —
+   the caller drops the segment (the paper's fixed-header precondition
+   means this stack never has to walk an arbitrary option list). *)
+let read_mem mem ~pos ~total h =
+  let open Ilp_memsim in
+  h.src_port <- Mem.get_u16 mem pos;
+  h.dst_port <- Mem.get_u16 mem (pos + 2);
+  h.seq <- Mem.get_u32 mem (pos + 4);
+  h.ack <- Mem.get_u32 mem (pos + 8);
+  let off_flags = Mem.get_u16 mem (pos + 12) in
+  h.flags <- off_flags land 0xfff;
+  h.window <- Mem.get_u16 mem (pos + 14);
+  h.checksum <- Mem.get_u16 mem (pos + 16);
+  h.urgent <- Mem.get_u16 mem (pos + 18);
+  h.sack <- [];
+  Machine.compute (Mem.machine mem) 16;
+  let words = (off_flags lsr 12) land 0xf in
+  if words = 5 then size
+  else
     let n = sack_blocks ~words ~avail:total in
-    if n < 0 then { hdr = base; hdr_len = Int.min hdr_len total; options_ok = false }
+    if n < 0 then bad_options
     else begin
       let kind_word = Mem.get_u16 mem (pos + size) in
       let len_word = Mem.get_u16 mem (pos + size + 2) in
-      Machine.compute (Mem.machine mem) (hdr_len - size);
-      if not (sack_lead_ok ~n kind_word len_word) then
-        { hdr = base; hdr_len; options_ok = false }
+      Machine.compute (Mem.machine mem) ((words * 4) - size);
+      if not (sack_lead_ok ~n kind_word len_word) then bad_options
       else begin
-        let blocks = ref [] in
-        for i = n - 1 downto 0 do
-          let l = Mem.get_u32 mem (pos + size + 4 + (i * 8)) in
-          let r = Mem.get_u32 mem (pos + size + 4 + (i * 8) + 4) in
-          blocks := (l, r) :: !blocks
-        done;
-        { hdr = { base with sack = !blocks }; hdr_len; options_ok = true }
+        h.sack <- read_blocks mem (pos + size + 4) (n - 1) [];
+        words * 4
       end
     end
 
-let read_mem mem ~pos = (read_mem_v mem ~pos ~total:size).hdr
-
 let to_string t =
-  let n = wire_size t in
-  let b = Bytes.create n in
-  Bytes.set_uint16_be b 0 t.src_port;
-  Bytes.set_uint16_be b 2 t.dst_port;
-  Bytes.set_int32_be b 4 (Int32.of_int (t.seq land 0xffff_ffff));
-  Bytes.set_int32_be b 8 (Int32.of_int (t.ack land 0xffff_ffff));
-  Bytes.set_uint16_be b 12 (off_flags t);
-  Bytes.set_uint16_be b 14 t.window;
-  Bytes.set_uint16_be b 16 t.checksum;
-  Bytes.set_uint16_be b 18 t.urgent;
-  let off = ref size in
+  let b = Bytes.create (wire_size t) in
   ignore
-    (fold_option_u16 t.sack ~init:() ~f:(fun () w ->
-         Bytes.set_uint16_be b !off w;
-         off := !off + 2));
+    (put bytes_set16 bytes_set32 b 0 ~src_port:t.src_port ~dst_port:t.dst_port
+       ~seq:t.seq ~ack:t.ack ~flags:t.flags ~window:t.window ~checksum:t.checksum
+       ~urgent:t.urgent ~sack:t.sack);
   Bytes.unsafe_to_string b
 
 let decode s ~pos =
@@ -239,8 +226,26 @@ let pseudo_sum ~src_port ~dst_port ~len =
 let pseudo_acc t ~payload_len =
   pseudo_sum ~src_port:t.src_port ~dst_port:t.dst_port ~len:(wire_size t + payload_len)
 
-(* The checksum field of a header given field by field, so that
-   [sealed] builds its record once, checksum included. *)
+(* The option area's 16-bit words into a checksum: the layout [put]
+   writes. *)
+let rec add_blocks acc = function
+  | [] -> acc
+  | (l, r) :: rest ->
+      let open Ilp_checksum in
+      let acc = Internet.add_u16 acc ((l lsr 16) land 0xffff) in
+      let acc = Internet.add_u16 acc (l land 0xffff) in
+      let acc = Internet.add_u16 acc ((r lsr 16) land 0xffff) in
+      add_blocks (Internet.add_u16 acc (r land 0xffff)) rest
+
+let add_options acc = function
+  | [] -> acc
+  | blocks ->
+      let open Ilp_checksum in
+      let acc = Internet.add_u16 acc nop_nop in
+      add_blocks (Internet.add_u16 acc (sack_kind_len (List.length blocks))) blocks
+
+(* The checksum field of a header given field by field, so that a
+   sender's header is written once, checksum included. *)
 let checksum_of ~src_port ~dst_port ~seq ~ack ~flags ~window ~urgent ~sack ~payload_acc
     ~payload_len =
   let open Ilp_checksum in
@@ -255,7 +260,7 @@ let checksum_of ~src_port ~dst_port ~seq ~ack ~flags ~window ~urgent ~sack ~payl
   let acc = Internet.add_u16 acc window in
   (* Checksum field counts as zero while checksumming. *)
   let acc = Internet.add_u16 acc urgent in
-  let acc = fold_option_u16 sack ~init:acc ~f:Internet.add_u16 in
+  let acc = add_options acc sack in
   Internet.finish (Internet.combine acc payload_acc ~len_b:payload_len)
 
 let checksum t ~payload_acc ~payload_len =
@@ -263,10 +268,31 @@ let checksum t ~payload_acc ~payload_len =
     ~flags:t.flags ~window:t.window ~urgent:t.urgent ~sack:t.sack ~payload_acc
     ~payload_len
 
-let sealed ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port ~payload_acc ~payload_len =
+(* The one writer of an outgoing header: [make]'s normalisation (the
+   window saturated at 16 bits, at most three SACK blocks kept), the
+   urgent pointer 0 and the checksum folded from the fields, laid out
+   by [put]. *)
+let seal set16 set32 dst pos ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port
+    ~payload_acc ~payload_len =
   let window = clamp_window window and sack = clip_sack sack in
   let checksum =
     checksum_of ~src_port ~dst_port ~seq ~ack ~flags ~window ~urgent:0 ~sack ~payload_acc
       ~payload_len
   in
-  { src_port; dst_port; seq; ack; flags; window; checksum; urgent = 0; sack }
+  put set16 set32 dst pos ~src_port ~dst_port ~seq ~ack ~flags ~window ~checksum
+    ~urgent:0 ~sack
+
+let seal_mem mem ~pos ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port ~payload_acc
+    ~payload_len =
+  let open Ilp_memsim in
+  let len =
+    seal Mem.set_u16 Mem.set_u32 mem pos ~seq ~ack ~flags ~window ~sack ~src_port
+      ~dst_port ~payload_acc ~payload_len
+  in
+  Machine.compute (Mem.machine mem) (16 + (len - size));
+  len
+
+let seal_bytes b ~off ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port ~payload_acc
+    ~payload_len =
+  seal bytes_set16 bytes_set32 b off ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port
+    ~payload_acc ~payload_len

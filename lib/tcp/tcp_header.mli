@@ -11,21 +11,24 @@
 
     Charged encode/decode move the header through simulated memory in
     2- and 4-byte units, modelling the header processing of
-    [tcp_output]/[tcp_input]; the pure forms serve tests and the wire. *)
+    [tcp_output]/[tcp_input]; the pure forms serve tests and the wire.
+    Neither charged form allocates: {!read_mem} fills a record its
+    caller owns (a socket keeps one per arriving datagram), and
+    {!seal_mem} writes an outgoing header from its fields. *)
 
 type t = {
-  src_port : int;
-  dst_port : int;
-  seq : int;  (** sequence number (kept < 2^32; this stack does not wrap) *)
-  ack : int;
-  flags : int;
+  mutable src_port : int;
+  mutable dst_port : int;
+  mutable seq : int;  (** sequence number (kept < 2^32; this stack does not wrap) *)
+  mutable ack : int;
+  mutable flags : int;
       (** the 12 bits below the data offset: the control bits and the
           reserved bits, kept as received, so that {!checksum} of a
           decoded header covers the header word that arrived *)
-  window : int;
-  checksum : int;
-  urgent : int;
-  sack : (int * int) list;
+  mutable window : int;
+  mutable checksum : int;
+  mutable urgent : int;
+  mutable sack : (int * int) list;
       (** SACK blocks [(left, right)] — [left] inclusive, [right]
           exclusive, sequence-number space.  Empty for every data
           segment; at most {!max_sack_blocks} on a pure ack. *)
@@ -68,11 +71,16 @@ val make :
   unit ->
   t
 
-(** [sealed ... ~payload_acc ~payload_len] is [make] of the same fields
-    with the urgent pointer 0 and the checksum field set for a payload of
-    [payload_len] bytes that folds to [payload_acc]: the header a sender
-    transmits, built as one record. *)
-val sealed :
+(** [seal_mem mem ~pos ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port
+    ~payload_acc ~payload_len] writes, charged, the header a sender
+    transmits at [pos]: {!make}'s fields (the window saturated at 16
+    bits, at most {!max_sack_blocks} blocks kept) with the urgent pointer
+    0 and the checksum field set for a payload of [payload_len] bytes
+    that folds to [payload_acc].  Returns the header's length.  This is
+    the one header writer; it allocates nothing. *)
+val seal_mem :
+  Ilp_memsim.Mem.t ->
+  pos:int ->
   seq:int ->
   ack:int ->
   flags:int ->
@@ -82,28 +90,38 @@ val sealed :
   dst_port:int ->
   payload_acc:Ilp_checksum.Internet.acc ->
   payload_len:int ->
-  t
+  int
 
-(** Charged header I/O on simulated memory. *)
-val write_mem : Ilp_memsim.Mem.t -> pos:int -> t -> unit
+(** [seal_bytes b ~off ...] is {!seal_mem} into [b] at [off], uncharged:
+    the same bytes, for a reset, which a dead or absent connection sends
+    without running [tcp_output]. *)
+val seal_bytes :
+  Bytes.t ->
+  off:int ->
+  seq:int ->
+  ack:int ->
+  flags:int ->
+  window:int ->
+  sack:(int * int) list ->
+  src_port:int ->
+  dst_port:int ->
+  payload_acc:Ilp_checksum.Internet.acc ->
+  payload_len:int ->
+  int
 
-val read_mem : Ilp_memsim.Mem.t -> pos:int -> t
-(** Bare 20-byte read; any option area is left unread ([sack = []]). *)
+(** [read_mem mem ~pos ~total h] parses, charged, the header at [pos]
+    into [h] and returns its length: the base header, and, when the data
+    offset claims options and [total] bytes cover them, the canonical
+    SACK option area.  A data offset or option bytes that are not the
+    one canonical layout return {!bad_options} — the segment is
+    structurally hostile and must be dropped; [h] then holds the base
+    header without blocks.  [~total:size] is the bare 20-byte read.
+    Allocates nothing but the block list of a header that carries
+    blocks. *)
+val read_mem : Ilp_memsim.Mem.t -> pos:int -> total:int -> t -> int
 
-(** Result of a charged parse that also walks the option area. *)
-type parsed = {
-  hdr : t;
-  hdr_len : int;  (** bytes of header actually described by the data offset *)
-  options_ok : bool;
-      (** false when the data offset or option bytes are not the one
-          canonical SACK layout — the segment is structurally hostile and
-          must be dropped *)
-}
-
-val read_mem_v : Ilp_memsim.Mem.t -> pos:int -> total:int -> parsed
-(** [read_mem_v mem ~pos ~total] reads the base header and, when the data
-    offset claims options and [total] covers them, the canonical SACK
-    option area. *)
+(** -1. *)
+val bad_options : int
 
 (** Pure forms (the wire representation). *)
 val to_string : t -> string

@@ -240,6 +240,15 @@ let install sim str =
 let message_ty : Asn1.ty =
   Seq [ ("kind", Enum [| "data"; "ctl" |]); ("offset", Int); ("body", Opaque) ]
 
+(* Lay out a message through the cursor: [start], one push per leaf,
+   [finish]. *)
+let lay_out stub pushes =
+  Stub_ilp.start stub;
+  List.iter (fun push -> push stub) pushes;
+  Stub_ilp.finish stub
+
+let laid_segments stub = List.init (Stub_ilp.count stub) (fun i -> (Stub_ilp.segments stub).(i))
+
 let test_stub_ilp_matches_plain_marshal () =
   (* The compiled layout, flattened, must equal the plain stub's output
      for the same logical value. *)
@@ -248,26 +257,26 @@ let test_stub_ilp_matches_plain_marshal () =
   let addr = install sim payload in
   let ilp = Stub_ilp.compile message_ty in
   match
-    Stub_ilp.layout ilp
-      [ Stub_ilp.Immediate (Asn1.VEnum 0);
-        Stub_ilp.Immediate (Asn1.VInt 4096);
-        Stub_ilp.From_memory { addr; len = String.length payload } ]
+    lay_out ilp
+      [ (fun s -> Stub_ilp.push_enum s 0);
+        (fun s -> Stub_ilp.push_int s 4096);
+        Stub_ilp.push_memory ~addr ~len:(String.length payload) ]
   with
   | Error e -> Alcotest.fail e
-  | Ok segs ->
+  | Ok () ->
       let plain =
         Stub.marshal (Stub.compile message_ty)
           (Asn1.VSeq [ Asn1.VEnum 0; Asn1.VInt 4096; Asn1.VBytes payload ])
       in
       Alcotest.(check string)
         "flattened layout = plain marshal" plain
-        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem segs);
-      Alcotest.(check int) "total_len" (String.length plain) (Stub_ilp.total_len segs);
+        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp);
+      Alcotest.(check int) "total_len" (String.length plain) (Stub_ilp.total_len ilp);
       (* The payload run must be an App segment, not copied into Gen. *)
       checkb "payload stays in memory" true
         (List.exists
            (function Stub_ilp.App { addr = a; _ } -> a = addr | _ -> false)
-           segs)
+           (laid_segments ilp))
 
 let test_stub_ilp_multiple_memory_fields () =
   let ty : Asn1.ty = Seq [ ("a", Opaque); ("sep", Int); ("b", Opaque) ] in
@@ -275,22 +284,23 @@ let test_stub_ilp_multiple_memory_fields () =
   let a = install sim "first-region" and b = install sim "second" in
   let ilp = Stub_ilp.compile ty in
   match
-    Stub_ilp.layout ilp
-      [ Stub_ilp.From_memory { addr = a; len = 12 };
-        Stub_ilp.Immediate (Asn1.VInt 7);
-        Stub_ilp.From_memory { addr = b; len = 6 } ]
+    lay_out ilp
+      [ Stub_ilp.push_memory ~addr:a ~len:12;
+        (fun s -> Stub_ilp.push_int s 7);
+        Stub_ilp.push_memory ~addr:b ~len:6 ]
   with
   | Error e -> Alcotest.fail e
-  | Ok segs ->
+  | Ok () ->
       let plain =
         Stub.marshal (Stub.compile ty)
           (Asn1.VSeq [ Asn1.VBytes "first-region"; Asn1.VInt 7; Asn1.VBytes "second" ])
       in
       Alcotest.(check string)
         "two memory fields" plain
-        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem segs);
+        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp);
       check "two App segments" 2
-        (List.length (List.filter (function Stub_ilp.App _ -> true | _ -> false) segs))
+        (List.length
+           (List.filter (function Stub_ilp.App _ -> true | _ -> false) (laid_segments ilp)))
 
 let test_stub_ilp_fixed_opaque_from_memory () =
   let ty : Asn1.ty = Seq [ ("tag", Fixed_opaque 6); ("n", Int) ] in
@@ -298,27 +308,23 @@ let test_stub_ilp_fixed_opaque_from_memory () =
   let addr6 = install sim "sixbyt" in
   let ilp = Stub_ilp.compile ty in
   (match
-     Stub_ilp.layout ilp
-       [ Stub_ilp.From_memory { addr = addr6; len = 6 };
-         Stub_ilp.Immediate (Asn1.VInt 1) ]
+     lay_out ilp [ Stub_ilp.push_memory ~addr:addr6 ~len:6; (fun s -> Stub_ilp.push_int s 1) ]
    with
-  | Ok segs ->
+  | Ok () ->
       let plain =
         Stub.marshal (Stub.compile ty)
           (Asn1.VSeq [ Asn1.VBytes "sixbyt"; Asn1.VInt 1 ])
       in
       Alcotest.(check string)
         "fixed opaque from memory" plain
-        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem segs)
+        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp)
   | Error e -> Alcotest.fail e);
   (* Length mismatch is rejected. *)
   match
-    Stub_ilp.layout ilp
-      [ Stub_ilp.From_memory { addr = addr6; len = 5 };
-        Stub_ilp.Immediate (Asn1.VInt 1) ]
+    lay_out ilp [ Stub_ilp.push_memory ~addr:addr6 ~len:5; (fun s -> Stub_ilp.push_int s 1) ]
   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong fixed length accepted"
+  | Error e -> check_s "error" "fixed opaque of 6 bytes given 5" e
+  | Ok () -> Alcotest.fail "wrong fixed length accepted"
 
 (* One encoder per layout: a flush hands over the bytes generated so far
    and clears the encoder, so a memory field costs the segments it adds
@@ -340,8 +346,12 @@ let test_stub_ilp_one_encoder () =
       Seq (List.init k (fun i -> (Printf.sprintf "f%d" i, Asn1.Opaque)))
     in
     let ilp = Stub_ilp.compile ty in
-    let sources = List.init k (fun _ -> Stub_ilp.From_memory { addr; len = 17 }) in
-    fun () -> Stub_ilp.layout ilp sources
+    fun () ->
+      Stub_ilp.start ilp;
+      for _ = 1 to k do
+        Stub_ilp.push_memory ilp ~addr ~len:17
+      done;
+      Stub_ilp.finish ilp
   in
   let encoder = words_per_call Xdr.Enc.create in
   let per_field = (words_per_call (layout 5) -. words_per_call (layout 1)) /. 4.0 in
@@ -350,36 +360,56 @@ let test_stub_ilp_one_encoder () =
        encoder)
     true (per_field < encoder)
 
+(* A missing leaf, a memory push to an enum, an ill-typed value and an
+   extra push are each an [Error], with the layout's own words. *)
 let test_stub_ilp_errors () =
   let ilp = Stub_ilp.compile message_ty in
-  (match Stub_ilp.layout ilp [ Stub_ilp.Immediate (Asn1.VEnum 0) ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing sources accepted");
-  (match
-     Stub_ilp.layout ilp
-       [ Stub_ilp.From_memory { addr = 0; len = 4 };
-         Stub_ilp.Immediate (Asn1.VInt 0);
-         Stub_ilp.Immediate (Asn1.VBytes "") ]
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "From_memory for an enum accepted");
-  (match
-     Stub_ilp.layout ilp
-       [ Stub_ilp.Immediate (Asn1.VEnum 0);
-         Stub_ilp.Immediate (Asn1.VBool true);
-         Stub_ilp.Immediate (Asn1.VBytes "") ]
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ill-typed immediate accepted");
+  let fails what want pushes =
+    match lay_out ilp pushes with
+    | Error e -> check_s what want e
+    | Ok () -> Alcotest.fail (what ^ " accepted")
+  in
+  fails "missing sources" "not enough sources for the message type"
+    [ (fun s -> Stub_ilp.push_enum s 0) ];
+  fails "From_memory for an enum"
+    "From_memory is only valid for opaque and string fields"
+    [ Stub_ilp.push_memory ~addr:0 ~len:4;
+      (fun s -> Stub_ilp.push_int s 0);
+      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+  fails "ill-typed immediate"
+    "immediate value does not inhabit its field: value does not match type"
+    [ (fun s -> Stub_ilp.push_enum s 0);
+      (fun s -> Stub_ilp.push_value s (Asn1.VBool true));
+      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+  fails "enum out of range"
+    "immediate value does not inhabit its field: enum value 2 out of range 0..1"
+    [ (fun s -> Stub_ilp.push_enum s 2);
+      (fun s -> Stub_ilp.push_int s 0);
+      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+  fails "int out of range"
+    "immediate value does not inhabit its field: int out of 32-bit range: 4294967296"
+    [ (fun s -> Stub_ilp.push_enum s 0);
+      (fun s -> Stub_ilp.push_int s 0x1_0000_0000);
+      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+  fails "extra sources" "too many sources for the message type"
+    [ (fun s -> Stub_ilp.push_enum s 0);
+      (fun s -> Stub_ilp.push_int s 0);
+      (fun s -> Stub_ilp.push_value s (Asn1.VBytes ""));
+      (fun s -> Stub_ilp.push_int s 9) ];
+  (* A failed layout leaves nothing behind: the next message lays out
+     cleanly. *)
   match
-    Stub_ilp.layout ilp
-      [ Stub_ilp.Immediate (Asn1.VEnum 0);
-        Stub_ilp.Immediate (Asn1.VInt 0);
-        Stub_ilp.Immediate (Asn1.VBytes "");
-        Stub_ilp.Immediate (Asn1.VInt 9) ]
+    lay_out ilp
+      [ (fun s -> Stub_ilp.push_enum s 1);
+        (fun s -> Stub_ilp.push_int s 5);
+        (fun s -> Stub_ilp.push_value s (Asn1.VBytes "ok")) ]
   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "extra sources accepted"
+  | Ok () ->
+      check_s "after a failure"
+        (Stub.marshal (Stub.compile message_ty)
+           (Asn1.VSeq [ Asn1.VEnum 1; Asn1.VInt 5; Asn1.VBytes "ok" ]))
+        (Stub_ilp.flatten (Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ())).Ilp_memsim.Sim.mem ilp)
+  | Error e -> Alcotest.fail e
 
 let prop_stub_ilp_equals_plain =
   QCheck.Test.make ~count:150
@@ -391,17 +421,72 @@ let prop_stub_ilp_equals_plain =
       let ty : Asn1.ty = Seq [ ("tag", Str); ("n", Int); ("body", Opaque) ] in
       let sim = Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ()) in
       let addr = install sim payload in
+      let ilp = Stub_ilp.compile ty in
       match
-        Stub_ilp.layout (Stub_ilp.compile ty)
-          [ Stub_ilp.Immediate (Asn1.VStr tag);
-            Stub_ilp.Immediate (Asn1.VInt n);
-            Stub_ilp.From_memory { addr; len = String.length payload } ]
+        lay_out ilp
+          [ (fun s -> Stub_ilp.push_str s tag);
+            (fun s -> Stub_ilp.push_int s n);
+            Stub_ilp.push_memory ~addr ~len:(String.length payload) ]
       with
       | Error _ -> false
-      | Ok segs ->
-          Stub_ilp.flatten sim.Ilp_memsim.Sim.mem segs
+      | Ok () ->
+          Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp
           = Stub.marshal (Stub.compile ty)
               (Asn1.VSeq [ Asn1.VStr tag; Asn1.VInt n; Asn1.VBytes payload ]))
+
+(* The leaves of a typed value, in declaration order: the cursor's
+   pushes. *)
+let rec leaves (ty : Asn1.ty) (v : Asn1.value) acc =
+  match (ty, v) with
+  | Asn1.Seq fields, Asn1.VSeq vs ->
+      List.fold_left2 (fun acc (_, fty) fv -> leaves fty fv acc) acc fields vs
+  | _ -> (ty, v) :: acc
+
+(* A well-typed push of [v] into leaf [ty]; [pick] chooses between the
+   typed push (memory for a byte field) and the generic one. *)
+let good_push sim ~pick (ty : Asn1.ty) (v : Asn1.value) stub =
+  match (ty, v) with
+  | (Asn1.Int | Asn1.Uint), Asn1.VInt n when pick -> Stub_ilp.push_int stub n
+  | Asn1.Enum _, Asn1.VEnum i when pick -> Stub_ilp.push_enum stub i
+  | Asn1.Str, Asn1.VStr s when pick -> Stub_ilp.push_str stub s
+  | (Asn1.Str, Asn1.VStr s | (Asn1.Opaque | Asn1.Fixed_opaque _), Asn1.VBytes s) ->
+      Stub_ilp.push_memory stub ~addr:(install sim s) ~len:(String.length s)
+  | _ -> Stub_ilp.push_value stub v
+
+(* A push that leaf [ty] must refuse. *)
+let bad_push (ty : Asn1.ty) stub =
+  match ty with
+  | Asn1.Int -> Stub_ilp.push_int stub 0x8000_0000
+  | Asn1.Uint -> Stub_ilp.push_int stub (-1)
+  | Asn1.Enum names -> Stub_ilp.push_enum stub (Array.length names)
+  | Asn1.Fixed_opaque n -> Stub_ilp.push_memory stub ~addr:0 ~len:(n + 1)
+  | Asn1.Str | Asn1.Opaque -> Stub_ilp.push_int stub 0
+  | _ -> Stub_ilp.push_str stub "x"
+
+let prop_stub_ilp_cursor =
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"cursor layout = plain marshal; ill-typed, missing or extra push is an Error"
+    QCheck.(pair arbitrary_typed (pair small_nat int))
+    (fun ((ty, v), (k, picks)) ->
+      let sim = Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ()) in
+      let stub = Stub_ilp.compile ty in
+      let ls = List.rev (leaves ty v []) in
+      let n = List.length ls in
+      let pushes =
+        List.mapi (fun i (lt, lv) -> good_push sim ~pick:((picks lsr (i mod 60)) land 1 = 0) lt lv) ls
+      in
+      let k = k mod n in
+      let is_error = function Error _ -> true | Ok () -> false in
+      (match lay_out stub pushes with
+      | Ok () ->
+          Stub_ilp.flatten sim.Ilp_memsim.Sim.mem stub = Stub.marshal (Stub.compile ty) v
+          && Stub_ilp.total_len stub = Stub.size (Stub.compile ty) v
+      | Error _ -> false)
+      && is_error (lay_out stub (List.filteri (fun i _ -> i < n - 1) pushes))
+      && is_error (lay_out stub (pushes @ [ (fun s -> Stub_ilp.push_value s v) ]))
+      && is_error
+           (lay_out stub
+              (List.mapi (fun i p -> if i = k then bad_push (fst (List.nth ls i)) else p) pushes)))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -431,4 +516,5 @@ let () =
             test_stub_ilp_fixed_opaque_from_memory;
           Alcotest.test_case "errors" `Quick test_stub_ilp_errors;
           Alcotest.test_case "one encoder per layout" `Quick test_stub_ilp_one_encoder;
-          qc prop_stub_ilp_equals_plain ] ) ]
+          qc prop_stub_ilp_equals_plain;
+          qc prop_stub_ilp_cursor ] ) ]

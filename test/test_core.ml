@@ -15,7 +15,8 @@ let check_s = Alcotest.(check string)
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
+    [| Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } |]
+    ~n:2
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 
@@ -292,7 +293,7 @@ let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
 (* Read the TSDU, copy its body out and hand the pool buffer back. *)
 let read_copy eng ~len =
   Result.map
-    (fun (buf, off, n) ->
+    (fun { Engine.buf; off; len = n } ->
       let s = Bytes.sub_string buf off n in
       Engine.release_plaintext eng buf;
       s)
@@ -451,13 +452,13 @@ let test_engine_segments_multi_payload () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let a = install sim "alpha-region-data" and b = install sim "beta!!" in
   let body =
-    [ Stub_ilp.Gen "HDR1";
-      Stub_ilp.App { addr = a; len = 17 };
-      Stub_ilp.Gen "\000\000\000MID0";
-      Stub_ilp.App { addr = b; len = 6 };
-      Stub_ilp.Gen "\000\000TL" ]
+    [| Stub_ilp.Gen "HDR1";
+       Stub_ilp.App { addr = a; len = 17 };
+       Stub_ilp.Gen "\000\000\000MID0";
+       Stub_ilp.App { addr = b; len = 6 };
+       Stub_ilp.Gen "\000\000TL" |]
   in
-  let prepared = Engine.prepare_stream_segments eng body in
+  let prepared = Engine.prepare_stream_segments eng body ~n:(Array.length body) in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 prepared.Engine.stream_len in
   let acc = Option.get (fill_all sim.Sim.mem prepared ~dst:wire) in
   check "wire checksum matches the fused tap"
@@ -482,22 +483,22 @@ let test_engine_stream_ranges_match_whole () =
     let sim, eng = make_engine ~mode ~header_style ~crc32 () in
     let a = install sim payload and b = install sim tail in
     let body =
-      [ Stub_ilp.Gen "STRMHDR0";
-        Stub_ilp.App { addr = a; len = String.length payload };
-        Stub_ilp.Gen "MID4";
-        Stub_ilp.App { addr = b; len = String.length tail } ]
+      [| Stub_ilp.Gen "STRMHDR0";
+         Stub_ilp.App { addr = a; len = String.length payload };
+         Stub_ilp.Gen "MID4";
+         Stub_ilp.App { addr = b; len = String.length tail } |]
     in
     (sim, eng, body)
   in
   List.iter
     (fun (mode, header_style, crc32, name) ->
       let sim1, eng1, body1 = mk_world ~mode ~header_style ~crc32 in
-      let prepared = Engine.prepare_stream_segments eng1 body1 in
+      let prepared = Engine.prepare_stream_segments eng1 body1 ~n:4 in
       let w1 = Alloc.alloc sim1.Sim.alloc ~align:8 prepared.Engine.stream_len in
       ignore (fill_all sim1.Sim.mem prepared ~dst:w1);
       let whole = read_back sim1 w1 prepared.Engine.stream_len in
       let sim2, eng2, body2 = mk_world ~mode ~header_style ~crc32 in
-      let ps = Engine.prepare_stream_segments eng2 body2 in
+      let ps = Engine.prepare_stream_segments eng2 body2 ~n:4 in
       check (name ^ ": wire length agrees") prepared.Engine.stream_len
         ps.Engine.stream_len;
       let unit = ps.Engine.seg_unit in
@@ -529,7 +530,7 @@ let test_engine_stream_range_validation () =
   let sim, eng = make_engine ~mode:Engine.Ilp () in
   let a = install sim "0123456789abcdef" in
   let ps =
-    Engine.prepare_stream_segments eng [ Stub_ilp.App { addr = a; len = 16 } ]
+    Engine.prepare_stream_segments eng [| Stub_ilp.App { addr = a; len = 16 } |] ~n:1
   in
   let u = ps.Engine.seg_unit in
   let bad ~off ~len =
@@ -565,9 +566,10 @@ let test_engine_native_fill_allocates_nothing () =
       let a = install sim payload in
       let ps =
         Engine.prepare_stream_segments eng
-          [ Stub_ilp.Gen "HDRWORDS";
-            Stub_ilp.App { addr = a; len = String.length payload };
-            Stub_ilp.Gen "TAIL" ]
+          [| Stub_ilp.Gen "HDRWORDS";
+             Stub_ilp.App { addr = a; len = String.length payload };
+             Stub_ilp.Gen "TAIL" |]
+          ~n:3
       in
       let total = ps.Engine.stream_len in
       let wire = Alloc.alloc sim.Sim.alloc ~align:8 total in
@@ -815,7 +817,7 @@ let transfer_with ~mode ~header_style ~crc32 ?pool () =
 
 (* The span handed over is exactly the marshalled body, whatever the
    layout around it. *)
-let check_span what (buf, off, n) =
+let check_span what { Engine.buf; off; len = n } =
   check (what ^ ": span length") (String.length dp_body) n;
   check_s what dp_body (Bytes.sub_string buf off n)
 
@@ -832,9 +834,9 @@ let test_data_path_plaintext_identical () =
   List.iter
     (fun (mode, header_style, crc32) ->
       let eng, len = transfer_with ~mode ~header_style ~crc32 () in
-      let ((buf, _, _) as span) = ok_or_fail (Engine.read_plaintext eng ~len) in
+      let span = ok_or_fail (Engine.read_plaintext eng ~len) in
       check_span "span = prefix ^ payload" span;
-      Engine.release_plaintext eng buf;
+      Engine.release_plaintext eng span.Engine.buf;
       Engine.destroy eng;
       check "pool balanced after release + destroy" 0
         (Ilp_fastpath.Pool.outstanding (Engine.pool eng)))
@@ -853,7 +855,7 @@ let test_data_path_errors_identical () =
       Mem.poke_u8 sim.Sim.mem sim_mem_addr
         (Mem.peek_u8 sim.Sim.mem sim_mem_addr lxor 0xff);
       (match Engine.read_plaintext eng ~len with
-      | Ok (buf, _, _) ->
+      | Ok { Engine.buf; _ } ->
           Engine.release_plaintext eng buf;
           Alcotest.fail (what ^ ": the read must reject")
       | Error e -> check_s (what ^ ": error text") (expected eng) e);
@@ -875,9 +877,9 @@ let test_data_path_shared_pool_exhaustion () =
     transfer_with ~mode:Engine.Separate ~header_style:Engine.Trailer ~crc32:false
       ~pool ()
   in
-  let ((buf, _, _) as span) = ok_or_fail (Engine.read_plaintext eng ~len) in
+  let span = ok_or_fail (Engine.read_plaintext eng ~len) in
   check_span "fallback decode recovers prefix ^ payload" span;
-  Engine.release_plaintext eng buf;
+  Engine.release_plaintext eng span.Engine.buf;
   Engine.destroy eng;
   let s = Ilp_fastpath.Pool.stats pool in
   checkb "fallback allocated fresh" true (s.Ilp_fastpath.Pool.fresh_allocs > 0);

@@ -220,7 +220,8 @@ module Config = Ilp_memsim.Config
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
+    [| Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } |]
+    ~n:2
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 
@@ -263,7 +264,9 @@ let one_transfer ~mode ~backend_native kind =
       ignore (ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len))
   | Ilp_tcp.Socket.Rx_separate rx ->
       ok_or_fail (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len:prepared.Engine.stream_len));
-  let buf, off, n = ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len) in
+  let { Engine.buf; off; len = n } =
+    ok_or_fail (Engine.read_plaintext eng ~len:prepared.Engine.stream_len)
+  in
   let plaintext = Bytes.sub_string buf off n in
   Engine.release_plaintext eng buf;
   (Bytes.to_string wire_bytes, acc_opt, plaintext)

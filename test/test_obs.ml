@@ -22,7 +22,8 @@ let check_s = Alcotest.(check string)
    and its whole-message fill: the one range [0, stream_len). *)
 let prepare_msg eng ~prefix ~payload_addr ~payload_len =
   Engine.prepare_stream_segments eng
-    [ Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } ]
+    [| Stub_ilp.Gen prefix; Stub_ilp.App { addr = payload_addr; len = payload_len } |]
+    ~n:2
 
 let fill_all mem ps ~dst = ps.Engine.fill_range mem ~dst ~off:0 ~len:ps.Engine.stream_len
 

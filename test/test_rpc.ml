@@ -25,11 +25,19 @@ let xdr_padded body =
 let decode_ctrl body =
   Messages.decode_ctrl_bytes (Bytes.of_string body) ~off:0 ~len:(String.length body)
 
-(* One body through an engine: staged, filled onto a wire area, received
-   through the engine's own rx handler and handed over by
-   [read_plaintext]; [f] sees the span before the buffer goes back to the
-   pool. *)
+(* One body ([Stub_ilp.segment]s) through an engine: staged, filled
+   onto a wire area, received through the engine's own rx handler and
+   handed over by [read_plaintext]; [f] sees the span before the buffer
+   goes back to the pool. *)
 let engine_key = "codecKY!"
+
+(* A laid-out stub's segments, copied out of its scratch. *)
+let laid stub = Array.sub (Stub_ilp.segments stub) 0 (Stub_ilp.count stub)
+
+(* A header for [decode_reply_view] to fill. *)
+let blank_header () =
+  { Messages.status = Messages.Not_found; copy = -1; file_offset = -1; total_len = -1;
+    data_len = -1 }
 
 let through_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
     ?(crc32 = false) ?(native = false) body f =
@@ -43,7 +51,7 @@ let through_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
     else Engine.Simulated
   in
   let eng = Engine.create sim ~cipher ~mode ~header_style ~crc32 ~backend () in
-  let ps = Engine.prepare_stream_segments eng body in
+  let ps = Engine.prepare_stream_segments eng body ~n:(Array.length body) in
   let len = ps.Engine.stream_len in
   let wire = Alloc.alloc sim.Sim.alloc ~align:8 len in
   ignore (ps.Engine.fill_range sim.Sim.mem ~dst:wire ~off:0 ~len);
@@ -53,7 +61,7 @@ let through_engine ?(mode = Engine.Ilp) ?(header_style = Engine.Leading)
   | Socket.Rx_separate rx -> rx_ok (rx sim.Sim.mem ~src:wire ~dst_off:0 ~len));
   match Engine.read_plaintext eng ~len with
   | Error e -> Alcotest.fail e
-  | Ok (buf, off, blen) ->
+  | Ok { Engine.buf; off; len = blen } ->
       let r = f buf ~off ~len:blen in
       Engine.release_plaintext eng buf;
       Engine.destroy eng;
@@ -74,7 +82,7 @@ let test_request_roundtrip () =
    trailer-style engine reads back from the span it hands over. *)
 let test_request_roundtrip_trailer () =
   let req = Messages.request ~file_name:"f" ~copies:1 ~max_reply:64 () in
-  through_engine ~header_style:Engine.Trailer (Messages.request_segments req)
+  through_engine ~header_style:Engine.Trailer (laid (Messages.request_segments req))
     (fun buf ~off ~len ->
       (match Messages.decode_request (Bytes.sub_string buf off len) with
       | Ok got -> checkb "string decoder" true (got = req)
@@ -124,7 +132,9 @@ let test_decode_garbage () =
         (Printf.sprintf "span %d+%d rejected" off len)
         true
         (Result.is_error (Messages.decode_ctrl_bytes buf ~off ~len)
-        && Result.is_error (Messages.decode_reply_view buf ~off ~len)))
+        && Result.is_error
+             (Messages.decode_reply_view (Messages.View.create ()) (blank_header ()) buf
+                ~off ~len)))
     [ (-4, 8); (12, 8); (0, 17); (4, -1) ]
 
 (* A reply whose opaque length runs past the body must be rejected even
@@ -137,10 +147,11 @@ let test_reply_opaque_bounded_by_body () =
       data_len }
   in
   let reject what ~crc32 body ~expected =
-    through_engine ~crc32 [ Stub_ilp.Gen body ] (fun buf ~off ~len ->
+    through_engine ~crc32 [| Stub_ilp.Gen body |] (fun buf ~off ~len ->
         check (what ^ ": the span is the body") (String.length body) len;
-        (match Messages.decode_reply_view buf ~off ~len with
-        | Ok (h, _) ->
+        let h = blank_header () in
+        (match Messages.decode_reply_view (Messages.View.create ()) h buf ~off ~len with
+        | Ok () ->
             Alcotest.failf "%s: decoded with data_len %d" what h.Messages.data_len
         | Error e -> check_s (what ^ ": view error") expected e);
         match Messages.decode_reply body with
@@ -254,15 +265,15 @@ let test_ctrl_forms_through_crc_engine () =
   in
   let framing = Messages.flag_rx_framing in
   let forms =
-    [ ("v1 request", Messages.request_segments v1, Messages.Request v1, 0);
-      ("v2 request", Messages.request_segments v2, Messages.Request v2, 0);
+    [ ("v1 request", laid (Messages.request_segments v1), Messages.Request v1, 0);
+      ("v2 request", laid (Messages.request_segments v2), Messages.Request v2, 0);
       ( "flagged request",
-        Messages.request_segments ~flags:framing v2,
+        laid (Messages.request_segments ~flags:framing v2),
         Messages.Request v2,
         framing );
-      ("probe", Messages.probe_segments probe, Messages.Probe probe, 0);
+      ("probe", laid (Messages.probe_segments probe), Messages.Probe probe, 0);
       ( "flagged probe",
-        Messages.probe_segments ~flags:framing probe,
+        laid (Messages.probe_segments ~flags:framing probe),
         Messages.Probe probe,
         framing ) ]
   in
@@ -386,9 +397,10 @@ let prop_reply_view_equals_copy =
       let body = if corrupt then flip body corrupt_at else body in
       let buf, off, len = pooled_view_of body ~off:at ~junk:(corrupt_at land 31) in
       let copy = Messages.decode_reply body in
-      let view = Messages.decode_reply_view buf ~off ~len in
-      match (copy, view) with
-      | Ok (ha, data), Ok (hb, data_off) ->
+      let v = Messages.View.create () and hb = blank_header () in
+      match (copy, Messages.decode_reply_view v hb buf ~off ~len) with
+      | Ok (ha, data), Ok () ->
+          let data_off = Messages.View.opaque_off v in
           ha = hb
           && (corrupt || ha = hdr)
           && data_off >= off
@@ -1157,9 +1169,10 @@ let test_dead_connection_frees_admission_slot () =
   check "new connection admitted" 1 (Server.connections w.server)
 
 (* Laying out and framing a 256-byte reply, the per-reply work of a
-   fan-in server: the stub compiler's layout with its encoder held in
-   the compiled stub, then the engine's framing straight into one
-   segment array with shared zero runs (167 words before either). *)
+   fan-in server: the stub compiler's cursor with its encoder and
+   segment array held in the compiled stub, then the engine's framing
+   straight from that array into one segment array with shared zero
+   runs (167 words before either, 82 with a source list). *)
 let test_reply_build_budget () =
   let sim = Sim.create (Config.custom ()) in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key () in
@@ -1169,7 +1182,8 @@ let test_reply_build_budget () =
       total_len = 2048; data_len = 256 }
   in
   let build () =
-    Engine.prepare_stream_segments eng (Messages.reply_segments hdr ~payload_addr:4096)
+    let stub = Messages.reply_segments hdr ~payload_addr:4096 in
+    Engine.prepare_stream_segments eng (Stub_ilp.segments stub) ~n:(Stub_ilp.count stub)
   in
   let ps = build () in
   check "a 256-byte reply's wire length" 280 ps.Engine.stream_len;
@@ -1180,9 +1194,69 @@ let test_reply_build_budget () =
   done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
   checkb
-    (Printf.sprintf "a 256-byte reply is laid out and framed in %.1f words (budget 82)"
+    (Printf.sprintf "a 256-byte reply is laid out and framed in %.1f words (budget 40)"
        words)
-    true (words <= 82.5)
+    true (words <= 40.5)
+
+(* The client's receive of a reply, from the read to the verified
+   payload: [read_plaintext] hands over the pooled buffer in the
+   engine's own span record, the body decodes through the client's view
+   into its header, and the payload is compared in place.  None of it
+   allocates (the release, which returns the buffer to its pool's free
+   list, is outside the count). *)
+let test_reply_receive_allocates_nothing () =
+  let sim = Sim.create (Config.custom ()) in
+  let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:engine_key () in
+  let backend =
+    Engine.Native
+      (Ilp_fastpath.Cipher.Safer_simplified
+         (Ilp_cipher.Safer_simplified.expand_key engine_key))
+  in
+  let eng = Engine.create sim ~cipher ~mode:Engine.Ilp ~backend () in
+  let payload = String.init 256 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let payload_addr = Alloc.alloc sim.Sim.alloc ~align:8 256 in
+  Mem.poke_string sim.Sim.mem ~pos:payload_addr payload;
+  let hdr =
+    { Messages.status = Messages.Ok; copy = 0; file_offset = 0; total_len = 256;
+      data_len = 256 }
+  in
+  let stub = Messages.reply_segments hdr ~payload_addr in
+  let ps =
+    Engine.prepare_stream_segments eng (Stub_ilp.segments stub) ~n:(Stub_ilp.count stub)
+  in
+  let len = ps.Engine.stream_len in
+  let wire = Alloc.alloc sim.Sim.alloc ~align:8 len in
+  ignore (ps.Engine.fill_range sim.Sim.mem ~dst:wire ~off:0 ~len);
+  let rx =
+    match Engine.rx_processing eng with
+    | Socket.Rx_integrated rx -> rx
+    | Socket.Rx_separate _ -> Alcotest.fail "an ILP engine receives integrated"
+  in
+  let view = Messages.View.create () and got = blank_header () in
+  let words = ref 0.0 and verified = ref 0 in
+  for _ = 1 to 50 do
+    (match rx sim.Sim.mem ~src:wire ~dst_off:0 ~len with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    let w0 = Gc.minor_words () in
+    match Engine.read_plaintext eng ~len with
+    | Error e -> Alcotest.fail e
+    | Ok { Engine.buf; off; len = blen } ->
+        (match Messages.decode_reply_view view got buf ~off ~len:blen with
+        | Error e -> Alcotest.fail e
+        | Ok () ->
+            if
+              Client.slice_matches payload ~off:got.Messages.file_offset
+                (Bytes.unsafe_to_string buf) ~doff:(Messages.View.opaque_off view)
+                ~len:got.Messages.data_len
+            then incr verified);
+        words := !words +. (Gc.minor_words () -. w0);
+        Engine.release_plaintext eng buf
+  done;
+  check "every reply verified" 50 !verified;
+  checkb "the header decoded" true (got = hdr);
+  Alcotest.(check (float 0.001)) "words read to verified" 0.0 !words;
+  Engine.destroy eng
 
 (* A request for [k] replies queues one entry, a cursor, whatever [k]:
    admitting it allocates the same for 4 replies as for 16, while
@@ -1678,7 +1752,9 @@ let () =
           qc prop_ctrl_decoder_reads_v1_requests;
           qc prop_reply_view_equals_copy;
           Alcotest.test_case "a reply is laid out and framed within budget" `Quick
-            test_reply_build_budget ] );
+            test_reply_build_budget;
+          Alcotest.test_case "a reply read, decoded and verified allocates nothing"
+            `Quick test_reply_receive_allocates_nothing ] );
       ( "client-server",
         [ Alcotest.test_case "transfer (ILP)" `Quick test_transfer_ilp;
           Alcotest.test_case "transfer (separate)" `Quick test_transfer_separate;

@@ -42,13 +42,29 @@ let test_header_decode_bounds () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* A record for [Tcp_header.read_mem] to fill. *)
+let blank_header () = Tcp_header.make ~src_port:0 ~dst_port:0 ()
+
+(* The writer seals [sample_header]'s fields into simulated memory (the
+   urgent pointer 0, the checksum its own), and the reader gives them
+   back, both charged. *)
 let test_header_mem_roundtrip () =
   let sim = Sim.create (Config.custom ()) in
-  Tcp_header.write_mem sim.Sim.mem ~pos:256 sample_header;
-  let h = Tcp_header.read_mem sim.Sim.mem ~pos:256 in
-  checkb "round trip through simulated memory" true (h = sample_header);
+  let h = sample_header and payload_acc = Ilp_checksum.Internet.empty in
+  let len =
+    Tcp_header.seal_mem sim.Sim.mem ~pos:256 ~seq:h.seq ~ack:h.ack ~flags:h.flags
+      ~window:h.window ~sack:[] ~src_port:h.src_port ~dst_port:h.dst_port ~payload_acc
+      ~payload_len:0
+  in
+  check "header length" Tcp_header.size len;
+  let want = { h with Tcp_header.urgent = 0 } in
+  want.checksum <- Tcp_header.checksum want ~payload_acc ~payload_len:0;
+  let got = blank_header () in
+  check "read length" len (Tcp_header.read_mem sim.Sim.mem ~pos:256 ~total:len got);
+  checkb "round trip through simulated memory" true (got = want);
   checkb "header traffic was charged" true
-    (Stats.accesses (Machine.stats sim.Sim.machine) Stats.Write > 0)
+    (Stats.accesses (Machine.stats sim.Sim.machine) Stats.Write > 0
+    && Stats.accesses (Machine.stats sim.Sim.machine) Stats.Read > 0)
 
 let test_header_flags () =
   checkb "ack set" true (Tcp_header.has sample_header Tcp_header.ack_flag);
@@ -88,20 +104,22 @@ let test_header_checksum_consistency () =
        ~payload_len:(String.length payload)
     <> ck)
 
-(* A sender builds each header once: [sealed] is [make] of the same
-   fields with the checksum field filled in (the window saturated at 16
-   bits, at most three SACK blocks kept), one record and nothing else;
-   and writing a header without options to simulated memory allocates
-   nothing. *)
+(* A sender writes each header once, straight into memory: [seal_mem]
+   writes exactly the bytes of [make] of the same fields with the
+   checksum field filled in (the window saturated at 16 bits, at most
+   three SACK blocks kept), and allocates nothing, options or not;
+   [seal_bytes] writes the same bytes uncharged. *)
 let test_header_sealed () =
   let payload = "a sealed segment" in
   let payload_acc =
     Ilp_checksum.Internet.add_string Ilp_checksum.Internet.empty payload
   in
   let payload_len = String.length payload in
-  let sealed ~window ~sack =
-    Tcp_header.sealed ~seq:4242 ~ack:77 ~flags:Tcp_header.ack_flag ~window ~sack
-      ~src_port:1234 ~dst_port:80 ~payload_acc ~payload_len
+  let sim = Sim.create (Config.custom ()) in
+  let seal ~window ~sack =
+    Tcp_header.seal_mem sim.Sim.mem ~pos:256 ~seq:4242 ~ack:77
+      ~flags:Tcp_header.ack_flag ~window ~sack ~src_port:1234 ~dst_port:80 ~payload_acc
+      ~payload_len
   in
   List.iter
     (fun (window, sack) ->
@@ -109,11 +127,18 @@ let test_header_sealed () =
         Tcp_header.make ~seq:4242 ~ack:77 ~flags:Tcp_header.ack_flag ~window ~sack
           ~src_port:1234 ~dst_port:80 ()
       in
-      let want = { m with checksum = Tcp_header.checksum m ~payload_acc ~payload_len } in
-      checkb
-        (Printf.sprintf "window %d, %d blocks" window (List.length sack))
-        true
-        (sealed ~window ~sack = want))
+      m.checksum <- Tcp_header.checksum m ~payload_acc ~payload_len;
+      let want = Tcp_header.to_string m in
+      let what = Printf.sprintf "window %d, %d blocks" window (List.length sack) in
+      let len = seal ~window ~sack in
+      Alcotest.(check string) what want
+        (Bytes.to_string (Mem.peek_bytes sim.Sim.mem ~pos:256 ~len));
+      let b = Bytes.make 64 '\xaa' in
+      let blen =
+        Tcp_header.seal_bytes b ~off:3 ~seq:4242 ~ack:77 ~flags:Tcp_header.ack_flag
+          ~window ~sack ~src_port:1234 ~dst_port:80 ~payload_acc ~payload_len
+      in
+      Alcotest.(check string) (what ^ ", uncharged") want (Bytes.sub_string b 3 blen))
     [ (8192, []); (70_000, []); (-1, [ (10, 20) ]);
       (4096, [ (10, 20); (30, 40); (50, 60); (70, 80) ]) ];
   let per_op f =
@@ -123,14 +148,90 @@ let test_header_sealed () =
     for _ = 1 to n do f () done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let h = sealed ~window:8192 ~sack:[] in
   Alcotest.(check (float 0.001))
-    "sealed: one record" (float_of_int (Obj.size (Obj.repr h) + 1))
-    (per_op (fun () -> ignore (Sys.opaque_identity (sealed ~window:8192 ~sack:[]))));
-  let sim = Sim.create (Config.custom ()) in
+    "sealed without options: nothing" 0.0
+    (per_op (fun () -> ignore (seal ~window:8192 ~sack:[])));
+  let blocks = [ (10, 20); (30, 40); (50, 60) ] in
   Alcotest.(check (float 0.001))
-    "write_mem without options" 0.0
-    (per_op (fun () -> Tcp_header.write_mem sim.Sim.mem ~pos:256 h))
+    "sealed with three blocks: nothing" 0.0
+    (per_op (fun () -> ignore (seal ~window:8192 ~sack:blocks)))
+
+(* Random headers (0-3 SACK blocks) with hostile bytes patched into the
+   data offset and the option area, the segment cut short or run long:
+   the charged in-place reader gives [of_string]'s verdict, fields and
+   header length. *)
+let gen_hostile_header =
+  let open QCheck.Gen in
+  let u16 = int_bound 0xffff and u32 = int_bound 0xffff_ffff in
+  pair (pair u16 u16) (pair u32 u32) >>= fun ((src_port, dst_port), (seq, ack)) ->
+  pair (int_bound 0xfff) (triple u16 u16 u16) >>= fun (flags, (window, checksum, urgent)) ->
+  int_range 0 3 >>= fun n ->
+  list_repeat n (pair u32 u32) >>= fun sack ->
+  let h =
+    Tcp_header.make ~seq ~ack ~flags ~window ~checksum ~urgent ~sack ~src_port ~dst_port ()
+  in
+  let s = Tcp_header.to_string h in
+  (* Patch the data offset's nibble, then bytes anywhere in the first 48. *)
+  opt (int_bound 15) >>= fun words ->
+  small_list (pair (int_bound 47) (int_bound 255)) >>= fun patches ->
+  int_range (-16) 24 >>= fun delta ->
+  string_size (return (Int.max 0 delta)) >>= fun tail ->
+  let b = Bytes.of_string (s ^ String.make 28 '\000') in
+  Option.iter
+    (fun w -> Bytes.set_uint8 b 12 ((w lsl 4) lor (Bytes.get_uint8 b 12 land 0x0f)))
+    words;
+  List.iter (fun (pos, v) -> Bytes.set_uint8 b pos v) patches;
+  let len = Int.max Tcp_header.size (String.length s + Int.min 0 delta) in
+  return (Bytes.sub_string b 0 len ^ tail)
+
+let prop_header_reader_matches_of_string =
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"in-place header reader = of_string: verdict, fields, length"
+    (QCheck.make ~print:(fun s -> String.escaped s) gen_hostile_header)
+    (fun wire ->
+      let sim = Sim.create (Config.custom ()) in
+      Mem.poke_string sim.Sim.mem ~pos:512 wire;
+      let got = blank_header () in
+      let len = Tcp_header.read_mem sim.Sim.mem ~pos:512 ~total:(String.length wire) got in
+      match Tcp_header.of_string wire ~pos:0 with
+      | Ok h -> len = Tcp_header.wire_size h && got = h
+      | Error _ -> len = Tcp_header.bad_options)
+
+(* The writer, over random fields, windows past 16 bits and up to four
+   blocks, writes exactly the bytes [to_string] writes for [make] of the
+   same fields with the checksum filled in (the header a sender
+   transmits), charged and uncharged alike. *)
+let prop_header_writer_matches_to_string =
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"header writer = to_string of the sealed header, checksum included"
+    QCheck.(
+      quad
+        (pair (int_bound 0xffff) (int_bound 0xffff))
+        (pair (int_bound 0xffff_ffff) (int_bound 0xffff_ffff))
+        (pair (int_bound 0xfff) (int_range (-10) 100_000))
+        (pair
+           (list_of_size Gen.(int_range 0 4) (pair (int_bound 0xffff_ffff) (int_bound 0xffff_ffff)))
+           (string_of_size Gen.(int_bound 40))))
+    (fun ((src_port, dst_port), (seq, ack), (flags, window), (sack, payload)) ->
+      let payload_acc =
+        Ilp_checksum.Internet.add_string Ilp_checksum.Internet.empty payload
+      in
+      let payload_len = String.length payload in
+      let m = Tcp_header.make ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port () in
+      m.checksum <- Tcp_header.checksum m ~payload_acc ~payload_len;
+      let want = Tcp_header.to_string m in
+      let sim = Sim.create (Config.custom ()) in
+      let len =
+        Tcp_header.seal_mem sim.Sim.mem ~pos:256 ~seq ~ack ~flags ~window ~sack ~src_port
+          ~dst_port ~payload_acc ~payload_len
+      in
+      let b = Bytes.create Tcp_header.max_wire_size in
+      let blen =
+        Tcp_header.seal_bytes b ~off:0 ~seq ~ack ~flags ~window ~sack ~src_port ~dst_port
+          ~payload_acc ~payload_len
+      in
+      Bytes.to_string (Mem.peek_bytes sim.Sim.mem ~pos:256 ~len) = want
+      && Bytes.sub_string b 0 blen = want)
 
 (* ------------------------------------------------------------------ *)
 (* Ring buffer *)
@@ -517,12 +618,14 @@ let test_datagram_one_host_copy () =
   in
   let small = words_per_trip (trip 64) and big = words_per_trip (trip 1448) in
   (* Around the wire strings the trip's bookkeeping is pinned too: the
-     send-side copy is timed without a box (6 words a datagram before)
-     and the ack frees its segment without a closure or an option (210
-     words for this trip before, 172 now). *)
+     send-side copy is timed without a box (6 words a datagram before),
+     the ack frees its segment without a closure or an option (210 words
+     for this trip before, 172 after), and each header is read into its
+     socket's record and written straight into its header area, and the
+     RTO armed without a closure or an option (114 now). *)
   checkb
-    (Printf.sprintf "a 64-byte segment's trip costs %.1f words (budget 172)" small)
-    true (small <= 172.5);
+    (Printf.sprintf "a 64-byte segment's trip costs %.1f words (budget 114)" small)
+    true (small <= 114.5);
   (* A string of [n] bytes is a header word plus [n / 8 + 1] words. *)
   let wire_words len =
     float_of_int (((Ilp_netsim.Ipv4.header_len + Tcp_header.size + len) / 8) + 2)
@@ -535,10 +638,11 @@ let test_datagram_one_host_copy () =
     (big -. small <= allowed +. 0.5);
   check "every segment delivered" (52 * (64 + 1448)) !delivered
 
-(* A pure ACK that frees the one segment in flight allocates only its
-   parsed header ([Tcp_header.read_mem_v]'s record and the header
-   record): the acked segment leaves the scoreboard without a closure or
-   an option, and the RTT sample folds into the estimator unboxed. *)
+(* A pure ACK that frees the one segment in flight allocates nothing: its
+   header is parsed into the socket's own record (14 words before, for
+   two records), the acked segment leaves the scoreboard without a
+   closure or an option, the RTT sample folds into the estimator
+   unboxed, and with nothing left in flight the RTO is only cancelled. *)
 let test_pure_ack_allocates_header_only () =
   let held = ref None and hold = ref false in
   let tamper d =
@@ -572,14 +676,41 @@ let test_pure_ack_allocates_header_only () =
   Socket.handle_datagram w.a ack;
   let words = Gc.minor_words () -. w0 in
   check "the ack freed it" 0 (Socket.bytes_in_flight w.a);
-  let parsed =
-    Tcp_header.read_mem_v w.sim.Sim.mem ~pos:0 ~total:Tcp_header.size
+  Alcotest.(check (float 0.001)) "pure ack: nothing" 0.0 words
+
+(* An ack that frees one of two segments in flight re-arms the RTO for
+   the one left, and the arm allocates its timer record and the boxed
+   timeout alone (13 words before: the arm built its callback closure
+   and an option per arm). *)
+let test_rto_arm_allocates_timer_only () =
+  let held = ref [] and hold = ref false in
+  let tamper d =
+    if !hold && d.Datagram.src_port = 200 then begin
+      held := d :: !held;
+      []
+    end
+    else [ d ]
   in
-  let header_words =
-    Obj.size (Obj.repr parsed) + 1 + Obj.size (Obj.repr parsed.Tcp_header.hdr) + 1
+  let w = make_world ~tamper () in
+  connect w;
+  let fill m ~dst ~off:_ ~len =
+    Mem.poke_string m ~pos:dst (String.make len 'r');
+    None
   in
-  Alcotest.(check (float 0.001))
-    "pure ack: the parsed header only" (float_of_int header_words) words
+  hold := true;
+  (match Socket.send_stream w.a ~seg_unit:8 ~len:2048 ~fill with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "send refused");
+  Simclock.advance w.clock 500.0;
+  let first_ack =
+    match List.rev !held with d :: _ -> d | [] -> Alcotest.fail "no ack held"
+  in
+  checkb "two segments await their acks" true (Socket.bytes_in_flight w.a = 2048);
+  let w0 = Gc.minor_words () in
+  Socket.handle_datagram w.a first_ack;
+  let words = Gc.minor_words () -. w0 in
+  check "the ack freed one segment" 1024 (Socket.bytes_in_flight w.a);
+  Alcotest.(check (float 0.001)) "re-arm: the timer record and its timeout" 7.0 words
 
 let test_corruption_detected_and_recovered () =
   (* Flip a payload byte of the 8th wire datagram once; TCP must drop it on
@@ -1485,15 +1616,15 @@ let prop_sack_header_roundtrip =
          | Error _ -> false)
       &&
       let sim = Sim.create (Config.custom ()) in
-      Tcp_header.write_mem sim.Sim.mem ~pos:512 h;
-      let p =
-        Tcp_header.read_mem_v sim.Sim.mem ~pos:512 ~total:(Tcp_header.wire_size h)
-      in
-      p.Tcp_header.options_ok
-      && p.Tcp_header.hdr = h
-      && p.Tcp_header.hdr_len = Tcp_header.wire_size h
+      Mem.poke_string sim.Sim.mem ~pos:512 s;
+      let got = blank_header () in
+      Tcp_header.read_mem sim.Sim.mem ~pos:512 ~total:(Tcp_header.wire_size h) got
+      = Tcp_header.wire_size h
+      && got = h
+      &&
       (* the bare 20-byte read sees the base header and no options *)
-      && Tcp_header.read_mem sim.Sim.mem ~pos:512 = { h with Tcp_header.sack = [] })
+      (ignore (Tcp_header.read_mem sim.Sim.mem ~pos:512 ~total:Tcp_header.size got);
+       got = { h with Tcp_header.sack = [] }))
 
 let test_sack_option_malformed_rejected () =
   let h =
@@ -2652,7 +2783,7 @@ let prop_scoreboard_model =
         (make ~print:(fun l -> String.concat " " (List.map print_sb_op l))
            Gen.(list_size (int_range 1 40) gen_sb_op)))
     (fun (sack, ops) ->
-      let sb = Scoreboard.create ~sack in
+      let sb = Scoreboard.create ~sack ~vacant:() in
       let m =
         { flight = []; sacked = Iset.empty; resent = []; snd_nxt = 5000; now = 0.0 }
       in
@@ -3084,7 +3215,9 @@ let () =
           Alcotest.test_case "flags" `Quick test_header_flags;
           Alcotest.test_case "checksum consistency" `Quick
             test_header_checksum_consistency;
-          Alcotest.test_case "sealed once" `Quick test_header_sealed ] );
+          Alcotest.test_case "sealed once" `Quick test_header_sealed;
+          qc prop_header_reader_matches_of_string;
+          qc prop_header_writer_matches_to_string ] );
       ( "ring",
         [ Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wrap waste" `Quick test_ring_wrap_waste;
@@ -3135,7 +3268,9 @@ let () =
             test_no_handler_drops_data;
           qc prop_lossy_stream_integrity;
           Alcotest.test_case "a pure ack allocates its parsed header only" `Quick
-            test_pure_ack_allocates_header_only ] );
+            test_pure_ack_allocates_header_only;
+          Alcotest.test_case "an RTO arm allocates its timer alone" `Quick
+            test_rto_arm_allocates_timer_only ] );
       ( "persist",
         [ Alcotest.test_case "probes back off" `Quick test_persist_probes_back_off;
           Alcotest.test_case "resumes exactly once on reopen" `Quick
