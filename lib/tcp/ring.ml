@@ -30,16 +30,17 @@ let waste_for t len =
 
 let fits t len = waste_for t len >= 0
 
+(* An address, or -1: an option would be a box per segment sent. *)
 let reserve t len =
   let wasted = waste_for t len in
-  if wasted < 0 then None
+  if wasted < 0 then -1
   else begin
     let off = if wasted > 0 then 0 else t.head in
     if wasted > 0 then t.wraps <- t.wraps + 1;
     t.head <- (off + len) mod t.size;
     t.used <- t.used + wasted + len;
     Queue.add { addr = t.base + off; len; wasted } t.entries;
-    Some (t.base + off)
+    t.base + off
   end
 
 (* [Queue.take] behind an emptiness test, not [Queue.take_opt]: an ack

@@ -21,9 +21,9 @@ val size : t -> int
 val available : t -> int
 
 (** [reserve t len] returns the simulated-memory address of a contiguous
-    [len]-byte region, or [None] when it does not fit.  Regions must be
+    [len]-byte region, or [-1] when it does not fit.  Regions must be
     released in reservation order. *)
-val reserve : t -> int -> int option
+val reserve : t -> int -> int
 
 (** [fits t len] is whether {!reserve}[ t len] would succeed now. *)
 val fits : t -> int -> bool

@@ -1097,12 +1097,13 @@ let rec pump_streams t =
           arm_persist t ~want:seg
       end
       else
-        match Ring.reserve t.ring seg with
-        | None -> ()  (* ring full: acks release space and re-pump *)
-        | Some addr ->
-            if t.persist_timer <> None then cancel_persist t;
-            send_segment t s ~addr ~len:seg;
-            pump_streams t
+        let addr = Ring.reserve t.ring seg in
+        if addr >= 0 then begin
+          if t.persist_timer <> None then cancel_persist t;
+          send_segment t s ~addr ~len:seg;
+          pump_streams t
+        end
+        (* else the ring is full: acks release space and re-pump *)
     end
 
 (* The paper's one-TSDU-one-TPDU send: a TSDU of at most one MSS that
