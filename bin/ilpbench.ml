@@ -19,7 +19,7 @@ let experiments_cmd =
   let names =
     Arg.(value & pos_all string [ "all" ]
          & info [] ~docv:"NAME"
-             ~doc:"Experiments to run (e0 f6-f14 t1 a1 a2 a4 a5 wall all).")
+             ~doc:"Experiments to run (e0 f6-f14 t1 a1 a2 a4 a5 a6 wall all).")
   in
   let run names =
     List.fold_left

@@ -459,7 +459,7 @@ let a6 () =
      dispatch in the fused loop.\n"
 
 let wall () =
-  Report.banner "Wall-clock cipher kernels (Bechamel, this host)";
+  Report.banner "Wall-clock cipher kernels (this host)";
   let results = Microbench.ciphers_wall_clock () in
   Report.table
     ~header:[ "cipher"; "Mbit/s (host)"; "paper (SPARCstation 10)" ]
@@ -478,14 +478,6 @@ let wall () =
     "the ordering simple >> simplified >> 1-round SAFER >> 6-round >> DES is the
      paper's cipher-cost hierarchy; absolute numbers are this host's.
 "
-
-let wallpath () =
-  Report.banner "Wall-clock fast path (native send/receive kernels, this host)";
-  let r = Wallbench.run () in
-  Wallbench.print_table r;
-  Out_channel.with_open_text "BENCH_wall.json" (fun oc ->
-      output_string oc (Wallbench.to_json r));
-  Report.note "wrote BENCH_wall.json\n"
 
 (* Machine-readable export of the full grid, for plotting. *)
 let t1_csv () =
@@ -514,7 +506,7 @@ let table =
   [ ("e0", e0); ("f6", f6); ("f7", f7); ("f8", f8); ("f9", f9); ("f10", f10);
     ("f11", f11); ("f12", f12); ("f13", f13); ("f14", f14); ("t1", t1);
     ("a1", a1); ("a2", a2); ("a4", a4); ("a5", a5); ("a6", a6);
-    ("wall", wall); ("wallpath", wallpath) ]
+    ("wall", wall) ]
 
 let all () = List.iter (fun (_, run) -> run ()) table
 let names = List.map fst table @ [ "all" ]

@@ -52,12 +52,10 @@ val a5 : unit -> unit
 (** Ablation: uniform processing-unit sizes (section 5). *)
 val a6 : unit -> unit
 
-(** Wall-clock Bechamel benchmark of the pure cipher kernels. *)
+(** Wall-clock benchmark of the pure cipher kernels, timed with
+    {!Wallbench}'s harness.  The native fast path's separate-versus-fused
+    trajectory is [ilpbench wall], the one writer of BENCH_wall.json. *)
 val wall : unit -> unit
-
-(** Wall-clock {!Wallbench} trajectory of the native fast path (separate
-    versus fused send/receive); writes BENCH_wall.json. *)
-val wallpath : unit -> unit
 
 (** The full Table 1 grid, paper and measured, as CSV (for plotting). *)
 val t1_csv : unit -> string

@@ -255,7 +255,7 @@ let to_json r =
             \"backend\": \"%s\", \"msgs\": %d, \"copied_bytes\": %.1f, \
             \"copied_tx_bytes\": %.1f, \"copied_rx_bytes\": %.1f, \
             \"allocated_bytes\": %.1f, \"alloc_blocks\": %.2f, \
-            \"minor_words\": %.1f, \"major_words\": %.1f, \
+            \"minor_words\": %.2f, \"major_words\": %.1f, \
             \"pool_balanced\": %b, \"copied_per_wire_byte\": %.2f, \
             \"rx_copied_per_wire_byte\": %.2f}"
            p.len p.wire_len (mode_name p.mode) (backend_name p.native) p.msgs

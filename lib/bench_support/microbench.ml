@@ -47,7 +47,7 @@ let simulated ?(machine = Config.ss10_30) () =
   { sequential_mbps = mbps t_seq; fused_mbps = mbps t_fused }
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock version: real OCaml code, real memory, Bechamel timing.  *)
+(* Wall-clock version: real OCaml code, real memory, Wallbench timing. *)
 
 let wall_src = Array.init array_len (fun i -> (i * 2654435761) land 0xffffffff)
 
@@ -66,7 +66,7 @@ let checksum_of buf =
 
 let wall_sequential buf () =
   marshal_into buf;
-  Sys.opaque_identity (checksum_of buf)
+  ignore (Sys.opaque_identity (checksum_of buf))
 
 let wall_fused buf () =
   let sum = ref 0 in
@@ -76,53 +76,21 @@ let wall_fused buf () =
     sum := !sum + (v lsr 16) + (v land 0xffff);
     if !sum > 0xffff then sum := (!sum land 0xffff) + (!sum lsr 16)
   done;
-  Sys.opaque_identity (lnot !sum land 0xffff)
+  ignore (Sys.opaque_identity (lnot !sum land 0xffff))
 
-(* Run a grouped Bechamel benchmark and return ns/run per test name
-   (matched by suffix, since Bechamel prefixes group names). *)
-let bechamel_ns ~quota_s tests =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:3000 ~quota:(Time.second quota_s) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  fun name ->
-    match
-      Hashtbl.fold
-        (fun k v acc ->
-          if
-            String.length k >= String.length name
-            && String.sub k (String.length k - String.length name)
-                 (String.length name)
-               = name
-          then Some v
-          else acc)
-        results None
-    with
-    | Some est -> (
-        match Bechamel.Analyze.OLS.estimates est with
-        | Some (ns :: _) -> ns
-        | Some [] | None -> nan)
-    | None -> nan
+(* Each wall-clock case gets [quota_s] seconds, split over the [trials]
+   samples whose median {!Wallbench.ns_per_call} takes. *)
+let trials = 5
+
+let ns_per_call ~quota_s f =
+  Wallbench.ns_per_call ~trials ~budget_ns:(quota_s *. 1e9 /. float_of_int trials) f
 
 let wall_clock ?(quota_s = 0.5) () =
-  let open Bechamel in
   let buf = Bytes.create bytes_len in
-  let tests =
-    Test.make_grouped ~name:"e0"
-      [ Test.make ~name:"sequential" (Staged.stage (wall_sequential buf));
-        Test.make ~name:"fused" (Staged.stage (wall_fused buf)) ]
-  in
-  let ns_per_run = bechamel_ns ~quota_s tests in
-  let mbps ns = float_of_int (bytes_len * 8) /. (ns /. 1000.0) in
-  { sequential_mbps = mbps (ns_per_run "sequential");
-    fused_mbps = mbps (ns_per_run "fused") }
+  let mbps f = float_of_int (bytes_len * 8) /. (ns_per_call ~quota_s f /. 1000.0) in
+  { sequential_mbps = mbps (wall_sequential buf); fused_mbps = mbps (wall_fused buf) }
 
 let ciphers_wall_clock ?(quota_s = 0.5) () =
-  let open Bechamel in
   let block_count = 128 in
   let buf =
     Bytes.init (8 * block_count) (fun i -> Char.chr ((i * 131) land 0xff))
@@ -144,12 +112,7 @@ let ciphers_wall_clock ?(quota_s = 0.5) () =
       ("safer-k64-6rounds", sweep (Ilp_cipher.Safer.encrypt_block safer6));
       ("des", sweep (Ilp_cipher.Des.encrypt_block des)) ]
   in
-  let tests =
-    Test.make_grouped ~name:"ciphers"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases)
-  in
-  let ns_per_run = bechamel_ns ~quota_s tests in
   List.map
-    (fun (name, _) ->
-      (name, float_of_int (8 * block_count * 8) /. (ns_per_run name /. 1000.0)))
+    (fun (name, f) ->
+      (name, float_of_int (8 * block_count * 8) /. (ns_per_call ~quota_s f /. 1000.0)))
     cases

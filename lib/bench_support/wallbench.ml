@@ -81,6 +81,10 @@ let calibrate ~budget_ns f =
   in
   probe 1
 
+let ns_per_call ?(trials = 5) ~budget_ns f =
+  let reps = calibrate ~budget_ns f in
+  median (Array.init trials (fun _ -> sample ~reps f))
+
 (* The message the stack's sends take: the first [len] bytes of [src] as
    one application-memory run. *)
 let message ~len = [| Ilp_codec.Stub_ilp.App { addr = 0; len } |]

@@ -56,9 +56,10 @@ type t = {
   (* Receive-side placement buffer (native pooled path only): the fused rx
      pass decrypts each arriving segment directly into this pool buffer at
      its final TSDU offset, and [read_plaintext] hands the buffer
-     itself to the caller (ownership transfer, no delivery copy).  [None]
-     between TSDUs; drawn lazily from the pool on the first rx call. *)
-  mutable rx_dst : Bytes.t option;
+     itself to the caller (ownership transfer, no delivery copy).
+     [Bytes.empty] between TSDUs; drawn lazily from the pool on the first
+     rx call. *)
+  mutable rx_dst : Bytes.t;
   (* What [read_plaintext] hands over, and the [Ok] it answers with:
      one record per engine, refilled by every read. *)
   rx_span : plaintext;
@@ -114,7 +115,7 @@ let create (sim : Sim.t) ~cipher ~mode ?(backend = Simulated)
   { sim; cipher; fastpath; mode; header_style; rx_placement; linkage;
     max_message; coalesce_writes; pool;
     marshal_dmf; unmarshal_dmf; encrypt_dmf; decrypt_dmf;
-    send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = None;
+    send_loops; recv_loop; marshal_buf; app_rx; crc; rx_dst = Bytes.empty;
     rx_span; rx_ok = Ok rx_span; tr_acc = Array.make 2 0.0 }
 
 let mode t = t.mode
@@ -130,11 +131,10 @@ let block_len t = t.cipher.Ilp_cipher.Block_cipher.block_len
    reassembly by an abort or crash must not leak its buffer).  The
    simulated-memory areas belong to the bump allocator and stay. *)
 let destroy t =
-  (match t.rx_dst with
-  | Some b ->
-      t.rx_dst <- None;
-      Pool.release t.pool b
-  | None -> ());
+  if t.rx_dst != Bytes.empty then begin
+    Pool.release t.pool t.rx_dst;
+    t.rx_dst <- Bytes.empty
+  end;
   match t.fastpath with Some fp -> Wire.release fp | None -> ()
 
 (* Bytes the framing adds beyond the marshalled body: the CRC32 trailer
@@ -588,12 +588,8 @@ let check_rx_len t ~dst_off ~len =
    the very buffer [read_plaintext] will hand to the in-place
    decoders, so no delivery copy remains. *)
 let rx_placement_buf t =
-  match t.rx_dst with
-  | Some b -> b
-  | None ->
-      let b = Pool.acquire t.pool t.max_message in
-      t.rx_dst <- Some b;
-      b
+  if t.rx_dst == Bytes.empty then t.rx_dst <- Pool.acquire t.pool t.max_message;
+  t.rx_dst
 
 let rx_native_separate t fp ~src ~dst_off ~len =
   let dst = rx_placement_buf t in
@@ -709,11 +705,11 @@ let rx_processing t =
    buffer while the same simulated access is charged, so both backends
    charge the same reads. *)
 let rx_get32 t addr =
-  match t.rx_dst with
-  | None -> Mem.get_u32 (mem t) addr
-  | Some b ->
-      Machine.read (machine t) ~addr ~size:4;
-      Int32.to_int (Bytes.get_int32_be b (addr - t.app_rx)) land 0xffff_ffff
+  if t.rx_dst == Bytes.empty then Mem.get_u32 (mem t) addr
+  else begin
+    Machine.read (machine t) ~addr ~size:4;
+    Int32.to_int (Bytes.get_int32_be t.rx_dst (addr - t.app_rx)) land 0xffff_ffff
+  end
 
 (* Validation of the plaintext at [app_rx] whose length field read
    [enc_len]: the application reads the RPC header words (charged),
@@ -748,13 +744,11 @@ let check_plaintext t ~len ~enc_len =
           let off = body_off t and n = body_len t ~enc_len in
           let stored = rx_get32 t (t.app_rx + off + n) in
           let crc =
-            match t.rx_dst with
-            | None ->
-                Crc32.update_mem c ~crc:Crc32.init (mem t) ~pos:(t.app_rx + off)
-                  ~len:n
-            | Some b ->
-                Crc32.update_host c ~crc:Crc32.init (mem t)
-                  ~pos:(t.app_rx + off) b ~off ~len:n
+            if t.rx_dst == Bytes.empty then
+              Crc32.update_mem c ~crc:Crc32.init (mem t) ~pos:(t.app_rx + off) ~len:n
+            else
+              Crc32.update_host c ~crc:Crc32.init (mem t) ~pos:(t.app_rx + off)
+                t.rx_dst ~off ~len:n
           in
           Machine.compute m 2;
           if Crc32.finish crc land 0xffff_ffff <> stored then
@@ -776,19 +770,21 @@ let read_plaintext t ~len =
     | Error e -> Error e
     | Ok () ->
         let buf =
-          match t.rx_dst with
-          | Some buf ->
-              (* Single-copy delivery: hand the placement buffer itself to
-                 the caller.  Ownership transfers — the engine draws a
-                 fresh buffer from the pool for the next TSDU, and the
-                 caller returns this one via [release_plaintext]. *)
-              t.rx_dst <- None;
-              buf
-          | None ->
-              let buf = Pool.acquire t.pool len in
-              Bytes.blit (Mem.raw (mem t)) t.app_rx buf 0 len;
-              Mt.copied_rx Mt.Rpc len;
-              buf
+          if t.rx_dst != Bytes.empty then begin
+            (* Single-copy delivery: hand the placement buffer itself to
+               the caller.  Ownership transfers — the engine draws a
+               fresh buffer from the pool for the next TSDU, and the
+               caller returns this one via [release_plaintext]. *)
+            let buf = t.rx_dst in
+            t.rx_dst <- Bytes.empty;
+            buf
+          end
+          else begin
+            let buf = Pool.acquire t.pool len in
+            Bytes.blit (Mem.raw (mem t)) t.app_rx buf 0 len;
+            Mt.copied_rx Mt.Rpc len;
+            buf
+          end
         in
         let sp = t.rx_span in
         sp.buf <- buf;

@@ -1,6 +1,7 @@
-(* Size-classed reusable buffer pool.  Free lists hold power-of-two-sized
-   Bytes values; acquire rounds the request up to its class and reuses a
-   free buffer when one is available, falling back to a fresh allocation
+(* Size-classed reusable buffer pool.  Each class keeps its free
+   power-of-two-sized Bytes values in a fixed stack of [class_cap] slots;
+   acquire rounds the request up to its class and reuses the buffer
+   released last when one is available, falling back to a fresh allocation
    when the class is empty (pool exhaustion is a performance event, never
    a failure).  Release returns a buffer to its class, dropping it to the
    GC when the class is already at capacity.  The acquired/released
@@ -33,8 +34,12 @@ type stats = {
   dropped : int;  (* releases past class capacity (or oversized) *)
 }
 
+(* Class [i]'s free buffers are [free.(i * class_cap)] up to its depth
+   [counts.(i)], the top one released last; every other slot holds
+   [Bytes.empty], so the pool keeps nothing it handed out alive.  A
+   release and an acquire move one buffer and allocate nothing. *)
 type t = {
-  free : Bytes.t list array;
+  free : Bytes.t array;
   counts : int array;
   class_cap : int;
   blk : int array;
@@ -42,7 +47,7 @@ type t = {
 
 let create ?(class_cap = 8) () =
   if class_cap < 0 then invalid_arg "Pool.create: class_cap must be >= 0";
-  { free = Array.make n_classes [];
+  { free = Array.make (n_classes * class_cap) Bytes.empty;
     counts = Array.make n_classes 0;
     class_cap;
     blk = M.block family }
@@ -51,10 +56,12 @@ let bump t i = t.blk.(i) <- t.blk.(i) + 1
 
 let class_size i = min_size lsl i
 
-(* Smallest class holding [len] bytes. *)
-let class_index len =
-  let rec go i = if class_size i >= len || i = n_classes - 1 then i else go (i + 1) in
-  go 0
+(* Smallest class from [i] up holding [len] bytes.  Top level, not a
+   local closure over [len], so a search allocates nothing. *)
+let rec class_from i len =
+  if class_size i >= len || i = n_classes - 1 then i else class_from (i + 1) len
+
+let class_index len = class_from 0 len
 
 let fresh t len =
   bump t c_fresh;
@@ -68,12 +75,15 @@ let acquire t len =
   if len > max_size then fresh t len
   else
     let i = class_index len in
-    match t.free.(i) with
-    | b :: rest ->
-        t.free.(i) <- rest;
-        t.counts.(i) <- t.counts.(i) - 1;
-        b
-    | [] -> fresh t (class_size i)
+    let depth = t.counts.(i) in
+    if depth = 0 then fresh t (class_size i)
+    else begin
+      let k = (i * t.class_cap) + depth - 1 in
+      let b = t.free.(k) in
+      t.free.(k) <- Bytes.empty;
+      t.counts.(i) <- depth - 1;
+      b
+    end
 
 let release t b =
   bump t c_released;
@@ -83,10 +93,11 @@ let release t b =
     let i = class_index n in
     (* Only exact class-sized buffers rejoin a free list: an odd-sized
        stranger would silently shrink the class's capacity guarantee. *)
-    if n <> class_size i || t.counts.(i) >= t.class_cap then bump t c_dropped
+    let depth = t.counts.(i) in
+    if n <> class_size i || depth >= t.class_cap then bump t c_dropped
     else begin
-      t.free.(i) <- b :: t.free.(i);
-      t.counts.(i) <- t.counts.(i) + 1
+      t.free.((i * t.class_cap) + depth) <- b;
+      t.counts.(i) <- depth + 1
     end
 
 let outstanding t = t.blk.(c_acquired) - t.blk.(c_released)

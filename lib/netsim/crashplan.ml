@@ -30,7 +30,7 @@ type t = {
   mutable up : bool;
   blk : int array;
   mutable packets_seen : int;  (* since the last restart *)
-  mutable revive_timer : Simclock.timer option;
+  mutable revive_timer : Simclock.timer;
   mutable crash_timers : Simclock.timer list;
   mutable stopped : bool;
 }
@@ -67,15 +67,13 @@ let crash t =
     bump t c_crashes;
     t.packets_seen <- 0;
     t.kill ();
-    let timer =
-      Simclock.schedule_owned t.clock ~owner:t.owner ~after:t.down_us (fun () ->
-          t.revive_timer <- None;
-          if not t.stopped then begin
-            t.up <- true;
-            t.revive ()
-          end)
-    in
-    t.revive_timer <- Some timer
+    Simclock.arm t.revive_timer ~after:t.down_us
+  end
+
+let on_revive t =
+  if not t.stopped then begin
+    t.up <- true;
+    t.revive ()
   end
 
 let create clock ?(max_crashes = max_int) ~schedule ~down_us
@@ -93,10 +91,11 @@ let create clock ?(max_crashes = max_int) ~schedule ~down_us
       up = true;
       blk = M.block family;
       packets_seen = 0;
-      revive_timer = None;
+      revive_timer = Simclock.stopped;
       crash_timers = [];
       stopped = false }
   in
+  t.revive_timer <- Simclock.timer clock ~owner:t.owner (fun () -> on_revive t);
   (match schedule with
   | At_times times ->
       t.crash_timers <-
@@ -104,7 +103,9 @@ let create clock ?(max_crashes = max_int) ~schedule ~down_us
           (fun after ->
             if after < 0.0 then
               invalid_arg "Crashplan.create: negative crash time";
-            Simclock.schedule_owned clock ~owner:t.owner ~after (fun () -> crash t))
+            let tm = Simclock.timer clock ~owner:t.owner (fun () -> crash t) in
+            Simclock.arm tm ~after;
+            tm)
           times
   | On_packet n ->
       if n < 1 then invalid_arg "Crashplan.create: On_packet needs n >= 1");
@@ -143,7 +144,5 @@ let guard t ~deliver dgram =
 
 let stop t =
   t.stopped <- true;
-  Option.iter Simclock.cancel t.revive_timer;
-  t.revive_timer <- None;
-  List.iter Simclock.cancel t.crash_timers;
-  t.crash_timers <- []
+  Simclock.cancel t.revive_timer;
+  List.iter Simclock.cancel t.crash_timers

@@ -5,10 +5,12 @@
 
    The heap moves numbers only.  Its three arrays hold each entry's due
    time, sequence number and slot, the index of its timer in [timers], so
-   a sift stores no pointer.  A timer holds its heap position ([pos], -1
-   once it has fired or been cancelled) and keeps its slot until then; a
-   freed slot goes back on the [free] stack and its entry becomes
-   [vacant], so no fired closure stays reachable. *)
+   a sift stores no pointer.  A timer is built once by its owner and
+   armed any number of times.  It holds its heap position ([pos], -1
+   while it is not armed: never armed, fired or cancelled) and a slot
+   only while armed; a freed slot goes back on the [free] stack and its
+   entry becomes [vacant], so the clock keeps no fired closure
+   reachable. *)
 
 type timer = { clock : t; owner : int; fn : unit -> unit; mutable pos : int }
 
@@ -160,28 +162,40 @@ let remove t i =
     else sift_down t i
   end
 
-(* An owner-tagged timer passes its owner as a plain int, and [schedule]
-   passes [anonymous]: no [Some] for an optional argument. *)
-let[@inline] schedule_owned t ~owner ~after fn =
+let timer t ~owner fn = { clock = t; owner; fn; pos = -1 }
+
+(* Put an unarmed timer into a free slot and the heap.  Takes the next
+   sequence number, as every arming does. *)
+let[@inline] insert tm ~after =
+  let t = tm.clock in
   (* [Float.max 0.0 after] (a nan stays a nan), without boxing a float. *)
   let delay = if after > 0.0 || Float.is_nan after then after else 0.0 in
   if t.nfree = 0 then grow t;
   t.nfree <- t.nfree - 1;
   let sl = t.free.(t.nfree) in
   let i = t.size in
-  let timer = { clock = t; owner; fn; pos = i } in
-  t.timers.(sl) <- timer;
+  t.timers.(sl) <- tm;
   t.size <- i + 1;
   t.due.(i) <- t.now +. delay;
   t.seq.(i) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   t.slot.(i) <- sl;
-  sift_up t i;
-  timer
-
-let schedule t ~after fn = schedule_owned t ~owner:anonymous ~after fn
+  sift_up t i
 
 let cancel timer = if timer.pos >= 0 then remove timer.clock timer.pos
+
+(* [stopped]'s clock is [nowhere], whose arrays are empty: checked
+   first, so nothing indexes them. *)
+let arm tm ~after =
+  if tm == stopped then invalid_arg "Simclock.arm: a stopped timer";
+  cancel tm;
+  insert tm ~after
+
+(* A fresh timer is neither stopped nor pending: straight to [insert]. *)
+let schedule t ~after fn =
+  let tm = timer t ~owner:anonymous fn in
+  insert tm ~after;
+  tm
 
 let is_pending timer = timer.pos >= 0
 

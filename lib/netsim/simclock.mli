@@ -5,12 +5,16 @@
     clock only moves when {!advance} or {!run_until_idle} is called, so
     protocol tests are fully deterministic.
 
-    Costs, with [n] events pending: {!schedule}, {!cancel} and each firing
-    take O(log n); {!is_pending}, {!pending} and {!now} O(1);
-    {!pending_count} O(n).  {!schedule} and {!schedule_owned} allocate
-    their timer record (and the queue's arrays when they grow to a new
-    peak), each firing and each {!advance} the boxed new time, and
-    {!cancel} nothing. *)
+    A timer is a value its owner builds once ({!timer}) and re-arms in
+    place ({!arm}); {!schedule} is the anonymous one-shot, a timer built
+    and armed in one call.
+
+    Costs, with [n] events pending: {!arm}, {!schedule}, {!cancel} and
+    each firing take O(log n); {!timer}, {!is_pending}, {!pending} and
+    {!now} O(1); {!pending_count} O(n).  {!timer} and {!schedule}
+    allocate the timer record (5 words), {!arm} nothing but the queue's
+    arrays when they grow to a new peak, {!cancel} nothing, and each
+    firing and each {!advance} the boxed new time. *)
 
 type t
 
@@ -29,9 +33,10 @@ val now : t -> float
 
 type timer
 
-(** A timer that was never scheduled: never pending, and {!cancel} on
-    it does nothing.  The initial value of a slot that holds at most one
-    timer at a time, so the slot needs no option. *)
+(** The value a timer slot holds until its owner builds the timer (a
+    record field that needs one before the record exists): never
+    pending, {!cancel} on it does nothing, and {!arm} on it raises
+    [Invalid_argument]. *)
 val stopped : timer
 
 (** Allocate a fresh, never-reused owner id (always positive) for tagging
@@ -39,23 +44,32 @@ val stopped : timer
     assert [pending_count t ~owner = 0] after teardown. *)
 val fresh_owner : t -> int
 
-(** [schedule t ~after f] runs [f] once, [after] microseconds from now
-    (clamped to now for negative values).  The event carries owner [0],
-    as infrastructure events such as link deliveries do. *)
-val schedule : t -> after:float -> (unit -> unit) -> timer
+(** [timer t ~owner f] builds an unarmed timer that runs [f] each time
+    it fires, its events tagged [owner] for {!pending_count} audits.
+    Stateful components that must prove they cancelled everything on
+    teardown build each of their timers once, tagged with a
+    {!fresh_owner} id, and re-arm it with {!arm}. *)
+val timer : t -> owner:int -> (unit -> unit) -> timer
 
-(** [schedule_owned t ~owner ~after f] is {!schedule} with the event
-    tagged [owner] for {!pending_count} audits.  Stateful components
-    that must prove they cancelled everything on teardown tag their
-    timers with a {!fresh_owner} id. *)
-val schedule_owned : t -> owner:int -> after:float -> (unit -> unit) -> timer
+(** [arm timer ~after] schedules [timer] to fire once, [after]
+    microseconds from now (clamped to now for negative values),
+    cancelling any pending arming first; a callback may re-arm its own
+    timer.  Every arming takes a fresh sequence number, so a re-arm
+    orders exactly as a {!cancel} followed by a fresh schedule.  Raises
+    [Invalid_argument] on {!stopped}. *)
+val arm : timer -> after:float -> unit
+
+(** [schedule t ~after f] is [timer t ~owner:0 f] armed [after]
+    microseconds from now: the anonymous one-shot of infrastructure
+    events such as link deliveries. *)
+val schedule : t -> after:float -> (unit -> unit) -> timer
 
 (** [cancel timer] drops a pending event; on a fired or cancelled one it
     does nothing. *)
 val cancel : timer -> unit
 
-(** [is_pending timer]: scheduled, and neither fired (a callback sees its
-    own timer as not pending) nor cancelled. *)
+(** [is_pending timer]: armed, and neither fired since (a callback sees
+    its own timer as not pending) nor cancelled. *)
 val is_pending : timer -> bool
 
 (** [advance t dt] moves time forward by [dt] microseconds, firing every

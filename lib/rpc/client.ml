@@ -51,7 +51,7 @@ type ask = Fresh | Resume
 type state =
   | Idle
   | Sent of ask
-  | Backing_off of ask * Simclock.timer
+  | Backing_off of ask
   | Probing of int * int
   | Rejected
   | Failed of failure
@@ -82,6 +82,7 @@ type t = {
   retry : retry_policy;
   prng : Xorshift.t;  (* retry jitter, seeded at creation *)
   owner : int;  (* Simclock owner tag on the backoff retry timer *)
+  mutable retry_timer : Simclock.timer;  (* built by [create], armed by [back_off] *)
   use_ids : bool;
   framed : bool;
       (* negotiate v2 ("Reverso") framed streams: every control message
@@ -119,11 +120,11 @@ let fresh_id t =
   t.next_req_id <- id + 1;
   id
 
-(* The one writer of the session state.  Leaving [Backing_off] cancels
-   its timer, so a retry never fires into a state that did not schedule
-   it. *)
+(* The one writer of the session state.  Every change cancels the retry
+   timer, which only [back_off] arms, right after entering [Backing_off]:
+   a retry never fires into a state that did not arm it. *)
 let set t st =
-  (match t.state with Backing_off (_, timer) -> Simclock.cancel timer | _ -> ());
+  Simclock.cancel t.retry_timer;
   t.state <- st
 
 (* The first copy not yet wholly verified; [job.copies] once every copy
@@ -227,12 +228,11 @@ and back_off t a =
       if t.retry.max_backoff_us <= b then t.retry.max_backoff_us else b
     in
     let jitter = backoff *. 0.5 *. Xorshift.float t.prng in
-    set t
-      (Backing_off
-         ( a,
-           Simclock.schedule_owned t.clock ~owner:t.owner ~after:(backoff +. jitter)
-             (fun () -> ignore (ask t a)) ))
+    set t (Backing_off a);
+    Simclock.arm t.retry_timer ~after:(backoff +. jitter)
   end
+
+let on_retry t = match t.state with Backing_off a -> ignore (ask t a) | _ -> ()
 
 (* Top level and self-recursive, not a local closure over its five
    arguments, so a comparison allocates nothing.  Eight bytes per step
@@ -350,6 +350,7 @@ let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       retry;
       prng = Xorshift.create ((seed * 0x9e3779b1) lxor 0x2545f491);
       owner = Simclock.fresh_owner clock;
+      retry_timer = Simclock.stopped;
       use_ids = idempotent;
       framed;
       (* Nonzero, and disjoint between clients created with distinct
@@ -372,6 +373,7 @@ let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       first_attempt_at = None;
       request_started_at = None }
   in
+  t.retry_timer <- Simclock.timer clock ~owner:t.owner (fun () -> on_retry t);
   wire_sockets t;
   t
 

@@ -42,15 +42,17 @@ val failure_to_string : failure -> string
 type ask = Fresh | Resume
 
 (** The session, one value (DESIGN §10, §15): nothing outstanding ([Idle]),
-    a request sent, a shed or refused one waiting out its backoff timer,
-    a CRC probe guarding the prefix [(copy, offset)] outstanding, the
-    server's permanent refusal, or a typed failure ([Aborted] or
-    [Server_busy]; a protocol error is recorded beside the state, in
-    {!errors}). *)
+    a request sent, a shed or refused one waiting out its backoff (the
+    client's one retry timer, built by {!create}, is armed exactly while
+    the state is [Backing_off], and asks again for what the state
+    holds), a CRC probe guarding the prefix [(copy, offset)]
+    outstanding, the server's permanent refusal, or a typed failure
+    ([Aborted] or [Server_busy]; a protocol error is recorded beside the
+    state, in {!errors}). *)
 type state =
   | Idle
   | Sent of ask
-  | Backing_off of ask * Ilp_netsim.Simclock.timer
+  | Backing_off of ask
   | Probing of int * int
   | Rejected
   | Failed of failure
@@ -67,7 +69,8 @@ type retry_policy = {
 }
 
 (** [create ~clock ~engine ~ctrl ~data ()] — [clock] runs the backoff
-    retry and resume timers and stamps the request latency and the
+    retry timer (built here, once, and re-armed by every backoff) and
+    stamps the request latency and the
     flight-recorder notes.  Retries follow [retry] (default: 8 attempts,
     500 us doubling to a 50 ms ceiling, 5 s total).  [seed] (default 1)
     drives the jitter and the

@@ -120,7 +120,7 @@ type conn = {
   queue : item Queue.t;
   admitted : bool;
   mutable queued_bytes : int;
-  mutable drain_timer : Simclock.timer option;  (* a backpressured drain's retry *)
+  mutable drain_timer : Simclock.timer;  (* a backpressured drain's retry *)
   mutable dead : bool;
   mutable framed : bool;
       (* the client negotiated v2 framed streams (a flagged control
@@ -218,8 +218,7 @@ let item_replies = function Data d -> d.replies | Status _ -> 1
 let mark_dead t conn =
   if not conn.dead then begin
     conn.dead <- true;
-    Option.iter Simclock.cancel conn.drain_timer;
-    conn.drain_timer <- None;
+    Simclock.cancel conn.drain_timer;
     if conn.admitted then begin
       t.live_connections <- t.live_connections - 1;
       M.set g_connections t.live_connections
@@ -305,7 +304,6 @@ let shed_front_request t conn ~bytes =
   Queue.add (Status (status_hdr Messages.Busy)) conn.queue
 
 let rec drain t conn =
-  conn.drain_timer <- None;
   if Socket.failure conn.data <> None || Socket.state conn.data = Socket.Closed
   then mark_dead t conn
   else if not (Queue.is_empty conn.queue) then
@@ -315,7 +313,7 @@ let rec drain t conn =
         | `Sent ->
             ignore (Queue.pop conn.queue);
             drain t conn
-        | `Backpressure -> reschedule t conn)
+        | `Backpressure -> Simclock.arm conn.drain_timer ~after:retry_us)
     | Data d ->
         if
           Simclock.now t.clock -. d.enqueued_at > t.limits.max_request_age_us
@@ -347,15 +345,9 @@ let rec drain t conn =
               if d.replies = 0 then ignore (Queue.pop conn.queue);
               release_queue t conn seg_len;
               drain t conn
-          | `Backpressure -> reschedule t conn
+          | `Backpressure -> Simclock.arm conn.drain_timer ~after:retry_us
 
-and reschedule t conn =
-  conn.drain_timer <-
-    Some
-      (Simclock.schedule_owned t.clock ~owner:t.owner ~after:retry_us (fun () ->
-           drain t conn))
-
-let kick t conn = match conn.drain_timer with None -> drain t conn | Some _ -> ()
+let kick t conn = if not (Simclock.is_pending conn.drain_timer) then drain t conn
 
 let enqueue_hdr t conn hdr =
   if not conn.dead then begin
@@ -556,9 +548,10 @@ let attach t ~ctrl ~data =
   let admitted = t.live_connections < t.limits.max_connections in
   let conn =
     { id; ctrl; data; queue = Queue.create (); admitted;
-      queued_bytes = 0; drain_timer = None; dead = false;
+      queued_bytes = 0; drain_timer = Simclock.stopped; dead = false;
       framed = false }
   in
+  conn.drain_timer <- Simclock.timer t.clock ~owner:t.owner (fun () -> drain t conn);
   if admitted then begin
     t.live_connections <- t.live_connections + 1;
     M.set g_connections t.live_connections

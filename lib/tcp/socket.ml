@@ -292,8 +292,9 @@ type t = {
   cc : Cc.t;
   reasm : Reasm.t;  (* segments held above [rcv_nxt] *)
   streams : pending_stream Queue.t;
-  mutable rto_timer : Simclock.timer;  (* [Simclock.stopped] until armed *)
-  mutable rto_fire : unit -> unit;  (* [on_rto] of this socket, built once *)
+  (* The socket's five timers, each built once by [create] (the record
+     holds [Simclock.stopped] until then) and re-armed in place. *)
+  mutable rto_timer : Simclock.timer;
   rto : Rto.t;
   mutable retries : int;
   mutable peak_in_flight : int;
@@ -305,13 +306,14 @@ type t = {
   (* Zero-window persistence: probe a peer that advertises no (or too
      little) space, with exponential backoff, until the window reopens or
      the stall deadline aborts the connection. *)
-  mutable persist_timer : Simclock.timer option;
+  mutable persist_timer : Simclock.timer;
   mutable persist_shifts : int;
   mutable persist_want : int;  (* message length awaiting window space *)
   mutable stalled_since : float option;
   probe_buf : int;  (* one already-acknowledged garbage byte to probe with *)
   mutable pending_close : bool;
-  mutable ctl_timer : Simclock.timer option;  (* SYN / FIN retransmission *)
+  mutable ctl_timer : Simclock.timer;  (* SYN / FIN retransmission *)
+  mutable ctl_flags : int;  (* the flags of the SYN or FIN it resends *)
   mutable ctl_retries : int;
   mutable rx_proc : rx_processing option;  (* [None]: inbound data is dropped *)
   mutable on_message : len:int -> unit;
@@ -330,20 +332,20 @@ type t = {
      host crash — subsequent segments addressed to it answer with RST. *)
   owner : int;
   mutable destroyed : bool;
-  mutable tw_timer : Simclock.timer option;  (* TIME_WAIT expiry *)
+  mutable tw_timer : Simclock.timer;  (* TIME_WAIT expiry *)
   (* Keepalive probing for half-open connections (peer restarted while
      this endpoint was idle): probe with an already-acknowledged byte at a
      fixed interval; an answering ack proves the peer alive, an RST or
      probe exhaustion yields a typed verdict. *)
-  mutable ka_timer : Simclock.timer option;
+  mutable ka_timer : Simclock.timer;
   mutable ka_interval_us : float;
   mutable ka_max_probes : int;
   mutable ka_unanswered : int;
   mutable ka_on_result : (keepalive_verdict -> unit) option;
 }
 
-(* The socket record; [create], below the retransmission timer, gives
-   it its timer callback. *)
+(* The socket record; [create], below the retransmission timer, builds
+   its timers. *)
 let make (sim : Sim.t) clock cfg ~local_port ~wire_out =
   let seg_max = Int.max Tcp_header.max_wire_size (Tcp_header.size + cfg.mss) in
   (* The stash covers a full receive window of MSS segments plus
@@ -397,19 +399,19 @@ let make (sim : Sim.t) clock cfg ~local_port ~wire_out =
     reasm = Reasm.create ~slots:ooo_slots ~window:cfg.recv_window ~sack:cfg.sack;
     streams = Queue.create ();
     rto_timer = Simclock.stopped;
-    rto_fire = ignore;
     rto = Rto.create ~initial_us:cfg.rto_initial_us ~min_us:cfg.rto_min_us
             ~max_us:rto_max_us ();
     retries = 0;
     peak_in_flight = 0;
     rx_tsdu_off = 0;
-    persist_timer = None;
+    persist_timer = Simclock.stopped;
     persist_shifts = 0;
     persist_want = 0;
     stalled_since = None;
     probe_buf;
     pending_close = false;
-    ctl_timer = None;
+    ctl_timer = Simclock.stopped;
+    ctl_flags = 0;
     ctl_retries = 0;
     rx_proc = None;
     on_message = (fun ~len:_ -> ());
@@ -420,8 +422,8 @@ let make (sim : Sim.t) clock cfg ~local_port ~wire_out =
     on_abort = (fun _ -> ());
     owner = Simclock.fresh_owner clock;
     destroyed = false;
-    tw_timer = None;
-    ka_timer = None;
+    tw_timer = Simclock.stopped;
+    ka_timer = Simclock.stopped;
     ka_interval_us = 0.0;
     ka_max_probes = 0;
     ka_unanswered = 0;
@@ -588,14 +590,10 @@ let send_ack t =
    asserts [Simclock.pending_count ~owner = 0] afterwards. *)
 let cancel_all_timers t =
   Simclock.cancel t.rto_timer;
-  Option.iter Simclock.cancel t.ctl_timer;
-  t.ctl_timer <- None;
-  Option.iter Simclock.cancel t.persist_timer;
-  t.persist_timer <- None;
-  Option.iter Simclock.cancel t.tw_timer;
-  t.tw_timer <- None;
-  Option.iter Simclock.cancel t.ka_timer;
-  t.ka_timer <- None
+  Simclock.cancel t.ctl_timer;
+  Simclock.cancel t.persist_timer;
+  Simclock.cancel t.tw_timer;
+  Simclock.cancel t.ka_timer
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle: [step] holds the edges of RFC 9293 Figure 5
@@ -643,16 +641,9 @@ let rec transition t ev =
     | Fin_wait_1 | Last_ack ->
         send_first t ~flags:(Tcp_header.fin lor Tcp_header.ack_flag)
     | Established | Fin_wait_2 | Time_wait ->
-        Option.iter Simclock.cancel t.ctl_timer;
-        t.ctl_timer <- None;
+        Simclock.cancel t.ctl_timer;
         t.ctl_retries <- 0;
-        if st = Time_wait then
-          t.tw_timer <-
-            Some
-              (Simclock.schedule_owned t.clock ~owner:t.owner ~after:(2.0 *. rto_max_us)
-                 (fun () ->
-                   t.tw_timer <- None;
-                   transition t Tw_expiry))
+        if st = Time_wait then Simclock.arm t.tw_timer ~after:(2.0 *. rto_max_us)
     | Closed ->
         (* Release everything the connection holds.  The ring and the
            retransmission queue reserve and queue in lockstep, so with
@@ -676,21 +667,8 @@ and send_first t ~flags =
   arm_ctl_timer t ~flags
 
 and arm_ctl_timer t ~flags =
-  Option.iter Simclock.cancel t.ctl_timer;
-  let timer =
-    Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto) (fun () ->
-        if t.ctl_retries >= max_retries then
-          abort t
-            (if flags land Tcp_header.syn <> 0 then Handshake_failed
-             else Close_timeout)
-        else begin
-          t.ctl_retries <- t.ctl_retries + 1;
-          Rto.backoff t.rto;
-          send_control t ~seq:(t.snd_nxt - 1) ~flags;
-          arm_ctl_timer t ~flags
-        end)
-  in
-  t.ctl_timer <- Some timer
+  t.ctl_flags <- flags;
+  Simclock.arm t.ctl_timer ~after:(Rto.timeout_us t.rto)
 
 (* Retry exhaustion: tear the connection down with a recorded reason so
    the application sees a typed failure, never a silent [Closed]. *)
@@ -702,6 +680,19 @@ and abort t reason =
   end;
   transition t Abort;
   t.on_abort reason
+
+(* The control timer: resend the SYN or FIN, or give up. *)
+let on_ctl_timer t =
+  let flags = t.ctl_flags in
+  if t.ctl_retries >= max_retries then
+    abort t
+      (if flags land Tcp_header.syn <> 0 then Handshake_failed else Close_timeout)
+  else begin
+    t.ctl_retries <- t.ctl_retries + 1;
+    Rto.backoff t.rto;
+    send_control t ~seq:(t.snd_nxt - 1) ~flags;
+    arm_ctl_timer t ~flags
+  end
 
 (* Tear a socket down as a crashing host does: no FIN, no callback.  The
    socket answers later segments with RST (it is a dead connection, not
@@ -715,8 +706,7 @@ let destroy t =
 (* Zero-window persistence *)
 
 let cancel_persist t =
-  Option.iter Simclock.cancel t.persist_timer;
-  t.persist_timer <- None;
+  Simclock.cancel t.persist_timer;
   t.persist_shifts <- 0;
   t.persist_want <- 0;
   t.stalled_since <- None
@@ -824,33 +814,27 @@ let reset_for (dgram : Datagram.t) =
 
 let probe_wire_states = [ Established; Close_wait; Fin_wait_1; Fin_wait_2 ]
 
-let rec arm_keepalive t =
-  Option.iter Simclock.cancel t.ka_timer;
-  let timer =
-    Simclock.schedule_owned t.clock ~owner:t.owner ~after:t.ka_interval_us (fun () ->
-        t.ka_timer <- None;
-        if
-          t.failed = None && t.ka_on_result <> None
-          && List.mem t.st probe_wire_states
-        then begin
-          if t.ka_unanswered >= t.ka_max_probes then begin
-            match t.ka_on_result with
-            | Some f ->
-                t.ka_on_result <- None;
-                f Peer_silent;
-                abort t Retry_exhausted
-            | None -> ()
-          end
-          else begin
-            t.ka_unanswered <- t.ka_unanswered + 1;
-            bump t c_keepalive_probes 1;
-            note t Trace.Keepalive ~arg:t.ka_unanswered;
-            send_probe t;
-            arm_keepalive t
-          end
-        end)
-  in
-  t.ka_timer <- Some timer
+let arm_keepalive t = Simclock.arm t.ka_timer ~after:t.ka_interval_us
+
+let on_keepalive t =
+  if t.failed = None && t.ka_on_result <> None && List.mem t.st probe_wire_states
+  then begin
+    if t.ka_unanswered >= t.ka_max_probes then begin
+      match t.ka_on_result with
+      | Some f ->
+          t.ka_on_result <- None;
+          f Peer_silent;
+          abort t Retry_exhausted
+      | None -> ()
+    end
+    else begin
+      t.ka_unanswered <- t.ka_unanswered + 1;
+      bump t c_keepalive_probes 1;
+      note t Trace.Keepalive ~arg:t.ka_unanswered;
+      send_probe t;
+      arm_keepalive t
+    end
+  end
 
 let start_keepalive t ?(interval_us = 50_000.0) ?(probes = 3) ~on_result () =
   if interval_us <= 0.0 then
@@ -865,8 +849,7 @@ let start_keepalive t ?(interval_us = 50_000.0) ?(probes = 3) ~on_result () =
 let stop_keepalive t =
   t.ka_on_result <- None;
   t.ka_unanswered <- 0;
-  Option.iter Simclock.cancel t.ka_timer;
-  t.ka_timer <- None
+  Simclock.cancel t.ka_timer
 
 (* Any segment from the peer proves it alive: answer an outstanding
    probe's verdict and reset the unanswered count (keepalive keeps
@@ -898,50 +881,40 @@ let persist_interval_us t =
   let backoff = persist_initial_us *. (2.0 ** float_of_int t.persist_shifts) in
   if persist_max_us <= backoff then persist_max_us else backoff
 
-let rec arm_persist t ~want =
+(* The first arm of a stall starts its clock, [stalled_since]; it stays
+   set while the timer is armed (only [cancel_persist] clears it). *)
+let arm_persist t ~want =
   t.persist_want <- want;
-  let stall_start =
+  (match t.stalled_since with
+  | Some _ -> ()
+  | None ->
+      t.stalled_since <- Some (Simclock.now t.clock);
+      bump t c_zero_window_stalls 1;
+      note t Trace.Zero_window ~arg:want);
+  Simclock.arm t.persist_timer ~after:(persist_interval_us t)
+
+let on_persist t =
+  if t.st = Established || t.st = Close_wait then
     match t.stalled_since with
-    | Some s -> s
-    | None ->
-        let now = Simclock.now t.clock in
-        t.stalled_since <- Some now;
-        bump t c_zero_window_stalls 1;
-        note t Trace.Zero_window ~arg:want;
-        now
-  in
-  Option.iter Simclock.cancel t.persist_timer;
-  let timer =
-    Simclock.schedule_owned t.clock ~owner:t.owner ~after:(persist_interval_us t) (fun () ->
-        t.persist_timer <- None;
-        if t.st = Established || t.st = Close_wait then begin
-          if Simclock.now t.clock -. stall_start >= t.cfg.stall_deadline_us then
-            abort t Peer_stalled
-          else begin
-            bump t c_persist_probes 1;
-            note t Trace.Persist_probe ~arg:t.persist_shifts;
-            send_probe t;
-            t.persist_shifts <- t.persist_shifts + 1;
-            arm_persist t ~want
-          end
-        end)
-  in
-  t.persist_timer <- Some timer
+    | Some s when Simclock.now t.clock -. s >= t.cfg.stall_deadline_us ->
+        abort t Peer_stalled
+    | _ ->
+        bump t c_persist_probes 1;
+        note t Trace.Persist_probe ~arg:t.persist_shifts;
+        send_probe t;
+        t.persist_shifts <- t.persist_shifts + 1;
+        arm_persist t ~want:t.persist_want
 
 (* ------------------------------------------------------------------ *)
 (* Retransmission of data segments *)
 
-(* An arm allocates its timer record and the boxed timeout alone: the
-   callback is the socket's own, and the slot holds a stopped timer
-   rather than an option. *)
-let rec arm_rto t =
-  Simclock.cancel t.rto_timer;
-  if not (Scoreboard.is_empty t.sb) then
-    t.rto_timer <-
-      Simclock.schedule_owned t.clock ~owner:t.owner ~after:(Rto.timeout_us t.rto)
-        t.rto_fire
+(* An arm allocates the boxed timeout alone: the timer is the socket's
+   own, built once. *)
+let arm_rto t =
+  if Scoreboard.is_empty t.sb then Simclock.cancel t.rto_timer
+  else Simclock.arm t.rto_timer ~after:(Rto.timeout_us t.rto)
 
-and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
+let retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   bump t c_retransmissions 1;
   note t Trace.Retransmit ~arg:seg.seq;
   let tx = seg.data in
@@ -960,7 +933,7 @@ and retransmit_seg t (seg : tx_seg Scoreboard.seg) =
   transmit t ~seq:seg.seq ~flags ~sack:[] ~payload_acc ~addr:tx.addr
     ~payload_len:seg.len
 
-and on_rto t =
+let on_rto t =
   match Scoreboard.oldest t.sb with
   | None -> ()
   | Some seg ->
@@ -981,7 +954,12 @@ and on_rto t =
 
 let create sim clock cfg ~local_port ~wire_out =
   let t = make sim clock cfg ~local_port ~wire_out in
-  t.rto_fire <- (fun () -> on_rto t);
+  let timer fire = Simclock.timer clock ~owner:t.owner (fun () -> fire t) in
+  t.rto_timer <- timer on_rto;
+  t.ctl_timer <- timer on_ctl_timer;
+  t.persist_timer <- timer on_persist;
+  t.tw_timer <- timer (fun t -> transition t Tw_expiry);
+  t.ka_timer <- timer on_keepalive;
   t
 
 (* The one "resend this hole" step of fast retransmit, the partial-ack
@@ -1093,13 +1071,13 @@ let rec pump_streams t =
            flight, acks (or the RTO) reopen it; with nothing in
            flight there is no timer running, so this is a zero-window
            stall mid-stream — run the persist machinery. *)
-        if Scoreboard.is_empty t.sb && t.persist_timer = None then
+        if Scoreboard.is_empty t.sb && not (Simclock.is_pending t.persist_timer) then
           arm_persist t ~want:seg
       end
       else
         let addr = Ring.reserve t.ring seg in
         if addr >= 0 then begin
-          if t.persist_timer <> None then cancel_persist t;
+          if Simclock.is_pending t.persist_timer then cancel_persist t;
           send_segment t s ~addr ~len:seg;
           pump_streams t
         end
@@ -1119,7 +1097,8 @@ let send_message t ~len ~fill =
     (* No usable window.  If nothing is in flight there is no RTO to keep
        the connection moving, so start (or keep) the persist machinery;
        with data in flight, incoming acks or the RTO drive recovery. *)
-    if Scoreboard.is_empty t.sb && t.persist_timer = None then arm_persist t ~want:len;
+    if Scoreboard.is_empty t.sb && not (Simclock.is_pending t.persist_timer) then
+      arm_persist t ~want:len;
     Error Window_full
   end
   else if not (Ring.fits t.ring len) then Error Buffer_full
@@ -1369,7 +1348,7 @@ let handle_ack t (h : Tcp_header.t) ~payload_len =
      stalled message sendable ends the persist cycle; the application's
      retry then finds the space.  A probe ack still reporting too little
      space leaves the backoff running. *)
-  if t.persist_timer <> None && send_window_space t >= t.persist_want then
+  if Simclock.is_pending t.persist_timer && send_window_space t >= t.persist_want then
     cancel_persist t;
   (* Scoreboard first: the dupack and partial-ack decisions below want
      this ack's selective information already applied. *)

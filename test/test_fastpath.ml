@@ -373,6 +373,33 @@ let test_pool_odd_size_dropped () =
   checkb "odd buffer was not retained" true (Bytes.length b > 100);
   FP.Pool.release p b
 
+(* A class keeps its free buffers in fixed slots, last in first out: a
+   release followed by an acquire of a class-sized buffer allocates
+   nothing (a list cell per release and a search closure per call
+   before). *)
+let test_pool_cycle_allocates_nothing () =
+  let p = FP.Pool.create () in
+  let a = FP.Pool.acquire p 2048 and b = FP.Pool.acquire p 2048 in
+  FP.Pool.release p a;
+  FP.Pool.release p b;
+  let b' = FP.Pool.acquire p 2048 in
+  let a' = FP.Pool.acquire p 2048 in
+  checkb "last released, first reused" true (b' == b && a' == a);
+  FP.Pool.release p a;
+  let cur = ref (FP.Pool.acquire p 2048) in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    FP.Pool.release p !cur;
+    cur := FP.Pool.acquire p 2048
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.001)) "release then acquire: nothing" 0.0 words;
+  FP.Pool.release p !cur;
+  FP.Pool.release p b;
+  check "balanced" 0 (FP.Pool.outstanding p);
+  check "two fresh buffers served every acquire" 2 (FP.Pool.stats p).FP.Pool.fresh_allocs
+
 (* ------------------------------------------------------------------ *)
 (* Scatter-gather sends: however the message is cut into segments, both
    sends put the matching window of the pure ECB reference of the
@@ -579,7 +606,9 @@ let () =
           Alcotest.test_case "class cap bounds retention" `Quick
             test_pool_class_cap_bound;
           Alcotest.test_case "odd-sized release dropped" `Quick
-            test_pool_odd_size_dropped ] );
+            test_pool_odd_size_dropped;
+          Alcotest.test_case "a release and an acquire allocate nothing" `Quick
+            test_pool_cycle_allocates_nothing ] );
       ( "memtraffic",
         [ Alcotest.test_case "per-direction ledger split" `Quick
             test_memtraffic_rx_split;

@@ -97,7 +97,8 @@ let test_clock_negative_delay_clamped () =
   checkf "time does not go backwards" 100.0 (Simclock.now clock)
 
 (* The clock as it was before the heap: a persistent map keyed by due
-   time and sequence number.  [prop_clock_model] holds [Simclock] to it. *)
+   time and sequence number, its timers built once and re-armed as
+   [Simclock]'s are.  [prop_clock_model] holds [Simclock] to it. *)
 module Map_clock = struct
   module Key = struct
     type t = { at : float; seq : int }
@@ -108,21 +109,21 @@ module Map_clock = struct
 
   module Events = Map.Make (Key)
 
-  type event = { owner : int; fn : unit -> unit }
-  type t = { mutable now : float; mutable events : event Events.t; mutable next_seq : int }
-  type timer = { clock : t; key : Key.t; mutable live : bool }
+  type timer = {
+    clock : t;
+    owner : int;
+    fn : unit -> unit;
+    mutable key : Key.t;  (* of the last arming *)
+    mutable live : bool;  (* armed and not cancelled since *)
+  }
+
+  and t = { mutable now : float; mutable events : timer Events.t; mutable next_seq : int }
 
   let create ?event_budget:_ () = { now = 0.0; events = Events.empty; next_seq = 0 }
   let now t = t.now
 
-  let schedule_owned t ~owner ~after f =
-    let at = t.now +. Float.max 0.0 after in
-    let key = { Key.at; seq = t.next_seq } in
-    t.next_seq <- t.next_seq + 1;
-    t.events <- Events.add key { owner; fn = f } t.events;
-    { clock = t; key; live = true }
-
-  let schedule t ~after f = schedule_owned t ~owner:0 ~after f
+  let timer t ~owner fn =
+    { clock = t; owner; fn; key = { Key.at = 0.0; seq = -1 }; live = false }
 
   let cancel timer =
     if timer.live then begin
@@ -130,15 +131,33 @@ module Map_clock = struct
       timer.clock.events <- Events.remove timer.key timer.clock.events
     end
 
+  let arm timer ~after =
+    cancel timer;
+    let t = timer.clock in
+    let key = { Key.at = t.now +. Float.max 0.0 after; seq = t.next_seq } in
+    t.next_seq <- t.next_seq + 1;
+    timer.key <- key;
+    timer.live <- true;
+    t.events <- Events.add key timer t.events
+
+  let schedule t ~after f =
+    let tm = timer t ~owner:0 f in
+    arm tm ~after;
+    tm
+
   let is_pending timer = timer.live && Events.mem timer.key timer.clock.events
+
+  let fire key tm =
+    let t = tm.clock in
+    t.events <- Events.remove key t.events;
+    t.now <- Float.max t.now key.Key.at;
+    tm.fn ()
 
   let fire_next t =
     match Events.min_binding_opt t.events with
     | None -> false
-    | Some (key, ev) ->
-        t.events <- Events.remove key t.events;
-        t.now <- Float.max t.now key.Key.at;
-        ev.fn ();
+    | Some (key, tm) ->
+        fire key tm;
         true
 
   let advance t dt =
@@ -146,10 +165,8 @@ module Map_clock = struct
     let horizon = t.now +. dt in
     let rec loop () =
       match Events.min_binding_opt t.events with
-      | Some (key, ev) when key.Key.at <= horizon ->
-          t.events <- Events.remove key t.events;
-          t.now <- Float.max t.now key.Key.at;
-          ev.fn ();
+      | Some (key, tm) when key.Key.at <= horizon ->
+          fire key tm;
           loop ()
       | Some _ | None -> t.now <- horizon
     in
@@ -165,7 +182,7 @@ module Map_clock = struct
   let pending t = Events.cardinal t.events
 
   let pending_count t ~owner =
-    Events.fold (fun _ ev n -> if ev.owner = owner then n + 1 else n) t.events 0
+    Events.fold (fun _ tm n -> if tm.owner = owner then n + 1 else n) t.events 0
 end
 
 module type CLOCK = sig
@@ -174,8 +191,9 @@ module type CLOCK = sig
 
   val create : ?event_budget:int -> unit -> t
   val now : t -> float
+  val timer : t -> owner:int -> (unit -> unit) -> timer
+  val arm : timer -> after:float -> unit
   val schedule : t -> after:float -> (unit -> unit) -> timer
-  val schedule_owned : t -> owner:int -> after:float -> (unit -> unit) -> timer
   val cancel : timer -> unit
   val is_pending : timer -> bool
   val advance : t -> float -> unit
@@ -184,13 +202,16 @@ module type CLOCK = sig
   val pending_count : t -> owner:int -> int
 end
 
-(* What a fired callback does after logging its id: nothing, schedule a
-   plain event, or cancel the [k]-th timer made so far. *)
-type clock_act = Log | Spawn of float | Kill of int
+(* What a fired callback does after logging its id: nothing, make a
+   fresh timer, cancel the [k]-th timer made so far, or re-arm itself
+   (at most [n] times, so a zero delay cannot stall [advance]). *)
+type clock_act = Log | Spawn of float | Kill of int | Rearm of float * int
 
 type clock_op =
-  | Sched of int * float * clock_act  (* owner (0: [schedule], else [schedule_owned]), delay *)
-  | Cancel of int  (* the k-th timer made so far: pending, fired or cancelled *)
+  | Make of int * float * clock_act
+      (* owner (0: [schedule], else [timer] then [arm]), delay *)
+  | Arm of int * float  (* the k-th timer made so far: pending, fired or cancelled *)
+  | Cancel of int  (* likewise *)
   | Advance of float
   | Run of int  (* run_until_idle with this max_events *)
 
@@ -209,32 +230,39 @@ module Drive (C : CLOCK) = struct
   (* The view after each operation of [ops]. *)
   let run ops =
     let clock = C.create () in
-    let timers = Array.make ((2 * List.length ops) + 1) None and made = ref 0 in
+    let timers = Hashtbl.create 64 and made = ref 0 in
     let fired = ref [] in
-    let cancel_nth k =
-      if !made > 0 then Option.iter C.cancel timers.(k mod !made)
-    in
-    let rec sched owner after act =
+    let nth k f = if !made > 0 then f (Hashtbl.find timers (k mod !made)) in
+    let rec make owner after act =
       let id = !made in
       incr made;
+      let rearms = ref 0 in
       let fn () =
         fired := id :: !fired;
         match act with
         | Log -> ()
-        | Spawn d -> sched owner d Log
-        | Kill k -> cancel_nth k
+        | Spawn d -> make owner d Log
+        | Kill k -> nth k C.cancel
+        | Rearm (d, n) ->
+            if !rearms < n then begin
+              incr rearms;
+              C.arm (Hashtbl.find timers id) ~after:d
+            end
       in
-      timers.(id) <-
-        Some
-          (if owner = 0 then C.schedule clock ~after fn
-           else C.schedule_owned clock ~owner ~after fn)
+      if owner = 0 then Hashtbl.replace timers id (C.schedule clock ~after fn)
+      else begin
+        let tm = C.timer clock ~owner fn in
+        Hashtbl.replace timers id tm;
+        C.arm tm ~after
+      end
     in
     List.map
       (fun op ->
         let livelock =
           match op with
-          | Sched (owner, d, act) -> sched owner d act; None
-          | Cancel k -> cancel_nth k; None
+          | Make (owner, d, act) -> make owner d act; None
+          | Arm (k, d) -> nth k (fun tm -> C.arm tm ~after:d); None
+          | Cancel k -> nth k C.cancel; None
           | Advance dt -> C.advance clock dt; None
           | Run m -> (
               match C.run_until_idle ~max_events:m clock with
@@ -247,9 +275,7 @@ module Drive (C : CLOCK) = struct
             now_bits = Int64.bits_of_float (C.now clock);
             pending = C.pending clock;
             per_owner = List.map (fun owner -> C.pending_count clock ~owner) clock_owners;
-            live =
-              List.init !made (fun i ->
-                  match timers.(i) with Some tm -> C.is_pending tm | None -> false) }
+            live = List.init !made (fun i -> C.is_pending (Hashtbl.find timers i)) }
         in
         fired := [];
         view)
@@ -274,12 +300,14 @@ let gen_clock_op =
     frequency
       [ ( 10,
           map3
-            (fun owner d act -> Sched (owner, d, act))
+            (fun owner d act -> Make (owner, d, act))
             (int_range 0 3) gen_delay
             (frequency
                [ (4, return Log);
                  (2, map (fun d -> Spawn d) gen_delay);
-                 (2, map (fun k -> Kill k) nat) ]) );
+                 (2, map (fun k -> Kill k) nat);
+                 (2, map2 (fun d n -> Rearm (d, n)) gen_delay (int_range 1 3)) ]) );
+        (4, map2 (fun k d -> Arm (k, d)) nat gen_delay);
         (4, map (fun k -> Cancel k) nat);
         (4, map (fun dt -> Advance dt) (oneofl [ 0.0; 0.5; 1.0; 1.0; 2.0; 3.0; 7.0 ]));
         (2, map (fun m -> Run m) (int_range 0 6)) ])
@@ -288,16 +316,20 @@ let print_act = function
   | Log -> ""
   | Spawn d -> Printf.sprintf ",spawn %g" d
   | Kill k -> Printf.sprintf ",kill %d" k
+  | Rearm (d, n) -> Printf.sprintf ",rearm %g x%d" d n
 
 let print_clock_op = function
-  | Sched (o, d, act) -> Printf.sprintf "sched(o%d,%g%s)" o d (print_act act)
+  | Make (o, d, act) -> Printf.sprintf "make(o%d,%g%s)" o d (print_act act)
+  | Arm (k, d) -> Printf.sprintf "arm %d %g" k d
   | Cancel k -> Printf.sprintf "cancel %d" k
   | Advance dt -> Printf.sprintf "advance %g" dt
   | Run m -> Printf.sprintf "run %d" m
 
-(* Random interleavings of schedule and schedule_owned (callbacks that
-   schedule and cancel too), cancel of pending, fired and cancelled timers, advance, and
-   run_until_idle with budgets small enough to raise Livelock: after
+(* Random interleavings of anonymous [schedule] and owner-tagged timers
+   built with [timer] and armed (callbacks that make fresh timers,
+   cancel, and re-arm their own timer too), arm of fresh, pending (a
+   re-arm), fired and cancelled timers, cancel of any of them, advance,
+   and run_until_idle with budgets small enough to raise Livelock: after
    every operation the heap clock and the map clock have fired the same
    ids in the same order and agree on now (bit for bit), pending, each
    owner's pending_count and every timer's is_pending. *)
@@ -366,26 +398,88 @@ let test_clock_allocation_flat () =
   check_words "cancel allocates nothing at 4096" 0.0 k4k
 
 (* An owner-tagged timer (a socket's RTO, a server drain, a client
-   retry) passes its owner as a plain int: schedule+cancel costs the
-   timer record alone, as an anonymous one does, with no [Some owner]
-   for an optional argument. *)
+   retry) passes its owner as a plain int: building one costs the timer
+   record alone, as an anonymous [schedule] does, with no [Some owner]
+   for an optional argument, and arming it costs nothing more. *)
 let test_clock_owned_allocation () =
   let clock = Simclock.create () in
   let owner = Simclock.fresh_owner clock in
   let once () =
-    Simclock.cancel (Simclock.schedule_owned clock ~owner ~after:5.0 tick)
+    let tm = Simclock.timer clock ~owner tick in
+    Simclock.arm tm ~after:5.0;
+    Simclock.cancel tm
   in
   once ();
   let n = 1000 in
   let w0 = Gc.minor_words () in
   for _ = 1 to n do once () done;
   let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  let timer = Simclock.schedule_owned clock ~owner ~after:0.0 tick in
+  let timer = Simclock.timer clock ~owner tick in
+  Simclock.arm timer ~after:0.0;
   Alcotest.(check (float 0.001))
-    "owner-tagged schedule+cancel: the timer record only"
+    "owner-tagged build+arm+cancel: the timer record only"
     (float_of_int (Obj.size (Obj.repr timer) + 1))
     words;
   check "tagged with its owner" 1 (Simclock.pending_count clock ~owner)
+
+(* A built timer is re-armed in place: an arm of an unarmed timer, a
+   re-arm of a pending one and a cancel allocate nothing, whatever the
+   queue's depth. *)
+let test_clock_arm_allocates_nothing () =
+  let clock = Simclock.create () in
+  for _ = 1 to 100 do
+    ignore (Simclock.schedule clock ~after:1e9 tick)
+  done;
+  let owner = Simclock.fresh_owner clock in
+  let tm = Simclock.timer clock ~owner tick in
+  let cycle () =
+    Simclock.arm tm ~after:5.0;
+    Simclock.arm tm ~after:7.0;
+    Simclock.cancel tm
+  in
+  cycle ();
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do cycle () done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.001)) "arm, re-arm, cancel: nothing" 0.0 words;
+  Simclock.arm tm ~after:5.0;
+  Simclock.arm tm ~after:7.0;
+  check "a re-arm leaves one event" 1 (Simclock.pending_count clock ~owner);
+  check "beside the far ones" 101 (Simclock.pending clock)
+
+(* A timer re-armed from its own callback fires again at the new time;
+   a re-arm of a pending timer moves it, behind an equal due time armed
+   before it. *)
+let test_clock_rearm () =
+  let clock = Simclock.create () in
+  let log = ref [] in
+  let fires = ref 0 and self = ref Simclock.stopped in
+  let tm =
+    Simclock.timer clock ~owner:(Simclock.fresh_owner clock) (fun () ->
+        incr fires;
+        log := Printf.sprintf "t@%g" (Simclock.now clock) :: !log;
+        if !fires < 3 then Simclock.arm !self ~after:10.0)
+  in
+  self := tm;
+  Simclock.arm tm ~after:5.0;
+  ignore (Simclock.schedule clock ~after:20.0 (fun () -> log := "s@20" :: !log));
+  Simclock.arm tm ~after:20.0;
+  Simclock.run_until_idle clock;
+  Alcotest.(check (list string))
+    "moved behind the schedule, then re-armed by its callback"
+    [ "s@20"; "t@20"; "t@30"; "t@40" ] (List.rev !log);
+  checkb "idle" false (Simclock.is_pending tm)
+
+(* [stopped] is the placeholder a slot holds until its owner builds the
+   timer: arming it is a programming error, reported before any clock is
+   touched. *)
+let test_clock_arm_stopped () =
+  (match Simclock.arm Simclock.stopped ~after:1.0 with
+  | () -> Alcotest.fail "arming stopped must raise"
+  | exception Invalid_argument _ -> ());
+  checkb "still not pending" false (Simclock.is_pending Simclock.stopped);
+  Simclock.cancel Simclock.stopped
 
 (* ------------------------------------------------------------------ *)
 (* Link *)
@@ -995,7 +1089,11 @@ let () =
             test_clock_allocation_flat;
           qc prop_clock_model;
           Alcotest.test_case "owner-tagged schedule allocates the timer alone"
-            `Quick test_clock_owned_allocation ] );
+            `Quick test_clock_owned_allocation;
+          Alcotest.test_case "an arm or re-arm allocates nothing" `Quick
+            test_clock_arm_allocates_nothing;
+          Alcotest.test_case "re-arm in place" `Quick test_clock_rearm;
+          Alcotest.test_case "arming stopped raises" `Quick test_clock_arm_stopped ] );
       ( "link",
         [ Alcotest.test_case "delivery order" `Quick test_link_delivery_order;
           Alcotest.test_case "deterministic loss" `Quick test_link_loss_deterministic;

@@ -680,9 +680,10 @@ let test_pure_ack_allocates_header_only () =
   Alcotest.(check (float 0.001)) "pure ack: nothing" 0.0 words
 
 (* An ack that frees one of two segments in flight re-arms the RTO for
-   the one left, and the arm allocates its timer record and the boxed
-   timeout alone (13 words before: the arm built its callback closure
-   and an option per arm). *)
+   the one left, and the arm allocates the boxed timeout alone: the
+   timer is built once with the socket and re-armed in place (7 words
+   before, for a timer record per arm; 13 before that, for its callback
+   closure and an option). *)
 let test_rto_arm_allocates_timer_only () =
   let held = ref [] and hold = ref false in
   let tamper d =
@@ -711,7 +712,9 @@ let test_rto_arm_allocates_timer_only () =
   Socket.handle_datagram w.a first_ack;
   let words = Gc.minor_words () -. w0 in
   check "the ack freed one segment" 1024 (Socket.bytes_in_flight w.a);
-  Alcotest.(check (float 0.001)) "re-arm: the timer record and its timeout" 7.0 words
+  checkb
+    (Printf.sprintf "re-arm: the boxed timeout alone (%.0f words, budget 2)" words)
+    true (words <= 2.0)
 
 let test_corruption_detected_and_recovered () =
   (* Flip a payload byte of the 8th wire datagram once; TCP must drop it on
