@@ -1,7 +1,7 @@
 (* Size-classed reusable buffer pool.  Each class keeps its free
    power-of-two-sized Bytes values in a fixed stack of [class_cap] slots;
    acquire rounds the request up to its class and reuses the buffer
-   released last when one is available, falling back to a fresh allocation
+   released last when there is one, falling back to a fresh allocation
    when the class is empty (pool exhaustion is a performance event, never
    a failure).  Release returns a buffer to its class, dropping it to the
    GC when the class is already at capacity.  The acquired/released
@@ -30,7 +30,7 @@ type stats = {
   acquired : int;
   released : int;
   outstanding : int;
-  fresh_allocs : int;  (* acquires the free lists could not serve *)
+  fresh_allocs : int;  (* acquires no free buffer could serve *)
   dropped : int;  (* releases past class capacity (or oversized) *)
 }
 
@@ -91,7 +91,7 @@ let release t b =
   if n < min_size || n > max_size then bump t c_dropped
   else
     let i = class_index n in
-    (* Only exact class-sized buffers rejoin a free list: an odd-sized
+    (* Only exact class-sized buffers rejoin their class: an odd-sized
        stranger would silently shrink the class's capacity guarantee. *)
     let depth = t.counts.(i) in
     if n <> class_size i || depth >= t.class_cap then bump t c_dropped

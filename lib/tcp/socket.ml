@@ -685,8 +685,7 @@ and abort t reason =
 let on_ctl_timer t =
   let flags = t.ctl_flags in
   if t.ctl_retries >= max_retries then
-    abort t
-      (if flags land Tcp_header.syn <> 0 then Handshake_failed else Close_timeout)
+    abort t (if flags land Tcp_header.syn <> 0 then Handshake_failed else Close_timeout)
   else begin
     t.ctl_retries <- t.ctl_retries + 1;
     Rto.backoff t.rto;

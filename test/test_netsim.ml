@@ -448,29 +448,6 @@ let test_clock_arm_allocates_nothing () =
   check "a re-arm leaves one event" 1 (Simclock.pending_count clock ~owner);
   check "beside the far ones" 101 (Simclock.pending clock)
 
-(* A timer re-armed from its own callback fires again at the new time;
-   a re-arm of a pending timer moves it, behind an equal due time armed
-   before it. *)
-let test_clock_rearm () =
-  let clock = Simclock.create () in
-  let log = ref [] in
-  let fires = ref 0 and self = ref Simclock.stopped in
-  let tm =
-    Simclock.timer clock ~owner:(Simclock.fresh_owner clock) (fun () ->
-        incr fires;
-        log := Printf.sprintf "t@%g" (Simclock.now clock) :: !log;
-        if !fires < 3 then Simclock.arm !self ~after:10.0)
-  in
-  self := tm;
-  Simclock.arm tm ~after:5.0;
-  ignore (Simclock.schedule clock ~after:20.0 (fun () -> log := "s@20" :: !log));
-  Simclock.arm tm ~after:20.0;
-  Simclock.run_until_idle clock;
-  Alcotest.(check (list string))
-    "moved behind the schedule, then re-armed by its callback"
-    [ "s@20"; "t@20"; "t@30"; "t@40" ] (List.rev !log);
-  checkb "idle" false (Simclock.is_pending tm)
-
 (* [stopped] is the placeholder a slot holds until its owner builds the
    timer: arming it is a programming error, reported before any clock is
    touched. *)
@@ -1092,7 +1069,6 @@ let () =
             `Quick test_clock_owned_allocation;
           Alcotest.test_case "an arm or re-arm allocates nothing" `Quick
             test_clock_arm_allocates_nothing;
-          Alcotest.test_case "re-arm in place" `Quick test_clock_rearm;
           Alcotest.test_case "arming stopped raises" `Quick test_clock_arm_stopped ] );
       ( "link",
         [ Alcotest.test_case "delivery order" `Quick test_link_delivery_order;
