@@ -11,7 +11,8 @@
 
     The plan never touches protocol state itself: the harness supplies
     [kill]/[revive], and wires {!guard} in front of the host's demux
-    handlers.  All plan timers are tagged with a private
+    handlers.  The plan builds its timers once (the revive timer, and
+    one per crash time, armed at creation), all tagged with a private
     {!Simclock.fresh_owner} id so harnesses can audit them. *)
 
 type schedule =

@@ -105,8 +105,8 @@ val store : t -> store
 val shutdown : t -> unit
 
 (** The {!Ilp_netsim.Simclock} owner id tagging every drain timer this
-    instance schedules — [Simclock.pending_count ~owner] must be 0 after
-    {!shutdown}. *)
+    instance arms (one per connection, built by {!attach}) —
+    [Simclock.pending_count ~owner] must be 0 after {!shutdown}. *)
 val timer_owner : t -> int
 
 (** [attach t ~ctrl ~data] registers a connection pair and returns its

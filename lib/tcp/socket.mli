@@ -197,7 +197,9 @@ type t
     socket on [sim] runs the one "tcp control" (2048 B) and "kernel
     datagram" (3072 B) {!Ilp_memsim.Code.image}, placed by the first
     socket, as one host runs one TCP and one kernel for all its
-    connections. *)
+    connections.  Its five timers (RTO, control, persist, TIME_WAIT and
+    keepalive) are built here, once, tagged {!timer_owner}, and re-armed
+    in place, so arming one allocates nothing of its own. *)
 val create :
   Ilp_memsim.Sim.t ->
   Ilp_netsim.Simclock.t ->
@@ -230,7 +232,7 @@ val destroy : t -> unit
 val destroyed : t -> bool
 
 (** The {!Ilp_netsim.Simclock} owner id tagging every timer this socket
-    schedules — assert [Simclock.pending_count ~owner = 0] after
+    arms — assert [Simclock.pending_count ~owner = 0] after
     {!destroy} or an abort to prove timer hygiene. *)
 val timer_owner : t -> int
 
