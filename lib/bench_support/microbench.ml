@@ -78,12 +78,7 @@ let wall_fused buf () =
   done;
   ignore (Sys.opaque_identity (lnot !sum land 0xffff))
 
-(* Each wall-clock case gets [quota_s] seconds, split over the [trials]
-   samples whose median {!Wallbench.ns_per_call} takes. *)
-let trials = 5
-
-let ns_per_call ~quota_s f =
-  Wallbench.ns_per_call ~trials ~budget_ns:(quota_s *. 1e9 /. float_of_int trials) f
+let ns_per_call ~quota_s f = Wallbench.ns_per_call ~budget_ns:(quota_s *. 1e9) f
 
 let wall_clock ?(quota_s = 0.5) () =
   let buf = Bytes.create bytes_len in

@@ -81,8 +81,9 @@ let calibrate ~budget_ns f =
   in
   probe 1
 
-let ns_per_call ?(trials = 5) ~budget_ns f =
-  let reps = calibrate ~budget_ns f in
+let ns_per_call ~budget_ns f =
+  let trials = 5 in
+  let reps = calibrate ~budget_ns:(budget_ns /. float_of_int trials) f in
   median (Array.init trials (fun _ -> sample ~reps f))
 
 (* The message the stack's sends take: the first [len] bytes of [src] as

@@ -56,11 +56,11 @@ val run :
   unit ->
   result
 
-(** The harness alone, for any kernel: [ns_per_call ?trials ~budget_ns f]
-    is the median over [trials] (default 5) samples of the ns per call
-    of [f], each sample averaging a repetition count calibrated so that
-    it runs for about [budget_ns]. *)
-val ns_per_call : ?trials:int -> budget_ns:float -> (unit -> unit) -> float
+(** The harness alone, for any kernel: [ns_per_call ~budget_ns f] is the
+    median over 5 samples of the ns per call of [f], each sample
+    averaging a repetition count calibrated so that the five run for
+    about [budget_ns] together. *)
+val ns_per_call : budget_ns:float -> (unit -> unit) -> float
 
 (* ---- per-stage time share (the [--trace] table) ---- *)
 
