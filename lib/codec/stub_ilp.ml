@@ -8,7 +8,6 @@ type segment = Gen of string | App of { addr : int; len : int }
    failure.  [start] empties them, so one encoder and one array serve
    every message of the type. *)
 type t = {
-  ty : Asn1.ty;
   leaves : Asn1.ty array;
   gen : Xdr.Enc.t;
   mutable out : segment array;
@@ -25,15 +24,12 @@ let rec leaves_of acc (ty : Asn1.ty) =
   | leaf -> leaf :: acc
 
 let compile ty =
-  { ty;
-    leaves = Array.of_list (List.rev (leaves_of [] ty));
+  { leaves = Array.of_list (List.rev (leaves_of [] ty));
     gen = Xdr.Enc.create ();
     out = Array.make 4 no_segment;
     n = 0;
     next = 0;
     error = None }
-
-let ty t = t.ty
 
 let start t =
   Xdr.Enc.clear t.gen;
@@ -80,14 +76,12 @@ let next_leaf t =
     fty
   end
 
-(* [v] inhabits [fty]; if not, the push fails with [Asn1.check]'s words,
-   so a typed push and the generic one fail alike. *)
-let inhabits t fty v =
+(* [v] does not inhabit [fty]: the push fails with [Asn1.check]'s
+   words. *)
+let refuse t fty v =
   match Asn1.check fty v with
-  | Ok () -> true
-  | Error e ->
-      fail t ("immediate value does not inhabit its field: " ^ e);
-      false
+  | Ok () -> ()
+  | Error e -> fail t ("immediate value does not inhabit its field: " ^ e)
 
 (* The typed pushes test and encode their leaf directly, allocating
    nothing unless the leaf refuses the value. *)
@@ -97,45 +91,33 @@ let push_int t v =
       if v >= 0 then Xdr.Enc.uint32 t.gen v else Xdr.Enc.int32 t.gen v
   | Asn1.Uint when v >= 0 && v <= 0xffff_ffff -> Xdr.Enc.uint32 t.gen v
   | Asn1.Seq _ -> ()
-  | fty -> ignore (inhabits t fty (Asn1.VInt v))
+  | fty -> refuse t fty (Asn1.VInt v)
 
 let push_enum t i =
   match next_leaf t with
   | Asn1.Enum names when i >= 0 && i < Array.length names -> Xdr.Enc.uint32 t.gen i
   | Asn1.Seq _ -> ()
-  | fty -> ignore (inhabits t fty (Asn1.VEnum i))
+  | fty -> refuse t fty (Asn1.VEnum i)
 
 let push_str t s =
   match next_leaf t with
   | Asn1.Str -> Xdr.Enc.opaque t.gen s
   | Asn1.Seq _ -> ()
-  | fty -> ignore (inhabits t fty (Asn1.VStr s))
-
-let push_value t v =
-  match next_leaf t with
-  | Asn1.Seq _ -> ()
-  | fty -> if inhabits t fty v then Stub.encode t.gen fty v
+  | fty -> refuse t fty (Asn1.VStr s)
 
 (* XDR padding runs, shared: a padded field adds no string of its own. *)
 let zero_pad = [| ""; "\000"; "\000\000"; "\000\000\000" |]
 
 (* A memory-resident variable-length field: generated length word, the
    in-place bytes, generated XDR padding. *)
-let memory_field t ~with_length ~addr ~len =
-  if len < 0 then fail t "negative memory field length"
-  else begin
-    if with_length then Xdr.Enc.uint32 t.gen len;
-    flush t;
-    emit t (App { addr; len });
-    Xdr.Enc.raw t.gen zero_pad.(Xdr.padding len)
-  end
-
 let push_memory t ~addr ~len =
   match next_leaf t with
-  | Asn1.Opaque | Asn1.Str -> memory_field t ~with_length:true ~addr ~len
-  | Asn1.Fixed_opaque n ->
-      if len <> n then fail t (Printf.sprintf "fixed opaque of %d bytes given %d" n len)
-      else memory_field t ~with_length:false ~addr ~len
+  | (Asn1.Opaque | Asn1.Str) when len < 0 -> fail t "negative memory field length"
+  | Asn1.Opaque | Asn1.Str ->
+      Xdr.Enc.uint32 t.gen len;
+      flush t;
+      emit t (App { addr; len });
+      Xdr.Enc.raw t.gen zero_pad.(Xdr.padding len)
   | Asn1.Seq _ -> ()
   | _ -> fail t "From_memory is only valid for opaque and string fields"
 

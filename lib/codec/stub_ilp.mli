@@ -12,9 +12,9 @@
     byte runs), while bulk fields reference application memory and are
     left in place for the ILP loop to read, encrypt and checksum on its
     single pass.  The result is the stub's laid-out {!segment}s — the
-    exact input of [Ilp_core.Engine.prepare_stream_segments] — so
-    arbitrary message types get the integrated treatment without
-    hand-writing their layout.
+    exact input of [Ilp_core.Engine.prepare_stream_segments] — so any
+    message type the algebra describes gets the integrated treatment
+    without hand-writing its layout.
 
     {!segment} is the one description of an outgoing message: the engine
     frames the laid-out segments into a segment array (length field,
@@ -37,15 +37,13 @@ type t
     must not run at the same time (one domain). *)
 val compile : Asn1.ty -> t
 
-val ty : t -> Asn1.ty
-
 (** {2 The cursor}
 
     [start t], then one push per leaf of the type in declaration order
-    (a sequence is walked into its fields; every other type, a
-    sequence-of, a choice and an option included, is one leaf), then
-    {!finish}.  Each push is checked against its leaf's type, as
-    {!Asn1.check} checks a value; the typed pushes allocate nothing. *)
+    (a sequence is walked into its fields; an [Int], [Uint], [Enum],
+    [Opaque] or [Str] is one leaf), then {!finish}.  Each push is checked
+    against its leaf's type, as {!Asn1.check} checks a value; the typed
+    pushes allocate nothing. *)
 
 (** Begin a message: empty the scratch, first leaf next. *)
 val start : t -> unit
@@ -59,22 +57,18 @@ val push_enum : t -> int -> unit
 (** A [Str] leaf. *)
 val push_str : t -> string -> unit
 
-(** An [Opaque], [Str] or [Fixed_opaque] leaf whose bytes live in
-    application memory: [len] bytes at [addr], left in place (the length
-    word and the padding are still generated). *)
+(** An [Opaque] or [Str] leaf whose bytes live in application memory:
+    [len] bytes at [addr], left in place (the length word and the
+    padding are still generated). *)
 val push_memory : t -> addr:int -> len:int -> unit
-
-(** Any leaf, given as a value ([Hyper], [Bool], [Seq_of], [Choice],
-    [Option], or bytes for an opaque field). *)
-val push_value : t -> Asn1.value -> unit
 
 (** [finish t] ends the message.  [Ok ()]: the laid-out segments are
     [(segments t).(0 .. count t - 1)] — one [Gen] string per run of
     generated bytes and one [App] per memory field — until the next
     {!start}.  The first failure is the [Error]: a push past the type's
     last leaf, a leaf left without a push, a memory push to a field that
-    is not opaque or a string (or of the wrong length for a fixed
-    opaque, or negative), or a value that does not inhabit its leaf. *)
+    is not opaque or a string (or of a negative length), or a value that
+    does not inhabit its leaf. *)
 val finish : t -> (unit, string) result
 
 (** Segments laid out by the last {!finish}. *)

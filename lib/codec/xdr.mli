@@ -21,13 +21,6 @@ module Enc : sig
   (** [uint32] accepts 0 .. 2^32-1. *)
   val uint32 : t -> int -> unit
 
-  val hyper : t -> int64 -> unit
-  val bool : t -> bool -> unit
-
-  (** [fixed_opaque e s] emits the bytes of [s] plus padding (length is
-      implied by the type, not transmitted). *)
-  val fixed_opaque : t -> string -> unit
-
   (** [opaque e s] emits a length word, the bytes and padding (also the
       encoding of [string<>]). *)
   val opaque : t -> string -> unit
@@ -44,24 +37,50 @@ module Enc : sig
   val clear : t -> unit
 end
 
+(** The one XDR reader: a cursor over a body [buf.[off..off+len-1]]
+    that reads no byte outside it.  Every read checks its bounds against
+    the body's end, and every error is an {!Error} whose positions are
+    counted from the body's start.  A cursor can be re-pointed at
+    another body ({!reset}), so a receiver that decodes every message
+    through one cursor allocates nothing per message. *)
 module Dec : sig
   type t
 
   exception Error of string
   (** Raised on truncated or malformed input. *)
 
+  (** [of_string s] is a cursor over all of [s]. *)
   val of_string : string -> t
 
-  (** [sub d ~pos] starts decoding at byte [pos]. *)
-  val sub : string -> pos:int -> t
+  (** [create ()] is a cursor over an empty body, to be {!reset}. *)
+  val create : unit -> t
+
+  (** [reset d buf ~off ~len] points [d] at the body
+      [buf.[off..off+len-1]], first byte next; a span outside [buf] is an
+      {!Error}.  The cursor only reads [buf]. *)
+  val reset : t -> Bytes.t -> off:int -> len:int -> unit
 
   val int32 : t -> int
   val uint32 : t -> int
-  val hyper : t -> int64
-  val bool : t -> bool
-  val fixed_opaque : t -> int -> string
+
+  (** [enum d n] reads an enumeration's index; an index of [n] or more
+      is an {!Error}. *)
+  val enum : t -> int -> int
+
+  (** [opaque d] reads a variable-length opaque (or [string<>]) and
+      copies its bytes out. *)
   val opaque : t -> string
-  val pos : t -> int
+
+  (** [opaque_in_place d] reads a variable-length opaque like {!opaque},
+      but leaves its bytes in the buffer: the result is the length, and
+      the bytes start at {!opaque_off}. *)
+  val opaque_in_place : t -> int
+
+  (** The position, in the buffer, of the first byte of the last opaque
+      read. *)
+  val opaque_off : t -> int
+
+  (** Bytes left in the body. *)
   val remaining : t -> int
 
   (** [expect_end d] raises {!Error} if any input remains. *)

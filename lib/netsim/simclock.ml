@@ -25,7 +25,6 @@ and t = {
   mutable nfree : int;
   mutable next_seq : int;
   mutable next_owner : int;
-  event_budget : int;
 }
 
 exception Livelock of int
@@ -44,13 +43,12 @@ let rec vacant = { clock = nowhere; owner = anonymous; fn = ignore; pos = -1 }
 
 and nowhere =
   { now = 0.0; due = [||]; seq = [||]; slot = [||]; size = 0; timers = [||];
-    free = [||]; nfree = 0; next_seq = 0; next_owner = 1; event_budget = 1 }
+    free = [||]; nfree = 0; next_seq = 0; next_owner = 1 }
 
 let stopped = vacant
 let initial_capacity = 16
 
-let create ?(event_budget = 1_000_000) () =
-  if event_budget <= 0 then invalid_arg "Simclock.create: event_budget";
+let create () =
   let n = initial_capacity in
   { now = 0.0;
     due = Array.make n 0.0;
@@ -61,8 +59,7 @@ let create ?(event_budget = 1_000_000) () =
     free = Array.init n (fun i -> n - 1 - i);
     nfree = n;
     next_seq = 0;
-    next_owner = 1;
-    event_budget }
+    next_owner = 1 }
 
 let now t = t.now
 
@@ -216,15 +213,12 @@ let advance t dt =
   done;
   t.now <- horizon
 
-let run_until_idle ?max_events t =
-  let budget =
-    match max_events with Some n -> n | None -> t.event_budget
-  in
+let run_until_idle ?(max_events = 1_000_000) t =
   let fired = ref 0 in
   while t.size > 0 do
     fire_first t;
     incr fired;
-    if !fired > budget then raise (Livelock budget)
+    if !fired > max_events then raise (Livelock max_events)
   done
 
 let pending t = t.size

@@ -23,10 +23,8 @@ type t
     code under test.  The payload is the budget that was exceeded. *)
 exception Livelock of int
 
-(** [create ?event_budget ()] makes a clock.  [event_budget] (default
-    1_000_000, must be positive) is the default livelock guard for
-    {!run_until_idle}; raise it for long soak runs. *)
-val create : ?event_budget:int -> unit -> t
+(** [create ()] makes a clock at time 0 with nothing pending. *)
+val create : unit -> t
 
 (** Current virtual time in microseconds. *)
 val now : t -> float
@@ -78,8 +76,8 @@ val is_pending : timer -> bool
 val advance : t -> float -> unit
 
 (** [run_until_idle ?max_events t] keeps jumping to the next pending event
-    until none remain.  Raises {!Livelock} after [max_events] (default: the
-    clock's [event_budget]) firings. *)
+    until none remain.  Raises {!Livelock} after [max_events] (default
+    1_000_000) firings. *)
 val run_until_idle : ?max_events:int -> t -> unit
 
 (** Number of pending (uncancelled, unfired) events. *)

@@ -3,6 +3,7 @@ module Xorshift = Ilp_netsim.Xorshift
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module Stub_ilp = Ilp_codec.Stub_ilp
+module Xdr = Ilp_codec.Xdr
 module M = Ilp_obs.Metrics
 module Recorder = Ilp_obs.Recorder
 module Trace = Ilp_obs.Trace
@@ -97,8 +98,8 @@ type t = {
   mutable replies_received : int;
   mutable errors : string list;
   blk : int array;
-  (* Every reply is decoded in place through [view] into [reply]. *)
-  view : Messages.View.t;
+  (* Every reply is decoded in place through [dec] into [reply]. *)
+  dec : Xdr.Dec.t;
   reply : Messages.reply_header;
   (* The retry budget, across every send and backoff since the last
      [request_file] or [reconnect]. *)
@@ -318,12 +319,12 @@ let handle_reply t ~len =
   match Engine.read_plaintext t.engine ~len with
   | Error e -> error t "unreadable reply: %s" e
   | Ok { Engine.buf; off; len = blen } ->
-      (match Messages.decode_reply_view t.view t.reply buf ~off ~len:blen with
+      (match Messages.decode_reply_view t.dec t.reply buf ~off ~len:blen with
       | Error e -> error t "undecodable reply: %s" e
       | Ok () ->
           consume_reply t t.reply
             ~data:(Bytes.unsafe_to_string buf)
-            ~doff:(Messages.View.opaque_off t.view) ~dlen:t.reply.Messages.data_len);
+            ~doff:(Xdr.Dec.opaque_off t.dec) ~dlen:t.reply.Messages.data_len);
       Engine.release_plaintext t.engine buf
 
 (* Both connections feed the same failure: losing either one ends the
@@ -365,7 +366,7 @@ let create ~clock ?(retry = default_retry) ?(seed = 1) ?(idempotent = false)
       replies_received = 0;
       errors = [];
       blk = M.block family;
-      view = Messages.View.create ();
+      dec = Xdr.Dec.create ();
       reply =
         { Messages.status = Messages.Ok; copy = 0; file_offset = 0; total_len = 0;
           data_len = 0 };

@@ -169,8 +169,10 @@ let reply_segments h ~payload_addr =
 (* Decoders.  Each reads the marshalled body and nothing else: the engine
    that added the length field, the CRC32 trailer and the alignment has
    checked and stripped them ([Engine.read_plaintext]).  The string
-   decoders are the reference; the views below decode the same body in
-   place. *)
+   decoders go through the generic [Stub] and are the reference; the
+   in-place decoders below walk the same fields through the same
+   [Xdr.Dec] cursor, leaving the bulk data in the buffer.  Equivalence
+   is property-tested (test_rpc). *)
 
 let decode_request body : (request, string) result =
   match Stub.unmarshal_from request_stub (Xdr.Dec.of_string body) with
@@ -195,90 +197,6 @@ let decode_reply body : (reply_header * string, string) result =
   | _ -> Error "reply: unexpected shape"
   | exception Xdr.Dec.Error e -> Error e
 
-let reply_prefix h =
-  let enc = Xdr.Enc.create () in
-  Xdr.Enc.uint32 enc (status_to_enum h.status);
-  Xdr.Enc.int32 enc h.copy;
-  Xdr.Enc.int32 enc h.file_offset;
-  Xdr.Enc.int32 enc h.total_len;
-  (* The opaque's length word; the payload bytes follow in the stream. *)
-  Xdr.Enc.uint32 enc h.data_len;
-  Xdr.Enc.contents enc
-
-(* ------------------------------------------------------------------ *)
-(* In-place decoders over pooled TSDU buffers (the single-copy receive
-   path).  A [View] is a cursor over the body [buf.[base..limit-1]] with
-   exactly {!Xdr.Dec}'s semantics — same bounds discipline, same error
-   strings, positions counted from the body's start — but no
-   [String.sub] per field: an opaque field stays in the buffer.
-   Equivalence with the string decoders is property-tested (test_rpc). *)
-
-module View = struct
-  type t = {
-    mutable buf : Bytes.t;
-    mutable base : int;
-    mutable limit : int;
-    mutable pos : int;
-    mutable opaque_off : int;  (* first byte of the last opaque decoded *)
-  }
-
-  exception Error of string
-
-  let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-  let create () = { buf = Bytes.empty; base = 0; limit = 0; pos = 0; opaque_off = 0 }
-
-  (* Point [t] at the body [buf.[off..off+len-1]]; a span outside the
-     buffer is an error, not an out-of-bounds read. *)
-  let reset t buf ~off ~len =
-    if off < 0 || len < 0 || off > Bytes.length buf - len then
-      fail "body span %d+%d outside a %d-byte buffer" off len (Bytes.length buf);
-    t.buf <- buf;
-    t.base <- off;
-    t.limit <- off + len;
-    t.pos <- off
-
-  let make buf ~off ~len =
-    let t = create () in
-    reset t buf ~off ~len;
-    t
-
-  let opaque_off t = t.opaque_off
-
-  let need t n =
-    if t.pos + n > t.limit then
-      fail "truncated XDR input: need %d bytes at %d, have %d" n (t.pos - t.base)
-        (t.limit - t.pos)
-
-  let uint32 t =
-    need t 4;
-    let v = Int32.to_int (Bytes.get_int32_be t.buf t.pos) land 0xffff_ffff in
-    t.pos <- t.pos + 4;
-    v
-
-  let int32 t =
-    let v = uint32 t in
-    if v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
-
-  (* Length word, padding check, cursor advance — but the bytes stay put:
-     the result is the opaque's length, and its first byte is
-     [Xdr.padded n] behind the cursor. *)
-  let opaque t =
-    let n = uint32 t in
-    need t (Xdr.padded n);
-    for i = n to Xdr.padded n - 1 do
-      if Bytes.get t.buf (t.pos + i) <> '\000' then fail "nonzero XDR padding"
-    done;
-    t.opaque_off <- t.pos;
-    t.pos <- t.pos + Xdr.padded n;
-    n
-
-  let enum t names =
-    let i = uint32 t in
-    if i >= Array.length names then fail "enum value %d out of range" i;
-    i
-end
-
 (* The control forms share a leading file name and differ only in how
    many integer words follow it: 2 (v1 request), 3 (CRC probe),
    4 (flagged probe), 5 (v2 request), 6 (flagged request) — the flagged
@@ -286,50 +204,52 @@ end
    (0 for the unflagged forms). *)
 let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
   match
-    let v = View.make buf ~off ~len in
-    let n = View.opaque v in
-    let file_name = Bytes.sub_string buf (View.opaque_off v) n in
-    let rest = v.View.limit - v.View.pos in
-    if rest mod 4 <> 0 then View.fail "ctrl: malformed body";
+    let d = Xdr.Dec.create () in
+    Xdr.Dec.reset d buf ~off ~len;
+    let file_name = Xdr.Dec.opaque d in
+    let rest = Xdr.Dec.remaining d in
+    if rest mod 4 <> 0 then raise (Xdr.Dec.Error "ctrl: malformed body");
     match rest / 4 with
     | 2 ->
-        let copies = View.int32 v in
-        let max_reply = View.int32 v in
+        let copies = Xdr.Dec.int32 d in
+        let max_reply = Xdr.Dec.int32 d in
         ( Request
             { file_name; copies; max_reply; req_id = 0; start_copy = 0;
               start_offset = 0 },
           0 )
     | (3 | 4) as words ->
-        let p_offset = View.uint32 v in
-        let p_crc = View.uint32 v in
-        let p_req_id = View.uint32 v in
-        let flags = if words = 4 then View.uint32 v else 0 in
+        let p_offset = Xdr.Dec.uint32 d in
+        let p_crc = Xdr.Dec.uint32 d in
+        let p_req_id = Xdr.Dec.uint32 d in
+        let flags = if words = 4 then Xdr.Dec.uint32 d else 0 in
         (Probe { p_file_name = file_name; p_offset; p_crc; p_req_id }, flags)
     | (5 | 6) as words ->
-        let copies = View.int32 v in
-        let max_reply = View.int32 v in
-        let req_id = View.uint32 v in
-        let start_copy = View.uint32 v in
-        let start_offset = View.uint32 v in
-        let flags = if words = 6 then View.uint32 v else 0 in
+        let copies = Xdr.Dec.int32 d in
+        let max_reply = Xdr.Dec.int32 d in
+        let req_id = Xdr.Dec.uint32 d in
+        let start_copy = Xdr.Dec.uint32 d in
+        let start_offset = Xdr.Dec.uint32 d in
+        let flags = if words = 6 then Xdr.Dec.uint32 d else 0 in
         ( Request
             { file_name; copies; max_reply; req_id; start_copy; start_offset },
           flags )
-    | k -> View.fail "ctrl: unexpected shape (%d trailing words)" k
+    | k ->
+        raise
+          (Xdr.Dec.Error (Printf.sprintf "ctrl: unexpected shape (%d trailing words)" k))
   with
   | c -> Ok c
-  | exception View.Error e -> Error e
+  | exception Xdr.Dec.Error e -> Error e
 
-(* Into the caller's header, through the caller's view: nothing is
+(* Into the caller's header, through the caller's cursor: nothing is
    allocated unless the body is malformed. *)
-let decode_reply_view v h buf ~off ~len : (unit, string) result =
+let decode_reply_view d h buf ~off ~len : (unit, string) result =
   match
-    View.reset v buf ~off ~len;
-    let st = View.enum v status_names in
-    let copy = View.int32 v in
-    let file_offset = View.int32 v in
-    let total_len = View.int32 v in
-    let data_len = View.opaque v in
+    Xdr.Dec.reset d buf ~off ~len;
+    let st = Xdr.Dec.enum d (Array.length status_names) in
+    let copy = Xdr.Dec.int32 d in
+    let file_offset = Xdr.Dec.int32 d in
+    let total_len = Xdr.Dec.int32 d in
+    let data_len = Xdr.Dec.opaque_in_place d in
     match status_of_enum st with
     | Some status ->
         h.status <- status;
@@ -342,4 +262,4 @@ let decode_reply_view v h buf ~off ~len : (unit, string) result =
   with
   | true -> Result.Ok ()
   | false -> Error "reply: bad status"
-  | exception View.Error e -> Error e
+  | exception Xdr.Dec.Error e -> Error e

@@ -84,11 +84,6 @@ val encode_request : request -> string
 (** Marshal a CRC probe.  Result is a multiple of 4 bytes. *)
 val encode_probe : probe -> string
 
-(** [reply_prefix hdr] is the marshalled reply up to but excluding the
-    payload bytes: the header fields plus the XDR opaque length word.  The
-    payload (and its XDR padding) follows directly. *)
-val reply_prefix : reply_header -> string
-
 (** {2 ILP-extended stubs (section 2.1)}
 
     The same message descriptions compiled by [Ilp_codec.Stub_ilp]: the
@@ -110,7 +105,9 @@ val probe_segments : ?flags:int -> probe -> Ilp_codec.Stub_ilp.t
 (** [reply_segments hdr ~payload_addr] — [hdr.data_len] bytes are taken
     from [payload_addr].  Lays out a reply without allocating anything
     but its segments (the [Gen] run of its header words and the [App]
-    of its data). *)
+    of its data).  A data-less reply's {!Ilp_codec.Stub_ilp.total_len}
+    is the header's length, the bytes every reply carries ahead of its
+    data. *)
 val reply_segments : reply_header -> payload_addr:int -> Ilp_codec.Stub_ilp.t
 
 (** {2 Decoders}
@@ -121,7 +118,9 @@ val reply_segments : reply_header -> payload_addr:int -> Ilp_codec.Stub_ilp.t
     stripped by the engine.  No decoder reads a length field or knows the
     header style or the CRC setting.  Each is total: malformed input is
     an [Error] carrying {!Ilp_codec.Xdr.Dec}'s message, with positions
-    counted from the body's start. *)
+    counted from the body's start.  The string decoders go through the
+    generic {!Ilp_codec.Stub} and are the reference the in-place
+    decoders are held to. *)
 
 (** [decode_request body] parses a v1 request body. *)
 val decode_request : string -> (request, string) result
@@ -134,9 +133,9 @@ val decode_reply : string -> (reply_header * string, string) result
 (** {2 In-place decoders (single-copy receive path)}
 
     The same parses over the body [buf.[off..off+len-1]] of a pooled TSDU
-    buffer, with the string decoders' exact bounds discipline and error
-    strings but no per-field [String.sub].  A span outside [buf] is an
-    [Error]. *)
+    buffer, through the same {!Ilp_codec.Xdr.Dec} cursor (so the same
+    bounds discipline and error strings) but with no copy of the bulk
+    data.  A span outside [buf] is an [Error]. *)
 
 (** [decode_ctrl_bytes buf ~off ~len] parses any inbound control message
     (either request form, or a CRC probe), dispatching on the count of
@@ -144,23 +143,17 @@ val decode_reply : string -> (reply_header * string, string) result
     capability flag word (0 for the unflagged forms). *)
 val decode_ctrl_bytes : Bytes.t -> off:int -> len:int -> (ctrl * int, string) result
 
-(** A cursor over a body in a buffer, re-pointed by each decode. *)
-module View : sig
-  type t
-
-  val create : unit -> t
-
-  (** The first byte, in the decoded buffer, of the last opaque field
-      the view decoded. *)
-  val opaque_off : t -> int
-end
-
-(** [decode_reply_view v hdr buf ~off ~len] is {!decode_reply} with the
-    payload left in [buf], decoded through the caller's view [v] into the
-    caller's header [hdr]: on [Ok ()] [hdr] holds the header and the
-    payload is [hdr.data_len] bytes at [View.opaque_off v], inside the
-    body.  It allocates nothing on success; on [Error] [hdr] is
-    unspecified.  The caller must consume the payload before releasing
-    the buffer to the pool. *)
+(** [decode_reply_view d hdr buf ~off ~len] is {!decode_reply} with the
+    payload left in [buf], decoded through the caller's cursor [d]
+    (re-pointed at the body) into the caller's header [hdr]: on [Ok ()]
+    [hdr] holds the header and the payload is [hdr.data_len] bytes at
+    {!Ilp_codec.Xdr.Dec.opaque_off} [d], inside the body.  It allocates
+    nothing on success; on [Error] [hdr] is unspecified.  The caller
+    must consume the payload before releasing the buffer to the pool. *)
 val decode_reply_view :
-  View.t -> reply_header -> Bytes.t -> off:int -> len:int -> (unit, string) result
+  Ilp_codec.Xdr.Dec.t ->
+  reply_header ->
+  Bytes.t ->
+  off:int ->
+  len:int ->
+  (unit, string) result

@@ -519,13 +519,14 @@ let handle_request t conn ~len =
 
 let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
     () =
+  (* A data-less reply lays out as the header alone. *)
+  let header_len =
+    Ilp_codec.Stub_ilp.total_len
+      (Messages.reply_segments (status_hdr Messages.Ok) ~payload_addr:0)
+  in
   (* At least 1, so a misconfigured engine fails loudly instead of
      looping. *)
-  let reply_room =
-    Int.max 1
-      (Engine.max_payload engine
-         ~prefix_len:(String.length (Messages.reply_prefix (status_hdr Messages.Ok))))
-  in
+  let reply_room = Int.max 1 (Engine.max_payload engine ~prefix_len:header_len) in
   { clock;
     engine;
     reply_room;

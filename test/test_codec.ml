@@ -37,18 +37,44 @@ let test_xdr_decode_roundtrip () =
   let enc = Xdr.Enc.create () in
   Xdr.Enc.int32 enc (-42);
   Xdr.Enc.uint32 enc 42;
-  Xdr.Enc.hyper enc (-1L);
-  Xdr.Enc.bool enc true;
+  Xdr.Enc.uint32 enc 2;
   Xdr.Enc.opaque enc "xyz";
-  Xdr.Enc.fixed_opaque enc "ab";
+  Xdr.Enc.opaque enc "abcde";
   let dec = Xdr.Dec.of_string (Xdr.Enc.contents enc) in
   check "int32" (-42) (Xdr.Dec.int32 dec);
   check "uint32" 42 (Xdr.Dec.uint32 dec);
-  Alcotest.(check int64) "hyper" (-1L) (Xdr.Dec.hyper dec);
-  checkb "bool" true (Xdr.Dec.bool dec);
+  check "enum" 2 (Xdr.Dec.enum dec 3);
   check_s "opaque" "xyz" (Xdr.Dec.opaque dec);
-  check_s "fixed" "ab" (Xdr.Dec.fixed_opaque dec 2);
+  check "opaque in place" 5 (Xdr.Dec.opaque_in_place dec);
+  check "its bytes" 24 (Xdr.Dec.opaque_off dec);
   Xdr.Dec.expect_end dec
+
+(* One cursor re-pointed at bodies inside a larger buffer: it reads each
+   body and nothing past its end, leaves an opaque's bytes where they
+   are, and counts error positions from the body's start. *)
+let test_xdr_decode_in_place () =
+  let enc = Xdr.Enc.create () in
+  Xdr.Enc.uint32 enc 7;
+  Xdr.Enc.opaque enc "abc";
+  let body = Xdr.Enc.contents enc in
+  let buf = Bytes.of_string ("junk" ^ body ^ "\000\000\000\000") in
+  let dec = Xdr.Dec.create () in
+  Xdr.Dec.reset dec buf ~off:4 ~len:(String.length body);
+  check "a word" 7 (Xdr.Dec.uint32 dec);
+  check "opaque length" 3 (Xdr.Dec.opaque_in_place dec);
+  check_s "opaque bytes in the buffer" "abc"
+    (Bytes.sub_string buf (Xdr.Dec.opaque_off dec) 3);
+  Xdr.Dec.expect_end dec;
+  Xdr.Dec.reset dec buf ~off:4 ~len:6;
+  ignore (Xdr.Dec.uint32 dec);
+  (match Xdr.Dec.uint32 dec with
+  | _ -> Alcotest.fail "read past the body"
+  | exception Xdr.Dec.Error e ->
+      check_s "position from the body's start"
+        "truncated XDR input: need 4 bytes at 4, have 2" e);
+  match Xdr.Dec.reset dec buf ~off:8 ~len:(Bytes.length buf) with
+  | () -> Alcotest.fail "span outside the buffer accepted"
+  | exception Xdr.Dec.Error _ -> ()
 
 let expect_dec_error f =
   match f () with
@@ -57,7 +83,7 @@ let expect_dec_error f =
 
 let test_xdr_decode_errors () =
   expect_dec_error (fun () -> Xdr.Dec.uint32 (Xdr.Dec.of_string "ab"));
-  expect_dec_error (fun () -> Xdr.Dec.bool (Xdr.Dec.of_string "\000\000\000\002"));
+  expect_dec_error (fun () -> Xdr.Dec.enum (Xdr.Dec.of_string "\000\000\000\002") 2);
   (* Nonzero padding is rejected. *)
   expect_dec_error (fun () ->
       Xdr.Dec.opaque (Xdr.Dec.of_string "\000\000\000\001aXYZ"));
@@ -81,17 +107,14 @@ let sample_ty : Asn1.ty =
   Seq
     [ ("kind", Enum [| "a"; "b" |]);
       ("count", Int);
-      ("tag", Fixed_opaque 3);
-      ("items", Seq_of Str);
-      ("extra", Option Bool) ]
+      ("size", Uint);
+      ("tag", Opaque);
+      ("names", Seq [ ("first", Str); ("last", Str) ]) ]
 
 let sample_value : Asn1.value =
   VSeq
-    [ VEnum 1;
-      VInt (-7);
-      VBytes "xyz";
-      VList [ VStr "one"; VStr "two" ];
-      VSome (VBool false) ]
+    [ VEnum 1; VInt (-7); VInt 0xffff_ffff; VBytes "xyz";
+      VSeq [ VStr "one"; VStr "two" ] ]
 
 let test_asn1_check_ok () =
   (match Asn1.check sample_ty sample_value with
@@ -112,12 +135,11 @@ let test_asn1_check_failures () =
     [ ("enum range", Asn1.Enum [| "x" |], Asn1.VEnum 1);
       ("int range", Asn1.Int, Asn1.VInt 0x1_0000_0000);
       ("uint negative", Asn1.Uint, Asn1.VInt (-1));
-      ("fixed length", Asn1.Fixed_opaque 2, Asn1.VBytes "abc");
-      ("wrong constructor", Asn1.Bool, Asn1.VInt 0);
+      ("wrong constructor", Asn1.Str, Asn1.VInt 0);
+      ("bytes for a string", Asn1.Str, Asn1.VBytes "abc");
       ( "field count",
         Asn1.Seq [ ("a", Asn1.Int) ],
-        Asn1.VSeq [ Asn1.VInt 1; Asn1.VInt 2 ] );
-      ("choice arm", Asn1.Choice [| ("a", Asn1.Int) |], Asn1.VChoice (3, Asn1.VInt 0)) ]
+        Asn1.VSeq [ Asn1.VInt 1; Asn1.VInt 2 ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Stub compiler: fixed and random round trips *)
@@ -125,37 +147,20 @@ let test_asn1_check_failures () =
 let test_stub_roundtrip_sample () =
   let stub = Stub.compile sample_ty in
   let wire = Stub.marshal stub sample_value in
-  check "size agrees" (String.length wire) (Stub.size stub sample_value);
+  check "whole words" 0 (String.length wire mod 4);
   checkb "round trip" true (Asn1.equal sample_value (Stub.unmarshal stub wire))
 
 let test_stub_rejects_ill_typed () =
   let stub = Stub.compile Asn1.Int in
-  match Stub.marshal stub (Asn1.VBool true) with
+  match Stub.marshal stub (Asn1.VStr "x") with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-let test_stub_choice_and_option () =
-  let ty = Asn1.Choice [| ("num", Asn1.Int); ("txt", Asn1.Str) |] in
-  let stub = Stub.compile ty in
-  List.iter
-    (fun v ->
-      checkb "choice round trip" true
-        (Asn1.equal v (Stub.unmarshal stub (Stub.marshal stub v))))
-    [ Asn1.VChoice (0, Asn1.VInt 9); Asn1.VChoice (1, Asn1.VStr "hi") ];
-  let ostub = Stub.compile (Asn1.Option Asn1.Hyper) in
-  List.iter
-    (fun v ->
-      checkb "option round trip" true
-        (Asn1.equal v (Stub.unmarshal ostub (Stub.marshal ostub v))))
-    [ Asn1.VNone; Asn1.VSome (Asn1.VHyper 77L) ]
 
 (* Random type + matching value generator. *)
 let rec gen_ty depth : Asn1.ty QCheck.Gen.t =
   let open QCheck.Gen in
   let leaf =
-    oneofl
-      [ Asn1.Int; Asn1.Uint; Asn1.Hyper; Asn1.Bool;
-        Asn1.Enum [| "a"; "b"; "c" |]; Asn1.Fixed_opaque 5; Asn1.Opaque; Asn1.Str ]
+    oneofl [ Asn1.Int; Asn1.Uint; Asn1.Enum [| "a"; "b"; "c" |]; Asn1.Opaque; Asn1.Str ]
   in
   if depth = 0 then leaf
   else
@@ -164,23 +169,14 @@ let rec gen_ty depth : Asn1.ty QCheck.Gen.t =
         ( 1,
           int_range 1 3 >>= fun n ->
           list_repeat n (gen_ty (depth - 1)) >>= fun tys ->
-          return (Asn1.Seq (List.mapi (fun i t -> (Printf.sprintf "f%d" i, t)) tys)) );
-        (1, map (fun t -> Asn1.Seq_of t) (gen_ty (depth - 1)));
-        ( 1,
-          gen_ty (depth - 1) >>= fun a ->
-          gen_ty (depth - 1) >>= fun b ->
-          return (Asn1.Choice [| ("l", a); ("r", b) |]) );
-        (1, map (fun t -> Asn1.Option t) (gen_ty (depth - 1))) ]
+          return (Asn1.Seq (List.mapi (fun i t -> (Printf.sprintf "f%d" i, t)) tys)) ) ]
 
 let rec gen_value (ty : Asn1.ty) : Asn1.value QCheck.Gen.t =
   let open QCheck.Gen in
   match ty with
   | Asn1.Int -> map (fun n -> Asn1.VInt n) (int_range (-0x8000_0000) 0x7fff_ffff)
   | Asn1.Uint -> map (fun n -> Asn1.VInt n) (int_bound 0xffff_ffff)
-  | Asn1.Hyper -> map (fun n -> Asn1.VHyper (Int64.of_int n)) int
-  | Asn1.Bool -> map (fun b -> Asn1.VBool b) bool
   | Asn1.Enum names -> map (fun i -> Asn1.VEnum i) (int_bound (Array.length names - 1))
-  | Asn1.Fixed_opaque n -> map (fun s -> Asn1.VBytes s) (string_size (return n))
   | Asn1.Opaque -> map (fun s -> Asn1.VBytes s) (string_size (int_bound 12))
   | Asn1.Str -> map (fun s -> Asn1.VStr s) (string_size (int_bound 12))
   | Asn1.Seq fields ->
@@ -191,14 +187,6 @@ let rec gen_value (ty : Asn1.ty) : Asn1.value QCheck.Gen.t =
             go rest >>= fun vs -> return (v :: vs)
       in
       map (fun vs -> Asn1.VSeq vs) (go fields)
-  | Asn1.Seq_of ety ->
-      int_bound 4 >>= fun n -> map (fun vs -> Asn1.VList vs) (list_repeat n (gen_value ety))
-  | Asn1.Choice arms ->
-      int_bound (Array.length arms - 1) >>= fun i ->
-      map (fun v -> Asn1.VChoice (i, v)) (gen_value (snd arms.(i)))
-  | Asn1.Option ety ->
-      bool >>= fun some ->
-      if some then map (fun v -> Asn1.VSome v) (gen_value ety) else return Asn1.VNone
 
 let gen_typed_value =
   QCheck.Gen.(gen_ty 2 >>= fun ty -> gen_value ty >>= fun v -> return (ty, v))
@@ -213,9 +201,7 @@ let prop_stub_roundtrip =
     (fun (ty, v) ->
       let stub = Stub.compile ty in
       let wire = Stub.marshal stub v in
-      String.length wire mod 4 = 0
-      && String.length wire = Stub.size stub v
-      && Asn1.equal v (Stub.unmarshal stub wire))
+      String.length wire mod 4 = 0 && Asn1.equal v (Stub.unmarshal stub wire))
 
 let prop_stub_garbage_safe =
   QCheck.Test.make ~count:300 ~name:"random bytes never crash the decoder"
@@ -302,30 +288,6 @@ let test_stub_ilp_multiple_memory_fields () =
         (List.length
            (List.filter (function Stub_ilp.App _ -> true | _ -> false) (laid_segments ilp)))
 
-let test_stub_ilp_fixed_opaque_from_memory () =
-  let ty : Asn1.ty = Seq [ ("tag", Fixed_opaque 6); ("n", Int) ] in
-  let sim = Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ()) in
-  let addr6 = install sim "sixbyt" in
-  let ilp = Stub_ilp.compile ty in
-  (match
-     lay_out ilp [ Stub_ilp.push_memory ~addr:addr6 ~len:6; (fun s -> Stub_ilp.push_int s 1) ]
-   with
-  | Ok () ->
-      let plain =
-        Stub.marshal (Stub.compile ty)
-          (Asn1.VSeq [ Asn1.VBytes "sixbyt"; Asn1.VInt 1 ])
-      in
-      Alcotest.(check string)
-        "fixed opaque from memory" plain
-        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp)
-  | Error e -> Alcotest.fail e);
-  (* Length mismatch is rejected. *)
-  match
-    lay_out ilp [ Stub_ilp.push_memory ~addr:addr6 ~len:5; (fun s -> Stub_ilp.push_int s 1) ]
-  with
-  | Error e -> check_s "error" "fixed opaque of 6 bytes given 5" e
-  | Ok () -> Alcotest.fail "wrong fixed length accepted"
-
 (* One encoder per layout: a flush hands over the bytes generated so far
    and clears the encoder, so a memory field costs the segments it adds
    (its length word, the run, its padding) and never a fresh encoder. *)
@@ -371,44 +333,45 @@ let test_stub_ilp_errors () =
   in
   fails "missing sources" "not enough sources for the message type"
     [ (fun s -> Stub_ilp.push_enum s 0) ];
+  let empty_body = Stub_ilp.push_memory ~addr:0 ~len:0 in
   fails "From_memory for an enum"
     "From_memory is only valid for opaque and string fields"
-    [ Stub_ilp.push_memory ~addr:0 ~len:4;
-      (fun s -> Stub_ilp.push_int s 0);
-      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+    [ Stub_ilp.push_memory ~addr:0 ~len:4; (fun s -> Stub_ilp.push_int s 0); empty_body ];
   fails "ill-typed immediate"
     "immediate value does not inhabit its field: value does not match type"
-    [ (fun s -> Stub_ilp.push_enum s 0);
-      (fun s -> Stub_ilp.push_value s (Asn1.VBool true));
-      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+    [ (fun s -> Stub_ilp.push_enum s 0); (fun s -> Stub_ilp.push_str s "x"); empty_body ];
   fails "enum out of range"
     "immediate value does not inhabit its field: enum value 2 out of range 0..1"
-    [ (fun s -> Stub_ilp.push_enum s 2);
-      (fun s -> Stub_ilp.push_int s 0);
-      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+    [ (fun s -> Stub_ilp.push_enum s 2); (fun s -> Stub_ilp.push_int s 0); empty_body ];
   fails "int out of range"
     "immediate value does not inhabit its field: int out of 32-bit range: 4294967296"
     [ (fun s -> Stub_ilp.push_enum s 0);
       (fun s -> Stub_ilp.push_int s 0x1_0000_0000);
-      (fun s -> Stub_ilp.push_value s (Asn1.VBytes "")) ];
+      empty_body ];
+  fails "negative memory length" "negative memory field length"
+    [ (fun s -> Stub_ilp.push_enum s 0);
+      (fun s -> Stub_ilp.push_int s 0);
+      Stub_ilp.push_memory ~addr:0 ~len:(-1) ];
   fails "extra sources" "too many sources for the message type"
     [ (fun s -> Stub_ilp.push_enum s 0);
       (fun s -> Stub_ilp.push_int s 0);
-      (fun s -> Stub_ilp.push_value s (Asn1.VBytes ""));
+      empty_body;
       (fun s -> Stub_ilp.push_int s 9) ];
   (* A failed layout leaves nothing behind: the next message lays out
      cleanly. *)
+  let sim = Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ()) in
+  let addr = install sim "ok" in
   match
     lay_out ilp
       [ (fun s -> Stub_ilp.push_enum s 1);
         (fun s -> Stub_ilp.push_int s 5);
-        (fun s -> Stub_ilp.push_value s (Asn1.VBytes "ok")) ]
+        Stub_ilp.push_memory ~addr ~len:2 ]
   with
   | Ok () ->
       check_s "after a failure"
         (Stub.marshal (Stub.compile message_ty)
            (Asn1.VSeq [ Asn1.VEnum 1; Asn1.VInt 5; Asn1.VBytes "ok" ]))
-        (Stub_ilp.flatten (Ilp_memsim.Sim.create (Ilp_memsim.Config.custom ())).Ilp_memsim.Sim.mem ilp)
+        (Stub_ilp.flatten sim.Ilp_memsim.Sim.mem ilp)
   | Error e -> Alcotest.fail e
 
 let prop_stub_ilp_equals_plain =
@@ -442,16 +405,16 @@ let rec leaves (ty : Asn1.ty) (v : Asn1.value) acc =
       List.fold_left2 (fun acc (_, fty) fv -> leaves fty fv acc) acc fields vs
   | _ -> (ty, v) :: acc
 
-(* A well-typed push of [v] into leaf [ty]; [pick] chooses between the
-   typed push (memory for a byte field) and the generic one. *)
+(* A well-typed push of [v] into leaf [ty]; [pick] chooses between an
+   immediate string and one in memory. *)
 let good_push sim ~pick (ty : Asn1.ty) (v : Asn1.value) stub =
   match (ty, v) with
-  | (Asn1.Int | Asn1.Uint), Asn1.VInt n when pick -> Stub_ilp.push_int stub n
-  | Asn1.Enum _, Asn1.VEnum i when pick -> Stub_ilp.push_enum stub i
+  | (Asn1.Int | Asn1.Uint), Asn1.VInt n -> Stub_ilp.push_int stub n
+  | Asn1.Enum _, Asn1.VEnum i -> Stub_ilp.push_enum stub i
   | Asn1.Str, Asn1.VStr s when pick -> Stub_ilp.push_str stub s
-  | (Asn1.Str, Asn1.VStr s | (Asn1.Opaque | Asn1.Fixed_opaque _), Asn1.VBytes s) ->
+  | (Asn1.Str, Asn1.VStr s | Asn1.Opaque, Asn1.VBytes s) ->
       Stub_ilp.push_memory stub ~addr:(install sim s) ~len:(String.length s)
-  | _ -> Stub_ilp.push_value stub v
+  | _ -> Alcotest.fail "value does not inhabit its leaf"
 
 (* A push that leaf [ty] must refuse. *)
 let bad_push (ty : Asn1.ty) stub =
@@ -459,9 +422,8 @@ let bad_push (ty : Asn1.ty) stub =
   | Asn1.Int -> Stub_ilp.push_int stub 0x8000_0000
   | Asn1.Uint -> Stub_ilp.push_int stub (-1)
   | Asn1.Enum names -> Stub_ilp.push_enum stub (Array.length names)
-  | Asn1.Fixed_opaque n -> Stub_ilp.push_memory stub ~addr:0 ~len:(n + 1)
   | Asn1.Str | Asn1.Opaque -> Stub_ilp.push_int stub 0
-  | _ -> Stub_ilp.push_str stub "x"
+  | Asn1.Seq _ -> Alcotest.fail "a sequence is not a leaf"
 
 let prop_stub_ilp_cursor =
   QCheck.Test.make ~count:200 ~long_factor:10
@@ -479,11 +441,12 @@ let prop_stub_ilp_cursor =
       let is_error = function Error _ -> true | Ok () -> false in
       (match lay_out stub pushes with
       | Ok () ->
-          Stub_ilp.flatten sim.Ilp_memsim.Sim.mem stub = Stub.marshal (Stub.compile ty) v
-          && Stub_ilp.total_len stub = Stub.size (Stub.compile ty) v
+          let wire = Stub.marshal (Stub.compile ty) v in
+          Stub_ilp.flatten sim.Ilp_memsim.Sim.mem stub = wire
+          && Stub_ilp.total_len stub = String.length wire
       | Error _ -> false)
       && is_error (lay_out stub (List.filteri (fun i _ -> i < n - 1) pushes))
-      && is_error (lay_out stub (pushes @ [ (fun s -> Stub_ilp.push_value s v) ]))
+      && is_error (lay_out stub (pushes @ [ List.hd pushes ]))
       && is_error
            (lay_out stub
               (List.mapi (fun i p -> if i = k then bad_push (fst (List.nth ls i)) else p) pushes)))
@@ -496,6 +459,7 @@ let () =
           Alcotest.test_case "int encodings" `Quick test_xdr_int_encodings;
           Alcotest.test_case "opaque padding" `Quick test_xdr_opaque_padding;
           Alcotest.test_case "decode round trip" `Quick test_xdr_decode_roundtrip;
+          Alcotest.test_case "decode in place" `Quick test_xdr_decode_in_place;
           Alcotest.test_case "decode errors" `Quick test_xdr_decode_errors;
           Alcotest.test_case "encode range checks" `Quick test_xdr_enc_range_checks ] );
       ( "asn1",
@@ -504,7 +468,6 @@ let () =
       ( "stub",
         [ Alcotest.test_case "sample round trip" `Quick test_stub_roundtrip_sample;
           Alcotest.test_case "rejects ill-typed" `Quick test_stub_rejects_ill_typed;
-          Alcotest.test_case "choice and option" `Quick test_stub_choice_and_option;
           qc prop_stub_roundtrip;
           qc prop_stub_garbage_safe ] );
       ( "stub_ilp",
@@ -512,8 +475,6 @@ let () =
             test_stub_ilp_matches_plain_marshal;
           Alcotest.test_case "multiple memory fields" `Quick
             test_stub_ilp_multiple_memory_fields;
-          Alcotest.test_case "fixed opaque from memory" `Quick
-            test_stub_ilp_fixed_opaque_from_memory;
           Alcotest.test_case "errors" `Quick test_stub_ilp_errors;
           Alcotest.test_case "one encoder per layout" `Quick test_stub_ilp_one_encoder;
           qc prop_stub_ilp_equals_plain;

@@ -67,26 +67,6 @@ let test_clock_livelock_guard () =
   | () -> Alcotest.fail "expected livelock failure"
   | exception Simclock.Livelock n -> check "budget reported" 100 n
 
-let test_clock_event_budget () =
-  (* The clock's own budget applies when run_until_idle gets no explicit
-     cap, and a finite workload below the budget completes fine. *)
-  let clock = Simclock.create ~event_budget:50 () in
-  let rec rearm () = ignore (Simclock.schedule clock ~after:1.0 rearm) in
-  rearm ();
-  (match Simclock.run_until_idle clock with
-  | () -> Alcotest.fail "expected livelock failure"
-  | exception Simclock.Livelock n -> check "configured budget" 50 n);
-  let clock2 = Simclock.create ~event_budget:50 () in
-  let fired = ref 0 in
-  for _ = 1 to 40 do
-    ignore (Simclock.schedule clock2 ~after:1.0 (fun () -> incr fired))
-  done;
-  Simclock.run_until_idle clock2;
-  check "finite workload completes" 40 !fired;
-  match Simclock.create ~event_budget:0 () with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
 let test_clock_negative_delay_clamped () =
   let clock = Simclock.create () in
   Simclock.advance clock 100.0;
@@ -119,7 +99,7 @@ module Map_clock = struct
 
   and t = { mutable now : float; mutable events : timer Events.t; mutable next_seq : int }
 
-  let create ?event_budget:_ () = { now = 0.0; events = Events.empty; next_seq = 0 }
+  let create () = { now = 0.0; events = Events.empty; next_seq = 0 }
   let now t = t.now
 
   let timer t ~owner fn =
@@ -189,7 +169,7 @@ module type CLOCK = sig
   type t
   type timer
 
-  val create : ?event_budget:int -> unit -> t
+  val create : unit -> t
   val now : t -> float
   val timer : t -> owner:int -> (unit -> unit) -> timer
   val arm : timer -> after:float -> unit
@@ -1060,7 +1040,6 @@ let () =
           Alcotest.test_case "advance window" `Quick test_clock_advance_window;
           Alcotest.test_case "event chain" `Quick test_clock_event_chain_within_window;
           Alcotest.test_case "livelock guard" `Quick test_clock_livelock_guard;
-          Alcotest.test_case "event budget" `Quick test_clock_event_budget;
           Alcotest.test_case "negative delay" `Quick test_clock_negative_delay_clamped;
           Alcotest.test_case "allocation flat in queue length" `Quick
             test_clock_allocation_flat;

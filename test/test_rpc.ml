@@ -8,6 +8,7 @@ module Datagram = Ilp_netsim.Datagram
 module Socket = Ilp_tcp.Socket
 module Engine = Ilp_core.Engine
 module Stub_ilp = Ilp_codec.Stub_ilp
+module Xdr = Ilp_codec.Xdr
 open Ilp_rpc
 
 let check = Alcotest.(check int)
@@ -19,7 +20,14 @@ let check_s = Alcotest.(check string)
 
 (* A body with its XDR padding, as the stubs marshal a trailing opaque. *)
 let xdr_padded body =
-  body ^ String.make (Ilp_codec.Xdr.padding (String.length body)) '\000'
+  body ^ String.make (Xdr.padding (String.length body)) '\000'
+
+(* A reply up to its data: the header words and the opaque's length
+   word, the run the reply stub generates ahead of the data. *)
+let reply_prefix hdr =
+  match (Stub_ilp.segments (Messages.reply_segments hdr ~payload_addr:0)).(0) with
+  | Stub_ilp.Gen s -> s
+  | Stub_ilp.App _ -> Alcotest.fail "a reply starts with its header"
 
 (* The server's control decoder over a whole body string. *)
 let decode_ctrl body =
@@ -97,7 +105,7 @@ let test_reply_roundtrip () =
     { Messages.status = Messages.Ok; copy = 2; file_offset = 4096; total_len = 15360;
       data_len = 7 }
   in
-  match Messages.decode_reply (xdr_padded (Messages.reply_prefix hdr ^ "payload")) with
+  match Messages.decode_reply (xdr_padded (reply_prefix hdr ^ "payload")) with
   | Ok (got, data) ->
       checkb "header" true (got = hdr);
       check_s "data" "payload" data
@@ -108,7 +116,7 @@ let test_reply_error_status () =
     { Messages.status = Messages.Not_found; copy = 0; file_offset = 0; total_len = 0;
       data_len = 0 }
   in
-  match Messages.decode_reply (Messages.reply_prefix hdr) with
+  match Messages.decode_reply (reply_prefix hdr) with
   | Ok (got, data) ->
       checkb "status" true (got.Messages.status = Messages.Not_found);
       check_s "no data" "" data
@@ -133,7 +141,7 @@ let test_decode_garbage () =
         true
         (Result.is_error (Messages.decode_ctrl_bytes buf ~off ~len)
         && Result.is_error
-             (Messages.decode_reply_view (Messages.View.create ()) (blank_header ()) buf
+             (Messages.decode_reply_view (Xdr.Dec.create ()) (blank_header ()) buf
                 ~off ~len)))
     [ (-4, 8); (12, 8); (0, 17); (4, -1) ]
 
@@ -150,7 +158,7 @@ let test_reply_opaque_bounded_by_body () =
     through_engine ~crc32 [| Stub_ilp.Gen body |] (fun buf ~off ~len ->
         check (what ^ ": the span is the body") (String.length body) len;
         let h = blank_header () in
-        (match Messages.decode_reply_view (Messages.View.create ()) h buf ~off ~len with
+        (match Messages.decode_reply_view (Xdr.Dec.create ()) h buf ~off ~len with
         | Ok () ->
             Alcotest.failf "%s: decoded with data_len %d" what h.Messages.data_len
         | Error e -> check_s (what ^ ": view error") expected e);
@@ -161,12 +169,12 @@ let test_reply_opaque_bounded_by_body () =
   (* 12 data bytes claimed over an 8-byte payload: the last 4 would be
      the CRC32 trailer. *)
   reject "into the CRC32 trailer" ~crc32:true
-    (Messages.reply_prefix (hdr 12) ^ "8 bytes!")
+    (reply_prefix (hdr 12) ^ "8 bytes!")
     ~expected:"truncated XDR input: need 12 bytes at 20, have 8";
   (* 7 data bytes without their padding byte: the alignment zero would
      stand in for it. *)
   reject "into the alignment" ~crc32:false
-    (Messages.reply_prefix (hdr 7) ^ "7 bytes")
+    (reply_prefix (hdr 7) ^ "7 bytes")
     ~expected:"truncated XDR input: need 8 bytes at 20, have 7"
 
 let test_probe_roundtrip () =
@@ -380,27 +388,32 @@ let prop_ctrl_decoder_reads_v1_requests =
       | Ok (Messages.Request _, 0), Error _ -> false
       | (Ok _ | Error _), _ -> corrupt)
 
+(* Every case decodes through one cursor into one header, as the client
+   does, so state a decode leaves behind would show in the next case. *)
 let prop_reply_view_equals_copy =
+  let dec = Xdr.Dec.create () and hb = blank_header () in
+  let statuses = [| Messages.Ok; Messages.Not_found; Messages.Refused; Messages.Busy |] in
   QCheck.Test.make ~count:200 ~long_factor:10
     ~name:"decode_reply_view = decode_reply"
     QCheck.(
       quad
         (string_of_size Gen.(int_bound 60))
-        small_nat small_nat (pair bool (int_bound 40)))
-    (fun (payload, file_off, corrupt_at, (corrupt, at)) ->
+        (triple small_nat small_nat (int_bound 3))
+        small_nat (pair bool (int_bound 40)))
+    (fun (payload, (copy, file_off, st), corrupt_at, (corrupt, at)) ->
       let hdr =
-        { Messages.status = Messages.Ok; copy = 1; file_offset = file_off * 8;
+        { Messages.status = statuses.(st); copy; file_offset = file_off * 8;
           total_len = String.length payload + (file_off * 8);
           data_len = String.length payload }
       in
-      let body = xdr_padded (Messages.reply_prefix hdr ^ payload) in
+      let body = xdr_padded (reply_prefix hdr ^ payload) in
       let body = if corrupt then flip body corrupt_at else body in
       let buf, off, len = pooled_view_of body ~off:at ~junk:(corrupt_at land 31) in
-      let copy = Messages.decode_reply body in
-      let v = Messages.View.create () and hb = blank_header () in
-      match (copy, Messages.decode_reply_view v hb buf ~off ~len) with
+      match
+        (Messages.decode_reply body, Messages.decode_reply_view dec hb buf ~off ~len)
+      with
       | Ok (ha, data), Ok () ->
-          let data_off = Messages.View.opaque_off v in
+          let data_off = Xdr.Dec.opaque_off dec in
           ha = hb
           && (corrupt || ha = hdr)
           && data_off >= off
@@ -644,6 +657,12 @@ let test_max_reply_capped_at_engine () =
      length field and a 20-byte reply header leave 2024 data bytes) it
      must shrink to that capacity, not crash the server. *)
   let w = make_world ~file_len:4096 () in
+  (* The payload bytes still queued as each reply goes out, its own
+     included: each reading less the next is what that reply carried. *)
+  let left = ref [] in
+  Server.set_reply_probe w.server ~before:ignore
+    ~after:(fun ~wire_len:_ ~elapsed_us:_ ~syscopy_us:_ ->
+      left := Server.queued_bytes w.server :: !left);
   (match
      Client.request_file w.client ~name:"test.bin" ~copies:1 ~max_reply:4096
        ~expected:w.file
@@ -653,7 +672,14 @@ let test_max_reply_capped_at_engine () =
   pump w;
   Alcotest.(check (list string)) "no errors" [] (Client.errors w.client);
   checkb "complete" true (Client.transfer_complete w.client);
-  check "replies of at most 2024 data bytes" 3 (Client.replies_received w.client)
+  check "replies of at most 2024 data bytes" 3 (Client.replies_received w.client);
+  let rec carried = function
+    | a :: (b :: _ as rest) -> (a - b) :: carried rest
+    | tail -> tail
+  in
+  Alcotest.(check (list int))
+    "each full reply carries 2024 data bytes" [ 2024; 2024; 48 ]
+    (carried (List.rev !left))
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial wire: typed aborts, reconnection, mode equivalence *)
@@ -1233,7 +1259,7 @@ let test_reply_receive_allocates_nothing () =
     | Socket.Rx_integrated rx -> rx
     | Socket.Rx_separate _ -> Alcotest.fail "an ILP engine receives integrated"
   in
-  let view = Messages.View.create () and got = blank_header () in
+  let dec = Xdr.Dec.create () and got = blank_header () in
   let words = ref 0.0 and verified = ref 0 in
   for _ = 1 to 50 do
     (match rx sim.Sim.mem ~src:wire ~dst_off:0 ~len with
@@ -1243,12 +1269,12 @@ let test_reply_receive_allocates_nothing () =
     match Engine.read_plaintext eng ~len with
     | Error e -> Alcotest.fail e
     | Ok { Engine.buf; off; len = blen } ->
-        (match Messages.decode_reply_view view got buf ~off ~len:blen with
+        (match Messages.decode_reply_view dec got buf ~off ~len:blen with
         | Error e -> Alcotest.fail e
         | Ok () ->
             if
               Client.slice_matches payload ~off:got.Messages.file_offset
-                (Bytes.unsafe_to_string buf) ~doff:(Messages.View.opaque_off view)
+                (Bytes.unsafe_to_string buf) ~doff:(Xdr.Dec.opaque_off dec)
                 ~len:got.Messages.data_len
             then incr verified);
         Engine.release_plaintext eng buf;
