@@ -20,53 +20,38 @@ let byteswap16 v = ((v land 0xff) lsl 8) lor (v lsr 8)
 
 external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
+(* A lane sum holds 16-bit lanes in native byte order, two 32-bit halves
+   per word.  One's-complement addition commutes, so the lanes may be
+   reordered freely and the folded result byte-swapped once: a native
+   lane pair is big-endian on a big-endian host or at odd parity, and
+   little-endian otherwise.  Each word adds < 2^33, so 2^16 words stay
+   below 2^50, inside the 63-bit int; the end-around carry keeps the sum
+   congruent modulo 2^32 - 1, a multiple of 0xffff.  A loop carries
+   inline, not through a call: a call in the loop would spill its
+   cursors to the stack. *)
+let add_lanes acc lanes =
+  let folded = fold16 ((lanes land 0xffff_ffff) + (lanes lsr 32)) in
+  let v = if Sys.big_endian <> acc_odd acc then folded else byteswap16 folded in
+  pack (fold16 (acc_sum acc + v)) (acc_odd acc)
+
 let add_bytes_unsafe acc b ~off ~len =
-  let i = ref off in
   let stop = off + len in
-  let sum = ref (acc_sum acc) in
-  let odd = ref (acc_odd acc) in
-  if !odd && !i < stop then begin
-    (* A byte at odd parity lands in the low-order half of its word. *)
-    sum := !sum + Char.code (Bytes.unsafe_get b !i);
-    odd := false;
-    incr i
-  end;
-  if stop - !i >= 8 then begin
-    (* Word loop: four 16-bit lanes per load, accumulated in native byte
-       order as two 32-bit halves of one register.  One's-complement
-       addition commutes, so the lanes may be reordered freely and the
-       folded result byte-swapped once at the end. *)
-    let wsum = ref 0 in
-    let words = ref 0 in
-    while stop - !i >= 8 do
-      let w = unsafe_get_64 b !i in
-      let lo = Int64.to_int (Int64.logand w 0xFFFF_FFFFL) in
-      let hi = Int64.to_int (Int64.shift_right_logical w 32) in
-      wsum := !wsum + lo + hi;
-      i := !i + 8;
-      incr words;
-      (* Each word adds < 2^33; an end-around carry every 2^16 words keeps
-         the total below 2^50, inside the 63-bit int. *)
-      if !words land 0xffff = 0 then
-        wsum := (!wsum land 0xffff_ffff) + (!wsum lsr 32)
-    done;
-    let folded = fold16 ((!wsum land 0xffff_ffff) + (!wsum lsr 32)) in
-    sum := !sum + (if Sys.big_endian then folded else byteswap16 folded)
-  end;
-  while stop - !i >= 2 do
-    sum :=
-      !sum
-      + (Char.code (Bytes.unsafe_get b !i) lsl 8)
-      + Char.code (Bytes.unsafe_get b (!i + 1));
-    i := !i + 2
+  let i = ref off and lanes = ref 0 in
+  while stop - !i >= 8 do
+    let w = unsafe_get_64 b !i in
+    lanes :=
+      !lanes + (Int64.to_int w land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    i := !i + 8;
+    (* The end-around carry, every 2^16 words. *)
+    if (!i - off) land 0x7_ffff = 0 then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
   done;
-  (* Parity is even here: any leading odd byte was consumed above, and the
-     2-byte loop preserves evenness. *)
-  if !i < stop then begin
-    sum := !sum + (Char.code (Bytes.unsafe_get b !i) lsl 8);
-    odd := true
-  end;
-  pack (fold16 !sum) !odd
+  let acc = ref (add_lanes acc !lanes) in
+  while !i < stop do
+    acc := add_byte !acc (Char.code (Bytes.unsafe_get b !i));
+    incr i
+  done;
+  pack (fold16 (acc_sum !acc)) (acc_odd !acc)
 
 let add_bytes acc b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then

@@ -25,10 +25,24 @@ val add_bytes : acc -> Bytes.t -> off:int -> len:int -> acc
 
 (** [add_bytes_unsafe acc b ~off ~len] is [add_bytes] without the bounds
     check.  The word loop folds eight bytes per 64-bit load (four 16-bit
-    lanes accumulated in 32-bit halves with an end-around carry), so this
-    is the form the native fast path uses on large runs.  The caller must
-    guarantee [0 <= off], [0 <= len] and [off + len <= Bytes.length b]. *)
+    lanes accumulated in 32-bit halves, folded by {!add_lanes}), so this
+    is the form the native fast path's separate checksum passes use.  The
+    caller must guarantee [0 <= off], [0 <= len] and
+    [off + len <= Bytes.length b]. *)
 val add_bytes_unsafe : acc -> Bytes.t -> off:int -> len:int -> acc
+
+(** [add_lanes acc s] folds a lane sum [s] into [acc], at either parity.
+    A lane sum is what a word loop keeps in an [int]: for each 64-bit
+    word [w] loaded in native byte order, [(Int64.to_int w land
+    0xffff_ffff) + Int64.to_int (Int64.shift_right_logical w 32)], summed
+    over at most 2^16 words; a longer loop keeps its sum small with an
+    end-around carry every 2^16 words, [s := (s land 0xffff_ffff) + (s
+    lsr 32)].  {!add_bytes_unsafe} folds its word loop through here, and
+    so do the fused loops of the native fast path.  Each writes the
+    per-word add and the carry inline: an [int64] passed to a function in
+    another module is boxed, and a call inside a loop spills the loop's
+    cursors to the stack. *)
+val add_lanes : acc -> int -> acc
 
 val add_string : acc -> string -> acc
 

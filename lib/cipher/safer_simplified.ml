@@ -88,57 +88,130 @@ let pure_log x = Safer.log_table.(x)
 let no_ops (_ : int) = ()
 let no_spill (_ : int array) = ()
 
-let check_batch name b ~off ~count =
-  if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
-    invalid_arg (name ^ ": block run out of bounds")
+(* The word step: a block is one 64-bit word, byte [i] of the block in
+   bits [8i, 8i+7] (little-endian; a big-endian host swaps it on the way
+   in and out, at no cost here).  It is [encrypt_core]/[decrypt_core]
+   written over the word, with the key bytes passed in locals and each
+   table read unchecked after its index is masked to a byte, so a loop
+   that inlines it keeps the block in registers from its load to its
+   store. *)
 
-(* The batch kernels are [encrypt_core]/[decrypt_core] written out with
-   the key bytes in locals and the table lookups inline: no partial
-   application, closure call or scratch block per call, so a call
-   allocates nothing.  [get]/[set] are top-level for the same reason (a
-   local helper capturing [b] is a closure allocation per call). *)
-let get b o = Char.code (Bytes.unsafe_get b o)
-let set b o v = Bytes.unsafe_set b o (Char.unsafe_chr (v land 0xff))
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] word_of_halves lo hi =
+  let w = Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32) in
+  if big_endian () then swap64 w else w
+
+(* The PHT of one byte pair, as two bytes of a half. *)
+let[@inline] pht2 x y = (((2 * x) + y) land 0xff) lor (((x + y) land 0xff) lsl 8)
+
+let[@inline] encrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 w =
+  let w = if big_endian () then swap64 w else w in
+  let lo = Int64.to_int w and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+  let x0 = Array.unsafe_get ex ((lo land 0xff) lxor k0)
+  and x1 = Array.unsafe_get lg (((lo lsr 8) + k1) land 0xff)
+  and x2 = Array.unsafe_get lg (((lo lsr 16) + k2) land 0xff)
+  and x3 = Array.unsafe_get ex (((lo lsr 24) land 0xff) lxor k3)
+  and x4 = Array.unsafe_get ex ((hi land 0xff) lxor k4)
+  and x5 = Array.unsafe_get lg (((hi lsr 8) + k5) land 0xff)
+  and x6 = Array.unsafe_get lg (((hi lsr 16) + k6) land 0xff)
+  and x7 = Array.unsafe_get ex ((hi lsr 24) lxor k7) in
+  word_of_halves (pht2 x0 x1 lor (pht2 x2 x3 lsl 16)) (pht2 x4 x5 lor (pht2 x6 x7 lsl 16))
+
+let[@inline] decrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 w =
+  let w = if big_endian () then swap64 w else w in
+  let lo = Int64.to_int w and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+  let y0 = lo land 0xff and y1 = (lo lsr 8) land 0xff in
+  let y2 = (lo lsr 16) land 0xff and y3 = (lo lsr 24) land 0xff in
+  let y4 = hi land 0xff and y5 = (hi lsr 8) land 0xff in
+  let y6 = (hi lsr 16) land 0xff and y7 = hi lsr 24 in
+  let p0 = Array.unsafe_get lg ((y0 - y1) land 0xff) lxor k0
+  and p1 = (Array.unsafe_get ex (((2 * y1) - y0) land 0xff) - k1) land 0xff
+  and p2 = (Array.unsafe_get ex ((y2 - y3) land 0xff) - k2) land 0xff
+  and p3 = Array.unsafe_get lg (((2 * y3) - y2) land 0xff) lxor k3
+  and p4 = Array.unsafe_get lg ((y4 - y5) land 0xff) lxor k4
+  and p5 = (Array.unsafe_get ex (((2 * y5) - y4) land 0xff) - k5) land 0xff
+  and p6 = (Array.unsafe_get ex ((y6 - y7) land 0xff) - k6) land 0xff
+  and p7 = Array.unsafe_get lg (((2 * y7) - y6) land 0xff) lxor k7 in
+  word_of_halves
+    (p0 lor (p1 lsl 8) lor (p2 lsl 16) lor (p3 lsl 24))
+    (p4 lor (p5 lsl 8) lor (p6 lsl 16) lor (p7 lsl 24))
+
+module Internet = Ilp_checksum.Internet
+
+(* Each kernel raises its own literal: a call ahead of a loop (to
+   [invalid_arg], or to build the message) spills the loop's cursors to
+   the stack for the whole loop. *)
+let[@inline] outside b ~off ~count =
+  off < 0 || count < 0 || off + (count * 8) > Bytes.length b
+
+(* Each loop takes the key bytes into locals once; none allocates. *)
 
 let encrypt_blocks key b ~off ~count =
-  check_batch "Safer_simplified.encrypt_blocks" b ~off ~count;
+  if outside b ~off ~count then
+    raise (Invalid_argument "Safer_simplified.encrypt_blocks: block run out of bounds");
   let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
   let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
   let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
   for i = 0 to count - 1 do
-    let o = off + (i * 8) in
-    let x0 = ex.(get b o lxor k0) and x1 = lg.((get b (o + 1) + k1) land 0xff) in
-    let x2 = lg.((get b (o + 2) + k2) land 0xff) and x3 = ex.(get b (o + 3) lxor k3) in
-    let x4 = ex.(get b (o + 4) lxor k4) and x5 = lg.((get b (o + 5) + k5) land 0xff) in
-    let x6 = lg.((get b (o + 6) + k6) land 0xff) and x7 = ex.(get b (o + 7) lxor k7) in
-    set b o ((2 * x0) + x1);
-    set b (o + 1) (x0 + x1);
-    set b (o + 2) ((2 * x2) + x3);
-    set b (o + 3) (x2 + x3);
-    set b (o + 4) ((2 * x4) + x5);
-    set b (o + 5) (x4 + x5);
-    set b (o + 6) ((2 * x6) + x7);
-    set b (o + 7) (x6 + x7)
+    let o = off + (i lsl 3) in
+    set64 b o (encrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 (get64 b o))
   done
 
 let decrypt_blocks key b ~off ~count =
-  check_batch "Safer_simplified.decrypt_blocks" b ~off ~count;
+  if outside b ~off ~count then
+    raise (Invalid_argument "Safer_simplified.decrypt_blocks: block run out of bounds");
   let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
   let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
   let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
   for i = 0 to count - 1 do
-    let o = off + (i * 8) in
-    let y0 = get b o and y1 = get b (o + 1) and y2 = get b (o + 2) and y3 = get b (o + 3) in
-    let y4 = get b (o + 4) and y5 = get b (o + 5) and y6 = get b (o + 6) and y7 = get b (o + 7) in
-    set b o (lg.((y0 - y1) land 0xff) lxor k0);
-    set b (o + 1) (ex.(((2 * y1) - y0) land 0xff) - k1);
-    set b (o + 2) (ex.((y2 - y3) land 0xff) - k2);
-    set b (o + 3) (lg.(((2 * y3) - y2) land 0xff) lxor k3);
-    set b (o + 4) (lg.((y4 - y5) land 0xff) lxor k4);
-    set b (o + 5) (ex.(((2 * y5) - y4) land 0xff) - k5);
-    set b (o + 6) (ex.((y6 - y7) land 0xff) - k6);
-    set b (o + 7) (lg.(((2 * y7) - y6) land 0xff) lxor k7)
+    let o = off + (i lsl 3) in
+    set64 b o (decrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 (get64 b o))
   done
+
+(* The fused loops: each block is loaded once, its lanes added to the
+   checksum and its step run in registers, and stored once; the lane sum
+   carries every 2^16 words and goes into the accumulator at the end. *)
+
+let encrypt_fold key b ~off ~count acc =
+  if outside b ~off ~count then
+    raise (Invalid_argument "Safer_simplified.encrypt_fold: block run out of bounds");
+  let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
+  let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
+  let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
+  let lanes = ref 0 in
+  for i = 0 to count - 1 do
+    let o = off + (i lsl 3) in
+    let w = encrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 (get64 b o) in
+    set64 b o w;
+    lanes :=
+      !lanes + (Int64.to_int w land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
+  done;
+  Internet.add_lanes acc !lanes
+
+let decrypt_fold key ~src ~src_off ~dst ~dst_off ~count acc =
+  if outside src ~off:src_off ~count then
+    raise (Invalid_argument "Safer_simplified.decrypt_fold: block run out of bounds");
+  if outside dst ~off:dst_off ~count then
+    raise (Invalid_argument "Safer_simplified.decrypt_fold: block run out of bounds");
+  let k = key.k and ex = Safer.exp_table and lg = Safer.log_table in
+  let k0 = k.(0) and k1 = k.(1) and k2 = k.(2) and k3 = k.(3) in
+  let k4 = k.(4) and k5 = k.(5) and k6 = k.(6) and k7 = k.(7) in
+  let lanes = ref 0 in
+  for i = 0 to count - 1 do
+    let w = get64 src (src_off + (i lsl 3)) in
+    lanes :=
+      !lanes + (Int64.to_int w land 0xffff_ffff)
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32);
+    set64 dst (dst_off + (i lsl 3)) (decrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 w)
+  done;
+  Internet.add_lanes acc !lanes
 
 let encrypt_block key b off =
   with_block (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops) b off

@@ -29,10 +29,28 @@ val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
     8-byte blocks in place, byte-identical to {!encrypt_block} on each
-    block; a call allocates nothing. *)
+    block: one 64-bit load, word step and store per block, the block in
+    registers in between; a call allocates nothing. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
+
+(** [encrypt_fold key b ~off ~count acc] is {!encrypt_blocks} with the
+    ciphertext folded into the Internet checksum [acc] in the same pass:
+    each block is loaded, encrypted in registers, stored and folded
+    once.  The result is [acc] extended by the ciphertext. *)
+val encrypt_fold :
+  key -> Bytes.t -> off:int -> count:int -> Ilp_checksum.Internet.acc ->
+  Ilp_checksum.Internet.acc
+
+(** [decrypt_fold key ~src ~src_off ~dst ~dst_off ~count acc] folds the
+    [count] ciphertext blocks at [src] into [acc] and writes their
+    plaintext at [dst], one load and one store per block; [src] is left
+    intact unless it is [dst] at the same offset.  The two runs must not
+    otherwise overlap.  The result is [acc] extended by the ciphertext. *)
+val decrypt_fold :
+  key -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> count:int ->
+  Ilp_checksum.Internet.acc -> Ilp_checksum.Internet.acc
 
 (** [charged sim ~key ()] allocates the key vector, the two tables and the
     decryption scratch area in simulated memory and returns the charged

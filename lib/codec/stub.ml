@@ -28,8 +28,6 @@ let marshal t v =
   encode enc t.ty v;
   Xdr.Enc.contents enc
 
-let unmarshal_from t dec = decode dec t.ty
-
 let unmarshal t s =
   let dec = Xdr.Dec.of_string s in
   let v = decode dec t.ty in

@@ -19,8 +19,3 @@ val marshal : t -> Asn1.value -> string
 (** [unmarshal t s] decodes a complete message; raises {!Xdr.Dec.Error} on
     malformed input (including trailing bytes). *)
 val unmarshal : t -> string -> Asn1.value
-
-(** [unmarshal_from t dec] decodes from the current position of [dec],
-    leaving any following bytes unconsumed; an opaque or a string is
-    copied out of the cursor's buffer. *)
-val unmarshal_from : t -> Xdr.Dec.t -> Asn1.value

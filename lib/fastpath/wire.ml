@@ -38,9 +38,9 @@ let release t =
       t.staging <- None;
       (match t.pool with Some p -> Pool.release p b | None -> ())
 
-(* Chunk of the fused loop: big enough to amortise loop setup, small
-   enough that a chunk written by one manipulation is still cache-resident
-   when the next one reads it — the ILP premise applied at L1 scale. *)
+(* The send's gather chunk: big enough to amortise a seal's setup,
+   small enough that the gathered bytes are still in L1 when the seal
+   reads them back. *)
 let chunk = 4096
 
 let check name ~src ~src_off ~len ~dst ~dst_off =
@@ -96,16 +96,12 @@ let recv_ilp t ~src ~src_off ~len ~dst ~dst_off =
   check "Wire.recv_ilp" ~src ~src_off ~len ~dst ~dst_off;
   let tr = Trace.enabled () in
   let t0 = if tr then Trace.now () else 0.0 in
-  let acc = ref Internet.empty in
-  let pos = ref 0 in
-  while !pos < len do
-    let n = Int.min chunk (len - !pos) in
-    let s = src_off + !pos and d = dst_off + !pos in
-    acc := Internet.add_bytes_unsafe !acc src ~off:s ~len:n;
-    Words.blit ~src ~src_off:s ~dst ~dst_off:d ~len:n;
-    Cipher.decrypt_blocks t.cipher dst ~off:d ~count:(n / 8);
-    pos := !pos + n
-  done;
+  (* One pass: each ciphertext word is loaded once, folded into the
+     checksum, decrypted in registers and stored once at [dst]. *)
+  let acc =
+    Cipher.decrypt_fold t.cipher ~src ~src_off ~dst ~dst_off ~count:(len / 8)
+      Internet.empty
+  in
   Mt.read_rx Mt.Checksum len;
   Mt.copied_rx Mt.Marshal len;
   Mt.inplace_rx Mt.Cipher len;
@@ -115,7 +111,7 @@ let recv_ilp t ~src ~src_off ~len ~dst ~dst_off =
     Trace.span ~arg:1 Trace.Recv_decrypt ~packet:pkt ~ts:t0 ~dur:(t1 -. t0);
     Trace.span ~arg:1 Trace.Recv_unmarshal ~packet:pkt ~ts:t1 ~dur:0.0
   end;
-  !acc
+  acc
 
 (* ------------------------------------------------------------------ *)
 (* Scatter-gather sends: the stub compiler's segment array, gathered
@@ -147,11 +143,9 @@ let checkv name segs ~src ~off ~len ~dst ~dst_off =
   if off mod 8 <> 0 || len mod 8 <> 0 then
     invalid_arg (name ^ ": window not aligned to 8 bytes")
 
-(* Encrypt [len] gathered bytes at [dst+off] in place and fold them into
-   [acc]. *)
-let seal t dst ~off ~len acc =
-  Cipher.encrypt_blocks t.cipher dst ~off ~count:(len / 8);
-  Internet.add_bytes_unsafe acc dst ~off ~len
+(* Encrypt [len] gathered bytes at [dst+off] in place and fold the
+   ciphertext into [acc], in one pass over the words. *)
+let seal t dst ~off ~len acc = Cipher.encrypt_fold t.cipher dst ~off ~count:(len / 8) acc
 
 (* Gather message bytes [off, off+len) at [dst+dst_off] in chunks of
    [chunk] bytes.  When [fused], each full chunk, and then the tail, is
@@ -191,8 +185,8 @@ let sendv_ilp t ~segs ~src ~off ~len ~dst ~dst_off =
   checkv "Wire.sendv_ilp" segs ~src ~off ~len ~dst ~dst_off;
   let tr = Trace.enabled () in
   let t0 = if tr then Trace.now () else 0.0 in
-  (* One traversal: each gathered chunk is encrypted and checksummed at
-     [dst] while still cache-resident. *)
+  (* Each gathered chunk is sealed at [dst] while it is in L1: one
+     encrypt-and-fold pass over its words. *)
   let acc = gather t segs ~src ~off ~len ~dst ~dst_off ~fused:true in
   Mt.copied Mt.Marshal len;
   Mt.inplace Mt.Cipher len;

@@ -3,11 +3,15 @@
     The {e separate} functions reproduce the non-ILP stack's four memory
     traversals — marshal copy, encrypt pass, TCP ring copy, checksum pass —
     each touching every byte of the message.  The {e ILP} functions fuse
-    the same manipulations into one traversal: each cache-resident chunk is
-    copied, encrypted and checksummed before the loop moves on, so the
-    message crosses the memory system once.  Both produce byte-identical
-    wire data and the same Internet checksum; only the wall-clock cost
-    differs, which is what [ilpbench wall] measures.
+    the same manipulations word by word, as the paper's loop does: the
+    receive loads each 64-bit ciphertext block once, folds it into the
+    checksum, decrypts it in registers and stores it once
+    ({!Cipher.decrypt_fold}); the send gathers the message in L1-sized
+    chunks and seals each chunk with one encrypt-and-fold pass
+    ({!Cipher.encrypt_fold}).  Both styles run the same cipher step, and
+    produce byte-identical wire data and the same Internet checksum;
+    only the wall-clock cost differs, which is what [ilpbench wall]
+    measures.
 
     The sends take the stub compiler's description of the message, an
     {!Ilp_codec.Stub_ilp.segment} array, and assemble a window of it
@@ -46,9 +50,10 @@ val recv_separate :
   t -> src:Bytes.t -> src_off:int -> len:int -> dst:Bytes.t -> dst_off:int ->
   Ilp_checksum.Internet.acc
 
-(** [recv_ilp t ~src ~src_off ~len ~dst ~dst_off] fuses the receive:
-    per chunk, fold the ciphertext into the checksum, copy it to [dst] and
-    decrypt it there.  [src] is left intact. *)
+(** [recv_ilp t ~src ~src_off ~len ~dst ~dst_off] fuses the receive into
+    one pass over the words: each ciphertext block is loaded from [src]
+    once, folded into the checksum, decrypted in registers and stored at
+    [dst] once.  [src] is left intact. *)
 val recv_ilp :
   t -> src:Bytes.t -> src_off:int -> len:int -> dst:Bytes.t -> dst_off:int ->
   Ilp_checksum.Internet.acc
@@ -60,10 +65,11 @@ val recv_ilp :
     describes: the concatenation of its runs, a [Gen s] run being [s]
     and an [App { addr; len }] run [src.[addr..addr+len-1]] (application
     memory read in place).  Segment boundaries are arbitrary.  The window
-    is gathered directly at [dst+dst_off] in cache-sized chunks, each
-    chunk encrypted and checksummed while resident: the message's only
-    copy is the gather itself.  The wire bytes are the cipher's ECB
-    encryption of the window, and the result is their checksum.
+    is gathered directly at [dst+dst_off] in 4 KiB chunks, and each chunk
+    is sealed while it is in L1 by one pass that encrypts each block in
+    registers and folds it into the checksum: the message's only copy is
+    the gather itself.  The wire bytes are the cipher's ECB encryption of
+    the window, and the result is their checksum.
 
     Raises [Invalid_argument] when the window is not inside the message,
     [off] or [len] is not a multiple of 8, an [App] run (in the window or

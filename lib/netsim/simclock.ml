@@ -216,9 +216,9 @@ let advance t dt =
 let run_until_idle ?(max_events = 1_000_000) t =
   let fired = ref 0 in
   while t.size > 0 do
+    if !fired = max_events then raise (Livelock max_events);
     fire_first t;
-    incr fired;
-    if !fired > max_events then raise (Livelock max_events)
+    incr fired
   done
 
 let pending t = t.size

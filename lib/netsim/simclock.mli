@@ -76,8 +76,9 @@ val is_pending : timer -> bool
 val advance : t -> float -> unit
 
 (** [run_until_idle ?max_events t] keeps jumping to the next pending event
-    until none remain.  Raises {!Livelock} after [max_events] (default
-    1_000_000) firings. *)
+    until none remain.  It fires at most [max_events] (default 1_000_000)
+    events: a clock that drains in exactly that many returns, and one
+    with an event still pending after them raises {!Livelock}. *)
 val run_until_idle : ?max_events:int -> t -> unit
 
 (** Number of pending (uncancelled, unfired) events. *)

@@ -175,7 +175,7 @@ let reply_segments h ~payload_addr =
    is property-tested (test_rpc). *)
 
 let decode_request body : (request, string) result =
-  match Stub.unmarshal_from request_stub (Xdr.Dec.of_string body) with
+  match Stub.unmarshal request_stub body with
   | VSeq [ VStr file_name; VInt copies; VInt max_reply ] ->
       Ok
         { file_name; copies; max_reply; req_id = 0; start_copy = 0;
@@ -184,7 +184,7 @@ let decode_request body : (request, string) result =
   | exception Xdr.Dec.Error e -> Error e
 
 let decode_reply body : (reply_header * string, string) result =
-  match Stub.unmarshal_from reply_stub (Xdr.Dec.of_string body) with
+  match Stub.unmarshal reply_stub body with
   | VSeq [ VEnum st; VInt copy; VInt file_offset; VInt total_len; VBytes data ]
     -> (
       match status_of_enum st with
@@ -202,9 +202,8 @@ let decode_reply body : (reply_header * string, string) result =
    4 (flagged probe), 5 (v2 request), 6 (flagged request) — the flagged
    forms end in a capability flag word, returned alongside the message
    (0 for the unflagged forms). *)
-let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
+let decode_ctrl_bytes d buf ~off ~len : (ctrl * int, string) result =
   match
-    let d = Xdr.Dec.create () in
     Xdr.Dec.reset d buf ~off ~len;
     let file_name = Xdr.Dec.opaque d in
     let rest = Xdr.Dec.remaining d in
@@ -250,6 +249,7 @@ let decode_reply_view d h buf ~off ~len : (unit, string) result =
     let file_offset = Xdr.Dec.int32 d in
     let total_len = Xdr.Dec.int32 d in
     let data_len = Xdr.Dec.opaque_in_place d in
+    Xdr.Dec.expect_end d;
     match status_of_enum st with
     | Some status ->
         h.status <- status;

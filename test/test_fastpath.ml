@@ -28,6 +28,13 @@ let reference_encrypt cipher s =
   | FP.Cipher.Safer k -> Safer.encrypt_string k s
   | FP.Cipher.Des k -> Des.encrypt_string k s
 
+let reference_decrypt cipher s =
+  match cipher with
+  | FP.Cipher.Simple -> Simple_cipher.decrypt_string s
+  | FP.Cipher.Safer_simplified k -> Safer_simplified.decrypt_string k s
+  | FP.Cipher.Safer k -> Safer.decrypt_string k s
+  | FP.Cipher.Des k -> Des.decrypt_string k s
+
 let random_msg len =
   String.init len (fun i -> Char.chr ((i * 131 + 17) land 0xff))
 
@@ -166,6 +173,103 @@ let prop_wire_roundtrip_at_offsets =
       Bytes.to_string out = msg
       && Internet.finish acc = Internet.finish acc'
       && Internet.finish acc = Internet.checksum_string reference)
+
+(* Both receives of any ciphertext, flipped bytes included, at any
+   offsets: the same plaintext (the reference ECB decryption) and the
+   same checksum (the reference checksum of the received bytes), so TCP
+   accepts or rejects a segment alike under either style.  Lengths run
+   past the send's 4 KiB gather chunk. *)
+let prop_recv_styles_agree =
+  QCheck.Test.make ~count:60
+    ~name:"recv_ilp = recv_separate (all ciphers, offsets, flipped bytes)"
+    QCheck.(
+      quad (int_bound 3)
+        (oneof [ int_range 0 64; int_range 500 700 ])
+        (triple (int_bound 15) (int_bound 15) small_nat)
+        (small_list (pair small_nat (int_range 1 255))))
+    (fun (ci, words, (src_off, dst_off, seed), flips) ->
+      let cipher = List.nth (ciphers ()) ci in
+      let len = words * 8 in
+      let fp = FP.Wire.create ~cipher ~max_len:len () in
+      let wire = Bytes.of_string (reference_encrypt cipher (random_msg len)) in
+      List.iter
+        (fun (pos, x) ->
+          if len > 0 then begin
+            let pos = (pos * 97 + seed) mod len in
+            Bytes.set wire pos (Char.chr (Char.code (Bytes.get wire pos) lxor x))
+          end)
+        flips;
+      let received = Bytes.to_string wire in
+      let src = Bytes.make (src_off + len) '\xaa' in
+      Bytes.blit wire 0 src src_off len;
+      let before = Bytes.copy src in
+      let out_ilp = Bytes.make (dst_off + len) 'i' and out_sep = Bytes.make (dst_off + len) 'i' in
+      let acc_ilp = FP.Wire.recv_ilp fp ~src ~src_off ~len ~dst:out_ilp ~dst_off in
+      let acc_sep = FP.Wire.recv_separate fp ~src ~src_off ~len ~dst:out_sep ~dst_off in
+      Bytes.equal out_ilp out_sep
+      && Bytes.sub_string out_ilp dst_off len = reference_decrypt cipher received
+      && Bytes.sub_string out_ilp 0 dst_off = String.make dst_off 'i'
+      && acc_ilp = acc_sep
+      && Internet.finish acc_ilp = Internet.checksum_string received
+      && Bytes.equal (Bytes.sub before 0 src_off) (Bytes.sub src 0 src_off))
+
+(* The fused loops' lane fold against [add_bytes_unsafe] on a run of more
+   than 2^16 words (so the end-around carry runs) of all-ones and of
+   mixed bytes, from an even and from an odd-parity accumulator: the
+   fold of the ciphertext is the same accumulator either way, and its
+   checksum is a byte-pair reference's. *)
+let test_lane_fold_long_runs () =
+  let words = 65536 + 37 in
+  let len = words * 8 in
+  let reference prefix b =
+    let sum = ref 0 in
+    let byte i = if i < String.length prefix then Char.code prefix.[i]
+      else Char.code (Bytes.get b (i - String.length prefix)) in
+    let n = String.length prefix + Bytes.length b in
+    for k = 0 to (n / 2) - 1 do
+      sum := !sum + (byte (2 * k) lsl 8) + byte ((2 * k) + 1)
+    done;
+    if n land 1 = 1 then sum := !sum + (byte (n - 1) lsl 8);
+    while !sum > 0xffff do
+      sum := (!sum land 0xffff) + (!sum lsr 16)
+    done;
+    lnot !sum land 0xffff
+  in
+  List.iter
+    (fun (what, data) ->
+      List.iter
+        (fun prefix ->
+          let acc0 = Internet.add_string Internet.empty prefix in
+          let direct = Internet.add_bytes_unsafe acc0 data ~off:0 ~len in
+          check (Printf.sprintf "%s after %d bytes: add_bytes_unsafe = reference" what
+                   (String.length prefix))
+            (reference prefix data) (Internet.finish direct);
+          (* The lane sum, as a fused loop keeps it. *)
+          let lanes = ref 0 in
+          for i = 0 to words - 1 do
+            let w = FP.Words.get64 data (i * 8) in
+            lanes :=
+              !lanes + (Int64.to_int w land 0xffff_ffff)
+              + Int64.to_int (Int64.shift_right_logical w 32);
+            if i land 0xffff = 0xffff then
+              lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
+          done;
+          checkb (what ^ ": add_lanes = add_bytes_unsafe") true
+            (Internet.add_lanes acc0 !lanes = direct);
+          List.iter
+            (fun cipher ->
+              let name = what ^ ", " ^ FP.Cipher.name cipher in
+              let dst = Bytes.create len in
+              let acc = FP.Cipher.decrypt_fold cipher ~src:data ~src_off:0 ~dst ~dst_off:0
+                  ~count:words acc0 in
+              checkb (name ^ ": decrypt_fold = add_bytes_unsafe") true (acc = direct);
+              let acc = FP.Cipher.encrypt_fold cipher dst ~off:0 ~count:words acc0 in
+              checkb (name ^ ": encrypt_fold round trip") true (Bytes.equal dst data);
+              checkb (name ^ ": encrypt_fold = add_bytes_unsafe") true (acc = direct))
+            [ FP.Cipher.Simple; FP.Cipher.Safer_simplified (Safer_simplified.expand_key key) ])
+        [ ""; "\x5a"; "\xff\xff\xff" ])
+    [ ("all ones", Bytes.make len '\xff');
+      ("mixed", Bytes.of_string (random_msg len)) ]
 
 let test_wire_validation () =
   let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~max_len:64 () in
@@ -486,14 +590,15 @@ let test_staging_from_pool () =
   FP.Wire.release fp;
   check "no leaks at teardown" 0 (FP.Pool.outstanding pool)
 
-(* Once the staging buffer is drawn, neither scatter-gather send
-   allocates: the gather is one loop over the segments, its cursors in
-   locals.  The message spans a chunk boundary inside a segment, so the
-   fused send seals a full chunk mid-segment and then the tail; the
-   window [16, 4992) also starts inside a segment and skips the first. *)
+(* Once the staging buffer is drawn, neither scatter-gather send nor
+   either receive allocates, with the simple cipher or simplified SAFER:
+   the gather is one loop over the segments, its cursors in locals, and
+   each word loop keeps its block and lane sum in registers.  The
+   message spans a chunk boundary inside a segment, so the fused send
+   seals a full chunk mid-segment and then the tail; the window
+   [16, 4992) also starts inside a segment and skips the first. *)
 let test_sendv_allocates_nothing () =
   let len = 5000 in
-  let fp = FP.Wire.create ~cipher:FP.Cipher.Simple ~pool:(FP.Pool.create ()) ~max_len:len () in
   let src = Bytes.of_string (random_msg len) in
   let segs =
     [| Stub_ilp.Gen "stubhead";
@@ -508,20 +613,32 @@ let test_sendv_allocates_nothing () =
     for _ = 1 to n do f () done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
+  let nothing what words =
+    checkb (Printf.sprintf "%s allocates (%.2f words/call)" what words) true (words <= 0.01)
+  in
   List.iter
-    (fun (what, send) ->
+    (fun cipher ->
+      let fp = FP.Wire.create ~cipher ~pool:(FP.Pool.create ()) ~max_len:len () in
+      let name = FP.Cipher.name cipher in
       List.iter
-        (fun (off, len) ->
-          let words =
-            per_call (fun () ->
-                ignore (Sys.opaque_identity (send fp ~segs ~src ~off ~len ~dst ~dst_off:0)))
-          in
-          checkb
-            (Printf.sprintf "%s [%d, %d) allocates (%.2f words/call)" what off
-               (off + len) words)
-            true (words <= 0.01))
-        [ (0, len); (16, 4976) ])
-    [ ("sendv_ilp", FP.Wire.sendv_ilp); ("sendv_separate", FP.Wire.sendv_separate) ]
+        (fun (what, send) ->
+          List.iter
+            (fun (off, len) ->
+              nothing
+                (Printf.sprintf "%s %s [%d, %d)" name what off (off + len))
+                (per_call (fun () ->
+                     ignore (Sys.opaque_identity (send fp ~segs ~src ~off ~len ~dst ~dst_off:0)))))
+            [ (0, len); (16, 4976) ])
+        [ ("sendv_ilp", FP.Wire.sendv_ilp); ("sendv_separate", FP.Wire.sendv_separate) ];
+      let out = Bytes.create len in
+      List.iter
+        (fun (what, recv) ->
+          nothing (name ^ " " ^ what)
+            (per_call (fun () ->
+                 ignore
+                   (Sys.opaque_identity (recv fp ~src:dst ~src_off:0 ~len ~dst:out ~dst_off:0)))))
+        [ ("recv_ilp", FP.Wire.recv_ilp); ("recv_separate", FP.Wire.recv_separate) ])
+    [ FP.Cipher.Simple; FP.Cipher.Safer_simplified (Safer_simplified.expand_key key) ]
 
 (* ------------------------------------------------------------------ *)
 (* Memtraffic: the per-direction ledger split *)
@@ -595,6 +712,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_wire_validation;
           Alcotest.test_case "window and src bounds" `Quick test_window_bounds;
           qc prop_wire_roundtrip_at_offsets;
+          qc prop_recv_styles_agree;
+          Alcotest.test_case "lane fold on long runs" `Quick test_lane_fold_long_runs;
           qc prop_sendv_equals_contiguous;
           Alcotest.test_case "sends allocate nothing" `Quick test_sendv_allocates_nothing;
           Alcotest.test_case "staging drawn from pool" `Quick

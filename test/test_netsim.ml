@@ -59,13 +59,30 @@ let test_clock_event_chain_within_window () =
   Simclock.advance clock 20.0;
   check "chained event inside the window fires" 2 !fired
 
+(* The budget counts firings: a clock that re-arms forever fires exactly
+   [max_events] events and raises, and one that drains in exactly
+   [max_events] returns. *)
 let test_clock_livelock_guard () =
   let clock = Simclock.create () in
-  let rec rearm () = ignore (Simclock.schedule clock ~after:0.0 rearm) in
-  rearm ();
-  match Simclock.run_until_idle ~max_events:100 clock with
+  let fired = ref 0 in
+  let rec rearm () =
+    incr fired;
+    ignore (Simclock.schedule clock ~after:0.0 rearm)
+  in
+  ignore (Simclock.schedule clock ~after:0.0 rearm);
+  (match Simclock.run_until_idle ~max_events:100 clock with
   | () -> Alcotest.fail "expected livelock failure"
-  | exception Simclock.Livelock n -> check "budget reported" 100 n
+  | exception Simclock.Livelock n ->
+      check "budget reported" 100 n;
+      check "firings" 100 !fired);
+  let clock = Simclock.create () and fired = ref 0 in
+  let rec chain k () =
+    incr fired;
+    if k > 1 then ignore (Simclock.schedule clock ~after:1.0 (chain (k - 1)))
+  in
+  ignore (Simclock.schedule clock ~after:1.0 (chain 100));
+  Simclock.run_until_idle ~max_events:100 clock;
+  check "a clock that drains in exactly the budget returns" 100 !fired
 
 let test_clock_negative_delay_clamped () =
   let clock = Simclock.create () in
@@ -154,9 +171,10 @@ module Map_clock = struct
 
   let run_until_idle ?(max_events = 1_000_000) t =
     let fired = ref 0 in
-    while fire_next t do
-      incr fired;
-      if !fired > max_events then raise (Simclock.Livelock max_events)
+    while not (Events.is_empty t.events) do
+      if !fired = max_events then raise (Simclock.Livelock max_events);
+      ignore (fire_next t);
+      incr fired
     done
 
   let pending t = Events.cardinal t.events
