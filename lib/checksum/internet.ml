@@ -35,21 +35,18 @@ let add_lanes acc lanes =
   pack (fold16 (acc_sum acc + v)) (acc_odd acc)
 
 let add_bytes_unsafe acc b ~off ~len =
-  let stop = off + len in
-  let i = ref off and lanes = ref 0 in
-  while stop - !i >= 8 do
-    let w = unsafe_get_64 b !i in
+  let words = len lsr 3 and lanes = ref 0 in
+  for k = 0 to words - 1 do
+    let w = unsafe_get_64 b (off + (k lsl 3)) in
     lanes :=
-      !lanes + (Int64.to_int w land 0xffff_ffff)
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
       + Int64.to_int (Int64.shift_right_logical w 32);
-    i := !i + 8;
     (* The end-around carry, every 2^16 words. *)
-    if (!i - off) land 0x7_ffff = 0 then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
+    if k land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
   done;
   let acc = ref (add_lanes acc !lanes) in
-  while !i < stop do
-    acc := add_byte !acc (Char.code (Bytes.unsafe_get b !i));
-    incr i
+  for i = off + (words lsl 3) to off + len - 1 do
+    acc := add_byte !acc (Char.code (Bytes.unsafe_get b i))
   done;
   pack (fold16 (acc_sum !acc)) (acc_odd !acc)
 

@@ -33,8 +33,8 @@ val add_bytes_unsafe : acc -> Bytes.t -> off:int -> len:int -> acc
 
 (** [add_lanes acc s] folds a lane sum [s] into [acc], at either parity.
     A lane sum is what a word loop keeps in an [int]: for each 64-bit
-    word [w] loaded in native byte order, [(Int64.to_int w land
-    0xffff_ffff) + Int64.to_int (Int64.shift_right_logical w 32)], summed
+    word [w] loaded in native byte order, [Int64.to_int (Int64.logand w
+    0xFFFF_FFFFL) + Int64.to_int (Int64.shift_right_logical w 32)], summed
     over at most 2^16 words; a longer loop keeps its sum small with an
     end-around carry every 2^16 words, [s := (s land 0xffff_ffff) + (s
     lsr 32)].  {!add_bytes_unsafe} folds its word loop through here, and

@@ -249,7 +249,7 @@ let test_lane_fold_long_runs () =
           for i = 0 to words - 1 do
             let w = FP.Words.get64 data (i * 8) in
             lanes :=
-              !lanes + (Int64.to_int w land 0xffff_ffff)
+              !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
               + Int64.to_int (Int64.shift_right_logical w 32);
             if i land 0xffff = 0xffff then
               lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
