@@ -8,11 +8,17 @@
     SPARCstation 10 — fast enough that memory behaviour, not ALU work,
     dominates.
 
-    The characteristics that drive the paper's cache analysis are kept:
-    the algorithm is byte-oriented, reads a key byte-vector and two 256-byte
-    tables for every data byte, and its decryption needs more intermediate
-    variables than encryption (modelled as a partial register spill to a
-    scratch area in simulated memory). *)
+    The characteristics that drive the paper's cache analysis are kept
+    in the charged cipher: the algorithm is byte-oriented, reads a key
+    byte-vector and two 256-byte tables for every data byte, and its
+    decryption needs more intermediate variables than encryption
+    (modelled as a partial register spill to a scratch area in simulated
+    memory).
+
+    The native kernels run the same rounds as one word step: an 8-byte
+    block is one 64-bit word read little-endian, its bytes taken apart,
+    transformed and put together in registers.  The in-place passes and
+    the fused checksum loops below inline that one step. *)
 
 type key
 
