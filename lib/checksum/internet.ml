@@ -26,11 +26,9 @@ external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
    lane pair is big-endian on a big-endian host or at odd parity, and
    little-endian otherwise.  Each word adds < 2^33, so 2^16 words stay
    below 2^50, inside the 63-bit int; the end-around carry keeps the sum
-   congruent modulo 2^32 - 1, a multiple of 0xffff.  A loop adds a
-   word's two halves together before adding them to its sum, so the
-   sum's dependency chain is one add per word, and it carries inline,
-   not through a call: a call in the loop would spill its cursors to
-   the stack. *)
+   congruent modulo 2^32 - 1, a multiple of 0xffff.  A loop carries
+   inline, not through a call: a call in the loop would spill its
+   cursors to the stack. *)
 let add_lanes acc lanes =
   let folded = fold16 ((lanes land 0xffff_ffff) + (lanes lsr 32)) in
   let v = if Sys.big_endian <> acc_odd acc then folded else byteswap16 folded in
@@ -41,8 +39,8 @@ let add_bytes_unsafe acc b ~off ~len =
   for k = 0 to words - 1 do
     let w = unsafe_get_64 b (off + (k lsl 3)) in
     lanes :=
-      !lanes
-      + (Int64.to_int (Int64.logand w 0xFFFF_FFFFL) + Int64.to_int (Int64.shift_right_logical w 32));
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+      + Int64.to_int (Int64.shift_right_logical w 32);
     (* The end-around carry, every 2^16 words. *)
     if k land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
   done;

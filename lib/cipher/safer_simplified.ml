@@ -188,8 +188,8 @@ let encrypt_fold key b ~off ~count acc =
     let w = encrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 (get64 b o) in
     set64 b o w;
     lanes :=
-      !lanes
-      + (Int64.to_int (Int64.logand w 0xFFFF_FFFFL) + Int64.to_int (Int64.shift_right_logical w 32));
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+      + Int64.to_int (Int64.shift_right_logical w 32);
     if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
   done;
   Internet.add_lanes acc !lanes
@@ -206,8 +206,8 @@ let decrypt_fold key ~src ~src_off ~dst ~dst_off ~count acc =
   for i = 0 to count - 1 do
     let w = get64 src (src_off + (i lsl 3)) in
     lanes :=
-      !lanes
-      + (Int64.to_int (Int64.logand w 0xFFFF_FFFFL) + Int64.to_int (Int64.shift_right_logical w 32));
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+      + Int64.to_int (Int64.shift_right_logical w 32);
     if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32);
     set64 dst (dst_off + (i lsl 3)) (decrypt_word ex lg k0 k1 k2 k3 k4 k5 k6 k7 w)
   done;
