@@ -161,37 +161,30 @@ let with_block f b off =
 let pure_sbox b i = sboxes.(b).(i)
 let no_ops (_ : int) = ()
 
-let encrypt_block key b off =
-  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:false) b off
+let encrypt_block key =
+  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:false)
 
-let decrypt_block key b off =
-  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:true) b off
+let decrypt_block key =
+  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:true)
 
 (* Batch form: the core closure is built once per run, not per block. *)
-let batch name core b ~off ~count =
+let batch name block b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds");
   for i = 0 to count - 1 do
-    with_block core b (off + (i * 8))
+    block b (off + (i * 8))
   done
 
-let encrypt_blocks key b ~off ~count =
-  batch "Des.encrypt_blocks"
-    (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:false)
-    b ~off ~count
-
-let decrypt_blocks key b ~off ~count =
-  batch "Des.decrypt_blocks"
-    (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:true)
-    b ~off ~count
+let encrypt_blocks key b ~off ~count = batch "Des.encrypt_blocks" (encrypt_block key) b ~off ~count
+let decrypt_blocks key b ~off ~count = batch "Des.decrypt_blocks" (decrypt_block key) b ~off ~count
 
 let map_string f key s =
   let n = String.length s in
   if n mod 8 <> 0 then invalid_arg "Des: input not a multiple of 8 bytes";
-  let b = Bytes.of_string s in
+  let b = Bytes.of_string s and block = f key in
   let off = ref 0 in
   while !off < n do
-    f key b !off;
+    block b !off;
     off := !off + 8
   done;
   Bytes.unsafe_to_string b

@@ -16,7 +16,10 @@ type key
     (parity bits are ignored, as usual). *)
 val expand_key : string -> key
 
-(** Pure in-place transforms on 8 bytes at the given offset. *)
+(** Pure in-place transforms on 8 bytes at the given offset.  Applied to
+    a key alone, each builds the round-function closure once and returns
+    the block function, so a loop that keeps it pays no set-up per
+    block. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 
 val decrypt_block : key -> Bytes.t -> int -> unit

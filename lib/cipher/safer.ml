@@ -154,47 +154,42 @@ let run_block core s b off =
     Bytes.set b (off + i) (Char.chr s.(i))
   done
 
-let with_block f b off = run_block f (Array.make 8 0) b off
+(* A core's block function over its own scratch, built once and called
+   per block. *)
+let block_fn core =
+  let s = Array.make 8 0 in
+  fun b off -> run_block core s b off
 
 let pure_exp x = exp_table.(x)
 let pure_log x = log_table.(x)
 let no_ops (_ : int) = ()
 
-let batch name core b ~off ~count =
+let encrypt_block key =
+  block_fn (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
+
+let decrypt_block key =
+  block_fn (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
+
+let batch name block b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds");
-  let s = Array.make 8 0 in
   for i = 0 to count - 1 do
-    run_block core s b (off + (i * 8))
+    block b (off + (i * 8))
   done
 
 let encrypt_blocks key b ~off ~count =
-  batch "Safer.encrypt_blocks"
-    (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
-    b ~off ~count
+  batch "Safer.encrypt_blocks" (encrypt_block key) b ~off ~count
 
 let decrypt_blocks key b ~off ~count =
-  batch "Safer.decrypt_blocks"
-    (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
-    b ~off ~count
-
-let encrypt_block key b off =
-  with_block
-    (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
-    b off
-
-let decrypt_block key b off =
-  with_block
-    (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
-    b off
+  batch "Safer.decrypt_blocks" (decrypt_block key) b ~off ~count
 
 let map_string f key s =
   let n = String.length s in
   if n mod 8 <> 0 then invalid_arg "Safer: input not a multiple of 8 bytes";
-  let b = Bytes.of_string s in
+  let b = Bytes.of_string s and block = f key in
   let off = ref 0 in
   while !off < n do
-    f key b !off;
+    block b !off;
     off := !off + 8
   done;
   Bytes.unsafe_to_string b
@@ -221,13 +216,10 @@ let charged (sim : Ilp_memsim.Sim.t) ?(rounds = 6) ~key () =
   let code_decrypt = Code.alloc sim.code ~len:(512 + (rounds * 416)) in
   (* One scratch per direction for the instance's lifetime (the simulated
      machine is sequential), instead of an allocation per block. *)
-  let s_enc = Array.make 8 0 and s_dec = Array.make 8 0 in
-  let enc_core = encrypt_core ~kread ~exp ~log ~ops k in
-  let dec_core = decrypt_core ~kread ~exp ~log ~ops k in
   { Block_cipher.name = Printf.sprintf "SAFER-K64/%d" rounds;
     block_len = 8;
-    encrypt = (fun b off -> run_block enc_core s_enc b off);
-    decrypt = (fun b off -> run_block dec_core s_dec b off);
+    encrypt = block_fn (encrypt_core ~kread ~exp ~log ~ops k);
+    decrypt = block_fn (decrypt_core ~kread ~exp ~log ~ops k);
     code_encrypt;
     code_decrypt;
     store_unit = 1 }

@@ -24,7 +24,10 @@ type key
     not within \[1, 12\]. *)
 val expand_key : ?rounds:int -> string -> key
 
-(** Pure in-place block transforms on 8 bytes at [off]. *)
+(** Pure in-place block transforms on 8 bytes at [off].  Applied to a
+    key alone, each builds the key's core and a scratch block once and
+    returns the block function, so a loop that keeps it pays no set-up
+    per block. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 
 val decrypt_block : key -> Bytes.t -> int -> unit

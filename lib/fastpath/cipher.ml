@@ -35,34 +35,43 @@ let decrypt_blocks t b ~off ~count =
   | Des key -> Ilp_cipher.Des.decrypt_blocks key b ~off ~count
 
 (* SAFER-K64 and DES keep their block kernels: each block is transformed
-   and folded while it is in L1, by one kernel call per block. *)
+   by the key's block function and folded while it is in L1, the lane
+   sum kept as the word loops keep it. *)
 
-let blocks_encrypt_fold kernel b ~off ~count acc =
-  let acc = ref acc in
+let blocks_encrypt_fold block b ~off ~count acc =
+  let lanes = ref 0 in
   for i = 0 to count - 1 do
     let o = off + (i lsl 3) in
-    kernel b ~off:o ~count:1;
-    acc := Internet.add_bytes_unsafe !acc b ~off:o ~len:8
+    block b o;
+    let w = Words.get64 b o in
+    lanes :=
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32)
   done;
-  !acc
+  Internet.add_lanes acc !lanes
 
-let blocks_decrypt_fold kernel ~src ~src_off ~dst ~dst_off ~count acc =
-  let acc = ref acc in
+let blocks_decrypt_fold block ~src ~src_off ~dst ~dst_off ~count acc =
+  let lanes = ref 0 in
   for i = 0 to count - 1 do
-    let s = src_off + (i lsl 3) and d = dst_off + (i lsl 3) in
-    acc := Internet.add_bytes_unsafe !acc src ~off:s ~len:8;
-    Words.set64 dst d (Words.get64 src s);
-    kernel dst ~off:d ~count:1
+    let d = dst_off + (i lsl 3) in
+    let w = Words.get64 src (src_off + (i lsl 3)) in
+    lanes :=
+      !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+      + Int64.to_int (Int64.shift_right_logical w 32);
+    if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32);
+    Words.set64 dst d w;
+    block dst d
   done;
-  !acc
+  Internet.add_lanes acc !lanes
 
 let encrypt_fold t b ~off ~count acc =
   check "Ilp_fastpath.Cipher.encrypt_fold" b ~off ~count;
   match t with
   | Simple -> Simple_cipher.encrypt_fold b ~off ~count acc
   | Safer_simplified key -> Safer_simplified.encrypt_fold key b ~off ~count acc
-  | Safer key -> blocks_encrypt_fold (Ilp_cipher.Safer.encrypt_blocks key) b ~off ~count acc
-  | Des key -> blocks_encrypt_fold (Ilp_cipher.Des.encrypt_blocks key) b ~off ~count acc
+  | Safer key -> blocks_encrypt_fold (Ilp_cipher.Safer.encrypt_block key) b ~off ~count acc
+  | Des key -> blocks_encrypt_fold (Ilp_cipher.Des.encrypt_block key) b ~off ~count acc
 
 let decrypt_fold t ~src ~src_off ~dst ~dst_off ~count acc =
   check "Ilp_fastpath.Cipher.decrypt_fold" src ~off:src_off ~count;
@@ -72,8 +81,8 @@ let decrypt_fold t ~src ~src_off ~dst ~dst_off ~count acc =
   | Safer_simplified key ->
       Safer_simplified.decrypt_fold key ~src ~src_off ~dst ~dst_off ~count acc
   | Safer key ->
-      blocks_decrypt_fold (Ilp_cipher.Safer.decrypt_blocks key) ~src ~src_off ~dst
+      blocks_decrypt_fold (Ilp_cipher.Safer.decrypt_block key) ~src ~src_off ~dst
         ~dst_off ~count acc
   | Des key ->
-      blocks_decrypt_fold (Ilp_cipher.Des.decrypt_blocks key) ~src ~src_off ~dst
+      blocks_decrypt_fold (Ilp_cipher.Des.decrypt_block key) ~src ~src_off ~dst
         ~dst_off ~count acc

@@ -21,9 +21,8 @@
     Every function feeds the {!Memtraffic} ledger (bytes copied, bytes
     transformed in place, bytes checksummed), so [ilpbench mem] can count
     the traversal structure it claims.  The ledger counts the bytes each
-    layer manipulates, not passes over memory: the fused receive is
-    charged a checksum read, a marshal copy and a cipher transform per
-    byte, as the chunked loop it replaced was.
+    layer manipulates, not passes over memory: both receives are charged
+    a checksum read, a marshal copy and a cipher transform per byte.
 
     [len] must be a multiple of the cipher block (8 bytes), and so must a
     send's window offset; offsets and lengths are bounds-checked on
