@@ -38,8 +38,8 @@ val encrypt_string : key -> string -> string
 val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
-    8-byte blocks in place, reusing one scratch block across the whole run
-    (no per-block closure dispatch or allocation). *)
+    8-byte blocks in place through one block function, its core and
+    scratch block built once for the whole run. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
