@@ -196,30 +196,70 @@ let[@inline] clear r =
   r.arounds <- 0;
   r.fills <- 0
 
-(* One side's access in full: every line from [addr]'s to [last], in
+(* One line access, counted in [r]: returns the way the line is left
+   in, or -1 for a store-around. *)
+let[@inline] line_access t r ~addr ~write =
+  let x = access t ~addr ~write in
+  if x >= 0 then begin
+    r.hits <- r.hits + 1;
+    x
+  end
+  else if x = -1 then begin
+    r.arounds <- r.arounds + 1;
+    -1
+  end
+  else begin
+    log_fill r ~line:addr ~write (if writeback x then t.victim else -1);
+    way_of x
+  end
+
+(* The lines from [a] to [stop], in order. *)
+let rec lines_from t r ~a ~stop ~write =
+  let w = line_access t r ~addr:a ~write in
+  if a = stop then w else lines_from t r ~a:(a + t.cfg.line) ~stop ~write
+
+(* One side's access in full: every line from [addr]'s to [last]'s, in
    order, counted in [r].  Returns the way the last line is left in, or
-   -1 for a store-around. *)
+   -1 for a store-around.  An access inside one line (every single
+   access the benchmark makes, and every run access that does not
+   straddle) is one line access, with no loop. *)
 let[@inline] lines t r ~addr ~last ~write =
-  let line = t.cfg.line in
-  let a = ref (addr land lnot (line - 1)) and o = ref 0 in
-  while !a <= last do
-    let x = access t ~addr:!a ~write in
-    if x >= 0 then r.hits <- r.hits + 1
-    else if x = -1 then r.arounds <- r.arounds + 1
-    else log_fill r ~line:!a ~write (if writeback x then t.victim else -1);
-    o := x;
-    a := !a + line
-  done;
-  way_of !o
+  let mask = lnot (t.cfg.line - 1) in
+  let first = addr land mask and stop = last land mask in
+  if first = stop then line_access t r ~addr:first ~write
+  else lines_from t r ~a:first ~stop ~write
 
 let span t r ~addr ~size ~write =
   clear r;
   ignore (lines t r ~addr ~last:(addr + size - 1) ~write)
 
-(* [n] iterations of a read and/or a write of [1 lsl shift] bytes.  Each
-   side remembers the line its last access ended in ([rl], [wl]; -1:
-   none yet) and the way that line was left in ([rw], [ww]; for the
-   write side -1 is a store-around: the line is not resident in a
+(* A run's reads alone, one iteration per line they reach: the read
+   that reaches it, in full, then the reads after it that stay inside
+   the line, a stretch of known hits applied at once (the count and the
+   LRU clock by k, the line's final age).  Nothing else touches the
+   cache in between, so the line is still where the full read left
+   it. *)
+let read_walk t r ~src ~n ~shift =
+  let unit = 1 lsl shift and line = t.cfg.line in
+  let mask = lnot (line - 1) in
+  let s = ref src and i = ref 0 in
+  while !i < n do
+    let sl = (!s + unit - 1) land mask in
+    let w = lines t r ~addr:!s ~last:sl ~write:false in
+    let k = Int.min ((sl + line - !s - unit) asr shift) (n - !i - 1) in
+    if k > 0 then begin
+      t.tick <- t.tick + k;
+      r.hits <- r.hits + k;
+      t.age.(w) <- t.tick
+    end;
+    s := !s + ((k + 1) lsl shift);
+    i := !i + k + 1
+  done
+
+(* A copy, one iteration per line either side reaches.  Each side
+   remembers the line its last access ended in ([rl], [wl]; -1: none
+   yet) and the way that line was left in ([rw], [ww]; for the write
+   side -1 is a store-around: the line is not resident in a
    no-write-allocate cache).
 
    - An access confined to its side's remembered line is a known hit on
@@ -228,72 +268,77 @@ let span t r ~addr ~size ~write =
      again, if no read since has covered the line (a read allocates).
      No tag search.
    - Any other access goes through [lines], in full.
-   - The iterations after one that stay inside both remembered lines are
+   - The iterations after it that stay inside both remembered lines are
      a stretch of known hits and store-arounds, which fill nothing: it
      is applied at once, the counts by k, the LRU clock by k or 2k, the
-     lines' final ages (the write line last) and the dirty bit. *)
-let walk t r ~read ~write ~n ~shift =
-  clear r;
-  let unit = 1 lsl shift in
-  let line = t.cfg.line in
+     lines' final ages (the write line last) and the dirty bit.  It
+     needs the read line still resident: only a write-allocate cache's
+     write fill can have evicted it. *)
+let copy_walk t r ~src ~dst ~n ~shift =
+  let unit = 1 lsl shift and line = t.cfg.line and tag_shift = t.tag_shift in
   let mask = lnot (line - 1) in
   let rl = ref (-1) and rw = ref (-1) and wl = ref (-1) and ww = ref (-1) in
-  let s = ref read and d = ref write and i = ref 0 in
+  let s = ref src and d = ref dst and i = ref 0 in
   while !i < n do
-    if read >= 0 then begin
-      let sl = (!s + unit - 1) land mask in
-      if sl = !rl && t.tags.(!rw) = sl lsr t.tag_shift then begin
-        touch t !rw;
+    let sl = (!s + unit - 1) land mask in
+    if sl = !rl && t.tags.(!rw) = sl lsr tag_shift then begin
+      touch t !rw;
+      r.hits <- r.hits + 1
+    end
+    else begin
+      rw := lines t r ~addr:!s ~last:sl ~write:false;
+      rl := sl;
+      if !ww < 0 && !wl >= !s land mask && !wl <= sl then wl := -1
+    end;
+    let dl = (!d + unit - 1) land mask in
+    if dl = !wl && (!ww < 0 || t.tags.(!ww) = dl lsr tag_shift) then
+      if !ww >= 0 then begin
+        hit_way t ~way:!ww ~write:true;
         r.hits <- r.hits + 1
       end
+      else r.arounds <- r.arounds + 1
+    else begin
+      ww := lines t r ~addr:!d ~last:dl ~write:true;
+      wl := dl
+    end;
+    let k =
+      Int.min
+        (Int.min ((!rl + line - !s - unit) asr shift) ((!wl + line - !d - unit) asr shift))
+        (n - !i - 1)
+    in
+    let k = if k > 0 && t.tags.(!rw) = !rl lsr tag_shift then k else 0 in
+    if k > 0 then
+      if !ww >= 0 then begin
+        t.tick <- t.tick + (2 * k);
+        r.hits <- r.hits + (2 * k);
+        t.age.(!rw) <- t.tick - 1;
+        t.age.(!ww) <- t.tick;
+        if t.write_back then t.dirty.(!ww) <- true
+      end
       else begin
-        rw := lines t r ~addr:!s ~last:sl ~write:false;
-        rl := sl;
-        if !ww < 0 && !wl >= !s land mask && !wl <= sl then wl := -1
-      end
-    end;
-    if write >= 0 then begin
-      let dl = (!d + unit - 1) land mask in
-      if dl = !wl && (!ww < 0 || t.tags.(!ww) = dl lsr t.tag_shift) then
-        if !ww >= 0 then begin
-          hit_way t ~way:!ww ~write:true;
-          r.hits <- r.hits + 1
-        end
-        else r.arounds <- r.arounds + 1
-      else begin
-        ww := lines t r ~addr:!d ~last:dl ~write:true;
-        wl := dl
-      end
-    end;
-    incr i;
-    if !i < n then begin
-      let k = if read >= 0 then (!rl + line - !s - unit) asr shift else n in
-      let k = if write >= 0 then Int.min k ((!wl + line - !d - unit) asr shift) else k in
-      let k = Int.min k (n - !i) in
-      if k > 0 && (read < 0 || t.tags.(!rw) = !rl lsr t.tag_shift) then begin
-        let reads = if read >= 0 then 1 else 0 in
-        let writes = if write >= 0 && !ww >= 0 then 1 else 0 in
-        t.tick <- t.tick + (k * (reads + writes));
-        r.hits <- r.hits + (k * (reads + writes));
-        if reads > 0 then t.age.(!rw) <- t.tick - writes;
-        if writes > 0 then begin
-          t.age.(!ww) <- t.tick;
-          if t.write_back then t.dirty.(!ww) <- true
-        end
-        else if write >= 0 then r.arounds <- r.arounds + k;
-        s := !s + (k lsl shift);
-        d := !d + (k lsl shift);
-        i := !i + k
-      end
-    end;
-    s := !s + unit;
-    d := !d + unit
+        t.tick <- t.tick + k;
+        r.hits <- r.hits + k;
+        r.arounds <- r.arounds + k;
+        t.age.(!rw) <- t.tick
+      end;
+    s := !s + ((k + 1) lsl shift);
+    d := !d + ((k + 1) lsl shift);
+    i := !i + k + 1
   done
 
-let touch_ways t ways =
-  for j = 0 to Array.length ways - 1 do
-    touch t ways.(j)
-  done
+let walk t r ~read ~write ~n ~shift =
+  clear r;
+  if write < 0 then read_walk t r ~src:read ~n ~shift
+  else copy_walk t r ~src:read ~dst:write ~n ~shift
+
+(* The LRU clock read once and stored once: way [j]'s age is the clock
+   plus [j + 1], as [j + 1] touches in order leave it. *)
+let touch_ways t (ways : int array) =
+  let tick = t.tick and age = t.age and n = Array.length ways in
+  for j = 0 to n - 1 do
+    age.(Array.unsafe_get ways j) <- tick + j + 1
+  done;
+  t.tick <- tick + n
 
 (* [ways.(j)] is where a walk over consecutive lines left line [j].  A
    line is evicted only by a later fill into its way, and only lines [j]
