@@ -82,13 +82,15 @@ let permute64 (v : int64) table =
   done;
   !out
 
-(* 64-bit source to 64-bit result (IP and FP). *)
-let permute64_to64 (v : int64) table =
-  let n = Array.length table in
-  let out = ref 0L in
-  for i = 0 to n - 1 do
-    let bit = Int64.logand (Int64.shift_right_logical v (64 - table.(i))) 1L in
-    out := Int64.logor (Int64.shift_left !out 1) bit
+(* One 32-bit half of IP or FP: output bits [from .. from + 31] of the
+   64-bit value whose high half is [hi] and low half [lo], both held in
+   ints, so the block never lives in a boxed [int64]. *)
+let permute_half hi lo table ~from =
+  let out = ref 0 in
+  for i = from to from + 31 do
+    let p = table.(i) in
+    let bit = if p <= 32 then (hi lsr (32 - p)) land 1 else (lo lsr (64 - p)) land 1 in
+    out := (!out lsl 1) lor bit
   done;
   !out
 
@@ -135,10 +137,11 @@ let feistel ~sbox r subkey =
   done;
   permute !out ~width:32 p_table
 
-let crypt_core ~sbox ~ops subkeys ~decrypt block =
-  let v = permute64_to64 block ip in
-  let l = ref (Int64.to_int (Int64.shift_right_logical v 32))
-  and r = ref (Int64.to_int (Int64.logand v 0xffffffffL)) in
+(* The block at [off] of [b], in place. *)
+let crypt_core ~sbox ~ops subkeys ~decrypt b off =
+  let hi = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+  and lo = Int32.to_int (Bytes.get_int32_be b (off + 4)) land 0xffffffff in
+  let l = ref (permute_half hi lo ip ~from:0) and r = ref (permute_half hi lo ip ~from:32) in
   ops 140;
   for i = 0 to 15 do
     let k = if decrypt then subkeys.(15 - i) else subkeys.(i) in
@@ -147,44 +150,37 @@ let crypt_core ~sbox ~ops subkeys ~decrypt block =
     l := t;
     ops 100
   done;
-  (* Swap halves before the final permutation. *)
-  let preout =
-    Int64.logor (Int64.shift_left (Int64.of_int !r) 32) (Int64.of_int !l)
-  in
   ops 140;
-  permute64_to64 preout fp
-
-let with_block f b off =
-  let v = Bytes.get_int64_be b off in
-  Bytes.set_int64_be b off (f v)
+  (* The halves swap before the final permutation: R is the high one. *)
+  Bytes.set_int32_be b off (Int32.of_int (permute_half !r !l fp ~from:0));
+  Bytes.set_int32_be b (off + 4) (Int32.of_int (permute_half !r !l fp ~from:32))
 
 let pure_sbox b i = sboxes.(b).(i)
 let no_ops (_ : int) = ()
 
-let encrypt_block key =
-  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:false)
+let encrypt_block key b off =
+  crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:false b off
 
-let decrypt_block key =
-  with_block (crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:true)
+let decrypt_block key b off =
+  crypt_core ~sbox:pure_sbox ~ops:no_ops key.subkeys ~decrypt:true b off
 
-(* Batch form: the core closure is built once per run, not per block. *)
-let batch name block b ~off ~count =
+let batch name block key b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds");
   for i = 0 to count - 1 do
-    block b (off + (i * 8))
+    block key b (off + (i * 8))
   done
 
-let encrypt_blocks key b ~off ~count = batch "Des.encrypt_blocks" (encrypt_block key) b ~off ~count
-let decrypt_blocks key b ~off ~count = batch "Des.decrypt_blocks" (decrypt_block key) b ~off ~count
+let encrypt_blocks key b ~off ~count = batch "Des.encrypt_blocks" encrypt_block key b ~off ~count
+let decrypt_blocks key b ~off ~count = batch "Des.decrypt_blocks" decrypt_block key b ~off ~count
 
 let map_string f key s =
   let n = String.length s in
   if n mod 8 <> 0 then invalid_arg "Des: input not a multiple of 8 bytes";
-  let b = Bytes.of_string s and block = f key in
+  let b = Bytes.of_string s in
   let off = ref 0 in
   while !off < n do
-    block b !off;
+    f key b !off;
     off := !off + 8
   done;
   Bytes.unsafe_to_string b
@@ -204,12 +200,10 @@ let charged (sim : Ilp_memsim.Sim.t) ~key () =
   let ops n = Machine.compute sim.machine n in
   let code_encrypt = Code.alloc sim.code ~len:6144 in
   let code_decrypt = Code.alloc sim.code ~len:6144 in
-  let enc_core = crypt_core ~sbox ~ops k.subkeys ~decrypt:false in
-  let dec_core = crypt_core ~sbox ~ops k.subkeys ~decrypt:true in
   { Block_cipher.name = "DES";
     block_len = 8;
-    encrypt = with_block enc_core;
-    decrypt = with_block dec_core;
+    encrypt = crypt_core ~sbox ~ops k.subkeys ~decrypt:false;
+    decrypt = crypt_core ~sbox ~ops k.subkeys ~decrypt:true;
     code_encrypt;
     code_decrypt;
     store_unit = 4 }

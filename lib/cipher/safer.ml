@@ -39,157 +39,167 @@ let expand_key ?(rounds = 6) user =
   { rounds; k }
 
 
-(* The round core is shared between the pure and the charged
-   implementations: [kread i] fetches round-key byte [i], [exp]/[log] are
-   the substitution tables, [ops n] charges [n] ALU operations.  The block
-   lives in the array [s] of eight register bytes. *)
+(* One 2-PHT, [PHT (x, y) = (2x+y, x+y) mod 256], and its inverse, as
+   two bytes of one int (the first output in the low byte). *)
+let[@inline] pht2 x y = (((2 * x) + y) land 0xff) lor (((x + y) land 0xff) lsl 8)
+let[@inline] ipht2 x y = ((x - y) land 0xff) lor ((((2 * y) - x) land 0xff) lsl 8)
 
-let encrypt_core ~kread ~exp ~log ~ops key s =
+(* The round core is shared between the pure and the charged
+   implementations: [kread key i] fetches round-key byte [i], [exp]/[log]
+   are the substitution tables, [ops n] charges [n] ALU operations.  The
+   block at [off] of [b] lives in eight locals from its load to its
+   store, so the core allocates nothing: no scratch block, and no
+   closure per key or per round. *)
+
+let encrypt_core ~kread ~exp ~log ~ops key b off =
   let r = key.rounds in
+  let s0 = ref (Char.code (Bytes.get b off)) and s1 = ref (Char.code (Bytes.get b (off + 1)))
+  and s2 = ref (Char.code (Bytes.get b (off + 2))) and s3 = ref (Char.code (Bytes.get b (off + 3)))
+  and s4 = ref (Char.code (Bytes.get b (off + 4))) and s5 = ref (Char.code (Bytes.get b (off + 5)))
+  and s6 = ref (Char.code (Bytes.get b (off + 6))) and s7 = ref (Char.code (Bytes.get b (off + 7))) in
   for i = 0 to r - 1 do
     let k1 = i * 16 and k2 = (i * 16) + 8 in
     (* Mixed XOR/ADD with K_{2i+1}. *)
-    s.(0) <- s.(0) lxor kread (k1 + 0);
-    s.(1) <- (s.(1) + kread (k1 + 1)) land 0xff;
-    s.(2) <- (s.(2) + kread (k1 + 2)) land 0xff;
-    s.(3) <- s.(3) lxor kread (k1 + 3);
-    s.(4) <- s.(4) lxor kread (k1 + 4);
-    s.(5) <- (s.(5) + kread (k1 + 5)) land 0xff;
-    s.(6) <- (s.(6) + kread (k1 + 6)) land 0xff;
-    s.(7) <- s.(7) lxor kread (k1 + 7);
+    s0 := !s0 lxor kread key (k1 + 0);
+    s1 := (!s1 + kread key (k1 + 1)) land 0xff;
+    s2 := (!s2 + kread key (k1 + 2)) land 0xff;
+    s3 := !s3 lxor kread key (k1 + 3);
+    s4 := !s4 lxor kread key (k1 + 4);
+    s5 := (!s5 + kread key (k1 + 5)) land 0xff;
+    s6 := (!s6 + kread key (k1 + 6)) land 0xff;
+    s7 := !s7 lxor kread key (k1 + 7);
     (* Nonlinear layer, then mixed ADD/XOR with K_{2i+2}. *)
-    s.(0) <- (exp s.(0) + kread (k2 + 0)) land 0xff;
-    s.(1) <- log s.(1) lxor kread (k2 + 1);
-    s.(2) <- log s.(2) lxor kread (k2 + 2);
-    s.(3) <- (exp s.(3) + kread (k2 + 3)) land 0xff;
-    s.(4) <- (exp s.(4) + kread (k2 + 4)) land 0xff;
-    s.(5) <- log s.(5) lxor kread (k2 + 5);
-    s.(6) <- log s.(6) lxor kread (k2 + 6);
-    s.(7) <- (exp s.(7) + kread (k2 + 7)) land 0xff;
+    s0 := (exp !s0 + kread key (k2 + 0)) land 0xff;
+    s1 := log !s1 lxor kread key (k2 + 1);
+    s2 := log !s2 lxor kread key (k2 + 2);
+    s3 := (exp !s3 + kread key (k2 + 3)) land 0xff;
+    s4 := (exp !s4 + kread key (k2 + 4)) land 0xff;
+    s5 := log !s5 lxor kread key (k2 + 5);
+    s6 := log !s6 lxor kread key (k2 + 6);
+    s7 := (exp !s7 + kread key (k2 + 7)) land 0xff;
     ops 32;
     (* Three 2-PHT levels with the Armenian shuffle folded in. *)
-    let pht i j =
-      let x = s.(i) and y = s.(j) in
-      s.(i) <- ((2 * x) + y) land 0xff;
-      s.(j) <- (x + y) land 0xff
-    in
-    pht 0 1; pht 2 3; pht 4 5; pht 6 7;
-    pht 0 2; pht 4 6; pht 1 3; pht 5 7;
-    pht 0 4; pht 1 5; pht 2 6; pht 3 7;
+    let p = pht2 !s0 !s1 in s0 := p land 0xff; s1 := p lsr 8;
+    let p = pht2 !s2 !s3 in s2 := p land 0xff; s3 := p lsr 8;
+    let p = pht2 !s4 !s5 in s4 := p land 0xff; s5 := p lsr 8;
+    let p = pht2 !s6 !s7 in s6 := p land 0xff; s7 := p lsr 8;
+    let p = pht2 !s0 !s2 in s0 := p land 0xff; s2 := p lsr 8;
+    let p = pht2 !s4 !s6 in s4 := p land 0xff; s6 := p lsr 8;
+    let p = pht2 !s1 !s3 in s1 := p land 0xff; s3 := p lsr 8;
+    let p = pht2 !s5 !s7 in s5 := p land 0xff; s7 := p lsr 8;
+    let p = pht2 !s0 !s4 in s0 := p land 0xff; s4 := p lsr 8;
+    let p = pht2 !s1 !s5 in s1 := p land 0xff; s5 := p lsr 8;
+    let p = pht2 !s2 !s6 in s2 := p land 0xff; s6 := p lsr 8;
+    let p = pht2 !s3 !s7 in s3 := p land 0xff; s7 := p lsr 8;
     ops 36;
     (* Permutation: (a,b,c,d,e,f,g,h) -> (a,e,b,f,c,g,d,h) expressed as the
        two 3-cycles of the reference implementation. *)
-    let t = s.(1) in
-    s.(1) <- s.(4); s.(4) <- s.(2); s.(2) <- t;
-    let t = s.(3) in
-    s.(3) <- s.(5); s.(5) <- s.(6); s.(6) <- t;
+    let t = !s1 in
+    s1 := !s4; s4 := !s2; s2 := t;
+    let t = !s3 in
+    s3 := !s5; s5 := !s6; s6 := t;
     ops 8
   done;
   (* Output transform with K_{2r+1}. *)
   let kl = r * 16 in
-  s.(0) <- s.(0) lxor kread (kl + 0);
-  s.(1) <- (s.(1) + kread (kl + 1)) land 0xff;
-  s.(2) <- (s.(2) + kread (kl + 2)) land 0xff;
-  s.(3) <- s.(3) lxor kread (kl + 3);
-  s.(4) <- s.(4) lxor kread (kl + 4);
-  s.(5) <- (s.(5) + kread (kl + 5)) land 0xff;
-  s.(6) <- (s.(6) + kread (kl + 6)) land 0xff;
-  s.(7) <- s.(7) lxor kread (kl + 7);
+  Bytes.set b off (Char.chr (!s0 lxor kread key (kl + 0)));
+  Bytes.set b (off + 1) (Char.chr ((!s1 + kread key (kl + 1)) land 0xff));
+  Bytes.set b (off + 2) (Char.chr ((!s2 + kread key (kl + 2)) land 0xff));
+  Bytes.set b (off + 3) (Char.chr (!s3 lxor kread key (kl + 3)));
+  Bytes.set b (off + 4) (Char.chr (!s4 lxor kread key (kl + 4)));
+  Bytes.set b (off + 5) (Char.chr ((!s5 + kread key (kl + 5)) land 0xff));
+  Bytes.set b (off + 6) (Char.chr ((!s6 + kread key (kl + 6)) land 0xff));
+  Bytes.set b (off + 7) (Char.chr (!s7 lxor kread key (kl + 7)));
   ops 16
 
-let decrypt_core ~kread ~exp ~log ~ops key s =
+let decrypt_core ~kread ~exp ~log ~ops key b off =
   let r = key.rounds in
   let sub x k = (x - k) land 0xff in
   (* Invert the output transform. *)
   let kl = r * 16 in
-  s.(0) <- s.(0) lxor kread (kl + 0);
-  s.(1) <- sub s.(1) (kread (kl + 1));
-  s.(2) <- sub s.(2) (kread (kl + 2));
-  s.(3) <- s.(3) lxor kread (kl + 3);
-  s.(4) <- s.(4) lxor kread (kl + 4);
-  s.(5) <- sub s.(5) (kread (kl + 5));
-  s.(6) <- sub s.(6) (kread (kl + 6));
-  s.(7) <- s.(7) lxor kread (kl + 7);
+  let s0 = ref (Char.code (Bytes.get b off) lxor kread key (kl + 0)) in
+  let s1 = ref (sub (Char.code (Bytes.get b (off + 1))) (kread key (kl + 1))) in
+  let s2 = ref (sub (Char.code (Bytes.get b (off + 2))) (kread key (kl + 2))) in
+  let s3 = ref (Char.code (Bytes.get b (off + 3)) lxor kread key (kl + 3)) in
+  let s4 = ref (Char.code (Bytes.get b (off + 4)) lxor kread key (kl + 4)) in
+  let s5 = ref (sub (Char.code (Bytes.get b (off + 5))) (kread key (kl + 5))) in
+  let s6 = ref (sub (Char.code (Bytes.get b (off + 6))) (kread key (kl + 6))) in
+  let s7 = ref (Char.code (Bytes.get b (off + 7)) lxor kread key (kl + 7)) in
   ops 16;
   for i = r - 1 downto 0 do
     let k1 = i * 16 and k2 = (i * 16) + 8 in
     (* Invert the permutation: forward sent (a,b,c,d,e,f,g,h) to
        (a,e,b,f,c,g,d,h). *)
-    let t = s.(2) in
-    s.(2) <- s.(4); s.(4) <- s.(1); s.(1) <- t;
-    let t = s.(6) in
-    s.(6) <- s.(5); s.(5) <- s.(3); s.(3) <- t;
+    let t = !s2 in
+    s2 := !s4; s4 := !s1; s1 := t;
+    let t = !s6 in
+    s6 := !s5; s5 := !s3; s3 := t;
     ops 8;
     (* Invert the PHT levels, innermost first. *)
-    let ipht i j =
-      let x = s.(i) and y = s.(j) in
-      s.(i) <- (x - y) land 0xff;
-      s.(j) <- ((2 * y) - x) land 0xff
-    in
-    ipht 0 4; ipht 1 5; ipht 2 6; ipht 3 7;
-    ipht 0 2; ipht 4 6; ipht 1 3; ipht 5 7;
-    ipht 0 1; ipht 2 3; ipht 4 5; ipht 6 7;
+    let p = ipht2 !s0 !s4 in s0 := p land 0xff; s4 := p lsr 8;
+    let p = ipht2 !s1 !s5 in s1 := p land 0xff; s5 := p lsr 8;
+    let p = ipht2 !s2 !s6 in s2 := p land 0xff; s6 := p lsr 8;
+    let p = ipht2 !s3 !s7 in s3 := p land 0xff; s7 := p lsr 8;
+    let p = ipht2 !s0 !s2 in s0 := p land 0xff; s2 := p lsr 8;
+    let p = ipht2 !s4 !s6 in s4 := p land 0xff; s6 := p lsr 8;
+    let p = ipht2 !s1 !s3 in s1 := p land 0xff; s3 := p lsr 8;
+    let p = ipht2 !s5 !s7 in s5 := p land 0xff; s7 := p lsr 8;
+    let p = ipht2 !s0 !s1 in s0 := p land 0xff; s1 := p lsr 8;
+    let p = ipht2 !s2 !s3 in s2 := p land 0xff; s3 := p lsr 8;
+    let p = ipht2 !s4 !s5 in s4 := p land 0xff; s5 := p lsr 8;
+    let p = ipht2 !s6 !s7 in s6 := p land 0xff; s7 := p lsr 8;
     ops 36;
     (* Invert the nonlinear layer and the two key mixings. *)
-    s.(0) <- log (sub s.(0) (kread (k2 + 0))) lxor kread (k1 + 0);
-    s.(1) <- sub (exp (s.(1) lxor kread (k2 + 1))) (kread (k1 + 1));
-    s.(2) <- sub (exp (s.(2) lxor kread (k2 + 2))) (kread (k1 + 2));
-    s.(3) <- log (sub s.(3) (kread (k2 + 3))) lxor kread (k1 + 3);
-    s.(4) <- log (sub s.(4) (kread (k2 + 4))) lxor kread (k1 + 4);
-    s.(5) <- sub (exp (s.(5) lxor kread (k2 + 5))) (kread (k1 + 5));
-    s.(6) <- sub (exp (s.(6) lxor kread (k2 + 6))) (kread (k1 + 6));
-    s.(7) <- log (sub s.(7) (kread (k2 + 7))) lxor kread (k1 + 7);
+    s0 := log (sub !s0 (kread key (k2 + 0))) lxor kread key (k1 + 0);
+    s1 := sub (exp (!s1 lxor kread key (k2 + 1))) (kread key (k1 + 1));
+    s2 := sub (exp (!s2 lxor kread key (k2 + 2))) (kread key (k1 + 2));
+    s3 := log (sub !s3 (kread key (k2 + 3))) lxor kread key (k1 + 3);
+    s4 := log (sub !s4 (kread key (k2 + 4))) lxor kread key (k1 + 4);
+    s5 := sub (exp (!s5 lxor kread key (k2 + 5))) (kread key (k1 + 5));
+    s6 := sub (exp (!s6 lxor kread key (k2 + 6))) (kread key (k1 + 6));
+    s7 := log (sub !s7 (kread key (k2 + 7))) lxor kread key (k1 + 7);
     ops 32
-  done
-
-(* Run a core on one block through a caller-supplied scratch array, so a
-   batch (or a long-lived charged instance) reuses the scratch instead of
-   allocating per block. *)
-let run_block core s b off =
-  for i = 0 to 7 do
-    s.(i) <- Char.code (Bytes.get b (off + i))
   done;
-  core s;
-  for i = 0 to 7 do
-    Bytes.set b (off + i) (Char.chr s.(i))
-  done
+  Bytes.set b off (Char.chr !s0);
+  Bytes.set b (off + 1) (Char.chr !s1);
+  Bytes.set b (off + 2) (Char.chr !s2);
+  Bytes.set b (off + 3) (Char.chr !s3);
+  Bytes.set b (off + 4) (Char.chr !s4);
+  Bytes.set b (off + 5) (Char.chr !s5);
+  Bytes.set b (off + 6) (Char.chr !s6);
+  Bytes.set b (off + 7) (Char.chr !s7)
 
-(* A core's block function over its own scratch, built once and called
-   per block. *)
-let block_fn core =
-  let s = Array.make 8 0 in
-  fun b off -> run_block core s b off
-
+let pure_kread key i = key.k.(i)
 let pure_exp x = exp_table.(x)
 let pure_log x = log_table.(x)
 let no_ops (_ : int) = ()
 
-let encrypt_block key =
-  block_fn (encrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
+let encrypt_block key b off =
+  encrypt_core ~kread:pure_kread ~exp:pure_exp ~log:pure_log ~ops:no_ops key b off
 
-let decrypt_block key =
-  block_fn (decrypt_core ~kread:(Array.get key.k) ~exp:pure_exp ~log:pure_log ~ops:no_ops key)
+let decrypt_block key b off =
+  decrypt_core ~kread:pure_kread ~exp:pure_exp ~log:pure_log ~ops:no_ops key b off
 
-let batch name block b ~off ~count =
+let batch name block key b ~off ~count =
   if off < 0 || count < 0 || off + (count * 8) > Bytes.length b then
     invalid_arg (name ^ ": block run out of bounds");
   for i = 0 to count - 1 do
-    block b (off + (i * 8))
+    block key b (off + (i * 8))
   done
 
 let encrypt_blocks key b ~off ~count =
-  batch "Safer.encrypt_blocks" (encrypt_block key) b ~off ~count
+  batch "Safer.encrypt_blocks" encrypt_block key b ~off ~count
 
 let decrypt_blocks key b ~off ~count =
-  batch "Safer.decrypt_blocks" (decrypt_block key) b ~off ~count
+  batch "Safer.decrypt_blocks" decrypt_block key b ~off ~count
 
 let map_string f key s =
   let n = String.length s in
   if n mod 8 <> 0 then invalid_arg "Safer: input not a multiple of 8 bytes";
-  let b = Bytes.of_string s and block = f key in
+  let b = Bytes.of_string s in
   let off = ref 0 in
   while !off < n do
-    block b !off;
+    f key b !off;
     off := !off + 8
   done;
   Bytes.unsafe_to_string b
@@ -206,7 +216,7 @@ let charged (sim : Ilp_memsim.Sim.t) ?(rounds = 6) ~key () =
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (exp_base + i) v) exp_table;
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (log_base + i) v) log_table;
   Array.iteri (fun i v -> Mem.poke_u8 sim.mem (key_base + i) v) k.k;
-  let kread i = Mem.get_u8 sim.mem (key_base + i) in
+  let kread (_ : key) i = Mem.get_u8 sim.mem (key_base + i) in
   let exp x = Mem.get_u8 sim.mem (exp_base + x) in
   let log x = Mem.get_u8 sim.mem (log_base + x) in
   let ops n = Machine.compute sim.machine n in
@@ -214,12 +224,10 @@ let charged (sim : Ilp_memsim.Sim.t) ?(rounds = 6) ~key () =
      sizes approximate the SPARC object code of the reference C version. *)
   let code_encrypt = Code.alloc sim.code ~len:(512 + (rounds * 384)) in
   let code_decrypt = Code.alloc sim.code ~len:(512 + (rounds * 416)) in
-  (* One scratch per direction for the instance's lifetime (the simulated
-     machine is sequential), instead of an allocation per block. *)
   { Block_cipher.name = Printf.sprintf "SAFER-K64/%d" rounds;
     block_len = 8;
-    encrypt = block_fn (encrypt_core ~kread ~exp ~log ~ops k);
-    decrypt = block_fn (decrypt_core ~kread ~exp ~log ~ops k);
+    encrypt = encrypt_core ~kread ~exp ~log ~ops k;
+    decrypt = decrypt_core ~kread ~exp ~log ~ops k;
     code_encrypt;
     code_decrypt;
     store_unit = 1 }

@@ -35,14 +35,15 @@ let decrypt_blocks t b ~off ~count =
   | Des key -> Ilp_cipher.Des.decrypt_blocks key b ~off ~count
 
 (* SAFER-K64 and DES keep their block kernels: each block is transformed
-   by the key's block function and folded while it is in L1, the lane
+   by the cipher's block function, applied to the key and the block in
+   full (no closure per call), and folded while it is in L1, the lane
    sum kept as the word loops keep it. *)
 
-let blocks_encrypt_fold block b ~off ~count acc =
+let blocks_encrypt_fold block key b ~off ~count acc =
   let lanes = ref 0 in
   for i = 0 to count - 1 do
     let o = off + (i lsl 3) in
-    block b o;
+    block key b o;
     let w = Words.get64 b o in
     lanes :=
       !lanes + Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
@@ -51,7 +52,7 @@ let blocks_encrypt_fold block b ~off ~count acc =
   done;
   Internet.add_lanes acc !lanes
 
-let blocks_decrypt_fold block ~src ~src_off ~dst ~dst_off ~count acc =
+let blocks_decrypt_fold block key ~src ~src_off ~dst ~dst_off ~count acc =
   let lanes = ref 0 in
   for i = 0 to count - 1 do
     let d = dst_off + (i lsl 3) in
@@ -61,7 +62,7 @@ let blocks_decrypt_fold block ~src ~src_off ~dst ~dst_off ~count acc =
       + Int64.to_int (Int64.shift_right_logical w 32);
     if i land 0xffff = 0xffff then lanes := (!lanes land 0xffff_ffff) + (!lanes lsr 32);
     Words.set64 dst d w;
-    block dst d
+    block key dst d
   done;
   Internet.add_lanes acc !lanes
 
@@ -70,8 +71,8 @@ let encrypt_fold t b ~off ~count acc =
   match t with
   | Simple -> Simple_cipher.encrypt_fold b ~off ~count acc
   | Safer_simplified key -> Safer_simplified.encrypt_fold key b ~off ~count acc
-  | Safer key -> blocks_encrypt_fold (Ilp_cipher.Safer.encrypt_block key) b ~off ~count acc
-  | Des key -> blocks_encrypt_fold (Ilp_cipher.Des.encrypt_block key) b ~off ~count acc
+  | Safer key -> blocks_encrypt_fold Ilp_cipher.Safer.encrypt_block key b ~off ~count acc
+  | Des key -> blocks_encrypt_fold Ilp_cipher.Des.encrypt_block key b ~off ~count acc
 
 let decrypt_fold t ~src ~src_off ~dst ~dst_off ~count acc =
   check "Ilp_fastpath.Cipher.decrypt_fold" src ~off:src_off ~count;
@@ -81,8 +82,8 @@ let decrypt_fold t ~src ~src_off ~dst ~dst_off ~count acc =
   | Safer_simplified key ->
       Safer_simplified.decrypt_fold key ~src ~src_off ~dst ~dst_off ~count acc
   | Safer key ->
-      blocks_decrypt_fold (Ilp_cipher.Safer.decrypt_block key) ~src ~src_off ~dst
-        ~dst_off ~count acc
+      blocks_decrypt_fold Ilp_cipher.Safer.decrypt_block key ~src ~src_off ~dst ~dst_off
+        ~count acc
   | Des key ->
-      blocks_decrypt_fold (Ilp_cipher.Des.decrypt_block key) ~src ~src_off ~dst
-        ~dst_off ~count acc
+      blocks_decrypt_fold Ilp_cipher.Des.decrypt_block key ~src ~src_off ~dst ~dst_off
+        ~count acc

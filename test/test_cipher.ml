@@ -193,23 +193,39 @@ let prop_simplified_batch_matches_core =
       batched Safer_simplified.encrypt_blocks = per_block Safer_simplified.encrypt_block
       && batched Safer_simplified.decrypt_blocks = per_block Safer_simplified.decrypt_block)
 
-let test_simplified_batch_allocates_nothing () =
-  let key = Safer_simplified.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
+(* A batch of 512 blocks, each way, allocates nothing after its first
+   call: [n] calls read less than a hundredth of a word per call. *)
+let batch_allocates_nothing ~n encrypt_blocks decrypt_blocks () =
   let b = Bytes.make 4096 'x' in
-  let n = 1000 in
   let words f =
-    f key b ~off:0 ~count:512;
+    f b ~off:0 ~count:512;
     let w0 = Gc.minor_words () in
     for _ = 1 to n do
-      f key b ~off:0 ~count:512
+      f b ~off:0 ~count:512
     done;
     (Gc.minor_words () -. w0) /. float_of_int n
   in
-  let enc = words Safer_simplified.encrypt_blocks in
-  let dec = words Safer_simplified.decrypt_blocks in
+  let enc = words encrypt_blocks in
+  let dec = words decrypt_blocks in
   checkb (Printf.sprintf "0 minor words per call (encrypt %.3f, decrypt %.3f)" enc dec)
     true
     (enc < 0.01 && dec < 0.01)
+
+let test_simplified_batch_allocates_nothing =
+  let key = Safer_simplified.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
+  batch_allocates_nothing ~n:1000 (Safer_simplified.encrypt_blocks key)
+    (Safer_simplified.decrypt_blocks key)
+
+(* SAFER-K64's PHT butterflies and DES's block halves stay out of the
+   heap too (a closure per round, and a boxed [int64] into and out of
+   the round function, before). *)
+let test_safer_batch_allocates_nothing =
+  let key = Safer.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
+  batch_allocates_nothing ~n:200 (Safer.encrypt_blocks key) (Safer.decrypt_blocks key)
+
+let test_des_batch_allocates_nothing =
+  let key = Des.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
+  batch_allocates_nothing ~n:50 (Des.encrypt_blocks key) (Des.decrypt_blocks key)
 
 (* ------------------------------------------------------------------ *)
 (* Simple cipher *)
@@ -298,6 +314,7 @@ let () =
           Alcotest.test_case "zero key vector" `Quick test_des_known_weakish_key;
           Alcotest.test_case "charged matches pure" `Quick test_des_charged_matches_pure;
           Alcotest.test_case "bad key" `Quick test_des_bad_key_length;
+          Alcotest.test_case "batch allocates nothing" `Quick test_des_batch_allocates_nothing;
           qc prop_des_roundtrip ] );
       ( "safer",
         [ Alcotest.test_case "published vector" `Quick test_safer_published_vector;
@@ -306,6 +323,8 @@ let () =
           Alcotest.test_case "charged matches pure" `Quick
             test_safer_charged_matches_pure;
           Alcotest.test_case "validation" `Quick test_safer_validation;
+          Alcotest.test_case "batch allocates nothing" `Quick
+            test_safer_batch_allocates_nothing;
           qc prop_safer_roundtrip;
           qc prop_safer_roundtrip_rounds ] );
       ( "simplified",
