@@ -821,7 +821,11 @@ let print_model_case (layout, ops) =
    accesses keep revisiting, straddling and evicting a few lines.  One
    run in eight is 1.5 to 3 KiB long: more lines than the 256-byte L1ds
    hold, so it fills more than a walk's fill log holds at first (64
-   fills). *)
+   fills).  Up to six regions, two in seven 3 to 8 KB and one in seven
+   8 to 24 KB, are fetched often enough that they overflow the
+   SuperSPARC's 20 KB 5-way L1i between memo replays, so a fill's LRU
+   victim depends on the ages a replay left (the direct-mapped L1is have
+   no choice to make). *)
 let gen_model_case =
   let open QCheck.Gen in
   let sel = int_bound 0xffff in
@@ -837,13 +841,13 @@ let gen_model_case =
         ( 1,
           map2 (fun (s, d) (len, u) -> M_copy_run (s, d, len, u))
             (pair sel sel) (pair len size) );
-        (2, map (fun r -> M_exec r) (int_bound 3));
+        (4, map (fun r -> M_exec r) (int_bound 5));
         (1, return M_flush);
         (1, return M_reset) ]
   in
   pair
-    (list_size (int_range 1 4)
-       (frequency [ (6, int_bound 3000); (1, int_range 8000 24000) ]))
+    (list_size (int_range 1 6)
+       (frequency [ (4, int_bound 3000); (2, int_range 3000 8000); (1, int_range 8000 24000) ]))
     (list_size (int_range 1 80) op)
 
 let model_addr (cfg : Config.t) sel =
