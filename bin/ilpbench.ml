@@ -673,7 +673,7 @@ let report_cmd =
         List.iter print_endline (Telem.summary_lines r);
         print_endline "--- dashboard ---";
         List.iter print_endline (Telem.dashboard_lines r);
-        Printf.printf "wrote %s and %s\n" out flight_out;
+        Printf.eprintf "wrote %s and %s\n" out flight_out;
         (match Telem.check r with
         | Ok () ->
             print_endline

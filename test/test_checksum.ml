@@ -62,7 +62,8 @@ let test_internet_add_u16 () =
     (Internet.finish acc)
 
 let prop_matches_reference =
-  QCheck.Test.make ~count:300 ~name:"checksum matches an independent reference"
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"checksum matches an independent reference"
     QCheck.(string_of_size Gen.(int_range 0 64))
     (fun s -> Internet.checksum_string s = reference s)
 
@@ -92,7 +93,8 @@ let prop_incremental_equals_whole =
    reference at every offset/length, including when the accumulator
    resumes at odd parity. *)
 let prop_unsafe_random_slices =
-  QCheck.Test.make ~count:500 ~name:"add_bytes_unsafe matches reference on slices"
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"add_bytes_unsafe matches reference on slices"
     QCheck.(triple (string_of_size Gen.(int_range 0 200)) small_nat small_nat)
     (fun (s, a, b) ->
       let n = String.length s in
@@ -103,7 +105,7 @@ let prop_unsafe_random_slices =
       Internet.finish acc = reference (String.sub s off len))
 
 let prop_unsafe_odd_parity_resume =
-  QCheck.Test.make ~count:500
+  QCheck.Test.make ~count:500 ~long_factor:10
     ~name:"add_bytes_unsafe resumes correctly from odd parity"
     QCheck.(pair (string_of_size Gen.(int_range 1 64))
               (string_of_size Gen.(int_range 0 100)))
@@ -121,7 +123,7 @@ let prop_unsafe_odd_parity_resume =
       Internet.finish acc = reference (prefix ^ rest))
 
 let prop_unsafe_long_runs =
-  QCheck.Test.make ~count:50 ~name:"add_bytes_unsafe on multi-word runs"
+  QCheck.Test.make ~count:50 ~long_factor:10 ~name:"add_bytes_unsafe on multi-word runs"
     QCheck.(pair (int_range 0 1024) (int_range 0 255))
     (fun (len, seedb) ->
       let bytes = Bytes.init len (fun i -> Char.chr ((seedb + (i * 131)) land 0xff)) in

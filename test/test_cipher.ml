@@ -172,7 +172,8 @@ let test_simplified_charged_traffic () =
 (* The batch kernels are written out by hand; each must stay
    byte-identical to the per-block core, at any offset and on any data. *)
 let prop_simplified_batch_matches_core =
-  QCheck.Test.make ~count:200 ~name:"simplified SAFER batch = per-block core"
+  QCheck.Test.make ~count:200 ~long_factor:10
+    ~name:"simplified SAFER batch = per-block core"
     QCheck.(triple key8 (int_bound 7) (string_of_size Gen.(int_range 0 160)))
     (fun (k, off, s) ->
       let key = Safer_simplified.expand_key k in
@@ -258,7 +259,7 @@ let test_store_units () =
 let multi8 = QCheck.(string_of_size Gen.(map (fun n -> n * 8) (int_range 0 16)))
 
 let prop_pure_batch_matches_string =
-  QCheck.Test.make ~count:80 ~name:"pure batch kernels = ECB over string"
+  QCheck.Test.make ~count:80 ~long_factor:10 ~name:"pure batch kernels = ECB over string"
     QCheck.(pair key8 multi8)
     (fun (k, s) ->
       let count = String.length s / 8 in

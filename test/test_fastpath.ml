@@ -65,7 +65,8 @@ let test_blit_bounds () =
 (* Cipher kernels *)
 
 let prop_native_matches_reference =
-  QCheck.Test.make ~count:100 ~name:"native kernels = pure ECB (all ciphers)"
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"native kernels = pure ECB (all ciphers)"
     QCheck.(map (fun n -> n * 8) (int_range 0 64))
     (fun len ->
       let s = random_msg len in
@@ -180,7 +181,7 @@ let prop_wire_roundtrip_at_offsets =
    accepts or rejects a segment alike under either style.  Lengths run
    past the send's 4 KiB gather chunk. *)
 let prop_recv_styles_agree =
-  QCheck.Test.make ~count:60
+  QCheck.Test.make ~count:60 ~long_factor:10
     ~name:"recv_ilp = recv_separate (all ciphers, offsets, flipped bytes)"
     QCheck.(
       quad (int_bound 3)
@@ -531,7 +532,7 @@ let segments_of_string msg seed =
   cut 0 0 0 []
 
 let prop_sendv_equals_contiguous =
-  QCheck.Test.make ~count:80
+  QCheck.Test.make ~count:80 ~long_factor:10
     ~name:"sendv_{ilp,separate} = contiguous reference ECB on random splits"
     QCheck.(
       quad (map (fun n -> n * 8) (int_range 0 80)) small_nat small_nat small_nat)
