@@ -16,10 +16,9 @@ type key
     (parity bits are ignored, as usual). *)
 val expand_key : string -> key
 
-(** Pure in-place transforms on 8 bytes at the given offset.  Applied to
-    a key alone, each builds the round-function closure once and returns
-    the block function, so a loop that keeps it pays no set-up per
-    block. *)
+(** Pure in-place transforms on 8 bytes at the given offset.  They
+    allocate nothing: the block is permuted as two 32-bit halves held in
+    ints, never as a boxed [int64]. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 
 val decrypt_block : key -> Bytes.t -> int -> unit
@@ -28,8 +27,7 @@ val encrypt_string : key -> string -> string
 val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
-    8-byte blocks in place, constructing the round-function closure once
-    per run instead of once per block. *)
+    8-byte blocks in place, allocating nothing. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit

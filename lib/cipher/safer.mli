@@ -24,10 +24,9 @@ type key
     not within \[1, 12\]. *)
 val expand_key : ?rounds:int -> string -> key
 
-(** Pure in-place block transforms on 8 bytes at [off].  Applied to a
-    key alone, each builds the key's core and a scratch block once and
-    returns the block function, so a loop that keeps it pays no set-up
-    per block. *)
+(** Pure in-place block transforms on 8 bytes at [off].  They allocate
+    nothing: the block lives in locals from its load to its store, and
+    the round keys are read from [key] directly. *)
 val encrypt_block : key -> Bytes.t -> int -> unit
 
 val decrypt_block : key -> Bytes.t -> int -> unit
@@ -38,8 +37,7 @@ val encrypt_string : key -> string -> string
 val decrypt_string : key -> string -> string
 
 (** [encrypt_blocks key b ~off ~count] transforms [count] consecutive
-    8-byte blocks in place through one block function, its core and
-    scratch block built once for the whole run. *)
+    8-byte blocks in place, allocating nothing. *)
 val encrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit
 
 val decrypt_blocks : key -> Bytes.t -> off:int -> count:int -> unit

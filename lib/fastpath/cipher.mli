@@ -33,8 +33,8 @@ val decrypt_blocks : t -> Bytes.t -> off:int -> count:int -> unit
     and ciphered in registers, and stored once, with the checksum's lane
     sum kept in a register ({!Ilp_checksum.Internet.add_lanes}).
     SAFER-K64 and DES fold each block beside a call of their block
-    kernel, while the block is in L1.  A call allocates nothing for the
-    simple cipher and simplified SAFER. *)
+    kernel, while the block is in L1.  A call allocates nothing, whatever
+    the cipher. *)
 
 (** [encrypt_fold t b ~off ~count acc] encrypts [count] blocks of [b] in
     place, as {!encrypt_blocks} does, and returns [acc] extended by the

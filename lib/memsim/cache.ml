@@ -196,8 +196,9 @@ let[@inline] clear r =
   r.arounds <- 0;
   r.fills <- 0
 
-(* One line access, counted in [r]: returns the way the line is left
-   in, or -1 for a store-around. *)
+(* The access to the line at [addr] (a line address), counted or logged
+   in [r]: returns the way the line is left in, or -1 for a
+   store-around. *)
 let[@inline] line_access t r ~addr ~write =
   let x = access t ~addr ~write in
   if x >= 0 then begin

@@ -91,17 +91,19 @@ val tally : unit -> tally
 (** [span t r ~addr ~size ~write] leaves [t] as one [size]-byte access at
     [addr] leaves it, each line it covers being one {!access}, and it
     leaves in [r] how many of those line accesses hit, how many were
-    store-arounds, and every fill, in line order. *)
+    store-arounds, and every fill, in line order.  An access inside one
+    line is a single line access, with no loop. *)
 val span : t -> tally -> addr:int -> size:int -> write:bool -> unit
 
 (** [walk t r ~read ~write ~n ~shift] is [n] iterations of a
-    [1 lsl shift]-byte read at [read + i * (1 lsl shift)] (none if
-    [read < 0]) followed by a write of as many bytes at
-    [write + i * (1 lsl shift)] (none if [write < 0]).  It leaves [t] as
-    those accesses, each one {!span}, leave it, and [r] counting and
-    logging all of them, in order.  It searches tags only where a side
-    reaches a new line, and applies the iterations that stay inside both
-    sides' lines at once. *)
+    [1 lsl shift]-byte read at [read + i * (1 lsl shift)] followed by a
+    write of as many bytes at [write + i * (1 lsl shift)], or by none if
+    [write < 0].  A source is always given ([read >= 0]): a run reads
+    every unit, and a copy writes it too.  It leaves [t] as those
+    accesses, each one {!span}, leave it, and [r] counting and logging
+    all of them, in order.  It takes one step per line either side
+    reaches, searching tags only there, and applies the iterations that
+    stay inside both sides' lines at once. *)
 val walk : t -> tally -> read:int -> write:int -> n:int -> shift:int -> unit
 
 (** [touch_ways t ways] leaves the state that a read hit on the line in
