@@ -943,11 +943,14 @@ let test_exec_run_allocate_nothing () =
       ("read_run", fun () -> Machine.read_run m ~addr:3 ~len:256 ~unit:2 ~ops:3);
       ( "copy_run of 512 fills, after the first call",
         fun () -> Machine.copy_run m ~src:65536 ~dst:4096 ~len:16384 ~unit:8 );
-      (* The TCP header path: one charged access per field. *)
-      ( "single read and write (Mem.get_u32, Mem.set_u16)",
+      (* The TCP header path: one charged access per field, each inside
+         one L1d line (32 bytes), so each takes span's one-line access. *)
+      ( "one-line single read and write (Mem.get_u32, Mem.set_u16)",
         fun () ->
           ignore (Sys.opaque_identity (Mem.get_u32 mem 4100));
-          Mem.set_u16 mem 6022 0xbeef ) ];
+          Mem.set_u16 mem 6022 0xbeef );
+      ( "single read across two lines (Mem.get_u32)",
+        fun () -> ignore (Sys.opaque_identity (Mem.get_u32 mem 4126)) ) ];
   (* A boxed float: a header and the 8-byte payload. *)
   List.iter (at_most 2.0)
     [ ("micros", fun () -> ignore (Sys.opaque_identity (Machine.micros m)));
