@@ -217,9 +217,8 @@ let test_simplified_batch_allocates_nothing =
   batch_allocates_nothing ~n:1000 (Safer_simplified.encrypt_blocks key)
     (Safer_simplified.decrypt_blocks key)
 
-(* SAFER-K64's PHT butterflies and DES's block halves stay out of the
-   heap too (a closure per round, and a boxed [int64] into and out of
-   the round function, before). *)
+(* SAFER-K64 and DES too: no scratch block, no closure per round or per
+   key, and no boxed [int64] block. *)
 let test_safer_batch_allocates_nothing =
   let key = Safer.expand_key "\x11\x22\x33\x44\x55\x66\x77\x88" in
   batch_allocates_nothing ~n:200 (Safer.encrypt_blocks key) (Safer.decrypt_blocks key)
